@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -127,7 +126,6 @@ type genConfig struct {
 	Strategies []string // sampled uniformly per request; empty = server default
 	Engines    []string // sampled uniformly per request; empty = server default
 
-	V1Ratio    float64 // fraction of requests sent to the legacy /v1/rank
 	BatchRatio float64 // fraction of v2 requests that are batches
 	BatchSize  int
 	// ExplainRatio is the fraction of single v2 requests sent with
@@ -347,18 +345,13 @@ func runLoad(ctx context.Context, cfg genConfig) (*report, error) {
 // requestSpec is one scheduled request, fully decided before dispatch.
 type requestSpec struct {
 	queries []pathrank.RankQuery
-	v1      bool // send to /v1/rank instead of /v2/rank
 	batch   bool
 }
 
 // nextSpec samples the next request from the configured mix.
 func nextSpec(rng *rand.Rand, cfg genConfig) requestSpec {
 	spec := requestSpec{}
-	if rng.Float64() < cfg.V1Ratio {
-		spec.v1 = true
-	} else if rng.Float64() < cfg.BatchRatio {
-		spec.batch = true
-	}
+	spec.batch = rng.Float64() < cfg.BatchRatio
 	n := 1
 	if spec.batch {
 		n = cfg.BatchSize
@@ -377,10 +370,10 @@ func nextSpec(rng *rand.Rand, cfg genConfig) requestSpec {
 		if len(cfg.Engines) > 0 {
 			q.Engine = cfg.Engines[rng.Intn(len(cfg.Engines))]
 		}
-		// Explain sampling applies to single v2 requests only, and draws
-		// from the source only when enabled so existing seeds keep their
-		// request sequences.
-		if cfg.ExplainRatio > 0 && !spec.v1 && !spec.batch {
+		// Explain sampling applies to single requests only, and draws from
+		// the source only when enabled so existing seeds keep their request
+		// sequences.
+		if cfg.ExplainRatio > 0 && !spec.batch {
 			q.Explain = rng.Float64() < cfg.ExplainRatio
 		}
 		spec.queries[i] = q
@@ -395,10 +388,7 @@ func execute(ctx context.Context, client *pathrank.Client, cfg genConfig, spec r
 	defer cancel()
 	o := outcome{queries: int64(len(spec.queries))}
 	start := time.Now()
-	switch {
-	case spec.v1:
-		o.errors = execV1(rctx, client, cfg, spec.queries[0])
-	case spec.batch:
+	if spec.batch {
 		items, err := client.RankBatch(rctx, spec.queries, 0)
 		o.errors = classify(err)
 		for _, it := range items {
@@ -406,7 +396,7 @@ func execute(ctx context.Context, client *pathrank.Client, cfg genConfig, spec r
 				o.errors = addErr(o.errors, it.Error.Code)
 			}
 		}
-	default:
+	} else {
 		res, err := client.Rank(rctx, spec.queries[0])
 		o.errors = classify(err)
 		if err == nil && res.Stats != nil {
@@ -416,39 +406,6 @@ func execute(ctx context.Context, client *pathrank.Client, cfg genConfig, spec r
 	}
 	o.latency = time.Since(start)
 	return o
-}
-
-// execV1 posts the legacy v1 body directly — the SDK is v2-only, and the
-// point of the v1 share is exercising the adapter path.
-func execV1(ctx context.Context, client *pathrank.Client, cfg genConfig, q pathrank.RankQuery) map[string]int64 {
-	body, err := json.Marshal(map[string]any{"src": q.Src, "dst": q.Dst, "k": q.K})
-	if err != nil {
-		return addErr(nil, "transport")
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.BaseURL+"/v1/rank", bytes.NewReader(body))
-	if err != nil {
-		return addErr(nil, "transport")
-	}
-	req.Header.Set("Content-Type", "application/json")
-	hc := cfg.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return addErr(nil, "transport")
-	}
-	defer resp.Body.Close()
-	var sink [512]byte
-	for {
-		if _, err := resp.Body.Read(sink[:]); err != nil {
-			break
-		}
-	}
-	if resp.StatusCode != http.StatusOK {
-		return addErr(nil, fmt.Sprintf("http_%d", resp.StatusCode))
-	}
-	return nil
 }
 
 // classify maps a request error onto an error-code key.

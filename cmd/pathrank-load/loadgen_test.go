@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// mockRank answers /v2/rank and /v1/rank instantly with a minimal valid
-// body, counting requests.
+// mockRank answers /v2/rank instantly with a minimal valid body, counting
+// requests.
 func mockRank(hits *atomic.Int64) http.Handler {
 	mux := http.NewServeMux()
 	rank := func(w http.ResponseWriter, r *http.Request) {
@@ -35,7 +35,6 @@ func mockRank(hits *atomic.Int64) http.Handler {
 		_ = json.NewEncoder(w).Encode(map[string]any{"src": req.Src, "dst": req.Dst, "paths": []any{}})
 	}
 	mux.HandleFunc("POST /v2/rank", rank)
-	mux.HandleFunc("POST /v1/rank", rank)
 	return mux
 }
 
@@ -82,7 +81,7 @@ func TestPoissonSchedulerHitsTargetRate(t *testing.T) {
 	}
 }
 
-// TestMixAndDeterminism checks the v1/batch shares and that a seed
+// TestMixAndDeterminism checks the batch share and that a seed
 // replays the identical request sequence.
 func TestMixAndDeterminism(t *testing.T) {
 	var hits atomic.Int64
@@ -96,7 +95,6 @@ func TestMixAndDeterminism(t *testing.T) {
 			Duration:   time.Second,
 			Seed:       42,
 			Vertices:   50,
-			V1Ratio:    0.3,
 			BatchRatio: 0.5,
 			BatchSize:  4,
 		})
@@ -110,11 +108,11 @@ func TestMixAndDeterminism(t *testing.T) {
 		t.Fatalf("same seed diverged: %d/%d requests, %d/%d queries",
 			a.Requests, b.Requests, a.Queries, b.Queries)
 	}
-	// ~70% of requests are v2, half of those are 4-query batches, so
-	// queries/requests should be around 0.3 + 0.35 + 0.35*4 = 2.05.
+	// Half of the requests are 4-query batches, so queries/requests
+	// should be around 0.5 + 0.5*4 = 2.5.
 	ratio := float64(a.Queries) / float64(a.Requests)
-	if ratio < 1.4 || ratio > 2.8 {
-		t.Fatalf("queries/request = %.2f, want ~2.05 for this mix", ratio)
+	if ratio < 1.9 || ratio > 3.1 {
+		t.Fatalf("queries/request = %.2f, want ~2.5 for this mix", ratio)
 	}
 }
 

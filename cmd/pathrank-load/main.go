@@ -7,8 +7,8 @@
 //
 // The request mix is configurable: OD pairs sampled uniformly from the
 // serving graph, per-request k / candidate strategy / engine drawn from
-// the given lists, a share of legacy /v1/rank traffic, and a share of
-// /v2/rank batches. A given -seed always replays the same sequence.
+// the given lists, and a share of /v2/rank batches. A given -seed always
+// replays the same sequence.
 //
 //	pathrank-load -addr http://localhost:8080 -rate 200 -duration 30s
 //	pathrank-load -rate 500 -strategy tkdi,dtkdi -batch-ratio 0.2 -json
@@ -44,7 +44,6 @@ func main() {
 	k := flag.Int("k", 0, "per-request candidate-set size (0 = server default)")
 	strategies := flag.String("strategy", "", "comma-separated candidate strategies to mix (empty = server default)")
 	engines := flag.String("engine", "", "comma-separated engines to mix: ch, alt, dijkstra (empty = snapshot engine)")
-	v1Ratio := flag.Float64("v1-ratio", 0, "fraction of requests sent to the legacy /v1/rank adapter")
 	batchRatio := flag.Float64("batch-ratio", 0, "fraction of v2 requests sent as batches")
 	batchSize := flag.Int("batch-size", 8, "queries per batch request")
 	explainRatio := flag.Float64("explain-ratio", 0, "fraction of single v2 requests sent with explain=true; against a sharded router the report then includes the per-shard latency breakdown")
@@ -65,7 +64,6 @@ func main() {
 		K:            *k,
 		Strategies:   splitList(*strategies),
 		Engines:      splitList(*engines),
-		V1Ratio:      *v1Ratio,
 		BatchRatio:   *batchRatio,
 		BatchSize:    *batchSize,
 		ExplainRatio: *explainRatio,

@@ -19,14 +19,12 @@
 //
 //	POST /v2/rank    {"src": 12, "dst": 431, "k": 8, "strategy": "dtkdi", "timeout_ms": 200}
 //	                 or a batch: {"queries": [{...}, ...]} -> per-item results/errors
-//	POST /v1/rank    {"src": 12, "dst": 431, "k": 5}  -> ranked paths, best first (adapter over v2)
 //	POST /v1/ingest  {"records": [{"lon": 9.91, "lat": 57.04, "t": 0}, ...]} -> 202
 //	POST /v1/reload  {"artifact": "other.prart"}  (empty body = configured path)
 //	GET  /v1/provenance        Merkle commitments of the serving generation + WAL health
 //	GET  /v1/provenance?seq=N  inclusion proof for ingested trajectory N
 //	GET  /healthz    liveness, artifact shape, fingerprint, lineage, provenance roots
-//	GET  /metrics    Prometheus text format (latency histograms, cache, batching, swaps, retrains, WAL)
-//	GET  /metrics.json  legacy expvar counters (compat alias)
+//	GET  /metrics    Prometheus text format (latency histograms, cache, swaps, retrains, WAL)
 //
 // With -wal-dir the live pipeline becomes durable: every accepted
 // trajectory is logged before it can influence training, the observation
@@ -84,16 +82,12 @@ func main() {
 	artifactPath := flag.String("artifact", "model.prart", "trained artifact bundle")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	cacheSize := flag.Int("cache", 4096, "LRU result-cache entries (negative disables)")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batch gather window (0 disables batching)")
-	batchMax := flag.Int("batch-max-paths", 256, "max paths per micro-batched scoring sweep")
-	noFused := flag.Bool("no-fused-scoring", false, "score candidates per path instead of with the batched (fused) kernels; results are bit-identical")
 	maxK := flag.Int("max-k", 32, "largest per-request candidate-set override")
 	maxBatch := flag.Int("max-batch", 64, "largest /v2/rank batch in queries")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent rank-request cap; excess sheds with 503 backlog (0 = unlimited)")
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "cap on per-request timeout_ms deadlines")
 	engine := flag.String("engine", "ch", "shortest-path engine for candidate generation: ch, alt or dijkstra")
 	drain := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain timeout")
-	flag.DurationVar(drain, "drain", 5*time.Second, "deprecated alias for -drain-timeout")
 	watch := flag.Duration("watch", 0, "artifact-file watch interval (0 disables the watcher)")
 	canaryQueries := flag.Int("canary-queries", 8, "golden queries the canary gate scores before publishing a swap (0 disables the gate)")
 	canaryDivergence := flag.Float64("canary-divergence", 0, "max rank divergence vs the live snapshot before a swap is refused (0 = default 0.9)")
@@ -186,9 +180,6 @@ func main() {
 		Addr:                *addr,
 		Metrics:             registry,
 		CacheSize:           *cacheSize,
-		BatchWindow:         *batchWindow,
-		BatchMaxPaths:       *batchMax,
-		DisableFusedScoring: *noFused,
 		MaxK:                *maxK,
 		MaxBatch:            *maxBatch,
 		MaxInFlight:         *maxInFlight,

@@ -1,12 +1,14 @@
 // Package api defines the wire types and error model of the versioned
 // PathRank query API. It is the single vocabulary shared by the HTTP
-// server (internal/serve), the Go client SDK (pathrank.Client at the
-// module root), and the CLIs — so a request marshaled by the client is by
-// construction the request the server decodes, and error codes survive the
-// HTTP round-trip intact.
+// tiers (internal/serve, shardserve, router), the Go client SDK
+// (pathrank.Client at the module root), and the CLIs — so a request
+// marshaled by the client is by construction the request the server
+// decodes, and error codes survive the HTTP round-trip intact.
 //
-// The package is a leaf: plain data types, JSON tags, and the code→status
-// mapping. It imports nothing from the rest of the module.
+// The package is a leaf: plain data types, JSON tags, the code→status
+// mapping, and (http.go) the one HTTP envelope every serving tier reads
+// requests and writes responses through. It imports nothing from the rest
+// of the module.
 package api
 
 import (

@@ -1,0 +1,83 @@
+package api
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"time"
+)
+
+// This file is the HTTP envelope of the query API: how a JSON body is
+// read, how a response or a typed error is written, and how a request's
+// deadline is derived. The server, the shard worker and the router all
+// answer through it, so status codes, headers and error bodies cannot
+// drift between tiers.
+
+// WriteJSON writes v as the JSON body of a response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v) // the status line is out; a dead client is all that can fail here
+}
+
+// WriteError writes e as an error envelope under its status (derived from
+// the code when unset). The retryable codes advertise a retry delay.
+func WriteError(w http.ResponseWriter, e *Error) {
+	if e.Status == 0 {
+		e.Status = HTTPStatus(e.Code)
+	}
+	if e.Code == CodeBacklog || e.Code == CodeShardUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	WriteJSON(w, e.Status, ErrorEnvelope{Error: e})
+}
+
+// Invalidf builds an invalid-request error.
+func Invalidf(format string, args ...any) *Error {
+	return &Error{
+		Status:  http.StatusBadRequest,
+		Code:    CodeInvalid,
+		Message: fmt.Sprintf(format, args...),
+	}
+}
+
+// DecodeJSON decodes the request body into v, refusing unknown fields and
+// bodies over limit bytes (413; any other decoding failure is 400).
+func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) *Error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &Error{
+				Status:  http.StatusRequestEntityTooLarge,
+				Code:    CodeInvalid,
+				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
+			}
+		}
+		return Invalidf("bad request body: %v", err)
+	}
+	return nil
+}
+
+// nopCancel avoids allocating a context.WithCancel on the timeoutless hot
+// path; the request context alone already carries disconnect cancellation.
+var nopCancel context.CancelFunc = func() {}
+
+// RequestContext derives the computation context of a rank request: the
+// HTTP request's context (canceled when the client disconnects), bounded
+// by the body's timeout_ms capped at maxTimeout. The returned cancel must
+// always be called.
+func RequestContext(r *http.Request, timeoutMs int64, maxTimeout time.Duration) (context.Context, context.CancelFunc) {
+	ctx := r.Context()
+	if timeoutMs <= 0 {
+		return ctx, nopCancel
+	}
+	d := time.Duration(timeoutMs) * time.Millisecond
+	if d > maxTimeout {
+		d = maxTimeout
+	}
+	return context.WithTimeout(ctx, d)
+}

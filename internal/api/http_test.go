@@ -1,0 +1,116 @@
+package api
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+)
+
+func TestWriteErrorEnvelope(t *testing.T) {
+	for _, tc := range []struct {
+		code       string
+		status     int
+		retryAfter string
+	}{
+		{CodeInvalid, http.StatusBadRequest, ""},
+		{CodeUnroutable, http.StatusNotFound, ""},
+		{CodeDeadline, http.StatusGatewayTimeout, ""},
+		{CodeCanceled, http.StatusRequestTimeout, ""},
+		{CodeBacklog, http.StatusServiceUnavailable, "1"},
+		{CodeShardUnavailable, http.StatusServiceUnavailable, "1"},
+		{CodeInternal, http.StatusInternalServerError, ""},
+	} {
+		rec := httptest.NewRecorder()
+		WriteError(rec, &Error{Code: tc.code, Message: "why"})
+		if rec.Code != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.code, rec.Code, tc.status)
+		}
+		if got := rec.Header().Get("Retry-After"); got != tc.retryAfter {
+			t.Errorf("%s: Retry-After %q, want %q", tc.code, got, tc.retryAfter)
+		}
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("%s: Content-Type %q", tc.code, ct)
+		}
+		var env ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil {
+			t.Fatalf("%s: body %q is not an error envelope: %v", tc.code, rec.Body, err)
+		}
+		if env.Error.Code != tc.code || env.Error.Message != "why" {
+			t.Errorf("%s: envelope %+v", tc.code, env.Error)
+		}
+	}
+
+	// An explicit status (413 travels under the invalid code) wins over
+	// the code's default.
+	rec := httptest.NewRecorder()
+	WriteError(rec, &Error{Status: http.StatusRequestEntityTooLarge, Code: CodeInvalid, Message: "big"})
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("explicit status: got %d", rec.Code)
+	}
+}
+
+func TestDecodeJSON(t *testing.T) {
+	decode := func(body string, limit int64) (RankQuery, *Error) {
+		var q RankQuery
+		r := httptest.NewRequest(http.MethodPost, "/v2/rank", strings.NewReader(body))
+		return q, DecodeJSON(httptest.NewRecorder(), r, limit, &q)
+	}
+	if q, err := decode(`{"src":3,"dst":9,"k":2}`, 1<<10); err != nil || q.Src != 3 || q.Dst != 9 || q.K != 2 {
+		t.Fatalf("valid body: %+v, %v", q, err)
+	}
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"not json", "{", http.StatusBadRequest},
+		{"empty", "", http.StatusBadRequest},
+		{"unknown field", `{"src":1,"dst":2,"nope":3}`, http.StatusBadRequest},
+		{"wrong type", `{"src":"one"}`, http.StatusBadRequest},
+		{"oversized", `{"src":1,` + strings.Repeat(" ", 64) + `"dst":2}`, http.StatusRequestEntityTooLarge},
+	} {
+		_, err := decode(tc.body, 32)
+		if err == nil || err.Status != tc.status || err.Code != CodeInvalid || err.Message == "" {
+			t.Errorf("%s: got %+v, want %d %s", tc.name, err, tc.status, CodeInvalid)
+		}
+	}
+}
+
+func TestRequestContext(t *testing.T) {
+	r := httptest.NewRequest(http.MethodPost, "/v2/rank", nil)
+
+	// No timeout: the request's own context, no deadline.
+	ctx, cancel := RequestContext(r, 0, time.Second)
+	if ctx != r.Context() {
+		t.Error("timeoutless request got a derived context")
+	}
+	cancel()
+	if ctx.Err() != nil {
+		t.Error("the no-op cancel canceled the request context")
+	}
+
+	// A timeout under the cap is honored; one over it is clamped.
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{{50, 50 * time.Millisecond}, {60_000, time.Second}} {
+		ctx, cancel := RequestContext(r, tc.ms, time.Second)
+		dl, ok := ctx.Deadline()
+		if left := time.Until(dl); !ok || left > tc.want || left < tc.want-500*time.Millisecond {
+			t.Errorf("timeout_ms=%d: deadline in %v, want ~%v", tc.ms, left, tc.want)
+		}
+		cancel()
+	}
+
+	// Disconnect cancellation still propagates through a derived context.
+	parent, disconnect := context.WithCancel(context.Background())
+	ctx, cancel = RequestContext(r.WithContext(parent), 500, time.Second)
+	defer cancel()
+	disconnect()
+	if ctx.Err() != context.Canceled {
+		t.Errorf("derived context after disconnect: %v", ctx.Err())
+	}
+}

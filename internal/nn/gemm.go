@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync/atomic"
 )
@@ -65,7 +64,7 @@ func (p *Param) AsMat() Mat { return Mat{Rows: p.Rows, Cols: p.Cols, Data: p.W} 
 // sums each dot in a fresh accumulator and adds it to C[i,j] once,
 // matching MatVec/MatVecAdd (y[r] += dot(W_r, x)).
 type Kernel interface {
-	// Name identifies the backend (the value of the selection knob).
+	// Name identifies the backend (the name SetKernel takes).
 	Name() string
 	// Gemm computes C += A·B for A (M x K), B (K x N), C (M x N).
 	Gemm(C, A, B Mat)
@@ -85,16 +84,11 @@ type kernelBox struct{ k Kernel }
 
 var activeKernel atomic.Value // kernelBox
 
+// The portable default is "blocked"; the amd64 init upgrades it to "avx2"
+// when CPUID reports AVX2. "naive" is the reference backend the others are
+// tested against, reachable through SetKernel.
 func init() {
-	k := kernels["blocked"]
-	// PATHRANK_NN_KERNEL selects the batched kernel backend at process
-	// start ("blocked" is the default; "naive" is the reference backend).
-	if name := os.Getenv("PATHRANK_NN_KERNEL"); name != "" {
-		if alt, ok := kernels[name]; ok {
-			k = alt
-		}
-	}
-	activeKernel.Store(kernelBox{k})
+	activeKernel.Store(kernelBox{kernels["blocked"]})
 }
 
 // SetKernel selects the batched kernel backend by name. It returns an error

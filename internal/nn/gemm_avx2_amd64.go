@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"os"
 	"sync"
 )
 
@@ -111,10 +110,7 @@ func init() {
 	}
 	k := &avx2Kernel{}
 	kernels["avx2"] = k
-	// This init runs after gemm.go's (file order), which has already
-	// honored PATHRANK_NN_KERNEL for the generic backends. Make avx2 the
-	// default unless the knob pinned another backend explicitly.
-	if name := os.Getenv("PATHRANK_NN_KERNEL"); name == "" || name == "avx2" {
-		activeKernel.Store(kernelBox{k})
-	}
+	// This init runs after gemm.go's (file order), which installed the
+	// portable default; the CPU supports the faster backend.
+	activeKernel.Store(kernelBox{k})
 }

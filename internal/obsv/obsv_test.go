@@ -80,7 +80,7 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
 	reqs := r.Counter("test_requests_total", "Requests served.", "endpoint")
-	reqs.With("/v1/rank").Add(3)
+	reqs.With("/healthz").Add(3)
 	reqs.With("/v2/rank").Inc()
 	g := r.Gauge("test_in_flight", "In-flight requests.")
 	g.With().Set(2)
@@ -88,8 +88,8 @@ func TestCounterGaugeExposition(t *testing.T) {
 	r.GaugeFunc("test_uptime_seconds", "Uptime.", func() float64 { return 42.5 })
 
 	samples := parseExposition(t, scrape(t, r))
-	if v := samples[`test_requests_total{endpoint="/v1/rank"}`]; v != 3 {
-		t.Fatalf("counter /v1/rank = %v, want 3", v)
+	if v := samples[`test_requests_total{endpoint="/healthz"}`]; v != 3 {
+		t.Fatalf("counter /healthz = %v, want 3", v)
 	}
 	if v := samples[`test_requests_total{endpoint="/v2/rank"}`]; v != 1 {
 		t.Fatalf("counter /v2/rank = %v, want 1", v)

@@ -2,7 +2,6 @@ package pathrank
 
 import (
 	"math"
-	"os"
 
 	"pathrank/internal/nn"
 	"pathrank/internal/spath"
@@ -31,12 +30,6 @@ import (
 // slabs modest while still amortizing each weight row across dozens of
 // sequences.
 const fusedChunk = 32
-
-// fusedScoringEnabled is the process-wide escape hatch back to per-path
-// scoring: set PATHRANK_FUSED_SCORING=0 to make ScoreBatch dispatch to
-// ScoreBatchPerPath. The serving layer exposes the same switch as
-// serve.Config.DisableFusedScoring.
-var fusedScoringEnabled = os.Getenv("PATHRANK_FUSED_SCORING") != "0"
 
 // fusedWS is the reusable workspace of one fused chunk: the packed-matrix
 // arena plus the chunk-local ordering/length bookkeeping.

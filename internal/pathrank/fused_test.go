@@ -74,8 +74,8 @@ func TestScoreBatchFusedMatchesPerPath(t *testing.T) {
 	}
 }
 
-// TestScoreBatchDispatch checks the env escape hatch's dispatch logic and
-// that both dispatch targets agree on tiny batches.
+// TestScoreBatchDispatch checks that ScoreBatch agrees with the per-path
+// reference on both sides of its batch-size dispatch.
 func TestScoreBatchDispatch(t *testing.T) {
 	m, err := New(30, smallConfig())
 	if err != nil {
@@ -84,22 +84,15 @@ func TestScoreBatchDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	paths := randomPaths(rng, 8, 30, 20)
 
-	old := fusedScoringEnabled
-	defer func() { fusedScoringEnabled = old }()
-
-	fusedScoringEnabled = true
 	fused := m.ScoreBatch(paths)
-	fusedScoringEnabled = false
-	perPath := m.ScoreBatch(paths)
+	perPath := m.ScoreBatchPerPath(paths)
 	for i := range perPath {
 		if fused[i] != perPath[i] {
 			t.Fatalf("path %d: fused dispatch %v != per-path dispatch %v", i, fused[i], perPath[i])
 		}
 	}
 
-	// Single-element batches stay on the per-path path even when fused
-	// scoring is on (nothing to batch).
-	fusedScoringEnabled = true
+	// Single-element batches stay on the per-path path (nothing to batch).
 	one := m.ScoreBatch(paths[:1])
 	if one[0] != perPath[0] {
 		t.Fatalf("single-path batch: %v != %v", one[0], perPath[0])

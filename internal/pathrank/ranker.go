@@ -27,7 +27,8 @@ type Ranker struct {
 	// searches use its admissible heuristic when it has one. The engine
 	// must be built over the same road network (Artifact.NewRanker wires
 	// the one persisted in the artifact). Distances are exact on every
-	// engine, so rankings match the nil-engine (plain Dijkstra) path.
+	// engine, so rankings match the nil-engine (plain Dijkstra) path; a
+	// Dijkstra-kind engine is that same pooled search.
 	Engine spath.Engine
 }
 

@@ -179,9 +179,20 @@ type RankRequest struct {
 	Explain bool
 }
 
-// RankStats describes how a ranking was produced: the fully resolved
-// candidate configuration and where the time went.
-type RankStats struct {
+// Weight returns the metric's edge-weight function; WeightAuto is the
+// default metric, length.
+func (w WeightKind) Weight() spath.Weight {
+	if w == WeightTime {
+		return spath.ByTime
+	}
+	return spath.ByLength
+}
+
+// Regime is the effective candidate regime of one request: the snapshot's
+// defaults with every override applied. Two requests for the same
+// origin-destination pair that resolve to equal regimes produce the same
+// ranking, which is what the serving layer keys its result cache on.
+type Regime struct {
 	// Strategy, K, Threshold and MaxProbe are the effective candidate
 	// configuration after overrides.
 	Strategy  dataset.Strategy
@@ -190,15 +201,36 @@ type RankStats struct {
 	MaxProbe  int
 	// Weight is the effective edge metric (never WeightAuto).
 	Weight WeightKind
-	// Engine is the backend candidate generation ran on; EngineDijkstra
-	// covers both a Dijkstra engine and the engineless pooled search.
+	// Engine is the backend candidate generation runs on; EngineDijkstra
+	// is the pooled plain search.
 	Engine spath.EngineKind
+}
+
+// RankStats describes how a ranking was produced: the resolved candidate
+// regime and where the time went.
+type RankStats struct {
+	Regime
 	// Candidates is the number of candidate paths generated.
 	Candidates int
 	// GenNanos and ScoreNanos split the query cost into candidate
 	// generation and NN scoring.
 	GenNanos   int64
 	ScoreNanos int64
+}
+
+// Wire renders the stats in the query API's explain shape.
+func (st RankStats) Wire() *api.RankStats {
+	return &api.RankStats{
+		Strategy:   st.Strategy.String(),
+		K:          st.K,
+		Threshold:  st.Threshold,
+		MaxProbe:   st.MaxProbe,
+		Weight:     st.Weight.String(),
+		Engine:     st.Engine.String(),
+		Candidates: st.Candidates,
+		GenNs:      st.GenNanos,
+		ScoreNs:    st.ScoreNanos,
+	}
 }
 
 // RankResponse is the result of one Rank call: the scored candidates, best
@@ -250,133 +282,183 @@ func ErrorCodeOf(err error) string {
 	return api.CodeInternal
 }
 
-// resolve validates req against the ranker and materializes the effective
-// candidate configuration, weight, and engine.
-func (r *Ranker) resolve(req RankRequest) (dataset.Config, spath.Weight, spath.Engine, RankStats, error) {
-	var stats RankStats
-	n := roadnet.VertexID(r.Graph.NumVertices())
-	if req.Src < 0 || req.Src >= n || req.Dst < 0 || req.Dst >= n {
-		return dataset.Config{}, nil, nil, stats,
-			rankErrf(api.CodeInvalid, "src/dst must be in [0,%d)", n)
+// APIError renders err as the wire error every serving tier answers with:
+// an *api.Error passes through, anything else is classified by
+// ErrorCodeOf. A RankError contributes its bare message, so a query reads
+// the same whichever tier rejected it.
+func APIError(err error) *api.Error {
+	var ae *api.Error
+	if errors.As(err, &ae) {
+		return ae
 	}
-	if req.K < 0 {
-		return dataset.Config{}, nil, nil, stats, rankErrf(api.CodeInvalid, "k must be non-negative")
+	var re *RankError
+	if errors.As(err, &re) {
+		return &api.Error{Status: api.HTTPStatus(re.Code), Code: re.Code, Message: re.Message}
 	}
-	if req.Threshold < 0 || req.Threshold > 1 {
-		return dataset.Config{}, nil, nil, stats,
-			rankErrf(api.CodeInvalid, "threshold must be in (0,1], got %g", req.Threshold)
-	}
-	if req.MaxProbe < 0 {
-		return dataset.Config{}, nil, nil, stats, rankErrf(api.CodeInvalid, "max_probe must be non-negative")
-	}
+	code := ErrorCodeOf(err)
+	return &api.Error{Status: api.HTTPStatus(code), Code: code, Message: err.Error()}
+}
 
-	cfg := r.Candidates
-	if cfg.K <= 0 {
-		cfg = dataset.DefaultConfig()
+// checkRanges is the range half of the query rules, applied to wire
+// queries (RequestFromQuery) and in-process requests (CandidatesFor)
+// alike. maxK <= 0 leaves k uncapped.
+func checkRanges(src, dst int64, k int, threshold float64, maxProbe, vertices, maxK int) error {
+	n := int64(vertices)
+	switch {
+	case src < 0 || src >= n || dst < 0 || dst >= n:
+		return rankErrf(api.CodeInvalid, "src/dst must be in [0,%d)", n)
+	case maxK > 0 && (k < 0 || k > maxK):
+		return rankErrf(api.CodeInvalid, "k must be in [0,%d]", maxK)
+	case k < 0:
+		return rankErrf(api.CodeInvalid, "k must be non-negative")
+	case !(threshold >= 0 && threshold <= 1):
+		return rankErrf(api.CodeInvalid, "threshold must be in (0,1], got %g", threshold)
+	case maxProbe < 0:
+		return rankErrf(api.CodeInvalid, "max_probe must be non-negative")
+	}
+	return nil
+}
+
+// RequestFromQuery validates a wire query against a road network of the
+// given vertex count and a k cap, and parses its strategy, weight and
+// engine names. Together with Resolve it is the only home of the query
+// rules: the in-process Ranker, the HTTP server and the shard router all
+// go through the pair, so they cannot disagree on what a query means.
+func RequestFromQuery(q api.RankQuery, vertices, maxK int) (RankRequest, error) {
+	if err := checkRanges(q.Src, q.Dst, q.K, q.Threshold, q.MaxProbe, vertices, maxK); err != nil {
+		return RankRequest{}, err
+	}
+	strategy, err := ParseStrategyChoice(q.Strategy)
+	if err != nil {
+		return RankRequest{}, err
+	}
+	weight, err := ParseWeightKind(q.Weight)
+	if err != nil {
+		return RankRequest{}, err
+	}
+	engine, err := ParseEngineChoice(q.Engine)
+	if err != nil {
+		return RankRequest{}, err
+	}
+	return RankRequest{
+		Src: roadnet.VertexID(q.Src), Dst: roadnet.VertexID(q.Dst),
+		K: q.K, Strategy: strategy, Threshold: q.Threshold, MaxProbe: q.MaxProbe,
+		Weight: weight, Engine: engine, Explain: q.Explain,
+	}, nil
+}
+
+// Resolve materializes the effective regime of req on top of the default
+// candidate configuration def (the paper's setup when def is empty) for a
+// snapshot whose prepared shortest-path structure is of kind prepared
+// (EngineDijkstra: none).
+func Resolve(req RankRequest, def dataset.Config, prepared spath.EngineKind) (Regime, error) {
+	if def.K <= 0 {
+		def = dataset.DefaultConfig()
+	}
+	rg := Regime{
+		Strategy: def.Strategy, K: def.K, Threshold: def.Threshold, MaxProbe: def.MaxProbe,
+		Weight: WeightLength, Engine: prepared,
 	}
 	switch req.Strategy {
 	case StrategyAuto:
 	case StrategyTkDI:
-		cfg.Strategy = dataset.TkDI
+		rg.Strategy = dataset.TkDI
 	case StrategyDTkDI:
-		cfg.Strategy = dataset.DTkDI
+		rg.Strategy = dataset.DTkDI
 	default:
-		return dataset.Config{}, nil, nil, stats, rankErrf(api.CodeInvalid, "unknown strategy %d", req.Strategy)
+		return Regime{}, rankErrf(api.CodeInvalid, "unknown strategy %d", req.Strategy)
 	}
-	// A k equal to the configured K is a no-op by definition; a genuine
-	// override scales a configured probe budget proportionally so the
-	// probe-to-k ratio is preserved (the serving layer has always done
-	// this for its per-request k).
-	if req.K > 0 && req.K != cfg.K {
-		if cfg.MaxProbe > 0 && cfg.K > 0 {
-			cfg.MaxProbe = cfg.MaxProbe * req.K / cfg.K
+	// A k equal to the default is a no-op by definition; a genuine override
+	// scales a default probe budget proportionally, so the probe-to-k ratio
+	// the model was built with is preserved. An explicit max_probe pins it.
+	if req.K > 0 && req.K != rg.K {
+		if rg.MaxProbe > 0 {
+			rg.MaxProbe = rg.MaxProbe * req.K / rg.K
 		}
-		cfg.K = req.K
+		rg.K = req.K
 	}
 	if req.Threshold > 0 {
-		cfg.Threshold = req.Threshold
+		rg.Threshold = req.Threshold
 	}
 	if req.MaxProbe > 0 {
-		cfg.MaxProbe = req.MaxProbe
+		rg.MaxProbe = req.MaxProbe
 	}
-
-	weight := spath.ByLength
-	wk := WeightLength
 	if req.Weight == WeightTime {
-		weight = spath.ByTime
-		wk = WeightTime
+		rg.Weight = WeightTime
 	}
-
-	engine := r.Engine
+	// Prepared structures are built for the length metric: a time-weighted
+	// query runs on the pooled search, and naming a prepared kind together
+	// with the time metric is contradictory.
 	switch req.Engine {
 	case EngineAuto:
 	case EngineNone:
-		engine = nil
+		rg.Engine = spath.EngineDijkstra
 	case EngineALT, EngineCH:
+		if rg.Weight == WeightTime {
+			return Regime{}, rankErrf(api.CodeInvalid,
+				"engine %s serves the length metric; use weight=length or engine=dijkstra", req.Engine)
+		}
 		want := spath.EngineALT
 		if req.Engine == EngineCH {
 			want = spath.EngineCH
 		}
-		if engine == nil || engine.Kind() != want {
-			return dataset.Config{}, nil, nil, stats,
-				rankErrf(api.CodeInvalid, "engine %s is not prepared for this snapshot", req.Engine)
+		if prepared != want {
+			return Regime{}, rankErrf(api.CodeInvalid, "engine %s is not prepared for this snapshot", req.Engine)
 		}
 	default:
-		return dataset.Config{}, nil, nil, stats, rankErrf(api.CodeInvalid, "unknown engine %d", req.Engine)
+		return Regime{}, rankErrf(api.CodeInvalid, "unknown engine %d", req.Engine)
 	}
-	// Prepared engines are built for the length metric; a time-weighted
-	// query must run on the plain pooled search. An explicit prepared-kind
-	// request combined with the time metric is contradictory.
-	if wk == WeightTime && engine != nil {
-		if req.Engine == EngineALT || req.Engine == EngineCH {
-			return dataset.Config{}, nil, nil, stats,
-				rankErrf(api.CodeInvalid, "engine %s serves the length metric; use weight=length or engine=dijkstra", req.Engine)
-		}
-		engine = nil
+	if rg.Weight == WeightTime {
+		rg.Engine = spath.EngineDijkstra
 	}
-
-	stats.Strategy = cfg.Strategy
-	stats.K = cfg.K
-	stats.Threshold = cfg.Threshold
-	stats.MaxProbe = cfg.MaxProbe
-	stats.Weight = wk
-	stats.Engine = spath.EngineDijkstra
-	if engine != nil {
-		stats.Engine = engine.Kind()
-	}
-	return cfg, weight, engine, stats, nil
+	return rg, nil
 }
 
 // CandidatesFor generates the candidate set for req, honoring ctx, and
-// reports the resolved configuration. It is the candidate-generation half
-// of Rank, exposed so the serving layer can score through its own path
-// (the micro-batcher) while producing exactly the same candidates.
+// reports the resolved regime. It is the candidate-generation half of
+// Rank, exposed so the serving layer can score a whole batch in one sweep
+// while producing exactly the same candidates.
 func (r *Ranker) CandidatesFor(ctx context.Context, req RankRequest) ([]spath.Path, RankStats, error) {
-	cfg, weight, engine, stats, err := r.resolve(req)
+	var stats RankStats
+	err := checkRanges(int64(req.Src), int64(req.Dst), req.K, req.Threshold, req.MaxProbe, r.Graph.NumVertices(), 0)
 	if err != nil {
 		return nil, stats, err
 	}
+	prepared := spath.EngineDijkstra
+	if r.Engine != nil {
+		prepared = r.Engine.Kind()
+	}
+	rg, err := Resolve(req, r.Candidates, prepared)
+	if err != nil {
+		return nil, stats, err
+	}
+	stats.Regime = rg
+	engine := r.Engine
+	if rg.Engine == spath.EngineDijkstra {
+		engine = nil
+	}
+	weight := rg.Weight.Weight()
 	var cands []spath.Path
-	switch cfg.Strategy {
+	switch rg.Strategy {
 	case dataset.TkDI:
 		if engine != nil {
-			cands, err = spath.TopKEngineCtx(ctx, engine, req.Src, req.Dst, cfg.K)
+			cands, err = spath.TopKEngineCtx(ctx, engine, req.Src, req.Dst, rg.K)
 		} else {
-			cands, err = spath.TopKCtx(ctx, r.Graph, req.Src, req.Dst, cfg.K, weight)
+			cands, err = spath.TopKCtx(ctx, r.Graph, req.Src, req.Dst, rg.K, weight)
 		}
 	case dataset.DTkDI:
-		probe := cfg.MaxProbe
+		probe := rg.MaxProbe
 		if probe <= 0 {
-			probe = 10 * cfg.K
+			probe = 10 * rg.K
 		}
 		sim := pathsim.WeightedJaccardSim(r.Graph)
 		if engine != nil {
-			cands, err = spath.DiversifiedTopKEngineCtx(ctx, engine, req.Src, req.Dst, cfg.K, sim, cfg.Threshold, probe)
+			cands, err = spath.DiversifiedTopKEngineCtx(ctx, engine, req.Src, req.Dst, rg.K, sim, rg.Threshold, probe)
 		} else {
-			cands, err = spath.DiversifiedTopKCtx(ctx, r.Graph, req.Src, req.Dst, cfg.K, weight, sim, cfg.Threshold, probe)
+			cands, err = spath.DiversifiedTopKCtx(ctx, r.Graph, req.Src, req.Dst, rg.K, weight, sim, rg.Threshold, probe)
 		}
 	default:
-		return nil, stats, rankErrf(api.CodeInvalid, "unknown candidate strategy %d", cfg.Strategy)
+		return nil, stats, rankErrf(api.CodeInvalid, "unknown candidate strategy %d", rg.Strategy)
 	}
 	if err != nil {
 		return nil, stats, fmt.Errorf("pathrank: candidate generation %d->%d: %w", req.Src, req.Dst, err)

@@ -179,11 +179,10 @@ type Ranked struct {
 
 // ScoreBatch scores the candidates and returns the raw scores in input
 // order. It dispatches to the fused batched path (ScoreBatchFused) unless
-// fused scoring is disabled via PATHRANK_FUSED_SCORING=0 or the batch is
-// too small to pack; both paths produce bit-identical scores, so the
-// dispatch is a pure performance decision.
+// the batch is too small to pack; both paths produce bit-identical scores,
+// so the dispatch is a pure performance decision.
 func (m *Model) ScoreBatch(cands []spath.Path) []float64 {
-	if fusedScoringEnabled && len(cands) > 1 {
+	if len(cands) > 1 {
 		return m.ScoreBatchFused(cands)
 	}
 	return m.ScoreBatchPerPath(cands)

@@ -127,7 +127,7 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 	genStart := time.Now()
 	weightName := "length"
 	D, total := rt.sm.DLen, rt.sm.TotalLen
-	if rs.wk == pathrank.WeightTime {
+	if rs.Weight == pathrank.WeightTime {
 		weightName = "time"
 		D, total = rt.sm.DTime, rt.sm.TotalTime
 	}
@@ -223,7 +223,7 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 		var err error
 		cands, st, err = rt.enumerate(ctx, fg, rs)
 		if err != nil {
-			return nil, apiErrorFrom(err)
+			return nil, pathrank.APIError(err)
 		}
 		switch {
 		case !st.Exhausted && st.MaxCost*(1+1e-6) <= C:
@@ -295,21 +295,13 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 
 	res := &api.RankResult{Src: q.Src, Dst: q.Dst, K: q.K, Paths: paths}
 	if q.Explain {
-		stats := &api.RankStats{
-			Strategy:   rs.cfg.Strategy.String(),
-			K:          rs.cfg.K,
-			Threshold:  rs.cfg.Threshold,
-			MaxProbe:   rs.cfg.MaxProbe,
-			Weight:     rs.wk.String(),
-			Engine:     spath.EngineDijkstra.String(),
-			Candidates: len(cands),
-			GenNs:      genNs,
-			ScoreNs:    scoreNs,
-			Route:      "cross_shard",
-			Shards: []api.ShardStat{
-				{Shard: i, Role: "boundary", Calls: bi.meta.calls, TotalNs: bi.meta.totalNs, Hedged: bi.meta.hedged},
-				{Shard: j, Role: "boundary", Calls: bj.meta.calls, TotalNs: bj.meta.totalNs, Hedged: bj.meta.hedged},
-			},
+		stats := pathrank.RankStats{
+			Regime: rs.Regime, Candidates: len(cands), GenNanos: genNs, ScoreNanos: scoreNs,
+		}.Wire()
+		stats.Route = "cross_shard"
+		stats.Shards = []api.ShardStat{
+			{Shard: i, Role: "boundary", Calls: bi.meta.calls, TotalNs: bi.meta.totalNs, Hedged: bi.meta.hedged},
+			{Shard: j, Role: "boundary", Calls: bj.meta.calls, TotalNs: bj.meta.totalNs, Hedged: bj.meta.hedged},
 		}
 		corr := make([]api.ShardStat, 0, len(corridorStats))
 		for _, st := range corridorStats {
@@ -473,17 +465,18 @@ func (rt *Router) fuse(responses []*api.CorridorResponse, dS, dT []float64, C fl
 func (rt *Router) enumerate(ctx context.Context, fg *fusedGraph, rs resolved) ([]spath.Path, spath.EnumStats, error) {
 	lsrc := fg.local[rs.src]
 	ldst := fg.local[rs.dst]
-	switch rs.cfg.Strategy {
+	weight := rs.Weight.Weight()
+	switch rs.Strategy {
 	case dataset.TkDI:
-		return spath.TopKStatsCtx(ctx, fg.g, lsrc, ldst, rs.cfg.K, rs.weight)
+		return spath.TopKStatsCtx(ctx, fg.g, lsrc, ldst, rs.K, weight)
 	case dataset.DTkDI:
-		probe := rs.cfg.MaxProbe
+		probe := rs.MaxProbe
 		if probe <= 0 {
-			probe = 10 * rs.cfg.K
+			probe = 10 * rs.K
 		}
 		sim := pathsim.WeightedJaccardSim(fg.g)
-		return spath.DiversifiedTopKStatsCtx(ctx, fg.g, lsrc, ldst, rs.cfg.K, rs.weight, sim, rs.cfg.Threshold, probe)
+		return spath.DiversifiedTopKStatsCtx(ctx, fg.g, lsrc, ldst, rs.K, weight, sim, rs.Threshold, probe)
 	default:
-		return nil, spath.EnumStats{}, fmt.Errorf("router: unknown candidate strategy %d", rs.cfg.Strategy)
+		return nil, spath.EnumStats{}, fmt.Errorf("router: unknown candidate strategy %d", rs.Strategy)
 	}
 }

@@ -3,146 +3,61 @@ package router
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
 	"sync"
-	"time"
 
 	"pathrank/internal/api"
-	"pathrank/internal/dataset"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/spath"
 )
 
-// resolved is a validated query with the effective candidate regime
-// materialized — the router-side analogue of the serve layer's
-// buildQuery plus the ranker's resolve, against the shard map instead of
-// a local snapshot. The resolution rules are replicated exactly so a
-// query answered by the router and the same query answered by a
-// single-process server over the unpartitioned artifact agree.
+// resolved is a validated query with its effective candidate regime,
+// resolved by the same rule set (internal/pathrank) a single-process
+// server applies — against the shard map instead of a local snapshot.
 type resolved struct {
 	src, dst int64
-	cfg      dataset.Config
-	weight   spath.Weight
-	wk       pathrank.WeightKind
+	pathrank.Regime
 }
 
 // resolve validates q against the shard map and the router limits and
-// materializes the effective candidate configuration.
+// resolves its regime. Shard workers carry CH preparation (the bundle
+// builder always builds it), never ALT, so an explicit ALT request fails
+// here exactly as it would against a CH-prepared single server. The
+// regime is what a stitched query runs under: the fused corridor graph is
+// enumerated by the plain search, whatever structure the shards hold.
 func (rt *Router) resolve(q api.RankQuery) (resolved, *api.Error) {
-	n := int64(rt.sm.NumVertices)
-	if q.Src < 0 || q.Src >= n || q.Dst < 0 || q.Dst >= n {
-		return resolved{}, invalidErrf("src/dst must be in [0,%d)", n)
-	}
-	if q.K < 0 || q.K > rt.cfg.MaxK {
-		return resolved{}, invalidErrf("k must be in [0,%d]", rt.cfg.MaxK)
-	}
-	if q.Threshold < 0 || q.Threshold > 1 {
-		return resolved{}, invalidErrf("threshold must be in (0,1], got %g", q.Threshold)
-	}
-	if q.MaxProbe < 0 {
-		return resolved{}, invalidErrf("max_probe must be non-negative")
-	}
-	strategy, err := pathrank.ParseStrategyChoice(q.Strategy)
+	req, err := pathrank.RequestFromQuery(q, rt.sm.NumVertices, rt.cfg.MaxK)
 	if err != nil {
-		return resolved{}, apiErrorFrom(err)
+		return resolved{}, pathrank.APIError(err)
 	}
-	wk, err := pathrank.ParseWeightKind(q.Weight)
+	rg, err := pathrank.Resolve(req, rt.sm.Candidates, spath.EngineCH)
 	if err != nil {
-		return resolved{}, apiErrorFrom(err)
+		return resolved{}, pathrank.APIError(err)
 	}
-	engine, err := pathrank.ParseEngineChoice(q.Engine)
-	if err != nil {
-		return resolved{}, apiErrorFrom(err)
-	}
-	if wk == pathrank.WeightTime && (engine == pathrank.EngineALT || engine == pathrank.EngineCH) {
-		return resolved{}, invalidErrf(
-			"engine %s serves the length metric; use weight=length or engine=dijkstra", engine)
-	}
-	// Shard workers carry CH preparation (the bundle builder always builds
-	// it), never ALT — an explicit ALT request fails here exactly as it
-	// would against a CH-prepared single server.
-	if engine == pathrank.EngineALT {
-		return resolved{}, invalidErrf("engine %s is not prepared for this snapshot", engine)
-	}
-
-	cfg := rt.sm.Candidates
-	if cfg.K <= 0 {
-		cfg = dataset.DefaultConfig()
-	}
-	switch strategy {
-	case pathrank.StrategyTkDI:
-		cfg.Strategy = dataset.TkDI
-	case pathrank.StrategyDTkDI:
-		cfg.Strategy = dataset.DTkDI
-	}
-	if q.K > 0 && q.K != cfg.K {
-		if cfg.MaxProbe > 0 && cfg.K > 0 {
-			cfg.MaxProbe = cfg.MaxProbe * q.K / cfg.K
-		}
-		cfg.K = q.K
-	}
-	if q.Threshold > 0 {
-		cfg.Threshold = q.Threshold
-	}
-	if q.MaxProbe > 0 {
-		cfg.MaxProbe = q.MaxProbe
-	}
-
-	weight := spath.ByLength
-	if wk == pathrank.WeightTime {
-		weight = spath.ByTime
-	} else {
-		wk = pathrank.WeightLength
-	}
-	return resolved{src: q.Src, dst: q.Dst, cfg: cfg, weight: weight, wk: wk}, nil
-}
-
-// requestContext mirrors the serve layer's deadline derivation.
-func (rt *Router) requestContext(r *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	if timeoutMs <= 0 {
-		return ctx, func() {}
-	}
-	d := time.Duration(timeoutMs) * time.Millisecond
-	if d > rt.cfg.MaxTimeout {
-		d = rt.cfg.MaxTimeout
-	}
-	return context.WithTimeout(ctx, d)
+	rg.Engine = spath.EngineDijkstra
+	return resolved{src: q.Src, dst: q.Dst, Regime: rg}, nil
 }
 
 func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 	rt.obs.requests.With("/v2/rank").Inc()
 	var req api.RankRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxRankBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		apiErr := invalidErrf("bad request body: %v", err)
-		if errors.As(err, &tooBig) {
-			apiErr = &api.Error{
-				Status:  http.StatusRequestEntityTooLarge,
-				Code:    api.CodeInvalid,
-				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-			}
-		}
+	if apiErr := api.DecodeJSON(w, r, maxRankBody, &req); apiErr != nil {
 		rt.obs.rankErrors.With(apiErr.Code).Inc()
-		writeErr(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
-	ctx, cancel := rt.requestContext(r, req.TimeoutMs)
+	ctx, cancel := api.RequestContext(r, req.TimeoutMs, rt.cfg.MaxTimeout)
 	defer cancel()
 	if req.Queries == nil {
 		res, apiErr := rt.rankSingle(ctx, req.RankQuery)
 		if apiErr != nil {
 			rt.obs.rankErrors.With(apiErr.Code).Inc()
-			writeErr(w, apiErr)
+			api.WriteError(w, apiErr)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		api.WriteJSON(w, http.StatusOK, res)
 		return
 	}
 	rt.rankBatch(ctx, w, req.Queries)
@@ -153,9 +68,9 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 // its own).
 func (rt *Router) rankBatch(ctx context.Context, w http.ResponseWriter, queries []api.RankQuery) {
 	if len(queries) > rt.cfg.MaxBatch {
-		apiErr := invalidErrf("batch has %d queries, limit is %d", len(queries), rt.cfg.MaxBatch)
+		apiErr := api.Invalidf("batch has %d queries, limit is %d", len(queries), rt.cfg.MaxBatch)
 		rt.obs.rankErrors.With(apiErr.Code).Inc()
-		writeErr(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	items := make([]api.BatchItem, len(queries))
@@ -184,7 +99,7 @@ func (rt *Router) rankBatch(ctx context.Context, w http.ResponseWriter, queries 
 			nerr++
 		}
 	}
-	writeJSON(w, http.StatusOK, api.BatchResponse{Results: items, Errors: nerr})
+	api.WriteJSON(w, http.StatusOK, api.BatchResponse{Results: items, Errors: nerr})
 }
 
 // rankSingle answers one query: co-resident pairs are proxied to the

@@ -389,7 +389,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards = append(resp.Shards, st)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // ---- shard calls with hedging ----
@@ -506,39 +506,4 @@ func shardUnavailable(shard int, err error) *api.Error {
 		Code:    code,
 		Message: fmt.Sprintf("shard %d unreachable: %v", shard, err),
 	}
-}
-
-// ---- shared HTTP helpers (mirroring internal/serve's v2 plumbing) ----
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, e *api.Error) {
-	if e.Status == 0 {
-		e.Status = api.HTTPStatus(e.Code)
-	}
-	if e.Code == api.CodeBacklog || e.Code == api.CodeShardUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, e.Status, api.ErrorEnvelope{Error: e})
-}
-
-func invalidErrf(format string, args ...any) *api.Error {
-	return &api.Error{
-		Status:  http.StatusBadRequest,
-		Code:    api.CodeInvalid,
-		Message: fmt.Sprintf(format, args...),
-	}
-}
-
-func apiErrorFrom(err error) *api.Error {
-	var ae *api.Error
-	if errors.As(err, &ae) {
-		return ae
-	}
-	code := pathrank.ErrorCodeOf(err)
-	return &api.Error{Status: api.HTTPStatus(code), Code: code, Message: err.Error()}
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,12 +19,14 @@ import (
 	"pathrank/internal/roadnet"
 	"pathrank/internal/serve"
 	"pathrank/internal/shardserve"
+	"pathrank/internal/spath"
 )
 
 // deployment is one full sharded topology over httptest servers — shard
 // workers, the router over them, and a single-process reference server
 // over the same unpartitioned artifact for bit-identity checks.
 type deployment struct {
+	art       *pathrank.Artifact // the unpartitioned artifact
 	sm        *partition.ShardMap
 	router    *httptest.Server
 	shards    []*httptest.Server
@@ -52,14 +55,16 @@ func buildDeployment(t testing.TB, seed int64, parts int) *deployment {
 	}
 	art := &pathrank.Artifact{
 		Graph: g, Model: model,
-		Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 4, Threshold: 0.8},
+		// An explicit probe budget at the implicit default's value (10*K), so
+		// the k-scaling rule is observable without changing any ranking.
+		Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 4, Threshold: 0.8, MaxProbe: 40},
 	}
 	dir := t.TempDir()
 	if _, err := partition.BuildBundle(art, dir, parts, nil); err != nil {
 		t.Fatalf("bundle: %v", err)
 	}
 
-	d := &deployment{}
+	d := &deployment{art: art}
 	urls := make([]string, parts)
 	for i := 0; i < parts; i++ {
 		sart, err := pathrank.LoadArtifactFile(dir + "/" + partition.ShardArtifactName(i))
@@ -392,29 +397,135 @@ func TestRouterShardDown(t *testing.T) {
 	}
 }
 
-// TestRouterValidation checks the router rejects what a single server
-// rejects, with the same codes, before any shard is bothered.
-func TestRouterValidation(t *testing.T) {
+// TestOneRuleSetEverywhere runs one table of wire queries through every
+// surface that answers them — the rule functions themselves
+// (pathrank.RequestFromQuery + Resolve), the in-process Ranker, a
+// single-process server, and the router over two shards — and requires
+// the same verdict from all four: identical code, status and message for
+// a rejected query, identical resolved regime for an accepted one.
+func TestOneRuleSetEverywhere(t *testing.T) {
 	d := buildDeployment(t, 5, 2)
-	n := int64(d.sm.NumVertices)
-	for _, tc := range []struct {
+	n := d.sm.NumVertices
+	def := d.art.Candidates
+	ranker := d.art.NewRanker()
+	ranker.Engine = spath.NewEngine(spath.EngineCH, d.art.Graph, spath.ByLength, spath.EngineConfig{})
+	// Cases rotate over two pairs per route kind: stats come only from the
+	// request that computed, and "explicit defaults" would otherwise be
+	// answered from the cache entry "bare" just filled.
+	co, cross := d.pairs(false, 2), d.pairs(true, 2)
+	if len(co) < 2 || len(cross) < 2 {
+		t.Fatal("degenerate split")
+	}
+
+	type regime struct {
+		Strategy, Weight, Engine string
+		K, MaxProbe              int
+		Threshold                float64
+	}
+	of := func(st *api.RankStats) regime {
+		if st == nil {
+			t.Fatal("explain response without stats")
+		}
+		return regime{st.Strategy, st.Weight, st.Engine, st.K, st.MaxProbe, st.Threshold}
+	}
+	bare := regime{"D-TkDI", "length", "ch", def.K, def.MaxProbe, def.Threshold}
+	with := func(edit func(*regime)) *regime { r := bare; edit(&r); return &r }
+
+	for i, tc := range []struct {
 		name string
 		q    api.RankQuery
+		want *regime // nil: rejected as invalid_request
 	}{
-		{"src out of range", api.RankQuery{Src: n, Dst: 1}},
-		{"negative dst", api.RankQuery{Src: 0, Dst: -3}},
-		{"k over cap", api.RankQuery{Src: 0, Dst: 1, K: 33}},
-		{"bad strategy", api.RankQuery{Src: 0, Dst: 1, Strategy: "nope"}},
-		{"alt not prepared", api.RankQuery{Src: 0, Dst: 1, Engine: "alt"}},
-		{"time metric on ch", api.RankQuery{Src: 0, Dst: 1, Weight: "time", Engine: "ch"}},
+		{"bare", api.RankQuery{}, &bare},
+		{"explicit defaults", api.RankQuery{K: def.K, Strategy: "dtkdi", Threshold: def.Threshold,
+			MaxProbe: def.MaxProbe, Weight: "length", Engine: "ch"}, &bare},
+		{"k scales the default probe budget", api.RankQuery{K: 6},
+			with(func(r *regime) { r.K, r.MaxProbe = 6, def.MaxProbe*6/def.K })},
+		{"explicit max_probe pins it", api.RankQuery{K: 6, MaxProbe: def.MaxProbe},
+			with(func(r *regime) { r.K = 6 })},
+		{"tkdi + threshold", api.RankQuery{Strategy: "tkdi", Threshold: 0.5},
+			with(func(r *regime) { r.Strategy, r.Threshold = "TkDI", 0.5 })},
+		{"time metric runs the plain search", api.RankQuery{Weight: "time"},
+			with(func(r *regime) { r.Weight, r.Engine = "time", "dijkstra" })},
+		{"engine=dijkstra", api.RankQuery{Engine: "dijkstra"},
+			with(func(r *regime) { r.Engine = "dijkstra" })},
+
+		{"src out of range", api.RankQuery{Src: int64(n)}, nil},
+		{"negative dst", api.RankQuery{Dst: -3}, nil},
+		{"negative k", api.RankQuery{K: -1}, nil},
+		{"k over cap", api.RankQuery{K: 33}, nil},
+		{"negative threshold", api.RankQuery{Threshold: -0.1}, nil},
+		{"threshold over 1", api.RankQuery{Threshold: 1.5}, nil},
+		{"negative max_probe", api.RankQuery{MaxProbe: -1}, nil},
+		{"unknown strategy", api.RankQuery{Strategy: "nope"}, nil},
+		{"unknown weight", api.RankQuery{Weight: "cost"}, nil},
+		{"unknown engine", api.RankQuery{Engine: "gpu"}, nil},
+		{"time metric on a prepared engine", api.RankQuery{Weight: "time", Engine: "ch"}, nil},
+		{"alt on a CH-only snapshot", api.RankQuery{Engine: "alt"}, nil},
 	} {
-		_, apiErr, _ := postRank(t, d.router.URL, tc.q)
-		if apiErr == nil || apiErr.Code != api.CodeInvalid {
-			t.Fatalf("%s: want %s, got %+v", tc.name, api.CodeInvalid, apiErr)
-		}
-		_, refErr, _ := postRank(t, d.reference.URL, tc.q)
-		if refErr == nil || refErr.Code != apiErr.Code {
-			t.Fatalf("%s: reference server disagrees: %+v vs %+v", tc.name, refErr, apiErr)
+		for _, pair := range [][2]int64{co[i%2], cross[i%2]} {
+			q := tc.q
+			q.Explain = true
+			crossShard := pair == cross[i%2]
+			// A case that sets an endpoint itself is testing that endpoint.
+			if q.Src == 0 && q.Dst == 0 {
+				q.Src, q.Dst = pair[0], pair[1]
+			} else if crossShard {
+				continue
+			}
+			name := fmt.Sprintf("%s (%d->%d)", tc.name, q.Src, q.Dst)
+
+			// Surface 1: the rule functions. Surface 2: the Ranker behind them.
+			var fnRegime pathrank.Regime
+			var rankStats pathrank.RankStats
+			req, fnErr := pathrank.RequestFromQuery(q, n, 32)
+			rankErr := fnErr
+			if fnErr == nil {
+				fnRegime, fnErr = pathrank.Resolve(req, def, spath.EngineCH)
+				var resp pathrank.RankResponse
+				resp, rankErr = ranker.Rank(context.Background(), req)
+				rankStats = resp.Stats
+			}
+			// Surfaces 3 and 4: a single server and the router.
+			refRes, refErr, _ := postRank(t, d.reference.URL, q)
+			rtRes, rtErr, _ := postRank(t, d.router.URL, q)
+
+			if tc.want == nil {
+				if fnErr == nil || rankErr == nil || refErr == nil || rtErr == nil {
+					t.Fatalf("%s: accepted somewhere: fn=%v ranker=%v server=%v router=%v", name, fnErr, rankErr, refErr, rtErr)
+				}
+				want := pathrank.APIError(fnErr)
+				if want.Code != api.CodeInvalid || want.Status != http.StatusBadRequest {
+					t.Fatalf("%s: rule functions answer %d %s, want 400 %s", name, want.Status, want.Code, api.CodeInvalid)
+				}
+				for surface, got := range map[string]*api.Error{
+					"ranker": pathrank.APIError(rankErr), "server": refErr, "router": rtErr,
+				} {
+					if *got != *want {
+						t.Fatalf("%s: %s answers %+v, rule functions answer %+v", name, surface, *got, *want)
+					}
+				}
+				continue
+			}
+			if fnErr != nil || rankErr != nil || refErr != nil || rtErr != nil {
+				t.Fatalf("%s: rejected somewhere: fn=%v ranker=%v server=%v router=%v", name, fnErr, rankErr, refErr, rtErr)
+			}
+			routerWant := *tc.want
+			if crossShard {
+				routerWant.Engine = "dijkstra" // the fused corridor is enumerated by the plain search
+			}
+			for surface, got := range map[string]regime{
+				"rule functions": of(pathrank.RankStats{Regime: fnRegime}.Wire()),
+				"ranker":         of(rankStats.Wire()),
+				"server":         of(refRes.Stats),
+			} {
+				if got != *tc.want {
+					t.Fatalf("%s: %s resolved %+v, want %+v", name, surface, got, *tc.want)
+				}
+			}
+			if got := of(rtRes.Stats); got != routerWant {
+				t.Fatalf("%s: router resolved %+v, want %+v", name, got, routerWant)
+			}
 		}
 	}
 }

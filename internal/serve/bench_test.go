@@ -7,28 +7,28 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"pathrank/internal/api"
 	"pathrank/internal/pathrank"
 )
 
 // benchPairs builds a rotation of query pairs spread across the graph so a
 // load test exercises many distinct candidate generations.
-func benchPairs(art *pathrank.Artifact, n int) []RankRequest {
+func benchPairs(art *pathrank.Artifact, n int) []api.RankQuery {
 	v := art.Graph.NumVertices()
-	pairs := make([]RankRequest, n)
+	pairs := make([]api.RankQuery, n)
 	for i := range pairs {
 		src := (i * 13) % v
 		dst := (v - 1 - (i*29)%v) % v
 		if src == dst {
 			dst = (dst + 1) % v
 		}
-		pairs[i] = RankRequest{Src: int64(src), Dst: int64(dst)}
+		pairs[i] = api.RankQuery{Src: int64(src), Dst: int64(dst)}
 	}
 	return pairs
 }
 
-// serveRankLoad drives POST /v1/rank with parallel clients over a rotation
+// serveRankLoad drives POST /v2/rank with parallel clients over a rotation
 // of query pairs and reports request throughput.
 func serveRankLoad(b *testing.B, cfg Config, distinctPairs int) {
 	art := loadedTestArtifact(b)
@@ -52,7 +52,7 @@ func serveRankLoad(b *testing.B, cfg Config, distinctPairs int) {
 		for pb.Next() {
 			req := pairs[int(next.Add(1))%len(pairs)]
 			body, _ := json.Marshal(req)
-			resp, err := client.Post(ts.URL+"/v1/rank", "application/json", bytes.NewReader(body))
+			resp, err := client.Post(ts.URL+"/v2/rank", "application/json", bytes.NewReader(body))
 			if err != nil {
 				b.Error(err)
 				return
@@ -62,7 +62,7 @@ func serveRankLoad(b *testing.B, cfg Config, distinctPairs int) {
 				resp.Body.Close()
 				return
 			}
-			var rr RankResponse
+			var rr api.RankResult
 			if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 				b.Error(err)
 				resp.Body.Close()
@@ -80,9 +80,9 @@ func serveRankLoad(b *testing.B, cfg Config, distinctPairs int) {
 	if sec > 0 {
 		b.ReportMetric(float64(b.N)/sec, "req/s")
 	}
-	total := s.cacheHits.Value() + s.cacheMisses.Value()
-	if total > 0 {
-		b.ReportMetric(float64(s.cacheHits.Value())/float64(total), "cache_hit_ratio")
+	hits := s.obs.cacheEvents.With(cacheHit).Value()
+	if total := hits + s.obs.cacheEvents.With(cacheMiss).Value(); total > 0 {
+		b.ReportMetric(hits/total, "cache_hit_ratio")
 	}
 }
 
@@ -97,10 +97,4 @@ func BenchmarkServeRank(b *testing.B) {
 // pays candidate generation plus NN scoring.
 func BenchmarkServeRankUncached(b *testing.B) {
 	serveRankLoad(b, Config{CacheSize: -1}, 64)
-}
-
-// BenchmarkServeRankBatched is the uncached load with micro-batched NN
-// scoring.
-func BenchmarkServeRankBatched(b *testing.B) {
-	serveRankLoad(b, Config{CacheSize: -1, BatchWindow: 500 * time.Microsecond, BatchMaxPaths: 256}, 64)
 }

@@ -2,30 +2,35 @@ package serve
 
 import (
 	"container/list"
+	"math"
 	"sync"
 
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
 )
 
-// queryKey identifies one rank query for caching and in-flight collapsing.
-// Every per-request override of the candidate regime is part of the key;
-// buildQuery normalizes overrides equal to the snapshot's defaults to zero
-// values, so a default-k v1 query, an explicit-k v2 query, and a v2 query
-// naming the snapshot's own strategy all share one cache entry and one
-// in-flight computation.
+// queryKey identifies one rank query for caching and in-flight collapsing:
+// the endpoints plus the resolved regime (pathrank.Resolve), so a query
+// that spells out the snapshot's defaults and one that omits them share
+// one cache entry and one in-flight computation by construction. The
+// threshold is kept as its bit pattern so the key hashes as plain memory.
 type queryKey struct {
 	src, dst roadnet.VertexID
 	k        int
-	// strategy/weight/engine are normalized pathrank choice enums
-	// (0 = snapshot default).
 	strategy uint8
 	weight   uint8
 	engine   uint8
-	// thrBits is math.Float64bits of an overriding D-TkDI threshold
-	// (0 = snapshot default); maxProbe overrides the probe budget.
 	thrBits  uint64
 	maxProbe int
+}
+
+// keyOf builds the cache key of a validated request and its regime.
+func keyOf(req pathrank.RankRequest, rg pathrank.Regime) queryKey {
+	return queryKey{
+		src: req.Src, dst: req.Dst,
+		k: rg.K, strategy: uint8(rg.Strategy), weight: uint8(rg.Weight), engine: uint8(rg.Engine),
+		thrBits: math.Float64bits(rg.Threshold), maxProbe: rg.MaxProbe,
+	}
 }
 
 // lruCache is a mutex-guarded LRU map from query to ranked result. Cached

@@ -10,6 +10,7 @@ import (
 
 	"pathrank/internal/api"
 	"pathrank/internal/pathrank"
+	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
 )
 
@@ -63,9 +64,9 @@ func (r *canaryRNG) next() uint64 {
 // candidate's ranking of the live snapshot's candidate sets diverges from
 // the live ranking by at most CanaryMaxDivergence.
 //
-// The gate runs outside the request path: scoring goes directly through
-// the snapshot's scoreFn (no result cache, no micro-batcher), so it
-// neither pollutes the candidate's cache nor observes the live one.
+// The gate runs outside the request path: it scores directly on the model
+// (no result cache), so it neither pollutes the candidate's cache nor
+// observes the live one.
 func (s *Server) canaryCheck(next, live *snapshot) error {
 	maxDiv := s.cfg.CanaryMaxDivergence
 	if maxDiv <= 0 {
@@ -91,16 +92,13 @@ func (s *Server) canaryCheck(next, live *snapshot) error {
 	// is a property of the graph, not of the model under test), with a
 	// bounded attempt budget so a sparsely connected network terminates.
 	for attempts := 0; evaluated < s.cfg.CanaryQueries && attempts < s.cfg.CanaryQueries*8; attempts++ {
-		src := int64(rng.next() % uint64(n))
-		dst := int64(rng.next() % uint64(n))
+		src := roadnet.VertexID(rng.next() % uint64(n))
+		dst := roadnet.VertexID(rng.next() % uint64(n))
 		if src == dst {
 			continue
 		}
-		cq, apiErr := s.buildQuery(next, api.RankQuery{Src: src, Dst: dst})
-		if apiErr != nil {
-			return fmt.Errorf("canary %d->%d: %s", src, dst, apiErr.Message)
-		}
-		cands, _, err := next.ranker.CandidatesFor(ctx, cq.req)
+		req := pathrank.RankRequest{Src: src, Dst: dst}
+		cands, _, err := next.ranker.CandidatesFor(ctx, req)
 		if err != nil {
 			if pathrank.ErrorCodeOf(err) == api.CodeUnroutable {
 				continue
@@ -110,7 +108,7 @@ func (s *Server) canaryCheck(next, live *snapshot) error {
 		if len(cands) == 0 {
 			return fmt.Errorf("canary %d->%d: empty candidate set", src, dst)
 		}
-		scores := next.scoreFn(cands)
+		scores := next.art.Model.ScoreBatch(cands)
 		for i, sc := range scores {
 			if math.IsNaN(sc) || math.IsInf(sc, 0) {
 				return fmt.Errorf("canary %d->%d: non-finite score %g at candidate %d", src, dst, sc, i)
@@ -126,9 +124,9 @@ func (s *Server) canaryCheck(next, live *snapshot) error {
 		// graph the live snapshot proposes the same paths and the two
 		// rankings are directly comparable; only the NN scores reorder.
 		if sameGraph {
-			lcands, _, lerr := live.ranker.CandidatesFor(ctx, cq.req)
+			lcands, _, lerr := live.ranker.CandidatesFor(ctx, req)
 			if lerr == nil && len(lcands) >= 2 {
-				lranked := pathrank.RankScored(lcands, live.scoreFn(lcands))
+				lranked := pathrank.RankScored(lcands, live.art.Model.ScoreBatch(lcands))
 				if d := rankDivergence(lranked, ranked); d > worst {
 					worst = d
 				}
@@ -202,8 +200,8 @@ type SwapRejection struct {
 	Quarantined string `json:"quarantined,omitempty"`
 }
 
-// rejectSwap records a canary refusal in every surface (metric, expvar,
-// /healthz) and returns the error Swap propagates.
+// rejectSwap records a canary refusal (metric, /healthz) and returns the
+// error Swap propagates.
 func (s *Server) rejectSwap(next *snapshot, generation int, reason error) error {
 	rej := &SwapRejection{
 		Time:        time.Now(),
@@ -212,7 +210,6 @@ func (s *Server) rejectSwap(next *snapshot, generation int, reason error) error 
 		Reason:      reason.Error(),
 	}
 	s.lastRejection.Store(rej)
-	s.swapRejected.Add(1)
 	s.obs.swapRejected.Inc()
 	if s.cfg.Logf != nil {
 		s.cfg.Logf("swap REJECTED: gen %d fingerprint %.12s: %v (still serving %.12s)",

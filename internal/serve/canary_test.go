@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pathrank/internal/api"
 	"pathrank/internal/chaos"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
@@ -25,8 +26,8 @@ func TestCanaryAcceptsHealthyArtifact(t *testing.T) {
 	if _, err := s.Swap(roundTripArtifact(t, art)); err != nil {
 		t.Fatalf("canary rejected a healthy round-tripped artifact: %v", err)
 	}
-	if s.swapRejected.Value() != 0 {
-		t.Fatalf("swap_rejections = %d after an accepted swap", s.swapRejected.Value())
+	if s.obs.swapRejected.Value() != 0 {
+		t.Fatalf("swap_rejections = %v after an accepted swap", s.obs.swapRejected.Value())
 	}
 }
 
@@ -50,8 +51,8 @@ func TestCanaryRejectsPoisonedArtifact(t *testing.T) {
 	if got := s.Fingerprint(); got != before {
 		t.Fatalf("serving fingerprint changed across a rejected swap: %s -> %s", before, got)
 	}
-	if s.swapRejected.Value() != 1 {
-		t.Fatalf("swap_rejections = %d, want 1", s.swapRejected.Value())
+	if s.obs.swapRejected.Value() != 1 {
+		t.Fatalf("swap_rejections = %v, want 1", s.obs.swapRejected.Value())
 	}
 	rej := s.LastSwapRejection()
 	if rej == nil {
@@ -63,7 +64,7 @@ func TestCanaryRejectsPoisonedArtifact(t *testing.T) {
 
 	// The old snapshot still answers.
 	n := int64(art.Graph.NumVertices())
-	resp, _ := postRank(t, ts.URL, RankRequest{Src: 0, Dst: n - 1})
+	resp, _ := postRank(t, ts.URL, api.RankQuery{Src: 0, Dst: n - 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rank after rejected swap: status %d", resp.StatusCode)
 	}
@@ -174,7 +175,7 @@ func TestWatchArtifactTornWrite(t *testing.T) {
 	}
 
 	deadline := time.After(5 * time.Second)
-	for s.reloadErrors.Value() == 0 {
+	for s.obs.reloadErrors.Value() == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("watcher never recorded the torn-file reload failure")

@@ -16,9 +16,8 @@ const (
 	cacheShared = "singleflight_shared"
 )
 
-// serveMetrics is the server's Prometheus-format instrumentation, layered
-// on top of the expvar counters (which remain as a compat alias at
-// /metrics.json). One instance per Server, registered on either the
+// serveMetrics is the server's Prometheus-format instrumentation. One
+// instance per Server, registered on either the
 // caller-supplied registry (Config.Metrics — pathrank-serve shares one
 // registry between the server and the stream pipeline) or a private one.
 type serveMetrics struct {
@@ -37,18 +36,15 @@ type serveMetrics struct {
 	// for batches).
 	rankErrors *obsv.CounterVec
 	// cacheEvents counts result-cache hits, misses, and singleflight-shared
-	// answers across both API versions.
+	// answers.
 	cacheEvents *obsv.CounterVec
 	// shed counts requests rejected by the MaxInFlight load shedder.
 	shed obsv.Counter
 	// batchQueries is the distribution of queries per /v2/rank batch
 	// request (single-query requests are not observed).
 	batchQueries obsv.Histogram
-	// flushPaths is the distribution of paths per micro-batched NN scoring
-	// sweep; empty when batching is disabled.
-	flushPaths obsv.Histogram
 	// swaps/swapDuration instrument artifact hot swaps (snapshot build +
-	// install, excluding the retired snapshot's background drain).
+	// install).
 	swaps        obsv.Counter
 	swapDuration obsv.Histogram
 	// swapRejected counts candidate artifacts the canary gate refused to
@@ -78,8 +74,6 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 		"Rank requests rejected immediately because MaxInFlight was exceeded.").With()
 	m.batchQueries = reg.Histogram("pathrank_batch_queries",
 		"Queries per /v2/rank batch request.", obsv.DefSizeBuckets).With()
-	m.flushPaths = reg.Histogram("pathrank_score_batch_paths",
-		"Paths per micro-batched NN scoring sweep.", obsv.DefSizeBuckets).With()
 	m.swaps = reg.Counter("pathrank_swaps_total",
 		"Artifact hot swaps installed.").With()
 	m.swapDuration = reg.Histogram("pathrank_swap_duration_seconds",
@@ -93,7 +87,7 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 
 	reg.GaugeFunc("pathrank_in_flight_requests",
 		"Rank requests currently executing.",
-		func() float64 { return float64(s.inFlightGauge.Value()) })
+		func() float64 { return float64(s.inFlight.Load()) })
 	reg.GaugeFunc("pathrank_cache_entries",
 		"Entries in the serving snapshot's result cache.",
 		func() float64 { return float64(s.snap.Load().cache.len()) })

@@ -110,13 +110,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	// A shed request: the in-flight gauge is pushed over MaxInFlight, so
 	// the next arrival is rejected deterministically.
-	s.inFlightGauge.Add(100)
+	s.inFlight.Add(100)
 	resp, err = http.Post(ts.URL+"/v2/rank", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	s.inFlightGauge.Add(-100)
+	s.inFlight.Add(-100)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("overloaded rank: HTTP %d, want 503", resp.StatusCode)
 	}

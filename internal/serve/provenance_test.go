@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
 	"testing"
 
 	"pathrank/internal/api"
@@ -89,28 +88,12 @@ func TestProvenanceEndpointWithPipeline(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/provenance?seq=zero", http.StatusBadRequest, nil)
 	getJSON(t, ts.URL+"/v1/provenance?seq=-4", http.StatusBadRequest, nil)
 
-	// The health response carries the WAL block, and /metrics.json exports
-	// the live provenance gauge.
+	// The health response carries the WAL block.
 	var health struct {
 		WAL *api.WALStatus `json:"wal"`
 	}
 	getJSON(t, ts.URL+"/healthz", http.StatusOK, &health)
 	if health.WAL == nil || health.WAL.Segments != 2 || health.WAL.TornBytes != 3 {
 		t.Fatalf("healthz wal block: %+v", health.WAL)
-	}
-	resp, err := http.Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var metrics struct {
-		Serve map[string]json.RawMessage `json:"serve"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	prov, ok := metrics.Serve["provenance"]
-	if !ok || !strings.Contains(string(prov), "aa11") {
-		t.Fatalf("metrics provenance gauge missing or stale: %s", prov)
 	}
 }

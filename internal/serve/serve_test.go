@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"pathrank/internal/api"
 	"pathrank/internal/dataset"
 	"pathrank/internal/geo"
 	"pathrank/internal/node2vec"
@@ -102,15 +103,15 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postRank(t testing.TB, url string, req RankRequest) (*http.Response, RankResponse) {
+func postRank(t testing.TB, url string, req api.RankQuery) (*http.Response, api.RankResult) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/v1/rank", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v2/rank", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rr RankResponse
+	var rr api.RankResult
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 			t.Fatalf("decode response: %v", err)
@@ -135,7 +136,7 @@ func TestServeRankMatchesInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatalf("in-process query %d->%d: %v", src, dst, err)
 		}
-		resp, rr := postRank(t, ts.URL, RankRequest{Src: src, Dst: dst})
+		resp, rr := postRank(t, ts.URL, api.RankQuery{Src: src, Dst: dst})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d->%d: status %d", src, dst, resp.StatusCode)
 		}
@@ -162,59 +163,9 @@ func TestServeRankMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestServeRankBatchedMatchesInProcess proves micro-batching changes
-// nothing about the results, even under concurrency.
-func TestServeRankBatchedMatchesInProcess(t *testing.T) {
-	art := loadedTestArtifact(t)
-	_, ts := newTestServer(t, Config{
-		BatchWindow:   2 * time.Millisecond,
-		BatchMaxPaths: 64,
-		CacheSize:     -1, // force every request through scoring
-	})
-	ranker := art.NewRanker()
-	n := art.Graph.NumVertices()
-
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			src := int64(w % n)
-			dst := int64(n - 1 - w%n)
-			if src == dst {
-				dst = (dst + 1) % int64(n)
-			}
-			want, err := ranker.Query(roadnet.VertexID(src), roadnet.VertexID(dst))
-			if err != nil {
-				errs <- err
-				return
-			}
-			resp, rr := postRank(t, ts.URL, RankRequest{Src: src, Dst: dst})
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("status %d", resp.StatusCode)
-				return
-			}
-			for i, p := range rr.Paths {
-				if p.Score != want[i].Score {
-					errs <- fmt.Errorf("batched query %d->%d rank %d: %v != %v",
-						src, dst, i+1, p.Score, want[i].Score)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
 func TestServeCacheHit(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := RankRequest{Src: 1, Dst: int64(s.snap.Load().art.Graph.NumVertices() - 2)}
+	req := api.RankQuery{Src: 1, Dst: int64(s.snap.Load().art.Graph.NumVertices() - 2)}
 
 	_, first := postRank(t, ts.URL, req)
 	if first.Cached {
@@ -232,8 +183,8 @@ func TestServeCacheHit(t *testing.T) {
 			t.Fatal("cached score differs")
 		}
 	}
-	if s.cacheHits.Value() == 0 {
-		t.Fatal("cache_hits metric not incremented")
+	if s.obs.cacheEvents.With(cacheHit).Value() == 0 {
+		t.Fatal("cache hit metric not incremented")
 	}
 }
 
@@ -253,7 +204,7 @@ func TestServeRankValidation(t *testing.T) {
 		{"k too large", `{"src":0,"dst":1,"k":1000}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/rank", "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post(ts.URL+"/v2/rank", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,18 +215,18 @@ func TestServeRankValidation(t *testing.T) {
 	}
 
 	// Wrong method.
-	resp, err := http.Get(ts.URL + "/v1/rank")
+	resp, err := http.Get(ts.URL + "/v2/rank")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/rank: status %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v2/rank: status %d, want 405", resp.StatusCode)
 	}
 
 	// Oversized body: >1 MiB of JSON is refused with 413, not 400.
 	huge := `{"src":0,"dst":1,` + strings.Repeat(" ", 1<<20) + `"k":1}`
-	resp, err = http.Post(ts.URL+"/v1/rank", "application/json", strings.NewReader(huge))
+	resp, err = http.Post(ts.URL+"/v2/rank", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +377,7 @@ func TestServeNoPath(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, _ := postRank(t, ts.URL, RankRequest{Src: int64(v0), Dst: int64(v2)})
+	resp, _ := postRank(t, ts.URL, api.RankQuery{Src: int64(v0), Dst: int64(v2)})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("disconnected query: status %d, want 404", resp.StatusCode)
 	}
@@ -451,27 +402,31 @@ func TestServeHealthzAndMetrics(t *testing.T) {
 		t.Fatal("healthz vertex count mismatch")
 	}
 
-	postRank(t, ts.URL, RankRequest{Src: 0, Dst: 8})
-	resp, err = http.Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
+	postRank(t, ts.URL, api.RankQuery{Src: 0, Dst: 8})
+	m := scrapeProm(t, ts.URL)
+	if v := m[`pathrank_http_requests_total{endpoint="/v2/rank"}`]; v != 1 {
+		t.Fatalf("/v2/rank requests_total = %v, want 1", v)
 	}
-	var metrics struct {
-		Serve    map[string]json.Number `json:"serve"`
-		Memstats map[string]any         `json:"memstats"`
+	if v := m[`pathrank_http_requests_total{endpoint="/healthz"}`]; v != 1 {
+		t.Fatalf("/healthz requests_total = %v, want 1", v)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
-		t.Fatalf("metrics not valid JSON: %v", err)
+	if v := m[`pathrank_cache_events_total{event="miss"}`]; v != 1 {
+		t.Fatalf("cache misses = %v, want 1", v)
 	}
-	resp.Body.Close()
-	if v, _ := metrics.Serve["requests_total"].Int64(); v < 2 {
-		t.Fatalf("requests_total = %v, want >= 2", v)
+	if m["go_memstats_alloc_bytes"] <= 0 {
+		t.Fatal("metrics missing go_memstats_alloc_bytes")
 	}
-	if _, ok := metrics.Serve["cache_misses"]; !ok {
-		t.Fatal("metrics missing cache_misses")
-	}
-	if len(metrics.Memstats) == 0 {
-		t.Fatal("metrics missing memstats")
+
+	// The pre-Prometheus surfaces are gone, not aliased.
+	for _, path := range []string{"/metrics.json", "/v1/rank"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(`{"src":0,"dst":8}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -620,87 +575,9 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
-// TestBatcherScoresMatchDirect checks the micro-batcher returns exactly
-// Model.ScoreBatch results under concurrent submission.
-func TestBatcherScoresMatchDirect(t *testing.T) {
-	art := loadedTestArtifact(t)
-	ranker := art.NewRanker()
-	n := art.Graph.NumVertices()
-
-	b := newBatcher(art.Model.ScoreBatch, time.Millisecond, 128)
-
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			src := roadnet.VertexID((w * 7) % n)
-			dst := roadnet.VertexID(n - 1 - (w*5)%n)
-			if src == dst {
-				dst = (dst + 1) % roadnet.VertexID(n)
-			}
-			cands, err := ranker.CandidatePaths(src, dst)
-			if err != nil {
-				t.Errorf("candidates %d->%d: %v", src, dst, err)
-				return
-			}
-			got := b.score(cands)
-			want := art.Model.ScoreBatch(cands)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("batched score %d differs: %v != %v", i, got[i], want[i])
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// After stop, score falls back to direct scoring instead of hanging.
-	b.stop()
-	cands, err := ranker.CandidatePaths(0, roadnet.VertexID(n-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := b.score(cands)
-	want := art.Model.ScoreBatch(cands)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("post-stop score %d differs", i)
-		}
-	}
-}
-
-// TestDisableFusedScoringBitIdentical pins the Config escape hatch: a
-// snapshot scoring through the per-path reference path must return exactly
-// the scores of the default fused path.
-func TestDisableFusedScoringBitIdentical(t *testing.T) {
-	art := loadedTestArtifact(t)
-	ranker := art.NewRanker()
-	cands, err := ranker.CandidatePaths(0, roadnet.VertexID(art.Graph.NumVertices()-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := newSnapshot(art, Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perPath, err := newSnapshot(art, Config{DisableFusedScoring: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := perPath.score(cands), fused.score(cands)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("score %d: per-path %v != fused %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestGracefulShutdown(t *testing.T) {
 	s, err := New(loadedTestArtifact(t), Config{
-		Addr:        "127.0.0.1:0",
-		BatchWindow: time.Millisecond,
+		Addr: "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,19 +5,17 @@
 // in-process Ranker.Query would produce: candidate generation runs on
 // pooled spath workspaces, an LRU cache short-circuits repeated queries, a
 // singleflight group collapses duplicate in-flight queries so a thundering
-// herd costs one computation, and an optional micro-batcher coalesces the
-// NN scoring of requests that arrive within a short window into one
-// parallel sweep.
+// herd costs one computation, and candidates are scored by the model's
+// fused batch kernels.
 //
-// Two API versions share one core. POST /v2/rank is the primary surface:
-// a single query or a batch, per-request overrides of the candidate regime
-// (k, strategy, diversity threshold, weight metric, engine), per-item
-// errors in batches with one NN sweep across the whole batch, explain
-// stats, and a server-side deadline (timeout_ms) that cancels an in-flight
-// Yen enumeration mid-search. Failures carry typed codes (internal/api)
-// mapped onto statuses: 400 invalid, 404 unroutable, 408 canceled, 504
-// deadline, 503 backlog with Retry-After. POST /v1/rank remains as a thin
-// adapter over the same core with byte-compatible responses.
+// POST /v2/rank is the query surface: a single query or a batch,
+// per-request overrides of the candidate regime (k, strategy, diversity
+// threshold, weight metric, engine), per-item errors in batches with one
+// NN sweep across the whole batch, explain stats, and a server-side
+// deadline (timeout_ms) that cancels an in-flight Yen enumeration
+// mid-search. Failures carry typed codes (internal/api) mapped onto
+// statuses: 400 invalid, 404 unroutable, 408 canceled, 504 deadline, 503
+// backlog with Retry-After.
 //
 // The artifact is not fixed for the server's lifetime: the serving state
 // lives in an atomically swappable snapshot (see snapshot.go). POST
@@ -32,15 +30,13 @@
 // GET /healthz reports liveness, artifact shape, and lineage. GET /metrics
 // exports the server's instrumentation (latency histograms, cache and shed
 // counters, typed error counts, swap timings — see internal/obsv and
-// docs/OPERATIONS.md) in the Prometheus text format; the pre-existing
-// expvar counters remain at GET /metrics.json.
+// docs/OPERATIONS.md) in the Prometheus text format.
 package serve
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -59,7 +55,7 @@ import (
 	"pathrank/internal/traj"
 )
 
-// maxRankBody bounds a /v1/rank request body; maxIngestBody bounds a
+// maxRankBody bounds a /v2/rank request body; maxIngestBody bounds a
 // /v1/ingest body (GPS streams are bulkier than rank queries).
 const (
 	maxRankBody   = 1 << 20
@@ -100,25 +96,13 @@ type Config struct {
 	// CacheSize bounds the LRU result cache in entries; 0 uses the default
 	// (4096) and negative disables caching.
 	CacheSize int
-	// BatchWindow > 0 enables micro-batching: a request's NN scoring waits
-	// up to this long to be coalesced with concurrently arriving requests.
-	BatchWindow time.Duration
-	// BatchMaxPaths caps the paths per coalesced scoring sweep (default 256).
-	BatchMaxPaths int
-	// DisableFusedScoring pins NN scoring to the per-path reference
-	// implementation instead of the batched (fused) kernels. The two are
-	// bit-identical (test-enforced), so this is an operational escape
-	// hatch, not an accuracy trade-off. The PATHRANK_FUSED_SCORING
-	// environment knob offers the same switch process-wide.
-	DisableFusedScoring bool
 	// MaxK caps the per-request candidate-set override (default 32).
 	MaxK int
 	// MaxBatch caps the queries per /v2/rank batch request (default 64).
 	MaxBatch int
-	// MaxInFlight caps concurrently executing rank requests (v1 + v2);
-	// requests over the cap are shed immediately with 503 backlog +
-	// Retry-After instead of queuing unboundedly. 0 (the default)
-	// disables shedding.
+	// MaxInFlight caps concurrently executing rank requests; requests over
+	// the cap are shed immediately with 503 backlog + Retry-After instead
+	// of queuing unboundedly. 0 (the default) disables shedding.
 	MaxInFlight int
 	// MaxTimeout caps a request's timeout_ms deadline (default 30s);
 	// longer requests are clamped, not rejected.
@@ -190,39 +174,22 @@ type Server struct {
 	cfg   Config
 	start time.Time
 
-	// snap is the current serving snapshot. snapMu orders request
-	// acquisition against retirement: a request bumps the snapshot's
-	// refcount under RLock, and Swap installs a new snapshot under Lock
-	// before retiring the old one — so the creation reference cannot be
-	// dropped between a request's Load and its Add.
-	snap   atomic.Pointer[snapshot]
-	snapMu sync.RWMutex
+	// snap is the current serving snapshot. A request loads it once and
+	// works against that snapshot to the end, so a hot swap installed
+	// mid-request cannot mix two models' state.
+	snap atomic.Pointer[snapshot]
 	// reloadMu serializes Swap/Reload so concurrent /v1/reload requests
 	// cannot interleave snapshot construction and installation.
 	reloadMu sync.Mutex
 
 	obs *serveMetrics
+	// inFlight counts rank requests currently executing; the MaxInFlight
+	// shedder and the in-flight gauge read it.
+	inFlight atomic.Int64
 
 	// lastRejection is the most recent canary-gate refusal (nil before the
-	// first); swapRejected counts them. Both are surfaced in /healthz.
+	// first), surfaced in /healthz.
 	lastRejection atomic.Pointer[SwapRejection]
-
-	vars           *expvar.Map
-	swapRejected   expvar.Int
-	reqTotal       expvar.Int
-	rankOK         expvar.Int
-	rankErrors     expvar.Int
-	cacheHits      expvar.Int
-	cacheMisses    expvar.Int
-	flightShared   expvar.Int
-	batchFlushes   expvar.Int
-	batchPaths     expvar.Int
-	latencyNanos   expvar.Int
-	inFlightGauge  expvar.Int
-	swapsTotal     expvar.Int
-	reloadErrors   expvar.Int
-	ingestAccepted expvar.Int
-	ingestRejected expvar.Int
 }
 
 // engineKind resolves the configured engine name; New has validated it.
@@ -263,7 +230,7 @@ func New(art *pathrank.Artifact, cfg Config) (*Server, error) {
 		cfg.MaxIngestRecords = 20000
 	}
 	s := &Server{cfg: cfg, start: time.Now()}
-	snap, err := s.buildSnapshot(art, nil)
+	snap, err := newSnapshot(art, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -276,95 +243,30 @@ func New(art *pathrank.Artifact, cfg Config) (*Server, error) {
 		reg = obsv.NewRegistry()
 	}
 	s.obs = newServeMetrics(reg, s)
-	// The map is intentionally not expvar.Published: tests run many servers
-	// in one process and Publish panics on duplicate names. The /metrics
-	// handler serves it directly instead.
-	s.vars = new(expvar.Map).Init()
-	s.vars.Set("requests_total", &s.reqTotal)
-	s.vars.Set("rank_ok", &s.rankOK)
-	s.vars.Set("rank_errors", &s.rankErrors)
-	s.vars.Set("cache_hits", &s.cacheHits)
-	s.vars.Set("cache_misses", &s.cacheMisses)
-	s.vars.Set("singleflight_shared", &s.flightShared)
-	s.vars.Set("batch_flushes", &s.batchFlushes)
-	s.vars.Set("batch_paths", &s.batchPaths)
-	s.vars.Set("rank_latency_ns_total", &s.latencyNanos)
-	s.vars.Set("in_flight", &s.inFlightGauge)
-	s.vars.Set("swaps_total", &s.swapsTotal)
-	s.vars.Set("swap_rejections", &s.swapRejected)
-	s.vars.Set("reload_errors", &s.reloadErrors)
-	s.vars.Set("ingest_accepted", &s.ingestAccepted)
-	s.vars.Set("ingest_rejected", &s.ingestRejected)
-	if cfg.Provenance != nil {
-		// Live gauges, not counters: /metrics re-reads the pipeline's
-		// provenance state (WAL segment inventory, sync frontier, fsync
-		// latency, current Merkle roots) on every scrape.
-		s.vars.Set("provenance", expvar.Func(func() any { return cfg.Provenance.Provenance() }))
-	}
 	return s, nil
 }
 
-// buildSnapshot constructs a snapshot and wires its batcher to the
-// server's counters.
-func (s *Server) buildSnapshot(art *pathrank.Artifact, prev *snapshot) (*snapshot, error) {
-	snap, err := newSnapshot(art, s.cfg, prev)
-	if err != nil {
-		return nil, err
-	}
-	if snap.batch != nil {
-		snap.batch.onFlush = s.onBatchFlush
-	}
-	return snap, nil
-}
-
-// onBatchFlush observes one micro-batch scoring sweep in both metric
-// surfaces.
-func (s *Server) onBatchFlush(reqs, paths int) {
-	s.batchFlushes.Add(1)
-	s.batchPaths.Add(int64(paths))
-	if s.obs != nil {
-		s.obs.flushPaths.Observe(float64(paths))
-	}
-}
-
-// acquire returns the current snapshot with a reference held; the caller
-// must release() it when done.
-func (s *Server) acquire() *snapshot {
-	s.snapMu.RLock()
-	snap := s.snap.Load()
-	snap.refs.Add(1)
-	s.snapMu.RUnlock()
-	return snap
-}
-
-// Snapshot is a pinned, refcounted view of the serving state, for
-// sidecar handlers mounted next to the server's own (the shard-serving
-// layer's boundary and corridor endpoints). The pin participates in the
-// same lifecycle as the server's request handling: a hot swap installed
-// while the pin is held retires the old snapshot only after Release.
+// Snapshot is a consistent view of one serving state, for sidecar handlers
+// mounted next to the server's own (the shard-serving layer's boundary and
+// corridor endpoints): a hot swap installed after PinSnapshot does not
+// change what the view returns.
 type Snapshot struct {
 	snap *snapshot
 }
 
-// PinSnapshot acquires the current snapshot; the caller must Release it.
+// PinSnapshot returns a view of the current snapshot.
 func (s *Server) PinSnapshot() Snapshot {
-	return Snapshot{snap: s.acquire()}
+	return Snapshot{snap: s.snap.Load()}
 }
 
-// Artifact returns the pinned snapshot's artifact (graph, model, shard
-// metadata). Valid until Release.
+// Artifact returns the snapshot's artifact (graph, model, shard metadata).
 func (sn Snapshot) Artifact() *pathrank.Artifact {
 	return sn.snap.art
 }
 
-// Fingerprint returns the pinned model's hex fingerprint.
+// Fingerprint returns the snapshot model's hex fingerprint.
 func (sn Snapshot) Fingerprint() string {
 	return sn.snap.fpHex
-}
-
-// Release drops the pin.
-func (sn Snapshot) Release() {
-	sn.snap.release()
 }
 
 // SwapInfo describes the outcome of a hot swap.
@@ -383,11 +285,10 @@ type SwapInfo struct {
 }
 
 // Swap atomically replaces the serving artifact. In-flight requests finish
-// against the snapshot they started on; the old snapshot's batcher is
-// stopped only after the last of them releases it. The result cache is
-// preserved iff the new model's fingerprint and candidate configuration
-// match the old ones (cached rankings are then bit-identical by
-// construction); otherwise it is fully invalidated.
+// against the snapshot they started on. The result cache is preserved iff
+// the new model's fingerprint and candidate configuration match the old
+// ones (cached rankings are then bit-identical by construction); otherwise
+// it is fully invalidated.
 //
 // With cfg.CanaryQueries > 0 the candidate snapshot must pass the canary
 // gate (see canary.go) before it is installed; a refusal wraps
@@ -397,28 +298,20 @@ func (s *Server) Swap(art *pathrank.Artifact) (SwapInfo, error) {
 	defer s.reloadMu.Unlock()
 	swapStart := time.Now()
 	old := s.snap.Load()
-	next, err := s.buildSnapshot(art, old)
+	next, err := newSnapshot(art, s.cfg, old)
 	if err != nil {
 		return SwapInfo{}, err
 	}
 	if s.cfg.CanaryQueries > 0 {
 		if cerr := s.canaryCheck(next, old); cerr != nil {
-			// The candidate never serves: retiring it drops its creation
-			// reference and stops its batcher. Components it shares with
-			// the live snapshot (cache, engine) are unaffected.
-			next.retire()
+			// The candidate never serves; the components it shares with the
+			// live snapshot (cache, engine) are unaffected.
 			return SwapInfo{}, s.rejectSwap(next, art.Lineage.Generation, cerr)
 		}
 	}
-	s.snapMu.Lock()
 	s.snap.Store(next)
-	s.snapMu.Unlock()
-	old.retire()
-	s.swapsTotal.Add(1)
-	if s.obs != nil {
-		s.obs.swaps.Inc()
-		s.obs.swapDuration.Observe(time.Since(swapStart).Seconds())
-	}
+	s.obs.swaps.Inc()
+	s.obs.swapDuration.Observe(time.Since(swapStart).Seconds())
 	info := SwapInfo{
 		Fingerprint:    next.fpHex,
 		Previous:       old.fpHex,
@@ -447,13 +340,11 @@ func (s *Server) Reload(path string) (SwapInfo, error) {
 	}
 	art, err := pathrank.LoadArtifactFile(path)
 	if err != nil {
-		s.reloadErrors.Add(1)
 		s.obs.reloadErrors.Inc()
 		return SwapInfo{}, err
 	}
 	info, err := s.Swap(art)
 	if err != nil {
-		s.reloadErrors.Add(1)
 		s.obs.reloadErrors.Inc()
 		if errors.Is(err, ErrSwapRejected) {
 			s.quarantineArtifact(path)
@@ -489,32 +380,22 @@ func (s *Server) quarantineArtifact(path string) {
 
 // Fingerprint returns the hex fingerprint of the currently served model.
 func (s *Server) Fingerprint() string {
-	snap := s.acquire()
-	defer snap.release()
-	return snap.fpHex
+	return s.snap.Load().fpHex
 }
 
-// Close releases background resources (the current snapshot's micro-batch
-// dispatcher). The server must not serve requests afterwards; Run calls it
-// on shutdown. Retired snapshots stop their own batchers as they drain.
-func (s *Server) Close() {
-	snap := s.snap.Load()
-	if snap != nil && snap.batch != nil {
-		snap.batch.stop()
-	}
-}
+// Close pairs with New; Run calls it on shutdown. The server owns no
+// background goroutine or handle, so there is nothing to stop.
+func (s *Server) Close() {}
 
 // Handler returns the server's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/rank", s.handleRank)
 	mux.HandleFunc("POST /v2/rank", s.handleRankV2)
 	mux.HandleFunc("POST /v1/reload", s.handleReload)
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	mux.HandleFunc("GET /v1/provenance", s.handleProvenance)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsExpvar)
 	return mux
 }
 
@@ -526,9 +407,9 @@ func (s *Server) Metrics() *obsv.Registry {
 }
 
 // Run listens on cfg.Addr and serves until ctx is canceled, then drains
-// in-flight requests gracefully (bounded by cfg.ShutdownTimeout) and
-// releases the batcher. When cfg.WatchInterval > 0 it also watches
-// cfg.ArtifactPath and hot-swaps on changes.
+// in-flight requests gracefully (bounded by cfg.ShutdownTimeout). When
+// cfg.WatchInterval > 0 it also watches cfg.ArtifactPath and hot-swaps on
+// changes.
 func (s *Server) Run(ctx context.Context) error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
@@ -619,119 +500,10 @@ func (s *Server) WatchArtifact(ctx context.Context) {
 	}
 }
 
-// RankRequest is the body of POST /v1/rank.
-type RankRequest struct {
-	Src int64 `json:"src"`
-	Dst int64 `json:"dst"`
-	// K overrides the artifact's candidate-set size when positive.
-	K int `json:"k,omitempty"`
-}
-
-// RankedPath is one entry of a rank response, best first. It is the same
-// wire shape in both API versions.
-type RankedPath = api.RankedPath
-
-// RankResponse is the body of a successful POST /v1/rank.
-type RankResponse struct {
-	Src    int64        `json:"src"`
-	Dst    int64        `json:"dst"`
-	K      int          `json:"k"`
-	Cached bool         `json:"cached"`
-	Shared bool         `json:"shared"`
-	Paths  []RankedPath `json:"paths"`
-}
-
+// errorResponse is the error body of the /v1 endpoints (reload, ingest,
+// provenance).
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-// newBoundedDecoder wraps the request body in a size limit and a strict
-// JSON decoder; shared by the v1 and v2 body readers.
-func newBoundedDecoder(w http.ResponseWriter, r *http.Request, limit int64) *json.Decoder {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	return dec
-}
-
-// decodeJSON decodes a bounded JSON body, mapping an exceeded size limit to
-// 413 and any other decoding failure to 400. It reports whether decoding
-// succeeded; on failure the error response has already been written in the
-// v1 shape.
-func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	dec := newBoundedDecoder(w, r, limit)
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		}
-		return false
-	}
-	return true
-}
-
-// handleRank answers POST /v1/rank. It is a thin adapter over the v2 core
-// (buildQuery/execQuery): a v1 request is exactly a v2 query with only the
-// k override, and the response rendering below reproduces the v1 wire
-// format byte for byte. Client-caused failures map through the typed error
-// model (400 invalid, 404 unroutable, 408/504 context expiry) instead of
-// blanket 500s; the v1 error body shape is unchanged.
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Add(1)
-	s.obs.requests.With("/v1/rank").Inc()
-	s.inFlightGauge.Add(1)
-	defer s.inFlightGauge.Add(-1)
-	startReq := time.Now()
-
-	if s.overloaded() {
-		s.rankErrors.Add(1)
-		s.obs.shed.Inc()
-		s.obs.rankErrors.With(api.CodeBacklog).Inc()
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: backlogMessage})
-		return
-	}
-
-	var req RankRequest
-	if !decodeJSON(w, r, maxRankBody, &req) {
-		s.rankErrors.Add(1)
-		s.obs.rankErrors.With(api.CodeInvalid).Inc()
-		return
-	}
-
-	// Pin the serving snapshot for the whole request: a hot swap installed
-	// mid-request must not mix two models' state.
-	snap := s.acquire()
-	defer snap.release()
-	defer s.obs.observeLatency("/v1/rank", snap, startReq)
-
-	cq, apiErr := s.buildQuery(snap, api.RankQuery{Src: req.Src, Dst: req.Dst, K: req.K})
-	if apiErr != nil {
-		s.rankErrors.Add(1)
-		s.obs.rankErrors.With(apiErr.Code).Inc()
-		writeJSON(w, apiErr.Status, errorResponse{Error: apiErr.Message})
-		return
-	}
-
-	out := s.execQuery(r.Context(), snap, cq)
-	if out.err != nil {
-		s.rankErrors.Add(1)
-		e := apiErrorFrom(out.err)
-		s.obs.rankErrors.With(e.Code).Inc()
-		writeJSON(w, e.Status, errorResponse{Error: out.err.Error()})
-		return
-	}
-
-	resp := RankResponse{
-		Src: req.Src, Dst: req.Dst, K: req.K,
-		Cached: out.cached, Shared: out.shared,
-		Paths: rankedPaths(snap, out.ranked),
-	}
-	s.rankOK.Add(1)
-	s.latencyNanos.Add(time.Since(startReq).Nanoseconds())
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // ReloadRequest is the (optional) body of POST /v1/reload.
@@ -741,14 +513,13 @@ type ReloadRequest struct {
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Add(1)
 	s.obs.requests.With("/v1/reload").Inc()
 	var req ReloadRequest
 	// An empty body means "reload the configured artifact".
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRankBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		api.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	info, err := s.Reload(req.Artifact)
@@ -760,10 +531,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		if req.Artifact != "" || s.cfg.ArtifactPath == "" {
 			status = http.StatusBadRequest
 		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		api.WriteJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	api.WriteJSON(w, http.StatusOK, info)
 }
 
 // GPSSample is one raw positioning record of an ingested trajectory.
@@ -785,31 +556,28 @@ type IngestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Add(1)
 	s.obs.requests.With("/v1/ingest").Inc()
-	reject := func() {
-		s.ingestRejected.Add(1)
-		s.obs.ingest.With("rejected").Inc()
-	}
+	reject := func() { s.obs.ingest.With("rejected").Inc() }
 	if s.cfg.Ingest == nil {
 		reject()
-		writeJSON(w, http.StatusServiceUnavailable,
+		api.WriteJSON(w, http.StatusServiceUnavailable,
 			errorResponse{Error: "ingestion is not enabled on this server"})
 		return
 	}
 	var req IngestRequest
-	if !decodeJSON(w, r, maxIngestBody, &req) {
+	if apiErr := api.DecodeJSON(w, r, maxIngestBody, &req); apiErr != nil {
 		reject()
+		api.WriteJSON(w, apiErr.Status, errorResponse{Error: apiErr.Message})
 		return
 	}
 	if len(req.Records) == 0 {
 		reject()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "trajectory has no records"})
+		api.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "trajectory has no records"})
 		return
 	}
 	if len(req.Records) > s.cfg.MaxIngestRecords {
 		reject()
-		writeJSON(w, http.StatusBadRequest, errorResponse{
+		api.WriteJSON(w, http.StatusBadRequest, errorResponse{
 			Error: fmt.Sprintf("trajectory has %d records, limit is %d — split long traces",
 				len(req.Records), s.cfg.MaxIngestRecords)})
 		return
@@ -821,12 +589,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err := s.cfg.Ingest.IngestGPS(recs); err != nil {
 		reject()
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		api.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 		return
 	}
-	s.ingestAccepted.Add(1)
 	s.obs.ingest.With("accepted").Inc()
-	writeJSON(w, http.StatusAccepted, IngestResponse{Queued: len(req.Records)})
+	api.WriteJSON(w, http.StatusAccepted, IngestResponse{Queued: len(req.Records)})
 }
 
 // handleProvenance answers GET /v1/provenance. Without a seq parameter it
@@ -835,35 +602,33 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // Merkle inclusion proof for the trajectory with that ingest sequence
 // number, or 404 when the trajectory is not in the current training batch.
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Add(1)
 	s.obs.requests.With("/v1/provenance").Inc()
 	if seqStr := r.URL.Query().Get("seq"); seqStr != "" {
 		if s.cfg.Provenance == nil {
-			writeJSON(w, http.StatusNotFound,
+			api.WriteJSON(w, http.StatusNotFound,
 				errorResponse{Error: "no live pipeline on this server: inclusion proofs unavailable"})
 			return
 		}
 		seq, err := strconv.ParseInt(seqStr, 10, 64)
 		if err != nil || seq <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "seq must be a positive integer"})
+			api.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "seq must be a positive integer"})
 			return
 		}
 		proof, err := s.cfg.Provenance.ProveTrajectory(seq)
 		if err != nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+			api.WriteJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, proof)
+		api.WriteJSON(w, http.StatusOK, proof)
 		return
 	}
 	if s.cfg.Provenance != nil {
-		writeJSON(w, http.StatusOK, s.cfg.Provenance.Provenance())
+		api.WriteJSON(w, http.StatusOK, s.cfg.Provenance.Provenance())
 		return
 	}
 	// No pipeline: the artifact's lineage still carries the commitments.
-	snap := s.acquire()
-	defer snap.release()
-	writeJSON(w, http.StatusOK, api.ProvenanceInfo{
+	snap := s.snap.Load()
+	api.WriteJSON(w, http.StatusOK, api.ProvenanceInfo{
 		Generation: snap.art.Lineage.Generation,
 		DataRoot:   snap.art.Lineage.DataRoot,
 		ChainRoot:  snap.art.Lineage.ChainRoot,
@@ -879,7 +644,6 @@ type healthResponse struct {
 	Edges         int      `json:"edges"`
 	ModelParams   int      `json:"model_params"`
 	CacheSize     int      `json:"cache_entries"`
-	Batching      bool     `json:"batching"`
 	Engine        string   `json:"engine"`
 	PrepEmbedded  bool     `json:"prep_embedded"`
 	Fingerprint   string   `json:"fingerprint"`
@@ -904,10 +668,8 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.reqTotal.Add(1)
 	s.obs.requests.With("/healthz").Inc()
-	snap := s.acquire()
-	defer snap.release()
+	snap := s.snap.Load()
 	resp := healthResponse{
 		Status:        "ok",
 		APIVersions:   []string{"v1", "v2"},
@@ -916,13 +678,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Edges:         snap.art.Graph.NumEdges(),
 		ModelParams:   snap.art.Model.NumParams(),
 		CacheSize:     snap.cache.len(),
-		Batching:      snap.batch != nil,
 		Engine:        snap.engine.Kind().String(),
 		PrepEmbedded:  snap.art.Prep != nil,
 		Fingerprint:   snap.fpHex,
 		Generation:    snap.art.Lineage.Generation,
 		ParentModel:   snap.art.Lineage.Parent,
-		Swaps:         s.swapsTotal.Value(),
+		Swaps:         int64(s.obs.swaps.Value()),
 		SnapshotAgeS:  time.Since(snap.loaded).Seconds(),
 		IngestEnabled: s.cfg.Ingest != nil,
 		DataRoot:      snap.art.Lineage.DataRoot,
@@ -931,7 +692,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Provenance != nil {
 		resp.WAL = s.cfg.Provenance.Provenance().WAL
 	}
-	resp.SwapRejections = s.swapRejected.Value()
+	resp.SwapRejections = int64(s.obs.swapRejected.Value())
 	resp.LastSwapRejection = s.lastRejection.Load()
 	if s.cfg.Pipeline != nil {
 		ph := s.cfg.Pipeline.Health()
@@ -943,34 +704,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			resp.Status = api.PipelineDegraded
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics exports the server's metric registry in Prometheus text
 // exposition format. See docs/OPERATIONS.md for the metric reference.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Add(1)
 	s.obs.requests.With("/metrics").Inc()
 	s.obs.reg.ServeHTTP(w, r)
-}
-
-// handleMetricsExpvar exports the server's expvar map alongside the
-// runtime's standard expvar variables (memstats) — the pre-Prometheus
-// metrics surface, kept as a compat alias at GET /metrics.json.
-func (s *Server) handleMetricsExpvar(w http.ResponseWriter, _ *http.Request) {
-	s.reqTotal.Add(1)
-	s.obs.requests.With("/metrics.json").Inc()
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\"serve\": %s", s.vars.String())
-	if mem := expvar.Get("memstats"); mem != nil {
-		fmt.Fprintf(w, ", \"memstats\": %s", mem.String())
-	}
-	fmt.Fprint(w, "}\n")
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
 }

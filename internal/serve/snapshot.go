@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"pathrank/internal/pathrank"
@@ -13,34 +12,20 @@ import (
 )
 
 // snapshot is one immutable serving state: an artifact, its ranker, and the
-// caching/batching machinery bound to that artifact's model. The server
-// holds the current snapshot in an atomic pointer; a hot swap installs a
-// new snapshot while requests already running against the old one finish
-// undisturbed.
-//
-// Lifecycle: a snapshot is born with one creation reference. Every request
-// acquires a reference for its duration. When the snapshot is replaced, the
-// swapper drops the creation reference; once the last in-flight request
-// releases its reference the snapshot is drained and its batcher (the only
-// component with a background goroutine) is stopped.
+// caching machinery bound to that artifact's model. The server holds the
+// current snapshot in an atomic pointer; a hot swap installs a new snapshot
+// while requests already running against the old one finish undisturbed
+// (they keep their pointer; the garbage collector retires the old state).
 type snapshot struct {
 	art    *pathrank.Artifact
 	ranker *pathrank.Ranker
 	engine spath.Engine
 	cache  *lruCache
 	flight *flightGroup
-	batch  *batcher
-	// scoreFn is the snapshot's NN scoring path: Model.ScoreBatch (which
-	// dispatches to the fused batched kernels) or Model.ScoreBatchPerPath
-	// when Config.DisableFusedScoring pins the reference implementation.
-	scoreFn func([]spath.Path) []float64
-	fp      [sha256.Size]byte
-	fpHex   string
-	graph   [sha256.Size]byte // digest of the serialized road network
-	loaded  time.Time
-
-	refs    atomic.Int64
-	drained chan struct{}
+	fp     [sha256.Size]byte
+	fpHex  string
+	graph  [sha256.Size]byte // digest of the serialized road network
+	loaded time.Time
 }
 
 // graphDigest hashes the graph's serialized form. Gob encoding is
@@ -95,15 +80,6 @@ func newSnapshot(art *pathrank.Artifact, cfg Config, prev *snapshot) (*snapshot,
 	} else {
 		p.cache = newLRUCache(cfg.CacheSize)
 	}
-	p.scoreFn = art.Model.ScoreBatch
-	if cfg.DisableFusedScoring {
-		p.scoreFn = art.Model.ScoreBatchPerPath
-	}
-	if cfg.BatchWindow > 0 {
-		p.batch = newBatcher(p.scoreFn, cfg.BatchWindow, cfg.BatchMaxPaths)
-	}
-	p.refs.Store(1)
-	p.drained = make(chan struct{})
 	return p, nil
 }
 
@@ -124,26 +100,4 @@ func buildEngine(art *pathrank.Artifact, cfg Config, gd [sha256.Size]byte, prev 
 		return prev.engine
 	}
 	return spath.NewEngine(kind, art.Graph, spath.ByLength, spath.EngineConfig{})
-}
-
-// release drops one reference; the last release marks the snapshot drained.
-func (p *snapshot) release() {
-	if p.refs.Add(-1) == 0 {
-		close(p.drained)
-	}
-}
-
-// retire drops the creation reference and, once every in-flight request has
-// released the snapshot, stops its batcher. It returns immediately; the
-// wait runs in the background. Requests that raced the swap and still hold
-// the old snapshot keep working: the batcher stays live until they release,
-// and even a post-stop straggler falls back to direct scoring.
-func (p *snapshot) retire() {
-	go func() {
-		p.release()
-		<-p.drained
-		if p.batch != nil {
-			p.batch.stop()
-		}
-	}()
 }

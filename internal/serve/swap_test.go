@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pathrank/internal/api"
 	"pathrank/internal/geo"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
@@ -63,7 +64,7 @@ func TestSwapSameFingerprintKeepsCacheBitIdentical(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	n := int64(art.Graph.NumVertices())
 
-	req := RankRequest{Src: 2, Dst: n - 3}
+	req := api.RankQuery{Src: 2, Dst: n - 3}
 	_, before := postRank(t, ts.URL, req)
 	if before.Cached {
 		t.Fatal("first response should be a miss")
@@ -119,7 +120,7 @@ func TestSwapDifferentFingerprintInvalidatesCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	n := int64(art.Graph.NumVertices())
 
-	for _, req := range []RankRequest{{Src: 0, Dst: n - 1}, {Src: 4, Dst: n / 2}} {
+	for _, req := range []api.RankQuery{{Src: 0, Dst: n - 1}, {Src: 4, Dst: n / 2}} {
 		postRank(t, ts.URL, req)
 	}
 	if s.snap.Load().cache.len() == 0 {
@@ -146,7 +147,7 @@ func TestSwapDifferentFingerprintInvalidatesCache(t *testing.T) {
 
 	// Responses now come from the new model, bit-identically.
 	ranker := art2.NewRanker()
-	req := RankRequest{Src: 0, Dst: n - 1}
+	req := api.RankQuery{Src: 0, Dst: n - 1}
 	want, err := ranker.Query(roadnet.VertexID(req.Src), roadnet.VertexID(req.Dst))
 	if err != nil {
 		t.Fatal(err)
@@ -168,14 +169,14 @@ func TestSwapDifferentFingerprintInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentReloadDuringRank hammers /v1/rank while the artifact is
+// TestConcurrentReloadDuringRank hammers /v2/rank while the artifact is
 // hot-swapped back and forth, asserting zero dropped or errored requests
 // and that every response is bit-identical to one of the two models'
 // rankings (never a mixture). Run under -race this also proves the swap
 // path is data-race free.
 func TestConcurrentReloadDuringRank(t *testing.T) {
 	art := loadedTestArtifact(t)
-	s, ts := newTestServer(t, Config{BatchWindow: time.Millisecond, CacheSize: 8})
+	s, ts := newTestServer(t, Config{CacheSize: 8})
 	n := art.Graph.NumVertices()
 	artB := variantArtifact(t, art, 4242)
 
@@ -239,7 +240,7 @@ func TestConcurrentReloadDuringRank(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < perWorker; r++ {
 				i := (w + r) % len(pairs)
-				resp, rr := postRank(t, ts.URL, RankRequest{Src: pairs[i].src, Dst: pairs[i].dst})
+				resp, rr := postRank(t, ts.URL, api.RankQuery{Src: pairs[i].src, Dst: pairs[i].dst})
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Errorf("rank %d->%d during swap: status %d", pairs[i].src, pairs[i].dst, resp.StatusCode)
 					return
@@ -393,7 +394,7 @@ func TestReloadEndpoint(t *testing.T) {
 	if s.Fingerprint() != current {
 		t.Fatal("failed reload must not change the serving snapshot")
 	}
-	if s.reloadErrors.Value() == 0 {
+	if s.obs.reloadErrors.Value() == 0 {
 		t.Fatal("reload_errors not incremented")
 	}
 
@@ -449,7 +450,7 @@ func TestWatchArtifactHotSwaps(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	if s.swapsTotal.Value() == 0 {
+	if s.obs.swaps.Value() == 0 {
 		t.Fatal("swaps_total not incremented by watcher")
 	}
 }

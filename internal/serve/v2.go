@@ -2,130 +2,38 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"sync"
 	"time"
 
 	"pathrank/internal/api"
-	"pathrank/internal/dataset"
 	"pathrank/internal/pathrank"
-	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
 )
 
 // This file implements POST /v2/rank, the context-aware, per-request-
-// configurable query surface. /v1/rank is a thin adapter over the same
-// core (see handleRank): both funnel through buildQuery → execQuery, so
-// the two versions cannot drift apart in semantics — v1 is exactly a v2
-// query with only the k override, rendered in the v1 response shape.
+// configurable query surface.
 
-// coreQuery is a validated, normalized query ready to execute against a
-// pinned snapshot: the cache/singleflight key plus the core RankRequest.
+// coreQuery is a validated query ready to execute against a snapshot: the
+// core RankRequest plus the cache/singleflight key of its resolved regime.
 type coreQuery struct {
-	key     queryKey
-	req     pathrank.RankRequest
-	explain bool
+	key queryKey
+	req pathrank.RankRequest
 }
 
 // buildQuery validates q against the snapshot and the server limits and
-// normalizes overrides that equal the snapshot's defaults to zero values
-// (see queryKey). A non-nil return error carries the api code and status.
+// resolves its regime, both through the one rule set in internal/pathrank.
 func (s *Server) buildQuery(snap *snapshot, q api.RankQuery) (coreQuery, *api.Error) {
-	n := int64(snap.art.Graph.NumVertices())
-	if q.Src < 0 || q.Src >= n || q.Dst < 0 || q.Dst >= n {
-		return coreQuery{}, invalidErrf("src/dst must be in [0,%d)", n)
-	}
-	if q.K < 0 || q.K > s.cfg.MaxK {
-		return coreQuery{}, invalidErrf("k must be in [0,%d]", s.cfg.MaxK)
-	}
-	if q.Threshold < 0 || q.Threshold > 1 {
-		return coreQuery{}, invalidErrf("threshold must be in (0,1], got %g", q.Threshold)
-	}
-	if q.MaxProbe < 0 {
-		return coreQuery{}, invalidErrf("max_probe must be non-negative")
-	}
-	strategy, err := pathrank.ParseStrategyChoice(q.Strategy)
+	req, err := pathrank.RequestFromQuery(q, snap.art.Graph.NumVertices(), s.cfg.MaxK)
 	if err != nil {
-		return coreQuery{}, apiErrorFrom(err)
+		return coreQuery{}, pathrank.APIError(err)
 	}
-	weight, err := pathrank.ParseWeightKind(q.Weight)
+	rg, err := pathrank.Resolve(req, snap.ranker.Candidates, snap.engine.Kind())
 	if err != nil {
-		return coreQuery{}, apiErrorFrom(err)
+		return coreQuery{}, pathrank.APIError(err)
 	}
-	engine, err := pathrank.ParseEngineChoice(q.Engine)
-	if err != nil {
-		return coreQuery{}, apiErrorFrom(err)
-	}
-	// Reject contradictions BEFORE normalization folds the explicit
-	// choice into the default — the wire API must agree with the
-	// in-process Rank, which errors on a prepared engine named together
-	// with the time metric (prepared structures serve the length metric).
-	if weight == pathrank.WeightTime && (engine == pathrank.EngineALT || engine == pathrank.EngineCH) {
-		return coreQuery{}, invalidErrf(
-			"engine %s serves the length metric; use weight=length or engine=dijkstra", engine)
-	}
-
-	// Normalize: an override naming the snapshot's own default must hit
-	// the same cache entry as the query that omits it. The effective
-	// default mirrors what the ranker resolves when its config is empty.
-	def := snap.ranker.Candidates
-	if def.K <= 0 {
-		def = dataset.DefaultConfig()
-	}
-	k := q.K
-	if k == def.K {
-		k = 0
-	}
-	switch {
-	case strategy == pathrank.StrategyTkDI && def.Strategy == dataset.TkDI,
-		strategy == pathrank.StrategyDTkDI && def.Strategy == dataset.DTkDI:
-		strategy = pathrank.StrategyAuto
-	}
-	threshold := q.Threshold
-	if threshold == def.Threshold {
-		threshold = 0
-	}
-	maxProbe := q.MaxProbe
-	// An explicit max_probe equal to the snapshot default is only a
-	// no-op when k is default too: a genuine k override makes the
-	// default probe budget SCALE with k, while an explicit one pins it.
-	if maxProbe == def.MaxProbe && k == 0 {
-		maxProbe = 0
-	}
-	if weight == pathrank.WeightLength {
-		// The default metric is length; the explicit spelling is a no-op.
-		weight = pathrank.WeightAuto
-	}
-	if snap.engine != nil {
-		switch {
-		case engine == pathrank.EngineNone && snap.engine.Kind() == spath.EngineDijkstra,
-			engine == pathrank.EngineALT && snap.engine.Kind() == spath.EngineALT,
-			engine == pathrank.EngineCH && snap.engine.Kind() == spath.EngineCH:
-			engine = pathrank.EngineAuto
-		}
-	}
-
-	cq := coreQuery{
-		key: queryKey{
-			src: roadnet.VertexID(q.Src), dst: roadnet.VertexID(q.Dst),
-			k: k, strategy: uint8(strategy), weight: uint8(weight),
-			engine: uint8(engine), maxProbe: maxProbe,
-		},
-		req: pathrank.RankRequest{
-			Src: roadnet.VertexID(q.Src), Dst: roadnet.VertexID(q.Dst),
-			K: k, Strategy: strategy, Threshold: threshold,
-			MaxProbe: maxProbe, Weight: weight, Engine: engine,
-		},
-		explain: q.Explain,
-	}
-	if threshold > 0 {
-		cq.key.thrBits = math.Float64bits(threshold)
-	}
-	return cq, nil
+	return coreQuery{key: keyOf(req, rg), req: req}, nil
 }
 
 // queryOutcome is the result of executing one core query.
@@ -139,20 +47,17 @@ type queryOutcome struct {
 	err            error
 }
 
-// execQuery answers one validated query against a pinned snapshot: LRU
-// cache, then singleflight, then ctx-aware candidate generation on the
-// pooled workspaces and NN scoring (micro-batched when enabled) — the
-// exact pipeline behind both /v1/rank and /v2/rank singles. When the
-// leading computation of a shared flight is canceled, its waiters observe
-// the cancellation error too; that is the standard singleflight trade-off
-// and only affects requests that would have recomputed identical work.
+// execQuery answers one validated query against a snapshot: LRU cache,
+// then singleflight, then ctx-aware candidate generation on the pooled
+// workspaces and NN scoring. When the leading computation of a shared
+// flight is canceled, its waiters observe the cancellation error too; that
+// is the standard singleflight trade-off and only affects requests that
+// would have recomputed identical work.
 func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) queryOutcome {
 	if ranked, ok := snap.cache.get(cq.key); ok {
-		s.cacheHits.Add(1)
 		s.obs.cacheEvents.With(cacheHit).Inc()
 		return queryOutcome{ranked: ranked, cached: true}
 	}
-	s.cacheMisses.Add(1)
 	s.obs.cacheEvents.With(cacheMiss).Inc()
 	var stats pathrank.RankStats
 	ranked, err, shared := snap.flight.do(ctx, cq.key, func() ([]pathrank.Ranked, error) {
@@ -163,13 +68,12 @@ func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) qu
 		}
 		st.GenNanos = time.Since(genStart).Nanoseconds()
 		scoreStart := time.Now()
-		scores := snap.score(cands)
+		scores := snap.art.Model.ScoreBatch(cands)
 		st.ScoreNanos = time.Since(scoreStart).Nanoseconds()
 		stats = st
 		return pathrank.RankScored(cands, scores), nil
 	})
 	if shared {
-		s.flightShared.Add(1)
 		s.obs.cacheEvents.With(cacheShared).Inc()
 	}
 	if err != nil {
@@ -182,117 +86,77 @@ func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) qu
 	return queryOutcome{ranked: ranked, shared: true}
 }
 
-// score runs one NN scoring sweep over paths, through the micro-batcher
-// when it is enabled.
-func (p *snapshot) score(paths []spath.Path) []float64 {
-	if p.batch != nil {
-		return p.batch.score(paths)
-	}
-	return p.scoreFn(paths)
-}
-
-// nopCancel avoids allocating a context.WithCancel on the timeoutless
-// hot path; the request context alone already carries disconnect
-// cancellation.
-var nopCancel context.CancelFunc = func() {}
-
-// requestContext derives the computation context for a rank request: the
-// HTTP request's context (canceled when the client disconnects), bounded
-// by the body's timeout_ms capped at cfg.MaxTimeout. The returned cancel
-// must always be called.
-func (s *Server) requestContext(r *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	if timeoutMs <= 0 {
-		return ctx, nopCancel
-	}
-	d := time.Duration(timeoutMs) * time.Millisecond
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return context.WithTimeout(ctx, d)
-}
-
 func (s *Server) handleRankV2(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Add(1)
 	s.obs.requests.With("/v2/rank").Inc()
-	s.inFlightGauge.Add(1)
-	defer s.inFlightGauge.Add(-1)
 	startReq := time.Now()
 
-	if s.overloaded() {
-		s.rankErrors.Add(1)
+	// A cap of n admits n concurrent requests: this one is counted first.
+	inFlight := s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	if s.cfg.MaxInFlight > 0 && inFlight > int64(s.cfg.MaxInFlight) {
 		s.obs.shed.Inc()
-		s.obs.rankErrors.With(api.CodeBacklog).Inc()
-		writeV2Error(w, &api.Error{
-			Status: http.StatusServiceUnavailable, Code: api.CodeBacklog, Message: backlogMessage,
+		s.rankError(w, &api.Error{
+			Code: api.CodeBacklog, Message: "server is at its concurrent-rank capacity; retry shortly",
 		})
 		return
 	}
 
 	var req api.RankRequest
-	if apiErr := decodeJSONErr(w, r, maxRankBody, &req); apiErr != nil {
-		s.rankErrors.Add(1)
-		s.obs.rankErrors.With(apiErr.Code).Inc()
-		writeV2Error(w, apiErr)
+	if apiErr := api.DecodeJSON(w, r, maxRankBody, &req); apiErr != nil {
+		s.rankError(w, apiErr)
 		return
 	}
 
-	// Pin the serving snapshot for the whole request (batch included): a
-	// hot swap installed mid-request must not mix two models' state.
-	snap := s.acquire()
-	defer snap.release()
+	// One snapshot for the whole request (batch included): a hot swap
+	// installed mid-request must not mix two models' state.
+	snap := s.snap.Load()
 	defer s.obs.observeLatency("/v2/rank", snap, startReq)
 
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
+	ctx, cancel := api.RequestContext(r, req.TimeoutMs, s.cfg.MaxTimeout)
 	defer cancel()
 
 	// A present-but-empty "queries" array is an empty batch (answered as
 	// such), not a single query: only an absent key selects the inline
 	// single-query form.
 	if req.Queries == nil {
-		s.rankV2Single(ctx, w, snap, req.RankQuery, startReq)
+		s.rankV2Single(ctx, w, snap, req.RankQuery)
 		return
 	}
-	s.rankV2Batch(ctx, w, snap, req.Queries, startReq)
+	s.rankV2Batch(ctx, w, snap, req.Queries)
 }
 
-func (s *Server) rankV2Single(ctx context.Context, w http.ResponseWriter, snap *snapshot, q api.RankQuery, startReq time.Time) {
+// rankError counts a failed rank request by its code and answers it with
+// the typed envelope.
+func (s *Server) rankError(w http.ResponseWriter, e *api.Error) {
+	s.obs.rankErrors.With(e.Code).Inc()
+	api.WriteError(w, e)
+}
+
+func (s *Server) rankV2Single(ctx context.Context, w http.ResponseWriter, snap *snapshot, q api.RankQuery) {
 	cq, apiErr := s.buildQuery(snap, q)
 	if apiErr != nil {
-		s.rankErrors.Add(1)
-		s.obs.rankErrors.With(apiErr.Code).Inc()
-		writeV2Error(w, apiErr)
+		s.rankError(w, apiErr)
 		return
 	}
 	out := s.execQuery(ctx, snap, cq)
 	if out.err != nil {
-		s.rankErrors.Add(1)
-		apiErr := apiErrorFrom(out.err)
-		s.obs.rankErrors.With(apiErr.Code).Inc()
-		writeV2Error(w, apiErr)
+		s.rankError(w, pathrank.APIError(out.err))
 		return
 	}
-	s.rankOK.Add(1)
-	s.latencyNanos.Add(time.Since(startReq).Nanoseconds())
-	writeJSON(w, http.StatusOK, buildResult(snap, q, cq, out))
+	api.WriteJSON(w, http.StatusOK, buildResult(snap, q, cq, out))
 }
 
 // rankV2Batch answers a batch of queries with per-item errors and one NN
-// scoring sweep over the union of all uncached candidate sets — the batch
-// itself is the micro-batch, so coalescing does not wait on a gather
-// window (and composes with the batcher when one is configured, which
-// additionally coalesces across concurrent batches). Candidate generation
-// for the uncached items runs concurrently on pooled workspaces, bounded
-// by GOMAXPROCS, so a batch is no slower than the same queries issued as
-// parallel singles; a deadline expiring mid-batch fails the unfinished
-// items with the deadline code. Batch items bypass the singleflight
-// group: collapsing is the cache's job once the batch lands, and per-item
-// blocking on foreign flights would serialize the sweep.
-func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *snapshot, queries []api.RankQuery, startReq time.Time) {
+// scoring sweep over the union of all uncached candidate sets. Candidate
+// generation for the uncached items runs concurrently on pooled
+// workspaces, bounded by GOMAXPROCS, so a batch is no slower than the same
+// queries issued as parallel singles; a deadline expiring mid-batch fails
+// the unfinished items with the deadline code. Batch items bypass the
+// singleflight group: collapsing is the cache's job once the batch lands,
+// and per-item blocking on foreign flights would serialize the sweep.
+func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *snapshot, queries []api.RankQuery) {
 	if len(queries) > s.cfg.MaxBatch {
-		s.rankErrors.Add(1)
-		s.obs.rankErrors.With(api.CodeInvalid).Inc()
-		writeV2Error(w, invalidErrf("batch has %d queries, limit is %d", len(queries), s.cfg.MaxBatch))
+		s.rankError(w, api.Invalidf("batch has %d queries, limit is %d", len(queries), s.cfg.MaxBatch))
 		return
 	}
 	s.obs.batchQueries.Observe(float64(len(queries)))
@@ -319,14 +183,12 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 		items[i].Index = i
 		cq, apiErr := s.buildQuery(snap, q)
 		if apiErr != nil {
-			s.rankErrors.Add(1)
 			s.obs.rankErrors.With(apiErr.Code).Inc()
 			items[i].Error = apiErr
 			nerr++
 			continue
 		}
 		if ranked, ok := snap.cache.get(cq.key); ok {
-			s.cacheHits.Add(1)
 			s.obs.cacheEvents.With(cacheHit).Inc()
 			items[i].Response = buildResult(snap, q, cq, queryOutcome{ranked: ranked, cached: true})
 			continue
@@ -338,7 +200,6 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 			followers = append(followers, follower{idx: i, leader: lead})
 			continue
 		}
-		s.cacheMisses.Add(1)
 		s.obs.cacheEvents.With(cacheMiss).Inc()
 		p := &pendingItem{idx: i, cq: cq}
 		leaders[cq.key] = p
@@ -378,8 +239,7 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 	scored := pend[:0]
 	for _, p := range pend {
 		if p.err != nil {
-			s.rankErrors.Add(1)
-			items[p.idx].Error = apiErrorFrom(p.err)
+			items[p.idx].Error = pathrank.APIError(p.err)
 			s.obs.rankErrors.With(items[p.idx].Error.Code).Inc()
 			nerr++
 			continue
@@ -393,7 +253,7 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 	var scores []float64
 	if len(all) > 0 {
 		scoreStart := time.Now()
-		scores = snap.score(all)
+		scores = snap.art.Model.ScoreBatch(all)
 		scoreNs = time.Since(scoreStart).Nanoseconds()
 	}
 	off := 0
@@ -409,8 +269,7 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 	}
 	for _, f := range followers {
 		if f.leader.err != nil {
-			s.rankErrors.Add(1)
-			items[f.idx].Error = apiErrorFrom(f.leader.err)
+			items[f.idx].Error = pathrank.APIError(f.leader.err)
 			s.obs.rankErrors.With(items[f.idx].Error.Code).Inc()
 			nerr++
 			continue
@@ -418,11 +277,7 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 		items[f.idx].Response = buildResult(snap, queries[f.idx], f.leader.cq,
 			queryOutcome{ranked: f.leader.ranked, shared: true})
 	}
-	if nerr < len(queries) {
-		s.rankOK.Add(1)
-	}
-	s.latencyNanos.Add(time.Since(startReq).Nanoseconds())
-	writeJSON(w, http.StatusOK, api.BatchResponse{Results: items, Errors: nerr})
+	api.WriteJSON(w, http.StatusOK, api.BatchResponse{Results: items, Errors: nerr})
 }
 
 // buildResult renders one successful outcome in the v2 shape.
@@ -435,25 +290,13 @@ func buildResult(snap *snapshot, q api.RankQuery, cq coreQuery, out queryOutcome
 		Shared: out.shared,
 		Paths:  rankedPaths(snap, out.ranked),
 	}
-	if cq.explain && out.stats != nil {
-		st := out.stats
-		res.Stats = &api.RankStats{
-			Strategy:   st.Strategy.String(),
-			K:          st.K,
-			Threshold:  st.Threshold,
-			MaxProbe:   st.MaxProbe,
-			Weight:     st.Weight.String(),
-			Engine:     st.Engine.String(),
-			Candidates: st.Candidates,
-			GenNs:      st.GenNanos,
-			ScoreNs:    st.ScoreNanos,
-		}
+	if cq.req.Explain && out.stats != nil {
+		res.Stats = out.stats.Wire()
 	}
 	return res
 }
 
-// rankedPaths renders a ranking as wire paths; shared by the v1 and v2
-// response builders, so the two versions stay byte-compatible per path.
+// rankedPaths renders a ranking as wire paths.
 func rankedPaths(snap *snapshot, ranked []pathrank.Ranked) []api.RankedPath {
 	paths := make([]api.RankedPath, len(ranked))
 	for i, rk := range ranked {
@@ -471,64 +314,4 @@ func rankedPaths(snap *snapshot, ranked []pathrank.Ranked) []api.RankedPath {
 		}
 	}
 	return paths
-}
-
-// backlogMessage is the shed-load error text of both API versions.
-const backlogMessage = "server is at its concurrent-rank capacity; retry shortly"
-
-// overloaded reports whether the rank-concurrency cap is exceeded; the
-// caller has already counted itself into the in-flight gauge, so a cap of
-// n admits n concurrent requests.
-func (s *Server) overloaded() bool {
-	return s.cfg.MaxInFlight > 0 && s.inFlightGauge.Value() > int64(s.cfg.MaxInFlight)
-}
-
-// invalidErrf builds an invalid-request api error.
-func invalidErrf(format string, args ...any) *api.Error {
-	return &api.Error{
-		Status:  http.StatusBadRequest,
-		Code:    api.CodeInvalid,
-		Message: fmt.Sprintf(format, args...),
-	}
-}
-
-// apiErrorFrom classifies err through the typed error model.
-func apiErrorFrom(err error) *api.Error {
-	var ae *api.Error
-	if errors.As(err, &ae) {
-		return ae
-	}
-	code := pathrank.ErrorCodeOf(err)
-	return &api.Error{Status: api.HTTPStatus(code), Code: code, Message: err.Error()}
-}
-
-// writeV2Error writes a v2 error envelope; backlog errors advertise a
-// retry delay.
-func writeV2Error(w http.ResponseWriter, e *api.Error) {
-	if e.Status == 0 {
-		e.Status = api.HTTPStatus(e.Code)
-	}
-	if e.Code == api.CodeBacklog {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, e.Status, api.ErrorEnvelope{Error: e})
-}
-
-// decodeJSONErr decodes a bounded JSON body, returning a typed error
-// instead of writing a v1-shaped response (the v2 counterpart of
-// decodeJSON).
-func decodeJSONErr(w http.ResponseWriter, r *http.Request, limit int64, v any) *api.Error {
-	dec := newBoundedDecoder(w, r, limit)
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &api.Error{
-				Status:  http.StatusRequestEntityTooLarge,
-				Code:    api.CodeInvalid,
-				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-			}
-		}
-		return invalidErrf("bad request body: %v", err)
-	}
-	return nil
 }

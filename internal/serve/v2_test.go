@@ -55,11 +55,9 @@ func decodeV2Error(t testing.TB, url, body string) (*http.Response, *api.Error) 
 	return resp, env.Error
 }
 
-// TestV2SingleMatchesV1AndInProcess is the version-compatibility
-// acceptance test: one query answered over /v2/rank equals both the
-// /v1/rank response and an in-process Ranker.Query, path for path and
-// score for score.
-func TestV2SingleMatchesV1AndInProcess(t *testing.T) {
+// TestV2SingleMatchesInProcess: one query answered over /v2/rank equals an
+// in-process Ranker.Query, path for path and score for score.
+func TestV2SingleMatchesInProcess(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	art := loadedTestArtifact(t)
 	src, dst := int64(0), int64(art.Graph.NumVertices()-1)
@@ -69,24 +67,12 @@ func TestV2SingleMatchesV1AndInProcess(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("v2 status %d", resp.StatusCode)
 	}
-	_, v1 := postRank(t, ts.URL, RankRequest{Src: src, Dst: dst})
-
-	if len(v2.Paths) == 0 || len(v2.Paths) != len(v1.Paths) {
-		t.Fatalf("v2 %d paths vs v1 %d", len(v2.Paths), len(v1.Paths))
-	}
-	for i := range v2.Paths {
-		a, b := v2.Paths[i], v1.Paths[i]
-		if a.Score != b.Score || a.LengthM != b.LengthM || len(a.Vertices) != len(b.Vertices) {
-			t.Fatalf("path %d differs between v1 and v2", i)
-		}
-	}
-
 	ranker := art.NewRanker()
 	want, err := ranker.Query(roadnet.VertexID(src), roadnet.VertexID(dst))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(v2.Paths) {
+	if len(want) == 0 || len(want) != len(v2.Paths) {
 		t.Fatalf("in-process %d paths vs v2 %d", len(want), len(v2.Paths))
 	}
 	for i := range want {
@@ -96,29 +82,44 @@ func TestV2SingleMatchesV1AndInProcess(t *testing.T) {
 	}
 }
 
-// TestV2CacheSharedAcrossVersions: a v1 query warms the cache for the
-// equivalent v2 query and vice versa — the normalized key makes the two
-// versions one cache population.
-func TestV2CacheSharedAcrossVersions(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	art := loadedTestArtifact(t)
-	src, dst := int64(1), int64(art.Graph.NumVertices()-2)
+// TestV2CacheKeyIsResolvedRegime: the cache is keyed on what a query
+// resolves to, not on how it is spelled. Naming every snapshot default
+// explicitly hits the bare query's entry; a k override scales the default
+// probe budget while an explicit max_probe pins it, so those two are
+// different regimes and must not share.
+func TestV2CacheKeyIsResolvedRegime(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	def := &s.snap.Load().ranker.Candidates
+	def.MaxProbe = 50
+	n := s.snap.Load().art.Graph.NumVertices()
+	od := fmt.Sprintf(`"src":1,"dst":%d`, n-2)
 
-	_, v1 := postRank(t, ts.URL, RankRequest{Src: src, Dst: dst})
-	if v1.Cached {
-		t.Fatal("first v1 query cannot be cached")
+	cached := func(body string) bool {
+		t.Helper()
+		var res api.RankResult
+		if resp := postV2(t, ts.URL, "{"+od+body+"}", &res); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", body, resp.StatusCode)
+		}
+		return res.Cached
 	}
-	var v2 api.RankResult
-	postV2(t, ts.URL, fmt.Sprintf(`{"src":%d,"dst":%d}`, src, dst), &v2)
-	if !v2.Cached {
-		t.Fatal("v2 query after identical v1 query should hit the shared cache")
+	if cached("") {
+		t.Fatal("first bare query cannot be cached")
 	}
-	// Naming the snapshot defaults explicitly still hits the same entry.
-	k := art.Candidates.K
-	var v2b api.RankResult
-	postV2(t, ts.URL, fmt.Sprintf(`{"src":%d,"dst":%d,"k":%d,"strategy":"dtkdi","weight":"length"}`, src, dst, k), &v2b)
-	if !v2b.Cached {
-		t.Fatal("explicit defaults should normalize onto the cached entry")
+	explicit := fmt.Sprintf(`,"k":%d,"strategy":"dtkdi","threshold":%g,"max_probe":%d,"weight":"length","engine":"ch"`,
+		def.K, def.Threshold, def.MaxProbe)
+	if !cached(explicit) {
+		t.Fatal("explicit defaults should resolve onto the bare query's cache entry")
+	}
+	scaled := `,"k":7`
+	pinned := fmt.Sprintf(`,"k":7,"max_probe":%d`, def.MaxProbe)
+	if cached(scaled) {
+		t.Fatal("k=7 shares an entry with the default k")
+	}
+	if cached(pinned) {
+		t.Fatal("k=7 with a pinned max_probe shares the scaled-probe entry")
+	}
+	if !cached(scaled) || !cached(pinned) {
+		t.Fatal("repeated overrides should hit their own entries")
 	}
 }
 
@@ -426,35 +427,9 @@ func TestV2CachedExplainOmitsStats(t *testing.T) {
 	}
 }
 
-// TestBuildQueryMaxProbePinning: an explicit max_probe equal to the
-// snapshot default must survive normalization when k is overridden —
-// a default probe budget scales with k, a pinned one does not.
-func TestBuildQueryMaxProbePinning(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	snap := s.snap.Load()
-	snap.ranker.Candidates.MaxProbe = 50
-	defK := snap.ranker.Candidates.K
-
-	cq, apiErr := s.buildQuery(snap, api.RankQuery{Src: 0, Dst: 1, K: defK * 2, MaxProbe: 50})
-	if apiErr != nil {
-		t.Fatal(apiErr)
-	}
-	if cq.req.MaxProbe != 50 {
-		t.Fatalf("explicit max_probe with k override normalized away: req.MaxProbe=%d", cq.req.MaxProbe)
-	}
-	// Without the k override the same explicit value IS the default.
-	cq, apiErr = s.buildQuery(snap, api.RankQuery{Src: 0, Dst: 1, MaxProbe: 50})
-	if apiErr != nil {
-		t.Fatal(apiErr)
-	}
-	if cq.req.MaxProbe != 0 {
-		t.Fatalf("default-equal max_probe not normalized: req.MaxProbe=%d", cq.req.MaxProbe)
-	}
-}
-
 // TestV2BacklogSheds: with MaxInFlight set, a request arriving while the
-// cap is occupied is shed with 503 + the backlog code + Retry-After on
-// both API versions, instead of queuing behind the slow computation.
+// cap is occupied is shed with 503 + the backlog code + Retry-After
+// instead of queuing behind the slow computation.
 func TestV2BacklogSheds(t *testing.T) {
 	s, art := slowServer(t, Config{MaxInFlight: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -472,7 +447,7 @@ func TestV2BacklogSheds(t *testing.T) {
 	}()
 	// Wait until the slow request is counted in flight.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.inFlightGauge.Value() < 1 {
+	for s.inFlight.Load() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow request never became in-flight")
 		}
@@ -485,15 +460,6 @@ func TestV2BacklogSheds(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("backlog response missing Retry-After")
-	}
-	// v1 sheds too, in its own error shape.
-	r1, err := http.Post(ts.URL+"/v1/rank", "application/json", strings.NewReader(`{"src":0,"dst":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1.Body.Close()
-	if r1.StatusCode != http.StatusServiceUnavailable || r1.Header.Get("Retry-After") == "" {
-		t.Fatalf("overloaded v1: status=%d retry-after=%q", r1.StatusCode, r1.Header.Get("Retry-After"))
 	}
 	<-slowDone
 }
@@ -537,15 +503,15 @@ func TestV2BatchDedupesDuplicates(t *testing.T) {
 	art := loadedTestArtifact(t)
 	dst := art.Graph.NumVertices() - 1
 
-	misses := s.cacheMisses.Value()
+	misses := s.obs.cacheEvents.With(cacheMiss).Value()
 	var batch api.BatchResponse
 	body := fmt.Sprintf(`{"queries":[{"src":5,"dst":%d},{"src":5,"dst":%d},{"src":5,"dst":%d}]}`, dst, dst, dst)
 	resp := postV2(t, ts.URL, body, &batch)
 	if resp.StatusCode != http.StatusOK || batch.Errors != 0 {
 		t.Fatalf("status=%d errors=%d", resp.StatusCode, batch.Errors)
 	}
-	if got := s.cacheMisses.Value() - misses; got != 1 {
-		t.Fatalf("duplicate batch items caused %d computations, want 1", got)
+	if got := s.obs.cacheEvents.With(cacheMiss).Value() - misses; got != 1 {
+		t.Fatalf("duplicate batch items caused %v computations, want 1", got)
 	}
 	lead := batch.Results[0].Response
 	for i := 1; i < 3; i++ {

@@ -15,7 +15,6 @@ package shardserve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -44,9 +43,7 @@ type Server struct {
 
 // New wraps srv as a shard worker.
 func New(srv *serve.Server) (*Server, error) {
-	sn := srv.PinSnapshot()
-	defer sn.Release()
-	if sn.Artifact().Shard == nil {
+	if srv.PinSnapshot().Artifact().Shard == nil {
 		return nil, errors.New("shardserve: artifact carries no shard metadata (not built by -partition)")
 	}
 	return &Server{srv: srv}, nil
@@ -96,16 +93,14 @@ func (s *Server) Run(ctx context.Context, addr string, onListen func(net.Addr)) 
 	}
 }
 
-// shardView pins the serving snapshot and extracts the shard metadata;
-// the caller must call release() when done with the graph.
+// shardView takes one view of the serving snapshot and extracts the shard
+// metadata (a hot swap may have installed a non-shard artifact).
 func (s *Server) shardView() (serve.Snapshot, *pathrank.Artifact, *pathrank.ShardInfo, *api.Error) {
 	sn := s.srv.PinSnapshot()
 	art := sn.Artifact()
 	if art.Shard == nil {
-		sn.Release()
 		return serve.Snapshot{}, nil, nil, &api.Error{
-			Status: http.StatusInternalServerError, Code: api.CodeInternal,
-			Message: "serving artifact carries no shard metadata",
+			Code: api.CodeInternal, Message: "serving artifact carries no shard metadata",
 		}
 	}
 	return sn, art, art.Shard, nil
@@ -114,11 +109,10 @@ func (s *Server) shardView() (serve.Snapshot, *pathrank.Artifact, *pathrank.Shar
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	sn, art, sh, apiErr := s.shardView()
 	if apiErr != nil {
-		writeErr(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
-	defer sn.Release()
-	writeJSON(w, http.StatusOK, api.ShardInfoResponse{
+	api.WriteJSON(w, http.StatusOK, api.ShardInfoResponse{
 		Shard:            sh.Index,
 		Parts:            sh.Parts,
 		Fingerprint:      sn.Fingerprint(),
@@ -133,34 +127,30 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 func parseWeight(name string) (spath.Weight, *api.Error) {
 	wk, err := pathrank.ParseWeightKind(name)
 	if err != nil {
-		return nil, apiErrorFrom(err)
+		return nil, pathrank.APIError(err)
 	}
-	if wk == pathrank.WeightTime {
-		return spath.ByTime, nil
-	}
-	return spath.ByLength, nil
+	return wk.Weight(), nil
 }
 
 func (s *Server) handleBoundary(w http.ResponseWriter, r *http.Request) {
 	var req api.BoundaryRequest
-	if apiErr := decodeJSON(w, r, &req); apiErr != nil {
-		writeErr(w, apiErr)
+	if apiErr := api.DecodeJSON(w, r, maxShardBody, &req); apiErr != nil {
+		api.WriteError(w, apiErr)
 		return
 	}
 	weight, apiErr := parseWeight(req.Weight)
 	if apiErr != nil {
-		writeErr(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	sn, art, sh, apiErr := s.shardView()
 	if apiErr != nil {
-		writeErr(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
-	defer sn.Release()
 	g := art.Graph
 	if req.V < 0 || req.V >= int64(g.NumVertices()) {
-		writeErr(w, invalidErrf("v must be in [0,%d)", g.NumVertices()))
+		api.WriteError(w, api.Invalidf("v must be in [0,%d)", g.NumVertices()))
 		return
 	}
 	v := roadnet.VertexID(req.V)
@@ -173,7 +163,7 @@ func (s *Server) handleBoundary(w http.ResponseWriter, r *http.Request) {
 		ws.BoundedDistancesRev(g, v, sh.Boundary, math.Inf(1), weight, out)
 	default:
 		ws.Release()
-		writeErr(w, invalidErrf("dir must be fwd or rev, got %q", req.Dir))
+		api.WriteError(w, api.Invalidf("dir must be fwd or rev, got %q", req.Dir))
 		return
 	}
 	ws.Release()
@@ -182,7 +172,7 @@ func (s *Server) handleBoundary(w http.ResponseWriter, r *http.Request) {
 			out[i] = -1
 		}
 	}
-	writeJSON(w, http.StatusOK, api.BoundaryResponse{
+	api.WriteJSON(w, http.StatusOK, api.BoundaryResponse{
 		Shard: sh.Index, Fingerprint: sn.Fingerprint(), Dist: out,
 	})
 }
@@ -197,7 +187,7 @@ func wireSeeds(in []api.ShardSeed, n int) ([]spath.Seed, *api.Error) {
 			continue
 		}
 		if s.V < 0 || s.V >= int64(n) {
-			return nil, invalidErrf("seed vertex %d out of range [0,%d)", s.V, n)
+			return nil, api.Invalidf("seed vertex %d out of range [0,%d)", s.V, n)
 		}
 		seeds = append(seeds, spath.Seed{V: roadnet.VertexID(s.V), Dist: s.Dist})
 	}
@@ -206,25 +196,24 @@ func wireSeeds(in []api.ShardSeed, n int) ([]spath.Seed, *api.Error) {
 
 func (s *Server) handleCorridor(w http.ResponseWriter, r *http.Request) {
 	var req api.CorridorRequest
-	if apiErr := decodeJSON(w, r, &req); apiErr != nil {
-		writeErr(w, apiErr)
+	if apiErr := api.DecodeJSON(w, r, maxShardBody, &req); apiErr != nil {
+		api.WriteError(w, apiErr)
 		return
 	}
 	weight, apiErr := parseWeight(req.Weight)
 	if apiErr != nil {
-		writeErr(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	if req.Bound < 0 || math.IsInf(req.Bound, 0) || math.IsNaN(req.Bound) {
-		writeErr(w, invalidErrf("bound must be finite and non-negative, got %g", req.Bound))
+		api.WriteError(w, api.Invalidf("bound must be finite and non-negative, got %g", req.Bound))
 		return
 	}
 	sn, art, sh, apiErr := s.shardView()
 	if apiErr != nil {
-		writeErr(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
-	defer sn.Release()
 	g := art.Graph
 	n := g.NumVertices()
 	seeds, apiErr := wireSeeds(req.Seeds, n)
@@ -232,11 +221,11 @@ func (s *Server) handleCorridor(w http.ResponseWriter, r *http.Request) {
 		var rseeds []spath.Seed
 		rseeds, apiErr = wireSeeds(req.RSeeds, n)
 		if apiErr == nil {
-			writeJSON(w, http.StatusOK, corridor(g, sh, sn.Fingerprint(), seeds, rseeds, req.Bound, weight))
+			api.WriteJSON(w, http.StatusOK, corridor(g, sh, sn.Fingerprint(), seeds, rseeds, req.Bound, weight))
 			return
 		}
 	}
-	writeErr(w, apiErr)
+	api.WriteError(w, apiErr)
 }
 
 // corridor runs the two seeded sweeps and extracts the corridor subgraph:
@@ -277,55 +266,4 @@ func corridor(g *roadnet.Graph, sh *pathrank.ShardInfo, fp string, seeds, rseeds
 		}
 	}
 	return resp
-}
-
-// The helpers below mirror internal/serve's unexported v2 error plumbing;
-// the shard sub-query surface speaks the same envelope.
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, e *api.Error) {
-	if e.Status == 0 {
-		e.Status = api.HTTPStatus(e.Code)
-	}
-	writeJSON(w, e.Status, api.ErrorEnvelope{Error: e})
-}
-
-func invalidErrf(format string, args ...any) *api.Error {
-	return &api.Error{
-		Status:  http.StatusBadRequest,
-		Code:    api.CodeInvalid,
-		Message: fmt.Sprintf(format, args...),
-	}
-}
-
-func apiErrorFrom(err error) *api.Error {
-	var ae *api.Error
-	if errors.As(err, &ae) {
-		return ae
-	}
-	code := pathrank.ErrorCodeOf(err)
-	return &api.Error{Status: api.HTTPStatus(code), Code: code, Message: err.Error()}
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) *api.Error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxShardBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &api.Error{
-				Status:  http.StatusRequestEntityTooLarge,
-				Code:    api.CodeInvalid,
-				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-			}
-		}
-		return invalidErrf("bad request body: %v", err)
-	}
-	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pathrank/internal/api"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/serve"
@@ -24,9 +25,9 @@ import (
 //  2. ingest synthetic GPS trajectories through POST /v1/ingest,
 //  3. trigger an incremental retrain (fine-tune on the matched window),
 //  4. hot-swap the resulting artifact B into the live server,
-//  5. verify POST /v1/rank now serves B's rankings bit-identically,
+//  5. verify POST /v2/rank now serves B's rankings bit-identically,
 //
-// while a background load generator hammers /v1/rank across the swap and
+// while a background load generator hammers /v2/rank across the swap and
 // proves zero requests were dropped or errored.
 func TestLiveLoopEndToEnd(t *testing.T) {
 	artA, trips := testWorld(t)
@@ -111,13 +112,13 @@ func TestLiveLoopEndToEnd(t *testing.T) {
 				default:
 				}
 				p := pairs[(w+i)%len(pairs)]
-				body, _ := json.Marshal(serve.RankRequest{Src: p[0], Dst: p[1]})
-				resp, err := http.Post(ts.URL+"/v1/rank", "application/json", bytes.NewReader(body))
+				body, _ := json.Marshal(api.RankQuery{Src: p[0], Dst: p[1]})
+				resp, err := http.Post(ts.URL+"/v2/rank", "application/json", bytes.NewReader(body))
 				if err != nil {
 					loadErrs.Add(1)
 					return
 				}
-				var rr serve.RankResponse
+				var rr api.RankResult
 				decErr := json.NewDecoder(resp.Body).Decode(&rr)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK || decErr != nil || len(rr.Paths) == 0 {
@@ -165,12 +166,12 @@ func TestLiveLoopEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("in-process B query %d->%d: %v", p[0], p[1], err)
 		}
-		body, _ := json.Marshal(serve.RankRequest{Src: p[0], Dst: p[1]})
-		resp, err := http.Post(ts.URL+"/v1/rank", "application/json", bytes.NewReader(body))
+		body, _ := json.Marshal(api.RankQuery{Src: p[0], Dst: p[1]})
+		resp, err := http.Post(ts.URL+"/v2/rank", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rr serve.RankResponse
+		var rr api.RankResult
 		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 			t.Fatal(err)
 		}

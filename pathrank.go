@@ -205,8 +205,8 @@ type (
 	// Model is the PathRank scorer (embedding + GRU + regression head).
 	// Score evaluates one path; ScoreBatch scores a candidate set through
 	// the batched (fused) kernels — bit-identical to per-path scoring but
-	// several times faster — with ScoreBatchPerPath as the pinnable
-	// reference implementation (PATHRANK_FUSED_SCORING=0).
+	// several times faster — with ScoreBatchPerPath as the reference
+	// implementation the fused path is tested against.
 	Model = pathrank.Model
 	// ModelConfig parameterizes a Model.
 	ModelConfig = pathrank.Config
@@ -281,6 +281,9 @@ type (
 	RankResponse = pathrank.RankResponse
 	// RankStats describes how a ranking was produced.
 	RankStats = pathrank.RankStats
+	// Regime is the effective candidate regime of a request after
+	// overrides; RankStats embeds it.
+	Regime = pathrank.Regime
 	// RankError is a typed ranking failure; its Code is one of the Code*
 	// constants and maps onto an HTTP status in the serving layer.
 	RankError = pathrank.RankError
