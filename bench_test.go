@@ -382,6 +382,67 @@ func BenchmarkDiversifiedTopK5CH(b *testing.B) {
 	}
 }
 
+// BenchmarkCandidatesByEngine is the engines measurement ROADMAP item 4
+// asked for: one served candidate generation (Ranker.CandidatesFor, what
+// pathrank-serve runs on a cache miss) per iteration, on the world the
+// repository benchmark uses (benchmark/world.go: 56x56 DefaultGenConfig,
+// seed 1), over each engine a Prep can back. "crosstown" is 200 fixed
+// pairs 20-40 grid hops apart under D-TkDI k=5 theta=0.8 (the
+// crosstown_uncached workload's shape); "local_k32" is 200 fixed pairs
+// 5-12 hops apart under TkDI k=32 (local_batch_k32's). It does not vary
+// with PATHRANK_BENCH_QUICK: the numbers are only comparable on this world.
+func BenchmarkCandidatesByEngine(b *testing.B) {
+	const side = 56
+	cfg := roadnet.DefaultGenConfig()
+	cfg.Rows, cfg.Cols, cfg.Seed = side, side, 1
+	g, err := roadnet.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prep := spath.BuildPrep(g, spath.PrepConfig{})
+	// pairs draws n origin-destination cells whose grid distance steps
+	// through [lo, hi]; roadnet.Generate numbers the grid row-major.
+	pairs := func(seed int64, n, lo, hi int) [][2]roadnet.VertexID {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([][2]roadnet.VertexID, 0, n)
+		for len(out) < n {
+			hops := lo + len(out)%(hi-lo+1)
+			dr := rng.Intn(min(hops, side-1) + 1)
+			dc := hops - dr
+			r0, c0 := rng.Intn(side), rng.Intn(side)
+			r1, c1 := r0+dr*(1-2*rng.Intn(2)), c0+dc*(1-2*rng.Intn(2))
+			if dc >= side || r1 < 0 || r1 >= side || c1 < 0 || c1 >= side {
+				continue
+			}
+			out = append(out, [2]roadnet.VertexID{roadnet.VertexID(r0*side + c0), roadnet.VertexID(r1*side + c1)})
+		}
+		return out
+	}
+	for _, load := range []struct {
+		name  string
+		pairs [][2]roadnet.VertexID
+		cands pathrank.DataConfig
+	}{
+		{"crosstown", pairs(1, 200, 20, 40), pathrank.DataConfig{Strategy: pathrank.DTkDI, K: 5, Threshold: 0.8}},
+		{"local_k32", pairs(2, 200, 5, 12), pathrank.DataConfig{Strategy: pathrank.TkDI, K: 32}},
+	} {
+		for _, kind := range []spath.EngineKind{spath.EngineCH, spath.EngineALT, spath.EngineDijkstra} {
+			r := pathrank.NewRanker(g, nil)
+			r.Candidates = load.cands
+			r.Engine = prep.Engine(kind, g)
+			b.Run(fmt.Sprintf("%s/%s", load.name, kind), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p := load.pairs[i%len(load.pairs)]
+					cands, _, err := r.CandidatesFor(context.Background(), pathrank.RankRequest{Src: p[0], Dst: p[1]})
+					if err != nil || len(cands) == 0 {
+						b.Fatalf("%d->%d: %d candidates, err %v", p[0], p[1], len(cands), err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // --- Query API v2 guard benchmarks ---
 
 var (

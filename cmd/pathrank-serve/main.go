@@ -47,8 +47,11 @@
 // A shard worker is this same server over the shard's artifact, plus the
 // /shard/* sub-query endpoints the router stitches cross-shard answers
 // from. The router speaks plain /v2/rank, so clients need no changes.
-// -mmap memory-maps the artifact's raw arrays (format v3) instead of
-// deserializing them, making cold start O(open).
+// -mmap memory-maps the artifact instead of reading it onto the heap: the
+// graph and CH arrays are used in place, making cold start O(open). The
+// heap load verifies the whole file (checksum, raw digest, array
+// contents); the mapped open verifies the checksummed payload and trusts
+// the arrays.
 package main
 
 import (
@@ -109,7 +112,7 @@ func main() {
 	shardIdx := flag.Int("shard", -1, "serve shard N of the -bundle as a shard worker (adds the /shard/* sub-query endpoints)")
 	routerMode := flag.Bool("router", false, "run the fan-out router over the -bundle's shard map; requires -shards")
 	shardURLs := flag.String("shards", "", "comma-separated shard worker base URLs in shard order (router mode)")
-	useMmap := flag.Bool("mmap", false, "memory-map the artifact's raw arrays (format v3) instead of deserializing them")
+	useMmap := flag.Bool("mmap", false, "memory-map the artifact instead of reading and verifying it on the heap (O(open) cold start)")
 	hedgeAfter := flag.Duration("hedge-after", 150*time.Millisecond, "router: duplicate a shard call unanswered for this long (negative disables hedging)")
 	flag.Parse()
 

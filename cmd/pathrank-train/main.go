@@ -17,12 +17,18 @@
 //
 // With -partition P it partitions an artifact's road network into P
 // shards and writes a complete sharded serving bundle — per-shard
-// mappable artifacts, the router's shard map with precomputed boundary
+// artifacts, the router's shard map with precomputed boundary
 // distance tables, and a JSON manifest (see docs/SHARDING.md). Either
 // standalone from an existing artifact, or straight after training:
 //
 //	pathrank-train -partition 4 -base model.prart -partition-out bundle/
 //	pathrank-train -net net.gob -trips trips.gob -artifact model.prart -partition 4
+//
+// Every artifact it writes (-artifact, -replay, -resume, -partition) is in
+// the one artifact format (internal/pathrank/artifact.go), which
+// pathrank-serve can read onto the heap or open with -mmap, and is
+// published by temp file + fsync + rename, so -artifact may name the file
+// a live server is serving or has mapped.
 package main
 
 import (
@@ -259,7 +265,7 @@ func replayWAL(walDir, basePath string, targetGen int, artifactOut string) error
 	fmt.Printf("final: gen %d fingerprint %s\n", res.Artifact.Lineage.Generation, fp)
 
 	if artifactOut != "" {
-		if err := pathrank.SaveArtifactFileAtomic(artifactOut, res.Artifact); err != nil {
+		if err := pathrank.SaveArtifactFile(artifactOut, res.Artifact); err != nil {
 			return err
 		}
 		fmt.Printf("artifact -> %s\n", artifactOut)
@@ -359,7 +365,7 @@ func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, 
 		if next.Prep == nil && prep {
 			next.Prep = buildPrep(art.Graph, prepLandmarks)
 		}
-		if err := pathrank.SaveArtifactFileAtomic(artifactOut, next); err != nil {
+		if err := pathrank.SaveArtifactFile(artifactOut, next); err != nil {
 			return err
 		}
 		fmt.Printf("artifact -> %s (gen %d, parent %.12s)\n", artifactOut, next.Lineage.Generation, parent)

@@ -70,7 +70,7 @@ func PoisonModelWeights(m *pathrank.Model) (*pathrank.Model, error) {
 
 // PoisonArtifact returns a new artifact sharing everything with art
 // except the model, which is NaN-poisoned via PoisonModelWeights.
-// Persisted with pathrank.SaveArtifactFileAtomic it yields a bundle that
+// Persisted with pathrank.SaveArtifactFile it yields a bundle that
 // loads cleanly everywhere and serves garbage.
 func PoisonArtifact(art *pathrank.Artifact) (*pathrank.Artifact, error) {
 	model, err := PoisonModelWeights(art.Model)

@@ -46,7 +46,7 @@ func TestChaosCanaryRejectsCorruptArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pathrank.SaveArtifactFileAtomic(h.artPath, bad); err != nil {
+	if err := pathrank.SaveArtifactFile(h.artPath, bad); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.srv.Reload(h.artPath); !errors.Is(err, serve.ErrSwapRejected) {
@@ -70,7 +70,7 @@ func TestChaosCanaryRejectsCorruptArtifact(t *testing.T) {
 	}
 
 	// A good artifact recovers the path: save and reload swaps normally.
-	if err := pathrank.SaveArtifactFileAtomic(h.artPath, art); err != nil {
+	if err := pathrank.SaveArtifactFile(h.artPath, art); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.srv.Reload(h.artPath); err != nil {

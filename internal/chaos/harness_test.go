@@ -141,7 +141,7 @@ func newHarness(t *testing.T) *harness {
 		artPath: filepath.Join(dir, "model.prart"),
 		walDir:  filepath.Join(dir, "wal"),
 	}
-	if err := pathrank.SaveArtifactFileAtomic(h.artPath, art); err != nil {
+	if err := pathrank.SaveArtifactFile(h.artPath, art); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := pathrank.LoadArtifactFile(h.artPath)

@@ -1,10 +1,7 @@
 package partition
 
 import (
-	"bufio"
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
@@ -88,14 +85,11 @@ func (m *ShardMap) Model() (*pathrank.Model, error) {
 	return model, nil
 }
 
-// Shard-map file format: the artifact header layout (magic, version,
-// SHA-256 of the gob payload, payload length) with its own magic.
+// Shard-map file format: pathrank's frame header (magic, version, SHA-256
+// of the payload, payload length) with its own magic, then gob(ShardMap).
 var shardMapMagic = [8]byte{'P', 'R', 'S', 'H', 'R', 'D', 'M', 'P'}
 
 const shardMapVersion = 1
-
-// maxShardMapPayload bounds the payload a loader will accept.
-const maxShardMapPayload = 1 << 32
 
 // SaveShardMap writes the map as a checksummed bundle.
 func SaveShardMap(w io.Writer, m *ShardMap) error {
@@ -103,12 +97,7 @@ func SaveShardMap(w io.Writer, m *ShardMap) error {
 	if err := gob.NewEncoder(&payload).Encode(m); err != nil {
 		return fmt.Errorf("partition: encode shard map: %w", err)
 	}
-	var header [52]byte
-	copy(header[0:8], shardMapMagic[:])
-	binary.BigEndian.PutUint32(header[8:12], shardMapVersion)
-	sum := sha256.Sum256(payload.Bytes())
-	copy(header[12:44], sum[:])
-	binary.BigEndian.PutUint64(header[44:52], uint64(payload.Len()))
+	header := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, payload.Bytes())
 	if _, err := w.Write(header[:]); err != nil {
 		return fmt.Errorf("partition: write shard map header: %w", err)
 	}
@@ -121,29 +110,16 @@ func SaveShardMap(w io.Writer, m *ShardMap) error {
 // LoadShardMap reads a map written by SaveShardMap, verifying magic,
 // version, checksum, and internal consistency.
 func LoadShardMap(r io.Reader) (*ShardMap, error) {
-	var header [52]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, fmt.Errorf("partition: shard map: short header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("partition: read shard map: %w", err)
 	}
-	if !bytes.Equal(header[0:8], shardMapMagic[:]) {
-		return nil, fmt.Errorf("partition: not a shard map file (magic %q)", header[0:8])
-	}
-	if v := binary.BigEndian.Uint32(header[8:12]); v != shardMapVersion {
-		return nil, fmt.Errorf("partition: shard map version %d, this build reads %d", v, shardMapVersion)
-	}
-	n := binary.BigEndian.Uint64(header[44:52])
-	if n > maxShardMapPayload {
-		return nil, fmt.Errorf("partition: shard map payload length %d exceeds limit", n)
-	}
-	var payload bytes.Buffer
-	if _, err := io.CopyN(&payload, r, int64(n)); err != nil {
-		return nil, fmt.Errorf("partition: shard map truncated: %w", err)
-	}
-	if sum := sha256.Sum256(payload.Bytes()); !bytes.Equal(sum[:], header[12:44]) {
-		return nil, fmt.Errorf("partition: shard map checksum mismatch")
+	payload, err := pathrank.DecodeFrame(data, shardMapMagic, shardMapVersion)
+	if err != nil {
+		return nil, fmt.Errorf("partition: shard map: %w", err)
 	}
 	var m ShardMap
-	if err := gob.NewDecoder(&payload).Decode(&m); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
 		return nil, fmt.Errorf("partition: decode shard map: %w", err)
 	}
 	if err := m.validate(); err != nil {
@@ -240,8 +216,9 @@ type Manifest struct {
 }
 
 // BuildBundle partitions art's road network into parts shards and writes a
-// complete serving bundle into dir: one mappable (format v3) artifact per
-// shard, the router's shard map, and a JSON manifest. Each shard artifact
+// complete serving bundle into dir: one artifact per shard, the router's
+// shard map, and a JSON manifest, each published atomically (safe to
+// rebuild into a directory live workers have mapped). Each shard artifact
 // carries the full model, the bundle's candidate configuration, its
 // induced subgraph, a freshly built CH over that subgraph, and its shard
 // identity; the shard map carries the model again plus the boundary
@@ -297,7 +274,7 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 			},
 		}
 		name := ShardArtifactName(i)
-		if err := pathrank.SaveArtifactV3File(filepath.Join(dir, name), sa); err != nil {
+		if err := pathrank.SaveArtifactFile(filepath.Join(dir, name), sa); err != nil {
 			return nil, err
 		}
 		man.Shards = append(man.Shards, ShardManifest{
@@ -346,29 +323,21 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 		ModelParams: params.Bytes(),
 		Fingerprint: fp,
 	}
-	f, err := os.Create(filepath.Join(dir, ShardMapName))
+	err = pathrank.WriteFileAtomic(filepath.Join(dir, ShardMapName), func(w io.Writer) error { return SaveShardMap(w, m) })
 	if err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := SaveShardMap(bw, m); err != nil {
-		f.Close()
 		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("partition: flush shard map: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
 	}
 
 	mb, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), append(mb, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
+	err = pathrank.WriteFileAtomic(filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		_, err := w.Write(append(mb, '\n'))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return man, nil
 }
@@ -393,5 +362,5 @@ func LoadShardMapFile(dir string) (*ShardMap, error) {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
 	defer f.Close()
-	return LoadShardMap(bufio.NewReader(f))
+	return LoadShardMap(f)
 }

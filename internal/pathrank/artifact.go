@@ -1,17 +1,14 @@
 package pathrank
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"pathrank/internal/dataset"
 	"pathrank/internal/fault"
@@ -127,43 +124,58 @@ func (m *Model) FingerprintHex() (string, error) {
 	return hex.EncodeToString(fp[:]), nil
 }
 
-// Artifact file format (all integers big-endian):
+// ShardInfo identifies an artifact as one shard of a partitioned
+// deployment. A shard artifact keeps the FULL vertex table under global
+// IDs (so the model's vertex vocabulary — and therefore its scores — are
+// unchanged) but only the edges induced by its owned vertex set,
+// renumbered densely; EdgeGlobal maps them back to full-graph edge IDs
+// so the router can stitch shard answers into full-graph terms.
+type ShardInfo struct {
+	// Index is this shard's position in [0, Parts).
+	Index int
+	// Parts is the partition count of the bundle this shard belongs to.
+	Parts int
+	// Boundary lists this shard's boundary vertices (owned vertices
+	// incident to at least one cut edge), ascending, as global vertex IDs.
+	Boundary []roadnet.VertexID
+	// EdgeGlobal maps local (induced-subgraph) edge IDs to the full
+	// graph's edge IDs; len equals the shard graph's edge count.
+	EdgeGlobal []roadnet.EdgeID
+}
+
+// Artifact file format. There is one, version 3:
 //
-//	offset  size  field
-//	     0     8  magic "PRARTFCT"
-//	     8     4  format version (uint32)
-//	    12    32  SHA-256 of the payload
-//	    44     8  payload length in bytes (uint64)
-//	    52     n  payload: gob(artifactWire)
+//	offset            content
+//	0                 52-byte frame header (frame.go); its SHA-256 covers
+//	                  the gob payload
+//	52                gob payload (artifactWire): model config and weights,
+//	                  candidates, lineage, shard info, embeddings, ALT
+//	                  tables, and RawDigest
+//	52+plen           zero padding to the next 8-byte boundary, then the
+//	                  raw section: directory + flat arrays (rawsection.go)
 //
-// The checksum covers every payload byte, so any torn write or bit flip is
-// detected before gob decoding is attempted.
+// The graph and the contraction hierarchy live in the raw section as the
+// exact arrays queries run on, so loading is reinterpretation, not
+// deserialization. RawDigest is the SHA-256 of every byte after the
+// payload; sitting inside the checksummed payload, it extends the header
+// checksum to the whole file. The two loaders differ only in what they
+// verify:
 //
-// Version history:
+//   - LoadArtifact / LoadArtifactFile read the file onto the heap, verify
+//     the payload checksum AND the raw digest, and validate the content of
+//     every array (arbitrary bytes reach this path: foreign files, fuzzing,
+//     a hot-swap candidate). Any corruption anywhere in the file is
+//     ErrArtifactCorrupt or ErrArtifactFormat.
+//   - LoadArtifactFileMapped mmaps the file, verifies the payload checksum
+//     and the directory bounds, and trusts the arrays' bytes — hashing or
+//     walking them would fault in every page, which is exactly what an
+//     O(open) cold start avoids.
 //
-//	1  initial format (graph + embeddings + model + candidate config;
-//	   lineage added later as a gob-compatible field)
-//	2  adds the precomputed speedup structures (CH + ALT landmark tables)
-//	   as a nested Prep section
-//	3  the mappable shard format: the graph and CH move out of the gob
-//	   payload into a raw flat-array section after it (see artifact_v3.go)
-//
-// Readers accept every version up to artifactVersionRaw — the Prep
-// section of a version-1 file decodes as absent and consumers preprocess
-// on demand. Ordinary saves still write version 2; version 3 is written
-// only by SaveArtifactV3 (shard bundles and anything else that wants the
-// memory-mapped load path).
-const (
-	artifactVersion    = 2
-	minArtifactVersion = 1
-)
+// Versions 1 and 2 (graph and CH inside the gob payload) are not read;
+// docs/OPERATIONS.md says how to regenerate such a file.
+const artifactVersion = 3
 
 var artifactMagic = [8]byte{'P', 'R', 'A', 'R', 'T', 'F', 'C', 'T'}
-
-// maxArtifactPayload bounds the payload Load will accept; together with
-// the streamed read below it guarantees a corrupt header cannot make the
-// server allocate more than the actual file size at startup.
-const maxArtifactPayload = 1 << 32
 
 // Artifact error sentinels, matchable with errors.Is.
 var (
@@ -176,44 +188,49 @@ var (
 	ErrArtifactCorrupt = errors.New("pathrank: artifact corrupt")
 )
 
-// artifactWire is the gob payload of an artifact bundle. The graph,
-// embeddings, and weights reuse their packages' own serializers as nested
-// byte sections, so each layer's format can evolve independently.
+// artifactWire is the gob payload of an artifact. The embeddings, weights
+// and ALT tables reuse their packages' own serializers as nested byte
+// sections, so each layer's format can evolve independently.
 type artifactWire struct {
 	ModelConfig Config
 	Candidates  dataset.Config
-	// Lineage was added after version 1 shipped; gob decodes files written
-	// without it to the zero value, so the format version is unchanged.
-	Lineage    Lineage
-	Graph      []byte
-	Embeddings []byte // empty when the artifact carries no embeddings
-	Params     []byte
-	// Prep is the serialized spath.Prep (version 2); empty when the
-	// artifact carries no precomputed structures. In a version-3 file it
-	// holds at most the ALT tables — the CH lives in the raw section.
+	Lineage     Lineage
+	Embeddings  []byte // empty when the artifact carries no embeddings
+	Params      []byte
+	// Prep is the serialized spath.Prep gob section — the ALT tables;
+	// empty when the artifact carries none. The CH is in the raw section.
 	Prep []byte
-	// Shard marks a partitioned-deployment shard; nil otherwise. A
-	// gob-compatible addition like Lineage.
+	// Shard marks a partitioned-deployment shard; nil otherwise.
 	Shard *ShardInfo
+	// RawDigest is the SHA-256 of every file byte after this payload.
+	RawDigest []byte
 }
 
-// SaveArtifact writes a versioned, checksummed bundle of the artifact to w.
+// gob numbers types process-wide in order of first encode and writes those
+// numbers into every stream, so an artifact's bytes would depend on what
+// else the process had gob-encoded before its first save: a server hashes
+// its graph through roadnet's gob form at start-up, pathrank-train -replay
+// never does. Numbering every type the payload's sections use here, before
+// anything else can run, makes equal artifacts equal files in every binary
+// — a served generation and its WAL replay `cmp` equal.
+func init() {
+	_ = (&node2vec.Embeddings{}).Save(io.Discard)
+	_ = (&spath.Prep{}).Save(io.Discard)
+	_ = gob.NewEncoder(io.Discard).Encode(artifactWire{})
+}
+
+// SaveArtifact writes the artifact to w in the format above.
 func SaveArtifact(w io.Writer, a *Artifact) error {
 	if a == nil || a.Graph == nil || a.Model == nil {
 		return fmt.Errorf("pathrank: artifact needs a graph and a model")
 	}
-	var wire artifactWire
-	wire.ModelConfig = a.Model.Config()
-	wire.Candidates = a.Candidates
-	wire.Lineage = a.Lineage
-	wire.Shard = a.Shard
-
-	var gbuf bytes.Buffer
-	if err := a.Graph.Save(&gbuf); err != nil {
-		return fmt.Errorf("pathrank: artifact graph: %w", err)
+	wire := artifactWire{
+		ModelConfig: a.Model.Config(),
+		Candidates:  a.Candidates,
+		Lineage:     a.Lineage,
+		Shard:       a.Shard,
+		RawDigest:   make([]byte, sha256.Size),
 	}
-	wire.Graph = gbuf.Bytes()
-
 	if a.Embeddings != nil {
 		var ebuf bytes.Buffer
 		if err := a.Embeddings.Save(&ebuf); err != nil {
@@ -221,95 +238,119 @@ func SaveArtifact(w io.Writer, a *Artifact) error {
 		}
 		wire.Embeddings = ebuf.Bytes()
 	}
-
-	params, err := nn.MarshalParams(a.Model.params)
-	if err != nil {
+	var err error
+	if wire.Params, err = nn.MarshalParams(a.Model.params); err != nil {
 		return fmt.Errorf("pathrank: artifact weights: %w", err)
 	}
-	wire.Params = params
-
-	if a.Prep != nil {
+	if a.Prep != nil && a.Prep.ALT != nil {
 		var pbuf bytes.Buffer
 		if err := a.Prep.Save(&pbuf); err != nil {
 			return fmt.Errorf("pathrank: artifact prep: %w", err)
 		}
 		wire.Prep = pbuf.Bytes()
 	}
+	gd := a.Graph.RawData()
+	slots := graphSlots(&gd)
+	if a.Prep != nil && a.Prep.CH != nil {
+		chd := a.Prep.CH.RawData()
+		slots = append(slots, chSlots(&chd)...)
+	}
 
+	// The raw section holds absolute file offsets, so it depends on the
+	// payload's length, while the payload holds the raw section's digest.
+	// A gob byte slice costs its length whatever its content: encode with a
+	// zero digest to learn the length, hash the raw section laid out after
+	// it, then encode again with the digest filled in.
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
 		return fmt.Errorf("pathrank: encode artifact: %w", err)
 	}
+	plen := payload.Len()
+	h := sha256.New()
+	if err := writeRawSection(h, FrameHeaderLen+plen, slots); err != nil {
+		return fmt.Errorf("pathrank: hash artifact raw section: %w", err)
+	}
+	h.Sum(wire.RawDigest[:0])
+	payload.Reset()
+	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
+		return fmt.Errorf("pathrank: encode artifact: %w", err)
+	}
+	if payload.Len() != plen {
+		return fmt.Errorf("pathrank: artifact payload changed length (%d -> %d) when the raw digest was filled in", plen, payload.Len())
+	}
 
-	var header [52]byte
-	copy(header[0:8], artifactMagic[:])
-	binary.BigEndian.PutUint32(header[8:12], artifactVersion)
-	sum := sha256.Sum256(payload.Bytes())
-	copy(header[12:44], sum[:])
-	binary.BigEndian.PutUint64(header[44:52], uint64(payload.Len()))
+	header := EncodeFrame(artifactMagic, artifactVersion, payload.Bytes())
 	if _, err := w.Write(header[:]); err != nil {
 		return fmt.Errorf("pathrank: write artifact header: %w", err)
 	}
 	if _, err := w.Write(payload.Bytes()); err != nil {
 		return fmt.Errorf("pathrank: write artifact payload: %w", err)
 	}
+	if err := writeRawSection(w, FrameHeaderLen+plen, slots); err != nil {
+		return fmt.Errorf("pathrank: write artifact raw section: %w", err)
+	}
 	return nil
 }
 
-// LoadArtifact reads a bundle written by SaveArtifact, verifying the magic,
-// format version, and payload checksum before reconstructing the graph and
-// model. The returned model's weights are bit-identical to the saved ones.
+// LoadArtifact reads an artifact written by SaveArtifact onto the heap and
+// verifies all of it — checksum, raw digest, and the content of every
+// array — before reconstructing the graph, CH and model. The returned
+// model's weights are bit-identical to the saved ones.
 func LoadArtifact(r io.Reader) (*Artifact, error) {
-	var header [52]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrArtifactFormat, err)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: read: %v", ErrArtifactCorrupt, err)
 	}
-	if !bytes.Equal(header[0:8], artifactMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrArtifactFormat, header[0:8])
-	}
-	v := binary.BigEndian.Uint32(header[8:12])
-	if v < minArtifactVersion || v > artifactVersionRaw {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d-%d",
-			ErrArtifactVersion, v, minArtifactVersion, artifactVersionRaw)
-	}
-	if v == artifactVersionRaw {
-		// The raw flat-array section follows the payload; slurp the whole
-		// image into an 8-byte-aligned buffer so the arrays can be
-		// reinterpreted in place, and validate deeply — arbitrary bytes
-		// reach this path (foreign files, fuzzing).
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: read raw section: %v", ErrArtifactCorrupt, err)
-		}
-		data := alignedBytes(52 + len(rest))
-		copy(data, header[:])
-		copy(data[52:], rest)
-		return decodeArtifactV3(data, true)
-	}
-	n := binary.BigEndian.Uint64(header[44:52])
-	if n > maxArtifactPayload {
-		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrArtifactCorrupt, n)
-	}
-	// Stream the payload instead of make([]byte, n): the buffer grows only
-	// as data actually arrives, so a corrupt length field in a small file
-	// fails fast at EOF instead of attempting a huge allocation up front.
-	var payload bytes.Buffer
-	if _, err := io.CopyN(&payload, r, int64(n)); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload: %v", ErrArtifactCorrupt, err)
-	}
-	if sum := sha256.Sum256(payload.Bytes()); !bytes.Equal(sum[:], header[12:44]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrArtifactCorrupt)
-	}
+	// The arrays are reinterpreted in place, so the image must be aligned.
+	data := alignedBytes(len(raw))
+	copy(data, raw)
+	return decodeArtifact(data, true)
+}
 
+// decodeArtifact is the one loader body: it reconstructs an artifact from
+// the complete byte image of a file. The returned graph and CH alias
+// data, which may be a memory mapping or a heap buffer. verify selects
+// what the heap path adds over the mapped one (see the format comment):
+// the raw digest and deep validation of the graph and CH arrays.
+func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
+	payload, err := DecodeFrame(data, artifactMagic, artifactVersion)
+	if errors.Is(err, ErrArtifactVersion) {
+		return nil, fmt.Errorf("%w; retrain, or see docs/OPERATIONS.md \"Removed in PR 16\" to convert the file", err)
+	}
+	if err != nil {
+		return nil, err
+	}
 	var wire artifactWire
-	if err := gob.NewDecoder(&payload).Decode(&wire); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("%w: decode payload: %v", ErrArtifactCorrupt, err)
 	}
-
-	g, err := roadnet.Load(bytes.NewReader(wire.Graph))
-	if err != nil {
-		return nil, fmt.Errorf("pathrank: artifact graph: %w", err)
+	payloadEnd := FrameHeaderLen + len(payload)
+	if verify {
+		if sum := sha256.Sum256(data[payloadEnd:]); !bytes.Equal(sum[:], wire.RawDigest) {
+			return nil, fmt.Errorf("%w: raw section digest mismatch", ErrArtifactCorrupt)
+		}
 	}
+	gd, chd, err := readRawSection(data, align8(payloadEnd))
+	if err != nil {
+		return nil, err
+	}
+	if verify {
+		if err := validateRawGraph(gd); err != nil {
+			return nil, err
+		}
+		if chd != nil {
+			if err := validateRawCH(gd, *chd); err != nil {
+				return nil, err
+			}
+		}
+	}
+	g := roadnet.AssembleGraph(gd)
+	if verify {
+		if err := g.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: raw graph: %v", ErrArtifactCorrupt, err)
+		}
+	}
+
 	if err := checkModelShape(g.NumVertices(), wire.ModelConfig, len(wire.Params)); err != nil {
 		return nil, err
 	}
@@ -322,18 +363,20 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 	}
 	a := &Artifact{Graph: g, Model: model, Candidates: wire.Candidates, Lineage: wire.Lineage, Shard: wire.Shard}
 	if len(wire.Prep) > 0 {
-		prep, err := spath.LoadPrep(bytes.NewReader(wire.Prep), g)
-		if err != nil {
+		if a.Prep, err = spath.LoadPrep(bytes.NewReader(wire.Prep), g); err != nil {
 			return nil, fmt.Errorf("%w: prep section: %v", ErrArtifactCorrupt, err)
 		}
-		a.Prep = prep
+	}
+	if chd != nil {
+		if a.Prep == nil {
+			a.Prep = &spath.Prep{}
+		}
+		a.Prep.CH = spath.AssembleCH(g, *chd)
 	}
 	if len(wire.Embeddings) > 0 {
-		emb, err := node2vec.LoadEmbeddings(bytes.NewReader(wire.Embeddings))
-		if err != nil {
+		if a.Embeddings, err = node2vec.LoadEmbeddings(bytes.NewReader(wire.Embeddings)); err != nil {
 			return nil, fmt.Errorf("pathrank: artifact embeddings: %w", err)
 		}
-		a.Embeddings = emb
 	}
 	return a, nil
 }
@@ -367,85 +410,32 @@ func checkModelShape(numVertices int, cfg Config, paramsLen int) error {
 	return nil
 }
 
-// SaveArtifactFile writes the artifact to the named file. The write is
-// NOT atomic and not fsynced: a crash mid-write leaves a truncated file
-// (rejected by the checksum on load), and a concurrent reader can observe
-// it. Publishing into a path a live server watches or power-loss-sensitive
-// deployments must use SaveArtifactFileAtomic.
+// SaveArtifactFile publishes the artifact at path through WriteFileAtomic:
+// durable, never partially visible, and safe to aim at a file a running
+// server has mapped.
 func SaveArtifactFile(path string, a *Artifact) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("pathrank: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	if err := SaveArtifact(bw, a); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("pathrank: flush %s: %w", path, err)
-	}
-	return f.Close()
+	return WriteFileAtomic(path, func(w io.Writer) error { return SaveArtifact(w, a) })
 }
 
-// SaveArtifactFileAtomic writes the artifact to a temporary file in the
-// destination directory and renames it into place, so concurrent readers —
-// in particular the serve layer's artifact-file watcher — never observe a
-// partially written bundle. The publish is also durable: the temp file is
-// fsynced before the rename and the parent directory after it, so a power
-// loss cannot leave the path pointing at a bundle whose bytes never
-// reached stable storage (rename-before-data is the classic hole: the
-// metadata journal commits the new name while the data pages are still
-// dirty, and the "published" artifact is garbage after the crash).
-func SaveArtifactFileAtomic(path string, a *Artifact) error {
-	// Chaos hook: an injected save failure rejects the persist before the
-	// temp file exists, like a disk that refuses the create.
-	if err := fault.Check(fault.SiteArtifactSave); err != nil {
-		return fmt.Errorf("pathrank: save %s: %w", path, err)
-	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("pathrank: %w", err)
-	}
-	tmp := f.Name()
-	bw := bufio.NewWriter(f)
-	if err := SaveArtifact(bw, a); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("pathrank: flush %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("pathrank: fsync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("pathrank: close %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("pathrank: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		derr := d.Sync()
-		d.Close()
-		if derr != nil {
-			return fmt.Errorf("pathrank: fsync %s: %w", dir, derr)
-		}
-	}
-	return nil
-}
+// SaveArtifactV3File is SaveArtifactFile; the name is kept only because
+// benchmark/ calls it and may not be edited.
+func SaveArtifactV3File(path string, a *Artifact) error { return SaveArtifactFile(path, a) }
 
-// LoadArtifactFile reads an artifact from the named file.
-func LoadArtifactFile(path string) (*Artifact, error) {
+// LoadArtifactFile reads the named artifact onto the heap, fully verified
+// (see LoadArtifact). Hot swap and the canary load candidates this way.
+func LoadArtifactFile(path string) (*Artifact, error) { return openArtifact(path, false) }
+
+// LoadArtifactFileMapped opens the named artifact by memory-mapping it:
+// the graph's CSR arrays and the CH query arrays are used in place, so
+// load cost is independent of their size and N replicas on one machine
+// share the page cache. It trusts the array bytes (see the format
+// comment). The returned artifact's Close must be called when it is
+// retired; until then the graph and prep alias the mapping.
+// (benchmark/ calls this name and may not be edited.)
+func LoadArtifactFileMapped(path string) (*Artifact, error) { return openArtifact(path, true) }
+
+// openArtifact is the one path from a file name to an artifact.
+func openArtifact(path string, mapped bool) (*Artifact, error) {
 	if err := fault.Check(fault.SiteArtifactLoad); err != nil {
 		return nil, fmt.Errorf("pathrank: load %s: %w", path, err)
 	}
@@ -454,5 +444,30 @@ func LoadArtifactFile(path string) (*Artifact, error) {
 		return nil, fmt.Errorf("pathrank: %w", err)
 	}
 	defer f.Close()
-	return LoadArtifact(bufio.NewReader(f))
+	if !mapped {
+		return LoadArtifact(f)
+	}
+	data, unmap, err := mapFile(f)
+	if err != nil {
+		return nil, fmt.Errorf("pathrank: map %s: %w", path, err)
+	}
+	a, err := decodeArtifact(data, false)
+	if err != nil {
+		unmap()
+		return nil, err
+	}
+	a.closeFn = unmap
+	return a, nil
+}
+
+// Close releases the memory mapping backing a mapped artifact. It is a
+// no-op (and returns nil) for artifacts loaded any other way. After
+// Close, the artifact's graph and prep must not be used.
+func (a *Artifact) Close() error {
+	if a.closeFn == nil {
+		return nil
+	}
+	fn := a.closeFn
+	a.closeFn = nil
+	return fn()
 }

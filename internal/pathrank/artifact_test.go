@@ -6,6 +6,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"pathrank/internal/dataset"
@@ -146,6 +148,9 @@ func TestArtifactRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestArtifactRejectsVersionMismatch: format 3 is the only format. The
+// retired versions 1 and 2 and an unknown future one are all refused with
+// ErrArtifactVersion and a message that says what to do about it.
 func TestArtifactRejectsVersionMismatch(t *testing.T) {
 	art := trainedArtifact(t)
 	var buf bytes.Buffer
@@ -153,10 +158,15 @@ func TestArtifactRejectsVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	binary.BigEndian.PutUint32(data[8:12], artifactVersion+41)
-	_, err := LoadArtifact(bytes.NewReader(data))
-	if !errors.Is(err, ErrArtifactVersion) {
-		t.Fatalf("want ErrArtifactVersion, got %v", err)
+	for _, v := range []uint32{1, 2, artifactVersion + 41} {
+		binary.BigEndian.PutUint32(data[8:12], v)
+		_, err := LoadArtifact(bytes.NewReader(data))
+		if !errors.Is(err, ErrArtifactVersion) {
+			t.Fatalf("version %d: want ErrArtifactVersion, got %v", v, err)
+		}
+		if !strings.Contains(err.Error(), "retrain") {
+			t.Fatalf("version %d: error does not name the fix: %v", v, err)
+		}
 	}
 }
 
@@ -166,22 +176,32 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 	if err := SaveArtifact(&buf, art); err != nil {
 		t.Fatal(err)
 	}
+	plen := int(binary.BigEndian.Uint64(buf.Bytes()[44:52]))
 
-	// Flip one payload byte: checksum must catch it.
-	data := append([]byte(nil), buf.Bytes()...)
-	data[len(data)-1] ^= 0x40
-	if _, err := LoadArtifact(bytes.NewReader(data)); !errors.Is(err, ErrArtifactCorrupt) {
-		t.Fatalf("want ErrArtifactCorrupt for flipped byte, got %v", err)
+	// One flipped bit anywhere must be caught: the header checksum covers
+	// the gob payload, the raw digest inside it everything after.
+	for name, off := range map[string]int{
+		"payload":         FrameHeaderLen + plen/2,
+		"raw directory":   align8(FrameHeaderLen+plen) + rawDirHeaderLen + 3,
+		"last array byte": buf.Len() - 1,
+	} {
+		data := bytes.Clone(buf.Bytes())
+		data[off] ^= 0x40
+		if _, err := LoadArtifact(bytes.NewReader(data)); !errors.Is(err, ErrArtifactCorrupt) {
+			t.Fatalf("flipped %s byte: want ErrArtifactCorrupt, got %v", name, err)
+		}
 	}
 
-	// Truncate the payload: must be reported as corrupt, not EOF panic.
-	data = buf.Bytes()[:len(buf.Bytes())/2]
-	if _, err := LoadArtifact(bytes.NewReader(data)); !errors.Is(err, ErrArtifactCorrupt) {
-		t.Fatalf("want ErrArtifactCorrupt for truncation, got %v", err)
+	// Truncations, in the payload and in the raw section: must be reported
+	// as corrupt, not an EOF panic.
+	for _, n := range []int{FrameHeaderLen + plen/2, buf.Len() - 9} {
+		if _, err := LoadArtifact(bytes.NewReader(buf.Bytes()[:n])); !errors.Is(err, ErrArtifactCorrupt) {
+			t.Fatalf("truncated to %d bytes: want ErrArtifactCorrupt, got %v", n, err)
+		}
 	}
 
 	// An absurd length field must not cause a huge allocation attempt.
-	data = append([]byte(nil), buf.Bytes()...)
+	data := bytes.Clone(buf.Bytes())
 	binary.BigEndian.PutUint64(data[44:52], 1<<62)
 	if _, err := LoadArtifact(bytes.NewReader(data)); !errors.Is(err, ErrArtifactCorrupt) {
 		t.Fatalf("want ErrArtifactCorrupt for oversized length, got %v", err)
@@ -289,91 +309,123 @@ func TestArtifactRejectsImplausibleShape(t *testing.T) {
 }
 
 // TestArtifactPrepRoundTrip checks that the precomputed speedup structures
-// survive a save/load cycle and come back answering queries identically.
+// survive a save/load cycle through either loader and come back ranking
+// bit-identically (paths and scores) on every engine.
 func TestArtifactPrepRoundTrip(t *testing.T) {
 	art := trainedArtifact(t)
 	art.Prep = spath.BuildPrep(art.Graph, spath.PrepConfig{Landmarks: 3})
-	var buf bytes.Buffer
-	if err := SaveArtifact(&buf, art); err != nil {
+	path := filepath.Join(t.TempDir(), "model.prart")
+	if err := SaveArtifactFile(path, art); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	got, err := LoadArtifact(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if got.Prep == nil || got.Prep.CH == nil || got.Prep.ALT == nil {
-		t.Fatalf("prep not restored: %+v", got.Prep)
-	}
-	if got.Prep.CH.NumShortcuts() != art.Prep.CH.NumShortcuts() {
-		t.Fatalf("shortcuts %d != %d", got.Prep.CH.NumShortcuts(), art.Prep.CH.NumShortcuts())
-	}
-	// The restored ranker must run on the restored prep's engine and agree
-	// with the original on a query.
-	r := got.NewRanker()
-	if r.Engine == nil || r.Engine.Kind() != spath.EngineCH {
-		t.Fatalf("restored ranker engine = %v, want CH", r.Engine)
-	}
 	src := roadnet.VertexID(0)
-	dst := roadnet.VertexID(got.Graph.NumVertices() - 1)
-	want, err1 := art.NewRanker().Query(src, dst)
-	have, err2 := r.Query(src, dst)
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("query errs: %v vs %v", err1, err2)
-	}
-	if err1 == nil {
-		if len(want) != len(have) {
-			t.Fatalf("ranked %d vs %d paths", len(have), len(want))
+	dst := roadnet.VertexID(art.Graph.NumVertices() - 1)
+	for name, load := range map[string]func(string) (*Artifact, error){
+		"heap": LoadArtifactFile, "mapped": LoadArtifactFileMapped,
+	} {
+		got, err := load(path)
+		if err != nil {
+			t.Fatalf("%s load: %v", name, err)
 		}
-		for i := range want {
-			if want[i].Score != have[i].Score || !want[i].Path.Equal(have[i].Path) {
-				t.Fatalf("ranked path %d differs after round trip", i)
+		if got.Prep == nil || got.Prep.CH == nil || got.Prep.ALT == nil {
+			t.Fatalf("%s: prep not restored: %+v", name, got.Prep)
+		}
+		if got.Prep.CH.NumShortcuts() != art.Prep.CH.NumShortcuts() {
+			t.Fatalf("%s: shortcuts %d != %d", name, got.Prep.CH.NumShortcuts(), art.Prep.CH.NumShortcuts())
+		}
+		// The restored ranker must run on the restored prep's engine.
+		if r := got.NewRanker(); r.Engine == nil || r.Engine.Kind() != spath.EngineCH {
+			t.Fatalf("%s: restored ranker engine = %v, want CH", name, r.Engine)
+		}
+		for _, kind := range []spath.EngineKind{spath.EngineCH, spath.EngineALT, spath.EngineDijkstra} {
+			wr, hr := art.NewRanker(), got.NewRanker()
+			wr.Engine, hr.Engine = art.Prep.Engine(kind, art.Graph), got.Prep.Engine(kind, got.Graph)
+			want, err1 := wr.Query(src, dst)
+			have, err2 := hr.Query(src, dst)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s/%s: query errs: %v vs %v", name, kind, err1, err2)
+			}
+			if len(want) != len(have) {
+				t.Fatalf("%s/%s: ranked %d vs %d paths", name, kind, len(have), len(want))
+			}
+			for i := range want {
+				if want[i].Score != have[i].Score || !want[i].Path.Equal(have[i].Path) {
+					t.Fatalf("%s/%s: ranked path %d differs after round trip", name, kind, i)
+				}
 			}
 		}
+		if err := got.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestArtifactVersion1StillLoads guards backward compatibility: a bundle
-// whose header says version 1 (written before the prep section existed)
-// must load, with Prep simply absent.
-func TestArtifactVersion1StillLoads(t *testing.T) {
-	art := trainedArtifact(t) // no prep: matches what a v1 writer produced
-	var buf bytes.Buffer
-	if err := SaveArtifact(&buf, art); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	binary.BigEndian.PutUint32(data[8:12], 1)
-	got, err := LoadArtifact(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("version-1 bundle rejected: %v", err)
-	}
-	if got.Prep != nil {
-		t.Fatalf("version-1 bundle grew a prep section")
-	}
-	if got.Graph.NumVertices() != art.Graph.NumVertices() {
-		t.Fatalf("graph shape changed across version-1 load")
-	}
-	// Without a prep the ranker has no prebuilt engine; consumers build on
-	// demand.
-	if r := got.NewRanker(); r.Engine != nil {
-		t.Fatalf("prep-less artifact produced a prebuilt engine")
-	}
-}
-
-// TestArtifactRejectsCorruptPrep checks that a mangled prep section fails
-// checksum-first, and a checksum-valid but graph-incompatible prep is
-// rejected by the prep validator rather than panicking later.
+// TestArtifactRejectsCorruptPrep checks that mangled CH bytes fail
+// digest-first, and that a digest-valid CH a query could not run safely —
+// a shortcut whose rank-invariant violation could make unpacking recurse
+// forever, a missing half-arc, an arc filed under the wrong vertex — is
+// rejected by the CH validator at load time rather than crashing or
+// hanging a query.
 func TestArtifactRejectsCorruptPrep(t *testing.T) {
 	art := trainedArtifact(t)
-	art.Prep = spath.BuildPrep(art.Graph, spath.PrepConfig{Landmarks: 2, SkipALT: true})
-	var buf bytes.Buffer
-	if err := SaveArtifact(&buf, art); err != nil {
-		t.Fatal(err)
+	art.Prep = spath.BuildPrep(art.Graph, spath.PrepConfig{SkipALT: true})
+	save := func() []byte {
+		var buf bytes.Buffer
+		if err := SaveArtifact(&buf, art); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	data := append([]byte(nil), buf.Bytes()...)
-	data[len(data)-7] ^= 0x40 // flip a bit inside the payload tail (prep bytes)
-	_, err := LoadArtifact(bytes.NewReader(data))
-	if !errors.Is(err, ErrArtifactCorrupt) {
+	data := save()
+	data[len(data)-7] ^= 0x40 // inside the last CH array of the raw tail
+	if _, err := LoadArtifact(bytes.NewReader(data)); !errors.Is(err, ErrArtifactCorrupt) {
 		t.Fatalf("want ErrArtifactCorrupt, got %v", err)
+	}
+
+	// RawData aliases the hierarchy's arrays, so edits here are what the
+	// next save writes (with a matching digest).
+	d := art.Prep.CH.RawData()
+	sc := slices.IndexFunc(d.ArcMid, func(mid int32) bool { return mid >= 0 })
+	if sc < 0 {
+		t.Fatal("no shortcut to corrupt")
+	}
+	savedMid := d.ArcMid[sc]
+	top := int32(slices.Index(d.Order, int32(len(d.Order)-1)))
+	hasArc := func(from, to int32) bool {
+		_, ok := slices.BinarySearch(d.IdxKeys, int64(from)<<32|int64(uint32(to)))
+		return ok
+	}
+	from, to := d.ArcFrom[sc], d.ArcTo[sc]
+	dangling := int32(-1)
+	for v, r := range d.Order {
+		if r < d.Order[from] && r < d.Order[to] && !hasArc(from, int32(v)) {
+			dangling = int32(v)
+			break
+		}
+	}
+	if dangling < 0 {
+		t.Fatal("no low-ranked vertex without a half-arc")
+	}
+	for name, mid := range map[string]int32{
+		"rank-violating": top,      // order[mid] above both endpoints
+		"dangling":       dangling, // rank invariant holds, half-arc missing
+	} {
+		d.ArcMid[sc] = mid
+		if _, err := LoadArtifact(bytes.NewReader(save())); !errors.Is(err, ErrArtifactCorrupt) {
+			t.Fatalf("%s shortcut: want ErrArtifactCorrupt, got %v", name, err)
+		}
+	}
+	d.ArcMid[sc] = savedMid
+
+	// File an upward arc under another vertex's list: reconstruction would
+	// walk its ArcFrom to a vertex the search never left.
+	last := len(d.UpArcs) - 1
+	d.UpArcs[0], d.UpArcs[last] = d.UpArcs[last], d.UpArcs[0]
+	if _, err := LoadArtifact(bytes.NewReader(save())); !errors.Is(err, ErrArtifactCorrupt) {
+		t.Fatalf("misfiled adjacency: want ErrArtifactCorrupt, got %v", err)
+	}
+	d.UpArcs[0], d.UpArcs[last] = d.UpArcs[last], d.UpArcs[0]
+	if _, err := LoadArtifact(bytes.NewReader(save())); err != nil {
+		t.Fatalf("restored CH rejected: %v", err)
 	}
 }

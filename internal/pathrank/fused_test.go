@@ -134,6 +134,9 @@ func TestRankScoredMatchedLengths(t *testing.T) {
 // TestScoreSteadyStateAllocs pins the pooled-forward-state bugfix: a warm
 // Score must not allocate per-call id/embedding/summary buffers.
 func TestScoreSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside sync.Pool")
+	}
 	m, err := New(40, smallConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +169,9 @@ func TestScoreSteadyStateAllocs(t *testing.T) {
 // TestScoreBatchFusedSteadyStateAllocs verifies the fused path runs on
 // pooled scratch: a warm chunk-sized batch costs only the result slice.
 func TestScoreBatchFusedSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside sync.Pool")
+	}
 	m, err := New(40, smallConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -2,15 +2,21 @@ package pathrank
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
+	"slices"
 	"testing"
 
 	"pathrank/internal/dataset"
 	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
+	"pathrank/internal/spath"
 )
 
-// fuzzSeedArtifact builds and serializes a minimal valid artifact bundle.
-func fuzzSeedArtifact(f *testing.F) []byte {
+// fuzzSeedArtifacts builds and serializes minimal valid artifacts: a
+// bare one, one carrying a CH (20 raw arrays), and a shard.
+func fuzzSeedArtifacts(f *testing.F) [][]byte {
 	f.Helper()
 	b := roadnet.NewBuilder(4, 8)
 	v0 := b.AddVertex(geo.Point{Lon: 10.00, Lat: 57.00})
@@ -26,49 +32,104 @@ func fuzzSeedArtifact(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	art := &Artifact{
+	bare := Artifact{
 		Graph:      g,
 		Model:      model,
 		Candidates: dataset.Config{Strategy: dataset.TkDI, K: 2},
 		Lineage:    Lineage{Note: "fuzz seed"},
 	}
-	var buf bytes.Buffer
-	if err := SaveArtifact(&buf, art); err != nil {
-		f.Fatal(err)
+	withCH := bare
+	withCH.Prep = spath.BuildPrep(g, spath.PrepConfig{Landmarks: 1})
+	shard := withCH
+	shard.Shard = &ShardInfo{
+		Index: 1, Parts: 2,
+		Boundary:   []roadnet.VertexID{v0, v2},
+		EdgeGlobal: []roadnet.EdgeID{0, 1, 2, 3, 4, 5},
 	}
-	return buf.Bytes()
+	var out [][]byte
+	for _, art := range []*Artifact{&bare, &withCH, &shard} {
+		var buf bytes.Buffer
+		if err := SaveArtifact(&buf, art); err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// resealArtifact recomputes the raw digest and the header checksum of a
+// mutated image, so a mutation past the gob payload reaches the directory
+// parser and the array validators instead of dying at the digest. It
+// reports false when the frame or payload no longer decode.
+func resealArtifact(data []byte) ([]byte, bool) {
+	payload, err := DecodeFrame(data, artifactMagic, artifactVersion)
+	if err != nil {
+		return nil, false
+	}
+	var wire artifactWire
+	if gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire) != nil {
+		return nil, false
+	}
+	tail := data[FrameHeaderLen+len(payload):]
+	sum := sha256.Sum256(tail)
+	wire.RawDigest = sum[:]
+	var resealed bytes.Buffer
+	if gob.NewEncoder(&resealed).Encode(wire) != nil || resealed.Len() != len(payload) {
+		return nil, false
+	}
+	header := EncodeFrame(artifactMagic, artifactVersion, resealed.Bytes())
+	return slices.Concat(header[:], resealed.Bytes(), tail), true
 }
 
 // FuzzLoadArtifact asserts the artifact parser never panics: arbitrary
 // bytes either reconstruct a complete artifact or return an error. The
-// header checksum screens random corruption, so the corpus also seeds
-// variants with a recomputed-checksum path disabled: truncations (caught
-// by the length field) and header-field flips exercise the explicit
-// format/version/corrupt branches, while the valid bundle lets the fuzzer
-// mutate its way into the gob payload.
+// checksum and the raw digest screen random corruption, so every input is
+// tried twice — as is, which exercises the frame, checksum and digest
+// branches, and resealed, which lets a mutation of the directory or of an
+// array through to the bounds checks and the graph and CH validators.
 func FuzzLoadArtifact(f *testing.F) {
-	valid := fuzzSeedArtifact(f)
-	f.Add(valid)
-	f.Add(valid[:20]) // inside the header
-	f.Add(valid[:len(valid)-5] /* truncated payload */)
 	f.Add([]byte{})
-	for _, off := range []int{0, 9, 20, 45, 60, len(valid) - 1} {
-		mut := bytes.Clone(valid)
-		mut[off] ^= 0x01
-		f.Add(mut)
+	for _, valid := range fuzzSeedArtifacts(f) {
+		f.Add(valid)
+		f.Add(valid[:20]) // inside the header
+		plen := int(binary.BigEndian.Uint64(valid[44:52]))
+		rawStart := align8(FrameHeaderLen + plen)
+		f.Add(valid[:FrameHeaderLen+plen-5] /* truncated payload */)
+		f.Add(valid[:len(valid)-5] /* truncated last array */)
+		for _, off := range []int{
+			0, 9, 20, 45, 60, // magic, version, checksum, length, payload
+			rawStart + 12,                  // directory: array count
+			rawStart + rawDirHeaderLen,     // directory: first array's offset
+			rawStart + rawDirHeaderLen + 8, // directory: first array's element count
+			len(valid) - 1,                 // a byte inside the last array
+		} {
+			mut := bytes.Clone(valid)
+			mut[off] ^= 0x01
+			f.Add(mut)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		art, err := LoadArtifact(bytes.NewReader(data))
-		if err != nil {
-			return
+		inputs := [][]byte{data}
+		if resealed, ok := resealArtifact(data); ok {
+			inputs = append(inputs, resealed)
 		}
-		if art == nil || art.Graph == nil || art.Model == nil {
-			t.Fatal("LoadArtifact returned success with an incomplete artifact")
-		}
-		// The loaded model must be usable: fingerprinting touches every
-		// parameter tensor.
-		if _, ferr := art.Model.Fingerprint(); ferr != nil {
-			t.Fatalf("loaded artifact cannot be fingerprinted: %v", ferr)
+		for _, in := range inputs {
+			art, err := LoadArtifact(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			if art == nil || art.Graph == nil || art.Model == nil {
+				t.Fatal("LoadArtifact returned success with an incomplete artifact")
+			}
+			// The loaded model must be usable: fingerprinting touches every
+			// parameter tensor.
+			if _, ferr := art.Model.Fingerprint(); ferr != nil {
+				t.Fatalf("loaded artifact cannot be fingerprinted: %v", ferr)
+			}
+			// So must the hierarchy: validation promised unpacking terminates.
+			if art.Prep != nil && art.Prep.CH != nil {
+				_, _ = art.Prep.CH.Query(0, roadnet.VertexID(art.Graph.NumVertices()-1))
+			}
 		}
 	})
 }

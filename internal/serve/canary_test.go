@@ -116,7 +116,7 @@ func TestReloadQuarantinesRejectedArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pathrank.SaveArtifactFileAtomic(path, bad); err != nil {
+	if err := pathrank.SaveArtifactFile(path, bad); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,7 +151,7 @@ func TestWatchArtifactTornWrite(t *testing.T) {
 	art := loadedTestArtifact(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.prart")
-	if err := pathrank.SaveArtifactFileAtomic(path, art); err != nil {
+	if err := pathrank.SaveArtifactFile(path, art); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(art, Config{ArtifactPath: path, WatchInterval: 5 * time.Millisecond})
@@ -189,7 +189,7 @@ func TestWatchArtifactTornWrite(t *testing.T) {
 	// The next good (atomic) write must swap in despite the pending
 	// backoff state.
 	next := variantArtifact(t, art, 31338)
-	if err := pathrank.SaveArtifactFileAtomic(path, next); err != nil {
+	if err := pathrank.SaveArtifactFile(path, next); err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.After(5 * time.Second)

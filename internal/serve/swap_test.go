@@ -354,7 +354,7 @@ func TestReloadEndpoint(t *testing.T) {
 	art := loadedTestArtifact(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.prart")
-	if err := pathrank.SaveArtifactFileAtomic(path, variantArtifact(t, art, 777)); err != nil {
+	if err := pathrank.SaveArtifactFile(path, variantArtifact(t, art, 777)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -421,7 +421,7 @@ func TestWatchArtifactHotSwaps(t *testing.T) {
 	art := loadedTestArtifact(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.prart")
-	if err := pathrank.SaveArtifactFileAtomic(path, art); err != nil {
+	if err := pathrank.SaveArtifactFile(path, art); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(art, Config{ArtifactPath: path, WatchInterval: 5 * time.Millisecond})
@@ -439,7 +439,7 @@ func TestWatchArtifactHotSwaps(t *testing.T) {
 	// the watcher also compares size, but give mtime a nudge for good
 	// measure.
 	time.Sleep(20 * time.Millisecond)
-	if err := pathrank.SaveArtifactFileAtomic(path, next); err != nil {
+	if err := pathrank.SaveArtifactFile(path, next); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.After(5 * time.Second)

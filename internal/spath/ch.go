@@ -1,8 +1,10 @@
 package spath
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -37,13 +39,10 @@ type ContractionHierarchy struct {
 	upStart, upArcs     []int32
 	downStart, downArcs []int32
 
-	// arcIndex maps (from<<32|to) to the minimum-weight arc for shortcut
-	// unpacking. Hierarchies assembled from a persisted artifact use the
-	// sorted idxKeys/idxVals pair instead (binary search, no O(arcs) map
-	// build at load time); exactly one of the two representations is set.
-	arcIndex map[int64]int32
-	idxKeys  []int64
-	idxVals  []int32
+	// Unpacking index: idxKeys holds every distinct from<<32|uint32(to) key
+	// ascending, idxVals[i] the minimum-weight arc for idxKeys[i].
+	idxKeys []int64
+	idxVals []int32
 }
 
 // chArc is a temporary arc during construction.
@@ -217,50 +216,40 @@ func BuildCH(g *roadnet.Graph, w Weight) *ContractionHierarchy {
 		rank++
 	}
 
-	ch := &ContractionHierarchy{g: g, order: order}
-	ch.setArcs(allArcs)
-	return ch
+	return newCH(g, order, allArcs)
 }
 
-// setArcs installs the augmented arc set and derives the CSR upward and
-// downward adjacency plus the unpacking index. It is shared by BuildCH and
-// the Prep deserializer.
-func (ch *ContractionHierarchy) setArcs(arcs []chArc) {
-	m := len(arcs)
-	ch.arcFrom = make([]int32, m)
-	ch.arcTo = make([]int32, m)
-	ch.arcWeight = make([]float64, m)
-	ch.arcMid = make([]int32, m)
-	ch.arcEdge = make([]roadnet.EdgeID, m)
+func arcKey(from, to int32) int64 { return int64(from)<<32 | int64(uint32(to)) }
+
+// newCH lays the augmented arc set out as the flat arrays every query
+// runs on (and CHData persists verbatim): the arc columns, the CSR upward
+// (rank increases, grouped by tail) and downward (rank decreases, grouped
+// by head) adjacency, and the sorted unpacking index.
+func newCH(g *roadnet.Graph, order []int32, arcs []chArc) *ContractionHierarchy {
+	n, m := g.NumVertices(), len(arcs)
+	ch := &ContractionHierarchy{
+		g:         g,
+		order:     order,
+		arcFrom:   make([]int32, m),
+		arcTo:     make([]int32, m),
+		arcWeight: make([]float64, m),
+		arcMid:    make([]int32, m),
+		arcEdge:   make([]roadnet.EdgeID, m),
+		upStart:   make([]int32, n+1),
+		downStart: make([]int32, n+1),
+		idxKeys:   make([]int64, 0, m),
+		idxVals:   make([]int32, 0, m),
+	}
 	for i, a := range arcs {
 		ch.arcFrom[i] = a.from
 		ch.arcTo[i] = a.to
 		ch.arcWeight[i] = a.weight
 		ch.arcMid[i] = a.mid
 		ch.arcEdge[i] = a.edge
-	}
-	ch.buildAdjacency()
-}
-
-// buildAdjacency splits the installed arcs into upward (rank increases,
-// grouped by tail) and downward (rank decreases, grouped by head) CSR
-// adjacency and rebuilds the unpacking index.
-func (ch *ContractionHierarchy) buildAdjacency() {
-	n := ch.g.NumVertices()
-	m := len(ch.arcFrom)
-	ch.upStart = make([]int32, n+1)
-	ch.downStart = make([]int32, n+1)
-	ch.arcIndex = make(map[int64]int32, m)
-	for i := 0; i < m; i++ {
-		from, to := ch.arcFrom[i], ch.arcTo[i]
-		key := int64(from)<<32 | int64(uint32(to))
-		if prev, ok := ch.arcIndex[key]; !ok || ch.arcWeight[i] < ch.arcWeight[prev] {
-			ch.arcIndex[key] = int32(i)
-		}
-		if ch.order[to] > ch.order[from] {
-			ch.upStart[from+1]++
+		if order[a.to] > order[a.from] {
+			ch.upStart[a.from+1]++
 		} else {
-			ch.downStart[to+1]++
+			ch.downStart[a.to+1]++
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -269,20 +258,38 @@ func (ch *ContractionHierarchy) buildAdjacency() {
 	}
 	ch.upArcs = make([]int32, ch.upStart[n])
 	ch.downArcs = make([]int32, ch.downStart[n])
-	upPos := make([]int32, n)
-	downPos := make([]int32, n)
-	copy(upPos, ch.upStart[:n])
-	copy(downPos, ch.downStart[:n])
-	for i := 0; i < m; i++ {
-		from, to := ch.arcFrom[i], ch.arcTo[i]
-		if ch.order[to] > ch.order[from] {
-			ch.upArcs[upPos[from]] = int32(i)
-			upPos[from]++
+	upPos := append([]int32(nil), ch.upStart[:n]...)
+	downPos := append([]int32(nil), ch.downStart[:n]...)
+	for i, a := range arcs {
+		if order[a.to] > order[a.from] {
+			ch.upArcs[upPos[a.from]] = int32(i)
+			upPos[a.from]++
 		} else {
-			ch.downArcs[downPos[to]] = int32(i)
-			downPos[to]++
+			ch.downArcs[downPos[a.to]] = int32(i)
+			downPos[a.to]++
 		}
 	}
+
+	// Sort arcs by (key, weight, index): the first arc of each key run is
+	// the cheapest parallel arc, the earliest one on a tie.
+	byKey := make([]int32, m)
+	for i := range byKey {
+		byKey[i] = int32(i)
+	}
+	slices.SortFunc(byKey, func(i, j int32) int {
+		return cmp.Or(
+			cmp.Compare(arcKey(arcs[i].from, arcs[i].to), arcKey(arcs[j].from, arcs[j].to)),
+			cmp.Compare(arcs[i].weight, arcs[j].weight),
+			cmp.Compare(i, j))
+	})
+	for _, i := range byKey {
+		key := arcKey(arcs[i].from, arcs[i].to)
+		if k := len(ch.idxKeys); k == 0 || ch.idxKeys[k-1] != key {
+			ch.idxKeys = append(ch.idxKeys, key)
+			ch.idxVals = append(ch.idxVals, i)
+		}
+	}
+	return ch
 }
 
 // NumShortcuts returns the number of shortcut arcs added by preprocessing.
@@ -569,15 +576,10 @@ func (ch *ContractionHierarchy) unpack(ai int32, edges *[]roadnet.EdgeID) {
 	ch.unpack(ch.lookupArc(mid, to), edges)
 }
 
-// lookupArc returns the minimum-weight arc from→to through whichever
-// unpacking index this hierarchy carries: the construction-time map, or
-// the sorted key array of an assembled (persisted) hierarchy.
+// lookupArc returns the minimum-weight arc from→to by binary search over
+// the sorted unpacking index.
 func (ch *ContractionHierarchy) lookupArc(from, to int32) int32 {
-	key := int64(from)<<32 | int64(uint32(to))
-	if ch.arcIndex != nil {
-		return ch.arcIndex[key]
-	}
-	i := sort.Search(len(ch.idxKeys), func(i int) bool { return ch.idxKeys[i] >= key })
+	i, _ := slices.BinarySearch(ch.idxKeys, arcKey(from, to))
 	return ch.idxVals[i]
 }
 

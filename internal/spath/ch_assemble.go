@@ -1,16 +1,11 @@
 package spath
 
-import (
-	"sort"
+import "pathrank/internal/roadnet"
 
-	"pathrank/internal/roadnet"
-)
-
-// CHData is the complete flat representation of a built
-// ContractionHierarchy: every query structure as plain arrays, including
-// the unpacking index in its sorted (IdxKeys/IdxVals) form. It is what
-// the artifact raw section persists, and what AssembleCH rewraps without
-// copying — the slices may alias a memory-mapped file.
+// CHData is the complete flat representation of a ContractionHierarchy:
+// every query structure as plain arrays. It is what the artifact raw
+// section persists, and what AssembleCH rewraps without copying — the
+// slices may alias a memory-mapped file.
 type CHData struct {
 	Order     []int32
 	ArcFrom   []int32
@@ -28,12 +23,9 @@ type CHData struct {
 	IdxVals []int32
 }
 
-// RawData returns the hierarchy's flat arrays. The adjacency and arc
-// arrays alias internal storage; the index arrays are derived (sorted)
-// from the construction-time map when the hierarchy was built rather
-// than assembled, which costs O(arcs log arcs) once at save time.
+// RawData returns the hierarchy's flat arrays without copying.
 func (ch *ContractionHierarchy) RawData() CHData {
-	d := CHData{
+	return CHData{
 		Order:     ch.order,
 		ArcFrom:   ch.arcFrom,
 		ArcTo:     ch.arcTo,
@@ -47,28 +39,14 @@ func (ch *ContractionHierarchy) RawData() CHData {
 		IdxKeys:   ch.idxKeys,
 		IdxVals:   ch.idxVals,
 	}
-	if ch.arcIndex != nil {
-		keys := make([]int64, 0, len(ch.arcIndex))
-		for k := range ch.arcIndex {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		vals := make([]int32, len(keys))
-		for i, k := range keys {
-			vals[i] = ch.arcIndex[k]
-		}
-		d.IdxKeys, d.IdxVals = keys, vals
-	}
-	return d
 }
 
 // AssembleCH wraps pre-built arrays as a queryable ContractionHierarchy
-// without copying, rebuilding adjacency, or constructing the unpacking
-// map — load cost is O(1) regardless of arc count, which is what makes a
-// memory-mapped shard artifact cold-start in O(open). The arrays must
-// satisfy RawData's layout for g (the artifact loader trusts its own
-// writer); queries resolve shortcut unpacking by binary search over
-// IdxKeys.
+// without copying or rebuilding anything — load cost is O(1) regardless
+// of arc count, which is what makes a memory-mapped artifact cold-start
+// in O(open). The arrays must satisfy RawData's layout for g; the
+// artifact's heap loader validates them first, the mapped open trusts
+// its own writer.
 func AssembleCH(g *roadnet.Graph, d CHData) *ContractionHierarchy {
 	return &ContractionHierarchy{
 		g:         g,

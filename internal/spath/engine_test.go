@@ -227,9 +227,11 @@ func TestEngineDisconnected(t *testing.T) {
 	}
 }
 
-// TestPrepRoundTrip checks that a serialized Prep reloads into structures
-// answering every query identically, and that a prep bound to the wrong
-// graph is rejected at load time.
+// TestPrepRoundTrip checks both persistence routes a Prep takes: the ALT
+// tables through the gob section (Save/LoadPrep) and the CH through its
+// flat arrays (RawData/AssembleCH), each
+// answering every query identically afterwards; and that tables bound to
+// the wrong graph are rejected at load time.
 func TestPrepRoundTrip(t *testing.T) {
 	g := randomTestGraph(t, 5)
 	prep := BuildPrep(g, PrepConfig{Landmarks: 4})
@@ -241,9 +243,10 @@ func TestPrepRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load prep: %v", err)
 	}
-	if loaded.CH == nil || loaded.ALT == nil {
-		t.Fatalf("loaded prep missing structures: CH=%v ALT=%v", loaded.CH != nil, loaded.ALT != nil)
+	if loaded.CH != nil || loaded.ALT == nil {
+		t.Fatalf("gob section must carry exactly the ALT: CH=%v ALT=%v", loaded.CH != nil, loaded.ALT != nil)
 	}
+	loaded.CH = AssembleCH(g, prep.CH.RawData())
 	if loaded.CH.NumShortcuts() != prep.CH.NumShortcuts() {
 		t.Fatalf("shortcuts %d != %d", loaded.CH.NumShortcuts(), prep.CH.NumShortcuts())
 	}
@@ -257,7 +260,7 @@ func TestPrepRoundTrip(t *testing.T) {
 			t.Fatalf("%d->%d: err %v vs %v", src, dst, wantErr, gotErr)
 		}
 		if wantErr == nil && (!got.Equal(want) || got.Cost != want.Cost) {
-			t.Fatalf("%d->%d: reloaded CH path differs", src, dst)
+			t.Fatalf("%d->%d: reassembled CH path differs", src, dst)
 		}
 		wa, _ := EngineFromALT(prep.ALT).Shortest(src, dst)
 		ga, _ := EngineFromALT(loaded.ALT).Shortest(src, dst)
@@ -280,60 +283,28 @@ func TestPrepRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrepRejectsBadShortcut checks that a prep whose shortcut arcs cannot
-// be unpacked safely — missing half-arcs or a rank-invariant violation that
-// could make unpacking recurse forever — is rejected at load time rather
-// than crashing a query.
-func TestPrepRejectsBadShortcut(t *testing.T) {
-	g := gridGraph(t, 6, 6)
-	prep := BuildPrep(g, PrepConfig{SkipALT: true})
-	sc := -1
-	for i, mid := range prep.CH.arcMid {
-		if mid >= 0 {
-			sc = i
-			break
+// TestCHIndexIsMinWeightSorted pins the one unpacking index BuildCH
+// produces: keys strictly ascending, one per distinct (from,to), each
+// naming the cheapest parallel arc and the earliest one on a tie.
+func TestCHIndexIsMinWeightSorted(t *testing.T) {
+	d := BuildCH(randomTestGraph(t, 5), ByLength).RawData()
+	want := map[int64]int32{}
+	for i := range d.ArcFrom {
+		key := arcKey(d.ArcFrom[i], d.ArcTo[i])
+		if prev, ok := want[key]; !ok || d.ArcWeight[i] < d.ArcWeight[prev] {
+			want[key] = int32(i)
 		}
 	}
-	if sc < 0 {
-		t.Fatal("no shortcut to corrupt")
+	if len(d.IdxKeys) != len(want) || len(d.IdxVals) != len(want) {
+		t.Fatalf("index holds %d/%d entries for %d distinct arcs", len(d.IdxKeys), len(d.IdxVals), len(want))
 	}
-
-	// Re-point the shortcut's middle vertex at the highest-ranked vertex:
-	// that breaks order[mid] < min(order[from], order[to]).
-	savedMid := prep.CH.arcMid[sc]
-	var top int32
-	for v, r := range prep.CH.order {
-		if r == int32(g.NumVertices()-1) {
-			top = int32(v)
+	for i, key := range d.IdxKeys {
+		if i > 0 && key <= d.IdxKeys[i-1] {
+			t.Fatalf("index keys not strictly ascending at %d", i)
 		}
-	}
-	prep.CH.arcMid[sc] = top
-	var buf bytes.Buffer
-	if err := prep.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadPrep(bytes.NewReader(buf.Bytes()), g); err == nil {
-		t.Fatal("prep with rank-violating shortcut loaded, want error")
-	}
-	prep.CH.arcMid[sc] = savedMid
-
-	// Re-point the middle at a low-ranked vertex with no connecting
-	// half-arcs: unpacking would silently read arcIndex's zero value.
-	from := prep.CH.arcFrom[sc]
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if prep.CH.order[v] == 0 {
-			if _, ok := prep.CH.arcIndex[int64(from)<<32|int64(uint32(v))]; !ok {
-				prep.CH.arcMid[sc] = v
-				break
-			}
+		if d.IdxVals[i] != want[key] {
+			t.Fatalf("key %#x -> arc %d, want %d", key, d.IdxVals[i], want[key])
 		}
-	}
-	buf.Reset()
-	if err := prep.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadPrep(bytes.NewReader(buf.Bytes()), g); err == nil {
-		t.Fatal("prep with dangling shortcut half-arc loaded, want error")
 	}
 }
 
@@ -347,7 +318,7 @@ func TestPrepEngineSelection(t *testing.T) {
 	if e := full.BestEngine(g); e == nil || e.Kind() != EngineCH {
 		t.Fatalf("full prep best engine = %v", e)
 	}
-	altOnly := BuildPrep(g, PrepConfig{Landmarks: 2, SkipCH: true})
+	altOnly := &Prep{ALT: BuildALT(g, ByLength, 2)}
 	if e := altOnly.Engine(EngineCH, g); e != nil {
 		t.Fatalf("ALT-only prep produced a CH engine")
 	}

@@ -14,8 +14,9 @@ import (
 // time) and persisting it in the serving artifact is what lets
 // pathrank-serve cold-start without any preprocessing.
 //
-// Either structure may be nil: a Prep carries whatever was built, and
-// consumers fall back to construction on demand for the kinds it lacks.
+// Either structure may be nil: a Prep carries whatever was built or
+// loaded, and consumers fall back to construction on demand for the kinds
+// it lacks.
 type Prep struct {
 	CH  *ContractionHierarchy
 	ALT *ALT
@@ -25,17 +26,13 @@ type Prep struct {
 type PrepConfig struct {
 	// Landmarks is the ALT landmark count (default DefaultLandmarks).
 	Landmarks int
-	// SkipCH / SkipALT omit the respective structure.
-	SkipCH  bool
+	// SkipALT omits the landmark tables.
 	SkipALT bool
 }
 
 // BuildPrep preprocesses g under ByLength according to cfg.
 func BuildPrep(g *roadnet.Graph, cfg PrepConfig) *Prep {
-	p := &Prep{}
-	if !cfg.SkipCH {
-		p.CH = BuildCH(g, ByLength)
-	}
+	p := &Prep{CH: BuildCH(g, ByLength)}
 	if !cfg.SkipALT {
 		lm := cfg.Landmarks
 		if lm <= 0 {
@@ -81,49 +78,23 @@ func (p *Prep) BestEngine(g *roadnet.Graph) Engine {
 	return p.Engine(EngineALT, g)
 }
 
-// prepWire is the gob payload of a serialized Prep. The CH is stored as
-// its contraction order plus the full augmented arc set (original edges and
-// shortcuts); adjacency and the unpacking index are derived on load. The
-// ALT is its landmark list and both distance tables.
+// prepWire is the gob payload of a serialized Prep: the ALT landmark list
+// and both distance tables. The CH is not in it — it persists as flat
+// arrays (CHData) in the artifact's raw section.
 type prepWire struct {
 	NumVertices int32
 	NumEdges    int32
-
-	// CH section; empty Order means no CH.
-	Order     []int32
-	ArcFrom   []int32
-	ArcTo     []int32
-	ArcWeight []float64
-	ArcMid    []int32
-	ArcEdge   []int32
-
-	// ALT section; empty Landmarks means no ALT.
-	Landmarks []int32
-	FromLM    [][]float64
-	ToLM      [][]float64
+	Landmarks   []int32
+	FromLM      [][]float64
+	ToLM        [][]float64
 }
 
-// Save writes the prep in a self-describing binary form. The graph itself
-// is not stored — LoadPrep re-binds the structures to the caller's graph
-// and validates shape compatibility.
+// Save writes the prep's gob section — the ALT tables only; see prepWire.
+// The graph itself is not stored: LoadPrep re-binds the tables to the
+// caller's graph and validates shape compatibility.
 func (p *Prep) Save(w io.Writer) error {
 	var wire prepWire
-	if p.CH != nil {
-		ch := p.CH
-		wire.NumVertices = int32(ch.g.NumVertices())
-		wire.NumEdges = int32(ch.g.NumEdges())
-		wire.Order = ch.order
-		wire.ArcFrom = ch.arcFrom
-		wire.ArcTo = ch.arcTo
-		wire.ArcWeight = ch.arcWeight
-		wire.ArcMid = ch.arcMid
-		wire.ArcEdge = make([]int32, len(ch.arcEdge))
-		for i, e := range ch.arcEdge {
-			wire.ArcEdge[i] = int32(e)
-		}
-	}
-	if p.ALT != nil {
-		a := p.ALT
+	if a := p.ALT; a != nil {
 		wire.NumVertices = int32(a.g.NumVertices())
 		wire.NumEdges = int32(a.g.NumEdges())
 		wire.Landmarks = make([]int32, len(a.landmarks))
@@ -139,107 +110,40 @@ func (p *Prep) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadPrep reads a prep written by Save and re-binds it to g, validating
-// every index against g's shape first — a prep decoded from a corrupt or
-// mismatched payload fails here instead of panicking at query time.
+// LoadPrep reads a prep section written by Save and re-binds it to g,
+// validating every index against g's shape first — tables decoded from a
+// corrupt or mismatched payload fail here instead of panicking at query
+// time. The returned prep has no CH; the artifact loader attaches it.
 func LoadPrep(r io.Reader, g *roadnet.Graph) (*Prep, error) {
 	var wire prepWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("spath: decode prep: %w", err)
 	}
-	n, m := int32(g.NumVertices()), int32(g.NumEdges())
-	if len(wire.Order) > 0 || len(wire.Landmarks) > 0 {
-		if wire.NumVertices != n || wire.NumEdges != m {
-			return nil, fmt.Errorf("spath: prep built for %dv/%de graph, loading against %dv/%de",
-				wire.NumVertices, wire.NumEdges, n, m)
-		}
-	}
 	p := &Prep{}
-
-	if len(wire.Order) > 0 {
-		if int32(len(wire.Order)) != n {
-			return nil, fmt.Errorf("spath: prep order covers %d of %d vertices", len(wire.Order), n)
-		}
-		na := len(wire.ArcFrom)
-		if len(wire.ArcTo) != na || len(wire.ArcWeight) != na || len(wire.ArcMid) != na || len(wire.ArcEdge) != na {
-			return nil, fmt.Errorf("spath: prep arc sections have inconsistent lengths")
-		}
-		if na < int(m) {
-			return nil, fmt.Errorf("spath: prep carries %d arcs for a %d-edge graph", na, m)
-		}
-		for i := 0; i < na; i++ {
-			from, to, mid := wire.ArcFrom[i], wire.ArcTo[i], wire.ArcMid[i]
-			if from < 0 || from >= n || to < 0 || to >= n {
-				return nil, fmt.Errorf("spath: prep arc %d endpoints (%d,%d) out of range", i, from, to)
-			}
-			if mid < -1 || mid >= n {
-				return nil, fmt.Errorf("spath: prep arc %d middle vertex %d out of range", i, mid)
-			}
-			if mid < 0 && (wire.ArcEdge[i] < 0 || wire.ArcEdge[i] >= m) {
-				return nil, fmt.Errorf("spath: prep arc %d edge %d out of range", i, wire.ArcEdge[i])
-			}
-			if !(wire.ArcWeight[i] >= 0) { // also rejects NaN
-				return nil, fmt.Errorf("spath: prep arc %d has invalid weight %v", i, wire.ArcWeight[i])
-			}
-		}
-		ch := &ContractionHierarchy{g: g, order: wire.Order}
-		ch.arcFrom = wire.ArcFrom
-		ch.arcTo = wire.ArcTo
-		ch.arcWeight = wire.ArcWeight
-		ch.arcMid = wire.ArcMid
-		ch.arcEdge = make([]roadnet.EdgeID, na)
-		for i, e := range wire.ArcEdge {
-			ch.arcEdge[i] = roadnet.EdgeID(e)
-		}
-		ch.buildAdjacency()
-		// Unpackability check, after the index exists: every shortcut must
-		// (a) have both half-arcs present in the index — a missing key
-		// would silently unpack through arc 0 — and (b) satisfy the CH rank
-		// invariant order[mid] < min(order[from], order[to]). The invariant
-		// is what makes unpacking terminate (each recursion strictly
-		// decreases the endpoints' rank sum), so a crafted payload that
-		// wires shortcuts into a cycle is rejected here instead of
-		// overflowing the stack at query time.
-		for i := 0; i < na; i++ {
-			mid := ch.arcMid[i]
-			if mid < 0 {
-				continue
-			}
-			from, to := ch.arcFrom[i], ch.arcTo[i]
-			if ch.order[mid] >= ch.order[from] || ch.order[mid] >= ch.order[to] {
-				return nil, fmt.Errorf("spath: prep shortcut %d violates rank invariant (mid %d not below %d/%d)",
-					i, mid, from, to)
-			}
-			if _, ok := ch.arcIndex[int64(from)<<32|int64(uint32(mid))]; !ok {
-				return nil, fmt.Errorf("spath: prep shortcut %d has no half-arc %d->%d", i, from, mid)
-			}
-			if _, ok := ch.arcIndex[int64(mid)<<32|int64(uint32(to))]; !ok {
-				return nil, fmt.Errorf("spath: prep shortcut %d has no half-arc %d->%d", i, mid, to)
-			}
-		}
-		p.CH = ch
+	nl := len(wire.Landmarks)
+	if nl == 0 {
+		return p, nil
 	}
-
-	if len(wire.Landmarks) > 0 {
-		nl := len(wire.Landmarks)
-		if len(wire.FromLM) != nl || len(wire.ToLM) != nl {
-			return nil, fmt.Errorf("spath: prep landmark tables cover %d/%d of %d landmarks",
-				len(wire.FromLM), len(wire.ToLM), nl)
-		}
-		a := &ALT{g: g, w: ByLength}
-		for i, l := range wire.Landmarks {
-			if l < 0 || l >= n {
-				return nil, fmt.Errorf("spath: prep landmark %d vertex %d out of range", i, l)
-			}
-			if int32(len(wire.FromLM[i])) != n || int32(len(wire.ToLM[i])) != n {
-				return nil, fmt.Errorf("spath: prep landmark %d table sized %d/%d, want %d",
-					i, len(wire.FromLM[i]), len(wire.ToLM[i]), n)
-			}
-			a.landmarks = append(a.landmarks, roadnet.VertexID(l))
-		}
-		a.fromLM = wire.FromLM
-		a.toLM = wire.ToLM
-		p.ALT = a
+	n, m := int32(g.NumVertices()), int32(g.NumEdges())
+	if wire.NumVertices != n || wire.NumEdges != m {
+		return nil, fmt.Errorf("spath: prep built for %dv/%de graph, loading against %dv/%de",
+			wire.NumVertices, wire.NumEdges, n, m)
 	}
+	if len(wire.FromLM) != nl || len(wire.ToLM) != nl {
+		return nil, fmt.Errorf("spath: prep landmark tables cover %d/%d of %d landmarks",
+			len(wire.FromLM), len(wire.ToLM), nl)
+	}
+	a := &ALT{g: g, w: ByLength, fromLM: wire.FromLM, toLM: wire.ToLM}
+	for i, l := range wire.Landmarks {
+		if l < 0 || l >= n {
+			return nil, fmt.Errorf("spath: prep landmark %d vertex %d out of range", i, l)
+		}
+		if int32(len(wire.FromLM[i])) != n || int32(len(wire.ToLM[i])) != n {
+			return nil, fmt.Errorf("spath: prep landmark %d table sized %d/%d, want %d",
+				i, len(wire.FromLM[i]), len(wire.ToLM[i]), n)
+		}
+		a.landmarks = append(a.landmarks, roadnet.VertexID(l))
+	}
+	p.ALT = a
 	return p, nil
 }

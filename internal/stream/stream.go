@@ -873,7 +873,7 @@ func (s *Service) RetrainNow() (*pathrank.Artifact, error) {
 	art := out.art
 
 	if s.cfg.ArtifactPath != "" {
-		if err := pathrank.SaveArtifactFileAtomic(s.cfg.ArtifactPath, art); err != nil {
+		if err := pathrank.SaveArtifactFile(s.cfg.ArtifactPath, art); err != nil {
 			return fail(err)
 		}
 	}

@@ -23,12 +23,13 @@
 //	c := &pathrank.Client{BaseURL: "http://localhost:8080"}
 //	res, _ := c.Rank(ctx, pathrank.RankQuery{Src: 12, Dst: 431, Strategy: "dtkdi"})
 //
-// A trained pipeline can be persisted as a single versioned artifact bundle
-// and served over HTTP:
+// A trained pipeline can be persisted as a single artifact file — there is
+// one format, the one pathrank-serve reads or memory-maps — and served over
+// HTTP:
 //
 //	art := &pathrank.Artifact{Graph: g, Embeddings: pipe.Embeddings, Model: pipe.Model}
-//	_ = pathrank.SaveArtifactFile("model.prart", art)   // training side
-//	art, _ = pathrank.LoadArtifactFile("model.prart")   // serving side (pathrank-serve)
+//	_ = pathrank.SaveArtifactFile("model.prart", art)   // training side: temp file + fsync + rename
+//	art, _ = pathrank.LoadArtifactFile("model.prart")   // serving side: every byte verified
 //
 // See README.md ("Architecture") for the full system inventory, README.md
 // ("Running the evaluation") for the reproduction of the paper's tables,
@@ -354,14 +355,20 @@ var (
 	ErrArtifactCorrupt = pathrank.ErrArtifactCorrupt
 )
 
-// SaveArtifact writes a versioned, checksummed bundle of the artifact to w.
+// SaveArtifact writes the artifact to w in the artifact file format: a
+// checksummed payload followed by the graph's flat arrays, themselves
+// covered by a digest inside the payload.
 func SaveArtifact(w io.Writer, a *Artifact) error { return pathrank.SaveArtifact(w, a) }
 
-// LoadArtifact reads a bundle written by SaveArtifact, verifying version
-// and checksum; the reloaded model ranks bit-identically to the saved one.
+// LoadArtifact reads an artifact written by SaveArtifact, verifying version,
+// checksum, digest and array contents; the reloaded model ranks
+// bit-identically to the saved one. Files in the retired formats 1 and 2
+// fail with ErrArtifactVersion.
 func LoadArtifact(r io.Reader) (*Artifact, error) { return pathrank.LoadArtifact(r) }
 
-// SaveArtifactFile writes the artifact to the named file.
+// SaveArtifactFile publishes the artifact at path atomically and durably
+// (temp file, fsync, rename): a reader never sees a partial file, and a
+// server that has the previous file memory-mapped is not disturbed.
 func SaveArtifactFile(path string, a *Artifact) error { return pathrank.SaveArtifactFile(path, a) }
 
 // LoadArtifactFile reads an artifact from the named file.
