@@ -1,7 +1,6 @@
 package spath
 
 import (
-	"context"
 	"math"
 
 	"pathrank/internal/geo"
@@ -131,26 +130,8 @@ func (a *ALT) heuristic(v, dst roadnet.VertexID) float64 {
 // boundTo returns the landmark lower bound on d(v, dst) as a closure
 // suitable for Workspace.setGoalAux. The bound stays admissible when edges
 // or vertices are banned (bans only increase true distances), which is what
-// lets Yen spur searches stay goal-directed on an ALT engine.
+// lets Yen spur searches stay goal-directed on the ALT engine and on a CH
+// engine that was handed the tables.
 func (a *ALT) boundTo(dst roadnet.VertexID) func(roadnet.VertexID) float64 {
 	return func(v roadnet.VertexID) float64 { return a.heuristic(v, dst) }
-}
-
-// Query returns a minimum-cost path from src to dst. Costs equal
-// Dijkstra's; the landmark heuristic only prunes the search. Search state
-// comes from a pooled Workspace, so repeated queries do not reallocate the
-// O(n) arrays the previous implementation built per call.
-func (a *ALT) Query(src, dst roadnet.VertexID) (Path, error) {
-	ws := GetWorkspace(a.g)
-	defer ws.Release()
-	return ws.AStarAux(a.g, src, dst, a.w, a.boundTo(dst))
-}
-
-// QueryCtx is Query honoring ctx; cancellation aborts the search and
-// returns ctx's error.
-func (a *ALT) QueryCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error) {
-	ws := GetWorkspace(a.g)
-	defer ws.Release()
-	ws.bindContext(ctx)
-	return ws.AStarAux(a.g, src, dst, a.w, a.boundTo(dst))
 }

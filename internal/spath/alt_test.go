@@ -17,7 +17,7 @@ func TestALTMatchesDijkstra(t *testing.T) {
 		src := randVertex(rng, g.NumVertices())
 		dst := randVertex(rng, g.NumVertices())
 		pd, errD := Dijkstra(g, src, dst, ByLength)
-		pa, errA := alt.Query(src, dst)
+		pa, errA := EngineFromALT(alt).Shortest(src, dst)
 		if (errD == nil) != (errA == nil) {
 			t.Fatalf("src=%d dst=%d: dijkstra err=%v alt err=%v", src, dst, errD, errA)
 		}
@@ -41,7 +41,7 @@ func TestALTByTime(t *testing.T) {
 		src := randVertex(rng, g.NumVertices())
 		dst := randVertex(rng, g.NumVertices())
 		pd, errD := Dijkstra(g, src, dst, ByTime)
-		pa, errA := alt.Query(src, dst)
+		pa, errA := EngineFromALT(alt).Shortest(src, dst)
 		if errD != nil || errA != nil {
 			continue
 		}
@@ -74,7 +74,7 @@ func TestALTSelfAndClamping(t *testing.T) {
 	if alt.NumLandmarks() > g.NumVertices() {
 		t.Fatalf("landmarks %d exceed vertices %d", alt.NumLandmarks(), g.NumVertices())
 	}
-	p, err := alt.Query(2, 2)
+	p, err := EngineFromALT(alt).Shortest(2, 2)
 	if err != nil || p.Len() != 0 {
 		t.Fatalf("self query: len=%d err=%v", p.Len(), err)
 	}
@@ -87,7 +87,7 @@ func TestALTSelfAndClamping(t *testing.T) {
 func TestALTNoPath(t *testing.T) {
 	g := disconnectedPair(t)
 	alt := BuildALT(g, ByLength, 1)
-	if _, err := alt.Query(0, 1); err != ErrNoPath {
+	if _, err := EngineFromALT(alt).Shortest(0, 1); err != ErrNoPath {
 		t.Fatalf("err = %v, want ErrNoPath", err)
 	}
 }

@@ -1,9 +1,7 @@
 package spath
 
 import (
-	"context"
 	"math"
-	"sort"
 
 	"pathrank/internal/roadnet"
 )
@@ -175,118 +173,4 @@ func (ws *Workspace) SeededDistancesRev(g *roadnet.Graph, seeds []Seed, bound fl
 			out[v] = math.Inf(1)
 		}
 	}
-}
-
-// EnumStats describes one Yen enumeration run: how many paths were
-// examined, the largest cost among them, and whether the loopless path
-// set was exhausted before the caller's budget. The sharded router uses
-// it to certify corridor-restricted enumerations: a run whose MaxCost
-// stayed strictly inside the corridor bound and that did not exhaust the
-// (restricted) path set is bit-identical to the same run on the full
-// graph.
-type EnumStats struct {
-	// Probes is the number of paths pulled from the enumerator,
-	// including the initial shortest path.
-	Probes int
-	// MaxCost is the largest cost among the examined paths (Yen emits in
-	// increasing cost order, so this is the cost of the last one); 0 when
-	// nothing was examined.
-	MaxCost float64
-	// Exhausted reports that the enumerator ran out of loopless paths
-	// before the probe/k budget was spent.
-	Exhausted bool
-}
-
-// TopKStatsCtx is TopKCtx additionally reporting enumeration statistics.
-func TopKStatsCtx(ctx context.Context, g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight) ([]Path, EnumStats, error) {
-	var st EnumStats
-	if k <= 0 {
-		return nil, st, nil
-	}
-	ws := GetWorkspace(g)
-	defer ws.Release()
-	ws.bindContext(ctx)
-
-	first, err := ws.Dijkstra(g, src, dst, w)
-	if err != nil {
-		return nil, st, err
-	}
-	ws.fillWeights(g, w)
-	ws.setGoal(g, dst)
-	y := newYenEnum(g, ws, w, dst, first)
-	st.Probes = 1
-	st.MaxCost = first.Cost
-	for len(y.paths) < k {
-		p, ok := y.next()
-		if !ok {
-			st.Exhausted = ws.ctxErr == nil
-			break
-		}
-		st.Probes++
-		st.MaxCost = p.Cost
-	}
-	if ws.ctxErr != nil {
-		return nil, st, ws.ctxErr
-	}
-	return y.paths, st, nil
-}
-
-// DiversifiedTopKStatsCtx is DiversifiedTopKCtx additionally reporting
-// enumeration statistics. The accepted set is identical to
-// DiversifiedTopKCtx's on the same inputs: the probe loop below mirrors
-// diversify exactly, it only observes the paths flowing through it.
-func DiversifiedTopKStatsCtx(ctx context.Context, g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight, sim Similarity, threshold float64, maxProbe int) ([]Path, EnumStats, error) {
-	var st EnumStats
-	if k <= 0 {
-		return nil, st, nil
-	}
-	if maxProbe < k {
-		maxProbe = 10 * k
-	}
-	ws := GetWorkspace(g)
-	defer ws.Release()
-	ws.bindContext(ctx)
-	first, err := ws.Dijkstra(g, src, dst, w)
-	if err != nil {
-		return nil, st, err
-	}
-	ws.fillWeights(g, w)
-	ws.setGoal(g, dst)
-	y := newYenEnum(g, ws, w, dst, first)
-
-	accepted := make([]Path, 0, k)
-	p := y.paths[0]
-	st.Probes = 1
-	st.MaxCost = p.Cost
-	for {
-		ok := true
-		for _, q := range accepted {
-			if sim(p, q) > threshold {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			accepted = append(accepted, p)
-			if len(accepted) == k {
-				break
-			}
-		}
-		if st.Probes >= maxProbe {
-			break
-		}
-		var more bool
-		p, more = y.next()
-		if !more {
-			st.Exhausted = ws.ctxErr == nil
-			break
-		}
-		st.Probes++
-		st.MaxCost = p.Cost
-	}
-	sort.Slice(accepted, func(a, b int) bool { return accepted[a].Cost < accepted[b].Cost })
-	if ws.ctxErr != nil {
-		return nil, st, ws.ctxErr
-	}
-	return accepted, st, nil
 }

@@ -2,7 +2,6 @@ package spath
 
 import (
 	"context"
-	"sort"
 
 	"pathrank/internal/roadnet"
 )
@@ -33,27 +32,14 @@ func DiversifiedTopK(g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weigh
 // DiversifiedTopKCtx is DiversifiedTopK honoring ctx; see TopKCtx for the
 // cancellation contract.
 func DiversifiedTopKCtx(ctx context.Context, g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	if maxProbe < k {
-		maxProbe = 10 * k
-	}
-	ws := GetWorkspace(g)
-	defer ws.Release()
-	ws.bindContext(ctx)
-	first, err := ws.Dijkstra(g, src, dst, w)
-	if err != nil {
-		return nil, err
-	}
-	ws.fillWeights(g, w)
-	ws.setGoal(g, dst)
-	y := newYenEnum(g, ws, w, dst, first)
-	accepted := diversify(y, k, sim, threshold, maxProbe)
-	if ws.ctxErr != nil {
-		return nil, ws.ctxErr
-	}
-	return accepted, nil
+	paths, _, err := DiversifiedTopKStatsCtx(ctx, g, src, dst, k, w, sim, threshold, maxProbe)
+	return paths, err
+}
+
+// DiversifiedTopKStatsCtx is DiversifiedTopKCtx additionally reporting
+// enumeration statistics.
+func DiversifiedTopKStatsCtx(ctx context.Context, g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight, sim Similarity, threshold float64, maxProbe int) ([]Path, EnumStats, error) {
+	return enumerate(ctx, g, nil, w, src, dst, k, sim, threshold, maxProbe)
 }
 
 // DiversifiedTopKEngine is DiversifiedTopK running on a prepared Engine;
@@ -65,65 +51,6 @@ func DiversifiedTopKEngine(e Engine, src, dst roadnet.VertexID, k int, sim Simil
 // DiversifiedTopKEngineCtx is DiversifiedTopKEngine honoring ctx; see
 // TopKCtx for the cancellation contract.
 func DiversifiedTopKEngineCtx(ctx context.Context, e Engine, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	if maxProbe < k {
-		maxProbe = 10 * k
-	}
-	g := e.Graph()
-	ws := GetWorkspace(g)
-	defer ws.Release()
-	first, err := e.ShortestCtx(ctx, src, dst)
-	if err != nil {
-		return nil, err
-	}
-	ws.bindContext(ctx)
-	w := e.Weight()
-	ws.fillWeights(g, w)
-	ws.setGoalAux(g, dst, e.spurHeuristic(dst))
-	y := newYenEnum(g, ws, w, dst, first)
-	accepted := diversify(y, k, sim, threshold, maxProbe)
-	if ws.ctxErr != nil {
-		return nil, ws.ctxErr
-	}
-	return accepted, nil
-}
-
-// diversify pulls paths from the enumerator in Yen order, greedily
-// accepting each one that is dissimilar from everything accepted so far,
-// until k are accepted, maxProbe paths have been examined, or the
-// enumeration is exhausted.
-func diversify(y *yenEnum, k int, sim Similarity, threshold float64, maxProbe int) []Path {
-	accepted := make([]Path, 0, k)
-	p := y.paths[0]
-	probes := 1
-	for {
-		ok := true
-		for _, q := range accepted {
-			if sim(p, q) > threshold {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			accepted = append(accepted, p)
-			if len(accepted) == k {
-				break
-			}
-		}
-		if probes >= maxProbe {
-			break
-		}
-		var more bool
-		p, more = y.next()
-		if !more {
-			break
-		}
-		probes++
-	}
-	// Yen emits in cost order and the greedy filter preserves it, but sort
-	// defensively in case a Similarity implementation mutated costs.
-	sort.Slice(accepted, func(a, b int) bool { return accepted[a].Cost < accepted[b].Cost })
-	return accepted
+	paths, _, err := enumerate(ctx, e.Graph(), e, nil, src, dst, k, sim, threshold, maxProbe)
+	return paths, err
 }

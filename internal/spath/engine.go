@@ -91,10 +91,32 @@ type Engine interface {
 
 	// spurHeuristic returns an admissible per-vertex lower bound on the
 	// cost to dst that remains valid under edge/vertex bans (bans only
-	// increase distances), or nil when the engine adds nothing beyond the
-	// geometric default. Unexported: engines are built by this package.
+	// increase distances), or nil when the engine has no landmark tables
+	// and adds nothing beyond the geometric default. Unexported: engines
+	// are built by this package.
 	spurHeuristic(dst roadnet.VertexID) func(roadnet.VertexID) float64
+	// weights returns the engine's edge-weight table, built once at
+	// construction and shared read-only by every query.
+	weights() *weightTable
 }
+
+// engineBase is what every backend holds: the (graph, weight) pair and
+// the weight evaluated once per edge.
+type engineBase struct {
+	g   *roadnet.Graph
+	w   Weight
+	tab weightTable
+}
+
+func newEngineBase(g *roadnet.Graph, w Weight) engineBase {
+	b := engineBase{g: g, w: w}
+	b.tab.fill(g, w)
+	return b
+}
+
+func (b *engineBase) Graph() *roadnet.Graph { return b.g }
+func (b *engineBase) Weight() Weight        { return b.w }
+func (b *engineBase) weights() *weightTable { return &b.tab }
 
 // NewEngine builds an engine of the requested kind over g and w,
 // performing whatever preprocessing the kind needs (none for Dijkstra,
@@ -109,7 +131,7 @@ func NewEngine(kind EngineKind, g *roadnet.Graph, w Weight, cfg EngineConfig) En
 		}
 		return EngineFromALT(BuildALT(g, w, lm))
 	case EngineCH:
-		return EngineFromCH(BuildCH(g, w), g, w)
+		return EngineFromCH(BuildCH(g, w), nil, g, w)
 	default:
 		return NewDijkstraEngine(g, w)
 	}
@@ -117,20 +139,15 @@ func NewEngine(kind EngineKind, g *roadnet.Graph, w Weight, cfg EngineConfig) En
 
 // --- Dijkstra backend ---
 
-type dijkstraEngine struct {
-	g *roadnet.Graph
-	w Weight
-}
+type dijkstraEngine struct{ engineBase }
 
 // NewDijkstraEngine wraps plain workspace Dijkstra as an Engine. It is the
 // no-preprocessing baseline every other engine must agree with.
 func NewDijkstraEngine(g *roadnet.Graph, w Weight) Engine {
-	return &dijkstraEngine{g: g, w: w}
+	return &dijkstraEngine{newEngineBase(g, w)}
 }
 
-func (e *dijkstraEngine) Kind() EngineKind      { return EngineDijkstra }
-func (e *dijkstraEngine) Graph() *roadnet.Graph { return e.g }
-func (e *dijkstraEngine) Weight() Weight        { return e.w }
+func (e *dijkstraEngine) Kind() EngineKind { return EngineDijkstra }
 
 func (e *dijkstraEngine) Shortest(src, dst roadnet.VertexID) (Path, error) {
 	return Dijkstra(e.g, src, dst, e.w)
@@ -161,28 +178,34 @@ func boundedManyToMany(g *roadnet.Graph, w Weight, sources, targets []roadnet.Ve
 // --- ALT backend ---
 
 type altEngine struct {
+	engineBase
 	a *ALT
 }
 
 // EngineFromALT wraps a prebuilt ALT structure as an Engine.
-func EngineFromALT(a *ALT) Engine { return &altEngine{a: a} }
+func EngineFromALT(a *ALT) Engine { return &altEngine{newEngineBase(a.g, a.w), a} }
 
-func (e *altEngine) Kind() EngineKind      { return EngineALT }
-func (e *altEngine) Graph() *roadnet.Graph { return e.a.g }
-func (e *altEngine) Weight() Weight        { return e.a.w }
+func (e *altEngine) Kind() EngineKind { return EngineALT }
 
 func (e *altEngine) Shortest(src, dst roadnet.VertexID) (Path, error) {
-	return e.a.Query(src, dst)
+	return e.ShortestCtx(context.Background(), src, dst)
 }
 
+// ShortestCtx is A* toward dst under the landmark bound. Costs equal
+// Dijkstra's; the heuristic only prunes the search.
 func (e *altEngine) ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error) {
-	return e.a.QueryCtx(ctx, src, dst)
+	ws := GetWorkspace(e.g)
+	defer ws.Release()
+	ws.bindContext(ctx)
+	ws.useWeights(&e.tab)
+	ws.setGoalAux(e.g, dst, e.a.boundTo(dst))
+	return ws.aStar(e.g, src, dst)
 }
 
 func (e *altEngine) ManyToMany(sources, targets []roadnet.VertexID, bound float64, out [][]float64) {
 	// Landmark bounds are goal-directed and do not compose across a target
 	// set, so many-to-many falls back to bounded multi-target Dijkstra.
-	boundedManyToMany(e.a.g, e.a.w, sources, targets, bound, out)
+	boundedManyToMany(e.g, e.w, sources, targets, bound, out)
 }
 
 func (e *altEngine) spurHeuristic(dst roadnet.VertexID) func(roadnet.VertexID) float64 {
@@ -192,20 +215,20 @@ func (e *altEngine) spurHeuristic(dst roadnet.VertexID) func(roadnet.VertexID) f
 // --- CH backend ---
 
 type chEngine struct {
-	ch *ContractionHierarchy
-	g  *roadnet.Graph
-	w  Weight
+	engineBase
+	ch  *ContractionHierarchy
+	alt *ALT // landmark tables for spur searches; may be nil
 }
 
 // EngineFromCH wraps a prebuilt contraction hierarchy as an Engine. w must
-// be the weight function the hierarchy was built with.
-func EngineFromCH(ch *ContractionHierarchy, g *roadnet.Graph, w Weight) Engine {
-	return &chEngine{ch: ch, g: g, w: w}
+// be the weight function the hierarchy was built with. alt, when non-nil,
+// holds landmark tables over the same graph and weight: the hierarchy
+// answers point-to-point queries, the tables bound Yen's spur searches.
+func EngineFromCH(ch *ContractionHierarchy, alt *ALT, g *roadnet.Graph, w Weight) Engine {
+	return &chEngine{newEngineBase(g, w), ch, alt}
 }
 
-func (e *chEngine) Kind() EngineKind      { return EngineCH }
-func (e *chEngine) Graph() *roadnet.Graph { return e.g }
-func (e *chEngine) Weight() Weight        { return e.w }
+func (e *chEngine) Kind() EngineKind { return EngineCH }
 
 func (e *chEngine) Shortest(src, dst roadnet.VertexID) (Path, error) {
 	return e.ShortestCtx(context.Background(), src, dst)
@@ -221,11 +244,7 @@ func (e *chEngine) ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (
 	// accumulation in the last ulp. Re-sum the unpacked edges left to right
 	// — exactly Dijkstra's association — so costs are bit-identical across
 	// engines.
-	var cost float64
-	for _, eid := range p.Edges {
-		cost += e.w(e.g.Edge(eid))
-	}
-	p.Cost = cost
+	p.Cost = sumWeights(e.tab.wts, p.Edges)
 	return p, nil
 }
 
@@ -233,6 +252,9 @@ func (e *chEngine) ManyToMany(sources, targets []roadnet.VertexID, bound float64
 	e.ch.ManyToMany(sources, targets, bound, out)
 }
 
-func (e *chEngine) spurHeuristic(roadnet.VertexID) func(roadnet.VertexID) float64 {
-	return nil
+func (e *chEngine) spurHeuristic(dst roadnet.VertexID) func(roadnet.VertexID) float64 {
+	if e.alt == nil {
+		return nil
+	}
+	return e.alt.boundTo(dst)
 }

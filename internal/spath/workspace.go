@@ -35,11 +35,14 @@ type Workspace struct {
 	heap  heap4
 	heapB heap4
 
-	// wts caches the weight of every edge for the current query's Weight
-	// function, so the relaxation loop pays one array load instead of an
-	// indirect call with an Edge-struct argument. Yen's TopK fills it once
-	// and shares it across all spur queries.
+	// wts is the weight of every edge for the current query, so the
+	// relaxation loop pays one array load instead of an indirect call with
+	// an Edge-struct argument. It is either own's (fillWeights) or an
+	// Engine's immutable shared table (useWeights); only own is ever
+	// written, so a pooled workspace that last borrowed an engine's table
+	// cannot clobber it.
 	wts []float64
+	own weightTable
 
 	// Ban stamps for constrained (Yen spur) queries.
 	banV   []uint32
@@ -149,7 +152,8 @@ func GetWorkspace(g *roadnet.Graph) *Workspace {
 // Release returns the workspace to the shared pool. The workspace must not
 // be used after Release.
 func (ws *Workspace) Release() {
-	ws.heurAux = nil // do not retain engine closures in the pool
+	ws.heurAux = nil // do not retain engine closures or tables in the pool
+	ws.wts = nil
 	ws.clearContext()
 	wsPool.Put(ws)
 }
@@ -200,21 +204,28 @@ func clearU32(s []uint32) {
 	}
 }
 
-// fillWeights evaluates w once per edge into the workspace's weight cache
-// and records the best cost-per-meter ratio, which makes the straight-line
-// distance an admissible, consistent lower bound under w (the same
-// construction the package-level AStar uses).
-func (ws *Workspace) fillWeights(g *roadnet.Graph, w Weight) {
+// weightTable is the weight of every edge under one Weight function plus
+// the best cost-per-meter ratio, which makes the scaled straight-line
+// distance an admissible, consistent lower bound under that weight (the
+// same construction the package-level AStar uses). An Engine builds one at
+// construction and shares it, read-only, with every query.
+type weightTable struct {
+	wts   []float64
+	scale float64
+}
+
+// fill evaluates w once per edge of g into t, reusing t's buffer.
+func (t *weightTable) fill(g *roadnet.Graph, w Weight) {
 	m := g.NumEdges()
-	if cap(ws.wts) < m {
-		ws.wts = make([]float64, m)
+	if cap(t.wts) < m {
+		t.wts = make([]float64, m)
 	}
-	ws.wts = ws.wts[:m]
+	t.wts = t.wts[:m]
 	scale := math.Inf(1)
 	for i := 0; i < m; i++ {
 		e := g.Edge(roadnet.EdgeID(i))
 		wt := w(e)
-		ws.wts[i] = wt
+		t.wts[i] = wt
 		if r := wt / e.Length; r < scale {
 			scale = r
 		}
@@ -222,7 +233,20 @@ func (ws *Workspace) fillWeights(g *roadnet.Graph, w Weight) {
 	if math.IsInf(scale, 1) {
 		scale = 0
 	}
-	ws.heurScale = scale
+	t.scale = scale
+}
+
+// fillWeights points the cached-weight searches at w, evaluated into the
+// workspace's own buffer.
+func (ws *Workspace) fillWeights(g *roadnet.Graph, w Weight) {
+	ws.own.fill(g, w)
+	ws.useWeights(&ws.own)
+}
+
+// useWeights points the cached-weight searches at a prebuilt table.
+func (ws *Workspace) useWeights(t *weightTable) {
+	ws.wts = t.wts
+	ws.heurScale = t.scale
 }
 
 // setGoal points the heuristic cache at dst, invalidating memoized bounds.
@@ -442,21 +466,20 @@ func (ws *Workspace) BoundedDistances(g *roadnet.Graph, src roadnet.VertexID, ta
 // shares the weight cache, admissible scale, and memoized goal heuristic
 // with Yen's spur searches.
 func (ws *Workspace) AStar(g *roadnet.Graph, src, dst roadnet.VertexID, w Weight) (Path, error) {
-	return ws.AStarAux(g, src, dst, w, nil)
+	ws.ensure(g)
+	ws.fillWeights(g, w)
+	ws.setGoal(g, dst)
+	return ws.aStar(g, src, dst)
 }
 
-// AStarAux is AStar with an additional admissible per-vertex lower bound on
-// the cost to dst (e.g. ALT landmark bounds), combined with the geometric
-// heuristic by max. A nil aux degrades to plain AStar. The heuristic must
-// be admissible for optimality; landmark triangle bounds and the scaled
-// straight-line distance both are, and so is their max.
-func (ws *Workspace) AStarAux(g *roadnet.Graph, src, dst roadnet.VertexID, w Weight, aux func(roadnet.VertexID) float64) (Path, error) {
+// aStar searches src→dst over the current weight table toward the goal
+// the caller pointed setGoalAux at. The heuristic must be admissible for
+// optimality; landmark triangle bounds and the scaled straight-line
+// distance both are, and so is their max.
+func (ws *Workspace) aStar(g *roadnet.Graph, src, dst roadnet.VertexID) (Path, error) {
 	if src == dst {
 		return Path{Vertices: []roadnet.VertexID{src}}, nil
 	}
-	ws.ensure(g)
-	ws.fillWeights(g, w)
-	ws.setGoalAux(g, dst, aux)
 	ws.begin()
 	gen := ws.gen
 	ws.dist[src] = 0

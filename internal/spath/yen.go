@@ -2,7 +2,6 @@ package spath
 
 import (
 	"context"
-	"sort"
 
 	"pathrank/internal/roadnet"
 )
@@ -13,27 +12,53 @@ import (
 // paths only until enough diverse ones are accepted, instead of eagerly
 // enumerating the full probe budget and filtering afterwards.
 //
+// A path created by a spur search at index i of its parent shares the
+// parent's first i edges, so at every index below i its ban set is the one
+// an earlier emitted path already searched under and the result would be a
+// duplicate. next therefore spurs only from that deviation index onward
+// (Lawler's rule); the sequence of pending candidates, and so the emitted
+// sequence, is the one spurring from index 0 produces.
+//
+// Pending candidates sit in a min-heap ordered by (cost, creation order):
+// equal-cost candidates are emitted in the order their spur searches found
+// them.
+//
 // All spur queries share the enclosing pooled Workspace: the banned
 // vertex/edge sets are generation-stamped arrays rather than per-iteration
-// maps, the edge-weight cache is filled once, and the goal heuristic
-// (geometric, optionally strengthened by an engine's landmark bounds) is
-// memoized per destination.
+// maps, the edge-weight table is the workspace's current one, and the goal
+// heuristic (geometric, strengthened by an engine's landmark bounds when it
+// has them) is memoized per destination.
 type yenEnum struct {
-	g          *roadnet.Graph
-	ws         *Workspace
-	w          Weight
-	dst        roadnet.VertexID
-	paths      []Path // emitted so far, increasing cost
-	candidates []Path
-	seen       map[string]bool
+	g        *roadnet.Graph
+	ws       *Workspace
+	dst      roadnet.VertexID
+	paths    []Path // emitted so far, increasing cost
+	devs     []int  // devs[j] is the spur index paths[j] was created at
+	pending  []yenCand
+	searches int             // spur searches run
+	seen     map[string]bool // every path ever created, emitted or pending
+	shared   []int           // scratch: leading edges each emitted path shares with the one being spurred
+}
+
+// yenCand is a pending candidate: the path, the spur index it deviates
+// from its parent at, and its creation sequence number.
+type yenCand struct {
+	Path
+	dev, seq int
+}
+
+func (a yenCand) before(b yenCand) bool {
+	return a.Cost < b.Cost || (a.Cost == b.Cost && a.seq < b.seq)
 }
 
 // newYenEnum starts an enumeration whose first emitted path is first. The
-// caller must have filled ws's weight cache and goal heuristic for (w, dst).
-func newYenEnum(g *roadnet.Graph, ws *Workspace, w Weight, dst roadnet.VertexID, first Path) *yenEnum {
+// caller must have pointed ws's weight table and goal heuristic at the
+// query's weight and dst.
+func newYenEnum(g *roadnet.Graph, ws *Workspace, dst roadnet.VertexID, first Path) *yenEnum {
 	return &yenEnum{
-		g: g, ws: ws, w: w, dst: dst,
+		g: g, ws: ws, dst: dst,
 		paths: []Path{first},
+		devs:  []int{0},
 		seen:  map[string]bool{pathKey(first): true},
 	}
 }
@@ -46,17 +71,25 @@ func (y *yenEnum) next() (Path, bool) {
 	if y.ws.ctxErr != nil {
 		return Path{}, false
 	}
-	prev := y.paths[len(y.paths)-1]
-	// Each vertex of the previous path except the last is a spur node.
-	for i := 0; i < len(prev.Vertices)-1; i++ {
+	last := len(y.paths) - 1
+	prev := y.paths[last]
+	// Roots are compared by edge, not vertex: between parallel edges the
+	// vertex sequence does not tell two roots apart.
+	y.shared = y.shared[:0]
+	for _, p := range y.paths {
+		y.shared = append(y.shared, commonPrefix(p.Edges, prev.Edges))
+	}
+	// Each vertex of the previous path from its deviation index on, except
+	// the last, is a spur node.
+	for i := y.devs[last]; i < len(prev.Vertices)-1; i++ {
 		spur := prev.Vertices[i]
 		rootVertices := prev.Vertices[:i+1]
 		rootEdges := prev.Edges[:i]
 
 		y.ws.resetBans(y.g)
 		// Ban the next edge of every accepted path sharing this root.
-		for _, p := range y.paths {
-			if sharesRoot(p, rootVertices) && len(p.Edges) > i {
+		for j, p := range y.paths {
+			if y.shared[j] >= i && len(p.Edges) > i {
 				y.ws.banEdge(p.Edges[i])
 			}
 		}
@@ -65,26 +98,168 @@ func (y *yenEnum) next() (Path, bool) {
 			y.ws.banVertex(v)
 		}
 
+		y.searches++
 		spurPath, ok := y.ws.dijkstraConstrained(y.g, spur, y.dst)
 		if !ok {
 			continue
 		}
-		total := joinPaths(y.g, rootVertices, rootEdges, spurPath, y.w)
+		total := joinPaths(y.ws.wts, rootVertices, rootEdges, spurPath)
 		key := pathKey(total)
 		if y.seen[key] {
 			continue
 		}
 		y.seen[key] = true
-		y.candidates = append(y.candidates, total)
+		y.push(yenCand{total, i, len(y.seen)})
 	}
-	if len(y.candidates) == 0 {
+	if len(y.pending) == 0 {
 		return Path{}, false
 	}
-	sort.Slice(y.candidates, func(a, b int) bool { return y.candidates[a].Cost < y.candidates[b].Cost })
-	p := y.candidates[0]
-	y.candidates = y.candidates[1:]
-	y.paths = append(y.paths, p)
-	return p, true
+	c := y.pop()
+	y.paths = append(y.paths, c.Path)
+	y.devs = append(y.devs, c.dev)
+	return c.Path, true
+}
+
+func (y *yenEnum) push(c yenCand) {
+	h := append(y.pending, c)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !c.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = c
+	y.pending = h
+}
+
+func (y *yenEnum) pop() yenCand {
+	h := y.pending
+	top := h[0]
+	n := len(h) - 1
+	c := h[n]
+	h[n] = yenCand{} // drop the path references
+	h = h[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && h[r].before(h[l]) {
+			l = r
+		}
+		if !h[l].before(c) {
+			break
+		}
+		h[i] = h[l]
+		i = l
+	}
+	if n > 0 {
+		h[i] = c
+	}
+	y.pending = h
+	return top
+}
+
+// EnumStats describes one Yen enumeration run: how many paths were
+// examined, the largest cost among them, and whether the loopless path
+// set was exhausted before the caller's budget. The sharded router uses
+// it to certify corridor-restricted enumerations: a run whose MaxCost
+// stayed strictly inside the corridor bound and that did not exhaust the
+// (restricted) path set is bit-identical to the same run on the full
+// graph.
+type EnumStats struct {
+	// Probes is the number of paths pulled from the enumerator,
+	// including the initial shortest path.
+	Probes int
+	// MaxCost is the largest cost among the examined paths (Yen emits in
+	// increasing cost order, so this is the cost of the last one); 0 when
+	// nothing was examined.
+	MaxCost float64
+	// Exhausted reports that the enumerator ran out of loopless paths
+	// before the probe/k budget was spent.
+	Exhausted bool
+	// SpurSearches is the number of constrained searches the run made.
+	SpurSearches int
+}
+
+// enumerate is the one body behind TopK and DiversifiedTopK and their
+// engine, context and statistics variants. The first path comes from e's
+// point-to-point query (a CH bidirectional upward search or goal-directed
+// ALT A*) when e is non-nil and from plain Dijkstra on g under w otherwise;
+// spur searches read e's weight table and landmark bound, or a per-query
+// fill of w and the geometric bound. Paths are then pulled in Yen order and
+// greedily accepted — every one when sim is nil, else each one whose
+// similarity to everything accepted so far is at most threshold — until k
+// are accepted, maxProbe have been examined, or the path set is exhausted.
+func enumerate(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, EnumStats, error) {
+	var st EnumStats
+	if k <= 0 {
+		return nil, st, nil
+	}
+	if maxProbe < k {
+		maxProbe = 10 * k
+	}
+	ws := GetWorkspace(g)
+	defer ws.Release()
+	ws.bindContext(ctx)
+	// One weight per edge and one goal-heuristic cache, shared by every
+	// spur query below.
+	var p Path
+	var err error
+	if e != nil {
+		ws.useWeights(e.weights())
+		ws.setGoalAux(g, dst, e.spurHeuristic(dst))
+		p, err = e.ShortestCtx(ctx, src, dst)
+	} else {
+		ws.fillWeights(g, w)
+		ws.setGoal(g, dst)
+		p, err = ws.Dijkstra(g, src, dst, w)
+	}
+	if err != nil {
+		return nil, st, err
+	}
+	y := newYenEnum(g, ws, dst, p)
+	accepted := make([]Path, 0, k)
+	st.Probes, st.MaxCost = 1, p.Cost
+	for {
+		if dissimilar(p, accepted, sim, threshold) {
+			accepted = append(accepted, p)
+			if len(accepted) == k {
+				break
+			}
+		}
+		if st.Probes >= maxProbe {
+			break
+		}
+		var more bool
+		if p, more = y.next(); !more {
+			st.Exhausted = ws.ctxErr == nil
+			break
+		}
+		st.Probes++
+		st.MaxCost = p.Cost
+	}
+	st.SpurSearches = y.searches
+	if ws.ctxErr != nil {
+		return nil, st, ws.ctxErr
+	}
+	return accepted, st, nil
+}
+
+func dissimilar(p Path, accepted []Path, sim Similarity, threshold float64) bool {
+	if sim == nil {
+		return true
+	}
+	for _, q := range accepted {
+		if sim(p, q) > threshold {
+			return false
+		}
+	}
+	return true
 }
 
 // TopK returns up to k loopless shortest paths from src to dst in increasing
@@ -100,38 +275,19 @@ func TopK(g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight) ([]Path,
 // amortized over heap pops, so with a never-canceled (or Background)
 // context results are bit-identical to TopK at indistinguishable cost.
 func TopKCtx(ctx context.Context, g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight) ([]Path, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	ws := GetWorkspace(g)
-	defer ws.Release()
-	ws.bindContext(ctx)
+	paths, _, err := TopKStatsCtx(ctx, g, src, dst, k, w)
+	return paths, err
+}
 
-	first, err := ws.Dijkstra(g, src, dst, w)
-	if err != nil {
-		return nil, err
-	}
-	// One weight evaluation per edge and one goal-heuristic cache, shared
-	// by every spur query below.
-	ws.fillWeights(g, w)
-	ws.setGoal(g, dst)
-	y := newYenEnum(g, ws, w, dst, first)
-	for len(y.paths) < k {
-		if _, ok := y.next(); !ok {
-			break
-		}
-	}
-	if ws.ctxErr != nil {
-		return nil, ws.ctxErr
-	}
-	return y.paths, nil
+// TopKStatsCtx is TopKCtx additionally reporting enumeration statistics.
+func TopKStatsCtx(ctx context.Context, g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight) ([]Path, EnumStats, error) {
+	return enumerate(ctx, g, nil, w, src, dst, k, nil, 0, k)
 }
 
 // TopKEngine is TopK running on a prepared Engine: the first path comes
-// from the engine's point-to-point query (a CH bidirectional upward search
-// or goal-directed ALT A*), and spur searches are strengthened by the
-// engine's admissible heuristic when it has one. Results equal TopK's —
-// distances are exact on every backend.
+// from the engine's point-to-point query, and spur searches read the
+// engine's weight table and are bounded by its landmark tables when it has
+// them. Results equal TopK's — distances are exact on every backend.
 func TopKEngine(e Engine, src, dst roadnet.VertexID, k int) ([]Path, error) {
 	return TopKEngineCtx(context.Background(), e, src, dst, k)
 }
@@ -139,57 +295,37 @@ func TopKEngine(e Engine, src, dst roadnet.VertexID, k int) ([]Path, error) {
 // TopKEngineCtx is TopKEngine honoring ctx; see TopKCtx for the
 // cancellation contract.
 func TopKEngineCtx(ctx context.Context, e Engine, src, dst roadnet.VertexID, k int) ([]Path, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	g := e.Graph()
-	ws := GetWorkspace(g)
-	defer ws.Release()
-
-	first, err := e.ShortestCtx(ctx, src, dst)
-	if err != nil {
-		return nil, err
-	}
-	ws.bindContext(ctx)
-	w := e.Weight()
-	ws.fillWeights(g, w)
-	ws.setGoalAux(g, dst, e.spurHeuristic(dst))
-	y := newYenEnum(g, ws, w, dst, first)
-	for len(y.paths) < k {
-		if _, ok := y.next(); !ok {
-			break
-		}
-	}
-	if ws.ctxErr != nil {
-		return nil, ws.ctxErr
-	}
-	return y.paths, nil
+	paths, _, err := enumerate(ctx, e.Graph(), e, nil, src, dst, k, nil, 0, k)
+	return paths, err
 }
 
-func sharesRoot(p Path, root []roadnet.VertexID) bool {
-	if len(p.Vertices) < len(root) {
-		return false
+// commonPrefix returns how many leading edges a and b share.
+func commonPrefix(a, b []roadnet.EdgeID) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
 	}
-	for i, v := range root {
-		if p.Vertices[i] != v {
-			return false
-		}
-	}
-	return true
+	return n
 }
 
-func joinPaths(g *roadnet.Graph, rootVertices []roadnet.VertexID, rootEdges []roadnet.EdgeID, spur Path, w Weight) Path {
+// sumWeights adds the weights of edges left to right — exactly Dijkstra's
+// association, so a path's cost is bit-identical however it was found.
+func sumWeights(wts []float64, edges []roadnet.EdgeID) float64 {
+	var cost float64
+	for _, eid := range edges {
+		cost += wts[eid]
+	}
+	return cost
+}
+
+func joinPaths(wts []float64, rootVertices []roadnet.VertexID, rootEdges []roadnet.EdgeID, spur Path) Path {
 	edges := make([]roadnet.EdgeID, 0, len(rootEdges)+len(spur.Edges))
 	edges = append(edges, rootEdges...)
 	edges = append(edges, spur.Edges...)
 	vertices := make([]roadnet.VertexID, 0, len(edges)+1)
 	vertices = append(vertices, rootVertices...)
 	vertices = append(vertices, spur.Vertices[1:]...)
-	var cost float64
-	for _, eid := range edges {
-		cost += w(g.Edge(eid))
-	}
-	return Path{Vertices: vertices, Edges: edges, Cost: cost}
+	return Path{Vertices: vertices, Edges: edges, Cost: sumWeights(wts, edges)}
 }
 
 func pathKey(p Path) string {

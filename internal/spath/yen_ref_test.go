@@ -1,0 +1,633 @@
+package spath
+
+import (
+	"container/heap"
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+
+	"pathrank/internal/geo"
+	"pathrank/internal/roadnet"
+)
+
+// This file holds an independent reference for the Yen enumerator. Every
+// other exactness check in the repository — the engine-vs-plain tests, the
+// benchmark's oracle — runs yenEnum on both sides, so a defect in its spur
+// loop is invisible to them. refYen shares nothing with it: it spurs from
+// every index of every emitted path, searches with a map-based Dijkstra
+// that has no workspace and no heuristic, and keeps its candidates in a
+// stably sorted slice.
+
+// refYen is textbook Yen: next returns the loopless src→dst paths of g
+// under w in increasing cost, equal costs in the order they were found.
+type refYen struct {
+	g        *roadnet.Graph
+	w        Weight
+	src, dst roadnet.VertexID
+	a, b     []Path
+	searches int
+}
+
+func (r *refYen) next() (Path, bool) {
+	if len(r.a) == 0 {
+		edges, ok := refDijkstra(r.g, r.w, r.src, r.dst, nil, nil)
+		if !ok {
+			return Path{}, false
+		}
+		r.a = append(r.a, refPath(r.g, r.w, r.src, edges))
+		return r.a[0], true
+	}
+	prev := r.a[len(r.a)-1]
+	for i := 0; i < len(prev.Edges); i++ {
+		banE := map[roadnet.EdgeID]bool{}
+		for _, p := range r.a {
+			if len(p.Edges) > i && sameEdges(p.Edges[:i], prev.Edges[:i]) {
+				banE[p.Edges[i]] = true
+			}
+		}
+		banV := map[roadnet.VertexID]bool{}
+		for _, v := range prev.Vertices[:i] {
+			banV[v] = true
+		}
+		r.searches++
+		spur, ok := refDijkstra(r.g, r.w, prev.Vertices[i], r.dst, banV, banE)
+		if !ok {
+			continue
+		}
+		edges := append(append([]roadnet.EdgeID(nil), prev.Edges[:i]...), spur...)
+		known := false
+		for _, q := range r.b {
+			known = known || sameEdges(q.Edges, edges)
+		}
+		if !known {
+			r.b = append(r.b, refPath(r.g, r.w, r.src, edges))
+		}
+	}
+	if len(r.b) == 0 {
+		return Path{}, false
+	}
+	sort.SliceStable(r.b, func(i, j int) bool { return r.b[i].Cost < r.b[j].Cost })
+	p := r.b[0]
+	r.b = r.b[1:]
+	r.a = append(r.a, p)
+	return p, true
+}
+
+func sameEdges(a, b []roadnet.EdgeID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// refPath builds the path of edges from src, its cost summed left to right.
+func refPath(g *roadnet.Graph, w Weight, src roadnet.VertexID, edges []roadnet.EdgeID) Path {
+	p := Path{Vertices: []roadnet.VertexID{src}, Edges: edges}
+	for _, eid := range edges {
+		e := g.Edge(eid)
+		p.Vertices = append(p.Vertices, e.To)
+		p.Cost += w(e)
+	}
+	return p
+}
+
+type refItem struct {
+	v    roadnet.VertexID
+	dist float64
+}
+type refHeap []refItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(refItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// refDijkstra returns the edges of a cheapest src→dst path avoiding the
+// banned vertices and edges.
+func refDijkstra(g *roadnet.Graph, w Weight, src, dst roadnet.VertexID, banV map[roadnet.VertexID]bool, banE map[roadnet.EdgeID]bool) ([]roadnet.EdgeID, bool) {
+	dist := map[roadnet.VertexID]float64{src: 0}
+	parent := map[roadnet.VertexID]roadnet.EdgeID{}
+	done := map[roadnet.VertexID]bool{}
+	h := &refHeap{{v: src}}
+	for h.Len() > 0 {
+		it := heap.Pop(h).(refItem)
+		if done[it.v] {
+			continue
+		}
+		done[it.v] = true
+		if it.v == dst {
+			var rev []roadnet.EdgeID
+			for v := dst; v != src; v = g.Edge(parent[v]).From {
+				rev = append(rev, parent[v])
+			}
+			edges := make([]roadnet.EdgeID, len(rev))
+			for i, e := range rev {
+				edges[len(rev)-1-i] = e
+			}
+			return edges, true
+		}
+		for _, eid := range g.OutEdges(it.v) {
+			e := g.Edge(eid)
+			if banE[eid] || banV[e.To] {
+				continue
+			}
+			nd := it.dist + w(e)
+			if old, ok := dist[e.To]; !ok || nd < old {
+				dist[e.To] = nd
+				parent[e.To] = eid
+				heap.Push(h, refItem{v: e.To, dist: nd})
+			}
+		}
+	}
+	return nil, false
+}
+
+// refSeq memoizes a reference enumeration so one pair's sequence serves
+// every k and every engine it is compared against.
+type refSeq struct {
+	y     refYen
+	paths []Path
+	dry   bool
+}
+
+func newRefSeq(g *roadnet.Graph, w Weight, src, dst roadnet.VertexID) *refSeq {
+	return &refSeq{y: refYen{g: g, w: w, src: src, dst: dst}}
+}
+
+// first returns up to n leading paths of the sequence.
+func (s *refSeq) first(n int) []Path {
+	for len(s.paths) < n && !s.dry {
+		p, ok := s.y.next()
+		if !ok {
+			s.dry = true
+			break
+		}
+		s.paths = append(s.paths, p)
+	}
+	return s.paths[:min(n, len(s.paths))]
+}
+
+// diversified is the greedy D-TkDI filter over the reference sequence.
+func (s *refSeq) diversified(k int, sim Similarity, threshold float64, maxProbe int) []Path {
+	var accepted []Path
+	for i := 0; i < maxProbe && len(accepted) < k; i++ {
+		seq := s.first(i + 1)
+		if len(seq) <= i {
+			break
+		}
+		ok := true
+		for _, q := range accepted {
+			ok = ok && sim(seq[i], q) <= threshold
+		}
+		if ok {
+			accepted = append(accepted, seq[i])
+		}
+	}
+	return accepted
+}
+
+// diffSequence describes the first difference between got and want —
+// vertices, edges or the bits of a cost — or returns "" when there is none.
+func diffSequence(got, want []Path) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d paths, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !sameEdges(got[i].Edges, want[i].Edges) {
+			return fmt.Sprintf("path %d edges %v, want %v", i, got[i].Edges, want[i].Edges)
+		}
+		if fmt.Sprint(got[i].Vertices) != fmt.Sprint(want[i].Vertices) {
+			return fmt.Sprintf("path %d vertices %v, want %v", i, got[i].Vertices, want[i].Vertices)
+		}
+		if math.Float64bits(got[i].Cost) != math.Float64bits(want[i].Cost) {
+			return fmt.Sprintf("path %d cost %x, want %x", i, math.Float64bits(got[i].Cost), math.Float64bits(want[i].Cost))
+		}
+	}
+	return ""
+}
+
+func requireSameSequence(t testing.TB, what string, got, want []Path) {
+	t.Helper()
+	if d := diffSequence(got, want); d != "" {
+		t.Fatalf("%s: %s", what, d)
+	}
+}
+
+// enumSetup is one way to run the production enumeration under w: e nil
+// is the plain entry points, otherwise the engine ones.
+type enumSetup struct {
+	name string
+	w    Weight
+	e    Engine
+}
+
+func (s enumSetup) topK(g *roadnet.Graph, src, dst roadnet.VertexID, k int) ([]Path, error) {
+	if s.e == nil {
+		return TopK(g, src, dst, k, s.w)
+	}
+	return TopKEngine(s.e, src, dst, k)
+}
+
+func (s enumSetup) diversified(g *roadnet.Graph, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
+	if s.e == nil {
+		return DiversifiedTopK(g, src, dst, k, s.w, sim, threshold, maxProbe)
+	}
+	return DiversifiedTopKEngine(s.e, src, dst, k, sim, threshold, maxProbe)
+}
+
+// enumSetups covers every heuristic a spur search can run under: the
+// geometric bound alone (plain, Dijkstra, CH without tables) and the
+// landmark bound (ALT, CH with tables).
+func enumSetups(g *roadnet.Graph, w Weight, ch *ContractionHierarchy, alt *ALT) []enumSetup {
+	return []enumSetup{
+		{"plain", w, nil},
+		{"dijkstra", w, NewDijkstraEngine(g, w)},
+		{"alt", w, EngineFromALT(alt)},
+		{"ch+tables", w, EngineFromCH(ch, alt, g, w)},
+		{"ch", w, EngineFromCH(ch, nil, g, w)},
+	}
+}
+
+// requireMatchesReference compares TopK k ∈ {1, 5, 32} and D-TkDI k=5 θ=0.8
+// on every setup with the reference enumeration of src→dst.
+func requireMatchesReference(t testing.TB, g *roadnet.Graph, setups []enumSetup, src, dst roadnet.VertexID) {
+	t.Helper()
+	ref := newRefSeq(g, setups[0].w, src, dst)
+	if len(ref.first(1)) == 0 {
+		for _, s := range setups {
+			if _, err := s.topK(g, src, dst, 5); err != ErrNoPath {
+				t.Fatalf("%s %d->%d: err %v, reference finds no path", s.name, src, dst, err)
+			}
+		}
+		return
+	}
+	for _, s := range setups {
+		for _, k := range []int{1, 5, 32} {
+			got, err := s.topK(g, src, dst, k)
+			if err != nil {
+				t.Fatalf("%s TopK %d->%d k=%d: %v", s.name, src, dst, k, err)
+			}
+			requireSameSequence(t, fmt.Sprintf("%s TopK %d->%d k=%d", s.name, src, dst, k), got, ref.first(k))
+		}
+		got, err := s.diversified(g, src, dst, 5, jaccard, 0.8, 50)
+		if err != nil {
+			t.Fatalf("%s D-TkDI %d->%d: %v", s.name, src, dst, err)
+		}
+		requireSameSequence(t, fmt.Sprintf("%s D-TkDI %d->%d", s.name, src, dst), got, ref.diversified(5, jaccard, 0.8, 50))
+	}
+}
+
+// benchWorld is the repository benchmark's world (benchmark/world.go: 56x56
+// DefaultGenConfig, seed 1) with its prep, built once per test binary.
+var benchWorld struct {
+	once sync.Once
+	g    *roadnet.Graph
+	prep *Prep
+	err  error
+}
+
+const benchWorldSide = 56
+
+func benchWorldPrep(t testing.TB) (*roadnet.Graph, *Prep) {
+	t.Helper()
+	benchWorld.once.Do(func() {
+		cfg := roadnet.DefaultGenConfig()
+		cfg.Rows, cfg.Cols, cfg.Seed = benchWorldSide, benchWorldSide, 1
+		benchWorld.g, benchWorld.err = roadnet.Generate(cfg)
+		if benchWorld.err == nil {
+			benchWorld.prep = BuildPrep(benchWorld.g, PrepConfig{})
+		}
+	})
+	if benchWorld.err != nil {
+		t.Fatal(benchWorld.err)
+	}
+	return benchWorld.g, benchWorld.prep
+}
+
+// crosstownPairs draws n fixed origin-destination cells of the benchmark
+// world whose grid distance steps through 20..40 hops, the shape of the
+// crosstown_uncached workload (the generator BenchmarkCandidatesByEngine
+// uses). The reference costs ~0.5 s a pair at k=32, so short and race runs
+// take a sample.
+func crosstownPairs(n int) [][2]roadnet.VertexID {
+	if testing.Short() || raceEnabled {
+		n = min(n, 6)
+	}
+	const side, lo, hi = benchWorldSide, 20, 40
+	rng := rand.New(rand.NewSource(1))
+	out := make([][2]roadnet.VertexID, 0, n)
+	for len(out) < n {
+		hops := lo + len(out)%(hi-lo+1)
+		dr := rng.Intn(min(hops, side-1) + 1)
+		dc := hops - dr
+		r0, c0 := rng.Intn(side), rng.Intn(side)
+		r1, c1 := r0+dr*(1-2*rng.Intn(2)), c0+dc*(1-2*rng.Intn(2))
+		if dc >= side || r1 < 0 || r1 >= side || c1 < 0 || c1 >= side {
+			continue
+		}
+		out = append(out, [2]roadnet.VertexID{roadnet.VertexID(r0*side + c0), roadnet.VertexID(r1*side + c1)})
+	}
+	return out
+}
+
+// TestYenMatchesReference is the exactness check of the spur loop: on
+// jittered worlds, where costs are distinct, every entry point on every
+// engine emits exactly the reference's sequence.
+func TestYenMatchesReference(t *testing.T) {
+	t.Run("random-worlds", func(t *testing.T) {
+		for seed := int64(1); seed <= 5; seed++ {
+			g := randomTestGraph(t, seed)
+			setups := enumSetups(g, ByLength, BuildCH(g, ByLength), BuildALT(g, ByLength, 4))
+			rng := rand.New(rand.NewSource(seed * 131))
+			for trial := 0; trial < 8; trial++ {
+				requireMatchesReference(t, g, setups, randVertex(rng, g.NumVertices()), randVertex(rng, g.NumVertices()))
+			}
+		}
+	})
+	t.Run("crosstown", func(t *testing.T) {
+		g, prep := benchWorldPrep(t)
+		setups := enumSetups(g, ByLength, prep.CH, prep.ALT)
+		// The reference dominates and is independent per pair, so the
+		// pairs run as parallel subtests.
+		for _, p := range crosstownPairs(50) {
+			t.Run(fmt.Sprintf("%d-%d", p[0], p[1]), func(t *testing.T) {
+				t.Parallel()
+				requireMatchesReference(t, g, setups, p[0], p[1])
+			})
+		}
+	})
+}
+
+// TestYenUnitGridTies runs the enumeration where costs tie exactly. Which
+// of several equal-cost paths comes first is then a property of the search,
+// not of Yen, so the check is the cost sequence (unique for any correct
+// top-k), looplessness and distinctness.
+func TestYenUnitGridTies(t *testing.T) {
+	const side = 6
+	b := roadnet.NewBuilder(side*side, 4*side*side)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			b.AddVertex(geo.Point{Lon: 10 + 0.002*float64(c), Lat: 57 + 0.001*float64(r)})
+		}
+	}
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			v := roadnet.VertexID(r*side + c)
+			if c+1 < side {
+				b.AddBidirectional(v, v+1, roadnet.Residential)
+			}
+			if r+1 < side {
+				b.AddBidirectional(v, v+side, roadnet.Residential)
+			}
+		}
+	}
+	g := b.Build()
+	unit := func(roadnet.Edge) float64 { return 1 }
+	for _, pair := range [][2]roadnet.VertexID{{0, side*side - 1}, {2, 27}, {14, 15}} {
+		src, dst := pair[0], pair[1]
+		want := newRefSeq(g, unit, src, dst).first(32)
+		for _, s := range enumSetups(g, unit, BuildCH(g, unit), BuildALT(g, unit, 4)) {
+			got, err := s.topK(g, src, dst, 32)
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("%s %d->%d: %d paths (err %v), reference has %d", s.name, src, dst, len(got), err, len(want))
+			}
+			distinct := map[string]bool{}
+			for i, p := range got {
+				if math.Float64bits(p.Cost) != math.Float64bits(want[i].Cost) {
+					t.Fatalf("%s %d->%d: path %d costs %v, reference %v", s.name, src, dst, i, p.Cost, want[i].Cost)
+				}
+				if err := p.Validate(g); err != nil || p.Source() != src || p.Destination() != dst {
+					t.Fatalf("%s %d->%d: path %d %v invalid: %v", s.name, src, dst, i, p.Vertices, err)
+				}
+				if distinct[pathKey(p)] {
+					t.Fatalf("%s %d->%d: path %d %v emitted twice", s.name, src, dst, i, p.Edges)
+				}
+				distinct[pathKey(p)] = true
+			}
+		}
+	}
+}
+
+// TestYenSpurSearchBudget pins the work the spur loop does, as counts: a
+// next call searches exactly from its path's deviation index on, and over
+// the crosstown pairs the served configuration (CH with landmark tables,
+// D-TkDI k=5 θ=0.8) runs at most two thirds of the searches of the
+// reference, which spurs from every index, for the same probes and the
+// same accepted paths. (The first path deviates at 0 and later ones at a
+// uniformly spread index, so P probes cost about P/(2(P-1)) of the
+// reference: 56% at the nine probes a crosstown pair averages, never half.)
+func TestYenSpurSearchBudget(t *testing.T) {
+	g, prep := benchWorldPrep(t)
+	e := prep.Engine(EngineCH, g)
+	pairs := crosstownPairs(20)
+
+	t.Run("per-next", func(t *testing.T) {
+		src, dst := pairs[0][0], pairs[0][1]
+		first, err := e.Shortest(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := GetWorkspace(g)
+		defer ws.Release()
+		ws.useWeights(e.weights())
+		ws.setGoalAux(g, dst, e.spurHeuristic(dst))
+		y := newYenEnum(g, ws, dst, first)
+		for n := 1; n < 40; n++ {
+			prev, dev, before := y.paths[n-1], y.devs[n-1], y.searches
+			p, ok := y.next()
+			if !ok {
+				t.Fatalf("path set ran dry after %d paths", n)
+			}
+			if ran, budget := y.searches-before, len(prev.Vertices)-1-dev; ran != budget {
+				t.Fatalf("next %d ran %d searches; path has %d vertices and deviates at %d, want %d", n, ran, len(prev.Vertices), dev, budget)
+			}
+			// The new path's deviation index is where it leaves an
+			// already emitted path it shares a root with.
+			d, parented := y.devs[n], false
+			for _, q := range y.paths[:n] {
+				parented = parented || (len(q.Edges) > d && sameEdges(q.Edges[:d], p.Edges[:d]) && q.Edges[d] != p.Edges[d])
+			}
+			if !parented {
+				t.Fatalf("path %d records deviation index %d but no emitted path shares that root", n, d)
+			}
+		}
+	})
+
+	t.Run("crosstown-total", func(t *testing.T) {
+		var ran, refRan int
+		for _, p := range pairs {
+			got, st, err := enumerate(context.Background(), g, e, nil, p[0], p[1], 5, jaccard, 0.8, 50)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefSeq(g, ByLength, p[0], p[1])
+			requireSameSequence(t, fmt.Sprintf("D-TkDI %d->%d", p[0], p[1]), got, ref.diversified(5, jaccard, 0.8, 50))
+			if st.Probes != len(ref.paths) {
+				t.Fatalf("%d->%d: %d probes, reference %d", p[0], p[1], st.Probes, len(ref.paths))
+			}
+			ran += st.SpurSearches
+			refRan += ref.y.searches
+		}
+		t.Logf("%d pairs: %d spur searches, reference %d", len(pairs), ran, refRan)
+		if 3*ran > 2*refRan {
+			t.Fatalf("%d spur searches over %d pairs, want at most two thirds of the reference's %d", ran, len(pairs), refRan)
+		}
+	})
+}
+
+// TestEngineWeightTableNotClobbered guards the sharing introduced by
+// engine-owned weight tables: a pooled workspace that last read an
+// engine's table is later filled under another weight, and must write its
+// own buffer, never the engine's.
+func TestEngineWeightTableNotClobbered(t *testing.T) {
+	g := gridGraph(t, 9, 9)
+	e := BuildPrep(g, PrepConfig{Landmarks: 4}).Engine(EngineCH, g)
+	src, dst := roadnet.VertexID(0), roadnet.VertexID(g.NumVertices()-1)
+	table := append([]float64(nil), e.weights().wts...)
+	requireTableIntact := func(when string) {
+		t.Helper()
+		for i, w := range e.weights().wts {
+			if math.Float64bits(w) != math.Float64bits(table[i]) {
+				t.Fatalf("%s: engine weight of edge %d is %v, was %v", when, i, w, table[i])
+			}
+		}
+	}
+
+	ws := GetWorkspace(g)
+	ws.useWeights(e.weights())
+	ws.fillWeights(g, ByTime)
+	if &ws.wts[0] == &e.weights().wts[0] {
+		t.Fatal("fillWeights left the workspace aliasing the engine's table")
+	}
+	ws.Release()
+	requireTableIntact("fillWeights after useWeights")
+
+	want, err := TopKEngine(e, src, dst, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTime, err := TopK(g, src, dst, 8, ByTime) // the pooled workspace, another weight
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := TopKEngine(e, src, dst, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameSequence(t, "engine query after a plain ByTime query", got, want)
+	requireTableIntact("engine, plain ByTime, engine")
+
+	// The same interleaving from several goroutines, for -race.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if (w+i)%2 == 0 {
+					got, _ := TopKEngine(e, src, dst, 8)
+					if d := diffSequence(got, want); d != "" {
+						t.Errorf("concurrent engine query: %s", d)
+					}
+				} else {
+					got, _ := TopK(g, src, dst, 8, ByTime)
+					if d := diffSequence(got, wantTime); d != "" {
+						t.Errorf("concurrent plain ByTime query: %s", d)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	requireTableIntact("concurrent engine and plain queries")
+}
+
+// fuzzGraph decodes bytes into a small directed graph with jittered edge
+// lengths and a query on it: data[0..3] pick the vertex count (2..9), src,
+// dst and k (1..8); every following triple is an edge (from, to, jitter).
+// Vertices sit on a 3-wide lattice and an edge is at least as long as the
+// straight line between its ends, which keeps the geometric bound
+// admissible; the per-edge term keeps parallel edges from tying.
+func fuzzGraph(data []byte) (g *roadnet.Graph, src, dst roadnet.VertexID, k int) {
+	for len(data) < 4 {
+		data = append(data, 0)
+	}
+	n := 2 + int(data[0])%8
+	b := roadnet.NewBuilder(n, len(data)/3)
+	for i := 0; i < n; i++ {
+		b.AddVertex(geo.Point{Lon: 10 + 0.002*float64(i%3), Lat: 57 + 0.001*float64(i/3)})
+	}
+	for i, e := 0, data[4:]; len(e) >= 3 && i < 48; i, e = i+1, e[3:] {
+		from, to := roadnet.VertexID(int(e[0])%n), roadnet.VertexID(int(e[1])%n)
+		if from == to {
+			continue
+		}
+		line := geo.Distance(b.Vertex(from).Point, b.Vertex(to).Point)
+		b.AddEdgeWithLength(from, to, roadnet.Residential, line*(1+float64(e[2])/128)+0.37*float64(i+1))
+	}
+	return b.Build(), roadnet.VertexID(int(data[1]) % n), roadnet.VertexID(int(data[2]) % n), 1 + int(data[3])%8
+}
+
+// FuzzYenMatchesReference compares TopK on every setup with the reference
+// on arbitrary small directed graphs. Distinct reference costs make the
+// sequence unique and it is compared path for path; when the fuzzer finds
+// an exact tie only the cost sequence is.
+func FuzzYenMatchesReference(f *testing.F) {
+	f.Add([]byte{2, 0, 4, 3, 0, 1, 9, 1, 2, 40, 2, 3, 7, 3, 4, 90})                                                                          // a line
+	f.Add([]byte{2, 0, 3, 4, 0, 1, 10, 0, 2, 30, 1, 3, 50, 2, 3, 20, 1, 2, 5})                                                               // a diamond
+	f.Add([]byte{2, 0, 3, 2, 0, 1, 10, 2, 3, 10})                                                                                            // src and dst in different components
+	f.Add([]byte{1, 0, 2, 5, 0, 1, 10, 0, 1, 60, 0, 1, 200, 1, 2, 3, 1, 2, 77, 2, 0, 8})                                                     // parallel edges
+	f.Add([]byte{7, 0, 8, 7, 0, 1, 1, 1, 2, 2, 0, 3, 3, 3, 4, 4, 1, 4, 5, 4, 5, 6, 2, 5, 7, 4, 7, 8, 5, 8, 9, 7, 8, 10, 3, 6, 11, 6, 7, 12}) // a 3x3 grid
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, src, dst, k := fuzzGraph(data)
+		if g.NumEdges() == 0 {
+			return
+		}
+		want := newRefSeq(g, ByLength, src, dst).first(k + 1)
+		distinct := map[uint64]bool{}
+		for _, p := range want {
+			distinct[math.Float64bits(p.Cost)] = true
+		}
+		exact := len(distinct) == len(want)
+		want = want[:min(k, len(want))]
+		for _, s := range enumSetups(g, ByLength, BuildCH(g, ByLength), BuildALT(g, ByLength, 2)) {
+			got, err := s.topK(g, src, dst, k)
+			if len(want) == 0 {
+				if err != ErrNoPath {
+					t.Fatalf("%s %d->%d: err %v, reference finds no path", s.name, src, dst, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s %d->%d k=%d: %v", s.name, src, dst, k, err)
+			}
+			if exact {
+				requireSameSequence(t, fmt.Sprintf("%s %d->%d k=%d", s.name, src, dst, k), got, want)
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s %d->%d k=%d: %d paths, reference has %d", s.name, src, dst, k, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i].Cost) != math.Float64bits(want[i].Cost) {
+					t.Fatalf("%s %d->%d k=%d: path %d costs %v, reference %v", s.name, src, dst, k, i, got[i].Cost, want[i].Cost)
+				}
+			}
+		}
+	})
+}
