@@ -382,50 +382,76 @@ func BenchmarkDiversifiedTopK5CH(b *testing.B) {
 	}
 }
 
+// The world the repository benchmark serves (benchmark/world.go: 56x56
+// DefaultGenConfig, seed 1) with its prep, built once. The benchmarks on it
+// do not vary with PATHRANK_BENCH_QUICK: their numbers are only comparable
+// on this world.
+const servedSide = 56
+
+var (
+	servedOnce  sync.Once
+	servedGraph *roadnet.Graph
+	servedPrep  *spath.Prep
+	servedErr   error
+)
+
+func servedWorld(b *testing.B) (*roadnet.Graph, *spath.Prep) {
+	b.Helper()
+	servedOnce.Do(func() {
+		cfg := roadnet.DefaultGenConfig()
+		cfg.Rows, cfg.Cols, cfg.Seed = servedSide, servedSide, 1
+		if servedGraph, servedErr = roadnet.Generate(cfg); servedErr == nil {
+			servedPrep = spath.BuildPrep(servedGraph, spath.PrepConfig{})
+		}
+	})
+	if servedErr != nil {
+		b.Fatal(servedErr)
+	}
+	return servedGraph, servedPrep
+}
+
+// servedShapes are the benchmark's two request shapes: "crosstown" is 200
+// fixed pairs 20-40 grid hops apart under D-TkDI k=5 theta=0.8
+// (crosstown_uncached, one query a request); "local_k32" is 200 fixed
+// pairs 5-12 hops apart under TkDI k=32 (local_batch_k32, eight a request).
+var servedShapes = []struct {
+	name    string
+	pairs   [][2]roadnet.VertexID
+	cands   pathrank.DataConfig
+	perCall int // queries one served request scores in one sweep
+}{
+	{"crosstown", gridPairs(1, 200, 20, 40), pathrank.DataConfig{Strategy: pathrank.DTkDI, K: 5, Threshold: 0.8}, 1},
+	{"local_k32", gridPairs(2, 200, 5, 12), pathrank.DataConfig{Strategy: pathrank.TkDI, K: 32}, 8},
+}
+
+// gridPairs draws n origin-destination cells of the served world whose
+// grid distance steps through [lo, hi]; roadnet.Generate numbers the grid
+// row-major.
+func gridPairs(seed int64, n, lo, hi int) [][2]roadnet.VertexID {
+	const side = servedSide
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][2]roadnet.VertexID, 0, n)
+	for len(out) < n {
+		hops := lo + len(out)%(hi-lo+1)
+		dr := rng.Intn(min(hops, side-1) + 1)
+		dc := hops - dr
+		r0, c0 := rng.Intn(side), rng.Intn(side)
+		r1, c1 := r0+dr*(1-2*rng.Intn(2)), c0+dc*(1-2*rng.Intn(2))
+		if dc >= side || r1 < 0 || r1 >= side || c1 < 0 || c1 >= side {
+			continue
+		}
+		out = append(out, [2]roadnet.VertexID{roadnet.VertexID(r0*side + c0), roadnet.VertexID(r1*side + c1)})
+	}
+	return out
+}
+
 // BenchmarkCandidatesByEngine is the engines measurement ROADMAP item 4
 // asked for: one served candidate generation (Ranker.CandidatesFor, what
-// pathrank-serve runs on a cache miss) per iteration, on the world the
-// repository benchmark uses (benchmark/world.go: 56x56 DefaultGenConfig,
-// seed 1), over each engine a Prep can back. "crosstown" is 200 fixed
-// pairs 20-40 grid hops apart under D-TkDI k=5 theta=0.8 (the
-// crosstown_uncached workload's shape); "local_k32" is 200 fixed pairs
-// 5-12 hops apart under TkDI k=32 (local_batch_k32's). It does not vary
-// with PATHRANK_BENCH_QUICK: the numbers are only comparable on this world.
+// pathrank-serve runs on a cache miss) per iteration, on the served world,
+// for each served shape over each engine a Prep can back.
 func BenchmarkCandidatesByEngine(b *testing.B) {
-	const side = 56
-	cfg := roadnet.DefaultGenConfig()
-	cfg.Rows, cfg.Cols, cfg.Seed = side, side, 1
-	g, err := roadnet.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prep := spath.BuildPrep(g, spath.PrepConfig{})
-	// pairs draws n origin-destination cells whose grid distance steps
-	// through [lo, hi]; roadnet.Generate numbers the grid row-major.
-	pairs := func(seed int64, n, lo, hi int) [][2]roadnet.VertexID {
-		rng := rand.New(rand.NewSource(seed))
-		out := make([][2]roadnet.VertexID, 0, n)
-		for len(out) < n {
-			hops := lo + len(out)%(hi-lo+1)
-			dr := rng.Intn(min(hops, side-1) + 1)
-			dc := hops - dr
-			r0, c0 := rng.Intn(side), rng.Intn(side)
-			r1, c1 := r0+dr*(1-2*rng.Intn(2)), c0+dc*(1-2*rng.Intn(2))
-			if dc >= side || r1 < 0 || r1 >= side || c1 < 0 || c1 >= side {
-				continue
-			}
-			out = append(out, [2]roadnet.VertexID{roadnet.VertexID(r0*side + c0), roadnet.VertexID(r1*side + c1)})
-		}
-		return out
-	}
-	for _, load := range []struct {
-		name  string
-		pairs [][2]roadnet.VertexID
-		cands pathrank.DataConfig
-	}{
-		{"crosstown", pairs(1, 200, 20, 40), pathrank.DataConfig{Strategy: pathrank.DTkDI, K: 5, Threshold: 0.8}},
-		{"local_k32", pairs(2, 200, 5, 12), pathrank.DataConfig{Strategy: pathrank.TkDI, K: 32}},
-	} {
+	g, prep := servedWorld(b)
+	for _, load := range servedShapes {
 		for _, kind := range []spath.EngineKind{spath.EngineCH, spath.EngineALT, spath.EngineDijkstra} {
 			r := pathrank.NewRanker(g, nil)
 			r.Candidates = load.cands
@@ -440,6 +466,118 @@ func BenchmarkCandidatesByEngine(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// servedModel is the benchmark's model (embedding 128, hidden 64, GRU;
+// untrained weights cost the same to score) over numVertices vertices.
+func servedModel(b *testing.B, numVertices int) *pathrank.Model {
+	b.Helper()
+	m, err := pathrank.NewModel(numVertices, pathrank.ModelConfig{
+		EmbeddingDim: 128, Hidden: 64, Variant: pathrank.PRA2, Body: pathrank.GRUBody, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
+// servedSweeps generates, for one served shape, the candidate sets a
+// request scores in one sweep: perCall consecutive pairs' candidates
+// concatenated (5 paths x 20-40 hops on crosstown, 256 x 5-12 on local_k32).
+func servedSweeps(b *testing.B, shape int) [][]spath.Path {
+	b.Helper()
+	g, prep := servedWorld(b)
+	load := servedShapes[shape]
+	r := pathrank.NewRanker(g, nil)
+	r.Candidates = load.cands
+	r.Engine = prep.Engine(spath.EngineCH, g)
+	var sweeps [][]spath.Path
+	for i := 0; i+load.perCall <= len(load.pairs); i += load.perCall {
+		var sweep []spath.Path
+		for _, p := range load.pairs[i : i+load.perCall] {
+			cands, _, err := r.CandidatesFor(context.Background(), pathrank.RankRequest{Src: p[0], Dst: p[1]})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sweep = append(sweep, cands...)
+		}
+		sweeps = append(sweeps, sweep)
+	}
+	return sweeps
+}
+
+// BenchmarkScoreBatchFused measures one served scoring sweep per iteration
+// at the two served shapes, on the benchmark's model and real candidate
+// sets; paths/op says how many paths a sweep held.
+func BenchmarkScoreBatchFused(b *testing.B) {
+	g, _ := servedWorld(b)
+	m := servedModel(b, g.NumVertices())
+	for shape, load := range servedShapes {
+		sweeps := servedSweeps(b, shape)
+		b.Run(load.name, func(b *testing.B) {
+			m.ScoreBatchFused(sweeps[0]) // warm the pools and the plan
+			paths := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep := sweeps[i%len(sweeps)]
+				paths += len(sweep)
+				m.ScoreBatchFused(sweep)
+			}
+			b.ReportMetric(float64(paths)/float64(b.N), "paths/op")
+		})
+	}
+}
+
+// BenchmarkScore measures a one-path ScoreBatch both ways — the fused sweep
+// and the per-path reference — which is what decides whether
+// Model.ScoreBatch needs a small-batch fork.
+func BenchmarkScore(b *testing.B) {
+	g, _ := servedWorld(b)
+	m := servedModel(b, g.NumVertices())
+	for shape, load := range servedShapes {
+		sweeps := servedSweeps(b, shape)
+		for _, way := range []struct {
+			name  string
+			score func([]spath.Path) []float64
+		}{{"fused", m.ScoreBatchFused}, {"per_path", m.ScoreBatchPerPath}} {
+			b.Run(load.name+"/"+way.name, func(b *testing.B) {
+				way.score(sweeps[0][:1])
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					way.score(sweeps[i%len(sweeps)][:1])
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkPlanBuild measures Model.Prepare from nothing — what a model
+// pays once per weight generation before it serves — on the benchmark
+// world's vocabulary and on `netgen -metro`'s (160x160, ~25k vertices).
+func BenchmarkPlanBuild(b *testing.B) {
+	g, _ := servedWorld(b)
+	metro := roadnet.DefaultGenConfig()
+	metro.Rows, metro.Cols, metro.SpacingM = 160, 160, 120
+	mg, err := roadnet.Generate(metro)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []int{g.NumVertices(), mg.NumVertices()} {
+		m := servedModel(b, v)
+		b.Run(fmt.Sprintf("V=%d", v), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c, err := m.Clone() // a clone starts without a plan
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				c.Prepare()
+			}
+		})
 	}
 }
 

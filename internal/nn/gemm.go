@@ -91,17 +91,22 @@ func init() {
 	activeKernel.Store(kernelBox{kernels["blocked"]})
 }
 
+// Kernels lists the registered backends, sorted by name.
+func Kernels() []string {
+	names := make([]string, 0, len(kernels))
+	for n := range kernels {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // SetKernel selects the batched kernel backend by name. It returns an error
 // naming the registered backends when name is unknown.
 func SetKernel(name string) error {
 	k, ok := kernels[name]
 	if !ok {
-		names := make([]string, 0, len(kernels))
-		for n := range kernels {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return fmt.Errorf("nn: unknown kernel %q (registered: %v)", name, names)
+		return fmt.Errorf("nn: unknown kernel %q (registered: %v)", name, Kernels())
 	}
 	activeKernel.Store(kernelBox{k})
 	return nil
@@ -125,6 +130,51 @@ func (p *Param) MatMulAdd(X, Y Mat) {
 			p.Name, p.Rows, p.Cols, X.Rows, X.Cols, Y.Rows, Y.Cols))
 	}
 	activeKernel.Load().(kernelBox).k.GemmNT(Y, X, p.AsMat())
+}
+
+// panelKernel is a backend that can lay GemmNT's right-hand operand out
+// ahead of time and multiply against that layout.
+type panelKernel interface {
+	Kernel
+	packPanel(B Mat) []float64
+	// gemmNTPanel computes C += A·Bᵀ for panel = packPanel(B).
+	gemmNTPanel(C, A Mat, panel []float64)
+}
+
+// panelBackend is the host's panel-capable backend; nil where none is
+// registered. Arch-specific init code sets it.
+var panelBackend panelKernel
+
+// PackedNT is a GemmNT right-hand operand fixed ahead of time: a weight
+// matrix multiplied against many batches between two changes of its
+// values. Where the host has a vector backend it holds that backend's
+// panel layout, so a product pays no per-call repacking and takes any row
+// count on the vector kernel; elsewhere it is the operand itself. B is
+// aliased, not copied, and must not change while the pack is in use.
+type PackedNT struct {
+	b     Mat
+	panel []float64
+}
+
+// PackNT packs B (N x K) for repeated C += A·Bᵀ products.
+func PackNT(B Mat) *PackedNT {
+	p := &PackedNT{b: B}
+	if panelBackend != nil {
+		p.panel = panelBackend.packPanel(B)
+	}
+	return p
+}
+
+// MulAdd computes C += A·Bᵀ on the active kernel, bit-identical to
+// GemmNT(C, A, B).
+func (p *PackedNT) MulAdd(C, A Mat) {
+	k := activeKernel.Load().(kernelBox).k
+	if p.panel == nil || k != Kernel(panelBackend) {
+		k.GemmNT(C, A, p.b)
+		return
+	}
+	checkGemm(C, A, p.b, true)
+	panelBackend.gemmNTPanel(C, A, p.panel)
 }
 
 func checkGemm(C, A, B Mat, nt bool) {

@@ -47,14 +47,15 @@ func cpuHasFMA() bool {
 	return c1&avxFMA == avxFMA
 }
 
-// avx2MinRows gates the vector path: below this row count the per-call
-// transpose pack of B costs more than the vector arithmetic saves, so short
-// tails of the ragged batched recurrence fall back to the blocked tile
-// (bit-identical, so mixing backends by shape is safe).
+// avx2MinRows gates the vector path of the unpacked product: below this
+// row count the per-call transpose pack of B costs more than the vector
+// arithmetic saves, so a short GemmNT falls back to the blocked tile
+// (bit-identical, so mixing backends by shape is safe). A PackedNT operand
+// paid for its panel once and has no such gate.
 const avx2MinRows = 8
 
 type avx2Kernel struct {
-	pool sync.Pool // *[]float64, the Bᵀ panel scratch
+	pool sync.Pool // *[]float64, the Bᵀ panel scratch of unpacked products
 }
 
 func (*avx2Kernel) Name() string { return "avx2" }
@@ -63,12 +64,11 @@ func (*avx2Kernel) Gemm(C, A, B Mat) { blockedKernel{}.Gemm(C, A, B) }
 
 func (k *avx2Kernel) GemmNT(C, A, B Mat) {
 	checkGemm(C, A, B, true)
-	M, K, N := A.Rows, A.Cols, B.Rows
-	if M < avx2MinRows || N < 4 || K == 0 {
+	K, N := A.Cols, B.Rows
+	if A.Rows < avx2MinRows || N < 4 || K == 0 {
 		blockedKernel{}.GemmNT(C, A, B)
 		return
 	}
-
 	p, _ := k.pool.Get().(*[]float64)
 	if p == nil {
 		p = new([]float64)
@@ -77,28 +77,50 @@ func (k *avx2Kernel) GemmNT(C, A, B Mat) {
 		*p = make([]float64, K*N)
 	}
 	bt := (*p)[:K*N]
-	for j := 0; j < N; j++ {
-		row := B.Row(j)
-		for kk := 0; kk < K; kk++ {
-			bt[kk*N+j] = row[kk]
-		}
-	}
-
-	gemmNTAVX2(A.Data[:M*K], bt, C.Data[:M*N], M, K, N)
-	// Last N%4 columns: scalar fresh dots, same association.
-	if nv := N &^ 3; nv < N {
-		for i := 0; i < M; i++ {
-			ai, ci := A.Row(i), C.Row(i)
-			for j := nv; j < N; j++ {
-				var s float64
-				for kk := 0; kk < K; kk++ {
-					s += ai[kk] * bt[kk*N+j]
-				}
-				ci[j] += s
-			}
-		}
-	}
+	transposeInto(bt, B)
+	k.gemmNTPanel(C, A, bt)
 	k.pool.Put(p)
+}
+
+// transposeInto writes B (N x K) into bt as the K x N panel the
+// microkernel streams: bt[k*N+j] = B[j,k].
+func transposeInto(bt []float64, B Mat) {
+	N := B.Rows
+	for j := 0; j < N; j++ {
+		for kk, v := range B.Row(j) {
+			bt[kk*N+j] = v
+		}
+	}
+}
+
+func (*avx2Kernel) packPanel(B Mat) []float64 {
+	bt := make([]float64, B.Rows*B.Cols)
+	transposeInto(bt, B)
+	return bt
+}
+
+// gemmNTPanel multiplies against a K x N panel: the first N&^3 columns on
+// the microkernel, the rest (all of them when N < 4) as scalar fresh dots
+// with the same association.
+func (*avx2Kernel) gemmNTPanel(C, A Mat, bt []float64) {
+	M, K, N := A.Rows, A.Cols, C.Cols
+	nv := N &^ 3
+	if nv > 0 {
+		gemmNTAVX2(A.Data[:M*K], bt, C.Data[:M*N], M, K, N)
+	}
+	if nv == N {
+		return
+	}
+	for i := 0; i < M; i++ {
+		ai, ci := A.Row(i), C.Row(i)
+		for j := nv; j < N; j++ {
+			var s float64
+			for kk, av := range ai {
+				s += av * bt[kk*N+j]
+			}
+			ci[j] += s
+		}
+	}
 }
 
 func init() {
@@ -110,6 +132,7 @@ func init() {
 	}
 	k := &avx2Kernel{}
 	kernels["avx2"] = k
+	panelBackend = k
 	// This init runs after gemm.go's (file order), which installed the
 	// portable default; the CPU supports the faster backend.
 	activeKernel.Store(kernelBox{k})

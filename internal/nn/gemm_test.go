@@ -33,16 +33,36 @@ func cloneMat(m Mat) Mat {
 	return c
 }
 
+// packedUnder returns C0 + A·Btᵀ computed through a PackedNT operand with
+// backend k active — the product the fused scorer's inference plan runs.
+func packedUnder(t testing.TB, k Kernel, C0, A, Bt Mat) Mat {
+	t.Helper()
+	orig := KernelName()
+	if err := SetKernel(k.Name()); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := SetKernel(orig); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	got := cloneMat(C0)
+	PackNT(Bt).MulAdd(got, A)
+	return got
+}
+
 // TestKernelsBitIdentical is the contract of the kernel registry: every
 // backend must produce bit-identical results to the naive reference on both
-// products, including accumulation into a nonzero C, across shapes that
-// exercise full register tiles, ragged tails, and single rows/columns.
+// products and on the packed-operand product, including accumulation into a
+// nonzero C, across shapes that exercise full register tiles, ragged tails,
+// and single rows/columns.
 func TestKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{ // M, K, N
 		{1, 1, 1}, {1, 8, 16}, {3, 5, 7}, {4, 16, 16}, {5, 12, 10},
 		{8, 32, 16}, {9, 32, 17}, {16, 32, 16}, {33, 24, 20}, {64, 32, 48},
-		{12, 1, 16}, {8, 2, 4}, {31, 16, 3},
+		{12, 1, 16}, {8, 2, 4}, {31, 16, 3}, {1, 64, 64}, {5, 64, 64},
+		{7, 10, 6}, {3, 5, 1}, {32, 64, 1},
 	}
 	for _, sh := range shapes {
 		M, K, N := sh[0], sh[1], sh[2]
@@ -71,6 +91,13 @@ func TestKernelsBitIdentical(t *testing.T) {
 				if gotNT.Data[i] != wantNT.Data[i] {
 					t.Fatalf("%s.GemmNT %dx%dx%d: elem %d = %.17g, naive %.17g",
 						k.Name(), M, K, N, i, gotNT.Data[i], wantNT.Data[i])
+				}
+			}
+			gotP := packedUnder(t, k, C0, A, Bt)
+			for i := range wantNT.Data {
+				if gotP.Data[i] != wantNT.Data[i] {
+					t.Fatalf("%s packed %dx%dx%d: elem %d = %.17g, naive %.17g",
+						k.Name(), M, K, N, i, gotP.Data[i], wantNT.Data[i])
 				}
 			}
 		}
@@ -206,16 +233,20 @@ func TestShapePanics(t *testing.T) {
 	wantPanic(t, "Gemm shape mismatch", func() { Gemm(NewMat(2, 5), A, NewMat(4, 5)) })
 	wantPanic(t, "GemmNT shape mismatch", func() { GemmNT(NewMat(2, 5), A, NewMat(5, 4)) })
 	wantPanic(t, "MatMulAdd shape mismatch", func() { p.MatMulAdd(NewMat(2, 4), NewMat(2, 4)) })
+	wantPanic(t, "GemmNT shape mismatch", func() { PackNT(NewMat(5, 4)).MulAdd(NewMat(2, 5), A) })
 	wantPanic(t, "out of range", func() { A.View(3) })
 }
 
-// FuzzGemm cross-checks every registered backend against the naive oracle
-// bitwise on fuzzer-chosen shapes and a seeded value stream.
+// FuzzGemm cross-checks every registered backend — both products and the
+// packed-operand product — against the naive oracle bitwise on
+// fuzzer-chosen shapes (M, K, N in [1, 40]) and a seeded value stream.
 func FuzzGemm(f *testing.F) {
 	f.Add(uint8(4), uint8(16), uint8(16), int64(1))
 	f.Add(uint8(1), uint8(1), uint8(1), int64(2))
 	f.Add(uint8(9), uint8(32), uint8(17), int64(3))
 	f.Add(uint8(33), uint8(7), uint8(20), int64(4))
+	f.Add(uint8(0), uint8(9), uint8(0), int64(5))  // 1 row, N = 1
+	f.Add(uint8(4), uint8(23), uint8(5), int64(6)) // 5 rows, N = 6
 	f.Fuzz(func(t *testing.T, m, k, n uint8, seed int64) {
 		M, K, N := int(m%40)+1, int(k%40)+1, int(n%40)+1
 		rng := rand.New(rand.NewSource(seed))
@@ -246,12 +277,20 @@ func FuzzGemm(f *testing.F) {
 						kr.Name(), M, K, N, i, gotNT.Data[i], wantNT.Data[i])
 				}
 			}
+			gotP := packedUnder(t, kr, C0, A, Bt)
+			for i := range wantNT.Data {
+				if gotP.Data[i] != wantNT.Data[i] {
+					t.Fatalf("%s packed %dx%dx%d elem %d: %.17g != %.17g",
+						kr.Name(), M, K, N, i, gotP.Data[i], wantNT.Data[i])
+				}
+			}
 		}
 	})
 }
 
-// BenchmarkGemm measures GemmNT on the fused scorer's hoisted-gate shape
-// (a chunk of packed timesteps times one gate weight) for each backend.
+// BenchmarkGemm measures GemmNT on a tall input-side gate shape (many
+// embedding rows times one gate weight, what building the scorer's
+// inference plan multiplies) for each backend.
 func BenchmarkGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	A := randMat(rng, 256, 32)

@@ -8,22 +8,31 @@ import (
 )
 
 // This file is the fused batched inference path: one /v2/rank batch becomes
-// a handful of GEMMs instead of thousands of per-path dot products.
+// a few small matrix products per timestep instead of thousands of per-path
+// dot products.
 //
 // Candidate paths are packed into a ragged batch sorted by length
 // (descending), so at every timestep the still-active sequences form a
-// prefix of the batch. Each recurrent gate then runs as one GemmNT across
-// the whole active prefix — W·x_t for every path at once — on
-// scratch-arena-backed matrices, with no allocations in steady state.
+// prefix of the batch. Everything that depends only on the weights comes
+// from the model's inference plan (plan.go): a gate's input-side product
+// W·x_t is a row of a per-vertex table, copied into the step's slab, and
+// the weights a step still multiplies by are packed for the kernel ahead of
+// time. What is computed per step is the recurrent half — U·h_{t-1} for
+// every active path at once, H x H per gate — then bias, activation and
+// the state update, on scratch-arena-backed matrices, with no allocations
+// in steady state.
 //
 // Correctness contract: fused scores are BIT-IDENTICAL to the per-path
 // path. The kernels preserve per-element accumulation order (see
-// internal/nn/gemm.go), the gate/bias/activation sequence mirrors
+// internal/nn/gemm.go), a table entry is the bit pattern the per-path
+// MatVec produces, the gate/bias/activation sequence mirrors
 // GRU.Forward / LSTM.Forward / Dense.Forward op for op, and summaries
 // accumulate hidden states in the same per-path order (ascending t for
 // forward directions, descending for the BiGRU backward half, exactly as
 // BiGRU.Forward + meanVecs compose). TestScoreBatchFusedMatchesPerPath
-// enforces this across every Body kind and path length.
+// enforces this across every Body kind and path length, and
+// TestPlanFollowsWeights that the plan never outlives the weights it was
+// derived from.
 
 // fusedChunk bounds the paths packed into one fused slab. Chunks are scored
 // independently (parallelFor across chunks), so the bound keeps scratch
@@ -64,6 +73,7 @@ func (ws *fusedWS) sortByLenDesc() {
 // like Score.
 func (m *Model) ScoreBatchFused(cands []spath.Path) []float64 {
 	out := make([]float64, len(cands))
+	pl := m.inferencePlan()
 	nchunks := (len(cands) + fusedChunk - 1) / fusedChunk
 	parallelFor(nchunks, func(c int) {
 		lo := c * fusedChunk
@@ -71,7 +81,7 @@ func (m *Model) ScoreBatchFused(cands []spath.Path) []float64 {
 		if hi > len(cands) {
 			hi = len(cands)
 		}
-		m.scoreFusedChunk(cands[lo:hi], out[lo:hi])
+		m.scoreFusedChunk(pl, cands[lo:hi], out[lo:hi])
 	})
 	return out
 }
@@ -79,7 +89,7 @@ func (m *Model) ScoreBatchFused(cands []spath.Path) []float64 {
 // scoreFusedChunk packs one chunk of candidates into a ragged batch and
 // runs the fused forward pass for the model's body, scattering scores into
 // out (indexed like cands).
-func (m *Model) scoreFusedChunk(cands []spath.Path, out []float64) {
+func (m *Model) scoreFusedChunk(pl *plan, cands []spath.Path, out []float64) {
 	ws, _ := m.fusedPool.Get().(*fusedWS)
 	if ws == nil {
 		ws = new(fusedWS)
@@ -116,11 +126,11 @@ func (m *Model) scoreFusedChunk(cands []spath.Path, out []float64) {
 	sumH := ws.sc.Mat(B, outDim)
 	switch m.cfg.Body {
 	case GRUBody:
-		m.fusedGRU(m.gru, ws, cands, false, false, sumH, 0)
-		m.scaleMeanRows(ws, sumH)
+		fusedGRU(pl.cells[0], ws, cands, false, false, sumH)
+		scaleMeanRows(ws, sumH)
 	case BiGRUBody:
-		m.fusedGRU(m.bigru.Fwd, ws, cands, false, false, sumH, 0)
-		steps := m.fusedGRU(m.bigru.Bwd, ws, cands, true, true, nn.Mat{}, 0)
+		fusedGRU(pl.cells[0], ws, cands, false, false, sumH)
+		steps := fusedGRU(pl.cells[1], ws, cands, true, true, nn.Mat{})
 		// The per-path summary adds the backward half in descending step
 		// order (out[t] carries hb[T-1-t]; meanVecs walks t ascending), so
 		// the fused accumulation replays the steps backwards.
@@ -131,29 +141,30 @@ func (m *Model) scoreFusedChunk(cands []spath.Path, out []float64) {
 				nn.AddTo(row, steps[t].Row(b))
 			}
 		}
-		m.scaleMeanRows(ws, sumH)
+		scaleMeanRows(ws, sumH)
 	case LSTMBody:
-		m.fusedLSTM(ws, cands, sumH)
-		m.scaleMeanRows(ws, sumH)
+		fusedLSTM(pl.cells[0], ws, cands, sumH)
+		scaleMeanRows(ws, sumH)
 	case MeanPoolBody:
 		X := ws.sc.Mat(B, m.emb.Dim())
+		E := m.emb.Table.AsMat()
 		for t := 0; t < maxT; t++ {
 			ba := ws.active[t]
-			m.gatherEmb(X, ws, cands, t, false, ba)
+			gatherRows(X, E, ws, cands, t, false, ba)
 			for b := 0; b < ba; b++ {
 				nn.AddTo(sumH.Row(b), X.Row(b))
 			}
 		}
-		m.scaleMeanRows(ws, sumH)
+		scaleMeanRows(ws, sumH)
 	case AttnGRUBody:
-		steps := m.fusedGRU(m.gru, ws, cands, false, true, nn.Mat{}, 0)
-		m.fusedAttention(ws, steps, sumH)
+		steps := fusedGRU(pl.cells[0], ws, cands, false, true, nn.Mat{})
+		m.fusedAttention(pl, ws, steps, sumH)
 	}
 
-	// Regression head: one GEMM over the batch of summaries, then the same
-	// bias add and sigmoid Dense.Forward applies.
+	// Regression head: one product over the batch of summaries, then the
+	// same bias add and sigmoid Dense.Forward applies.
 	scores := ws.sc.Mat(B, m.head.W.Rows)
-	m.head.W.MatMulAdd(sumH, scores)
+	pl.head.MulAdd(scores, sumH)
 	for b := 0; b < B; b++ {
 		s := scores.Row(b)[0] + m.head.B.W[0]
 		out[ws.order[b]] = nn.Sigmoid(s)
@@ -162,122 +173,71 @@ func (m *Model) scoreFusedChunk(cands []spath.Path, out []float64) {
 
 // scaleMeanRows divides each summary row by its own sequence length —
 // the per-row counterpart of meanVecs' final Scale.
-func (m *Model) scaleMeanRows(ws *fusedWS, sumH nn.Mat) {
+func scaleMeanRows(ws *fusedWS, sumH nn.Mat) {
 	for b := range ws.order {
 		nn.Scale(1/float64(ws.lens[b]), sumH.Row(b))
 	}
 }
 
-// gatherEmb copies the step-t embedding of every active sequence into the
-// first ba rows of X. reversed selects the mirrored timestep (the BiGRU
-// backward direction), per sequence length.
-func (m *Model) gatherEmb(X nn.Mat, ws *fusedWS, cands []spath.Path, t int, reversed bool, ba int) {
+// gatherRows copies, for every active sequence, the table row of its
+// step-t vertex into the first ba rows of dst. reversed selects the
+// mirrored timestep (the BiGRU backward direction), per sequence length.
+func gatherRows(dst, table nn.Mat, ws *fusedWS, cands []spath.Path, t int, reversed bool, ba int) {
 	for b := 0; b < ba; b++ {
-		p := cands[ws.order[b]]
 		idx := t
 		if reversed {
 			idx = ws.lens[b] - 1 - t
 		}
-		copy(X.Row(b), m.emb.Lookup(int(p.Vertices[idx])))
+		copy(dst.Row(b), table.Row(int(cands[ws.order[b]].Vertices[idx])))
 	}
 }
 
-// addBiasRows adds the bias vector to the first ba rows.
-func addBiasRows(M nn.Mat, bias nn.Vec, ba int) {
+// eval fills the first ba rows of dst with one gate at step t and returns
+// them: the table row of each path's vertex (W·x_t), plus U·h for the rows
+// of h, plus the bias, through act — MatVec → MatVecAdd → bias →
+// activation, in GRU.Forward's and LSTM.Forward's order.
+func (g *gatePlan) eval(act func(dst, x nn.Vec), dst, h nn.Mat, ws *fusedWS, cands []spath.Path, t int, reversed bool) nn.Mat {
+	ba := h.Rows
+	gatherRows(dst, g.x, ws, cands, t, reversed, ba)
+	out := dst.View(ba)
+	g.u.MulAdd(out, h)
 	for b := 0; b < ba; b++ {
-		nn.AddTo(M.Row(b), bias)
+		nn.AddTo(out.Row(b), g.bias)
 	}
+	act(out.Data, out.Data)
+	return out
 }
 
-// sigmoidRows / tanhRows apply the activation to the first ba rows.
-func sigmoidRows(M nn.Mat, ba int) {
-	d := M.Data[:ba*M.Cols]
-	nn.SigmoidVec(d, d)
-}
-
-func tanhRows(M nn.Mat, ba int) {
-	d := M.Data[:ba*M.Cols]
-	nn.TanhVec(d, d)
-}
-
-// packEmbAll packs every (path, timestep) embedding of the chunk into one
-// timestep-major matrix: rows [off[t], off[t]+active[t]) hold step t of
-// every active sequence, where off[t] = Σ_{s<t} active[s]. Packing the whole
-// chunk lets the input-side gate products run as ONE tall GEMM per gate
-// instead of maxT small ones — full register tiles, no per-step tails.
-func (m *Model) packEmbAll(ws *fusedWS, cands []spath.Path, reversed bool) nn.Mat {
+// fusedGRU runs one GRU direction (gates z, r, h of the plan) over the
+// ragged batch, mirroring GRU.Forward exactly: each gate element is
+// 0 + dotX + dotH + bias in both layouts. When sumH has storage, hidden
+// states accumulate into its first H columns as they are produced (the
+// ascending-t half of mean pooling); when keepSteps is set, the per-step
+// hidden-state matrices are returned for pooling that needs them (BiGRU
+// backward half, attention).
+func fusedGRU(gates []gatePlan, ws *fusedWS, cands []spath.Path, reversed, keepSteps bool, sumH nn.Mat) []nn.Mat {
 	maxT := ws.lens[0]
-	total := 0
-	for t := 0; t < maxT; t++ {
-		total += ws.active[t]
-	}
-	X := ws.sc.Mat(total, m.emb.Dim())
-	row := 0
-	for t := 0; t < maxT; t++ {
-		ba := ws.active[t]
-		m.gatherEmb(nn.Mat{Rows: ba, Cols: X.Cols, Data: X.Data[row*X.Cols:]}, ws, cands, t, reversed, ba)
-		row += ba
-	}
-	return X
-}
-
-// stepView returns rows [off, off+rows) of M as a matrix view.
-func stepView(M nn.Mat, off, rows int) nn.Mat {
-	return nn.Mat{Rows: rows, Cols: M.Cols, Data: M.Data[off*M.Cols : (off+rows)*M.Cols]}
-}
-
-// fusedGRU runs one GRU direction over the ragged batch. The input-side
-// gate products W{z,r,h}·x_t are hoisted into one whole-chunk GEMM per gate
-// over the timestep-major embedding pack; the recurrent products U·h_{t-1}
-// then accumulate into the per-step slab of that result, mirroring
-// GRU.Forward's MatVec → MatVecAdd → bias → activation sequence exactly
-// (each gate element is 0 + dotX + dotH + bias in both layouts). When sumH
-// has storage, hidden states accumulate into sumH[:, off:off+H] as they are
-// produced (the ascending-t half of mean pooling); when keepSteps is set,
-// the per-step hidden-state matrices are returned for pooling that needs
-// them (BiGRU backward half, attention).
-func (m *Model) fusedGRU(g *nn.GRU, ws *fusedWS, cands []spath.Path, reversed, keepSteps bool, sumH nn.Mat, off int) []nn.Mat {
-	maxT := ws.lens[0]
-	H := g.Hidden
-	sc := &ws.sc
-	X := m.packEmbAll(ws, cands, reversed)
-	XZ := sc.Mat(X.Rows, H)
-	XR := sc.Mat(X.Rows, H)
-	XH := sc.Mat(X.Rows, H)
-	g.Wz.MatMulAdd(X, XZ)
-	g.Wr.MatMulAdd(X, XR)
-	g.Wh.MatMulAdd(X, XH)
 	B := len(ws.order)
+	H := gates[0].x.Cols
+	sc := &ws.sc
 	Hp := sc.Mat(B, H) // h_{t-1}; zero initial state
 	RH := sc.Mat(B, H)
+	Zs, Rs, Hhs := sc.Mat(B, H), sc.Mat(B, H), sc.Mat(B, H)
 	var steps []nn.Mat
 	if keepSteps {
 		ws.steps = growMats(ws.steps, maxT)
 		steps = ws.steps
 	}
-	row := 0
 	for t := 0; t < maxT; t++ {
 		ba := ws.active[t]
 		Hpv := Hp.View(ba)
 
-		Z := stepView(XZ, row, ba)
-		g.Uz.MatMulAdd(Hpv, Z)
-		addBiasRows(Z, g.Bz.W, ba)
-		sigmoidRows(Z, ba)
-
-		R := stepView(XR, row, ba)
-		g.Ur.MatMulAdd(Hpv, R)
-		addBiasRows(R, g.Br.W, ba)
-		sigmoidRows(R, ba)
-
+		Z := gates[0].eval(nn.SigmoidVec, Zs, Hpv, ws, cands, t, reversed)
+		R := gates[1].eval(nn.SigmoidVec, Rs, Hpv, ws, cands, t, reversed)
 		for b := 0; b < ba; b++ {
 			nn.Hadamard(RH.Row(b), R.Row(b), Hp.Row(b))
 		}
-		Hh := stepView(XH, row, ba)
-		g.Uh.MatMulAdd(RH.View(ba), Hh)
-		addBiasRows(Hh, g.Bh.W, ba)
-		tanhRows(Hh, ba)
-		row += ba
+		Hh := gates[2].eval(nn.TanhVec, Hhs, RH.View(ba), ws, cands, t, reversed)
 
 		var stepM nn.Mat
 		if keepSteps {
@@ -288,7 +248,7 @@ func (m *Model) fusedGRU(g *nn.GRU, ws *fusedWS, cands []spath.Path, reversed, k
 			hp, z, hh := Hp.Row(b), Z.Row(b), Hh.Row(b)
 			var sum nn.Vec
 			if sumH.Data != nil {
-				sum = sumH.Row(b)[off : off+H]
+				sum = sumH.Row(b)[:H]
 			}
 			var keep nn.Vec
 			if keepSteps {
@@ -309,46 +269,23 @@ func (m *Model) fusedGRU(g *nn.GRU, ws *fusedWS, cands []spath.Path, reversed, k
 	return steps
 }
 
-// fusedLSTM mirrors LSTM.Forward over the ragged batch with the same
-// input-side hoist as fusedGRU: the four W·x_t products run as whole-chunk
-// GEMMs, the recurrent U·h_{t-1} products accumulate per step, and hidden
-// states sum into sumH as they are produced.
-func (m *Model) fusedLSTM(ws *fusedWS, cands []spath.Path, sumH nn.Mat) {
-	l := m.lstm
+// fusedLSTM mirrors LSTM.Forward over the ragged batch (gates i, f, o, g
+// of the plan); hidden states sum into sumH as they are produced.
+func fusedLSTM(gates []gatePlan, ws *fusedWS, cands []spath.Path, sumH nn.Mat) {
 	B := len(ws.order)
 	maxT := ws.lens[0]
-	H := l.Hidden
+	H := gates[0].x.Cols
 	sc := &ws.sc
-	X := m.packEmbAll(ws, cands, false)
-	XI := sc.Mat(X.Rows, H)
-	XF := sc.Mat(X.Rows, H)
-	XO := sc.Mat(X.Rows, H)
-	XG := sc.Mat(X.Rows, H)
-	l.Wi.MatMulAdd(X, XI)
-	l.Wf.MatMulAdd(X, XF)
-	l.Wo.MatMulAdd(X, XO)
-	l.Wg.MatMulAdd(X, XG)
 	Hp := sc.Mat(B, H)
 	Cp := sc.Mat(B, H)
-	row := 0
+	Is, Fs, Os, Gs := sc.Mat(B, H), sc.Mat(B, H), sc.Mat(B, H), sc.Mat(B, H)
 	for t := 0; t < maxT; t++ {
 		ba := ws.active[t]
 		Hpv := Hp.View(ba)
-		gate := func(U, bias *nn.Param, XW nn.Mat) nn.Mat {
-			M := stepView(XW, row, ba)
-			U.MatMulAdd(Hpv, M)
-			addBiasRows(M, bias.W, ba)
-			return M
-		}
-		I := gate(l.Ui, l.Bi, XI)
-		sigmoidRows(I, ba)
-		F := gate(l.Uf, l.Bf, XF)
-		sigmoidRows(F, ba)
-		O := gate(l.Uo, l.Bo, XO)
-		sigmoidRows(O, ba)
-		G := gate(l.Ug, l.Bg, XG)
-		tanhRows(G, ba)
-		row += ba
+		I := gates[0].eval(nn.SigmoidVec, Is, Hpv, ws, cands, t, false)
+		F := gates[1].eval(nn.SigmoidVec, Fs, Hpv, ws, cands, t, false)
+		O := gates[2].eval(nn.SigmoidVec, Os, Hpv, ws, cands, t, false)
+		G := gates[3].eval(nn.TanhVec, Gs, Hpv, ws, cands, t, false)
 		for b := 0; b < ba; b++ {
 			hp, cp := Hp.Row(b), Cp.Row(b)
 			iv, fv, ov, gv := I.Row(b), F.Row(b), O.Row(b), G.Row(b)
@@ -365,25 +302,25 @@ func (m *Model) fusedLSTM(ws *fusedWS, cands []spath.Path, sumH nn.Mat) {
 }
 
 // fusedAttention replays Attention.Forward over the stored per-step hidden
-// states: u_t = tanh(W h_t) and e_t = vᵀu_t run as GEMMs per step, the
-// softmax and the weighted sum replicate the per-path op order per row.
-func (m *Model) fusedAttention(ws *fusedWS, steps []nn.Mat, sumH nn.Mat) {
-	a := m.attn
+// states: u_t = tanh(W h_t) and e_t = vᵀu_t run as packed products per
+// step, the softmax and the weighted sum replicate the per-path op order
+// per row.
+func (m *Model) fusedAttention(pl *plan, ws *fusedWS, steps []nn.Mat, sumH nn.Mat) {
 	B := len(ws.order)
 	maxT := ws.lens[0]
 	sc := &ws.sc
-	U := sc.Mat(B, a.Att)
+	U := sc.Mat(B, m.attn.Att)
 	E := sc.Mat(B, 1)
 	scoresM := sc.Mat(B, maxT)
 	for t := 0; t < maxT; t++ {
 		ba := ws.active[t]
 		Uv := U.View(ba)
 		U.ZeroRows(ba)
-		a.W.MatMulAdd(steps[t], Uv)
-		tanhRows(Uv, ba)
+		pl.attnW.MulAdd(Uv, steps[t])
+		nn.TanhVec(Uv.Data, Uv.Data)
 		Ev := E.View(ba)
 		E.ZeroRows(ba)
-		a.V.MatMulAdd(Uv, Ev)
+		pl.attnV.MulAdd(Ev, Uv)
 		for b := 0; b < ba; b++ {
 			scoresM.Row(b)[t] = Ev.Row(b)[0]
 		}

@@ -6,9 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"pathrank/internal/nn"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
 )
+
+var allBodies = []Body{GRUBody, BiGRUBody, LSTMBody, MeanPoolBody, AttnGRUBody}
 
 // randomPaths builds n random candidate paths over a vocab-vertex graph with
 // lengths drawn from [1, maxLen], plus the edge cases the fused packer must
@@ -32,70 +35,97 @@ func randomPaths(rng *rand.Rand, n, vocab, maxLen int) []spath.Path {
 	return paths
 }
 
-// TestScoreBatchFusedMatchesPerPath is the correctness gate of the fused
-// batched scorer: across every Body kind (with and without the multi-task
-// heads), random path lengths from 1 to 80, empty paths, single-vertex
-// paths, and batches spanning several fused chunks, the fused scores must be
+// requireFusedMatchesPerPath fails unless the fused scores of paths are
 // BIT-IDENTICAL (==, not approximately equal) to the per-path reference.
-func TestScoreBatchFusedMatchesPerPath(t *testing.T) {
-	bodies := []Body{GRUBody, BiGRUBody, LSTMBody, MeanPoolBody, AttnGRUBody}
-	for _, body := range bodies {
-		for _, lambda := range []float64{0, 0.3} {
-			name := fmt.Sprintf("%v/lambda=%v", body, lambda)
-			t.Run(name, func(t *testing.T) {
-				const vocab = 60
-				cfg := Config{
-					EmbeddingDim: 12, Hidden: 10, Variant: PRA2, Body: body,
-					MultiTaskLambda: lambda, Seed: int64(17 + int(body)),
-				}
-				m, err := New(vocab, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(99 + int64(body)))
-				for round := 0; round < 3; round++ {
-					// 70 paths span 3 fused chunks; max length 80 exercises
-					// the longest sequences the ranking core sees.
-					paths := randomPaths(rng, 70, vocab, 80)
-					want := m.ScoreBatchPerPath(paths)
-					got := m.ScoreBatchFused(paths)
-					if len(got) != len(want) {
-						t.Fatalf("fused returned %d scores, want %d", len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("round %d path %d (len %d): fused %.17g != per-path %.17g",
-								round, i, len(paths[i].Vertices), got[i], want[i])
-						}
-					}
-				}
-			})
+func requireFusedMatchesPerPath(t *testing.T, m *Model, paths []spath.Path, what string) {
+	t.Helper()
+	want := m.ScoreBatchPerPath(paths)
+	got := m.ScoreBatchFused(paths)
+	if len(got) != len(want) {
+		t.Fatalf("%s: fused returned %d scores, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: path %d of %d (len %d): fused %.17g != per-path %.17g",
+				what, i, len(paths), len(paths[i].Vertices), got[i], want[i])
 		}
 	}
 }
 
-// TestScoreBatchDispatch checks that ScoreBatch agrees with the per-path
-// reference on both sides of its batch-size dispatch.
-func TestScoreBatchDispatch(t *testing.T) {
+// TestScoreBatchFusedMatchesPerPath is the correctness gate of the fused
+// batched scorer: on every registered kernel, across every Body kind (with
+// and without the multi-task heads), hidden sizes that leave the vector
+// kernel a column tail (10: N%4 = 2, attention width 5; 6: attention
+// width 4, and its v is always N = 1), random path lengths from 1 to 80,
+// empty paths, single-vertex paths, batches spanning several fused chunks
+// and batches of 1 to 11 paths (both sides of the row count below which
+// the avx2 kernel once fell back to the scalar tile), the fused scores must
+// be bit-identical to the per-path reference, which multiplies through
+// MatVec and never sees the kernels or the plan.
+func TestScoreBatchFusedMatchesPerPath(t *testing.T) {
+	orig := nn.KernelName()
+	defer func() {
+		if err := nn.SetKernel(orig); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	shapes := []struct {
+		hidden int
+		lambda float64
+	}{{10, 0}, {10, 0.3}, {6, 0}}
+	for _, kernel := range nn.Kernels() {
+		if err := nn.SetKernel(kernel); err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range allBodies {
+			for _, sh := range shapes {
+				name := fmt.Sprintf("%s/%v/hidden=%d/lambda=%v", kernel, body, sh.hidden, sh.lambda)
+				t.Run(name, func(t *testing.T) {
+					const vocab = 60
+					m, err := New(vocab, Config{
+						EmbeddingDim: 12, Hidden: sh.hidden, Variant: PRA2, Body: body,
+						MultiTaskLambda: sh.lambda, Seed: int64(17 + int(body)),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(99 + int64(body)))
+					for round := 0; round < 3; round++ {
+						// 70 paths span 3 fused chunks; max length 80 exercises
+						// the longest sequences the ranking core sees.
+						requireFusedMatchesPerPath(t, m, randomPaths(rng, 70, vocab, 80), fmt.Sprintf("round %d", round))
+					}
+					small := randomPaths(rng, 9, vocab, 40)
+					for n := 1; n <= len(small); n++ {
+						requireFusedMatchesPerPath(t, m, small[:n], "small batch")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestScoreBatchIsFusedAtEverySize checks that ScoreBatch agrees with the
+// per-path reference from an empty batch up, including the one-path batch
+// that used to be forked onto the per-path scorer.
+func TestScoreBatchIsFusedAtEverySize(t *testing.T) {
 	m, err := New(30, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
 	paths := randomPaths(rng, 8, 30, 20)
-
-	fused := m.ScoreBatch(paths)
 	perPath := m.ScoreBatchPerPath(paths)
-	for i := range perPath {
-		if fused[i] != perPath[i] {
-			t.Fatalf("path %d: fused dispatch %v != per-path dispatch %v", i, fused[i], perPath[i])
+	for n := 0; n <= len(paths); n++ {
+		got := m.ScoreBatch(paths[:n])
+		if len(got) != n {
+			t.Fatalf("ScoreBatch of %d paths returned %d scores", n, len(got))
 		}
-	}
-
-	// Single-element batches stay on the per-path path (nothing to batch).
-	one := m.ScoreBatch(paths[:1])
-	if one[0] != perPath[0] {
-		t.Fatalf("single-path batch: %v != %v", one[0], perPath[0])
+		for i := range got {
+			if got[i] != perPath[i] {
+				t.Fatalf("batch of %d, path %d: ScoreBatch %v != per-path %v", n, i, got[i], perPath[i])
+			}
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"pathrank/internal/nn"
 	"pathrank/internal/node2vec"
@@ -130,6 +131,12 @@ type Model struct {
 	// issues against a model that is not being trained.
 	fwdPool   sync.Pool
 	fusedPool sync.Pool
+
+	// plan is the inference plan derived from the current weights (plan.go);
+	// nil until first needed. Everything that writes weights — Train and
+	// FineTune, Load, InitEmbeddings — stores nil, so a plan never outlives
+	// the weights it was built from; a Clone starts without one.
+	plan atomic.Pointer[plan]
 }
 
 // New builds an untrained model for a graph with numVertices vertices.
@@ -220,6 +227,7 @@ func (m *Model) InitEmbeddings(emb *node2vec.Embeddings) error {
 	for v := 0; v < emb.NumVertices(); v++ {
 		m.emb.SetRow(v, emb.Vector(roadnet.VertexID(v)))
 	}
+	m.plan.Store(nil)
 	return nil
 }
 
@@ -443,4 +451,7 @@ func (m *Model) Clone() (*Model, error) {
 func (m *Model) Save(w io.Writer) error { return nn.SaveParams(w, m.params) }
 
 // Load reads weights saved from a model with an identical configuration.
-func (m *Model) Load(r io.Reader) error { return nn.LoadParams(r, m.params) }
+func (m *Model) Load(r io.Reader) error {
+	defer m.plan.Store(nil) // a failed load may have written some tensors
+	return nn.LoadParams(r, m.params)
+}

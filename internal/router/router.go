@@ -150,6 +150,7 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
+	model.Prepare() // the router scores stitched candidates itself
 	rt := &Router{
 		cfg:    cfg,
 		sm:     sm,

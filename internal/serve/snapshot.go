@@ -51,6 +51,9 @@ func graphDigest(g *roadnet.Graph) ([sha256.Size]byte, error) {
 // difference fully invalidates the cache (a fresh, empty LRU); in
 // particular a changed graph must invalidate even under identical weights,
 // because cached paths carry edge IDs and geometry of the old network.
+//
+// The model's inference plan is built here, so New, the canary and Swap pay
+// for it and no request does.
 func newSnapshot(art *pathrank.Artifact, cfg Config, prev *snapshot) (*snapshot, error) {
 	if art == nil || art.Graph == nil || art.Model == nil {
 		return nil, fmt.Errorf("serve: artifact needs a graph and a model")
@@ -74,6 +77,7 @@ func newSnapshot(art *pathrank.Artifact, cfg Config, prev *snapshot) (*snapshot,
 	}
 	p.engine = buildEngine(art, cfg, gd, prev)
 	p.ranker.Engine = p.engine
+	art.Model.Prepare()
 	if prev != nil && prev.fp == fp && prev.graph == gd &&
 		prev.art.Candidates == art.Candidates && prev.cache != nil {
 		p.cache = prev.cache
