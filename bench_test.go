@@ -221,18 +221,6 @@ func BenchmarkDijkstra(b *testing.B) {
 	}
 }
 
-// BenchmarkBidirectionalDijkstra measures the bidirectional variant.
-func BenchmarkBidirectionalDijkstra(b *testing.B) {
-	g := microGraph(b)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		_, _ = spath.BidirectionalDijkstra(g, src, dst, spath.ByLength)
-	}
-}
-
 // BenchmarkTopK5 measures Yen's algorithm for k=5 (TkDI generation cost).
 func BenchmarkTopK5(b *testing.B) {
 	g := microGraph(b)
@@ -378,7 +366,7 @@ func BenchmarkDiversifiedTopK5CH(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		_, _ = spath.DiversifiedTopKEngine(eng, src, dst, 5, sim, 0.8, 50)
+		_, _, _ = spath.DiversifiedTopKStatsCtx(context.Background(), g, eng, nil, src, dst, 5, sim, 0.8, 50)
 	}
 }
 

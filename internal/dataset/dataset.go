@@ -9,6 +9,8 @@
 package dataset
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -68,7 +70,7 @@ type Config struct {
 	Strategy  Strategy
 	K         int     // candidate-set size
 	Threshold float64 // D-TkDI similarity threshold
-	MaxProbe  int     // D-TkDI enumeration bound (0 = 10*K)
+	MaxProbe  int     // D-TkDI enumeration bound (below K = 10*K)
 	// IncludeTruth appends the trajectory path itself (label 1) to the
 	// candidate set when the generator did not already produce it.
 	IncludeTruth bool
@@ -77,6 +79,28 @@ type Config struct {
 // DefaultConfig returns the paper's setup: diversified top-k with k=5.
 func DefaultConfig() Config {
 	return Config{Strategy: DTkDI, K: 5, Threshold: 0.8, IncludeTruth: true}
+}
+
+// Candidates is the one candidate rule: it generates c's candidate set
+// from src to dst, on e when e is non-nil (an engine over g) and plain on
+// g under w otherwise. TkDI is Yen's top-K: no similarity filter, a probe
+// budget of K. D-TkDI keeps, in Yen order, each path whose weighted
+// Jaccard similarity to every kept one is at most Threshold, probing at
+// most MaxProbe paths (spath's rule turns a budget below K into 10*K).
+// sim, when non-nil, is a pathsim.WeightedJaccardSim(g) the caller
+// already holds; D-TkDI builds one otherwise.
+func (c Config) Candidates(ctx context.Context, g *roadnet.Graph, e spath.Engine, w spath.Weight, sim spath.Similarity, src, dst roadnet.VertexID) ([]spath.Path, spath.EnumStats, error) {
+	switch c.Strategy {
+	case TkDI:
+		return spath.DiversifiedTopKStatsCtx(ctx, g, e, w, src, dst, c.K, nil, 0, c.K)
+	case DTkDI:
+		if sim == nil {
+			sim = pathsim.WeightedJaccardSim(g)
+		}
+		return spath.DiversifiedTopKStatsCtx(ctx, g, e, w, src, dst, c.K, sim, c.Threshold, c.MaxProbe)
+	default:
+		return nil, spath.EnumStats{}, fmt.Errorf("dataset: unknown strategy %d", c.Strategy)
+	}
 }
 
 // Generate builds one Query per trip. Trips whose OD pair admits no path
@@ -89,22 +113,12 @@ func Generate(g *roadnet.Graph, trips []traj.Trip, cfg Config) ([]Query, error) 
 	queries := make([]Query, 0, len(trips))
 	for _, tr := range trips {
 		src, dst := tr.Path.Source(), tr.Path.Destination()
-		var cands []spath.Path
-		var err error
-		switch cfg.Strategy {
-		case TkDI:
-			cands, err = spath.TopK(g, src, dst, cfg.K, spath.ByLength)
-		case DTkDI:
-			probe := cfg.MaxProbe
-			if probe <= 0 {
-				probe = 10 * cfg.K
-			}
-			cands, err = spath.DiversifiedTopK(g, src, dst, cfg.K, spath.ByLength, sim, cfg.Threshold, probe)
-		default:
-			return nil, fmt.Errorf("dataset: unknown strategy %d", cfg.Strategy)
+		cands, _, err := cfg.Candidates(context.Background(), g, nil, spath.ByLength, sim, src, dst)
+		if errors.Is(err, spath.ErrNoPath) {
+			continue
 		}
 		if err != nil {
-			continue
+			return nil, err
 		}
 		if cfg.IncludeTruth {
 			found := false

@@ -56,18 +56,14 @@ func (p *Param) AsMat() Mat { return Mat{Rows: p.Rows, Cols: p.Cols, Data: p.W} 
 
 // Kernel is a pluggable batched matrix backend. The generic blocked kernel
 // is the default; alternative backends (SIMD, quantized) register under
-// their own names and slot in behind the same two products.
+// their own names and slot in behind the same product.
 //
-// Both products preserve per-element summation order: C[i,j] accumulates
-// its k-terms in ascending order. Gemm folds terms directly into C[i,j]
-// (C[i,j] ((+ t0) + t1) ...), matching a naive i-j-k triple loop; GemmNT
-// sums each dot in a fresh accumulator and adds it to C[i,j] once,
-// matching MatVec/MatVecAdd (y[r] += dot(W_r, x)).
+// The product preserves per-element summation order: C[i,j] accumulates
+// its k-terms in ascending order in a fresh accumulator and adds it to
+// C[i,j] once, matching MatVec/MatVecAdd (y[r] += dot(W_r, x)).
 type Kernel interface {
 	// Name identifies the backend (the name SetKernel takes).
 	Name() string
-	// Gemm computes C += A·B for A (M x K), B (K x N), C (M x N).
-	Gemm(C, A, B Mat)
 	// GemmNT computes C += A·Bᵀ for A (M x K), B (N x K), C (M x N) —
 	// the batched MatVecAdd: row i of C accumulates B·a_i.
 	GemmNT(C, A, B Mat)
@@ -114,9 +110,6 @@ func SetKernel(name string) error {
 
 // KernelName reports the active backend.
 func KernelName() string { return activeKernel.Load().(kernelBox).k.Name() }
-
-// Gemm computes C += A·B on the active kernel.
-func Gemm(C, A, B Mat) { activeKernel.Load().(kernelBox).k.Gemm(C, A, B) }
 
 // GemmNT computes C += A·Bᵀ on the active kernel.
 func GemmNT(C, A, B Mat) { activeKernel.Load().(kernelBox).k.GemmNT(C, A, B) }
@@ -173,22 +166,14 @@ func (p *PackedNT) MulAdd(C, A Mat) {
 		k.GemmNT(C, A, p.b)
 		return
 	}
-	checkGemm(C, A, p.b, true)
+	checkGemm(C, A, p.b)
 	panelBackend.gemmNTPanel(C, A, p.panel)
 }
 
-func checkGemm(C, A, B Mat, nt bool) {
-	bk, bn := B.Rows, B.Cols
-	if nt {
-		bk, bn = B.Cols, B.Rows
-	}
-	if A.Rows != C.Rows || A.Cols != bk || bn != C.Cols {
-		op := "Gemm"
-		if nt {
-			op = "GemmNT"
-		}
-		panic(fmt.Sprintf("nn: %s shape mismatch: C=%dx%d A=%dx%d B=%dx%d",
-			op, C.Rows, C.Cols, A.Rows, A.Cols, B.Rows, B.Cols))
+func checkGemm(C, A, B Mat) {
+	if A.Rows != C.Rows || A.Cols != B.Cols || B.Rows != C.Cols {
+		panic(fmt.Sprintf("nn: GemmNT shape mismatch: C=%dx%d A=%dx%d B=%dx%d",
+			C.Rows, C.Cols, A.Rows, A.Cols, B.Rows, B.Cols))
 	}
 }
 
@@ -199,20 +184,8 @@ type naiveKernel struct{}
 
 func (naiveKernel) Name() string { return "naive" }
 
-func (naiveKernel) Gemm(C, A, B Mat) {
-	checkGemm(C, A, B, false)
-	for i := 0; i < A.Rows; i++ {
-		ai, ci := A.Row(i), C.Row(i)
-		for j := 0; j < B.Cols; j++ {
-			for k := 0; k < A.Cols; k++ {
-				ci[j] += ai[k] * B.Data[k*B.Cols+j]
-			}
-		}
-	}
-}
-
 func (naiveKernel) GemmNT(C, A, B Mat) {
-	checkGemm(C, A, B, true)
+	checkGemm(C, A, B)
 	for i := 0; i < A.Rows; i++ {
 		ai, ci := A.Row(i), C.Row(i)
 		for j := 0; j < B.Rows; j++ {
@@ -226,36 +199,12 @@ type blockedKernel struct{}
 
 func (blockedKernel) Name() string { return "blocked" }
 
-// gemmKC is the k-panel height of the blocked Gemm: a panel of B rows small
-// enough to stay cache-resident while every row of A streams across it.
-// Blocking over k does not reassociate anything, because each C element
-// accumulates directly in place and the panels are visited in ascending-k
-// order.
-const gemmKC = 64
-
-func (blockedKernel) Gemm(C, A, B Mat) {
-	checkGemm(C, A, B, false)
-	K := A.Cols
-	for kk := 0; kk < K; kk += gemmKC {
-		kmax := kk + gemmKC
-		if kmax > K {
-			kmax = K
-		}
-		for i := 0; i < A.Rows; i++ {
-			ai, ci := A.Row(i), C.Row(i)
-			for k := kk; k < kmax; k++ {
-				axpyUnrolled(ai[k], B.Row(k), ci)
-			}
-		}
-	}
-}
-
 // GemmNT is the fused-scoring workhorse. A 4x2 register tile runs eight
 // independent dot chains concurrently — the ILP a single dotRows cannot
 // have — while each chain keeps the serial ascending-k order that makes the
 // result bit-identical to eight scalar dots.
 func (blockedKernel) GemmNT(C, A, B Mat) {
-	checkGemm(C, A, B, true)
+	checkGemm(C, A, B)
 	K := A.Cols
 	M, N := A.Rows, B.Rows
 	i := 0

@@ -6,9 +6,7 @@ import (
 
 // This file registers the "avx2" batched backend on amd64 hosts whose CPU
 // and OS support AVX2. It vectorizes GemmNT across independent output
-// columns (see gemm_avx2_amd64.s for the bit-identity argument); Gemm
-// delegates to the generic blocked backend, whose accumulate-in-place
-// association a column-vectorized kernel cannot reproduce cheaply.
+// columns (see gemm_avx2_amd64.s for the bit-identity argument).
 
 //go:noescape
 func gemmNTAVX2(a, bt, c []float64, m, k, n int)
@@ -60,10 +58,8 @@ type avx2Kernel struct {
 
 func (*avx2Kernel) Name() string { return "avx2" }
 
-func (*avx2Kernel) Gemm(C, A, B Mat) { blockedKernel{}.Gemm(C, A, B) }
-
 func (k *avx2Kernel) GemmNT(C, A, B Mat) {
-	checkGemm(C, A, B, true)
+	checkGemm(C, A, B)
 	K, N := A.Cols, B.Rows
 	if A.Rows < avx2MinRows || N < 4 || K == 0 {
 		blockedKernel{}.GemmNT(C, A, B)

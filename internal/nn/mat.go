@@ -1,7 +1,7 @@
 // Package nn is a small, dependency-free neural-network library sufficient
 // to train PathRank end to end: embedding lookups, GRU/LSTM recurrent cells
-// with backpropagation through time, dense layers, MSE/Huber losses and
-// SGD/Adam/RMSProp optimizers. Computation is float64 on flat slices;
+// with backpropagation through time, dense layers, the MSE loss and the
+// Adam optimizer. Computation is float64 on flat slices;
 // training is sample-at-a-time, which matches variable-length path
 // sequences and keeps the implementation auditable.
 package nn
@@ -57,15 +57,6 @@ func Hadamard(dst, a, b Vec) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v Vec) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Param is a trainable tensor with its gradient accumulator and optimizer
 // state. A Param with Rows>0 is a Rows x Cols matrix stored row-major; a
 // bias vector has Rows == 1.
@@ -76,7 +67,7 @@ type Param struct {
 	W    Vec // weights, len Rows*Cols
 	G    Vec // gradient accumulator, same shape
 
-	// Optimizer slots (lazily allocated by Adam/RMSProp).
+	// Adam's moment slots, allocated on its first step.
 	m, v Vec
 
 	// Frozen parameters accumulate no updates (PR-A1 freezes the
@@ -98,13 +89,6 @@ func (p *Param) InitXavier(rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(p.Rows+p.Cols))
 	for i := range p.W {
 		p.W[i] = (rng.Float64()*2 - 1) * limit
-	}
-}
-
-// InitUniform fills the parameter with uniform noise in [-r, r].
-func (p *Param) InitUniform(rng *rand.Rand, r float64) {
-	for i := range p.W {
-		p.W[i] = (rng.Float64()*2 - 1) * r
 	}
 }
 

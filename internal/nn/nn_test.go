@@ -50,9 +50,6 @@ func TestVecOps(t *testing.T) {
 	if h[0] != 4 || h[1] != 10 || h[2] != 18 {
 		t.Fatalf("Hadamard = %v", h)
 	}
-	if n := Norm2(Vec{3, 4}); math.Abs(n-5) > 1e-12 {
-		t.Fatalf("Norm2 = %v, want 5", n)
-	}
 }
 
 func TestMatVecAndTranspose(t *testing.T) {
@@ -115,22 +112,6 @@ func TestLosses(t *testing.T) {
 	l, g := MSELoss(2, 1)
 	if l != 0.5 || g != 1 {
 		t.Fatalf("MSE(2,1) = %v,%v want 0.5,1", l, g)
-	}
-	l, g = MAELoss(1, 3)
-	if l != 2 || g != -1 {
-		t.Fatalf("MAE(1,3) = %v,%v want 2,-1", l, g)
-	}
-	l, g = HuberLoss(1.1, 1, 1)
-	if math.Abs(l-0.005) > 1e-12 || math.Abs(g-0.1) > 1e-12 {
-		t.Fatalf("Huber quadratic region = %v,%v", l, g)
-	}
-	_, g = HuberLoss(5, 0, 1)
-	if g != 1 {
-		t.Fatalf("Huber linear region grad = %v, want 1", g)
-	}
-	_, g = HuberLoss(-5, 0, 1)
-	if g != -1 {
-		t.Fatalf("Huber linear region grad = %v, want -1", g)
 	}
 }
 
@@ -423,42 +404,29 @@ func TestEmbeddingLookupAndGrad(t *testing.T) {
 }
 
 func TestFrozenParamNotUpdatedByOptimizers(t *testing.T) {
-	for name, opt := range map[string]Optimizer{
-		"sgd":     &SGD{LR: 0.1},
-		"adam":    NewAdam(0.1),
-		"rmsprop": NewRMSProp(0.1),
-	} {
-		p := NewParam("w", 1, 1)
-		p.W[0] = 1
-		p.G[0] = 5
-		p.Frozen = true
-		opt.Step([]*Param{p})
-		if p.W[0] != 1 {
-			t.Errorf("%s updated a frozen param", name)
-		}
-		if p.G[0] != 0 {
-			t.Errorf("%s left gradient on a frozen param", name)
-		}
+	p := NewParam("w", 1, 1)
+	p.W[0] = 1
+	p.G[0] = 5
+	p.Frozen = true
+	NewAdam(0.1).Step([]*Param{p})
+	if p.W[0] != 1 {
+		t.Errorf("Adam updated a frozen param")
+	}
+	if p.G[0] != 0 {
+		t.Errorf("Adam left gradient on a frozen param")
 	}
 }
 
 // TestOptimizersConvergeOnQuadratic trains w to minimize 0.5*(w-3)^2.
 func TestOptimizersConvergeOnQuadratic(t *testing.T) {
-	for name, mk := range map[string]func() Optimizer{
-		"sgd":          func() Optimizer { return &SGD{LR: 0.1} },
-		"sgd+momentum": func() Optimizer { return &SGD{LR: 0.05, Momentum: 0.9} },
-		"adam":         func() Optimizer { return NewAdam(0.1) },
-		"rmsprop":      func() Optimizer { return NewRMSProp(0.05) },
-	} {
-		opt := mk()
-		p := NewParam("w", 1, 1)
-		for i := 0; i < 500; i++ {
-			p.G[0] = p.W[0] - 3
-			opt.Step([]*Param{p})
-		}
-		if math.Abs(p.W[0]-3) > 0.05 {
-			t.Errorf("%s: w = %v after 500 steps, want ~3", name, p.W[0])
-		}
+	opt := NewAdam(0.1)
+	p := NewParam("w", 1, 1)
+	for i := 0; i < 500; i++ {
+		p.G[0] = p.W[0] - 3
+		opt.Step([]*Param{p})
+	}
+	if math.Abs(p.W[0]-3) > 0.05 {
+		t.Errorf("Adam: w = %v after 500 steps, want ~3", p.W[0])
 	}
 }
 

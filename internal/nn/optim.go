@@ -2,42 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients. Step must
-// also clear the gradients it consumed. Frozen parameters are skipped.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-}
-
-// Step applies one SGD update and zeroes gradients.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if p.Frozen {
-			p.ZeroGrad()
-			continue
-		}
-		if s.Momentum > 0 {
-			if p.v == nil {
-				p.v = NewVec(len(p.W))
-			}
-			for i := range p.W {
-				p.v[i] = s.Momentum*p.v[i] + p.G[i]
-				p.W[i] -= s.LR * p.v[i]
-			}
-		} else {
-			for i := range p.W {
-				p.W[i] -= s.LR * p.G[i]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba 2015), the optimizer used
 // to train PathRank.
 type Adam struct {
@@ -80,62 +44,9 @@ func (a *Adam) Step(params []*Param) {
 	}
 }
 
-// RMSProp implements the RMSProp optimizer.
-type RMSProp struct {
-	LR      float64
-	Decay   float64
-	Epsilon float64
-}
-
-// NewRMSProp returns RMSProp with decay 0.9.
-func NewRMSProp(lr float64) *RMSProp {
-	return &RMSProp{LR: lr, Decay: 0.9, Epsilon: 1e-8}
-}
-
-// Step applies one RMSProp update and zeroes gradients.
-func (r *RMSProp) Step(params []*Param) {
-	for _, p := range params {
-		if p.Frozen {
-			p.ZeroGrad()
-			continue
-		}
-		if p.v == nil {
-			p.v = NewVec(len(p.W))
-		}
-		for i := range p.W {
-			g := p.G[i]
-			p.v[i] = r.Decay*p.v[i] + (1-r.Decay)*g*g
-			p.W[i] -= r.LR * g / (math.Sqrt(p.v[i]) + r.Epsilon)
-		}
-		p.ZeroGrad()
-	}
-}
-
 // MSELoss returns 0.5*(pred-target)^2 and its derivative with respect to
 // pred. The 0.5 factor makes the gradient simply (pred-target).
 func MSELoss(pred, target float64) (loss, grad float64) {
 	d := pred - target
 	return 0.5 * d * d, d
-}
-
-// MAELoss returns |pred-target| and its subgradient.
-func MAELoss(pred, target float64) (loss, grad float64) {
-	d := pred - target
-	if d >= 0 {
-		return d, 1
-	}
-	return -d, -1
-}
-
-// HuberLoss returns the Huber loss with transition point delta and its
-// derivative.
-func HuberLoss(pred, target, delta float64) (loss, grad float64) {
-	d := pred - target
-	if math.Abs(d) <= delta {
-		return 0.5 * d * d, d
-	}
-	if d > 0 {
-		return delta * (d - 0.5*delta), delta
-	}
-	return delta * (-d - 0.5*delta), -delta
 }

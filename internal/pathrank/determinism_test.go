@@ -27,7 +27,9 @@ func TestEvaluateParallelBitwiseDeterministic(t *testing.T) {
 	// Random weights are fine: determinism is about scheduling, not fit.
 	rng := rand.New(rand.NewSource(9))
 	for _, p := range m.params {
-		p.InitUniform(rng, 0.3)
+		for i := range p.W {
+			p.W[i] = (rng.Float64()*2 - 1) * 0.3
+		}
 	}
 
 	defer func() { EvalWorkers = 0 }()
@@ -53,7 +55,9 @@ func TestRankParallelBitwiseDeterministic(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(10))
 	for _, p := range m.params {
-		p.InitUniform(rng, 0.3)
+		for i := range p.W {
+			p.W[i] = (rng.Float64()*2 - 1) * 0.3
+		}
 	}
 	var cands []spath.Path
 	for _, q := range queries {

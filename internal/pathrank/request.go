@@ -8,7 +8,6 @@ import (
 
 	"pathrank/internal/api"
 	"pathrank/internal/dataset"
-	"pathrank/internal/pathsim"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
 )
@@ -437,29 +436,8 @@ func (r *Ranker) CandidatesFor(ctx context.Context, req RankRequest) ([]spath.Pa
 	if rg.Engine == spath.EngineDijkstra {
 		engine = nil
 	}
-	weight := rg.Weight.Weight()
-	var cands []spath.Path
-	switch rg.Strategy {
-	case dataset.TkDI:
-		if engine != nil {
-			cands, err = spath.TopKEngineCtx(ctx, engine, req.Src, req.Dst, rg.K)
-		} else {
-			cands, err = spath.TopKCtx(ctx, r.Graph, req.Src, req.Dst, rg.K, weight)
-		}
-	case dataset.DTkDI:
-		probe := rg.MaxProbe
-		if probe <= 0 {
-			probe = 10 * rg.K
-		}
-		sim := pathsim.WeightedJaccardSim(r.Graph)
-		if engine != nil {
-			cands, err = spath.DiversifiedTopKEngineCtx(ctx, engine, req.Src, req.Dst, rg.K, sim, rg.Threshold, probe)
-		} else {
-			cands, err = spath.DiversifiedTopKCtx(ctx, r.Graph, req.Src, req.Dst, rg.K, weight, sim, rg.Threshold, probe)
-		}
-	default:
-		return nil, stats, rankErrf(api.CodeInvalid, "unknown candidate strategy %d", rg.Strategy)
-	}
+	cfg := dataset.Config{Strategy: rg.Strategy, K: rg.K, Threshold: rg.Threshold, MaxProbe: rg.MaxProbe}
+	cands, _, err := cfg.Candidates(ctx, r.Graph, engine, rg.Weight.Weight(), nil, req.Src, req.Dst)
 	if err != nil {
 		return nil, stats, fmt.Errorf("pathrank: candidate generation %d->%d: %w", req.Src, req.Dst, err)
 	}

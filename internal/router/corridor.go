@@ -14,7 +14,6 @@ import (
 	"pathrank/internal/dataset"
 	"pathrank/internal/geo"
 	"pathrank/internal/pathrank"
-	"pathrank/internal/pathsim"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
 )
@@ -463,20 +462,6 @@ func (rt *Router) fuse(responses []*api.CorridorResponse, dS, dT []float64, C fl
 // graph — the same code path a single-process server uses, with
 // enumeration statistics for the certification check.
 func (rt *Router) enumerate(ctx context.Context, fg *fusedGraph, rs resolved) ([]spath.Path, spath.EnumStats, error) {
-	lsrc := fg.local[rs.src]
-	ldst := fg.local[rs.dst]
-	weight := rs.Weight.Weight()
-	switch rs.Strategy {
-	case dataset.TkDI:
-		return spath.TopKStatsCtx(ctx, fg.g, lsrc, ldst, rs.K, weight)
-	case dataset.DTkDI:
-		probe := rs.MaxProbe
-		if probe <= 0 {
-			probe = 10 * rs.K
-		}
-		sim := pathsim.WeightedJaccardSim(fg.g)
-		return spath.DiversifiedTopKStatsCtx(ctx, fg.g, lsrc, ldst, rs.K, weight, sim, rs.Threshold, probe)
-	default:
-		return nil, spath.EnumStats{}, fmt.Errorf("router: unknown candidate strategy %d", rs.Strategy)
-	}
+	cfg := dataset.Config{Strategy: rs.Strategy, K: rs.K, Threshold: rs.Threshold, MaxProbe: rs.MaxProbe}
+	return cfg.Candidates(ctx, fg.g, nil, rs.Weight.Weight(), nil, fg.local[rs.src], fg.local[rs.dst])
 }

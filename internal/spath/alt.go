@@ -69,44 +69,18 @@ func BuildALT(g *roadnet.Graph, w Weight, numLandmarks int) *ALT {
 	return a
 }
 
+// addLandmark sweeps out from l and, over the in-arcs, into it.
 func (a *ALT) addLandmark(l roadnet.VertexID) {
+	ws := GetWorkspace(a.g)
+	defer ws.Release()
+	seed := []Seed{{l, 0}}
+	from := make([]float64, a.g.NumVertices())
+	to := make([]float64, a.g.NumVertices())
+	ws.SeededDistances(a.g, seed, math.Inf(1), a.w, from)
+	ws.SeededDistancesRev(a.g, seed, math.Inf(1), a.w, to)
 	a.landmarks = append(a.landmarks, l)
-	a.fromLM = append(a.fromLM, DijkstraAll(a.g, l, a.w))
-	// Distances to the landmark: Dijkstra on the reverse graph.
-	a.toLM = append(a.toLM, a.reverseDijkstraAll(l))
-}
-
-func (a *ALT) reverseDijkstraAll(src roadnet.VertexID) []float64 {
-	n := a.g.NumVertices()
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = unreached
-	}
-	done := make([]bool, n)
-	dist[src] = 0
-	h := &minHeap{}
-	h.push(item{v: src})
-	for !h.empty() {
-		it := h.pop()
-		if done[it.v] {
-			continue
-		}
-		done[it.v] = true
-		for _, eid := range a.g.InEdges(it.v) {
-			e := a.g.Edge(eid)
-			nd := it.dist + a.w(e)
-			if nd < dist[e.From] {
-				dist[e.From] = nd
-				h.push(item{v: e.From, dist: nd})
-			}
-		}
-	}
-	for i := range dist {
-		if dist[i] == unreached {
-			dist[i] = math.Inf(1)
-		}
-	}
-	return dist
+	a.fromLM = append(a.fromLM, from)
+	a.toLM = append(a.toLM, to)
 }
 
 // NumLandmarks returns the number of landmarks chosen.

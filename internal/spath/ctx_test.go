@@ -56,23 +56,36 @@ func TestCtxVariantsBitIdentical(t *testing.T) {
 		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
 
 		want, errWant := TopK(g, src, dst, 5, ByLength)
-		got, errGot := TopKCtx(ctx, g, src, dst, 5, ByLength)
-		requireSamePaths(t, "TopKCtx", want, got, errWant, errGot)
+		got, errGot := topKCtx(ctx, g, nil, ByLength, src, dst, 5)
+		requireSamePaths(t, "TopK with ctx", want, got, errWant, errGot)
 
 		want, errWant = DiversifiedTopK(g, src, dst, 4, ByLength, sim, 0.8, 40)
-		got, errGot = DiversifiedTopKCtx(ctx, g, src, dst, 4, ByLength, sim, 0.8, 40)
-		requireSamePaths(t, "DiversifiedTopKCtx", want, got, errWant, errGot)
+		got, errGot = diversifiedCtx(ctx, g, nil, ByLength, src, dst, 4, sim, 0.8, 40)
+		requireSamePaths(t, "DiversifiedTopK with ctx", want, got, errWant, errGot)
 
 		for _, e := range engines {
-			want, errWant = TopKEngine(e, src, dst, 5)
-			got, errGot = TopKEngineCtx(ctx, e, src, dst, 5)
-			requireSamePaths(t, "TopKEngineCtx/"+e.Kind().String(), want, got, errWant, errGot)
+			want, errWant = topKCtx(context.Background(), e.Graph(), e, nil, src, dst, 5)
+			got, errGot = topKCtx(ctx, e.Graph(), e, nil, src, dst, 5)
+			requireSamePaths(t, "TopK with ctx on "+e.Kind().String(), want, got, errWant, errGot)
 
 			pw, ew := e.Shortest(src, dst)
 			pg, eg := e.ShortestCtx(ctx, src, dst)
 			requireSamePaths(t, "ShortestCtx/"+e.Kind().String(), []Path{pw}, []Path{pg}, ew, eg)
 		}
 	}
+}
+
+// topKCtx and diversifiedCtx are TopK and DiversifiedTopK on a context
+// and, when e is non-nil, an engine: the one enumeration body, the way
+// DiversifiedTopKStatsCtx runs it, without the statistics.
+func topKCtx(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, dst roadnet.VertexID, k int) ([]Path, error) {
+	paths, _, err := enumerate(ctx, g, e, w, src, dst, k, nil, 0, k)
+	return paths, err
+}
+
+func diversifiedCtx(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
+	paths, _, err := enumerate(ctx, g, e, w, src, dst, k, sim, threshold, maxProbe)
+	return paths, err
 }
 
 func requireSamePaths(t *testing.T, what string, want, got []Path, errWant, errGot error) {
@@ -123,16 +136,16 @@ func TestCtxPreCanceled(t *testing.T) {
 	if _, err := DijkstraCtx(ctx, g, src, dst, ByLength); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DijkstraCtx: err = %v, want Canceled", err)
 	}
-	if _, err := TopKCtx(ctx, g, src, dst, 5, ByLength); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TopKCtx: err = %v, want Canceled", err)
+	if _, err := topKCtx(ctx, g, nil, ByLength, src, dst, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("TopK with ctx: err = %v, want Canceled", err)
 	}
 	for _, kind := range []EngineKind{EngineDijkstra, EngineALT, EngineCH} {
 		e := NewEngine(kind, g, ByLength, EngineConfig{})
 		if _, err := e.ShortestCtx(ctx, src, dst); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s ShortestCtx: err = %v, want Canceled", kind, err)
 		}
-		if _, err := TopKEngineCtx(ctx, e, src, dst, 5); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s TopKEngineCtx: err = %v, want Canceled", kind, err)
+		if _, err := topKCtx(ctx, e.Graph(), e, nil, src, dst, 5); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s TopK with ctx: err = %v, want Canceled", kind, err)
 		}
 	}
 }
@@ -154,7 +167,7 @@ func TestCtxCancelMidEnumerationLeavesPoolClean(t *testing.T) {
 	// Flip after varying poll counts so cancellation lands in different
 	// phases of the enumeration (first Dijkstra, early spur, late spur).
 	for _, after := range []int{0, 1, 2, 3, 5, 8} {
-		_, err := TopKCtx(newFlipCtx(after), g, src, dst, 8, ByLength)
+		_, err := topKCtx(newFlipCtx(after), g, nil, ByLength, src, dst, 8)
 		if err == nil {
 			// Enumeration finished before the flip; still a valid round.
 			continue
@@ -198,7 +211,7 @@ func TestCtxCancelStopsSlowQuery(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = TopKCtx(ctx, g, src, dst, 3000, ByLength)
+	_, err = topKCtx(ctx, g, nil, ByLength, src, dst, 3000)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v after %v, want Canceled (query completed too fast to observe cancellation?)", err, elapsed)
@@ -208,7 +221,7 @@ func TestCtxCancelStopsSlowQuery(t *testing.T) {
 	}
 }
 
-// TestCtxVariantAllocsMatch guards the zero-extra-alloc promise: TopKCtx
+// TestCtxVariantAllocsMatch guards the zero-extra-alloc promise: TopK
 // with a live cancelable context allocates exactly what TopK does.
 func TestCtxVariantAllocsMatch(t *testing.T) {
 	if raceEnabled {
@@ -228,11 +241,11 @@ func TestCtxVariantAllocsMatch(t *testing.T) {
 		}
 	})
 	withCtx := testing.AllocsPerRun(30, func() {
-		if _, err := TopKCtx(ctx, g, src, dst, 5, ByLength); err != nil {
+		if _, err := topKCtx(ctx, g, nil, ByLength, src, dst, 5); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if withCtx > base {
-		t.Fatalf("TopKCtx allocates %.1f/op vs TopK %.1f/op; ctx threading must not allocate", withCtx, base)
+		t.Fatalf("TopK with ctx allocates %.1f/op vs TopK %.1f/op; ctx threading must not allocate", withCtx, base)
 	}
 }

@@ -36,23 +36,3 @@ func DijkstraAll(g *roadnet.Graph, src roadnet.VertexID, w Weight) []float64 {
 	defer ws.Release()
 	return ws.DijkstraAll(g, src, w)
 }
-
-// AStar returns a minimum-cost path using a consistent geographic heuristic.
-// For ByLength the heuristic is straight-line distance; for other weights it
-// is straight-line distance divided by the network's maximum speed, which
-// remains admissible. The result is optimal and equal in cost to Dijkstra.
-func AStar(g *roadnet.Graph, src, dst roadnet.VertexID, w Weight) (Path, error) {
-	ws := GetWorkspace(g)
-	defer ws.Release()
-	return ws.AStar(g, src, dst, w)
-}
-
-// BidirectionalDijkstra searches simultaneously from src forward and dst
-// backward, meeting in the middle. It returns a path with the same optimal
-// cost as Dijkstra while settling roughly half as many vertices on large
-// graphs.
-func BidirectionalDijkstra(g *roadnet.Graph, src, dst roadnet.VertexID, w Weight) (Path, error) {
-	ws := GetWorkspace(g)
-	defer ws.Release()
-	return ws.BidirectionalDijkstra(g, src, dst, w)
-}

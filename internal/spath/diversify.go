@@ -26,31 +26,20 @@ type Similarity func(a, b Path) float64
 // enumerating all maxProbe paths first and filtering afterwards, because
 // the greedy filter never looks ahead.
 func DiversifiedTopK(g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
-	return DiversifiedTopKCtx(context.Background(), g, src, dst, k, w, sim, threshold, maxProbe)
-}
-
-// DiversifiedTopKCtx is DiversifiedTopK honoring ctx; see TopKCtx for the
-// cancellation contract.
-func DiversifiedTopKCtx(ctx context.Context, g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
-	paths, _, err := DiversifiedTopKStatsCtx(ctx, g, src, dst, k, w, sim, threshold, maxProbe)
+	paths, _, err := enumerate(context.Background(), g, nil, w, src, dst, k, sim, threshold, maxProbe)
 	return paths, err
 }
 
-// DiversifiedTopKStatsCtx is DiversifiedTopKCtx additionally reporting
-// enumeration statistics.
-func DiversifiedTopKStatsCtx(ctx context.Context, g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight, sim Similarity, threshold float64, maxProbe int) ([]Path, EnumStats, error) {
-	return enumerate(ctx, g, nil, w, src, dst, k, sim, threshold, maxProbe)
-}
-
-// DiversifiedTopKEngine is DiversifiedTopK running on a prepared Engine;
-// see TopKEngine for how the engine accelerates the enumeration.
-func DiversifiedTopKEngine(e Engine, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
-	return DiversifiedTopKEngineCtx(context.Background(), e, src, dst, k, sim, threshold, maxProbe)
-}
-
-// DiversifiedTopKEngineCtx is DiversifiedTopKEngine honoring ctx; see
-// TopKCtx for the cancellation contract.
-func DiversifiedTopKEngineCtx(ctx context.Context, e Engine, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
-	paths, _, err := enumerate(ctx, e.Graph(), e, nil, src, dst, k, sim, threshold, maxProbe)
-	return paths, err
+// DiversifiedTopKStatsCtx is the enumeration entry every candidate set is
+// generated through (dataset.Config.Candidates): DiversifiedTopK on e when
+// e is non-nil (an engine over g; its point-to-point query gives the first
+// path, its weight table and landmark bound serve the spur searches) and
+// plain on g under w otherwise, honoring ctx, with enumeration statistics.
+// A nil sim accepts every path, which is TkDI; a maxProbe below k means
+// 10*k. Cancellation stops the enumeration, including a spur search in
+// flight, and returns ctx's error; the check is amortized over heap pops,
+// so a never-canceled context gives bit-identical results at no
+// measurable cost.
+func DiversifiedTopKStatsCtx(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, EnumStats, error) {
+	return enumerate(ctx, g, e, w, src, dst, k, sim, threshold, maxProbe)
 }

@@ -46,22 +46,6 @@ func TestDiversifiedTopKThresholdZeroDisjointOnly(t *testing.T) {
 	}
 }
 
-func TestBidirectionalSelfQuery(t *testing.T) {
-	g := gridGraph(t, 4, 4)
-	p, err := BidirectionalDijkstra(g, 2, 2, ByLength)
-	if err != nil || p.Len() != 0 {
-		t.Fatalf("self query: len=%d err=%v", p.Len(), err)
-	}
-}
-
-func TestAStarSelfQuery(t *testing.T) {
-	g := gridGraph(t, 4, 4)
-	p, err := AStar(g, 2, 2, ByLength)
-	if err != nil || p.Len() != 0 {
-		t.Fatalf("self query: len=%d err=%v", p.Len(), err)
-	}
-}
-
 func TestPathValidateRejectsBrokenChain(t *testing.T) {
 	g := gridGraph(t, 4, 4)
 	p, err := Dijkstra(g, 0, 5, ByLength)

@@ -191,15 +191,23 @@ func (e *altEngine) Shortest(src, dst roadnet.VertexID) (Path, error) {
 	return e.ShortestCtx(context.Background(), src, dst)
 }
 
-// ShortestCtx is A* toward dst under the landmark bound. Costs equal
-// Dijkstra's; the heuristic only prunes the search.
+// ShortestCtx is A* toward dst under the landmark bound: the spur search
+// with nothing banned. Costs equal Dijkstra's; the heuristic only prunes
+// the search.
 func (e *altEngine) ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error) {
 	ws := GetWorkspace(e.g)
 	defer ws.Release()
 	ws.bindContext(ctx)
 	ws.useWeights(&e.tab)
 	ws.setGoalAux(e.g, dst, e.a.boundTo(dst))
-	return ws.aStar(e.g, src, dst)
+	ws.resetBans(e.g)
+	if p, ok := ws.dijkstraConstrained(e.g, src, dst); ok {
+		return p, nil
+	}
+	if ws.ctxErr != nil {
+		return Path{}, ws.ctxErr
+	}
+	return Path{}, ErrNoPath
 }
 
 func (e *altEngine) ManyToMany(sources, targets []roadnet.VertexID, bound float64, out [][]float64) {

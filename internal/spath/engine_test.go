@@ -2,6 +2,7 @@ package spath
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -173,14 +174,14 @@ func TestEngineTopKMatchesPlain(t *testing.T) {
 		wantTop, errTop := TopK(g, src, dst, 5, ByLength)
 		wantDiv, errDiv := DiversifiedTopK(g, src, dst, 4, ByLength, sim, 0.8, 40)
 		for _, e := range engines {
-			gotTop, err := TopKEngine(e, src, dst, 5)
+			gotTop, err := topKCtx(context.Background(), e.Graph(), e, nil, src, dst, 5)
 			if (errTop == nil) != (err == nil) {
 				t.Fatalf("%s TopK err=%v, plain err=%v", e.Kind(), err, errTop)
 			}
 			if errTop == nil {
 				comparePathSets(t, e.Kind().String()+" TopK", gotTop, wantTop)
 			}
-			gotDiv, err := DiversifiedTopKEngine(e, src, dst, 4, sim, 0.8, 40)
+			gotDiv, err := diversifiedCtx(context.Background(), e.Graph(), e, nil, src, dst, 4, sim, 0.8, 40)
 			if (errDiv == nil) != (err == nil) {
 				t.Fatalf("%s DiversifiedTopK err=%v, plain err=%v", e.Kind(), err, errDiv)
 			}

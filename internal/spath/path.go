@@ -1,7 +1,9 @@
 // Package spath implements shortest-path search over road networks:
-// Dijkstra, A* with a geographic lower bound, bidirectional Dijkstra, Yen's
-// top-k shortest paths, and the diversified top-k variant (D-TkDI) used by
-// PathRank to generate training candidates.
+// Dijkstra (point-to-point, one-to-all, bounded one-to-many and seeded
+// multi-source, forward or reverse — all one relaxation loop), ALT
+// landmark A*, contraction hierarchies, Yen's top-k shortest paths, and
+// the diversified top-k variant (D-TkDI) used by PathRank to generate
+// training candidates.
 //
 // All algorithms operate on a Weight function so the same code serves
 // shortest-distance and fastest-time queries.
@@ -9,7 +11,6 @@ package spath
 
 import (
 	"fmt"
-	"math"
 
 	"pathrank/internal/roadnet"
 )
@@ -110,56 +111,6 @@ func (p Path) Clone() Path {
 // ErrNoPath is returned when the destination is unreachable.
 var ErrNoPath = fmt.Errorf("spath: no path exists")
 
-// item is a priority-queue entry.
-type item struct {
-	v    roadnet.VertexID
-	dist float64
-}
-
-// minHeap is a binary min-heap over items keyed by dist. A hand-rolled heap
-// avoids container/heap's interface boxing in the hottest loop of the
-// library.
-type minHeap struct{ a []item }
-
-func (h *minHeap) push(it item) {
-	h.a = append(h.a, it)
-	i := len(h.a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.a[parent].dist <= h.a[i].dist {
-			break
-		}
-		h.a[parent], h.a[i] = h.a[i], h.a[parent]
-		i = parent
-	}
-}
-
-func (h *minHeap) pop() item {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && h.a[l].dist < h.a[small].dist {
-			small = l
-		}
-		if r < last && h.a[r].dist < h.a[small].dist {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
-		i = small
-	}
-	return top
-}
-
-func (h *minHeap) empty() bool { return len(h.a) == 0 }
-
 // reconstruct walks parent edge pointers from dst back to src.
 func reconstruct(g *roadnet.Graph, parentEdge []roadnet.EdgeID, src, dst roadnet.VertexID, cost float64) Path {
 	var edges []roadnet.EdgeID
@@ -180,5 +131,3 @@ func reconstruct(g *roadnet.Graph, parentEdge []roadnet.EdgeID, src, dst roadnet
 	}
 	return Path{Vertices: vertices, Edges: edges, Cost: cost}
 }
-
-const unreached = math.MaxFloat64

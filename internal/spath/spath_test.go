@@ -143,54 +143,6 @@ func TestDijkstraMatchesBellmanFordProperty(t *testing.T) {
 	}
 }
 
-func TestAStarMatchesDijkstra(t *testing.T) {
-	g := gridGraph(t, 8, 8)
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 25; trial++ {
-		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		for _, w := range []Weight{ByLength, ByTime} {
-			pd, errD := Dijkstra(g, src, dst, w)
-			pa, errA := AStar(g, src, dst, w)
-			if (errD == nil) != (errA == nil) {
-				t.Fatalf("src=%d dst=%d: dijkstra err=%v astar err=%v", src, dst, errD, errA)
-			}
-			if errD != nil {
-				continue
-			}
-			if math.Abs(pd.Cost-pa.Cost) > 1e-6 {
-				t.Fatalf("src=%d dst=%d: dijkstra cost %.4f, astar cost %.4f", src, dst, pd.Cost, pa.Cost)
-			}
-			if err := pa.Validate(g); err != nil {
-				t.Fatalf("astar path invalid: %v", err)
-			}
-		}
-	}
-}
-
-func TestBidirectionalMatchesDijkstra(t *testing.T) {
-	g := gridGraph(t, 8, 8)
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 25; trial++ {
-		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		pd, errD := Dijkstra(g, src, dst, ByLength)
-		pb, errB := BidirectionalDijkstra(g, src, dst, ByLength)
-		if (errD == nil) != (errB == nil) {
-			t.Fatalf("src=%d dst=%d: dijkstra err=%v bidi err=%v", src, dst, errD, errB)
-		}
-		if errD != nil {
-			continue
-		}
-		if math.Abs(pd.Cost-pb.Cost) > 1e-6 {
-			t.Fatalf("src=%d dst=%d: dijkstra %.4f vs bidi %.4f", src, dst, pd.Cost, pb.Cost)
-		}
-		if err := pb.Validate(g); err != nil {
-			t.Fatalf("bidi path invalid: %v", err)
-		}
-	}
-}
-
 func TestTopKOrderingAndUniqueness(t *testing.T) {
 	g := gridGraph(t, 7, 7)
 	src, dst := roadnet.VertexID(0), roadnet.VertexID(g.NumVertices()-1)
@@ -398,20 +350,27 @@ func TestPathLengthTimeAccessors(t *testing.T) {
 
 func TestMinHeapOrderingProperty(t *testing.T) {
 	f := func(vals []float64) bool {
-		h := &minHeap{}
-		for _, v := range vals {
-			if math.IsNaN(v) {
-				continue
+		var h heap4
+		h.ensure(len(vals))
+		h.reset()
+		for i, v := range vals {
+			if !math.IsNaN(v) {
+				h.push(roadnet.VertexID(i), v)
 			}
-			h.push(item{dist: v})
+		}
+		// Decrease some keys: the position index must follow the moves.
+		for i, v := range vals {
+			if i%3 == 0 && !math.IsNaN(v) {
+				h.update(roadnet.VertexID(i), v/2-1)
+			}
 		}
 		prev := math.Inf(-1)
 		for !h.empty() {
-			it := h.pop()
-			if it.dist < prev {
+			_, key := h.pop()
+			if key < prev {
 				return false
 			}
-			prev = it.dist
+			prev = key
 		}
 		return true
 	}

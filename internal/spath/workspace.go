@@ -16,24 +16,26 @@ import (
 // query bumps a counter instead of clearing the arrays, so query setup is
 // O(1) regardless of graph size.
 //
+// A Workspace runs two relaxation loops over one set of arrays. sweep is
+// every plain search — point-to-point, one-to-all, bounded one-to-many and
+// seeded multi-source, forward or reverse. dijkstraConstrained is Yen's
+// spur search; it stays separate because it is the hot loop of candidate
+// generation and differs from a plain search on every relaxed edge: it
+// skips banned vertices and edges, reads the query's weight table instead
+// of calling w, and keys the heap by distance plus a memoized goal bound.
+//
 // A Workspace is not safe for concurrent use; acquire one per goroutine with
 // GetWorkspace. Yen's TopK issues hundreds of Dijkstra calls per candidate
 // set through a single Workspace, which is where the reuse pays off most.
 type Workspace struct {
-	// Forward search state, indexed by vertex.
+	// Search state, indexed by vertex; a reverse sweep uses it too.
 	dist   []float64
 	parent []roadnet.EdgeID
 	reach  []uint32 // dist/parent valid iff reach[v] == gen
 
-	// Backward search state for bidirectional queries.
-	distB   []float64
-	parentB []roadnet.EdgeID
-	reachB  []uint32
-
 	gen uint32
 
-	heap  heap4
-	heapB heap4
+	heap heap4
 
 	// wts is the weight of every edge for the current query, so the
 	// relaxation loop pays one array load instead of an indirect call with
@@ -49,7 +51,7 @@ type Workspace struct {
 	banE   []uint32
 	banGen uint32
 
-	// Goal-heuristic cache for constrained A* spur queries: all spur
+	// Goal-heuristic cache for the A* spur queries: all spur
 	// queries of one TopK call share the same destination, so the scaled
 	// straight-line lower bound is memoized per vertex. heurAux, when
 	// non-nil, is an additional admissible bound (e.g. ALT landmark
@@ -165,9 +167,6 @@ func (ws *Workspace) ensure(g *roadnet.Graph) {
 		ws.dist = make([]float64, n)
 		ws.parent = make([]roadnet.EdgeID, n)
 		ws.reach = make([]uint32, n)
-		ws.distB = make([]float64, n)
-		ws.parentB = make([]roadnet.EdgeID, n)
-		ws.reachB = make([]uint32, n)
 		ws.banV = make([]uint32, n)
 		ws.tgtStamp = make([]uint32, n)
 		ws.tgtGen = 0
@@ -179,7 +178,6 @@ func (ws *Workspace) ensure(g *roadnet.Graph) {
 		ws.banGen = 0
 	}
 	ws.heap.ensure(n)
-	ws.heapB.ensure(n)
 }
 
 // begin starts a new query generation: O(1) instead of clearing the arrays.
@@ -187,15 +185,9 @@ func (ws *Workspace) begin() {
 	ws.gen++
 	if ws.gen == 0 { // stamp wrap: clear once every 2^32 queries
 		clearU32(ws.reach)
-		clearU32(ws.reachB)
 		ws.gen = 1
 	}
 	ws.heap.reset()
-}
-
-func (ws *Workspace) beginBidirectional() {
-	ws.begin()
-	ws.heapB.reset()
 }
 
 func clearU32(s []uint32) {
@@ -206,9 +198,9 @@ func clearU32(s []uint32) {
 
 // weightTable is the weight of every edge under one Weight function plus
 // the best cost-per-meter ratio, which makes the scaled straight-line
-// distance an admissible, consistent lower bound under that weight (the
-// same construction the package-level AStar uses). An Engine builds one at
-// construction and shares it, read-only, with every query.
+// distance an admissible, consistent lower bound under that weight. An
+// Engine builds one at construction and shares it, read-only, with every
+// query.
 type weightTable struct {
 	wts   []float64
 	scale float64
@@ -316,64 +308,76 @@ func (ws *Workspace) edgeBanned(e roadnet.EdgeID) bool     { return ws.banE[e] =
 
 // --- Searches ---
 
-// Dijkstra is the workspace-backed equivalent of the package-level Dijkstra.
-// Weights are evaluated inline: a single early-terminating query touches
-// each edge at most once, so the O(E) weight cache would cost more than it
-// saves (TopK and DijkstraAll do use the cache, where it is reused).
-func (ws *Workspace) Dijkstra(g *roadnet.Graph, src, dst roadnet.VertexID, w Weight) (Path, error) {
-	if src == dst {
-		return Path{Vertices: []roadnet.VertexID{src}}, nil
-	}
+// sweep is the one relaxation loop of every plain search: Dijkstra from
+// seeds, over out-arcs or, when rev, over in-arcs (so dist[v] is then the
+// cost from v to the nearest seed). Seeds above bound or at +Inf are
+// skipped; duplicate seeds keep the cheapest. w is evaluated per relaxed
+// edge — a bounded or early-stopping search touches a fraction of the
+// edges, so filling a weight table first would cost more than it saves.
+// The relaxation is the one rule the repository's bit-identity rests on:
+// d + w(e), a strict < against the stamp-validated tentative distance,
+// heap4 order.
+//
+// The sweep stops when dst is popped (reporting true; pass -1 for none),
+// when every vertex of a non-nil targets set has been settled, when the
+// next frontier key exceeds bound, or when the bound context is canceled
+// (the caller tells that case apart by ws.ctxErr). Settled distances and
+// parent edges are left in dist/parent under the current generation.
+func (ws *Workspace) sweep(g *roadnet.Graph, seeds []Seed, rev bool, w Weight, dst roadnet.VertexID, targets []roadnet.VertexID, bound float64) bool {
 	ws.ensure(g)
 	ws.begin()
 	gen := ws.gen
-	ws.dist[src] = 0
-	ws.reach[src] = gen
-	ws.heap.push(src, 0)
-	for !ws.heap.empty() {
-		if ws.canceled() {
-			return Path{}, ws.ctxErr
+	remaining := -1 // no target set: never reaches 0
+	if targets != nil {
+		ws.tgtGen++
+		if ws.tgtGen == 0 {
+			clearU32(ws.tgtStamp)
+			ws.tgtGen = 1
 		}
-		v, d := ws.heap.pop()
-		if v == dst {
-			return reconstruct(g, ws.parent, src, dst, d), nil
-		}
-		outs := g.OutEdges(v)
-		tos := g.OutNeighbors(v)
-		for i, eid := range outs {
-			to := tos[i]
-			nd := d + w(g.Edge(eid))
-			if ws.reach[to] != gen || nd < ws.dist[to] {
-				ws.dist[to] = nd
-				ws.reach[to] = gen
-				ws.parent[to] = eid
-				ws.heap.update(to, nd)
+		remaining = 0
+		for _, t := range targets {
+			if ws.tgtStamp[t] != ws.tgtGen {
+				ws.tgtStamp[t] = ws.tgtGen
+				remaining++
 			}
 		}
 	}
-	return Path{}, ErrNoPath
-}
-
-// dijkstraCore runs the relaxation loop using the cached edge weights,
-// stopping when dst is settled (pass dst < 0 to settle the whole graph).
-// It reports whether dst was reached; distances and parents are left in the
-// workspace arrays under the current generation.
-func (ws *Workspace) dijkstraCore(g *roadnet.Graph, src, dst roadnet.VertexID) bool {
-	ws.begin()
-	ws.dist[src] = 0
-	ws.reach[src] = ws.gen
-	ws.heap.push(src, 0)
-	gen := ws.gen
-	for !ws.heap.empty() {
+	tgen := ws.tgtGen
+	for _, s := range seeds {
+		if s.Dist > bound || math.IsInf(s.Dist, 1) {
+			continue
+		}
+		if ws.reach[s.V] != gen || s.Dist < ws.dist[s.V] {
+			ws.dist[s.V] = s.Dist
+			ws.reach[s.V] = gen
+			ws.heap.update(s.V, s.Dist)
+		}
+	}
+	for !ws.heap.empty() && remaining != 0 {
+		if ws.ctx != nil && ws.canceled() { // the nil test inlines; the poll does not
+			return false
+		}
 		v, d := ws.heap.pop()
+		if d > bound {
+			break
+		}
 		if v == dst {
 			return true
 		}
-		outs := g.OutEdges(v)
-		tos := g.OutNeighbors(v)
-		for i, eid := range outs {
-			to := tos[i]
-			nd := d + ws.wts[eid]
+		if remaining > 0 && ws.tgtStamp[v] == tgen {
+			ws.tgtStamp[v] = tgen - 1
+			remaining--
+		}
+		var arcs []roadnet.EdgeID
+		var ends []roadnet.VertexID
+		if rev {
+			arcs, ends = g.InEdges(v), g.InNeighbors(v)
+		} else {
+			arcs, ends = g.OutEdges(v), g.OutNeighbors(v)
+		}
+		for i, eid := range arcs {
+			to := ends[i]
+			nd := d + w(g.Edge(eid))
 			if ws.reach[to] != gen || nd < ws.dist[to] {
 				ws.dist[to] = nd
 				ws.reach[to] = gen
@@ -385,22 +389,38 @@ func (ws *Workspace) dijkstraCore(g *roadnet.Graph, src, dst roadnet.VertexID) b
 	return false
 }
 
+// settled returns v's distance from the last sweep when it lies within
+// bound, and +Inf otherwise. It reads the tentative distance, which is
+// final for every vertex a caller asks about: a sweep without targets
+// stops only at a key past bound, one with targets only once they are all
+// settled.
+func (ws *Workspace) settled(v roadnet.VertexID, bound float64) float64 {
+	if ws.reach[v] == ws.gen && ws.dist[v] <= bound {
+		return ws.dist[v]
+	}
+	return math.Inf(1)
+}
+
+// Dijkstra is the workspace-backed equivalent of the package-level Dijkstra.
+func (ws *Workspace) Dijkstra(g *roadnet.Graph, src, dst roadnet.VertexID, w Weight) (Path, error) {
+	if src == dst {
+		return Path{Vertices: []roadnet.VertexID{src}}, nil
+	}
+	if ws.sweep(g, []Seed{{src, 0}}, false, w, dst, nil, math.Inf(1)) {
+		return reconstruct(g, ws.parent, src, dst, ws.dist[dst]), nil
+	}
+	if ws.ctxErr != nil {
+		return Path{}, ws.ctxErr
+	}
+	return Path{}, ErrNoPath
+}
+
 // DijkstraAll computes minimum costs from src to every vertex, writing into
 // a freshly allocated result slice (the API contract of the package-level
-// DijkstraAll); intermediate search state is reused.
+// DijkstraAll).
 func (ws *Workspace) DijkstraAll(g *roadnet.Graph, src roadnet.VertexID, w Weight) []float64 {
-	ws.ensure(g)
-	ws.fillWeights(g, w)
-	ws.dijkstraCore(g, src, -1)
-	n := g.NumVertices()
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if ws.reach[i] == ws.gen {
-			out[i] = ws.dist[i]
-		} else {
-			out[i] = math.Inf(1)
-		}
-	}
+	out := make([]float64, g.NumVertices())
+	ws.SeededDistances(g, []Seed{{src, 0}}, math.Inf(1), w, out)
 	return out
 }
 
@@ -412,202 +432,18 @@ func (ws *Workspace) DijkstraAll(g *roadnet.Graph, src roadnet.VertexID, w Weigh
 // around src rather than the graph. It is the one-to-many primitive of the
 // Dijkstra and ALT engines (CH has its own bucket-based ManyToMany).
 func (ws *Workspace) BoundedDistances(g *roadnet.Graph, src roadnet.VertexID, targets []roadnet.VertexID, bound float64, w Weight, out []float64) {
-	ws.ensure(g)
-	ws.begin()
-	gen := ws.gen
-	ws.tgtGen++
-	if ws.tgtGen == 0 {
-		clearU32(ws.tgtStamp)
-		ws.tgtGen = 1
+	ws.bounded(g, src, false, targets, bound, w, out)
+}
+
+// bounded is BoundedDistances (rev false) and BoundedDistancesRev.
+func (ws *Workspace) bounded(g *roadnet.Graph, from roadnet.VertexID, rev bool, targets []roadnet.VertexID, bound float64, w Weight, out []float64) {
+	if len(targets) == 0 {
+		return // a nil set would mean "no target stop" to sweep
 	}
-	tgen := ws.tgtGen
-	remaining := 0
-	for _, t := range targets {
-		if ws.tgtStamp[t] != tgen {
-			ws.tgtStamp[t] = tgen
-			remaining++
-		}
-	}
-	ws.dist[src] = 0
-	ws.reach[src] = gen
-	ws.heap.push(src, 0)
-	for !ws.heap.empty() && remaining > 0 {
-		v, d := ws.heap.pop()
-		if d > bound {
-			break
-		}
-		if ws.tgtStamp[v] == tgen {
-			ws.tgtStamp[v] = tgen - 1
-			remaining--
-		}
-		outs := g.OutEdges(v)
-		tos := g.OutNeighbors(v)
-		for i, eid := range outs {
-			to := tos[i]
-			nd := d + w(g.Edge(eid))
-			if ws.reach[to] != gen || nd < ws.dist[to] {
-				ws.dist[to] = nd
-				ws.reach[to] = gen
-				ws.parent[to] = eid
-				ws.heap.update(to, nd)
-			}
-		}
-	}
+	ws.sweep(g, []Seed{{from, 0}}, rev, w, -1, targets, bound)
 	for j, t := range targets {
-		if ws.reach[t] == gen && ws.dist[t] <= bound {
-			out[j] = ws.dist[t]
-		} else {
-			out[j] = math.Inf(1)
-		}
+		out[j] = ws.settled(t, bound)
 	}
-}
-
-// AStar is the workspace-backed equivalent of the package-level AStar. It
-// shares the weight cache, admissible scale, and memoized goal heuristic
-// with Yen's spur searches.
-func (ws *Workspace) AStar(g *roadnet.Graph, src, dst roadnet.VertexID, w Weight) (Path, error) {
-	ws.ensure(g)
-	ws.fillWeights(g, w)
-	ws.setGoal(g, dst)
-	return ws.aStar(g, src, dst)
-}
-
-// aStar searches src→dst over the current weight table toward the goal
-// the caller pointed setGoalAux at. The heuristic must be admissible for
-// optimality; landmark triangle bounds and the scaled straight-line
-// distance both are, and so is their max.
-func (ws *Workspace) aStar(g *roadnet.Graph, src, dst roadnet.VertexID) (Path, error) {
-	if src == dst {
-		return Path{Vertices: []roadnet.VertexID{src}}, nil
-	}
-	ws.begin()
-	gen := ws.gen
-	ws.dist[src] = 0
-	ws.reach[src] = gen
-	ws.heap.push(src, ws.heurTo(g, src))
-	for !ws.heap.empty() {
-		if ws.canceled() {
-			return Path{}, ws.ctxErr
-		}
-		v, _ := ws.heap.pop()
-		if v == dst {
-			return reconstruct(g, ws.parent, src, dst, ws.dist[dst]), nil
-		}
-		dv := ws.dist[v]
-		outs := g.OutEdges(v)
-		tos := g.OutNeighbors(v)
-		for i, eid := range outs {
-			to := tos[i]
-			nd := dv + ws.wts[eid]
-			if ws.reach[to] != gen || nd < ws.dist[to] {
-				ws.dist[to] = nd
-				ws.reach[to] = gen
-				ws.parent[to] = eid
-				ws.heap.update(to, nd+ws.heurTo(g, to))
-			}
-		}
-	}
-	return Path{}, ErrNoPath
-}
-
-// BidirectionalDijkstra is the workspace-backed equivalent of the
-// package-level BidirectionalDijkstra.
-func (ws *Workspace) BidirectionalDijkstra(g *roadnet.Graph, src, dst roadnet.VertexID, w Weight) (Path, error) {
-	if src == dst {
-		return Path{Vertices: []roadnet.VertexID{src}}, nil
-	}
-	ws.ensure(g)
-	ws.beginBidirectional()
-	gen := ws.gen
-	ws.dist[src] = 0
-	ws.reach[src] = gen
-	ws.distB[dst] = 0
-	ws.reachB[dst] = gen
-	ws.heap.push(src, 0)
-	ws.heapB.push(dst, 0)
-
-	best := math.Inf(1)
-	var meet roadnet.VertexID = -1
-
-	for !ws.heap.empty() || !ws.heapB.empty() {
-		if ws.canceled() {
-			return Path{}, ws.ctxErr
-		}
-		topF, topB := math.Inf(1), math.Inf(1)
-		if !ws.heap.empty() {
-			topF = ws.heap.topKey()
-		}
-		if !ws.heapB.empty() {
-			topB = ws.heapB.topKey()
-		}
-		if topF+topB >= best {
-			break
-		}
-		if topF <= topB {
-			v, d := ws.heap.pop()
-			if ws.reachB[v] == gen && d+ws.distB[v] < best {
-				best = d + ws.distB[v]
-				meet = v
-			}
-			outs := g.OutEdges(v)
-			tos := g.OutNeighbors(v)
-			for i, eid := range outs {
-				to := tos[i]
-				nd := d + w(g.Edge(eid))
-				if ws.reach[to] != gen || nd < ws.dist[to] {
-					ws.dist[to] = nd
-					ws.reach[to] = gen
-					ws.parent[to] = eid
-					ws.heap.update(to, nd)
-				}
-				if ws.reachB[to] == gen && nd+ws.distB[to] < best {
-					best = nd + ws.distB[to]
-					meet = to
-				}
-			}
-		} else {
-			v, d := ws.heapB.pop()
-			if ws.reach[v] == gen && d+ws.dist[v] < best {
-				best = d + ws.dist[v]
-				meet = v
-			}
-			ins := g.InEdges(v)
-			froms := g.InNeighbors(v)
-			for i, eid := range ins {
-				from := froms[i]
-				nd := d + w(g.Edge(eid))
-				if ws.reachB[from] != gen || nd < ws.distB[from] {
-					ws.distB[from] = nd
-					ws.reachB[from] = gen
-					ws.parentB[from] = eid
-					ws.heapB.update(from, nd)
-				}
-				if ws.reach[from] == gen && nd+ws.dist[from] < best {
-					best = nd + ws.dist[from]
-					meet = from
-				}
-			}
-		}
-	}
-	if meet < 0 {
-		return Path{}, ErrNoPath
-	}
-
-	forward := reconstruct(g, ws.parent, src, meet, ws.dist[meet])
-	var backEdges []roadnet.EdgeID
-	v := meet
-	for v != dst {
-		eid := ws.parentB[v]
-		backEdges = append(backEdges, eid)
-		v = g.Edge(eid).To
-	}
-	edges := append(forward.Edges, backEdges...)
-	vertices := make([]roadnet.VertexID, 0, len(edges)+1)
-	vertices = append(vertices, src)
-	for _, eid := range edges {
-		vertices = append(vertices, g.Edge(eid).To)
-	}
-	return Path{Vertices: vertices, Edges: edges, Cost: best}, nil
 }
 
 // dijkstraConstrained finds a minimum-cost path avoiding the workspace's

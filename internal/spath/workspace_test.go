@@ -43,20 +43,6 @@ func TestWorkspaceMatchesFreshQueries(t *testing.T) {
 			if !want.Equal(got) || math.Abs(want.Cost-got.Cost) > 1e-9 {
 				t.Fatalf("q%d: reused workspace returned a different path", i)
 			}
-			a, errA := ws.AStar(g, src, dst, w)
-			if errA != nil {
-				t.Fatalf("q%d: AStar: %v", i, errA)
-			}
-			if math.Abs(a.Cost-want.Cost) > 1e-6 {
-				t.Fatalf("q%d: AStar cost %v != Dijkstra cost %v", i, a.Cost, want.Cost)
-			}
-			b, errB := ws.BidirectionalDijkstra(g, src, dst, w)
-			if errB != nil {
-				t.Fatalf("q%d: Bidirectional: %v", i, errB)
-			}
-			if math.Abs(b.Cost-want.Cost) > 1e-6 {
-				t.Fatalf("q%d: Bidirectional cost %v != Dijkstra cost %v", i, b.Cost, want.Cost)
-			}
 		}
 	}
 }

@@ -186,8 +186,8 @@ type EnumStats struct {
 	SpurSearches int
 }
 
-// enumerate is the one body behind TopK and DiversifiedTopK and their
-// engine, context and statistics variants. The first path comes from e's
+// enumerate is the one body behind TopK, DiversifiedTopK and
+// DiversifiedTopKStatsCtx. The first path comes from e's
 // point-to-point query (a CH bidirectional upward search or goal-directed
 // ALT A*) when e is non-nil and from plain Dijkstra on g under w otherwise;
 // spur searches read e's weight table and landmark bound, or a per-query
@@ -267,35 +267,7 @@ func dissimilar(p Path, accepted []Path, sim Similarity, threshold float64) bool
 // candidate-generation strategy ("top-k shortest paths w.r.t. distance").
 // It returns ErrNoPath if even the shortest path does not exist.
 func TopK(g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight) ([]Path, error) {
-	return TopKCtx(context.Background(), g, src, dst, k, w)
-}
-
-// TopKCtx is TopK honoring ctx: cancellation stops the enumeration —
-// including a spur search in flight — and returns ctx's error. The check is
-// amortized over heap pops, so with a never-canceled (or Background)
-// context results are bit-identical to TopK at indistinguishable cost.
-func TopKCtx(ctx context.Context, g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight) ([]Path, error) {
-	paths, _, err := TopKStatsCtx(ctx, g, src, dst, k, w)
-	return paths, err
-}
-
-// TopKStatsCtx is TopKCtx additionally reporting enumeration statistics.
-func TopKStatsCtx(ctx context.Context, g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weight) ([]Path, EnumStats, error) {
-	return enumerate(ctx, g, nil, w, src, dst, k, nil, 0, k)
-}
-
-// TopKEngine is TopK running on a prepared Engine: the first path comes
-// from the engine's point-to-point query, and spur searches read the
-// engine's weight table and are bounded by its landmark tables when it has
-// them. Results equal TopK's — distances are exact on every backend.
-func TopKEngine(e Engine, src, dst roadnet.VertexID, k int) ([]Path, error) {
-	return TopKEngineCtx(context.Background(), e, src, dst, k)
-}
-
-// TopKEngineCtx is TopKEngine honoring ctx; see TopKCtx for the
-// cancellation contract.
-func TopKEngineCtx(ctx context.Context, e Engine, src, dst roadnet.VertexID, k int) ([]Path, error) {
-	paths, _, err := enumerate(ctx, e.Graph(), e, nil, src, dst, k, nil, 0, k)
+	paths, _, err := enumerate(context.Background(), g, nil, w, src, dst, k, nil, 0, k)
 	return paths, err
 }
 

@@ -20,7 +20,8 @@ import (
 // loop is invisible to them. refYen shares nothing with it: it spurs from
 // every index of every emitted path, searches with a map-based Dijkstra
 // that has no workspace and no heuristic, and keeps its candidates in a
-// stably sorted slice.
+// stably sorted slice. The same map-based Dijkstra (refSearch) is the
+// reference for Workspace.sweep in sweep_test.go.
 
 // refYen is textbook Yen: next returns the loopless src→dst paths of g
 // under w in increasing cost, equal costs in the order they were found.
@@ -120,41 +121,67 @@ func (h *refHeap) Pop() any {
 // refDijkstra returns the edges of a cheapest src→dst path avoiding the
 // banned vertices and edges.
 func refDijkstra(g *roadnet.Graph, w Weight, src, dst roadnet.VertexID, banV map[roadnet.VertexID]bool, banE map[roadnet.EdgeID]bool) ([]roadnet.EdgeID, bool) {
-	dist := map[roadnet.VertexID]float64{src: 0}
+	settled, parent := refSearch(g, w, []Seed{{src, 0}}, false, dst, banV, banE)
+	if _, ok := settled[dst]; !ok {
+		return nil, false
+	}
+	var rev []roadnet.EdgeID
+	for v := dst; v != src; v = g.Edge(parent[v]).From {
+		rev = append(rev, parent[v])
+	}
+	edges := make([]roadnet.EdgeID, len(rev))
+	for i, e := range rev {
+		edges[len(rev)-1-i] = e
+	}
+	return edges, true
+}
+
+// refSearch is a map-based Dijkstra with lazy deletion from seeds (the
+// cheapest of duplicates wins), over in-arcs when rev, avoiding the banned
+// vertices and edges and stopping once dst is settled (never when dst is
+// negative). It returns the settled distances and the parent edges.
+func refSearch(g *roadnet.Graph, w Weight, seeds []Seed, rev bool, dst roadnet.VertexID, banV map[roadnet.VertexID]bool, banE map[roadnet.EdgeID]bool) (map[roadnet.VertexID]float64, map[roadnet.VertexID]roadnet.EdgeID) {
+	dist := map[roadnet.VertexID]float64{}
 	parent := map[roadnet.VertexID]roadnet.EdgeID{}
-	done := map[roadnet.VertexID]bool{}
-	h := &refHeap{{v: src}}
+	settled := map[roadnet.VertexID]float64{}
+	h := &refHeap{}
+	for _, s := range seeds {
+		if old, ok := dist[s.V]; !ok || s.Dist < old {
+			dist[s.V] = s.Dist
+			heap.Push(h, refItem{v: s.V, dist: s.Dist})
+		}
+	}
 	for h.Len() > 0 {
 		it := heap.Pop(h).(refItem)
-		if done[it.v] {
+		if _, done := settled[it.v]; done {
 			continue
 		}
-		done[it.v] = true
+		settled[it.v] = it.dist
 		if it.v == dst {
-			var rev []roadnet.EdgeID
-			for v := dst; v != src; v = g.Edge(parent[v]).From {
-				rev = append(rev, parent[v])
-			}
-			edges := make([]roadnet.EdgeID, len(rev))
-			for i, e := range rev {
-				edges[len(rev)-1-i] = e
-			}
-			return edges, true
+			break
 		}
-		for _, eid := range g.OutEdges(it.v) {
+		arcs := g.OutEdges(it.v)
+		if rev {
+			arcs = g.InEdges(it.v)
+		}
+		for _, eid := range arcs {
 			e := g.Edge(eid)
-			if banE[eid] || banV[e.To] {
+			next := e.To
+			if rev {
+				next = e.From
+			}
+			if banE[eid] || banV[next] {
 				continue
 			}
 			nd := it.dist + w(e)
-			if old, ok := dist[e.To]; !ok || nd < old {
-				dist[e.To] = nd
-				parent[e.To] = eid
-				heap.Push(h, refItem{v: e.To, dist: nd})
+			if old, ok := dist[next]; !ok || nd < old {
+				dist[next] = nd
+				parent[next] = eid
+				heap.Push(h, refItem{v: next, dist: nd})
 			}
 		}
 	}
-	return nil, false
+	return settled, parent
 }
 
 // refSeq memoizes a reference enumeration so one pair's sequence serves
@@ -240,14 +267,14 @@ func (s enumSetup) topK(g *roadnet.Graph, src, dst roadnet.VertexID, k int) ([]P
 	if s.e == nil {
 		return TopK(g, src, dst, k, s.w)
 	}
-	return TopKEngine(s.e, src, dst, k)
+	return topKCtx(context.Background(), g, s.e, nil, src, dst, k)
 }
 
 func (s enumSetup) diversified(g *roadnet.Graph, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
 	if s.e == nil {
 		return DiversifiedTopK(g, src, dst, k, s.w, sim, threshold, maxProbe)
 	}
-	return DiversifiedTopKEngine(s.e, src, dst, k, sim, threshold, maxProbe)
+	return diversifiedCtx(context.Background(), g, s.e, nil, src, dst, k, sim, threshold, maxProbe)
 }
 
 // enumSetups covers every heuristic a spur search can run under: the
@@ -517,7 +544,7 @@ func TestEngineWeightTableNotClobbered(t *testing.T) {
 	ws.Release()
 	requireTableIntact("fillWeights after useWeights")
 
-	want, err := TopKEngine(e, src, dst, 8)
+	want, err := topKCtx(context.Background(), e.Graph(), e, nil, src, dst, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +552,7 @@ func TestEngineWeightTableNotClobbered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TopKEngine(e, src, dst, 8)
+	got, err := topKCtx(context.Background(), e.Graph(), e, nil, src, dst, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +567,7 @@ func TestEngineWeightTableNotClobbered(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				if (w+i)%2 == 0 {
-					got, _ := TopKEngine(e, src, dst, 8)
+					got, _ := topKCtx(context.Background(), e.Graph(), e, nil, src, dst, 8)
 					if d := diffSequence(got, want); d != "" {
 						t.Errorf("concurrent engine query: %s", d)
 					}

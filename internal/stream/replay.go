@@ -1,9 +1,10 @@
 // Deterministic WAL replay: reconstructing model generations from the
 // trajectory log alone. Replay reads every observation and retrain marker
 // out of a WAL directory and re-executes each marked retrain against the
-// base artifact — same observations (pinned by the marker's seq list, so
-// the live window's eviction policy is irrelevant), same training order,
-// same effective fine-tune configuration, same seed. Because the live
+// base artifact through the live loop's own retrainStep — same
+// observations (pinned by the marker's seq list, so the live window's
+// eviction policy is irrelevant), same effective fine-tune configuration,
+// same seed. Because the live
 // pipeline is deterministic, the reconstructed model of every generation
 // must match the marker's recorded fingerprint bit-for-bit; Replay
 // verifies that, along with the Merkle data and chain roots, and reports
@@ -12,12 +13,9 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 
-	"pathrank/internal/dataset"
 	"pathrank/internal/merkle"
 	"pathrank/internal/pathrank"
-	"pathrank/internal/traj"
 	"pathrank/internal/wal"
 )
 
@@ -132,9 +130,9 @@ func Replay(walDir string, base *pathrank.Artifact, targetGen int, logf func(for
 	return res, nil
 }
 
-// replayStep re-executes one marked retrain: cur + marker → the next
-// generation's artifact, verifying fingerprints and Merkle roots against
-// the marker as it goes. Divergences that indicate nondeterminism (wrong
+// replayStep re-executes one marked retrain through the live loop's
+// retrainStep: cur + marker → the next generation's artifact, verified
+// against the marker. Divergences that indicate nondeterminism (wrong
 // result fingerprint, wrong roots) are recorded in res; conditions that
 // make replay impossible (missing observation, wrong parent) are errors.
 func replayStep(cur *pathrank.Artifact, m retrainMarker, obs map[int64]observation, chain merkle.Hash, res *ReplayResult) (*pathrank.Artifact, error) {
@@ -157,70 +155,26 @@ func replayStep(cur *pathrank.Artifact, m retrainMarker, obs map[int64]observati
 		}
 		window[i] = o
 	}
-	// The marker stores seqs in training order (sorted); sorting again is a
-	// no-op on a well-formed marker and reproduces the live ordering on any
-	// other.
-	sort.Slice(window, func(a, b int) bool { return window[a].seq < window[b].seq })
-
-	trips := make([]traj.Trip, len(window))
-	batcher := merkle.NewBatcher(chain)
-	for i, o := range window {
-		trips[i] = traj.Trip{Path: o.path}
-		batcher.Add(encodeObservation(o))
-	}
-	batch := batcher.Seal()
-	if got := batch.Root.Hex(); got != m.DataRoot {
-		res.Verified = false
-		res.Mismatches = append(res.Mismatches,
-			fmt.Sprintf("generation %d: data root %s, marker recorded %s", m.Generation, got, m.DataRoot))
-	}
-	if got := batch.Chain.Hex(); got != m.ChainRoot {
-		res.Verified = false
-		res.Mismatches = append(res.Mismatches,
-			fmt.Sprintf("generation %d: chain root %s, marker recorded %s", m.Generation, got, m.ChainRoot))
-	}
-
-	dcfg := cur.Candidates
-	if dcfg.K <= 0 {
-		dcfg = dataset.DefaultConfig()
-	}
-	queries, err := dataset.Generate(cur.Graph, trips, dcfg)
-	if err != nil {
-		return nil, fmt.Errorf("stream: label generation %d window: %w", m.Generation, err)
-	}
-	model, err := cur.Model.Clone()
-	if err != nil {
-		return nil, fmt.Errorf("stream: clone model: %w", err)
-	}
-	tcfg := pathrank.TrainConfig{
+	out, err := retrainStep(cur, window, chain, pathrank.TrainConfig{
 		Epochs:   m.Epochs,
 		LR:       m.LR,
 		ClipNorm: m.ClipNorm,
 		LRDecay:  m.LRDecay,
 		Seed:     m.Seed,
-	}
-	if _, err := model.FineTune(queries, tcfg); err != nil {
-		return nil, fmt.Errorf("stream: fine-tune generation %d: %w", m.Generation, err)
-	}
-	result, err := model.FingerprintHex()
+	})
 	if err != nil {
-		return nil, fmt.Errorf("stream: fingerprint generation %d: %w", m.Generation, err)
+		return nil, fmt.Errorf("stream: replay generation %d: %w", m.Generation, err)
 	}
-	if result != m.Result {
-		res.Verified = false
-		res.Mismatches = append(res.Mismatches,
-			fmt.Sprintf("generation %d: model fingerprint %s, marker recorded %s", m.Generation, result, m.Result))
+	for _, f := range []struct{ what, got, want string }{
+		{"data root", out.marker.DataRoot, m.DataRoot},
+		{"chain root", out.marker.ChainRoot, m.ChainRoot},
+		{"model fingerprint", out.marker.Result, m.Result},
+	} {
+		if f.got != f.want {
+			res.Verified = false
+			res.Mismatches = append(res.Mismatches,
+				fmt.Sprintf("generation %d: %s %s, marker recorded %s", m.Generation, f.what, f.got, f.want))
+		}
 	}
-
-	lin := cur.Lineage.Child(parent, len(window), "stream")
-	lin.DataRoot = batch.Root.Hex()
-	lin.ChainRoot = batch.Chain.Hex()
-	return &pathrank.Artifact{
-		Graph:      cur.Graph,
-		Embeddings: cur.Embeddings,
-		Model:      model,
-		Candidates: cur.Candidates,
-		Prep:       cur.Prep,
-		Lineage:    lin,
-	}, nil
+	return out.art, nil
 }

@@ -925,17 +925,29 @@ type retrainOutcome struct {
 }
 
 // retrain produces the next-generation artifact from base and the window,
-// chaining its provenance onto prev.
+// chaining its provenance onto prev, with the fine-tune seeded by
+// Train.Seed+generation.
 func (s *Service) retrain(base *pathrank.Artifact, obs []observation, prev merkle.Hash) (*retrainOutcome, error) {
 	if err := fault.Check(fault.SiteRetrain); err != nil {
 		return nil, fmt.Errorf("stream: retrain: %w", err)
 	}
+	tcfg := s.cfg.Train
+	tcfg.Seed += int64(base.Lineage.Generation) + 1
+	return retrainStep(base, obs, prev, tcfg)
+}
+
+// retrainStep is the one retrain body, run by the live loop and re-run by
+// Replay: sort the window into ingest order, seal its Merkle batch onto
+// prev, label it with base's candidate configuration, fine-tune a clone of
+// base's model under tcfg, and stamp the child artifact and its WAL marker
+// with both fingerprints and the batch roots. Sorting is what makes it
+// deterministic: worker-completion order never reaches training, and the
+// Merkle leaves are sealed in the same order, so a leaf index is also a
+// training-set position. obs is sorted in place.
+func retrainStep(base *pathrank.Artifact, obs []observation, prev merkle.Hash, tcfg pathrank.TrainConfig) (*retrainOutcome, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("stream: no observations to retrain on")
 	}
-	// Ingest order, not worker-completion order: determinism. The Merkle
-	// leaves are sealed in the same order, so a leaf index is also a
-	// training-set position.
 	sort.Slice(obs, func(a, b int) bool { return obs[a].seq < obs[b].seq })
 	trips := make([]traj.Trip, len(obs))
 	seqs := make([]int64, len(obs))
@@ -959,8 +971,6 @@ func (s *Service) retrain(base *pathrank.Artifact, obs []observation, prev merkl
 	if err != nil {
 		return nil, fmt.Errorf("stream: clone model: %w", err)
 	}
-	tcfg := s.cfg.Train
-	tcfg.Seed += int64(base.Lineage.Generation) + 1
 	if _, err := model.FineTune(queries, tcfg); err != nil {
 		return nil, fmt.Errorf("stream: fine-tune: %w", err)
 	}
