@@ -16,10 +16,21 @@ import (
 // drift between tiers.
 
 // WriteJSON writes v as the JSON body of a response with the given status.
+// Rank success bodies go through WriteResult and WriteBatch (write.go).
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
+	setJSONHeader(w, status)
 	_ = json.NewEncoder(w).Encode(v) // the status line is out; a dead client is all that can fail here
+}
+
+// jsonContentType is every JSON response's Content-Type value, shared so
+// setting it allocates nothing. net/http copies header values when it
+// writes them and Header.Set/Add replace or append, so the shared slice is
+// never written through.
+var jsonContentType = []string{"application/json; charset=utf-8"}
+
+func setJSONHeader(w http.ResponseWriter, status int) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
 }
 
 // WriteError writes e as an error envelope under its status (derived from

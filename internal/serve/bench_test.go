@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -80,8 +81,8 @@ func serveRankLoad(b *testing.B, cfg Config, distinctPairs int) {
 	if sec > 0 {
 		b.ReportMetric(float64(b.N)/sec, "req/s")
 	}
-	hits := s.obs.cacheEvents.With(cacheHit).Value()
-	if total := hits + s.obs.cacheEvents.With(cacheMiss).Value(); total > 0 {
+	hits := s.obs.hits.Value()
+	if total := hits + s.obs.misses.Value(); total > 0 {
 		b.ReportMetric(hits/total, "cache_hit_ratio")
 	}
 }
@@ -91,6 +92,71 @@ func serveRankLoad(b *testing.B, cfg Config, distinctPairs int) {
 // deployed ranking service.
 func BenchmarkServeRank(b *testing.B) {
 	serveRankLoad(b, Config{}, 16)
+}
+
+// hitHarness drives one single-query request through Handler() in process,
+// reusing the request, its body reader and the response recorder, so what
+// it measures is the handler's own work.
+type hitHarness struct {
+	h    http.Handler
+	body []byte
+	rd   *bytes.Reader
+	req  *http.Request
+	rec  *httptest.ResponseRecorder
+}
+
+// newHitHarness builds a default-cache server and warms one pair, so every
+// later serve is a result-cache hit.
+func newHitHarness(tb testing.TB) *hitHarness {
+	tb.Helper()
+	s, err := New(loadedTestArtifact(tb), Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(s.Close)
+	h := &hitHarness{h: s.Handler(), body: []byte(`{"src":1,"dst":70}`), rec: httptest.NewRecorder()}
+	h.rd = bytes.NewReader(h.body)
+	h.req = httptest.NewRequest(http.MethodPost, "/v2/rank", h.rd)
+	for i, cached := range []bool{false, true} {
+		h.serve()
+		if h.rec.Code != http.StatusOK || !strings.Contains(h.rec.Body.String(), `"cached":`+map[bool]string{false: "false", true: "true"}[cached]) {
+			tb.Fatalf("warm-up request %d: HTTP %d %s", i, h.rec.Code, h.rec.Body)
+		}
+	}
+	return h
+}
+
+func (h *hitHarness) serve() {
+	h.rd.Reset(h.body)
+	h.rec.Body.Reset()
+	h.h.ServeHTTP(h.rec, h.req)
+}
+
+// TestCacheHitAllocs pins the allocations of a result-cache hit — decode,
+// query resolution, cache lookup, the written body — at their measured
+// count, so a change that puts work back on the hit path shows here.
+func TestCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	h := newHitHarness(t)
+	// All nine are the request's decoding (encoding/json's decoder and the
+	// body it fills); the lookup and the written body allocate nothing.
+	const ceiling = 9
+	if got := testing.AllocsPerRun(200, h.serve); got > ceiling {
+		t.Fatalf("a cache hit allocates %v times, ceiling %d", got, ceiling)
+	}
+}
+
+// BenchmarkServeRankHit is one result-cache hit through the in-process
+// handler: the steady state of a hot query, without the HTTP transport.
+func BenchmarkServeRankHit(b *testing.B) {
+	h := newHitHarness(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.serve()
+	}
 }
 
 // BenchmarkServeRankUncached disables the result cache, so every request

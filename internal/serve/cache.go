@@ -33,8 +33,9 @@ func keyOf(req pathrank.RankRequest, rg pathrank.Regime) queryKey {
 	}
 }
 
-// lruCache is a mutex-guarded LRU map from query to ranked result. Cached
-// values are treated as immutable by all readers.
+// lruCache is a mutex-guarded LRU map from query to its ranking's rendered
+// paths array, the bytes every response carrying that ranking splices in.
+// Cached values are treated as immutable by all readers.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -44,7 +45,7 @@ type lruCache struct {
 
 type lruEntry struct {
 	key queryKey
-	val []pathrank.Ranked
+	val []byte
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -54,7 +55,7 @@ func newLRUCache(capacity int) *lruCache {
 	return &lruCache{cap: capacity, ll: list.New(), items: make(map[queryKey]*list.Element, capacity)}
 }
 
-func (c *lruCache) get(key queryKey) ([]pathrank.Ranked, bool) {
+func (c *lruCache) get(key queryKey) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -68,7 +69,7 @@ func (c *lruCache) get(key queryKey) ([]pathrank.Ranked, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-func (c *lruCache) add(key queryKey, val []pathrank.Ranked) {
+func (c *lruCache) add(key queryKey, val []byte) {
 	if c == nil {
 		return
 	}

@@ -38,6 +38,13 @@ type serveMetrics struct {
 	// cacheEvents counts result-cache hits, misses, and singleflight-shared
 	// answers.
 	cacheEvents *obsv.CounterVec
+	// The rank path's children, resolved once so a request takes no family
+	// lock and builds no label key: /v2/rank's request counter, the three
+	// cache events, and the latency histogram of the server's engine (every
+	// snapshot serves Config.Engine — see buildEngine).
+	rankRequests             obsv.Counter
+	hits, misses, sharedHits obsv.Counter
+	rankLatency              obsv.Histogram
 	// shed counts requests rejected by the MaxInFlight load shedder.
 	shed obsv.Counter
 	// batchQueries is the distribution of queries per /v2/rank batch
@@ -84,6 +91,11 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 		"Failed artifact reload attempts.").With()
 	m.ingest = reg.Counter("pathrank_ingest_trajectories_total",
 		"Ingested GPS trajectories by outcome: accepted or rejected.", "status")
+	m.rankRequests = m.requests.With("/v2/rank")
+	m.hits = m.cacheEvents.With(cacheHit)
+	m.misses = m.cacheEvents.With(cacheMiss)
+	m.sharedHits = m.cacheEvents.With(cacheShared)
+	m.rankLatency = m.latency.With("/v2/rank", s.cfg.engineKind().String())
 
 	reg.GaugeFunc("pathrank_in_flight_requests",
 		"Rank requests currently executing.",
@@ -113,8 +125,8 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 	return m
 }
 
-// observeLatency records one completed rank request (success or typed
-// failure) against its endpoint and the snapshot's engine.
-func (m *serveMetrics) observeLatency(endpoint string, snap *snapshot, start time.Time) {
-	m.latency.With(endpoint, snap.engine.Kind().String()).Observe(time.Since(start).Seconds())
+// observeRank records one completed rank request (success or typed
+// failure).
+func (m *serveMetrics) observeRank(start time.Time) {
+	m.rankLatency.Observe(time.Since(start).Seconds())
 }

@@ -223,7 +223,11 @@ func TestMetricsLabelEscapingOverHTTP(t *testing.T) {
 }
 
 // TestMetricsSingleflightShared: concurrent identical uncached queries
-// must surface as singleflight_shared cache events.
+// must surface as singleflight_shared cache events. Every single-query
+// lookup is a hit or a miss; a shared answer is a miss that waited on
+// another request's computation, so here singleflight_shared counts a
+// subset of miss. (A duplicate inside one batch counts as
+// singleflight_shared only, neither hit nor miss.)
 func TestMetricsSingleflightShared(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const n = 8
@@ -247,7 +251,7 @@ func TestMetricsSingleflightShared(t *testing.T) {
 	hit := m[`pathrank_cache_events_total{event="hit"}`]
 	shared := m[`pathrank_cache_events_total{event="singleflight_shared"}`]
 	miss := m[`pathrank_cache_events_total{event="miss"}`]
-	if miss < 1 || hit+shared+miss != n {
-		t.Fatalf("cache events hit=%v shared=%v miss=%v, want %d total with >=1 miss", hit, shared, miss, n)
+	if miss < 1 || hit+miss != n || shared > miss-1 {
+		t.Fatalf("cache events hit=%v shared=%v miss=%v, want hit+miss=%d and at most miss-1 shared", hit, shared, miss, n)
 	}
 }

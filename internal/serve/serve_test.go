@@ -91,7 +91,13 @@ func loadedTestArtifact(t testing.TB) *pathrank.Artifact {
 
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(loadedTestArtifact(t), cfg)
+	return newTestServerFor(t, loadedTestArtifact(t), cfg)
+}
+
+// newTestServerFor is newTestServer on a given artifact.
+func newTestServerFor(t testing.TB, art *pathrank.Artifact, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	s, err := New(art, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +189,7 @@ func TestServeCacheHit(t *testing.T) {
 			t.Fatal("cached score differs")
 		}
 	}
-	if s.obs.cacheEvents.With(cacheHit).Value() == 0 {
+	if s.obs.hits.Value() == 0 {
 		t.Fatal("cache hit metric not incremented")
 	}
 }
@@ -447,11 +453,11 @@ func TestSingleflightCollapses(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, shared := g.do(context.Background(), key, func() ([]pathrank.Ranked, error) {
+		_, _, shared := g.do(context.Background(), key, func() ([]byte, error) {
 			calls++
 			close(started)
 			<-gate
-			return []pathrank.Ranked{{Score: 0.5}}, nil
+			return []byte("0.5"), nil
 		})
 		sharedCount <- shared
 	}()
@@ -460,11 +466,11 @@ func TestSingleflightCollapses(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, err, shared := g.do(context.Background(), key, func() ([]pathrank.Ranked, error) {
+			val, err, shared := g.do(context.Background(), key, func() ([]byte, error) {
 				t.Error("duplicate in-flight computation")
 				return nil, nil
 			})
-			if err != nil || len(val) != 1 || val[0].Score != 0.5 {
+			if err != nil || string(val) != "0.5" {
 				t.Errorf("shared result corrupted: %v %v", val, err)
 			}
 			sharedCount <- shared
@@ -507,7 +513,7 @@ func TestSingleflightSurvivesPanic(t *testing.T) {
 				t.Error("leader panic was swallowed")
 			}
 		}()
-		_, _, _ = g.do(context.Background(), key, func() ([]pathrank.Ranked, error) {
+		_, _, _ = g.do(context.Background(), key, func() ([]byte, error) {
 			close(started)
 			<-release
 			panic("query invariant broken")
@@ -515,7 +521,7 @@ func TestSingleflightSurvivesPanic(t *testing.T) {
 	}()
 	<-started
 	go func() {
-		_, err, _ := g.do(context.Background(), key, func() ([]pathrank.Ranked, error) {
+		_, err, _ := g.do(context.Background(), key, func() ([]byte, error) {
 			return nil, nil
 		})
 		waiterDone <- err
@@ -533,10 +539,10 @@ func TestSingleflightSurvivesPanic(t *testing.T) {
 	}
 
 	// The key must be usable again.
-	val, err, _ := g.do(context.Background(), key, func() ([]pathrank.Ranked, error) {
-		return []pathrank.Ranked{{Score: 0.9}}, nil
+	val, err, _ := g.do(context.Background(), key, func() ([]byte, error) {
+		return []byte("0.9"), nil
 	})
-	if err != nil || len(val) != 1 {
+	if err != nil || string(val) != "0.9" {
 		t.Fatalf("key not released after panic: %v %v", val, err)
 	}
 }
@@ -547,13 +553,13 @@ func TestLRUCacheEviction(t *testing.T) {
 	k2 := queryKey{src: 3, dst: 4}
 	k3 := queryKey{src: 5, dst: 6}
 
-	c.add(k1, []pathrank.Ranked{{Score: 1}})
-	c.add(k2, []pathrank.Ranked{{Score: 2}})
+	c.add(k1, []byte("1"))
+	c.add(k2, []byte("2"))
 	if _, ok := c.get(k1); !ok {
 		t.Fatal("k1 should be cached")
 	}
 	// k1 is now most recent; adding k3 must evict k2.
-	c.add(k3, []pathrank.Ranked{{Score: 3}})
+	c.add(k3, []byte("3"))
 	if _, ok := c.get(k2); ok {
 		t.Fatal("k2 should have been evicted")
 	}

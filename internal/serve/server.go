@@ -3,10 +3,10 @@
 //
 // The server answers concurrent ranking queries with the exact rankings an
 // in-process Ranker.Query would produce: candidate generation runs on
-// pooled spath workspaces, an LRU cache short-circuits repeated queries, a
-// singleflight group collapses duplicate in-flight queries so a thundering
-// herd costs one computation, and candidates are scored by the model's
-// fused batch kernels.
+// pooled spath workspaces, an LRU cache short-circuits repeated queries (a
+// hit writes stored response bytes), a singleflight group collapses
+// duplicate in-flight queries so a thundering herd costs one computation,
+// and candidates are scored by the model's fused batch kernels.
 //
 // POST /v2/rank is the query surface: a single query or a batch,
 // per-request overrides of the candidate regime (k, strategy, diversity
@@ -22,10 +22,11 @@
 // /v1/reload re-reads the artifact bundle from disk and hot-swaps it under
 // live traffic — in-flight requests finish against the snapshot they
 // started on, and the result cache survives a swap iff the model
-// fingerprint is unchanged. A background watcher (WatchArtifact) performs
-// the same swap automatically when the artifact file changes, which closes
-// the loop with the streaming retrainer in internal/stream. POST /v1/ingest
-// forwards raw GPS trajectories to a pluggable Ingestor.
+// fingerprint, road network and candidate config are unchanged. A
+// background watcher (WatchArtifact) performs the same swap automatically
+// when the artifact file changes, which closes the loop with the streaming
+// retrainer in internal/stream. POST /v1/ingest forwards raw GPS
+// trajectories to a pluggable Ingestor.
 //
 // GET /healthz reports liveness, artifact shape, and lineage. GET /metrics
 // exports the server's instrumentation (latency histograms, cache and shed
@@ -277,8 +278,9 @@ type SwapInfo struct {
 	Previous string `json:"previous_fingerprint"`
 	// Changed reports whether the model actually differs.
 	Changed bool `json:"changed"`
-	// CachePreserved reports whether the result cache survived the swap
-	// (it does iff the fingerprint and candidate config are identical).
+	// CachePreserved reports whether the result cache survived the swap.
+	// It does iff the model fingerprint, the graph digest and the candidate
+	// config are all identical.
 	CachePreserved bool `json:"cache_preserved"`
 	// Generation is the lineage generation of the new artifact.
 	Generation int `json:"generation"`
@@ -286,9 +288,9 @@ type SwapInfo struct {
 
 // Swap atomically replaces the serving artifact. In-flight requests finish
 // against the snapshot they started on. The result cache is preserved iff
-// the new model's fingerprint and candidate configuration match the old
-// ones (cached rankings are then bit-identical by construction); otherwise
-// it is fully invalidated.
+// the new model's fingerprint, road network and candidate configuration
+// match the old ones (cached rankings are then bit-identical by
+// construction); otherwise it is fully invalidated.
 //
 // With cfg.CanaryQueries > 0 the candidate snapshot must pass the canary
 // gate (see canary.go) before it is installed; a refusal wraps

@@ -4,15 +4,14 @@ import (
 	"context"
 	"errors"
 	"sync"
-
-	"pathrank/internal/pathrank"
 )
 
 // flightGroup collapses duplicate in-flight computations: while one
 // goroutine computes the result for a key, later callers with the same key
 // block and share its result instead of recomputing. This is the standard
 // singleflight pattern, specialized to rank queries so the module stays
-// dependency-free.
+// dependency-free. The shared value is a ranking's rendered paths array,
+// the bytes every response carrying it splices in.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[queryKey]*flightCall
@@ -20,7 +19,7 @@ type flightGroup struct {
 
 type flightCall struct {
 	done chan struct{} // closed when val/err are final
-	val  []pathrank.Ranked
+	val  []byte
 	err  error
 }
 
@@ -37,7 +36,7 @@ func newFlightGroup() *flightGroup {
 // A panic in fn is re-raised in the leader after the call is unregistered
 // and waiters are released (they observe errFlightPanic), so one panicking
 // query cannot poison its key forever.
-func (g *flightGroup) do(ctx context.Context, key queryKey, fn func() ([]pathrank.Ranked, error)) (val []pathrank.Ranked, err error, shared bool) {
+func (g *flightGroup) do(ctx context.Context, key queryKey, fn func() ([]byte, error)) (val []byte, err error, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -112,18 +114,21 @@ func TestSwapSameFingerprintKeepsCacheBitIdentical(t *testing.T) {
 }
 
 // TestSwapDifferentFingerprintInvalidatesCache is the second half of the
-// property: a different model fingerprint must fully invalidate the cache,
-// and post-swap responses must be bit-identical to the NEW model's
-// in-process rankings.
+// property: a different model fingerprint over the same graph and
+// candidate config (a model-only swap, what every retrain publishes) must
+// fully invalidate the cache. A repeated query then misses, reports
+// "cached":false, and is byte-identical to what a fresh server on the new
+// artifact answers.
 func TestSwapDifferentFingerprintInvalidatesCache(t *testing.T) {
 	art := loadedTestArtifact(t)
 	s, ts := newTestServer(t, Config{})
 	n := int64(art.Graph.NumVertices())
 
-	for _, req := range []api.RankQuery{{Src: 0, Dst: n - 1}, {Src: 4, Dst: n / 2}} {
+	queries := []api.RankQuery{{Src: 0, Dst: n - 1}, {Src: 4, Dst: n / 2, Explain: true}}
+	for _, req := range queries {
 		postRank(t, ts.URL, req)
 	}
-	if s.snap.Load().cache.len() == 0 {
+	if s.snap.Load().cache.len() != len(queries) {
 		t.Fatal("expected cached entries before the swap")
 	}
 
@@ -145,28 +150,81 @@ func TestSwapDifferentFingerprintInvalidatesCache(t *testing.T) {
 		t.Fatalf("swap info generation %d, want %d", info.Generation, art2.Lineage.Generation)
 	}
 
-	// Responses now come from the new model, bit-identically.
-	ranker := art2.NewRanker()
-	req := api.RankQuery{Src: 0, Dst: n - 1}
-	want, err := ranker.Query(roadnet.VertexID(req.Src), roadnet.VertexID(req.Dst))
+	// Responses now come from the new model, byte-identical to a server
+	// that never saw the old one.
+	_, fresh := newTestServerFor(t, art2, Config{})
+	for _, req := range queries {
+		misses := s.obs.misses.Value()
+		code, got := postRaw(t, ts.URL, req)
+		wantCode, want := postRaw(t, fresh.URL, req)
+		if code != http.StatusOK || wantCode != http.StatusOK {
+			t.Fatalf("post-swap rank status %d, fresh server %d", code, wantCode)
+		}
+		if d := s.obs.misses.Value() - misses; d != 1 {
+			t.Fatalf("post-swap %+v: %v misses, want 1", req, d)
+		}
+		var rr api.RankResult
+		if err := json.Unmarshal(got, &rr); err != nil {
+			t.Fatal(err)
+		}
+		if rr.Cached {
+			t.Fatal("post-swap response served from a cache that should be empty")
+		}
+		if req.Explain {
+			// Timings differ between runs, so compare the rest of the body.
+			if rr.Stats == nil || rr.Stats.GenNs == 0 || rr.Stats.ScoreNs == 0 || rr.Stats.Candidates == 0 {
+				t.Fatalf("post-swap explain stats %+v, want a fresh computation's", rr.Stats)
+			}
+			var wr api.RankResult
+			if err := json.Unmarshal(want, &wr); err != nil {
+				t.Fatal(err)
+			}
+			rr.Stats, wr.Stats = nil, nil
+			got, want = mustMarshal(t, rr), mustMarshal(t, wr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("post-swap %+v differs from a fresh server on the new artifact:\n got %s\nwant %s", req, got, want)
+		}
+	}
+
+	// And they match the new model's in-process ranking.
+	want, err := art2.NewRanker().Query(roadnet.VertexID(queries[0].Src), roadnet.VertexID(queries[0].Dst))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, rr := postRank(t, ts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-swap rank status %d", resp.StatusCode)
-	}
-	if rr.Cached {
-		t.Fatal("post-swap response served from a cache that should be empty")
-	}
-	if len(rr.Paths) != len(want) {
-		t.Fatalf("post-swap paths %d, want %d", len(rr.Paths), len(want))
+	_, rr := postRank(t, ts.URL, queries[0])
+	if !rr.Cached || len(rr.Paths) != len(want) {
+		t.Fatalf("repeat after the swap: cached=%v, %d paths, want a hit with %d", rr.Cached, len(rr.Paths), len(want))
 	}
 	for i := range want {
 		if rr.Paths[i].Score != want[i].Score {
 			t.Fatalf("post-swap rank %d score %v, want new model's %v", i+1, rr.Paths[i].Score, want[i].Score)
 		}
 	}
+}
+
+// postRaw posts one query and returns the status and the raw body.
+func postRaw(t testing.TB, url string, req api.RankQuery) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/v2/rank", "application/json", bytes.NewReader(mustMarshal(t, req)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+func mustMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestConcurrentReloadDuringRank hammers /v2/rank while the artifact is
@@ -322,7 +380,7 @@ func TestSwapDifferentGraphInvalidatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	s.snap.Load().cache.add(queryKey{src: 0, dst: 2}, []pathrank.Ranked{{Score: 0.5}})
+	s.snap.Load().cache.add(queryKey{src: 0, dst: 2}, []byte("[]"))
 
 	info, err := s.Swap(&pathrank.Artifact{Graph: gB, Model: model})
 	if err != nil {

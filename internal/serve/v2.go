@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"runtime"
 	"sync"
@@ -38,29 +39,30 @@ func (s *Server) buildQuery(snap *snapshot, q api.RankQuery) (coreQuery, *api.Er
 
 // queryOutcome is the result of executing one core query.
 type queryOutcome struct {
-	ranked []pathrank.Ranked
-	// stats is non-nil only when this caller generated the candidates
-	// itself (neither cached nor shared) — cached and shared results
-	// report no generation timing.
+	// paths is the ranking's rendered paths array (api.Rendered.Paths).
+	paths []byte
+	// stats is non-nil only when this caller ranked the query itself
+	// (neither cached nor shared) — cached and shared results report no
+	// timing.
 	stats          *pathrank.RankStats
 	cached, shared bool
 	err            error
 }
 
-// execQuery answers one validated query against a snapshot: LRU cache,
-// then singleflight, then ctx-aware candidate generation on the pooled
-// workspaces and NN scoring. When the leading computation of a shared
-// flight is canceled, its waiters observe the cancellation error too; that
-// is the standard singleflight trade-off and only affects requests that
-// would have recomputed identical work.
+// execQuery answers one validated query against a snapshot: the result
+// cache, then singleflight, then ctx-aware candidate generation on the
+// pooled workspaces, NN scoring and rendering. When the leading computation
+// of a shared flight is canceled, its waiters observe the cancellation
+// error too; that is the standard singleflight trade-off and only affects
+// requests that would have recomputed identical work.
 func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) queryOutcome {
-	if ranked, ok := snap.cache.get(cq.key); ok {
-		s.obs.cacheEvents.With(cacheHit).Inc()
-		return queryOutcome{ranked: ranked, cached: true}
+	if paths, ok := snap.cache.get(cq.key); ok {
+		s.obs.hits.Inc()
+		return queryOutcome{paths: paths, cached: true}
 	}
-	s.obs.cacheEvents.With(cacheMiss).Inc()
+	s.obs.misses.Inc()
 	var stats pathrank.RankStats
-	ranked, err, shared := snap.flight.do(ctx, cq.key, func() ([]pathrank.Ranked, error) {
+	paths, err, shared := snap.flight.do(ctx, cq.key, func() ([]byte, error) {
 		genStart := time.Now()
 		cands, st, err := snap.ranker.CandidatesFor(ctx, cq.req)
 		if err != nil {
@@ -71,23 +73,33 @@ func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) qu
 		scores := snap.art.Model.ScoreBatch(cands)
 		st.ScoreNanos = time.Since(scoreStart).Nanoseconds()
 		stats = st
-		return pathrank.RankScored(cands, scores), nil
+		return snap.render(cq.key, pathrank.RankScored(cands, scores))
 	})
 	if shared {
-		s.obs.cacheEvents.With(cacheShared).Inc()
+		s.obs.sharedHits.Inc()
 	}
 	if err != nil {
 		return queryOutcome{err: err, shared: shared}
 	}
-	if !shared {
-		snap.cache.add(cq.key, ranked)
-		return queryOutcome{ranked: ranked, stats: &stats}
+	if shared {
+		return queryOutcome{paths: paths, shared: true}
 	}
-	return queryOutcome{ranked: ranked, shared: true}
+	return queryOutcome{paths: paths, stats: &stats}
+}
+
+// render encodes a fresh ranking's wire paths — the one encoding it ever
+// gets — and stores the bytes in the result cache.
+func (snap *snapshot) render(key queryKey, ranked []pathrank.Ranked) ([]byte, error) {
+	paths, err := json.Marshal(rankedPaths(snap, ranked))
+	if err != nil {
+		return nil, err
+	}
+	snap.cache.add(key, paths)
+	return paths, nil
 }
 
 func (s *Server) handleRankV2(w http.ResponseWriter, r *http.Request) {
-	s.obs.requests.With("/v2/rank").Inc()
+	s.obs.rankRequests.Inc()
 	startReq := time.Now()
 
 	// A cap of n admits n concurrent requests: this one is counted first.
@@ -110,7 +122,7 @@ func (s *Server) handleRankV2(w http.ResponseWriter, r *http.Request) {
 	// One snapshot for the whole request (batch included): a hot swap
 	// installed mid-request must not mix two models' state.
 	snap := s.snap.Load()
-	defer s.obs.observeLatency("/v2/rank", snap, startReq)
+	defer s.obs.observeRank(startReq)
 
 	ctx, cancel := api.RequestContext(r, req.TimeoutMs, s.cfg.MaxTimeout)
 	defer cancel()
@@ -143,7 +155,8 @@ func (s *Server) rankV2Single(ctx context.Context, w http.ResponseWriter, snap *
 		s.rankError(w, pathrank.APIError(out.err))
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, buildResult(snap, q, cq, out))
+	res := rendered(q, cq, out)
+	api.WriteResult(w, &res)
 }
 
 // rankV2Batch answers a batch of queries with per-item errors and one NN
@@ -161,14 +174,14 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 	}
 	s.obs.batchQueries.Observe(float64(len(queries)))
 	type pendingItem struct {
-		idx    int
-		cq     coreQuery
-		cands  []spath.Path
-		stats  pathrank.RankStats
-		ranked []pathrank.Ranked
-		err    error
+		idx   int
+		cq    coreQuery
+		cands []spath.Path
+		stats pathrank.RankStats
+		paths []byte
+		err   error
 	}
-	items := make([]api.BatchItem, len(queries))
+	items := make([]api.RenderedItem, len(queries))
 	var pend []*pendingItem
 	// Duplicate queries inside one batch (a naive client fan-in) compute
 	// once: followers reuse their leader's ranking, marked shared.
@@ -188,19 +201,20 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 			nerr++
 			continue
 		}
-		if ranked, ok := snap.cache.get(cq.key); ok {
-			s.obs.cacheEvents.With(cacheHit).Inc()
-			items[i].Response = buildResult(snap, q, cq, queryOutcome{ranked: ranked, cached: true})
+		if paths, ok := snap.cache.get(cq.key); ok {
+			s.obs.hits.Inc()
+			res := rendered(q, cq, queryOutcome{paths: paths, cached: true})
+			items[i].Response = &res
 			continue
 		}
 		if lead, ok := leaders[cq.key]; ok {
 			// A follower shares its leader's computation, the in-batch
 			// analogue of a singleflight-shared answer.
-			s.obs.cacheEvents.With(cacheShared).Inc()
+			s.obs.sharedHits.Inc()
 			followers = append(followers, follower{idx: i, leader: lead})
 			continue
 		}
-		s.obs.cacheEvents.With(cacheMiss).Inc()
+		s.obs.misses.Inc()
 		p := &pendingItem{idx: i, cq: cq}
 		leaders[cq.key] = p
 		pend = append(pend, p)
@@ -258,14 +272,20 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 	}
 	off := 0
 	for _, p := range scored {
-		p.ranked = pathrank.RankScored(p.cands, scores[off:off+len(p.cands):off+len(p.cands)])
-		off += len(p.cands)
-		snap.cache.add(p.cq.key, p.ranked)
+		n := len(p.cands)
+		p.paths, p.err = snap.render(p.cq.key, pathrank.RankScored(p.cands, scores[off:off+n:off+n]))
+		off += n
+		if p.err != nil {
+			items[p.idx].Error = pathrank.APIError(p.err)
+			s.obs.rankErrors.With(items[p.idx].Error.Code).Inc()
+			nerr++
+			continue
+		}
 		// The sweep is shared; attribute its cost to every item so
 		// explain output stays honest about what one query paid for.
 		p.stats.ScoreNanos = scoreNs
-		items[p.idx].Response = buildResult(snap, queries[p.idx], p.cq,
-			queryOutcome{ranked: p.ranked, stats: &p.stats})
+		res := rendered(queries[p.idx], p.cq, queryOutcome{paths: p.paths, stats: &p.stats})
+		items[p.idx].Response = &res
 	}
 	for _, f := range followers {
 		if f.leader.err != nil {
@@ -274,21 +294,23 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 			nerr++
 			continue
 		}
-		items[f.idx].Response = buildResult(snap, queries[f.idx], f.leader.cq,
-			queryOutcome{ranked: f.leader.ranked, shared: true})
+		res := rendered(queries[f.idx], f.leader.cq, queryOutcome{paths: f.leader.paths, shared: true})
+		items[f.idx].Response = &res
 	}
-	api.WriteJSON(w, http.StatusOK, api.BatchResponse{Results: items, Errors: nerr})
+	api.WriteBatch(w, items, nerr)
 }
 
-// buildResult renders one successful outcome in the v2 shape.
-func buildResult(snap *snapshot, q api.RankQuery, cq coreQuery, out queryOutcome) *api.RankResult {
-	res := &api.RankResult{
+// rendered is one successful outcome in the v2 shape; src, dst and k echo
+// the request's own fields. It returns a value so a single-query response
+// keeps it on the stack.
+func rendered(q api.RankQuery, cq coreQuery, out queryOutcome) api.Rendered {
+	res := api.Rendered{
 		Src:    q.Src,
 		Dst:    q.Dst,
 		K:      q.K,
 		Cached: out.cached,
 		Shared: out.shared,
-		Paths:  rankedPaths(snap, out.ranked),
+		Paths:  out.paths,
 	}
 	if cq.req.Explain && out.stats != nil {
 		res.Stats = out.stats.Wire()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -473,7 +474,7 @@ func TestFlightWaiterHonorsDeadline(t *testing.T) {
 	leaderStarted := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, _, _ = g.do(context.Background(), key, func() ([]pathrank.Ranked, error) {
+		_, _, _ = g.do(context.Background(), key, func() ([]byte, error) {
 			close(leaderStarted)
 			<-release
 			return nil, nil
@@ -483,7 +484,7 @@ func TestFlightWaiterHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err, shared := g.do(ctx, key, func() ([]pathrank.Ranked, error) {
+	_, err, shared := g.do(ctx, key, func() ([]byte, error) {
 		t.Error("waiter must not recompute")
 		return nil, nil
 	})
@@ -503,14 +504,14 @@ func TestV2BatchDedupesDuplicates(t *testing.T) {
 	art := loadedTestArtifact(t)
 	dst := art.Graph.NumVertices() - 1
 
-	misses := s.obs.cacheEvents.With(cacheMiss).Value()
+	misses := s.obs.misses.Value()
 	var batch api.BatchResponse
 	body := fmt.Sprintf(`{"queries":[{"src":5,"dst":%d},{"src":5,"dst":%d},{"src":5,"dst":%d}]}`, dst, dst, dst)
 	resp := postV2(t, ts.URL, body, &batch)
 	if resp.StatusCode != http.StatusOK || batch.Errors != 0 {
 		t.Fatalf("status=%d errors=%d", resp.StatusCode, batch.Errors)
 	}
-	if got := s.obs.cacheEvents.With(cacheMiss).Value() - misses; got != 1 {
+	if got := s.obs.misses.Value() - misses; got != 1 {
 		t.Fatalf("duplicate batch items caused %v computations, want 1", got)
 	}
 	lead := batch.Results[0].Response
@@ -577,6 +578,64 @@ func TestV2BatchScoringMatchesSingles(t *testing.T) {
 		for j := range single.Paths {
 			if single.Paths[j].Score != item.Paths[j].Score {
 				t.Fatalf("item %d path %d: batch score differs from single", i, j)
+			}
+		}
+	}
+}
+
+// TestV2BodiesMatchEncoder: every /v2/rank success body — miss, hit,
+// shared, explain, batch with per-item errors and in-batch duplicates,
+// cache on and off, before and after a model swap — is byte-for-byte what
+// json.Encoder writes for the value it decodes to, i.e. what the server
+// wrote before rank bodies had their own writer.
+func TestV2BodiesMatchEncoder(t *testing.T) {
+	art := loadedTestArtifact(t)
+	n := art.Graph.NumVertices()
+	bodies := []string{
+		`{"src":0,"dst":70}`,
+		`{"src":0,"dst":70}`,
+		`{"src":0,"dst":70,"k":4,"strategy":"dtkdi","explain":true}`,
+		`{"src":3,"dst":40,"k":3,"strategy":"tkdi","weight":"time","explain":true}`,
+		`{"src":3,"dst":40,"k":3,"strategy":"tkdi","weight":"time","explain":true}`,
+		fmt.Sprintf(`{"queries":[{"src":0,"dst":70},{"src":5,"dst":%d},{"src":5,"dst":%d,"explain":true},`+
+			`{"src":1,"dst":%d},{"src":2,"dst":60,"explain":true,"threshold":0.5}]}`, n-3, n-3, n+7),
+		`{"queries":[]}`,
+	}
+	check := func(t *testing.T, url string, body string, batch bool) {
+		t.Helper()
+		resp, err := http.Post(url+"/v2/rank", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d %v", body, resp.StatusCode, err)
+		}
+		var v any = new(api.RankResult)
+		if batch {
+			v = new(api.BatchResponse)
+		}
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, want.Bytes()) {
+			t.Fatalf("%s:\n body %s\n json.Encoder %s", body, raw, want.Bytes())
+		}
+	}
+	for _, cfg := range []Config{{}, {CacheSize: -1}} {
+		s, ts := newTestServer(t, cfg)
+		for round := 0; round < 2; round++ {
+			for _, body := range bodies {
+				check(t, ts.URL, body, strings.HasPrefix(body, `{"queries"`))
+			}
+			// Round two runs after a model-only swap emptied the cache.
+			if _, err := s.Swap(variantArtifact(t, art, 4242+int64(round))); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -53,7 +53,7 @@ func TestOperationsDocCoversMetrics(t *testing.T) {
 	documented := docMetricNames(t, "../../docs/OPERATIONS.md")
 
 	for name := range registered {
-		if !documented[name] {
+		if _, ok := documented[name]; !ok {
 			t.Errorf("metric %s is registered but missing from the docs/OPERATIONS.md reference table", name)
 		}
 	}
@@ -62,11 +62,31 @@ func TestOperationsDocCoversMetrics(t *testing.T) {
 			t.Errorf("docs/OPERATIONS.md documents %s, which is not in the registry", name)
 		}
 	}
+
+	// The cache-event labels are a fixed set the server registers up front;
+	// each must be named in its row.
+	const events = "pathrank_cache_events_total"
+	var labels int
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		value, ok := strings.CutPrefix(line, events+`{event="`)
+		if !ok {
+			continue
+		}
+		value, _, _ = strings.Cut(value, `"`)
+		labels++
+		if !strings.Contains(documented[events], "`"+value+"`") {
+			t.Errorf("docs/OPERATIONS.md's %s row does not name the event %q", events, value)
+		}
+	}
+	if labels == 0 {
+		t.Errorf("a fresh registry rendered no %s children", events)
+	}
 }
 
 // docMetricNames extracts the metric names from the reference table in
-// the runbook: table rows whose first cell is a backticked identifier.
-func docMetricNames(t *testing.T, path string) map[string]bool {
+// the runbook — table rows whose first cell is a backticked identifier —
+// mapped to their whole row.
+func docMetricNames(t *testing.T, path string) map[string]string {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -74,7 +94,7 @@ func docMetricNames(t *testing.T, path string) map[string]bool {
 	}
 	defer f.Close()
 
-	names := make(map[string]bool)
+	names := make(map[string]string)
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -101,7 +121,7 @@ func docMetricNames(t *testing.T, path string) map[string]bool {
 		if typ != "counter" && typ != "gauge" && typ != "histogram" {
 			continue
 		}
-		names[name] = true
+		names[name] = line
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
