@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -495,14 +496,47 @@ func servedSweeps(b *testing.B, shape int) [][]spath.Path {
 	return sweeps
 }
 
+// sharedStepShare is the share of the sweeps' path-steps that repeat a
+// prefix already stepped in the same scoring chunk — the work the fused
+// scorer's prefix trie skips, a property of the input: each sweep's
+// non-empty paths in lexicographic order, cut every 32 paths (the fused
+// chunk), with each chunk's distinct prefixes counted by a map.
+func sharedStepShare(sweeps [][]spath.Path) float64 {
+	const chunk = 32
+	steps, distinct := 0, 0
+	for _, sweep := range sweeps {
+		var seqs [][]roadnet.VertexID
+		for _, p := range sweep {
+			if len(p.Vertices) > 0 {
+				seqs = append(seqs, p.Vertices)
+			}
+		}
+		slices.SortFunc(seqs, slices.Compare)
+		for lo := 0; lo < len(seqs); lo += chunk {
+			seen := map[string]bool{}
+			for _, s := range seqs[lo:min(lo+chunk, len(seqs))] {
+				steps += len(s)
+				for t := 1; t <= len(s); t++ {
+					seen[fmt.Sprint(s[:t])] = true
+				}
+			}
+			distinct += len(seen)
+		}
+	}
+	return 1 - float64(distinct)/float64(steps)
+}
+
 // BenchmarkScoreBatchFused measures one served scoring sweep per iteration
 // at the two served shapes, on the benchmark's model and real candidate
-// sets; paths/op says how many paths a sweep held.
+// sets; paths/op says how many paths a sweep held, shared_step_share how
+// much of their work the prefix trie skips (≈0.32 crosstown, ≈0.53
+// local_k32).
 func BenchmarkScoreBatchFused(b *testing.B) {
 	g, _ := servedWorld(b)
 	m := servedModel(b, g.NumVertices())
 	for shape, load := range servedShapes {
 		sweeps := servedSweeps(b, shape)
+		share := sharedStepShare(sweeps)
 		b.Run(load.name, func(b *testing.B) {
 			m.ScoreBatchFused(sweeps[0]) // warm the pools and the plan
 			paths := 0
@@ -514,6 +548,7 @@ func BenchmarkScoreBatchFused(b *testing.B) {
 				m.ScoreBatchFused(sweep)
 			}
 			b.ReportMetric(float64(paths)/float64(b.N), "paths/op")
+			b.ReportMetric(share, "shared_step_share")
 		})
 	}
 }

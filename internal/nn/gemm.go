@@ -35,7 +35,8 @@ func NewMat(rows, cols int) Mat {
 func (m Mat) Row(i int) Vec { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // View returns a matrix sharing m's storage restricted to the first rows
-// rows — the active-prefix view used by ragged batched recurrences.
+// rows — one step's share of a slab sized for the widest step of a ragged
+// batched recurrence.
 func (m Mat) View(rows int) Mat {
 	if rows < 0 || rows > m.Rows {
 		panic(fmt.Sprintf("nn: Mat.View rows %d out of range [0,%d]", rows, m.Rows))

@@ -1,333 +1,426 @@
 package pathrank
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"pathrank/internal/nn"
+	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
 )
 
-// This file is the fused batched inference path: one /v2/rank batch becomes
+// This file is the fused batched inference path: one /v2/rank sweep becomes
 // a few small matrix products per timestep instead of thousands of per-path
-// dot products.
+// dot products, and every distinct path prefix is stepped once.
 //
-// Candidate paths are packed into a ragged batch sorted by length
-// (descending), so at every timestep the still-active sequences form a
-// prefix of the batch. Everything that depends only on the weights comes
-// from the model's inference plan (plan.go): a gate's input-side product
-// W·x_t is a row of a per-vertex table, copied into the step's slab, and
-// the weights a step still multiplies by are packed for the kernel ahead of
-// time. What is computed per step is the recurrent half — U·h_{t-1} for
-// every active path at once, H x H per gate — then bias, activation and
-// the state update, on scratch-arena-backed matrices, with no allocations
-// in steady state.
+// The hidden state after t+1 vertices depends only on those vertices, and
+// Yen's candidates are deviations of one another, so they share prefixes by
+// construction. The sweep's non-empty paths are sorted lexicographically
+// and cut into chunks of fusedChunk consecutive paths (a query's candidates
+// land together); each chunk is laid out as a prefix trie. Depth d of the
+// trie holds one row per distinct length-d prefix, each row knows its parent
+// row at depth d-1, and each path knows its row at every depth; depth 0 is
+// one root row, the zero initial state. BiGRU's backward direction gets a
+// second trie over the reversed sequences: a query's candidates all end at
+// its destination, so they share suffixes as well.
+//
+// Step d runs the gate code on depth d's rows. Everything that depends only
+// on the weights comes from the model's inference plan (plan.go): a gate's
+// input-side product W·x_t is a row of a per-vertex table, and the weights a
+// step multiplies by are packed for the kernel ahead of time. A gate that
+// reads h_{t-1} directly (GRU z and r, all four LSTM gates) multiplies U·h
+// once per parent row — the rows with children come first in their depth,
+// so that is one product over a contiguous block — and each row adds its
+// parent's product to its table row; the GRU candidate gate reads the row's
+// own r⊙h_{t-1} and multiplies per row. Pooling is per path over its rows:
+// the mean in ascending t (descending for the BiGRU backward half),
+// attention's u_t and e_t once per row, then the softmax and the weighted
+// sum per path in t order; the head is one product over the summaries. All
+// of it runs on scratch-arena-backed matrices, with no allocations in
+// steady state.
 //
 // Correctness contract: fused scores are BIT-IDENTICAL to the per-path
-// path. The kernels preserve per-element accumulation order (see
-// internal/nn/gemm.go), a table entry is the bit pattern the per-path
-// MatVec produces, the gate/bias/activation sequence mirrors
-// GRU.Forward / LSTM.Forward / Dense.Forward op for op, and summaries
-// accumulate hidden states in the same per-path order (ascending t for
-// forward directions, descending for the BiGRU backward half, exactly as
-// BiGRU.Forward + meanVecs compose). TestScoreBatchFusedMatchesPerPath
-// enforces this across every Body kind and path length, and
-// TestPlanFollowsWeights that the plan never outlives the weights it was
-// derived from.
+// reference (ScoreBatchPerPath). The kernels make a row's result depend only
+// on that row's operands, each element accumulated in ascending order (see
+// internal/nn/gemm.go), so by induction over the depths a row's operands
+// are the per-path operands at that step of every path through it. A table
+// entry is the bit pattern the per-path MatVec produces; a per-parent
+// product is 0 + dotH, and x + (0 + dotH) is the per-path x + dotH because
+// neither a table entry nor a fresh dot is ever -0; the gate, bias and
+// activation sequence mirrors GRU.Forward / LSTM.Forward / Dense.Forward op
+// for op, and no per-path accumulation changes its order.
+// TestScoreBatchFusedMatchesPerPath and FuzzScoreBatchFused enforce this on
+// branching path sets for every Body kind, TestFusedStepsEachPrefixOnce
+// that a step multiplies each distinct prefix once, and
+// TestPlanFollowsWeights that the plan never outlives its weights.
 
-// fusedChunk bounds the paths packed into one fused slab. Chunks are scored
+// fusedChunk bounds the paths laid out in one trie. Chunks are scored
 // independently (parallelFor across chunks), so the bound keeps scratch
 // slabs modest while still amortizing each weight row across dozens of
 // sequences.
 const fusedChunk = 32
 
-// fusedWS is the reusable workspace of one fused chunk: the packed-matrix
-// arena plus the chunk-local ordering/length bookkeeping.
+// fusedWS is the reusable workspace of one sweep (order) or of one chunk
+// (everything else).
 type fusedWS struct {
-	sc     nn.Scratch
-	order  []int // chunk-local candidate indices, longest path first
-	lens   []int // path length per order entry
-	active []int // active[t] = #paths still running at step t
-	steps  []nn.Mat
+	sc    nn.Scratch
+	order []int32      // the sweep's non-empty candidates, lexicographic
+	paths []spath.Path // the chunk's paths
+	off   []int32      // off[j]: path j's first entry in trie.row; off[n] = path-steps
+	tries [2]trie      // forward; reversed, for the BiGRU backward direction
 }
 
-// sortByLenDesc orders ws.order/ws.lens by descending length, breaking ties
-// by ascending candidate index. Insertion sort: chunks are small (≤
-// fusedChunk) and this allocates nothing. Scores are per-path deterministic,
-// so the order affects only packing, never results.
-func (ws *fusedWS) sortByLenDesc() {
-	for i := 1; i < len(ws.order); i++ {
-		oi, li := ws.order[i], ws.lens[i]
-		j := i - 1
-		for j >= 0 && (ws.lens[j] < li || (ws.lens[j] == li && ws.order[j] > oi)) {
-			ws.order[j+1], ws.lens[j+1] = ws.order[j], ws.lens[j]
-			j--
+// trie is the prefix trie of one chunk's paths read in one direction. Depth
+// d holds the distinct length-d prefixes as rows [start[d], start[d+1]),
+// the inner[d] rows that have children first. Row 0 is the root.
+type trie struct {
+	order        []int32 // the paths, lexicographic as read
+	lcp          []int32 // lcp[k]: shared prefix length of order[k-1] and order[k]
+	start, inner []int32
+	vert, parent []int32 // per row: its last vertex, its parent row
+	row          []int32 // row[off[j]+t]: path j's row after t+1 vertices
+	widest       int     // most rows at one depth
+	spans, kids  []span  // build scratch
+}
+
+// span is a trie row under construction: the positions [lo, hi) in order
+// of the paths through it, and its row (for kids: the parent's).
+type span struct{ lo, hi, row int32 }
+
+func (tr *trie) maxT() int { return len(tr.inner) - 1 }
+func (tr *trie) rows() int { return int(tr.start[len(tr.start)-1]) }
+
+// depth returns the first row and the row count of depth d.
+func (tr *trie) depth(d int) (lo, n int) {
+	return int(tr.start[d]), int(tr.start[d+1] - tr.start[d])
+}
+
+// compareAsRead orders vertex sequences lexicographically as read forward,
+// or backward when reversed; a proper prefix sorts first.
+func compareAsRead(a, b []roadnet.VertexID, reversed bool) int {
+	if !reversed {
+		return slices.Compare(a, b)
+	}
+	for i := 1; i <= min(len(a), len(b)); i++ {
+		if c := cmp.Compare(a[len(a)-i], b[len(b)-i]); c != 0 {
+			return c
 		}
-		ws.order[j+1], ws.lens[j+1] = oi, li
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// build lays out the trie of paths (all non-empty) read forward, or
+// backward when reversed; off is fusedWS.off.
+func (tr *trie) build(paths []spath.Path, off []int32, reversed bool) {
+	at := func(j int32, t int) int32 {
+		vs := paths[j].Vertices
+		if reversed {
+			t = len(vs) - 1 - t
+		}
+		return int32(vs[t])
+	}
+	n, maxT := len(paths), 0
+	tr.order = tr.order[:0]
+	for j, p := range paths {
+		tr.order = append(tr.order, int32(j))
+		maxT = max(maxT, len(p.Vertices))
+	}
+	slices.SortFunc(tr.order, func(a, b int32) int {
+		return compareAsRead(paths[a].Vertices, paths[b].Vertices, reversed)
+	})
+	tr.lcp = grow(tr.lcp, n)
+	for k := 1; k < n; k++ {
+		a, b := tr.order[k-1], tr.order[k]
+		c, l := 0, min(len(paths[a].Vertices), len(paths[b].Vertices))
+		for c < l && at(a, c) == at(b, c) {
+			c++
+		}
+		tr.lcp[k] = int32(c)
+	}
+	length := func(k int32) int { return len(paths[tr.order[k]].Vertices) }
+	tr.row = grow(tr.row, int(off[n]))
+	tr.vert = grow(tr.vert, int(off[n])+1)
+	tr.parent = grow(tr.parent, int(off[n])+1)
+	tr.start = grow(tr.start, maxT+2)
+	tr.inner = grow(tr.inner, maxT+1)
+	tr.start[0], tr.inner[0], tr.widest = 0, 1, 0
+	tr.spans = append(tr.spans[:0], span{0, int32(n), 0})
+	next := int32(1)
+	for d := 1; d <= maxT; d++ {
+		// The paths through a row of depth d-1 that go on are consecutive in
+		// order (a proper prefix sorts first, so the ones that end come
+		// first), and those sharing their first d vertices make one row.
+		tr.kids = tr.kids[:0]
+		for _, s := range tr.spans {
+			k := s.lo
+			for length(k) < d {
+				k++
+			}
+			for k < s.hi {
+				e := k + 1
+				for e < s.hi && int(tr.lcp[e]) >= d {
+					e++
+				}
+				tr.kids = append(tr.kids, span{k, e, s.row})
+				k = e
+			}
+		}
+		// A row has children iff its last path is longer than d; those rows
+		// are numbered first, and only their spans go on to depth d+1.
+		inner := int32(0)
+		for _, c := range tr.kids {
+			if length(c.hi-1) > d {
+				inner++
+			}
+		}
+		tr.start[d], tr.inner[d] = next, inner
+		in, leaf := next, next+inner
+		tr.spans = tr.spans[:0]
+		for _, c := range tr.kids {
+			r := leaf
+			if length(c.hi-1) > d {
+				r, in = in, in+1
+				tr.spans = append(tr.spans, span{c.lo, c.hi, r})
+			} else {
+				leaf++
+			}
+			tr.vert[r], tr.parent[r] = at(tr.order[c.lo], d-1), c.row
+			for _, j := range tr.order[c.lo:c.hi] {
+				tr.row[off[j]+int32(d)-1] = r
+			}
+		}
+		tr.widest = max(tr.widest, len(tr.kids))
+		next = leaf
+	}
+	tr.start[maxT+1] = next
+}
+
+// sortSweep fills ws.order with the indices of cands' non-empty paths in
+// lexicographic order of their vertex sequences and returns it.
+func (ws *fusedWS) sortSweep(cands []spath.Path) []int32 {
+	ws.order = ws.order[:0]
+	for i, p := range cands {
+		if len(p.Vertices) > 0 {
+			ws.order = append(ws.order, int32(i))
+		}
+	}
+	slices.SortFunc(ws.order, func(a, b int32) int {
+		return slices.Compare(cands[a].Vertices, cands[b].Vertices)
+	})
+	return ws.order
+}
+
+// layout takes the chunk cands[idx] and builds its tries: dirs is the
+// number of recurrent directions (0 for MeanPoolBody, 2 for BiGRUBody).
+func (ws *fusedWS) layout(cands []spath.Path, idx []int32, dirs int) {
+	ws.paths = ws.paths[:0]
+	ws.off = append(ws.off[:0], 0)
+	for _, i := range idx {
+		ws.paths = append(ws.paths, cands[i])
+		ws.off = append(ws.off, ws.off[len(ws.off)-1]+int32(len(cands[i].Vertices)))
+	}
+	for d := range dirs {
+		ws.tries[d].build(ws.paths, ws.off, d == 1)
 	}
 }
 
 // ScoreBatchFused scores the candidates through the batched GEMM kernels
 // and returns the raw scores in input order, bit-identical to
-// ScoreBatchPerPath. Chunks of fusedChunk paths are scored independently
-// (in parallel when workers are available); empty paths score 0, exactly
-// like Score.
+// ScoreBatchPerPath. The non-empty paths are sorted lexicographically and
+// chunks of fusedChunk consecutive ones are scored independently (in
+// parallel when workers are available); empty paths score 0, exactly like
+// Score.
 func (m *Model) ScoreBatchFused(cands []spath.Path) []float64 {
 	out := make([]float64, len(cands))
 	pl := m.inferencePlan()
-	nchunks := (len(cands) + fusedChunk - 1) / fusedChunk
+	sw := m.fusedWS()
+	defer m.fusedPool.Put(sw)
+	order := sw.sortSweep(cands)
+	nchunks := (len(order) + fusedChunk - 1) / fusedChunk
 	parallelFor(nchunks, func(c int) {
 		lo := c * fusedChunk
-		hi := lo + fusedChunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		m.scoreFusedChunk(pl, cands[lo:hi], out[lo:hi])
+		m.scoreFusedChunk(pl, cands, order[lo:min(lo+fusedChunk, len(order))], out)
 	})
 	return out
 }
 
-// scoreFusedChunk packs one chunk of candidates into a ragged batch and
-// runs the fused forward pass for the model's body, scattering scores into
-// out (indexed like cands).
-func (m *Model) scoreFusedChunk(pl *plan, cands []spath.Path, out []float64) {
-	ws, _ := m.fusedPool.Get().(*fusedWS)
-	if ws == nil {
-		ws = new(fusedWS)
+func (m *Model) fusedWS() *fusedWS {
+	if ws, _ := m.fusedPool.Get().(*fusedWS); ws != nil {
+		return ws
 	}
-	defer m.fusedPool.Put(ws)
+	return new(fusedWS)
+}
+
+// scoreFusedChunk lays out the chunk cands[idx] and runs the fused forward
+// pass for the model's body, writing path idx[j]'s score to out[idx[j]].
+func (m *Model) scoreFusedChunk(pl *plan, cands []spath.Path, idx []int32, out []float64) {
+	ws := m.fusedWS()
 	ws.sc.Reset()
-	ws.order = ws.order[:0]
-	ws.lens = ws.lens[:0]
-	for i, p := range cands {
-		if len(p.Vertices) > 0 {
-			ws.order = append(ws.order, i)
-			ws.lens = append(ws.lens, len(p.Vertices))
-		}
-	}
-	if len(ws.order) == 0 {
-		return
-	}
-	ws.sortByLenDesc()
-	B := len(ws.order)
-	maxT := ws.lens[0]
-
-	// active[t]: paths are sorted longest-first, so the sequences still
-	// running at step t are exactly the first active[t] rows.
-	ws.active = growInts(ws.active, maxT)
-	ptr := B
-	for t := 0; t < maxT; t++ {
-		for ptr > 0 && ws.lens[ptr-1] <= t {
-			ptr--
-		}
-		ws.active[t] = ptr
-	}
-
-	outDim := m.head.W.Cols
-	sumH := ws.sc.Mat(B, outDim)
+	ws.layout(cands, idx, len(pl.cells))
+	sc, fwd := &ws.sc, &ws.tries[0]
+	sumH := sc.Mat(len(idx), m.head.W.Cols)
 	switch m.cfg.Body {
 	case GRUBody:
-		fusedGRU(pl.cells[0], ws, cands, false, false, sumH)
-		scaleMeanRows(ws, sumH)
+		ws.sumRows(sumH, 0, fusedGRU(pl.cells[0], sc, fwd), fwd, false)
 	case BiGRUBody:
-		fusedGRU(pl.cells[0], ws, cands, false, false, sumH)
-		steps := fusedGRU(pl.cells[1], ws, cands, true, true, nn.Mat{})
-		// The per-path summary adds the backward half in descending step
-		// order (out[t] carries hb[T-1-t]; meanVecs walks t ascending), so
-		// the fused accumulation replays the steps backwards.
-		off := m.bigru.Fwd.Hidden
-		for t := maxT - 1; t >= 0; t-- {
-			for b := 0; b < ws.active[t]; b++ {
-				row := sumH.Row(b)[off:]
-				nn.AddTo(row, steps[t].Row(b))
-			}
-		}
-		scaleMeanRows(ws, sumH)
+		ws.sumRows(sumH, 0, fusedGRU(pl.cells[0], sc, fwd), fwd, false)
+		bwd := &ws.tries[1]
+		ws.sumRows(sumH, m.bigru.Fwd.Hidden, fusedGRU(pl.cells[1], sc, bwd), bwd, true)
 	case LSTMBody:
-		fusedLSTM(pl.cells[0], ws, cands, sumH)
-		scaleMeanRows(ws, sumH)
+		ws.sumRows(sumH, 0, fusedLSTM(pl.cells[0], sc, fwd), fwd, false)
 	case MeanPoolBody:
-		X := ws.sc.Mat(B, m.emb.Dim())
 		E := m.emb.Table.AsMat()
-		for t := 0; t < maxT; t++ {
-			ba := ws.active[t]
-			gatherRows(X, E, ws, cands, t, false, ba)
-			for b := 0; b < ba; b++ {
-				nn.AddTo(sumH.Row(b), X.Row(b))
+		for j, p := range ws.paths {
+			for _, v := range p.Vertices {
+				nn.AddTo(sumH.Row(j), E.Row(int(v)))
 			}
 		}
-		scaleMeanRows(ws, sumH)
 	case AttnGRUBody:
-		steps := fusedGRU(pl.cells[0], ws, cands, false, true, nn.Mat{})
-		m.fusedAttention(pl, ws, steps, sumH)
+		m.fusedAttention(pl, ws, fusedGRU(pl.cells[0], sc, fwd), sumH)
 	}
-
-	// Regression head: one product over the batch of summaries, then the
-	// same bias add and sigmoid Dense.Forward applies.
-	scores := ws.sc.Mat(B, m.head.W.Rows)
-	pl.head.MulAdd(scores, sumH)
-	for b := 0; b < B; b++ {
-		s := scores.Row(b)[0] + m.head.B.W[0]
-		out[ws.order[b]] = nn.Sigmoid(s)
-	}
-}
-
-// scaleMeanRows divides each summary row by its own sequence length —
-// the per-row counterpart of meanVecs' final Scale.
-func scaleMeanRows(ws *fusedWS, sumH nn.Mat) {
-	for b := range ws.order {
-		nn.Scale(1/float64(ws.lens[b]), sumH.Row(b))
-	}
-}
-
-// gatherRows copies, for every active sequence, the table row of its
-// step-t vertex into the first ba rows of dst. reversed selects the
-// mirrored timestep (the BiGRU backward direction), per sequence length.
-func gatherRows(dst, table nn.Mat, ws *fusedWS, cands []spath.Path, t int, reversed bool, ba int) {
-	for b := 0; b < ba; b++ {
-		idx := t
-		if reversed {
-			idx = ws.lens[b] - 1 - t
+	if m.cfg.Body != AttnGRUBody {
+		// meanVecsInto's final Scale, per path.
+		for j, p := range ws.paths {
+			nn.Scale(1/float64(len(p.Vertices)), sumH.Row(j))
 		}
-		copy(dst.Row(b), table.Row(int(cands[ws.order[b]].Vertices[idx])))
+	}
+
+	// Regression head: one product over the summaries, then the same bias
+	// add and sigmoid Dense.Forward applies.
+	scores := sc.Mat(len(idx), m.head.W.Rows)
+	pl.head.MulAdd(scores, sumH)
+	for j, i := range idx {
+		out[i] = nn.Sigmoid(scores.Row(j)[0] + m.head.B.W[0])
+	}
+	clear(ws.paths)
+	m.fusedPool.Put(ws)
+}
+
+// sumRows adds each path's row states into its summary row from column col
+// on: in ascending t, or descending for the BiGRU backward half (the
+// per-path summary adds hb[T-1-t] at step t).
+func (ws *fusedWS) sumRows(sumH nn.Mat, col int, Hs nn.Mat, tr *trie, backward bool) {
+	for j := range ws.paths {
+		rows := tr.row[ws.off[j]:ws.off[j+1]]
+		sum := sumH.Row(j)[col:]
+		for t := range rows {
+			if backward {
+				t = len(rows) - 1 - t
+			}
+			nn.AddTo(sum, Hs.Row(int(rows[t])))
+		}
 	}
 }
 
-// eval fills the first ba rows of dst with one gate at step t and returns
-// them: the table row of each path's vertex (W·x_t), plus U·h for the rows
-// of h, plus the bias, through act — MatVec → MatVecAdd → bias →
-// activation, in GRU.Forward's and LSTM.Forward's order.
-func (g *gatePlan) eval(act func(dst, x nn.Vec), dst, h nn.Mat, ws *fusedWS, cands []spath.Path, t int, reversed bool) nn.Mat {
-	ba := h.Rows
-	gatherRows(dst, g.x, ws, cands, t, reversed, ba)
-	out := dst.View(ba)
-	g.u.MulAdd(out, h)
-	for b := 0; b < ba; b++ {
-		nn.AddTo(out.Row(b), g.bias)
+// atParents evaluates a gate that reads h_{t-1} directly over depth d's
+// rows into dst: U·h once per parent row with children (into the slab P),
+// then per row its vertex's table entry (W·x_t) plus its parent's product,
+// plus the bias, through act.
+func (g *gatePlan) atParents(act func(dst, x nn.Vec), dst, P, Hs nn.Mat, tr *trie, d int) nn.Mat {
+	plo, np := int(tr.start[d-1]), int(tr.inner[d-1])
+	P.ZeroRows(np)
+	g.u.MulAdd(P.View(np), rowRange(Hs, plo, np))
+	lo, n := tr.depth(d)
+	out := dst.View(n)
+	for i := range n {
+		o, x, p := out.Row(i), g.x.Row(int(tr.vert[lo+i])), P.Row(int(tr.parent[lo+i])-plo)
+		x, p, b := x[:len(o)], p[:len(o)], g.bias[:len(o)]
+		for k := range o {
+			o[k] = x[k] + p[k] + b[k]
+		}
 	}
 	act(out.Data, out.Data)
 	return out
 }
 
-// fusedGRU runs one GRU direction (gates z, r, h of the plan) over the
-// ragged batch, mirroring GRU.Forward exactly: each gate element is
-// 0 + dotX + dotH + bias in both layouts. When sumH has storage, hidden
-// states accumulate into its first H columns as they are produced (the
-// ascending-t half of mean pooling); when keepSteps is set, the per-step
-// hidden-state matrices are returned for pooling that needs them (BiGRU
-// backward half, attention).
-func fusedGRU(gates []gatePlan, ws *fusedWS, cands []spath.Path, reversed, keepSteps bool, sumH nn.Mat) []nn.Mat {
-	maxT := ws.lens[0]
-	B := len(ws.order)
-	H := gates[0].x.Cols
-	sc := &ws.sc
-	Hp := sc.Mat(B, H) // h_{t-1}; zero initial state
-	RH := sc.Mat(B, H)
-	Zs, Rs, Hhs := sc.Mat(B, H), sc.Mat(B, H), sc.Mat(B, H)
-	var steps []nn.Mat
-	if keepSteps {
-		ws.steps = growMats(ws.steps, maxT)
-		steps = ws.steps
+// atRows evaluates a gate whose recurrent operand A is per row (the GRU
+// candidate's r⊙h_{t-1}) over depth d's rows into dst: the table entry,
+// plus U·A in one product, plus the bias, through act.
+func (g *gatePlan) atRows(act func(dst, x nn.Vec), dst, A nn.Mat, tr *trie, d int) nn.Mat {
+	lo, n := tr.depth(d)
+	out := dst.View(n)
+	for i := range n {
+		copy(out.Row(i), g.x.Row(int(tr.vert[lo+i])))
 	}
-	for t := 0; t < maxT; t++ {
-		ba := ws.active[t]
-		Hpv := Hp.View(ba)
-
-		Z := gates[0].eval(nn.SigmoidVec, Zs, Hpv, ws, cands, t, reversed)
-		R := gates[1].eval(nn.SigmoidVec, Rs, Hpv, ws, cands, t, reversed)
-		for b := 0; b < ba; b++ {
-			nn.Hadamard(RH.Row(b), R.Row(b), Hp.Row(b))
-		}
-		Hh := gates[2].eval(nn.TanhVec, Hhs, RH.View(ba), ws, cands, t, reversed)
-
-		var stepM nn.Mat
-		if keepSteps {
-			stepM = sc.Mat(ba, H)
-			steps[t] = stepM
-		}
-		for b := 0; b < ba; b++ {
-			hp, z, hh := Hp.Row(b), Z.Row(b), Hh.Row(b)
-			var sum nn.Vec
-			if sumH.Data != nil {
-				sum = sumH.Row(b)[:H]
-			}
-			var keep nn.Vec
-			if keepSteps {
-				keep = stepM.Row(b)
-			}
-			for i := 0; i < H; i++ {
-				h := (1-z[i])*hp[i] + z[i]*hh[i]
-				hp[i] = h
-				if sum != nil {
-					sum[i] += h
-				}
-				if keep != nil {
-					keep[i] = h
-				}
-			}
-		}
+	g.u.MulAdd(out, A)
+	for i := range n {
+		nn.AddTo(out.Row(i), g.bias)
 	}
-	return steps
+	act(out.Data, out.Data)
+	return out
 }
 
-// fusedLSTM mirrors LSTM.Forward over the ragged batch (gates i, f, o, g
-// of the plan); hidden states sum into sumH as they are produced.
-func fusedLSTM(gates []gatePlan, ws *fusedWS, cands []spath.Path, sumH nn.Mat) {
-	B := len(ws.order)
-	maxT := ws.lens[0]
-	H := gates[0].x.Cols
-	sc := &ws.sc
-	Hp := sc.Mat(B, H)
-	Cp := sc.Mat(B, H)
-	Is, Fs, Os, Gs := sc.Mat(B, H), sc.Mat(B, H), sc.Mat(B, H), sc.Mat(B, H)
-	for t := 0; t < maxT; t++ {
-		ba := ws.active[t]
-		Hpv := Hp.View(ba)
-		I := gates[0].eval(nn.SigmoidVec, Is, Hpv, ws, cands, t, false)
-		F := gates[1].eval(nn.SigmoidVec, Fs, Hpv, ws, cands, t, false)
-		O := gates[2].eval(nn.SigmoidVec, Os, Hpv, ws, cands, t, false)
-		G := gates[3].eval(nn.TanhVec, Gs, Hpv, ws, cands, t, false)
-		for b := 0; b < ba; b++ {
-			hp, cp := Hp.Row(b), Cp.Row(b)
-			iv, fv, ov, gv := I.Row(b), F.Row(b), O.Row(b), G.Row(b)
-			sum := sumH.Row(b)
-			for k := 0; k < H; k++ {
+// fusedGRU steps one GRU direction (gates z, r, h of the plan) through the
+// trie, mirroring GRU.Forward: each gate element is 0 + dotX + dotH + bias.
+// It returns every row's hidden state; the root row stays zero.
+func fusedGRU(gates []gatePlan, sc *nn.Scratch, tr *trie) nn.Mat {
+	H, w := gates[0].x.Cols, tr.widest
+	Hs := sc.Mat(tr.rows(), H)
+	P, Zs, Rs, RHs, Hhs := sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H)
+	for d := 1; d <= tr.maxT(); d++ {
+		lo, n := tr.depth(d)
+		Z := gates[0].atParents(nn.SigmoidVec, Zs, P, Hs, tr, d)
+		R := gates[1].atParents(nn.SigmoidVec, Rs, P, Hs, tr, d)
+		RH := RHs.View(n)
+		for i := range n {
+			nn.Hadamard(RH.Row(i), R.Row(i), Hs.Row(int(tr.parent[lo+i])))
+		}
+		Hh := gates[2].atRows(nn.TanhVec, Hhs, RH, tr, d)
+		for i := range n {
+			hp, z, hh, h := Hs.Row(int(tr.parent[lo+i])), Z.Row(i), Hh.Row(i), Hs.Row(lo+i)
+			for k := range h {
+				h[k] = (1-z[k])*hp[k] + z[k]*hh[k]
+			}
+		}
+	}
+	return Hs
+}
+
+// fusedLSTM mirrors LSTM.Forward through the trie (gates i, f, o, g of the
+// plan) and returns every row's hidden state.
+func fusedLSTM(gates []gatePlan, sc *nn.Scratch, tr *trie) nn.Mat {
+	H, w := gates[0].x.Cols, tr.widest
+	Hs, Cs := sc.Mat(tr.rows(), H), sc.Mat(tr.rows(), H)
+	P, Is, Fs, Os, Gs := sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H)
+	for d := 1; d <= tr.maxT(); d++ {
+		lo, n := tr.depth(d)
+		I := gates[0].atParents(nn.SigmoidVec, Is, P, Hs, tr, d)
+		F := gates[1].atParents(nn.SigmoidVec, Fs, P, Hs, tr, d)
+		O := gates[2].atParents(nn.SigmoidVec, Os, P, Hs, tr, d)
+		G := gates[3].atParents(nn.TanhVec, Gs, P, Hs, tr, d)
+		for i := range n {
+			cp, c, h := Cs.Row(int(tr.parent[lo+i])), Cs.Row(lo+i), Hs.Row(lo+i)
+			iv, fv, ov, gv := I.Row(i), F.Row(i), O.Row(i), G.Row(i)
+			for k := range h {
 				ct := fv[k]*cp[k] + iv[k]*gv[k]
-				cp[k] = ct
-				h := ov[k] * math.Tanh(ct)
-				hp[k] = h
-				sum[k] += h
+				c[k] = ct
+				h[k] = ov[k] * math.Tanh(ct)
 			}
 		}
 	}
+	return Hs
 }
 
-// fusedAttention replays Attention.Forward over the stored per-step hidden
-// states: u_t = tanh(W h_t) and e_t = vᵀu_t run as packed products per
-// step, the softmax and the weighted sum replicate the per-path op order
-// per row.
-func (m *Model) fusedAttention(pl *plan, ws *fusedWS, steps []nn.Mat, sumH nn.Mat) {
-	B := len(ws.order)
-	maxT := ws.lens[0]
-	sc := &ws.sc
-	U := sc.Mat(B, m.attn.Att)
-	E := sc.Mat(B, 1)
-	scoresM := sc.Mat(B, maxT)
-	for t := 0; t < maxT; t++ {
-		ba := ws.active[t]
-		Uv := U.View(ba)
-		U.ZeroRows(ba)
-		pl.attnW.MulAdd(Uv, steps[t])
-		nn.TanhVec(Uv.Data, Uv.Data)
-		Ev := E.View(ba)
-		E.ZeroRows(ba)
-		pl.attnV.MulAdd(Ev, Uv)
-		for b := 0; b < ba; b++ {
-			scoresM.Row(b)[t] = Ev.Row(b)[0]
+// fusedAttention replays Attention.Forward over the rows' hidden states:
+// u = tanh(W h) and e = vᵀu run as one packed product each over every row
+// but the root, then the softmax and the weighted sum replicate the
+// per-path op order per path.
+func (m *Model) fusedAttention(pl *plan, ws *fusedWS, Hs, sumH nn.Mat) {
+	tr, sc := &ws.tries[0], &ws.sc
+	states := rowRange(Hs, 1, tr.rows()-1)
+	U := sc.Mat(states.Rows, m.attn.Att)
+	pl.attnW.MulAdd(U, states)
+	nn.TanhVec(U.Data, U.Data)
+	E := sc.Mat(states.Rows, 1)
+	pl.attnV.MulAdd(E, U)
+	buf := sc.Vec(tr.maxT())
+	for j := range ws.paths {
+		rows := tr.row[ws.off[j]:ws.off[j+1]]
+		alphas := buf[:len(rows)]
+		for t, r := range rows {
+			alphas[t] = E.Data[r-1]
 		}
-	}
-	for b := 0; b < B; b++ {
-		T := ws.lens[b]
-		alphas := scoresM.Row(b)[:T]
 		// Softmax with max subtraction, in Attention.Forward's op order.
 		maxS := math.Inf(-1)
 		for _, s := range alphas {
@@ -343,17 +436,8 @@ func (m *Model) fusedAttention(pl *plan, ws *fusedWS, steps []nn.Mat, sumH nn.Ma
 		for t := range alphas {
 			alphas[t] /= sum
 		}
-		row := sumH.Row(b)
-		for t := 0; t < T; t++ {
-			nn.Axpy(alphas[t], steps[t].Row(b), row)
+		for t, r := range rows {
+			nn.Axpy(alphas[t], Hs.Row(int(r)), sumH.Row(j))
 		}
 	}
-}
-
-// growMats returns s resized to length n, reusing capacity.
-func growMats(s []nn.Mat, n int) []nn.Mat {
-	if cap(s) < n {
-		return make([]nn.Mat, n)
-	}
-	return s[:n]
 }

@@ -293,8 +293,8 @@ func (m *Model) forward(p spath.Path, train bool) *forwardState {
 	}
 	st.owner = m
 	n := len(p.Vertices)
-	st.ids = growInts(st.ids, n)
-	st.xs = growVecs(st.xs, n)
+	st.ids = grow(st.ids, n)
+	st.xs = grow(st.xs, n)
 	for i, v := range p.Vertices {
 		st.ids[i] = int(v)
 		// Alias the embedding rows: weights do not change between one
@@ -321,7 +321,7 @@ func (m *Model) forward(p spath.Path, train bool) *forwardState {
 	if m.cfg.Body == AttnGRUBody {
 		st.summary, st.attnCache = m.attn.Forward(st.hs)
 	} else {
-		st.summaryBuf = growVec(st.summaryBuf, len(st.hs[0]))
+		st.summaryBuf = grow(st.summaryBuf, len(st.hs[0]))
 		meanVecsInto(st.summaryBuf, st.hs)
 		st.summary = st.summaryBuf
 	}
@@ -333,7 +333,7 @@ func (m *Model) forward(p spath.Path, train bool) *forwardState {
 		}
 		return st
 	}
-	st.headBuf = growVec(st.headBuf, m.head.W.Rows)
+	st.headBuf = grow(st.headBuf, m.head.W.Rows)
 	m.head.ForwardInto(st.summary, st.headBuf)
 	st.headOut = st.headBuf
 	return st
@@ -353,28 +353,12 @@ func meanVecsInto(dst nn.Vec, vs []nn.Vec) {
 	nn.Scale(1/float64(len(vs)), dst)
 }
 
-// growInts returns s resized to length n, reusing capacity.
-func growInts(s []int, n int) []int {
+// grow returns s resized to length n, reusing capacity.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// growVecs returns s resized to length n, reusing capacity.
-func growVecs(s []nn.Vec, n int) []nn.Vec {
-	if cap(s) < n {
-		return make([]nn.Vec, n)
-	}
-	return s[:n]
-}
-
-// growVec returns v resized to length n, reusing capacity.
-func growVec(v nn.Vec, n int) nn.Vec {
-	if cap(v) < n {
-		return nn.NewVec(n)
-	}
-	return v[:n]
 }
 
 // backward propagates the loss gradients (dScore on the main head; dLen and

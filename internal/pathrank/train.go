@@ -155,21 +155,24 @@ func (m *Model) FineTune(queries []dataset.Query, cfg TrainConfig) ([]float64, e
 }
 
 // Evaluate scores every candidate of every query and aggregates the paper's
-// four metrics (MAE, MARE, Kendall τ, Spearman ρ). Queries are scored in
-// parallel across a bounded worker pool (see EvalWorkers); every worker
+// four metrics (MAE, MARE, Kendall τ, Spearman ρ). Each query's candidates
+// are one ScoreBatch sweep, the served scorer; queries are scored in
+// parallel across a bounded worker pool (see EvalWorkers), and every worker
 // writes disjoint indices, so the report is bitwise identical to a serial
 // evaluation.
 func (m *Model) Evaluate(queries []dataset.Query) metrics.Report {
+	m.Prepare()
 	preds := make([][]float64, len(queries))
 	targets := make([][]float64, len(queries))
 	parallelFor(len(queries), func(qi int) {
 		q := queries[qi]
-		preds[qi] = make([]float64, len(q.Candidates))
+		paths := make([]spath.Path, len(q.Candidates))
 		targets[qi] = make([]float64, len(q.Candidates))
 		for ci, c := range q.Candidates {
-			preds[qi][ci] = m.Score(c.Path)
+			paths[ci] = c.Path
 			targets[qi][ci] = c.Label
 		}
+		preds[qi] = m.ScoreBatch(paths)
 	})
 	return metrics.Evaluate(preds, targets)
 }
