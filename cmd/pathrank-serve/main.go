@@ -68,6 +68,7 @@ import (
 	"syscall"
 	"time"
 
+	"pathrank/internal/api"
 	"pathrank/internal/fault"
 	"pathrank/internal/obsv"
 	"pathrank/internal/partition"
@@ -90,7 +91,7 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent rank-request cap; excess sheds with 503 backlog (0 = unlimited)")
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "cap on per-request timeout_ms deadlines")
 	engine := flag.String("engine", "ch", "shortest-path engine for candidate generation: ch, alt or dijkstra")
-	drain := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain timeout")
+	drain := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain timeout (every role)")
 	watch := flag.Duration("watch", 0, "artifact-file watch interval (0 disables the watcher)")
 	canaryQueries := flag.Int("canary-queries", 8, "golden queries the canary gate scores before publishing a swap (0 disables the gate)")
 	canaryDivergence := flag.Float64("canary-divergence", 0, "max rank divergence vs the live snapshot before a swap is refused (0 = default 0.9)")
@@ -136,8 +137,11 @@ func main() {
 		log.Printf("WARNING: fault injection ACTIVE (seed %d): %s — do not run this configuration in production", seed, plan)
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+
 	if *routerMode {
-		if err := runRouter(*bundleDir, *shardURLs, *addr, *hedgeAfter, *maxK, *maxBatch, *maxTimeout); err != nil {
+		if err := runRouter(ctx, *bundleDir, *shardURLs, *addr, *drain, *hedgeAfter, *maxK, *maxBatch, *maxTimeout); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("shut down cleanly")
@@ -180,7 +184,6 @@ func main() {
 	registry := obsv.NewRegistry()
 
 	cfg := serve.Config{
-		Addr:                *addr,
 		Metrics:             registry,
 		CacheSize:           *cacheSize,
 		MaxK:                *maxK,
@@ -188,20 +191,13 @@ func main() {
 		MaxInFlight:         *maxInFlight,
 		MaxTimeout:          *maxTimeout,
 		Engine:              *engine,
-		ShutdownTimeout:     *drain,
 		ArtifactPath:        *artifactPath,
 		WatchInterval:       *watch,
 		CanaryQueries:       *canaryQueries,
 		CanaryMaxDivergence: *canaryDivergence,
 		MaxIngestRecords:    *ingestMaxRecords,
 		Logf:                log.Printf,
-		OnListen: func(a net.Addr) {
-			log.Printf("listening on %s", a)
-		},
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 
 	var srv *serve.Server
 	var svc *stream.Service
@@ -244,6 +240,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	handler := srv.Handler()
 	if *shardIdx >= 0 {
 		ss, err := shardserve.New(srv)
 		if err != nil {
@@ -251,12 +248,9 @@ func main() {
 		}
 		log.Printf("shard worker %d/%d: %d owned boundary vertices",
 			art.Shard.Index, art.Shard.Parts, len(art.Shard.Boundary))
-		if err := ss.Run(ctx, *addr, cfg.OnListen); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("shut down cleanly")
-		return
+		handler = ss.Handler()
 	}
+	go srv.WatchArtifact(ctx) // returns at once unless -watch is set
 	var svcDone chan struct{}
 	if svc != nil {
 		// Started only after srv exists: the publish hook swaps through it.
@@ -268,7 +262,10 @@ func main() {
 			_ = svc.Run(ctx)
 		}()
 	}
-	if err := srv.Run(ctx); err != nil {
+	err = api.ListenAndServe(ctx, *addr, handler, *drain, func(a net.Addr) {
+		log.Printf("listening on %s", a)
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 	// Shutdown order: the HTTP server has drained (no new ingest), so the
@@ -287,8 +284,8 @@ func main() {
 }
 
 // runRouter implements -router: load the bundle's shard map and fan
-// /v2/rank out over the shard workers until terminated.
-func runRouter(bundleDir, shardURLs, addr string, hedgeAfter time.Duration, maxK, maxBatch int, maxTimeout time.Duration) error {
+// /v2/rank out over the shard workers until ctx is canceled.
+func runRouter(ctx context.Context, bundleDir, shardURLs, addr string, drain, hedgeAfter time.Duration, maxK, maxBatch int, maxTimeout time.Duration) error {
 	if bundleDir == "" {
 		return fmt.Errorf("-router requires -bundle")
 	}
@@ -305,19 +302,17 @@ func runRouter(bundleDir, shardURLs, addr string, hedgeAfter time.Duration, maxK
 		time.Since(start).Round(time.Millisecond), sm.Parts, sm.NumVertices,
 		len(sm.GlobalBoundary()), len(sm.CutEdges), sm.Fingerprint)
 	rt, err := router.New(sm, router.Config{
-		Addr: addr, Shards: urls, HedgeAfter: hedgeAfter,
+		Shards: urls, HedgeAfter: hedgeAfter,
 		MaxK: maxK, MaxBatch: maxBatch, MaxTimeout: maxTimeout,
 		Metrics: obsv.NewRegistry(), Logf: log.Printf,
-		OnListen: func(a net.Addr) {
-			log.Printf("router listening on %s over %d shards", a, len(urls))
-		},
 	})
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	return rt.Run(ctx)
+	go rt.PollHealth(ctx)
+	return api.ListenAndServe(ctx, addr, rt.Handler(), drain, func(a net.Addr) {
+		log.Printf("router listening on %s over %d shards", a, len(urls))
+	})
 }
 
 // splitList parses a comma-separated flag value, dropping empty entries.

@@ -5,15 +5,45 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"time"
 )
 
 // This file is the HTTP envelope of the query API: how a JSON body is
-// read, how a response or a typed error is written, and how a request's
-// deadline is derived. The server, the shard worker and the router all
-// answer through it, so status codes, headers and error bodies cannot
-// drift between tiers.
+// read, how a response or a typed error is written, how a request's
+// deadline is derived, and how a listener is run and drained. The server,
+// the shard worker and the router all answer through it, so status codes,
+// headers, error bodies and shutdown cannot drift between tiers.
+
+// ListenAndServe listens on addr and serves handler until ctx is canceled,
+// then stops accepting connections and waits up to drain for in-flight
+// requests to finish. onListen, when non-nil, receives the bound address
+// once the listener is open. It returns nil after a complete drain,
+// context.DeadlineExceeded when requests outlive drain, and otherwise the
+// listen or serve error.
+func ListenAndServe(ctx context.Context, addr string, handler http.Handler, drain time.Duration, onListen func(net.Addr)) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("listen %s: %w", addr, err)
+	}
+	if onListen != nil {
+		onListen(ln.Addr())
+	}
+	hs := &http.Server{Handler: handler}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case <-ctx.Done():
+		shutCtx, cancel := context.WithTimeout(context.Background(), drain)
+		defer cancel()
+		shutErr := hs.Shutdown(shutCtx)
+		<-errc // Serve has returned http.ErrServerClosed
+		return shutErr
+	case err := <-errc:
+		return err
+	}
+}
 
 // WriteJSON writes v as the JSON body of a response with the given status.
 // Rank success bodies go through WriteResult and WriteBatch (write.go).

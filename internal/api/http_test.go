@@ -3,6 +3,8 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -113,4 +115,80 @@ func TestRequestContext(t *testing.T) {
 	if ctx.Err() != context.Canceled {
 		t.Errorf("derived context after disconnect: %v", ctx.Err())
 	}
+}
+
+// serveOneRequest runs ListenAndServe on a loopback port with a handler
+// that takes hold to answer 200, sends it one request, and returns once the
+// handler is running: the serving context's cancel, the response status
+// (0 on a transport error) and the helper's result.
+func serveOneRequest(t *testing.T, hold, drain time.Duration) (context.CancelFunc, <-chan int, <-chan error) {
+	t.Helper()
+	entered := make(chan struct{})
+	handler := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		close(entered)
+		time.Sleep(hold)
+		w.WriteHeader(http.StatusOK)
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	addrc := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- ListenAndServe(ctx, "127.0.0.1:0", handler, drain, func(a net.Addr) { addrc <- a })
+	}()
+	var addr net.Addr
+	select {
+	case addr = <-addrc:
+	case err := <-done:
+		t.Fatalf("ListenAndServe returned before listening: %v", err)
+	}
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Get("http://" + addr.String() + "/")
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-entered
+	return cancel, status, done
+}
+
+// TestListenAndServeDrains: a request in flight when the context is
+// canceled finishes inside the drain bound and is answered, and the helper
+// reports a clean shutdown.
+func TestListenAndServeDrains(t *testing.T) {
+	cancel, status, done := serveOneRequest(t, 50*time.Millisecond, 5*time.Second)
+	cancel()
+	if got := <-status; got != http.StatusOK {
+		t.Fatalf("in-flight request answered %d, want 200", got)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("clean drain returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ListenAndServe did not return after the drain")
+	}
+}
+
+// TestListenAndServeDrainDeadline: a request slower than the drain bound
+// does not hold shutdown past it — the helper returns the deadline error
+// within about drain + 100 ms.
+func TestListenAndServeDrainDeadline(t *testing.T) {
+	const drain = 200 * time.Millisecond
+	cancel, status, done := serveOneRequest(t, drain+400*time.Millisecond, drain)
+	start := time.Now()
+	cancel()
+	err := <-done
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("slow drain returned %v, want %v", err, context.DeadlineExceeded)
+	}
+	if elapsed < drain || elapsed > drain+100*time.Millisecond {
+		t.Fatalf("returned after %v, want within [%v, %v]", elapsed, drain, drain+100*time.Millisecond)
+	}
+	<-status // the handler still finishes; wait so it does not outlive the test
 }

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 )
 
 // TestParallelRowsBitwiseDeterministic trains the Table-1 grid on the quick
-// world serially and with four row workers and asserts identical rows: the
-// parallel experiment runner must not change any printed metric.
+// world at GOMAXPROCS 1 (serial) and 4 (four row workers) and asserts
+// identical rows: the parallel experiment runner must not change any
+// printed metric.
 func TestParallelRowsBitwiseDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains four models twice")
@@ -17,8 +19,7 @@ func TestParallelRowsBitwiseDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer func() { RowWorkers = 0 }()
-		RowWorkers = workers
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		rows, err := Table1(w, []int{8})
 		if err != nil {
 			t.Fatal(err)
@@ -44,8 +45,7 @@ func TestParallelRowsBitwiseDeterministic(t *testing.T) {
 // TestRunRowsPropagatesError checks the bounded runner surfaces worker
 // errors after draining.
 func TestRunRowsPropagatesError(t *testing.T) {
-	defer func() { RowWorkers = 0 }()
-	RowWorkers = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	_, err := runRows(5, func(i int) (Row, error) {
 		if i == 3 {
 			return Row{}, errBoom

@@ -6,34 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// RowWorkers bounds how many experiment rows (one trained model each) run
-// concurrently. Zero (the default) means GOMAXPROCS. Every row trains with
-// its own deterministic seed and writes to its own result slot, so a table
-// is bitwise identical for any worker count; set RowWorkers = 1 to force
-// the serial order (e.g. when another component owns the cores).
-var RowWorkers int
-
-func rowWorkerCount(n int) int {
-	w := RowWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// runRows evaluates f(i) for every row index in [0, n) across a bounded
-// worker pool and returns the rows in index order. The first error wins and
+// runRows evaluates f(i) for every row index in [0, n) across at most
+// GOMAXPROCS workers and returns the rows in index order. Every row trains
+// with its own deterministic seed and writes to its own result slot, so a
+// table is bitwise identical for any worker count. The first error wins and
 // is returned after all workers drain.
 func runRows(n int, f func(i int) (Row, error)) ([]Row, error) {
 	rows := make([]Row, n)
-	workers := rowWorkerCount(n)
-	if workers == 1 {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			r, err := f(i)
 			if err != nil {

@@ -2,8 +2,7 @@ package nn
 
 import (
 	"fmt"
-	"sort"
-	"sync/atomic"
+	"sync"
 )
 
 // This file is the batched kernel layer: a packed row-major matrix type and
@@ -55,65 +54,20 @@ func (m Mat) ZeroRows(rows int) {
 // AsMat views the parameter's weights as a packed matrix (no copy).
 func (p *Param) AsMat() Mat { return Mat{Rows: p.Rows, Cols: p.Cols, Data: p.W} }
 
-// Kernel is a pluggable batched matrix backend. The generic blocked kernel
-// is the default; alternative backends (SIMD, quantized) register under
-// their own names and slot in behind the same product.
-//
-// The product preserves per-element summation order: C[i,j] accumulates
-// its k-terms in ascending order in a fresh accumulator and adds it to
-// C[i,j] once, matching MatVec/MatVecAdd (y[r] += dot(W_r, x)).
-type Kernel interface {
-	// Name identifies the backend (the name SetKernel takes).
-	Name() string
-	// GemmNT computes C += A·Bᵀ for A (M x K), B (N x K), C (M x N) —
-	// the batched MatVecAdd: row i of C accumulates B·a_i.
-	GemmNT(C, A, B Mat)
-}
-
-var kernels = map[string]Kernel{
-	"blocked": blockedKernel{},
-	"naive":   naiveKernel{},
-}
-
-// kernelBox wraps the interface so atomic.Value sees one concrete type no
-// matter which backend is active.
-type kernelBox struct{ k Kernel }
-
-var activeKernel atomic.Value // kernelBox
-
-// The portable default is "blocked"; the amd64 init upgrades it to "avx2"
-// when CPUID reports AVX2. "naive" is the reference backend the others are
-// tested against, reachable through SetKernel.
-func init() {
-	activeKernel.Store(kernelBox{kernels["blocked"]})
-}
-
-// Kernels lists the registered backends, sorted by name.
-func Kernels() []string {
-	names := make([]string, 0, len(kernels))
-	for n := range kernels {
-		names = append(names, n)
+// GemmNT computes C += A·Bᵀ for A (M x K), B (N x K), C (M x N) — the
+// batched MatVecAdd: row i of C accumulates B·a_i. Every element
+// accumulates its k-terms in ascending order in a fresh accumulator and
+// adds it to C[i,j] once, matching MatVec/MatVecAdd (y[r] += dot(W_r, x)).
+// It runs on the AVX2 kernel when init found AVX2 and on the portable 4x2
+// tile otherwise; the two are bit-identical.
+func GemmNT(C, A, B Mat) {
+	checkGemm(C, A, B)
+	if hasAVX2 {
+		avx2GemmNT(C, A, B)
+		return
 	}
-	sort.Strings(names)
-	return names
+	gemmNTTile(C, A, B)
 }
-
-// SetKernel selects the batched kernel backend by name. It returns an error
-// naming the registered backends when name is unknown.
-func SetKernel(name string) error {
-	k, ok := kernels[name]
-	if !ok {
-		return fmt.Errorf("nn: unknown kernel %q (registered: %v)", name, Kernels())
-	}
-	activeKernel.Store(kernelBox{k})
-	return nil
-}
-
-// KernelName reports the active backend.
-func KernelName() string { return activeKernel.Load().(kernelBox).k.Name() }
-
-// GemmNT computes C += A·Bᵀ on the active kernel.
-func GemmNT(C, A, B Mat) { activeKernel.Load().(kernelBox).k.GemmNT(C, A, B) }
 
 // MatMulAdd computes Y += X·Wᵀ for a Rows x Cols parameter: row b of
 // Y (len Rows) accumulates W·x_b, the batched form of MatVecAdd over the
@@ -123,52 +77,38 @@ func (p *Param) MatMulAdd(X, Y Mat) {
 		panic(fmt.Sprintf("nn: MatMulAdd shape mismatch: %s is %dx%d, X=%dx%d Y=%dx%d",
 			p.Name, p.Rows, p.Cols, X.Rows, X.Cols, Y.Rows, Y.Cols))
 	}
-	activeKernel.Load().(kernelBox).k.GemmNT(Y, X, p.AsMat())
+	GemmNT(Y, X, p.AsMat())
 }
-
-// panelKernel is a backend that can lay GemmNT's right-hand operand out
-// ahead of time and multiply against that layout.
-type panelKernel interface {
-	Kernel
-	packPanel(B Mat) []float64
-	// gemmNTPanel computes C += A·Bᵀ for panel = packPanel(B).
-	gemmNTPanel(C, A Mat, panel []float64)
-}
-
-// panelBackend is the host's panel-capable backend; nil where none is
-// registered. Arch-specific init code sets it.
-var panelBackend panelKernel
 
 // PackedNT is a GemmNT right-hand operand fixed ahead of time: a weight
 // matrix multiplied against many batches between two changes of its
-// values. Where the host has a vector backend it holds that backend's
-// panel layout, so a product pays no per-call repacking and takes any row
-// count on the vector kernel; elsewhere it is the operand itself. B is
-// aliased, not copied, and must not change while the pack is in use.
+// values. On an AVX2 host it holds the microkernel's Bᵀ panel, so a
+// product pays no per-call repacking and takes any row count on the vector
+// kernel; elsewhere it is the operand itself. B is aliased, not copied,
+// and must not change while the pack is in use.
 type PackedNT struct {
 	b     Mat
-	panel []float64
+	panel []float64 // nil without AVX2
 }
 
 // PackNT packs B (N x K) for repeated C += A·Bᵀ products.
 func PackNT(B Mat) *PackedNT {
 	p := &PackedNT{b: B}
-	if panelBackend != nil {
-		p.panel = panelBackend.packPanel(B)
+	if hasAVX2 {
+		p.panel = make([]float64, B.Rows*B.Cols)
+		transposeInto(p.panel, B)
 	}
 	return p
 }
 
-// MulAdd computes C += A·Bᵀ on the active kernel, bit-identical to
-// GemmNT(C, A, B).
+// MulAdd computes C += A·Bᵀ, bit-identical to GemmNT(C, A, B).
 func (p *PackedNT) MulAdd(C, A Mat) {
-	k := activeKernel.Load().(kernelBox).k
-	if p.panel == nil || k != Kernel(panelBackend) {
-		k.GemmNT(C, A, p.b)
+	checkGemm(C, A, p.b)
+	if p.panel == nil {
+		gemmNTTile(C, A, p.b)
 		return
 	}
-	checkGemm(C, A, p.b)
-	panelBackend.gemmNTPanel(C, A, p.panel)
+	avx2PanelMulAdd(C, A, p.panel)
 }
 
 func checkGemm(C, A, B Mat) {
@@ -178,34 +118,11 @@ func checkGemm(C, A, B Mat) {
 	}
 }
 
-// naiveKernel is the reference backend: textbook triple loops with the
-// documented accumulation order. It is the oracle of FuzzGemm and the
-// baseline of BenchmarkGemm; the blocked kernel must match it bitwise.
-type naiveKernel struct{}
-
-func (naiveKernel) Name() string { return "naive" }
-
-func (naiveKernel) GemmNT(C, A, B Mat) {
-	checkGemm(C, A, B)
-	for i := 0; i < A.Rows; i++ {
-		ai, ci := A.Row(i), C.Row(i)
-		for j := 0; j < B.Rows; j++ {
-			ci[j] += dotRows(B.Row(j), ai)
-		}
-	}
-}
-
-// blockedKernel is the generic cache-blocked backend.
-type blockedKernel struct{}
-
-func (blockedKernel) Name() string { return "blocked" }
-
-// GemmNT is the fused-scoring workhorse. A 4x2 register tile runs eight
+// gemmNTTile is the portable kernel. A 4x2 register tile runs eight
 // independent dot chains concurrently — the ILP a single dotRows cannot
 // have — while each chain keeps the serial ascending-k order that makes the
 // result bit-identical to eight scalar dots.
-func (blockedKernel) GemmNT(C, A, B Mat) {
-	checkGemm(C, A, B)
+func gemmNTTile(C, A, B Mat) {
 	K := A.Cols
 	M, N := A.Rows, B.Rows
 	i := 0
@@ -261,6 +178,73 @@ func (blockedKernel) GemmNT(C, A, B Mat) {
 		ai, ci := A.Row(i), C.Row(i)
 		for j := 0; j < N; j++ {
 			ci[j] += dotRows(B.Row(j), ai)
+		}
+	}
+}
+
+// avx2MinRows gates the vector path of the unpacked product: below this
+// row count the per-call transpose pack of B costs more than the vector
+// arithmetic saves, so a short GemmNT falls back to the tile (bit-identical,
+// so mixing kernels by shape is safe). A PackedNT operand paid for its
+// panel once and has no such gate.
+const avx2MinRows = 8
+
+// panelPool recycles the Bᵀ panel scratch of unpacked AVX2 products.
+var panelPool sync.Pool // *[]float64
+
+// avx2GemmNT is GemmNT on an AVX2 host: it transposes B into a pooled panel
+// and multiplies against it, or takes the tile for short or degenerate
+// shapes.
+func avx2GemmNT(C, A, B Mat) {
+	K, N := A.Cols, B.Rows
+	if A.Rows < avx2MinRows || N < 4 || K == 0 {
+		gemmNTTile(C, A, B)
+		return
+	}
+	p, _ := panelPool.Get().(*[]float64)
+	if p == nil {
+		p = new([]float64)
+	}
+	if cap(*p) < K*N {
+		*p = make([]float64, K*N)
+	}
+	bt := (*p)[:K*N]
+	transposeInto(bt, B)
+	avx2PanelMulAdd(C, A, bt)
+	panelPool.Put(p)
+}
+
+// transposeInto writes B (N x K) into bt as the K x N panel the
+// microkernel streams: bt[k*N+j] = B[j,k].
+func transposeInto(bt []float64, B Mat) {
+	N := B.Rows
+	for j := 0; j < N; j++ {
+		for kk, v := range B.Row(j) {
+			bt[kk*N+j] = v
+		}
+	}
+}
+
+// avx2PanelMulAdd multiplies against a K x N panel: the first N&^3 columns
+// on the microkernel, the rest (all of them when N < 4) as scalar fresh
+// dots with the same association.
+func avx2PanelMulAdd(C, A Mat, bt []float64) {
+	M, K, N := A.Rows, A.Cols, C.Cols
+	nv := N &^ 3
+	if nv > 0 {
+		gemmNTAVX2(A.Data[:M*K], bt, C.Data[:M*N], M, K, N)
+	}
+	if nv == N {
+		return
+	}
+	for i := 0; i < M; i++ {
+		ai, ci := A.Row(i), C.Row(i)
+		for j := nv; j < N; j++ {
+			var s float64
+			for kk, av := range ai {
+				s += av * bt[kk*N+j]
+			}
+			ci[j] += s
 		}
 	}
 }

@@ -1,4 +1,4 @@
-// AVX2 microkernel of the "avx2" batched backend (gemm_avx2_amd64.go).
+// AVX2 microkernel of GemmNT and PackedNT.MulAdd (gemm.go).
 //
 // Bit-identity contract: SIMD here vectorizes ACROSS output columns, never
 // within a dot product. Lane j of an accumulator register holds the partial

@@ -8,15 +8,59 @@ import (
 	"testing"
 )
 
-// kernelsUnderTest returns every registered backend, so the bit-identity
-// sweeps automatically cover arch-specific kernels (e.g. "avx2") on hosts
-// that register them.
-func kernelsUnderTest() []Kernel {
-	ks := make([]Kernel, 0, len(kernels))
-	for _, k := range kernels {
-		ks = append(ks, k)
+// naiveGemmNT is the oracle of the kernel tests: textbook triple loops
+// with the documented accumulation order.
+func naiveGemmNT(C, A, B Mat) {
+	for i := 0; i < A.Rows; i++ {
+		ai, ci := A.Row(i), C.Row(i)
+		for j := 0; j < B.Rows; j++ {
+			ci[j] += dotRows(B.Row(j), ai)
+		}
 	}
-	return ks
+}
+
+// gemmImpl is one way a C += A·Bᵀ product can run.
+type gemmImpl struct {
+	name string
+	avx2 bool // needs an AVX2 host
+	mul  func(C, A, B Mat)
+}
+
+// gemmImpls names every implementation, called directly: the portable
+// tile, the AVX2 unpacked product (which hands shapes below avx2MinRows
+// rows to the tile, so the test shapes cover both sides), the AVX2 packed
+// product, and the two public entry points on this host's kernel.
+var gemmImpls = []gemmImpl{
+	{"tile", false, gemmNTTile},
+	{"avx2", true, avx2GemmNT},
+	{"avx2-packed", true, func(C, A, B Mat) {
+		bt := make([]float64, B.Rows*B.Cols)
+		transposeInto(bt, B)
+		avx2PanelMulAdd(C, A, bt)
+	}},
+	{"GemmNT", false, GemmNT},
+	{"PackedNT", false, func(C, A, B Mat) { PackNT(B).MulAdd(C, A) }},
+}
+
+// requireGemmImplsMatchNaive checks C0 + A·Btᵀ on every implementation the
+// host can run against the oracle, bitwise.
+func requireGemmImplsMatchNaive(t *testing.T, C0, A, Bt Mat) {
+	t.Helper()
+	want := cloneMat(C0)
+	naiveGemmNT(want, A, Bt)
+	for _, im := range gemmImpls {
+		if im.avx2 && !hasAVX2 {
+			continue
+		}
+		got := cloneMat(C0)
+		im.mul(got, A, Bt)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("%s %dx%dx%d: elem %d = %.17g, naive %.17g",
+					im.name, A.Rows, A.Cols, Bt.Rows, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
 }
 
 func randMat(rng *rand.Rand, rows, cols int) Mat {
@@ -33,29 +77,10 @@ func cloneMat(m Mat) Mat {
 	return c
 }
 
-// packedUnder returns C0 + A·Btᵀ computed through a PackedNT operand with
-// backend k active — the product the fused scorer's inference plan runs.
-func packedUnder(t testing.TB, k Kernel, C0, A, Bt Mat) Mat {
-	t.Helper()
-	orig := KernelName()
-	if err := SetKernel(k.Name()); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := SetKernel(orig); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	got := cloneMat(C0)
-	PackNT(Bt).MulAdd(got, A)
-	return got
-}
-
-// TestKernelsBitIdentical is the contract of the kernel registry: every
-// backend must produce bit-identical results to the naive reference on
-// GemmNT and on the packed-operand product, including accumulation into a
+// TestKernelsBitIdentical: every kernel implementation must produce
+// bit-identical results to the naive oracle, including accumulation into a
 // nonzero C, across shapes that exercise full register tiles, ragged tails,
-// and single rows/columns.
+// and single rows/columns. The AVX2 cases run only on AVX2 hosts.
 func TestKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{ // M, K, N
@@ -69,27 +94,7 @@ func TestKernelsBitIdentical(t *testing.T) {
 		A := randMat(rng, M, K)
 		Bt := randMat(rng, N, K)
 		C0 := randMat(rng, M, N) // nonzero accumulation target
-
-		wantNT := cloneMat(C0)
-		naiveKernel{}.GemmNT(wantNT, A, Bt)
-
-		for _, k := range kernelsUnderTest() {
-			gotNT := cloneMat(C0)
-			k.GemmNT(gotNT, A, Bt)
-			for i := range wantNT.Data {
-				if gotNT.Data[i] != wantNT.Data[i] {
-					t.Fatalf("%s.GemmNT %dx%dx%d: elem %d = %.17g, naive %.17g",
-						k.Name(), M, K, N, i, gotNT.Data[i], wantNT.Data[i])
-				}
-			}
-			gotP := packedUnder(t, k, C0, A, Bt)
-			for i := range wantNT.Data {
-				if gotP.Data[i] != wantNT.Data[i] {
-					t.Fatalf("%s packed %dx%dx%d: elem %d = %.17g, naive %.17g",
-						k.Name(), M, K, N, i, gotP.Data[i], wantNT.Data[i])
-				}
-			}
-		}
+		requireGemmImplsMatchNaive(t, C0, A, Bt)
 	}
 }
 
@@ -169,28 +174,6 @@ func TestSigmoidVecMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestSetKernel covers the selection registry and its error path.
-func TestSetKernel(t *testing.T) {
-	orig := KernelName()
-	defer func() {
-		if err := SetKernel(orig); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	for name := range kernels {
-		if err := SetKernel(name); err != nil {
-			t.Fatal(err)
-		}
-		if KernelName() != name {
-			t.Fatalf("SetKernel(%q) left active kernel %q", name, KernelName())
-		}
-	}
-	err := SetKernel("no-such-backend")
-	if err == nil || !strings.Contains(err.Error(), "registered") {
-		t.Fatalf("unknown kernel error %v does not list registered backends", err)
-	}
-}
-
 func wantPanic(t *testing.T, substr string, f func()) {
 	t.Helper()
 	defer func() {
@@ -225,9 +208,9 @@ func TestShapePanics(t *testing.T) {
 	wantPanic(t, "out of range", func() { A.View(3) })
 }
 
-// FuzzGemm cross-checks every registered backend — GemmNT and the
-// packed-operand product — against the naive oracle bitwise on
-// fuzzer-chosen shapes (M, K, N in [1, 40]) and a seeded value stream.
+// FuzzGemm cross-checks every kernel implementation against the naive
+// oracle bitwise on fuzzer-chosen shapes (M, K, N in [1, 40]) and a seeded
+// value stream.
 func FuzzGemm(f *testing.F) {
 	f.Add(uint8(4), uint8(16), uint8(16), int64(1))
 	f.Add(uint8(1), uint8(1), uint8(1), int64(2))
@@ -241,51 +224,35 @@ func FuzzGemm(f *testing.F) {
 		A := randMat(rng, M, K)
 		Bt := randMat(rng, N, K)
 		C0 := randMat(rng, M, N)
-
-		wantNT := cloneMat(C0)
-		naiveKernel{}.GemmNT(wantNT, A, Bt)
-
-		for _, kr := range kernelsUnderTest() {
-			gotNT := cloneMat(C0)
-			kr.GemmNT(gotNT, A, Bt)
-			for i := range wantNT.Data {
-				if gotNT.Data[i] != wantNT.Data[i] {
-					t.Fatalf("%s.GemmNT %dx%dx%d elem %d: %.17g != %.17g",
-						kr.Name(), M, K, N, i, gotNT.Data[i], wantNT.Data[i])
-				}
-			}
-			gotP := packedUnder(t, kr, C0, A, Bt)
-			for i := range wantNT.Data {
-				if gotP.Data[i] != wantNT.Data[i] {
-					t.Fatalf("%s packed %dx%dx%d elem %d: %.17g != %.17g",
-						kr.Name(), M, K, N, i, gotP.Data[i], wantNT.Data[i])
-				}
-			}
-		}
+		requireGemmImplsMatchNaive(t, C0, A, Bt)
 	})
 }
 
-// BenchmarkGemm measures GemmNT on a tall input-side gate shape (many
-// embedding rows times one gate weight, what building the scorer's
-// inference plan multiplies) for each backend.
+// BenchmarkGemm measures each kernel implementation, and the naive
+// oracle, on a tall input-side gate shape (many embedding rows times one
+// gate weight, what building the scorer's inference plan multiplies).
 func BenchmarkGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	A := randMat(rng, 256, 32)
 	B := randMat(rng, 16, 32)
 	C := NewMat(256, 16)
-	for _, k := range kernelsUnderTest() {
-		b.Run(k.Name(), func(b *testing.B) {
+	impls := append([]gemmImpl{{"naive", false, naiveGemmNT}}, gemmImpls...)
+	for _, im := range impls {
+		if im.avx2 && !hasAVX2 {
+			continue
+		}
+		b.Run(im.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				k.GemmNT(C, A, B)
+				im.mul(C, A, B)
 			}
 		})
 	}
 }
 
-// BenchmarkGemmNT measures the package-level entry point (whatever backend
-// is active — avx2 where supported). This is the benchdiff-gated variant:
-// unlike the per-backend sub-benchmarks above it has a flat name, and its
+// BenchmarkGemmNT measures the package-level entry point (the AVX2 kernel
+// where supported). This is the benchdiff-gated variant: unlike the
+// per-implementation sub-benchmarks above it has a flat name, and its
 // allocs/op pins the zero-alloc steady state of the scratch-panel pool.
 func BenchmarkGemmNT(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))

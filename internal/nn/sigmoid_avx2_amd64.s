@@ -1,6 +1,6 @@
-// Vectorized sigmoid for the "avx2" backend (registered in
-// gemm_avx2_amd64.go). Like the GEMM microkernel, SIMD runs ACROSS
-// elements: each ymm lane executes, in the same order, exactly the
+// Vectorized sigmoid for AVX2 hosts (enabled in gemm_avx2_amd64.go). Like
+// the GEMM microkernel, SIMD runs ACROSS elements: each ymm lane
+// executes, in the same order, exactly the
 // operation sequence the scalar path executes for that element —
 // math.Exp's amd64 FMA path (exp_amd64.s, Shibata's method, constants
 // copied verbatim) on -|x|, then num/(1+z) with num selected by the sign

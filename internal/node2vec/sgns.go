@@ -6,10 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"pathrank/internal/roadnet"
 )
@@ -22,14 +19,6 @@ type TrainConfig struct {
 	Epochs    int     // passes over the walk corpus
 	LR        float64 // initial learning rate (linearly decayed)
 	Seed      int64
-
-	// Workers > 1 trains with that many hogwild-style workers: the walk
-	// corpus is sharded and the shared embedding matrices are updated
-	// without locks, which is the standard word2vec trade — sparse
-	// conflicting writes cost a little accuracy noise but scale across
-	// cores. The result is NOT bit-deterministic; leave Workers <= 1
-	// (the default) to reproduce recorded tables exactly.
-	Workers int
 }
 
 // DefaultTrainConfig returns settings adequate for road networks.
@@ -101,11 +90,9 @@ func Train(g *roadnet.Graph, walks [][]roadnet.VertexID, cfg TrainConfig) *Embed
 
 	// Negative-sampling distribution: unigram^0.75 over walk occurrences.
 	freq := make([]float64, n)
-	var totalTokens int
 	for _, walk := range walks {
 		for _, v := range walk {
 			freq[v]++
-			totalTokens++
 		}
 	}
 	for v := range freq {
@@ -118,21 +105,14 @@ func Train(g *roadnet.Graph, walks [][]roadnet.VertexID, cfg TrainConfig) *Embed
 		totalPairs = 1
 	}
 
-	if cfg.Workers > 1 {
-		trainHogwild(walks, in, out, negTable, cfg, totalPairs)
-	} else {
-		trainShard(walks, in, out, negTable, rng, cfg, totalPairs, nil)
-	}
-	_ = totalTokens
+	trainWalks(walks, in, out, negTable, rng, cfg, totalPairs)
 	return &Embeddings{Dim: dim, Vecs: in}
 }
 
-// trainShard runs the SGNS update loop over walks. pairCounter, when
-// non-nil, is the shared hogwild pair counter used for the global
-// learning-rate decay; when nil a local counter is used (serial mode,
-// bit-deterministic).
-func trainShard(walks [][]roadnet.VertexID, in, out [][]float64, negTable *aliasTable,
-	rng *rand.Rand, cfg TrainConfig, totalPairs int, pairCounter *atomic.Int64) {
+// trainWalks runs the SGNS update loop over walks, decaying the learning
+// rate linearly over totalPairs updates.
+func trainWalks(walks [][]roadnet.VertexID, in, out [][]float64, negTable *aliasTable,
+	rng *rand.Rand, cfg TrainConfig, totalPairs int) {
 
 	dim := cfg.Dim
 	grad := make([]float64, dim)
@@ -153,11 +133,7 @@ func trainShard(walks [][]roadnet.VertexID, in, out [][]float64, negTable *alias
 						continue
 					}
 					ctx := walk[j]
-					p := pairs
-					if pairCounter != nil {
-						p = int(pairCounter.Add(1)) - 1
-					}
-					lr := cfg.LR * (1 - float64(p)/float64(totalPairs))
+					lr := cfg.LR * (1 - float64(pairs)/float64(totalPairs))
 					if lr < cfg.LR*0.0001 {
 						lr = cfg.LR * 0.0001
 					}
@@ -179,39 +155,6 @@ func trainShard(walks [][]roadnet.VertexID, in, out [][]float64, negTable *alias
 			}
 		}
 	}
-}
-
-// trainHogwild shards the walk corpus across cfg.Workers goroutines that
-// update the shared embedding matrices without synchronization (Hogwild!).
-// Conflicting sparse writes are rare enough on road-network corpora that
-// the embeddings converge to the same quality as the serial run.
-func trainHogwild(walks [][]roadnet.VertexID, in, out [][]float64, negTable *aliasTable,
-	cfg TrainConfig, totalPairs int) {
-
-	workers := cfg.Workers
-	if max := runtime.GOMAXPROCS(0) * 4; workers > max {
-		workers = max
-	}
-	var counter atomic.Int64
-	var wg sync.WaitGroup
-	chunk := (len(walks) + workers - 1) / workers
-	for wk := 0; wk < workers; wk++ {
-		lo := wk * chunk
-		hi := lo + chunk
-		if hi > len(walks) {
-			hi = len(walks)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(wk, lo, hi int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(wk)*7919))
-			trainShard(walks[lo:hi], in, out, negTable, rng, cfg, totalPairs, &counter)
-		}(wk, lo, hi)
-	}
-	wg.Wait()
 }
 
 // trainPair performs one SGNS update for (target, context) with label 1 for

@@ -2,9 +2,7 @@ package node2vec
 
 import (
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"pathrank/internal/roadnet"
 )
@@ -16,14 +14,6 @@ type WalkConfig struct {
 	P              float64 // return parameter: high P discourages revisiting
 	Q              float64 // in-out parameter: low Q encourages exploration (DFS-like)
 	Seed           int64
-
-	// Workers > 1 generates walks in parallel, sharded by start vertex.
-	// Each walk draws from its own splitmix-derived RNG stream, so the
-	// corpus is deterministic for a given Seed regardless of the worker
-	// count — but it differs from the single-stream corpus produced by
-	// Workers <= 1, which remains the default so recorded experiment
-	// tables stay reproducible.
-	Workers int
 }
 
 // DefaultWalkConfig mirrors common node2vec settings scaled for road
@@ -106,9 +96,6 @@ func (w *walker) step(rng *rand.Rand, prev, cur roadnet.VertexID, buf []float64)
 // GenerateWalks produces cfg.WalksPerVertex walks of length cfg.WalkLength
 // from every vertex of g, in a deterministic order given cfg.Seed.
 func GenerateWalks(g *roadnet.Graph, cfg WalkConfig) [][]roadnet.VertexID {
-	if cfg.Workers > 1 {
-		return generateWalksParallel(g, cfg)
-	}
 	w := newWalker(g, cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := g.NumVertices()
@@ -138,55 +125,4 @@ func (w *walker) walkFrom(rng *rand.Rand, start roadnet.VertexID, length int, bu
 		prev, cur = cur, next
 	}
 	return walk
-}
-
-// splitmix64 is the SplitMix64 finalizer, used to derive independent
-// per-walk RNG seeds from (seed, walk index).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// generateWalksParallel shards walk generation across cfg.Workers
-// goroutines. Walk slot (rep, orderIdx) is written by exactly one worker
-// and seeded from (Seed, slot), so the output is identical for any worker
-// count.
-func generateWalksParallel(g *roadnet.Graph, cfg WalkConfig) [][]roadnet.VertexID {
-	w := newWalker(g, cfg)
-	n := g.NumVertices()
-	order := rand.New(rand.NewSource(cfg.Seed)).Perm(n)
-	total := n * cfg.WalksPerVertex
-	walks := make([][]roadnet.VertexID, total)
-
-	workers := cfg.Workers
-	if max := runtime.GOMAXPROCS(0) * 4; workers > max {
-		workers = max
-	}
-	var wg sync.WaitGroup
-	chunk := (total + workers - 1) / workers
-	for wk := 0; wk < workers; wk++ {
-		lo := wk * chunk
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			buf := make([]float64, w.maxDeg)
-			rng := rand.New(rand.NewSource(0))
-			for slot := lo; slot < hi; slot++ {
-				start := roadnet.VertexID(order[slot%n])
-				rng.Seed(int64(splitmix64(uint64(cfg.Seed)<<32 ^ uint64(slot))))
-				walks[slot] = w.walkFrom(rng, start, cfg.WalkLength, buf)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return walks
 }

@@ -2,6 +2,7 @@ package pathrank
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pathrank/internal/dataset"
@@ -16,7 +17,8 @@ func detWorld(t *testing.T) (*roadnet.Graph, []dataset.Query) {
 }
 
 // TestEvaluateParallelBitwiseDeterministic asserts the data-parallel
-// Evaluate path produces bitwise-identical metrics to the serial path.
+// Evaluate path produces bitwise-identical metrics to the serial path; the
+// worker count follows GOMAXPROCS.
 func TestEvaluateParallelBitwiseDeterministic(t *testing.T) {
 	g, queries := detWorld(t)
 	cfg := Config{EmbeddingDim: 12, Hidden: 8, Variant: PRA2, Body: GRUBody, Seed: 3}
@@ -32,11 +34,10 @@ func TestEvaluateParallelBitwiseDeterministic(t *testing.T) {
 		}
 	}
 
-	defer func() { EvalWorkers = 0 }()
-	EvalWorkers = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := m.Evaluate(queries)
 	for _, workers := range []int{2, 4, 8} {
-		EvalWorkers = workers
+		runtime.GOMAXPROCS(workers)
 		got := m.Evaluate(queries)
 		if got != serial {
 			t.Fatalf("Evaluate with %d workers = %+v, serial = %+v", workers, got, serial)
@@ -66,10 +67,9 @@ func TestRankParallelBitwiseDeterministic(t *testing.T) {
 		}
 	}
 
-	defer func() { EvalWorkers = 0 }()
-	EvalWorkers = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := m.Rank(cands)
-	EvalWorkers = 4
+	runtime.GOMAXPROCS(4)
 	parallel := m.Rank(cands)
 	if len(serial) != len(parallel) {
 		t.Fatalf("rank lengths differ: %d vs %d", len(serial), len(parallel))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -12,7 +13,6 @@ import (
 
 	"pathrank/internal/dataset"
 	"pathrank/internal/geo"
-	"pathrank/internal/nn"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
 )
@@ -156,24 +156,20 @@ func requireFusedMatchesPerPath(t *testing.T, m *Model, paths []spath.Path, what
 }
 
 // TestScoreBatchFusedMatchesPerPath is the correctness gate of the fused
-// batched scorer: on every registered kernel, across every Body kind (with
-// and without the multi-task heads), hidden sizes that leave the vector
-// kernel a column tail (10: N%4 = 2, attention width 5; 6: attention
-// width 4, and its v is always N = 1), random path lengths from 1 to 80,
-// empty paths, single-vertex paths, batches spanning several fused chunks
-// and batches of 1 to 11 paths (both sides of the row count below which
-// the avx2 kernel once fell back to the scalar tile), the fused scores must
-// be bit-identical to the per-path reference, which multiplies through
-// MatVec and never sees the kernels or the plan. The inputs run from no
-// shared prefix (randomPaths) through prefix- and suffix-sharing sets
-// (branchingPaths) to real TkDI and D-TkDI output (yenSweeps).
+// batched scorer: across every Body kind (with and without the multi-task
+// heads), hidden sizes that leave the vector kernel a column tail (10:
+// N%4 = 2, attention width 5; 6: attention width 4, and its v is always
+// N = 1), random path lengths from 1 to 80, empty paths, single-vertex
+// paths, batches spanning several fused chunks and batches of 1 to 11 paths
+// (both sides of the row count below which the avx2 kernel once fell back
+// to the scalar tile), the fused scores must be bit-identical to the
+// per-path reference, which multiplies through MatVec and never sees the
+// kernels or the plan. The inputs run from no shared prefix (randomPaths)
+// through prefix- and suffix-sharing sets (branchingPaths) to real TkDI and
+// D-TkDI output (yenSweeps). It runs on this host's GEMM kernel only; the
+// other kernel is bit-identical to it by internal/nn's
+// TestKernelsBitIdentical and FuzzGemm, so the result carries over.
 func TestScoreBatchFusedMatchesPerPath(t *testing.T) {
-	orig := nn.KernelName()
-	defer func() {
-		if err := nn.SetKernel(orig); err != nil {
-			t.Fatal(err)
-		}
-	}()
 	g := testGrid(t)
 	vocab := g.NumVertices()
 	yen := yenSweeps(t, g)
@@ -181,40 +177,35 @@ func TestScoreBatchFusedMatchesPerPath(t *testing.T) {
 		hidden int
 		lambda float64
 	}{{10, 0}, {10, 0.3}, {6, 0}}
-	for _, kernel := range nn.Kernels() {
-		if err := nn.SetKernel(kernel); err != nil {
-			t.Fatal(err)
-		}
-		for _, body := range allBodies {
-			for _, sh := range shapes {
-				name := fmt.Sprintf("%s/%v/hidden=%d/lambda=%v", kernel, body, sh.hidden, sh.lambda)
-				t.Run(name, func(t *testing.T) {
-					m, err := New(vocab, Config{
-						EmbeddingDim: 12, Hidden: sh.hidden, Variant: PRA2, Body: body,
-						MultiTaskLambda: sh.lambda, Seed: int64(17 + int(body)),
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					rng := rand.New(rand.NewSource(99 + int64(body)))
-					for round := 0; round < 3; round++ {
-						// 70 paths span 3 fused chunks; max length 80 exercises
-						// the longest sequences the ranking core sees.
-						requireFusedMatchesPerPath(t, m, randomPaths(rng, 70, vocab, 80), fmt.Sprintf("round %d", round))
-					}
-					for _, reversed := range []bool{false, true} {
-						paths := branchingPaths(rng, 70, vocab, 80, reversed)
-						requireFusedMatchesPerPath(t, m, paths, fmt.Sprintf("branching, reversed=%v", reversed))
-					}
-					for i, sweep := range yen {
-						requireFusedMatchesPerPath(t, m, sweep, fmt.Sprintf("yen sweep %d", i))
-					}
-					small := randomPaths(rng, 9, vocab, 40)
-					for n := 1; n <= len(small); n++ {
-						requireFusedMatchesPerPath(t, m, small[:n], "small batch")
-					}
+	for _, body := range allBodies {
+		for _, sh := range shapes {
+			name := fmt.Sprintf("%v/hidden=%d/lambda=%v", body, sh.hidden, sh.lambda)
+			t.Run(name, func(t *testing.T) {
+				m, err := New(vocab, Config{
+					EmbeddingDim: 12, Hidden: sh.hidden, Variant: PRA2, Body: body,
+					MultiTaskLambda: sh.lambda, Seed: int64(17 + int(body)),
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(99 + int64(body)))
+				for round := 0; round < 3; round++ {
+					// 70 paths span 3 fused chunks; max length 80 exercises
+					// the longest sequences the ranking core sees.
+					requireFusedMatchesPerPath(t, m, randomPaths(rng, 70, vocab, 80), fmt.Sprintf("round %d", round))
+				}
+				for _, reversed := range []bool{false, true} {
+					paths := branchingPaths(rng, 70, vocab, 80, reversed)
+					requireFusedMatchesPerPath(t, m, paths, fmt.Sprintf("branching, reversed=%v", reversed))
+				}
+				for i, sweep := range yen {
+					requireFusedMatchesPerPath(t, m, sweep, fmt.Sprintf("yen sweep %d", i))
+				}
+				small := randomPaths(rng, 9, vocab, 40)
+				for n := 1; n <= len(small); n++ {
+					requireFusedMatchesPerPath(t, m, small[:n], "small batch")
+				}
+			})
 		}
 	}
 }
@@ -225,7 +216,7 @@ func TestScoreBatchFusedMatchesPerPath(t *testing.T) {
 // copies from, how many of its vertices, whether from the front (a shared
 // prefix) or the back (a shared suffix), and how many vertices it adds on
 // the other side, from a vocabulary of 12. Small GRU, BiGRU, LSTM, AttnGRU
-// and mean-pool models score each set on the active kernel.
+// and mean-pool models score each set on this host's kernel.
 func FuzzScoreBatchFused(f *testing.F) {
 	const vocab = 12
 	var models []*Model
@@ -517,9 +508,7 @@ func TestScoreSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	paths := randomPaths(rng, 16, 40, 30)
 
-	oldWorkers := EvalWorkers
-	EvalWorkers = 1
-	defer func() { EvalWorkers = oldWorkers }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	// Warm the pools.
 	for i := 0; i < 4; i++ {
@@ -552,9 +541,7 @@ func TestScoreBatchFusedSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	paths := randomPaths(rng, fusedChunk-2, 40, 30)
 
-	oldWorkers := EvalWorkers
-	EvalWorkers = 1
-	defer func() { EvalWorkers = oldWorkers }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	for i := 0; i < 4; i++ {
 		m.ScoreBatchFused(paths)

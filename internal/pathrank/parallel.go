@@ -6,33 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// EvalWorkers bounds the number of goroutines used by the data-parallel
-// Evaluate and Rank scoring paths. Zero (the default) means GOMAXPROCS.
-// Scoring is read-only on the model, and every worker writes to disjoint
-// result indices, so the output is bitwise identical for any worker count;
-// the knob exists for tests and for callers that want to co-schedule
-// several evaluations.
-var EvalWorkers int
-
-func evalWorkerCount(n int) int {
-	w := EvalWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// parallelFor runs f(i) for i in [0, n), fanning out across a bounded
-// worker pool. With one worker it degenerates to a plain loop.
+// parallelFor runs f(i) for i in [0, n), fanning out across at most
+// GOMAXPROCS workers. Scoring is read-only on the model and every caller
+// writes disjoint result indices, so the output is bitwise identical for
+// any worker count. With one worker it degenerates to a plain loop.
 func parallelFor(n int, f func(i int)) {
-	workers := evalWorkerCount(n)
-	if workers == 1 {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			f(i)
 		}

@@ -157,9 +157,8 @@ func (m *Model) FineTune(queries []dataset.Query, cfg TrainConfig) ([]float64, e
 // Evaluate scores every candidate of every query and aggregates the paper's
 // four metrics (MAE, MARE, Kendall τ, Spearman ρ). Each query's candidates
 // are one ScoreBatch sweep, the served scorer; queries are scored in
-// parallel across a bounded worker pool (see EvalWorkers), and every worker
-// writes disjoint indices, so the report is bitwise identical to a serial
-// evaluation.
+// parallel across GOMAXPROCS workers, and every worker writes disjoint
+// indices, so the report is bitwise identical to a serial evaluation.
 func (m *Model) Evaluate(queries []dataset.Query) metrics.Report {
 	m.Prepare()
 	preds := make([][]float64, len(queries))

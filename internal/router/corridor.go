@@ -250,46 +250,38 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 	}
 	genNs := time.Since(genStart).Nanoseconds()
 
-	// Translate candidates to global IDs and score with the bundle model.
-	// Lengths and times are computed on the corridor graph, whose edge
-	// records are bit-for-bit the full graph's.
+	// Score the candidates under global IDs with the bundle model and rank
+	// them as a single server does. Lengths and times are computed on the
+	// corridor graph, whose edge records are bit-for-bit the full graph's.
 	scoreStart := time.Now()
 	globalPaths := make([]spath.Path, len(cands))
-	wire := make([]api.RankedPath, len(cands))
 	for ci, p := range cands {
 		gv := make([]roadnet.VertexID, len(p.Vertices))
-		verts := make([]int64, len(p.Vertices))
 		for vi, v := range p.Vertices {
 			gv[vi] = fg.globalV[v]
-			verts[vi] = int64(fg.globalV[v])
 		}
 		ge := make([]roadnet.EdgeID, len(p.Edges))
 		for ei, e := range p.Edges {
 			ge[ei] = fg.globalE[e]
 		}
 		globalPaths[ci] = spath.Path{Vertices: gv, Edges: ge, Cost: p.Cost}
-		wire[ci] = api.RankedPath{
-			LengthM:  p.Length(fg.g),
-			TimeS:    p.Time(fg.g),
-			Hops:     p.Len(),
+	}
+	ranked := pathrank.RankScored(cands, rt.model.ScoreBatch(globalPaths))
+	scoreNs := time.Since(scoreStart).Nanoseconds()
+	paths := make([]api.RankedPath, len(ranked))
+	for rank, r := range ranked {
+		verts := make([]int64, len(r.Path.Vertices))
+		for vi, v := range r.Path.Vertices {
+			verts[vi] = int64(fg.globalV[v])
+		}
+		paths[rank] = api.RankedPath{
+			Rank:     rank + 1,
+			Score:    r.Score,
+			LengthM:  r.Path.Length(fg.g),
+			TimeS:    r.Path.Time(fg.g),
+			Hops:     r.Path.Len(),
 			Vertices: verts,
 		}
-	}
-	scores := rt.model.ScoreBatch(globalPaths)
-	scoreNs := time.Since(scoreStart).Nanoseconds()
-	// Order exactly as pathrank.RankScored does: stable sort, descending
-	// score, so ties keep enumeration (cost) order.
-	idx := make([]int, len(cands))
-	for ci := range idx {
-		idx[ci] = ci
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	paths := make([]api.RankedPath, len(cands))
-	for rank, ci := range idx {
-		p := wire[ci]
-		p.Rank = rank + 1
-		p.Score = scores[ci]
-		paths[rank] = p
 	}
 
 	res := &api.RankResult{Src: q.Src, Dst: q.Dst, K: q.K, Paths: paths}

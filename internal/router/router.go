@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -54,8 +53,6 @@ const maxShardResponse = 1 << 30
 
 // Config parameterizes a Router.
 type Config struct {
-	// Addr is the listen address for Run.
-	Addr string
 	// Shards maps shard index to the worker's base URL (e.g.
 	// "http://10.0.0.3:8080"); its length must equal the bundle's Parts.
 	Shards []string
@@ -81,8 +78,6 @@ type Config struct {
 	Metrics *obsv.Registry
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-	// OnListen, when non-nil, is invoked with the bound address by Run.
-	OnListen func(net.Addr)
 }
 
 // Router fans /v2/rank out over the shard workers of one bundle.
@@ -209,34 +204,6 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// Run listens on cfg.Addr and serves until ctx is canceled, polling shard
-// health in the background.
-func (rt *Router) Run(ctx context.Context) error {
-	ln, err := net.Listen("tcp", rt.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("router: listen %s: %w", rt.cfg.Addr, err)
-	}
-	if rt.cfg.OnListen != nil {
-		rt.cfg.OnListen(ln.Addr())
-	}
-	pollCtx, stopPoll := context.WithCancel(ctx)
-	defer stopPoll()
-	go rt.pollHealth(pollCtx)
-	hs := &http.Server{Handler: rt.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		shutErr := hs.Shutdown(shutCtx)
-		<-errc
-		return shutErr
-	case err := <-errc:
-		return err
-	}
-}
-
 // ---- shard health ----
 
 type shardHealth struct {
@@ -262,8 +229,9 @@ func (a *atomicHealth) store(h *shardHealth) {
 	a.mu.Unlock()
 }
 
-// pollHealth refreshes every shard's health each HealthInterval.
-func (rt *Router) pollHealth(ctx context.Context) {
+// PollHealth refreshes every shard's health each HealthInterval until ctx
+// is canceled. Without it, /healthz re-checks stale shards on demand.
+func (rt *Router) PollHealth(ctx context.Context) {
 	tick := time.NewTicker(rt.cfg.HealthInterval)
 	defer tick.Stop()
 	rt.refreshHealth(ctx, false)

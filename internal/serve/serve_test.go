@@ -581,24 +581,25 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
+// TestGracefulShutdown serves the server's handler through the shared
+// lifecycle helper, as pathrank-serve does: it answers, drains on cancel,
+// and closes its listener.
 func TestGracefulShutdown(t *testing.T) {
-	s, err := New(loadedTestArtifact(t), Config{
-		Addr: "127.0.0.1:0",
-	})
+	s, err := New(loadedTestArtifact(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrCh := make(chan net.Addr, 1)
-	s.cfg.OnListen = func(a net.Addr) { addrCh <- a }
-
 	ctx, cancel := context.WithCancel(context.Background())
 	runErr := make(chan error, 1)
-	go func() { runErr <- s.Run(ctx) }()
+	go func() {
+		runErr <- api.ListenAndServe(ctx, "127.0.0.1:0", s.Handler(), 5*time.Second, func(a net.Addr) { addrCh <- a })
+	}()
 
 	addr := <-addrCh
 	resp, err := http.Get("http://" + addr.String() + "/healthz")
 	if err != nil {
-		t.Fatalf("healthz against Run server: %v", err)
+		t.Fatalf("healthz against the served handler: %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -92,8 +91,6 @@ type ProvenanceSource interface {
 
 // Config parameterizes a Server.
 type Config struct {
-	// Addr is the listen address for Run (e.g. ":8080").
-	Addr string
 	// CacheSize bounds the LRU result cache in entries; 0 uses the default
 	// (4096) and negative disables caching.
 	CacheSize int
@@ -114,13 +111,11 @@ type Config struct {
 	// snapshot creation and reused across hot swaps of the same road
 	// network.
 	Engine string
-	// ShutdownTimeout bounds graceful drain on Run cancellation (default 5s).
-	ShutdownTimeout time.Duration
 	// ArtifactPath is the bundle /v1/reload re-reads when the request names
 	// no path, and the file WatchArtifact monitors.
 	ArtifactPath string
-	// WatchInterval > 0 makes Run poll ArtifactPath for changes and
-	// hot-swap automatically (see WatchArtifact).
+	// WatchInterval > 0 makes WatchArtifact poll ArtifactPath for changes
+	// and hot-swap automatically.
 	WatchInterval time.Duration
 	// CanaryQueries enables the canary gate that guards every hot swap:
 	// before a candidate snapshot is published, this many pinned golden
@@ -164,9 +159,6 @@ type Config struct {
 	// Logf, when non-nil, receives operational log lines (swaps, watcher
 	// errors).
 	Logf func(format string, args ...any)
-	// OnListen, when non-nil, is invoked with the bound address once the
-	// listener is open (used by tests and for port-0 deployments).
-	OnListen func(net.Addr)
 }
 
 // Server answers ranking queries against a hot-swappable artifact snapshot.
@@ -223,9 +215,6 @@ func New(art *pathrank.Artifact, cfg Config) (*Server, error) {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 30 * time.Second
-	}
-	if cfg.ShutdownTimeout <= 0 {
-		cfg.ShutdownTimeout = 5 * time.Second
 	}
 	if cfg.MaxIngestRecords <= 0 {
 		cfg.MaxIngestRecords = 20000
@@ -385,8 +374,8 @@ func (s *Server) Fingerprint() string {
 	return s.snap.Load().fpHex
 }
 
-// Close pairs with New; Run calls it on shutdown. The server owns no
-// background goroutine or handle, so there is nothing to stop.
+// Close pairs with New. The server owns no background goroutine or handle,
+// so there is nothing to stop.
 func (s *Server) Close() {}
 
 // Handler returns the server's HTTP API.
@@ -406,40 +395,6 @@ func (s *Server) Handler() http.Handler {
 // otherwise.
 func (s *Server) Metrics() *obsv.Registry {
 	return s.obs.reg
-}
-
-// Run listens on cfg.Addr and serves until ctx is canceled, then drains
-// in-flight requests gracefully (bounded by cfg.ShutdownTimeout). When
-// cfg.WatchInterval > 0 it also watches cfg.ArtifactPath and hot-swaps on
-// changes.
-func (s *Server) Run(ctx context.Context) error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("serve: listen %s: %w", s.cfg.Addr, err)
-	}
-	if s.cfg.OnListen != nil {
-		s.cfg.OnListen(ln.Addr())
-	}
-	watchCtx, stopWatch := context.WithCancel(ctx)
-	defer stopWatch()
-	if s.cfg.WatchInterval > 0 && s.cfg.ArtifactPath != "" {
-		go s.WatchArtifact(watchCtx)
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
-		defer cancel()
-		shutErr := hs.Shutdown(shutCtx)
-		<-errc // Serve has returned http.ErrServerClosed
-		s.Close()
-		return shutErr
-	case err := <-errc:
-		s.Close()
-		return err
-	}
 }
 
 // WatchArtifact polls cfg.ArtifactPath every cfg.WatchInterval and

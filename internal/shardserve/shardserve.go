@@ -14,13 +14,9 @@
 package shardserve
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"math"
-	"net"
 	"net/http"
-	"time"
 
 	"pathrank/internal/api"
 	"pathrank/internal/pathrank"
@@ -61,36 +57,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /shard/boundary", s.handleBoundary)
 	mux.HandleFunc("POST /shard/corridor", s.handleCorridor)
 	return mux
-}
-
-// Run listens on addr and serves the combined handler until ctx is
-// canceled, mirroring serve.Server.Run (graceful drain, artifact watch).
-func (s *Server) Run(ctx context.Context, addr string, onListen func(net.Addr)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("shardserve: listen %s: %w", addr, err)
-	}
-	if onListen != nil {
-		onListen(ln.Addr())
-	}
-	watchCtx, stopWatch := context.WithCancel(ctx)
-	defer stopWatch()
-	go s.srv.WatchArtifact(watchCtx)
-	hs := &http.Server{Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		shutErr := hs.Shutdown(shutCtx)
-		<-errc
-		s.srv.Close()
-		return shutErr
-	case err := <-errc:
-		s.srv.Close()
-		return err
-	}
 }
 
 // shardView takes one view of the serving snapshot and extracts the shard
