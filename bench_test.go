@@ -307,16 +307,19 @@ func BenchmarkGRUForwardBackward(b *testing.B) {
 
 // BenchmarkCHBuild measures contraction-hierarchy preprocessing of the
 // experiment network — the one-time cost pathrank-train pays (and
-// pathrank-serve skips when the artifact embeds the prep).
+// pathrank-serve skips when the artifact embeds the prep). It reports the
+// shortcut count, which a faster builder must leave unchanged.
 func BenchmarkCHBuild(b *testing.B) {
 	g := microGraph(b)
 	b.ResetTimer()
+	shortcuts := 0
 	for i := 0; i < b.N; i++ {
-		ch := spath.BuildCH(g, spath.ByLength)
-		if ch.NumShortcuts() == 0 {
+		shortcuts = spath.BuildCH(g, spath.ByLength).NumShortcuts()
+		if shortcuts == 0 {
 			b.Fatal("no shortcuts built")
 		}
 	}
+	b.ReportMetric(float64(shortcuts), "shortcuts")
 }
 
 // BenchmarkCHQuery measures one point-to-point query on a prebuilt

@@ -53,170 +53,222 @@ type chArc struct {
 	edge     roadnet.EdgeID
 }
 
-// BuildCH preprocesses g under w. Construction uses a lazy-update priority
-// queue over the edge-difference heuristic.
+// BuildCH preprocesses g under w. Vertices are contracted in edge-difference
+// order from a lazy-update queue; contracting v adds a shortcut s→t for
+// every in-arc s→v and out-arc v→t that no witness path avoiding v, found
+// by a Dijkstra capped at 60 settled vertices, matches.
+//
+// The witness searches of one source share one pop sequence: a search from
+// s that avoids v pops the same vertices whatever its target, and each
+// target's verdict depends only on the prefix up to its own stopping rule.
+// So one search per in-arc prices every out-arc. A shortcut s→t_j lands in
+// out[s], where the next target's search would relax it, so contraction
+// restarts the source's search at target j+1 after each insertion. Arcs to
+// a contracted vertex are deleted from the working lists, which keeps the
+// remaining arcs in their relative order. The hierarchy is therefore
+// exactly the one per-pair searches over filtered lists would build.
 func BuildCH(g *roadnet.Graph, w Weight) *ContractionHierarchy {
 	n := g.NumVertices()
-
-	// Working adjacency (mutable during contraction): out and in arc lists
-	// per vertex over remaining (uncontracted) vertices.
-	type dynArc struct {
-		other  int32
-		weight float64
-		mid    int32
-		edge   roadnet.EdgeID
+	b := &chBuilder{
+		out:   make([][]dynArc, n),
+		in:    make([][]dynArc, n),
+		dist:  make([]float64, n),
+		stamp: make([]uint32, n),
 	}
-	out := make([][]dynArc, n)
-	in := make([][]dynArc, n)
+	arcs := make([]chArc, 0, 2*g.NumEdges())
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(roadnet.EdgeID(i))
 		wt := w(e)
-		out[e.From] = append(out[e.From], dynArc{other: int32(e.To), weight: wt, mid: -1, edge: e.ID})
-		in[e.To] = append(in[e.To], dynArc{other: int32(e.From), weight: wt, mid: -1, edge: e.ID})
+		b.out[e.From] = append(b.out[e.From], dynArc{other: int32(e.To), weight: wt, mid: -1, edge: e.ID})
+		b.in[e.To] = append(b.in[e.To], dynArc{other: int32(e.From), weight: wt, mid: -1, edge: e.ID})
 	}
-	contracted := make([]bool, n)
-
-	// witnessSearch checks whether a path from s to t avoiding v with cost
-	// <= bound exists, using a bounded Dijkstra over remaining vertices.
-	witnessSearch := func(s, t, v int32, bound float64) bool {
-		const maxSettle = 60
-		dist := map[int32]float64{s: 0}
-		h := &vertexHeapCH{}
-		h.push(chItem{v: s})
-		settled := 0
-		for h.len() > 0 && settled < maxSettle {
-			it := h.pop()
-			if it.dist > dist[it.v] {
-				continue
-			}
-			if it.v == t {
-				return it.dist <= bound
-			}
-			if it.dist > bound {
-				return false
-			}
-			settled++
-			for _, a := range out[it.v] {
-				if contracted[a.other] || a.other == v {
-					continue
-				}
-				nd := it.dist + a.weight
-				if cur, ok := dist[a.other]; !ok || nd < cur {
-					dist[a.other] = nd
-					h.push(chItem{v: a.other, dist: nd})
-				}
-			}
+	// Original edges are the first arcs, grouped by tail; shortcuts follow
+	// in insertion order.
+	for v := range b.out {
+		for _, a := range b.out[v] {
+			arcs = append(arcs, chArc{from: int32(v), to: a.other, weight: a.weight, mid: -1, edge: a.edge})
 		}
-		d, ok := dist[t]
-		return ok && d <= bound
 	}
 
-	// simulate counts the shortcuts contraction of v would add.
-	simulate := func(v int32, insert bool) int {
-		added := 0
-		for _, ia := range in[v] {
-			if contracted[ia.other] {
-				continue
-			}
-			for _, oa := range out[v] {
-				if contracted[oa.other] || ia.other == oa.other {
-					continue
-				}
-				through := ia.weight + oa.weight
-				if witnessSearch(ia.other, oa.other, v, through) {
-					continue
-				}
-				added++
-				if insert {
-					out[ia.other] = append(out[ia.other], dynArc{other: oa.other, weight: through, mid: v})
-					in[oa.other] = append(in[oa.other], dynArc{other: ia.other, weight: through, mid: v})
-				}
-			}
-		}
-		return added
-	}
-
-	degree := func(v int32) int {
-		d := 0
-		for _, a := range out[v] {
-			if !contracted[a.other] {
-				d++
-			}
-		}
-		for _, a := range in[v] {
-			if !contracted[a.other] {
-				d++
-			}
-		}
-		return d
-	}
-	priority := func(v int32) int { return simulate(v, false)*2 - degree(v) }
-
-	// Lazy priority queue.
+	// Lazy priority queue. The full re-sort on a stale top is what fixes
+	// the contraction order (a heap would break ties differently), and at
+	// a few percent of the build it is not worth replacing.
 	type pqCH struct {
 		v    int32
 		prio int
 	}
 	pq := make([]pqCH, 0, n)
 	for v := 0; v < n; v++ {
-		pq = append(pq, pqCH{v: int32(v), prio: priority(int32(v))})
+		pq = append(pq, pqCH{v: int32(v), prio: b.priority(int32(v))})
 	}
-	sort.Slice(pq, func(a, b int) bool { return pq[a].prio < pq[b].prio })
+	byPrio := func(a, b int) bool { return pq[a].prio < pq[b].prio }
+	sort.Slice(pq, byPrio)
 
 	order := make([]int32, n)
-	var allArcs []chArc
-	rank := int32(0)
-	// Collect original edges as arcs once; shortcuts appended during
-	// contraction.
-	for v := 0; v < n; v++ {
-		for _, a := range out[v] {
-			allArcs = append(allArcs, chArc{from: int32(v), to: a.other, weight: a.weight, mid: -1, edge: a.edge})
-		}
-	}
-
-	heapify := func() {
-		sort.Slice(pq, func(a, b int) bool { return pq[a].prio < pq[b].prio })
-	}
-	for len(pq) > 0 {
-		top := pq[0]
-		if contracted[top.v] {
-			pq = pq[1:]
-			continue
-		}
-		// Lazy update: recompute priority; if it's no longer minimal,
-		// re-sort (amortized acceptable at our network sizes).
-		np := priority(top.v)
-		if len(pq) > 1 && np > pq[1].prio {
+	for rank := int32(0); len(pq) > 0; {
+		// Lazy update: recompute the top's priority; if it is no longer
+		// minimal, re-sort and look again.
+		v := pq[0].v
+		if np := b.priority(v); len(pq) > 1 && np > pq[1].prio {
 			pq[0].prio = np
-			heapify()
+			sort.Slice(pq, byPrio)
 			continue
 		}
 		pq = pq[1:]
-		v := top.v
-		// Insert shortcuts for v, recording them as arcs.
-		for _, ia := range in[v] {
-			if contracted[ia.other] {
-				continue
-			}
-			for _, oa := range out[v] {
-				if contracted[oa.other] || ia.other == oa.other {
-					continue
-				}
-				through := ia.weight + oa.weight
-				if witnessSearch(ia.other, oa.other, v, through) {
-					continue
-				}
-				out[ia.other] = append(out[ia.other], dynArc{other: oa.other, weight: through, mid: v})
-				in[oa.other] = append(in[oa.other], dynArc{other: ia.other, weight: through, mid: v})
-				allArcs = append(allArcs, chArc{from: ia.other, to: oa.other, weight: through, mid: v})
-			}
-		}
-		contracted[v] = true
+		arcs = b.contract(v, arcs)
 		order[v] = rank
 		rank++
 	}
+	return newCH(g, order, arcs)
+}
 
-	return newCH(g, order, allArcs)
+// dynArc is an arc of BuildCH's working adjacency, stored at one end and
+// naming the other.
+type dynArc struct {
+	other  int32
+	weight float64
+	mid    int32
+	edge   roadnet.EdgeID
+}
+
+// chTarget is one out-arc's witness query: is there a path to t avoiding
+// the contracted vertex that costs at most bound?
+type chTarget struct {
+	t       int32
+	bound   float64
+	done    bool // the search has passed this target's stopping rule
+	witness bool // verdict: a path within bound exists
+}
+
+// chBuilder is BuildCH's working state: the adjacency over uncontracted
+// vertices, and one witness search's generation-stamped distances and heap,
+// reused by every search of the build.
+type chBuilder struct {
+	out, in [][]dynArc
+	dist    []float64
+	stamp   []uint32
+	gen     uint32
+	heap    vertexHeapCH
+	targets []chTarget
+}
+
+// targetsOf lists the witness queries of in-arc ia into v: one per out-arc
+// of v not leading back to ia's tail, in out-arc order.
+func (b *chBuilder) targetsOf(v int32, ia dynArc) []chTarget {
+	tg := b.targets[:0]
+	for _, oa := range b.out[v] {
+		if oa.other != ia.other {
+			tg = append(tg, chTarget{t: oa.other, bound: ia.weight + oa.weight})
+		}
+	}
+	b.targets = tg
+	return tg
+}
+
+// witness runs one Dijkstra from s over the working graph minus v and
+// settles every target's verdict. A target is decided by the first
+// non-stale pop that is the target (its distance within bound) or lies
+// beyond its bound (no witness); when 60 vertices are settled or the heap
+// runs dry first, its tentative distance decides.
+func (b *chBuilder) witness(s, v int32, tg []chTarget) {
+	const maxSettle = 60
+	b.gen++
+	if b.gen == 0 { // stamp wrap
+		clearU32(b.stamp)
+		b.gen = 1
+	}
+	gen := b.gen
+	b.dist[s], b.stamp[s] = 0, gen
+	h := &b.heap
+	h.a = h.a[:0]
+	h.push(chItem{v: s})
+	for i := range tg {
+		tg[i].done = false
+	}
+	open := len(tg)
+	for settled := 0; open > 0 && h.len() > 0 && settled < maxSettle; {
+		it := h.pop()
+		if it.dist > b.dist[it.v] {
+			continue
+		}
+		for i := range tg {
+			t := &tg[i]
+			if t.done {
+				continue
+			}
+			if it.v == t.t {
+				t.done, t.witness = true, it.dist <= t.bound
+				open--
+			} else if it.dist > t.bound {
+				t.done, t.witness = true, false
+				open--
+			}
+		}
+		if open == 0 {
+			return
+		}
+		settled++
+		for _, a := range b.out[it.v] {
+			if a.other == v {
+				continue
+			}
+			nd := it.dist + a.weight
+			if b.stamp[a.other] != gen || nd < b.dist[a.other] {
+				b.dist[a.other], b.stamp[a.other] = nd, gen
+				h.push(chItem{v: a.other, dist: nd})
+			}
+		}
+	}
+	for i := range tg {
+		if t := &tg[i]; !t.done {
+			t.witness = b.stamp[t.t] == gen && b.dist[t.t] <= t.bound
+		}
+	}
+}
+
+// priority is v's edge difference: twice the shortcuts contracting v now
+// would add, minus its degree.
+func (b *chBuilder) priority(v int32) int {
+	added := 0
+	for _, ia := range b.in[v] {
+		tg := b.targetsOf(v, ia)
+		b.witness(ia.other, v, tg)
+		for _, t := range tg {
+			if !t.witness {
+				added++
+			}
+		}
+	}
+	return 2*added - len(b.out[v]) - len(b.in[v])
+}
+
+// contract inserts v's shortcuts, appending each to arcs, and drops v from
+// the working graph. After an insertion the source's search restarts at
+// the next target, so it sees the new arc as a per-pair search would.
+func (b *chBuilder) contract(v int32, arcs []chArc) []chArc {
+	for _, ia := range b.in[v] {
+		s := ia.other
+		for tg := b.targetsOf(v, ia); len(tg) > 0; {
+			b.witness(s, v, tg)
+			j := slices.IndexFunc(tg, func(t chTarget) bool { return !t.witness })
+			if j < 0 {
+				break
+			}
+			t := tg[j]
+			b.out[s] = append(b.out[s], dynArc{other: t.t, weight: t.bound, mid: v})
+			b.in[t.t] = append(b.in[t.t], dynArc{other: s, weight: t.bound, mid: v})
+			arcs = append(arcs, chArc{from: s, to: t.t, weight: t.bound, mid: v})
+			tg = tg[j+1:]
+		}
+	}
+	toV := func(a dynArc) bool { return a.other == v }
+	for _, ia := range b.in[v] {
+		b.out[ia.other] = slices.DeleteFunc(b.out[ia.other], toV)
+	}
+	for _, oa := range b.out[v] {
+		b.in[oa.other] = slices.DeleteFunc(b.in[oa.other], toV)
+	}
+	return arcs
 }
 
 func arcKey(from, to int32) int64 { return int64(from)<<32 | int64(uint32(to)) }
@@ -307,8 +359,9 @@ func (ch *ContractionHierarchy) NumShortcuts() int {
 // the augmented search graph.
 func (ch *ContractionHierarchy) NumArcs() int { return len(ch.arcFrom) }
 
-// chItem / vertexHeapCH: small map-backed binary heap used only during
-// construction's witness searches (sparse, short-lived).
+// chItem / vertexHeapCH: the binary heap of BuildCH's witness searches,
+// with lazy deletion (stale entries are skipped on pop). Its order of
+// popping equal keys is part of what fixes the hierarchy.
 type chItem struct {
 	v    int32
 	dist float64

@@ -86,6 +86,20 @@ func TestCHAddsShortcuts(t *testing.T) {
 	}
 }
 
+// TestBuildCHAllocs pins that witness searches allocate nothing: a build
+// allocates only its working lists, arc set and hierarchy arrays (about
+// 4.1 k allocations on the micro graph; a map and heap per search cost
+// 258 k).
+func TestBuildCHAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	g := microTestGraph(t)
+	if allocs := testing.AllocsPerRun(2, func() { BuildCH(g, ByLength) }); allocs > 10000 {
+		t.Fatalf("BuildCH allocates %.0f times on the micro graph, want <= 10000", allocs)
+	}
+}
+
 func TestCHDisconnectedReturnsErrNoPath(t *testing.T) {
 	g := disconnectedPair(t)
 	ch := BuildCH(g, ByLength)

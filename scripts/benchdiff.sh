@@ -35,13 +35,15 @@ cd "$(dirname "$0")/.."
 
 THRESHOLD="${BENCHDIFF_THRESHOLD:-20}"
 METRICS="${BENCHDIFF_METRICS:-allocs_per_op bytes_per_op}"
-# The tracked hot paths: the search/scoring kernels the perf PRs optimized.
+# The tracked hot paths: the search/scoring kernels the perf PRs optimized,
+# plus CH construction (every set-up pays it; a map-backed witness search
+# coming back shows as a ~60x allocs/op jump).
 # Macro table benchmarks and parallel HTTP load tests are excluded — their
 # single-iteration numbers are workload-level and noisy by design.
 # Benchmarks newer than the committed baseline (e.g. the CH engine ones
 # right after they land) are skipped with a note until a baseline that
 # contains them is recorded — see the "not in baseline" branch below.
-TRACKED="${BENCHDIFF_TRACKED:-BenchmarkDijkstra BenchmarkTopK5 BenchmarkDiversifiedTopK5 BenchmarkDiversifiedTopK5CH BenchmarkCHQuery BenchmarkCHManyToMany BenchmarkWeightedJaccard BenchmarkNode2vecWalks BenchmarkGRUForwardBackward BenchmarkMapMatch BenchmarkRankQuery BenchmarkRankWithContext BenchmarkGemmNT BenchmarkScoreBatchFused BenchmarkRouterRankCoShard BenchmarkRouterRankCrossShard BenchmarkServeRankHit}"
+TRACKED="${BENCHDIFF_TRACKED:-BenchmarkDijkstra BenchmarkTopK5 BenchmarkDiversifiedTopK5 BenchmarkDiversifiedTopK5CH BenchmarkCHBuild BenchmarkCHQuery BenchmarkCHManyToMany BenchmarkWeightedJaccard BenchmarkNode2vecWalks BenchmarkGRUForwardBackward BenchmarkMapMatch BenchmarkRankQuery BenchmarkRankWithContext BenchmarkGemmNT BenchmarkScoreBatchFused BenchmarkRouterRankCoShard BenchmarkRouterRankCrossShard BenchmarkServeRankHit}"
 
 BASELINE="${BENCHDIFF_BASELINE:-}"
 if [[ -z "$BASELINE" ]]; then
