@@ -101,9 +101,10 @@ func (c *Client) RankBatch(ctx context.Context, queries []RankQuery, timeout tim
 	return res.Results, nil
 }
 
-// Provenance reports the server's data-provenance state: the serving
-// generation's Merkle commitments and, when the server runs a trajectory
-// WAL, the health of the log.
+// Provenance reports the trainer's data-provenance state: the newest
+// generation's Merkle commitments and, when the trainer runs a trajectory
+// WAL, the health of the log. BaseURL must locate the trainer
+// (pathrank-train's live mode), not a pathrank-serve instance.
 func (c *Client) Provenance(ctx context.Context) (ProvenanceInfo, error) {
 	var info ProvenanceInfo
 	if err := c.get(ctx, "/v1/provenance", &info); err != nil {
@@ -113,9 +114,9 @@ func (c *Client) Provenance(ctx context.Context) (ProvenanceInfo, error) {
 }
 
 // ProveTrajectory fetches the inclusion proof for ingested trajectory seq
-// in the serving generation's training batch. Verify it offline with
-// VerifyInclusionProof; a 404 (trajectory not in the committed batch, or
-// no live pipeline) arrives as an *APIError.
+// in the newest generation's training batch from the trainer. Verify it
+// offline with VerifyInclusionProof; a 404 (trajectory not in the
+// committed batch, or BaseURL not a trainer) arrives as an *APIError.
 func (c *Client) ProveTrajectory(ctx context.Context, seq int64) (InclusionProof, error) {
 	var proof InclusionProof
 	if err := c.get(ctx, "/v1/provenance?seq="+strconv.FormatInt(seq, 10), &proof); err != nil {

@@ -1,6 +1,5 @@
 // Command pathrank-serve exposes a trained PathRank artifact as an online
-// ranking service over HTTP, optionally running the live pipeline: GPS
-// trajectory ingestion, incremental retraining, and hot model swaps.
+// ranking service over HTTP.
 //
 // It loads an artifact bundle (written by pathrank-train -artifact or
 // pathrank.SaveArtifactFile) at startup and answers ranking queries until
@@ -8,29 +7,20 @@
 //
 //	pathrank-serve -artifact model.prart -addr :8080
 //
-// With -retrain-interval the server becomes self-improving: ingested
-// trajectories are map-matched in the background, the model is fine-tuned
-// on the accumulated window, and each new generation is written back to
-// the artifact path and hot-swapped in with zero downtime:
+// Every role is a reader of model generations. A new one arrives only as a
+// file: with -watch the server polls the artifact path and hot-swaps each
+// generation the trainer (pathrank-train's live mode) renames into place,
+// through the canary gate, with zero downtime:
 //
-//	pathrank-serve -artifact model.prart -retrain-interval 5m -retrain-min 32
+//	pathrank-serve -artifact model.prart -watch 2s
 //
 // API:
 //
 //	POST /v2/rank    {"src": 12, "dst": 431, "k": 8, "strategy": "dtkdi", "timeout_ms": 200}
 //	                 or a batch: {"queries": [{...}, ...]} -> per-item results/errors
-//	POST /v1/ingest  {"records": [{"lon": 9.91, "lat": 57.04, "t": 0}, ...]} -> 202
 //	POST /v1/reload  {"artifact": "other.prart"}  (empty body = configured path)
-//	GET  /v1/provenance        Merkle commitments of the serving generation + WAL health
-//	GET  /v1/provenance?seq=N  inclusion proof for ingested trajectory N
 //	GET  /healthz    liveness, artifact shape, fingerprint, lineage, provenance roots
-//	GET  /metrics    Prometheus text format (latency histograms, cache, swaps, retrains, WAL)
-//
-// With -wal-dir the live pipeline becomes durable: every accepted
-// trajectory is logged before it can influence training, the observation
-// window survives restarts, and any logged generation can be reproduced
-// bit-for-bit with pathrank-train -replay. -wal-fsync trades ingest
-// latency for crash durability (always | batch | interval).
+//	GET  /metrics    Prometheus text format (latency histograms, cache, swaps)
 //
 // /v2/rank errors are typed ({"error": {"code": "unroutable", ...}}): 400
 // invalid, 404 unroutable, 408 canceled, 504 deadline, 503 backlog with
@@ -60,10 +50,8 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -76,7 +64,6 @@ import (
 	"pathrank/internal/router"
 	"pathrank/internal/serve"
 	"pathrank/internal/shardserve"
-	"pathrank/internal/stream"
 )
 
 func main() {
@@ -92,23 +79,9 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "cap on per-request timeout_ms deadlines")
 	engine := flag.String("engine", "ch", "shortest-path engine for candidate generation: ch, alt or dijkstra")
 	drain := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain timeout (every role)")
-	watch := flag.Duration("watch", 0, "artifact-file watch interval (0 disables the watcher)")
+	watch := flag.Duration("watch", 0, "artifact-file watch interval: how new generations from pathrank-train's live mode arrive (0 disables the watcher)")
 	canaryQueries := flag.Int("canary-queries", 8, "golden queries the canary gate scores before publishing a swap (0 disables the gate)")
 	canaryDivergence := flag.Float64("canary-divergence", 0, "max rank divergence vs the live snapshot before a swap is refused (0 = default 0.9)")
-	ingestQueue := flag.Int("ingest-queue", 256, "bounded ingest queue size in trajectories")
-	ingestWorkers := flag.Int("ingest-workers", 2, "map-matching workers")
-	ingestMaxRecords := flag.Int("ingest-max-records", 20000, "max GPS records per ingested trajectory")
-	retrainEvery := flag.Duration("retrain-interval", 0, "incremental retrain cadence (0 disables the live loop)")
-	retrainMin := flag.Int("retrain-min", 16, "new observations required before a periodic retrain")
-	retrainWindow := flag.Int("retrain-window", 1024, "observation window size in matched paths")
-	retrainEpochs := flag.Int("retrain-epochs", 3, "fine-tune epochs per retrain")
-	retrainLR := flag.Float64("retrain-lr", 0.001, "fine-tune learning rate")
-	retrainSeed := flag.Int64("retrain-seed", 1, "base seed for deterministic incremental training")
-	walDir := flag.String("wal-dir", "", "trajectory write-ahead-log directory (enables durable ingest + deterministic replay)")
-	walFsync := flag.String("wal-fsync", "batch", "WAL fsync policy: always (every record), batch (retrain boundaries), interval")
-	walSyncEvery := flag.Duration("wal-sync-interval", 200*time.Millisecond, "fsync cadence for -wal-fsync interval")
-	walSegBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation threshold in bytes")
-	walRetain := flag.Int("wal-retain", 0, "sealed WAL segments to keep (0 keeps all; pruning limits replay depth)")
 	bundleDir := flag.String("bundle", "", "partitioned bundle directory from pathrank-train -partition (for -shard and -router)")
 	shardIdx := flag.Int("shard", -1, "serve shard N of the -bundle as a shard worker (adds the /shard/* sub-query endpoints)")
 	routerMode := flag.Bool("router", false, "run the fan-out router over the -bundle's shard map; requires -shards")
@@ -117,23 +90,11 @@ func main() {
 	hedgeAfter := flag.Duration("hedge-after", 150*time.Millisecond, "router: duplicate a shard call unanswered for this long (negative disables hedging)")
 	flag.Parse()
 
-	// Fault injection for fire drills: PATHRANK_FAULTS holds a fault.ParseSpec
-	// schedule, PATHRANK_FAULT_SEED the deterministic seed. Off (a nil
-	// pointer check on every site) unless explicitly set.
-	if spec := os.Getenv("PATHRANK_FAULTS"); spec != "" {
-		var seed int64 = 1
-		if v := os.Getenv("PATHRANK_FAULT_SEED"); v != "" {
-			s, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				log.Fatalf("PATHRANK_FAULT_SEED: %v", err)
-			}
-			seed = s
-		}
-		plan, err := fault.ParseSpec(spec, seed)
-		if err != nil {
-			log.Fatalf("PATHRANK_FAULTS: %v", err)
-		}
-		fault.Enable(plan)
+	// Fault injection for fire drills: off (a nil pointer check on every
+	// site) unless PATHRANK_FAULTS is set.
+	if plan, seed, err := fault.EnableFromEnv(); err != nil {
+		log.Fatal(err)
+	} else if plan != nil {
 		log.Printf("WARNING: fault injection ACTIVE (seed %d): %s — do not run this configuration in production", seed, plan)
 	}
 
@@ -150,9 +111,6 @@ func main() {
 	if *shardIdx >= 0 {
 		if *bundleDir == "" {
 			log.Fatal("-shard requires -bundle")
-		}
-		if *retrainEvery > 0 || *walDir != "" {
-			log.Fatal("-shard is incompatible with -retrain-interval/-wal-dir: every worker must keep serving the bundle's model, a shard retraining alone would fork the fingerprint")
 		}
 		*artifactPath = filepath.Join(*bundleDir, partition.ShardArtifactName(*shardIdx))
 	}
@@ -179,12 +137,7 @@ func main() {
 		art.Graph.NumVertices(), art.Graph.NumEdges(), art.Model.NumParams(),
 		art.Candidates.Strategy, art.Candidates.K, art.Lineage.Generation, fpHex, *engine, prepNote)
 
-	// One registry for the whole process: the server and the live pipeline
-	// both register on it, so GET /metrics is the single scrape surface.
-	registry := obsv.NewRegistry()
-
-	cfg := serve.Config{
-		Metrics:             registry,
+	srv, err := serve.New(art, serve.Config{
 		CacheSize:           *cacheSize,
 		MaxK:                *maxK,
 		MaxBatch:            *maxBatch,
@@ -195,48 +148,8 @@ func main() {
 		WatchInterval:       *watch,
 		CanaryQueries:       *canaryQueries,
 		CanaryMaxDivergence: *canaryDivergence,
-		MaxIngestRecords:    *ingestMaxRecords,
 		Logf:                log.Printf,
-	}
-
-	var srv *serve.Server
-	var svc *stream.Service
-	// The live pipeline runs when periodic retraining is requested, or when
-	// a WAL directory is given (durable ingest with manual/replayed
-	// retraining still wants trajectories logged).
-	if *retrainEvery > 0 || *walDir != "" {
-		svc, err = stream.New(art, stream.Config{
-			QueueSize:       *ingestQueue,
-			Workers:         *ingestWorkers,
-			Window:          *retrainWindow,
-			MinObservations: *retrainMin,
-			Interval:        *retrainEvery,
-			Engine:          *engine,
-			Train: pathrank.TrainConfig{
-				Epochs: *retrainEpochs, LR: *retrainLR, ClipNorm: 5, Seed: *retrainSeed,
-			},
-			ArtifactPath:    *artifactPath,
-			WALDir:          *walDir,
-			WALFsync:        *walFsync,
-			WALSyncInterval: *walSyncEvery,
-			WALSegmentBytes: *walSegBytes,
-			WALRetain:       *walRetain,
-			Metrics:         registry,
-			Publish: func(a *pathrank.Artifact) error {
-				_, err := srv.Swap(a)
-				return err
-			},
-			Logf: log.Printf,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Ingest = svc
-		cfg.Provenance = svc
-		cfg.Pipeline = svc
-	}
-
-	srv, err = serve.New(art, cfg)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -251,34 +164,11 @@ func main() {
 		handler = ss.Handler()
 	}
 	go srv.WatchArtifact(ctx) // returns at once unless -watch is set
-	var svcDone chan struct{}
-	if svc != nil {
-		// Started only after srv exists: the publish hook swaps through it.
-		// The retrainer publishes swaps directly, so the file watcher is
-		// only needed for artifacts replaced by external tooling.
-		svcDone = make(chan struct{})
-		go func() {
-			defer close(svcDone)
-			_ = svc.Run(ctx)
-		}()
-	}
 	err = api.ListenAndServe(ctx, *addr, handler, *drain, func(a net.Addr) {
 		log.Printf("listening on %s", a)
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	// Shutdown order: the HTTP server has drained (no new ingest), so the
-	// pipeline workers can finish their queue items; only once they have
-	// stopped is the WAL closed — Close flushes the unsynced tail, and no
-	// append may race it.
-	if svc != nil {
-		<-svcDone
-		if err := svc.Close(); err != nil {
-			log.Printf("close pipeline: %v", err)
-		} else {
-			log.Printf("pipeline stopped, WAL flushed")
-		}
 	}
 	fmt.Println("shut down cleanly")
 }

@@ -1,6 +1,7 @@
 // Package api defines the wire types and error model of the versioned
 // PathRank query API. It is the single vocabulary shared by the HTTP
-// tiers (internal/serve, shardserve, router), the Go client SDK
+// tiers (internal/serve, shardserve, router, and the trainer's
+// internal/stream), the Go client SDK
 // (pathrank.Client at the module root), and the CLIs — so a request
 // marshaled by the client is by construction the request the server
 // decodes, and error codes survive the HTTP round-trip intact.
@@ -205,10 +206,34 @@ type BatchResponse struct {
 	Errors int `json:"errors"`
 }
 
+// MessageError is the error body of the /v1 endpoints (reload, ingest,
+// provenance): a plain message, not a typed v2 envelope.
+type MessageError struct {
+	Error string `json:"error"`
+}
+
+// GPSSample is one raw positioning record of an ingested trajectory.
+type GPSSample struct {
+	Lon float64 `json:"lon"`
+	Lat float64 `json:"lat"`
+	// T is seconds since the start of the trip.
+	T float64 `json:"t"`
+}
+
+// IngestRequest is the body of POST /v1/ingest: one raw GPS trajectory.
+type IngestRequest struct {
+	Records []GPSSample `json:"records"`
+}
+
+// IngestResponse acknowledges an accepted trajectory.
+type IngestResponse struct {
+	Queued int `json:"queued"`
+}
+
 // WALStatus describes the trajectory write-ahead log behind a live
 // pipeline: segment inventory, append/sync frontier, and what crash
 // recovery found at startup. Embedded in ProvenanceInfo and in the
-// health response when the WAL is enabled.
+// trainer's health response when the WAL is enabled.
 type WALStatus struct {
 	// Segments is the number of live segment files.
 	Segments int `json:"segments"`
@@ -236,7 +261,7 @@ type WALStatus struct {
 }
 
 // Pipeline health states reported in PipelineHealth.State and mirrored
-// into the top-level /healthz status.
+// into the top-level status of the trainer's /healthz.
 const (
 	// PipelineReady means the live pipeline is fully operational.
 	PipelineReady = "ready"
@@ -247,9 +272,9 @@ const (
 )
 
 // PipelineHealth is the live pipeline's self-reported health, embedded in
-// the /healthz response when a pipeline backs the server. The serve layer
-// mirrors a degraded state into the top-level health status so ordinary
-// liveness probes see it without parsing this structure.
+// the trainer's /healthz response. A degraded state is mirrored into the
+// top-level health status so ordinary liveness probes see it without
+// parsing this structure.
 type PipelineHealth struct {
 	// State is PipelineReady or PipelineDegraded.
 	State string `json:"state"`
@@ -271,8 +296,8 @@ type PipelineHealth struct {
 	WorkerPanics int64 `json:"worker_panics,omitempty"`
 }
 
-// ProvenanceInfo is the body of GET /v1/provenance without a seq
-// parameter: the provenance commitments of the serving generation.
+// ProvenanceInfo is the body of the trainer's GET /v1/provenance without
+// a seq parameter: the provenance commitments of its newest generation.
 type ProvenanceInfo struct {
 	// Generation is the lineage generation the roots belong to.
 	Generation int `json:"generation"`
@@ -289,8 +314,9 @@ type ProvenanceInfo struct {
 	WAL *WALStatus `json:"wal,omitempty"`
 }
 
-// InclusionProof is the body of GET /v1/provenance?seq=N: a Merkle audit
-// path proving trajectory N is under the serving generation's DataRoot.
+// InclusionProof is the body of the trainer's GET /v1/provenance?seq=N: a
+// Merkle audit path proving trajectory N is under the newest generation's
+// DataRoot.
 // Verify with pathrank.VerifyInclusionProof.
 type InclusionProof struct {
 	// Seq is the ingest sequence number the proof covers.

@@ -1,10 +1,12 @@
 // Package chaos is the fault-injection test suite for the live
-// ingest→retrain→swap loop. The scenario tests (chaos_test.go) wire a
-// serve.Server and stream.Service together exactly as pathrank-serve
-// does, drive them with HTTP load, and use internal/fault plans to kill
-// WAL writes, corrupt artifact bytes, and panic workers — asserting that
-// the canary gate refuses bad artifacts, degraded mode loses nothing
-// beyond its documented bound, and panic containment keeps ingest alive.
+// ingest→retrain→publish→swap loop. The scenario tests (chaos_test.go)
+// run a trainer (stream.Service) and a server (serve.Server watching the
+// artifact file) side by side as pathrank-train's live mode and
+// pathrank-serve -watch run, drive them with HTTP load, and use
+// internal/fault plans to kill WAL writes, corrupt artifact bytes, and
+// panic workers — asserting that the canary gate refuses bad artifacts
+// without touching the trainer's chain, degraded mode loses nothing beyond
+// its documented bound, and panic containment keeps ingest alive.
 //
 // The non-test code here is the corruption toolkit the scenarios (and
 // the serve package's own canary tests) share. It deliberately imports

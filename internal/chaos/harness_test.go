@@ -20,7 +20,6 @@ import (
 	"pathrank/internal/dataset"
 	"pathrank/internal/geo"
 	"pathrank/internal/node2vec"
-	"pathrank/internal/obsv"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/serve"
@@ -101,15 +100,17 @@ func testWorld(t testing.TB) (*pathrank.Artifact, []traj.Trip) {
 	return worldArt, worldTrips
 }
 
-// harness wires a serve.Server and a stream.Service together exactly as
-// cmd/pathrank-serve does — one shared metrics registry, the retrainer
-// publishing through Server.Swap (canary gate enabled), the pipeline
-// backing /v1/ingest, /v1/provenance, and the /healthz pipeline block —
-// and runs it behind an httptest listener.
+// harness runs the production topology in-process: a trainer
+// (stream.Service, WAL on, its Handler behind an httptest listener) and a
+// server (serve.Server, canary gate on, watching the artifact path on a
+// short interval, behind another listener). They share nothing but the
+// artifact file, exactly as pathrank-train's live mode and pathrank-serve
+// -watch do: a generation reaches the server only as a file.
 type harness struct {
 	srv     *serve.Server
 	svc     *stream.Service
-	ts      *httptest.Server
+	ts      *httptest.Server // the server
+	trainer *httptest.Server
 	artPath string
 	walDir  string
 
@@ -118,12 +119,13 @@ type harness struct {
 	stopOnce sync.Once
 }
 
-// shutdown tears the harness down in order (listener, pipeline, server)
-// exactly once; scenario (b) calls it mid-test to release the WAL before
-// replaying the directory, every other scenario leaves it to Cleanup.
+// shutdown tears the harness down in order (listeners, watcher and
+// pipeline, server) exactly once; scenarios that replay the WAL call it
+// mid-test to release the log, every other scenario leaves it to Cleanup.
 func (h *harness) shutdown(t *testing.T) {
 	h.stopOnce.Do(func() {
 		h.ts.Close()
+		h.trainer.Close()
 		h.cancel()
 		<-h.runDone
 		if err := h.svc.Close(); err != nil {
@@ -148,72 +150,61 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registry := obsv.NewRegistry()
 	h.svc, err = stream.New(loaded, stream.Config{
 		QueueSize: 64, Workers: 2, Window: 128,
 		MinObservations: 1 << 20, // scenarios trigger retrains explicitly
 		Train:           pathrank.TrainConfig{Epochs: 1, LR: 0.001, ClipNorm: 5, Seed: 1},
 		ArtifactPath:    h.artPath,
 		WALDir:          h.walDir,
-		Metrics:         registry,
-		Publish: func(a *pathrank.Artifact) error {
-			_, err := h.srv.Swap(a)
-			return err
-		},
-		Logf: t.Logf,
+		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.srv, err = serve.New(loaded, serve.Config{
-		Metrics:      registry,
-		ArtifactPath: h.artPath,
-		// The canary gate guards every publish. Divergence is left at the
+		ArtifactPath:  h.artPath,
+		WatchInterval: 10 * time.Millisecond,
+		// The canary gate guards every swap. Divergence is left at the
 		// maximum: a one-epoch fine-tune can legitimately flip a near-tie
 		// in a K=3 candidate set (serve's unit tests pin the bound); the
 		// finite-score and non-empty-path invariants are what keep the
 		// poisoned artifact out.
 		CanaryQueries:       6,
 		CanaryMaxDivergence: 1,
-		Ingest:              h.svc,
-		Provenance:          h.svc,
-		Pipeline:            h.svc,
 		Logf:                t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.ts = httptest.NewServer(h.srv.Handler())
+	h.trainer = httptest.NewServer(h.svc.Handler())
 	ctx, cancel := context.WithCancel(context.Background())
 	h.cancel = cancel
 	h.runDone = make(chan struct{})
 	go func() {
 		defer close(h.runDone)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { defer wg.Done(); h.srv.WatchArtifact(ctx) }()
 		_ = h.svc.Run(ctx)
+		wg.Wait()
 	}()
 	t.Cleanup(func() { h.shutdown(t) })
 	return h
 }
 
-// ingest posts one GPS trajectory through HTTP, as producers would.
+// ingest posts one GPS trajectory to the trainer, as producers would.
 func (h *harness) ingest(t *testing.T, recs []traj.GPSRecord) {
 	t.Helper()
-	type sample struct {
-		Lon float64 `json:"lon"`
-		Lat float64 `json:"lat"`
-		T   float64 `json:"t"`
-	}
-	body := struct {
-		Records []sample `json:"records"`
-	}{Records: make([]sample, len(recs))}
+	req := api.IngestRequest{Records: make([]api.GPSSample, len(recs))}
 	for i, r := range recs {
-		body.Records[i] = sample{Lon: r.Point.Lon, Lat: r.Point.Lat, T: r.TimeOffset}
+		req.Records[i] = api.GPSSample{Lon: r.Point.Lon, Lat: r.Point.Lat, T: r.TimeOffset}
 	}
-	payload, err := json.Marshal(body)
+	payload, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(h.ts.URL+"/v1/ingest", "application/json", bytes.NewReader(payload))
+	resp, err := http.Post(h.trainer.URL+"/v1/ingest", "application/json", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +214,7 @@ func (h *harness) ingest(t *testing.T, recs []traj.GPSRecord) {
 	}
 }
 
-// healthz fetches and decodes the health endpoint's chaos-relevant slice.
+// healthz is the chaos-relevant slice of the trainer's health endpoint.
 type healthz struct {
 	Status   string              `json:"status"`
 	Pipeline *api.PipelineHealth `json:"pipeline"`
@@ -231,16 +222,31 @@ type healthz struct {
 
 func (h *harness) healthz(t *testing.T) healthz {
 	t.Helper()
-	resp, err := http.Get(h.ts.URL + "/healthz")
+	var out healthz
+	getJSON(t, h.trainer.URL+"/healthz", &out)
+	return out
+}
+
+// swaps reads the server's installed-swap count from its /healthz.
+func (h *harness) swaps(t *testing.T) int64 {
+	t.Helper()
+	var out struct {
+		Swaps int64 `json:"swaps"`
+	}
+	getJSON(t, h.ts.URL+"/healthz", &out)
+	return out.Swaps
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out healthz
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
 	}
-	return out
 }
 
 // loadStats is what the background load generator observed: every

@@ -19,6 +19,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -238,6 +239,31 @@ var active atomic.Pointer[Plan]
 func Enable(p *Plan) func() {
 	prev := active.Swap(p)
 	return func() { active.Store(prev) }
+}
+
+// EnableFromEnv activates the fire-drill plan of a binary's environment:
+// PATHRANK_FAULTS holds a ParseSpec schedule, PATHRANK_FAULT_SEED its seed
+// (default 1). It returns the active plan and its seed, or a nil plan when
+// PATHRANK_FAULTS is unset.
+func EnableFromEnv() (*Plan, int64, error) {
+	spec := os.Getenv("PATHRANK_FAULTS")
+	if spec == "" {
+		return nil, 0, nil
+	}
+	var seed int64 = 1
+	if v := os.Getenv("PATHRANK_FAULT_SEED"); v != "" {
+		s, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return nil, 0, fmt.Errorf("PATHRANK_FAULT_SEED: %w", err)
+		}
+		seed = s
+	}
+	plan, err := ParseSpec(spec, seed)
+	if err != nil {
+		return nil, 0, fmt.Errorf("PATHRANK_FAULTS: %w", err)
+	}
+	Enable(plan)
+	return plan, seed, nil
 }
 
 // Disable deactivates any active plan.

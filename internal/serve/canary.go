@@ -23,7 +23,7 @@ import (
 // inspects.
 
 // ErrSwapRejected is wrapped by every canary-gate refusal, so callers
-// (Reload's quarantine, the watcher, the retrainer's publish hook) can
+// (Reload's quarantine, the watcher, /v1/reload) can
 // tell "the artifact is bad" from "the swap mechanism failed".
 var ErrSwapRejected = errors.New("serve: swap rejected by canary gate")
 
@@ -195,8 +195,9 @@ type SwapRejection struct {
 	Fingerprint string `json:"fingerprint"`
 	// Reason is the violated invariant.
 	Reason string `json:"reason"`
-	// Quarantined is where the artifact file was moved when the rejection
-	// came through a file reload; empty for direct (publish-hook) swaps.
+	// Quarantined is where a copy of the refused artifact was written when
+	// the rejection came through a file reload; empty for direct Swap
+	// calls.
 	Quarantined string `json:"quarantined,omitempty"`
 }
 

@@ -106,8 +106,9 @@ func TestCanaryDivergenceBound(t *testing.T) {
 }
 
 // TestReloadQuarantinesRejectedArtifact: a canary rejection coming
-// through the file-reload path must move the bad bundle aside so the
-// watcher stops retrying it, and record where.
+// through the file-reload path must write a copy of the refused bundle
+// aside and record where, and must leave the file at the path to its
+// publisher: a restart on that path still starts.
 func TestReloadQuarantinesRejectedArtifact(t *testing.T) {
 	art := loadedTestArtifact(t)
 	dir := t.TempDir()
@@ -128,19 +129,29 @@ func TestReloadQuarantinesRejectedArtifact(t *testing.T) {
 	if _, err := s.Reload(path); !errors.Is(err, ErrSwapRejected) {
 		t.Fatalf("Reload(poisoned) = %v, want ErrSwapRejected", err)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("rejected artifact still at %s (stat err %v)", path, err)
-	}
 	rej := s.LastSwapRejection()
 	if rej == nil || rej.Quarantined == "" {
 		t.Fatalf("rejection does not record the quarantine path: %+v", rej)
 	}
-	if _, err := os.Stat(rej.Quarantined); err != nil {
-		t.Fatalf("quarantined file missing: %v", err)
-	}
 	if filepath.Dir(rej.Quarantined) != dir {
 		t.Fatalf("quarantined outside the artifact directory: %s", rej.Quarantined)
 	}
+	var atPath *pathrank.Artifact
+	for _, p := range []string{rej.Quarantined, path} {
+		got, err := pathrank.LoadArtifactFile(p)
+		if err != nil {
+			t.Fatalf("load %s after the refusal: %v", p, err)
+		}
+		if fp, _ := got.Model.FingerprintHex(); fp != rej.Fingerprint {
+			t.Fatalf("%s holds %.12s, want the refused %.12s", p, fp, rej.Fingerprint)
+		}
+		atPath = got
+	}
+	restarted, err := New(atPath, Config{ArtifactPath: path})
+	if err != nil {
+		t.Fatalf("server restart on %s: %v", path, err)
+	}
+	restarted.Close()
 }
 
 // TestWatchArtifactTornWrite: the watcher observing a torn/corrupt

@@ -7,7 +7,7 @@ import (
 	"pathrank/internal/obsv"
 )
 
-// Cache-event and ingest-status label values of the serve metric families.
+// Cache-event label values of the serve metric families.
 // Exported indirectly through docs/OPERATIONS.md; the label sets are fixed
 // so dashboards can enumerate them.
 const (
@@ -16,10 +16,8 @@ const (
 	cacheShared = "singleflight_shared"
 )
 
-// serveMetrics is the server's Prometheus-format instrumentation. One
-// instance per Server, registered on either the
-// caller-supplied registry (Config.Metrics — pathrank-serve shares one
-// registry between the server and the stream pipeline) or a private one.
+// serveMetrics is the server's Prometheus-format instrumentation, one
+// instance per Server on a registry of its own.
 type serveMetrics struct {
 	reg *obsv.Registry
 
@@ -59,9 +57,6 @@ type serveMetrics struct {
 	swapRejected obsv.Counter
 	// reloadErrors counts failed /v1/reload attempts.
 	reloadErrors obsv.Counter
-	// ingest counts trajectories by outcome: accepted into the pipeline or
-	// rejected (no pipeline, invalid body, over limits, backlog).
-	ingest *obsv.CounterVec
 }
 
 // newServeMetrics registers the server's metric families on reg and wires
@@ -89,8 +84,6 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 		"Artifact swaps refused by the canary gate; the previous snapshot kept serving.").With()
 	m.reloadErrors = reg.Counter("pathrank_reload_errors_total",
 		"Failed artifact reload attempts.").With()
-	m.ingest = reg.Counter("pathrank_ingest_trajectories_total",
-		"Ingested GPS trajectories by outcome: accepted or rejected.", "status")
 	m.rankRequests = m.requests.With("/v2/rank")
 	m.hits = m.cacheEvents.With(cacheHit)
 	m.misses = m.cacheEvents.With(cacheMiss)

@@ -242,123 +242,6 @@ func TestServeRankValidation(t *testing.T) {
 	}
 }
 
-// fakeIngestor records trajectories and can simulate a full queue.
-type fakeIngestor struct {
-	mu   sync.Mutex
-	got  [][]traj.GPSRecord
-	fail error
-}
-
-func (f *fakeIngestor) IngestGPS(records []traj.GPSRecord) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.fail != nil {
-		return f.fail
-	}
-	f.got = append(f.got, records)
-	return nil
-}
-
-func TestServeIngestEndpoint(t *testing.T) {
-	ing := &fakeIngestor{}
-	s, err := New(loadedTestArtifact(t), Config{Ingest: ing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
-
-	body := `{"records":[{"lon":10,"lat":57,"t":0},{"lon":10.001,"lat":57,"t":5}]}`
-	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ack IngestResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || ack.Queued != 2 {
-		t.Fatalf("ingest: status %d queued %d, want 202/2", resp.StatusCode, ack.Queued)
-	}
-	ing.mu.Lock()
-	if len(ing.got) != 1 || len(ing.got[0]) != 2 || ing.got[0][1].TimeOffset != 5 {
-		t.Fatalf("ingestor received %v", ing.got)
-	}
-	ing.mu.Unlock()
-
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"malformed", "{", http.StatusBadRequest},
-		{"empty trajectory", `{"records":[]}`, http.StatusBadRequest},
-		{"unknown field", `{"records":[],"nope":1}`, http.StatusBadRequest},
-		{"oversized", `{"records":[` + strings.Repeat(" ", maxIngestBody) + `]}`, http.StatusRequestEntityTooLarge},
-	}
-	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
-		}
-	}
-
-	// Per-trajectory record cap: a server with a small cap rejects long
-	// traces with 400 instead of parking megabytes behind a 202.
-	sc, err := New(loadedTestArtifact(t), Config{Ingest: ing, MaxIngestRecords: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsc := httptest.NewServer(sc.Handler())
-	t.Cleanup(func() { tsc.Close(); sc.Close() })
-	long := `{"records":[{"lon":10,"lat":57,"t":0},{"lon":10,"lat":57,"t":1},{"lon":10,"lat":57,"t":2},{"lon":10,"lat":57,"t":3}]}`
-	resp, err = http.Post(tsc.URL+"/v1/ingest", "application/json", strings.NewReader(long))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("over-cap trajectory: status %d, want 400", resp.StatusCode)
-	}
-
-	// Backpressure: an ingestor error surfaces as 503 with Retry-After.
-	ing.mu.Lock()
-	ing.fail = fmt.Errorf("stream: ingest queue full")
-	ing.mu.Unlock()
-	resp, err = http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("full queue: status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("full queue: missing Retry-After header")
-	}
-
-	// No ingestor configured → 503 on a server without the live loop.
-	s2, err := New(loadedTestArtifact(t), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(func() { ts2.Close(); s2.Close() })
-	resp, err = http.Post(ts2.URL+"/v1/ingest", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("ingest disabled: status %d, want 503", resp.StatusCode)
-	}
-}
-
 // TestServeNoPath serves a disconnected two-island graph and expects 404.
 func TestServeNoPath(t *testing.T) {
 	b := roadnet.NewBuilder(4, 4)

@@ -24,9 +24,11 @@
 // started on, and the result cache survives a swap iff the model
 // fingerprint, road network and candidate config are unchanged. A
 // background watcher (WatchArtifact) performs the same swap automatically
-// when the artifact file changes, which closes the loop with the streaming
-// retrainer in internal/stream. POST /v1/ingest forwards raw GPS
-// trajectories to a pluggable Ingestor.
+// when the artifact file changes. That file is the only way a new model
+// generation reaches a server: the trainer (pathrank-train's live mode,
+// internal/stream) publishes by atomic rename, and every swap, whether
+// from the watcher or /v1/reload, passes the canary gate (Config.
+// CanaryQueries) before it serves.
 //
 // GET /healthz reports liveness, artifact shape, and lineage. GET /metrics
 // exports the server's instrumentation (latency histograms, cache and shed
@@ -42,52 +44,18 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pathrank/internal/api"
-	"pathrank/internal/geo"
 	"pathrank/internal/obsv"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/spath"
-	"pathrank/internal/traj"
 )
 
-// maxRankBody bounds a /v2/rank request body; maxIngestBody bounds a
-// /v1/ingest body (GPS streams are bulkier than rank queries).
-const (
-	maxRankBody   = 1 << 20
-	maxIngestBody = 8 << 20
-)
-
-// Ingestor accepts raw GPS trajectories for asynchronous processing. The
-// streaming pipeline in internal/stream implements it; any error is
-// reported to the client as 503 (the canonical cause is a full ingest
-// queue, which the client should retry later).
-type Ingestor interface {
-	IngestGPS(records []traj.GPSRecord) error
-}
-
-// HealthSource reports the live pipeline's health for GET /healthz. The
-// streaming pipeline in internal/stream implements it; the interface
-// keeps this package from importing the pipeline.
-type HealthSource interface {
-	Health() api.PipelineHealth
-}
-
-// ProvenanceSource reports data-provenance state for GET /v1/provenance:
-// the Merkle commitments of the serving generation, WAL health, and
-// per-trajectory inclusion proofs. The streaming pipeline in
-// internal/stream implements it; like Ingestor, the interface keeps this
-// package from importing the pipeline. An error from ProveTrajectory
-// means no proof exists for that sequence number in the current batch
-// (reported to the client as 404).
-type ProvenanceSource interface {
-	Provenance() api.ProvenanceInfo
-	ProveTrajectory(seq int64) (api.InclusionProof, error)
-}
+// maxRankBody bounds a /v2/rank request body.
+const maxRankBody = 1 << 20
 
 // Config parameterizes a Server.
 type Config struct {
@@ -134,28 +102,6 @@ type Config struct {
 	// CanaryTimeout bounds the whole canary gate (default 5s); a gate that
 	// cannot finish in time refuses the swap.
 	CanaryTimeout time.Duration
-	// Pipeline, when non-nil, contributes the live pipeline's health state
-	// to GET /healthz: a degraded pipeline (failing WAL) flips the
-	// top-level health status to "degraded". The streaming pipeline in
-	// internal/stream implements it.
-	Pipeline HealthSource
-	// Ingest, when non-nil, enables POST /v1/ingest.
-	Ingest Ingestor
-	// Provenance, when non-nil, backs GET /v1/provenance with live
-	// pipeline state (WAL health, inclusion proofs). Without it the
-	// endpoint still serves the lineage commitments of the serving
-	// artifact, but cannot issue proofs.
-	Provenance ProvenanceSource
-	// MaxIngestRecords caps the GPS records accepted per trajectory
-	// (default 20000, ~5.5 h at 1 Hz). Together with the bounded ingest
-	// queue this bounds the bytes a client can park behind 202 responses;
-	// without it, maximal bodies times the queue depth is gigabytes.
-	MaxIngestRecords int
-	// Metrics, when non-nil, is the registry the server registers its
-	// Prometheus-format metric families on — pathrank-serve passes one
-	// shared registry here and to the stream pipeline so GET /metrics
-	// exports both. nil gives the server a private registry.
-	Metrics *obsv.Registry
 	// Logf, when non-nil, receives operational log lines (swaps, watcher
 	// errors).
 	Logf func(format string, args ...any)
@@ -216,23 +162,15 @@ func New(art *pathrank.Artifact, cfg Config) (*Server, error) {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 30 * time.Second
 	}
-	if cfg.MaxIngestRecords <= 0 {
-		cfg.MaxIngestRecords = 20000
-	}
 	s := &Server{cfg: cfg, start: time.Now()}
 	snap, err := newSnapshot(art, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
 	s.snap.Store(snap)
-	// The Prometheus registry: per-server unless the caller shares one.
 	// Registered after the snapshot is installed, because the scrape-time
 	// gauges read it.
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obsv.NewRegistry()
-	}
-	s.obs = newServeMetrics(reg, s)
+	s.obs = newServeMetrics(obsv.NewRegistry(), s)
 	return s, nil
 }
 
@@ -319,9 +257,10 @@ func (s *Server) Swap(art *pathrank.Artifact) (SwapInfo, error) {
 
 // Reload reads the artifact bundle at path (or cfg.ArtifactPath when path
 // is empty) and hot-swaps it in. An artifact the canary gate refuses is
-// quarantined: the file is renamed aside so the watcher does not re-offer
-// the same bad bundle, and the next good write lands under the original
-// name.
+// quarantined: a copy is written aside for inspection. The file at path
+// is left alone — it belongs to its publisher (the trainer restarts from
+// it, and other servers read it) — and the watcher does not re-offer it
+// until a new file replaces it.
 func (s *Server) Reload(path string) (SwapInfo, error) {
 	if path == "" {
 		path = s.cfg.ArtifactPath
@@ -338,24 +277,25 @@ func (s *Server) Reload(path string) (SwapInfo, error) {
 	if err != nil {
 		s.obs.reloadErrors.Inc()
 		if errors.Is(err, ErrSwapRejected) {
-			s.quarantineArtifact(path)
+			s.quarantineArtifact(path, art)
 		}
 	}
 	return info, err
 }
 
-// quarantineArtifact moves a canary-rejected artifact file aside, naming
-// the quarantine after the refused fingerprint, and records the location
-// in the rejection /healthz reports. A rename failure (e.g. the retrainer
-// already replaced the file) is logged and otherwise ignored: quarantine
-// is a hygiene measure, the swap was already refused.
-func (s *Server) quarantineArtifact(path string) {
+// quarantineArtifact writes the canary-rejected artifact next to path,
+// named after the refused fingerprint, and records the location in the
+// rejection /healthz reports. It writes the artifact that was refused
+// rather than copying path, so a publish landing at path meanwhile cannot
+// be quarantined in its place. A write failure is logged and otherwise
+// ignored: quarantine is a hygiene measure, the swap was already refused.
+func (s *Server) quarantineArtifact(path string, art *pathrank.Artifact) {
 	rej := s.lastRejection.Load()
 	if rej == nil {
 		return
 	}
 	qpath := fmt.Sprintf("%s.quarantined-%.12s", path, rej.Fingerprint)
-	if err := os.Rename(path, qpath); err != nil {
+	if err := pathrank.SaveArtifactFile(qpath, art); err != nil {
 		if s.cfg.Logf != nil {
 			s.cfg.Logf("quarantine %s: %v", path, err)
 		}
@@ -365,7 +305,7 @@ func (s *Server) quarantineArtifact(path string) {
 	updated.Quarantined = qpath
 	s.lastRejection.Store(&updated)
 	if s.cfg.Logf != nil {
-		s.cfg.Logf("quarantined rejected artifact: %s -> %s", path, qpath)
+		s.cfg.Logf("quarantined rejected artifact: copy of %s at %s", path, qpath)
 	}
 }
 
@@ -383,39 +323,33 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/rank", s.handleRankV2)
 	mux.HandleFunc("POST /v1/reload", s.handleReload)
-	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	mux.HandleFunc("GET /v1/provenance", s.handleProvenance)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 
 // Metrics returns the server's Prometheus registry (the one behind GET
-// /metrics): cfg.Metrics when one was supplied, a private registry
-// otherwise.
+// /metrics).
 func (s *Server) Metrics() *obsv.Registry {
 	return s.obs.reg
 }
 
 // WatchArtifact polls cfg.ArtifactPath every cfg.WatchInterval and
-// hot-swaps the bundle in when its mtime or size changes, until ctx is
-// canceled. The streaming retrainer writes artifacts atomically
-// (rename-into-place), so a change observed here is normally a complete
-// bundle; a torn manual copy is rejected by the checksum and — unlike the
-// pre-fault-injection watcher, which waited for the next mtime change —
-// retried on an exponential backoff, so a copy that completes without
-// touching the mtime again is still picked up. Canary-rejected bundles
-// are not retried (Reload quarantined the file; the stat fails until the
-// next good write).
+// hot-swaps the bundle in when the file changes, until ctx is canceled.
+// "Changed" is a different mtime or size, or a different file at the path:
+// every publisher writes through pathrank.WriteFileAtomic, which renames a
+// new inode into place, so a generation written within the filesystem's
+// mtime granularity at an equal size is still seen. A change observed here
+// is therefore normally a complete bundle; a torn manual copy is rejected
+// by the checksum and retried on an exponential backoff, so a copy that
+// completes without touching the file's identity again is still picked
+// up. Canary-rejected bundles are not retried: the verdict is
+// deterministic for those bytes, so the watcher waits for the next file.
 func (s *Server) WatchArtifact(ctx context.Context) {
 	if s.cfg.ArtifactPath == "" || s.cfg.WatchInterval <= 0 {
 		return
 	}
-	var lastMod time.Time
-	var lastSize int64 = -1
-	if st, err := os.Stat(s.cfg.ArtifactPath); err == nil {
-		lastMod, lastSize = st.ModTime(), st.Size()
-	}
+	last, _ := os.Stat(s.cfg.ArtifactPath) // nil: no file yet, the first one is a change
 	tick := time.NewTicker(s.cfg.WatchInterval)
 	defer tick.Stop()
 	backoff := s.cfg.WatchInterval
@@ -428,22 +362,24 @@ func (s *Server) WatchArtifact(ctx context.Context) {
 		}
 		st, err := os.Stat(s.cfg.ArtifactPath)
 		if err != nil {
-			// Missing file: quarantined or mid-replace; wait for the next
-			// write to recreate it.
+			// Missing file: not yet published, or removed by hand; wait
+			// for the next write to create it.
 			continue
 		}
-		changed := !st.ModTime().Equal(lastMod) || st.Size() != lastSize
+		changed := last == nil || !os.SameFile(last, st) ||
+			!st.ModTime().Equal(last.ModTime()) || st.Size() != last.Size()
 		if !changed && (retryAt.IsZero() || time.Now().Before(retryAt)) {
 			continue
 		}
-		lastMod, lastSize = st.ModTime(), st.Size()
+		last = st
 		if _, err := s.Reload(s.cfg.ArtifactPath); err != nil {
 			if s.cfg.Logf != nil {
 				s.cfg.Logf("watcher: reload %s: %v", s.cfg.ArtifactPath, err)
 			}
 			if errors.Is(err, ErrSwapRejected) {
-				// The canary verdict is deterministic for these bytes and
-				// the file is quarantined — retrying would re-reject.
+				// The canary verdict is deterministic for these bytes —
+				// retrying would re-reject. `last` holds this file, so
+				// only a replacement is offered next.
 				retryAt, backoff = time.Time{}, s.cfg.WatchInterval
 				continue
 			}
@@ -455,12 +391,6 @@ func (s *Server) WatchArtifact(ctx context.Context) {
 		}
 		retryAt, backoff = time.Time{}, s.cfg.WatchInterval
 	}
-}
-
-// errorResponse is the error body of the /v1 endpoints (reload, ingest,
-// provenance).
-type errorResponse struct {
-	Error string `json:"error"`
 }
 
 // ReloadRequest is the (optional) body of POST /v1/reload.
@@ -476,7 +406,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRankBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		api.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		api.WriteJSON(w, http.StatusBadRequest, api.MessageError{Error: "bad request body: " + err.Error()})
 		return
 	}
 	info, err := s.Reload(req.Artifact)
@@ -488,178 +418,60 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		if req.Artifact != "" || s.cfg.ArtifactPath == "" {
 			status = http.StatusBadRequest
 		}
-		api.WriteJSON(w, status, errorResponse{Error: err.Error()})
+		api.WriteJSON(w, status, api.MessageError{Error: err.Error()})
 		return
 	}
 	api.WriteJSON(w, http.StatusOK, info)
 }
 
-// GPSSample is one raw positioning record of an ingested trajectory.
-type GPSSample struct {
-	Lon float64 `json:"lon"`
-	Lat float64 `json:"lat"`
-	// T is seconds since the start of the trip.
-	T float64 `json:"t"`
-}
-
-// IngestRequest is the body of POST /v1/ingest: one raw GPS trajectory.
-type IngestRequest struct {
-	Records []GPSSample `json:"records"`
-}
-
-// IngestResponse acknowledges an accepted trajectory.
-type IngestResponse struct {
-	Queued int `json:"queued"`
-}
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.obs.requests.With("/v1/ingest").Inc()
-	reject := func() { s.obs.ingest.With("rejected").Inc() }
-	if s.cfg.Ingest == nil {
-		reject()
-		api.WriteJSON(w, http.StatusServiceUnavailable,
-			errorResponse{Error: "ingestion is not enabled on this server"})
-		return
-	}
-	var req IngestRequest
-	if apiErr := api.DecodeJSON(w, r, maxIngestBody, &req); apiErr != nil {
-		reject()
-		api.WriteJSON(w, apiErr.Status, errorResponse{Error: apiErr.Message})
-		return
-	}
-	if len(req.Records) == 0 {
-		reject()
-		api.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "trajectory has no records"})
-		return
-	}
-	if len(req.Records) > s.cfg.MaxIngestRecords {
-		reject()
-		api.WriteJSON(w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("trajectory has %d records, limit is %d — split long traces",
-				len(req.Records), s.cfg.MaxIngestRecords)})
-		return
-	}
-	recs := make([]traj.GPSRecord, len(req.Records))
-	for i, sm := range req.Records {
-		recs[i] = traj.GPSRecord{Point: geo.Point{Lon: sm.Lon, Lat: sm.Lat}, TimeOffset: sm.T}
-	}
-	if err := s.cfg.Ingest.IngestGPS(recs); err != nil {
-		reject()
-		w.Header().Set("Retry-After", "1")
-		api.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	}
-	s.obs.ingest.With("accepted").Inc()
-	api.WriteJSON(w, http.StatusAccepted, IngestResponse{Queued: len(req.Records)})
-}
-
-// handleProvenance answers GET /v1/provenance. Without a seq parameter it
-// reports the provenance commitments of the serving generation (plus WAL
-// health when a live pipeline backs the server); with ?seq=N it issues a
-// Merkle inclusion proof for the trajectory with that ingest sequence
-// number, or 404 when the trajectory is not in the current training batch.
-func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	s.obs.requests.With("/v1/provenance").Inc()
-	if seqStr := r.URL.Query().Get("seq"); seqStr != "" {
-		if s.cfg.Provenance == nil {
-			api.WriteJSON(w, http.StatusNotFound,
-				errorResponse{Error: "no live pipeline on this server: inclusion proofs unavailable"})
-			return
-		}
-		seq, err := strconv.ParseInt(seqStr, 10, 64)
-		if err != nil || seq <= 0 {
-			api.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "seq must be a positive integer"})
-			return
-		}
-		proof, err := s.cfg.Provenance.ProveTrajectory(seq)
-		if err != nil {
-			api.WriteJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, proof)
-		return
-	}
-	if s.cfg.Provenance != nil {
-		api.WriteJSON(w, http.StatusOK, s.cfg.Provenance.Provenance())
-		return
-	}
-	// No pipeline: the artifact's lineage still carries the commitments.
-	snap := s.snap.Load()
-	api.WriteJSON(w, http.StatusOK, api.ProvenanceInfo{
-		Generation: snap.art.Lineage.Generation,
-		DataRoot:   snap.art.Lineage.DataRoot,
-		ChainRoot:  snap.art.Lineage.ChainRoot,
-		BatchSize:  snap.art.Lineage.TrainedOn,
-	})
-}
-
 type healthResponse struct {
-	Status        string   `json:"status"`
-	APIVersions   []string `json:"api_versions"`
-	UptimeS       float64  `json:"uptime_s"`
-	Vertices      int      `json:"vertices"`
-	Edges         int      `json:"edges"`
-	ModelParams   int      `json:"model_params"`
-	CacheSize     int      `json:"cache_entries"`
-	Engine        string   `json:"engine"`
-	PrepEmbedded  bool     `json:"prep_embedded"`
-	Fingerprint   string   `json:"fingerprint"`
-	Generation    int      `json:"generation"`
-	ParentModel   string   `json:"parent_fingerprint,omitempty"`
-	Swaps         int64    `json:"swaps"`
-	SnapshotAgeS  float64  `json:"snapshot_age_s"`
-	IngestEnabled bool     `json:"ingest_enabled"`
+	Status       string   `json:"status"`
+	APIVersions  []string `json:"api_versions"`
+	UptimeS      float64  `json:"uptime_s"`
+	Vertices     int      `json:"vertices"`
+	Edges        int      `json:"edges"`
+	ModelParams  int      `json:"model_params"`
+	CacheSize    int      `json:"cache_entries"`
+	Engine       string   `json:"engine"`
+	PrepEmbedded bool     `json:"prep_embedded"`
+	Fingerprint  string   `json:"fingerprint"`
+	Generation   int      `json:"generation"`
+	ParentModel  string   `json:"parent_fingerprint,omitempty"`
+	Swaps        int64    `json:"swaps"`
+	SnapshotAgeS float64  `json:"snapshot_age_s"`
 	// DataRoot and ChainRoot surface the serving artifact's provenance
-	// commitments; WAL reports the trajectory log when a live pipeline
-	// backs the server.
-	DataRoot  string         `json:"data_root,omitempty"`
-	ChainRoot string         `json:"chain_root,omitempty"`
-	WAL       *api.WALStatus `json:"wal,omitempty"`
+	// commitments.
+	DataRoot  string `json:"data_root,omitempty"`
+	ChainRoot string `json:"chain_root,omitempty"`
 	// SwapRejections counts canary-gate refusals; LastSwapRejection
 	// details the most recent one (what was kept out of service and why).
 	SwapRejections    int64          `json:"swap_rejections,omitempty"`
 	LastSwapRejection *SwapRejection `json:"last_swap_rejection,omitempty"`
-	// Pipeline is the live pipeline's health; a degraded pipeline flips
-	// the top-level Status to "degraded" (the server itself still serves).
-	Pipeline *api.PipelineHealth `json:"pipeline,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.obs.requests.With("/healthz").Inc()
 	snap := s.snap.Load()
 	resp := healthResponse{
-		Status:        "ok",
-		APIVersions:   []string{"v1", "v2"},
-		UptimeS:       time.Since(s.start).Seconds(),
-		Vertices:      snap.art.Graph.NumVertices(),
-		Edges:         snap.art.Graph.NumEdges(),
-		ModelParams:   snap.art.Model.NumParams(),
-		CacheSize:     snap.cache.len(),
-		Engine:        snap.engine.Kind().String(),
-		PrepEmbedded:  snap.art.Prep != nil,
-		Fingerprint:   snap.fpHex,
-		Generation:    snap.art.Lineage.Generation,
-		ParentModel:   snap.art.Lineage.Parent,
-		Swaps:         int64(s.obs.swaps.Value()),
-		SnapshotAgeS:  time.Since(snap.loaded).Seconds(),
-		IngestEnabled: s.cfg.Ingest != nil,
-		DataRoot:      snap.art.Lineage.DataRoot,
-		ChainRoot:     snap.art.Lineage.ChainRoot,
-	}
-	if s.cfg.Provenance != nil {
-		resp.WAL = s.cfg.Provenance.Provenance().WAL
-	}
-	resp.SwapRejections = int64(s.obs.swapRejected.Value())
-	resp.LastSwapRejection = s.lastRejection.Load()
-	if s.cfg.Pipeline != nil {
-		ph := s.cfg.Pipeline.Health()
-		resp.Pipeline = &ph
-		if ph.State == api.PipelineDegraded {
-			// Ranking still works (the snapshot is intact), but ingest
-			// durability is impaired — surfaced at the top level so plain
-			// liveness probes notice without parsing the pipeline block.
-			resp.Status = api.PipelineDegraded
-		}
+		Status:       "ok",
+		APIVersions:  []string{"v1", "v2"},
+		UptimeS:      time.Since(s.start).Seconds(),
+		Vertices:     snap.art.Graph.NumVertices(),
+		Edges:        snap.art.Graph.NumEdges(),
+		ModelParams:  snap.art.Model.NumParams(),
+		CacheSize:    snap.cache.len(),
+		Engine:       snap.engine.Kind().String(),
+		PrepEmbedded: snap.art.Prep != nil,
+		Fingerprint:  snap.fpHex,
+		Generation:   snap.art.Lineage.Generation,
+		ParentModel:  snap.art.Lineage.Parent,
+		Swaps:        int64(s.obs.swaps.Value()),
+		SnapshotAgeS: time.Since(snap.loaded).Seconds(),
+		DataRoot:     snap.art.Lineage.DataRoot,
+		ChainRoot:    snap.art.Lineage.ChainRoot,
+
+		SwapRejections:    int64(s.obs.swapRejected.Value()),
+		LastSwapRejection: s.lastRejection.Load(),
 	}
 	api.WriteJSON(w, http.StatusOK, resp)
 }

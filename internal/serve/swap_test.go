@@ -512,3 +512,75 @@ func TestWatchArtifactHotSwaps(t *testing.T) {
 		t.Fatal("swaps_total not incremented by watcher")
 	}
 }
+
+// TestWatchArtifactSeesReplacedFile pins the watcher's change test to the
+// file's identity, not only its mtime and size: two artifacts of equal
+// size (their lineage notes have equal length), renamed into place in turn
+// with one identical mtime, must each be swapped in. Publishers rename a
+// new inode into place, so a generation written within the filesystem's
+// mtime granularity at an equal size is otherwise never loaded.
+func TestWatchArtifactSeesReplacedFile(t *testing.T) {
+	art := loadedTestArtifact(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.prart")
+	noted := func(note string) *pathrank.Artifact {
+		a := *art
+		a.Lineage.Note = note
+		return &a
+	}
+	if err := pathrank.SaveArtifactFile(path, art); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(art, Config{ArtifactPath: path, WatchInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go s.WatchArtifact(ctx)
+	waitSwaps := func(n float64, what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.obs.swaps.Value() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("watcher did not swap in %s within 5s (%v swaps)", what, s.obs.swaps.Value())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	// A differs from the starting file in size, so any watcher loads it;
+	// that also proves the watcher took its baseline before A landed.
+	time.Sleep(20 * time.Millisecond)
+	if err := pathrank.SaveArtifactFile(path, noted("gen-a")); err != nil {
+		t.Fatal(err)
+	}
+	waitSwaps(1, "gen-a")
+	stA, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// B and a fresh copy of A: same size as A, same mtime as A, new inode.
+	for i, note := range []string{"gen-b", "gen-a"} {
+		tmp := filepath.Join(dir, note+".tmp")
+		if err := pathrank.SaveArtifactFile(tmp, noted(note)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(tmp, stA.ModTime(), stA.ModTime()); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != stA.Size() || !st.ModTime().Equal(stA.ModTime()) {
+			t.Fatalf("%s: size %d mtime %v, want A's %d and %v", note, st.Size(), st.ModTime(), stA.Size(), stA.ModTime())
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+		waitSwaps(float64(i+2), note+" renamed over an equal-size, equal-mtime file")
+	}
+}

@@ -10,29 +10,76 @@ import (
 	"pathrank/internal/serve"
 )
 
-// TestOperationsDocCoversMetrics diffs the metrics reference table in
-// docs/OPERATIONS.md against the live registry. It builds the same
-// process-wide registry pathrank-serve does (server + pipeline on one
-// registry), scrapes the family names from the exposition, and requires
-// the documented set and the registered set to be identical — a metric
-// added without a doc row, or a doc row for a renamed metric, fails here.
+// TestOperationsDocCoversMetrics diffs each process's metrics reference
+// table in docs/OPERATIONS.md against that process's live registry: the
+// server's (serve.New) against § "Server metrics", the trainer's (New)
+// against § "Trainer metrics". It scrapes the family names from a fresh
+// exposition and requires the documented set and the registered set to be
+// identical — a metric added without a doc row, a doc row for a renamed
+// metric, or a row under the wrong process fails here.
 func TestOperationsDocCoversMetrics(t *testing.T) {
 	art, _ := testWorld(t)
-	reg := obsv.NewRegistry()
 
-	svc, err := New(art, Config{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.New(art, serve.Config{Metrics: reg, Ingest: svc})
+	srv, err := serve.New(art, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	svc, err := New(art, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Family names come from the TYPE lines: every family renders its
-	// HELP/TYPE header even before any traffic, so one scrape of a fresh
-	// registry enumerates the full surface.
+	for _, proc := range []struct {
+		section string
+		reg     *obsv.Registry
+	}{
+		{"Server metrics", srv.Metrics()},
+		{"Trainer metrics", svc.obs.reg},
+	} {
+		scrape, registered := scrapeFamilies(t, proc.reg)
+		documented := docMetricNames(t, "../../docs/OPERATIONS.md", proc.section)
+		for name := range registered {
+			if _, ok := documented[name]; !ok {
+				t.Errorf("metric %s is registered but missing from docs/OPERATIONS.md § %q", name, proc.section)
+			}
+		}
+		for name := range documented {
+			if !registered[name] {
+				t.Errorf("docs/OPERATIONS.md § %q documents %s, which is not in that registry", proc.section, name)
+			}
+		}
+
+		// The cache-event labels are a fixed set the server registers up
+		// front; each must be named in its row.
+		const events = "pathrank_cache_events_total"
+		if !registered[events] {
+			continue
+		}
+		var labels int
+		for _, line := range strings.Split(scrape, "\n") {
+			value, ok := strings.CutPrefix(line, events+`{event="`)
+			if !ok {
+				continue
+			}
+			value, _, _ = strings.Cut(value, `"`)
+			labels++
+			if !strings.Contains(documented[events], "`"+value+"`") {
+				t.Errorf("docs/OPERATIONS.md's %s row does not name the event %q", events, value)
+			}
+		}
+		if labels == 0 {
+			t.Errorf("a fresh registry rendered no %s children", events)
+		}
+	}
+}
+
+// scrapeFamilies renders reg and returns the exposition plus its family
+// names, taken from the TYPE lines: every family renders its HELP/TYPE
+// header even before any traffic, so one scrape of a fresh registry
+// enumerates the full surface.
+func scrapeFamilies(t *testing.T, reg *obsv.Registry) (string, map[string]bool) {
+	t.Helper()
 	var scrape strings.Builder
 	reg.WritePrometheus(&scrape)
 	registered := make(map[string]bool)
@@ -49,44 +96,14 @@ func TestOperationsDocCoversMetrics(t *testing.T) {
 	if len(registered) == 0 {
 		t.Fatal("fresh registry rendered no metric families")
 	}
-
-	documented := docMetricNames(t, "../../docs/OPERATIONS.md")
-
-	for name := range registered {
-		if _, ok := documented[name]; !ok {
-			t.Errorf("metric %s is registered but missing from the docs/OPERATIONS.md reference table", name)
-		}
-	}
-	for name := range documented {
-		if !registered[name] {
-			t.Errorf("docs/OPERATIONS.md documents %s, which is not in the registry", name)
-		}
-	}
-
-	// The cache-event labels are a fixed set the server registers up front;
-	// each must be named in its row.
-	const events = "pathrank_cache_events_total"
-	var labels int
-	for _, line := range strings.Split(scrape.String(), "\n") {
-		value, ok := strings.CutPrefix(line, events+`{event="`)
-		if !ok {
-			continue
-		}
-		value, _, _ = strings.Cut(value, `"`)
-		labels++
-		if !strings.Contains(documented[events], "`"+value+"`") {
-			t.Errorf("docs/OPERATIONS.md's %s row does not name the event %q", events, value)
-		}
-	}
-	if labels == 0 {
-		t.Errorf("a fresh registry rendered no %s children", events)
-	}
+	return scrape.String(), registered
 }
 
-// docMetricNames extracts the metric names from the reference table in
-// the runbook — table rows whose first cell is a backticked identifier —
-// mapped to their whole row.
-func docMetricNames(t *testing.T, path string) map[string]string {
+// docMetricNames extracts the metric names from the reference table under
+// the runbook heading named section — table rows whose first cell is a
+// backticked identifier and whose second is a metric type — mapped to
+// their whole row.
+func docMetricNames(t *testing.T, path, section string) map[string]string {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -95,10 +112,15 @@ func docMetricNames(t *testing.T, path string) map[string]string {
 	defer f.Close()
 
 	names := make(map[string]string)
+	in := false
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "| `") {
+		if strings.HasPrefix(line, "#") {
+			in = strings.TrimSpace(strings.TrimLeft(line, "#")) == section
+			continue
+		}
+		if !in || !strings.HasPrefix(line, "| `") {
 			continue
 		}
 		cell := strings.TrimPrefix(line, "| `")
@@ -106,13 +128,6 @@ func docMetricNames(t *testing.T, path string) map[string]string {
 		if !ok {
 			t.Fatalf("unterminated backtick in table row %q", line)
 		}
-		// The flag-reference tables use the same shape; their first cells
-		// start with '-', metric names never do.
-		if strings.HasPrefix(name, "-") || !strings.Contains(line, "|") {
-			continue
-		}
-		// Only rows from the metrics table: four columns whose second cell
-		// is a metric type.
 		cols := strings.Split(line, "|")
 		if len(cols) < 4 {
 			continue
@@ -127,7 +142,7 @@ func docMetricNames(t *testing.T, path string) map[string]string {
 		t.Fatal(err)
 	}
 	if len(names) == 0 {
-		t.Fatalf("no metric rows found in %s — table format changed?", path)
+		t.Fatalf("no metric rows found under %q in %s — heading or table format changed?", section, path)
 	}
 	return names
 }

@@ -246,11 +246,13 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestKillMidRetrain simulates dying between persisting a generation and
-// publishing it: the artifact and retrain marker are durable, the
-// in-memory pipeline is gone. A service restarted from the persisted
-// artifact and the WAL must end up on the same lineage chain and the same
-// final model as a run that never crashed.
+// TestKillMidRetrain simulates dying right after a retrain commits: the
+// artifact and its retrain marker are durable, the in-memory pipeline is
+// gone. The marker is the last step of a retrain (publishing is the
+// servers reading the persisted file), so this is the latest point a crash
+// can interrupt a committed generation. A service restarted from the
+// persisted artifact and the WAL must end up on the same lineage chain
+// and the same final model as a run that never crashed.
 func TestKillMidRetrain(t *testing.T) {
 	art, trips := testWorld(t)
 	batchA := sampleTrajectories(art, trips[:4], 700)
@@ -274,26 +276,20 @@ func TestKillMidRetrain(t *testing.T) {
 	}
 	ctrl.Close()
 
-	// Crashing run: publish fails after the artifact and marker are on
-	// disk, exactly the state a kill between persist and swap leaves.
+	// Crashing run: generation 1 commits, then the process dies. svc1 is
+	// dropped without Close; its log handle is released only when the test
+	// ends, as the kernel would release a dead process's.
 	walDir := t.TempDir()
 	artPath := filepath.Join(t.TempDir(), "live.pathrank")
-	boom := errors.New("killed")
-	svc1, err := New(art, Config{
-		QueueSize: 16, Workers: 2, WALDir: walDir, ArtifactPath: artPath, Train: train,
-		Publish: func(a *pathrank.Artifact) error { return boom },
-	})
+	svc1, err := New(art, Config{QueueSize: 16, Workers: 2, WALDir: walDir, ArtifactPath: artPath, Train: train})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { svc1.Close() })
 	ingestAll(t, svc1, batchA)
-	if _, err := svc1.RetrainNow(); !errors.Is(err, boom) {
-		t.Fatalf("RetrainNow error = %v, want the publish failure", err)
+	if _, err := svc1.RetrainNow(); err != nil {
+		t.Fatal(err)
 	}
-	if g := svc1.Artifact().Lineage.Generation; g != 0 {
-		t.Fatalf("failed retrain advanced the in-memory generation to %d", g)
-	}
-	svc1.Close()
 
 	// Restart from what survived: the persisted artifact plus the WAL.
 	persisted, err := pathrank.LoadArtifactFile(artPath)

@@ -19,12 +19,13 @@ import (
 )
 
 // TestLiveLoopEndToEnd is the acceptance test for the live pipeline. It
-// drives the full production loop through the HTTP surface:
+// drives the production topology, a trainer and a server that share only
+// the artifact file, through their HTTP surfaces:
 //
-//  1. start a ranking server on artifact A,
-//  2. ingest synthetic GPS trajectories through POST /v1/ingest,
+//  1. start a ranking server on artifact A, watching the artifact path,
+//  2. ingest synthetic GPS trajectories through the trainer's POST /v1/ingest,
 //  3. trigger an incremental retrain (fine-tune on the matched window),
-//  4. hot-swap the resulting artifact B into the live server,
+//  4. the trainer persists artifact B; the server's watcher swaps it in,
 //  5. verify POST /v2/rank now serves B's rankings bit-identically,
 //
 // while a background load generator hammers /v2/rank across the swap and
@@ -36,36 +37,35 @@ func TestLiveLoopEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	artifactPath := filepath.Join(t.TempDir(), "model.prart")
+	if err := pathrank.SaveArtifactFile(artifactPath, artA); err != nil {
+		t.Fatal(err)
+	}
 
-	// The server and pipeline wire to each other exactly as pathrank-serve
-	// does: the service is the server's Ingestor, the server's Swap is the
-	// service's Publish hook.
-	var srv *serve.Server
+	// The trainer publishes to the file the server watches; nothing else
+	// connects them.
 	svc, err := New(artA, Config{
 		QueueSize:       64,
 		Workers:         2,
 		MinObservations: 1,
 		Train:           pathrank.TrainConfig{Epochs: 1, LR: 0.002, Seed: 17},
 		ArtifactPath:    artifactPath,
-		Publish: func(a *pathrank.Artifact) error {
-			_, err := srv.Swap(a)
-			return err
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err = serve.New(artA, serve.Config{Ingest: svc, ArtifactPath: artifactPath})
+	trainer := httptest.NewServer(svc.Handler())
+	srv, err := serve.New(artA, serve.Config{ArtifactPath: artifactPath, WatchInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
+	t.Cleanup(func() { ts.Close(); trainer.Close(); srv.Close() })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	svcDone := make(chan struct{})
 	go func() { defer close(svcDone); _ = svc.Run(ctx) }()
+	go srv.WatchArtifact(ctx)
 
 	if got := srv.Fingerprint(); got != fpA {
 		t.Fatalf("server starts on %.12s, want artifact A %.12s", got, fpA)
@@ -74,12 +74,12 @@ func TestLiveLoopEndToEnd(t *testing.T) {
 	// Step 2: ingest trajectories over HTTP.
 	streams := sampleTrajectories(artA, trips[:4], 400)
 	for _, recs := range streams {
-		var req serve.IngestRequest
+		var req api.IngestRequest
 		for _, r := range recs {
-			req.Records = append(req.Records, serve.GPSSample{Lon: r.Point.Lon, Lat: r.Point.Lat, T: r.TimeOffset})
+			req.Records = append(req.Records, api.GPSSample{Lon: r.Point.Lon, Lat: r.Point.Lat, T: r.TimeOffset})
 		}
 		body, _ := json.Marshal(req)
-		resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(trainer.URL+"/v1/ingest", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestLiveLoopEndToEnd(t *testing.T) {
 	// Let the load generator establish in-flight traffic before swapping.
 	waitFor(t, 10*time.Second, func() bool { return loadReqs.Load() >= 8 }, "load generator warm")
 
-	// Steps 3+4: incremental retrain → publish → hot swap.
+	// Steps 3+4: incremental retrain → persist → the watcher's hot swap.
 	artB, err := svc.RetrainNow()
 	if err != nil {
 		t.Fatal(err)
@@ -144,9 +144,7 @@ func TestLiveLoopEndToEnd(t *testing.T) {
 	if fpB == fpA {
 		t.Fatal("retrain produced an identical model; the swap would be vacuous")
 	}
-	if got := srv.Fingerprint(); got != fpB {
-		t.Fatalf("server fingerprint %.12s after publish, want B %.12s", got, fpB)
-	}
+	waitFor(t, 10*time.Second, func() bool { return srv.Fingerprint() == fpB }, "the watcher to swap in generation B")
 
 	// Keep load flowing a moment across the post-swap window, then stop.
 	time.Sleep(50 * time.Millisecond)

@@ -13,26 +13,28 @@ const (
 	obsWALError    = "wal_error"
 	obsParked      = "parked"
 	obsLost        = "lost"
+	obsRejected    = "rejected"
 )
 
-// streamMetrics is the pipeline's Prometheus-format instrumentation. One
-// instance per Service, registered on either the caller-supplied registry
-// (Config.Metrics — pathrank-serve shares one registry between the server
-// and the pipeline so GET /metrics exports both) or a private one.
+// streamMetrics is the pipeline's Prometheus-format instrumentation, one
+// instance per Service on a registry of its own; GET /metrics exports it.
 type streamMetrics struct {
+	reg *obsv.Registry
+
 	// observations counts ingested trajectories by outcome: matched into
 	// the window, match_failed (HMM decode failure or too few hops),
 	// dropped (queue full), wal_error (append failed), parked (held in the
-	// degraded buffer awaiting re-sync; counted matched once drained), or
+	// degraded buffer awaiting re-sync; counted matched once drained),
 	// lost (dropped on parking-buffer overflow — degraded mode's loss
-	// bound).
+	// bound), or rejected (a /v1/ingest body refused with 400 or 413 —
+	// malformed, empty, or over the record cap — never queued).
 	observations *obsv.CounterVec
 	// workerPanics counts contained worker panics by worker ("match",
 	// "retrain"): each one recovered and logged, the worker kept running.
 	workerPanics *obsv.CounterVec
 	// retrains counts retrain attempts by result; retrainDuration is the
 	// end-to-end latency of successful retrains (sync, fine-tune, persist,
-	// marker, publish).
+	// marker).
 	retrains        *obsv.CounterVec
 	retrainDuration obsv.Histogram
 	// walFsync is the latency distribution of WAL fsync batches; its
@@ -44,9 +46,9 @@ type streamMetrics struct {
 // wires the scrape-time gauges to s. Called from New before the workers
 // start, so every field s reads is settled by scrape time.
 func newStreamMetrics(reg *obsv.Registry, s *Service) *streamMetrics {
-	m := &streamMetrics{}
+	m := &streamMetrics{reg: reg}
 	m.observations = reg.Counter("pathrank_stream_observations_total",
-		"Ingested trajectories by outcome: matched, match_failed, dropped, wal_error, parked, or lost.",
+		"Ingested trajectories by outcome: matched, match_failed, dropped, wal_error, parked, lost, or rejected.",
 		"result")
 	m.workerPanics = reg.Counter("pathrank_worker_panics_total",
 		"Contained worker panics by worker (match, retrain); each worker recovered and kept running.",

@@ -1,14 +1,16 @@
 // Package stream turns the offline train→artifact→serve chain into a live
-// loop. Raw GPS trajectories enter through a bounded ingest queue
-// (backpressure instead of unbounded memory growth), map-matching workers
-// recover network paths from them with the HMM matcher in internal/traj,
-// and an incremental trainer periodically fine-tunes the current model on
-// the accumulated observation window — warm-starting from the serving
-// weights with deterministic seeding, so the same ingest sequence always
-// produces the same chain of artifacts. Each retrain emits a new
-// lineage-stamped artifact: persisted atomically to disk (where the serve
-// layer's watcher picks it up) and/or pushed directly through a publish
-// hook (the serve layer's hot swap).
+// loop: it is the trainer, the one writer of model generations. Raw GPS
+// trajectories enter through a bounded ingest queue (backpressure instead
+// of unbounded memory growth), map-matching workers recover network paths
+// from them with the HMM matcher in internal/traj, and an incremental
+// trainer periodically fine-tunes the current model on the accumulated
+// observation window — warm-starting from the newest weights with
+// deterministic seeding, so the same ingest sequence always produces the
+// same chain of artifacts. Each retrain emits a new lineage-stamped
+// artifact, persisted atomically to Config.ArtifactPath. That file is how
+// a generation reaches the servers: they watch it (or are told to reload
+// it) and swap it in through their canary gate. A server refusing a
+// generation therefore cannot touch the trainer's chain.
 //
 // Durability and provenance. With Config.WALDir set, every accepted
 // observation is appended to a segmented write-ahead log (internal/wal)
@@ -30,15 +32,13 @@
 // generations are stamped into the artifact's lineage, and ProveTrajectory
 // issues inclusion proofs against the current generation's root.
 //
-// The package deliberately does not import internal/serve: the server
-// consumes a Service through the serve.Ingestor interface, and the Service
-// reaches the server through the Publish callback, so either side can be
-// run and tested without the other. Provenance crosses the same boundary
-// through the wire types of the leaf package internal/api.
+// Service.Handler is the trainer's HTTP surface (POST /v1/ingest, GET
+// /v1/provenance, GET /healthz, GET /metrics), speaking the wire types of
+// the leaf package internal/api; pathrank-train's live mode serves it.
+// The package does not import internal/serve.
 //
-// The pipeline instruments itself on an internal/obsv registry
-// (Config.Metrics; pathrank-serve passes the server's registry so one
-// GET /metrics scrape covers both): observation outcomes, retrain counts
+// The pipeline instruments itself on an internal/obsv registry of its own,
+// which GET /metrics exports: observation outcomes, retrain counts
 // and latency, queue/window/pending gauges, and WAL fsync health. See
 // docs/OPERATIONS.md for the metric reference.
 package stream
@@ -65,7 +65,7 @@ import (
 )
 
 // ErrBacklog reports a full ingest queue; the caller should retry later.
-// The serve layer maps it to 503.
+// POST /v1/ingest maps it to 503 with Retry-After.
 var ErrBacklog = errors.New("stream: ingest queue full")
 
 // Config parameterizes the live pipeline.
@@ -73,9 +73,14 @@ type Config struct {
 	// QueueSize bounds the ingest queue in trajectories (default 256).
 	// When full, IngestGPS fails fast with ErrBacklog.
 	QueueSize int
+	// MaxIngestRecords caps the GPS records POST /v1/ingest accepts per
+	// trajectory (default 20000, ~5.5 h at 1 Hz). Together with the bounded
+	// queue this bounds the bytes a client can park behind 202 responses;
+	// without it, maximal bodies times the queue depth is gigabytes.
+	MaxIngestRecords int
 	// Workers is the number of map-matching workers (default 2). Matching
 	// is CPU-bound Viterbi decoding, so a couple of workers keep up with
-	// substantial ingest rates without starving the serving path.
+	// substantial ingest rates without starving the rest of the process.
 	Workers int
 	// Window bounds the retained observation window in matched paths
 	// (default 1024). Older observations are evicted first.
@@ -93,31 +98,16 @@ type Config struct {
 	// Match parameterizes the HMM map matcher; zero-valued fields use
 	// traj.DefaultMatchConfig.
 	Match traj.MatchConfig
-	// Engine selects the matcher's shortest-path backend ("ch", "alt",
-	// "dijkstra"; "" defaults to ch). The artifact's persisted structure is
-	// used when it matches the requested kind; otherwise the engine is
-	// built at service construction. The serve layer passes its own engine
-	// flag through, so "-engine dijkstra" genuinely avoids preprocessing.
-	Engine string
 	// Train parameterizes each fine-tune step; zero-valued fields fall
 	// back to pathrank.DefaultFineTuneConfig. Train.Seed is the base seed:
 	// generation g trains with Seed+g, which keeps every step deterministic
 	// while decorrelating the shuffles of successive generations.
 	Train pathrank.TrainConfig
 	// ArtifactPath, when set, receives every new generation as an
-	// atomically renamed artifact bundle.
+	// atomically renamed artifact bundle: the file servers watch.
 	ArtifactPath string
-	// Publish, when non-nil, is invoked with every new generation (the
-	// serve layer wires it to Server.Swap). A publish error fails the
-	// retrain; the pipeline keeps the previous generation.
-	Publish func(*pathrank.Artifact) error
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-	// Metrics, when non-nil, is the registry the pipeline registers its
-	// Prometheus-format metric families on — pathrank-serve passes the
-	// same registry here and to the serve layer so GET /metrics exports
-	// both. nil gives the pipeline a private registry.
-	Metrics *obsv.Registry
 
 	// WALDir, when set, enables the trajectory write-ahead log in that
 	// directory: accepted observations are logged before they enter the
@@ -190,7 +180,7 @@ type Service struct {
 	queue   chan ingestItem
 
 	// retrainMu serializes retrains so two triggers cannot both fine-tune
-	// from the same parent and race to publish.
+	// from the same parent and race to persist.
 	retrainMu sync.Mutex
 
 	// log is the trajectory WAL; nil when Config.WALDir is empty.
@@ -276,14 +266,16 @@ type ingestItem struct {
 
 // New builds a Service that evolves art. The artifact's graph anchors the
 // map matcher; its model is never mutated — each retrain fine-tunes a
-// clone, so the artifact handed in (and every one published) can keep
-// serving traffic while the next generation trains.
+// clone.
 func New(art *pathrank.Artifact, cfg Config) (*Service, error) {
 	if art == nil || art.Graph == nil || art.Model == nil {
 		return nil, fmt.Errorf("stream: artifact needs a graph and a model")
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 256
+	}
+	if cfg.MaxIngestRecords <= 0 {
+		cfg.MaxIngestRecords = 20000
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -317,20 +309,12 @@ func New(art *pathrank.Artifact, cfg Config) (*Service, error) {
 	if cfg.Match.StrideSec <= 0 {
 		cfg.Match.StrideSec = def.StrideSec
 	}
-	// The matcher routes on the artifact's persisted speedup structures
-	// when they back the requested engine kind (zero preprocessing at
-	// service start); otherwise the engine is built here once and every
-	// matching worker amortizes it.
-	kind := spath.EngineCH
-	if cfg.Engine != "" {
-		var err error
-		if kind, err = spath.ParseEngineKind(cfg.Engine); err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
-		}
-	}
-	engine := art.Prep.Engine(kind, art.Graph)
+	// The matcher routes on the artifact's persisted contraction hierarchy
+	// (zero preprocessing at service start); without one, the hierarchy is
+	// built here once and every matching worker amortizes it.
+	engine := art.Prep.Engine(spath.EngineCH, art.Graph)
 	if engine == nil {
-		engine = spath.NewEngine(kind, art.Graph, spath.ByLength, spath.EngineConfig{})
+		engine = spath.NewEngine(spath.EngineCH, art.Graph, spath.ByLength, spath.EngineConfig{})
 	}
 	s := &Service{
 		cfg:         cfg,
@@ -339,11 +323,7 @@ func New(art *pathrank.Artifact, cfg Config) (*Service, error) {
 		art:         art,
 		recoverKick: make(chan struct{}, 1),
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obsv.NewRegistry()
-	}
-	s.obs = newStreamMetrics(reg, s)
+	s.obs = newStreamMetrics(obsv.NewRegistry(), s)
 	// The provenance chain resumes from the artifact's lineage: the
 	// persisted artifact is the authoritative record of what has been
 	// committed. A blank ChainRoot (pre-provenance artifact, or genesis)
@@ -816,19 +796,20 @@ func (s *Service) retrainLoop(ctx context.Context) {
 // RetrainNow fine-tunes the current model on the accumulated observation
 // window and installs the result as the next generation: lineage bumped
 // and stamped with the window's Merkle roots, persisted atomically to
-// cfg.ArtifactPath (when set), recorded in the WAL (when enabled), and
-// pushed through cfg.Publish (when set). The serving model is never
-// touched — training runs on a clone — and the step is deterministic: the
-// window is sorted into ingest order and the fine-tune is seeded with
-// Train.Seed+generation. On any error the previous generation stays
-// current.
+// cfg.ArtifactPath (when set), and recorded in the WAL (when enabled).
+// The previous generation's model is never touched — training runs on a
+// clone — and the step is deterministic: the window is sorted into ingest
+// order and the fine-tune is seeded with Train.Seed+generation. On any
+// error the previous generation stays current.
 //
 // Commit order under the WAL: the log is synced before training (no
 // generation may cite observations that could vanish in a crash), the
 // artifact is persisted, and only then is the retrain marker appended and
-// synced. A crash between persist and marker therefore loses the marker,
-// never the artifact — the restarted service resumes from the persisted
-// generation and simply re-trains the unmarked window.
+// synced. The marker is the commit point and the last step: nothing after
+// it can fail, so a committed generation is always the next one's parent.
+// A crash between persist and marker loses the marker, never the artifact
+// — the restarted service resumes from the persisted generation and
+// simply re-trains the unmarked window.
 func (s *Service) RetrainNow() (*pathrank.Artifact, error) {
 	s.retrainMu.Lock()
 	defer s.retrainMu.Unlock()
@@ -889,11 +870,6 @@ func (s *Service) RetrainNow() (*pathrank.Artifact, error) {
 		if err := s.log.Sync(); err != nil {
 			s.noteWALFault(fmt.Errorf("wal sync retrain marker: %v", err))
 			return fail(fmt.Errorf("stream: sync retrain marker: %w", err))
-		}
-	}
-	if s.cfg.Publish != nil {
-		if err := s.cfg.Publish(art); err != nil {
-			return fail(fmt.Errorf("stream: publish generation %d: %w", art.Lineage.Generation, err))
 		}
 	}
 

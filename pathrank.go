@@ -374,10 +374,11 @@ func SaveArtifactFile(path string, a *Artifact) error { return pathrank.SaveArti
 // LoadArtifactFile reads an artifact from the named file.
 func LoadArtifactFile(path string) (*Artifact, error) { return pathrank.LoadArtifactFile(path) }
 
-// Data provenance: the live pipeline (pathrank-serve -wal-dir) commits
-// every training batch into an RFC 6962 Merkle tree and chains the batch
-// roots across generations; the serving artifact's lineage carries both
-// commitments and the server hands out per-trajectory inclusion proofs.
+// Data provenance: the trainer (pathrank-train -wal-dir, the live mode)
+// commits every training batch into an RFC 6962 Merkle tree and chains
+// the batch roots across generations; every published artifact's lineage
+// carries both commitments, and the trainer hands out per-trajectory
+// inclusion proofs.
 type (
 	// ProvenanceInfo describes the serving generation's data commitments
 	// and, when a WAL is configured, the health of the trajectory log.
@@ -394,7 +395,8 @@ type (
 // rolls up to p.DataRoot in a batch of p.BatchSize leaves. A nil return
 // means the trajectory is provably part of the committed training batch;
 // the caller is responsible for trusting p.DataRoot (e.g. matching it
-// against the lineage reported by /healthz or GET /v1/provenance).
+// against the lineage a server's /healthz or the trainer's GET
+// /v1/provenance reports).
 func VerifyInclusionProof(p InclusionProof) error {
 	leaf, err := merkle.ParseHash(p.LeafHash)
 	if err != nil {
