@@ -97,7 +97,8 @@ type RankQuery struct {
 	Strategy string `json:"strategy,omitempty"`
 	// Threshold overrides the D-TkDI similarity threshold (0, 1].
 	Threshold float64 `json:"threshold,omitempty"`
-	// MaxProbe overrides the D-TkDI enumeration budget.
+	// MaxProbe overrides the D-TkDI enumeration budget, at most 10 times
+	// the server's k cap.
 	MaxProbe int `json:"max_probe,omitempty"`
 	// Weight selects the edge metric: "length" (meters, the default) or
 	// "time" (free-flow seconds).

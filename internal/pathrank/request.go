@@ -300,7 +300,9 @@ func APIError(err error) *api.Error {
 
 // checkRanges is the range half of the query rules, applied to wire
 // queries (RequestFromQuery) and in-process requests (CandidatesFor)
-// alike. maxK <= 0 leaves k uncapped.
+// alike. maxK <= 0 leaves k and max_probe uncapped; otherwise max_probe is
+// capped at 10·maxK, spath's own probe-to-k ratio, since the probe budget
+// also sizes the enumeration's pending list.
 func checkRanges(src, dst int64, k int, threshold float64, maxProbe, vertices, maxK int) error {
 	n := int64(vertices)
 	switch {
@@ -311,7 +313,9 @@ func checkRanges(src, dst int64, k int, threshold float64, maxProbe, vertices, m
 	case k < 0:
 		return rankErrf(api.CodeInvalid, "k must be non-negative")
 	case !(threshold >= 0 && threshold <= 1):
-		return rankErrf(api.CodeInvalid, "threshold must be in (0,1], got %g", threshold)
+		return rankErrf(api.CodeInvalid, "threshold must be in [0,1], got %g", threshold)
+	case maxK > 0 && (maxProbe < 0 || maxProbe > 10*maxK):
+		return rankErrf(api.CodeInvalid, "max_probe must be in [0,%d]", 10*maxK)
 	case maxProbe < 0:
 		return rankErrf(api.CodeInvalid, "max_probe must be non-negative")
 	}

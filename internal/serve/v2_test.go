@@ -280,6 +280,16 @@ func TestV2TypedErrorStatuses(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeInvalid {
 		t.Fatalf("unprepared engine: status=%d code=%q", resp.StatusCode, e.Code)
 	}
+	// The probe budget also sizes the enumeration's pending list, so it is
+	// capped at 10 times the k cap.
+	capped := 10 * s.cfg.MaxK
+	resp, e = decodeV2Error(t, ts.URL, fmt.Sprintf(`{"src":0,"dst":1,"max_probe":%d}`, capped+1))
+	if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeInvalid {
+		t.Fatalf("max_probe past the cap: status=%d code=%q", resp.StatusCode, e.Code)
+	}
+	if resp := postV2(t, ts.URL, fmt.Sprintf(`{"src":0,"dst":1,"max_probe":%d}`, capped), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("max_probe at the cap: status %d", resp.StatusCode)
+	}
 }
 
 // slowArtifact builds a large network on which a huge-k TkDI query takes

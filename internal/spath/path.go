@@ -113,21 +113,26 @@ var ErrNoPath = fmt.Errorf("spath: no path exists")
 
 // reconstruct walks parent edge pointers from dst back to src.
 func reconstruct(g *roadnet.Graph, parentEdge []roadnet.EdgeID, src, dst roadnet.VertexID, cost float64) Path {
-	var edges []roadnet.EdgeID
-	v := dst
-	for v != src {
-		eid := parentEdge[v]
-		edges = append(edges, eid)
-		v = g.Edge(eid).From
-	}
-	// Reverse in place.
-	for i, j := 0, len(edges)-1; i < j; i, j = i+1, j-1 {
-		edges[i], edges[j] = edges[j], edges[i]
-	}
+	edges := parentEdges(nil, g, parentEdge, src, dst)
 	vertices := make([]roadnet.VertexID, 0, len(edges)+1)
 	vertices = append(vertices, src)
 	for _, eid := range edges {
 		vertices = append(vertices, g.Edge(eid).To)
 	}
 	return Path{Vertices: vertices, Edges: edges, Cost: cost}
+}
+
+// parentEdges writes over buf the src→dst edges that the parent edge
+// pointers trace back from dst, and returns them.
+func parentEdges(buf []roadnet.EdgeID, g *roadnet.Graph, parentEdge []roadnet.EdgeID, src, dst roadnet.VertexID) []roadnet.EdgeID {
+	edges := buf[:0]
+	for v := dst; v != src; {
+		eid := parentEdge[v]
+		edges = append(edges, eid)
+		v = g.Edge(eid).From
+	}
+	for i, j := 0, len(edges)-1; i < j; i, j = i+1, j-1 {
+		edges[i], edges[j] = edges[j], edges[i]
+	}
+	return edges
 }

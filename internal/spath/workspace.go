@@ -18,8 +18,8 @@ import (
 //
 // A Workspace runs two relaxation loops over one set of arrays. sweep is
 // every plain search — point-to-point, one-to-all, bounded one-to-many and
-// seeded multi-source, forward or reverse. dijkstraConstrained is Yen's
-// spur search; it stays separate because it is the hot loop of candidate
+// seeded multi-source, forward or reverse. spurSearch is Yen's spur
+// search; it stays separate because it is the hot loop of candidate
 // generation and differs from a plain search on every relaxed edge: it
 // skips banned vertices and edges, reads the query's weight table instead
 // of calling w, and keys the heap by distance plus a memoized goal bound.
@@ -50,6 +50,11 @@ type Workspace struct {
 	banV   []uint32
 	banE   []uint32
 	banGen uint32
+
+	// Yen scratch, reused by every spur of an enumeration: the last spur
+	// search's path edges and a candidate's seen key.
+	spur []roadnet.EdgeID
+	key  []byte
 
 	// Goal-heuristic cache for the A* spur queries: all spur
 	// queries of one TopK call share the same destination, so the scaled
@@ -447,18 +452,31 @@ func (ws *Workspace) bounded(g *roadnet.Graph, from roadnet.VertexID, rev bool, 
 }
 
 // dijkstraConstrained finds a minimum-cost path avoiding the workspace's
-// current banned vertex/edge set. It is the spur-path primitive of Yen's
-// algorithm and relies on the weight cache and goal heuristic filled by the
-// enclosing query: the search is goal-directed A* toward the memoized goal,
-// which settles far fewer vertices than a full Dijkstra while returning the
-// same optimal cost. A canceled bound context makes it report "no path";
-// the enclosing enumeration distinguishes cancellation via ws.ctxErr.
+// current banned vertex/edge set: spurSearch without a limit, the path
+// materialized.
 func (ws *Workspace) dijkstraConstrained(g *roadnet.Graph, src, dst roadnet.VertexID) (Path, bool) {
-	if ws.ctxErr != nil || ws.vertexBanned(src) || ws.vertexBanned(dst) {
+	if reached, _ := ws.spurSearch(g, src, dst, math.Inf(1)); !reached {
 		return Path{}, false
 	}
-	if src == dst {
-		return Path{Vertices: []roadnet.VertexID{src}}, true
+	return reconstruct(g, ws.parent, src, dst, ws.dist[dst]), true
+}
+
+// spurSearch is the spur-path primitive of Yen's algorithm: a minimum-cost
+// src→dst search avoiding the workspace's current banned vertex/edge set.
+// It relies on the weight cache and goal heuristic filled by the enclosing
+// query: the search is goal-directed A* toward the memoized goal, which
+// settles far fewer vertices than a full Dijkstra while reaching dst at the
+// same optimal cost, left in dist[dst] with the path in the parent edges.
+//
+// The search stops, reporting cut, as soon as the key it pops exceeds
+// limit. The key is an admissible lower bound on the cost of any src→dst
+// path through the popped vertex, so a cut search could only have found a
+// path costing more than limit. A canceled bound context makes it report
+// neither; the enclosing enumeration distinguishes cancellation via
+// ws.ctxErr.
+func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, limit float64) (reached, cut bool) {
+	if ws.ctxErr != nil || ws.vertexBanned(src) || ws.vertexBanned(dst) {
+		return false, false
 	}
 	ws.begin()
 	gen := ws.gen
@@ -467,11 +485,14 @@ func (ws *Workspace) dijkstraConstrained(g *roadnet.Graph, src, dst roadnet.Vert
 	ws.heap.push(src, 0)
 	for !ws.heap.empty() {
 		if ws.canceled() {
-			return Path{}, false
+			return false, false
 		}
-		v, _ := ws.heap.pop()
+		v, key := ws.heap.pop()
+		if key > limit {
+			return false, true
+		}
 		if v == dst {
-			return reconstruct(g, ws.parent, src, dst, ws.dist[dst]), true
+			return true, false
 		}
 		d := ws.dist[v]
 		outs := g.OutEdges(v)
@@ -493,7 +514,7 @@ func (ws *Workspace) dijkstraConstrained(g *roadnet.Graph, src, dst roadnet.Vert
 			}
 		}
 	}
-	return Path{}, false
+	return false, false
 }
 
 // --- Indexed 4-ary min-heap with decrease-key ---

@@ -2,6 +2,8 @@ package spath
 
 import (
 	"context"
+	"math"
+	"sort"
 
 	"pathrank/internal/roadnet"
 )
@@ -19,9 +21,37 @@ import (
 // (Lawler's rule); the sequence of pending candidates, and so the emitted
 // sequence, is the one spurring from index 0 produces.
 //
-// Pending candidates sit in a min-heap ordered by (cost, creation order):
-// equal-cost candidates are emitted in the order their spur searches found
-// them.
+// Pending candidates are ordered by (cost, creation order): equal-cost
+// candidates are emitted in the order their spur searches found them. The
+// enumeration knows its emission budget, maxProbe paths counting the first,
+// so when next runs at most room = maxProbe − len(paths) more paths can
+// ever be emitted. A pending candidate leaves the list only by being
+// emitted, and emission takes the list's head, so a candidate with room
+// others ahead of it can never be emitted: room emissions would have to
+// take all of them first. The pending list is therefore a sorted slice
+// capped at room, and the bound is exact:
+//   - a new candidate is admitted only when the list has room or the
+//     candidate costs strictly less than its last entry (a tie loses, as
+//     creation order puts it after), which then drops out;
+//   - once the list is full, each spur search is given a limit, the last
+//     entry's cost minus the root's, and stops as soon as its admissible
+//     A* key passes it: it could only have found a candidate the admit
+//     rule drops. The limit carries a relative slack of 1e-9 of the last
+//     entry's cost, far above the rounding gap between root cost + spur
+//     distance and the left-to-right sum over the joined edges, which is
+//     the cost the admit rule compares;
+//   - a dropped or never-found candidate is not recorded as seen. Should a
+//     later spur search find it again, the candidates that were ahead of it
+//     have left only by emission, each taking one unit of room with it, so
+//     it still ranks past the cap and is dropped again — as the unbounded
+//     enumeration would drop it as a duplicate.
+//
+// Emission pops the head, so the cap shrinks with room and never needs
+// trimming; and since room ≥ 1 whenever next runs, the cap never empties
+// a list the unbounded enumeration would emit from. Only admitted
+// candidates are materialized: a spur search writes its edges into the
+// workspace, the candidate's cost and seen key are computed from the root
+// and those edges, and a Path is built only for a candidate the list keeps.
 //
 // All spur queries share the enclosing pooled Workspace: the banned
 // vertex/edge sets are generation-stamped arrays rather than per-iteration
@@ -32,31 +62,30 @@ type yenEnum struct {
 	g        *roadnet.Graph
 	ws       *Workspace
 	dst      roadnet.VertexID
-	paths    []Path // emitted so far, increasing cost
-	devs     []int  // devs[j] is the spur index paths[j] was created at
-	pending  []yenCand
+	maxProbe int             // emission budget, counting the first path
+	paths    []Path          // emitted so far, increasing cost
+	devs     []int           // devs[j] is the spur index paths[j] was created at
+	pending  []yenCand       // sorted by (cost, creation order), at most maxProbe − len(paths) long
 	searches int             // spur searches run
-	seen     map[string]bool // every path ever created, emitted or pending
+	cut      int             // spur searches the pending list's bound stopped before dst
+	seen     map[string]bool // every path ever admitted, emitted or pending
 	shared   []int           // scratch: leading edges each emitted path shares with the one being spurred
 }
 
-// yenCand is a pending candidate: the path, the spur index it deviates
-// from its parent at, and its creation sequence number.
+// yenCand is a pending candidate: the path and the spur index it deviates
+// from its parent at.
 type yenCand struct {
 	Path
-	dev, seq int
+	dev int
 }
 
-func (a yenCand) before(b yenCand) bool {
-	return a.Cost < b.Cost || (a.Cost == b.Cost && a.seq < b.seq)
-}
-
-// newYenEnum starts an enumeration whose first emitted path is first. The
-// caller must have pointed ws's weight table and goal heuristic at the
-// query's weight and dst.
-func newYenEnum(g *roadnet.Graph, ws *Workspace, dst roadnet.VertexID, first Path) *yenEnum {
+// newYenEnum starts an enumeration whose first emitted path is first and
+// which emits at most maxProbe paths, first included. The caller must have
+// pointed ws's weight table and goal heuristic at the query's weight and
+// dst.
+func newYenEnum(g *roadnet.Graph, ws *Workspace, dst roadnet.VertexID, first Path, maxProbe int) *yenEnum {
 	return &yenEnum{
-		g: g, ws: ws, dst: dst,
+		g: g, ws: ws, dst: dst, maxProbe: maxProbe,
 		paths: []Path{first},
 		devs:  []int{0},
 		seen:  map[string]bool{pathKey(first): true},
@@ -66,13 +95,17 @@ func newYenEnum(g *roadnet.Graph, ws *Workspace, dst roadnet.VertexID, first Pat
 // next computes the cheapest loopless path after the ones already emitted,
 // reporting false when the path set is exhausted or the workspace's bound
 // context has been canceled (the caller distinguishes the two via
-// ws.ctxErr).
+// ws.ctxErr). It must only be called while fewer than maxProbe paths have
+// been emitted.
 func (y *yenEnum) next() (Path, bool) {
 	if y.ws.ctxErr != nil {
 		return Path{}, false
 	}
+	wts := y.ws.wts
+	room := y.maxProbe - len(y.paths)
 	last := len(y.paths) - 1
 	prev := y.paths[last]
+	dev := y.devs[last]
 	// Roots are compared by edge, not vertex: between parallel edges the
 	// vertex sequence does not tell two roots apart.
 	y.shared = y.shared[:0]
@@ -80,8 +113,14 @@ func (y *yenEnum) next() (Path, bool) {
 		y.shared = append(y.shared, commonPrefix(p.Edges, prev.Edges))
 	}
 	// Each vertex of the previous path from its deviation index on, except
-	// the last, is a spur node.
-	for i := y.devs[last]; i < len(prev.Vertices)-1; i++ {
+	// the last, is a spur node. rootCost accumulates the root's weights left
+	// to right, so continuing the sum over the spur's edges is
+	// sumWeights of the joined path, bit for bit.
+	rootCost := sumWeights(wts, prev.Edges[:dev])
+	for i := dev; i < len(prev.Vertices)-1; i++ {
+		if i > dev {
+			rootCost += wts[prev.Edges[i-1]]
+		}
 		spur := prev.Vertices[i]
 		rootVertices := prev.Vertices[:i+1]
 		rootEdges := prev.Edges[:i]
@@ -98,70 +137,62 @@ func (y *yenEnum) next() (Path, bool) {
 			y.ws.banVertex(v)
 		}
 
+		// bound is the cost a candidate must beat to be kept: a full
+		// list's last entry's.
+		bound, limit := math.Inf(1), math.Inf(1)
+		if len(y.pending) == room {
+			bound = y.pending[room-1].Cost
+			limit = bound - rootCost + 1e-9*bound
+		}
 		y.searches++
-		spurPath, ok := y.ws.dijkstraConstrained(y.g, spur, y.dst)
-		if !ok {
+		reached, cut := y.ws.spurSearch(y.g, spur, y.dst, limit)
+		if cut {
+			y.cut++
+		}
+		if !reached {
 			continue
 		}
-		total := joinPaths(y.ws.wts, rootVertices, rootEdges, spurPath)
-		key := pathKey(total)
-		if y.seen[key] {
+		spurEdges := parentEdges(y.ws.spur, y.g, y.ws.parent, spur, y.dst)
+		y.ws.spur = spurEdges
+		cost := rootCost
+		for _, eid := range spurEdges {
+			cost += wts[eid]
+		}
+		if cost >= bound {
 			continue
 		}
-		y.seen[key] = true
-		y.push(yenCand{total, i, len(y.seen)})
+		y.ws.key = appendEdgeKey(appendEdgeKey(y.ws.key[:0], rootEdges), spurEdges)
+		if y.seen[string(y.ws.key)] {
+			continue
+		}
+		y.seen[string(y.ws.key)] = true
+		y.admit(yenCand{joinPaths(y.g, rootVertices, rootEdges, spurEdges, cost), i}, room)
 	}
 	if len(y.pending) == 0 {
 		return Path{}, false
 	}
-	c := y.pop()
+	c := y.pending[0]
+	n := copy(y.pending, y.pending[1:])
+	y.pending[n] = yenCand{} // drop the path references
+	y.pending = y.pending[:n]
 	y.paths = append(y.paths, c.Path)
 	y.devs = append(y.devs, c.dev)
 	return c.Path, true
 }
 
-func (y *yenEnum) push(c yenCand) {
-	h := append(y.pending, c)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !c.before(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+// admit inserts c after every pending candidate that costs no more — c is
+// the newest, so that is its (cost, creation order) place — dropping the
+// last candidate when the list already holds room. The caller has checked
+// that a full list's last candidate costs more than c.
+func (y *yenEnum) admit(c yenCand, room int) {
+	p := y.pending
+	at := sort.Search(len(p), func(j int) bool { return p[j].Cost > c.Cost })
+	if len(p) < room {
+		p = append(p, yenCand{})
 	}
-	h[i] = c
-	y.pending = h
-}
-
-func (y *yenEnum) pop() yenCand {
-	h := y.pending
-	top := h[0]
-	n := len(h) - 1
-	c := h[n]
-	h[n] = yenCand{} // drop the path references
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && h[r].before(h[l]) {
-			l = r
-		}
-		if !h[l].before(c) {
-			break
-		}
-		h[i] = h[l]
-		i = l
-	}
-	if n > 0 {
-		h[i] = c
-	}
-	y.pending = h
-	return top
+	copy(p[at+1:], p[at:])
+	p[at] = c
+	y.pending = p
 }
 
 // EnumStats describes one Yen enumeration run: how many paths were
@@ -222,7 +253,7 @@ func enumerate(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, d
 	if err != nil {
 		return nil, st, err
 	}
-	y := newYenEnum(g, ws, dst, p)
+	y := newYenEnum(g, ws, dst, p, maxProbe)
 	accepted := make([]Path, 0, k)
 	st.Probes, st.MaxCost = 1, p.Cost
 	for {
@@ -290,20 +321,29 @@ func sumWeights(wts []float64, edges []roadnet.EdgeID) float64 {
 	return cost
 }
 
-func joinPaths(wts []float64, rootVertices []roadnet.VertexID, rootEdges []roadnet.EdgeID, spur Path) Path {
-	edges := make([]roadnet.EdgeID, 0, len(rootEdges)+len(spur.Edges))
+// joinPaths materializes the path of a root and the spur edges that
+// continue it, at the given cost.
+func joinPaths(g *roadnet.Graph, rootVertices []roadnet.VertexID, rootEdges, spurEdges []roadnet.EdgeID, cost float64) Path {
+	edges := make([]roadnet.EdgeID, 0, len(rootEdges)+len(spurEdges))
 	edges = append(edges, rootEdges...)
-	edges = append(edges, spur.Edges...)
+	edges = append(edges, spurEdges...)
 	vertices := make([]roadnet.VertexID, 0, len(edges)+1)
 	vertices = append(vertices, rootVertices...)
-	vertices = append(vertices, spur.Vertices[1:]...)
-	return Path{Vertices: vertices, Edges: edges, Cost: sumWeights(wts, edges)}
+	for _, eid := range spurEdges {
+		vertices = append(vertices, g.Edge(eid).To)
+	}
+	return Path{Vertices: vertices, Edges: edges, Cost: cost}
 }
 
 func pathKey(p Path) string {
-	b := make([]byte, 0, len(p.Edges)*4)
-	for _, e := range p.Edges {
+	return string(appendEdgeKey(make([]byte, 0, len(p.Edges)*4), p.Edges))
+}
+
+// appendEdgeKey appends the bytes by which seen identifies an edge
+// sequence.
+func appendEdgeKey(b []byte, edges []roadnet.EdgeID) []byte {
+	for _, e := range edges {
 		b = append(b, byte(e), byte(e>>8), byte(e>>16), byte(e>>24))
 	}
-	return string(b)
+	return b
 }

@@ -211,12 +211,23 @@ func (s *refSeq) first(n int) []Path {
 
 // diversified is the greedy D-TkDI filter over the reference sequence.
 func (s *refSeq) diversified(k int, sim Similarity, threshold float64, maxProbe int) []Path {
+	accepted, _ := s.diversifiedStats(k, sim, threshold, maxProbe)
+	return accepted
+}
+
+// diversifiedStats is diversified with the EnumStats fields that describe
+// it, all but SpurSearches: the paths examined, the cost of the last one,
+// and whether the sequence ran out first.
+func (s *refSeq) diversifiedStats(k int, sim Similarity, threshold float64, maxProbe int) ([]Path, EnumStats) {
 	var accepted []Path
+	var st EnumStats
 	for i := 0; i < maxProbe && len(accepted) < k; i++ {
 		seq := s.first(i + 1)
 		if len(seq) <= i {
+			st.Exhausted = true
 			break
 		}
+		st.Probes, st.MaxCost = i+1, seq[i].Cost
 		ok := true
 		for _, q := range accepted {
 			ok = ok && sim(seq[i], q) <= threshold
@@ -225,7 +236,7 @@ func (s *refSeq) diversified(k int, sim Similarity, threshold float64, maxProbe 
 			accepted = append(accepted, seq[i])
 		}
 	}
-	return accepted
+	return accepted, st
 }
 
 // diffSequence describes the first difference between got and want —
@@ -355,8 +366,16 @@ func crosstownPairs(n int) [][2]roadnet.VertexID {
 	if testing.Short() || raceEnabled {
 		n = min(n, 6)
 	}
-	const side, lo, hi = benchWorldSide, 20, 40
-	rng := rand.New(rand.NewSource(1))
+	return worldPairs(1, n, 20, 40)
+}
+
+// worldPairs draws n origin-destination cells of the benchmark world whose
+// grid distance steps through lo..hi hops, as BenchmarkCandidatesByEngine's
+// generator does from the same seed: seed 1, 20..40 is crosstown_uncached
+// and seed 2, 5..12 is local_batch_k32.
+func worldPairs(seed int64, n, lo, hi int) [][2]roadnet.VertexID {
+	const side = benchWorldSide
+	rng := rand.New(rand.NewSource(seed))
 	out := make([][2]roadnet.VertexID, 0, n)
 	for len(out) < n {
 		hops := lo + len(out)%(hi-lo+1)
@@ -450,6 +469,31 @@ func TestYenUnitGridTies(t *testing.T) {
 	}
 }
 
+// servedYenEnum starts, on a workspace the test must release, the
+// enumeration the served configuration runs for src→dst on e.
+func servedYenEnum(t *testing.T, g *roadnet.Graph, e Engine, src, dst roadnet.VertexID, maxProbe int) (*yenEnum, *Workspace) {
+	t.Helper()
+	first, err := e.Shortest(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := GetWorkspace(g)
+	ws.useWeights(e.weights())
+	ws.setGoalAux(g, dst, e.spurHeuristic(dst))
+	return newYenEnum(g, ws, dst, first, maxProbe), ws
+}
+
+// nextWithinBudget is y.next, failing t if the pending list then holds
+// more candidates than the paths y may still emit.
+func nextWithinBudget(t *testing.T, y *yenEnum) (Path, bool) {
+	t.Helper()
+	p, ok := y.next()
+	if room := y.maxProbe - len(y.paths); len(y.pending) > room {
+		t.Fatalf("after %d paths of a %d budget, %d candidates pending, want at most %d", len(y.paths), y.maxProbe, len(y.pending), room)
+	}
+	return p, ok
+}
+
 // TestYenSpurSearchBudget pins the work the spur loop does, as counts: a
 // next call searches exactly from its path's deviation index on, and over
 // the crosstown pairs the served configuration (CH with landmark tables,
@@ -458,6 +502,9 @@ func TestYenUnitGridTies(t *testing.T) {
 // same accepted paths. (The first path deviates at 0 and later ones at a
 // uniformly spread index, so P probes cost about P/(2(P-1)) of the
 // reference: 56% at the nine probes a crosstown pair averages, never half.)
+// The pending list never holds more candidates than the paths the budget
+// still allows, and the log reports the share of spur searches its bound
+// stopped before they reached dst.
 func TestYenSpurSearchBudget(t *testing.T) {
 	g, prep := benchWorldPrep(t)
 	e := prep.Engine(EngineCH, g)
@@ -465,18 +512,11 @@ func TestYenSpurSearchBudget(t *testing.T) {
 
 	t.Run("per-next", func(t *testing.T) {
 		src, dst := pairs[0][0], pairs[0][1]
-		first, err := e.Shortest(src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := GetWorkspace(g)
+		y, ws := servedYenEnum(t, g, e, src, dst, 40)
 		defer ws.Release()
-		ws.useWeights(e.weights())
-		ws.setGoalAux(g, dst, e.spurHeuristic(dst))
-		y := newYenEnum(g, ws, dst, first)
 		for n := 1; n < 40; n++ {
 			prev, dev, before := y.paths[n-1], y.devs[n-1], y.searches
-			p, ok := y.next()
+			p, ok := nextWithinBudget(t, y)
 			if !ok {
 				t.Fatalf("path set ran dry after %d paths", n)
 			}
@@ -515,6 +555,47 @@ func TestYenSpurSearchBudget(t *testing.T) {
 			t.Fatalf("%d spur searches over %d pairs, want at most two thirds of the reference's %d", ran, len(pairs), refRan)
 		}
 	})
+
+	// Each served shape's pairs, replayed next by next for the probes the
+	// served enumeration made: the same searches, the pending list within
+	// the budget after every call.
+	shapes := []struct {
+		name     string
+		pairs    [][2]roadnet.VertexID
+		k        int
+		sim      Similarity
+		maxProbe int
+	}{
+		{"crosstown", pairs, 5, jaccard, 50},
+		{"local_k32", worldPairs(2, 20, 5, 12), 32, nil, 32},
+	}
+	for _, s := range shapes {
+		t.Run(s.name+"-bound", func(t *testing.T) {
+			var ran, cut int
+			for _, p := range s.pairs {
+				got, st, err := enumerate(context.Background(), g, e, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe)
+				if err != nil {
+					t.Fatal(err)
+				}
+				y, ws := servedYenEnum(t, g, e, p[0], p[1], s.maxProbe)
+				for len(y.paths) < st.Probes {
+					if _, ok := nextWithinBudget(t, y); !ok {
+						t.Fatalf("%d->%d: replay ran dry after %d of %d probes", p[0], p[1], len(y.paths), st.Probes)
+					}
+				}
+				ws.Release()
+				if y.searches != st.SpurSearches {
+					t.Fatalf("%d->%d: replay ran %d spur searches, the enumeration %d", p[0], p[1], y.searches, st.SpurSearches)
+				}
+				if s.sim == nil {
+					requireSameSequence(t, fmt.Sprintf("%d->%d replay", p[0], p[1]), y.paths, got)
+				}
+				ran += y.searches
+				cut += y.cut
+			}
+			t.Logf("%s, %d pairs: the bound stopped %d of %d spur searches early (%.1f%%)", s.name, len(s.pairs), cut, ran, 100*float64(cut)/float64(ran))
+		})
+	}
 }
 
 // TestEngineWeightTableNotClobbered guards the sharing introduced by
@@ -610,28 +691,48 @@ func fuzzGraph(data []byte) (g *roadnet.Graph, src, dst roadnet.VertexID, k int)
 	return b.Build(), roadnet.VertexID(int(data[1]) % n), roadnet.VertexID(int(data[2]) % n), 1 + int(data[3])%8
 }
 
-// FuzzYenMatchesReference compares TopK on every setup with the reference
-// on arbitrary small directed graphs. Distinct reference costs make the
-// sequence unique and it is compared path for path; when the fuzzer finds
-// an exact tie only the cost sequence is.
+// distinctCosts reports whether no two of paths cost the same.
+func distinctCosts(paths []Path) bool {
+	distinct := map[uint64]bool{}
+	for _, p := range paths {
+		distinct[math.Float64bits(p.Cost)] = true
+	}
+	return len(distinct) == len(paths)
+}
+
+// FuzzYenMatchesReference compares TopK and D-TkDI on every setup with the
+// reference on arbitrary small directed graphs. Distinct reference costs
+// make the sequence unique and it is compared path for path; when the
+// fuzzer finds an exact tie only TopK's cost sequence is, since which of
+// the tied paths D-TkDI examines first decides what it accepts. D-TkDI
+// runs under a drawn threshold and probe budget — below k (which means
+// 10·k), k, k+1 and beyond — and its EnumStats must match the reference's
+// in Probes, MaxCost bits and Exhausted, the fields the sharded router's
+// corridor certification reads.
 func FuzzYenMatchesReference(f *testing.F) {
-	f.Add([]byte{2, 0, 4, 3, 0, 1, 9, 1, 2, 40, 2, 3, 7, 3, 4, 90})                                                                          // a line
-	f.Add([]byte{2, 0, 3, 4, 0, 1, 10, 0, 2, 30, 1, 3, 50, 2, 3, 20, 1, 2, 5})                                                               // a diamond
-	f.Add([]byte{2, 0, 3, 2, 0, 1, 10, 2, 3, 10})                                                                                            // src and dst in different components
-	f.Add([]byte{1, 0, 2, 5, 0, 1, 10, 0, 1, 60, 0, 1, 200, 1, 2, 3, 1, 2, 77, 2, 0, 8})                                                     // parallel edges
-	f.Add([]byte{7, 0, 8, 7, 0, 1, 1, 1, 2, 2, 0, 3, 3, 3, 4, 4, 1, 4, 5, 4, 5, 6, 2, 5, 7, 4, 7, 8, 5, 8, 9, 7, 8, 10, 3, 6, 11, 6, 7, 12}) // a 3x3 grid
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{2, 0, 4, 3, 0, 1, 9, 1, 2, 40, 2, 3, 7, 3, 4, 90}, uint8(4), uint8(200))                                                                           // a line; budget k
+	f.Add([]byte{2, 0, 3, 4, 0, 1, 10, 0, 2, 30, 1, 3, 50, 2, 3, 20, 1, 2, 5}, uint8(6), uint8(100))                                                                // a diamond; budget k+1
+	f.Add([]byte{2, 0, 3, 2, 0, 1, 10, 2, 3, 10}, uint8(0), uint8(0))                                                                                               // src and dst in different components
+	f.Add([]byte{1, 0, 2, 5, 0, 1, 10, 0, 1, 60, 0, 1, 200, 1, 2, 3, 1, 2, 77, 2, 0, 8}, uint8(2), uint8(128))                                                      // parallel edges; budget below k
+	f.Add([]byte{7, 0, 8, 7, 0, 1, 1, 1, 2, 2, 0, 3, 3, 3, 4, 4, 1, 4, 5, 4, 5, 6, 2, 5, 7, 4, 7, 8, 5, 8, 9, 7, 8, 10, 3, 6, 11, 6, 7, 12}, uint8(20), uint8(204)) // a 3x3 grid; budget past k+1
+	f.Fuzz(func(t *testing.T, data []byte, probe, theta uint8) {
 		g, src, dst, k := fuzzGraph(data)
 		if g.NumEdges() == 0 {
 			return
 		}
-		want := newRefSeq(g, ByLength, src, dst).first(k + 1)
-		distinct := map[uint64]bool{}
-		for _, p := range want {
-			distinct[math.Float64bits(p.Cost)] = true
-		}
-		exact := len(distinct) == len(want)
+		ref := newRefSeq(g, ByLength, src, dst)
+		want := ref.first(k + 1)
+		exact := distinctCosts(want)
 		want = want[:min(k, len(want))]
+
+		maxProbe, threshold := int(probe)%(3*k+2), float64(theta)/255
+		budget := maxProbe
+		if budget < k {
+			budget = 10 * k
+		}
+		wantD, wantSt := ref.diversifiedStats(k, jaccard, threshold, budget)
+		exactD := distinctCosts(ref.first(wantSt.Probes + 1))
+
 		for _, s := range enumSetups(g, ByLength, BuildCH(g, ByLength), BuildALT(g, ByLength, 2)) {
 			got, err := s.topK(g, src, dst, k)
 			if len(want) == 0 {
@@ -645,15 +746,27 @@ func FuzzYenMatchesReference(f *testing.F) {
 			}
 			if exact {
 				requireSameSequence(t, fmt.Sprintf("%s %d->%d k=%d", s.name, src, dst, k), got, want)
+			} else {
+				if len(got) != len(want) {
+					t.Fatalf("%s %d->%d k=%d: %d paths, reference has %d", s.name, src, dst, k, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i].Cost) != math.Float64bits(want[i].Cost) {
+						t.Fatalf("%s %d->%d k=%d: path %d costs %v, reference %v", s.name, src, dst, k, i, got[i].Cost, want[i].Cost)
+					}
+				}
+			}
+			if !exactD {
 				continue
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s %d->%d k=%d: %d paths, reference has %d", s.name, src, dst, k, len(got), len(want))
+			what := fmt.Sprintf("%s D-TkDI %d->%d k=%d θ=%g max_probe=%d", s.name, src, dst, k, threshold, maxProbe)
+			gotD, st, err := enumerate(context.Background(), g, s.e, s.w, src, dst, k, jaccard, threshold, maxProbe)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
 			}
-			for i := range want {
-				if math.Float64bits(got[i].Cost) != math.Float64bits(want[i].Cost) {
-					t.Fatalf("%s %d->%d k=%d: path %d costs %v, reference %v", s.name, src, dst, k, i, got[i].Cost, want[i].Cost)
-				}
+			requireSameSequence(t, what, gotD, wantD)
+			if st.Probes != wantSt.Probes || math.Float64bits(st.MaxCost) != math.Float64bits(wantSt.MaxCost) || st.Exhausted != wantSt.Exhausted {
+				t.Fatalf("%s: probes %d, max cost %v, exhausted %v; reference %d, %v, %v", what, st.Probes, st.MaxCost, st.Exhausted, wantSt.Probes, wantSt.MaxCost, wantSt.Exhausted)
 			}
 		}
 	})
