@@ -5,12 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"time"
 )
 
-// This file is the HTTP envelope of the query API: how a JSON body is
+// This file is the HTTP envelope of the query API: how a request body is
 // read, how a response or a typed error is written, how a request's
 // deadline is derived, and how a listener is run and drained. The server,
 // the shard worker and the router all answer through it, so status codes,
@@ -90,17 +91,31 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) *Err
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &Error{
-				Status:  http.StatusRequestEntityTooLarge,
-				Code:    CodeInvalid,
-				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-			}
-		}
-		return Invalidf("bad request body: %v", err)
+		return bodyError(err)
 	}
 	return nil
+}
+
+// ReadBody reads the whole request body, refusing bodies over limit bytes
+// (413) as DecodeJSON does.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *Error) {
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		return nil, bodyError(err)
+	}
+	return b, nil
+}
+
+func bodyError(err error) *Error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return &Error{
+			Status:  http.StatusRequestEntityTooLarge,
+			Code:    CodeInvalid,
+			Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
+		}
+	}
+	return Invalidf("bad request body: %v", err)
 }
 
 // nopCancel avoids allocating a context.WithCancel on the timeoutless hot

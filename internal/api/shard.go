@@ -1,20 +1,12 @@
 package api
 
-// This file defines the wire vocabulary of the shard-internal sub-query
-// API — the endpoints a shard worker exposes to the fan-out router
-// (/shard/info, /shard/boundary, /shard/corridor). These types never
-// reach external clients: the router consumes them and answers on the
-// public /v2/rank surface. They live here with the rest of the wire types
-// so the router and the shard worker cannot drift apart.
-//
-// Distances on this surface use -1 to encode "unreachable" (+Inf), since
-// JSON has no representation for infinities; both sides translate at the
-// boundary. Finite distances are plain nonnegative float64 values and
-// survive the round-trip bit-for-bit.
-
-// ShardInfoResponse is the body of GET /shard/info: the worker's identity
-// within the bundle and the serving snapshot's fingerprint. The router
-// polls it for health and generation agreement.
+// ShardInfoResponse is the body of GET /shard/info, the one JSON endpoint
+// of the shard-internal sub-query API: the worker's identity within the
+// bundle and the serving snapshot's fingerprint. The router polls it for
+// health and generation agreement, and an operator can read it with curl.
+// The sub-queries themselves (/shard/boundary, /shard/corridor) speak the
+// binary shard wire of internal/pathrank (shardwire.go); their errors are
+// this package's typed envelope.
 type ShardInfoResponse struct {
 	// Shard is this worker's shard index; Parts is the bundle's shard count.
 	Shard int `json:"shard"`
@@ -28,82 +20,4 @@ type ShardInfoResponse struct {
 	Edges    int `json:"edges"`
 	// BoundaryVertices is the size of this shard's boundary set.
 	BoundaryVertices int `json:"boundary_vertices"`
-}
-
-// BoundaryRequest is the body of POST /shard/boundary: one single-source
-// (or single-destination) exact distance sweep from V to every boundary
-// vertex of the shard, unbounded, under the given metric.
-type BoundaryRequest struct {
-	// V is a global vertex ID owned by this shard: the source when Dir is
-	// "fwd", the destination when Dir is "rev".
-	V int64 `json:"v"`
-	// Dir is "fwd" (V → boundary) or "rev" (boundary → V).
-	Dir string `json:"dir"`
-	// Weight selects the metric: "length" (default) or "time".
-	Weight string `json:"weight,omitempty"`
-}
-
-// BoundaryResponse carries the distance vector of a boundary sweep,
-// aligned to the shard's boundary list in ascending vertex order (the
-// order the shard map records). Unreachable entries are -1.
-type BoundaryResponse struct {
-	Shard       int       `json:"shard"`
-	Fingerprint string    `json:"fingerprint"`
-	Dist        []float64 `json:"dist"`
-}
-
-// ShardSeed is one pre-weighted starting point of a corridor search: the
-// search frontier begins at global vertex V with accumulated cost Dist.
-type ShardSeed struct {
-	V    int64   `json:"v"`
-	Dist float64 `json:"dist"`
-}
-
-// CorridorRequest is the body of POST /shard/corridor: extract the
-// vertices of this shard that can lie on some source→destination path of
-// cost at most Bound, given exact entry costs (Seeds, from the source
-// side) and exit costs (RSeeds, to the destination side) at the shard's
-// boundary, plus the induced edges connecting them.
-type CorridorRequest struct {
-	// Seeds seed the forward sweep (cost from the global source); RSeeds
-	// seed the backward sweep (cost to the global destination). Seeds with
-	// Dist < 0 are ignored (the unreachable encoding).
-	Seeds  []ShardSeed `json:"seeds"`
-	RSeeds []ShardSeed `json:"rseeds"`
-	// Bound is the corridor cost bound C: a vertex v is in the corridor
-	// iff fwd(v) + rev(v) <= C.
-	Bound float64 `json:"bound"`
-	// Weight selects the metric: "length" (default) or "time".
-	Weight string `json:"weight,omitempty"`
-}
-
-// CorridorVertex is one corridor member: a global vertex ID with its real
-// coordinates (so the router can rebuild a valid sub-road-network).
-type CorridorVertex struct {
-	ID  int64   `json:"id"`
-	Lon float64 `json:"lon"`
-	Lat float64 `json:"lat"`
-}
-
-// CorridorEdge is one induced edge of the corridor with its full record:
-// global edge ID, global endpoints, and the exact metrics, so any path
-// cost computed on the fused corridor graph equals the full-graph value
-// bit-for-bit.
-type CorridorEdge struct {
-	ID       int64   `json:"id"`
-	From     int64   `json:"from"`
-	To       int64   `json:"to"`
-	LengthM  float64 `json:"length_m"`
-	TimeS    float64 `json:"time_s"`
-	Category uint8   `json:"category"`
-}
-
-// CorridorResponse is the corridor subgraph owned by one shard: every
-// owned vertex within the bound and every induced edge with both
-// endpoints inside. Cut edges belong to no shard; the router owns them.
-type CorridorResponse struct {
-	Shard       int              `json:"shard"`
-	Fingerprint string           `json:"fingerprint"`
-	Vertices    []CorridorVertex `json:"vertices"`
-	Edges       []CorridorEdge   `json:"edges"`
 }

@@ -32,7 +32,7 @@ type ShardMap struct {
 	// — the exact order the shard's /shard/boundary response is aligned to.
 	Boundary [][]roadnet.VertexID
 	// CutEdges are the full records of every cross-shard edge (global IDs,
-	// explicit lengths and times).
+	// explicit lengths and times), ascending by ID.
 	CutEdges []roadnet.Edge
 	// DLen and DTime are |B|×|B| row-major full-graph shortest-path cost
 	// tables over the global boundary list (GlobalBoundary's order), under
@@ -159,7 +159,12 @@ func (m *ShardMap) validate() error {
 		return fmt.Errorf("partition: boundary tables sized %d/%d for %d boundary vertices",
 			len(m.DLen), len(m.DTime), nb)
 	}
-	for _, e := range m.CutEdges {
+	for i, e := range m.CutEdges {
+		// The router merges cut edges with the shards' ascending corridor
+		// edges, so they too must ascend by ID.
+		if e.ID < 0 || int(e.ID) >= m.NumEdges || (i > 0 && m.CutEdges[i-1].ID >= e.ID) {
+			return fmt.Errorf("partition: cut edge %d out of range or out of ascending order", e.ID)
+		}
 		if e.From < 0 || int(e.From) >= m.NumVertices || e.To < 0 || int(e.To) >= m.NumVertices {
 			return fmt.Errorf("partition: cut edge %d endpoints out of range", e.ID)
 		}

@@ -152,8 +152,18 @@ func TestShardMapRejectsCorruption(t *testing.T) {
 	}
 	// validate() runs on load; breaking an invariant and re-validating must
 	// fail rather than let the router serve wrong routes.
+	owner := sm.Owner[0]
 	sm.Owner[0] = 99
 	if err := sm.validate(); err == nil {
 		t.Fatal("out-of-range owner accepted")
+	}
+	sm.Owner[0] = owner
+	// The router merges cut edges with the shards' ascending corridors.
+	if len(sm.CutEdges) < 2 {
+		t.Fatalf("%d cut edges: split degenerate", len(sm.CutEdges))
+	}
+	sm.CutEdges[0], sm.CutEdges[1] = sm.CutEdges[1], sm.CutEdges[0]
+	if err := sm.validate(); err == nil {
+		t.Fatal("cut edges out of ID order accepted")
 	}
 }

@@ -2,17 +2,16 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"pathrank/internal/api"
 	"pathrank/internal/dataset"
-	"pathrank/internal/geo"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
@@ -47,19 +46,19 @@ import (
 // path's cost), making the restricted enumeration the complete one.
 // Otherwise C doubles and the corridor is re-extracted.
 
-// boundaryOut is one shard's boundary distance vector, Inf-decoded.
+// boundaryOut is one shard's boundary distance vector.
 type boundaryOut struct {
 	dist []float64
 	meta callMeta
 }
 
 // shardBoundary fetches the boundary distance vector of shard's owned
-// endpoint: d(v → each boundary vertex) for dir "fwd", d(each boundary
-// vertex → v) for "rev".
-func (rt *Router) shardBoundary(ctx context.Context, shard int, v int64, dir, weightName string) (boundaryOut, *api.Error) {
-	body, _ := json.Marshal(api.BoundaryRequest{V: v, Dir: dir, Weight: weightName})
+// endpoint v: d(v → each boundary vertex), or with rev d(each boundary
+// vertex → v).
+func (rt *Router) shardBoundary(ctx context.Context, shard int, v int64, rev bool, weight pathrank.WeightKind) (boundaryOut, *api.Error) {
+	body := pathrank.EncodeBoundaryQuery(pathrank.BoundaryQuery{V: roadnet.VertexID(v), Rev: rev, Weight: weight})
 	rt.obs.shardCalls.With(fmt.Sprint(shard), "boundary").Inc()
-	status, respBody, meta, err := rt.callShard(ctx, shard, http.MethodPost, "/shard/boundary", body)
+	status, respBody, meta, err := rt.callShard(ctx, shard, http.MethodPost, "/shard/boundary", pathrank.ShardWireContentType, body)
 	out := boundaryOut{meta: meta}
 	if err != nil {
 		return out, shardUnavailable(shard, err)
@@ -67,67 +66,47 @@ func (rt *Router) shardBoundary(ctx context.Context, shard int, v int64, dir, we
 	if status != http.StatusOK {
 		return out, shardHTTPError(shard, status, respBody)
 	}
-	var resp api.BoundaryResponse
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		return out, shardProtocolError(shard, fmt.Sprintf("unreadable boundary response: %v", err))
+	ans, err := pathrank.DecodeBoundaryAnswer(respBody)
+	if err != nil {
+		return out, shardProtocolError(shard, err.Error())
 	}
-	if resp.Fingerprint != rt.sm.Fingerprint {
+	if ans.Fingerprint != rt.fp {
 		return out, shardProtocolError(shard, fmt.Sprintf(
-			"serves fingerprint %.12s, bundle is %.12s", resp.Fingerprint, rt.sm.Fingerprint))
+			"serves fingerprint %.6x, bundle is %.6x", ans.Fingerprint, rt.fp))
 	}
-	if len(resp.Dist) != len(rt.sm.Boundary[shard]) {
+	if len(ans.Dist) != len(rt.sm.Boundary[shard]) {
 		return out, shardProtocolError(shard, fmt.Sprintf(
-			"boundary vector has %d entries, shard map says %d", len(resp.Dist), len(rt.sm.Boundary[shard])))
+			"boundary vector has %d entries, shard map says %d", len(ans.Dist), len(rt.sm.Boundary[shard])))
 	}
-	for i, d := range resp.Dist {
-		if d < 0 {
-			resp.Dist[i] = math.Inf(1)
+	for i, d := range ans.Dist {
+		if math.IsNaN(d) || d < 0 {
+			return out, shardProtocolError(shard, fmt.Sprintf("boundary distance %d is %g, not a cost", i, d))
 		}
 	}
-	out.dist = resp.Dist
+	out.dist = ans.Dist
 	return out, nil
 }
 
-// shardHTTPError relays a shard's own typed error; an unreadable body
-// degrades to shard_unavailable.
-func shardHTTPError(shard, status int, body []byte) *api.Error {
-	var env api.ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err == nil && env.Error != nil {
-		env.Error.Status = status
-		return env.Error
-	}
-	return &api.Error{
-		Status: http.StatusServiceUnavailable, Code: api.CodeShardUnavailable,
-		Message: fmt.Sprintf("shard %d: HTTP %d with unreadable error body", shard, status),
-	}
-}
-
-// shardProtocolError reports a shard answering outside the bundle's
-// contract (wrong generation, malformed payload) as shard_unavailable:
-// retrying may reach a recovered or re-deployed worker.
-func shardProtocolError(shard int, msg string) *api.Error {
-	return &api.Error{
-		Status: http.StatusServiceUnavailable, Code: api.CodeShardUnavailable,
-		Message: fmt.Sprintf("shard %d: %s", shard, msg),
-	}
-}
-
 // fusedGraph is the corridor subgraph re-assembled under dense local IDs,
-// with the translations back to global vertex and edge IDs.
+// with the translations back to global vertex and edge IDs. Local IDs
+// follow global ones, so globalV ascends and inverts by binary search.
 type fusedGraph struct {
 	g       *roadnet.Graph
 	globalV []roadnet.VertexID
 	globalE []roadnet.EdgeID
-	local   map[int64]roadnet.VertexID
+}
+
+// local returns the fused graph's ID for global vertex v.
+func (fg *fusedGraph) local(v roadnet.VertexID) (roadnet.VertexID, bool) {
+	li, ok := slices.BinarySearch(fg.globalV, v)
+	return roadnet.VertexID(li), ok
 }
 
 // crossShard answers a query whose endpoints live on different shards.
 func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, i, j int) (*api.RankResult, *api.Error) {
 	genStart := time.Now()
-	weightName := "length"
 	D, total := rt.sm.DLen, rt.sm.TotalLen
 	if rs.Weight == pathrank.WeightTime {
-		weightName = "time"
 		D, total = rt.sm.DTime, rt.sm.TotalTime
 	}
 
@@ -136,8 +115,8 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 	var errI, errJ *api.Error
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); bi, errI = rt.shardBoundary(ctx, i, rs.src, "fwd", weightName) }()
-	go func() { defer wg.Done(); bj, errJ = rt.shardBoundary(ctx, j, rs.dst, "rev", weightName) }()
+	go func() { defer wg.Done(); bi, errI = rt.shardBoundary(ctx, i, rs.src, false, rs.Weight) }()
+	go func() { defer wg.Done(); bj, errJ = rt.shardBoundary(ctx, j, rs.dst, true, rs.Weight) }()
 	wg.Wait()
 	if errI != nil {
 		return nil, errI
@@ -214,7 +193,7 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 			C = totalCap
 		}
 		var apiErr *api.Error
-		fg, apiErr = rt.extractCorridor(ctx, rs, dS, dT, C, weightName, i, j, corridorStats)
+		fg, apiErr = rt.extractCorridor(ctx, rs, dS, dT, C, i, j, corridorStats)
 		if apiErr != nil {
 			return nil, apiErr
 		}
@@ -306,9 +285,9 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 }
 
 // extractCorridor fans a corridor extraction at bound C out to every
-// participating shard and fuses the responses with the qualifying cut
-// edges into one sub-road-network.
-func (rt *Router) extractCorridor(ctx context.Context, rs resolved, dS, dT []float64, C float64, weightName string, i, j int, stats map[int]*api.ShardStat) (*fusedGraph, *api.Error) {
+// participating shard and fuses the answers with the qualifying cut edges
+// into one sub-road-network.
+func (rt *Router) extractCorridor(ctx context.Context, rs resolved, dS, dT []float64, C float64, i, j int, stats map[int]*api.ShardStat) (*fusedGraph, *api.Error) {
 	// A shard participates when some boundary vertex of it can lie on a
 	// path within the bound; the endpoint shards always do.
 	var parts []int
@@ -325,7 +304,7 @@ func (rt *Router) extractCorridor(ctx context.Context, rs resolved, dS, dT []flo
 		}
 	}
 
-	responses := make([]*api.CorridorResponse, len(parts))
+	answers := make([]*pathrank.CorridorAnswer, len(parts))
 	errs := make([]*api.Error, len(parts))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -333,24 +312,23 @@ func (rt *Router) extractCorridor(ctx context.Context, rs resolved, dS, dT []flo
 		wg.Add(1)
 		go func(pi, m int) {
 			defer wg.Done()
-			req := api.CorridorRequest{Bound: C, Weight: weightName}
+			q := pathrank.CorridorQuery{Bound: C, Weight: rs.Weight}
 			for bi, p := range rt.shardBPos[m] {
 				if d := dS[p]; d <= C {
-					req.Seeds = append(req.Seeds, api.ShardSeed{V: int64(rt.sm.Boundary[m][bi]), Dist: d})
+					q.Seeds = append(q.Seeds, spath.Seed{V: rt.sm.Boundary[m][bi], Dist: d})
 				}
 				if d := dT[p]; d <= C {
-					req.RSeeds = append(req.RSeeds, api.ShardSeed{V: int64(rt.sm.Boundary[m][bi]), Dist: d})
+					q.RSeeds = append(q.RSeeds, spath.Seed{V: rt.sm.Boundary[m][bi], Dist: d})
 				}
 			}
 			if m == i {
-				req.Seeds = append(req.Seeds, api.ShardSeed{V: rs.src, Dist: 0})
+				q.Seeds = append(q.Seeds, spath.Seed{V: roadnet.VertexID(rs.src), Dist: 0})
 			}
 			if m == j {
-				req.RSeeds = append(req.RSeeds, api.ShardSeed{V: rs.dst, Dist: 0})
+				q.RSeeds = append(q.RSeeds, spath.Seed{V: roadnet.VertexID(rs.dst), Dist: 0})
 			}
-			body, _ := json.Marshal(req)
 			rt.obs.shardCalls.With(fmt.Sprint(m), "corridor").Inc()
-			status, respBody, meta, err := rt.callShard(ctx, m, http.MethodPost, "/shard/corridor", body)
+			status, respBody, meta, err := rt.callShard(ctx, m, http.MethodPost, "/shard/corridor", pathrank.ShardWireContentType, pathrank.EncodeCorridorQuery(q))
 			mu.Lock()
 			st := stats[m]
 			if st == nil {
@@ -369,17 +347,16 @@ func (rt *Router) extractCorridor(ctx context.Context, rs resolved, dS, dT []flo
 				errs[pi] = shardHTTPError(m, status, respBody)
 				return
 			}
-			var resp api.CorridorResponse
-			if err := json.Unmarshal(respBody, &resp); err != nil {
-				errs[pi] = shardProtocolError(m, fmt.Sprintf("unreadable corridor response: %v", err))
+			ans, err := pathrank.DecodeCorridorAnswer(respBody)
+			if err != nil {
+				errs[pi] = shardProtocolError(m, err.Error())
 				return
 			}
-			if resp.Fingerprint != rt.sm.Fingerprint {
-				errs[pi] = shardProtocolError(m, fmt.Sprintf(
-					"serves fingerprint %.12s, bundle is %.12s", resp.Fingerprint, rt.sm.Fingerprint))
+			if defect := rt.checkCorridor(m, ans); defect != "" {
+				errs[pi] = shardProtocolError(m, defect)
 				return
 			}
-			responses[pi] = &resp
+			answers[pi] = ans
 		}(pi, m)
 	}
 	wg.Wait()
@@ -388,66 +365,168 @@ func (rt *Router) extractCorridor(ctx context.Context, rs resolved, dS, dT []flo
 			return nil, e
 		}
 	}
-	return rt.fuse(responses, dS, dT, C, rs)
+	return rt.fuse(parts, answers, dS, dT, C, rs)
+}
+
+// checkCorridor describes the first way shard m's corridor breaks the
+// bundle's contract, or returns "". Every vertex must be in range and owned
+// by m, and every edge in range, between two vertices m owns, with a
+// finite non-negative length and time: the router scores paths under these
+// global IDs against the model's tables, and fuse relies on shards sending
+// disjoint vertex sets. Order is fuse's to check.
+func (rt *Router) checkCorridor(m int, a *pathrank.CorridorAnswer) string {
+	if a.Fingerprint != rt.fp {
+		return fmt.Sprintf("serves fingerprint %.6x, bundle is %.6x", a.Fingerprint, rt.fp)
+	}
+	owned := func(v roadnet.VertexID) bool {
+		return v >= 0 && int(v) < rt.sm.NumVertices && rt.sm.Owner[v] == int32(m)
+	}
+	for i := 0; i < a.NumVertices(); i++ {
+		if v := a.Vertex(i).ID; !owned(v) {
+			return fmt.Sprintf("corridor vertex %d is not a vertex this shard owns", uint32(v))
+		}
+	}
+	cost := func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+	for i := 0; i < a.NumEdges(); i++ {
+		e := a.Edge(i)
+		switch {
+		case e.ID < 0 || int(e.ID) >= rt.sm.NumEdges:
+			return fmt.Sprintf("corridor edge %d out of range [0,%d)", uint32(e.ID), rt.sm.NumEdges)
+		case !owned(e.From) || !owned(e.To):
+			return fmt.Sprintf("corridor edge %d joins %d→%d, not two vertices this shard owns", e.ID, uint32(e.From), uint32(e.To))
+		case !cost(e.Length) || !cost(e.Time):
+			return fmt.Sprintf("corridor edge %d has length %g and time %g, not finite non-negative costs", e.ID, e.Length, e.Time)
+		}
+	}
+	return ""
 }
 
 // fuse assembles the shard corridors and the qualifying cut edges into a
-// dense sub-road-network. Shards own disjoint vertex sets, so the
-// corridors are disjoint; cut edges are the only edges between them.
-func (rt *Router) fuse(responses []*api.CorridorResponse, dS, dT []float64, C float64, rs resolved) (*fusedGraph, *api.Error) {
-	var wireV []api.CorridorVertex
-	var wireE []api.CorridorEdge
-	for _, resp := range responses {
-		wireV = append(wireV, resp.Vertices...)
-		wireE = append(wireE, resp.Edges...)
-	}
+// dense sub-road-network whose local IDs follow global ones. Each shard
+// lists its corridor in ascending global IDs and shards own disjoint
+// vertex sets (checkCorridor), so merging the per-shard runs — and, for
+// edges, the cut edges, the only edges between corridors — yields global
+// order without a sort. An answer out of order shows up as a merged ID
+// that fails to ascend.
+func (rt *Router) fuse(parts []int, answers []*pathrank.CorridorAnswer, dS, dT []float64, C float64, rs resolved) (*fusedGraph, *api.Error) {
 	// A cut edge joins the corridor when both endpoints can lie on a
 	// bounded path; endpoints of cut edges are always boundary vertices,
 	// so their exact distances are at hand.
+	var cut []roadnet.Edge
 	for _, e := range rt.sm.CutEdges {
 		pu, pv := rt.bpos[e.From], rt.bpos[e.To]
 		if dS[pu]+dT[pu] <= C && dS[pv]+dT[pv] <= C {
-			wireE = append(wireE, api.CorridorEdge{
-				ID: int64(e.ID), From: int64(e.From), To: int64(e.To),
-				LengthM: e.Length, TimeS: e.Time, Category: uint8(e.Category),
-			})
+			cut = append(cut, e)
 		}
 	}
-	sort.Slice(wireV, func(a, b int) bool { return wireV[a].ID < wireV[b].ID })
-	sort.Slice(wireE, func(a, b int) bool { return wireE[a].ID < wireE[b].ID })
-
+	// runs[k] is answer k's record count; the last run is the cut edges.
+	runs := make([]int, len(answers)+1)
+	nv, ne := 0, len(cut)
+	for _, a := range answers {
+		nv += a.NumVertices()
+		ne += a.NumEdges()
+	}
 	fg := &fusedGraph{
-		globalV: make([]roadnet.VertexID, len(wireV)),
-		globalE: make([]roadnet.EdgeID, len(wireE)),
-		local:   make(map[int64]roadnet.VertexID, len(wireV)),
+		globalV: make([]roadnet.VertexID, 0, nv),
+		globalE: make([]roadnet.EdgeID, 0, ne),
 	}
-	vertices := make([]roadnet.Vertex, len(wireV))
-	for li, v := range wireV {
-		fg.globalV[li] = roadnet.VertexID(v.ID)
-		fg.local[v.ID] = roadnet.VertexID(li)
-		vertices[li] = roadnet.Vertex{ID: roadnet.VertexID(li), Point: geo.Point{Lon: v.Lon, Lat: v.Lat}}
-	}
-	edges := make([]roadnet.Edge, 0, len(wireE))
-	for _, e := range wireE {
-		lf, okF := fg.local[e.From]
-		lt, okT := fg.local[e.To]
-		if !okF || !okT {
-			return nil, shardProtocolError(-1, fmt.Sprintf("corridor edge %d references vertex outside the fused corridor", e.ID))
+	vertices := make([]roadnet.Vertex, 0, nv)
+	edges := make([]roadnet.Edge, 0, ne)
+	var bad *api.Error
+	fail := func(run int, format string, args ...any) bool {
+		shard := -1 // the router's own cut edges
+		if run < len(parts) {
+			shard = parts[run]
 		}
-		fg.globalE[len(edges)] = roadnet.EdgeID(e.ID)
+		bad = shardProtocolError(shard, fmt.Sprintf(format, args...))
+		return false
+	}
+
+	for k, a := range answers {
+		runs[k] = a.NumVertices()
+	}
+	vertexID := func(run, i int) int32 { return int32(answers[run].Vertex(i).ID) }
+	mergeRuns(runs[:len(answers)], vertexID, func(run, i int) bool {
+		v := answers[run].Vertex(i)
+		if n := len(fg.globalV); n > 0 && v.ID <= fg.globalV[n-1] {
+			return fail(run, "corridor vertex %d out of ascending order", v.ID)
+		}
+		fg.globalV = append(fg.globalV, v.ID)
+		vertices = append(vertices, roadnet.Vertex{ID: roadnet.VertexID(len(vertices)), Point: v.Point})
+		return true
+	})
+	if bad != nil {
+		return nil, bad
+	}
+
+	for k, a := range answers {
+		runs[k] = a.NumEdges()
+	}
+	runs[len(answers)] = len(cut)
+	edge := func(run, i int) roadnet.Edge {
+		if run == len(answers) {
+			return cut[i]
+		}
+		return answers[run].Edge(i)
+	}
+	edgeID := func(run, i int) int32 { return int32(edge(run, i).ID) }
+	mergeRuns(runs, edgeID, func(run, i int) bool {
+		e := edge(run, i)
+		if n := len(fg.globalE); n > 0 && e.ID <= fg.globalE[n-1] {
+			return fail(run, "corridor edge %d out of ascending order or sent twice", e.ID)
+		}
+		lf, okF := fg.local(e.From)
+		lt, okT := fg.local(e.To)
+		if !okF || !okT {
+			return fail(run, "corridor edge %d references vertex outside the fused corridor", e.ID)
+		}
+		fg.globalE = append(fg.globalE, e.ID)
 		edges = append(edges, roadnet.Edge{
 			ID: roadnet.EdgeID(len(edges)), From: lf, To: lt,
-			Length: e.LengthM, Time: e.TimeS, Category: roadnet.Category(e.Category),
+			Length: e.Length, Time: e.Time, Category: e.Category,
 		})
+		return true
+	})
+	if bad != nil {
+		return nil, bad
 	}
-	if _, ok := fg.local[rs.src]; !ok {
-		return nil, shardProtocolError(int(rt.sm.Owner[rs.src]), "corridor response omits the source vertex")
+	if _, ok := fg.local(roadnet.VertexID(rs.src)); !ok {
+		return nil, shardProtocolError(int(rt.sm.Owner[rs.src]), "corridor answer omits the source vertex")
 	}
-	if _, ok := fg.local[rs.dst]; !ok {
-		return nil, shardProtocolError(int(rt.sm.Owner[rs.dst]), "corridor response omits the destination vertex")
+	if _, ok := fg.local(roadnet.VertexID(rs.dst)); !ok {
+		return nil, shardProtocolError(int(rt.sm.Owner[rs.dst]), "corridor answer omits the destination vertex")
 	}
 	fg.g = roadnet.NewGraphFromData(vertices, edges)
 	return fg, nil
+}
+
+// mergeRuns visits the records of ascending runs in merged order: each step
+// emits the run whose next key is smallest, until every run is spent or
+// emit returns false. runs[r] is run r's length. There is one run per
+// participating shard (and one more), so the heads are scanned linearly;
+// each record's key is read once.
+func mergeRuns(runs []int, key func(run, i int) int32, emit func(run, i int) bool) {
+	next := make([]int, len(runs))
+	head := make([]int32, len(runs))
+	for r, n := range runs {
+		if n > 0 {
+			head[r] = key(r, 0)
+		}
+	}
+	for {
+		best := -1
+		for r, n := range runs {
+			if next[r] < n && (best < 0 || head[r] < head[best]) {
+				best = r
+			}
+		}
+		if best < 0 || !emit(best, next[best]) {
+			return
+		}
+		if next[best]++; next[best] < runs[best] {
+			head[best] = key(best, next[best])
+		}
+	}
 }
 
 // enumerate runs the ordinary candidate generation on the fused corridor
@@ -455,5 +534,7 @@ func (rt *Router) fuse(responses []*api.CorridorResponse, dS, dT []float64, C fl
 // enumeration statistics for the certification check.
 func (rt *Router) enumerate(ctx context.Context, fg *fusedGraph, rs resolved) ([]spath.Path, spath.EnumStats, error) {
 	cfg := dataset.Config{Strategy: rs.Strategy, K: rs.K, Threshold: rs.Threshold, MaxProbe: rs.MaxProbe}
-	return cfg.Candidates(ctx, fg.g, nil, rs.Weight.Weight(), nil, fg.local[rs.src], fg.local[rs.dst])
+	src, _ := fg.local(roadnet.VertexID(rs.src))
+	dst, _ := fg.local(roadnet.VertexID(rs.dst))
+	return cfg.Candidates(ctx, fg.g, nil, rs.Weight.Weight(), nil, src, dst)
 }

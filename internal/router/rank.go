@@ -132,27 +132,16 @@ func (rt *Router) proxyRank(ctx context.Context, shard int, q api.RankQuery) (*a
 		return nil, &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Message: err.Error()}
 	}
 	rt.obs.shardCalls.With(fmt.Sprint(shard), "proxy").Inc()
-	status, respBody, meta, err := rt.callShard(ctx, shard, http.MethodPost, "/v2/rank", body)
+	status, respBody, meta, err := rt.callShard(ctx, shard, http.MethodPost, "/v2/rank", "application/json", body)
 	if err != nil {
 		return nil, shardUnavailable(shard, err)
 	}
 	if status != http.StatusOK {
-		var env api.ErrorEnvelope
-		if err := json.Unmarshal(respBody, &env); err != nil || env.Error == nil {
-			return nil, &api.Error{
-				Status: http.StatusServiceUnavailable, Code: api.CodeShardUnavailable,
-				Message: fmt.Sprintf("shard %d: HTTP %d with unreadable error body", shard, status),
-			}
-		}
-		env.Error.Status = status
-		return nil, env.Error
+		return nil, shardHTTPError(shard, status, respBody)
 	}
 	var res api.RankResult
 	if err := json.Unmarshal(respBody, &res); err != nil {
-		return nil, &api.Error{
-			Status: http.StatusServiceUnavailable, Code: api.CodeShardUnavailable,
-			Message: fmt.Sprintf("shard %d: unreadable rank response: %v", shard, err),
-		}
+		return nil, shardProtocolError(shard, fmt.Sprintf("unreadable rank response: %v", err))
 	}
 	if q.Explain {
 		if res.Stats == nil {

@@ -29,6 +29,8 @@ package router
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,6 +87,7 @@ type Router struct {
 	cfg   Config
 	sm    *partition.ShardMap
 	model *pathrank.Model
+	fp    [sha256.Size]byte // sm.Fingerprint as the shard wire carries it
 	start time.Time
 
 	// boundary is the global separator in table order; bpos[v] is a
@@ -146,7 +149,12 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 		return nil, err
 	}
 	model.Prepare() // the router scores stitched candidates itself
+	var fp [sha256.Size]byte
+	if n, err := hex.Decode(fp[:], []byte(sm.Fingerprint)); err != nil || n != len(fp) {
+		return nil, fmt.Errorf("router: shard map fingerprint %q is not a hex SHA-256", sm.Fingerprint)
+	}
 	rt := &Router{
+		fp:     fp,
 		cfg:    cfg,
 		sm:     sm,
 		model:  model,
@@ -375,7 +383,9 @@ type callMeta struct {
 // a duplicate attempt fires when the first is still unanswered after
 // HedgeAfter (or immediately, when the first fails at transport level);
 // the first transport-level success wins, whatever its HTTP status.
-func (rt *Router) callShard(ctx context.Context, shard int, method, path string, body []byte) (int, []byte, callMeta, error) {
+// contentType is body's type: JSON for a proxied /v2/rank query, the shard
+// wire's for a boundary or corridor sub-query.
+func (rt *Router) callShard(ctx context.Context, shard int, method, path, contentType string, body []byte) (int, []byte, callMeta, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type attemptResult struct {
@@ -399,7 +409,7 @@ func (rt *Router) callShard(ctx context.Context, shard int, method, path string,
 			return
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", contentType)
 		}
 		resp, err := rt.client.Do(req)
 		if err != nil {
@@ -474,5 +484,29 @@ func shardUnavailable(shard int, err error) *api.Error {
 		Status:  api.HTTPStatus(code),
 		Code:    code,
 		Message: fmt.Sprintf("shard %d unreachable: %v", shard, err),
+	}
+}
+
+// shardHTTPError relays a shard's own typed error; an unreadable body
+// degrades to shard_unavailable.
+func shardHTTPError(shard, status int, body []byte) *api.Error {
+	var env api.ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err == nil && env.Error != nil {
+		env.Error.Status = status
+		return env.Error
+	}
+	return &api.Error{
+		Status: http.StatusServiceUnavailable, Code: api.CodeShardUnavailable,
+		Message: fmt.Sprintf("shard %d: HTTP %d with unreadable error body", shard, status),
+	}
+}
+
+// shardProtocolError reports a shard answering outside the bundle's
+// contract (wrong generation, malformed payload) as shard_unavailable:
+// retrying may reach a recovered or re-deployed worker.
+func shardProtocolError(shard int, msg string) *api.Error {
+	return &api.Error{
+		Status: http.StatusServiceUnavailable, Code: api.CodeShardUnavailable,
+		Message: fmt.Sprintf("shard %d: %s", shard, msg),
 	}
 }

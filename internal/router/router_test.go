@@ -6,9 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pathrank/internal/api"
@@ -31,6 +35,50 @@ type deployment struct {
 	router    *httptest.Server
 	shards    []*httptest.Server
 	reference *httptest.Server
+
+	// tamper, when set, rewrites each 200 body a shard worker answers on
+	// a sub-query path before it leaves the worker.
+	tamper atomic.Pointer[func(shard int, path string, body []byte) []byte]
+	// corridorBytes and corridorCalls count /shard/corridor answers.
+	corridorBytes, corridorCalls atomic.Int64
+}
+
+// countingWriter counts the body bytes written through it.
+type countingWriter struct {
+	http.ResponseWriter
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.ResponseWriter.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// tap sits in front of shard worker shard's handler: it counts corridor
+// bytes and applies d.tamper.
+func (d *deployment) tap(shard int, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		tamper := d.tamper.Load()
+		if tamper == nil || !strings.HasPrefix(r.URL.Path, "/shard/") {
+			cw := &countingWriter{ResponseWriter: w}
+			h.ServeHTTP(cw, r)
+			if r.URL.Path == "/shard/corridor" {
+				d.corridorBytes.Add(cw.n)
+				d.corridorCalls.Add(1)
+			}
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Code == http.StatusOK {
+			body = (*tamper)(shard, r.URL.Path, body)
+		}
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	})
 }
 
 // buildDeployment partitions a jittered random grid into parts shards and
@@ -80,7 +128,7 @@ func buildDeployment(t testing.TB, seed int64, parts int) *deployment {
 		if err != nil {
 			t.Fatalf("shard %d worker: %v", i, err)
 		}
-		ts := httptest.NewServer(ss.Handler())
+		ts := httptest.NewServer(d.tap(i, ss.Handler()))
 		t.Cleanup(ts.Close)
 		d.shards = append(d.shards, ts)
 		urls[i] = ts.URL
@@ -530,6 +578,160 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 	}
 }
 
+// TestRouterRejectsMalformedShardAnswers: a shard answer that decodes but
+// breaks the bundle's contract — out-of-range or foreign IDs, costs that
+// are no costs, records out of order, another generation — fails the
+// query with the typed shard_unavailable error before anything is fused or
+// scored. Each case rewrites the well-formed frames real workers send.
+func TestRouterRejectsMalformedShardAnswers(t *testing.T) {
+	d := buildDeployment(t, 5, 2)
+	cross := d.pairs(true, 1)
+	if len(cross) == 0 {
+		t.Fatal("no cross-shard pairs")
+	}
+	nv, ne := roadnet.VertexID(d.sm.NumVertices), roadnet.EdgeID(d.sm.NumEdges)
+	foreign := func(shard int) roadnet.VertexID {
+		for v, s := range d.sm.Owner {
+			if int(s) != shard {
+				return roadnet.VertexID(v)
+			}
+		}
+		t.Fatal("one shard owns everything")
+		return 0
+	}
+	// corridor rewrites every corridor answer through edit.
+	corridor := func(edit func(shard int, fp *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge)) func(int, string, []byte) []byte {
+		return func(shard int, path string, body []byte) []byte {
+			if path != "/shard/corridor" {
+				return body
+			}
+			a, err := pathrank.DecodeCorridorAnswer(body)
+			if err != nil {
+				t.Errorf("worker sent an unreadable corridor: %v", err)
+				return body
+			}
+			vs := make([]roadnet.Vertex, a.NumVertices())
+			for i := range vs {
+				vs[i] = a.Vertex(i)
+			}
+			es := make([]roadnet.Edge, a.NumEdges())
+			for i := range es {
+				es[i] = a.Edge(i)
+			}
+			if len(vs) < 2 || len(es) < 1 {
+				t.Errorf("shard %d corridor too small to tamper with: %d vertices, %d edges", shard, len(vs), len(es))
+				return body
+			}
+			fp := a.Fingerprint
+			vs, es = edit(shard, &fp, vs, es)
+			return pathrank.EncodeCorridorAnswer(fp, vs, es)
+		}
+	}
+	boundary := func(edit func(a *pathrank.BoundaryAnswer)) func(int, string, []byte) []byte {
+		return func(_ int, path string, body []byte) []byte {
+			if path != "/shard/boundary" {
+				return body
+			}
+			a, err := pathrank.DecodeBoundaryAnswer(body)
+			if err != nil {
+				t.Errorf("worker sent an unreadable boundary answer: %v", err)
+				return body
+			}
+			edit(&a)
+			return pathrank.EncodeBoundaryAnswer(a)
+		}
+	}
+
+	for _, tc := range []struct {
+		name, want string
+		tamper     func(int, string, []byte) []byte
+	}{
+		{"vertex out of range", "not a vertex this shard owns",
+			corridor(func(_ int, _ *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge) {
+				vs[len(vs)-1].ID = nv
+				return vs, es
+			})},
+		{"vertex owned by another shard", "not a vertex this shard owns",
+			corridor(func(shard int, _ *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge) {
+				return append(vs, roadnet.Vertex{ID: foreign(shard)}), es
+			})},
+		{"edge out of range", "out of range",
+			corridor(func(_ int, _ *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge) {
+				es[len(es)-1].ID = ne
+				return vs, es
+			})},
+		{"negative edge ID", "out of range",
+			corridor(func(_ int, _ *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge) {
+				es[0].ID = -1
+				return vs, es
+			})},
+		{"edge into another shard", "not two vertices this shard owns",
+			corridor(func(shard int, _ *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge) {
+				es[0].To = foreign(shard)
+				return vs, es
+			})},
+		{"NaN length", "not finite non-negative costs",
+			corridor(func(_ int, _ *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge) {
+				es[0].Length = math.NaN()
+				return vs, es
+			})},
+		{"infinite time", "not finite non-negative costs",
+			corridor(func(_ int, _ *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge) {
+				es[0].Time = math.Inf(1)
+				return vs, es
+			})},
+		{"negative length", "not finite non-negative costs",
+			corridor(func(_ int, _ *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge) {
+				es[0].Length = -1
+				return vs, es
+			})},
+		{"vertices out of order", "out of ascending order",
+			corridor(func(_ int, _ *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge) {
+				vs[0], vs[1] = vs[1], vs[0]
+				return vs, es
+			})},
+		{"edge sent twice", "out of ascending order or sent twice",
+			corridor(func(_ int, _ *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge) {
+				return vs, append(es, es[len(es)-1])
+			})},
+		{"corridor of another generation", "serves fingerprint",
+			corridor(func(_ int, fp *[32]byte, vs []roadnet.Vertex, es []roadnet.Edge) ([]roadnet.Vertex, []roadnet.Edge) {
+				fp[0] ^= 1
+				return vs, es
+			})},
+		{"truncated corridor frame", "corridor answer",
+			func(_ int, path string, body []byte) []byte {
+				if path == "/shard/corridor" {
+					return body[:len(body)-1]
+				}
+				return body
+			}},
+		{"NaN boundary distance", "not a cost",
+			boundary(func(a *pathrank.BoundaryAnswer) { a.Dist[0] = math.NaN() })},
+		{"negative boundary distance", "not a cost",
+			boundary(func(a *pathrank.BoundaryAnswer) { a.Dist[len(a.Dist)-1] = -1 })},
+		{"short boundary vector", "entries, shard map says",
+			boundary(func(a *pathrank.BoundaryAnswer) { a.Dist = a.Dist[1:] })},
+		{"boundary answer of another generation", "serves fingerprint",
+			boundary(func(a *pathrank.BoundaryAnswer) { a.Fingerprint[5] ^= 1 })},
+	} {
+		d.tamper.Store(&tc.tamper)
+		_, apiErr, resp := postRank(t, d.router.URL, api.RankQuery{Src: cross[0][0], Dst: cross[0][1], K: 3})
+		d.tamper.Store(nil)
+		if apiErr == nil {
+			t.Fatalf("%s: the router answered from a malformed shard answer", tc.name)
+		}
+		if apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != api.CodeShardUnavailable ||
+			!strings.Contains(apiErr.Message, tc.want) || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: got %d %s %q, want 503 %s mentioning %q", tc.name, apiErr.Status, apiErr.Code, apiErr.Message, api.CodeShardUnavailable, tc.want)
+		}
+	}
+	// Untampered, the same query is answered: each case failed on its defect.
+	if _, apiErr, _ := postRank(t, d.router.URL, api.RankQuery{Src: cross[0][0], Dst: cross[0][1], K: 3}); apiErr != nil {
+		t.Fatalf("untampered query: %v", apiErr)
+	}
+}
+
 // benchDeployment builds one deployment for the routing benchmarks and
 // returns a representative co-resident and cross-shard query.
 func benchDeployment(b *testing.B) (*deployment, api.RankQuery, api.RankQuery) {
@@ -570,7 +772,15 @@ func BenchmarkRouterRankCoShard(b *testing.B) {
 	benchRank(b, d.router.URL, co)
 }
 
-func BenchmarkRouterRankCrossShard(b *testing.B) {
+// BenchmarkCrossShardQuery answers one fixed cross-shard pair through the
+// router, with its two shard workers in process on loopback. allocs/op
+// counts the router's and the workers' allocations together, and
+// corridor-B/call is the size of each corridor answer: both are properties
+// of the code, the same on any machine.
+func BenchmarkCrossShardQuery(b *testing.B) {
 	d, _, cross := benchDeployment(b)
 	benchRank(b, d.router.URL, cross)
+	if calls := d.corridorCalls.Load(); calls > 0 {
+		b.ReportMetric(float64(d.corridorBytes.Load())/float64(calls), "corridor-B/call")
+	}
 }

@@ -6,6 +6,9 @@
 //	POST /shard/boundary  — exact distances src→boundary or boundary→dst
 //	POST /shard/corridor  — corridor subgraph extraction under a bound
 //
+// The two sub-queries and their answers are shard-wire frames
+// (internal/pathrank's shardwire.go); /shard/info and every error are JSON.
+//
 // Everything else — /v2/rank for co-resident queries, hot swap, canary
 // gating, /healthz, /metrics — is the wrapped serve.Server's handler,
 // unchanged: a shard worker is an ordinary PathRank server whose graph
@@ -14,6 +17,8 @@
 package shardserve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"net/http"
@@ -88,25 +93,30 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// parseWeight maps the wire weight name onto the edge metric; "length"
-// and "" are the default.
-func parseWeight(name string) (spath.Weight, *api.Error) {
-	wk, err := pathrank.ParseWeightKind(name)
-	if err != nil {
-		return nil, pathrank.APIError(err)
-	}
-	return wk.Weight(), nil
+// fingerprint is the snapshot's model fingerprint as the wire carries it.
+// The snapshot computes the hex form from a SHA-256, so it always decodes;
+// were it ever not to, the router would refuse the mismatch.
+func fingerprint(sn serve.Snapshot) (fp [sha256.Size]byte) {
+	_, _ = hex.Decode(fp[:], []byte(sn.Fingerprint()))
+	return fp
+}
+
+// writeFrame answers 200 with one shard-wire frame.
+func writeFrame(w http.ResponseWriter, frame []byte) {
+	w.Header().Set("Content-Type", pathrank.ShardWireContentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(frame) // the status line is out; a dead client is all that can fail here
 }
 
 func (s *Server) handleBoundary(w http.ResponseWriter, r *http.Request) {
-	var req api.BoundaryRequest
-	if apiErr := api.DecodeJSON(w, r, maxShardBody, &req); apiErr != nil {
+	body, apiErr := api.ReadBody(w, r, maxShardBody)
+	if apiErr != nil {
 		api.WriteError(w, apiErr)
 		return
 	}
-	weight, apiErr := parseWeight(req.Weight)
-	if apiErr != nil {
-		api.WriteError(w, apiErr)
+	q, err := pathrank.DecodeBoundaryQuery(body)
+	if err != nil {
+		api.WriteError(w, api.Invalidf("%v", err))
 		return
 	}
 	sn, art, sh, apiErr := s.shardView()
@@ -115,64 +125,49 @@ func (s *Server) handleBoundary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g := art.Graph
-	if req.V < 0 || req.V >= int64(g.NumVertices()) {
-		api.WriteError(w, api.Invalidf("v must be in [0,%d)", g.NumVertices()))
+	if q.V < 0 || int(q.V) >= g.NumVertices() {
+		api.WriteError(w, api.Invalidf("v must be in [0,%d), got %d", g.NumVertices(), uint32(q.V)))
 		return
 	}
-	v := roadnet.VertexID(req.V)
 	out := make([]float64, len(sh.Boundary))
 	ws := spath.GetWorkspace(g)
-	switch req.Dir {
-	case "fwd":
-		ws.BoundedDistances(g, v, sh.Boundary, math.Inf(1), weight, out)
-	case "rev":
-		ws.BoundedDistancesRev(g, v, sh.Boundary, math.Inf(1), weight, out)
-	default:
-		ws.Release()
-		api.WriteError(w, api.Invalidf("dir must be fwd or rev, got %q", req.Dir))
-		return
+	if q.Rev {
+		ws.BoundedDistancesRev(g, q.V, sh.Boundary, math.Inf(1), q.Weight.Weight(), out)
+	} else {
+		ws.BoundedDistances(g, q.V, sh.Boundary, math.Inf(1), q.Weight.Weight(), out)
 	}
 	ws.Release()
-	for i, d := range out {
-		if math.IsInf(d, 1) {
-			out[i] = -1
-		}
-	}
-	api.WriteJSON(w, http.StatusOK, api.BoundaryResponse{
-		Shard: sh.Index, Fingerprint: sn.Fingerprint(), Dist: out,
-	})
+	writeFrame(w, pathrank.EncodeBoundaryAnswer(pathrank.BoundaryAnswer{Fingerprint: fingerprint(sn), Dist: out}))
 }
 
-// wireSeeds converts wire seeds to search seeds, dropping unreachable
-// entries (Dist < 0, the wire encoding of +Inf) and rejecting IDs outside
-// the vertex table.
-func wireSeeds(in []api.ShardSeed, n int) ([]spath.Seed, *api.Error) {
-	seeds := make([]spath.Seed, 0, len(in))
-	for _, s := range in {
-		if s.Dist < 0 {
-			continue
+// checkSeeds rejects seeds outside the vertex table and seed distances
+// that are no cost: NaN or negative (+Inf is an unreachable seed, which the
+// sweep skips).
+func checkSeeds(seeds []spath.Seed, n int) *api.Error {
+	for _, s := range seeds {
+		if s.V < 0 || int(s.V) >= n {
+			return api.Invalidf("seed vertex %d out of range [0,%d)", uint32(s.V), n)
 		}
-		if s.V < 0 || s.V >= int64(n) {
-			return nil, api.Invalidf("seed vertex %d out of range [0,%d)", s.V, n)
+		if math.IsNaN(s.Dist) || s.Dist < 0 {
+			return api.Invalidf("seed vertex %d has distance %g, want a non-negative cost", s.V, s.Dist)
 		}
-		seeds = append(seeds, spath.Seed{V: roadnet.VertexID(s.V), Dist: s.Dist})
 	}
-	return seeds, nil
+	return nil
 }
 
 func (s *Server) handleCorridor(w http.ResponseWriter, r *http.Request) {
-	var req api.CorridorRequest
-	if apiErr := api.DecodeJSON(w, r, maxShardBody, &req); apiErr != nil {
-		api.WriteError(w, apiErr)
-		return
-	}
-	weight, apiErr := parseWeight(req.Weight)
+	body, apiErr := api.ReadBody(w, r, maxShardBody)
 	if apiErr != nil {
 		api.WriteError(w, apiErr)
 		return
 	}
-	if req.Bound < 0 || math.IsInf(req.Bound, 0) || math.IsNaN(req.Bound) {
-		api.WriteError(w, api.Invalidf("bound must be finite and non-negative, got %g", req.Bound))
+	q, err := pathrank.DecodeCorridorQuery(body)
+	if err != nil {
+		api.WriteError(w, api.Invalidf("%v", err))
+		return
+	}
+	if q.Bound < 0 || math.IsInf(q.Bound, 0) || math.IsNaN(q.Bound) {
+		api.WriteError(w, api.Invalidf("bound must be finite and non-negative, got %g", q.Bound))
 		return
 	}
 	sn, art, sh, apiErr := s.shardView()
@@ -181,55 +176,51 @@ func (s *Server) handleCorridor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g := art.Graph
-	n := g.NumVertices()
-	seeds, apiErr := wireSeeds(req.Seeds, n)
-	if apiErr == nil {
-		var rseeds []spath.Seed
-		rseeds, apiErr = wireSeeds(req.RSeeds, n)
-		if apiErr == nil {
-			api.WriteJSON(w, http.StatusOK, corridor(g, sh, sn.Fingerprint(), seeds, rseeds, req.Bound, weight))
-			return
-		}
+	if apiErr := checkSeeds(q.Seeds, g.NumVertices()); apiErr != nil {
+		api.WriteError(w, apiErr)
+		return
 	}
-	api.WriteError(w, apiErr)
+	if apiErr := checkSeeds(q.RSeeds, g.NumVertices()); apiErr != nil {
+		api.WriteError(w, apiErr)
+		return
+	}
+	writeFrame(w, corridor(g, sh, fingerprint(sn), q))
 }
 
 // corridor runs the two seeded sweeps and extracts the corridor subgraph:
 // every vertex v with fwd(v)+rev(v) <= bound (these are exact full-graph
 // source/destination distances when the seeds carry exact boundary
 // distances — see internal/partition's separator property) and every
-// induced edge with both endpoints inside. The sweeps run on the shard's
-// induced subgraph, so every vertex they reach beyond the seeds is owned
-// by this shard.
-func corridor(g *roadnet.Graph, sh *pathrank.ShardInfo, fp string, seeds, rseeds []spath.Seed, bound float64, weight spath.Weight) api.CorridorResponse {
+// induced edge with both endpoints inside, both in ascending global ID
+// order. The sweeps run on the shard's induced subgraph, so every vertex
+// they reach beyond the seeds is owned by this shard.
+func corridor(g *roadnet.Graph, sh *pathrank.ShardInfo, fp [sha256.Size]byte, q pathrank.CorridorQuery) []byte {
 	n := g.NumVertices()
 	fwd := make([]float64, n)
 	rev := make([]float64, n)
+	weight := q.Weight.Weight()
 	ws := spath.GetWorkspace(g)
-	ws.SeededDistances(g, seeds, bound, weight, fwd)
-	ws.SeededDistancesRev(g, rseeds, bound, weight, rev)
+	ws.SeededDistances(g, q.Seeds, q.Bound, weight, fwd)
+	ws.SeededDistancesRev(g, q.RSeeds, q.Bound, weight, rev)
 	ws.Release()
 
-	resp := api.CorridorResponse{Shard: sh.Index, Fingerprint: fp}
+	var vertices []roadnet.Vertex
 	in := make([]bool, n)
 	for v := 0; v < n; v++ {
-		if fwd[v]+rev[v] <= bound {
+		if fwd[v]+rev[v] <= q.Bound {
 			in[v] = true
-			vert := g.Vertex(roadnet.VertexID(v))
-			resp.Vertices = append(resp.Vertices, api.CorridorVertex{
-				ID: int64(v), Lon: vert.Point.Lon, Lat: vert.Point.Lat,
-			})
+			vertices = append(vertices, g.Vertex(roadnet.VertexID(v)))
 		}
 	}
+	// Local edge IDs follow global edge order (partition.ExtractShard), so
+	// the induced edges come out ascending under their global IDs too.
+	var edges []roadnet.Edge
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(roadnet.EdgeID(i))
 		if in[e.From] && in[e.To] {
-			resp.Edges = append(resp.Edges, api.CorridorEdge{
-				ID:   int64(sh.EdgeGlobal[e.ID]),
-				From: int64(e.From), To: int64(e.To),
-				LengthM: e.Length, TimeS: e.Time, Category: uint8(e.Category),
-			})
+			e.ID = sh.EdgeGlobal[e.ID]
+			edges = append(edges, e)
 		}
 	}
-	return resp
+	return pathrank.EncodeCorridorAnswer(fp, vertices, edges)
 }

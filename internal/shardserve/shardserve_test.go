@@ -1,12 +1,13 @@
 package shardserve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"pathrank/internal/api"
@@ -16,6 +17,7 @@ import (
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/serve"
+	"pathrank/internal/spath"
 )
 
 // shardWorld builds a small artifact, partitions it in two, and returns
@@ -59,6 +61,15 @@ func TestNewRejectsNonShardArtifact(t *testing.T) {
 	}
 }
 
+// reseal rebuilds a frame around a mutated copy of its payload, under the
+// frame's own magic and version, so a defect inside the payload reaches the
+// payload decoder instead of failing the checksum.
+func reseal(frame []byte, mutate func(payload []byte) []byte) []byte {
+	payload := mutate(bytes.Clone(frame[pathrank.FrameHeaderLen:]))
+	h := pathrank.EncodeFrame([8]byte(frame[:8]), binary.BigEndian.Uint32(frame[8:12]), payload)
+	return append(h[:], payload...)
+}
+
 // TestSubQueryValidation: every malformed shard sub-query is answered with
 // the typed error envelope and the right status, never a panic or a 200.
 func TestSubQueryValidation(t *testing.T) {
@@ -75,30 +86,71 @@ func TestSubQueryValidation(t *testing.T) {
 	ts := httptest.NewServer(ss.Handler())
 	defer ts.Close()
 	n := shard.Graph.NumVertices()
-	oversized := `{"v":0,"dir":"fwd",` + strings.Repeat(" ", maxShardBody) + `"weight":"length"}`
+	b0 := shard.Shard.Boundary[0]
+	boundary := pathrank.EncodeBoundaryQuery(pathrank.BoundaryQuery{V: b0})
+	corridor := pathrank.EncodeCorridorQuery(pathrank.CorridorQuery{
+		Bound: 10, Seeds: []spath.Seed{{V: b0}}, RSeeds: []spath.Seed{{V: b0}},
+	})
+	seeds := func(s, r []spath.Seed) []byte {
+		return pathrank.EncodeCorridorQuery(pathrank.CorridorQuery{Bound: 10, Seeds: s, RSeeds: r})
+	}
+	bound := func(c float64) []byte { return pathrank.EncodeCorridorQuery(pathrank.CorridorQuery{Bound: c}) }
+	flip := func(frame []byte, off int) []byte {
+		out := bytes.Clone(frame)
+		out[off] ^= 0x01
+		return out
+	}
+	version2 := func(frame []byte) []byte {
+		out := bytes.Clone(frame)
+		binary.BigEndian.PutUint32(out[8:12], 2)
+		return out
+	}
+	setByte := func(off int, v byte) func([]byte) []byte {
+		return func(p []byte) []byte { p[off] = v; return p }
+	}
+	oversized := append(bytes.Clone(boundary), make([]byte, maxShardBody)...)
+	// The corridor query's forward-seed count sits after bound and weight.
+	seedCount := 8 + 1
 
 	for _, tc := range []struct {
-		name, path, body string
-		status           int
+		name, path string
+		body       []byte
+		status     int
 	}{
-		{"boundary: bad dir", "/shard/boundary", `{"v":0,"dir":"sideways"}`, 400},
-		{"boundary: missing dir", "/shard/boundary", `{"v":0}`, 400},
-		{"boundary: v out of range", "/shard/boundary", fmt.Sprintf(`{"v":%d,"dir":"fwd"}`, n), 400},
-		{"boundary: negative v", "/shard/boundary", `{"v":-1,"dir":"rev"}`, 400},
-		{"boundary: unknown weight", "/shard/boundary", `{"v":0,"dir":"fwd","weight":"cost"}`, 400},
-		{"boundary: unknown field", "/shard/boundary", `{"v":0,"dir":"fwd","nope":1}`, 400},
-		{"boundary: not json", "/shard/boundary", `{`, 400},
+		{"boundary: bad dir", "/shard/boundary", reseal(boundary, setByte(4, 2)), 400},
+		{"boundary: missing dir", "/shard/boundary", reseal(boundary, func(p []byte) []byte { return p[:4] }), 400},
+		{"boundary: v out of range", "/shard/boundary", pathrank.EncodeBoundaryQuery(pathrank.BoundaryQuery{V: roadnet.VertexID(n)}), 400},
+		{"boundary: negative v", "/shard/boundary", pathrank.EncodeBoundaryQuery(pathrank.BoundaryQuery{V: -1, Rev: true}), 400},
+		{"boundary: unknown weight", "/shard/boundary", reseal(boundary, setByte(5, 3)), 400},
+		{"boundary: bytes after the last field", "/shard/boundary", reseal(boundary, func(p []byte) []byte { return append(p, 0) }), 400},
+		{"boundary: bytes after the frame", "/shard/boundary", append(bytes.Clone(boundary), 0), 400},
+		{"boundary: not a frame", "/shard/boundary", []byte(`{"v":0,"dir":"fwd"}`), 400},
+		{"boundary: bad magic", "/shard/boundary", flip(boundary, 0), 400},
+		{"boundary: corridor query's magic", "/shard/boundary", corridor, 400},
+		{"boundary: bad version", "/shard/boundary", version2(boundary), 400},
+		{"boundary: checksum mismatch", "/shard/boundary", flip(boundary, len(boundary)-1), 400},
+		{"boundary: truncated", "/shard/boundary", boundary[:len(boundary)-1], 400},
 		{"boundary: oversized", "/shard/boundary", oversized, 413},
-		{"corridor: negative bound", "/shard/corridor", `{"seeds":[],"rseeds":[],"bound":-1}`, 400},
-		{"corridor: NaN bound", "/shard/corridor", `{"seeds":[],"rseeds":[],"bound":NaN}`, 400},
-		{"corridor: Inf bound", "/shard/corridor", `{"seeds":[],"rseeds":[],"bound":1e999}`, 400},
-		{"corridor: seed out of range", "/shard/corridor",
-			fmt.Sprintf(`{"seeds":[{"v":%d,"dist":0}],"rseeds":[],"bound":10}`, n), 400},
-		{"corridor: rseed out of range", "/shard/corridor", `{"seeds":[],"rseeds":[{"v":-2,"dist":0}],"bound":10}`, 400},
-		{"corridor: unknown field", "/shard/corridor", `{"seeds":[],"rseeds":[],"bound":1,"nope":1}`, 400},
+		{"corridor: negative bound", "/shard/corridor", bound(-1), 400},
+		{"corridor: NaN bound", "/shard/corridor", bound(math.NaN()), 400},
+		{"corridor: Inf bound", "/shard/corridor", bound(math.Inf(1)), 400},
+		{"corridor: seed out of range", "/shard/corridor", seeds([]spath.Seed{{V: roadnet.VertexID(n)}}, nil), 400},
+		{"corridor: rseed out of range", "/shard/corridor", seeds(nil, []spath.Seed{{V: -2}}), 400},
+		{"corridor: NaN seed distance", "/shard/corridor", seeds([]spath.Seed{{V: b0, Dist: math.NaN()}}, nil), 400},
+		{"corridor: negative rseed distance", "/shard/corridor", seeds(nil, []spath.Seed{{V: b0, Dist: -1}}), 400},
+		{"corridor: unknown weight", "/shard/corridor", reseal(corridor, setByte(8, 7)), 400},
+		{"corridor: seed count beyond the bytes present", "/shard/corridor", reseal(corridor, func(p []byte) []byte {
+			binary.LittleEndian.PutUint32(p[seedCount:], 1<<30)
+			return p
+		}), 400},
+		{"corridor: truncated seed array", "/shard/corridor", reseal(corridor, func(p []byte) []byte { return p[:len(p)-3] }), 400},
+		{"corridor: bytes after the last field", "/shard/corridor", reseal(corridor, func(p []byte) []byte { return append(p, 1, 2) }), 400},
+		{"corridor: bad magic", "/shard/corridor", flip(corridor, 7), 400},
+		{"corridor: bad version", "/shard/corridor", version2(corridor), 400},
+		{"corridor: checksum mismatch", "/shard/corridor", flip(corridor, pathrank.FrameHeaderLen), 400},
 		{"corridor: oversized", "/shard/corridor", oversized, 413},
 	} {
-		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post(ts.URL+tc.path, pathrank.ShardWireContentType, bytes.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -117,32 +169,40 @@ func TestSubQueryValidation(t *testing.T) {
 
 	// The well-formed forms of the same requests succeed, so the table
 	// above is rejecting the defect it names and not the request shape.
-	var bd api.BoundaryResponse
-	postOK(t, ts.URL+"/shard/boundary", fmt.Sprintf(`{"v":%d,"dir":"fwd"}`, shard.Shard.Boundary[0]), &bd)
+	bd, err := pathrank.DecodeBoundaryAnswer(postOK(t, ts.URL+"/shard/boundary", boundary))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(bd.Dist) != len(shard.Shard.Boundary) || bd.Dist[0] != 0 {
 		t.Fatalf("boundary sweep from a boundary vertex: %+v", bd)
 	}
-	var cr api.CorridorResponse
-	postOK(t, ts.URL+"/shard/corridor", fmt.Sprintf(
-		`{"seeds":[{"v":%d,"dist":0},{"v":1,"dist":-1}],"rseeds":[{"v":%d,"dist":0}],"bound":1}`,
-		shard.Shard.Boundary[0], shard.Shard.Boundary[0]), &cr)
-	if len(cr.Vertices) != 1 || cr.Vertices[0].ID != int64(shard.Shard.Boundary[0]) {
-		t.Fatalf("corridor of one seed under a tiny bound: %+v", cr)
+	// An unreachable seed (+Inf) is skipped, as one past the bound is.
+	cr, err := pathrank.DecodeCorridorAnswer(postOK(t, ts.URL+"/shard/corridor", pathrank.EncodeCorridorQuery(pathrank.CorridorQuery{
+		Bound:  1,
+		Seeds:  []spath.Seed{{V: b0}, {V: 1, Dist: math.Inf(1)}},
+		RSeeds: []spath.Seed{{V: b0}},
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.NumVertices() != 1 || cr.Vertex(0).ID != b0 || cr.NumEdges() != 0 {
+		t.Fatalf("corridor of one seed under a tiny bound: %d vertices, %d edges", cr.NumVertices(), cr.NumEdges())
 	}
 }
 
-func postOK(t *testing.T, url, body string, out any) {
+func postOK(t *testing.T, url string, body []byte) []byte {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	resp, err := http.Post(url, pathrank.ShardWireContentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("POST %s: HTTP %d: %s", url, resp.StatusCode, raw)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		t.Fatal(err)
+	if ct := resp.Header.Get("Content-Type"); ct != pathrank.ShardWireContentType {
+		t.Fatalf("POST %s: Content-Type %q", url, ct)
 	}
+	return raw
 }

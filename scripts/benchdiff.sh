@@ -43,7 +43,7 @@ METRICS="${BENCHDIFF_METRICS:-allocs_per_op bytes_per_op}"
 # Benchmarks newer than the committed baseline (e.g. the CH engine ones
 # right after they land) are skipped with a note until a baseline that
 # contains them is recorded — see the "not in baseline" branch below.
-TRACKED="${BENCHDIFF_TRACKED:-BenchmarkDijkstra BenchmarkTopK5 BenchmarkDiversifiedTopK5 BenchmarkDiversifiedTopK5CH BenchmarkCHBuild BenchmarkCHQuery BenchmarkCHManyToMany BenchmarkWeightedJaccard BenchmarkNode2vecWalks BenchmarkGRUForwardBackward BenchmarkMapMatch BenchmarkRankQuery BenchmarkRankWithContext BenchmarkGemmNT BenchmarkScoreBatchFused BenchmarkRouterRankCoShard BenchmarkRouterRankCrossShard BenchmarkServeRankHit}"
+TRACKED="${BENCHDIFF_TRACKED:-BenchmarkDijkstra BenchmarkTopK5 BenchmarkDiversifiedTopK5 BenchmarkDiversifiedTopK5CH BenchmarkCHBuild BenchmarkCHQuery BenchmarkCHManyToMany BenchmarkWeightedJaccard BenchmarkNode2vecWalks BenchmarkGRUForwardBackward BenchmarkMapMatch BenchmarkRankQuery BenchmarkRankWithContext BenchmarkGemmNT BenchmarkScoreBatchFused BenchmarkRouterRankCoShard BenchmarkCrossShardQuery BenchmarkServeRankHit}"
 
 BASELINE="${BENCHDIFF_BASELINE:-}"
 if [[ -z "$BASELINE" ]]; then
