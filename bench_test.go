@@ -402,18 +402,18 @@ func servedWorld(b *testing.B) (*roadnet.Graph, *spath.Prep) {
 	return servedGraph, servedPrep
 }
 
-// servedShapes are the benchmark's two request shapes: "crosstown" is 200
+// servedShapes are the benchmark's two query shapes: "crosstown" is 200
 // fixed pairs 20-40 grid hops apart under D-TkDI k=5 theta=0.8
-// (crosstown_uncached, one query a request); "local_k32" is 200 fixed
-// pairs 5-12 hops apart under TkDI k=32 (local_batch_k32, eight a request).
+// (crosstown_uncached); "local_k32" is 200 fixed pairs 5-12 hops apart
+// under TkDI k=32 (local_batch_k32's items). Every served query, a batch
+// item included, is scored in a sweep of its own.
 var servedShapes = []struct {
-	name    string
-	pairs   [][2]roadnet.VertexID
-	cands   pathrank.DataConfig
-	perCall int // queries one served request scores in one sweep
+	name  string
+	pairs [][2]roadnet.VertexID
+	cands pathrank.DataConfig
 }{
-	{"crosstown", gridPairs(1, 200, 20, 40), pathrank.DataConfig{Strategy: pathrank.DTkDI, K: 5, Threshold: 0.8}, 1},
-	{"local_k32", gridPairs(2, 200, 5, 12), pathrank.DataConfig{Strategy: pathrank.TkDI, K: 32}, 8},
+	{"crosstown", gridPairs(1, 200, 20, 40), pathrank.DataConfig{Strategy: pathrank.DTkDI, K: 5, Threshold: 0.8}},
+	{"local_k32", gridPairs(2, 200, 5, 12), pathrank.DataConfig{Strategy: pathrank.TkDI, K: 32}},
 }
 
 // gridPairs draws n origin-destination cells of the served world whose
@@ -474,9 +474,9 @@ func servedModel(b *testing.B, numVertices int) *pathrank.Model {
 	return m
 }
 
-// servedSweeps generates, for one served shape, the candidate sets a
-// request scores in one sweep: perCall consecutive pairs' candidates
-// concatenated (5 paths x 20-40 hops on crosstown, 256 x 5-12 on local_k32).
+// servedSweeps generates, for one served shape, the candidate set each
+// pair's query scores in one sweep (5 paths x 20-40 hops on crosstown,
+// 32 x 5-12 on local_k32).
 func servedSweeps(b *testing.B, shape int) [][]spath.Path {
 	b.Helper()
 	g, prep := servedWorld(b)
@@ -484,17 +484,13 @@ func servedSweeps(b *testing.B, shape int) [][]spath.Path {
 	r := pathrank.NewRanker(g, nil)
 	r.Candidates = load.cands
 	r.Engine = prep.Engine(spath.EngineCH, g)
-	var sweeps [][]spath.Path
-	for i := 0; i+load.perCall <= len(load.pairs); i += load.perCall {
-		var sweep []spath.Path
-		for _, p := range load.pairs[i : i+load.perCall] {
-			cands, _, err := r.CandidatesFor(context.Background(), pathrank.RankRequest{Src: p[0], Dst: p[1]})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sweep = append(sweep, cands...)
+	sweeps := make([][]spath.Path, len(load.pairs))
+	for i, p := range load.pairs {
+		cands, _, err := r.CandidatesFor(context.Background(), pathrank.RankRequest{Src: p[0], Dst: p[1]})
+		if err != nil {
+			b.Fatal(err)
 		}
-		sweeps = append(sweeps, sweep)
+		sweeps[i] = cands
 	}
 	return sweeps
 }

@@ -147,7 +147,9 @@ type RankStats struct {
 	Engine     string  `json:"engine"`
 	Candidates int     `json:"candidates"`
 	GenNs      int64   `json:"generation_ns,omitempty"`
-	ScoreNs    int64   `json:"score_ns,omitempty"`
+	// ScoreNs is this query's own NN scoring time, for a batch item too:
+	// every item is ranked on its own, with no sweep shared across items.
+	ScoreNs int64 `json:"score_ns,omitempty"`
 	// Route classifies how a sharded deployment answered the query:
 	// "co_shard" (both endpoints on one shard, proxied whole) or
 	// "cross_shard" (corridor-stitched across shards). Empty outside a

@@ -2,20 +2,24 @@ package api
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
+	"reflect"
 	"strconv"
 	"sync"
 )
 
-// This file is the one writer of POST /v2/rank success bodies. A ranking's
-// paths array is encoded once, when the ranking is computed (json.Marshal
-// of its []RankedPath), and every response that carries it — the request
-// that computed it, each cache hit after it, a batch item — splices those
-// bytes into an envelope appended by hand. The rarer parts — explain stats
-// and a failed batch item's error — are json.Marshal output, which escapes
-// as json.Encoder does. The output is byte-for-byte what
-// json.NewEncoder(w).Encode writes for the equivalent RankResult or
-// BatchResponse (TestAppendResultMatchesEncoder, FuzzAppendResult).
+// This file is the one writer of POST /v2/rank success bodies and holds
+// every JSON number rule they use. A ranking's paths array is encoded
+// once, when the ranking is computed (appended by hand with AppendFloat
+// for its floats, byte-for-byte json.Marshal of its []RankedPath), and
+// every response that carries it — the request that computed it, each
+// cache hit after it, a batch item — splices those bytes into an envelope
+// appended by hand. The rarer parts — explain stats and a failed batch
+// item's error — are json.Marshal output, which escapes as json.Encoder
+// does. The output is byte-for-byte what json.NewEncoder(w).Encode writes
+// for the equivalent RankResult or BatchResponse
+// (TestAppendResultMatchesEncoder, FuzzAppendResult, FuzzAppendFloat).
 
 // Rendered is a successful ranking ready to write: the fields of a
 // RankResult with Paths already encoded as the JSON of its []RankedPath.
@@ -23,7 +27,8 @@ type Rendered struct {
 	Src, Dst       int64
 	K              int
 	Cached, Shared bool
-	// Paths is json.Marshal of the ranking's []RankedPath.
+	// Paths is the JSON of the ranking's []RankedPath, as json.Marshal
+	// encodes it.
 	Paths []byte
 	Stats *RankStats
 }
@@ -49,6 +54,13 @@ func WriteBatch(w http.ResponseWriter, items []RenderedItem, errors int) {
 	bp := bodyPool.Get().(*[]byte)
 	*bp = appendBatch((*bp)[:0], items, errors)
 	writeBody(w, bp)
+}
+
+// WriteRelayed writes body, the 200 body another server wrote with
+// WriteResult (newline included), through as it came.
+func WriteRelayed(w http.ResponseWriter, body []byte) {
+	setJSONHeader(w, http.StatusOK)
+	_, _ = w.Write(body) // the status line is out; a dead client is all that can fail here
 }
 
 // bodyPool recycles response buffers, so a cache hit's body costs a copy
@@ -126,4 +138,29 @@ func appendJSON(b []byte, v any) []byte {
 		return append(b, "null"...)
 	}
 	return append(b, js...)
+}
+
+// AppendFloat appends f as json.Marshal encodes a float64: the shortest
+// decimal that round-trips, in 'f' form, or in 'e' form below 1e-6 and at
+// or above 1e21 with a one-digit negative exponent's leading zero dropped.
+// NaN and ±Inf fail with the error json.Marshal returns for them, so a
+// rendering that refuses one refuses it exactly where json.Marshal did.
+func AppendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-07 → e-7, as encoding/json writes it.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }

@@ -203,6 +203,52 @@ func TestWriteResultHeaders(t *testing.T) {
 	}
 }
 
+// checkFloat compares AppendFloat with json.Marshal on one float: the same
+// bytes, or an error from both with the same text.
+func checkFloat(t *testing.T, f float64) {
+	t.Helper()
+	want, wantErr := json.Marshal(f)
+	got, err := AppendFloat([]byte("x"), f)
+	if wantErr != nil {
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("AppendFloat(%v) error %v, json.Marshal error %v", f, err, wantErr)
+		}
+		return
+	}
+	if err != nil || !bytes.Equal(got, append([]byte("x"), want...)) {
+		t.Fatalf("AppendFloat(%v) = %q, %v; json.Marshal %q", f, got, err, want)
+	}
+}
+
+// TestAppendFloatMatchesMarshal: the float rule on the values it is most
+// easily wrong about — signed zeros, subnormals, both sides of the 'e'
+// thresholds, the extremes — and on random bit patterns.
+func TestAppendFloatMatchesMarshal(t *testing.T) {
+	for _, f := range []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 1e-6, 9.999999999999999e-7, 1e-7, -1e-7, 1.5e-10,
+		1e20, 1e21, -1e21, 9.999999999999999e20, 1.2345e300, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 4.9e-324, 123456.789,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		checkFloat(t, f)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		checkFloat(t, math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// FuzzAppendFloat drives the float rule with arbitrary bit patterns,
+// NaN payloads and infinities included.
+func FuzzAppendFloat(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1e-7, 1e21, 5e-324, math.NaN(), math.Inf(-1)} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		checkFloat(t, math.Float64frombits(bits))
+	})
+}
+
 // FuzzAppendResult drives the hand-appended envelope — the IDs, k and
 // flags around the spliced paths — with fuzzer-chosen values, in a single
 // response and as a batch item.

@@ -88,14 +88,17 @@ func DefaultConfig() Config {
 // Jaccard similarity to every kept one is at most Threshold, probing at
 // most MaxProbe paths (spath's rule turns a budget below K into 10*K).
 // sim, when non-nil, is a pathsim.WeightedJaccardSim(g) the caller
-// already holds; D-TkDI builds one otherwise.
+// already holds; D-TkDI borrows a pooled one for the enumeration
+// otherwise, so a query allocates no edge-sized scratch.
 func (c Config) Candidates(ctx context.Context, g *roadnet.Graph, e spath.Engine, w spath.Weight, sim spath.Similarity, src, dst roadnet.VertexID) ([]spath.Path, spath.EnumStats, error) {
 	switch c.Strategy {
 	case TkDI:
 		return spath.DiversifiedTopKStatsCtx(ctx, g, e, w, src, dst, c.K, nil, 0, c.K)
 	case DTkDI:
 		if sim == nil {
-			sim = pathsim.WeightedJaccardSim(g)
+			var release func()
+			sim, release = pathsim.PooledWeightedJaccardSim(g)
+			defer release()
 		}
 		return spath.DiversifiedTopKStatsCtx(ctx, g, e, w, src, dst, c.K, sim, c.Threshold, c.MaxProbe)
 	default:

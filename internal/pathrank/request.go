@@ -419,8 +419,8 @@ func Resolve(req RankRequest, def dataset.Config, prepared spath.EngineKind) (Re
 
 // CandidatesFor generates the candidate set for req, honoring ctx, and
 // reports the resolved regime. It is the candidate-generation half of
-// Rank, exposed so the serving layer can score a whole batch in one sweep
-// while producing exactly the same candidates.
+// Rank, exposed for measurements that time generation apart from scoring;
+// every served ranking goes through Rank.
 func (r *Ranker) CandidatesFor(ctx context.Context, req RankRequest) ([]spath.Path, RankStats, error) {
 	var stats RankStats
 	err := checkRanges(int64(req.Src), int64(req.Dst), req.K, req.Threshold, req.MaxProbe, r.Graph.NumVertices(), 0)

@@ -239,7 +239,20 @@ func LCSVertexSimilarity(a, b spath.Path) float64 {
 // generation, labeling, the ranker) already creates its own closure per
 // operation, which is exactly that discipline.
 func WeightedJaccardSim(g *roadnet.Graph) spath.Similarity {
-	sc := &edgeScratch{}
+	return simOn(g, &edgeScratch{})
+}
+
+// PooledWeightedJaccardSim is WeightedJaccardSim on a scratch borrowed from
+// the package pool, for one query-time enumeration: the two stamp arrays
+// cover every edge of g, so a fresh pair per query would cost O(|E|)
+// allocation. release returns the scratch; sim must not be called after.
+func PooledWeightedJaccardSim(g *roadnet.Graph) (sim spath.Similarity, release func()) {
+	sc := edgeScratchPool.Get().(*edgeScratch)
+	return simOn(g, sc), sc.release
+}
+
+// simOn is the Similarity over g that runs on sc.
+func simOn(g *roadnet.Graph, sc *edgeScratch) spath.Similarity {
 	return func(a, b spath.Path) float64 {
 		if len(a.Edges) == 0 && len(b.Edges) == 0 {
 			return 1

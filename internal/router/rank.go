@@ -51,13 +51,16 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := api.RequestContext(r, req.TimeoutMs, rt.cfg.MaxTimeout)
 	defer cancel()
 	if req.Queries == nil {
-		res, apiErr := rt.rankSingle(ctx, req.RankQuery)
-		if apiErr != nil {
+		res, relayed, apiErr := rt.rankSingle(ctx, req.RankQuery, true)
+		switch {
+		case apiErr != nil:
 			rt.obs.rankErrors.With(apiErr.Code).Inc()
 			api.WriteError(w, apiErr)
-			return
+		case relayed != nil:
+			api.WriteRelayed(w, relayed)
+		default:
+			api.WriteJSON(w, http.StatusOK, res)
 		}
-		api.WriteJSON(w, http.StatusOK, res)
 		return
 	}
 	rt.rankBatch(ctx, w, req.Queries)
@@ -83,7 +86,7 @@ func (rt *Router) rankBatch(ctx context.Context, w http.ResponseWriter, queries 
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			items[i].Index = i
-			res, apiErr := rt.rankSingle(ctx, queries[i])
+			res, _, apiErr := rt.rankSingle(ctx, queries[i], false)
 			if apiErr != nil {
 				items[i].Error = apiErr
 				return
@@ -103,20 +106,23 @@ func (rt *Router) rankBatch(ctx context.Context, w http.ResponseWriter, queries 
 }
 
 // rankSingle answers one query: co-resident pairs are proxied to the
-// owning shard, cross-shard pairs are corridor-stitched.
-func (rt *Router) rankSingle(ctx context.Context, q api.RankQuery) (*api.RankResult, *api.Error) {
+// owning shard, cross-shard pairs are corridor-stitched. With relay set, a
+// proxied answer that needs no stamping comes back as the shard's body
+// (relayed) instead of a decoded result.
+func (rt *Router) rankSingle(ctx context.Context, q api.RankQuery, relay bool) (res *api.RankResult, relayed []byte, apiErr *api.Error) {
 	rs, apiErr := rt.resolve(q)
 	if apiErr != nil {
-		return nil, apiErr
+		return nil, nil, apiErr
 	}
 	i := int(rt.sm.Owner[q.Src])
 	j := int(rt.sm.Owner[q.Dst])
 	if i == j {
 		rt.obs.routed.With("co_shard").Inc()
-		return rt.proxyRank(ctx, i, q)
+		return rt.proxyRank(ctx, i, q, relay)
 	}
 	rt.obs.routed.With("cross_shard").Inc()
-	return rt.crossShard(ctx, q, rs, i, j)
+	res, apiErr = rt.crossShard(ctx, q, rs, i, j)
+	return res, nil, apiErr
 }
 
 // proxyRank forwards a co-resident query to the owning shard's own
@@ -126,22 +132,30 @@ func (rt *Router) rankSingle(ctx context.Context, q api.RankQuery) (*api.RankRes
 // candidates that would detour through a neighboring shard's territory
 // and come back are not considered (unlike cross-shard queries, whose
 // corridor stitching is exact; see docs/SHARDING.md).
-func (rt *Router) proxyRank(ctx context.Context, shard int, q api.RankQuery) (*api.RankResult, *api.Error) {
+//
+// Without explain there is nothing to stamp, and the shard's 200 body is
+// already what WriteJSON writes for the result it decodes to (the shard
+// writes it with api.WriteResult), so with relay set it comes back as it
+// came, unread.
+func (rt *Router) proxyRank(ctx context.Context, shard int, q api.RankQuery, relay bool) (*api.RankResult, []byte, *api.Error) {
 	body, err := json.Marshal(api.RankRequest{RankQuery: q})
 	if err != nil {
-		return nil, &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Message: err.Error()}
+		return nil, nil, &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Message: err.Error()}
 	}
 	rt.obs.shardCalls.With(fmt.Sprint(shard), "proxy").Inc()
 	status, respBody, meta, err := rt.callShard(ctx, shard, http.MethodPost, "/v2/rank", "application/json", body)
 	if err != nil {
-		return nil, shardUnavailable(shard, err)
+		return nil, nil, shardUnavailable(shard, err)
 	}
 	if status != http.StatusOK {
-		return nil, shardHTTPError(shard, status, respBody)
+		return nil, nil, shardHTTPError(shard, status, respBody)
+	}
+	if relay && !q.Explain {
+		return nil, respBody, nil
 	}
 	var res api.RankResult
 	if err := json.Unmarshal(respBody, &res); err != nil {
-		return nil, shardProtocolError(shard, fmt.Sprintf("unreadable rank response: %v", err))
+		return nil, nil, shardProtocolError(shard, fmt.Sprintf("unreadable rank response: %v", err))
 	}
 	if q.Explain {
 		if res.Stats == nil {
@@ -152,5 +166,5 @@ func (rt *Router) proxyRank(ctx context.Context, shard int, q api.RankQuery) (*a
 			Shard: shard, Role: "proxy", Calls: meta.calls, TotalNs: meta.totalNs, Hedged: meta.hedged,
 		})
 	}
-	return &res, nil
+	return &res, nil, nil
 }

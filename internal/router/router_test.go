@@ -254,8 +254,10 @@ func TestRouterCrossShardBitIdentity(t *testing.T) {
 }
 
 // TestRouterCoShardProxy checks co-resident routing: the router's answer
-// is exactly the owning shard worker's own answer, and explain stats
-// carry the route and the proxy call accounting.
+// is exactly the owning shard worker's own answer, explain stats carry
+// the route and the proxy call accounting, and a non-explain answer is the
+// shard's body relayed byte for byte (the explain query before it put the
+// ranking in the shard's cache, so both bodies say "cached":true).
 func TestRouterCoShardProxy(t *testing.T) {
 	d := buildDeployment(t, 5, 2)
 	pairs := d.pairs(false, 4)
@@ -283,7 +285,38 @@ func TestRouterCoShardProxy(t *testing.T) {
 		if last.Role != "proxy" || last.Shard != int(d.sm.Owner[p[0]]) || last.Calls < 1 {
 			t.Fatalf("%d->%d: proxy shard stat %+v", p[0], p[1], last)
 		}
+		// Without explain there is nothing to stamp: the router relays the
+		// owning shard's body byte for byte, headers included.
+		q.Explain = false
+		gotResp, gotBody := postRaw(t, d.router.URL, q)
+		wantResp, wantBody := postRaw(t, shard.URL, q)
+		if gotResp.StatusCode != http.StatusOK || !bytes.Equal(gotBody, wantBody) ||
+			gotResp.Header.Get("Content-Type") != wantResp.Header.Get("Content-Type") {
+			t.Fatalf("%d->%d: relayed %d %q %q, shard %d %q %q", p[0], p[1],
+				gotResp.StatusCode, gotResp.Header.Get("Content-Type"), gotBody,
+				wantResp.StatusCode, wantResp.Header.Get("Content-Type"), wantBody)
+		}
 	}
+}
+
+// postRaw posts q to baseURL's /v2/rank and returns the response with its
+// body as written.
+func postRaw(t testing.TB, baseURL string, q api.RankQuery) (*http.Response, []byte) {
+	t.Helper()
+	body, err := json.Marshal(api.RankRequest{RankQuery: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(baseURL+"/v2/rank", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", baseURL, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
 }
 
 // TestRouterCrossShardExplain checks the routed-stats surface of a

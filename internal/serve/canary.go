@@ -64,9 +64,9 @@ func (r *canaryRNG) next() uint64 {
 // candidate's ranking of the live snapshot's candidate sets diverges from
 // the live ranking by at most CanaryMaxDivergence.
 //
-// The gate runs outside the request path: it scores directly on the model
-// (no result cache), so it neither pollutes the candidate's cache nor
-// observes the live one.
+// The gate runs outside the request path: it ranks through each
+// snapshot's Ranker.Rank (no result cache), so it neither pollutes the
+// candidate's cache nor observes the live one.
 func (s *Server) canaryCheck(next, live *snapshot) error {
 	maxDiv := s.cfg.CanaryMaxDivergence
 	if maxDiv <= 0 {
@@ -98,23 +98,22 @@ func (s *Server) canaryCheck(next, live *snapshot) error {
 			continue
 		}
 		req := pathrank.RankRequest{Src: src, Dst: dst}
-		cands, _, err := next.ranker.CandidatesFor(ctx, req)
+		res, err := next.ranker.Rank(ctx, req)
 		if err != nil {
 			if pathrank.ErrorCodeOf(err) == api.CodeUnroutable {
 				continue
 			}
 			return fmt.Errorf("canary %d->%d: %w", src, dst, err)
 		}
-		if len(cands) == 0 {
+		ranked := res.Paths
+		if len(ranked) == 0 {
 			return fmt.Errorf("canary %d->%d: empty candidate set", src, dst)
 		}
-		scores := next.art.Model.ScoreBatch(cands)
-		for i, sc := range scores {
-			if math.IsNaN(sc) || math.IsInf(sc, 0) {
-				return fmt.Errorf("canary %d->%d: non-finite score %g at candidate %d", src, dst, sc, i)
+		for i, rk := range ranked {
+			if math.IsNaN(rk.Score) || math.IsInf(rk.Score, 0) {
+				return fmt.Errorf("canary %d->%d: non-finite score %g at rank %d", src, dst, rk.Score, i+1)
 			}
 		}
-		ranked := pathrank.RankScored(cands, scores)
 		for _, rk := range ranked {
 			if len(rk.Path.Vertices) == 0 {
 				return fmt.Errorf("canary %d->%d: ranked an empty path", src, dst)
@@ -124,10 +123,9 @@ func (s *Server) canaryCheck(next, live *snapshot) error {
 		// graph the live snapshot proposes the same paths and the two
 		// rankings are directly comparable; only the NN scores reorder.
 		if sameGraph {
-			lcands, _, lerr := live.ranker.CandidatesFor(ctx, req)
-			if lerr == nil && len(lcands) >= 2 {
-				lranked := pathrank.RankScored(lcands, live.art.Model.ScoreBatch(lcands))
-				if d := rankDivergence(lranked, ranked); d > worst {
+			lres, lerr := live.ranker.Rank(ctx, req)
+			if lerr == nil && len(lres.Paths) >= 2 {
+				if d := rankDivergence(lres.Paths, ranked); d > worst {
 					worst = d
 				}
 			}

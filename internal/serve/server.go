@@ -10,8 +10,8 @@
 //
 // POST /v2/rank is the query surface: a single query or a batch,
 // per-request overrides of the candidate regime (k, strategy, diversity
-// threshold, weight metric, engine), per-item errors in batches with one
-// NN sweep across the whole batch, explain stats, and a server-side
+// threshold, weight metric, engine), per-item errors in batches whose
+// items rank concurrently, each on its own, explain stats, and a server-side
 // deadline (timeout_ms) that cancels an in-flight Yen enumeration
 // mid-search. Failures carry typed codes (internal/api) mapped onto
 // statuses: 400 invalid, 404 unroutable, 408 canceled, 504 deadline, 503

@@ -2,15 +2,15 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pathrank/internal/api"
 	"pathrank/internal/pathrank"
-	"pathrank/internal/spath"
 )
 
 // This file implements POST /v2/rank, the context-aware, per-request-
@@ -50,11 +50,12 @@ type queryOutcome struct {
 }
 
 // execQuery answers one validated query against a snapshot: the result
-// cache, then singleflight, then ctx-aware candidate generation on the
-// pooled workspaces, NN scoring and rendering. When the leading computation
-// of a shared flight is canceled, its waiters observe the cancellation
-// error too; that is the standard singleflight trade-off and only affects
-// requests that would have recomputed identical work.
+// cache, then singleflight, then Ranker.Rank (ctx-aware candidate
+// generation on the pooled workspaces and NN scoring) and rendering. When
+// the leading computation of a shared flight is canceled, its waiters
+// observe the cancellation error too; that is the standard singleflight
+// trade-off and only affects requests that would have recomputed
+// identical work.
 func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) queryOutcome {
 	if paths, ok := snap.cache.get(cq.key); ok {
 		s.obs.hits.Inc()
@@ -63,17 +64,12 @@ func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) qu
 	s.obs.misses.Inc()
 	var stats pathrank.RankStats
 	paths, err, shared := snap.flight.do(ctx, cq.key, func() ([]byte, error) {
-		genStart := time.Now()
-		cands, st, err := snap.ranker.CandidatesFor(ctx, cq.req)
+		res, err := snap.ranker.Rank(ctx, cq.req)
 		if err != nil {
 			return nil, err
 		}
-		st.GenNanos = time.Since(genStart).Nanoseconds()
-		scoreStart := time.Now()
-		scores := snap.art.Model.ScoreBatch(cands)
-		st.ScoreNanos = time.Since(scoreStart).Nanoseconds()
-		stats = st
-		return snap.render(cq.key, pathrank.RankScored(cands, scores))
+		stats = res.Stats
+		return snap.render(cq.key, res.Paths)
 	})
 	if shared {
 		s.obs.sharedHits.Inc()
@@ -88,14 +84,52 @@ func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) qu
 }
 
 // render encodes a fresh ranking's wire paths — the one encoding it ever
-// gets — and stores the bytes in the result cache.
+// gets — and stores the bytes in the result cache. It appends the JSON of
+// the ranking's []api.RankedPath by hand, byte-for-byte what json.Marshal
+// writes for it (TestRenderMatchesMarshal), floats through api.AppendFloat.
 func (snap *snapshot) render(key queryKey, ranked []pathrank.Ranked) ([]byte, error) {
-	paths, err := json.Marshal(rankedPaths(snap, ranked))
-	if err != nil {
-		return nil, err
+	g := snap.art.Graph
+	// A path's fixed fields take under 128 bytes and a vertex ID with its
+	// comma rarely more than 6, so the buffer seldom grows.
+	size := 2
+	for _, rk := range ranked {
+		size += 128 + 6*len(rk.Path.Vertices)
 	}
-	snap.cache.add(key, paths)
-	return paths, nil
+	b := make([]byte, 0, size)
+	b = append(b, '[')
+	var err error
+	for i, rk := range ranked {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"rank":`...)
+		b = strconv.AppendInt(b, int64(i+1), 10)
+		b = append(b, `,"score":`...)
+		if b, err = api.AppendFloat(b, rk.Score); err != nil {
+			return nil, err
+		}
+		b = append(b, `,"length_m":`...)
+		if b, err = api.AppendFloat(b, rk.Path.Length(g)); err != nil {
+			return nil, err
+		}
+		b = append(b, `,"time_s":`...)
+		if b, err = api.AppendFloat(b, rk.Path.Time(g)); err != nil {
+			return nil, err
+		}
+		b = append(b, `,"hops":`...)
+		b = strconv.AppendInt(b, int64(rk.Path.Len()), 10)
+		b = append(b, `,"vertices":[`...)
+		for j, v := range rk.Path.Vertices {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, "]}"...)
+	}
+	b = append(b, ']')
+	snap.cache.add(key, b)
+	return b, nil
 }
 
 func (s *Server) handleRankV2(w http.ResponseWriter, r *http.Request) {
@@ -159,14 +193,12 @@ func (s *Server) rankV2Single(ctx context.Context, w http.ResponseWriter, snap *
 	api.WriteResult(w, &res)
 }
 
-// rankV2Batch answers a batch of queries with per-item errors and one NN
-// scoring sweep over the union of all uncached candidate sets. Candidate
-// generation for the uncached items runs concurrently on pooled
-// workspaces, bounded by GOMAXPROCS, so a batch is no slower than the same
-// queries issued as parallel singles; a deadline expiring mid-batch fails
-// the unfinished items with the deadline code. Batch items bypass the
-// singleflight group: collapsing is the cache's job once the batch lands,
-// and per-item blocking on foreign flights would serialize the sweep.
+// rankV2Batch answers a batch of queries with per-item errors. A batch is
+// its queries: each uncached item runs through execQuery (cache,
+// singleflight, Ranker.Rank, render) on its own worker, bounded by
+// GOMAXPROCS, so a batch is no slower than the same queries issued as
+// parallel singles; a deadline expiring mid-batch fails the unfinished
+// items with the deadline code.
 func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *snapshot, queries []api.RankQuery) {
 	if len(queries) > s.cfg.MaxBatch {
 		s.rankError(w, api.Invalidf("batch has %d queries, limit is %d", len(queries), s.cfg.MaxBatch))
@@ -174,12 +206,9 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 	}
 	s.obs.batchQueries.Observe(float64(len(queries)))
 	type pendingItem struct {
-		idx   int
-		cq    coreQuery
-		cands []spath.Path
-		stats pathrank.RankStats
-		paths []byte
-		err   error
+		idx int
+		cq  coreQuery
+		out queryOutcome
 	}
 	items := make([]api.RenderedItem, len(queries))
 	var pend []*pendingItem
@@ -191,14 +220,11 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 		leader *pendingItem
 	}
 	var followers []follower
-	nerr := 0
 	for i, q := range queries {
 		items[i].Index = i
 		cq, apiErr := s.buildQuery(snap, q)
 		if apiErr != nil {
-			s.obs.rankErrors.With(apiErr.Code).Inc()
 			items[i].Error = apiErr
-			nerr++
 			continue
 		}
 		if paths, ok := snap.cache.get(cq.key); ok {
@@ -214,88 +240,58 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 			followers = append(followers, follower{idx: i, leader: lead})
 			continue
 		}
-		s.obs.misses.Inc()
 		p := &pendingItem{idx: i, cq: cq}
 		leaders[cq.key] = p
 		pend = append(pend, p)
 	}
 
-	// Generate all uncached candidate sets concurrently; each worker owns
-	// its pooled workspaces, and items only write their own entry.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pend) {
-		workers = len(pend)
+	// Each worker takes the next leader until none is left; items only
+	// write their own entry. One that has not started when the deadline
+	// passes fails with it.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(pend)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(pend) {
+					return
+				}
+				p := pend[i]
+				if err := ctx.Err(); err != nil {
+					p.out = queryOutcome{err: err}
+				} else {
+					p.out = s.execQuery(ctx, snap, p.cq)
+				}
+			}
+		}()
 	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for _, p := range pend {
-			wg.Add(1)
-			go func(p *pendingItem) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				genStart := time.Now()
-				p.cands, p.stats, p.err = snap.ranker.CandidatesFor(ctx, p.cq.req)
-				p.stats.GenNanos = time.Since(genStart).Nanoseconds()
-			}(p)
-		}
-		wg.Wait()
-	} else {
-		for _, p := range pend {
-			genStart := time.Now()
-			p.cands, p.stats, p.err = snap.ranker.CandidatesFor(ctx, p.cq.req)
-			p.stats.GenNanos = time.Since(genStart).Nanoseconds()
-		}
-	}
+	wg.Wait()
 
-	var all []spath.Path
-	scored := pend[:0]
 	for _, p := range pend {
-		if p.err != nil {
-			items[p.idx].Error = pathrank.APIError(p.err)
-			s.obs.rankErrors.With(items[p.idx].Error.Code).Inc()
-			nerr++
-			continue
+		if p.out.err == nil {
+			res := rendered(queries[p.idx], p.cq, p.out)
+			items[p.idx].Response = &res
+		} else {
+			items[p.idx].Error = pathrank.APIError(p.out.err)
 		}
-		scored = append(scored, p)
-		all = append(all, p.cands...)
-	}
-
-	// One NN sweep over the whole batch, then split per item.
-	var scoreNs int64
-	var scores []float64
-	if len(all) > 0 {
-		scoreStart := time.Now()
-		scores = snap.art.Model.ScoreBatch(all)
-		scoreNs = time.Since(scoreStart).Nanoseconds()
-	}
-	off := 0
-	for _, p := range scored {
-		n := len(p.cands)
-		p.paths, p.err = snap.render(p.cq.key, pathrank.RankScored(p.cands, scores[off:off+n:off+n]))
-		off += n
-		if p.err != nil {
-			items[p.idx].Error = pathrank.APIError(p.err)
-			s.obs.rankErrors.With(items[p.idx].Error.Code).Inc()
-			nerr++
-			continue
-		}
-		// The sweep is shared; attribute its cost to every item so
-		// explain output stays honest about what one query paid for.
-		p.stats.ScoreNanos = scoreNs
-		res := rendered(queries[p.idx], p.cq, queryOutcome{paths: p.paths, stats: &p.stats})
-		items[p.idx].Response = &res
 	}
 	for _, f := range followers {
-		if f.leader.err != nil {
-			items[f.idx].Error = pathrank.APIError(f.leader.err)
-			s.obs.rankErrors.With(items[f.idx].Error.Code).Inc()
-			nerr++
+		if f.leader.out.err != nil {
+			items[f.idx].Error = pathrank.APIError(f.leader.out.err)
 			continue
 		}
-		res := rendered(queries[f.idx], f.leader.cq, queryOutcome{paths: f.leader.paths, shared: true})
+		res := rendered(queries[f.idx], f.leader.cq, queryOutcome{paths: f.leader.out.paths, shared: true})
 		items[f.idx].Response = &res
+	}
+	nerr := 0
+	for i := range items {
+		if items[i].Error != nil {
+			s.obs.rankErrors.With(items[i].Error.Code).Inc()
+			nerr++
+		}
 	}
 	api.WriteBatch(w, items, nerr)
 }
@@ -316,24 +312,4 @@ func rendered(q api.RankQuery, cq coreQuery, out queryOutcome) api.Rendered {
 		res.Stats = out.stats.Wire()
 	}
 	return res
-}
-
-// rankedPaths renders a ranking as wire paths.
-func rankedPaths(snap *snapshot, ranked []pathrank.Ranked) []api.RankedPath {
-	paths := make([]api.RankedPath, len(ranked))
-	for i, rk := range ranked {
-		verts := make([]int64, len(rk.Path.Vertices))
-		for j, v := range rk.Path.Vertices {
-			verts[j] = int64(v)
-		}
-		paths[i] = api.RankedPath{
-			Rank:     i + 1,
-			Score:    rk.Score,
-			LengthM:  rk.Path.Length(snap.art.Graph),
-			TimeS:    rk.Path.Time(snap.art.Graph),
-			Hops:     rk.Path.Len(),
-			Vertices: verts,
-		}
-	}
-	return paths
 }

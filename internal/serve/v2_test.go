@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -560,36 +562,217 @@ func TestV1ReloadClientErrorIs400(t *testing.T) {
 	}
 }
 
-// TestV2BatchScoringMatchesSingles runs a batch of distinct queries
-// (scored in one sweep) and checks every item equals its individually
-// served counterpart — the micro-batched scoring must be invisible.
-func TestV2BatchScoringMatchesSingles(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheSize: -1})
-	art := loadedTestArtifact(t)
-	n := art.Graph.NumVertices()
-
-	var qs []string
-	pairs := [][2]int64{{0, int64(n - 1)}, {1, int64(n - 2)}, {2, int64(n - 3)}, {3, int64(n - 4)}}
-	for _, p := range pairs {
-		qs = append(qs, fmt.Sprintf(`{"src":%d,"dst":%d}`, p[0], p[1]))
-	}
-	var batch api.BatchResponse
-	resp := postV2(t, ts.URL, `{"queries":[`+strings.Join(qs, ",")+`]}`, &batch)
-	if resp.StatusCode != http.StatusOK || batch.Errors != 0 {
-		t.Fatalf("batch: status=%d errors=%d", resp.StatusCode, batch.Errors)
-	}
-	for i, q := range qs {
-		var single api.RankResult
-		postV2(t, ts.URL, q, &single)
-		item := batch.Results[i].Response
-		if item == nil || len(item.Paths) != len(single.Paths) {
-			t.Fatalf("item %d: path count differs from single", i)
+// lagoonServer serves a 6x6 lattice of mixed road classes plus a
+// two-vertex island (vertices 36 and 37) no lattice vertex can reach, with
+// the result cache off.
+func lagoonServer(t testing.TB) (*Server, *httptest.Server) {
+	t.Helper()
+	const side = 6
+	b := roadnet.NewBuilder(side*side+2, 4*side*side)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			b.AddVertex(geo.Point{Lon: 10 + 0.003*float64(c), Lat: 57 + 0.002*float64(r)})
 		}
-		for j := range single.Paths {
-			if single.Paths[j].Score != item.Paths[j].Score {
-				t.Fatalf("item %d path %d: batch score differs from single", i, j)
+	}
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			v := roadnet.VertexID(r*side + c)
+			if c+1 < side {
+				b.AddBidirectional(v, v+1, roadnet.Category((r+c)%roadnet.NumCategories))
+			}
+			if r+1 < side {
+				b.AddBidirectional(v, v+side, roadnet.Category((r*c)%roadnet.NumCategories))
 			}
 		}
+	}
+	u := b.AddVertex(geo.Point{Lon: 10.05, Lat: 57.05})
+	w := b.AddVertex(geo.Point{Lon: 10.051, Lat: 57.05})
+	b.AddBidirectional(u, w, roadnet.Residential)
+	g := b.Build()
+	model, err := pathrank.New(g.NumVertices(), pathrank.Config{
+		EmbeddingDim: 6, Hidden: 5, Variant: pathrank.PRA2, Body: pathrank.GRUBody, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newTestServerFor(t, &pathrank.Artifact{Graph: g, Model: model}, Config{CacheSize: -1})
+}
+
+// rawResult is a ranking response with its paths array kept as the bytes
+// the server wrote; rawItem is a batch item carrying one.
+type rawResult struct {
+	Shared bool            `json:"shared"`
+	Paths  json.RawMessage `json:"paths"`
+}
+
+type rawItem struct {
+	Index    int        `json:"index"`
+	Response *rawResult `json:"response"`
+	Error    *api.Error `json:"error"`
+}
+
+// TestV2BatchScoringMatchesSingles: every item of a mixed batch — k=32
+// TkDI, the default D-TkDI, an in-batch duplicate, an invalid and an
+// unroutable item — answers exactly as the same query sent alone: the same
+// paths bytes, or the same error code. Each item ranks on its own worker,
+// which must be invisible.
+func TestV2BatchScoringMatchesSingles(t *testing.T) {
+	_, ts := lagoonServer(t)
+	qs := []string{
+		`{"src":0,"dst":35,"k":32,"strategy":"tkdi"}`,
+		`{"src":3,"dst":32}`,
+		`{"src":0,"dst":35,"k":32,"strategy":"tkdi"}`,
+		`{"src":0,"dst":99}`,
+		`{"src":7,"dst":36}`,
+		`{"src":30,"dst":5,"k":32,"strategy":"tkdi"}`,
+		`{"src":12,"dst":23,"threshold":0.5}`,
+	}
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v2/rank", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+	status, raw := post(`{"queries":[` + strings.Join(qs, ",") + `]}`)
+	var batch struct {
+		Results []rawItem `json:"results"`
+		Errors  int       `json:"errors"`
+	}
+	if err := json.Unmarshal(raw, &batch); status != http.StatusOK || err != nil {
+		t.Fatalf("batch: status %d, %v", status, err)
+	}
+	if len(batch.Results) != len(qs) || batch.Errors != 2 {
+		t.Fatalf("batch: %d results, %d errors, want %d/2", len(batch.Results), batch.Errors, len(qs))
+	}
+	for i, q := range qs {
+		item := batch.Results[i]
+		if item.Index != i {
+			t.Fatalf("item %d reports index %d", i, item.Index)
+		}
+		status, raw := post(q)
+		if status != http.StatusOK {
+			var env api.ErrorEnvelope
+			if err := json.Unmarshal(raw, &env); err != nil || env.Error == nil {
+				t.Fatalf("%s: HTTP %d %q", q, status, raw)
+			}
+			if item.Error == nil || item.Error.Code != env.Error.Code {
+				t.Fatalf("item %d: %+v, single failed with %q", i, item, env.Error.Code)
+			}
+			continue
+		}
+		var single rawResult
+		if err := json.Unmarshal(raw, &single); err != nil {
+			t.Fatal(err)
+		}
+		if len(single.Paths) < 3 {
+			t.Fatalf("%s: empty ranking %s", q, single.Paths)
+		}
+		if item.Response == nil {
+			t.Fatalf("item %d (%s) failed in the batch: %+v", i, q, item.Error)
+		}
+		if !bytes.Equal(item.Response.Paths, single.Paths) {
+			t.Fatalf("item %d (%s): batch paths differ from the single query's:\n batch  %s\n single %s",
+				i, q, item.Response.Paths, single.Paths)
+		}
+	}
+	if !batch.Results[2].Response.Shared {
+		t.Fatal("the in-batch duplicate is not marked shared")
+	}
+	if batch.Results[3].Error.Code != api.CodeInvalid || batch.Results[4].Error.Code != api.CodeUnroutable {
+		t.Fatalf("error items: %+v %+v", batch.Results[3].Error, batch.Results[4].Error)
+	}
+}
+
+// rankedPaths is the reference rendering: a ranking as the []api.RankedPath
+// whose json.Marshal render must reproduce byte for byte.
+func rankedPaths(g *roadnet.Graph, ranked []pathrank.Ranked) []api.RankedPath {
+	paths := make([]api.RankedPath, len(ranked))
+	for i, rk := range ranked {
+		verts := make([]int64, len(rk.Path.Vertices))
+		for j, v := range rk.Path.Vertices {
+			verts[j] = int64(v)
+		}
+		paths[i] = api.RankedPath{
+			Rank:     i + 1,
+			Score:    rk.Score,
+			LengthM:  rk.Path.Length(g),
+			TimeS:    rk.Path.Time(g),
+			Hops:     rk.Path.Len(),
+			Vertices: verts,
+		}
+	}
+	return paths
+}
+
+// TestRenderMatchesMarshal: render appends, byte for byte, what
+// json.Marshal writes for the ranking's []api.RankedPath — over real
+// rankings whose scores are redrawn from the values a float rule most
+// easily gets wrong (signed zeros, subnormals, both sides of the 'e'
+// thresholds) and from random bits, an empty ranking and an empty path —
+// and refuses a NaN or infinite score with json.Marshal's error.
+func TestRenderMatchesMarshal(t *testing.T) {
+	s, _ := newTestServer(t, Config{CacheSize: -1})
+	snap := s.snap.Load()
+	g := snap.art.Graph
+	check := func(ranked []pathrank.Ranked) {
+		t.Helper()
+		want, wantErr := json.Marshal(rankedPaths(g, ranked))
+		got, err := snap.render(queryKey{}, ranked)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("render error %v, json.Marshal error %v", err, wantErr)
+			}
+			return
+		}
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("render differs from json.Marshal (err %v):\n got %s\nwant %s", err, got, want)
+		}
+	}
+	check(nil)
+	check([]pathrank.Ranked{})
+	check([]pathrank.Ranked{{Score: 0.5}})
+
+	specials := []float64{
+		0, math.Copysign(0, -1), 5e-324, -2.2250738585072014e-308, 1e-6, 9.999999999999999e-7,
+		1e-7, -1e-7, 1e20, 1e21, -1e21, math.MaxFloat64, 1, 0.1,
+	}
+	rng := rand.New(rand.NewSource(1))
+	n := g.NumVertices()
+	var last []pathrank.Ranked
+	for i := 0; i < 200; i++ {
+		src, dst := rng.Intn(n), rng.Intn(n)
+		if src == dst {
+			continue
+		}
+		res, err := snap.ranker.Rank(context.Background(), pathrank.RankRequest{
+			Src: roadnet.VertexID(src), Dst: roadnet.VertexID(dst), K: 1 + rng.Intn(8),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range res.Paths {
+			switch rng.Intn(3) {
+			case 0:
+				res.Paths[j].Score = specials[rng.Intn(len(specials))]
+			case 1:
+				if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+					res.Paths[j].Score = f
+				}
+			}
+		}
+		check(res.Paths)
+		last = res.Paths
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		last[len(last)-1].Score = bad
+		check(last)
 	}
 }
 
