@@ -58,12 +58,13 @@ func (p *Param) AsMat() Mat { return Mat{Rows: p.Rows, Cols: p.Cols, Data: p.W} 
 // batched MatVecAdd: row i of C accumulates B·a_i. Every element
 // accumulates its k-terms in ascending order in a fresh accumulator and
 // adds it to C[i,j] once, matching MatVec/MatVecAdd (y[r] += dot(W_r, x)).
-// It runs on the AVX2 kernel when init found AVX2 and on the portable 4x2
-// tile otherwise; the two are bit-identical.
+// It runs on the vector kernels when init found AVX2 (in zmm blocks where
+// it found AVX-512 too) and on the portable 4x2 tile otherwise; all are
+// bit-identical.
 func GemmNT(C, A, B Mat) {
 	checkGemm(C, A, B)
 	if hasAVX2 {
-		avx2GemmNT(C, A, B)
+		avx2GemmNT(C, A, B, hasAVX512)
 		return
 	}
 	gemmNTTile(C, A, B)
@@ -108,7 +109,7 @@ func (p *PackedNT) MulAdd(C, A Mat) {
 		gemmNTTile(C, A, p.b)
 		return
 	}
-	avx2PanelMulAdd(C, A, p.panel)
+	avx2PanelMulAdd(C, A, p.panel, hasAVX512)
 }
 
 func checkGemm(C, A, B Mat) {
@@ -193,9 +194,9 @@ const avx2MinRows = 8
 var panelPool sync.Pool // *[]float64
 
 // avx2GemmNT is GemmNT on an AVX2 host: it transposes B into a pooled panel
-// and multiplies against it, or takes the tile for short or degenerate
-// shapes.
-func avx2GemmNT(C, A, B Mat) {
+// and multiplies against it (zmm blocks first when zmm is set), or takes the
+// tile for short or degenerate shapes.
+func avx2GemmNT(C, A, B Mat, zmm bool) {
 	K, N := A.Cols, B.Rows
 	if A.Rows < avx2MinRows || N < 4 || K == 0 {
 		gemmNTTile(C, A, B)
@@ -210,7 +211,7 @@ func avx2GemmNT(C, A, B Mat) {
 	}
 	bt := (*p)[:K*N]
 	transposeInto(bt, B)
-	avx2PanelMulAdd(C, A, bt)
+	avx2PanelMulAdd(C, A, bt, zmm)
 	panelPool.Put(p)
 }
 
@@ -225,14 +226,20 @@ func transposeInto(bt []float64, B Mat) {
 	}
 }
 
-// avx2PanelMulAdd multiplies against a K x N panel: the first N&^3 columns
-// on the microkernel, the rest (all of them when N < 4) as scalar fresh
-// dots with the same association.
-func avx2PanelMulAdd(C, A Mat, bt []float64) {
+// avx2PanelMulAdd multiplies against a K x N panel: with zmm the first
+// N&^31 columns in 32-column AVX-512 blocks, then the columns up to N&^3 on
+// the AVX2 kernel, the rest (all of them when N < 4) as scalar fresh dots
+// with the same association.
+func avx2PanelMulAdd(C, A Mat, bt []float64, zmm bool) {
 	M, K, N := A.Rows, A.Cols, C.Cols
-	nv := N &^ 3
-	if nv > 0 {
-		gemmNTAVX2(A.Data[:M*K], bt, C.Data[:M*N], M, K, N)
+	a, c := A.Data[:M*K], C.Data[:M*N]
+	nz, nv := 0, N&^3
+	if zmm && N >= 32 {
+		nz = N &^ 31
+		gemmNTAVX512(a, bt, c, M, K, N)
+	}
+	if nv > nz {
+		gemmNTAVX2(a, bt, c, M, K, N, nz)
 	}
 	if nv == N {
 		return

@@ -1,4 +1,4 @@
-// AVX2 microkernel of GemmNT and PackedNT.MulAdd (gemm.go).
+// AVX-512 and AVX2 microkernels of GemmNT and PackedNT.MulAdd (gemm.go).
 //
 // Bit-identity contract: SIMD here vectorizes ACROSS output columns, never
 // within a dot product. Lane j of an accumulator register holds the partial
@@ -7,16 +7,96 @@
 // single rounding would change results). Each lane therefore computes
 // exactly the scalar recurrence s = 0; s += a[k]*b[k] of dotRows, and the
 // finished sum is added into C once, matching MatVec/MatVecAdd and the
-// pure-Go GemmNT tile.
+// pure-Go GemmNT tile. The zmm and ymm kernels differ only in how many
+// columns one instruction covers, so a product may split its columns
+// between them.
 
 #include "textflag.h"
 
-// func gemmNTAVX2(a, bt, c []float64, m, k, n int)
+// func gemmNTAVX512(a, bt, c []float64, m, k, n int)
 //
-// c[i*n+j] += Σ_k a[i*k+k'] * bt[k'*n+j] for i in [0, m), j in [0, n-n%4);
-// the caller handles the last n%4 columns. a is m x k row-major, bt is the
-// k x n transposed weight panel, c is m x n row-major.
-TEXT ·gemmNTAVX2(SB), NOSPLIT, $0-96
+// c[i*n+j] += Σ_k a[i*k+k'] * bt[k'*n+j] for i in [0, m), j in [0, n-n%32);
+// operands as for gemmNTAVX2 below, which takes the columns left over.
+TEXT ·gemmNTAVX512(SB), NOSPLIT, $0-96
+	MOVQ a_base+0(FP), SI   // a row cursor
+	MOVQ bt_base+24(FP), DI // bt
+	MOVQ c_base+48(FP), DX  // c row cursor
+	MOVQ m+72(FP), R15      // row countdown
+	MOVQ k+80(FP), R8       // K
+	MOVQ n+88(FP), CX       // N = row stride of bt and c
+
+	MOVQ CX, R9
+	SHLQ $3, R9             // row stride in bytes
+
+	TESTQ R15, R15
+	JEQ   ret512
+
+row512:
+	XORQ BX, BX             // j
+
+j32:
+	MOVQ CX, AX
+	SUBQ BX, AX             // columns left
+	CMPQ AX, $32
+	JLT  nextrow512
+
+	// 32 columns: 4 zmm accumulators, the ymm kernel's 16-column block
+	// at twice the width.
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+
+	LEAQ (DI)(BX*8), R10    // &bt[j]
+	MOVQ SI, R11            // a k-cursor
+	MOVQ R8, R12            // k countdown
+	TESTQ R12, R12
+	JEQ  store32
+
+k32:
+	VBROADCASTSD (R11), Z4
+	VMULPD (R10), Z4, Z5
+	VMULPD 64(R10), Z4, Z6
+	VMULPD 128(R10), Z4, Z7
+	VMULPD 192(R10), Z4, Z8
+	VADDPD Z5, Z0, Z0
+	VADDPD Z6, Z1, Z1
+	VADDPD Z7, Z2, Z2
+	VADDPD Z8, Z3, Z3
+	ADDQ $8, R11
+	ADDQ R9, R10
+	DECQ R12
+	JNZ  k32
+
+store32:
+	LEAQ (DX)(BX*8), R13
+	VADDPD (R13), Z0, Z0
+	VADDPD 64(R13), Z1, Z1
+	VADDPD 128(R13), Z2, Z2
+	VADDPD 192(R13), Z3, Z3
+	VMOVUPD Z0, (R13)
+	VMOVUPD Z1, 64(R13)
+	VMOVUPD Z2, 128(R13)
+	VMOVUPD Z3, 192(R13)
+	ADDQ $32, BX
+	JMP  j32
+
+nextrow512:
+	LEAQ (SI)(R8*8), SI     // a += K
+	ADDQ R9, DX             // c += N
+	DECQ R15
+	JNZ  row512
+
+ret512:
+	VZEROUPPER
+	RET
+
+// func gemmNTAVX2(a, bt, c []float64, m, k, n, j0 int)
+//
+// c[i*n+j] += Σ_k a[i*k+k'] * bt[k'*n+j] for i in [0, m), j in [j0, n-n%4);
+// the caller handles the columns before j0 and the last n%4. a is m x k
+// row-major, bt is the k x n transposed weight panel, c is m x n row-major.
+TEXT ·gemmNTAVX2(SB), NOSPLIT, $0-104
 	MOVQ a_base+0(FP), SI   // a row cursor
 	MOVQ bt_base+24(FP), DI // bt
 	MOVQ c_base+48(FP), DX  // c row cursor
@@ -31,7 +111,7 @@ TEXT ·gemmNTAVX2(SB), NOSPLIT, $0-96
 	JEQ   ret
 
 row:
-	XORQ BX, BX             // j
+	MOVQ j0+96(FP), BX      // j
 
 j16:
 	MOVQ CX, AX

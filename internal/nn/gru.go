@@ -131,9 +131,7 @@ func (g *GRU) Forward(xs []Vec) ([]Vec, *GRUCache) {
 		TanhVec(hh, hh)
 
 		h := ws.ar.vec(H)
-		for i := 0; i < H; i++ {
-			h[i] = (1-z[i])*hPrev[i] + z[i]*hh[i]
-		}
+		Lerp(h, z, hPrev, hh)
 		c.zs[t], c.rs[t], c.hhats[t], c.rhPrev[t], c.hs[t] = z, r, hh, rh, h
 		hPrev = h
 	}

@@ -43,17 +43,66 @@ func Scale(alpha float64, v Vec) {
 	}
 }
 
-// AddTo computes dst += src in place.
+// The row operations below run on the AVX2 row kernels where init found
+// AVX2 (rows_avx2_amd64.s), lane-exact against the Go loops they fall back
+// to, so the per-path reference, training and the fused scorer take the
+// same lanes.
+
+// AddTo computes dst += src in place over src's length.
 func AddTo(dst, src Vec) {
+	if len(dst) < len(src) {
+		panic("nn: AddTo length mismatch")
+	}
+	if hasAVX2 {
+		addToAVX2(dst, src)
+		return
+	}
 	for i := range src {
 		dst[i] += src[i]
 	}
 }
 
-// Hadamard computes dst[i] = a[i]*b[i].
+// Add3 computes dst[i] = a[i] + b[i] + c[i], summed left to right. Lengths
+// must match.
+func Add3(dst, a, b, c Vec) {
+	if len(a) != len(dst) || len(b) != len(dst) || len(c) != len(dst) {
+		panic("nn: Add3 length mismatch")
+	}
+	if hasAVX2 {
+		add3AVX2(dst, a, b, c)
+		return
+	}
+	for i := range dst {
+		dst[i] = a[i] + b[i] + c[i]
+	}
+}
+
+// Hadamard computes dst[i] = a[i]*b[i] over a's length.
 func Hadamard(dst, a, b Vec) {
+	if len(dst) < len(a) || len(b) < len(a) {
+		panic("nn: Hadamard length mismatch")
+	}
+	if hasAVX2 {
+		hadamardAVX2(dst, a, b)
+		return
+	}
 	for i := range a {
 		dst[i] = a[i] * b[i]
+	}
+}
+
+// Lerp computes dst[i] = (1-z[i])*a[i] + z[i]*b[i], the GRU state update
+// h = (1-z)⊙h_{t-1} + z⊙ĥ. Lengths must match.
+func Lerp(dst, z, a, b Vec) {
+	if len(z) != len(dst) || len(a) != len(dst) || len(b) != len(dst) {
+		panic("nn: Lerp length mismatch")
+	}
+	if hasAVX2 {
+		lerpAVX2(dst, z, a, b)
+		return
+	}
+	for i := range dst {
+		dst[i] = (1-z[i])*a[i] + z[i]*b[i]
 	}
 }
 
@@ -258,16 +307,19 @@ func Sigmoid(x float64) float64 {
 	return z / (1 + z)
 }
 
-// sigmoidVecArch, when non-nil, applies Sigmoid to a prefix of the vectors
-// with a SIMD sweep that is bit-identical to the scalar loop (it vectorizes
-// across elements, running each lane through exactly the scalar operation
-// sequence — see sigmoid_avx2_amd64.s) and returns how many elements it
-// handled.
-var sigmoidVecArch func(dst, x Vec) int
+// sigmoidVecArch and tanhVecArch, when non-nil, apply Sigmoid or math.Tanh
+// to a prefix of the vectors with a SIMD sweep that is bit-identical to the
+// scalar loop (it vectorizes across elements, running each lane through
+// exactly the scalar operation sequence — see exp_avx2_amd64.s) and return
+// how many elements they handled.
+var sigmoidVecArch, tanhVecArch func(dst, x Vec) int
 
 // SigmoidVec applies Sigmoid elementwise, writing into dst (dst may alias
 // x).
 func SigmoidVec(dst, x Vec) {
+	if len(dst) < len(x) {
+		panic("nn: SigmoidVec length mismatch")
+	}
 	i := 0
 	if sigmoidVecArch != nil {
 		i = sigmoidVecArch(dst, x)
@@ -277,9 +329,17 @@ func SigmoidVec(dst, x Vec) {
 	}
 }
 
-// TanhVec applies tanh elementwise, writing into dst.
+// TanhVec applies math.Tanh elementwise, writing into dst (dst may alias
+// x).
 func TanhVec(dst, x Vec) {
-	for i := range x {
+	if len(dst) < len(x) {
+		panic("nn: TanhVec length mismatch")
+	}
+	i := 0
+	if tanhVecArch != nil {
+		i = tanhVecArch(dst, x)
+	}
+	for ; i < len(x); i++ {
 		dst[i] = math.Tanh(x[i])
 	}
 }

@@ -50,6 +50,47 @@ func TestVecOps(t *testing.T) {
 	if h[0] != 4 || h[1] != 10 || h[2] != 18 {
 		t.Fatalf("Hadamard = %v", h)
 	}
+
+	// The row operations against their scalar expressions, bitwise, over
+	// lengths 1-67 so every vector block and scalar tail runs, into a
+	// fresh vector and in place (dst aliasing the first operand).
+	rng := rand.New(rand.NewSource(3))
+	rowOps := []struct {
+		name string
+		run  func(dst, x, y, z Vec)
+		elem func(d, x, y, z float64) float64 // d: dst's value before
+	}{
+		{"AddTo", func(dst, x, _, _ Vec) { AddTo(dst, x) },
+			func(d, x, _, _ float64) float64 { return d + x }},
+		{"Add3", Add3, func(_, x, y, z float64) float64 { return x + y + z }},
+		{"Hadamard", func(dst, x, y, _ Vec) { Hadamard(dst, x, y) },
+			func(_, x, y, _ float64) float64 { return x * y }},
+		{"Lerp", Lerp, func(_, z, a, b float64) float64 { return (1-z)*a + z*b }},
+	}
+	for n := 1; n <= 67; n++ {
+		d, x, y, z := randVec(rng, n), randVec(rng, n), randVec(rng, n), randVec(rng, n)
+		for _, op := range rowOps {
+			got, in := Copy(d), Copy(x)
+			op.run(got, x, y, z)
+			op.run(in, in, y, z)
+			for i := range got {
+				if want := op.elem(d[i], x[i], y[i], z[i]); got[i] != want {
+					t.Fatalf("%s n=%d elem %d: %.17g, want %.17g", op.name, n, i, got[i], want)
+				}
+				if want := op.elem(x[i], x[i], y[i], z[i]); in[i] != want {
+					t.Fatalf("%s in place n=%d elem %d: %.17g, want %.17g", op.name, n, i, in[i], want)
+				}
+			}
+		}
+	}
+}
+
+func randVec(rng *rand.Rand, n int) Vec {
+	v := NewVec(n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
 }
 
 func TestMatVecAndTranspose(t *testing.T) {

@@ -324,11 +324,7 @@ func (g *gatePlan) atParents(act func(dst, x nn.Vec), dst, P, Hs nn.Mat, tr *tri
 	lo, n := tr.depth(d)
 	out := dst.View(n)
 	for i := range n {
-		o, x, p := out.Row(i), g.x.Row(int(tr.vert[lo+i])), P.Row(int(tr.parent[lo+i])-plo)
-		x, p, b := x[:len(o)], p[:len(o)], g.bias[:len(o)]
-		for k := range o {
-			o[k] = x[k] + p[k] + b[k]
-		}
+		nn.Add3(out.Row(i), g.x.Row(int(tr.vert[lo+i])), P.Row(int(tr.parent[lo+i])-plo), g.bias)
 	}
 	act(out.Data, out.Data)
 	return out
@@ -368,10 +364,7 @@ func fusedGRU(gates []gatePlan, sc *nn.Scratch, tr *trie) nn.Mat {
 		}
 		Hh := gates[2].atRows(nn.TanhVec, Hhs, RH, tr, d)
 		for i := range n {
-			hp, z, hh, h := Hs.Row(int(tr.parent[lo+i])), Z.Row(i), Hh.Row(i), Hs.Row(lo+i)
-			for k := range h {
-				h[k] = (1-z[k])*hp[k] + z[k]*hh[k]
-			}
+			nn.Lerp(Hs.Row(lo+i), Z.Row(i), Hs.Row(int(tr.parent[lo+i])), Hh.Row(i))
 		}
 	}
 	return Hs
