@@ -1,6 +1,7 @@
 package pathrank_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -39,10 +40,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	ranker := pathrank.NewRanker(g, pipe.Model)
-	ranked, err := ranker.Query(0, pathrank.VertexID(g.NumVertices()-1))
+	resp, err := ranker.Rank(context.Background(), pathrank.RankRequest{Src: 0, Dst: pathrank.VertexID(g.NumVertices() - 1)})
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Rank: %v", err)
 	}
+	ranked := resp.Paths
 	if len(ranked) == 0 {
 		t.Fatal("no ranked candidates")
 	}

@@ -363,7 +363,7 @@ func BenchmarkCHManyToMany(b *testing.B) {
 // the serving path's candidate generator.
 func BenchmarkDiversifiedTopK5CH(b *testing.B) {
 	g := microGraph(b)
-	eng := spath.NewEngine(spath.EngineCH, g, spath.ByLength, spath.EngineConfig{})
+	eng := spath.NewEngine(spath.EngineCH, g, spath.ByLength)
 	sim := pathsim.WeightedJaccardSim(g)
 	rng := rand.New(rand.NewSource(3))
 	b.ResetTimer()
@@ -631,18 +631,19 @@ func benchQueryRanker(b *testing.B) *pathrank.Ranker {
 	return queryRanker
 }
 
-// BenchmarkRankQuery measures the legacy entry point Ranker.Query —
-// the no-context baseline of the pair below.
+// BenchmarkRankQuery measures Ranker.Rank under context.Background, which
+// never fires — the no-cancellation baseline of the pair below.
 func BenchmarkRankQuery(b *testing.B) {
 	r := benchQueryRanker(b)
 	n := r.Graph.NumVertices()
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(9))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := pathrank.VertexID(rng.Intn(n))
 		dst := pathrank.VertexID(rng.Intn(n))
-		_, _ = r.Query(src, dst)
+		_, _ = r.Rank(ctx, pathrank.RankRequest{Src: src, Dst: dst})
 	}
 }
 

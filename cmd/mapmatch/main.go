@@ -52,7 +52,7 @@ func main() {
 		log.Fatal(err)
 	}
 	prepStart := time.Now()
-	engine := spath.NewEngine(kind, g, spath.ByLength, spath.EngineConfig{})
+	engine := spath.NewEngine(kind, g, spath.ByLength)
 	fmt.Printf("engine: %s (preprocessed in %v)\n", engine.Kind(), time.Since(prepStart).Round(time.Millisecond))
 	matcher := traj.NewMatcherEngine(g, traj.DefaultMatchConfig(), engine)
 

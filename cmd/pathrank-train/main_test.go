@@ -124,8 +124,7 @@ func (w *liveWorld) startLive(t *testing.T, args ...string) (string, func()) {
 func (w *liveWorld) post(t *testing.T, url string, trips []traj.Trip, seed int64) {
 	t.Helper()
 	for i, tr := range trips {
-		cfg := traj.DefaultGPSConfig()
-		cfg.Seed = seed + int64(i)
+		cfg := traj.GPSConfig{IntervalSec: 1, NoiseStdM: 8, Seed: seed + int64(i)}
 		var req api.IngestRequest
 		for _, r := range traj.SampleGPS(w.g, tr.Path, cfg) {
 			req.Records = append(req.Records, api.GPSSample{Lon: r.Point.Lon, Lat: r.Point.Lat, T: r.TimeOffset})

@@ -11,8 +11,8 @@ import (
 
 // ExampleRankRequest builds a fully overridden query for the context-aware
 // core entry point. Zero-valued fields keep the ranker's configured
-// defaults, so RankRequest{Src: s, Dst: d} reproduces Ranker.Query(s, d)
-// exactly; here every knob of the candidate regime is set per request.
+// defaults, so RankRequest{Src: s, Dst: d} ranks with the configured
+// regime; here every knob of the candidate regime is set per request.
 func ExampleRankRequest() {
 	req := pathrank.RankRequest{
 		Src:       12,

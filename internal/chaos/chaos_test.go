@@ -369,8 +369,7 @@ func fingerprintAt(t *testing.T, path string) string {
 func sampleGPS(art *pathrank.Artifact, trips []traj.Trip, seed int64) [][]traj.GPSRecord {
 	out := make([][]traj.GPSRecord, 0, len(trips))
 	for i, tr := range trips {
-		cfg := traj.DefaultGPSConfig()
-		cfg.Seed = seed + int64(i)
+		cfg := traj.GPSConfig{IntervalSec: 1, NoiseStdM: 8, Seed: seed + int64(i)}
 		out = append(out, traj.SampleGPS(art.Graph, tr.Path, cfg))
 	}
 	return out

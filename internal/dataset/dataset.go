@@ -189,45 +189,3 @@ func Split(queries []Query, testFrac float64, seed int64) (train, test []Query) 
 	}
 	return train, test
 }
-
-// Stats summarizes a query set for logging.
-type Stats struct {
-	Queries       int
-	Candidates    int
-	MeanPerQuery  float64
-	MeanPathHops  float64
-	MeanLabel     float64
-	MeanDiversity float64 // mean pairwise weighted Jaccard within queries
-}
-
-// Describe computes Stats over queries.
-func Describe(g *roadnet.Graph, queries []Query) Stats {
-	var s Stats
-	s.Queries = len(queries)
-	var hops, labels float64
-	var divSum float64
-	var divCnt int
-	sim := pathsim.WeightedJaccardSim(g)
-	for _, q := range queries {
-		s.Candidates += len(q.Candidates)
-		for _, c := range q.Candidates {
-			hops += float64(c.Path.Len())
-			labels += c.Label
-		}
-		for i := range q.Candidates {
-			for j := i + 1; j < len(q.Candidates); j++ {
-				divSum += sim(q.Candidates[i].Path, q.Candidates[j].Path)
-				divCnt++
-			}
-		}
-	}
-	if s.Candidates > 0 {
-		s.MeanPerQuery = float64(s.Candidates) / float64(s.Queries)
-		s.MeanPathHops = hops / float64(s.Candidates)
-		s.MeanLabel = labels / float64(s.Candidates)
-	}
-	if divCnt > 0 {
-		s.MeanDiversity = divSum / float64(divCnt)
-	}
-	return s
-}

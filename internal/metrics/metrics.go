@@ -38,19 +38,6 @@ func MARE(pred, target []float64) float64 {
 	return num / den
 }
 
-// RMSE returns the root-mean-square error.
-func RMSE(pred, target []float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range pred {
-		d := pred[i] - target[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(pred)))
-}
-
 // KendallTau returns Kendall's τ-b between two score vectors, the
 // tie-corrected form: (C - D) / sqrt((n0 - tiesA)(n0 - tiesB)) with
 // n0 = n(n-1)/2. It is +1 for perfectly concordant orders, -1 for reversed
@@ -152,38 +139,6 @@ func pearson(a, b []float64) float64 {
 		return 0
 	}
 	return cov / math.Sqrt(va*vb)
-}
-
-// NDCG returns the normalized discounted cumulative gain at k, treating
-// target as graded relevance and pred as the ranking criterion. k <= 0
-// means use all items.
-func NDCG(pred, target []float64, k int) float64 {
-	n := len(pred)
-	if n == 0 {
-		return 0
-	}
-	if k <= 0 || k > n {
-		k = n
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return pred[order[a]] > pred[order[b]] })
-	var dcg float64
-	for i := 0; i < k; i++ {
-		dcg += target[order[i]] / math.Log2(float64(i)+2)
-	}
-	ideal := append([]float64(nil), target...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(ideal)))
-	var idcg float64
-	for i := 0; i < k; i++ {
-		idcg += ideal[i] / math.Log2(float64(i)+2)
-	}
-	if idcg == 0 {
-		return 0
-	}
-	return dcg / idcg
 }
 
 // Report aggregates the paper's four metrics over a set of ranking queries.

@@ -32,16 +32,6 @@ func TestMAREBasic(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{1, 2}, []float64{1, 2}); got != 0 {
-		t.Fatalf("RMSE identical = %v", got)
-	}
-	got := RMSE([]float64{3, 0}, []float64{0, 4})
-	if math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Fatalf("RMSE = %v, want sqrt(12.5)", got)
-	}
-}
-
 func TestKendallTauPerfect(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	if got := KendallTau(a, a); got != 1 {
@@ -183,22 +173,6 @@ func TestTauInvariantUnderMonotoneTransformProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNDCG(t *testing.T) {
-	target := []float64{3, 2, 1}
-	perfect := []float64{10, 5, 1}
-	if got := NDCG(perfect, target, 0); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("perfect NDCG = %v, want 1", got)
-	}
-	worst := []float64{1, 5, 10}
-	got := NDCG(worst, target, 0)
-	if got >= 1 || got <= 0 {
-		t.Fatalf("reversed NDCG = %v, want in (0,1)", got)
-	}
-	if NDCG(nil, nil, 0) != 0 {
-		t.Fatal("empty NDCG should be 0")
 	}
 }
 

@@ -48,30 +48,18 @@ func (e *Embedding) AccumGrad(id int, d Vec) {
 // Params returns the trainable parameters.
 func (e *Embedding) Params() []*Param { return []*Param{e.Table} }
 
-// Dense is a fully connected layer y = act(W*x + b).
+// Dense is a fully connected sigmoid layer y = sigmoid(W*x + b), the
+// model's score head.
 type Dense struct {
-	W   *Param
-	B   *Param
-	Act Activation
+	W *Param
+	B *Param
 }
 
-// Activation selects the nonlinearity of a Dense layer.
-type Activation int
-
-// Supported activations.
-const (
-	Linear Activation = iota
-	Tanh
-	SigmoidAct
-	ReLU
-)
-
 // NewDense returns an in->out dense layer with Xavier init.
-func NewDense(name string, in, out int, act Activation, rng *rand.Rand) *Dense {
+func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 	d := &Dense{
-		W:   NewParam(name+".W", out, in),
-		B:   NewParam(name+".b", 1, out),
-		Act: act,
+		W: NewParam(name+".W", out, in),
+		B: NewParam(name+".b", 1, out),
 	}
 	d.W.InitXavier(rng)
 	return d
@@ -81,7 +69,6 @@ func NewDense(name string, in, out int, act Activation, rng *rand.Rand) *Dense {
 // aliased, not copied: callers must keep x unchanged until Backward.
 type DenseCache struct {
 	x   Vec // input (aliased)
-	pre Vec // pre-activation (only kept for ReLU, whose derivative needs it)
 	out Vec // post-activation
 }
 
@@ -90,63 +77,26 @@ func (d *Dense) Forward(x Vec) (Vec, *DenseCache) {
 	out := NewVec(d.W.Rows)
 	d.W.MatVec(x, out)
 	AddTo(out, d.B.W)
-	var pre Vec
-	switch d.Act {
-	case Tanh:
-		TanhVec(out, out)
-	case SigmoidAct:
-		SigmoidVec(out, out)
-	case ReLU:
-		pre = Copy(out)
-		for i := range out {
-			if out[i] < 0 {
-				out[i] = 0
-			}
-		}
-	}
-	return out, &DenseCache{x: x, pre: pre, out: out}
+	SigmoidVec(out, out)
+	return out, &DenseCache{x: x, out: out}
 }
 
 // ForwardInto is the inference path of Forward: it computes the layer
 // output into dst (len W.Rows) without allocating a backward cache. The
-// operation sequence (MatVec, bias add, activation) is identical to
-// Forward, so the result is bit-identical.
+// operation sequence (MatVec, bias add, sigmoid) is identical to Forward,
+// so the result is bit-identical.
 func (d *Dense) ForwardInto(x, dst Vec) {
 	d.W.MatVec(x, dst)
 	AddTo(dst, d.B.W)
-	switch d.Act {
-	case Tanh:
-		TanhVec(dst, dst)
-	case SigmoidAct:
-		SigmoidVec(dst, dst)
-	case ReLU:
-		for i := range dst {
-			if dst[i] < 0 {
-				dst[i] = 0
-			}
-		}
-	}
+	SigmoidVec(dst, dst)
 }
 
 // Backward propagates dOut, accumulating parameter gradients, and returns
 // the gradient with respect to the input.
 func (d *Dense) Backward(c *DenseCache, dOut Vec) Vec {
 	dPre := Copy(dOut)
-	switch d.Act {
-	case Tanh:
-		for i := range dPre {
-			dPre[i] *= 1 - c.out[i]*c.out[i]
-		}
-	case SigmoidAct:
-		for i := range dPre {
-			dPre[i] *= c.out[i] * (1 - c.out[i])
-		}
-	case ReLU:
-		for i := range dPre {
-			if c.pre[i] <= 0 {
-				dPre[i] = 0
-			}
-		}
+	for i := range dPre {
+		dPre[i] *= c.out[i] * (1 - c.out[i])
 	}
 	d.W.AccumOuter(dPre, c.x)
 	AddTo(d.B.G, dPre)

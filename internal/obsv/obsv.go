@@ -299,9 +299,6 @@ func (h Histogram) Observe(x float64) {
 	h.h.sum.add(x)
 }
 
-// Count returns the total number of observations (used by tests).
-func (h Histogram) Count() uint64 { return h.h.count.Load() }
-
 // WritePrometheus renders every family in registration order as Prometheus
 // text exposition format v0.0.4.
 func (r *Registry) WritePrometheus(w io.Writer) error {

@@ -347,19 +347,6 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 	return man, nil
 }
 
-// LoadManifest reads a bundle's JSON descriptor.
-func LoadManifest(dir string) (*Manifest, error) {
-	b, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("partition: parse %s: %w", ManifestName, err)
-	}
-	return &m, nil
-}
-
 // LoadShardMapFile reads the shard map of the bundle in dir.
 func LoadShardMapFile(dir string) (*ShardMap, error) {
 	f, err := os.Open(filepath.Join(dir, ShardMapName))

@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pathrank/internal/dataset"
@@ -38,8 +41,12 @@ func TestBuildBundleRoundTrip(t *testing.T) {
 		t.Fatalf("manifest shape %+v does not match artifact", man)
 	}
 
-	loaded, err := LoadManifest(dir)
+	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var loaded Manifest
+	if err := json.Unmarshal(mb, &loaded); err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Fingerprint != man.Fingerprint || loaded.Parts != man.Parts {

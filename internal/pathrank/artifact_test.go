@@ -2,6 +2,7 @@ package pathrank
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -85,14 +86,15 @@ func TestArtifactRoundTrip(t *testing.T) {
 	rb := got.NewRanker()
 	src := roadnet.VertexID(0)
 	dst := roadnet.VertexID(art.Graph.NumVertices() - 1)
-	wantRanked, err := ra.Query(src, dst)
+	wantResp, err := ra.Rank(context.Background(), RankRequest{Src: src, Dst: dst})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRanked, err := rb.Query(src, dst)
+	gotResp, err := rb.Rank(context.Background(), RankRequest{Src: src, Dst: dst})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantRanked, gotRanked := wantResp.Paths, gotResp.Paths
 	if len(wantRanked) != len(gotRanked) {
 		t.Fatalf("ranked %d paths, want %d", len(gotRanked), len(wantRanked))
 	}
@@ -340,11 +342,12 @@ func TestArtifactPrepRoundTrip(t *testing.T) {
 		for _, kind := range []spath.EngineKind{spath.EngineCH, spath.EngineALT, spath.EngineDijkstra} {
 			wr, hr := art.NewRanker(), got.NewRanker()
 			wr.Engine, hr.Engine = art.Prep.Engine(kind, art.Graph), got.Prep.Engine(kind, got.Graph)
-			want, err1 := wr.Query(src, dst)
-			have, err2 := hr.Query(src, dst)
+			wantResp, err1 := wr.Rank(context.Background(), RankRequest{Src: src, Dst: dst})
+			haveResp, err2 := hr.Rank(context.Background(), RankRequest{Src: src, Dst: dst})
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s/%s: query errs: %v vs %v", name, kind, err1, err2)
 			}
+			want, have := wantResp.Paths, haveResp.Paths
 			if len(want) != len(have) {
 				t.Fatalf("%s/%s: ranked %d vs %d paths", name, kind, len(have), len(want))
 			}

@@ -1,6 +1,7 @@
 package pathrank
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -48,11 +49,11 @@ func TestRankerDefaultsWhenUnconfigured(t *testing.T) {
 	m, _ := New(w.g.NumVertices(), smallConfig())
 	r := &Ranker{Graph: w.g, Model: m} // zero-valued Candidates
 	q := w.queries[0]
-	ranked, err := r.Query(q.Source, q.Destination)
+	resp, err := r.Rank(context.Background(), RankRequest{Src: q.Source, Dst: q.Destination})
 	if err != nil {
-		t.Fatalf("Query with defaults: %v", err)
+		t.Fatalf("Rank with defaults: %v", err)
 	}
-	if len(ranked) == 0 {
+	if len(resp.Paths) == 0 {
 		t.Fatal("default ranker returned no candidates")
 	}
 }
@@ -63,11 +64,11 @@ func TestRankerUnreachableDestination(t *testing.T) {
 	// Same-vertex query: K candidates degenerate to the empty path set; the
 	// generator returns a single zero-length path.
 	r := NewRanker(w.g, m)
-	ranked, err := r.Query(0, 0)
+	resp, err := r.Rank(context.Background(), RankRequest{Src: 0, Dst: 0})
 	if err != nil {
 		t.Fatalf("self query: %v", err)
 	}
-	if len(ranked) == 0 {
+	if len(resp.Paths) == 0 {
 		t.Fatal("self query should return the trivial path")
 	}
 }

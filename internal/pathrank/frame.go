@@ -69,9 +69,9 @@ func DecodeFrame(data []byte, magic [8]byte, version uint32) ([]byte, error) {
 }
 
 // WriteFileAtomic is the only function that creates artifact or shard-map
-// files. write streams the content into a temporary file in path's
-// directory, which is fsynced and renamed into place, and the directory is
-// fsynced after. Two properties follow:
+// files: StageFile, then CommitFile. write streams the content into a
+// temporary file in path's directory, which is fsynced and renamed into
+// place, and the directory is fsynced after. Two properties follow:
 //
 //   - Readers never see a partial file, and the inode at path is replaced,
 //     never truncated: a process that has the old file mapped MAP_SHARED
@@ -81,18 +81,30 @@ func DecodeFrame(data []byte, magic [8]byte, version uint32) ([]byte, error) {
 //     whose bytes never reached stable storage (rename-before-data is the
 //     classic hole — the journal commits the new name while the data pages
 //     are still dirty).
-func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := StageFile(path, write)
+	if err != nil {
+		return err
+	}
+	return CommitFile(tmp, path)
+}
+
+// StageFile is WriteFileAtomic's first half: it streams write's content
+// into a new temporary file beside path, fsyncs and closes it, and returns
+// its name. Nothing at path changes; a caller that must record the publish
+// elsewhere first (the trainer's WAL marker) does so between StageFile and
+// CommitFile, and removes the staged file if it gives up.
+func StageFile(path string, write func(io.Writer) error) (tmp string, err error) {
 	// Chaos hook: an injected save failure rejects the persist before the
 	// temp file exists, like a disk that refuses the create.
 	if err := fault.Check(fault.SiteArtifactSave); err != nil {
-		return fmt.Errorf("pathrank: save %s: %w", path, err)
+		return "", fmt.Errorf("pathrank: save %s: %w", path, err)
 	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("pathrank: %w", err)
+		return "", fmt.Errorf("pathrank: %w", err)
 	}
-	tmp := f.Name()
+	tmp = f.Name()
 	defer func() {
 		if err != nil {
 			f.Close() // double close on the late paths is harmless
@@ -102,26 +114,34 @@ func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 	// CreateTemp makes the file 0600; a trainer's artifacts are read by
 	// servers running as other users, as os.Create's files were.
 	if err = f.Chmod(0o644); err != nil {
-		return fmt.Errorf("pathrank: %w", err)
+		return "", fmt.Errorf("pathrank: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
 	if err = write(bw); err != nil {
-		return err
+		return "", err
 	}
 	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("pathrank: flush %s: %w", tmp, err)
+		return "", fmt.Errorf("pathrank: flush %s: %w", tmp, err)
 	}
 	if err = f.Sync(); err != nil {
-		return fmt.Errorf("pathrank: fsync %s: %w", tmp, err)
+		return "", fmt.Errorf("pathrank: fsync %s: %w", tmp, err)
 	}
 	if err = f.Close(); err != nil {
-		return fmt.Errorf("pathrank: close %s: %w", tmp, err)
+		return "", fmt.Errorf("pathrank: close %s: %w", tmp, err)
 	}
-	if err = os.Rename(tmp, path); err != nil {
+	return tmp, nil
+}
+
+// CommitFile is WriteFileAtomic's second half: it renames the staged file
+// tmp into path and fsyncs the directory. A failed rename removes tmp.
+func CommitFile(tmp, path string) error {
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("pathrank: %w", err)
 	}
+	dir := filepath.Dir(path)
 	if d, derr := os.Open(dir); derr == nil {
-		err = d.Sync()
+		err := d.Sync()
 		d.Close()
 		if err != nil {
 			return fmt.Errorf("pathrank: fsync %s: %w", dir, err)

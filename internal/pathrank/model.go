@@ -177,7 +177,7 @@ func New(numVertices int, cfg Config) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("pathrank: unknown body %d", cfg.Body)
 	}
-	m.head = nn.NewDense("head", outDim, 1, nn.SigmoidAct, rng)
+	m.head = nn.NewDense("head", outDim, 1, rng)
 
 	m.params = append(m.params, m.emb.Params()...)
 	switch cfg.Body {
@@ -194,8 +194,8 @@ func New(numVertices int, cfg Config) (*Model, error) {
 	m.params = append(m.params, m.head.Params()...)
 
 	if cfg.MultiTaskLambda > 0 {
-		m.auxLen = nn.NewDense("aux.len", outDim, 1, nn.SigmoidAct, rng)
-		m.auxTime = nn.NewDense("aux.time", outDim, 1, nn.SigmoidAct, rng)
+		m.auxLen = nn.NewDense("aux.len", outDim, 1, rng)
+		m.auxTime = nn.NewDense("aux.time", outDim, 1, rng)
 		m.params = append(m.params, m.auxLen.Params()...)
 		m.params = append(m.params, m.auxTime.Params()...)
 	}

@@ -2,6 +2,7 @@ package pathrank
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -268,10 +269,11 @@ func TestRankerQuery(t *testing.T) {
 	}
 	r := NewRanker(w.g, m)
 	q := w.queries[0]
-	ranked, err := r.Query(q.Source, q.Destination)
+	resp, err := r.Rank(context.Background(), RankRequest{Src: q.Source, Dst: q.Destination})
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Rank: %v", err)
 	}
+	ranked := resp.Paths
 	if len(ranked) == 0 {
 		t.Fatal("no ranked candidates")
 	}
@@ -282,11 +284,11 @@ func TestRankerQuery(t *testing.T) {
 	}
 	// TkDI strategy path too.
 	r.Candidates = dataset.Config{Strategy: dataset.TkDI, K: 3}
-	ranked2, err := r.Query(q.Source, q.Destination)
+	resp2, err := r.Rank(context.Background(), RankRequest{Src: q.Source, Dst: q.Destination})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ranked2) == 0 {
+	if len(resp2.Paths) == 0 {
 		t.Fatal("TkDI query returned nothing")
 	}
 }

@@ -1,7 +1,6 @@
 package pathrank
 
 import (
-	"context"
 	"fmt"
 
 	"pathrank/internal/dataset"
@@ -35,26 +34,6 @@ type Ranker struct {
 // NewRanker wraps a trained model for query-time use.
 func NewRanker(g *roadnet.Graph, m *Model) *Ranker {
 	return &Ranker{Graph: g, Model: m, Candidates: dataset.DefaultConfig()}
-}
-
-// CandidatePaths generates the unranked candidate set between src and dst
-// with the ranker's configured strategy. It is a compatibility wrapper over
-// CandidatesFor with default options and no cancellation.
-func (r *Ranker) CandidatePaths(src, dst roadnet.VertexID) ([]spath.Path, error) {
-	cands, _, err := r.CandidatesFor(context.Background(), RankRequest{Src: src, Dst: dst})
-	return cands, err
-}
-
-// Query generates candidates between src and dst and returns them with
-// model scores, best first. It is the pre-RankRequest entry point, kept as
-// a compatibility wrapper: Rank with a zero-valued override set returns
-// bit-identical rankings.
-func (r *Ranker) Query(src, dst roadnet.VertexID) ([]Ranked, error) {
-	cands, err := r.CandidatePaths(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return r.Model.Rank(cands), nil
 }
 
 // PipelineConfig bundles every stage of the end-to-end PathRank build: the

@@ -150,8 +150,8 @@ func ParseEngineChoice(s string) (EngineChoice, error) {
 // RankRequest is a first-class ranking query: an origin-destination pair
 // plus per-request overrides of the candidate regime. Every field except
 // Src and Dst is optional — the zero value of each override keeps the
-// ranker's configured default, so RankRequest{Src: s, Dst: d} reproduces
-// Ranker.Query(s, d) exactly.
+// ranker's configured default, so RankRequest{Src: s, Dst: d} ranks with
+// the configured regime.
 type RankRequest struct {
 	Src roadnet.VertexID
 	Dst roadnet.VertexID
@@ -451,10 +451,10 @@ func (r *Ranker) CandidatesFor(ctx context.Context, req RankRequest) ([]spath.Pa
 
 // Rank is the core query entry point: it generates candidates for req
 // under ctx and returns them with model scores, best first. With a
-// zero-valued override set the ranking is bit-identical to
-// Ranker.Query(req.Src, req.Dst); canceling ctx stops an in-flight
-// enumeration and returns ctx's error (ErrorCodeOf maps it to a deadline
-// or cancellation code).
+// zero-valued override set the ranking is bit-identical to the plain
+// reference pipeline: CandidatesFor on EngineNone, ScoreBatchPerPath, then
+// RankScored. Canceling ctx stops an in-flight enumeration and returns
+// ctx's error (ErrorCodeOf maps it to a deadline or cancellation code).
 func (r *Ranker) Rank(ctx context.Context, req RankRequest) (RankResponse, error) {
 	genStart := time.Now()
 	cands, stats, err := r.CandidatesFor(ctx, req)

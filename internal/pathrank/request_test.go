@@ -28,11 +28,12 @@ func trainedRanker(t testing.TB) (*testWorld, *Ranker) {
 	return w, NewRanker(w.g, m)
 }
 
-// TestRankDefaultsMatchQuery is the compatibility property: over random OD
-// pairs and both configured strategies, Rank(ctx, RankRequest{Src, Dst})
-// with default options returns rankings bit-identical to Ranker.Query —
-// scores, order, and paths.
-func TestRankDefaultsMatchQuery(t *testing.T) {
+// TestRankDefaultsMatchPlainPipeline is the default-options promise: over
+// random OD pairs and both configured strategies, Rank(ctx,
+// RankRequest{Src, Dst}) returns rankings bit-identical — scores, order and
+// paths — to the plain reference pipeline the benchmark oracle composes:
+// CandidatesFor on EngineNone, then ScoreBatchPerPath, then RankScored.
+func TestRankDefaultsMatchPlainPipeline(t *testing.T) {
 	_, r := trainedRanker(t)
 	configs := []dataset.Config{
 		{}, // empty: both paths must fall back to the same default
@@ -47,7 +48,11 @@ func TestRankDefaultsMatchQuery(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			src := roadnet.VertexID(rng.Intn(n))
 			dst := roadnet.VertexID(rng.Intn(n))
-			want, errWant := r.Query(src, dst)
+			var want []Ranked
+			cands, _, errWant := r.CandidatesFor(context.Background(), RankRequest{Src: src, Dst: dst, Engine: EngineNone})
+			if errWant == nil {
+				want = RankScored(cands, r.Model.ScoreBatchPerPath(cands))
+			}
 			resp, errGot := r.Rank(context.Background(), RankRequest{Src: src, Dst: dst})
 			if (errWant == nil) != (errGot == nil) {
 				t.Fatalf("cfg %+v %d->%d: err mismatch: %v vs %v", cfg, src, dst, errWant, errGot)
@@ -155,7 +160,7 @@ func samePathSet(got []Ranked, want []spath.Path) bool {
 func TestRankEngineChoices(t *testing.T) {
 	w, r := trainedRanker(t)
 	r.Candidates = dataset.Config{Strategy: dataset.DTkDI, K: 4, Threshold: 0.8}
-	r.Engine = spath.NewEngine(spath.EngineCH, w.g, spath.ByLength, spath.EngineConfig{})
+	r.Engine = spath.NewEngine(spath.EngineCH, w.g, spath.ByLength)
 	q := w.queries[0]
 	ctx := context.Background()
 

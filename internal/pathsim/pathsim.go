@@ -3,9 +3,8 @@
 // The central function is WeightedJaccard, which the paper uses as the
 // ground-truth ranking score of a candidate path against the trajectory
 // path: the ratio of the summed lengths of shared edges to the summed
-// lengths of all edges in either path. The package also provides plain
-// Jaccard, Dice, overlap and LCS-based similarity for diversity filtering
-// and evaluation.
+// lengths of all edges in either path. Plain (unweighted) Jaccard is kept
+// as the reference WeightedJaccard reduces to on uniform edge lengths.
 package pathsim
 
 import (
@@ -139,97 +138,6 @@ func Jaccard(a, b spath.Path) float64 {
 		return 1
 	}
 	return float64(inter) / float64(union)
-}
-
-// Dice returns 2|A∩B| / (|A|+|B|) over edge sets.
-func Dice(a, b spath.Path) float64 {
-	if len(a.Edges) == 0 && len(b.Edges) == 0 {
-		return 1
-	}
-	inA := make(map[roadnet.EdgeID]bool, len(a.Edges))
-	for _, e := range a.Edges {
-		inA[e] = true
-	}
-	var inter int
-	seenB := make(map[roadnet.EdgeID]bool, len(b.Edges))
-	for _, e := range b.Edges {
-		if seenB[e] {
-			continue
-		}
-		seenB[e] = true
-		if inA[e] {
-			inter++
-		}
-	}
-	den := len(inA) + len(seenB)
-	if den == 0 {
-		return 1
-	}
-	return 2 * float64(inter) / float64(den)
-}
-
-// Overlap returns |A∩B| / min(|A|,|B|) over edge sets.
-func Overlap(a, b spath.Path) float64 {
-	if len(a.Edges) == 0 || len(b.Edges) == 0 {
-		if len(a.Edges) == 0 && len(b.Edges) == 0 {
-			return 1
-		}
-		return 0
-	}
-	inA := make(map[roadnet.EdgeID]bool, len(a.Edges))
-	for _, e := range a.Edges {
-		inA[e] = true
-	}
-	var inter int
-	seenB := make(map[roadnet.EdgeID]bool, len(b.Edges))
-	for _, e := range b.Edges {
-		if seenB[e] {
-			continue
-		}
-		seenB[e] = true
-		if inA[e] {
-			inter++
-		}
-	}
-	m := len(inA)
-	if len(seenB) < m {
-		m = len(seenB)
-	}
-	return float64(inter) / float64(m)
-}
-
-// LCSVertexSimilarity returns the length of the longest common contiguous
-// vertex subsequence of a and b, normalized by the longer path's vertex
-// count. Unlike edge-set measures it is sensitive to order and contiguity.
-func LCSVertexSimilarity(a, b spath.Path) float64 {
-	n, m := len(a.Vertices), len(b.Vertices)
-	if n == 0 && m == 0 {
-		return 1
-	}
-	if n == 0 || m == 0 {
-		return 0
-	}
-	prev := make([]int, m+1)
-	cur := make([]int, m+1)
-	best := 0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			if a.Vertices[i-1] == b.Vertices[j-1] {
-				cur[j] = prev[j-1] + 1
-				if cur[j] > best {
-					best = cur[j]
-				}
-			} else {
-				cur[j] = 0
-			}
-		}
-		prev, cur = cur, prev
-	}
-	longer := n
-	if m > longer {
-		longer = m
-	}
-	return float64(best) / float64(longer)
 }
 
 // WeightedJaccardSim adapts WeightedJaccard to the spath.Similarity

@@ -125,73 +125,6 @@ func TestJaccardVsWeightedOnUniformLengths(t *testing.T) {
 	}
 }
 
-func TestDiceOverlapRelations(t *testing.T) {
-	g, p, q := twoPaths(t)
-	_ = g
-	j := Jaccard(p, q)
-	d := Dice(p, q)
-	o := Overlap(p, q)
-	// Standard inequalities: J <= D <= O for non-degenerate sets.
-	if j > d+1e-12 {
-		t.Fatalf("jaccard %.4f > dice %.4f", j, d)
-	}
-	if d > o+1e-12 {
-		t.Fatalf("dice %.4f > overlap %.4f", d, o)
-	}
-}
-
-func TestDiceIdentityAndDisjoint(t *testing.T) {
-	g := ladder(t, 5)
-	p, _ := spath.Dijkstra(g, 0, 4, spath.ByLength)
-	if Dice(p, p) != 1 {
-		t.Fatal("Dice(p,p) != 1")
-	}
-	q, _ := spath.Dijkstra(g, 5, 9, spath.ByLength)
-	if Dice(p, q) != 0 {
-		t.Fatal("Dice disjoint != 0")
-	}
-}
-
-func TestOverlapSubsetIsOne(t *testing.T) {
-	g := ladder(t, 6)
-	long, err := spath.Dijkstra(g, 0, 5, spath.ByLength)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A prefix of the path is a subset of its edges.
-	prefix := spath.Path{
-		Vertices: long.Vertices[:3],
-		Edges:    long.Edges[:2],
-	}
-	if o := Overlap(prefix, long); math.Abs(o-1) > 1e-12 {
-		t.Fatalf("Overlap(prefix, path) = %v, want 1", o)
-	}
-}
-
-func TestLCSVertexSimilarity(t *testing.T) {
-	g := ladder(t, 6)
-	p, _ := spath.Dijkstra(g, 0, 5, spath.ByLength)
-	if s := LCSVertexSimilarity(p, p); s != 1 {
-		t.Fatalf("LCS(p,p) = %v, want 1", s)
-	}
-	empty := spath.Path{}
-	if s := LCSVertexSimilarity(empty, empty); s != 1 {
-		t.Fatalf("LCS(empty,empty) = %v, want 1", s)
-	}
-	if s := LCSVertexSimilarity(empty, p); s != 0 {
-		t.Fatalf("LCS(empty,p) = %v, want 0", s)
-	}
-}
-
-func TestLCSDetectsSharedMiddle(t *testing.T) {
-	a := spath.Path{Vertices: []roadnet.VertexID{1, 2, 3, 4, 5}}
-	b := spath.Path{Vertices: []roadnet.VertexID{9, 2, 3, 4, 8}}
-	s := LCSVertexSimilarity(a, b)
-	if math.Abs(s-0.6) > 1e-12 { // common run 2,3,4 = 3 of 5
-		t.Fatalf("LCS = %v, want 0.6", s)
-	}
-}
-
 func TestWeightedJaccardSimAdapter(t *testing.T) {
 	g, p, q := twoPaths(t)
 	sim := WeightedJaccardSim(g)
@@ -215,9 +148,7 @@ func TestSimilaritiesSymmetricProperty(t *testing.T) {
 		}
 		p, q := paths[0], paths[1]
 		return math.Abs(Jaccard(p, q)-Jaccard(q, p)) < 1e-12 &&
-			math.Abs(Dice(p, q)-Dice(q, p)) < 1e-12 &&
-			math.Abs(Overlap(p, q)-Overlap(q, p)) < 1e-12 &&
-			math.Abs(LCSVertexSimilarity(p, q)-LCSVertexSimilarity(q, p)) < 1e-12
+			math.Abs(WeightedJaccard(g, p, q)-WeightedJaccard(g, q, p)) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -142,16 +142,6 @@ func (g *Graph) InNeighbors(v VertexID) []VertexID {
 	return g.inFrom[g.inStart[v]:g.inStart[v+1]]
 }
 
-// OutDegree returns the number of edges leaving v.
-func (g *Graph) OutDegree(v VertexID) int {
-	return int(g.outStart[v+1] - g.outStart[v])
-}
-
-// InDegree returns the number of edges entering v.
-func (g *Graph) InDegree(v VertexID) int {
-	return int(g.inStart[v+1] - g.inStart[v])
-}
-
 // FindEdge returns the ID of an edge from u to v and true if one exists.
 // If parallel edges exist the one with the smallest length is returned.
 func (g *Graph) FindEdge(u, v VertexID) (EdgeID, bool) {
@@ -173,19 +163,6 @@ func (g *Graph) BBox() geo.BBox {
 		b.Extend(v.Point)
 	}
 	return b
-}
-
-// NearestVertex returns the vertex closest to p by linear scan. It is
-// intended for test/tool use; hot paths should use a spatial Index.
-func (g *Graph) NearestVertex(p geo.Point) VertexID {
-	best := VertexID(0)
-	bestD := math.Inf(1)
-	for _, v := range g.vertices {
-		if d := geo.Distance(p, v.Point); d < bestD {
-			best, bestD = v.ID, d
-		}
-	}
-	return best
 }
 
 // Validate checks structural invariants: endpoint IDs in range, strictly

@@ -489,7 +489,7 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 	n := d.sm.NumVertices
 	def := d.art.Candidates
 	ranker := d.art.NewRanker()
-	ranker.Engine = spath.NewEngine(spath.EngineCH, d.art.Graph, spath.ByLength, spath.EngineConfig{})
+	ranker.Engine = spath.NewEngine(spath.EngineCH, d.art.Graph, spath.ByLength)
 	// Cases rotate over two pairs per route kind: stats come only from the
 	// request that computed, and "explicit defaults" would otherwise be
 	// answered from the cache entry "bare" just filled.

@@ -128,7 +128,7 @@ func postRank(t testing.TB, url string, req api.RankQuery) (*http.Response, api.
 
 // TestServeRankMatchesInProcess is the acceptance test: rankings served
 // over HTTP from a loaded artifact are bit-identical to in-process
-// Ranker.Query results (encoding/json float64 round-trips exactly).
+// Ranker.Rank results (encoding/json float64 round-trips exactly).
 func TestServeRankMatchesInProcess(t *testing.T) {
 	art := loadedTestArtifact(t)
 	_, ts := newTestServer(t, Config{})
@@ -138,10 +138,11 @@ func TestServeRankMatchesInProcess(t *testing.T) {
 	pairs := [][2]int64{{0, int64(n - 1)}, {3, int64(n / 2)}, {int64(n - 1), 5}}
 	for _, pair := range pairs {
 		src, dst := pair[0], pair[1]
-		want, err := ranker.Query(roadnet.VertexID(src), roadnet.VertexID(dst))
+		wantResp, err := ranker.Rank(context.Background(), pathrank.RankRequest{Src: roadnet.VertexID(src), Dst: roadnet.VertexID(dst)})
 		if err != nil {
 			t.Fatalf("in-process query %d->%d: %v", src, dst, err)
 		}
+		want := wantResp.Paths
 		resp, rr := postRank(t, ts.URL, api.RankQuery{Src: src, Dst: dst})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d->%d: status %d", src, dst, resp.StatusCode)

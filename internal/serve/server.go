@@ -2,7 +2,7 @@
 // service over HTTP.
 //
 // The server answers concurrent ranking queries with the exact rankings an
-// in-process Ranker.Query would produce: candidate generation runs on
+// in-process Ranker.Rank would produce: candidate generation runs on
 // pooled spath workspaces, an LRU cache short-circuits repeated queries (a
 // hit writes stored response bytes), a singleflight group collapses
 // duplicate in-flight queries so a thundering herd costs one computation,

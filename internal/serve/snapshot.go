@@ -103,5 +103,5 @@ func buildEngine(art *pathrank.Artifact, cfg Config, gd [sha256.Size]byte, prev 
 		// engine's distances and edge IDs stay valid for the new artifact.
 		return prev.engine
 	}
-	return spath.NewEngine(kind, art.Graph, spath.ByLength, spath.EngineConfig{})
+	return spath.NewEngine(kind, art.Graph, spath.ByLength)
 }

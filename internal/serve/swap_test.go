@@ -188,10 +188,11 @@ func TestSwapDifferentFingerprintInvalidatesCache(t *testing.T) {
 	}
 
 	// And they match the new model's in-process ranking.
-	want, err := art2.NewRanker().Query(roadnet.VertexID(queries[0].Src), roadnet.VertexID(queries[0].Dst))
+	wantResp, err := art2.NewRanker().Rank(context.Background(), pathrank.RankRequest{Src: roadnet.VertexID(queries[0].Src), Dst: roadnet.VertexID(queries[0].Dst)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wantResp.Paths
 	_, rr := postRank(t, ts.URL, queries[0])
 	if !rr.Cached || len(rr.Paths) != len(want) {
 		t.Fatalf("repeat after the swap: cached=%v, %d paths, want a hit with %d", rr.Cached, len(rr.Paths), len(want))
@@ -251,10 +252,11 @@ func TestConcurrentReloadDuringRank(t *testing.T) {
 		pairs[i] = pair{src, dst}
 		expected[i] = make(map[string][]float64)
 		for _, m := range []*pathrank.Artifact{art, artB} {
-			ranked, err := m.NewRanker().Query(roadnet.VertexID(src), roadnet.VertexID(dst))
+			rankedResp, err := m.NewRanker().Rank(context.Background(), pathrank.RankRequest{Src: roadnet.VertexID(src), Dst: roadnet.VertexID(dst)})
 			if err != nil {
 				t.Fatalf("precompute %d->%d: %v", src, dst, err)
 			}
+			ranked := rankedResp.Paths
 			scores := make([]float64, len(ranked))
 			for j, rk := range ranked {
 				scores[j] = rk.Score

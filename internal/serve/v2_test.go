@@ -59,7 +59,7 @@ func decodeV2Error(t testing.TB, url, body string) (*http.Response, *api.Error) 
 }
 
 // TestV2SingleMatchesInProcess: one query answered over /v2/rank equals an
-// in-process Ranker.Query, path for path and score for score.
+// in-process Ranker.Rank, path for path and score for score.
 func TestV2SingleMatchesInProcess(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	art := loadedTestArtifact(t)
@@ -71,10 +71,11 @@ func TestV2SingleMatchesInProcess(t *testing.T) {
 		t.Fatalf("v2 status %d", resp.StatusCode)
 	}
 	ranker := art.NewRanker()
-	want, err := ranker.Query(roadnet.VertexID(src), roadnet.VertexID(dst))
+	wantResp, err := ranker.Rank(context.Background(), pathrank.RankRequest{Src: roadnet.VertexID(src), Dst: roadnet.VertexID(dst)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wantResp.Paths
 	if len(want) == 0 || len(want) != len(v2.Paths) {
 		t.Fatalf("in-process %d paths vs v2 %d", len(want), len(v2.Paths))
 	}
@@ -383,10 +384,11 @@ func TestV2DeadlineMidYen(t *testing.T) {
 		t.Fatalf("post-deadline query: status %d", r2.StatusCode)
 	}
 	ranker := art.NewRanker()
-	want, err := ranker.Query(roadnet.VertexID(src), roadnet.VertexID(dst))
+	wantResp, err := ranker.Rank(context.Background(), pathrank.RankRequest{Src: roadnet.VertexID(src), Dst: roadnet.VertexID(dst)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wantResp.Paths
 	if len(want) != len(got.Paths) {
 		t.Fatalf("post-deadline: %d vs %d paths", len(got.Paths), len(want))
 	}

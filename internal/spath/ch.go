@@ -355,10 +355,6 @@ func (ch *ContractionHierarchy) NumShortcuts() int {
 	return n
 }
 
-// NumArcs returns the total number of arcs (original edges + shortcuts) in
-// the augmented search graph.
-func (ch *ContractionHierarchy) NumArcs() int { return len(ch.arcFrom) }
-
 // chItem / vertexHeapCH: the binary heap of BuildCH's witness searches,
 // with lazy deletion (stale entries are skipped on pop). Its order of
 // popping equal keys is part of what fixes the hierarchy.
@@ -731,12 +727,4 @@ func (ch *ContractionHierarchy) ManyToMany(sources, targets []roadnet.VertexID, 
 			}
 		}
 	}
-}
-
-// OneToMany fills out[j] with the exact minimum cost from src to targets[j]
-// for targets within bound, +Inf otherwise. It is ManyToMany with a single
-// source.
-func (ch *ContractionHierarchy) OneToMany(src roadnet.VertexID, targets []roadnet.VertexID, bound float64, out []float64) {
-	rows := [][]float64{out}
-	ch.ManyToMany([]roadnet.VertexID{src}, targets, bound, rows)
 }

@@ -48,8 +48,8 @@ func TestCtxVariantsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	engines := []Engine{
 		NewDijkstraEngine(g, ByLength),
-		NewEngine(EngineALT, g, ByLength, EngineConfig{}),
-		NewEngine(EngineCH, g, ByLength, EngineConfig{}),
+		NewEngine(EngineALT, g, ByLength),
+		NewEngine(EngineCH, g, ByLength),
 	}
 	for i := 0; i < 30; i++ {
 		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
@@ -140,7 +140,7 @@ func TestCtxPreCanceled(t *testing.T) {
 		t.Fatalf("TopK with ctx: err = %v, want Canceled", err)
 	}
 	for _, kind := range []EngineKind{EngineDijkstra, EngineALT, EngineCH} {
-		e := NewEngine(kind, g, ByLength, EngineConfig{})
+		e := NewEngine(kind, g, ByLength)
 		if _, err := e.ShortestCtx(ctx, src, dst); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s ShortestCtx: err = %v, want Canceled", kind, err)
 		}

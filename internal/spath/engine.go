@@ -50,15 +50,9 @@ func ParseEngineKind(s string) (EngineKind, error) {
 	}
 }
 
-// DefaultLandmarks is the ALT landmark count used when a configuration
-// leaves it zero.
+// DefaultLandmarks is the ALT landmark count NewEngine builds with, and
+// BuildPrep's when its configuration leaves the count zero.
 const DefaultLandmarks = 8
-
-// EngineConfig parameterizes engine construction.
-type EngineConfig struct {
-	// Landmarks is the ALT landmark count (default DefaultLandmarks).
-	Landmarks int
-}
 
 // Engine answers exact shortest-path queries over one (graph, weight)
 // pair. Every backend returns minimum-cost results — the choice of kind
@@ -120,16 +114,13 @@ func (b *engineBase) weights() *weightTable { return &b.tab }
 
 // NewEngine builds an engine of the requested kind over g and w,
 // performing whatever preprocessing the kind needs (none for Dijkstra,
-// landmark tables for ALT, contraction for CH). Prebuilt structures can be
-// wrapped directly with EngineFromALT / EngineFromCH instead.
-func NewEngine(kind EngineKind, g *roadnet.Graph, w Weight, cfg EngineConfig) Engine {
+// DefaultLandmarks landmark tables for ALT, contraction for CH). Prebuilt
+// structures can be wrapped directly with EngineFromALT / EngineFromCH
+// instead.
+func NewEngine(kind EngineKind, g *roadnet.Graph, w Weight) Engine {
 	switch kind {
 	case EngineALT:
-		lm := cfg.Landmarks
-		if lm <= 0 {
-			lm = DefaultLandmarks
-		}
-		return EngineFromALT(BuildALT(g, w, lm))
+		return EngineFromALT(BuildALT(g, w, DefaultLandmarks))
 	case EngineCH:
 		return EngineFromCH(BuildCH(g, w), nil, g, w)
 	default:

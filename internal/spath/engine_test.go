@@ -34,8 +34,8 @@ func testEngines(t testing.TB, g *roadnet.Graph, w Weight) []Engine {
 	t.Helper()
 	return []Engine{
 		NewDijkstraEngine(g, w),
-		NewEngine(EngineALT, g, w, EngineConfig{Landmarks: 4}),
-		NewEngine(EngineCH, g, w, EngineConfig{}),
+		EngineFromALT(BuildALT(g, w, 4)),
+		NewEngine(EngineCH, g, w),
 	}
 }
 

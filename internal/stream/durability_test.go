@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"pathrank/internal/dataset"
+	"pathrank/internal/fault"
 	"pathrank/internal/merkle"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/traj"
@@ -336,6 +338,128 @@ func TestKillMidRetrain(t *testing.T) {
 	}
 	if gen2.Lineage.Parent != fingerprint(t, persisted) {
 		t.Fatal("generation 2 does not chain to the recovered generation 1")
+	}
+}
+
+// TestMarkerFailurePublishesNothing: a retrain whose WAL marker append
+// fails has not committed, so it must not publish — the watched file keeps
+// the previous generation and no staged file is left beside it. The next
+// retrain (after more ingest) then publishes the next generation exactly
+// once, and Replay of the log reproduces the published bytes.
+func TestMarkerFailurePublishesNothing(t *testing.T) {
+	art, trips := testWorld(t)
+	walDir := t.TempDir()
+	artDir := t.TempDir()
+	artPath := filepath.Join(artDir, "live.prart")
+	if err := pathrank.SaveArtifactFile(artPath, art); err != nil {
+		t.Fatal(err)
+	}
+	base, err := os.ReadFile(artPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(art, Config{
+		QueueSize: 16, Workers: 2, WALDir: walDir, ArtifactPath: artPath,
+		Train: pathrank.TrainConfig{Epochs: 1, LR: 0.002, Seed: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ingestAll(t, svc, sampleTrajectories(art, trips[:4], 800))
+
+	restore := fault.Enable(fault.NewPlan(1, fault.Rule{Site: fault.SiteWALAppend, Kind: fault.KindError}))
+	_, err = svc.RetrainNow()
+	restore()
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("RetrainNow with a failing marker append = %v, want ErrInjected", err)
+	}
+	if got, err := os.ReadFile(artPath); err != nil || !bytes.Equal(got, base) {
+		t.Fatalf("watched file changed although the marker never reached the log (read err %v)", err)
+	}
+	if entries, err := os.ReadDir(artDir); err != nil || len(entries) != 1 {
+		t.Fatalf("artifact directory holds %d entries after the failed retrain, want 1 (err %v)", len(entries), err)
+	}
+	if st := svc.Stats(); st.Generation != art.Lineage.Generation || st.RetrainErrors != 1 {
+		t.Fatalf("after the failed retrain: generation %d, %d retrain errors; want %d, 1",
+			st.Generation, st.RetrainErrors, art.Lineage.Generation)
+	}
+
+	ingestAll(t, svc, sampleTrajectories(art, trips[4:8], 810))
+	next, err := svc.RetrainNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Lineage.Generation != art.Lineage.Generation+1 {
+		t.Fatalf("next retrain published generation %d, want %d", next.Lineage.Generation, art.Lineage.Generation+1)
+	}
+	published, err := os.ReadFile(artPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(walDir, art, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified || res.Generations != 1 || res.SkippedMarkers != 0 {
+		t.Fatalf("replay: verified=%v, %d generations, %d skipped; want true, 1, 0",
+			res.Verified, res.Generations, res.SkippedMarkers)
+	}
+	var replayed bytes.Buffer
+	if err := pathrank.SaveArtifact(&replayed, res.Artifact); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(replayed.Bytes(), published) {
+		t.Fatal("replayed generation differs from the published file")
+	}
+}
+
+// TestRenameFailureStillCommits: once the marker is synced the generation
+// is committed, so a failing rename is surfaced but the service adopts the
+// generation anyway — the next marker then chains onto it and the log
+// replays as one unbroken chain.
+func TestRenameFailureStillCommits(t *testing.T) {
+	art, trips := testWorld(t)
+	walDir := t.TempDir()
+	artDir := t.TempDir()
+	// A directory at the watched path makes the rename fail.
+	artPath := filepath.Join(artDir, "live.prart")
+	if err := os.MkdirAll(filepath.Join(artPath, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(art, Config{
+		QueueSize: 16, Workers: 2, WALDir: walDir, ArtifactPath: artPath,
+		Train: pathrank.TrainConfig{Epochs: 1, LR: 0.002, Seed: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ingestAll(t, svc, sampleTrajectories(art, trips[:4], 820))
+	gen1, err := svc.RetrainNow()
+	if err == nil || gen1 == nil {
+		t.Fatalf("RetrainNow onto an unrenamable path = (%v, %v), want the committed generation and an error", gen1, err)
+	}
+	if st := svc.Stats(); st.Generation != art.Lineage.Generation+1 {
+		t.Fatalf("service generation %d after a committed retrain, want %d", st.Generation, art.Lineage.Generation+1)
+	}
+	if entries, err := os.ReadDir(artDir); err != nil || len(entries) != 1 {
+		t.Fatalf("artifact directory holds %d entries after the failed rename, want 1 (err %v)", len(entries), err)
+	}
+
+	ingestAll(t, svc, sampleTrajectories(art, trips[4:8], 830))
+	if _, err := svc.RetrainNow(); err == nil {
+		t.Fatal("second retrain onto the unrenamable path reported no error")
+	}
+	res, err := Replay(walDir, art, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified || res.Generations != 2 {
+		t.Fatalf("replay: verified=%v, %d generations; want true, 2", res.Verified, res.Generations)
+	}
+	if res.Artifact.Lineage.Parent != fingerprint(t, gen1) {
+		t.Fatal("generation 2 does not chain onto the committed generation 1")
 	}
 }
 

@@ -160,10 +160,11 @@ func TestLiveLoopEndToEnd(t *testing.T) {
 	// Step 5: the server now answers with B's rankings, bit-identically.
 	rankerB := artB.NewRanker()
 	for _, p := range pairs {
-		want, err := rankerB.Query(roadnet.VertexID(p[0]), roadnet.VertexID(p[1]))
+		wantResp, err := rankerB.Rank(context.Background(), pathrank.RankRequest{Src: roadnet.VertexID(p[0]), Dst: roadnet.VertexID(p[1])})
 		if err != nil {
 			t.Fatalf("in-process B query %d->%d: %v", p[0], p[1], err)
 		}
+		want := wantResp.Paths
 		body, _ := json.Marshal(api.RankQuery{Src: p[0], Dst: p[1]})
 		resp, err := http.Post(ts.URL+"/v2/rank", "application/json", bytes.NewReader(body))
 		if err != nil {

@@ -47,6 +47,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -314,7 +316,7 @@ func New(art *pathrank.Artifact, cfg Config) (*Service, error) {
 	// built here once and every matching worker amortizes it.
 	engine := art.Prep.Engine(spath.EngineCH, art.Graph)
 	if engine == nil {
-		engine = spath.NewEngine(spath.EngineCH, art.Graph, spath.ByLength, spath.EngineConfig{})
+		engine = spath.NewEngine(spath.EngineCH, art.Graph, spath.ByLength)
 	}
 	s := &Service{
 		cfg:         cfg,
@@ -414,12 +416,11 @@ func (s *Service) openWAL() error {
 		s.cfg.Logf("wal: recovered %d observations into the window (%d records total, torn tail %d bytes)",
 			len(s.window), rec.Records, rec.TornBytes)
 	}
-	// The artifact normally matches the last marker (the marker is written
-	// only after the artifact is durably persisted). A marker ahead of the
-	// artifact means the caller restarted from an older artifact: training
-	// continues from what was handed in, and the divergence is surfaced
-	// rather than guessed around — Replay can still reconstruct the logged
-	// chain.
+	// The artifact normally matches the last marker. A marker ahead of the
+	// artifact means the caller restarted from an older artifact, or the
+	// process died between a marker and its rename: training continues
+	// from what was handed in, and the divergence is surfaced rather than
+	// guessed around — Replay can still reconstruct the logged chain.
 	if lastMarker != nil && lastMarker.Generation > s.art.Lineage.Generation && s.cfg.Logf != nil {
 		s.cfg.Logf("wal: log has retrain markers through generation %d but the artifact is generation %d; continuing from the artifact",
 			lastMarker.Generation, s.art.Lineage.Generation)
@@ -799,17 +800,23 @@ func (s *Service) retrainLoop(ctx context.Context) {
 // cfg.ArtifactPath (when set), and recorded in the WAL (when enabled).
 // The previous generation's model is never touched — training runs on a
 // clone — and the step is deterministic: the window is sorted into ingest
-// order and the fine-tune is seeded with Train.Seed+generation. On any
-// error the previous generation stays current.
+// order and the fine-tune is seeded with Train.Seed+generation. On an
+// error the previous generation stays current and nil is returned, except
+// a failed rename after the commit point, which returns the adopted
+// generation with the error.
 //
 // Commit order under the WAL: the log is synced before training (no
 // generation may cite observations that could vanish in a crash), the
-// artifact is persisted, and only then is the retrain marker appended and
-// synced. The marker is the commit point and the last step: nothing after
-// it can fail, so a committed generation is always the next one's parent.
-// A crash between persist and marker loses the marker, never the artifact
-// — the restarted service resumes from the persisted generation and
-// simply re-trains the unmarked window.
+// artifact is staged (written and fsynced beside cfg.ArtifactPath), the
+// retrain marker is appended and synced, and only then is the staged file
+// renamed into the watched path. The synced marker is the commit point: a
+// failure before it removes the staged file and leaves both the watched
+// file and the service on the previous generation, and from it on the
+// service adopts the generation even when the rename fails (that error is
+// returned), so every marker is the parent of the next one. A crash
+// between marker and rename leaves the watched file one generation behind
+// the log; a restart from it reports the gap, and Replay rebuilds the
+// logged generation.
 func (s *Service) RetrainNow() (*pathrank.Artifact, error) {
 	s.retrainMu.Lock()
 	defer s.retrainMu.Unlock()
@@ -853,24 +860,24 @@ func (s *Service) RetrainNow() (*pathrank.Artifact, error) {
 	}
 	art := out.art
 
+	var staged string
 	if s.cfg.ArtifactPath != "" {
-		if err := pathrank.SaveArtifactFile(s.cfg.ArtifactPath, art); err != nil {
+		staged, err = pathrank.StageFile(s.cfg.ArtifactPath, func(w io.Writer) error { return pathrank.SaveArtifact(w, art) })
+		if err != nil {
 			return fail(err)
 		}
 	}
 	if s.log != nil {
-		payload, err := encodeRetrainMarker(out.marker)
-		if err != nil {
+		if err := s.logMarker(out.marker); err != nil {
+			if staged != "" {
+				os.Remove(staged)
+			}
 			return fail(err)
 		}
-		if _, err := s.log.Append(payload); err != nil {
-			s.noteWALFault(fmt.Errorf("wal retrain marker: %v", err))
-			return fail(fmt.Errorf("stream: log retrain marker: %w", err))
-		}
-		if err := s.log.Sync(); err != nil {
-			s.noteWALFault(fmt.Errorf("wal sync retrain marker: %v", err))
-			return fail(fmt.Errorf("stream: sync retrain marker: %w", err))
-		}
+	}
+	var publishErr error
+	if staged != "" {
+		publishErr = pathrank.CommitFile(staged, s.cfg.ArtifactPath)
 	}
 
 	s.mu.Lock()
@@ -887,7 +894,27 @@ func (s *Service) RetrainNow() (*pathrank.Artifact, error) {
 		s.cfg.Logf("retrained: generation %d on %d observations (data root %s)",
 			art.Lineage.Generation, len(obs), art.Lineage.DataRoot)
 	}
+	if publishErr != nil {
+		return art, fmt.Errorf("stream: generation %d committed but not published: %w", art.Lineage.Generation, publishErr)
+	}
 	return art, nil
+}
+
+// logMarker appends the retrain marker m to the WAL and syncs it.
+func (s *Service) logMarker(m retrainMarker) error {
+	payload, err := encodeRetrainMarker(m)
+	if err != nil {
+		return err
+	}
+	if _, err := s.log.Append(payload); err != nil {
+		s.noteWALFault(fmt.Errorf("wal retrain marker: %v", err))
+		return fmt.Errorf("stream: log retrain marker: %w", err)
+	}
+	if err := s.log.Sync(); err != nil {
+		s.noteWALFault(fmt.Errorf("wal sync retrain marker: %v", err))
+		return fmt.Errorf("stream: sync retrain marker: %w", err)
+	}
+	return nil
 }
 
 // retrainOutcome bundles what one retrain produced: the artifact, the

@@ -80,8 +80,7 @@ func testWorld(t testing.TB) (*pathrank.Artifact, []traj.Trip) {
 func sampleTrajectories(art *pathrank.Artifact, trips []traj.Trip, seed int64) [][]traj.GPSRecord {
 	out := make([][]traj.GPSRecord, 0, len(trips))
 	for i, tr := range trips {
-		cfg := traj.DefaultGPSConfig()
-		cfg.Seed = seed + int64(i)
+		cfg := traj.GPSConfig{IntervalSec: 1, NoiseStdM: 8, Seed: seed + int64(i)}
 		out = append(out, traj.SampleGPS(art.Graph, tr.Path, cfg))
 	}
 	return out

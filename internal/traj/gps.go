@@ -23,11 +23,6 @@ type GPSConfig struct {
 	Seed        int64
 }
 
-// DefaultGPSConfig matches typical vehicle trackers: 1 Hz, ~8 m noise.
-func DefaultGPSConfig() GPSConfig {
-	return GPSConfig{IntervalSec: 1.0, NoiseStdM: 8, Seed: 1}
-}
-
 // SampleGPS walks along the trip path at each edge's free-flow speed and
 // emits noisy position samples every IntervalSec. The first and last points
 // of the path are always sampled.

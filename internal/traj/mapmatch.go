@@ -150,7 +150,7 @@ func NewMatcherEngine(g *roadnet.Graph, cfg MatchConfig, engine spath.Engine) *M
 		cfg.BetaM = 60
 	}
 	if engine == nil || engine.Graph() != g {
-		engine = spath.NewEngine(spath.EngineCH, g, spath.ByLength, spath.EngineConfig{})
+		engine = spath.NewEngine(spath.EngineCH, g, spath.ByLength)
 	}
 	return &Matcher{g: g, idx: newGridIndex(g, 4*cfg.SigmaM+200), cfg: cfg, engine: engine}
 }

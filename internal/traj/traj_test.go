@@ -148,7 +148,7 @@ func TestSampleGPSCoversTrip(t *testing.T) {
 
 func TestSampleGPSEmptyPath(t *testing.T) {
 	g := testNet(t)
-	if recs := SampleGPS(g, spath.Path{}, DefaultGPSConfig()); recs != nil {
+	if recs := SampleGPS(g, spath.Path{}, GPSConfig{IntervalSec: 1, NoiseStdM: 8, Seed: 1}); recs != nil {
 		t.Fatalf("empty path should produce no records, got %d", len(recs))
 	}
 }

@@ -11,7 +11,7 @@
 //	trips, _ := pathrank.GenerateTrips(g, pop, pathrank.TripConfig{TripsPerDriver: 6, MinHops: 5, Seed: 2})
 //	pipe, _  := pathrank.BuildPipeline(g, trips, pathrank.DefaultPipelineConfig(64))
 //	ranker   := pathrank.NewRanker(g, pipe.Model)
-//	ranked, _ := ranker.Query(src, dst)
+//	resp, _ := ranker.Rank(ctx, pathrank.RankRequest{Src: src, Dst: dst})
 //
 // Interactive queries go through the Query API v2: a first-class
 // RankRequest with per-request overrides of the candidate regime and full
@@ -111,7 +111,7 @@ const (
 // NewRoutingEngine preprocesses g under w into an engine of the given
 // kind. Engines are immutable and safe for concurrent queries.
 func NewRoutingEngine(kind EngineKind, g *Graph, w Weight) Engine {
-	return spath.NewEngine(kind, g, w, spath.EngineConfig{})
+	return spath.NewEngine(kind, g, w)
 }
 
 // ShortestPath returns a minimum-cost path (Dijkstra).
@@ -270,9 +270,10 @@ func NewRanker(g *Graph, m *Model) *Ranker { return pathrank.NewRanker(g, m) }
 // Ranker.Rank(ctx, RankRequest) is the core query entry point: every field
 // of the request except Src and Dst is optional, zero values select the
 // ranker's configured defaults, and a RankRequest{Src: s, Dst: d} ranking
-// is bit-identical to Ranker.Query(s, d). Canceling ctx stops an in-flight
-// candidate enumeration. The same request shape travels over HTTP as
-// POST /v2/rank (see Client).
+// is bit-identical to the plain reference pipeline (Dijkstra candidates,
+// per-path scoring). Canceling ctx stops an in-flight candidate
+// enumeration. The same request shape travels over HTTP as POST /v2/rank
+// (see Client).
 type (
 	// RankRequest is one origin-destination ranking query with optional
 	// per-request overrides (k, strategy, diversity threshold, weight

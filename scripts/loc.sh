@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
-# Prints the repository's non-test Go line count outside benchmark/ — the
-# size figure the simplification PRs record in CHANGES.md.
+# Prints the repository's size figures outside benchmark/, the ones the
+# simplification PRs record in CHANGES.md: the non-test Go line count on
+# the first line, the amd64 assembly (.s) line count on the second.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -print0 |
-    xargs -0 wc -l | tail -n 1 | awk '{print $1}'
+count() {
+    find . "$@" -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l | tr -d ' '
+}
+count -name '*.go' -not -name '*_test.go'
+count -name '*_amd64.s'
