@@ -100,12 +100,3 @@ func (a *ALT) heuristic(v, dst roadnet.VertexID) float64 {
 	}
 	return best
 }
-
-// boundTo returns the landmark lower bound on d(v, dst) as a closure
-// suitable for Workspace.setGoalAux. The bound stays admissible when edges
-// or vertices are banned (bans only increase true distances), which is what
-// lets Yen spur searches stay goal-directed on the ALT engine and on a CH
-// engine that was handed the tables.
-func (a *ALT) boundTo(dst roadnet.VertexID) func(roadnet.VertexID) float64 {
-	return func(v roadnet.VertexID) float64 { return a.heuristic(v, dst) }
-}

@@ -249,3 +249,87 @@ func TestCtxVariantAllocsMatch(t *testing.T) {
 		t.Fatalf("TopK with ctx allocates %.1f/op vs TopK %.1f/op; ctx threading must not allocate", withCtx, base)
 	}
 }
+
+// TestCtxTreeSweep covers the reverse shortest-path tree every enumeration
+// builds before its first spur search. A context canceled before the sweep
+// or during it fails the enumeration with the context's error, no
+// candidates and no spur search; the pooled workspace it ran on then serves
+// the next query exactly; and a dst outside src's component is ErrNoPath.
+func TestCtxTreeSweep(t *testing.T) {
+	g, prep := benchWorldPrep(t)
+	e := prep.Engine(EngineCH, g)
+	src, dst := roadnet.VertexID(0), roadnet.VertexID(benchWorldSide*benchWorldSide-1) // opposite grid corners
+	want, err := topKCtx(context.Background(), g, e, nil, src, dst, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := GetWorkspace(g)
+	defer ws.Release()
+	ws.useWeights(e.weights())
+	full := ws.heap.pops
+	if !ws.buildTree(g, e.Weight(), src, dst) {
+		t.Fatal("tree sweep did not reach src")
+	}
+	full = ws.heap.pops - full
+	if full < 3*ctxCheckEvery {
+		t.Fatalf("test shape broken: the tree sweep pops %d vertices, fewer than three context polls", full)
+	}
+	// after 0 cancels at bindContext's eager poll, before the sweep; 1 and
+	// 2 at the sweep's first and second amortized polls.
+	for _, after := range []int{0, 1, 2} {
+		ws.bindContext(newFlipCtx(after))
+		before := ws.heap.pops
+		y, err := newYenEnum(g, ws, e.Weight(), src, dst, 8)
+		popped := ws.heap.pops - before
+		if !errors.Is(err, context.Canceled) || y != nil {
+			t.Fatalf("after=%d: enumerator %v, err %v; want none and Canceled", after, y, err)
+		}
+		if (after == 0) != (popped == 0) || popped >= full {
+			t.Fatalf("after=%d: canceled after %d of the sweep's %d pops", after, popped, full)
+		}
+		paths, st, err := enumerate(newFlipCtx(after), g, e, nil, src, dst, 8, nil, 0, 8)
+		if !errors.Is(err, context.Canceled) || paths != nil || st.SpurSearches != 0 {
+			t.Fatalf("after=%d: enumerate returned %d paths after %d spur searches, err %v; want none, none and Canceled", after, len(paths), st.SpurSearches, err)
+		}
+
+		ws.bindContext(context.Background())
+		if y, err = newYenEnum(g, ws, e.Weight(), src, dst, 8); err != nil {
+			t.Fatalf("after=%d: rerun: %v", after, err)
+		}
+		for len(y.paths) < len(want) {
+			if _, ok := y.next(); !ok {
+				break
+			}
+		}
+		requireSameSequence(t, "rerun on the canceled workspace", y.paths, want)
+	}
+
+	t.Run("unreachable", func(t *testing.T) {
+		b := roadnet.NewBuilder(4, 4)
+		for i := 0; i < 4; i++ {
+			b.AddVertex(geo.Point{Lon: 10 + 0.001*float64(i), Lat: 57})
+		}
+		b.AddBidirectional(0, 1, roadnet.Residential)
+		b.AddBidirectional(2, 3, roadnet.Residential)
+		g := b.Build()
+		for _, e := range []Engine{nil, NewEngine(EngineCH, g, ByLength)} {
+			if paths, _, err := enumerate(context.Background(), g, e, ByLength, 0, 3, 5, nil, 0, 5); err != ErrNoPath || paths != nil {
+				t.Fatalf("engine %v: %d paths, err %v; want none and ErrNoPath", e, len(paths), err)
+			}
+		}
+		ws := NewWorkspace()
+		ws.fillWeights(g, ByLength)
+		if y, err := newYenEnum(g, ws, ByLength, 0, 3, 5); err != ErrNoPath || y != nil {
+			t.Fatalf("enumerator %v, err %v; want none and ErrNoPath", y, err)
+		}
+		y, err := newYenEnum(g, ws, ByLength, 1, 0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Dijkstra(g, 1, 0, ByLength)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameSequence(t, "query after ErrNoPath on the same workspace", y.paths, []Path{want})
+	})
+}

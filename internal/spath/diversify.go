@@ -32,9 +32,9 @@ func DiversifiedTopK(g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weigh
 
 // DiversifiedTopKStatsCtx is the enumeration entry every candidate set is
 // generated through (dataset.Config.Candidates): DiversifiedTopK on e when
-// e is non-nil (an engine over g; its point-to-point query gives the first
-// path, its weight table and landmark bound serve the spur searches) and
-// plain on g under w otherwise, honoring ctx, with enumeration statistics.
+// e is non-nil (an engine over g, of which only the weight table is read)
+// and plain on g under w otherwise, honoring ctx, with enumeration
+// statistics.
 // A nil sim accepts every path, which is TkDI; a maxProbe below k means
 // 10*k. Cancellation stops the enumeration, including a spur search in
 // flight, and returns ctx's error; the check is amortized over heap pops,

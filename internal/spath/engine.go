@@ -3,6 +3,7 @@ package spath
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"pathrank/internal/roadnet"
@@ -57,9 +58,10 @@ const DefaultLandmarks = 8
 // Engine answers exact shortest-path queries over one (graph, weight)
 // pair. Every backend returns minimum-cost results — the choice of kind
 // affects preprocessing and query time, never optimality — so consumers
-// (candidate generation, map matching, serving) can switch engines without
-// changing outputs beyond floating-point tie-breaking among equal-cost
-// paths.
+// (map matching, the sharded tier's many-to-many) can switch engines
+// without changing outputs beyond floating-point tie-breaking among
+// equal-cost paths. Candidate generation reads only the weight table, so
+// its output does not depend on the kind at all.
 //
 // Engines are immutable after construction and safe for concurrent use;
 // per-query state lives in pooled workspaces.
@@ -83,15 +85,11 @@ type Engine interface {
 	// len(targets) columns. Pass math.Inf(1) for an unbounded query.
 	ManyToMany(sources, targets []roadnet.VertexID, bound float64, out [][]float64)
 
-	// spurHeuristic returns an admissible per-vertex lower bound on the
-	// cost to dst that remains valid under edge/vertex bans (bans only
-	// increase distances), or nil when the engine has no landmark tables
-	// and adds nothing beyond the geometric default. Unexported: engines
-	// are built by this package.
-	spurHeuristic(dst roadnet.VertexID) func(roadnet.VertexID) float64
 	// weights returns the engine's edge-weight table, built once at
-	// construction and shared read-only by every query.
-	weights() *weightTable
+	// construction and shared read-only by every query; it is all that
+	// candidate generation reads from an engine. Unexported: engines are
+	// built by this package.
+	weights() []float64
 }
 
 // engineBase is what every backend holds: the (graph, weight) pair and
@@ -99,18 +97,16 @@ type Engine interface {
 type engineBase struct {
 	g   *roadnet.Graph
 	w   Weight
-	tab weightTable
+	tab []float64
 }
 
 func newEngineBase(g *roadnet.Graph, w Weight) engineBase {
-	b := engineBase{g: g, w: w}
-	b.tab.fill(g, w)
-	return b
+	return engineBase{g: g, w: w, tab: weightsOf(nil, g, w)}
 }
 
 func (b *engineBase) Graph() *roadnet.Graph { return b.g }
 func (b *engineBase) Weight() Weight        { return b.w }
-func (b *engineBase) weights() *weightTable { return &b.tab }
+func (b *engineBase) weights() []float64    { return b.tab }
 
 // NewEngine builds an engine of the requested kind over g and w,
 // performing whatever preprocessing the kind needs (none for Dijkstra,
@@ -122,7 +118,7 @@ func NewEngine(kind EngineKind, g *roadnet.Graph, w Weight) Engine {
 	case EngineALT:
 		return EngineFromALT(BuildALT(g, w, DefaultLandmarks))
 	case EngineCH:
-		return EngineFromCH(BuildCH(g, w), nil, g, w)
+		return EngineFromCH(BuildCH(g, w), g, w)
 	default:
 		return NewDijkstraEngine(g, w)
 	}
@@ -152,10 +148,6 @@ func (e *dijkstraEngine) ManyToMany(sources, targets []roadnet.VertexID, bound f
 	boundedManyToMany(e.g, e.w, sources, targets, bound, out)
 }
 
-func (e *dijkstraEngine) spurHeuristic(roadnet.VertexID) func(roadnet.VertexID) float64 {
-	return nil
-}
-
 // boundedManyToMany runs one bounded multi-target search per source on a
 // shared pooled workspace; the Dijkstra and ALT engines both use it.
 func boundedManyToMany(g *roadnet.Graph, w Weight, sources, targets []roadnet.VertexID, bound float64, out [][]float64) {
@@ -183,17 +175,16 @@ func (e *altEngine) Shortest(src, dst roadnet.VertexID) (Path, error) {
 }
 
 // ShortestCtx is A* toward dst under the landmark bound: the spur search
-// with nothing banned. Costs equal Dijkstra's; the heuristic only prunes
-// the search.
+// loop with nothing banned and no tree. Costs equal Dijkstra's; the
+// heuristic only prunes the search.
 func (e *altEngine) ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error) {
 	ws := GetWorkspace(e.g)
 	defer ws.Release()
 	ws.bindContext(ctx)
-	ws.useWeights(&e.tab)
-	ws.setGoalAux(e.g, dst, e.a.boundTo(dst))
+	ws.useWeights(e.tab)
 	ws.resetBans(e.g)
-	if p, ok := ws.dijkstraConstrained(e.g, src, dst); ok {
-		return p, nil
+	if reached, _ := ws.spurSearch(e.g, src, dst, math.Inf(1), e.a); reached {
+		return reconstruct(e.g, ws.parent, src, dst, ws.dist[dst]), nil
 	}
 	if ws.ctxErr != nil {
 		return Path{}, ws.ctxErr
@@ -207,24 +198,17 @@ func (e *altEngine) ManyToMany(sources, targets []roadnet.VertexID, bound float6
 	boundedManyToMany(e.g, e.w, sources, targets, bound, out)
 }
 
-func (e *altEngine) spurHeuristic(dst roadnet.VertexID) func(roadnet.VertexID) float64 {
-	return e.a.boundTo(dst)
-}
-
 // --- CH backend ---
 
 type chEngine struct {
 	engineBase
-	ch  *ContractionHierarchy
-	alt *ALT // landmark tables for spur searches; may be nil
+	ch *ContractionHierarchy
 }
 
 // EngineFromCH wraps a prebuilt contraction hierarchy as an Engine. w must
-// be the weight function the hierarchy was built with. alt, when non-nil,
-// holds landmark tables over the same graph and weight: the hierarchy
-// answers point-to-point queries, the tables bound Yen's spur searches.
-func EngineFromCH(ch *ContractionHierarchy, alt *ALT, g *roadnet.Graph, w Weight) Engine {
-	return &chEngine{newEngineBase(g, w), ch, alt}
+// be the weight function the hierarchy was built with.
+func EngineFromCH(ch *ContractionHierarchy, g *roadnet.Graph, w Weight) Engine {
+	return &chEngine{newEngineBase(g, w), ch}
 }
 
 func (e *chEngine) Kind() EngineKind { return EngineCH }
@@ -243,17 +227,10 @@ func (e *chEngine) ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (
 	// accumulation in the last ulp. Re-sum the unpacked edges left to right
 	// — exactly Dijkstra's association — so costs are bit-identical across
 	// engines.
-	p.Cost = sumWeights(e.tab.wts, p.Edges)
+	p.Cost = sumWeights(e.tab, p.Edges)
 	return p, nil
 }
 
 func (e *chEngine) ManyToMany(sources, targets []roadnet.VertexID, bound float64, out [][]float64) {
 	e.ch.ManyToMany(sources, targets, bound, out)
-}
-
-func (e *chEngine) spurHeuristic(dst roadnet.VertexID) func(roadnet.VertexID) float64 {
-	if e.alt == nil {
-		return nil
-	}
-	return e.alt.boundTo(dst)
 }

@@ -319,13 +319,8 @@ func TestPrepEngineSelection(t *testing.T) {
 	if e := full.BestEngine(g); e == nil || e.Kind() != EngineCH {
 		t.Fatalf("full prep best engine = %v", e)
 	}
-	// The CH engine bounds spur searches with the prep's landmark tables
-	// when it has them and stays on the geometric bound when it does not.
-	if full.Engine(EngineCH, g).spurHeuristic(0) == nil {
-		t.Fatalf("CH engine of a prep with landmark tables has no spur heuristic")
-	}
-	if BuildPrep(g, PrepConfig{SkipALT: true}).Engine(EngineCH, g).spurHeuristic(0) != nil {
-		t.Fatalf("CH engine of a prep without landmark tables has a spur heuristic")
+	if e := BuildPrep(g, PrepConfig{SkipALT: true}).Engine(EngineCH, g); e == nil || e.Kind() != EngineCH {
+		t.Fatalf("CH-only prep CH engine = %v", e)
 	}
 	altOnly := &Prep{ALT: BuildALT(g, ByLength, 2)}
 	if e := altOnly.Engine(EngineCH, g); e != nil {

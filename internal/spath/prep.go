@@ -57,7 +57,7 @@ func (p *Prep) Engine(kind EngineKind, g *roadnet.Graph) Engine {
 	switch kind {
 	case EngineCH:
 		if p.CH != nil {
-			return EngineFromCH(p.CH, p.ALT, g, ByLength)
+			return EngineFromCH(p.CH, g, ByLength)
 		}
 	case EngineALT:
 		if p.ALT != nil {

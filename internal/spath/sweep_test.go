@@ -160,9 +160,10 @@ func TestSweepMatchesReference(t *testing.T) {
 }
 
 // TestSweepSharedArraysLeakNoStamps interleaves, on one workspace, a
-// forward sweep, a reverse sweep, a spur search and a forward sweep again:
-// all of them write the same dist/parent/reach arrays and heap, and each
-// must still answer exactly as on a fresh workspace.
+// forward sweep, a reverse sweep, a tree sweep with a spur search on it and
+// a forward sweep again: all of them write the same dist/parent/reach
+// arrays, which the tree swaps out and back, and heap, and each must still
+// answer exactly as on a fresh workspace.
 func TestSweepSharedArraysLeakNoStamps(t *testing.T) {
 	g := workspaceTestGraph(t)
 	rng := rand.New(rand.NewSource(41))
@@ -177,12 +178,17 @@ func TestSweepSharedArraysLeakNoStamps(t *testing.T) {
 			continue
 		}
 		spur := func(ws *Workspace) (Path, bool) {
-			ws.ensure(g)
 			ws.fillWeights(g, ByTime)
-			ws.setGoal(g, q.dst)
+			if !ws.buildTree(g, ByTime, q.src, q.dst) {
+				return Path{}, false
+			}
 			ws.resetBans(g)
 			ws.banEdge(first.Edges[0])
-			return ws.dijkstraConstrained(g, q.src, q.dst)
+			if reached, _ := ws.spurSearch(g, q.src, q.dst, math.Inf(1), nil); !reached {
+				return Path{}, false
+			}
+			edges := ws.appendTree(g, parentEdges(nil, g, ws.parent, q.src, ws.meet), ws.meet, q.dst)
+			return joinPaths(g, []roadnet.VertexID{q.src}, nil, edges, sumWeights(ws.wts, edges)), true
 		}
 		got, okGot := spur(ws)
 		want, okWant := spur(NewWorkspace())

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
 )
 
@@ -16,24 +15,32 @@ import (
 // query bumps a counter instead of clearing the arrays, so query setup is
 // O(1) regardless of graph size.
 //
-// A Workspace runs two relaxation loops over one set of arrays. sweep is
-// every plain search — point-to-point, one-to-all, bounded one-to-many and
-// seeded multi-source, forward or reverse. spurSearch is Yen's spur
-// search; it stays separate because it is the hot loop of candidate
-// generation and differs from a plain search on every relaxed edge: it
-// skips banned vertices and edges, reads the query's weight table instead
-// of calling w, and keys the heap by distance plus a memoized goal bound.
+// A Workspace runs two relaxation loops. sweep is every plain search —
+// point-to-point, one-to-all, bounded one-to-many and seeded multi-source,
+// forward or reverse — and also builds a Yen enumeration's reverse
+// shortest-path tree to dst (buildTree), which then moves to its own labels
+// so the spur searches can reuse the search ones. spurSearch is the
+// goal-directed loop: Yen's spur search, keyed by distance plus the tree's
+// exact potential and stopped at the first vertex whose tree path avoids
+// the bans, and, with no tree, ALT's landmark A*. It stays separate because
+// it is the hot loop of candidate generation and differs from a plain
+// search on every relaxed edge: it skips banned vertices and edges, reads
+// the query's weight table instead of calling w, and adds a potential to
+// the key.
 //
 // A Workspace is not safe for concurrent use; acquire one per goroutine with
-// GetWorkspace. Yen's TopK issues hundreds of Dijkstra calls per candidate
-// set through a single Workspace, which is where the reuse pays off most.
+// GetWorkspace. Yen's TopK issues hundreds of searches per candidate set
+// through a single Workspace, which is where the reuse pays off most.
 type Workspace struct {
 	// Search state, indexed by vertex; a reverse sweep uses it too.
-	dist   []float64
-	parent []roadnet.EdgeID
-	reach  []uint32 // dist/parent valid iff reach[v] == gen
+	labels
 
-	gen uint32
+	// tree is the reverse shortest-path tree to the enumeration's dst
+	// (buildTree): tree.dist[v] is T(v), the cost from v to dst, and
+	// tree.parent[v] v's next edge toward dst. treeR is T(src), the
+	// shortest-path cost, where the sweep stopped.
+	tree  labels
+	treeR float64
 
 	heap heap4
 
@@ -44,29 +51,26 @@ type Workspace struct {
 	// written, so a pooled workspace that last borrowed an engine's table
 	// cannot clobber it.
 	wts []float64
-	own weightTable
+	own []float64
 
 	// Ban stamps for constrained (Yen spur) queries.
 	banV   []uint32
 	banE   []uint32
 	banGen uint32
 
-	// Yen scratch, reused by every spur of an enumeration: the last spur
-	// search's path edges and a candidate's seen key.
+	// The clean memo of the current ban set: cleanOK[v] tells whether v's
+	// tree path to dst avoids every banned vertex and edge, valid iff
+	// cleanAt[v] == banGen. walk is clean's scratch.
+	cleanAt []uint32
+	cleanOK []bool
+	walk    []roadnet.VertexID
+
+	// Yen scratch, reused by every spur of an enumeration: the vertex the
+	// last spur search stopped at, its spur's edges and a candidate's seen
+	// key.
+	meet roadnet.VertexID
 	spur []roadnet.EdgeID
 	key  []byte
-
-	// Goal-heuristic cache for the A* spur queries: all spur
-	// queries of one TopK call share the same destination, so the scaled
-	// straight-line lower bound is memoized per vertex. heurAux, when
-	// non-nil, is an additional admissible bound (e.g. ALT landmark
-	// distances) combined with the geometric one by max.
-	heurV     []float64
-	heurStamp []uint32
-	heurGen   uint32
-	heurPt    geo.Point
-	heurScale float64
-	heurAux   func(roadnet.VertexID) float64
 
 	// Target stamps for bounded multi-target searches.
 	tgtStamp []uint32
@@ -74,6 +78,26 @@ type Workspace struct {
 
 	// Cancellation state shared with the CH query workspace.
 	ctxPoller
+}
+
+// labels are a search's tentative distances and parent edges, indexed by
+// vertex and valid at v iff reach[v] == gen. Each set carries its own
+// generation, so swapping two sets swaps their stamps with them.
+type labels struct {
+	dist   []float64
+	parent []roadnet.EdgeID
+	reach  []uint32
+	gen    uint32
+}
+
+// fit grows the arrays to n vertices.
+func (l *labels) fit(n int) {
+	if len(l.dist) < n {
+		l.dist = make([]float64, n)
+		l.parent = make([]roadnet.EdgeID, n)
+		l.reach = make([]uint32, n)
+		l.gen = 0
+	}
 }
 
 // ctxCheckEvery is the heap-pop interval between context polls; a power of
@@ -159,8 +183,7 @@ func GetWorkspace(g *roadnet.Graph) *Workspace {
 // Release returns the workspace to the shared pool. The workspace must not
 // be used after Release.
 func (ws *Workspace) Release() {
-	ws.heurAux = nil // do not retain engine closures or tables in the pool
-	ws.wts = nil
+	ws.wts = nil // do not retain engine tables in the pool
 	ws.clearContext()
 	wsPool.Put(ws)
 }
@@ -169,16 +192,17 @@ func (ws *Workspace) Release() {
 func (ws *Workspace) ensure(g *roadnet.Graph) {
 	n := g.NumVertices()
 	if len(ws.dist) < n {
-		ws.dist = make([]float64, n)
-		ws.parent = make([]roadnet.EdgeID, n)
-		ws.reach = make([]uint32, n)
+		ws.labels.fit(n)
+		ws.tree.fit(n)
 		ws.banV = make([]uint32, n)
+		ws.cleanAt = make([]uint32, n)
+		ws.cleanOK = make([]bool, n)
 		ws.tgtStamp = make([]uint32, n)
 		ws.tgtGen = 0
-		ws.gen = 0
-		// banV and banE share banGen: resetting it invalidates stamps in
-		// the fresh banV, so the retained banE must be cleared too or its
-		// stale stamps would read as banned once the counter climbs back.
+		// banV, banE and cleanAt share banGen: resetting it invalidates
+		// stamps in the fresh arrays, so the retained banE must be cleared
+		// too or its stale stamps would read as banned once the counter
+		// climbs back.
 		clearU32(ws.banE)
 		ws.banGen = 0
 	}
@@ -201,88 +225,31 @@ func clearU32(s []uint32) {
 	}
 }
 
-// weightTable is the weight of every edge under one Weight function plus
-// the best cost-per-meter ratio, which makes the scaled straight-line
-// distance an admissible, consistent lower bound under that weight. An
-// Engine builds one at construction and shares it, read-only, with every
-// query.
-type weightTable struct {
-	wts   []float64
-	scale float64
-}
-
-// fill evaluates w once per edge of g into t, reusing t's buffer.
-func (t *weightTable) fill(g *roadnet.Graph, w Weight) {
+// weightsOf evaluates w once per edge of g, into buf when it has room. An
+// Engine builds its table at construction and shares it, read-only, with
+// every query.
+func weightsOf(buf []float64, g *roadnet.Graph, w Weight) []float64 {
 	m := g.NumEdges()
-	if cap(t.wts) < m {
-		t.wts = make([]float64, m)
+	if cap(buf) < m {
+		buf = make([]float64, m)
 	}
-	t.wts = t.wts[:m]
-	scale := math.Inf(1)
-	for i := 0; i < m; i++ {
-		e := g.Edge(roadnet.EdgeID(i))
-		wt := w(e)
-		t.wts[i] = wt
-		if r := wt / e.Length; r < scale {
-			scale = r
-		}
+	buf = buf[:m]
+	for i := range buf {
+		buf[i] = w(g.Edge(roadnet.EdgeID(i)))
 	}
-	if math.IsInf(scale, 1) {
-		scale = 0
-	}
-	t.scale = scale
+	return buf
 }
 
 // fillWeights points the cached-weight searches at w, evaluated into the
 // workspace's own buffer.
 func (ws *Workspace) fillWeights(g *roadnet.Graph, w Weight) {
-	ws.own.fill(g, w)
-	ws.useWeights(&ws.own)
+	ws.own = weightsOf(ws.own, g, w)
+	ws.wts = ws.own
 }
 
 // useWeights points the cached-weight searches at a prebuilt table.
-func (ws *Workspace) useWeights(t *weightTable) {
-	ws.wts = t.wts
-	ws.heurScale = t.scale
-}
-
-// setGoal points the heuristic cache at dst, invalidating memoized bounds.
-func (ws *Workspace) setGoal(g *roadnet.Graph, dst roadnet.VertexID) {
-	ws.setGoalAux(g, dst, nil)
-}
-
-// setGoalAux points the heuristic cache at dst with an optional auxiliary
-// admissible bound (an Engine's landmark tables); the memoized value is the
-// max of the geometric and auxiliary bounds, which stays admissible.
-func (ws *Workspace) setGoalAux(g *roadnet.Graph, dst roadnet.VertexID, aux func(roadnet.VertexID) float64) {
-	n := g.NumVertices()
-	if len(ws.heurV) < n {
-		ws.heurV = make([]float64, n)
-		ws.heurStamp = make([]uint32, n)
-		ws.heurGen = 0
-	}
-	ws.heurGen++
-	if ws.heurGen == 0 {
-		clearU32(ws.heurStamp)
-		ws.heurGen = 1
-	}
-	ws.heurPt = g.Vertex(dst).Point
-	ws.heurAux = aux
-}
-
-// heurTo returns the memoized admissible lower bound from v to the goal.
-func (ws *Workspace) heurTo(g *roadnet.Graph, v roadnet.VertexID) float64 {
-	if ws.heurStamp[v] != ws.heurGen {
-		ws.heurStamp[v] = ws.heurGen
-		h := geo.Distance(g.Vertex(v).Point, ws.heurPt) * ws.heurScale
-		if ws.heurAux != nil {
-			if a := ws.heurAux(v); a > h {
-				h = a
-			}
-		}
-		ws.heurV[v] = h
-	}
-	return ws.heurV[v]
+func (ws *Workspace) useWeights(wts []float64) {
+	ws.wts = wts
 }
 
 // --- Ban stamps (Yen spur queries) ---
@@ -293,14 +260,16 @@ func (ws *Workspace) resetBans(g *roadnet.Graph) {
 	if len(ws.banE) < g.NumEdges() {
 		ws.banE = make([]uint32, g.NumEdges())
 		// Same invariant as ensure: a banGen reset must invalidate the
-		// stamps in the retained banV as well.
+		// stamps in the retained banV and cleanAt as well.
 		clearU32(ws.banV)
+		clearU32(ws.cleanAt)
 		ws.banGen = 0
 	}
 	ws.banGen++
 	if ws.banGen == 0 {
 		clearU32(ws.banV)
 		clearU32(ws.banE)
+		clearU32(ws.cleanAt)
 		ws.banGen = 1
 	}
 }
@@ -451,30 +420,96 @@ func (ws *Workspace) bounded(g *roadnet.Graph, from roadnet.VertexID, rev bool, 
 	}
 }
 
-// dijkstraConstrained finds a minimum-cost path avoiding the workspace's
-// current banned vertex/edge set: spurSearch without a limit, the path
-// materialized.
-func (ws *Workspace) dijkstraConstrained(g *roadnet.Graph, src, dst roadnet.VertexID) (Path, bool) {
-	if reached, _ := ws.spurSearch(g, src, dst, math.Inf(1)); !reached {
-		return Path{}, false
-	}
-	return reconstruct(g, ws.parent, src, dst, ws.dist[dst]), true
+// buildTree sweeps from dst over in-arcs under w until src is settled and
+// keeps the result as the reverse shortest-path tree T of a Yen
+// enumeration, with treeR = T(src). A vertex whose tree label is current
+// and at most treeR has its exact cost to dst and a tree edge toward it:
+// the sweep settled every vertex cheaper than src, and a label of exactly
+// treeR was set from a settled vertex. It reports false when src is
+// unreachable or the bound context is canceled (ws.ctxErr tells them
+// apart). w must be the function ws's weight table was filled from.
+func (ws *Workspace) buildTree(g *roadnet.Graph, w Weight, src, dst roadnet.VertexID) bool {
+	reached := ws.sweep(g, []Seed{{dst, 0}}, true, w, src, nil, math.Inf(1))
+	ws.labels, ws.tree = ws.tree, ws.labels
+	ws.treeR = ws.tree.dist[src]
+	return reached
 }
 
-// spurSearch is the spur-path primitive of Yen's algorithm: a minimum-cost
-// src→dst search avoiding the workspace's current banned vertex/edge set.
-// It relies on the weight cache and goal heuristic filled by the enclosing
-// query: the search is goal-directed A* toward the memoized goal, which
-// settles far fewer vertices than a full Dijkstra while reaching dst at the
-// same optimal cost, left in dist[dst] with the path in the parent edges.
+// potential is spurSearch's A* potential: lm's landmark bound to dst when
+// lm is non-nil, else the tree's, T(v) inside its ball and treeR outside
+// it. The tree's is consistent, and admissible under any bans, because bans
+// only lengthen paths and every vertex outside the ball is at least treeR
+// from dst.
+func (ws *Workspace) potential(v, dst roadnet.VertexID, lm *ALT) float64 {
+	if lm != nil {
+		return lm.heuristic(v, dst)
+	}
+	if ws.tree.reach[v] == ws.tree.gen && ws.tree.dist[v] < ws.treeR {
+		return ws.tree.dist[v]
+	}
+	return ws.treeR
+}
+
+// clean reports whether v's tree path to dst touches no banned vertex or
+// edge: clean(v) = !banV(v) && !banE(next(v)) && clean(head(next(v))),
+// false outside the ball. The answer is memoized for the current ban set,
+// for v and every vertex the walk passed.
+func (ws *Workspace) clean(g *roadnet.Graph, v, dst roadnet.VertexID) bool {
+	walk := ws.walk[:0]
+	ok := false
+	for {
+		if ws.cleanAt[v] == ws.banGen {
+			ok = ws.cleanOK[v]
+			break
+		}
+		walk = append(walk, v)
+		if ws.vertexBanned(v) || ws.tree.reach[v] != ws.tree.gen || ws.tree.dist[v] > ws.treeR {
+			break
+		}
+		if v == dst {
+			ok = true
+			break
+		}
+		next := ws.tree.parent[v]
+		if ws.edgeBanned(next) {
+			break
+		}
+		v = g.Edge(next).To
+	}
+	for _, u := range walk {
+		ws.cleanAt[u] = ws.banGen
+		ws.cleanOK[u] = ok
+	}
+	ws.walk = walk
+	return ok
+}
+
+// appendTree appends to edges v's tree path to dst.
+func (ws *Workspace) appendTree(g *roadnet.Graph, edges []roadnet.EdgeID, v, dst roadnet.VertexID) []roadnet.EdgeID {
+	for ; v != dst; v = g.Edge(ws.tree.parent[v]).To {
+		edges = append(edges, ws.tree.parent[v])
+	}
+	return edges
+}
+
+// spurSearch is the goal-directed search over the workspace's weight table
+// that avoids its current banned vertex/edge set: A* from src keyed by
+// distance plus a consistent potential, so keys never decrease.
+//
+// With lm nil it is Yen's spur search on the enumeration's tree: it stops
+// at the first popped vertex u whose tree path is clean, leaving it in
+// ws.meet. The spur is the search's parent edges from src to u followed by
+// u's tree path. It is optimal: its cost is u's key, and no later key is
+// smaller — dst itself is clean. It is loopless: every ancestor of u in the
+// search tree was popped earlier, and one on u's tree path would have been
+// clean first. With lm non-nil it is ALT's point query, stopped at dst.
 //
 // The search stops, reporting cut, as soon as the key it pops exceeds
-// limit. The key is an admissible lower bound on the cost of any src→dst
-// path through the popped vertex, so a cut search could only have found a
-// path costing more than limit. A canceled bound context makes it report
-// neither; the enclosing enumeration distinguishes cancellation via
-// ws.ctxErr.
-func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, limit float64) (reached, cut bool) {
+// limit: the key is a lower bound on the cost of any src→dst path through
+// the popped vertex, so a cut search could only have found a path costing
+// more than limit. A canceled bound context makes it report neither; the
+// enclosing enumeration distinguishes cancellation via ws.ctxErr.
+func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, limit float64, lm *ALT) (reached, cut bool) {
 	if ws.ctxErr != nil || ws.vertexBanned(src) || ws.vertexBanned(dst) {
 		return false, false
 	}
@@ -491,7 +526,8 @@ func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, lim
 		if key > limit {
 			return false, true
 		}
-		if v == dst {
+		if v == dst || lm == nil && ws.clean(g, v, dst) {
+			ws.meet = v
 			return true, false
 		}
 		d := ws.dist[v]
@@ -510,7 +546,7 @@ func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, lim
 				ws.dist[to] = nd
 				ws.reach[to] = gen
 				ws.parent[to] = eid
-				ws.heap.update(to, nd+ws.heurTo(g, to))
+				ws.heap.update(to, nd+ws.potential(to, dst, lm))
 			}
 		}
 	}
@@ -534,6 +570,7 @@ type heap4 struct {
 	pos  []int32
 	pgen []uint32 // pos valid iff pgen[v] == gen
 	gen  uint32
+	pops int // every pop since the heap was made; EnumStats.Pops reads it
 }
 
 func (h *heap4) ensure(n int) {
@@ -578,6 +615,7 @@ func (h *heap4) update(v roadnet.VertexID, key float64) {
 }
 
 func (h *heap4) pop() (roadnet.VertexID, float64) {
+	h.pops++
 	top := h.it[0]
 	last := len(h.it) - 1
 	h.it[0] = h.it[last]

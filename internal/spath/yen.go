@@ -53,11 +53,19 @@ import (
 // workspace, the candidate's cost and seen key are computed from the root
 // and those edges, and a Path is built only for a candidate the list keeps.
 //
+// The enumeration owns one reverse shortest-path tree T to dst, built by
+// newYenEnum under the query's weights (node classification, after Feng,
+// "Finding k shortest simple paths in directed graphs: a node
+// classification algorithm", Networks 2014). T serves three roles: the
+// first path is src's tree path; T's distances, capped at the first path's
+// cost, are every spur search's exact A* potential; and a spur search
+// stops at the first vertex whose tree path avoids its bans, the rest of
+// the spur being that tree path (Workspace.spurSearch).
+//
 // All spur queries share the enclosing pooled Workspace: the banned
-// vertex/edge sets are generation-stamped arrays rather than per-iteration
-// maps, the edge-weight table is the workspace's current one, and the goal
-// heuristic (geometric, strengthened by an engine's landmark bounds when it
-// has them) is memoized per destination.
+// vertex/edge sets and the clean memo are generation-stamped arrays rather
+// than per-iteration maps, and the edge-weight table is the workspace's
+// current one.
 type yenEnum struct {
 	g        *roadnet.Graph
 	ws       *Workspace
@@ -67,7 +75,7 @@ type yenEnum struct {
 	devs     []int           // devs[j] is the spur index paths[j] was created at
 	pending  []yenCand       // sorted by (cost, creation order), at most maxProbe − len(paths) long
 	searches int             // spur searches run
-	cut      int             // spur searches the pending list's bound stopped before dst
+	cut      int             // spur searches the pending list's bound stopped before they found a spur
 	seen     map[string]bool // every path ever admitted, emitted or pending
 	shared   []int           // scratch: leading edges each emitted path shares with the one being spurred
 }
@@ -79,17 +87,32 @@ type yenCand struct {
 	dev int
 }
 
-// newYenEnum starts an enumeration whose first emitted path is first and
+// newYenEnum builds the reverse shortest-path tree to dst under w and
+// starts an enumeration whose first emitted path is src's tree path and
 // which emits at most maxProbe paths, first included. The caller must have
-// pointed ws's weight table and goal heuristic at the query's weight and
-// dst.
-func newYenEnum(g *roadnet.Graph, ws *Workspace, dst roadnet.VertexID, first Path, maxProbe int) *yenEnum {
+// pointed ws's weight table at w. It returns ErrNoPath when dst is
+// unreachable from src and the bound context's error when it is canceled
+// during the sweep.
+func newYenEnum(g *roadnet.Graph, ws *Workspace, w Weight, src, dst roadnet.VertexID, maxProbe int) (*yenEnum, error) {
+	if !ws.buildTree(g, w, src, dst) {
+		if ws.ctxErr != nil {
+			return nil, ws.ctxErr
+		}
+		return nil, ErrNoPath
+	}
+	var first Path
+	if src == dst {
+		first.Vertices = []roadnet.VertexID{src} // no edges, as a point query answers
+	} else {
+		ws.spur = ws.appendTree(g, ws.spur[:0], src, dst)
+		first = joinPaths(g, []roadnet.VertexID{src}, nil, ws.spur, sumWeights(ws.wts, ws.spur))
+	}
 	return &yenEnum{
 		g: g, ws: ws, dst: dst, maxProbe: maxProbe,
 		paths: []Path{first},
 		devs:  []int{0},
 		seen:  map[string]bool{pathKey(first): true},
-	}
+	}, nil
 }
 
 // next computes the cheapest loopless path after the ones already emitted,
@@ -145,14 +168,15 @@ func (y *yenEnum) next() (Path, bool) {
 			limit = bound - rootCost + 1e-9*bound
 		}
 		y.searches++
-		reached, cut := y.ws.spurSearch(y.g, spur, y.dst, limit)
+		reached, cut := y.ws.spurSearch(y.g, spur, y.dst, limit, nil)
 		if cut {
 			y.cut++
 		}
 		if !reached {
 			continue
 		}
-		spurEdges := parentEdges(y.ws.spur, y.g, y.ws.parent, spur, y.dst)
+		spurEdges := parentEdges(y.ws.spur, y.g, y.ws.parent, spur, y.ws.meet)
+		spurEdges = y.ws.appendTree(y.g, spurEdges, y.ws.meet, y.dst)
 		y.ws.spur = spurEdges
 		cost := rootCost
 		for _, eid := range spurEdges {
@@ -215,17 +239,19 @@ type EnumStats struct {
 	Exhausted bool
 	// SpurSearches is the number of constrained searches the run made.
 	SpurSearches int
+	// Pops is the number of heap pops the run made: its reverse
+	// shortest-path tree's sweep and every spur search.
+	Pops int
 }
 
 // enumerate is the one body behind TopK, DiversifiedTopK and
-// DiversifiedTopKStatsCtx. The first path comes from e's
-// point-to-point query (a CH bidirectional upward search or goal-directed
-// ALT A*) when e is non-nil and from plain Dijkstra on g under w otherwise;
-// spur searches read e's weight table and landmark bound, or a per-query
-// fill of w and the geometric bound. Paths are then pulled in Yen order and
-// greedily accepted — every one when sim is nil, else each one whose
-// similarity to everything accepted so far is at most threshold — until k
-// are accepted, maxProbe have been examined, or the path set is exhausted.
+// DiversifiedTopKStatsCtx. The enumeration runs under e's weight table and
+// weight when e is non-nil, and under a per-query fill of w otherwise; the
+// engine contributes nothing else. Paths are pulled in Yen order — the
+// first is the tree's (newYenEnum) — and greedily accepted — every one when
+// sim is nil, else each one whose similarity to everything accepted so far
+// is at most threshold — until k are accepted, maxProbe have been examined,
+// or the path set is exhausted.
 func enumerate(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, EnumStats, error) {
 	var st EnumStats
 	if k <= 0 {
@@ -237,23 +263,20 @@ func enumerate(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, d
 	ws := GetWorkspace(g)
 	defer ws.Release()
 	ws.bindContext(ctx)
-	// One weight per edge and one goal-heuristic cache, shared by every
-	// spur query below.
-	var p Path
-	var err error
+	// One weight per edge, shared by the tree and every spur query below.
 	if e != nil {
+		w = e.Weight()
 		ws.useWeights(e.weights())
-		ws.setGoalAux(g, dst, e.spurHeuristic(dst))
-		p, err = e.ShortestCtx(ctx, src, dst)
 	} else {
 		ws.fillWeights(g, w)
-		ws.setGoal(g, dst)
-		p, err = ws.Dijkstra(g, src, dst, w)
 	}
+	pops := ws.heap.pops
+	y, err := newYenEnum(g, ws, w, src, dst, maxProbe)
 	if err != nil {
+		st.Pops = ws.heap.pops - pops
 		return nil, st, err
 	}
-	y := newYenEnum(g, ws, dst, p, maxProbe)
+	p := y.paths[0]
 	accepted := make([]Path, 0, k)
 	st.Probes, st.MaxCost = 1, p.Cost
 	for {
@@ -275,6 +298,7 @@ func enumerate(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, d
 		st.MaxCost = p.Cost
 	}
 	st.SpurSearches = y.searches
+	st.Pops = ws.heap.pops - pops
 	if ws.ctxErr != nil {
 		return nil, st, ws.ctxErr
 	}

@@ -31,10 +31,16 @@ type refYen struct {
 	src, dst roadnet.VertexID
 	a, b     []Path
 	searches int
+	// onSearch, when non-nil, sees every search next makes, the first
+	// path's (no bans) and each spur search, before it runs.
+	onSearch func(src roadnet.VertexID, banV map[roadnet.VertexID]bool, banE map[roadnet.EdgeID]bool)
 }
 
 func (r *refYen) next() (Path, bool) {
 	if len(r.a) == 0 {
+		if r.onSearch != nil {
+			r.onSearch(r.src, nil, nil)
+		}
 		edges, ok := refDijkstra(r.g, r.w, r.src, r.dst, nil, nil)
 		if !ok {
 			return Path{}, false
@@ -55,6 +61,9 @@ func (r *refYen) next() (Path, bool) {
 			banV[v] = true
 		}
 		r.searches++
+		if r.onSearch != nil {
+			r.onSearch(prev.Vertices[i], banV, banE)
+		}
 		spur, ok := refDijkstra(r.g, r.w, prev.Vertices[i], r.dst, banV, banE)
 		if !ok {
 			continue
@@ -288,16 +297,15 @@ func (s enumSetup) diversified(g *roadnet.Graph, src, dst roadnet.VertexID, k in
 	return diversifiedCtx(context.Background(), g, s.e, nil, src, dst, k, sim, threshold, maxProbe)
 }
 
-// enumSetups covers every heuristic a spur search can run under: the
-// geometric bound alone (plain, Dijkstra, CH without tables) and the
-// landmark bound (ALT, CH with tables).
+// enumSetups covers every way the enumeration is entered: the plain entry
+// points, which fill the weight table per query, and each engine kind,
+// whose table is shared.
 func enumSetups(g *roadnet.Graph, w Weight, ch *ContractionHierarchy, alt *ALT) []enumSetup {
 	return []enumSetup{
 		{"plain", w, nil},
 		{"dijkstra", w, NewDijkstraEngine(g, w)},
 		{"alt", w, EngineFromALT(alt)},
-		{"ch+tables", w, EngineFromCH(ch, alt, g, w)},
-		{"ch", w, EngineFromCH(ch, nil, g, w)},
+		{"ch", w, EngineFromCH(ch, g, w)},
 	}
 }
 
@@ -469,18 +477,112 @@ func TestYenUnitGridTies(t *testing.T) {
 	}
 }
 
+// optimalPaths counts the cheapest src→dst paths avoiding the banned
+// vertices and edges: σ over the distances refSearch settles, taken in
+// increasing order, where an edge u→v adds σ(u) to σ(v) when u's distance
+// plus the edge's weight is within a relative tol of v's (tol 0: equal to
+// it). It returns 0 when dst is unreachable.
+func optimalPaths(g *roadnet.Graph, w Weight, src, dst roadnet.VertexID, banV map[roadnet.VertexID]bool, banE map[roadnet.EdgeID]bool, tol float64) float64 {
+	settled, _ := refSearch(g, w, []Seed{{src, 0}}, false, dst, banV, banE)
+	if _, ok := settled[dst]; !ok {
+		return 0
+	}
+	order := make([]roadnet.VertexID, 0, len(settled))
+	for v := range settled {
+		order = append(order, v)
+	}
+	sort.Slice(order, func(i, j int) bool { return settled[order[i]] < settled[order[j]] })
+	sigma := map[roadnet.VertexID]float64{src: 1}
+	for _, v := range order {
+		if v == src {
+			continue
+		}
+		dv := settled[v]
+		for _, eid := range g.InEdges(v) {
+			e := g.Edge(eid)
+			du, ok := settled[e.From]
+			if ok && !banE[eid] && du+w(e) <= dv+tol*dv {
+				sigma[v] += sigma[e.From]
+			}
+		}
+	}
+	return sigma[dst]
+}
+
+// TestServedSpursHaveUniqueOptima is the census behind the spur search's
+// early stop. A spur search stops at the first vertex whose tree path
+// avoids its bans, so where a search has several optimal spurs it may
+// return another one than textbook Yen's Dijkstra does, and the candidate
+// sets would differ. This counts the optimal paths of every search textbook
+// Yen makes on a sample of the served crosstown and local pairs — exactly,
+// and within a relative 1e-9 — and requires each reachable one to have a
+// single optimum. Should a tie ever appear, the early stop needs a
+// canonical tie rule in refYen first. The unit-grid subtest proves the
+// counter sees ties.
+func TestServedSpursHaveUniqueOptima(t *testing.T) {
+	t.Run("served", func(t *testing.T) {
+		g, _ := benchWorldPrep(t)
+		shapes := []struct {
+			name  string
+			pairs [][2]roadnet.VertexID
+			paths int
+		}{
+			{"crosstown", crosstownPairs(8), 12},
+			{"local", worldPairs(2, 12, 5, 12), 32},
+		}
+		if testing.Short() || raceEnabled {
+			shapes[1].pairs = shapes[1].pairs[:4]
+		}
+		for _, s := range shapes {
+			var searches, reachable, tied, near int
+			for _, p := range s.pairs {
+				ref := newRefSeq(g, ByLength, p[0], p[1])
+				ref.y.onSearch = func(src roadnet.VertexID, banV map[roadnet.VertexID]bool, banE map[roadnet.EdgeID]bool) {
+					searches++
+					n := optimalPaths(g, ByLength, src, p[1], banV, banE, 0)
+					if n == 0 {
+						return
+					}
+					reachable++
+					if n > 1 {
+						tied++
+					}
+					if optimalPaths(g, ByLength, src, p[1], banV, banE, 1e-9) > 1 {
+						near++
+					}
+				}
+				ref.first(s.paths)
+			}
+			t.Logf("%s: %d pairs × %d paths, %d searches, %d reachable: %d with tied optima, %d within 1e-9", s.name, len(s.pairs), s.paths, searches, reachable, tied, near)
+			if reachable == 0 || tied != 0 || near != 0 {
+				t.Fatalf("%s: %d of %d reachable searches have tied optima, %d within 1e-9; want some searches and no tie", s.name, tied, reachable, near)
+			}
+		}
+	})
+	t.Run("unit-grid-ties", func(t *testing.T) {
+		g := gridGraph(t, 6, 6)
+		unit := func(roadnet.Edge) float64 { return 1 }
+		src, dst := roadnet.VertexID(0), roadnet.VertexID(g.NumVertices()-1)
+		for _, tol := range []float64{0, 1e-9} {
+			if n := optimalPaths(g, unit, src, dst, nil, nil, tol); n < 2 {
+				t.Fatalf("tol %g: %v optimal paths corner to corner on a unit grid, want a tie", tol, n)
+			}
+		}
+	})
+}
+
 // servedYenEnum starts, on a workspace the test must release, the
 // enumeration the served configuration runs for src→dst on e.
 func servedYenEnum(t *testing.T, g *roadnet.Graph, e Engine, src, dst roadnet.VertexID, maxProbe int) (*yenEnum, *Workspace) {
 	t.Helper()
-	first, err := e.Shortest(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ws := GetWorkspace(g)
 	ws.useWeights(e.weights())
-	ws.setGoalAux(g, dst, e.spurHeuristic(dst))
-	return newYenEnum(g, ws, dst, first, maxProbe), ws
+	y, err := newYenEnum(g, ws, e.Weight(), src, dst, maxProbe)
+	if err != nil {
+		ws.Release()
+		t.Fatal(err)
+	}
+	return y, ws
 }
 
 // nextWithinBudget is y.next, failing t if the pending list then holds
@@ -496,15 +598,17 @@ func nextWithinBudget(t *testing.T, y *yenEnum) (Path, bool) {
 
 // TestYenSpurSearchBudget pins the work the spur loop does, as counts: a
 // next call searches exactly from its path's deviation index on, and over
-// the crosstown pairs the served configuration (CH with landmark tables,
-// D-TkDI k=5 θ=0.8) runs at most two thirds of the searches of the
+// the crosstown pairs the served configuration (the CH engine's weight
+// table, D-TkDI k=5 θ=0.8) runs at most two thirds of the searches of the
 // reference, which spurs from every index, for the same probes and the
 // same accepted paths. (The first path deviates at 0 and later ones at a
 // uniformly spread index, so P probes cost about P/(2(P-1)) of the
 // reference: 56% at the nine probes a crosstown pair averages, never half.)
 // The pending list never holds more candidates than the paths the budget
 // still allows, and the log reports the share of spur searches its bound
-// stopped before they reached dst.
+// stopped before they found a spur. The heap pops of each served shape —
+// the tree sweep plus every spur search — stay under a mean per pair of
+// 2,000 on crosstown and 900 on local_k32.
 func TestYenSpurSearchBudget(t *testing.T) {
 	g, prep := benchWorldPrep(t)
 	e := prep.Engine(EngineCH, g)
@@ -559,19 +663,9 @@ func TestYenSpurSearchBudget(t *testing.T) {
 	// Each served shape's pairs, replayed next by next for the probes the
 	// served enumeration made: the same searches, the pending list within
 	// the budget after every call.
-	shapes := []struct {
-		name     string
-		pairs    [][2]roadnet.VertexID
-		k        int
-		sim      Similarity
-		maxProbe int
-	}{
-		{"crosstown", pairs, 5, jaccard, 50},
-		{"local_k32", worldPairs(2, 20, 5, 12), 32, nil, 32},
-	}
-	for _, s := range shapes {
+	for _, s := range servedShapes() {
 		t.Run(s.name+"-bound", func(t *testing.T) {
-			var ran, cut int
+			var ran, cut, pops int
 			for _, p := range s.pairs {
 				got, st, err := enumerate(context.Background(), g, e, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe)
 				if err != nil {
@@ -592,8 +686,59 @@ func TestYenSpurSearchBudget(t *testing.T) {
 				}
 				ran += y.searches
 				cut += y.cut
+				pops += st.Pops
 			}
-			t.Logf("%s, %d pairs: the bound stopped %d of %d spur searches early (%.1f%%)", s.name, len(s.pairs), cut, ran, 100*float64(cut)/float64(ran))
+			t.Logf("%s, %d pairs: the bound stopped %d of %d spur searches early (%.1f%%); %.0f heap pops a pair", s.name, len(s.pairs), cut, ran, 100*float64(cut)/float64(ran), float64(pops)/float64(len(s.pairs)))
+			if pops > s.maxPops*len(s.pairs) {
+				t.Fatalf("%s: %d heap pops over %d pairs, want at most %d a pair", s.name, pops, len(s.pairs), s.maxPops)
+			}
+		})
+	}
+}
+
+// servedShape is one served candidate configuration over its pairs of the
+// benchmark world, with the mean heap pops a pair TestYenSpurSearchBudget
+// allows it.
+type servedShape struct {
+	name     string
+	pairs    [][2]roadnet.VertexID
+	k        int
+	sim      Similarity
+	maxProbe int
+	maxPops  int
+}
+
+// servedShapes are crosstown (D-TkDI k=5 θ=0.8) and local_k32 (TkDI
+// k=32), each over 200 pairs: the mean of a smaller sample swings with a
+// few long enumerations.
+func servedShapes() []servedShape {
+	return []servedShape{
+		{"crosstown", worldPairs(1, 200, 20, 40), 5, jaccard, 50, 2000},
+		{"local_k32", worldPairs(2, 200, 5, 12), 32, nil, 32, 900},
+	}
+}
+
+// BenchmarkYenServed runs each served shape's enumeration on the CH engine
+// of the benchmark world, one pair per op, and reports the heap pops and
+// spur searches per op: counts, so they compare across machines.
+func BenchmarkYenServed(b *testing.B) {
+	g, prep := benchWorldPrep(b)
+	e := prep.Engine(EngineCH, g)
+	for _, s := range servedShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			var pops, searches int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := s.pairs[i%len(s.pairs)]
+				_, st, err := enumerate(context.Background(), g, e, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pops += st.Pops
+				searches += st.SpurSearches
+			}
+			b.ReportMetric(float64(pops)/float64(b.N), "pops/op")
+			b.ReportMetric(float64(searches)/float64(b.N), "spur_searches/op")
 		})
 	}
 }
@@ -606,10 +751,10 @@ func TestEngineWeightTableNotClobbered(t *testing.T) {
 	g := gridGraph(t, 9, 9)
 	e := BuildPrep(g, PrepConfig{Landmarks: 4}).Engine(EngineCH, g)
 	src, dst := roadnet.VertexID(0), roadnet.VertexID(g.NumVertices()-1)
-	table := append([]float64(nil), e.weights().wts...)
+	table := append([]float64(nil), e.weights()...)
 	requireTableIntact := func(when string) {
 		t.Helper()
-		for i, w := range e.weights().wts {
+		for i, w := range e.weights() {
 			if math.Float64bits(w) != math.Float64bits(table[i]) {
 				t.Fatalf("%s: engine weight of edge %d is %v, was %v", when, i, w, table[i])
 			}
@@ -619,7 +764,7 @@ func TestEngineWeightTableNotClobbered(t *testing.T) {
 	ws := GetWorkspace(g)
 	ws.useWeights(e.weights())
 	ws.fillWeights(g, ByTime)
-	if &ws.wts[0] == &e.weights().wts[0] {
+	if &ws.wts[0] == &e.weights()[0] {
 		t.Fatal("fillWeights left the workspace aliasing the engine's table")
 	}
 	ws.Release()
@@ -669,8 +814,8 @@ func TestEngineWeightTableNotClobbered(t *testing.T) {
 // lengths and a query on it: data[0..3] pick the vertex count (2..9), src,
 // dst and k (1..8); every following triple is an edge (from, to, jitter).
 // Vertices sit on a 3-wide lattice and an edge is at least as long as the
-// straight line between its ends, which keeps the geometric bound
-// admissible; the per-edge term keeps parallel edges from tying.
+// straight line between its ends, as on a road network; the per-edge term
+// keeps parallel edges from tying.
 func fuzzGraph(data []byte) (g *roadnet.Graph, src, dst roadnet.VertexID, k int) {
 	for len(data) < 4 {
 		data = append(data, 0)
@@ -715,6 +860,13 @@ func FuzzYenMatchesReference(f *testing.F) {
 	f.Add([]byte{2, 0, 3, 2, 0, 1, 10, 2, 3, 10}, uint8(0), uint8(0))                                                                                               // src and dst in different components
 	f.Add([]byte{1, 0, 2, 5, 0, 1, 10, 0, 1, 60, 0, 1, 200, 1, 2, 3, 1, 2, 77, 2, 0, 8}, uint8(2), uint8(128))                                                      // parallel edges; budget below k
 	f.Add([]byte{7, 0, 8, 7, 0, 1, 1, 1, 2, 2, 0, 3, 3, 3, 4, 4, 1, 4, 5, 4, 5, 6, 2, 5, 7, 4, 7, 8, 5, 8, 9, 7, 8, 10, 3, 6, 11, 6, 7, 12}, uint8(20), uint8(204)) // a 3x3 grid; budget past k+1
+	// Every neighbour of the spur vertex 0 reaches dst 2 back through 0 and
+	// the banned edge 0→1, so the first spur search pops 0, 3 and 4, all
+	// dirty, before the clean 5; budget past k+1.
+	f.Add([]byte{4, 0, 2, 3, 0, 1, 0, 1, 2, 0, 0, 3, 0, 3, 0, 0, 0, 4, 0, 4, 0, 0, 3, 5, 0, 4, 5, 0, 5, 2, 255}, uint8(7), uint8(230))
+	// The second and third paths are spurs of exactly equal cost, so only
+	// TopK's cost sequence is compared; budget k+1.
+	f.Add([]byte{6, 3, 6, 7, 3, 5, 0, 6, 5, 0, 3, 4, 0, 4, 1, 0, 1, 6, 128, 6, 1, 0, 5, 2, 0, 3, 4, 0, 4, 1, 0, 1, 1, 0}, uint8(9), uint8(255))
 	f.Fuzz(func(t *testing.T, data []byte, probe, theta uint8) {
 		g, src, dst, k := fuzzGraph(data)
 		if g.NumEdges() == 0 {
