@@ -440,15 +440,15 @@ func gridPairs(seed int64, n, lo, hi int) [][2]roadnet.VertexID {
 // BenchmarkCandidatesByEngine is the engines measurement ROADMAP item 4
 // asked for: one served candidate generation (Ranker.CandidatesFor, what
 // pathrank-serve runs on a cache miss) per iteration, on the served world,
-// for each served shape over each engine a Prep can back.
+// for each served shape over the artifact's CH engine and plain Dijkstra.
 func BenchmarkCandidatesByEngine(b *testing.B) {
 	g, prep := servedWorld(b)
 	for _, load := range servedShapes {
-		for _, kind := range []spath.EngineKind{spath.EngineCH, spath.EngineALT, spath.EngineDijkstra} {
+		for _, engine := range []spath.Engine{prep.Engine(g), spath.NewDijkstraEngine(g, spath.ByLength)} {
 			r := pathrank.NewRanker(g, nil)
 			r.Candidates = load.cands
-			r.Engine = prep.Engine(kind, g)
-			b.Run(fmt.Sprintf("%s/%s", load.name, kind), func(b *testing.B) {
+			r.Engine = engine
+			b.Run(fmt.Sprintf("%s/%s", load.name, engine.Kind()), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					p := load.pairs[i%len(load.pairs)]
 					cands, _, err := r.CandidatesFor(context.Background(), pathrank.RankRequest{Src: p[0], Dst: p[1]})
@@ -483,7 +483,7 @@ func servedSweeps(b *testing.B, shape int) [][]spath.Path {
 	load := servedShapes[shape]
 	r := pathrank.NewRanker(g, nil)
 	r.Candidates = load.cands
-	r.Engine = prep.Engine(spath.EngineCH, g)
+	r.Engine = prep.Engine(g)
 	sweeps := make([][]spath.Path, len(load.pairs))
 	for i, p := range load.pairs {
 		cands, _, err := r.CandidatesFor(context.Background(), pathrank.RankRequest{Src: p[0], Dst: p[1]})

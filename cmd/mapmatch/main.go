@@ -32,7 +32,7 @@ func main() {
 	noise := flag.Float64("noise", 8, "GPS noise standard deviation in meters")
 	interval := flag.Float64("interval", 1, "GPS sampling interval in seconds")
 	seed := flag.Int64("seed", 1, "random seed")
-	engineName := flag.String("engine", "ch", "shortest-path engine for matching: ch, alt or dijkstra")
+	engineName := flag.String("engine", "ch", "shortest-path engine for matching: ch or dijkstra")
 	flag.Parse()
 
 	kind, err := spath.ParseEngineKind(*engineName)

@@ -43,7 +43,7 @@ func main() {
 	vertices := flag.Int64("vertices", 0, "OD sample space (0 = read the vertex count from /healthz)")
 	k := flag.Int("k", 0, "per-request candidate-set size (0 = server default)")
 	strategies := flag.String("strategy", "", "comma-separated candidate strategies to mix (empty = server default)")
-	engines := flag.String("engine", "", "comma-separated engines to mix: ch, alt, dijkstra (empty = snapshot engine)")
+	engines := flag.String("engine", "", "comma-separated engines to mix: ch, dijkstra (empty = snapshot engine)")
 	batchRatio := flag.Float64("batch-ratio", 0, "fraction of v2 requests sent as batches")
 	batchSize := flag.Int("batch-size", 8, "queries per batch request")
 	explainRatio := flag.Float64("explain-ratio", 0, "fraction of single v2 requests sent with explain=true; against a sharded router the report then includes the per-shard latency breakdown")

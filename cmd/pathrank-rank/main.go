@@ -40,7 +40,7 @@ func main() {
 	strategy := flag.String("strategy", "", "candidate strategy override: tkdi or dtkdi (empty = artifact default)")
 	threshold := flag.Float64("threshold", 0, "D-TkDI similarity threshold override in (0,1]")
 	weight := flag.String("weight", "", "edge metric override: length or time")
-	engineName := flag.String("engine", "", "shortest-path backend override: dijkstra, alt or ch (empty = artifact default)")
+	engineName := flag.String("engine", "", "shortest-path backend override: ch, dijkstra (empty = artifact default)")
 	explain := flag.Bool("explain", false, "print candidate-generation statistics")
 	timeout := flag.Duration("timeout", 0, "query deadline (0 = none)")
 	flag.Parse()

@@ -77,7 +77,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 64, "largest /v2/rank batch in queries")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent rank-request cap; excess sheds with 503 backlog (0 = unlimited)")
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "cap on per-request timeout_ms deadlines")
-	engine := flag.String("engine", "ch", "shortest-path engine for candidate generation: ch, alt or dijkstra")
 	drain := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain timeout (every role)")
 	watch := flag.Duration("watch", 0, "artifact-file watch interval: how new generations from pathrank-train's live mode arrive (0 disables the watcher)")
 	canaryQueries := flag.Int("canary-queries", 8, "golden queries the canary gate scores before publishing a swap (0 disables the gate)")
@@ -128,14 +127,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prepNote := "no prep embedded (preprocessing on demand)"
-	if art.Prep != nil {
-		prepNote = "prep embedded (cold start skips preprocessing)"
+	engineNote := "engine dijkstra (no hierarchy embedded)"
+	if art.Prep != nil && art.Prep.CH != nil {
+		engineNote = "engine ch (hierarchy embedded)"
 	}
-	log.Printf("loaded %s in %v: %d vertices, %d edges, %d params, strategy %s k=%d, gen %d fingerprint %.12s, engine %s, %s",
+	log.Printf("loaded %s in %v: %d vertices, %d edges, %d params, strategy %s k=%d, gen %d fingerprint %.12s, %s",
 		*artifactPath, time.Since(start).Round(time.Millisecond),
 		art.Graph.NumVertices(), art.Graph.NumEdges(), art.Model.NumParams(),
-		art.Candidates.Strategy, art.Candidates.K, art.Lineage.Generation, fpHex, *engine, prepNote)
+		art.Candidates.Strategy, art.Candidates.K, art.Lineage.Generation, fpHex, engineNote)
 
 	srv, err := serve.New(art, serve.Config{
 		CacheSize:           *cacheSize,
@@ -143,7 +142,6 @@ func main() {
 		MaxBatch:            *maxBatch,
 		MaxInFlight:         *maxInFlight,
 		MaxTimeout:          *maxTimeout,
-		Engine:              *engine,
 		ArtifactPath:        *artifactPath,
 		WatchInterval:       *watch,
 		CanaryQueries:       *canaryQueries,

@@ -121,8 +121,7 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 	out := fs.String("out", "model.gob", "output path for the trained model")
 	artifactOut := fs.String("artifact", "", "also write a complete serving artifact (network + embeddings + model) to this path; in live mode, the artifact to start from and publish every generation to")
 	resume := fs.String("resume", "", "warm-start from this artifact bundle instead of training from scratch (incremental fine-tune; ignores -net/-m/-hidden/-variant)")
-	prep := fs.Bool("prep", true, "embed precomputed speedup structures (contraction hierarchy + ALT landmarks) in the artifact so pathrank-serve cold-starts without preprocessing")
-	prepLandmarks := fs.Int("prep-landmarks", 0, "ALT landmark count for -prep (0 = default)")
+	prep := fs.Bool("prep", true, "embed a contraction hierarchy in the artifact: map matching and the sharded tier's boundary tables route on it without preprocessing, and ranking reads its weight table")
 	replay := fs.String("replay", "", "replay the trajectory WAL in this directory instead of training (requires -base)")
 	replayBase := fs.String("base", "", "base artifact for -replay (the WAL's first generation's parent) or for standalone -partition")
 	replayGen := fs.Int("replay-gen", 0, "stop the replay after this generation (0 = replay the whole log)")
@@ -196,7 +195,7 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 				ftLR = *lr
 			}
 		})
-		return resumeTrain(*resume, *tripsPath, ftEpochs, ftLR, *seed, *out, *artifactOut, *prep, *prepLandmarks)
+		return resumeTrain(*resume, *tripsPath, ftEpochs, ftLR, *seed, *out, *artifactOut, *prep)
 	}
 
 	g, err := roadnet.LoadFile(*netPath)
@@ -266,7 +265,7 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 			Lineage:    pathrank.Lineage{TrainedOn: len(pipe.Train), TotalObserved: len(pipe.Train), Note: "offline"},
 		}
 		if *prep {
-			art.Prep = buildPrep(g, *prepLandmarks)
+			art.Prep = buildPrep(g)
 		}
 		if *artifactOut != "" {
 			if err := pathrank.SaveArtifactFile(*artifactOut, art); err != nil {
@@ -393,20 +392,20 @@ func replayWAL(walDir, basePath string, targetGen int, artifactOut string) error
 	return nil
 }
 
-// buildPrep preprocesses the road network into the speedup structures the
-// serving and map-matching hot paths query (CH + ALT landmark tables).
-func buildPrep(g *roadnet.Graph, landmarks int) *spath.Prep {
+// buildPrep contracts the road network into the hierarchy the artifact
+// carries.
+func buildPrep(g *roadnet.Graph) *spath.Prep {
 	start := time.Now()
-	p := spath.BuildPrep(g, spath.PrepConfig{Landmarks: landmarks})
-	fmt.Printf("prep: %d shortcuts, %d landmarks in %v\n",
-		p.CH.NumShortcuts(), p.ALT.NumLandmarks(), time.Since(start).Round(time.Millisecond))
+	p := spath.BuildPrep(g, spath.PrepConfig{})
+	fmt.Printf("prep: contraction hierarchy, %d shortcuts in %v\n",
+		p.CH.NumShortcuts(), time.Since(start).Round(time.Millisecond))
 	return p
 }
 
 // resumeTrain implements -resume: load an artifact, fine-tune its model on
 // a new trip log (warm start), bump the lineage, and write the results —
 // the offline twin of the streaming retrainer.
-func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, out, artifactOut string, prep bool, prepLandmarks int) error {
+func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, out, artifactOut string, prep bool) error {
 	art, err := pathrank.LoadArtifactFile(artPath)
 	if err != nil {
 		return err
@@ -457,12 +456,12 @@ func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, 
 			Model:      model,
 			Candidates: art.Candidates,
 			// The road network is unchanged by a fine-tune, so the parent's
-			// speedup structures carry forward as-is.
+			// contraction hierarchy carries forward as-is.
 			Prep:    art.Prep,
 			Lineage: art.Lineage.Child(parent, len(queries), "resume"),
 		}
 		if next.Prep == nil && prep {
-			next.Prep = buildPrep(art.Graph, prepLandmarks)
+			next.Prep = buildPrep(art.Graph)
 		}
 		if err := pathrank.SaveArtifactFile(artifactOut, next); err != nil {
 			return err

@@ -28,15 +28,9 @@ var exportAllowlist = map[string]string{
 	"FindEdge":       "roadnet: other packages' tests look up an edge by its endpoints",
 
 	// Dead, and deleted with their unit tests in a later deletion pass.
-	"Bearing":           "geo: no caller; deletion pending",
-	"Midpoint":          "geo: no caller; deletion pending",
-	"PolylineLength":    "geo: no caller; deletion pending",
-	"DistanceToSegment": "geo: no caller; deletion pending",
-	"Pad":               "geo.BBox: no caller; deletion pending",
-	"Empty":             "geo.BBox: no caller; deletion pending",
-	"MeanRank":          "metrics: no caller; deletion pending with ranking.go",
-	"HitAtK":            "metrics: no caller; deletion pending with ranking.go",
-	"MRR":               "metrics: no caller; deletion pending with ranking.go",
+	"MeanRank": "metrics: no caller; deletion pending with ranking.go",
+	"HitAtK":   "metrics: no caller; deletion pending with ranking.go",
+	"MRR":      "metrics: no caller; deletion pending with ranking.go",
 }
 
 // TestInternalExportsHaveCallers is a tripwire for dead code: the name of

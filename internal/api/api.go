@@ -104,8 +104,9 @@ type RankQuery struct {
 	// "time" (free-flow seconds).
 	Weight string `json:"weight,omitempty"`
 	// Engine selects the shortest-path backend: "auto" (the snapshot's
-	// prepared engine, default), "dijkstra" (no preprocessing), or the
-	// prepared kind by name ("ch", "alt").
+	// prepared engine, default), "dijkstra" (no preprocessing), or "ch"
+	// (the snapshot's contraction hierarchy, which it must carry). No
+	// choice changes a ranking.
 	Engine string `json:"engine,omitempty"`
 	// Explain requests candidate-generation statistics in the response.
 	Explain bool `json:"explain,omitempty"`

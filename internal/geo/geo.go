@@ -1,6 +1,6 @@
 // Package geo provides lightweight planar/spherical geometry primitives for
 // spatial road networks: points in WGS84-like lon/lat coordinates, distance
-// functions, bounding boxes, and polyline utilities.
+// functions and interpolation.
 //
 // Distances are returned in meters. For the small regional extents used by
 // road networks (tens of kilometers) the fast equirectangular approximation
@@ -48,111 +48,10 @@ func Distance(a, b Point) float64 {
 	return EarthRadiusMeters * math.Hypot(dx, dy)
 }
 
-// Midpoint returns the coordinate midway between a and b (planar average,
-// adequate for short segments).
-func Midpoint(a, b Point) Point {
-	return Point{Lon: (a.Lon + b.Lon) / 2, Lat: (a.Lat + b.Lat) / 2}
-}
-
 // Lerp linearly interpolates between a (t=0) and b (t=1).
 func Lerp(a, b Point, t float64) Point {
 	return Point{
 		Lon: a.Lon + (b.Lon-a.Lon)*t,
 		Lat: a.Lat + (b.Lat-a.Lat)*t,
 	}
-}
-
-// Bearing returns the initial bearing from a to b in degrees in [0, 360).
-func Bearing(a, b Point) float64 {
-	la1 := a.Lat * math.Pi / 180
-	la2 := b.Lat * math.Pi / 180
-	dLon := (b.Lon - a.Lon) * math.Pi / 180
-	y := math.Sin(dLon) * math.Cos(la2)
-	x := math.Cos(la1)*math.Sin(la2) - math.Sin(la1)*math.Cos(la2)*math.Cos(dLon)
-	deg := math.Atan2(y, x) * 180 / math.Pi
-	if deg < 0 {
-		deg += 360
-	}
-	return deg
-}
-
-// BBox is an axis-aligned geographic bounding box.
-type BBox struct {
-	MinLon, MinLat, MaxLon, MaxLat float64
-}
-
-// NewBBox returns an empty (inverted) bounding box ready for Extend.
-func NewBBox() BBox {
-	return BBox{
-		MinLon: math.Inf(1), MinLat: math.Inf(1),
-		MaxLon: math.Inf(-1), MaxLat: math.Inf(-1),
-	}
-}
-
-// Extend grows the box to include p.
-func (b *BBox) Extend(p Point) {
-	b.MinLon = math.Min(b.MinLon, p.Lon)
-	b.MinLat = math.Min(b.MinLat, p.Lat)
-	b.MaxLon = math.Max(b.MaxLon, p.Lon)
-	b.MaxLat = math.Max(b.MaxLat, p.Lat)
-}
-
-// Contains reports whether p lies inside or on the boundary of b.
-func (b BBox) Contains(p Point) bool {
-	return p.Lon >= b.MinLon && p.Lon <= b.MaxLon &&
-		p.Lat >= b.MinLat && p.Lat <= b.MaxLat
-}
-
-// Empty reports whether the box has never been extended.
-func (b BBox) Empty() bool { return b.MinLon > b.MaxLon }
-
-// Center returns the box center. It is undefined for an empty box.
-func (b BBox) Center() Point {
-	return Point{Lon: (b.MinLon + b.MaxLon) / 2, Lat: (b.MinLat + b.MaxLat) / 2}
-}
-
-// Pad returns a copy of b expanded by the given number of meters on all
-// sides (converted to degrees at the box's latitude).
-func (b BBox) Pad(meters float64) BBox {
-	latDeg := meters / 111320.0
-	lonDeg := meters / (111320.0 * math.Cos(b.Center().Lat*math.Pi/180))
-	return BBox{
-		MinLon: b.MinLon - lonDeg, MinLat: b.MinLat - latDeg,
-		MaxLon: b.MaxLon + lonDeg, MaxLat: b.MaxLat + latDeg,
-	}
-}
-
-// PolylineLength returns the total length in meters of the polyline through
-// pts, using the equirectangular distance.
-func PolylineLength(pts []Point) float64 {
-	var sum float64
-	for i := 1; i < len(pts); i++ {
-		sum += Distance(pts[i-1], pts[i])
-	}
-	return sum
-}
-
-// ProjectOntoSegment returns the point on segment [a,b] closest to p and the
-// parameter t in [0,1] such that the projection equals Lerp(a,b,t). The
-// computation is planar in degree space scaled by cos(latitude), which is
-// accurate for the short segments found in road networks.
-func ProjectOntoSegment(p, a, b Point) (Point, float64) {
-	cosLat := math.Cos((a.Lat + b.Lat) / 2 * math.Pi / 180)
-	ax, ay := a.Lon*cosLat, a.Lat
-	bx, by := b.Lon*cosLat, b.Lat
-	px, py := p.Lon*cosLat, p.Lat
-	dx, dy := bx-ax, by-ay
-	den := dx*dx + dy*dy
-	if den == 0 {
-		return a, 0
-	}
-	t := ((px-ax)*dx + (py-ay)*dy) / den
-	t = math.Max(0, math.Min(1, t))
-	return Lerp(a, b, t), t
-}
-
-// DistanceToSegment returns the distance in meters from p to segment [a,b].
-func DistanceToSegment(p, a, b Point) float64 {
-	q, _ := ProjectOntoSegment(p, a, b)
-	return Distance(p, q)
 }

@@ -73,143 +73,3 @@ func TestLerpEndpoints(t *testing.T) {
 		t.Fatalf("Lerp(t=0.5) = %v, want (2,4)", mid)
 	}
 }
-
-func TestMidpoint(t *testing.T) {
-	a := Point{Lon: 0, Lat: 0}
-	b := Point{Lon: 2, Lat: 4}
-	m := Midpoint(a, b)
-	if m.Lon != 1 || m.Lat != 2 {
-		t.Fatalf("Midpoint = %v, want (1,2)", m)
-	}
-}
-
-func TestBearingCardinalDirections(t *testing.T) {
-	origin := Point{Lon: 10, Lat: 57}
-	cases := []struct {
-		name string
-		to   Point
-		want float64
-	}{
-		{"north", Point{Lon: 10, Lat: 57.1}, 0},
-		{"east", Point{Lon: 10.1, Lat: 57}, 90},
-		{"south", Point{Lon: 10, Lat: 56.9}, 180},
-		{"west", Point{Lon: 9.9, Lat: 57}, 270},
-	}
-	for _, tc := range cases {
-		got := Bearing(origin, tc.to)
-		diff := math.Abs(got - tc.want)
-		if diff > 180 {
-			diff = 360 - diff
-		}
-		if diff > 1.0 {
-			t.Errorf("Bearing %s = %.2f, want ~%.0f", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestBBoxExtendContains(t *testing.T) {
-	b := NewBBox()
-	if !b.Empty() {
-		t.Fatal("new bbox should be empty")
-	}
-	pts := []Point{{1, 1}, {3, 2}, {2, 5}}
-	for _, p := range pts {
-		b.Extend(p)
-	}
-	if b.Empty() {
-		t.Fatal("bbox should not be empty after Extend")
-	}
-	for _, p := range pts {
-		if !b.Contains(p) {
-			t.Errorf("bbox should contain %v", p)
-		}
-	}
-	if b.Contains(Point{Lon: 0, Lat: 0}) {
-		t.Error("bbox should not contain (0,0)")
-	}
-	c := b.Center()
-	if !almostEqual(c.Lon, 2, 1e-12) || !almostEqual(c.Lat, 3, 1e-12) {
-		t.Errorf("center = %v, want (2,3)", c)
-	}
-}
-
-func TestBBoxPad(t *testing.T) {
-	b := NewBBox()
-	b.Extend(Point{Lon: 10, Lat: 57})
-	padded := b.Pad(1000)
-	if !padded.Contains(Point{Lon: 10, Lat: 57.005}) {
-		t.Error("padded box should contain a point ~550 m north")
-	}
-	if padded.Contains(Point{Lon: 10, Lat: 57.02}) {
-		t.Error("padded box should not contain a point ~2.2 km north")
-	}
-}
-
-func TestPolylineLength(t *testing.T) {
-	pts := []Point{
-		{Lon: 10, Lat: 57},
-		{Lon: 10.01, Lat: 57},
-		{Lon: 10.02, Lat: 57},
-	}
-	total := PolylineLength(pts)
-	seg := Distance(pts[0], pts[1]) + Distance(pts[1], pts[2])
-	if !almostEqual(total, seg, 1e-9) {
-		t.Fatalf("polyline length %.3f != sum of segments %.3f", total, seg)
-	}
-	if PolylineLength(pts[:1]) != 0 {
-		t.Fatal("single-point polyline should have zero length")
-	}
-	if PolylineLength(nil) != 0 {
-		t.Fatal("nil polyline should have zero length")
-	}
-}
-
-func TestProjectOntoSegment(t *testing.T) {
-	a := Point{Lon: 10, Lat: 57}
-	b := Point{Lon: 10.02, Lat: 57}
-	// Point directly above the middle projects onto the middle.
-	p := Point{Lon: 10.01, Lat: 57.001}
-	q, tpar := ProjectOntoSegment(p, a, b)
-	if !almostEqual(tpar, 0.5, 1e-6) {
-		t.Fatalf("t = %v, want 0.5", tpar)
-	}
-	if !almostEqual(q.Lon, 10.01, 1e-9) || !almostEqual(q.Lat, 57, 1e-9) {
-		t.Fatalf("projection = %v, want (10.01,57)", q)
-	}
-	// Point beyond segment end clamps to the end.
-	p2 := Point{Lon: 10.05, Lat: 57}
-	q2, t2 := ProjectOntoSegment(p2, a, b)
-	if t2 != 1 || q2 != b {
-		t.Fatalf("projection beyond end = %v t=%v, want b t=1", q2, t2)
-	}
-	// Degenerate segment.
-	q3, t3 := ProjectOntoSegment(p, a, a)
-	if t3 != 0 || q3 != a {
-		t.Fatalf("degenerate segment projection = %v t=%v, want a t=0", q3, t3)
-	}
-}
-
-func TestDistanceToSegmentPerpendicular(t *testing.T) {
-	a := Point{Lon: 10, Lat: 57}
-	b := Point{Lon: 10.02, Lat: 57}
-	p := Point{Lon: 10.01, Lat: 57.001}
-	d := DistanceToSegment(p, a, b)
-	want := Distance(p, Point{Lon: 10.01, Lat: 57})
-	if !almostEqual(d, want, 1e-6) {
-		t.Fatalf("distance to segment %.3f, want %.3f", d, want)
-	}
-}
-
-func TestProjectionParameterWithinBoundsProperty(t *testing.T) {
-	f := func(px, py, ax, ay, bx, by float64) bool {
-		n := func(v float64) float64 { return 9 + math.Mod(math.Abs(v), 2) }
-		p := Point{Lon: n(px), Lat: n(py) + 47}
-		a := Point{Lon: n(ax), Lat: n(ay) + 47}
-		b := Point{Lon: n(bx), Lat: n(by) + 47}
-		_, tpar := ProjectOntoSegment(p, a, b)
-		return tpar >= 0 && tpar <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

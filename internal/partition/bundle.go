@@ -264,7 +264,7 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 	}
 	for i := 0; i < parts; i++ {
 		sg, toGlobal := ExtractShard(g, res.Owner, int32(i))
-		prep := spath.BuildPrep(sg, spath.PrepConfig{SkipALT: true})
+		prep := spath.BuildPrep(sg, spath.PrepConfig{})
 		sa := &pathrank.Artifact{
 			Graph:      sg,
 			Model:      art.Model,
@@ -294,10 +294,7 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 	}
 
 	B := res.BoundaryVertices()
-	var lengthEng spath.Engine
-	if art.Prep != nil {
-		lengthEng = art.Prep.BestEngine(g)
-	}
+	lengthEng := art.Prep.Engine(g)
 	if lengthEng == nil {
 		lengthEng = spath.NewDijkstraEngine(g, spath.ByLength)
 	}

@@ -29,12 +29,12 @@ type Artifact struct {
 	Embeddings *node2vec.Embeddings // may be nil
 	Model      *Model
 	Candidates dataset.Config
-	// Prep carries the precomputed shortest-path speedup structures
-	// (contraction hierarchy, ALT landmark tables) built for Graph under
-	// the candidate-generation metric. It may be nil — consumers then
-	// preprocess on demand — but persisting it is what makes serving
-	// cold-starts preprocessing-free. An incremental retrain on an
-	// unchanged road network carries the parent's Prep forward untouched.
+	// Prep carries the contraction hierarchy built for Graph under the
+	// length metric. It may be nil — candidate generation then runs on the
+	// plain pooled search, and map matching contracts on demand — but
+	// persisting it is what makes cold starts preprocessing-free. An
+	// incremental retrain on an unchanged road network carries the
+	// parent's Prep forward untouched.
 	Prep *spath.Prep
 	// Lineage records where this artifact came from in an incremental
 	// training chain; the zero value denotes an unstamped (pre-lineage or
@@ -94,17 +94,16 @@ func (l Lineage) Child(parentFP string, trainedOn int, note string) Lineage {
 }
 
 // NewRanker wraps the artifact's model and graph for query-time use, with
-// the artifact's candidate configuration. When the artifact carries
-// precomputed speedup structures, the ranker's candidate generation runs
-// on the fastest engine they back (CH, else ALT).
+// the artifact's candidate configuration. When the artifact carries a
+// contraction hierarchy, the ranker's engine is the CH engine over it,
+// whose shared weight table candidate generation reads; otherwise it has
+// none and generation fills a table per query.
 func (a *Artifact) NewRanker() *Ranker {
 	r := NewRanker(a.Graph, a.Model)
 	if a.Candidates.K > 0 {
 		r.Candidates = a.Candidates
 	}
-	if a.Prep != nil {
-		r.Engine = a.Prep.BestEngine(a.Graph)
-	}
+	r.Engine = a.Prep.Engine(a.Graph)
 	return r
 }
 
@@ -149,8 +148,8 @@ type ShardInfo struct {
 //	0                 52-byte frame header (frame.go); its SHA-256 covers
 //	                  the gob payload
 //	52                gob payload (artifactWire): model config and weights,
-//	                  candidates, lineage, shard info, embeddings, ALT
-//	                  tables, and RawDigest
+//	                  candidates, lineage, shard info, embeddings and
+//	                  RawDigest
 //	52+plen           zero padding to the next 8-byte boundary, then the
 //	                  raw section: directory + flat arrays (rawsection.go)
 //
@@ -172,7 +171,10 @@ type ShardInfo struct {
 //     O(open) cold start avoids.
 //
 // Versions 1 and 2 (graph and CH inside the gob payload) are not read;
-// docs/OPERATIONS.md says how to regenerate such a file.
+// docs/OPERATIONS.md says how to regenerate such a file. Version 3 files
+// written while the payload still had a Prep field load unchanged: gob
+// skips a field the receiving struct lacks, so those bytes are hashed with
+// the payload and never decoded.
 const artifactVersion = 3
 
 var artifactMagic = [8]byte{'P', 'R', 'A', 'R', 'T', 'F', 'C', 'T'}
@@ -188,18 +190,15 @@ var (
 	ErrArtifactCorrupt = errors.New("pathrank: artifact corrupt")
 )
 
-// artifactWire is the gob payload of an artifact. The embeddings, weights
-// and ALT tables reuse their packages' own serializers as nested byte
-// sections, so each layer's format can evolve independently.
+// artifactWire is the gob payload of an artifact. The embeddings and
+// weights reuse their packages' own serializers as nested byte sections,
+// so each layer's format can evolve independently.
 type artifactWire struct {
 	ModelConfig Config
 	Candidates  dataset.Config
 	Lineage     Lineage
 	Embeddings  []byte // empty when the artifact carries no embeddings
 	Params      []byte
-	// Prep is the serialized spath.Prep gob section — the ALT tables;
-	// empty when the artifact carries none. The CH is in the raw section.
-	Prep []byte
 	// Shard marks a partitioned-deployment shard; nil otherwise.
 	Shard *ShardInfo
 	// RawDigest is the SHA-256 of every file byte after this payload.
@@ -213,9 +212,19 @@ type artifactWire struct {
 // never does. Numbering every type the payload's sections use here, before
 // anything else can run, makes equal artifacts equal files in every binary
 // — a served generation and its WAL replay `cmp` equal.
+//
+// The numbering is also part of every model fingerprint, which hashes the
+// params' gob encoding, and fingerprints are compared across binaries (WAL
+// replay, lineage, a bundle's shard map). The anonymous struct stands in
+// for a payload section that files no longer carry, so the types after it
+// keep the numbers, and models the fingerprints, they had while it did.
 func init() {
 	_ = (&node2vec.Embeddings{}).Save(io.Discard)
-	_ = (&spath.Prep{}).Save(io.Discard)
+	_ = gob.NewEncoder(io.Discard).Encode(struct {
+		A, B int32
+		C    []int32
+		D, E [][]float64
+	}{})
 	_ = gob.NewEncoder(io.Discard).Encode(artifactWire{})
 }
 
@@ -241,13 +250,6 @@ func SaveArtifact(w io.Writer, a *Artifact) error {
 	var err error
 	if wire.Params, err = nn.MarshalParams(a.Model.params); err != nil {
 		return fmt.Errorf("pathrank: artifact weights: %w", err)
-	}
-	if a.Prep != nil && a.Prep.ALT != nil {
-		var pbuf bytes.Buffer
-		if err := a.Prep.Save(&pbuf); err != nil {
-			return fmt.Errorf("pathrank: artifact prep: %w", err)
-		}
-		wire.Prep = pbuf.Bytes()
 	}
 	gd := a.Graph.RawData()
 	slots := graphSlots(&gd)
@@ -362,16 +364,8 @@ func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
 		return nil, fmt.Errorf("pathrank: artifact weights: %w", err)
 	}
 	a := &Artifact{Graph: g, Model: model, Candidates: wire.Candidates, Lineage: wire.Lineage, Shard: wire.Shard}
-	if len(wire.Prep) > 0 {
-		if a.Prep, err = spath.LoadPrep(bytes.NewReader(wire.Prep), g); err != nil {
-			return nil, fmt.Errorf("%w: prep section: %v", ErrArtifactCorrupt, err)
-		}
-	}
 	if chd != nil {
-		if a.Prep == nil {
-			a.Prep = &spath.Prep{}
-		}
-		a.Prep.CH = spath.AssembleCH(g, *chd)
+		a.Prep = &spath.Prep{CH: spath.AssembleCH(g, *chd)}
 	}
 	if len(wire.Embeddings) > 0 {
 		if a.Embeddings, err = node2vec.LoadEmbeddings(bytes.NewReader(wire.Embeddings)); err != nil {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -310,12 +312,12 @@ func TestArtifactRejectsImplausibleShape(t *testing.T) {
 	}
 }
 
-// TestArtifactPrepRoundTrip checks that the precomputed speedup structures
-// survive a save/load cycle through either loader and come back ranking
-// bit-identically (paths and scores) on every engine.
+// TestArtifactPrepRoundTrip checks that the contraction hierarchy survives
+// a save/load cycle through either loader and comes back ranking
+// bit-identically (paths and scores) on both engines.
 func TestArtifactPrepRoundTrip(t *testing.T) {
 	art := trainedArtifact(t)
-	art.Prep = spath.BuildPrep(art.Graph, spath.PrepConfig{Landmarks: 3})
+	art.Prep = spath.BuildPrep(art.Graph, spath.PrepConfig{})
 	path := filepath.Join(t.TempDir(), "model.prart")
 	if err := SaveArtifactFile(path, art); err != nil {
 		t.Fatalf("save: %v", err)
@@ -329,7 +331,7 @@ func TestArtifactPrepRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s load: %v", name, err)
 		}
-		if got.Prep == nil || got.Prep.CH == nil || got.Prep.ALT == nil {
+		if got.Prep == nil || got.Prep.CH == nil {
 			t.Fatalf("%s: prep not restored: %+v", name, got.Prep)
 		}
 		if got.Prep.CH.NumShortcuts() != art.Prep.CH.NumShortcuts() {
@@ -339,9 +341,11 @@ func TestArtifactPrepRoundTrip(t *testing.T) {
 		if r := got.NewRanker(); r.Engine == nil || r.Engine.Kind() != spath.EngineCH {
 			t.Fatalf("%s: restored ranker engine = %v, want CH", name, r.Engine)
 		}
-		for _, kind := range []spath.EngineKind{spath.EngineCH, spath.EngineALT, spath.EngineDijkstra} {
+		for _, kind := range []spath.EngineKind{spath.EngineCH, spath.EngineDijkstra} {
 			wr, hr := art.NewRanker(), got.NewRanker()
-			wr.Engine, hr.Engine = art.Prep.Engine(kind, art.Graph), got.Prep.Engine(kind, got.Graph)
+			if kind == spath.EngineDijkstra {
+				wr.Engine, hr.Engine = spath.NewDijkstraEngine(art.Graph, spath.ByLength), spath.NewDijkstraEngine(got.Graph, spath.ByLength)
+			}
 			wantResp, err1 := wr.Rank(context.Background(), RankRequest{Src: src, Dst: dst})
 			haveResp, err2 := hr.Rank(context.Background(), RankRequest{Src: src, Dst: dst})
 			if err1 != nil || err2 != nil {
@@ -371,7 +375,7 @@ func TestArtifactPrepRoundTrip(t *testing.T) {
 // hanging a query.
 func TestArtifactRejectsCorruptPrep(t *testing.T) {
 	art := trainedArtifact(t)
-	art.Prep = spath.BuildPrep(art.Graph, spath.PrepConfig{SkipALT: true})
+	art.Prep = spath.BuildPrep(art.Graph, spath.PrepConfig{})
 	save := func() []byte {
 		var buf bytes.Buffer
 		if err := SaveArtifact(&buf, art); err != nil {
@@ -430,5 +434,93 @@ func TestArtifactRejectsCorruptPrep(t *testing.T) {
 	d.UpArcs[0], d.UpArcs[last] = d.UpArcs[last], d.UpArcs[0]
 	if _, err := LoadArtifact(bytes.NewReader(save())); err != nil {
 		t.Fatalf("restored CH rejected: %v", err)
+	}
+}
+
+// retiredPrepFixture is a version-3 artifact (6x6 world, M 4, hidden 4)
+// written while the gob payload still carried a Prep section beside the
+// raw CH arrays; retiredPrepFingerprint is its model's fingerprint as the
+// writing binary computed it.
+const (
+	retiredPrepFixture     = "testdata/v3_prep_section.prart"
+	retiredPrepFingerprint = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
+)
+
+// TestArtifactLoadsRetiredPrepSection checks that a file written with the
+// retired Prep gob section still loads under both loaders — gob skips the
+// field the payload struct no longer has — with its contraction hierarchy,
+// and ranks bit-identically to the same artifact re-saved without the
+// section; and that its model fingerprint is still the one the writing
+// binary computed, which WAL replay and a bundle's shard map compare
+// against.
+func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
+	old, err := LoadArtifactFile(retiredPrepFixture)
+	if err != nil {
+		t.Fatalf("load fixture: %v", err)
+	}
+	if fp, err := old.Model.FingerprintHex(); err != nil || fp != retiredPrepFingerprint {
+		t.Fatalf("fixture model fingerprint %s (err %v), written as %s", fp, err, retiredPrepFingerprint)
+	}
+	resaved := filepath.Join(t.TempDir(), "resaved.prart")
+	if err := SaveArtifactFile(resaved, old); err != nil {
+		t.Fatalf("re-save: %v", err)
+	}
+	oldInfo, err := os.Stat(retiredPrepFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newInfo, err := os.Stat(resaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newInfo.Size() >= oldInfo.Size() {
+		t.Fatalf("re-saved artifact is %d bytes, the fixture %d: the section was not dropped", newInfo.Size(), oldInfo.Size())
+	}
+	ref, err := LoadArtifactFile(resaved)
+	if err != nil {
+		t.Fatalf("load re-saved: %v", err)
+	}
+
+	rankings := func(a *Artifact) []string {
+		r := a.NewRanker()
+		if r.Engine == nil || r.Engine.Kind() != spath.EngineCH {
+			t.Fatalf("ranker engine = %v, want the artifact's CH", r.Engine)
+		}
+		var out []string
+		n := a.Graph.NumVertices()
+		for i := 0; i < 12; i++ {
+			src, dst := roadnet.VertexID(i*7%n), roadnet.VertexID((i*19+n/2)%n)
+			resp, err := r.Rank(context.Background(), RankRequest{Src: src, Dst: dst})
+			if err != nil {
+				out = append(out, fmt.Sprintf("%d->%d: %v", src, dst, err))
+				continue
+			}
+			for _, p := range resp.Paths {
+				out = append(out, fmt.Sprintf("%d->%d: %v %x %x", src, dst, p.Path.Edges,
+					math.Float64bits(p.Path.Cost), math.Float64bits(p.Score)))
+			}
+		}
+		return out
+	}
+	want := rankings(ref)
+	if len(want) < 12 {
+		t.Fatalf("only %d ranked lines for 12 queries", len(want))
+	}
+	for name, load := range map[string]func(string) (*Artifact, error){
+		"heap": LoadArtifactFile, "mapped": LoadArtifactFileMapped,
+	} {
+		got, err := load(retiredPrepFixture)
+		if err != nil {
+			t.Fatalf("%s load: %v", name, err)
+		}
+		if got.Prep == nil || got.Prep.CH == nil {
+			t.Fatalf("%s: fixture loaded without its contraction hierarchy", name)
+		}
+		if have := rankings(got); !slices.Equal(have, want) {
+			t.Fatalf("%s: fixture ranks differently from its re-saved copy:\n%v\nvs\n%v", name, have, want)
+		}
+		if err := got.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
+	"os"
 	"slices"
 	"testing"
 
@@ -39,7 +40,7 @@ func fuzzSeedArtifacts(f *testing.F) [][]byte {
 		Lineage:    Lineage{Note: "fuzz seed"},
 	}
 	withCH := bare
-	withCH.Prep = spath.BuildPrep(g, spath.PrepConfig{Landmarks: 1})
+	withCH.Prep = spath.BuildPrep(g, spath.PrepConfig{})
 	shard := withCH
 	shard.Shard = &ShardInfo{
 		Index: 1, Parts: 2,
@@ -83,13 +84,19 @@ func resealArtifact(data []byte) ([]byte, bool) {
 
 // FuzzLoadArtifact asserts the artifact parser never panics: arbitrary
 // bytes either reconstruct a complete artifact or return an error. The
+// seeds include the retired-Prep fixture, so gob's skip of a field the
+// payload struct lacks stays fuzzed. The
 // checksum and the raw digest screen random corruption, so every input is
 // tried twice — as is, which exercises the frame, checksum and digest
 // branches, and resealed, which lets a mutation of the directory or of an
 // array through to the bounds checks and the graph and CH validators.
 func FuzzLoadArtifact(f *testing.F) {
 	f.Add([]byte{})
-	for _, valid := range fuzzSeedArtifacts(f) {
+	retired, err := os.ReadFile(retiredPrepFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, valid := range append(fuzzSeedArtifacts(f), retired) {
 		f.Add(valid)
 		f.Add(valid[:20]) // inside the header
 		plen := int(binary.BigEndian.Uint64(valid[44:52]))

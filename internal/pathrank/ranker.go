@@ -20,14 +20,13 @@ type Ranker struct {
 	// Candidates controls candidate generation for queries; defaults are
 	// used when zero-valued.
 	Candidates dataset.Config
-	// Engine, when non-nil, runs candidate generation on a prepared
-	// shortest-path engine (CH or ALT): the first path of every Yen
-	// enumeration comes from the engine's point-to-point query and spur
-	// searches use its admissible heuristic when it has one. The engine
-	// must be built over the same road network (Artifact.NewRanker wires
-	// the one persisted in the artifact). Distances are exact on every
-	// engine, so rankings match the nil-engine (plain Dijkstra) path; a
-	// Dijkstra-kind engine is that same pooled search.
+	// Engine, when non-nil, lends candidate generation its edge-weight
+	// table, built once at construction, so a query does not fill one; it
+	// is all generation reads from an engine. The engine must be built
+	// over the same road network under the length metric
+	// (Artifact.NewRanker wires the CH engine persisted in the artifact).
+	// Rankings are bit-identical to the nil-engine (plain Dijkstra) path
+	// whatever the engine's kind.
 	Engine spath.Engine
 }
 

@@ -63,7 +63,7 @@ func TestArtifactV3RoundTrip(t *testing.T) {
 		want := make([]float64, len(targets))
 		ws.BoundedDistances(got.Graph, 0, targets, math.Inf(1), spath.ByLength, want)
 		ws.Release()
-		eng := got.Prep.BestEngine(got.Graph)
+		eng := got.Prep.Engine(got.Graph)
 		rows := [][]float64{make([]float64, len(targets))}
 		eng.ManyToMany([]roadnet.VertexID{0}, targets, math.Inf(1), rows)
 		for j := range targets {
@@ -105,7 +105,7 @@ func TestArtifactV3MappedColdStartSkipsArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art := &Artifact{Graph: g, Model: m, Prep: spath.BuildPrep(g, spath.PrepConfig{Landmarks: 1})}
+	art := &Artifact{Graph: g, Model: m, Prep: spath.BuildPrep(g, spath.PrepConfig{})}
 	path := filepath.Join(t.TempDir(), "v3.prar")
 	if err := SaveArtifactV3File(path, art); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func smallArtifact(t testing.TB, seed int64) *Artifact {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Artifact{Graph: g, Model: m, Prep: spath.BuildPrep(g, spath.PrepConfig{SkipALT: true})}
+	return &Artifact{Graph: g, Model: m, Prep: spath.BuildPrep(g, spath.PrepConfig{})}
 }
 
 // TestSaveOverMappedArtifact: publishing a different artifact at a path a

@@ -97,19 +97,19 @@ func ParseWeightKind(s string) (WeightKind, error) {
 }
 
 // EngineChoice optionally overrides the shortest-path backend for one
-// request. The zero value keeps the ranker's configured engine.
+// request. The zero value keeps the ranker's configured engine. Candidate
+// generation reads only an engine's weight table, so no choice changes a
+// ranking.
 type EngineChoice uint8
 
 // Per-request engine choices.
 const (
-	// EngineAuto keeps the ranker's configured engine (its prepared CH or
-	// ALT structure when it has one, plain Dijkstra otherwise).
+	// EngineAuto keeps the ranker's configured engine (its CH engine when
+	// the artifact carries a hierarchy, plain Dijkstra otherwise).
 	EngineAuto EngineChoice = iota
 	// EngineNone bypasses any prepared engine and runs plain pooled
 	// Dijkstra searches.
 	EngineNone
-	// EngineALT requires the ranker's prepared ALT engine.
-	EngineALT
 	// EngineCH requires the ranker's prepared CH engine.
 	EngineCH
 )
@@ -121,8 +121,6 @@ func (e EngineChoice) String() string {
 		return "auto"
 	case EngineNone:
 		return "dijkstra"
-	case EngineALT:
-		return "alt"
 	case EngineCH:
 		return "ch"
 	default:
@@ -130,20 +128,17 @@ func (e EngineChoice) String() string {
 	}
 }
 
-// ParseEngineChoice parses an engine name ("", "auto", "dijkstra", "alt",
-// "ch").
+// ParseEngineChoice parses an engine name ("", "auto", "dijkstra", "ch").
 func ParseEngineChoice(s string) (EngineChoice, error) {
 	switch s {
 	case "", "auto":
 		return EngineAuto, nil
 	case "dijkstra", "none":
 		return EngineNone, nil
-	case "alt":
-		return EngineALT, nil
 	case "ch":
 		return EngineCH, nil
 	default:
-		return EngineAuto, rankErrf(api.CodeInvalid, "unknown engine %q (want auto, dijkstra, alt or ch)", s)
+		return EngineAuto, rankErrf(api.CodeInvalid, "unknown engine %q (want auto, dijkstra or ch)", s)
 	}
 }
 
@@ -169,9 +164,9 @@ type RankRequest struct {
 	// Weight overrides the edge metric. WeightTime bypasses a prepared
 	// engine (prepared structures are built for the length metric).
 	Weight WeightKind
-	// Engine overrides the shortest-path backend. Requesting a prepared
-	// kind (EngineALT, EngineCH) the ranker does not hold is an
-	// invalid-request error; EngineNone always works.
+	// Engine overrides the shortest-path backend. Requesting EngineCH when
+	// the ranker holds no CH engine is an invalid-request error; EngineNone
+	// always works.
 	Engine EngineChoice
 	// Explain asks the serving layer to include RankStats in its
 	// response; the in-process Rank fills stats regardless.
@@ -396,16 +391,12 @@ func Resolve(req RankRequest, def dataset.Config, prepared spath.EngineKind) (Re
 	case EngineAuto:
 	case EngineNone:
 		rg.Engine = spath.EngineDijkstra
-	case EngineALT, EngineCH:
+	case EngineCH:
 		if rg.Weight == WeightTime {
 			return Regime{}, rankErrf(api.CodeInvalid,
 				"engine %s serves the length metric; use weight=length or engine=dijkstra", req.Engine)
 		}
-		want := spath.EngineALT
-		if req.Engine == EngineCH {
-			want = spath.EngineCH
-		}
-		if prepared != want {
+		if prepared != spath.EngineCH {
 			return Regime{}, rankErrf(api.CodeInvalid, "engine %s is not prepared for this snapshot", req.Engine)
 		}
 	default:
@@ -415,6 +406,16 @@ func Resolve(req RankRequest, def dataset.Config, prepared spath.EngineKind) (Re
 		rg.Engine = spath.EngineDijkstra
 	}
 	return rg, nil
+}
+
+// EngineKind reports the backend candidate generation runs on when a
+// request keeps the default: the kind of the ranker's engine, or
+// EngineDijkstra when it has none.
+func (r *Ranker) EngineKind() spath.EngineKind {
+	if r.Engine == nil {
+		return spath.EngineDijkstra
+	}
+	return r.Engine.Kind()
 }
 
 // CandidatesFor generates the candidate set for req, honoring ctx, and
@@ -427,11 +428,7 @@ func (r *Ranker) CandidatesFor(ctx context.Context, req RankRequest) ([]spath.Pa
 	if err != nil {
 		return nil, stats, err
 	}
-	prepared := spath.EngineDijkstra
-	if r.Engine != nil {
-		prepared = r.Engine.Kind()
-	}
-	rg, err := Resolve(req, r.Candidates, prepared)
+	rg, err := Resolve(req, r.Candidates, r.EngineKind())
 	if err != nil {
 		return nil, stats, err
 	}

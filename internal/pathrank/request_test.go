@@ -191,9 +191,11 @@ func TestRankEngineChoices(t *testing.T) {
 	}
 
 	// Requesting a prepared kind the ranker does not hold is invalid.
-	_, err = r.Rank(ctx, RankRequest{Src: q.Source, Dst: q.Destination, Engine: EngineALT})
+	unprepared := *r
+	unprepared.Engine = nil
+	_, err = unprepared.Rank(ctx, RankRequest{Src: q.Source, Dst: q.Destination, Engine: EngineCH})
 	if ErrorCodeOf(err) != api.CodeInvalid {
-		t.Fatalf("alt on ch ranker: code %q, want invalid", ErrorCodeOf(err))
+		t.Fatalf("ch on an unprepared ranker: code %q, want invalid", ErrorCodeOf(err))
 	}
 
 	// An explicit prepared engine with the time metric is contradictory.

@@ -156,15 +156,6 @@ func (g *Graph) FindEdge(u, v VertexID) (EdgeID, bool) {
 	return best, best >= 0
 }
 
-// BBox returns the bounding box of all vertices.
-func (g *Graph) BBox() geo.BBox {
-	b := geo.NewBBox()
-	for _, v := range g.vertices {
-		b.Extend(v.Point)
-	}
-	return b
-}
-
 // Validate checks structural invariants: endpoint IDs in range, strictly
 // positive lengths and times, consistent adjacency. It returns the first
 // violation found.

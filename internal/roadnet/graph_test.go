@@ -261,16 +261,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestBBoxCoversAllVertices(t *testing.T) {
-	g := tinyGraph(t)
-	bb := g.BBox()
-	for v := 0; v < g.NumVertices(); v++ {
-		if !bb.Contains(g.Vertex(VertexID(v)).Point) {
-			t.Errorf("bbox misses vertex %d", v)
-		}
-	}
-}
-
 // Property: for any random graph built through the Builder, CSR adjacency
 // partitions the edge set exactly.
 func TestBuilderAdjacencyPartitionProperty(t *testing.T) {

@@ -22,11 +22,11 @@ type resolved struct {
 }
 
 // resolve validates q against the shard map and the router limits and
-// resolves its regime. Shard workers carry CH preparation (the bundle
-// builder always builds it), never ALT, so an explicit ALT request fails
-// here exactly as it would against a CH-prepared single server. The
-// regime is what a stitched query runs under: the fused corridor graph is
-// enumerated by the plain search, whatever structure the shards hold.
+// resolves its regime. Shard workers carry a contraction hierarchy (the
+// bundle builder always builds one), so the rules are those of a
+// CH-prepared single server. The regime is what a stitched query runs
+// under: the fused corridor graph is enumerated by the plain search,
+// whatever structure the shards hold.
 func (rt *Router) resolve(q api.RankQuery) (resolved, *api.Error) {
 	req, err := pathrank.RequestFromQuery(q, rt.sm.NumVertices, rt.cfg.MaxK)
 	if err != nil {

@@ -146,7 +146,11 @@ func buildDeployment(t testing.TB, seed int64, parts int) *deployment {
 	d.router = httptest.NewServer(rt.Handler())
 	t.Cleanup(d.router.Close)
 
-	ref, err := serve.New(art, serve.Config{})
+	// The reference single server ranks on a CH engine, as a default
+	// deployment's trained artifact does.
+	refArt := *art
+	refArt.Prep = spath.BuildPrep(g, spath.PrepConfig{})
+	ref, err := serve.New(&refArt, serve.Config{})
 	if err != nil {
 		t.Fatalf("reference server: %v", err)
 	}
@@ -490,11 +494,12 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 	def := d.art.Candidates
 	ranker := d.art.NewRanker()
 	ranker.Engine = spath.NewEngine(spath.EngineCH, d.art.Graph, spath.ByLength)
-	// Cases rotate over two pairs per route kind: stats come only from the
-	// request that computed, and "explicit defaults" would otherwise be
-	// answered from the cache entry "bare" just filled.
-	co, cross := d.pairs(false, 2), d.pairs(true, 2)
-	if len(co) < 2 || len(cross) < 2 {
+	// Cases rotate over three pairs per route kind: stats come only from
+	// the request that computed, and "explicit defaults" and
+	// "engine=dijkstra", whose rankings are the bare query's, would
+	// otherwise be answered from the cache entry "bare" just filled.
+	co, cross := d.pairs(false, 3), d.pairs(true, 3)
+	if len(co) < 3 || len(cross) < 3 {
 		t.Fatal("degenerate split")
 	}
 
@@ -520,6 +525,8 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 		{"bare", api.RankQuery{}, &bare},
 		{"explicit defaults", api.RankQuery{K: def.K, Strategy: "dtkdi", Threshold: def.Threshold,
 			MaxProbe: def.MaxProbe, Weight: "length", Engine: "ch"}, &bare},
+		{"engine=dijkstra", api.RankQuery{Engine: "dijkstra"},
+			with(func(r *regime) { r.Engine = "dijkstra" })},
 		{"k scales the default probe budget", api.RankQuery{K: 6},
 			with(func(r *regime) { r.K, r.MaxProbe = 6, def.MaxProbe*6/def.K })},
 		{"explicit max_probe pins it", api.RankQuery{K: 6, MaxProbe: def.MaxProbe},
@@ -528,8 +535,6 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 			with(func(r *regime) { r.Strategy, r.Threshold = "TkDI", 0.5 })},
 		{"time metric runs the plain search", api.RankQuery{Weight: "time"},
 			with(func(r *regime) { r.Weight, r.Engine = "time", "dijkstra" })},
-		{"engine=dijkstra", api.RankQuery{Engine: "dijkstra"},
-			with(func(r *regime) { r.Engine = "dijkstra" })},
 
 		{"src out of range", api.RankQuery{Src: int64(n)}, nil},
 		{"negative dst", api.RankQuery{Dst: -3}, nil},
@@ -542,12 +547,12 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 		{"unknown weight", api.RankQuery{Weight: "cost"}, nil},
 		{"unknown engine", api.RankQuery{Engine: "gpu"}, nil},
 		{"time metric on a prepared engine", api.RankQuery{Weight: "time", Engine: "ch"}, nil},
-		{"alt on a CH-only snapshot", api.RankQuery{Engine: "alt"}, nil},
+		{"unknown engine alt", api.RankQuery{Engine: "alt"}, nil},
 	} {
-		for _, pair := range [][2]int64{co[i%2], cross[i%2]} {
+		for _, pair := range [][2]int64{co[i%3], cross[i%3]} {
 			q := tc.q
 			q.Explain = true
-			crossShard := pair == cross[i%2]
+			crossShard := pair == cross[i%3]
 			// A case that sets an endpoint itself is testing that endpoint.
 			if q.Src == 0 && q.Dst == 0 {
 				q.Src, q.Dst = pair[0], pair[1]

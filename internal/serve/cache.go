@@ -19,7 +19,6 @@ type queryKey struct {
 	k        int
 	strategy uint8
 	weight   uint8
-	engine   uint8
 	thrBits  uint64
 	maxProbe int
 }
@@ -28,7 +27,7 @@ type queryKey struct {
 func keyOf(req pathrank.RankRequest, rg pathrank.Regime) queryKey {
 	return queryKey{
 		src: req.Src, dst: req.Dst,
-		k: rg.K, strategy: uint8(rg.Strategy), weight: uint8(rg.Weight), engine: uint8(rg.Engine),
+		k: rg.K, strategy: uint8(rg.Strategy), weight: uint8(rg.Weight),
 		thrBits: math.Float64bits(rg.Threshold), maxProbe: rg.MaxProbe,
 	}
 }

@@ -37,12 +37,11 @@ type serveMetrics struct {
 	// answers.
 	cacheEvents *obsv.CounterVec
 	// The rank path's children, resolved once so a request takes no family
-	// lock and builds no label key: /v2/rank's request counter, the three
-	// cache events, and the latency histogram of the server's engine (every
-	// snapshot serves Config.Engine — see buildEngine).
+	// lock and builds no label key: /v2/rank's request counter and the
+	// three cache events. Each snapshot resolves its own latency child,
+	// labeled with the engine it ranks on.
 	rankRequests             obsv.Counter
 	hits, misses, sharedHits obsv.Counter
-	rankLatency              obsv.Histogram
 	// shed counts requests rejected by the MaxInFlight load shedder.
 	shed obsv.Counter
 	// batchQueries is the distribution of queries per /v2/rank batch
@@ -88,7 +87,6 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 	m.hits = m.cacheEvents.With(cacheHit)
 	m.misses = m.cacheEvents.With(cacheMiss)
 	m.sharedHits = m.cacheEvents.With(cacheShared)
-	m.rankLatency = m.latency.With("/v2/rank", s.cfg.engineKind().String())
 
 	reg.GaugeFunc("pathrank_in_flight_requests",
 		"Rank requests currently executing.",
@@ -119,7 +117,7 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 }
 
 // observeRank records one completed rank request (success or typed
-// failure).
-func (m *serveMetrics) observeRank(start time.Time) {
-	m.rankLatency.Observe(time.Since(start).Seconds())
+// failure) answered on snap.
+func observeRank(snap *snapshot, start time.Time) {
+	snap.latency.Observe(time.Since(start).Seconds())
 }

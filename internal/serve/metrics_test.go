@@ -160,7 +160,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The latency histogram observed the three completed rank exchanges
 	// (shed and undecodable requests never pin a snapshot) with cumulative
 	// monotone buckets.
-	engine := s.snap.Load().engine.Kind().String()
+	engine := s.snap.Load().ranker.EngineKind().String()
 	prefix := fmt.Sprintf(`pathrank_request_duration_seconds_bucket{endpoint="/v2/rank",engine="%s",le=`, engine)
 	type bkt struct {
 		le    float64

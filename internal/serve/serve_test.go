@@ -19,6 +19,7 @@ import (
 	"pathrank/internal/node2vec"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
+	"pathrank/internal/spath"
 	"pathrank/internal/traj"
 )
 
@@ -73,7 +74,7 @@ func loadedTestArtifact(t testing.TB) *pathrank.Artifact {
 			return
 		}
 		art := &pathrank.Artifact{
-			Graph: g, Embeddings: emb, Model: model,
+			Graph: g, Embeddings: emb, Model: model, Prep: spath.BuildPrep(g, spath.PrepConfig{}),
 			Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 4, Threshold: 0.8},
 		}
 		var buf bytes.Buffer

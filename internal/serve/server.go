@@ -51,7 +51,6 @@ import (
 	"pathrank/internal/api"
 	"pathrank/internal/obsv"
 	"pathrank/internal/pathrank"
-	"pathrank/internal/spath"
 )
 
 // maxRankBody bounds a /v2/rank request body.
@@ -73,11 +72,11 @@ type Config struct {
 	// MaxTimeout caps a request's timeout_ms deadline (default 30s);
 	// longer requests are clamped, not rejected.
 	MaxTimeout time.Duration
-	// Engine selects the shortest-path backend for candidate generation:
-	// "ch" (default), "alt", or "dijkstra". The structure persisted in the
-	// artifact is used when it matches; otherwise it is built once at
-	// snapshot creation and reused across hot swaps of the same road
-	// network.
+	// Engine must be "" or "ch"; New rejects anything else. It selects
+	// nothing: a snapshot ranks on the artifact's CH engine when the
+	// artifact carries one and on the plain pooled search otherwise, with
+	// identical rankings. The field is kept only because benchmark/ sets
+	// it to "ch" and may not be edited.
 	Engine string
 	// ArtifactPath is the bundle /v1/reload re-reads when the request names
 	// no path, and the file WatchArtifact monitors.
@@ -131,27 +130,13 @@ type Server struct {
 	lastRejection atomic.Pointer[SwapRejection]
 }
 
-// engineKind resolves the configured engine name; New has validated it.
-func (c Config) engineKind() spath.EngineKind {
-	if c.Engine == "" {
-		return spath.EngineCH
-	}
-	kind, err := spath.ParseEngineKind(c.Engine)
-	if err != nil {
-		return spath.EngineCH
-	}
-	return kind
-}
-
 // New builds a Server around a loaded artifact.
 func New(art *pathrank.Artifact, cfg Config) (*Server, error) {
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 4096
 	}
-	if cfg.Engine != "" {
-		if _, err := spath.ParseEngineKind(cfg.Engine); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
+	if cfg.Engine != "" && cfg.Engine != "ch" {
+		return nil, fmt.Errorf("serve: engine %q is not selectable (the artifact's own engine serves)", cfg.Engine)
 	}
 	if cfg.MaxK <= 0 {
 		cfg.MaxK = 32
@@ -163,14 +148,15 @@ func New(art *pathrank.Artifact, cfg Config) (*Server, error) {
 		cfg.MaxTimeout = 30 * time.Second
 	}
 	s := &Server{cfg: cfg, start: time.Now()}
-	snap, err := newSnapshot(art, cfg, nil)
+	// Registered before the first snapshot, which resolves its latency
+	// child; the scrape-time gauges that read the snapshot cannot run
+	// before New returns.
+	s.obs = newServeMetrics(obsv.NewRegistry(), s)
+	snap, err := newSnapshot(art, cfg, s.obs, nil)
 	if err != nil {
 		return nil, err
 	}
 	s.snap.Store(snap)
-	// Registered after the snapshot is installed, because the scrape-time
-	// gauges read it.
-	s.obs = newServeMetrics(obsv.NewRegistry(), s)
 	return s, nil
 }
 
@@ -227,14 +213,14 @@ func (s *Server) Swap(art *pathrank.Artifact) (SwapInfo, error) {
 	defer s.reloadMu.Unlock()
 	swapStart := time.Now()
 	old := s.snap.Load()
-	next, err := newSnapshot(art, s.cfg, old)
+	next, err := newSnapshot(art, s.cfg, s.obs, old)
 	if err != nil {
 		return SwapInfo{}, err
 	}
 	if s.cfg.CanaryQueries > 0 {
 		if cerr := s.canaryCheck(next, old); cerr != nil {
 			// The candidate never serves; the components it shares with the
-			// live snapshot (cache, engine) are unaffected.
+			// live snapshot (the cache) are unaffected.
 			return SwapInfo{}, s.rejectSwap(next, art.Lineage.Generation, cerr)
 		}
 	}
@@ -460,7 +446,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Edges:        snap.art.Graph.NumEdges(),
 		ModelParams:  snap.art.Model.NumParams(),
 		CacheSize:    snap.cache.len(),
-		Engine:       snap.engine.Kind().String(),
+		Engine:       snap.ranker.EngineKind().String(),
 		PrepEmbedded: snap.art.Prep != nil,
 		Fingerprint:  snap.fpHex,
 		Generation:   snap.art.Lineage.Generation,

@@ -53,10 +53,13 @@ func (g *flightGroup) do(ctx context.Context, key queryKey, fn func() ([]byte, e
 	g.mu.Unlock()
 
 	defer func() {
-		close(c.done)
+		// Unregister before releasing the waiters: a caller that arrives
+		// once a waiter has returned must start a new call, not join this
+		// finished one (after a panic it would read errFlightPanic).
 		g.mu.Lock()
 		delete(g.m, key)
 		g.mu.Unlock()
+		close(c.done)
 	}()
 	c.val, c.err = fn()
 	return c.val, c.err, false

@@ -6,26 +6,31 @@ import (
 	"fmt"
 	"time"
 
+	"pathrank/internal/obsv"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
-	"pathrank/internal/spath"
 )
 
 // snapshot is one immutable serving state: an artifact, its ranker, and the
-// caching machinery bound to that artifact's model. The server holds the
-// current snapshot in an atomic pointer; a hot swap installs a new snapshot
-// while requests already running against the old one finish undisturbed
-// (they keep their pointer; the garbage collector retires the old state).
+// caching machinery bound to that artifact's model. The ranker is the
+// artifact's own (Artifact.NewRanker): it ranks on the artifact's CH engine
+// when it carries one and on the plain pooled search otherwise, and the
+// server never preprocesses. The server holds the current snapshot in an
+// atomic pointer; a hot swap installs a new snapshot while requests already
+// running against the old one finish undisturbed (they keep their pointer;
+// the garbage collector retires the old state).
 type snapshot struct {
 	art    *pathrank.Artifact
 	ranker *pathrank.Ranker
-	engine spath.Engine
 	cache  *lruCache
 	flight *flightGroup
 	fp     [sha256.Size]byte
 	fpHex  string
 	graph  [sha256.Size]byte // digest of the serialized road network
 	loaded time.Time
+	// latency is the /v2/rank latency histogram labeled with the engine
+	// this snapshot ranks on.
+	latency obsv.Histogram
 }
 
 // graphDigest hashes the graph's serialized form. Gob encoding is
@@ -54,7 +59,7 @@ func graphDigest(g *roadnet.Graph) ([sha256.Size]byte, error) {
 //
 // The model's inference plan is built here, so New, the canary and Swap pay
 // for it and no request does.
-func newSnapshot(art *pathrank.Artifact, cfg Config, prev *snapshot) (*snapshot, error) {
+func newSnapshot(art *pathrank.Artifact, cfg Config, obs *serveMetrics, prev *snapshot) (*snapshot, error) {
 	if art == nil || art.Graph == nil || art.Model == nil {
 		return nil, fmt.Errorf("serve: artifact needs a graph and a model")
 	}
@@ -75,8 +80,7 @@ func newSnapshot(art *pathrank.Artifact, cfg Config, prev *snapshot) (*snapshot,
 		graph:  gd,
 		loaded: time.Now(),
 	}
-	p.engine = buildEngine(art, cfg, gd, prev)
-	p.ranker.Engine = p.engine
+	p.latency = obs.latency.With("/v2/rank", p.ranker.EngineKind().String())
 	art.Model.Prepare()
 	if prev != nil && prev.fp == fp && prev.graph == gd &&
 		prev.art.Candidates == art.Candidates && prev.cache != nil {
@@ -85,23 +89,4 @@ func newSnapshot(art *pathrank.Artifact, cfg Config, prev *snapshot) (*snapshot,
 		p.cache = newLRUCache(cfg.CacheSize)
 	}
 	return p, nil
-}
-
-// buildEngine resolves the snapshot's shortest-path engine with, in order
-// of preference: the structure persisted in the artifact (zero cold-start
-// preprocessing), the previous snapshot's engine when the road network is
-// digest-identical (an incremental retrain swaps in new weights on the same
-// network — rebuilding the hierarchy would waste the swap), and finally an
-// on-demand build for artifacts that predate the prep section.
-func buildEngine(art *pathrank.Artifact, cfg Config, gd [sha256.Size]byte, prev *snapshot) spath.Engine {
-	kind := cfg.engineKind()
-	if e := art.Prep.Engine(kind, art.Graph); e != nil {
-		return e
-	}
-	if prev != nil && prev.graph == gd && prev.engine != nil && prev.engine.Kind() == kind {
-		// Digest-equal graphs are structurally identical, so the previous
-		// engine's distances and edge IDs stay valid for the new artifact.
-		return prev.engine
-	}
-	return spath.NewEngine(kind, art.Graph, spath.ByLength)
 }

@@ -30,7 +30,7 @@ func (s *Server) buildQuery(snap *snapshot, q api.RankQuery) (coreQuery, *api.Er
 	if err != nil {
 		return coreQuery{}, pathrank.APIError(err)
 	}
-	rg, err := pathrank.Resolve(req, snap.ranker.Candidates, snap.engine.Kind())
+	rg, err := pathrank.Resolve(req, snap.ranker.Candidates, snap.ranker.EngineKind())
 	if err != nil {
 		return coreQuery{}, pathrank.APIError(err)
 	}
@@ -156,7 +156,7 @@ func (s *Server) handleRankV2(w http.ResponseWriter, r *http.Request) {
 	// One snapshot for the whole request (batch included): a hot swap
 	// installed mid-request must not mix two models' state.
 	snap := s.snap.Load()
-	defer s.obs.observeRank(startReq)
+	defer observeRank(snap, startReq)
 
 	ctx, cancel := api.RequestContext(r, req.TimeoutMs, s.cfg.MaxTimeout)
 	defer cancel()

@@ -88,9 +88,10 @@ func TestV2SingleMatchesInProcess(t *testing.T) {
 
 // TestV2CacheKeyIsResolvedRegime: the cache is keyed on what a query
 // resolves to, not on how it is spelled. Naming every snapshot default
-// explicitly hits the bare query's entry; a k override scales the default
-// probe budget while an explicit max_probe pins it, so those two are
-// different regimes and must not share.
+// explicitly hits the bare query's entry, and so does naming an engine,
+// which cannot change a ranking; a k override scales the default probe
+// budget while an explicit max_probe pins it, so those two are different
+// regimes and must not share.
 func TestV2CacheKeyIsResolvedRegime(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	def := &s.snap.Load().ranker.Candidates
@@ -98,16 +99,28 @@ func TestV2CacheKeyIsResolvedRegime(t *testing.T) {
 	n := s.snap.Load().art.Graph.NumVertices()
 	od := fmt.Sprintf(`"src":1,"dst":%d`, n-2)
 
-	cached := func(body string) bool {
+	type result struct {
+		Cached bool            `json:"cached"`
+		Paths  json.RawMessage `json:"paths"`
+	}
+	query := func(body string) result {
 		t.Helper()
-		var res api.RankResult
+		var res result
 		if resp := postV2(t, ts.URL, "{"+od+body+"}", &res); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", body, resp.StatusCode)
 		}
-		return res.Cached
+		return res
 	}
-	if cached("") {
+	cached := func(body string) bool { return query(body).Cached }
+	bare := query("")
+	if bare.Cached {
 		t.Fatal("first bare query cannot be cached")
+	}
+	for _, engine := range []string{"dijkstra", "ch"} {
+		res := query(`,"engine":"` + engine + `"`)
+		if !res.Cached || !bytes.Equal(res.Paths, bare.Paths) {
+			t.Fatalf("engine %s: cached=%v, paths equal to the bare query's: %v", engine, res.Cached, bytes.Equal(res.Paths, bare.Paths))
+		}
 	}
 	explicit := fmt.Sprintf(`,"k":%d,"strategy":"dtkdi","threshold":%g,"max_probe":%d,"weight":"length","engine":"ch"`,
 		def.K, def.Threshold, def.MaxProbe)
@@ -280,8 +293,8 @@ func TestV2TypedErrorStatuses(t *testing.T) {
 		t.Fatalf("bad json: status=%d code=%q", resp.StatusCode, e.Code)
 	}
 	resp, e = decodeV2Error(t, ts.URL, `{"src":0,"dst":1,"engine":"alt"}`)
-	if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeInvalid {
-		t.Fatalf("unprepared engine: status=%d code=%q", resp.StatusCode, e.Code)
+	if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeInvalid || !strings.Contains(e.Message, "unknown engine") {
+		t.Fatalf("engine alt: status=%d code=%q message=%q, want 400 unknown engine", resp.StatusCode, e.Code, e.Message)
 	}
 	// The probe budget also sizes the enumeration's pending list, so it is
 	// capped at 10 times the k cap.
@@ -333,12 +346,11 @@ func slowArtifact(t testing.TB) *pathrank.Artifact {
 	return slowArt
 }
 
-// slowServer serves the slow artifact on the plain Dijkstra engine with
-// the given extra config knobs.
+// slowServer serves the slow artifact, which carries no hierarchy and so
+// ranks on the plain pooled search, with the given extra config knobs.
 func slowServer(t testing.TB, cfg Config) (*Server, *pathrank.Artifact) {
 	t.Helper()
 	art := slowArtifact(t)
-	cfg.Engine = "dijkstra"
 	if cfg.MaxK == 0 {
 		cfg.MaxK = 4096
 	}

@@ -48,7 +48,6 @@ func TestCtxVariantsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	engines := []Engine{
 		NewDijkstraEngine(g, ByLength),
-		NewEngine(EngineALT, g, ByLength),
 		NewEngine(EngineCH, g, ByLength),
 	}
 	for i := 0; i < 30; i++ {
@@ -68,7 +67,7 @@ func TestCtxVariantsBitIdentical(t *testing.T) {
 			got, errGot = topKCtx(ctx, e.Graph(), e, nil, src, dst, 5)
 			requireSamePaths(t, "TopK with ctx on "+e.Kind().String(), want, got, errWant, errGot)
 
-			pw, ew := e.Shortest(src, dst)
+			pw, ew := e.ShortestCtx(context.Background(), src, dst)
 			pg, eg := e.ShortestCtx(ctx, src, dst)
 			requireSamePaths(t, "ShortestCtx/"+e.Kind().String(), []Path{pw}, []Path{pg}, ew, eg)
 		}
@@ -139,7 +138,7 @@ func TestCtxPreCanceled(t *testing.T) {
 	if _, err := topKCtx(ctx, g, nil, ByLength, src, dst, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("TopK with ctx: err = %v, want Canceled", err)
 	}
-	for _, kind := range []EngineKind{EngineDijkstra, EngineALT, EngineCH} {
+	for _, kind := range []EngineKind{EngineDijkstra, EngineCH} {
 		e := NewEngine(kind, g, ByLength)
 		if _, err := e.ShortestCtx(ctx, src, dst); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s ShortestCtx: err = %v, want Canceled", kind, err)
@@ -257,7 +256,7 @@ func TestCtxVariantAllocsMatch(t *testing.T) {
 // the next query exactly; and a dst outside src's component is ErrNoPath.
 func TestCtxTreeSweep(t *testing.T) {
 	g, prep := benchWorldPrep(t)
-	e := prep.Engine(EngineCH, g)
+	e := prep.Engine(g)
 	src, dst := roadnet.VertexID(0), roadnet.VertexID(benchWorldSide*benchWorldSide-1) // opposite grid corners
 	want, err := topKCtx(context.Background(), g, e, nil, src, dst, 8)
 	if err != nil {

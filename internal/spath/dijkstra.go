@@ -29,8 +29,7 @@ func DijkstraCtx(ctx context.Context, g *roadnet.Graph, src, dst roadnet.VertexI
 }
 
 // DijkstraAll computes minimum costs from src to every vertex. Unreachable
-// vertices have cost math.Inf(1). It is used as a test oracle and for
-// landmark-style heuristics.
+// vertices have cost math.Inf(1). It is used as a test oracle.
 func DijkstraAll(g *roadnet.Graph, src roadnet.VertexID, w Weight) []float64 {
 	ws := GetWorkspace(g)
 	defer ws.Release()

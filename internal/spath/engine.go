@@ -3,7 +3,6 @@ package spath
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"pathrank/internal/roadnet"
@@ -15,11 +14,8 @@ type EngineKind uint8
 const (
 	// EngineDijkstra is plain workspace-backed Dijkstra: no preprocessing.
 	EngineDijkstra EngineKind = iota
-	// EngineALT is A* with landmark lower bounds: light preprocessing (two
-	// Dijkstras per landmark), goal-directed exact queries.
-	EngineALT
-	// EngineCH is contraction hierarchies: the heaviest preprocessing and
-	// the fastest exact point-to-point and many-to-many queries.
+	// EngineCH is contraction hierarchies: preprocessing once, then the
+	// fastest exact point-to-point and many-to-many queries.
 	EngineCH
 )
 
@@ -28,8 +24,6 @@ func (k EngineKind) String() string {
 	switch k {
 	case EngineDijkstra:
 		return "dijkstra"
-	case EngineALT:
-		return "alt"
 	case EngineCH:
 		return "ch"
 	default:
@@ -37,23 +31,17 @@ func (k EngineKind) String() string {
 	}
 }
 
-// ParseEngineKind parses an engine name ("dijkstra", "alt", "ch").
+// ParseEngineKind parses an engine name ("dijkstra", "ch").
 func ParseEngineKind(s string) (EngineKind, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "dijkstra", "":
 		return EngineDijkstra, nil
-	case "alt":
-		return EngineALT, nil
 	case "ch":
 		return EngineCH, nil
 	default:
-		return EngineDijkstra, fmt.Errorf("spath: unknown engine %q (want dijkstra, alt or ch)", s)
+		return EngineDijkstra, fmt.Errorf("spath: unknown engine %q (want dijkstra or ch)", s)
 	}
 }
-
-// DefaultLandmarks is the ALT landmark count NewEngine builds with, and
-// BuildPrep's when its configuration leaves the count zero.
-const DefaultLandmarks = 8
 
 // Engine answers exact shortest-path queries over one (graph, weight)
 // pair. Every backend returns minimum-cost results — the choice of kind
@@ -72,12 +60,11 @@ type Engine interface {
 	Graph() *roadnet.Graph
 	// Weight returns the edge-weight function the engine was built for.
 	Weight() Weight
-	// Shortest returns a minimum-cost path from src to dst, or ErrNoPath.
-	Shortest(src, dst roadnet.VertexID) (Path, error)
-	// ShortestCtx is Shortest honoring ctx: cancellation aborts the
-	// search and returns ctx's error. The check is amortized over heap
-	// pops, so a never-canceled context changes neither the result nor,
-	// measurably, the cost.
+	// ShortestCtx returns a minimum-cost path from src to dst, or
+	// ErrNoPath, honoring ctx: cancellation aborts the search and returns
+	// ctx's error. The check is amortized over heap pops, so a
+	// never-canceled context changes neither the result nor, measurably,
+	// the cost.
 	ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error)
 	// ManyToMany fills out[i][j] with the exact cost from sources[i] to
 	// targets[j] for every pair within bound; pairs farther than bound
@@ -110,18 +97,13 @@ func (b *engineBase) weights() []float64    { return b.tab }
 
 // NewEngine builds an engine of the requested kind over g and w,
 // performing whatever preprocessing the kind needs (none for Dijkstra,
-// DefaultLandmarks landmark tables for ALT, contraction for CH). Prebuilt
-// structures can be wrapped directly with EngineFromALT / EngineFromCH
-// instead.
+// contraction for CH). A prebuilt hierarchy can be wrapped directly with
+// EngineFromCH instead.
 func NewEngine(kind EngineKind, g *roadnet.Graph, w Weight) Engine {
-	switch kind {
-	case EngineALT:
-		return EngineFromALT(BuildALT(g, w, DefaultLandmarks))
-	case EngineCH:
+	if kind == EngineCH {
 		return EngineFromCH(BuildCH(g, w), g, w)
-	default:
-		return NewDijkstraEngine(g, w)
 	}
+	return NewDijkstraEngine(g, w)
 }
 
 // --- Dijkstra backend ---
@@ -129,73 +111,25 @@ func NewEngine(kind EngineKind, g *roadnet.Graph, w Weight) Engine {
 type dijkstraEngine struct{ engineBase }
 
 // NewDijkstraEngine wraps plain workspace Dijkstra as an Engine. It is the
-// no-preprocessing baseline every other engine must agree with.
+// no-preprocessing baseline the CH engine must agree with.
 func NewDijkstraEngine(g *roadnet.Graph, w Weight) Engine {
 	return &dijkstraEngine{newEngineBase(g, w)}
 }
 
 func (e *dijkstraEngine) Kind() EngineKind { return EngineDijkstra }
 
-func (e *dijkstraEngine) Shortest(src, dst roadnet.VertexID) (Path, error) {
-	return Dijkstra(e.g, src, dst, e.w)
-}
-
 func (e *dijkstraEngine) ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error) {
 	return DijkstraCtx(ctx, e.g, src, dst, e.w)
 }
 
+// ManyToMany runs one bounded multi-target search per source on a shared
+// pooled workspace.
 func (e *dijkstraEngine) ManyToMany(sources, targets []roadnet.VertexID, bound float64, out [][]float64) {
-	boundedManyToMany(e.g, e.w, sources, targets, bound, out)
-}
-
-// boundedManyToMany runs one bounded multi-target search per source on a
-// shared pooled workspace; the Dijkstra and ALT engines both use it.
-func boundedManyToMany(g *roadnet.Graph, w Weight, sources, targets []roadnet.VertexID, bound float64, out [][]float64) {
-	ws := GetWorkspace(g)
-	defer ws.Release()
-	for i, s := range sources {
-		ws.BoundedDistances(g, s, targets, bound, w, out[i])
-	}
-}
-
-// --- ALT backend ---
-
-type altEngine struct {
-	engineBase
-	a *ALT
-}
-
-// EngineFromALT wraps a prebuilt ALT structure as an Engine.
-func EngineFromALT(a *ALT) Engine { return &altEngine{newEngineBase(a.g, a.w), a} }
-
-func (e *altEngine) Kind() EngineKind { return EngineALT }
-
-func (e *altEngine) Shortest(src, dst roadnet.VertexID) (Path, error) {
-	return e.ShortestCtx(context.Background(), src, dst)
-}
-
-// ShortestCtx is A* toward dst under the landmark bound: the spur search
-// loop with nothing banned and no tree. Costs equal Dijkstra's; the
-// heuristic only prunes the search.
-func (e *altEngine) ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error) {
 	ws := GetWorkspace(e.g)
 	defer ws.Release()
-	ws.bindContext(ctx)
-	ws.useWeights(e.tab)
-	ws.resetBans(e.g)
-	if reached, _ := ws.spurSearch(e.g, src, dst, math.Inf(1), e.a); reached {
-		return reconstruct(e.g, ws.parent, src, dst, ws.dist[dst]), nil
+	for i, s := range sources {
+		ws.BoundedDistances(e.g, s, targets, bound, e.w, out[i])
 	}
-	if ws.ctxErr != nil {
-		return Path{}, ws.ctxErr
-	}
-	return Path{}, ErrNoPath
-}
-
-func (e *altEngine) ManyToMany(sources, targets []roadnet.VertexID, bound float64, out [][]float64) {
-	// Landmark bounds are goal-directed and do not compose across a target
-	// set, so many-to-many falls back to bounded multi-target Dijkstra.
-	boundedManyToMany(e.g, e.w, sources, targets, bound, out)
 }
 
 // --- CH backend ---
@@ -212,10 +146,6 @@ func EngineFromCH(ch *ContractionHierarchy, g *roadnet.Graph, w Weight) Engine {
 }
 
 func (e *chEngine) Kind() EngineKind { return EngineCH }
-
-func (e *chEngine) Shortest(src, dst roadnet.VertexID) (Path, error) {
-	return e.ShortestCtx(context.Background(), src, dst)
-}
 
 func (e *chEngine) ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error) {
 	p, err := e.ch.QueryCtx(ctx, src, dst)

@@ -1,7 +1,6 @@
 package spath
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -34,7 +33,6 @@ func testEngines(t testing.TB, g *roadnet.Graph, w Weight) []Engine {
 	t.Helper()
 	return []Engine{
 		NewDijkstraEngine(g, w),
-		EngineFromALT(BuildALT(g, w, 4)),
 		NewEngine(EngineCH, g, w),
 	}
 }
@@ -53,7 +51,7 @@ func TestEngineDistancesMatchDijkstra(t *testing.T) {
 			dst := randVertex(rng, g.NumVertices())
 			want, wantErr := Dijkstra(g, src, dst, ByLength)
 			for _, e := range engines {
-				got, gotErr := e.Shortest(src, dst)
+				got, gotErr := e.ShortestCtx(context.Background(), src, dst)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("seed %d %s %d->%d: dijkstra err=%v, engine err=%v",
 						seed, e.Kind(), src, dst, wantErr, gotErr)
@@ -212,7 +210,7 @@ func comparePathSets(t *testing.T, label string, got, want []Path) {
 func TestEngineDisconnected(t *testing.T) {
 	g := disconnectedPair(t)
 	for _, e := range testEngines(t, g, ByLength) {
-		if _, err := e.Shortest(0, 1); err != ErrNoPath {
+		if _, err := e.ShortestCtx(context.Background(), 0, 1); err != ErrNoPath {
 			t.Fatalf("%s: err = %v, want ErrNoPath", e.Kind(), err)
 		}
 		out := [][]float64{{0}}
@@ -228,59 +226,28 @@ func TestEngineDisconnected(t *testing.T) {
 	}
 }
 
-// TestPrepRoundTrip checks both persistence routes a Prep takes: the ALT
-// tables through the gob section (Save/LoadPrep) and the CH through its
-// flat arrays (RawData/AssembleCH), each
-// answering every query identically afterwards; and that tables bound to
-// the wrong graph are rejected at load time.
+// TestPrepRoundTrip checks the persistence route a Prep's hierarchy takes
+// in an artifact: its flat arrays (RawData/AssembleCH), reassembled, answer
+// every query identically.
 func TestPrepRoundTrip(t *testing.T) {
 	g := randomTestGraph(t, 5)
-	prep := BuildPrep(g, PrepConfig{Landmarks: 4})
-	var buf bytes.Buffer
-	if err := prep.Save(&buf); err != nil {
-		t.Fatalf("save prep: %v", err)
-	}
-	loaded, err := LoadPrep(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatalf("load prep: %v", err)
-	}
-	if loaded.CH != nil || loaded.ALT == nil {
-		t.Fatalf("gob section must carry exactly the ALT: CH=%v ALT=%v", loaded.CH != nil, loaded.ALT != nil)
-	}
-	loaded.CH = AssembleCH(g, prep.CH.RawData())
-	if loaded.CH.NumShortcuts() != prep.CH.NumShortcuts() {
-		t.Fatalf("shortcuts %d != %d", loaded.CH.NumShortcuts(), prep.CH.NumShortcuts())
+	prep := BuildPrep(g, PrepConfig{})
+	loaded := AssembleCH(g, prep.CH.RawData())
+	if loaded.NumShortcuts() != prep.CH.NumShortcuts() {
+		t.Fatalf("shortcuts %d != %d", loaded.NumShortcuts(), prep.CH.NumShortcuts())
 	}
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 25; trial++ {
 		src := randVertex(rng, g.NumVertices())
 		dst := randVertex(rng, g.NumVertices())
 		want, wantErr := prep.CH.Query(src, dst)
-		got, gotErr := loaded.CH.Query(src, dst)
+		got, gotErr := loaded.Query(src, dst)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%d->%d: err %v vs %v", src, dst, wantErr, gotErr)
 		}
 		if wantErr == nil && (!got.Equal(want) || got.Cost != want.Cost) {
 			t.Fatalf("%d->%d: reassembled CH path differs", src, dst)
 		}
-		wa, _ := EngineFromALT(prep.ALT).Shortest(src, dst)
-		ga, _ := EngineFromALT(loaded.ALT).Shortest(src, dst)
-		if wa.Cost != ga.Cost {
-			t.Fatalf("%d->%d: reloaded ALT cost %v != %v", src, dst, ga.Cost, wa.Cost)
-		}
-	}
-
-	// A prep saved for one graph must not bind to a different one.
-	other := randomTestGraph(t, 6)
-	if other.NumVertices() != g.NumVertices() || other.NumEdges() != g.NumEdges() {
-		if _, err := LoadPrep(bytes.NewReader(buf.Bytes()), other); err == nil {
-			t.Fatal("prep bound to mismatched graph, want error")
-		}
-	}
-
-	// Truncated payloads are rejected, not panicked on.
-	if _, err := LoadPrep(bytes.NewReader(buf.Bytes()[:buf.Len()/3]), g); err == nil {
-		t.Fatal("truncated prep loaded, want error")
 	}
 }
 
@@ -309,32 +276,19 @@ func TestCHIndexIsMinWeightSorted(t *testing.T) {
 	}
 }
 
-// TestPrepEngineSelection checks the engine materialization rules.
+// TestPrepEngineSelection checks the engine materialization rules: a prep
+// with a hierarchy wires a CH engine, a nil or empty one wires none.
 func TestPrepEngineSelection(t *testing.T) {
 	g := gridGraph(t, 5, 5)
-	full := BuildPrep(g, PrepConfig{Landmarks: 2})
-	if e := full.Engine(EngineCH, g); e == nil || e.Kind() != EngineCH {
-		t.Fatalf("full prep CH engine = %v", e)
+	if e := BuildPrep(g, PrepConfig{}).Engine(g); e == nil || e.Kind() != EngineCH {
+		t.Fatalf("prep engine = %v", e)
 	}
-	if e := full.BestEngine(g); e == nil || e.Kind() != EngineCH {
-		t.Fatalf("full prep best engine = %v", e)
-	}
-	if e := BuildPrep(g, PrepConfig{SkipALT: true}).Engine(EngineCH, g); e == nil || e.Kind() != EngineCH {
-		t.Fatalf("CH-only prep CH engine = %v", e)
-	}
-	altOnly := &Prep{ALT: BuildALT(g, ByLength, 2)}
-	if e := altOnly.Engine(EngineCH, g); e != nil {
-		t.Fatalf("ALT-only prep produced a CH engine")
-	}
-	if e := altOnly.BestEngine(g); e == nil || e.Kind() != EngineALT {
-		t.Fatalf("ALT-only prep best engine = %v", e)
+	if e := (&Prep{}).Engine(g); e != nil {
+		t.Fatalf("empty prep produced an engine")
 	}
 	var nilPrep *Prep
-	if e := nilPrep.Engine(EngineCH, g); e != nil {
-		t.Fatalf("nil prep produced a CH engine")
-	}
-	if e := nilPrep.Engine(EngineDijkstra, g); e == nil || e.Kind() != EngineDijkstra {
-		t.Fatalf("nil prep dijkstra engine = %v", e)
+	if e := nilPrep.Engine(g); e != nil {
+		t.Fatalf("nil prep produced an engine")
 	}
 }
 

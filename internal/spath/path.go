@@ -1,8 +1,7 @@
 // Package spath implements shortest-path search over road networks:
 // Dijkstra (point-to-point, one-to-all, bounded one-to-many and seeded
-// multi-source, forward or reverse — all one relaxation loop), ALT
-// landmark A*, contraction hierarchies, Yen's top-k shortest paths, and
-// the diversified top-k variant (D-TkDI) used by PathRank to generate
+// multi-source, forward or reverse — all one relaxation loop), contraction
+// hierarchies, Yen's top-k shortest paths, and the diversified top-k variant (D-TkDI) used by PathRank to generate
 // training candidates.
 //
 // All algorithms operate on a Weight function so the same code serves

@@ -109,15 +109,23 @@ func requireSweepMatchesReference(t testing.TB, ws *Workspace, g *roadnet.Graph,
 	}
 }
 
-// requireALTMatchesReference checks both landmark tables of a built ALT.
-func requireALTMatchesReference(t testing.TB, g *roadnet.Graph, w Weight, a *ALT) {
+// requireSeedSweepsMatchReference runs unbounded single-seed sweeps,
+// forward and reverse, from count vertices drawn by rng on a pooled
+// workspace, and compares each distance, bit for bit, with refSearch.
+func requireSeedSweepsMatchReference(t testing.TB, rng *rand.Rand, g *roadnet.Graph, w Weight, count int) {
 	t.Helper()
-	for li, l := range a.landmarks {
-		from, _ := refSearch(g, w, []Seed{{l, 0}}, false, -1, nil, nil)
-		to, _ := refSearch(g, w, []Seed{{l, 0}}, true, -1, nil, nil)
-		requireBits(t, fmt.Sprintf("ALT fromLM[%d]", li), a.fromLM[li],
+	ws := GetWorkspace(g)
+	defer ws.Release()
+	all := make([]float64, g.NumVertices())
+	for i := 0; i < count; i++ {
+		seed := []Seed{{randVertex(rng, g.NumVertices()), 0}}
+		from, _ := refSearch(g, w, seed, false, -1, nil, nil)
+		ws.SeededDistances(g, seed, math.Inf(1), w, all)
+		requireBits(t, fmt.Sprintf("SeededDistances from %d", seed[0].V), all,
 			func(v int) float64 { return refWithin(from, roadnet.VertexID(v), math.Inf(1)) })
-		requireBits(t, fmt.Sprintf("ALT toLM[%d]", li), a.toLM[li],
+		to, _ := refSearch(g, w, seed, true, -1, nil, nil)
+		ws.SeededDistancesRev(g, seed, math.Inf(1), w, all)
+		requireBits(t, fmt.Sprintf("SeededDistancesRev to %d", seed[0].V), all,
 			func(v int) float64 { return refWithin(to, roadnet.VertexID(v), math.Inf(1)) })
 	}
 }
@@ -133,8 +141,8 @@ func randomFuzzGraph(rng *rand.Rand) *roadnet.Graph {
 
 // TestSweepMatchesReference checks every entry point of the one plain
 // relaxation loop — forward and reverse, single-source and seeded, bounded
-// and unbounded, point, all-vertex and target-set — and the ALT tables it
-// builds, against the reference Dijkstra, Float64bits-equal.
+// and unbounded, point, all-vertex and target-set — against the reference
+// Dijkstra, Float64bits-equal.
 func TestSweepMatchesReference(t *testing.T) {
 	ws := NewWorkspace() // one workspace across every graph and query
 	t.Run("random-worlds", func(t *testing.T) {
@@ -145,7 +153,7 @@ func TestSweepMatchesReference(t *testing.T) {
 				for trial := 0; trial < 4; trial++ {
 					requireSweepMatchesReference(t, ws, g, w, newSweepQuery(rng, g, w))
 				}
-				requireALTMatchesReference(t, g, w, BuildALT(g, w, 4))
+				requireSeedSweepsMatchReference(t, rng, g, w, 4)
 			}
 		}
 	})
@@ -154,7 +162,7 @@ func TestSweepMatchesReference(t *testing.T) {
 		for trial := 0; trial < 60; trial++ {
 			g := randomFuzzGraph(rng)
 			requireSweepMatchesReference(t, ws, g, ByLength, newSweepQuery(rng, g, ByLength))
-			requireALTMatchesReference(t, g, ByLength, BuildALT(g, ByLength, 2))
+			requireSeedSweepsMatchReference(t, rng, g, ByLength, 2)
 		}
 	})
 }
@@ -184,7 +192,7 @@ func TestSweepSharedArraysLeakNoStamps(t *testing.T) {
 			}
 			ws.resetBans(g)
 			ws.banEdge(first.Edges[0])
-			if reached, _ := ws.spurSearch(g, q.src, q.dst, math.Inf(1), nil); !reached {
+			if reached, _ := ws.spurSearch(g, q.src, q.dst, math.Inf(1)); !reached {
 				return Path{}, false
 			}
 			edges := ws.appendTree(g, parentEdges(nil, g, ws.parent, q.src, ws.meet), ws.meet, q.dst)
@@ -218,6 +226,6 @@ func FuzzSweepMatchesReference(f *testing.F) {
 		h.Write(data)
 		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		requireSweepMatchesReference(t, NewWorkspace(), g, ByLength, newSweepQuery(rng, g, ByLength))
-		requireALTMatchesReference(t, g, ByLength, BuildALT(g, ByLength, 2))
+		requireSeedSweepsMatchReference(t, rng, g, ByLength, 2)
 	})
 }

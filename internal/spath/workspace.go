@@ -19,10 +19,10 @@ import (
 // point-to-point, one-to-all, bounded one-to-many and seeded multi-source,
 // forward or reverse — and also builds a Yen enumeration's reverse
 // shortest-path tree to dst (buildTree), which then moves to its own labels
-// so the spur searches can reuse the search ones. spurSearch is the
-// goal-directed loop: Yen's spur search, keyed by distance plus the tree's
-// exact potential and stopped at the first vertex whose tree path avoids
-// the bans, and, with no tree, ALT's landmark A*. It stays separate because
+// so the spur searches can reuse the search ones. spurSearch is Yen's spur
+// search: goal-directed, keyed by distance plus the tree's exact potential
+// and stopped at the first vertex whose tree path avoids the bans. It stays
+// separate because
 // it is the hot loop of candidate generation and differs from a plain
 // search on every relaxed edge: it skips banned vertices and edges, reads
 // the query's weight table instead of calling w, and adds a potential to
@@ -404,7 +404,7 @@ func (ws *Workspace) DijkstraAll(g *roadnet.Graph, src roadnet.VertexID, w Weigh
 // otherwise. The search stops as soon as every target is settled or the
 // frontier passes bound, so its cost is proportional to the bounded ball
 // around src rather than the graph. It is the one-to-many primitive of the
-// Dijkstra and ALT engines (CH has its own bucket-based ManyToMany).
+// Dijkstra engine (CH has its own bucket-based ManyToMany).
 func (ws *Workspace) BoundedDistances(g *roadnet.Graph, src roadnet.VertexID, targets []roadnet.VertexID, bound float64, w Weight, out []float64) {
 	ws.bounded(g, src, false, targets, bound, w, out)
 }
@@ -435,15 +435,11 @@ func (ws *Workspace) buildTree(g *roadnet.Graph, w Weight, src, dst roadnet.Vert
 	return reached
 }
 
-// potential is spurSearch's A* potential: lm's landmark bound to dst when
-// lm is non-nil, else the tree's, T(v) inside its ball and treeR outside
-// it. The tree's is consistent, and admissible under any bans, because bans
-// only lengthen paths and every vertex outside the ball is at least treeR
-// from dst.
-func (ws *Workspace) potential(v, dst roadnet.VertexID, lm *ALT) float64 {
-	if lm != nil {
-		return lm.heuristic(v, dst)
-	}
+// potential is spurSearch's A* potential, the tree's: T(v) inside its ball
+// and treeR outside it. It is consistent, and admissible under any bans,
+// because bans only lengthen paths and every vertex outside the ball is at
+// least treeR from dst.
+func (ws *Workspace) potential(v roadnet.VertexID) float64 {
 	if ws.tree.reach[v] == ws.tree.gen && ws.tree.dist[v] < ws.treeR {
 		return ws.tree.dist[v]
 	}
@@ -492,24 +488,22 @@ func (ws *Workspace) appendTree(g *roadnet.Graph, edges []roadnet.EdgeID, v, dst
 	return edges
 }
 
-// spurSearch is the goal-directed search over the workspace's weight table
-// that avoids its current banned vertex/edge set: A* from src keyed by
-// distance plus a consistent potential, so keys never decrease.
-//
-// With lm nil it is Yen's spur search on the enumeration's tree: it stops
-// at the first popped vertex u whose tree path is clean, leaving it in
-// ws.meet. The spur is the search's parent edges from src to u followed by
-// u's tree path. It is optimal: its cost is u's key, and no later key is
-// smaller — dst itself is clean. It is loopless: every ancestor of u in the
-// search tree was popped earlier, and one on u's tree path would have been
-// clean first. With lm non-nil it is ALT's point query, stopped at dst.
+// spurSearch is Yen's spur search on the enumeration's tree, over the
+// workspace's weight table and avoiding its current banned vertex/edge set:
+// A* from src keyed by distance plus the tree's consistent potential, so
+// keys never decrease. It stops at the first popped vertex u whose tree
+// path is clean, leaving it in ws.meet. The spur is the search's parent
+// edges from src to u followed by u's tree path. It is optimal: its cost is
+// u's key, and no later key is smaller — dst itself is clean. It is
+// loopless: every ancestor of u in the search tree was popped earlier, and
+// one on u's tree path would have been clean first.
 //
 // The search stops, reporting cut, as soon as the key it pops exceeds
 // limit: the key is a lower bound on the cost of any src→dst path through
 // the popped vertex, so a cut search could only have found a path costing
 // more than limit. A canceled bound context makes it report neither; the
 // enclosing enumeration distinguishes cancellation via ws.ctxErr.
-func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, limit float64, lm *ALT) (reached, cut bool) {
+func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, limit float64) (reached, cut bool) {
 	if ws.ctxErr != nil || ws.vertexBanned(src) || ws.vertexBanned(dst) {
 		return false, false
 	}
@@ -526,7 +520,7 @@ func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, lim
 		if key > limit {
 			return false, true
 		}
-		if v == dst || lm == nil && ws.clean(g, v, dst) {
+		if ws.clean(g, v, dst) {
 			ws.meet = v
 			return true, false
 		}
@@ -546,7 +540,7 @@ func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, lim
 				ws.dist[to] = nd
 				ws.reach[to] = gen
 				ws.parent[to] = eid
-				ws.heap.update(to, nd+ws.potential(to, dst, lm))
+				ws.heap.update(to, nd+ws.potential(to))
 			}
 		}
 	}

@@ -168,7 +168,7 @@ func (y *yenEnum) next() (Path, bool) {
 			limit = bound - rootCost + 1e-9*bound
 		}
 		y.searches++
-		reached, cut := y.ws.spurSearch(y.g, spur, y.dst, limit, nil)
+		reached, cut := y.ws.spurSearch(y.g, spur, y.dst, limit)
 		if cut {
 			y.cut++
 		}

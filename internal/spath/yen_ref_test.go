@@ -300,11 +300,10 @@ func (s enumSetup) diversified(g *roadnet.Graph, src, dst roadnet.VertexID, k in
 // enumSetups covers every way the enumeration is entered: the plain entry
 // points, which fill the weight table per query, and each engine kind,
 // whose table is shared.
-func enumSetups(g *roadnet.Graph, w Weight, ch *ContractionHierarchy, alt *ALT) []enumSetup {
+func enumSetups(g *roadnet.Graph, w Weight, ch *ContractionHierarchy) []enumSetup {
 	return []enumSetup{
 		{"plain", w, nil},
 		{"dijkstra", w, NewDijkstraEngine(g, w)},
-		{"alt", w, EngineFromALT(alt)},
 		{"ch", w, EngineFromCH(ch, g, w)},
 	}
 }
@@ -406,7 +405,7 @@ func TestYenMatchesReference(t *testing.T) {
 	t.Run("random-worlds", func(t *testing.T) {
 		for seed := int64(1); seed <= 5; seed++ {
 			g := randomTestGraph(t, seed)
-			setups := enumSetups(g, ByLength, BuildCH(g, ByLength), BuildALT(g, ByLength, 4))
+			setups := enumSetups(g, ByLength, BuildCH(g, ByLength))
 			rng := rand.New(rand.NewSource(seed * 131))
 			for trial := 0; trial < 8; trial++ {
 				requireMatchesReference(t, g, setups, randVertex(rng, g.NumVertices()), randVertex(rng, g.NumVertices()))
@@ -415,7 +414,7 @@ func TestYenMatchesReference(t *testing.T) {
 	})
 	t.Run("crosstown", func(t *testing.T) {
 		g, prep := benchWorldPrep(t)
-		setups := enumSetups(g, ByLength, prep.CH, prep.ALT)
+		setups := enumSetups(g, ByLength, prep.CH)
 		// The reference dominates and is independent per pair, so the
 		// pairs run as parallel subtests.
 		for _, p := range crosstownPairs(50) {
@@ -455,7 +454,7 @@ func TestYenUnitGridTies(t *testing.T) {
 	for _, pair := range [][2]roadnet.VertexID{{0, side*side - 1}, {2, 27}, {14, 15}} {
 		src, dst := pair[0], pair[1]
 		want := newRefSeq(g, unit, src, dst).first(32)
-		for _, s := range enumSetups(g, unit, BuildCH(g, unit), BuildALT(g, unit, 4)) {
+		for _, s := range enumSetups(g, unit, BuildCH(g, unit)) {
 			got, err := s.topK(g, src, dst, 32)
 			if err != nil || len(got) != len(want) {
 				t.Fatalf("%s %d->%d: %d paths (err %v), reference has %d", s.name, src, dst, len(got), err, len(want))
@@ -611,7 +610,7 @@ func nextWithinBudget(t *testing.T, y *yenEnum) (Path, bool) {
 // 2,000 on crosstown and 900 on local_k32.
 func TestYenSpurSearchBudget(t *testing.T) {
 	g, prep := benchWorldPrep(t)
-	e := prep.Engine(EngineCH, g)
+	e := prep.Engine(g)
 	pairs := crosstownPairs(20)
 
 	t.Run("per-next", func(t *testing.T) {
@@ -723,7 +722,7 @@ func servedShapes() []servedShape {
 // spur searches per op: counts, so they compare across machines.
 func BenchmarkYenServed(b *testing.B) {
 	g, prep := benchWorldPrep(b)
-	e := prep.Engine(EngineCH, g)
+	e := prep.Engine(g)
 	for _, s := range servedShapes() {
 		b.Run(s.name, func(b *testing.B) {
 			var pops, searches int
@@ -749,7 +748,7 @@ func BenchmarkYenServed(b *testing.B) {
 // own buffer, never the engine's.
 func TestEngineWeightTableNotClobbered(t *testing.T) {
 	g := gridGraph(t, 9, 9)
-	e := BuildPrep(g, PrepConfig{Landmarks: 4}).Engine(EngineCH, g)
+	e := BuildPrep(g, PrepConfig{}).Engine(g)
 	src, dst := roadnet.VertexID(0), roadnet.VertexID(g.NumVertices()-1)
 	table := append([]float64(nil), e.weights()...)
 	requireTableIntact := func(when string) {
@@ -885,7 +884,7 @@ func FuzzYenMatchesReference(f *testing.F) {
 		wantD, wantSt := ref.diversifiedStats(k, jaccard, threshold, budget)
 		exactD := distinctCosts(ref.first(wantSt.Probes + 1))
 
-		for _, s := range enumSetups(g, ByLength, BuildCH(g, ByLength), BuildALT(g, ByLength, 2)) {
+		for _, s := range enumSetups(g, ByLength, BuildCH(g, ByLength)) {
 			got, err := s.topK(g, src, dst, k)
 			if len(want) == 0 {
 				if err != ErrNoPath {

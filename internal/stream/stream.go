@@ -312,15 +312,11 @@ func New(art *pathrank.Artifact, cfg Config) (*Service, error) {
 		cfg.Match.StrideSec = def.StrideSec
 	}
 	// The matcher routes on the artifact's persisted contraction hierarchy
-	// (zero preprocessing at service start); without one, the hierarchy is
-	// built here once and every matching worker amortizes it.
-	engine := art.Prep.Engine(spath.EngineCH, art.Graph)
-	if engine == nil {
-		engine = spath.NewEngine(spath.EngineCH, art.Graph, spath.ByLength)
-	}
+	// (zero preprocessing at service start); without one, the matcher
+	// builds the hierarchy once and every matching worker amortizes it.
 	s := &Service{
 		cfg:         cfg,
-		matcher:     traj.NewMatcherEngine(art.Graph, cfg.Match, engine),
+		matcher:     traj.NewMatcherEngine(art.Graph, cfg.Match, art.Prep.Engine(art.Graph)),
 		queue:       make(chan ingestItem, cfg.QueueSize),
 		art:         art,
 		recoverKick: make(chan struct{}, 1),
@@ -995,9 +991,8 @@ func retrainStep(base *pathrank.Artifact, obs []observation, prev merkle.Hash, t
 		Model:      model,
 		Candidates: base.Candidates,
 		// The road network is unchanged across a fine-tune, so the parent's
-		// speedup structures stay exactly valid: every generation inherits
-		// them instead of re-preprocessing, and the serve layer's snapshot
-		// reuses the same engine across the hot swap.
+		// contraction hierarchy stays exactly valid: every generation
+		// inherits it instead of re-preprocessing.
 		Prep:    base.Prep,
 		Lineage: lin,
 	}

@@ -114,9 +114,9 @@ func abs(x int) int {
 // Routed transition distances and path stitching run on a spath.Engine.
 // NewMatcher builds a contraction hierarchy at construction — one
 // preprocessing pass that every subsequent Match amortizes via the CH
-// bucket many-to-many — while NewMatcherEngine accepts a prebuilt or
-// alternative engine (e.g. the one persisted in a serving artifact, or
-// plain Dijkstra when preprocessing is unwanted).
+// bucket many-to-many — while NewMatcherEngine accepts a prebuilt engine
+// (e.g. the one persisted in a serving artifact, or plain Dijkstra when
+// preprocessing is unwanted).
 //
 // A Matcher is immutable after construction (the spatial index and engine
 // are built once and only read afterwards), so concurrent Match calls are

@@ -2,6 +2,7 @@ package traj
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pathrank/internal/geo"
@@ -289,12 +290,15 @@ func TestGenerateTripsHomeAreasDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without home areas, origins should span most of the network's extent.
-	bb := geo.NewBBox()
+	span := func(lons []float64) float64 { return slices.Max(lons) - slices.Min(lons) }
+	var origins, all []float64
 	for _, tr := range trips {
-		bb.Extend(g.Vertex(tr.Path.Source()).Point)
+		origins = append(origins, g.Vertex(tr.Path.Source()).Point.Lon)
 	}
-	full := g.BBox()
-	if (bb.MaxLon - bb.MinLon) < 0.5*(full.MaxLon-full.MinLon) {
+	for v := 0; v < g.NumVertices(); v++ {
+		all = append(all, g.Vertex(roadnet.VertexID(v)).Point.Lon)
+	}
+	if span(origins) < 0.5*span(all) {
 		t.Fatal("random origins should cover a wide longitude span")
 	}
 }

@@ -91,7 +91,7 @@ var (
 	ByTime = spath.ByTime
 )
 
-// Prepared shortest-path engines (ALT landmarks, contraction hierarchies).
+// Prepared shortest-path engines (contraction hierarchies).
 type (
 	// Engine is an exact shortest-path backend over one (graph, weight)
 	// pair; see NewRoutingEngine.
@@ -100,11 +100,10 @@ type (
 	EngineKind = spath.EngineKind
 )
 
-// Engine backends: plain Dijkstra, A* with landmarks, contraction
-// hierarchies. All exact; they trade preprocessing for query speed.
+// Engine backends: plain Dijkstra and contraction hierarchies. Both exact;
+// they trade preprocessing for query speed.
 const (
 	EngineDijkstra = spath.EngineDijkstra
-	EngineALT      = spath.EngineALT
 	EngineCH       = spath.EngineCH
 )
 
@@ -311,8 +310,6 @@ const (
 	EngineAuto     = pathrank.EngineAuto
 	EngineNone     = pathrank.EngineNone
 	EngineChoiceCH = pathrank.EngineCH
-	// EngineChoiceALT requires the ranker's prepared ALT engine.
-	EngineChoiceALT = pathrank.EngineALT
 )
 
 // Typed error codes of the query API; ErrorCodeOf classifies any error
@@ -335,7 +332,7 @@ func ParseStrategyChoice(s string) (StrategyChoice, error) { return pathrank.Par
 // ParseWeightKind parses "length" or "time" ("", "auto" = default).
 func ParseWeightKind(s string) (WeightKind, error) { return pathrank.ParseWeightKind(s) }
 
-// ParseEngineChoice parses "dijkstra", "alt" or "ch" ("", "auto" = default).
+// ParseEngineChoice parses "dijkstra" or "ch" ("", "auto" = default).
 func ParseEngineChoice(s string) (EngineChoice, error) { return pathrank.ParseEngineChoice(s) }
 
 // Artifact persistence: a complete trained pipeline (network, embeddings,
