@@ -266,7 +266,7 @@ func TestCtxTreeSweep(t *testing.T) {
 	defer ws.Release()
 	ws.useWeights(e.weights())
 	full := ws.heap.pops
-	if !ws.buildTree(g, e.Weight(), src, dst) {
+	if !ws.buildTree(g, src, dst) {
 		t.Fatal("tree sweep did not reach src")
 	}
 	full = ws.heap.pops - full
@@ -278,7 +278,7 @@ func TestCtxTreeSweep(t *testing.T) {
 	for _, after := range []int{0, 1, 2} {
 		ws.bindContext(newFlipCtx(after))
 		before := ws.heap.pops
-		y, err := newYenEnum(g, ws, e.Weight(), src, dst, 8)
+		y, err := newYenEnum(g, ws, src, dst, 8)
 		popped := ws.heap.pops - before
 		if !errors.Is(err, context.Canceled) || y != nil {
 			t.Fatalf("after=%d: enumerator %v, err %v; want none and Canceled", after, y, err)
@@ -292,7 +292,7 @@ func TestCtxTreeSweep(t *testing.T) {
 		}
 
 		ws.bindContext(context.Background())
-		if y, err = newYenEnum(g, ws, e.Weight(), src, dst, 8); err != nil {
+		if y, err = newYenEnum(g, ws, src, dst, 8); err != nil {
 			t.Fatalf("after=%d: rerun: %v", after, err)
 		}
 		for len(y.paths) < len(want) {
@@ -318,10 +318,10 @@ func TestCtxTreeSweep(t *testing.T) {
 		}
 		ws := NewWorkspace()
 		ws.fillWeights(g, ByLength)
-		if y, err := newYenEnum(g, ws, ByLength, 0, 3, 5); err != ErrNoPath || y != nil {
+		if y, err := newYenEnum(g, ws, 0, 3, 5); err != ErrNoPath || y != nil {
 			t.Fatalf("enumerator %v, err %v; want none and ErrNoPath", y, err)
 		}
-		y, err := newYenEnum(g, ws, ByLength, 1, 0, 5)
+		y, err := newYenEnum(g, ws, 1, 0, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

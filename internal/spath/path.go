@@ -110,9 +110,9 @@ func (p Path) Clone() Path {
 // ErrNoPath is returned when the destination is unreachable.
 var ErrNoPath = fmt.Errorf("spath: no path exists")
 
-// reconstruct walks parent edge pointers from dst back to src.
-func reconstruct(g *roadnet.Graph, parentEdge []roadnet.EdgeID, src, dst roadnet.VertexID, cost float64) Path {
-	edges := parentEdges(nil, g, parentEdge, src, dst)
+// reconstruct walks a search's parent edges from dst back to src.
+func reconstruct(g *roadnet.Graph, lab []label, src, dst roadnet.VertexID, cost float64) Path {
+	edges := appendParentEdges(nil, g, lab, src, dst)
 	vertices := make([]roadnet.VertexID, 0, len(edges)+1)
 	vertices = append(vertices, src)
 	for _, eid := range edges {
@@ -121,16 +121,17 @@ func reconstruct(g *roadnet.Graph, parentEdge []roadnet.EdgeID, src, dst roadnet
 	return Path{Vertices: vertices, Edges: edges, Cost: cost}
 }
 
-// parentEdges writes over buf the src→dst edges that the parent edge
-// pointers trace back from dst, and returns them.
-func parentEdges(buf []roadnet.EdgeID, g *roadnet.Graph, parentEdge []roadnet.EdgeID, src, dst roadnet.VertexID) []roadnet.EdgeID {
-	edges := buf[:0]
+// appendParentEdges appends to buf the src→dst edges that a search's
+// parent edges trace back from dst, and returns the extended slice.
+func appendParentEdges(buf []roadnet.EdgeID, g *roadnet.Graph, lab []label, src, dst roadnet.VertexID) []roadnet.EdgeID {
+	start := len(buf)
+	edges := buf
 	for v := dst; v != src; {
-		eid := parentEdge[v]
+		eid := lab[v].parent
 		edges = append(edges, eid)
 		v = g.Edge(eid).From
 	}
-	for i, j := 0, len(edges)-1; i < j; i, j = i+1, j-1 {
+	for i, j := start, len(edges)-1; i < j; i, j = i+1, j-1 {
 		edges[i], edges[j] = edges[j], edges[i]
 	}
 	return edges

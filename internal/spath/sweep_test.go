@@ -169,8 +169,8 @@ func TestSweepMatchesReference(t *testing.T) {
 
 // TestSweepSharedArraysLeakNoStamps interleaves, on one workspace, a
 // forward sweep, a reverse sweep, a tree sweep with a spur search on it and
-// a forward sweep again: all of them write the same dist/parent/reach
-// arrays, which the tree swaps out and back, and heap, and each must still
+// a forward sweep again: all of them write the same label array,
+// which the tree swaps out and back, and heap, and each must still
 // answer exactly as on a fresh workspace.
 func TestSweepSharedArraysLeakNoStamps(t *testing.T) {
 	g := workspaceTestGraph(t)
@@ -187,7 +187,7 @@ func TestSweepSharedArraysLeakNoStamps(t *testing.T) {
 		}
 		spur := func(ws *Workspace) (Path, bool) {
 			ws.fillWeights(g, ByTime)
-			if !ws.buildTree(g, ByTime, q.src, q.dst) {
+			if !ws.buildTree(g, q.src, q.dst) {
 				return Path{}, false
 			}
 			ws.resetBans(g)
@@ -195,7 +195,7 @@ func TestSweepSharedArraysLeakNoStamps(t *testing.T) {
 			if reached, _ := ws.spurSearch(g, q.src, q.dst, math.Inf(1)); !reached {
 				return Path{}, false
 			}
-			edges := ws.appendTree(g, parentEdges(nil, g, ws.parent, q.src, ws.meet), ws.meet, q.dst)
+			edges := ws.appendTree(g, appendParentEdges(nil, g, ws.lab, q.src, ws.meet), ws.meet, q.dst)
 			return joinPaths(g, []roadnet.VertexID{q.src}, nil, edges, sumWeights(ws.wts, edges)), true
 		}
 		got, okGot := spur(ws)

@@ -22,11 +22,9 @@ import (
 // so the spur searches can reuse the search ones. spurSearch is Yen's spur
 // search: goal-directed, keyed by distance plus the tree's exact potential
 // and stopped at the first vertex whose tree path avoids the bans. It stays
-// separate because
-// it is the hot loop of candidate generation and differs from a plain
-// search on every relaxed edge: it skips banned vertices and edges, reads
-// the query's weight table instead of calling w, and adds a potential to
-// the key.
+// separate because it is the hot loop of candidate generation and differs
+// from a plain search on every relaxed edge: it skips banned vertices and
+// edges and adds a potential to the key.
 //
 // A Workspace is not safe for concurrent use; acquire one per goroutine with
 // GetWorkspace. Yen's TopK issues hundreds of searches per candidate set
@@ -36,8 +34,8 @@ type Workspace struct {
 	labels
 
 	// tree is the reverse shortest-path tree to the enumeration's dst
-	// (buildTree): tree.dist[v] is T(v), the cost from v to dst, and
-	// tree.parent[v] v's next edge toward dst. treeR is T(src), the
+	// (buildTree): tree.lab[v].dist is T(v), the cost from v to dst, and
+	// tree.lab[v].parent v's next edge toward dst. treeR is T(src), the
 	// shortest-path cost, where the sweep stopped.
 	tree  labels
 	treeR float64
@@ -65,12 +63,12 @@ type Workspace struct {
 	cleanOK []bool
 	walk    []roadnet.VertexID
 
-	// Yen scratch, reused by every spur of an enumeration: the vertex the
-	// last spur search stopped at, its spur's edges and a candidate's seen
-	// key.
+	// Yen state, reused by every enumeration on the workspace: the vertex
+	// the last spur search stopped at, and the arena holding the spur edges
+	// of every pending candidate (yenCand.lo:hi) with the spur being built
+	// at its end.
 	meet roadnet.VertexID
 	spur []roadnet.EdgeID
-	key  []byte
 
 	// Target stamps for bounded multi-target searches.
 	tgtStamp []uint32
@@ -80,22 +78,26 @@ type Workspace struct {
 	ctxPoller
 }
 
-// labels are a search's tentative distances and parent edges, indexed by
-// vertex and valid at v iff reach[v] == gen. Each set carries its own
-// generation, so swapping two sets swaps their stamps with them.
+// labels are a search's tentative distances and parent edges, one label
+// per vertex, so a relaxation reads and writes one 16-byte slot. lab[v] is
+// valid iff lab[v].reach == gen. Each set carries its own generation, so
+// swapping two sets swaps their stamps with them.
 type labels struct {
-	dist   []float64
-	parent []roadnet.EdgeID
-	reach  []uint32
-	gen    uint32
+	lab []label
+	gen uint32
 }
 
-// fit grows the arrays to n vertices.
+// label is one vertex's entry of a labels set.
+type label struct {
+	dist   float64
+	parent roadnet.EdgeID
+	reach  uint32
+}
+
+// fit grows the set to n vertices.
 func (l *labels) fit(n int) {
-	if len(l.dist) < n {
-		l.dist = make([]float64, n)
-		l.parent = make([]roadnet.EdgeID, n)
-		l.reach = make([]uint32, n)
+	if len(l.lab) < n {
+		l.lab = make([]label, n)
 		l.gen = 0
 	}
 }
@@ -191,7 +193,7 @@ func (ws *Workspace) Release() {
 // ensure grows the vertex-indexed arrays to cover g.
 func (ws *Workspace) ensure(g *roadnet.Graph) {
 	n := g.NumVertices()
-	if len(ws.dist) < n {
+	if len(ws.lab) < n {
 		ws.labels.fit(n)
 		ws.tree.fit(n)
 		ws.banV = make([]uint32, n)
@@ -213,7 +215,9 @@ func (ws *Workspace) ensure(g *roadnet.Graph) {
 func (ws *Workspace) begin() {
 	ws.gen++
 	if ws.gen == 0 { // stamp wrap: clear once every 2^32 queries
-		clearU32(ws.reach)
+		for i := range ws.lab {
+			ws.lab[i].reach = 0
+		}
 		ws.gen = 1
 	}
 	ws.heap.reset()
@@ -283,20 +287,25 @@ func (ws *Workspace) edgeBanned(e roadnet.EdgeID) bool     { return ws.banE[e] =
 // --- Searches ---
 
 // sweep is the one relaxation loop of every plain search: Dijkstra from
-// seeds, over out-arcs or, when rev, over in-arcs (so dist[v] is then the
-// cost from v to the nearest seed). Seeds above bound or at +Inf are
-// skipped; duplicate seeds keep the cheapest. w is evaluated per relaxed
-// edge — a bounded or early-stopping search touches a fraction of the
-// edges, so filling a weight table first would cost more than it saves.
-// The relaxation is the one rule the repository's bit-identity rests on:
-// d + w(e), a strict < against the stamp-validated tentative distance,
-// heap4 order.
+// seeds, over out-arcs or, when rev, over in-arcs (so dist is then the cost
+// from a vertex to the nearest seed). Seeds above bound or at +Inf are
+// skipped; duplicate seeds keep the cheapest. The weight source is picked
+// once per sweep: a non-nil w is evaluated per relaxed edge, and a nil w
+// reads the workspace's weight table. A plain search passes its w — it is
+// bounded or stops early, touches a fraction of the edges, and filling a
+// table first would cost more than it saves. Yen's tree sweep (buildTree)
+// passes nil: its enumeration has filled or borrowed the table already, and
+// one array load replaces an indirect call with an Edge-struct argument.
+// Both sources hold the same bits for an edge, so the choice moves no
+// distance. The relaxation is the one rule the repository's bit-identity
+// rests on: d + w(e), a strict < against the stamp-validated tentative
+// distance, heap4 order.
 //
 // The sweep stops when dst is popped (reporting true; pass -1 for none),
 // when every vertex of a non-nil targets set has been settled, when the
 // next frontier key exceeds bound, or when the bound context is canceled
 // (the caller tells that case apart by ws.ctxErr). Settled distances and
-// parent edges are left in dist/parent under the current generation.
+// parent edges are left in lab under the current generation.
 func (ws *Workspace) sweep(g *roadnet.Graph, seeds []Seed, rev bool, w Weight, dst roadnet.VertexID, targets []roadnet.VertexID, bound float64) bool {
 	ws.ensure(g)
 	ws.begin()
@@ -317,13 +326,17 @@ func (ws *Workspace) sweep(g *roadnet.Graph, seeds []Seed, rev bool, w Weight, d
 		}
 	}
 	tgen := ws.tgtGen
+	var wts []float64 // nil: w per edge
+	if w == nil {
+		wts = ws.wts
+	}
+	lab := ws.lab
 	for _, s := range seeds {
 		if s.Dist > bound || math.IsInf(s.Dist, 1) {
 			continue
 		}
-		if ws.reach[s.V] != gen || s.Dist < ws.dist[s.V] {
-			ws.dist[s.V] = s.Dist
-			ws.reach[s.V] = gen
+		if l := &lab[s.V]; l.reach != gen || s.Dist < l.dist {
+			l.dist, l.reach = s.Dist, gen
 			ws.heap.update(s.V, s.Dist)
 		}
 	}
@@ -350,13 +363,16 @@ func (ws *Workspace) sweep(g *roadnet.Graph, seeds []Seed, rev bool, w Weight, d
 			arcs, ends = g.OutEdges(v), g.OutNeighbors(v)
 		}
 		for i, eid := range arcs {
-			to := ends[i]
-			nd := d + w(g.Edge(eid))
-			if ws.reach[to] != gen || nd < ws.dist[to] {
-				ws.dist[to] = nd
-				ws.reach[to] = gen
-				ws.parent[to] = eid
-				ws.heap.update(to, nd)
+			var c float64
+			if wts != nil {
+				c = wts[eid]
+			} else {
+				c = w(g.Edge(eid))
+			}
+			nd := d + c
+			if l := &lab[ends[i]]; l.reach != gen || nd < l.dist {
+				*l = label{dist: nd, parent: eid, reach: gen}
+				ws.heap.update(ends[i], nd)
 			}
 		}
 	}
@@ -369,8 +385,8 @@ func (ws *Workspace) sweep(g *roadnet.Graph, seeds []Seed, rev bool, w Weight, d
 // stops only at a key past bound, one with targets only once they are all
 // settled.
 func (ws *Workspace) settled(v roadnet.VertexID, bound float64) float64 {
-	if ws.reach[v] == ws.gen && ws.dist[v] <= bound {
-		return ws.dist[v]
+	if l := ws.lab[v]; l.reach == ws.gen && l.dist <= bound {
+		return l.dist
 	}
 	return math.Inf(1)
 }
@@ -381,7 +397,7 @@ func (ws *Workspace) Dijkstra(g *roadnet.Graph, src, dst roadnet.VertexID, w Wei
 		return Path{Vertices: []roadnet.VertexID{src}}, nil
 	}
 	if ws.sweep(g, []Seed{{src, 0}}, false, w, dst, nil, math.Inf(1)) {
-		return reconstruct(g, ws.parent, src, dst, ws.dist[dst]), nil
+		return reconstruct(g, ws.lab, src, dst, ws.lab[dst].dist), nil
 	}
 	if ws.ctxErr != nil {
 		return Path{}, ws.ctxErr
@@ -420,18 +436,18 @@ func (ws *Workspace) bounded(g *roadnet.Graph, from roadnet.VertexID, rev bool, 
 	}
 }
 
-// buildTree sweeps from dst over in-arcs under w until src is settled and
-// keeps the result as the reverse shortest-path tree T of a Yen
-// enumeration, with treeR = T(src). A vertex whose tree label is current
-// and at most treeR has its exact cost to dst and a tree edge toward it:
-// the sweep settled every vertex cheaper than src, and a label of exactly
-// treeR was set from a settled vertex. It reports false when src is
-// unreachable or the bound context is canceled (ws.ctxErr tells them
-// apart). w must be the function ws's weight table was filled from.
-func (ws *Workspace) buildTree(g *roadnet.Graph, w Weight, src, dst roadnet.VertexID) bool {
-	reached := ws.sweep(g, []Seed{{dst, 0}}, true, w, src, nil, math.Inf(1))
+// buildTree sweeps from dst over in-arcs, on the workspace's weight table,
+// until src is settled and keeps the result as the reverse shortest-path
+// tree T of a Yen enumeration, with treeR = T(src). A vertex whose tree
+// label is current and at most treeR has its exact cost to dst and a tree
+// edge toward it: the sweep settled every vertex cheaper than src, and a
+// label of exactly treeR was set from a settled vertex. It reports false
+// when src is unreachable or the bound context is canceled (ws.ctxErr tells
+// them apart).
+func (ws *Workspace) buildTree(g *roadnet.Graph, src, dst roadnet.VertexID) bool {
+	reached := ws.sweep(g, []Seed{{dst, 0}}, true, nil, src, nil, math.Inf(1))
 	ws.labels, ws.tree = ws.tree, ws.labels
-	ws.treeR = ws.tree.dist[src]
+	ws.treeR = ws.tree.lab[src].dist
 	return reached
 }
 
@@ -440,8 +456,8 @@ func (ws *Workspace) buildTree(g *roadnet.Graph, w Weight, src, dst roadnet.Vert
 // because bans only lengthen paths and every vertex outside the ball is at
 // least treeR from dst.
 func (ws *Workspace) potential(v roadnet.VertexID) float64 {
-	if ws.tree.reach[v] == ws.tree.gen && ws.tree.dist[v] < ws.treeR {
-		return ws.tree.dist[v]
+	if t := ws.tree.lab[v]; t.reach == ws.tree.gen && t.dist < ws.treeR {
+		return t.dist
 	}
 	return ws.treeR
 }
@@ -459,18 +475,18 @@ func (ws *Workspace) clean(g *roadnet.Graph, v, dst roadnet.VertexID) bool {
 			break
 		}
 		walk = append(walk, v)
-		if ws.vertexBanned(v) || ws.tree.reach[v] != ws.tree.gen || ws.tree.dist[v] > ws.treeR {
+		t := ws.tree.lab[v]
+		if ws.vertexBanned(v) || t.reach != ws.tree.gen || t.dist > ws.treeR {
 			break
 		}
 		if v == dst {
 			ok = true
 			break
 		}
-		next := ws.tree.parent[v]
-		if ws.edgeBanned(next) {
+		if ws.edgeBanned(t.parent) {
 			break
 		}
-		v = g.Edge(next).To
+		v = g.Edge(t.parent).To
 	}
 	for _, u := range walk {
 		ws.cleanAt[u] = ws.banGen
@@ -482,8 +498,8 @@ func (ws *Workspace) clean(g *roadnet.Graph, v, dst roadnet.VertexID) bool {
 
 // appendTree appends to edges v's tree path to dst.
 func (ws *Workspace) appendTree(g *roadnet.Graph, edges []roadnet.EdgeID, v, dst roadnet.VertexID) []roadnet.EdgeID {
-	for ; v != dst; v = g.Edge(ws.tree.parent[v]).To {
-		edges = append(edges, ws.tree.parent[v])
+	for ; v != dst; v = g.Edge(ws.tree.lab[v].parent).To {
+		edges = append(edges, ws.tree.lab[v].parent)
 	}
 	return edges
 }
@@ -509,8 +525,8 @@ func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, lim
 	}
 	ws.begin()
 	gen := ws.gen
-	ws.dist[src] = 0
-	ws.reach[src] = gen
+	lab := ws.lab
+	lab[src] = label{reach: gen}
 	ws.heap.push(src, 0)
 	for !ws.heap.empty() {
 		if ws.canceled() {
@@ -524,7 +540,7 @@ func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, lim
 			ws.meet = v
 			return true, false
 		}
-		d := ws.dist[v]
+		d := lab[v].dist
 		outs := g.OutEdges(v)
 		tos := g.OutNeighbors(v)
 		for i, eid := range outs {
@@ -536,10 +552,8 @@ func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, lim
 				continue
 			}
 			nd := d + ws.wts[eid]
-			if ws.reach[to] != gen || nd < ws.dist[to] {
-				ws.dist[to] = nd
-				ws.reach[to] = gen
-				ws.parent[to] = eid
+			if l := &lab[to]; l.reach != gen || nd < l.dist {
+				*l = label{dist: nd, parent: eid, reach: gen}
 				ws.heap.update(to, nd+ws.potential(to))
 			}
 		}
@@ -549,28 +563,52 @@ func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, lim
 
 // --- Indexed 4-ary min-heap with decrease-key ---
 
+// pqItem is a heap entry: the pushed key, its ord, and the vertex.
 type pqItem struct {
+	k   uint64 // ord(key), what the sifts compare
 	key float64
 	v   roadnet.VertexID
+}
+
+// heapSlot is a vertex's place in the heap: it[pos] holds v iff gen is the
+// heap's current generation.
+type heapSlot struct {
+	pos int32
+	gen uint32
 }
 
 // heap4 is an indexed 4-ary min-heap keyed by float64. The position index
 // enables decrease-key, so each vertex appears at most once and the lazy
 // "done" re-check of a binary heap with duplicate entries disappears. 4-ary
-// layout halves the tree depth and keeps sift-down children in one or two
-// cache lines.
+// layout halves the tree depth and keeps a node's children adjacent.
+//
+// Keys are compared as ord(key), integers in the keys' float order, computed
+// once per push or decrease and stored beside the key, so the compiler can
+// pick down's child with conditional moves instead of mispredicted
+// branches; it does not for float compares. For every key but NaN, which no
+// search pushes, ord(a) < ord(b) exactly when a < b, so the heap pops in the
+// order a float-compare heap with the same sift rules would: down takes the
+// leftmost least child and stops on >=, up stops on <=, and update ignores
+// a key >= the present one. pop returns the pushed float's bits unchanged.
 type heap4 struct {
 	it   []pqItem
-	pos  []int32
-	pgen []uint32 // pos valid iff pgen[v] == gen
+	slot []heapSlot // indexed by vertex
 	gen  uint32
 	pops int // every pop since the heap was made; EnumStats.Pops reads it
 }
 
+// ord maps a float64 to a uint64 of the same order: positives get the sign
+// bit set, negatives have every bit flipped, and the +1 on negatives makes
+// −0 the same key as +0, as float comparison treats them.
+func ord(f float64) uint64 {
+	b := math.Float64bits(f)
+	neg := uint64(int64(b) >> 63) // all ones for a negative, else 0
+	return (b ^ (neg | 1<<63)) - neg
+}
+
 func (h *heap4) ensure(n int) {
-	if len(h.pos) < n {
-		h.pos = make([]int32, n)
-		h.pgen = make([]uint32, n)
+	if len(h.slot) < n {
+		h.slot = make([]heapSlot, n)
 		h.gen = 0
 	}
 }
@@ -579,7 +617,9 @@ func (h *heap4) reset() {
 	h.it = h.it[:0]
 	h.gen++
 	if h.gen == 0 {
-		clearU32(h.pgen)
+		for i := range h.slot {
+			h.slot[i].gen = 0
+		}
 		h.gen = 1
 	}
 }
@@ -589,19 +629,20 @@ func (h *heap4) topKey() float64 { return h.it[0].key }
 
 // push inserts v, assuming it is not present.
 func (h *heap4) push(v roadnet.VertexID, key float64) {
-	h.it = append(h.it, pqItem{key: key, v: v})
-	h.pgen[v] = h.gen
+	h.it = append(h.it, pqItem{k: ord(key), key: key, v: v})
+	h.slot[v].gen = h.gen
 	h.up(len(h.it) - 1)
 }
 
 // update inserts v or decreases its key; larger keys are ignored.
 func (h *heap4) update(v roadnet.VertexID, key float64) {
-	if h.pgen[v] == h.gen {
-		i := int(h.pos[v])
-		if key >= h.it[i].key {
+	if s := h.slot[v]; s.gen == h.gen {
+		i := int(s.pos)
+		k := ord(key)
+		if k >= h.it[i].k {
 			return
 		}
-		h.it[i].key = key
+		h.it[i].k, h.it[i].key = k, key
 		h.up(i)
 		return
 	}
@@ -615,10 +656,9 @@ func (h *heap4) pop() (roadnet.VertexID, float64) {
 	h.it[0] = h.it[last]
 	h.it = h.it[:last]
 	if last > 0 {
-		h.pos[h.it[0].v] = 0
 		h.down(0)
 	}
-	h.pgen[top.v] = h.gen - 1 // mark absent (any stamp != gen)
+	h.slot[top.v].gen = h.gen - 1 // mark absent (any stamp != gen)
 	return top.v, top.key
 }
 
@@ -626,42 +666,65 @@ func (h *heap4) up(i int) {
 	it := h.it[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if h.it[p].key <= it.key {
+		if h.it[p].k <= it.k {
 			break
 		}
 		h.it[i] = h.it[p]
-		h.pos[h.it[i].v] = int32(i)
+		h.slot[h.it[i].v].pos = int32(i)
 		i = p
 	}
 	h.it[i] = it
-	h.pos[it.v] = int32(i)
+	h.slot[it.v].pos = int32(i)
 }
 
+// down sifts it[i] toward the leaves. A full set of four children is
+// decided as a tournament, (c0, c1) and (c2, c3) and then the winners,
+// each match keeping the left side on a tie: the leftmost least child, as
+// a left-to-right scan with strict < finds it. The tournament is written
+// as arithmetic on the comparisons (b2i, min) so that it compiles to
+// conditional moves.
 func (h *heap4) down(i int) {
-	n := len(h.it)
-	it := h.it[i]
+	it := h.it
+	n := len(it)
+	x := it[i]
+	kx := x.k
 	for {
 		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h.it[j].key < h.it[best].key {
-				best = j
+		var best int
+		var kb uint64
+		if c+3 < n {
+			q := it[c : c+4 : c+4]
+			k0, k1, k2, k3 := q[0].k, q[1].k, q[2].k, q[3].k
+			s01, k01 := b2i(k1 < k0), min(k0, k1)
+			s23, k23 := b2i(k3 < k2), min(k2, k3)
+			right := -b2i(k23 < k01) // all ones when (c2, c3) wins
+			best, kb = c+(s01^((s01^(2+s23))&right)), min(k01, k23)
+		} else if c < n {
+			best, kb = c, it[c].k
+			for j := c + 1; j < n; j++ {
+				if k := it[j].k; k < kb {
+					best, kb = j, k
+				}
 			}
-		}
-		if h.it[best].key >= it.key {
+		} else {
 			break
 		}
-		h.it[i] = h.it[best]
-		h.pos[h.it[i].v] = int32(i)
+		if kb >= kx {
+			break
+		}
+		it[i] = it[best]
+		h.slot[it[i].v].pos = int32(i)
 		i = best
 	}
-	h.it[i] = it
-	h.pos[it.v] = int32(i)
+	it[i] = x
+	h.slot[x.v].pos = int32(i)
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }

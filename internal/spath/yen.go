@@ -39,19 +39,33 @@ import (
 //     rule drops. The limit carries a relative slack of 1e-9 of the last
 //     entry's cost, far above the rounding gap between root cost + spur
 //     distance and the left-to-right sum over the joined edges, which is
-//     the cost the admit rule compares;
-//   - a dropped or never-found candidate is not recorded as seen. Should a
-//     later spur search find it again, the candidates that were ahead of it
-//     have left only by emission, each taking one unit of room with it, so
-//     it still ranks past the cap and is dropped again — as the unbounded
-//     enumeration would drop it as a duplicate.
+//     the cost the admit rule compares.
 //
 // Emission pops the head, so the cap shrinks with room and never needs
 // trimming; and since room ≥ 1 whenever next runs, the cap never empties
-// a list the unbounded enumeration would emit from. Only admitted
-// candidates are materialized: a spur search writes its edges into the
-// workspace, the candidate's cost and seen key are computed from the root
-// and those edges, and a Path is built only for a candidate the list keeps.
+// a list the unbounded enumeration would emit from.
+//
+// Textbook Yen discards a spur result it has seen before. With Lawler's
+// rule no search finds one, so no record of seen paths is kept. A search's
+// region is the set of paths it can return: those that start with its
+// root and whose edge at the spur index is not banned. Emitting P, the
+// path found in some region, splits that region less P into the regions of
+// P's own searches, which are disjoint because each leaves P at a
+// different index. (The ban sets are exactly these regions': an emitted
+// path sharing P's first d+1 edges, d being P's deviation index, would lie
+// in P's region.) Only a region whose path was emitted is ever split, and
+// the split leaves that path out, so any two regions searched are nested
+// or disjoint and a path found earlier lies outside every region searched
+// after it. A spur result is therefore never a path already emitted,
+// pending or dropped by the cap; TestYenRegionsNeverRepeat pins it, and
+// refYen, which keeps the textbook check, is compared in every reference
+// test.
+//
+// A pending candidate is not a Path: it is its cost, the emitted path it
+// was spurred from, the spur index and a span of the workspace's spur
+// arena. A spur search writes its edges at the arena's end, the cost is
+// computed from the root and those edges, and a dropped spur is cut off
+// again; the Path is built only when next emits the candidate.
 //
 // The enumeration owns one reverse shortest-path tree T to dst, built by
 // newYenEnum under the query's weights (node classification, after Feng,
@@ -70,31 +84,30 @@ type yenEnum struct {
 	g        *roadnet.Graph
 	ws       *Workspace
 	dst      roadnet.VertexID
-	maxProbe int             // emission budget, counting the first path
-	paths    []Path          // emitted so far, increasing cost
-	devs     []int           // devs[j] is the spur index paths[j] was created at
-	pending  []yenCand       // sorted by (cost, creation order), at most maxProbe − len(paths) long
-	searches int             // spur searches run
-	cut      int             // spur searches the pending list's bound stopped before they found a spur
-	seen     map[string]bool // every path ever admitted, emitted or pending
-	shared   []int           // scratch: leading edges each emitted path shares with the one being spurred
+	maxProbe int       // emission budget, counting the first path
+	paths    []Path    // emitted so far, increasing cost
+	devs     []int     // devs[j] is the spur index paths[j] was created at
+	pending  []yenCand // sorted by (cost, creation order), at most maxProbe − len(paths) long
+	searches int       // spur searches run
+	cut      int       // spur searches the pending list's bound stopped before they found a spur
+	shared   []int     // scratch: leading edges each emitted path shares with the one being spurred
 }
 
-// yenCand is a pending candidate: the path and the spur index it deviates
-// from its parent at.
+// yenCand is a pending candidate: paths[parent].Edges[:dev] followed by
+// the spur edges ws.spur[lo:hi], at the given cost.
 type yenCand struct {
-	Path
-	dev int
+	cost        float64
+	parent, dev int32
+	lo, hi      int32
 }
 
-// newYenEnum builds the reverse shortest-path tree to dst under w and
-// starts an enumeration whose first emitted path is src's tree path and
-// which emits at most maxProbe paths, first included. The caller must have
-// pointed ws's weight table at w. It returns ErrNoPath when dst is
-// unreachable from src and the bound context's error when it is canceled
-// during the sweep.
-func newYenEnum(g *roadnet.Graph, ws *Workspace, w Weight, src, dst roadnet.VertexID, maxProbe int) (*yenEnum, error) {
-	if !ws.buildTree(g, w, src, dst) {
+// newYenEnum builds the reverse shortest-path tree to dst on ws's weight
+// table and starts an enumeration whose first emitted path is src's tree
+// path and which emits at most maxProbe paths, first included. It returns
+// ErrNoPath when dst is unreachable from src and the bound context's error
+// when it is canceled during the sweep.
+func newYenEnum(g *roadnet.Graph, ws *Workspace, src, dst roadnet.VertexID, maxProbe int) (*yenEnum, error) {
+	if !ws.buildTree(g, src, dst) {
 		if ws.ctxErr != nil {
 			return nil, ws.ctxErr
 		}
@@ -107,11 +120,11 @@ func newYenEnum(g *roadnet.Graph, ws *Workspace, w Weight, src, dst roadnet.Vert
 		ws.spur = ws.appendTree(g, ws.spur[:0], src, dst)
 		first = joinPaths(g, []roadnet.VertexID{src}, nil, ws.spur, sumWeights(ws.wts, ws.spur))
 	}
+	ws.spur = ws.spur[:0]
 	return &yenEnum{
 		g: g, ws: ws, dst: dst, maxProbe: maxProbe,
 		paths: []Path{first},
 		devs:  []int{0},
-		seen:  map[string]bool{pathKey(first): true},
 	}, nil
 }
 
@@ -121,10 +134,11 @@ func newYenEnum(g *roadnet.Graph, ws *Workspace, w Weight, src, dst roadnet.Vert
 // ws.ctxErr). It must only be called while fewer than maxProbe paths have
 // been emitted.
 func (y *yenEnum) next() (Path, bool) {
-	if y.ws.ctxErr != nil {
+	ws := y.ws
+	if ws.ctxErr != nil {
 		return Path{}, false
 	}
-	wts := y.ws.wts
+	wts := ws.wts
 	room := y.maxProbe - len(y.paths)
 	last := len(y.paths) - 1
 	prev := y.paths[last]
@@ -145,63 +159,57 @@ func (y *yenEnum) next() (Path, bool) {
 			rootCost += wts[prev.Edges[i-1]]
 		}
 		spur := prev.Vertices[i]
-		rootVertices := prev.Vertices[:i+1]
-		rootEdges := prev.Edges[:i]
 
-		y.ws.resetBans(y.g)
+		ws.resetBans(y.g)
 		// Ban the next edge of every accepted path sharing this root.
 		for j, p := range y.paths {
 			if y.shared[j] >= i && len(p.Edges) > i {
-				y.ws.banEdge(p.Edges[i])
+				ws.banEdge(p.Edges[i])
 			}
 		}
 		// Ban root vertices (except the spur) to keep paths loopless.
-		for _, v := range rootVertices[:i] {
-			y.ws.banVertex(v)
+		for _, v := range prev.Vertices[:i] {
+			ws.banVertex(v)
 		}
 
 		// bound is the cost a candidate must beat to be kept: a full
 		// list's last entry's.
 		bound, limit := math.Inf(1), math.Inf(1)
 		if len(y.pending) == room {
-			bound = y.pending[room-1].Cost
+			bound = y.pending[room-1].cost
 			limit = bound - rootCost + 1e-9*bound
 		}
 		y.searches++
-		reached, cut := y.ws.spurSearch(y.g, spur, y.dst, limit)
+		reached, cut := ws.spurSearch(y.g, spur, y.dst, limit)
 		if cut {
 			y.cut++
 		}
 		if !reached {
 			continue
 		}
-		spurEdges := parentEdges(y.ws.spur, y.g, y.ws.parent, spur, y.ws.meet)
-		spurEdges = y.ws.appendTree(y.g, spurEdges, y.ws.meet, y.dst)
-		y.ws.spur = spurEdges
-		cost := rootCost
-		for _, eid := range spurEdges {
-			cost += wts[eid]
+		lo := len(ws.spur)
+		ws.spur = appendParentEdges(ws.spur, y.g, ws.lab, spur, ws.meet)
+		ws.spur = ws.appendTree(y.g, ws.spur, ws.meet, y.dst)
+		c := yenCand{cost: rootCost, parent: int32(last), dev: int32(i), lo: int32(lo), hi: int32(len(ws.spur))}
+		for _, eid := range ws.spur[lo:] {
+			c.cost += wts[eid]
 		}
-		if cost >= bound {
+		if c.cost >= bound {
+			ws.spur = ws.spur[:lo]
 			continue
 		}
-		y.ws.key = appendEdgeKey(appendEdgeKey(y.ws.key[:0], rootEdges), spurEdges)
-		if y.seen[string(y.ws.key)] {
-			continue
-		}
-		y.seen[string(y.ws.key)] = true
-		y.admit(yenCand{joinPaths(y.g, rootVertices, rootEdges, spurEdges, cost), i}, room)
+		y.admit(c, room)
 	}
 	if len(y.pending) == 0 {
 		return Path{}, false
 	}
 	c := y.pending[0]
-	n := copy(y.pending, y.pending[1:])
-	y.pending[n] = yenCand{} // drop the path references
-	y.pending = y.pending[:n]
-	y.paths = append(y.paths, c.Path)
-	y.devs = append(y.devs, c.dev)
-	return c.Path, true
+	y.pending = y.pending[:copy(y.pending, y.pending[1:])]
+	root := y.paths[c.parent]
+	p := joinPaths(y.g, root.Vertices[:c.dev+1], root.Edges[:c.dev], ws.spur[c.lo:c.hi], c.cost)
+	y.paths = append(y.paths, p)
+	y.devs = append(y.devs, int(c.dev))
+	return p, true
 }
 
 // admit inserts c after every pending candidate that costs no more — c is
@@ -210,7 +218,7 @@ func (y *yenEnum) next() (Path, bool) {
 // that a full list's last candidate costs more than c.
 func (y *yenEnum) admit(c yenCand, room int) {
 	p := y.pending
-	at := sort.Search(len(p), func(j int) bool { return p[j].Cost > c.Cost })
+	at := sort.Search(len(p), func(j int) bool { return p[j].cost > c.cost })
 	if len(p) < room {
 		p = append(p, yenCand{})
 	}
@@ -245,9 +253,9 @@ type EnumStats struct {
 }
 
 // enumerate is the one body behind TopK, DiversifiedTopK and
-// DiversifiedTopKStatsCtx. The enumeration runs under e's weight table and
-// weight when e is non-nil, and under a per-query fill of w otherwise; the
-// engine contributes nothing else. Paths are pulled in Yen order — the
+// DiversifiedTopKStatsCtx. The enumeration runs under e's weight table
+// when e is non-nil, and under a per-query fill of w otherwise; the engine
+// contributes nothing else. Paths are pulled in Yen order — the
 // first is the tree's (newYenEnum) — and greedily accepted — every one when
 // sim is nil, else each one whose similarity to everything accepted so far
 // is at most threshold — until k are accepted, maxProbe have been examined,
@@ -265,13 +273,12 @@ func enumerate(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, d
 	ws.bindContext(ctx)
 	// One weight per edge, shared by the tree and every spur query below.
 	if e != nil {
-		w = e.Weight()
 		ws.useWeights(e.weights())
 	} else {
 		ws.fillWeights(g, w)
 	}
 	pops := ws.heap.pops
-	y, err := newYenEnum(g, ws, w, src, dst, maxProbe)
+	y, err := newYenEnum(g, ws, src, dst, maxProbe)
 	if err != nil {
 		st.Pops = ws.heap.pops - pops
 		return nil, st, err
@@ -357,17 +364,4 @@ func joinPaths(g *roadnet.Graph, rootVertices []roadnet.VertexID, rootEdges, spu
 		vertices = append(vertices, g.Edge(eid).To)
 	}
 	return Path{Vertices: vertices, Edges: edges, Cost: cost}
-}
-
-func pathKey(p Path) string {
-	return string(appendEdgeKey(make([]byte, 0, len(p.Edges)*4), p.Edges))
-}
-
-// appendEdgeKey appends the bytes by which seen identifies an edge
-// sequence.
-func appendEdgeKey(b []byte, edges []roadnet.EdgeID) []byte {
-	for _, e := range edges {
-		b = append(b, byte(e), byte(e>>8), byte(e>>16), byte(e>>24))
-	}
-	return b
 }

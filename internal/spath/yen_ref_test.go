@@ -576,7 +576,7 @@ func servedYenEnum(t *testing.T, g *roadnet.Graph, e Engine, src, dst roadnet.Ve
 	t.Helper()
 	ws := GetWorkspace(g)
 	ws.useWeights(e.weights())
-	y, err := newYenEnum(g, ws, e.Weight(), src, dst, maxProbe)
+	y, err := newYenEnum(g, ws, src, dst, maxProbe)
 	if err != nil {
 		ws.Release()
 		t.Fatal(err)
@@ -695,6 +695,140 @@ func TestYenSpurSearchBudget(t *testing.T) {
 	}
 }
 
+// pendingEdges returns the edges of each of y's pending candidates.
+func pendingEdges(y *yenEnum) [][]roadnet.EdgeID {
+	var out [][]roadnet.EdgeID
+	for _, c := range y.pending {
+		root := y.paths[c.parent].Edges[:c.dev]
+		out = append(out, append(append([]roadnet.EdgeID(nil), root...), y.ws.spur[c.lo:c.hi]...))
+	}
+	return out
+}
+
+// inRegion reports whether q lies in the region of the spur search at
+// index i of the last of paths: it starts with that path's first i edges
+// and its edge at i is no emitted path's edge at i sharing them.
+func inRegion(paths []Path, i int, q []roadnet.EdgeID) bool {
+	root := paths[len(paths)-1].Edges[:i]
+	if len(q) <= i || !sameEdges(q[:i], root) {
+		return false
+	}
+	for _, p := range paths {
+		if len(p.Edges) > i && sameEdges(p.Edges[:i], root) && p.Edges[i] == q[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// requireRegionsNeverRepeat steps the enumeration of src→dst under w, with
+// budget maxProbe, next by next. Before each call no emitted or pending
+// path may lie in a region the call searches; after it the emitted and
+// pending paths must all differ; and the emitted costs must be the
+// reference's, bit for bit.
+func requireRegionsNeverRepeat(t *testing.T, g *roadnet.Graph, w Weight, src, dst roadnet.VertexID, maxProbe int) {
+	t.Helper()
+	ws := GetWorkspace(g)
+	defer ws.Release()
+	ws.fillWeights(g, w)
+	y, err := newYenEnum(g, ws, src, dst, maxProbe)
+	if err != nil {
+		return
+	}
+	what := fmt.Sprintf("%d->%d max_probe=%d", src, dst, maxProbe)
+	for len(y.paths) < maxProbe {
+		known := pendingEdges(y)
+		for _, p := range y.paths {
+			known = append(known, p.Edges)
+		}
+		last := len(y.paths) - 1
+		for i := y.devs[last]; i < y.paths[last].Len(); i++ {
+			for _, q := range known {
+				if inRegion(y.paths, i, q) {
+					t.Fatalf("%s: after %d paths, %v lies in the region of the spur search at index %d", what, len(y.paths), q, i)
+				}
+			}
+		}
+		if _, ok := y.next(); !ok {
+			break
+		}
+		distinct := map[string]bool{}
+		for _, p := range y.paths {
+			distinct[pathKey(p)] = true
+		}
+		for _, q := range pendingEdges(y) {
+			distinct[pathKey(Path{Edges: q})] = true
+		}
+		if len(distinct) != len(y.paths)+len(y.pending) {
+			t.Fatalf("%s: after %d paths, an emitted or pending path repeats", what, len(y.paths))
+		}
+	}
+	want := newRefSeq(g, w, src, dst).first(len(y.paths) + 1)
+	if len(want) < len(y.paths) || len(y.paths) < maxProbe && len(want) != len(y.paths) {
+		t.Fatalf("%s: %d paths, reference %d", what, len(y.paths), len(want))
+	}
+	for j, p := range y.paths {
+		if math.Float64bits(p.Cost) != math.Float64bits(want[j].Cost) {
+			t.Fatalf("%s: path %d costs %v, reference %v", what, j, p.Cost, want[j].Cost)
+		}
+	}
+}
+
+// TestYenRegionsNeverRepeat pins the argument that lets yenEnum keep no
+// record of seen paths: no spur search can return a path already emitted,
+// pending or dropped, since Lawler's regions are nested or disjoint. It
+// runs on graphs with integer weights (many exact ties), parallel arcs and
+// budgets small enough that the cap drops candidates, on jittered random
+// graphs, and on served crosstown pairs.
+func TestYenRegionsNeverRepeat(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, 1+3*(8+rng.Intn(40)))
+		rng.Read(data)
+		data[0] = byte(rng.Intn(10))
+		g := tieGraph(data)
+		n := g.NumVertices()
+		requireRegionsNeverRepeat(t, g, ByLength, randVertex(rng, n), randVertex(rng, n), 2+rng.Intn(30))
+	}
+	for trial := 0; trial < 100; trial++ {
+		g := randomFuzzGraph(rng)
+		n := g.NumVertices()
+		requireRegionsNeverRepeat(t, g, ByLength, randVertex(rng, n), randVertex(rng, n), 2+rng.Intn(30))
+	}
+	g, _ := benchWorldPrep(t)
+	for _, p := range crosstownPairs(4) {
+		requireRegionsNeverRepeat(t, g, ByLength, p[0], p[1], 12)
+	}
+}
+
+// TestYenAllocBudget bounds the allocations of one served enumeration, the
+// mean over each shape's pairs on a warm pool, so that per-candidate
+// allocations — a Path built for every admitted spur, a key per seen path —
+// cannot creep back: a candidate is materialized only when it is emitted.
+func TestYenAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	g, prep := benchWorldPrep(t)
+	e := prep.Engine(g)
+	for _, s := range servedShapes() {
+		maxAllocs := map[string]float64{"crosstown": 120, "local_k32": 110}[s.name]
+		pairs := s.pairs[:50]
+		i := 0
+		allocs := testing.AllocsPerRun(len(pairs), func() {
+			p := pairs[i%len(pairs)]
+			i++
+			if _, _, err := enumerate(context.Background(), g, e, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocations an enumeration", s.name, allocs)
+		if allocs > maxAllocs {
+			t.Fatalf("%s: %.1f allocations an enumeration, want at most %.0f", s.name, allocs, maxAllocs)
+		}
+	}
+}
+
 // servedShape is one served candidate configuration over its pairs of the
 // benchmark world, with the mean heap pops a pair TestYenSpurSearchBudget
 // allows it.
@@ -719,25 +853,66 @@ func servedShapes() []servedShape {
 
 // BenchmarkYenServed runs each served shape's enumeration on the CH engine
 // of the benchmark world, one pair per op, and reports the heap pops and
-// spur searches per op: counts, so they compare across machines.
+// spur searches per op: counts, so they compare across machines. They are
+// taken over one whole untimed pass of the pairs, since the timed loop
+// cycles them and a partial pass would weight some pairs twice.
 func BenchmarkYenServed(b *testing.B) {
 	g, prep := benchWorldPrep(b)
 	e := prep.Engine(g)
 	for _, s := range servedShapes() {
 		b.Run(s.name, func(b *testing.B) {
-			var pops, searches int
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p := s.pairs[i%len(s.pairs)]
+			run := func(p [2]roadnet.VertexID) EnumStats {
 				_, st, err := enumerate(context.Background(), g, e, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe)
 				if err != nil {
 					b.Fatal(err)
 				}
+				return st
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run(s.pairs[i%len(s.pairs)])
+			}
+			b.StopTimer()
+			var pops, searches int
+			for _, p := range s.pairs {
+				st := run(p)
 				pops += st.Pops
 				searches += st.SpurSearches
 			}
-			b.ReportMetric(float64(pops)/float64(b.N), "pops/op")
-			b.ReportMetric(float64(searches)/float64(b.N), "spur_searches/op")
+			b.ReportMetric(float64(pops)/float64(len(s.pairs)), "pops/op")
+			b.ReportMetric(float64(searches)/float64(len(s.pairs)), "spur_searches/op")
+		})
+	}
+}
+
+// BenchmarkTreeSweep times the reverse shortest-path tree sweep alone that
+// each served shape's enumeration starts with, one pair per op, on the CH
+// engine's weight table, and reports its heap pops per op over one whole
+// untimed pass of the pairs.
+func BenchmarkTreeSweep(b *testing.B) {
+	g, prep := benchWorldPrep(b)
+	e := prep.Engine(g)
+	ws := GetWorkspace(g)
+	defer ws.Release()
+	ws.useWeights(e.weights())
+	sweep := func(p [2]roadnet.VertexID) int {
+		before := ws.heap.pops
+		if !ws.buildTree(g, p[0], p[1]) {
+			b.Fatalf("%d->%d: the tree sweep did not reach src", p[0], p[1])
+		}
+		return ws.heap.pops - before
+	}
+	for _, s := range servedShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sweep(s.pairs[i%len(s.pairs)])
+			}
+			b.StopTimer()
+			pops := 0
+			for _, p := range s.pairs {
+				pops += sweep(p)
+			}
+			b.ReportMetric(float64(pops)/float64(len(s.pairs)), "pops/op")
 		})
 	}
 }
@@ -921,4 +1096,13 @@ func FuzzYenMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pathKey identifies a path by its edge sequence.
+func pathKey(p Path) string {
+	b := make([]byte, 0, 4*len(p.Edges))
+	for _, e := range p.Edges {
+		b = append(b, byte(e), byte(e>>8), byte(e>>16), byte(e>>24))
+	}
+	return string(b)
 }
