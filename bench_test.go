@@ -306,8 +306,7 @@ func BenchmarkGRUForwardBackward(b *testing.B) {
 }
 
 // BenchmarkCHBuild measures contraction-hierarchy preprocessing of the
-// experiment network — the one-time cost pathrank-train pays (and
-// pathrank-serve skips when the artifact embeds the prep). It reports the
+// experiment network — the one-time cost pathrank-train pays. It reports the
 // shortcut count, which a faster builder must leave unchanged.
 func BenchmarkCHBuild(b *testing.B) {
 	g := microGraph(b)
@@ -323,7 +322,7 @@ func BenchmarkCHBuild(b *testing.B) {
 }
 
 // BenchmarkCHQuery measures one point-to-point query on a prebuilt
-// hierarchy (the engine behind served candidate generation).
+// hierarchy (the engine map matching routes on).
 func BenchmarkCHQuery(b *testing.B) {
 	g := microGraph(b)
 	ch := spath.BuildCH(g, spath.ByLength)
@@ -359,23 +358,25 @@ func BenchmarkCHManyToMany(b *testing.B) {
 	}
 }
 
-// BenchmarkDiversifiedTopK5CH measures D-TkDI generation on the CH engine —
-// the serving path's candidate generator.
+// BenchmarkDiversifiedTopK5CH measures D-TkDI generation on a prebuilt
+// weight table — the serving path's candidate generator. It no longer
+// touches a hierarchy; the name stays so the tracked benchmark keeps its
+// history.
 func BenchmarkDiversifiedTopK5CH(b *testing.B) {
 	g := microGraph(b)
-	eng := spath.NewEngine(spath.EngineCH, g, spath.ByLength)
+	wts := spath.WeightTable(g, spath.ByLength)
 	sim := pathsim.WeightedJaccardSim(g)
 	rng := rand.New(rand.NewSource(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		_, _, _ = spath.DiversifiedTopKStatsCtx(context.Background(), g, eng, nil, src, dst, 5, sim, 0.8, 50)
+		_, _, _ = spath.DiversifiedTopKStatsCtx(context.Background(), g, wts, nil, src, dst, 5, sim, 0.8, 50)
 	}
 }
 
 // The world the repository benchmark serves (benchmark/world.go: 56x56
-// DefaultGenConfig, seed 1) with its prep, built once. The benchmarks on it
+// DefaultGenConfig, seed 1), built once. The benchmarks on it
 // do not vary with PATHRANK_BENCH_QUICK: their numbers are only comparable
 // on this world.
 const servedSide = 56
@@ -383,23 +384,20 @@ const servedSide = 56
 var (
 	servedOnce  sync.Once
 	servedGraph *roadnet.Graph
-	servedPrep  *spath.Prep
 	servedErr   error
 )
 
-func servedWorld(b *testing.B) (*roadnet.Graph, *spath.Prep) {
+func servedWorld(b *testing.B) *roadnet.Graph {
 	b.Helper()
 	servedOnce.Do(func() {
 		cfg := roadnet.DefaultGenConfig()
 		cfg.Rows, cfg.Cols, cfg.Seed = servedSide, servedSide, 1
-		if servedGraph, servedErr = roadnet.Generate(cfg); servedErr == nil {
-			servedPrep = spath.BuildPrep(servedGraph, spath.PrepConfig{})
-		}
+		servedGraph, servedErr = roadnet.Generate(cfg)
 	})
 	if servedErr != nil {
 		b.Fatal(servedErr)
 	}
-	return servedGraph, servedPrep
+	return servedGraph
 }
 
 // servedShapes are the benchmark's two query shapes: "crosstown" is 200
@@ -437,27 +435,23 @@ func gridPairs(seed int64, n, lo, hi int) [][2]roadnet.VertexID {
 	return out
 }
 
-// BenchmarkCandidatesByEngine is the engines measurement ROADMAP item 4
-// asked for: one served candidate generation (Ranker.CandidatesFor, what
-// pathrank-serve runs on a cache miss) per iteration, on the served world,
-// for each served shape over the artifact's CH engine and plain Dijkstra.
-func BenchmarkCandidatesByEngine(b *testing.B) {
-	g, prep := servedWorld(b)
+// BenchmarkCandidates is one served candidate generation
+// (Ranker.CandidatesFor, what pathrank-serve runs on a cache miss) per
+// iteration, on the served world, for each served shape.
+func BenchmarkCandidates(b *testing.B) {
+	g := servedWorld(b)
 	for _, load := range servedShapes {
-		for _, engine := range []spath.Engine{prep.Engine(g), spath.NewDijkstraEngine(g, spath.ByLength)} {
-			r := pathrank.NewRanker(g, nil)
-			r.Candidates = load.cands
-			r.Engine = engine
-			b.Run(fmt.Sprintf("%s/%s", load.name, engine.Kind()), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					p := load.pairs[i%len(load.pairs)]
-					cands, _, err := r.CandidatesFor(context.Background(), pathrank.RankRequest{Src: p[0], Dst: p[1]})
-					if err != nil || len(cands) == 0 {
-						b.Fatalf("%d->%d: %d candidates, err %v", p[0], p[1], len(cands), err)
-					}
+		r := pathrank.NewRanker(g, nil)
+		r.Candidates = load.cands
+		b.Run(load.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := load.pairs[i%len(load.pairs)]
+				cands, _, err := r.CandidatesFor(context.Background(), pathrank.RankRequest{Src: p[0], Dst: p[1]})
+				if err != nil || len(cands) == 0 {
+					b.Fatalf("%d->%d: %d candidates, err %v", p[0], p[1], len(cands), err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -479,11 +473,10 @@ func servedModel(b *testing.B, numVertices int) *pathrank.Model {
 // 32 x 5-12 on local_k32).
 func servedSweeps(b *testing.B, shape int) [][]spath.Path {
 	b.Helper()
-	g, prep := servedWorld(b)
+	g := servedWorld(b)
 	load := servedShapes[shape]
 	r := pathrank.NewRanker(g, nil)
 	r.Candidates = load.cands
-	r.Engine = prep.Engine(g)
 	sweeps := make([][]spath.Path, len(load.pairs))
 	for i, p := range load.pairs {
 		cands, _, err := r.CandidatesFor(context.Background(), pathrank.RankRequest{Src: p[0], Dst: p[1]})
@@ -531,7 +524,7 @@ func sharedStepShare(sweeps [][]spath.Path) float64 {
 // much of their work the prefix trie skips (≈0.32 crosstown, ≈0.53
 // local_k32).
 func BenchmarkScoreBatchFused(b *testing.B) {
-	g, _ := servedWorld(b)
+	g := servedWorld(b)
 	m := servedModel(b, g.NumVertices())
 	for shape, load := range servedShapes {
 		sweeps := servedSweeps(b, shape)
@@ -556,7 +549,7 @@ func BenchmarkScoreBatchFused(b *testing.B) {
 // and the per-path reference — which is what decides whether
 // Model.ScoreBatch needs a small-batch fork.
 func BenchmarkScore(b *testing.B) {
-	g, _ := servedWorld(b)
+	g := servedWorld(b)
 	m := servedModel(b, g.NumVertices())
 	for shape, load := range servedShapes {
 		sweeps := servedSweeps(b, shape)
@@ -580,7 +573,7 @@ func BenchmarkScore(b *testing.B) {
 // pays once per weight generation before it serves — on the benchmark
 // world's vocabulary and on `netgen -metro`'s (160x160, ~25k vertices).
 func BenchmarkPlanBuild(b *testing.B) {
-	g, _ := servedWorld(b)
+	g := servedWorld(b)
 	metro := roadnet.DefaultGenConfig()
 	metro.Rows, metro.Cols, metro.SpacingM = 160, 160, 120
 	mg, err := roadnet.Generate(metro)

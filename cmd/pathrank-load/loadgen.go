@@ -124,7 +124,6 @@ type genConfig struct {
 
 	K          int
 	Strategies []string // sampled uniformly per request; empty = server default
-	Engines    []string // sampled uniformly per request; empty = server default
 
 	BatchRatio float64 // fraction of v2 requests that are batches
 	BatchSize  int
@@ -366,9 +365,6 @@ func nextSpec(rng *rand.Rand, cfg genConfig) requestSpec {
 		}
 		if len(cfg.Strategies) > 0 {
 			q.Strategy = cfg.Strategies[rng.Intn(len(cfg.Strategies))]
-		}
-		if len(cfg.Engines) > 0 {
-			q.Engine = cfg.Engines[rng.Intn(len(cfg.Engines))]
 		}
 		// Explain sampling applies to single requests only, and draws from
 		// the source only when enabled so existing seeds keep their request

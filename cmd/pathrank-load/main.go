@@ -6,8 +6,8 @@
 // latency from a log-bucketed HDR-style histogram.
 //
 // The request mix is configurable: OD pairs sampled uniformly from the
-// serving graph, per-request k / candidate strategy / engine drawn from
-// the given lists, and a share of /v2/rank batches. A given -seed always
+// serving graph, per-request k and candidate strategy drawn from the
+// given lists, and a share of /v2/rank batches. A given -seed always
 // replays the same sequence.
 //
 //	pathrank-load -addr http://localhost:8080 -rate 200 -duration 30s
@@ -43,7 +43,6 @@ func main() {
 	vertices := flag.Int64("vertices", 0, "OD sample space (0 = read the vertex count from /healthz)")
 	k := flag.Int("k", 0, "per-request candidate-set size (0 = server default)")
 	strategies := flag.String("strategy", "", "comma-separated candidate strategies to mix (empty = server default)")
-	engines := flag.String("engine", "", "comma-separated engines to mix: ch, dijkstra (empty = snapshot engine)")
 	batchRatio := flag.Float64("batch-ratio", 0, "fraction of v2 requests sent as batches")
 	batchSize := flag.Int("batch-size", 8, "queries per batch request")
 	explainRatio := flag.Float64("explain-ratio", 0, "fraction of single v2 requests sent with explain=true; against a sharded router the report then includes the per-shard latency breakdown")
@@ -63,7 +62,6 @@ func main() {
 		Vertices:     *vertices,
 		K:            *k,
 		Strategies:   splitList(*strategies),
-		Engines:      splitList(*engines),
 		BatchRatio:   *batchRatio,
 		BatchSize:    *batchSize,
 		ExplainRatio: *explainRatio,

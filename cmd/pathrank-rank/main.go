@@ -13,7 +13,7 @@
 //	pathrank-rank -server http://localhost:8080 -src 12 -dst 431 -k 8
 //
 // Either way the candidate regime is per-request configurable (-k,
-// -strategy, -threshold, -weight, -engine) and -timeout bounds the
+// -strategy, -threshold, -weight) and -timeout bounds the
 // computation: an expiring deadline cancels the in-flight enumeration.
 package main
 
@@ -40,7 +40,6 @@ func main() {
 	strategy := flag.String("strategy", "", "candidate strategy override: tkdi or dtkdi (empty = artifact default)")
 	threshold := flag.Float64("threshold", 0, "D-TkDI similarity threshold override in (0,1]")
 	weight := flag.String("weight", "", "edge metric override: length or time")
-	engineName := flag.String("engine", "", "shortest-path backend override: ch, dijkstra (empty = artifact default)")
 	explain := flag.Bool("explain", false, "print candidate-generation statistics")
 	timeout := flag.Duration("timeout", 0, "query deadline (0 = none)")
 	flag.Parse()
@@ -53,15 +52,15 @@ func main() {
 	}
 
 	if *server != "" {
-		rankRemote(ctx, *server, *src, *dst, *k, *strategy, *threshold, *weight, *engineName, *explain)
+		rankRemote(ctx, *server, *src, *dst, *k, *strategy, *threshold, *weight, *explain)
 		return
 	}
-	rankLocal(ctx, *artifactPath, *src, *dst, *k, *strategy, *threshold, *weight, *engineName, *explain)
+	rankLocal(ctx, *artifactPath, *src, *dst, *k, *strategy, *threshold, *weight, *explain)
 }
 
 // rankLocal loads the artifact bundle and ranks in process through the
 // core Ranker.Rank entry point.
-func rankLocal(ctx context.Context, artifactPath string, src, dst int64, k int, strategy string, threshold float64, weight, engineName string, explain bool) {
+func rankLocal(ctx context.Context, artifactPath string, src, dst int64, k int, strategy string, threshold float64, weight string, explain bool) {
 	// Validate the choice flags before paying for the artifact load —
 	// a typo should fail instantly, not after reading a large bundle.
 	req := pathrank.RankRequest{K: k, Threshold: threshold, Explain: explain}
@@ -70,9 +69,6 @@ func rankLocal(ctx context.Context, artifactPath string, src, dst int64, k int, 
 		log.Fatal(err)
 	}
 	if req.Weight, err = pathrank.ParseWeightKind(weight); err != nil {
-		log.Fatal(err)
-	}
-	if req.Engine, err = pathrank.ParseEngineChoice(engineName); err != nil {
 		log.Fatal(err)
 	}
 
@@ -103,15 +99,15 @@ func rankLocal(ctx context.Context, artifactPath string, src, dst int64, k int, 
 	}
 	if explain {
 		st := resp.Stats
-		fmt.Printf("stats: strategy=%s k=%d threshold=%g weight=%s engine=%s gen=%v score=%v\n",
-			st.Strategy, st.K, st.Threshold, st.Weight, st.Engine,
+		fmt.Printf("stats: strategy=%s k=%d threshold=%g weight=%s gen=%v score=%v\n",
+			st.Strategy, st.K, st.Threshold, st.Weight,
 			time.Duration(st.GenNanos).Round(time.Microsecond),
 			time.Duration(st.ScoreNanos).Round(time.Microsecond))
 	}
 }
 
 // rankRemote sends the query to a running pathrank-serve over HTTP.
-func rankRemote(ctx context.Context, server string, src, dst int64, k int, strategy string, threshold float64, weight, engineName string, explain bool) {
+func rankRemote(ctx context.Context, server string, src, dst int64, k int, strategy string, threshold float64, weight string, explain bool) {
 	if dst < 0 {
 		log.Fatal("server mode needs an explicit -dst")
 	}
@@ -119,7 +115,7 @@ func rankRemote(ctx context.Context, server string, src, dst int64, k int, strat
 	res, err := client.Rank(ctx, pathrank.RankQuery{
 		Src: src, Dst: dst, K: k,
 		Strategy: strategy, Threshold: threshold,
-		Weight: weight, Engine: engineName, Explain: explain,
+		Weight: weight, Explain: explain,
 	})
 	if err != nil {
 		var apiErr *pathrank.APIError
@@ -139,8 +135,8 @@ func rankRemote(ctx context.Context, server string, src, dst int64, k int, strat
 	}
 	if res.Stats != nil {
 		st := res.Stats
-		fmt.Printf("stats: strategy=%s k=%d threshold=%g weight=%s engine=%s candidates=%d gen=%v score=%v\n",
-			st.Strategy, st.K, st.Threshold, st.Weight, st.Engine, st.Candidates,
+		fmt.Printf("stats: strategy=%s k=%d threshold=%g weight=%s candidates=%d gen=%v score=%v\n",
+			st.Strategy, st.K, st.Threshold, st.Weight, st.Candidates,
 			time.Duration(st.GenNs).Round(time.Microsecond),
 			time.Duration(st.ScoreNs).Round(time.Microsecond))
 	}

@@ -127,14 +127,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engineNote := "engine dijkstra (no hierarchy embedded)"
-	if art.Prep != nil && art.Prep.CH != nil {
-		engineNote = "engine ch (hierarchy embedded)"
-	}
-	log.Printf("loaded %s in %v: %d vertices, %d edges, %d params, strategy %s k=%d, gen %d fingerprint %.12s, %s",
+	log.Printf("loaded %s in %v: %d vertices, %d edges, %d params, strategy %s k=%d, gen %d fingerprint %.12s",
 		*artifactPath, time.Since(start).Round(time.Millisecond),
 		art.Graph.NumVertices(), art.Graph.NumEdges(), art.Model.NumParams(),
-		art.Candidates.Strategy, art.Candidates.K, art.Lineage.Generation, fpHex, engineNote)
+		art.Candidates.Strategy, art.Candidates.K, art.Lineage.Generation, fpHex)
 
 	srv, err := serve.New(art, serve.Config{
 		CacheSize:           *cacheSize,

@@ -21,16 +21,15 @@ func ExampleRankRequest() {
 		Strategy:  pathrank.StrategyDTkDI, // diversified top-k (D-TkDI)
 		Threshold: 0.6,                    // diversity threshold
 		Weight:    pathrank.WeightTime,    // rank fastest, not shortest
-		Engine:    pathrank.EngineNone,    // plain Dijkstra, no prepared engine
 		Explain:   true,                   // fill RankStats in the response
 	}
 	// With a trained ranker this would run:
 	//   resp, err := ranker.Rank(ctx, req)
 	// and ctx cancellation would stop the candidate enumeration mid-search.
-	fmt.Printf("%d->%d k=%d strategy=%s weight=%s engine=%s\n",
-		req.Src, req.Dst, req.K, req.Strategy, req.Weight, req.Engine)
+	fmt.Printf("%d->%d k=%d strategy=%s weight=%s\n",
+		req.Src, req.Dst, req.K, req.Strategy, req.Weight)
 	// Output:
-	// 12->431 k=8 strategy=dtkdi weight=time engine=dijkstra
+	// 12->431 k=8 strategy=dtkdi weight=time
 }
 
 // ExampleClient queries a pathrank-serve instance through the Go SDK. The

@@ -26,11 +26,6 @@ var exportAllowlist = map[string]string{
 	"PoisonArtifact": "chaos: other packages' tests corrupt an artifact with it",
 	"NewWorkspace":   "spath: other packages' tests drive searches on a private workspace",
 	"FindEdge":       "roadnet: other packages' tests look up an edge by its endpoints",
-
-	// Dead, and deleted with their unit tests in a later deletion pass.
-	"MeanRank": "metrics: no caller; deletion pending with ranking.go",
-	"HitAtK":   "metrics: no caller; deletion pending with ranking.go",
-	"MRR":      "metrics: no caller; deletion pending with ranking.go",
 }
 
 // TestInternalExportsHaveCallers is a tripwire for dead code: the name of

@@ -103,11 +103,6 @@ type RankQuery struct {
 	// Weight selects the edge metric: "length" (meters, the default) or
 	// "time" (free-flow seconds).
 	Weight string `json:"weight,omitempty"`
-	// Engine selects the shortest-path backend: "auto" (the snapshot's
-	// prepared engine, default), "dijkstra" (no preprocessing), or "ch"
-	// (the snapshot's contraction hierarchy, which it must carry). No
-	// choice changes a ranking.
-	Engine string `json:"engine,omitempty"`
 	// Explain requests candidate-generation statistics in the response.
 	Explain bool `json:"explain,omitempty"`
 	// TimeoutMs bounds the server-side computation in milliseconds; the
@@ -145,7 +140,6 @@ type RankStats struct {
 	Threshold  float64 `json:"threshold,omitempty"`
 	MaxProbe   int     `json:"max_probe,omitempty"`
 	Weight     string  `json:"weight"`
-	Engine     string  `json:"engine"`
 	Candidates int     `json:"candidates"`
 	GenNs      int64   `json:"generation_ns,omitempty"`
 	// ScoreNs is this query's own NN scoring time, for a batch item too:

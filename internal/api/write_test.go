@@ -99,7 +99,7 @@ func randResult(rng *rand.Rand) *RankResult {
 	}
 	if rng.Intn(2) == 0 {
 		st := &RankStats{
-			Strategy: randString(rng), K: int(randInt64(rng)), Weight: randString(rng), Engine: randString(rng),
+			Strategy: randString(rng), K: int(randInt64(rng)), Weight: randString(rng),
 			Candidates: rng.Intn(64), GenNs: randInt64(rng), ScoreNs: randInt64(rng), Route: randString(rng),
 		}
 		if rng.Intn(2) == 0 {
@@ -172,7 +172,7 @@ func TestAppendResultMatchesEncoder(t *testing.T) {
 	}
 	// Every hostile string, in every string slot of the envelope.
 	for _, s := range hostile {
-		st := &RankStats{Strategy: s, Weight: s, Engine: s, Route: s, Shards: []ShardStat{{Role: s}}}
+		st := &RankStats{Strategy: s, Weight: s, Route: s, Shards: []ShardStat{{Role: s}}}
 		checkResult(t, &RankResult{Paths: []RankedPath{}, Stats: st})
 		checkBatch(t, &BatchResponse{Results: []BatchItem{{Error: &Error{Code: s, Message: s}}}})
 	}

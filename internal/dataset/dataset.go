@@ -82,25 +82,26 @@ func DefaultConfig() Config {
 }
 
 // Candidates is the one candidate rule: it generates c's candidate set
-// from src to dst, on e when e is non-nil (an engine over g) and plain on
-// g under w otherwise. TkDI is Yen's top-K: no similarity filter, a probe
+// from src to dst on g, under the weight table wts when it is non-nil
+// (spath.WeightTable(g, w), built once and shared) and under a per-query
+// fill of w otherwise. TkDI is Yen's top-K: no similarity filter, a probe
 // budget of K. D-TkDI keeps, in Yen order, each path whose weighted
 // Jaccard similarity to every kept one is at most Threshold, probing at
 // most MaxProbe paths (spath's rule turns a budget below K into 10*K).
 // sim, when non-nil, is a pathsim.WeightedJaccardSim(g) the caller
 // already holds; D-TkDI borrows a pooled one for the enumeration
 // otherwise, so a query allocates no edge-sized scratch.
-func (c Config) Candidates(ctx context.Context, g *roadnet.Graph, e spath.Engine, w spath.Weight, sim spath.Similarity, src, dst roadnet.VertexID) ([]spath.Path, spath.EnumStats, error) {
+func (c Config) Candidates(ctx context.Context, g *roadnet.Graph, wts []float64, w spath.Weight, sim spath.Similarity, src, dst roadnet.VertexID) ([]spath.Path, spath.EnumStats, error) {
 	switch c.Strategy {
 	case TkDI:
-		return spath.DiversifiedTopKStatsCtx(ctx, g, e, w, src, dst, c.K, nil, 0, c.K)
+		return spath.DiversifiedTopKStatsCtx(ctx, g, wts, w, src, dst, c.K, nil, 0, c.K)
 	case DTkDI:
 		if sim == nil {
 			var release func()
 			sim, release = pathsim.PooledWeightedJaccardSim(g)
 			defer release()
 		}
-		return spath.DiversifiedTopKStatsCtx(ctx, g, e, w, src, dst, c.K, sim, c.Threshold, c.MaxProbe)
+		return spath.DiversifiedTopKStatsCtx(ctx, g, wts, w, src, dst, c.K, sim, c.Threshold, c.MaxProbe)
 	default:
 		return nil, spath.EnumStats{}, fmt.Errorf("dataset: unknown strategy %d", c.Strategy)
 	}
@@ -113,10 +114,11 @@ func Generate(g *roadnet.Graph, trips []traj.Trip, cfg Config) ([]Query, error) 
 		return nil, fmt.Errorf("dataset: K must be positive, got %d", cfg.K)
 	}
 	sim := pathsim.WeightedJaccardSim(g)
+	wts := spath.WeightTable(g, spath.ByLength)
 	queries := make([]Query, 0, len(trips))
 	for _, tr := range trips {
 		src, dst := tr.Path.Source(), tr.Path.Destination()
-		cands, _, err := cfg.Candidates(context.Background(), g, nil, spath.ByLength, sim, src, dst)
+		cands, _, err := cfg.Candidates(context.Background(), g, wts, nil, sim, src, dst)
 		if errors.Is(err, spath.ErrNoPath) {
 			continue
 		}

@@ -217,3 +217,21 @@ func TestReportString(t *testing.T) {
 		t.Fatal("empty report string")
 	}
 }
+
+// TestRankStatsDegenerate pins the tie-corrected correlation statistics on
+// the degenerate inputs the streaming retrainer can produce (constant or
+// sub-2-element score vectors).
+func TestRankStatsDegenerate(t *testing.T) {
+	if got := KendallTau([]float64{1}, []float64{2}); got != 0 {
+		t.Errorf("KendallTau single element = %v, want 0", got)
+	}
+	if got := KendallTau([]float64{3, 3, 3}, []float64{1, 2, 3}); got != 0 {
+		t.Errorf("KendallTau constant vector = %v, want 0", got)
+	}
+	if got := SpearmanRho([]float64{1}, []float64{2}); got != 0 {
+		t.Errorf("SpearmanRho single element = %v, want 0", got)
+	}
+	if got := SpearmanRho([]float64{3, 3, 3}, []float64{1, 2, 3}); got != 0 {
+		t.Errorf("SpearmanRho constant vector = %v, want 0", got)
+	}
+}

@@ -225,10 +225,12 @@ type Manifest struct {
 // shard map, and a JSON manifest, each published atomically (safe to
 // rebuild into a directory live workers have mapped). Each shard artifact
 // carries the full model, the bundle's candidate configuration, its
-// induced subgraph, a freshly built CH over that subgraph, and its shard
-// identity; the shard map carries the model again plus the boundary
-// tables computed on the FULL graph (using art's own prepared engine when
-// it has one). logf, when non-nil, receives progress lines.
+// induced subgraph and its shard identity, and no contraction hierarchy:
+// a shard worker generates candidates on its ranker's weight tables and
+// answers boundary queries with plain searches. The shard map carries the
+// model again plus the boundary tables computed on the FULL graph (the
+// length table on art's own hierarchy when it has one). logf, when
+// non-nil, receives progress lines.
 func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format string, args ...any)) (*Manifest, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -264,12 +266,10 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 	}
 	for i := 0; i < parts; i++ {
 		sg, toGlobal := ExtractShard(g, res.Owner, int32(i))
-		prep := spath.BuildPrep(sg, spath.PrepConfig{})
 		sa := &pathrank.Artifact{
 			Graph:      sg,
 			Model:      art.Model,
 			Candidates: art.Candidates,
-			Prep:       prep,
 			Lineage:    art.Lineage,
 			Shard: &pathrank.ShardInfo{
 				Index:      i,

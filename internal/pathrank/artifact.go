@@ -30,11 +30,12 @@ type Artifact struct {
 	Model      *Model
 	Candidates dataset.Config
 	// Prep carries the contraction hierarchy built for Graph under the
-	// length metric. It may be nil — candidate generation then runs on the
-	// plain pooled search, and map matching contracts on demand — but
-	// persisting it is what makes cold starts preprocessing-free. An
-	// incremental retrain on an unchanged road network carries the
-	// parent's Prep forward untouched.
+	// length metric, which the trainer's map matcher and the bundle
+	// builder's length table route on; nil makes them contract on demand
+	// or search plainly. Ranking never reads it: a served artifact's Prep
+	// only wires Ranker.Engine, kept for benchmark/. Shard artifacts carry
+	// none. An incremental retrain on an unchanged road network carries
+	// the parent's Prep forward untouched.
 	Prep *spath.Prep
 	// Lineage records where this artifact came from in an incremental
 	// training chain; the zero value denotes an unstamped (pre-lineage or
@@ -95,9 +96,7 @@ func (l Lineage) Child(parentFP string, trainedOn int, note string) Lineage {
 
 // NewRanker wraps the artifact's model and graph for query-time use, with
 // the artifact's candidate configuration. When the artifact carries a
-// contraction hierarchy, the ranker's engine is the CH engine over it,
-// whose shared weight table candidate generation reads; otherwise it has
-// none and generation fills a table per query.
+// contraction hierarchy, the ranker's Engine is the CH engine over it.
 func (a *Artifact) NewRanker() *Ranker {
 	r := NewRanker(a.Graph, a.Model)
 	if a.Candidates.K > 0 {

@@ -313,8 +313,8 @@ func TestArtifactRejectsImplausibleShape(t *testing.T) {
 }
 
 // TestArtifactPrepRoundTrip checks that the contraction hierarchy survives
-// a save/load cycle through either loader and comes back ranking
-// bit-identically (paths and scores) on both engines.
+// a save/load cycle through either loader, wired as the ranker's engine,
+// and that the restored artifact ranks bit-identically (paths and scores).
 func TestArtifactPrepRoundTrip(t *testing.T) {
 	art := trainedArtifact(t)
 	art.Prep = spath.BuildPrep(art.Graph, spath.PrepConfig{})
@@ -337,28 +337,22 @@ func TestArtifactPrepRoundTrip(t *testing.T) {
 		if got.Prep.CH.NumShortcuts() != art.Prep.CH.NumShortcuts() {
 			t.Fatalf("%s: shortcuts %d != %d", name, got.Prep.CH.NumShortcuts(), art.Prep.CH.NumShortcuts())
 		}
-		// The restored ranker must run on the restored prep's engine.
+		// The restored ranker carries the restored prep's engine.
 		if r := got.NewRanker(); r.Engine == nil || r.Engine.Kind() != spath.EngineCH {
 			t.Fatalf("%s: restored ranker engine = %v, want CH", name, r.Engine)
 		}
-		for _, kind := range []spath.EngineKind{spath.EngineCH, spath.EngineDijkstra} {
-			wr, hr := art.NewRanker(), got.NewRanker()
-			if kind == spath.EngineDijkstra {
-				wr.Engine, hr.Engine = spath.NewDijkstraEngine(art.Graph, spath.ByLength), spath.NewDijkstraEngine(got.Graph, spath.ByLength)
-			}
-			wantResp, err1 := wr.Rank(context.Background(), RankRequest{Src: src, Dst: dst})
-			haveResp, err2 := hr.Rank(context.Background(), RankRequest{Src: src, Dst: dst})
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s/%s: query errs: %v vs %v", name, kind, err1, err2)
-			}
-			want, have := wantResp.Paths, haveResp.Paths
-			if len(want) != len(have) {
-				t.Fatalf("%s/%s: ranked %d vs %d paths", name, kind, len(have), len(want))
-			}
-			for i := range want {
-				if want[i].Score != have[i].Score || !want[i].Path.Equal(have[i].Path) {
-					t.Fatalf("%s/%s: ranked path %d differs after round trip", name, kind, i)
-				}
+		wantResp, err1 := art.NewRanker().Rank(context.Background(), RankRequest{Src: src, Dst: dst})
+		haveResp, err2 := got.NewRanker().Rank(context.Background(), RankRequest{Src: src, Dst: dst})
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: query errs: %v vs %v", name, err1, err2)
+		}
+		want, have := wantResp.Paths, haveResp.Paths
+		if len(want) != len(have) {
+			t.Fatalf("%s: ranked %d vs %d paths", name, len(have), len(want))
+		}
+		for i := range want {
+			if want[i].Score != have[i].Score || !want[i].Path.Equal(have[i].Path) {
+				t.Fatalf("%s: ranked path %d differs after round trip", name, i)
 			}
 		}
 		if err := got.Close(); err != nil {

@@ -383,8 +383,8 @@ type servedShape struct {
 
 // servedShapes regenerates the module root's served scoring sweeps
 // (bench_test.go: servedShapes, servedSweeps) on the repository benchmark's
-// 56x56 world with plain Dijkstra, which returns the served CH engine's
-// candidates: 200 crosstown D-TkDI k=5 sweeps of one query, 25 local TkDI
+// 56x56 world on a per-query weight fill, which returns the served
+// ranker's candidates: 200 crosstown D-TkDI k=5 sweeps of one query, 25 local TkDI
 // k=32 sweeps of eight.
 func servedShapes(t testing.TB) []servedShape {
 	t.Helper()

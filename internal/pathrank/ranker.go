@@ -2,6 +2,7 @@ package pathrank
 
 import (
 	"fmt"
+	"sync"
 
 	"pathrank/internal/dataset"
 	"pathrank/internal/node2vec"
@@ -20,14 +21,32 @@ type Ranker struct {
 	// Candidates controls candidate generation for queries; defaults are
 	// used when zero-valued.
 	Candidates dataset.Config
-	// Engine, when non-nil, lends candidate generation its edge-weight
-	// table, built once at construction, so a query does not fill one; it
-	// is all generation reads from an engine. The engine must be built
-	// over the same road network under the length metric
-	// (Artifact.NewRanker wires the CH engine persisted in the artifact).
-	// Rankings are bit-identical to the nil-engine (plain Dijkstra) path
-	// whatever the engine's kind.
+	// Engine is the CH engine over the artifact's hierarchy when it
+	// carries one (Artifact.NewRanker), else nil. Ranking does not use it:
+	// it is kept only because benchmark/ times its point query.
 	Engine spath.Engine
+
+	// tables holds each metric's edge-weight table (length, time), built
+	// on the metric's first query and shared read-only by every later one.
+	// Graph must not change once the ranker has ranked.
+	tables [2]weightTable
+}
+
+// weightTable is one metric's lazily built table.
+type weightTable struct {
+	once sync.Once
+	wts  []float64
+}
+
+// weights returns the table of metric w (WeightAuto is length), building
+// it on first use.
+func (r *Ranker) weights(w WeightKind) []float64 {
+	t := &r.tables[0]
+	if w == WeightTime {
+		t = &r.tables[1]
+	}
+	t.once.Do(func() { t.wts = spath.WeightTable(r.Graph, w.Weight()) })
+	return t.wts
 }
 
 // NewRanker wraps a trained model for query-time use.

@@ -96,51 +96,17 @@ func ParseWeightKind(s string) (WeightKind, error) {
 	}
 }
 
-// EngineChoice optionally overrides the shortest-path backend for one
-// request. The zero value keeps the ranker's configured engine. Candidate
-// generation reads only an engine's weight table, so no choice changes a
-// ranking.
+// EngineChoice is the type of RankRequest.Engine, which selects nothing:
+// candidate generation runs on the ranker's weight table whatever the
+// request names. It is kept, with its two values, only because benchmark/
+// sets RankRequest.Engine to EngineNone and may not be edited.
 type EngineChoice uint8
 
-// Per-request engine choices.
+// The engine choices RankRequest.Engine accepts; neither changes anything.
 const (
-	// EngineAuto keeps the ranker's configured engine (its CH engine when
-	// the artifact carries a hierarchy, plain Dijkstra otherwise).
 	EngineAuto EngineChoice = iota
-	// EngineNone bypasses any prepared engine and runs plain pooled
-	// Dijkstra searches.
 	EngineNone
-	// EngineCH requires the ranker's prepared CH engine.
-	EngineCH
 )
-
-// String names the choice as accepted by ParseEngineChoice.
-func (e EngineChoice) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineNone:
-		return "dijkstra"
-	case EngineCH:
-		return "ch"
-	default:
-		return fmt.Sprintf("engine(%d)", uint8(e))
-	}
-}
-
-// ParseEngineChoice parses an engine name ("", "auto", "dijkstra", "ch").
-func ParseEngineChoice(s string) (EngineChoice, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "dijkstra", "none":
-		return EngineNone, nil
-	case "ch":
-		return EngineCH, nil
-	default:
-		return EngineAuto, rankErrf(api.CodeInvalid, "unknown engine %q (want auto, dijkstra or ch)", s)
-	}
-}
 
 // RankRequest is a first-class ranking query: an origin-destination pair
 // plus per-request overrides of the candidate regime. Every field except
@@ -161,12 +127,9 @@ type RankRequest struct {
 	Threshold float64
 	// MaxProbe overrides the D-TkDI enumeration budget when positive.
 	MaxProbe int
-	// Weight overrides the edge metric. WeightTime bypasses a prepared
-	// engine (prepared structures are built for the length metric).
+	// Weight overrides the edge metric.
 	Weight WeightKind
-	// Engine overrides the shortest-path backend. Requesting EngineCH when
-	// the ranker holds no CH engine is an invalid-request error; EngineNone
-	// always works.
+	// Engine is ignored (see EngineChoice).
 	Engine EngineChoice
 	// Explain asks the serving layer to include RankStats in its
 	// response; the in-process Rank fills stats regardless.
@@ -195,9 +158,6 @@ type Regime struct {
 	MaxProbe  int
 	// Weight is the effective edge metric (never WeightAuto).
 	Weight WeightKind
-	// Engine is the backend candidate generation runs on; EngineDijkstra
-	// is the pooled plain search.
-	Engine spath.EngineKind
 }
 
 // RankStats describes how a ranking was produced: the resolved candidate
@@ -220,7 +180,6 @@ func (st RankStats) Wire() *api.RankStats {
 		Threshold:  st.Threshold,
 		MaxProbe:   st.MaxProbe,
 		Weight:     st.Weight.String(),
-		Engine:     st.Engine.String(),
 		Candidates: st.Candidates,
 		GenNs:      st.GenNanos,
 		ScoreNs:    st.ScoreNanos,
@@ -318,10 +277,10 @@ func checkRanges(src, dst int64, k int, threshold float64, maxProbe, vertices, m
 }
 
 // RequestFromQuery validates a wire query against a road network of the
-// given vertex count and a k cap, and parses its strategy, weight and
-// engine names. Together with Resolve it is the only home of the query
-// rules: the in-process Ranker, the HTTP server and the shard router all
-// go through the pair, so they cannot disagree on what a query means.
+// given vertex count and a k cap, and parses its strategy and weight
+// names. Together with Resolve it is the only home of the query rules: the
+// in-process Ranker, the HTTP server and the shard router all go through
+// the pair, so they cannot disagree on what a query means.
 func RequestFromQuery(q api.RankQuery, vertices, maxK int) (RankRequest, error) {
 	if err := checkRanges(q.Src, q.Dst, q.K, q.Threshold, q.MaxProbe, vertices, maxK); err != nil {
 		return RankRequest{}, err
@@ -334,28 +293,22 @@ func RequestFromQuery(q api.RankQuery, vertices, maxK int) (RankRequest, error) 
 	if err != nil {
 		return RankRequest{}, err
 	}
-	engine, err := ParseEngineChoice(q.Engine)
-	if err != nil {
-		return RankRequest{}, err
-	}
 	return RankRequest{
 		Src: roadnet.VertexID(q.Src), Dst: roadnet.VertexID(q.Dst),
 		K: q.K, Strategy: strategy, Threshold: q.Threshold, MaxProbe: q.MaxProbe,
-		Weight: weight, Engine: engine, Explain: q.Explain,
+		Weight: weight, Explain: q.Explain,
 	}, nil
 }
 
 // Resolve materializes the effective regime of req on top of the default
-// candidate configuration def (the paper's setup when def is empty) for a
-// snapshot whose prepared shortest-path structure is of kind prepared
-// (EngineDijkstra: none).
-func Resolve(req RankRequest, def dataset.Config, prepared spath.EngineKind) (Regime, error) {
+// candidate configuration def (the paper's setup when def is empty).
+func Resolve(req RankRequest, def dataset.Config) (Regime, error) {
 	if def.K <= 0 {
 		def = dataset.DefaultConfig()
 	}
 	rg := Regime{
 		Strategy: def.Strategy, K: def.K, Threshold: def.Threshold, MaxProbe: def.MaxProbe,
-		Weight: WeightLength, Engine: prepared,
+		Weight: WeightLength,
 	}
 	switch req.Strategy {
 	case StrategyAuto:
@@ -384,38 +337,7 @@ func Resolve(req RankRequest, def dataset.Config, prepared spath.EngineKind) (Re
 	if req.Weight == WeightTime {
 		rg.Weight = WeightTime
 	}
-	// Prepared structures are built for the length metric: a time-weighted
-	// query runs on the pooled search, and naming a prepared kind together
-	// with the time metric is contradictory.
-	switch req.Engine {
-	case EngineAuto:
-	case EngineNone:
-		rg.Engine = spath.EngineDijkstra
-	case EngineCH:
-		if rg.Weight == WeightTime {
-			return Regime{}, rankErrf(api.CodeInvalid,
-				"engine %s serves the length metric; use weight=length or engine=dijkstra", req.Engine)
-		}
-		if prepared != spath.EngineCH {
-			return Regime{}, rankErrf(api.CodeInvalid, "engine %s is not prepared for this snapshot", req.Engine)
-		}
-	default:
-		return Regime{}, rankErrf(api.CodeInvalid, "unknown engine %d", req.Engine)
-	}
-	if rg.Weight == WeightTime {
-		rg.Engine = spath.EngineDijkstra
-	}
 	return rg, nil
-}
-
-// EngineKind reports the backend candidate generation runs on when a
-// request keeps the default: the kind of the ranker's engine, or
-// EngineDijkstra when it has none.
-func (r *Ranker) EngineKind() spath.EngineKind {
-	if r.Engine == nil {
-		return spath.EngineDijkstra
-	}
-	return r.Engine.Kind()
 }
 
 // CandidatesFor generates the candidate set for req, honoring ctx, and
@@ -428,17 +350,13 @@ func (r *Ranker) CandidatesFor(ctx context.Context, req RankRequest) ([]spath.Pa
 	if err != nil {
 		return nil, stats, err
 	}
-	rg, err := Resolve(req, r.Candidates, r.EngineKind())
+	rg, err := Resolve(req, r.Candidates)
 	if err != nil {
 		return nil, stats, err
 	}
 	stats.Regime = rg
-	engine := r.Engine
-	if rg.Engine == spath.EngineDijkstra {
-		engine = nil
-	}
 	cfg := dataset.Config{Strategy: rg.Strategy, K: rg.K, Threshold: rg.Threshold, MaxProbe: rg.MaxProbe}
-	cands, _, err := cfg.Candidates(ctx, r.Graph, engine, rg.Weight.Weight(), nil, req.Src, req.Dst)
+	cands, _, err := cfg.Candidates(ctx, r.Graph, r.weights(rg.Weight), nil, nil, req.Src, req.Dst)
 	if err != nil {
 		return nil, stats, fmt.Errorf("pathrank: candidate generation %d->%d: %w", req.Src, req.Dst, err)
 	}
@@ -449,9 +367,9 @@ func (r *Ranker) CandidatesFor(ctx context.Context, req RankRequest) ([]spath.Pa
 // Rank is the core query entry point: it generates candidates for req
 // under ctx and returns them with model scores, best first. With a
 // zero-valued override set the ranking is bit-identical to the plain
-// reference pipeline: CandidatesFor on EngineNone, ScoreBatchPerPath, then
-// RankScored. Canceling ctx stops an in-flight enumeration and returns
-// ctx's error (ErrorCodeOf maps it to a deadline or cancellation code).
+// reference pipeline: CandidatesFor, ScoreBatchPerPath, then RankScored.
+// Canceling ctx stops an in-flight enumeration and returns ctx's error
+// (ErrorCodeOf maps it to a deadline or cancellation code).
 func (r *Ranker) Rank(ctx context.Context, req RankRequest) (RankResponse, error) {
 	genStart := time.Now()
 	cands, stats, err := r.CandidatesFor(ctx, req)

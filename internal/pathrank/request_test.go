@@ -3,7 +3,9 @@ package pathrank
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,8 +33,8 @@ func trainedRanker(t testing.TB) (*testWorld, *Ranker) {
 // TestRankDefaultsMatchPlainPipeline is the default-options promise: over
 // random OD pairs and both configured strategies, Rank(ctx,
 // RankRequest{Src, Dst}) returns rankings bit-identical — scores, order and
-// paths — to the plain reference pipeline the benchmark oracle composes:
-// CandidatesFor on EngineNone, then ScoreBatchPerPath, then RankScored.
+// paths — to the plain reference pipeline: the resolved candidate rule on
+// a per-query weight fill, then ScoreBatchPerPath, then RankScored.
 func TestRankDefaultsMatchPlainPipeline(t *testing.T) {
 	_, r := trainedRanker(t)
 	configs := []dataset.Config{
@@ -49,7 +51,12 @@ func TestRankDefaultsMatchPlainPipeline(t *testing.T) {
 			src := roadnet.VertexID(rng.Intn(n))
 			dst := roadnet.VertexID(rng.Intn(n))
 			var want []Ranked
-			cands, _, errWant := r.CandidatesFor(context.Background(), RankRequest{Src: src, Dst: dst, Engine: EngineNone})
+			rg, err := Resolve(RankRequest{}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain := dataset.Config{Strategy: rg.Strategy, K: rg.K, Threshold: rg.Threshold, MaxProbe: rg.MaxProbe}
+			cands, _, errWant := plain.Candidates(context.Background(), r.Graph, nil, spath.ByLength, nil, src, dst)
 			if errWant == nil {
 				want = RankScored(cands, r.Model.ScoreBatchPerPath(cands))
 			}
@@ -155,63 +162,67 @@ func samePathSet(got []Ranked, want []spath.Path) bool {
 	return true
 }
 
-// TestRankEngineChoices checks the per-request engine selection rules on a
-// ranker holding a prepared CH engine.
-func TestRankEngineChoices(t *testing.T) {
+// TestRankerWeightTables pins where generation's weights come from: each
+// metric's table is built on its first query, once, and every later query
+// of that metric reads the same table, so no query fills one. Concurrent
+// first queries of both metrics (run it under -race) rank exactly as a
+// per-query fill does.
+func TestRankerWeightTables(t *testing.T) {
 	w, r := trainedRanker(t)
 	r.Candidates = dataset.Config{Strategy: dataset.DTkDI, K: 4, Threshold: 0.8}
-	r.Engine = spath.NewEngine(spath.EngineCH, w.g, spath.ByLength)
 	q := w.queries[0]
-	ctx := context.Background()
-
-	onEngine, err := r.Rank(ctx, RankRequest{Src: q.Source, Dst: q.Destination})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if onEngine.Stats.Engine != spath.EngineCH {
-		t.Fatalf("auto engine = %v, want ch", onEngine.Stats.Engine)
-	}
-
-	// EngineNone bypasses the prepared structure; distances are exact on
-	// both, so rankings must be identical.
-	plain, err := r.Rank(ctx, RankRequest{Src: q.Source, Dst: q.Destination, Engine: EngineNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Stats.Engine != spath.EngineDijkstra {
-		t.Fatalf("engine=none ran on %v", plain.Stats.Engine)
-	}
-	if len(plain.Paths) != len(onEngine.Paths) {
-		t.Fatalf("engine none vs ch: %d vs %d paths", len(plain.Paths), len(onEngine.Paths))
-	}
-	for i := range plain.Paths {
-		if !plain.Paths[i].Path.Equal(onEngine.Paths[i].Path) || plain.Paths[i].Score != onEngine.Paths[i].Score {
-			t.Fatalf("engine none vs ch: rank %d differs", i)
+	want := map[WeightKind][]spath.Path{}
+	for _, wk := range []WeightKind{WeightLength, WeightTime} {
+		rg, err := Resolve(RankRequest{Weight: wk}, r.Candidates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := dataset.Config{Strategy: rg.Strategy, K: rg.K, Threshold: rg.Threshold, MaxProbe: rg.MaxProbe}
+		want[wk], _, err = cfg.Candidates(context.Background(), w.g, nil, wk.Weight(), nil, q.Source, q.Destination)
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	// Requesting a prepared kind the ranker does not hold is invalid.
-	unprepared := *r
-	unprepared.Engine = nil
-	_, err = unprepared.Rank(ctx, RankRequest{Src: q.Source, Dst: q.Destination, Engine: EngineCH})
-	if ErrorCodeOf(err) != api.CodeInvalid {
-		t.Fatalf("ch on an unprepared ranker: code %q, want invalid", ErrorCodeOf(err))
+	if r.tables[0].wts != nil || r.tables[1].wts != nil {
+		t.Fatal("a ranker that has not ranked holds a weight table")
 	}
 
-	// An explicit prepared engine with the time metric is contradictory.
-	_, err = r.Rank(ctx, RankRequest{Src: q.Source, Dst: q.Destination, Engine: EngineCH, Weight: WeightTime})
-	if ErrorCodeOf(err) != api.CodeInvalid {
-		t.Fatalf("ch+time: code %q, want invalid", ErrorCodeOf(err))
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(wk WeightKind) {
+			defer wg.Done()
+			got, _, err := r.CandidatesFor(context.Background(), RankRequest{Src: q.Source, Dst: q.Destination, Weight: wk})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(got) != len(want[wk]) {
+				t.Errorf("%s: %d candidates, per-query fill %d", wk, len(got), len(want[wk]))
+				return
+			}
+			for j := range got {
+				if !got[j].Equal(want[wk][j]) || got[j].Cost != want[wk][j].Cost {
+					t.Errorf("%s: candidate %d differs from the per-query fill's", wk, j)
+				}
+			}
+		}([]WeightKind{WeightLength, WeightTime}[i%2])
 	}
+	wg.Wait()
 
-	// Auto engine with the time metric silently bypasses the prepared
-	// structure (it serves the length metric).
-	resp, err := r.Rank(ctx, RankRequest{Src: q.Source, Dst: q.Destination, Weight: WeightTime})
-	if err != nil {
-		t.Fatal(err)
+	for i, wk := range []WeightKind{WeightLength, WeightTime} {
+		table := r.weights(wk)
+		if len(table) != w.g.NumEdges() || &table[0] != &r.tables[i].wts[0] || &r.weights(wk)[0] != &table[0] {
+			t.Fatalf("%s: the table is not the one built on the first query", wk)
+		}
+		for e, x := range spath.WeightTable(w.g, wk.Weight()) {
+			if math.Float64bits(x) != math.Float64bits(table[e]) {
+				t.Fatalf("%s: edge %d weighs %v in the ranker's table, %v evaluated", wk, e, table[e], x)
+			}
+		}
 	}
-	if resp.Stats.Engine != spath.EngineDijkstra {
-		t.Fatalf("time-metric query ran on %v, want dijkstra", resp.Stats.Engine)
+	if &r.weights(WeightAuto)[0] != &r.weights(WeightLength)[0] {
+		t.Fatal("the default metric does not share the length table")
 	}
 }
 

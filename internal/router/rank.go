@@ -10,7 +10,6 @@ import (
 
 	"pathrank/internal/api"
 	"pathrank/internal/pathrank"
-	"pathrank/internal/spath"
 )
 
 // resolved is a validated query with its effective candidate regime,
@@ -22,21 +21,16 @@ type resolved struct {
 }
 
 // resolve validates q against the shard map and the router limits and
-// resolves its regime. Shard workers carry a contraction hierarchy (the
-// bundle builder always builds one), so the rules are those of a
-// CH-prepared single server. The regime is what a stitched query runs
-// under: the fused corridor graph is enumerated by the plain search,
-// whatever structure the shards hold.
+// resolves its regime, by the same rules a single server applies.
 func (rt *Router) resolve(q api.RankQuery) (resolved, *api.Error) {
 	req, err := pathrank.RequestFromQuery(q, rt.sm.NumVertices, rt.cfg.MaxK)
 	if err != nil {
 		return resolved{}, pathrank.APIError(err)
 	}
-	rg, err := pathrank.Resolve(req, rt.sm.Candidates, spath.EngineCH)
+	rg, err := pathrank.Resolve(req, rt.sm.Candidates)
 	if err != nil {
 		return resolved{}, pathrank.APIError(err)
 	}
-	rg.Engine = spath.EngineDijkstra
 	return resolved{src: q.Src, dst: q.Dst, Regime: rg}, nil
 }
 

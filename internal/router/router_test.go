@@ -23,7 +23,6 @@ import (
 	"pathrank/internal/roadnet"
 	"pathrank/internal/serve"
 	"pathrank/internal/shardserve"
-	"pathrank/internal/spath"
 )
 
 // deployment is one full sharded topology over httptest servers — shard
@@ -146,11 +145,8 @@ func buildDeployment(t testing.TB, seed int64, parts int) *deployment {
 	d.router = httptest.NewServer(rt.Handler())
 	t.Cleanup(d.router.Close)
 
-	// The reference single server ranks on a CH engine, as a default
-	// deployment's trained artifact does.
-	refArt := *art
-	refArt.Prep = spath.BuildPrep(g, spath.PrepConfig{})
-	ref, err := serve.New(&refArt, serve.Config{})
+	// The reference is a single server on the whole artifact.
+	ref, err := serve.New(art, serve.Config{})
 	if err != nil {
 		t.Fatalf("reference server: %v", err)
 	}
@@ -493,28 +489,27 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 	n := d.sm.NumVertices
 	def := d.art.Candidates
 	ranker := d.art.NewRanker()
-	ranker.Engine = spath.NewEngine(spath.EngineCH, d.art.Graph, spath.ByLength)
 	// Cases rotate over three pairs per route kind: stats come only from
-	// the request that computed, and "explicit defaults" and
-	// "engine=dijkstra", whose rankings are the bare query's, would
-	// otherwise be answered from the cache entry "bare" just filled.
+	// the request that computed, and "explicit defaults", whose rankings
+	// are the bare query's, would otherwise be answered from the cache
+	// entry "bare" just filled.
 	co, cross := d.pairs(false, 3), d.pairs(true, 3)
 	if len(co) < 3 || len(cross) < 3 {
 		t.Fatal("degenerate split")
 	}
 
 	type regime struct {
-		Strategy, Weight, Engine string
-		K, MaxProbe              int
-		Threshold                float64
+		Strategy, Weight string
+		K, MaxProbe      int
+		Threshold        float64
 	}
 	of := func(st *api.RankStats) regime {
 		if st == nil {
 			t.Fatal("explain response without stats")
 		}
-		return regime{st.Strategy, st.Weight, st.Engine, st.K, st.MaxProbe, st.Threshold}
+		return regime{st.Strategy, st.Weight, st.K, st.MaxProbe, st.Threshold}
 	}
-	bare := regime{"D-TkDI", "length", "ch", def.K, def.MaxProbe, def.Threshold}
+	bare := regime{"D-TkDI", "length", def.K, def.MaxProbe, def.Threshold}
 	with := func(edit func(*regime)) *regime { r := bare; edit(&r); return &r }
 
 	for i, tc := range []struct {
@@ -524,17 +519,15 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 	}{
 		{"bare", api.RankQuery{}, &bare},
 		{"explicit defaults", api.RankQuery{K: def.K, Strategy: "dtkdi", Threshold: def.Threshold,
-			MaxProbe: def.MaxProbe, Weight: "length", Engine: "ch"}, &bare},
-		{"engine=dijkstra", api.RankQuery{Engine: "dijkstra"},
-			with(func(r *regime) { r.Engine = "dijkstra" })},
+			MaxProbe: def.MaxProbe, Weight: "length"}, &bare},
 		{"k scales the default probe budget", api.RankQuery{K: 6},
 			with(func(r *regime) { r.K, r.MaxProbe = 6, def.MaxProbe*6/def.K })},
 		{"explicit max_probe pins it", api.RankQuery{K: 6, MaxProbe: def.MaxProbe},
 			with(func(r *regime) { r.K = 6 })},
 		{"tkdi + threshold", api.RankQuery{Strategy: "tkdi", Threshold: 0.5},
 			with(func(r *regime) { r.Strategy, r.Threshold = "TkDI", 0.5 })},
-		{"time metric runs the plain search", api.RankQuery{Weight: "time"},
-			with(func(r *regime) { r.Weight, r.Engine = "time", "dijkstra" })},
+		{"time metric", api.RankQuery{Weight: "time"},
+			with(func(r *regime) { r.Weight = "time" })},
 
 		{"src out of range", api.RankQuery{Src: int64(n)}, nil},
 		{"negative dst", api.RankQuery{Dst: -3}, nil},
@@ -545,9 +538,6 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 		{"negative max_probe", api.RankQuery{MaxProbe: -1}, nil},
 		{"unknown strategy", api.RankQuery{Strategy: "nope"}, nil},
 		{"unknown weight", api.RankQuery{Weight: "cost"}, nil},
-		{"unknown engine", api.RankQuery{Engine: "gpu"}, nil},
-		{"time metric on a prepared engine", api.RankQuery{Weight: "time", Engine: "ch"}, nil},
-		{"unknown engine alt", api.RankQuery{Engine: "alt"}, nil},
 	} {
 		for _, pair := range [][2]int64{co[i%3], cross[i%3]} {
 			q := tc.q
@@ -567,7 +557,7 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 			req, fnErr := pathrank.RequestFromQuery(q, n, 32)
 			rankErr := fnErr
 			if fnErr == nil {
-				fnRegime, fnErr = pathrank.Resolve(req, def, spath.EngineCH)
+				fnRegime, fnErr = pathrank.Resolve(req, def)
 				var resp pathrank.RankResponse
 				resp, rankErr = ranker.Rank(context.Background(), req)
 				rankStats = resp.Stats
@@ -596,22 +586,40 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 			if fnErr != nil || rankErr != nil || refErr != nil || rtErr != nil {
 				t.Fatalf("%s: rejected somewhere: fn=%v ranker=%v server=%v router=%v", name, fnErr, rankErr, refErr, rtErr)
 			}
-			routerWant := *tc.want
-			if crossShard {
-				routerWant.Engine = "dijkstra" // the fused corridor is enumerated by the plain search
-			}
 			for surface, got := range map[string]regime{
 				"rule functions": of(pathrank.RankStats{Regime: fnRegime}.Wire()),
 				"ranker":         of(rankStats.Wire()),
 				"server":         of(refRes.Stats),
+				"router":         of(rtRes.Stats),
 			} {
 				if got != *tc.want {
 					t.Fatalf("%s: %s resolved %+v, want %+v", name, surface, got, *tc.want)
 				}
 			}
-			if got := of(rtRes.Stats); got != routerWant {
-				t.Fatalf("%s: router resolved %+v, want %+v", name, got, routerWant)
+		}
+	}
+
+	// The wire query has no engine field: both HTTP surfaces refuse one,
+	// co-resident or cross-shard, as an unknown field of the body.
+	for _, pair := range [][2]int64{co[0], cross[0]} {
+		body := fmt.Sprintf(`{"src":%d,"dst":%d,"engine":"ch"}`, pair[0], pair[1])
+		var answers []api.Error
+		for _, url := range []string{d.reference.URL, d.router.URL} {
+			resp, err := http.Post(url+"/v2/rank", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
 			}
+			var env api.ErrorEnvelope
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if err != nil || env.Error == nil || resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeInvalid ||
+				!strings.Contains(env.Error.Message, `unknown field "engine"`) {
+				t.Fatalf("%s %s: HTTP %d, error %+v (%v); want 400 invalid_request unknown field", url, body, resp.StatusCode, env.Error, err)
+			}
+			answers = append(answers, *env.Error)
+		}
+		if answers[0] != answers[1] {
+			t.Fatalf("%s: server answers %+v, router %+v", body, answers[0], answers[1])
 		}
 	}
 }

@@ -25,11 +25,6 @@ type serveMetrics struct {
 	// non-rank endpoints, so a dashboard can see scrape and health traffic
 	// next to query traffic.
 	requests *obsv.CounterVec
-	// latency is the end-to-end request duration of the rank endpoints,
-	// labeled by endpoint and the serving snapshot's engine. Requests
-	// rejected before a snapshot is pinned (shed, undecodable body) are
-	// not observed here — they are visible in rankErrors/shed instead.
-	latency *obsv.HistogramVec
 	// rankErrors counts failed rank queries by typed api code (per item
 	// for batches).
 	rankErrors *obsv.CounterVec
@@ -37,11 +32,14 @@ type serveMetrics struct {
 	// answers.
 	cacheEvents *obsv.CounterVec
 	// The rank path's children, resolved once so a request takes no family
-	// lock and builds no label key: /v2/rank's request counter and the
-	// three cache events. Each snapshot resolves its own latency child,
-	// labeled with the engine it ranks on.
+	// lock and builds no label key: /v2/rank's request counter, its
+	// latency and the three cache events.
 	rankRequests             obsv.Counter
 	hits, misses, sharedHits obsv.Counter
+	// rankLatency is /v2/rank's end-to-end request duration. Requests
+	// rejected before a snapshot is pinned (shed, undecodable body) are
+	// not observed here — they are visible in rankErrors/shed instead.
+	rankLatency obsv.Histogram
 	// shed counts requests rejected by the MaxInFlight load shedder.
 	shed obsv.Counter
 	// batchQueries is the distribution of queries per /v2/rank batch
@@ -64,9 +62,9 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 	m := &serveMetrics{reg: reg}
 	m.requests = reg.Counter("pathrank_http_requests_total",
 		"HTTP requests received, by endpoint.", "endpoint")
-	m.latency = reg.Histogram("pathrank_request_duration_seconds",
-		"End-to-end rank request latency in seconds, by endpoint and serving engine.",
-		nil, "endpoint", "engine")
+	latency := reg.Histogram("pathrank_request_duration_seconds",
+		"End-to-end rank request latency in seconds, by endpoint.",
+		nil, "endpoint")
 	m.rankErrors = reg.Counter("pathrank_rank_errors_total",
 		"Failed rank queries by typed error code (per item for batches).", "code")
 	m.cacheEvents = reg.Counter("pathrank_cache_events_total",
@@ -84,6 +82,7 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 	m.reloadErrors = reg.Counter("pathrank_reload_errors_total",
 		"Failed artifact reload attempts.").With()
 	m.rankRequests = m.requests.With("/v2/rank")
+	m.rankLatency = latency.With("/v2/rank")
 	m.hits = m.cacheEvents.With(cacheHit)
 	m.misses = m.cacheEvents.With(cacheMiss)
 	m.sharedHits = m.cacheEvents.With(cacheShared)
@@ -114,10 +113,4 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 			return float64(ms.Alloc)
 		})
 	return m
-}
-
-// observeRank records one completed rank request (success or typed
-// failure) answered on snap.
-func observeRank(snap *snapshot, start time.Time) {
-	snap.latency.Observe(time.Since(start).Seconds())
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -160,8 +159,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The latency histogram observed the three completed rank exchanges
 	// (shed and undecodable requests never pin a snapshot) with cumulative
 	// monotone buckets.
-	engine := s.snap.Load().ranker.EngineKind().String()
-	prefix := fmt.Sprintf(`pathrank_request_duration_seconds_bucket{endpoint="/v2/rank",engine="%s",le=`, engine)
+	prefix := `pathrank_request_duration_seconds_bucket{endpoint="/v2/rank",le=`
 	type bkt struct {
 		le    float64
 		count float64
@@ -182,7 +180,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		buckets = append(buckets, bkt{le, v})
 	}
 	if len(buckets) < 2 {
-		t.Fatalf("no latency buckets for endpoint /v2/rank engine %s", engine)
+		t.Fatal("no latency buckets for endpoint /v2/rank")
 	}
 	sort.Slice(buckets, func(a, b int) bool { return buckets[a].le < buckets[b].le })
 	for i := 1; i < len(buckets); i++ {
@@ -191,7 +189,7 @@ func TestMetricsEndpoint(t *testing.T) {
 				buckets[i].le, buckets[i].count, buckets[i-1].le, buckets[i-1].count)
 		}
 	}
-	count := m[fmt.Sprintf(`pathrank_request_duration_seconds_count{endpoint="/v2/rank",engine="%s"}`, engine)]
+	count := m[`pathrank_request_duration_seconds_count{endpoint="/v2/rank"}`]
 	if inf := buckets[len(buckets)-1].count; inf != count || count != 3 {
 		t.Fatalf("+Inf bucket = %v, count = %v, want both 3", inf, count)
 	}

@@ -10,7 +10,7 @@
 //
 // POST /v2/rank is the query surface: a single query or a batch,
 // per-request overrides of the candidate regime (k, strategy, diversity
-// threshold, weight metric, engine), per-item errors in batches whose
+// threshold, weight metric), per-item errors in batches whose
 // items rank concurrently, each on its own, explain stats, and a server-side
 // deadline (timeout_ms) that cancels an in-flight Yen enumeration
 // mid-search. Failures carry typed codes (internal/api) mapped onto
@@ -73,10 +73,9 @@ type Config struct {
 	// longer requests are clamped, not rejected.
 	MaxTimeout time.Duration
 	// Engine must be "" or "ch"; New rejects anything else. It selects
-	// nothing: a snapshot ranks on the artifact's CH engine when the
-	// artifact carries one and on the plain pooled search otherwise, with
-	// identical rankings. The field is kept only because benchmark/ sets
-	// it to "ch" and may not be edited.
+	// nothing: candidate generation runs on the ranker's weight tables.
+	// The field is kept only because benchmark/ sets it to "ch" and may
+	// not be edited.
 	Engine string
 	// ArtifactPath is the bundle /v1/reload re-reads when the request names
 	// no path, and the file WatchArtifact monitors.
@@ -136,7 +135,7 @@ func New(art *pathrank.Artifact, cfg Config) (*Server, error) {
 		cfg.CacheSize = 4096
 	}
 	if cfg.Engine != "" && cfg.Engine != "ch" {
-		return nil, fmt.Errorf("serve: engine %q is not selectable (the artifact's own engine serves)", cfg.Engine)
+		return nil, fmt.Errorf("serve: engine %q is not selectable", cfg.Engine)
 	}
 	if cfg.MaxK <= 0 {
 		cfg.MaxK = 32
@@ -148,11 +147,8 @@ func New(art *pathrank.Artifact, cfg Config) (*Server, error) {
 		cfg.MaxTimeout = 30 * time.Second
 	}
 	s := &Server{cfg: cfg, start: time.Now()}
-	// Registered before the first snapshot, which resolves its latency
-	// child; the scrape-time gauges that read the snapshot cannot run
-	// before New returns.
 	s.obs = newServeMetrics(obsv.NewRegistry(), s)
-	snap, err := newSnapshot(art, cfg, s.obs, nil)
+	snap, err := newSnapshot(art, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +209,7 @@ func (s *Server) Swap(art *pathrank.Artifact) (SwapInfo, error) {
 	defer s.reloadMu.Unlock()
 	swapStart := time.Now()
 	old := s.snap.Load()
-	next, err := newSnapshot(art, s.cfg, s.obs, old)
+	next, err := newSnapshot(art, s.cfg, old)
 	if err != nil {
 		return SwapInfo{}, err
 	}
@@ -418,7 +414,6 @@ type healthResponse struct {
 	Edges        int      `json:"edges"`
 	ModelParams  int      `json:"model_params"`
 	CacheSize    int      `json:"cache_entries"`
-	Engine       string   `json:"engine"`
 	PrepEmbedded bool     `json:"prep_embedded"`
 	Fingerprint  string   `json:"fingerprint"`
 	Generation   int      `json:"generation"`
@@ -446,7 +441,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Edges:        snap.art.Graph.NumEdges(),
 		ModelParams:  snap.art.Model.NumParams(),
 		CacheSize:    snap.cache.len(),
-		Engine:       snap.ranker.EngineKind().String(),
 		PrepEmbedded: snap.art.Prep != nil,
 		Fingerprint:  snap.fpHex,
 		Generation:   snap.art.Lineage.Generation,

@@ -6,16 +6,14 @@ import (
 	"fmt"
 	"time"
 
-	"pathrank/internal/obsv"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
 )
 
 // snapshot is one immutable serving state: an artifact, its ranker, and the
 // caching machinery bound to that artifact's model. The ranker is the
-// artifact's own (Artifact.NewRanker): it ranks on the artifact's CH engine
-// when it carries one and on the plain pooled search otherwise, and the
-// server never preprocesses. The server holds the current snapshot in an
+// artifact's own (Artifact.NewRanker); it builds each metric's weight table
+// on that metric's first query, and the server never preprocesses. The server holds the current snapshot in an
 // atomic pointer; a hot swap installs a new snapshot while requests already
 // running against the old one finish undisturbed (they keep their pointer;
 // the garbage collector retires the old state).
@@ -28,9 +26,6 @@ type snapshot struct {
 	fpHex  string
 	graph  [sha256.Size]byte // digest of the serialized road network
 	loaded time.Time
-	// latency is the /v2/rank latency histogram labeled with the engine
-	// this snapshot ranks on.
-	latency obsv.Histogram
 }
 
 // graphDigest hashes the graph's serialized form. Gob encoding is
@@ -59,7 +54,7 @@ func graphDigest(g *roadnet.Graph) ([sha256.Size]byte, error) {
 //
 // The model's inference plan is built here, so New, the canary and Swap pay
 // for it and no request does.
-func newSnapshot(art *pathrank.Artifact, cfg Config, obs *serveMetrics, prev *snapshot) (*snapshot, error) {
+func newSnapshot(art *pathrank.Artifact, cfg Config, prev *snapshot) (*snapshot, error) {
 	if art == nil || art.Graph == nil || art.Model == nil {
 		return nil, fmt.Errorf("serve: artifact needs a graph and a model")
 	}
@@ -80,7 +75,6 @@ func newSnapshot(art *pathrank.Artifact, cfg Config, obs *serveMetrics, prev *sn
 		graph:  gd,
 		loaded: time.Now(),
 	}
-	p.latency = obs.latency.With("/v2/rank", p.ranker.EngineKind().String())
 	art.Model.Prepare()
 	if prev != nil && prev.fp == fp && prev.graph == gd &&
 		prev.art.Candidates == art.Candidates && prev.cache != nil {

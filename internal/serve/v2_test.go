@@ -88,8 +88,7 @@ func TestV2SingleMatchesInProcess(t *testing.T) {
 
 // TestV2CacheKeyIsResolvedRegime: the cache is keyed on what a query
 // resolves to, not on how it is spelled. Naming every snapshot default
-// explicitly hits the bare query's entry, and so does naming an engine,
-// which cannot change a ranking; a k override scales the default probe
+// explicitly hits the bare query's entry; a k override scales the default probe
 // budget while an explicit max_probe pins it, so those two are different
 // regimes and must not share.
 func TestV2CacheKeyIsResolvedRegime(t *testing.T) {
@@ -116,16 +115,10 @@ func TestV2CacheKeyIsResolvedRegime(t *testing.T) {
 	if bare.Cached {
 		t.Fatal("first bare query cannot be cached")
 	}
-	for _, engine := range []string{"dijkstra", "ch"} {
-		res := query(`,"engine":"` + engine + `"`)
-		if !res.Cached || !bytes.Equal(res.Paths, bare.Paths) {
-			t.Fatalf("engine %s: cached=%v, paths equal to the bare query's: %v", engine, res.Cached, bytes.Equal(res.Paths, bare.Paths))
-		}
-	}
-	explicit := fmt.Sprintf(`,"k":%d,"strategy":"dtkdi","threshold":%g,"max_probe":%d,"weight":"length","engine":"ch"`,
+	explicit := fmt.Sprintf(`,"k":%d,"strategy":"dtkdi","threshold":%g,"max_probe":%d,"weight":"length"`,
 		def.K, def.Threshold, def.MaxProbe)
-	if !cached(explicit) {
-		t.Fatal("explicit defaults should resolve onto the bare query's cache entry")
+	if res := query(explicit); !res.Cached || !bytes.Equal(res.Paths, bare.Paths) {
+		t.Fatalf("explicit defaults: cached=%v, paths equal to the bare query's: %v; want the bare query's entry", res.Cached, bytes.Equal(res.Paths, bare.Paths))
 	}
 	scaled := `,"k":7`
 	pinned := fmt.Sprintf(`,"k":7,"max_probe":%d`, def.MaxProbe)
@@ -292,9 +285,13 @@ func TestV2TypedErrorStatuses(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeInvalid {
 		t.Fatalf("bad json: status=%d code=%q", resp.StatusCode, e.Code)
 	}
-	resp, e = decodeV2Error(t, ts.URL, `{"src":0,"dst":1,"engine":"alt"}`)
-	if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeInvalid || !strings.Contains(e.Message, "unknown engine") {
-		t.Fatalf("engine alt: status=%d code=%q message=%q, want 400 unknown engine", resp.StatusCode, e.Code, e.Message)
+	// The query has no engine field: naming one, inline or in a batch
+	// item, is an unknown field.
+	for _, body := range []string{`{"src":0,"dst":1,"engine":"ch"}`, `{"src":0,"dst":1,"engine":"dijkstra"}`, `{"queries":[{"src":0,"dst":1,"engine":"ch"}]}`} {
+		resp, e = decodeV2Error(t, ts.URL, body)
+		if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeInvalid || !strings.Contains(e.Message, `unknown field "engine"`) {
+			t.Fatalf("%s: status=%d code=%q message=%q, want 400 invalid_request unknown field", body, resp.StatusCode, e.Code, e.Message)
+		}
 	}
 	// The probe budget also sizes the enumeration's pending list, so it is
 	// capped at 10 times the k cap.
@@ -408,18 +405,6 @@ func TestV2DeadlineMidYen(t *testing.T) {
 		if want[i].Score != got.Paths[i].Score {
 			t.Fatalf("post-deadline: score %d differs", i)
 		}
-	}
-}
-
-// TestV2EngineWeightContradiction: naming a prepared engine together with
-// the time metric is rejected over HTTP exactly as the in-process Rank
-// rejects it — even when the named engine is the snapshot's own (the
-// normalization must not fold the contradiction away).
-func TestV2EngineWeightContradiction(t *testing.T) {
-	_, ts := newTestServer(t, Config{}) // default engine: ch
-	resp, e := decodeV2Error(t, ts.URL, `{"src":0,"dst":1,"engine":"ch","weight":"time"}`)
-	if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeInvalid {
-		t.Fatalf("ch+time: status=%d code=%q, want 400/invalid", resp.StatusCode, e.Code)
 	}
 }
 

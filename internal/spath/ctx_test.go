@@ -50,6 +50,7 @@ func TestCtxVariantsBitIdentical(t *testing.T) {
 		NewDijkstraEngine(g, ByLength),
 		NewEngine(EngineCH, g, ByLength),
 	}
+	table := WeightTable(g, ByLength)
 	for i := 0; i < 30; i++ {
 		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
@@ -62,11 +63,11 @@ func TestCtxVariantsBitIdentical(t *testing.T) {
 		got, errGot = diversifiedCtx(ctx, g, nil, ByLength, src, dst, 4, sim, 0.8, 40)
 		requireSamePaths(t, "DiversifiedTopK with ctx", want, got, errWant, errGot)
 
-		for _, e := range engines {
-			want, errWant = topKCtx(context.Background(), e.Graph(), e, nil, src, dst, 5)
-			got, errGot = topKCtx(ctx, e.Graph(), e, nil, src, dst, 5)
-			requireSamePaths(t, "TopK with ctx on "+e.Kind().String(), want, got, errWant, errGot)
+		want, errWant = topKCtx(context.Background(), g, table, nil, src, dst, 5)
+		got, errGot = topKCtx(ctx, g, table, nil, src, dst, 5)
+		requireSamePaths(t, "TopK with ctx on a weight table", want, got, errWant, errGot)
 
+		for _, e := range engines {
 			pw, ew := e.ShortestCtx(context.Background(), src, dst)
 			pg, eg := e.ShortestCtx(ctx, src, dst)
 			requireSamePaths(t, "ShortestCtx/"+e.Kind().String(), []Path{pw}, []Path{pg}, ew, eg)
@@ -75,15 +76,15 @@ func TestCtxVariantsBitIdentical(t *testing.T) {
 }
 
 // topKCtx and diversifiedCtx are TopK and DiversifiedTopK on a context
-// and, when e is non-nil, an engine: the one enumeration body, the way
-// DiversifiedTopKStatsCtx runs it, without the statistics.
-func topKCtx(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, dst roadnet.VertexID, k int) ([]Path, error) {
-	paths, _, err := enumerate(ctx, g, e, w, src, dst, k, nil, 0, k)
+// and, when wts is non-nil, a prebuilt weight table: the one enumeration
+// body, the way DiversifiedTopKStatsCtx runs it, without the statistics.
+func topKCtx(ctx context.Context, g *roadnet.Graph, wts []float64, w Weight, src, dst roadnet.VertexID, k int) ([]Path, error) {
+	paths, _, err := enumerate(ctx, g, wts, w, src, dst, k, nil, 0, k)
 	return paths, err
 }
 
-func diversifiedCtx(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
-	paths, _, err := enumerate(ctx, g, e, w, src, dst, k, sim, threshold, maxProbe)
+func diversifiedCtx(ctx context.Context, g *roadnet.Graph, wts []float64, w Weight, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
+	paths, _, err := enumerate(ctx, g, wts, w, src, dst, k, sim, threshold, maxProbe)
 	return paths, err
 }
 
@@ -138,13 +139,13 @@ func TestCtxPreCanceled(t *testing.T) {
 	if _, err := topKCtx(ctx, g, nil, ByLength, src, dst, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("TopK with ctx: err = %v, want Canceled", err)
 	}
+	if _, err := topKCtx(ctx, g, WeightTable(g, ByLength), nil, src, dst, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("TopK with ctx on a weight table: err = %v, want Canceled", err)
+	}
 	for _, kind := range []EngineKind{EngineDijkstra, EngineCH} {
 		e := NewEngine(kind, g, ByLength)
 		if _, err := e.ShortestCtx(ctx, src, dst); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s ShortestCtx: err = %v, want Canceled", kind, err)
-		}
-		if _, err := topKCtx(ctx, e.Graph(), e, nil, src, dst, 5); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s TopK with ctx: err = %v, want Canceled", kind, err)
 		}
 	}
 }
@@ -255,16 +256,16 @@ func TestCtxVariantAllocsMatch(t *testing.T) {
 // candidates and no spur search; the pooled workspace it ran on then serves
 // the next query exactly; and a dst outside src's component is ErrNoPath.
 func TestCtxTreeSweep(t *testing.T) {
-	g, prep := benchWorldPrep(t)
-	e := prep.Engine(g)
+	g := benchWorldGraph(t)
+	table := WeightTable(g, ByLength)
 	src, dst := roadnet.VertexID(0), roadnet.VertexID(benchWorldSide*benchWorldSide-1) // opposite grid corners
-	want, err := topKCtx(context.Background(), g, e, nil, src, dst, 8)
+	want, err := topKCtx(context.Background(), g, table, nil, src, dst, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := GetWorkspace(g)
 	defer ws.Release()
-	ws.useWeights(e.weights())
+	ws.useWeights(table)
 	full := ws.heap.pops
 	if !ws.buildTree(g, src, dst) {
 		t.Fatal("tree sweep did not reach src")
@@ -286,7 +287,7 @@ func TestCtxTreeSweep(t *testing.T) {
 		if (after == 0) != (popped == 0) || popped >= full {
 			t.Fatalf("after=%d: canceled after %d of the sweep's %d pops", after, popped, full)
 		}
-		paths, st, err := enumerate(newFlipCtx(after), g, e, nil, src, dst, 8, nil, 0, 8)
+		paths, st, err := enumerate(newFlipCtx(after), g, table, nil, src, dst, 8, nil, 0, 8)
 		if !errors.Is(err, context.Canceled) || paths != nil || st.SpurSearches != 0 {
 			t.Fatalf("after=%d: enumerate returned %d paths after %d spur searches, err %v; want none, none and Canceled", after, len(paths), st.SpurSearches, err)
 		}
@@ -311,9 +312,9 @@ func TestCtxTreeSweep(t *testing.T) {
 		b.AddBidirectional(0, 1, roadnet.Residential)
 		b.AddBidirectional(2, 3, roadnet.Residential)
 		g := b.Build()
-		for _, e := range []Engine{nil, NewEngine(EngineCH, g, ByLength)} {
-			if paths, _, err := enumerate(context.Background(), g, e, ByLength, 0, 3, 5, nil, 0, 5); err != ErrNoPath || paths != nil {
-				t.Fatalf("engine %v: %d paths, err %v; want none and ErrNoPath", e, len(paths), err)
+		for _, wts := range [][]float64{nil, WeightTable(g, ByLength)} {
+			if paths, _, err := enumerate(context.Background(), g, wts, ByLength, 0, 3, 5, nil, 0, 5); err != ErrNoPath || paths != nil {
+				t.Fatalf("table %v: %d paths, err %v; want none and ErrNoPath", wts != nil, len(paths), err)
 			}
 		}
 		ws := NewWorkspace()

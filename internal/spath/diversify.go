@@ -31,15 +31,15 @@ func DiversifiedTopK(g *roadnet.Graph, src, dst roadnet.VertexID, k int, w Weigh
 }
 
 // DiversifiedTopKStatsCtx is the enumeration entry every candidate set is
-// generated through (dataset.Config.Candidates): DiversifiedTopK on e when
-// e is non-nil (an engine over g, of which only the weight table is read)
-// and plain on g under w otherwise, honoring ctx, with enumeration
-// statistics.
+// generated through (dataset.Config.Candidates): DiversifiedTopK on g
+// under the weight table wts when it is non-nil (WeightTable(g, w), built
+// once and shared) and under a per-query fill of w otherwise, honoring
+// ctx, with enumeration statistics. Both give bit-identical results.
 // A nil sim accepts every path, which is TkDI; a maxProbe below k means
 // 10*k. Cancellation stops the enumeration, including a spur search in
 // flight, and returns ctx's error; the check is amortized over heap pops,
 // so a never-canceled context gives bit-identical results at no
 // measurable cost.
-func DiversifiedTopKStatsCtx(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, EnumStats, error) {
-	return enumerate(ctx, g, e, w, src, dst, k, sim, threshold, maxProbe)
+func DiversifiedTopKStatsCtx(ctx context.Context, g *roadnet.Graph, wts []float64, w Weight, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, EnumStats, error) {
+	return enumerate(ctx, g, wts, w, src, dst, k, sim, threshold, maxProbe)
 }

@@ -46,10 +46,10 @@ func ParseEngineKind(s string) (EngineKind, error) {
 // Engine answers exact shortest-path queries over one (graph, weight)
 // pair. Every backend returns minimum-cost results — the choice of kind
 // affects preprocessing and query time, never optimality — so consumers
-// (map matching, the sharded tier's many-to-many) can switch engines
+// (map matching, the sharded tier's boundary tables) can switch engines
 // without changing outputs beyond floating-point tie-breaking among
-// equal-cost paths. Candidate generation reads only the weight table, so
-// its output does not depend on the kind at all.
+// equal-cost paths. Candidate generation does not use an engine: it runs
+// on a weight table (DiversifiedTopKStatsCtx).
 //
 // Engines are immutable after construction and safe for concurrent use;
 // per-query state lives in pooled workspaces.
@@ -58,8 +58,6 @@ type Engine interface {
 	Kind() EngineKind
 	// Graph returns the road network the engine was built for.
 	Graph() *roadnet.Graph
-	// Weight returns the edge-weight function the engine was built for.
-	Weight() Weight
 	// ShortestCtx returns a minimum-cost path from src to dst, or
 	// ErrNoPath, honoring ctx: cancellation aborts the search and returns
 	// ctx's error. The check is amortized over heap pops, so a
@@ -71,29 +69,15 @@ type Engine interface {
 	// (and unreachable pairs) get +Inf. out must have len(sources) rows of
 	// len(targets) columns. Pass math.Inf(1) for an unbounded query.
 	ManyToMany(sources, targets []roadnet.VertexID, bound float64, out [][]float64)
-
-	// weights returns the engine's edge-weight table, built once at
-	// construction and shared read-only by every query; it is all that
-	// candidate generation reads from an engine. Unexported: engines are
-	// built by this package.
-	weights() []float64
 }
 
-// engineBase is what every backend holds: the (graph, weight) pair and
-// the weight evaluated once per edge.
+// engineBase is what every backend holds: the (graph, weight) pair.
 type engineBase struct {
-	g   *roadnet.Graph
-	w   Weight
-	tab []float64
-}
-
-func newEngineBase(g *roadnet.Graph, w Weight) engineBase {
-	return engineBase{g: g, w: w, tab: weightsOf(nil, g, w)}
+	g *roadnet.Graph
+	w Weight
 }
 
 func (b *engineBase) Graph() *roadnet.Graph { return b.g }
-func (b *engineBase) Weight() Weight        { return b.w }
-func (b *engineBase) weights() []float64    { return b.tab }
 
 // NewEngine builds an engine of the requested kind over g and w,
 // performing whatever preprocessing the kind needs (none for Dijkstra,
@@ -113,7 +97,7 @@ type dijkstraEngine struct{ engineBase }
 // NewDijkstraEngine wraps plain workspace Dijkstra as an Engine. It is the
 // no-preprocessing baseline the CH engine must agree with.
 func NewDijkstraEngine(g *roadnet.Graph, w Weight) Engine {
-	return &dijkstraEngine{newEngineBase(g, w)}
+	return &dijkstraEngine{engineBase{g, w}}
 }
 
 func (e *dijkstraEngine) Kind() EngineKind { return EngineDijkstra }
@@ -142,7 +126,7 @@ type chEngine struct {
 // EngineFromCH wraps a prebuilt contraction hierarchy as an Engine. w must
 // be the weight function the hierarchy was built with.
 func EngineFromCH(ch *ContractionHierarchy, g *roadnet.Graph, w Weight) Engine {
-	return &chEngine{newEngineBase(g, w), ch}
+	return &chEngine{engineBase{g, w}, ch}
 }
 
 func (e *chEngine) Kind() EngineKind { return EngineCH }
@@ -157,7 +141,10 @@ func (e *chEngine) ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (
 	// accumulation in the last ulp. Re-sum the unpacked edges left to right
 	// — exactly Dijkstra's association — so costs are bit-identical across
 	// engines.
-	p.Cost = sumWeights(e.tab, p.Edges)
+	p.Cost = 0
+	for _, eid := range p.Edges {
+		p.Cost += e.w(e.g.Edge(eid))
+	}
 	return p, nil
 }
 

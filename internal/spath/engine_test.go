@@ -141,9 +141,10 @@ func TestEngineManyToManyMatchesDijkstraAll(t *testing.T) {
 	}
 }
 
-// TestEngineTopKMatchesPlain checks that Yen enumeration on a prepared
-// engine returns exactly the plain TopK paths, and the diversified variant
-// exactly the plain DiversifiedTopK paths.
+// TestEngineTopKMatchesPlain checks that Yen enumeration on a prebuilt
+// weight table, the way served generation runs, returns exactly the plain
+// TopK paths (a per-query fill), and the diversified variant exactly the
+// plain DiversifiedTopK paths.
 func TestEngineTopKMatchesPlain(t *testing.T) {
 	g := randomTestGraph(t, 3)
 	sim := func(a, b Path) float64 { // unweighted Jaccard stand-in, no import cycle
@@ -164,28 +165,26 @@ func TestEngineTopKMatchesPlain(t *testing.T) {
 		}
 		return float64(inter) / float64(union)
 	}
-	engines := testEngines(t, g, ByLength)
+	table := WeightTable(g, ByLength)
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 15; trial++ {
 		src := randVertex(rng, g.NumVertices())
 		dst := randVertex(rng, g.NumVertices())
 		wantTop, errTop := TopK(g, src, dst, 5, ByLength)
 		wantDiv, errDiv := DiversifiedTopK(g, src, dst, 4, ByLength, sim, 0.8, 40)
-		for _, e := range engines {
-			gotTop, err := topKCtx(context.Background(), e.Graph(), e, nil, src, dst, 5)
-			if (errTop == nil) != (err == nil) {
-				t.Fatalf("%s TopK err=%v, plain err=%v", e.Kind(), err, errTop)
-			}
-			if errTop == nil {
-				comparePathSets(t, e.Kind().String()+" TopK", gotTop, wantTop)
-			}
-			gotDiv, err := diversifiedCtx(context.Background(), e.Graph(), e, nil, src, dst, 4, sim, 0.8, 40)
-			if (errDiv == nil) != (err == nil) {
-				t.Fatalf("%s DiversifiedTopK err=%v, plain err=%v", e.Kind(), err, errDiv)
-			}
-			if errDiv == nil {
-				comparePathSets(t, e.Kind().String()+" DiversifiedTopK", gotDiv, wantDiv)
-			}
+		gotTop, err := topKCtx(context.Background(), g, table, nil, src, dst, 5)
+		if (errTop == nil) != (err == nil) {
+			t.Fatalf("table TopK err=%v, plain err=%v", err, errTop)
+		}
+		if errTop == nil {
+			comparePathSets(t, "table TopK", gotTop, wantTop)
+		}
+		gotDiv, err := diversifiedCtx(context.Background(), g, table, nil, src, dst, 4, sim, 0.8, 40)
+		if (errDiv == nil) != (err == nil) {
+			t.Fatalf("table DiversifiedTopK err=%v, plain err=%v", err, errDiv)
+		}
+		if errDiv == nil {
+			comparePathSets(t, "table DiversifiedTopK", gotDiv, wantDiv)
 		}
 	}
 }

@@ -44,10 +44,10 @@ type Workspace struct {
 
 	// wts is the weight of every edge for the current query, so the
 	// relaxation loop pays one array load instead of an indirect call with
-	// an Edge-struct argument. It is either own's (fillWeights) or an
-	// Engine's immutable shared table (useWeights); only own is ever
-	// written, so a pooled workspace that last borrowed an engine's table
-	// cannot clobber it.
+	// an Edge-struct argument. It is either own's (fillWeights) or a
+	// caller's immutable shared table (useWeights, a WeightTable); only own
+	// is ever written, so a pooled workspace that last borrowed a shared
+	// table cannot clobber it.
 	wts []float64
 	own []float64
 
@@ -185,7 +185,7 @@ func GetWorkspace(g *roadnet.Graph) *Workspace {
 // Release returns the workspace to the shared pool. The workspace must not
 // be used after Release.
 func (ws *Workspace) Release() {
-	ws.wts = nil // do not retain engine tables in the pool
+	ws.wts = nil // do not retain shared tables in the pool
 	ws.clearContext()
 	wsPool.Put(ws)
 }
@@ -229,9 +229,14 @@ func clearU32(s []uint32) {
 	}
 }
 
-// weightsOf evaluates w once per edge of g, into buf when it has room. An
-// Engine builds its table at construction and shares it, read-only, with
-// every query.
+// WeightTable evaluates w once per edge of g: the table candidate
+// generation runs on (DiversifiedTopKStatsCtx), indexed by edge ID. Build
+// it once per (graph, metric) and share it, read-only, across queries.
+func WeightTable(g *roadnet.Graph, w Weight) []float64 {
+	return weightsOf(nil, g, w)
+}
+
+// weightsOf evaluates w once per edge of g, into buf when it has room.
 func weightsOf(buf []float64, g *roadnet.Graph, w Weight) []float64 {
 	m := g.NumEdges()
 	if cap(buf) < m {

@@ -253,14 +253,14 @@ type EnumStats struct {
 }
 
 // enumerate is the one body behind TopK, DiversifiedTopK and
-// DiversifiedTopKStatsCtx. The enumeration runs under e's weight table
-// when e is non-nil, and under a per-query fill of w otherwise; the engine
-// contributes nothing else. Paths are pulled in Yen order — the
+// DiversifiedTopKStatsCtx. The enumeration runs under the weight table wts
+// when it is non-nil (a WeightTable of g) and under a per-query fill of w
+// into the workspace otherwise. Paths are pulled in Yen order — the
 // first is the tree's (newYenEnum) — and greedily accepted — every one when
 // sim is nil, else each one whose similarity to everything accepted so far
 // is at most threshold — until k are accepted, maxProbe have been examined,
 // or the path set is exhausted.
-func enumerate(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, EnumStats, error) {
+func enumerate(ctx context.Context, g *roadnet.Graph, wts []float64, w Weight, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, EnumStats, error) {
 	var st EnumStats
 	if k <= 0 {
 		return nil, st, nil
@@ -272,8 +272,8 @@ func enumerate(ctx context.Context, g *roadnet.Graph, e Engine, w Weight, src, d
 	defer ws.Release()
 	ws.bindContext(ctx)
 	// One weight per edge, shared by the tree and every spur query below.
-	if e != nil {
-		ws.useWeights(e.weights())
+	if wts != nil {
+		ws.useWeights(wts)
 	} else {
 		ws.fillWeights(g, w)
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // This file holds an independent reference for the Yen enumerator. Every
-// other exactness check in the repository — the engine-vs-plain tests, the
+// other exactness check in the repository — the table-vs-fill tests, the
 // benchmark's oracle — runs yenEnum on both sides, so a defect in its spur
 // loop is invisible to them. refYen shares nothing with it: it spurs from
 // every index of every emitted path, searches with a map-based Dijkstra
@@ -194,7 +194,7 @@ func refSearch(g *roadnet.Graph, w Weight, seeds []Seed, rev bool, dst roadnet.V
 }
 
 // refSeq memoizes a reference enumeration so one pair's sequence serves
-// every k and every engine it is compared against.
+// every k and every setup it is compared against.
 type refSeq struct {
 	y     refYen
 	paths []Path
@@ -275,36 +275,36 @@ func requireSameSequence(t testing.TB, what string, got, want []Path) {
 	}
 }
 
-// enumSetup is one way to run the production enumeration under w: e nil
-// is the plain entry points, otherwise the engine ones.
+// enumSetup is one way to run the production enumeration under w: wts nil
+// is the plain entry points, which fill the workspace's table per query;
+// otherwise the enumeration reads wts, a prebuilt WeightTable of w.
 type enumSetup struct {
 	name string
 	w    Weight
-	e    Engine
+	wts  []float64
 }
 
 func (s enumSetup) topK(g *roadnet.Graph, src, dst roadnet.VertexID, k int) ([]Path, error) {
-	if s.e == nil {
+	if s.wts == nil {
 		return TopK(g, src, dst, k, s.w)
 	}
-	return topKCtx(context.Background(), g, s.e, nil, src, dst, k)
+	return topKCtx(context.Background(), g, s.wts, nil, src, dst, k)
 }
 
 func (s enumSetup) diversified(g *roadnet.Graph, src, dst roadnet.VertexID, k int, sim Similarity, threshold float64, maxProbe int) ([]Path, error) {
-	if s.e == nil {
+	if s.wts == nil {
 		return DiversifiedTopK(g, src, dst, k, s.w, sim, threshold, maxProbe)
 	}
-	return diversifiedCtx(context.Background(), g, s.e, nil, src, dst, k, sim, threshold, maxProbe)
+	return diversifiedCtx(context.Background(), g, s.wts, nil, src, dst, k, sim, threshold, maxProbe)
 }
 
-// enumSetups covers every way the enumeration is entered: the plain entry
-// points, which fill the weight table per query, and each engine kind,
-// whose table is shared.
-func enumSetups(g *roadnet.Graph, w Weight, ch *ContractionHierarchy) []enumSetup {
+// enumSetups covers both ways the enumeration is entered: the plain entry
+// points, which fill the weight table per query, and a passed-in table,
+// built once and shared, as served generation runs.
+func enumSetups(g *roadnet.Graph, w Weight) []enumSetup {
 	return []enumSetup{
 		{"plain", w, nil},
-		{"dijkstra", w, NewDijkstraEngine(g, w)},
-		{"ch", w, EngineFromCH(ch, g, w)},
+		{"table", w, WeightTable(g, w)},
 	}
 }
 
@@ -338,30 +338,26 @@ func requireMatchesReference(t testing.TB, g *roadnet.Graph, setups []enumSetup,
 }
 
 // benchWorld is the repository benchmark's world (benchmark/world.go: 56x56
-// DefaultGenConfig, seed 1) with its prep, built once per test binary.
+// DefaultGenConfig, seed 1), built once per test binary.
 var benchWorld struct {
 	once sync.Once
 	g    *roadnet.Graph
-	prep *Prep
 	err  error
 }
 
 const benchWorldSide = 56
 
-func benchWorldPrep(t testing.TB) (*roadnet.Graph, *Prep) {
+func benchWorldGraph(t testing.TB) *roadnet.Graph {
 	t.Helper()
 	benchWorld.once.Do(func() {
 		cfg := roadnet.DefaultGenConfig()
 		cfg.Rows, cfg.Cols, cfg.Seed = benchWorldSide, benchWorldSide, 1
 		benchWorld.g, benchWorld.err = roadnet.Generate(cfg)
-		if benchWorld.err == nil {
-			benchWorld.prep = BuildPrep(benchWorld.g, PrepConfig{})
-		}
 	})
 	if benchWorld.err != nil {
 		t.Fatal(benchWorld.err)
 	}
-	return benchWorld.g, benchWorld.prep
+	return benchWorld.g
 }
 
 // crosstownPairs draws n fixed origin-destination cells of the benchmark
@@ -399,13 +395,13 @@ func worldPairs(seed int64, n, lo, hi int) [][2]roadnet.VertexID {
 }
 
 // TestYenMatchesReference is the exactness check of the spur loop: on
-// jittered worlds, where costs are distinct, every entry point on every
-// engine emits exactly the reference's sequence.
+// jittered worlds, where costs are distinct, every entry point, on a
+// per-query fill and on a passed-in table, emits exactly the reference's sequence.
 func TestYenMatchesReference(t *testing.T) {
 	t.Run("random-worlds", func(t *testing.T) {
 		for seed := int64(1); seed <= 5; seed++ {
 			g := randomTestGraph(t, seed)
-			setups := enumSetups(g, ByLength, BuildCH(g, ByLength))
+			setups := enumSetups(g, ByLength)
 			rng := rand.New(rand.NewSource(seed * 131))
 			for trial := 0; trial < 8; trial++ {
 				requireMatchesReference(t, g, setups, randVertex(rng, g.NumVertices()), randVertex(rng, g.NumVertices()))
@@ -413,8 +409,8 @@ func TestYenMatchesReference(t *testing.T) {
 		}
 	})
 	t.Run("crosstown", func(t *testing.T) {
-		g, prep := benchWorldPrep(t)
-		setups := enumSetups(g, ByLength, prep.CH)
+		g := benchWorldGraph(t)
+		setups := enumSetups(g, ByLength)
 		// The reference dominates and is independent per pair, so the
 		// pairs run as parallel subtests.
 		for _, p := range crosstownPairs(50) {
@@ -454,7 +450,7 @@ func TestYenUnitGridTies(t *testing.T) {
 	for _, pair := range [][2]roadnet.VertexID{{0, side*side - 1}, {2, 27}, {14, 15}} {
 		src, dst := pair[0], pair[1]
 		want := newRefSeq(g, unit, src, dst).first(32)
-		for _, s := range enumSetups(g, unit, BuildCH(g, unit)) {
+		for _, s := range enumSetups(g, unit) {
 			got, err := s.topK(g, src, dst, 32)
 			if err != nil || len(got) != len(want) {
 				t.Fatalf("%s %d->%d: %d paths (err %v), reference has %d", s.name, src, dst, len(got), err, len(want))
@@ -520,7 +516,7 @@ func optimalPaths(g *roadnet.Graph, w Weight, src, dst roadnet.VertexID, banV ma
 // counter sees ties.
 func TestServedSpursHaveUniqueOptima(t *testing.T) {
 	t.Run("served", func(t *testing.T) {
-		g, _ := benchWorldPrep(t)
+		g := benchWorldGraph(t)
 		shapes := []struct {
 			name  string
 			pairs [][2]roadnet.VertexID
@@ -571,11 +567,12 @@ func TestServedSpursHaveUniqueOptima(t *testing.T) {
 }
 
 // servedYenEnum starts, on a workspace the test must release, the
-// enumeration the served configuration runs for src→dst on e.
-func servedYenEnum(t *testing.T, g *roadnet.Graph, e Engine, src, dst roadnet.VertexID, maxProbe int) (*yenEnum, *Workspace) {
+// enumeration the served configuration runs for src→dst on the weight
+// table wts.
+func servedYenEnum(t *testing.T, g *roadnet.Graph, wts []float64, src, dst roadnet.VertexID, maxProbe int) (*yenEnum, *Workspace) {
 	t.Helper()
 	ws := GetWorkspace(g)
-	ws.useWeights(e.weights())
+	ws.useWeights(wts)
 	y, err := newYenEnum(g, ws, src, dst, maxProbe)
 	if err != nil {
 		ws.Release()
@@ -597,8 +594,8 @@ func nextWithinBudget(t *testing.T, y *yenEnum) (Path, bool) {
 
 // TestYenSpurSearchBudget pins the work the spur loop does, as counts: a
 // next call searches exactly from its path's deviation index on, and over
-// the crosstown pairs the served configuration (the CH engine's weight
-// table, D-TkDI k=5 θ=0.8) runs at most two thirds of the searches of the
+// the crosstown pairs the served configuration (a prebuilt weight table,
+// D-TkDI k=5 θ=0.8) runs at most two thirds of the searches of the
 // reference, which spurs from every index, for the same probes and the
 // same accepted paths. (The first path deviates at 0 and later ones at a
 // uniformly spread index, so P probes cost about P/(2(P-1)) of the
@@ -609,13 +606,13 @@ func nextWithinBudget(t *testing.T, y *yenEnum) (Path, bool) {
 // the tree sweep plus every spur search — stay under a mean per pair of
 // 2,000 on crosstown and 900 on local_k32.
 func TestYenSpurSearchBudget(t *testing.T) {
-	g, prep := benchWorldPrep(t)
-	e := prep.Engine(g)
+	g := benchWorldGraph(t)
+	table := WeightTable(g, ByLength)
 	pairs := crosstownPairs(20)
 
 	t.Run("per-next", func(t *testing.T) {
 		src, dst := pairs[0][0], pairs[0][1]
-		y, ws := servedYenEnum(t, g, e, src, dst, 40)
+		y, ws := servedYenEnum(t, g, table, src, dst, 40)
 		defer ws.Release()
 		for n := 1; n < 40; n++ {
 			prev, dev, before := y.paths[n-1], y.devs[n-1], y.searches
@@ -641,10 +638,16 @@ func TestYenSpurSearchBudget(t *testing.T) {
 	t.Run("crosstown-total", func(t *testing.T) {
 		var ran, refRan int
 		for _, p := range pairs {
-			got, st, err := enumerate(context.Background(), g, e, nil, p[0], p[1], 5, jaccard, 0.8, 50)
+			got, st, err := enumerate(context.Background(), g, table, nil, p[0], p[1], 5, jaccard, 0.8, 50)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A per-query fill of the same metric does the same work.
+			fill, fillSt, err := enumerate(context.Background(), g, nil, ByLength, p[0], p[1], 5, jaccard, 0.8, 50)
+			if err != nil || fillSt != st {
+				t.Fatalf("%d->%d: per-query fill: stats %+v, err %v; the table's %+v", p[0], p[1], fillSt, err, st)
+			}
+			requireSameSequence(t, fmt.Sprintf("D-TkDI %d->%d on a per-query fill", p[0], p[1]), fill, got)
 			ref := newRefSeq(g, ByLength, p[0], p[1])
 			requireSameSequence(t, fmt.Sprintf("D-TkDI %d->%d", p[0], p[1]), got, ref.diversified(5, jaccard, 0.8, 50))
 			if st.Probes != len(ref.paths) {
@@ -666,11 +669,11 @@ func TestYenSpurSearchBudget(t *testing.T) {
 		t.Run(s.name+"-bound", func(t *testing.T) {
 			var ran, cut, pops int
 			for _, p := range s.pairs {
-				got, st, err := enumerate(context.Background(), g, e, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe)
+				got, st, err := enumerate(context.Background(), g, table, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe)
 				if err != nil {
 					t.Fatal(err)
 				}
-				y, ws := servedYenEnum(t, g, e, p[0], p[1], s.maxProbe)
+				y, ws := servedYenEnum(t, g, table, p[0], p[1], s.maxProbe)
 				for len(y.paths) < st.Probes {
 					if _, ok := nextWithinBudget(t, y); !ok {
 						t.Fatalf("%d->%d: replay ran dry after %d of %d probes", p[0], p[1], len(y.paths), st.Probes)
@@ -795,7 +798,7 @@ func TestYenRegionsNeverRepeat(t *testing.T) {
 		n := g.NumVertices()
 		requireRegionsNeverRepeat(t, g, ByLength, randVertex(rng, n), randVertex(rng, n), 2+rng.Intn(30))
 	}
-	g, _ := benchWorldPrep(t)
+	g := benchWorldGraph(t)
 	for _, p := range crosstownPairs(4) {
 		requireRegionsNeverRepeat(t, g, ByLength, p[0], p[1], 12)
 	}
@@ -809,8 +812,8 @@ func TestYenAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	g, prep := benchWorldPrep(t)
-	e := prep.Engine(g)
+	g := benchWorldGraph(t)
+	table := WeightTable(g, ByLength)
 	for _, s := range servedShapes() {
 		maxAllocs := map[string]float64{"crosstown": 120, "local_k32": 110}[s.name]
 		pairs := s.pairs[:50]
@@ -818,7 +821,7 @@ func TestYenAllocBudget(t *testing.T) {
 		allocs := testing.AllocsPerRun(len(pairs), func() {
 			p := pairs[i%len(pairs)]
 			i++
-			if _, _, err := enumerate(context.Background(), g, e, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe); err != nil {
+			if _, _, err := enumerate(context.Background(), g, table, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -851,18 +854,18 @@ func servedShapes() []servedShape {
 	}
 }
 
-// BenchmarkYenServed runs each served shape's enumeration on the CH engine
-// of the benchmark world, one pair per op, and reports the heap pops and
+// BenchmarkYenServed runs each served shape's enumeration on a prebuilt
+// weight table of the benchmark world, one pair per op, and reports the heap pops and
 // spur searches per op: counts, so they compare across machines. They are
 // taken over one whole untimed pass of the pairs, since the timed loop
 // cycles them and a partial pass would weight some pairs twice.
 func BenchmarkYenServed(b *testing.B) {
-	g, prep := benchWorldPrep(b)
-	e := prep.Engine(g)
+	g := benchWorldGraph(b)
+	table := WeightTable(g, ByLength)
 	for _, s := range servedShapes() {
 		b.Run(s.name, func(b *testing.B) {
 			run := func(p [2]roadnet.VertexID) EnumStats {
-				_, st, err := enumerate(context.Background(), g, e, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe)
+				_, st, err := enumerate(context.Background(), g, table, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -886,15 +889,14 @@ func BenchmarkYenServed(b *testing.B) {
 }
 
 // BenchmarkTreeSweep times the reverse shortest-path tree sweep alone that
-// each served shape's enumeration starts with, one pair per op, on the CH
-// engine's weight table, and reports its heap pops per op over one whole
+// each served shape's enumeration starts with, one pair per op, on a
+// prebuilt weight table, and reports its heap pops per op over one whole
 // untimed pass of the pairs.
 func BenchmarkTreeSweep(b *testing.B) {
-	g, prep := benchWorldPrep(b)
-	e := prep.Engine(g)
+	g := benchWorldGraph(b)
 	ws := GetWorkspace(g)
 	defer ws.Release()
-	ws.useWeights(e.weights())
+	ws.useWeights(WeightTable(g, ByLength))
 	sweep := func(p [2]roadnet.VertexID) int {
 		before := ws.heap.pops
 		if !ws.buildTree(g, p[0], p[1]) {
@@ -917,34 +919,34 @@ func BenchmarkTreeSweep(b *testing.B) {
 	}
 }
 
-// TestEngineWeightTableNotClobbered guards the sharing introduced by
-// engine-owned weight tables: a pooled workspace that last read an
-// engine's table is later filled under another weight, and must write its
-// own buffer, never the engine's.
+// TestEngineWeightTableNotClobbered guards the sharing of prebuilt weight
+// tables: a pooled workspace that last read a shared table is later filled
+// under another weight, and must write its own buffer, never the shared
+// table.
 func TestEngineWeightTableNotClobbered(t *testing.T) {
 	g := gridGraph(t, 9, 9)
-	e := BuildPrep(g, PrepConfig{}).Engine(g)
+	shared := WeightTable(g, ByLength)
 	src, dst := roadnet.VertexID(0), roadnet.VertexID(g.NumVertices()-1)
-	table := append([]float64(nil), e.weights()...)
+	table := append([]float64(nil), shared...)
 	requireTableIntact := func(when string) {
 		t.Helper()
-		for i, w := range e.weights() {
+		for i, w := range shared {
 			if math.Float64bits(w) != math.Float64bits(table[i]) {
-				t.Fatalf("%s: engine weight of edge %d is %v, was %v", when, i, w, table[i])
+				t.Fatalf("%s: shared weight of edge %d is %v, was %v", when, i, w, table[i])
 			}
 		}
 	}
 
 	ws := GetWorkspace(g)
-	ws.useWeights(e.weights())
+	ws.useWeights(shared)
 	ws.fillWeights(g, ByTime)
-	if &ws.wts[0] == &e.weights()[0] {
-		t.Fatal("fillWeights left the workspace aliasing the engine's table")
+	if &ws.wts[0] == &shared[0] {
+		t.Fatal("fillWeights left the workspace aliasing the shared table")
 	}
 	ws.Release()
 	requireTableIntact("fillWeights after useWeights")
 
-	want, err := topKCtx(context.Background(), e.Graph(), e, nil, src, dst, 8)
+	want, err := topKCtx(context.Background(), g, shared, nil, src, dst, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -952,12 +954,12 @@ func TestEngineWeightTableNotClobbered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := topKCtx(context.Background(), e.Graph(), e, nil, src, dst, 8)
+	got, err := topKCtx(context.Background(), g, shared, nil, src, dst, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameSequence(t, "engine query after a plain ByTime query", got, want)
-	requireTableIntact("engine, plain ByTime, engine")
+	requireSameSequence(t, "shared-table query after a plain ByTime query", got, want)
+	requireTableIntact("shared table, plain ByTime, shared table")
 
 	// The same interleaving from several goroutines, for -race.
 	var wg sync.WaitGroup
@@ -967,9 +969,9 @@ func TestEngineWeightTableNotClobbered(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				if (w+i)%2 == 0 {
-					got, _ := topKCtx(context.Background(), e.Graph(), e, nil, src, dst, 8)
+					got, _ := topKCtx(context.Background(), g, shared, nil, src, dst, 8)
 					if d := diffSequence(got, want); d != "" {
-						t.Errorf("concurrent engine query: %s", d)
+						t.Errorf("concurrent shared-table query: %s", d)
 					}
 				} else {
 					got, _ := TopK(g, src, dst, 8, ByTime)
@@ -981,7 +983,7 @@ func TestEngineWeightTableNotClobbered(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	requireTableIntact("concurrent engine and plain queries")
+	requireTableIntact("concurrent shared-table and plain queries")
 }
 
 // fuzzGraph decodes bytes into a small directed graph with jittered edge
@@ -1059,7 +1061,7 @@ func FuzzYenMatchesReference(f *testing.F) {
 		wantD, wantSt := ref.diversifiedStats(k, jaccard, threshold, budget)
 		exactD := distinctCosts(ref.first(wantSt.Probes + 1))
 
-		for _, s := range enumSetups(g, ByLength, BuildCH(g, ByLength)) {
+		for _, s := range enumSetups(g, ByLength) {
 			got, err := s.topK(g, src, dst, k)
 			if len(want) == 0 {
 				if err != ErrNoPath {
@@ -1086,7 +1088,7 @@ func FuzzYenMatchesReference(f *testing.F) {
 				continue
 			}
 			what := fmt.Sprintf("%s D-TkDI %d->%d k=%d θ=%g max_probe=%d", s.name, src, dst, k, threshold, maxProbe)
-			gotD, st, err := enumerate(context.Background(), g, s.e, s.w, src, dst, k, jaccard, threshold, maxProbe)
+			gotD, st, err := enumerate(context.Background(), g, s.wts, s.w, src, dst, k, jaccard, threshold, maxProbe)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}

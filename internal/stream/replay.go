@@ -12,6 +12,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 
 	"pathrank/internal/merkle"
@@ -59,27 +60,16 @@ func Replay(walDir string, base *pathrank.Artifact, targetGen int, logf func(for
 	obs := make(map[int64]observation)
 	var markers []retrainMarker
 	err := wal.ReplayDir(walDir, func(idx uint64, payload []byte) error {
-		if len(payload) == 0 {
-			return fmt.Errorf("stream: WAL record %d is empty", idx)
-		}
-		switch payload[0] {
-		case walRecObservation:
-			o, err := decodeObservation(payload)
-			if err != nil {
-				return fmt.Errorf("stream: WAL record %d: %w", idx, err)
-			}
-			if err := validateObservation(o, base.Graph); err != nil {
-				return fmt.Errorf("stream: WAL record %d: %w (wrong base artifact?)", idx, err)
-			}
-			obs[o.seq] = o
-		case walRecRetrain:
-			m, err := decodeRetrainMarker(payload)
-			if err != nil {
-				return fmt.Errorf("stream: WAL record %d: %w", idx, err)
-			}
-			markers = append(markers, m)
+		rec, err := decodeWALRecord(idx, payload, base.Graph)
+		switch {
+		case errors.As(err, new(foreignObservationError)):
+			return fmt.Errorf("%w (wrong base artifact?)", err)
+		case err != nil:
+			return err
+		case rec.isMarker:
+			markers = append(markers, rec.marker)
 		default:
-			return fmt.Errorf("stream: WAL record %d has unknown type 0x%02x", idx, payload[0])
+			obs[rec.obs.seq] = rec.obs
 		}
 		return nil
 	})

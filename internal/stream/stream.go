@@ -373,33 +373,20 @@ func (s *Service) openWAL() error {
 	}
 	var lastMarker *retrainMarker
 	replayErr := log.Replay(func(idx uint64, payload []byte) error {
-		if len(payload) == 0 {
-			return fmt.Errorf("stream: WAL record %d is empty", idx)
-		}
-		switch payload[0] {
-		case walRecObservation:
-			o, err := decodeObservation(payload)
-			if err != nil {
-				return fmt.Errorf("stream: WAL record %d: %w", idx, err)
-			}
-			if err := validateObservation(o, s.art.Graph); err != nil {
-				return fmt.Errorf("stream: WAL record %d: %w", idx, err)
-			}
-			s.windowAddLocked(o)
-			if o.seq > s.seq {
-				s.seq = o.seq
+		rec, err := decodeWALRecord(idx, payload, s.art.Graph)
+		switch {
+		case err != nil:
+			return err
+		case rec.isMarker:
+			lastMarker = &rec.marker
+			s.pending = 0
+		default:
+			s.windowAddLocked(rec.obs)
+			if rec.obs.seq > s.seq {
+				s.seq = rec.obs.seq
 			}
 			s.recovered++
 			s.pending++
-		case walRecRetrain:
-			m, err := decodeRetrainMarker(payload)
-			if err != nil {
-				return fmt.Errorf("stream: WAL record %d: %w", idx, err)
-			}
-			lastMarker = &m
-			s.pending = 0
-		default:
-			return fmt.Errorf("stream: WAL record %d has unknown type 0x%02x", idx, payload[0])
 		}
 		return nil
 	})

@@ -122,6 +122,47 @@ func validateObservation(o observation, g *roadnet.Graph) error {
 	return nil
 }
 
+// walRecord is one decoded WAL record: an observation, or a retrain
+// marker when isMarker is set.
+type walRecord struct {
+	obs      observation
+	marker   retrainMarker
+	isMarker bool
+}
+
+// foreignObservationError is the error of an observation record that
+// decodes but whose path cannot belong to the graph it was checked
+// against.
+type foreignObservationError struct{ error }
+
+// decodeWALRecord decodes the payload of WAL record idx, validating an
+// observation against g. Every error names the record; a failed
+// validation is a foreignObservationError.
+func decodeWALRecord(idx uint64, payload []byte, g *roadnet.Graph) (walRecord, error) {
+	var rec walRecord
+	if len(payload) == 0 {
+		return rec, fmt.Errorf("stream: WAL record %d is empty", idx)
+	}
+	var err error
+	switch payload[0] {
+	case walRecObservation:
+		if rec.obs, err = decodeObservation(payload); err != nil {
+			return rec, fmt.Errorf("stream: WAL record %d: %w", idx, err)
+		}
+		if err := validateObservation(rec.obs, g); err != nil {
+			return rec, foreignObservationError{fmt.Errorf("stream: WAL record %d: %w", idx, err)}
+		}
+	case walRecRetrain:
+		if rec.marker, err = decodeRetrainMarker(payload); err != nil {
+			return rec, fmt.Errorf("stream: WAL record %d: %w", idx, err)
+		}
+		rec.isMarker = true
+	default:
+		return rec, fmt.Errorf("stream: WAL record %d has unknown type 0x%02x", idx, payload[0])
+	}
+	return rec, nil
+}
+
 // retrainMarker is the per-generation commit record. Everything replay
 // needs that is not in the base artifact or the observation records lives
 // here; WindowSeqs pins the exact training set, so replay is independent

@@ -276,7 +276,7 @@ func NewRanker(g *Graph, m *Model) *Ranker { return pathrank.NewRanker(g, m) }
 type (
 	// RankRequest is one origin-destination ranking query with optional
 	// per-request overrides (k, strategy, diversity threshold, weight
-	// metric, engine, explain).
+	// metric, explain).
 	RankRequest = pathrank.RankRequest
 	// RankResponse pairs the ranked paths with generation statistics.
 	RankResponse = pathrank.RankResponse
@@ -292,8 +292,6 @@ type (
 	StrategyChoice = pathrank.StrategyChoice
 	// WeightKind optionally overrides the edge metric.
 	WeightKind = pathrank.WeightKind
-	// EngineChoice optionally overrides the shortest-path backend.
-	EngineChoice = pathrank.EngineChoice
 )
 
 // Per-request override values; the *Auto zero values keep the ranker's
@@ -306,10 +304,6 @@ const (
 	WeightAuto   = pathrank.WeightAuto
 	WeightLength = pathrank.WeightLength
 	WeightTime   = pathrank.WeightTime
-
-	EngineAuto     = pathrank.EngineAuto
-	EngineNone     = pathrank.EngineNone
-	EngineChoiceCH = pathrank.EngineCH
 )
 
 // Typed error codes of the query API; ErrorCodeOf classifies any error
@@ -331,9 +325,6 @@ func ParseStrategyChoice(s string) (StrategyChoice, error) { return pathrank.Par
 
 // ParseWeightKind parses "length" or "time" ("", "auto" = default).
 func ParseWeightKind(s string) (WeightKind, error) { return pathrank.ParseWeightKind(s) }
-
-// ParseEngineChoice parses "dijkstra" or "ch" ("", "auto" = default).
-func ParseEngineChoice(s string) (EngineChoice, error) { return pathrank.ParseEngineChoice(s) }
 
 // Artifact persistence: a complete trained pipeline (network, embeddings,
 // model) as one versioned, checksummed bundle.
