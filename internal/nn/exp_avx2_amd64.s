@@ -1,6 +1,8 @@
-// Vectorized sigmoid and tanh for AVX2+FMA hosts (enabled in
-// gemm_avx2_amd64.go). Like the GEMM microkernels, SIMD runs ACROSS
-// elements: each ymm lane executes, in the same order, exactly the
+// Vectorized sigmoid and tanh for AVX2+FMA hosts, in ymm blocks of four,
+// and for AVX-512F+FMA hosts, in zmm blocks of eight plus the gate
+// epilogues that fold a recurrent step's elementwise passes around them
+// (all enabled in gemm_avx2_amd64.go). Like the GEMM microkernels, SIMD
+// runs ACROSS elements: each lane executes, in the same order, exactly the
 // operation sequence the scalar path executes for that element, so every
 // lane's result is bit-identical to nn.Sigmoid or math.Tanh. Both are built
 // on math.Exp's amd64 FMA path (exp_amd64.s, Shibata's method, constants
@@ -8,9 +10,9 @@
 // path (AVX+FMA, mirroring math's useFMA), because the two scalar Exp
 // variants round differently.
 //
-// A block of four holding a lane that needs special-case handling stops
-// the vector sweep and the caller finishes with the scalar function, which
-// takes the identical special-case branches.
+// A block holding a lane that needs special-case handling stops the vector
+// sweep and the caller finishes with the scalar function, which takes the
+// identical special-case branches.
 
 #include "textflag.h"
 
@@ -43,6 +45,7 @@
 #define TANH_Q1 704
 #define TANH_Q2 736
 #define EXP_BIAS 768
+#define EXP_BIAS64 784
 
 CONST4(LOG2E, $1.4426950408889634073599246810018920)
 CONST4(LN2U, $0.69314718055966295651160180568695068359375)
@@ -72,7 +75,8 @@ DATA expdata<>+EXP_BIAS(SB)/4, $0x3FF // 4 x int32
 DATA expdata<>+(EXP_BIAS+4)(SB)/4, $0x3FF
 DATA expdata<>+(EXP_BIAS+8)(SB)/4, $0x3FF
 DATA expdata<>+(EXP_BIAS+12)(SB)/4, $0x3FF
-GLOBL expdata<>+0(SB), RODATA, $784
+DATA expdata<>+EXP_BIAS64(SB)/8, $0x3FF // int64, for the zmm kernels
+GLOBL expdata<>+0(SB), RODATA, $792
 
 // EXP_FMA runs math.Exp's FMA path on t in Y1 up to the final scaling:
 // e = int32(t*LOG2E) rounded per MXCSR like CVTSD2SL, argument reduction
@@ -242,5 +246,231 @@ tloop:
 
 tdone:
 	MOVQ BX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// The zmm kernels below run eight lanes per block on AVX-512F+FMA hosts,
+// each lane through the operation sequence of the ymm kernels above; every
+// constant is a broadcast of the first copy in expdata. They use only
+// AVX512F instructions (integer forms for the bitwise operations, KMOVW for
+// the masks) and return early, at a multiple of 8, where the ymm kernels
+// would.
+
+// EXP8 is EXP_FMA on the eight lanes of t in Z1: the fraction in Z3, e+bias
+// as eight int64 in Z10; clobbers Z1, Z2 and Z4.
+#define EXP8 \
+	VMULPD.BCST expdata<>+LOG2E(SB), Z1, Z2; \
+	VCVTPD2DQ Z2, Y10; \
+	VCVTDQ2PD Y10, Z2; \
+	VFNMADD231PD.BCST expdata<>+LN2U(SB), Z2, Z1; \
+	VFNMADD231PD.BCST expdata<>+LN2L(SB), Z2, Z1; \
+	VMULPD.BCST expdata<>+SIXTEENTH(SB), Z1, Z1; \
+	VBROADCASTSD expdata<>+EXP_C7(SB), Z3; \
+	VFMADD213PD.BCST expdata<>+EXP_C6(SB), Z1, Z3; \
+	VFMADD213PD.BCST expdata<>+EXP_C5(SB), Z1, Z3; \
+	VFMADD213PD.BCST expdata<>+EXP_C4(SB), Z1, Z3; \
+	VFMADD213PD.BCST expdata<>+EXP_C3(SB), Z1, Z3; \
+	VFMADD213PD.BCST expdata<>+EXP_C2(SB), Z1, Z3; \
+	VFMADD213PD.BCST expdata<>+HALF(SB), Z1, Z3; \
+	VFMADD213PD.BCST expdata<>+ONE(SB), Z1, Z3; \
+	VMULPD Z3, Z1, Z3; \
+	VADDPD.BCST expdata<>+TWO(SB), Z3, Z4; \
+	VMULPD Z4, Z3, Z3; \
+	VADDPD.BCST expdata<>+TWO(SB), Z3, Z4; \
+	VMULPD Z4, Z3, Z3; \
+	VADDPD.BCST expdata<>+TWO(SB), Z3, Z4; \
+	VMULPD Z4, Z3, Z3; \
+	VADDPD.BCST expdata<>+TWO(SB), Z3, Z4; \
+	VFMADD213PD.BCST expdata<>+ONE(SB), Z4, Z3; \
+	VPMOVSXDQ Y10, Z10; \
+	VPADDQ.BCST expdata<>+EXP_BIAS64(SB), Z10, Z10
+
+// LDEXP8 scales Z3 by 2**(Z10 - bias), exact for a biased exponent in
+// [1, 2046]; clobbers Z5.
+#define LDEXP8 \
+	VPSLLQ $52, Z10, Z5; \
+	VMULPD Z5, Z3, Z3
+
+// SIGMOID8 sets Z3 to Sigmoid of the eight lanes of Z0, or jumps to bail
+// if any lane is non-finite or its Exp(-|x|) leaves the normal range.
+// Clobbers Z1-Z11 and K1-K2.
+#define SIGMOID8(bail) \
+	VPANDQ.BCST expdata<>+ABS_MASK(SB), Z0, Z6; \
+	VPCMPQ.BCST $1, expdata<>+POS_INF(SB), Z6, K1; \
+	VPORQ.BCST expdata<>+SIGN_MASK(SB), Z0, Z1; \
+	EXP8; \
+	VPXORQ Z11, Z11, Z11; \
+	VPCMPGTQ Z11, Z10, K1, K1; \
+	KMOVW K1, AX; \
+	CMPQ AX, $0xFF; \
+	JNE bail; \
+	LDEXP8; \
+	VADDPD.BCST expdata<>+ONE(SB), Z3, Z9; \
+	VCMPPD $1, Z11, Z0, K2; \
+	VBROADCASTSD expdata<>+ONE(SB), Z8; \
+	VBLENDMPD Z3, Z8, K2, Z8; \
+	VDIVPD Z9, Z8, Z3
+
+// TANH8 sets Z9 to math.Tanh of the eight lanes of Z0, or jumps to bail if
+// any lane is past 0.5*MAXLOG or non-finite. It evaluates tanhVecAVX2's two
+// branches, but each lane first picks its branch's numerator (2 or x*s*P)
+// and denominator (Exp(2z)+1 or Q), so one division serves both with the
+// operands the scalar branch divides. (At ymm width the two selects cost
+// more than the division they save.) Clobbers Z1-Z14 and K1-K3.
+#define TANH8(bail) \
+	VPANDQ.BCST expdata<>+ABS_MASK(SB), Z0, Z12; \
+	VCMPPD.BCST $0x12, expdata<>+HALF_MAXLOG(SB), Z12, K1; \
+	KMOVW K1, AX; \
+	CMPQ AX, $0xFF; \
+	JNE bail; \
+	VADDPD Z12, Z12, Z1; \
+	EXP8; \
+	LDEXP8; \
+	VADDPD.BCST expdata<>+ONE(SB), Z3, Z3; \
+	VMULPD Z0, Z0, Z6; \
+	VMULPD.BCST expdata<>+TANH_P0(SB), Z6, Z7; \
+	VADDPD.BCST expdata<>+TANH_P1(SB), Z7, Z7; \
+	VMULPD Z6, Z7, Z7; \
+	VADDPD.BCST expdata<>+TANH_P2(SB), Z7, Z7; \
+	VADDPD.BCST expdata<>+TANH_Q0(SB), Z6, Z8; \
+	VMULPD Z6, Z8, Z8; \
+	VADDPD.BCST expdata<>+TANH_Q1(SB), Z8, Z8; \
+	VMULPD Z6, Z8, Z8; \
+	VADDPD.BCST expdata<>+TANH_Q2(SB), Z8, Z8; \
+	VMULPD Z6, Z0, Z9; \
+	VMULPD Z7, Z9, Z9; \
+	VCMPPD.BCST $0x1D, expdata<>+TANH_SPLIT(SB), Z12, K2; \
+	VBLENDMPD.BCST expdata<>+TWO(SB), Z9, K2, Z9; \
+	VBLENDMPD Z3, Z8, K2, Z8; \
+	VDIVPD Z8, Z9, Z9; \
+	VBROADCASTSD expdata<>+ONE(SB), Z5; \
+	VSUBPD Z9, Z5, Z5; \
+	VPANDQ.BCST expdata<>+SIGN_MASK(SB), Z0, Z6; \
+	VPXORQ Z6, Z5, Z5; \
+	VADDPD Z9, Z0, Z9; \
+	VBLENDMPD Z5, Z9, K2, Z9; \
+	VPXORQ Z14, Z14, Z14; \
+	VCMPPD $0, Z14, Z0, K3; \
+	VBLENDMPD Z0, Z9, K3, Z9
+
+// func sigmoidVecAVX512(dst, x []float64) int
+//
+// sigmoidVecAVX2 in blocks of eight.
+TEXT ·sigmoidVecAVX512(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	ANDQ $-8, CX
+	XORQ BX, BX
+
+sloop8:
+	CMPQ BX, CX
+	JGE  sdone8
+	VMOVUPD (SI)(BX*8), Z0
+	SIGMOID8(sdone8)
+	VMOVUPD Z3, (DI)(BX*8)
+	ADDQ $8, BX
+	JMP  sloop8
+
+sdone8:
+	MOVQ BX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func tanhVecAVX512(dst, x []float64) int
+//
+// tanhVecAVX2 in blocks of eight.
+TEXT ·tanhVecAVX512(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	ANDQ $-8, CX
+	XORQ BX, BX
+
+tloop8:
+	CMPQ BX, CX
+	JGE  tdone8
+	VMOVUPD (SI)(BX*8), Z0
+	TANH8(tdone8)
+	VMOVUPD Z9, (DI)(BX*8)
+	ADDQ $8, BX
+	JMP  tloop8
+
+tdone8:
+	MOVQ BX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func sigmoidAdd3AVX512(dst, a, b, c, m []float64) int
+//
+// dst[i] = Sigmoid(a[i]+b[i]+c[i]) for i in [0, ret), times m[i] when m is
+// non-empty: Add3, SigmoidVec and Hadamard in one sweep over the blocks of
+// eight of len(dst), stopping where sigmoidVecAVX512 would on the sums.
+TEXT ·sigmoidAdd3AVX512(SB), NOSPLIT, $0-128
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	MOVQ c_base+72(FP), R9
+	MOVQ m_base+96(FP), R10
+	MOVQ m_len+104(FP), R11
+	ANDQ $-8, CX
+	XORQ BX, BX
+
+aloop8:
+	CMPQ BX, CX
+	JGE  adone8
+	VMOVUPD (SI)(BX*8), Z0
+	VADDPD (R8)(BX*8), Z0, Z0
+	VADDPD (R9)(BX*8), Z0, Z0
+	SIGMOID8(adone8)
+	TESTQ R11, R11
+	JZ   astore8
+	VMULPD (R10)(BX*8), Z3, Z3
+
+astore8:
+	VMOVUPD Z3, (DI)(BX*8)
+	ADDQ $8, BX
+	JMP  aloop8
+
+adone8:
+	MOVQ BX, ret+120(FP)
+	VZEROUPPER
+	RET
+
+// func tanhAddLerpAVX512(dst, x, bias, z, h []float64) int
+//
+// dst[i] = (1-z[i])*h[i] + z[i]*math.Tanh(x[i]+bias[i]) for i in [0, ret):
+// AddTo, TanhVec and Lerp in one sweep over the blocks of eight of
+// len(dst), stopping where tanhVecAVX512 would on the sums. dst must not
+// alias x, z or h.
+TEXT ·tanhAddLerpAVX512(SB), NOSPLIT, $0-128
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ bias_base+48(FP), R8
+	MOVQ z_base+72(FP), R9
+	MOVQ h_base+96(FP), R10
+	ANDQ $-8, CX
+	XORQ BX, BX
+
+lloop8:
+	CMPQ BX, CX
+	JGE  ldone8
+	VMOVUPD (SI)(BX*8), Z0
+	VADDPD (R8)(BX*8), Z0, Z0
+	TANH8(ldone8)
+	VMOVUPD (R9)(BX*8), Z1  // z
+	VBROADCASTSD expdata<>+ONE(SB), Z2
+	VSUBPD Z1, Z2, Z2       // 1-z
+	VMULPD (R10)(BX*8), Z2, Z2
+	VMULPD Z9, Z1, Z1
+	VADDPD Z1, Z2, Z2
+	VMOVUPD Z2, (DI)(BX*8)
+	ADDQ $8, BX
+	JMP  lloop8
+
+ldone8:
+	MOVQ BX, ret+120(FP)
 	VZEROUPPER
 	RET

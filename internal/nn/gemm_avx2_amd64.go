@@ -5,9 +5,11 @@ package nn
 // 32-column blocks where AVX-512 is there and ymm blocks where AVX2 is
 // (gemm_avx2_amd64.s, with the bit-identity argument), the elementwise row
 // kernels of the recurrent step (rows_avx2_amd64.s), and the sigmoid and
-// tanh sweeps built on math.Exp's FMA sequence (exp_avx2_amd64.s). Every
-// kernel runs each SIMD lane through exactly the scalar operation sequence,
-// so which one a host takes never changes a result.
+// tanh sweeps and gate epilogues built on math.Exp's FMA sequence, eight
+// lanes wide where AVX-512 is there and four where AVX2 is
+// (exp_avx2_amd64.s). Every kernel runs each SIMD lane through exactly the
+// scalar operation sequence, so which one a host takes never changes a
+// result.
 
 //go:noescape
 func gemmNTAVX512(a, bt, c []float64, m, k, n int)
@@ -20,6 +22,18 @@ func sigmoidVecAVX2(dst, x []float64) int
 
 //go:noescape
 func tanhVecAVX2(dst, x []float64) int
+
+//go:noescape
+func sigmoidVecAVX512(dst, x []float64) int
+
+//go:noescape
+func tanhVecAVX512(dst, x []float64) int
+
+//go:noescape
+func sigmoidAdd3AVX512(dst, a, b, c, m []float64) int
+
+//go:noescape
+func tanhAddLerpAVX512(dst, x, bias, z, h []float64) int
 
 //go:noescape
 func addToAVX2(dst, src []float64)
@@ -42,6 +56,11 @@ var (
 	hasAVX2 = cpuHasAVX2()
 	// hasAVX512 runs a panel product's 32-column blocks on zmm registers.
 	hasAVX512 = hasAVX2 && cpuHasAVX512()
+	// actLanes is the width of the activation kernels (SigmoidVec,
+	// TanhVec and the gate epilogues): 8 where AVX-512F and FMA are there,
+	// 4 on AVX2+FMA hosts, 0 (the scalar loop) elsewhere. Tests lower it to
+	// cover the narrower widths on one host; nothing else writes it.
+	actLanes = activationLanes()
 )
 
 // cpuHasAVX2 reports AVX2 with OS-managed YMM state: OSXSAVE+AVX in
@@ -84,9 +103,12 @@ func cpuHasFMA() bool {
 	return c1&avxFMA == avxFMA
 }
 
-func init() {
-	if hasAVX2 && cpuHasFMA() {
-		sigmoidVecArch = sigmoidVecAVX2
-		tanhVecArch = tanhVecAVX2
+func activationLanes() int {
+	switch {
+	case hasAVX512 && cpuHasFMA():
+		return 8
+	case hasAVX2 && cpuHasFMA():
+		return 4
 	}
+	return 0
 }

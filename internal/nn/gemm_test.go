@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -155,16 +156,72 @@ func TestGemmNTMatchesMatVecAdd(t *testing.T) {
 }
 
 // activations pairs each vectorized activation sweep with the scalar
-// function every element must match bitwise, and with the hook that holds
-// its SIMD sweep on hosts that run one.
-var activations = []struct {
-	name   string
-	vec    func(dst, x Vec)
-	scalar func(float64) float64
-	arch   *func(dst, x Vec) int
-}{
-	{"SigmoidVec", SigmoidVec, Sigmoid, &sigmoidVecArch},
-	{"TanhVec", TanhVec, math.Tanh, &tanhVecArch},
+// function every element must match bitwise, and with its zmm and ymm
+// kernels, which answer a prefix of whole blocks.
+type activation struct {
+	name     string
+	vec      func(dst, x Vec)
+	scalar   func(float64) float64
+	zmm, ymm func(dst, x []float64) int
+}
+
+var activations = []activation{
+	{"SigmoidVec", SigmoidVec, Sigmoid, sigmoidVecAVX512, sigmoidVecAVX2},
+	{"TanhVec", TanhVec, math.Tanh, tanhVecAVX512, tanhVecAVX2},
+}
+
+// hostLanes is the activation width chosen for this host.
+var hostLanes = actLanes
+
+// withLanes runs f with actLanes lowered to at most lanes: the in-package
+// hook that puts the narrower kernels behind the public entry points.
+func withLanes(lanes int, f func()) {
+	defer func(saved int) { actLanes = saved }(actLanes)
+	actLanes = min(hostLanes, lanes)
+	f()
+}
+
+// actImpl is one way to run an activation sweep: run answers a prefix of
+// x into dst and returns its length, a multiple of block.
+type actImpl struct {
+	name  string
+	block int
+	runs  bool // the host can run it
+	run   func(dst, x Vec) int
+}
+
+// actImpls lists every way to run one activation: the zmm and ymm kernels
+// called directly, and the dispatching entry point at each width.
+func actImpls(act activation) []actImpl {
+	at := func(lanes int) func(dst, x Vec) int {
+		return func(dst, x Vec) int {
+			withLanes(lanes, func() { act.vec(dst, x) })
+			return len(x)
+		}
+	}
+	return []actImpl{
+		{"zmm-kernel", 8, hostLanes == 8, func(dst, x Vec) int { return act.zmm(dst, x) }},
+		{"ymm-kernel", 4, hostLanes >= 4, func(dst, x Vec) int { return act.ymm(dst, x) }},
+		{"zmm", 1, hostLanes == 8, at(8)},
+		{"ymm", 1, hostLanes >= 4, at(4)},
+		{"scalar", 1, true, at(0)},
+	}
+}
+
+// logActImpls records which activation widths this host runs, as
+// logGemmImpls does for the GEMM kernels: an AVX2-only runner shows its
+// zmm entries skipped.
+func logActImpls(tb testing.TB) {
+	tb.Helper()
+	var ran, skipped []string
+	for _, im := range actImpls(activations[0]) {
+		if im.runs {
+			ran = append(ran, im.name)
+		} else {
+			skipped = append(skipped, im.name)
+		}
+	}
+	tb.Logf("activation widths run: %v; not on this host: %v", ran, skipped)
 }
 
 // sameFloat is bitwise equality, with every NaN matching every NaN.
@@ -193,79 +250,196 @@ var activationSpecials = func() []float64 {
 	return v
 }()
 
-// TestSigmoidVecMatchesScalar is the bit-identity gate of the vectorized
-// activation sweeps, sigmoid and tanh alike: across ordinary magnitudes,
-// every special value placed in each lane of a block, mixed blocks that
-// make the sweep hand over to the scalar loop, and every length from 1 to
-// 67, each sweep must equal its elementwise scalar function bitwise, also
-// when applied in place.
-func TestSigmoidVecMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	check := func(t *testing.T, vec func(dst, x Vec), scalar func(float64) float64, x Vec, what string) {
-		t.Helper()
-		got := NewVec(len(x))
-		vec(got, x)
-		in := Copy(x)
-		vec(in, in) // the fused scorer activates gate matrices in place
-		for i, xv := range x {
-			want := scalar(xv)
-			if !sameFloat(got[i], want) || !sameFloat(in[i], want) {
-				t.Fatalf("%s n=%d x[%d]=%g: got %.17g (in place %.17g), want %.17g",
-					what, len(x), i, xv, got[i], in[i], want)
-			}
+// checkActivation runs im on x, out of place and in place, and requires
+// the answered prefix to match scalar bitwise. Where x holds no value a
+// kernel may stop at (every |x| below tanh's 0.5·MAXLOG), a kernel must
+// answer every whole block.
+func checkActivation(t *testing.T, im actImpl, scalar func(float64) float64, x Vec, what string) {
+	t.Helper()
+	full := true
+	for _, xv := range x {
+		full = full && math.Abs(xv) < 44
+	}
+	got := NewVec(len(x))
+	n := im.run(got, x)
+	in := Copy(x)
+	nIn := im.run(in, in) // the fused scorer activates gate matrices in place
+	if n%im.block != 0 || n > len(x) || n != nIn || full && n != len(x)/im.block*im.block {
+		t.Fatalf("%s %s n=%d: answered %d (in place %d)", im.name, what, len(x), n, nIn)
+	}
+	for i, xv := range x[:n] {
+		want := scalar(xv)
+		if !sameFloat(got[i], want) || !sameFloat(in[i], want) {
+			t.Fatalf("%s %s n=%d x[%d]=%g: got %.17g (in place %.17g), want %.17g",
+				im.name, what, len(x), i, xv, got[i], in[i], want)
 		}
 	}
+}
+
+// TestSigmoidVecMatchesScalar is the bit-identity gate of the vectorized
+// activation sweeps, sigmoid and tanh alike, at every width the host runs:
+// the zmm and ymm kernels called directly and the dispatching entry point
+// capped at zmm, ymm and scalar. Each special value goes in every position
+// of a zmm block, a ymm block and a scalar tail (13 = 8+4+1 elements);
+// then ordinary magnitudes, mixed blocks that make a sweep hand over to
+// the scalar loop, and every length from 1 to 67. Each must equal the
+// elementwise scalar function bitwise, also when applied in place.
+func TestSigmoidVecMatchesScalar(t *testing.T) {
+	logActImpls(t)
 	for _, act := range activations {
 		t.Run(act.name, func(t *testing.T) {
-			t.Logf("SIMD sweep on this host: %v", *act.arch != nil)
-			for _, s := range activationSpecials {
-				for lane := 0; lane < 4; lane++ {
-					x := Vec{0.3, -1.7, 2.5, -0.01, 0.9}
-					x[lane] = s
-					check(t, act.vec, act.scalar, x, "special")
+			for _, im := range actImpls(act) {
+				if !im.runs {
+					continue
 				}
-			}
-			for n := 1; n <= 67; n++ {
-				for trial := 0; trial < 4; trial++ {
-					x := NewVec(n)
-					for i := range x {
-						switch {
-						case trial == 3 && rng.Intn(3) == 0:
-							x[i] = activationSpecials[rng.Intn(len(activationSpecials))]
-						case trial == 2:
-							x[i] = (rng.Float64()*2 - 1) * 50
-						default:
-							x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
-						}
+				rng := rand.New(rand.NewSource(9))
+				for _, s := range activationSpecials {
+					for pos := 0; pos < 13; pos++ {
+						x := Vec{0.3, -1.7, 2.5, -0.01, 0.9, -3.2, 1.1, -0.4, 0.7, -2.2, 0.05, 4.5, -0.6}
+						x[pos] = s
+						checkActivation(t, im, act.scalar, x, "special")
 					}
-					check(t, act.vec, act.scalar, x, fmt.Sprintf("trial %d", trial))
+				}
+				for n := 1; n <= 67; n++ {
+					for trial := 0; trial < 4; trial++ {
+						x := NewVec(n)
+						for i := range x {
+							switch {
+							case trial == 3 && rng.Intn(3) == 0:
+								x[i] = activationSpecials[rng.Intn(len(activationSpecials))]
+							case trial == 2:
+								x[i] = (rng.Float64()*2 - 1) * 50
+							default:
+								x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
+							}
+						}
+						checkActivation(t, im, act.scalar, x, fmt.Sprintf("trial %d", trial))
+					}
 				}
 			}
 		})
 	}
 }
 
-// FuzzTanhVec feeds raw float64 bit patterns through TanhVec, four to a
-// SIMD block plus one for the scalar tail, and requires math.Tanh's bits
-// for each (any NaN matching any NaN).
-func FuzzTanhVec(f *testing.F) {
-	f.Logf("TanhVec SIMD sweep on this host: %v", tanhVecArch != nil)
-	bits := math.Float64bits
-	f.Add(bits(0.625), bits(math.Copysign(0, -1)), bits(44.014845965556525), bits(5e-324))
-	f.Add(bits(-0.3), bits(1.5), bits(math.Nextafter(0.625, 0)), bits(-20))
-	f.Add(bits(math.Inf(1)), bits(1), bits(2), bits(3))
-	f.Fuzz(func(t *testing.T, a, b, c, d uint64) {
-		x := Vec{math.Float64frombits(a), math.Float64frombits(b),
-			math.Float64frombits(c), math.Float64frombits(d), math.Float64frombits(a)}
-		got := NewVec(len(x))
-		TanhVec(got, x)
-		for i, xv := range x {
-			if want := math.Tanh(xv); !sameFloat(got[i], want) {
-				t.Fatalf("x[%d] = %#x: TanhVec %#x, math.Tanh %#x",
-					i, math.Float64bits(xv), math.Float64bits(got[i]), math.Float64bits(want))
+// TestGateEpiloguesMatchUnfused pins the fused gate epilogues to the
+// passes they fold, run unfused at the scalar width: SigmoidAdd3 to Add3
+// then SigmoidVec, SigmoidAdd3Mul to those then Hadamard, TanhAddLerp to
+// AddTo, TanhVec and Lerp. Each runs at every width the host has, on every
+// length from 1 to 67 and with special values in random positions.
+func TestGateEpiloguesMatchUnfused(t *testing.T) {
+	logActImpls(t)
+	rng := rand.New(rand.NewSource(13))
+	vec := func(n int, special bool) Vec {
+		v := NewVec(n)
+		for i := range v {
+			v[i] = rng.NormFloat64() * 2
+			if special && rng.Intn(8) == 0 {
+				v[i] = activationSpecials[rng.Intn(len(activationSpecials))]
 			}
 		}
-	})
+		return v
+	}
+	requireSame := func(what string, lanes int, got, want Vec) {
+		t.Helper()
+		for i := range want {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("%s at %d lanes, n=%d: elem %d = %.17g, unfused %.17g",
+					what, lanes, len(want), i, got[i], want[i])
+			}
+		}
+	}
+	for _, lanes := range []int{8, 4, 0} {
+		if lanes > hostLanes {
+			continue
+		}
+		for n := 1; n <= 67; n++ {
+			for trial := 0; trial < 3; trial++ {
+				a, b, c, m := vec(n, trial == 2), vec(n, false), vec(n, trial > 0), vec(n, false)
+				if trial == 1 {
+					clear(b) // a special in a or c reaches the sigmoid unrounded
+				}
+				want := NewVec(n)
+				withLanes(0, func() {
+					Add3(want, a, b, c)
+					SigmoidVec(want, want)
+				})
+				got := NewVec(n)
+				withLanes(lanes, func() { SigmoidAdd3(got, a, b, c) })
+				requireSame("SigmoidAdd3", lanes, got, want)
+				withLanes(lanes, func() { SigmoidAdd3Mul(got, a, b, c, m) })
+				withLanes(0, func() { Hadamard(want, want, m) })
+				requireSame("SigmoidAdd3Mul", lanes, got, want)
+
+				x, bias, z, h := vec(n, trial > 0), vec(n, trial == 2), vec(n, false), vec(n, false)
+				withLanes(0, func() {
+					xb := Copy(x)
+					AddTo(xb, bias)
+					TanhVec(xb, xb)
+					Lerp(want, z, h, xb)
+				})
+				withLanes(lanes, func() { TanhAddLerp(got, Copy(x), bias, z, h) })
+				requireSame("TanhAddLerp", lanes, got, want)
+			}
+		}
+	}
+}
+
+// fuzzActivation feeds 13 fuzzer-chosen float64 bit patterns (a zmm
+// block, a ymm block and a scalar tail) through vec at every width the
+// host runs and requires scalar's bits for each (any NaN matching any
+// NaN).
+func fuzzActivation(t *testing.T, vec func(dst, x Vec), scalar func(float64) float64, raw []byte) {
+	x := NewVec(13)
+	for i := range x {
+		var w [8]byte
+		copy(w[:], raw[min(8*i, len(raw)):])
+		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
+	}
+	for _, lanes := range []int{8, 4, 0} {
+		if lanes > hostLanes {
+			continue
+		}
+		got := NewVec(len(x))
+		withLanes(lanes, func() { vec(got, x) })
+		for i, xv := range x {
+			if want := scalar(xv); !sameFloat(got[i], want) {
+				t.Fatalf("%d lanes, x[%d] = %#x: got %#x, want %#x",
+					lanes, i, math.Float64bits(xv), math.Float64bits(got[i]), math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// activationSeeds are the fuzz seeds of both activations: raw little-endian
+// float64 bits of the branch points, bounds and non-finite values.
+func activationSeeds(f *testing.F) {
+	raw := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(raw(0.625, math.Copysign(0, -1), 44.014845965556525, 5e-324, -0.3, 1.5, 2, 3, 708, -708, 710, 0.1, -745))
+	f.Add(raw(-0.3, 1.5, math.Nextafter(0.625, 0), -20, 0.5, 0.25, -1, 1, 4, -4, 30, -30, 1e-310))
+	f.Add(raw(1, 2, 3, 4, 5, 6, 7, math.Inf(1), 9, 10, 11, math.NaN(), 13))
+	f.Add([]byte{})
+}
+
+// FuzzTanhVec feeds raw float64 bit patterns through TanhVec at every
+// width and requires math.Tanh's bits for each.
+func FuzzTanhVec(f *testing.F) {
+	logActImpls(f)
+	activationSeeds(f)
+	f.Fuzz(func(t *testing.T, raw []byte) { fuzzActivation(t, TanhVec, math.Tanh, raw) })
+}
+
+// FuzzSigmoidVec feeds raw float64 bit patterns through SigmoidVec at
+// every width and requires Sigmoid's bits for each.
+func FuzzSigmoidVec(f *testing.F) {
+	logActImpls(f)
+	activationSeeds(f)
+	f.Fuzz(func(t *testing.T, raw []byte) { fuzzActivation(t, SigmoidVec, Sigmoid, raw) })
 }
 
 func wantPanic(t *testing.T, substr string, f func()) {
@@ -374,20 +548,36 @@ func BenchmarkGemmNT(b *testing.B) {
 }
 
 // BenchmarkSigmoidVec and BenchmarkTanhVec measure the activation sweeps
-// on a gate-matrix-sized vector (one fused chunk of one GRU gate).
+// at the served gate-block sizes (one row, a depth of 8 rows and one of 32
+// rows at hidden 64) for each width the host runs:
+// BenchmarkSigmoidVec/<rows>x64/<zmm|ymm|scalar>.
 func BenchmarkSigmoidVec(b *testing.B) { benchActivation(b, SigmoidVec) }
 
 func BenchmarkTanhVec(b *testing.B) { benchActivation(b, TanhVec) }
 
 func benchActivation(b *testing.B, vec func(dst, x Vec)) {
 	rng := rand.New(rand.NewSource(12))
-	x := NewVec(512)
-	for i := range x {
-		x[i] = rng.NormFloat64() * 3
-	}
-	dst := NewVec(512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		vec(dst, x)
+	for _, rows := range []int{1, 8, 32} {
+		x := NewVec(rows * 64)
+		for i := range x {
+			x[i] = rng.NormFloat64() * 3
+		}
+		dst := NewVec(len(x))
+		for _, w := range []struct {
+			name  string
+			lanes int
+		}{{"zmm", 8}, {"ymm", 4}, {"scalar", 0}} {
+			if w.lanes > hostLanes {
+				continue
+			}
+			b.Run(fmt.Sprintf("%dx64/%s", rows, w.name), func(b *testing.B) {
+				withLanes(w.lanes, func() {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						vec(dst, x)
+					}
+				})
+			})
+		}
 	}
 }

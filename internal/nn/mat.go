@@ -307,12 +307,12 @@ func Sigmoid(x float64) float64 {
 	return z / (1 + z)
 }
 
-// sigmoidVecArch and tanhVecArch, when non-nil, apply Sigmoid or math.Tanh
-// to a prefix of the vectors with a SIMD sweep that is bit-identical to the
-// scalar loop (it vectorizes across elements, running each lane through
-// exactly the scalar operation sequence — see exp_avx2_amd64.s) and return
-// how many elements they handled.
-var sigmoidVecArch, tanhVecArch func(dst, x Vec) int
+// The activation sweeps below run at actLanes, the host's widest
+// activation kernel (gemm_avx2_amd64.go): zmm blocks, then a ymm block,
+// then the scalar loop. Every kernel vectorizes across elements, running
+// each lane through exactly the scalar operation sequence (see
+// exp_avx2_amd64.s), and stops at the first block holding a value the
+// scalar function must answer, so every width gives the same bits.
 
 // SigmoidVec applies Sigmoid elementwise, writing into dst (dst may alias
 // x).
@@ -321,8 +321,11 @@ func SigmoidVec(dst, x Vec) {
 		panic("nn: SigmoidVec length mismatch")
 	}
 	i := 0
-	if sigmoidVecArch != nil {
-		i = sigmoidVecArch(dst, x)
+	if actLanes == 8 {
+		i = sigmoidVecAVX512(dst, x)
+	}
+	if actLanes >= 4 {
+		i += sigmoidVecAVX2(dst[i:], x[i:])
 	}
 	for ; i < len(x); i++ {
 		dst[i] = Sigmoid(x[i])
@@ -336,10 +339,76 @@ func TanhVec(dst, x Vec) {
 		panic("nn: TanhVec length mismatch")
 	}
 	i := 0
-	if tanhVecArch != nil {
-		i = tanhVecArch(dst, x)
+	if actLanes == 8 {
+		i = tanhVecAVX512(dst, x)
+	}
+	if actLanes >= 4 {
+		i += tanhVecAVX2(dst[i:], x[i:])
 	}
 	for ; i < len(x); i++ {
 		dst[i] = math.Tanh(x[i])
 	}
+}
+
+// The gate epilogues below fold a recurrent step's elementwise passes into
+// its activation sweep. On zmm hosts a kernel sweeps the blocks of eight,
+// each lane running the unfused passes' operations in their order; what it
+// leaves (a tail, or everything from a block it stops at) and everything on
+// other hosts runs the unfused passes themselves. Either way the bits are
+// those of the passes they fold.
+
+// SigmoidAdd3 computes dst[i] = Sigmoid(a[i]+b[i]+c[i]): Add3, then
+// SigmoidVec. Lengths must match; dst may alias a, b or c.
+func SigmoidAdd3(dst, a, b, c Vec) {
+	if len(a) != len(dst) || len(b) != len(dst) || len(c) != len(dst) {
+		panic("nn: SigmoidAdd3 length mismatch")
+	}
+	sigmoidAdd3(dst, a, b, c, nil)
+}
+
+// SigmoidAdd3Mul computes dst[i] = Sigmoid(a[i]+b[i]+c[i]) * m[i]: Add3,
+// SigmoidVec, then Hadamard by m — the GRU's r⊙h_{t-1} straight from the
+// reset gate's pre-activation parts. Lengths must match; dst may alias a, b
+// or c, not m.
+func SigmoidAdd3Mul(dst, a, b, c, m Vec) {
+	if len(a) != len(dst) || len(b) != len(dst) || len(c) != len(dst) || len(m) != len(dst) {
+		panic("nn: SigmoidAdd3Mul length mismatch")
+	}
+	sigmoidAdd3(dst, a, b, c, m)
+}
+
+func sigmoidAdd3(dst, a, b, c, m Vec) {
+	i := 0
+	if actLanes == 8 {
+		if i = sigmoidAdd3AVX512(dst, a, b, c, m); i == len(dst) {
+			return
+		}
+	}
+	dst = dst[i:]
+	Add3(dst, a[i:], b[i:], c[i:])
+	SigmoidVec(dst, dst)
+	if m != nil {
+		Hadamard(dst, dst, m[i:])
+	}
+}
+
+// TanhAddLerp computes dst[i] = (1-z[i])*h[i] + z[i]*math.Tanh(x[i]+bias[i]):
+// AddTo(x, bias), TanhVec, then Lerp(dst, z, h, x) — the GRU's candidate
+// activation and state update. x is scratch: the elements the unfused
+// passes answer end up holding their tanh. Lengths must match, and dst
+// must not alias x, z or h.
+func TanhAddLerp(dst, x, bias, z, h Vec) {
+	if len(x) != len(dst) || len(bias) != len(dst) || len(z) != len(dst) || len(h) != len(dst) {
+		panic("nn: TanhAddLerp length mismatch")
+	}
+	i := 0
+	if actLanes == 8 {
+		if i = tanhAddLerpAVX512(dst, x, bias, z, h); i == len(dst) {
+			return
+		}
+	}
+	x = x[i:]
+	AddTo(x, bias[i:])
+	TanhVec(x, x)
+	Lerp(dst[i:], z[i:], h[i:], x)
 }

@@ -313,83 +313,91 @@ func (ws *fusedWS) sumRows(sumH nn.Mat, col int, Hs nn.Mat, tr *trie, backward b
 	}
 }
 
-// atParents evaluates a gate that reads h_{t-1} directly over depth d's
-// rows into dst: U·h once per parent row with children (into the slab P),
-// then per row its vertex's table entry (W·x_t) plus its parent's product,
-// plus the bias, through act.
-func (g *gatePlan) atParents(act func(dst, x nn.Vec), dst, P, Hs nn.Mat, tr *trie, d int) nn.Mat {
+// parentProducts multiplies the gate's U by h_{t-1} once per row of depth
+// d-1 that has children, into the slab P, and returns plo, the first such
+// row: row p's product is then P.Row(p - plo).
+func (g *gatePlan) parentProducts(P, Hs nn.Mat, tr *trie, d int) (plo int) {
 	plo, np := int(tr.start[d-1]), int(tr.inner[d-1])
 	P.ZeroRows(np)
 	g.u.MulAdd(P.View(np), rowRange(Hs, plo, np))
+	return plo
+}
+
+// atParents evaluates a gate that reads h_{t-1} directly over depth d's
+// rows into dst: its parents' products, then per row epi of its vertex's
+// table entry (W·x_t), its parent's product and the bias — Add3 and the
+// activation in one sweep.
+func (g *gatePlan) atParents(epi func(dst, a, b, c nn.Vec), dst, P, Hs nn.Mat, tr *trie, d int) nn.Mat {
+	plo := g.parentProducts(P, Hs, tr, d)
 	lo, n := tr.depth(d)
 	out := dst.View(n)
 	for i := range n {
-		nn.Add3(out.Row(i), g.x.Row(int(tr.vert[lo+i])), P.Row(int(tr.parent[lo+i])-plo), g.bias)
+		epi(out.Row(i), g.x.Row(int(tr.vert[lo+i])), P.Row(int(tr.parent[lo+i])-plo), g.bias)
 	}
-	act(out.Data, out.Data)
 	return out
 }
 
-// atRows evaluates a gate whose recurrent operand A is per row (the GRU
-// candidate's r⊙h_{t-1}) over depth d's rows into dst: the table entry,
-// plus U·A in one product, plus the bias, through act.
-func (g *gatePlan) atRows(act func(dst, x nn.Vec), dst, A nn.Mat, tr *trie, d int) nn.Mat {
-	lo, n := tr.depth(d)
-	out := dst.View(n)
-	for i := range n {
-		copy(out.Row(i), g.x.Row(int(tr.vert[lo+i])))
-	}
-	g.u.MulAdd(out, A)
-	for i := range n {
-		nn.AddTo(out.Row(i), g.bias)
-	}
-	act(out.Data, out.Data)
-	return out
+// tanhAdd3 is the LSTM candidate gate's epilogue: Add3, then TanhVec.
+func tanhAdd3(dst, a, b, c nn.Vec) {
+	nn.Add3(dst, a, b, c)
+	nn.TanhVec(dst, dst)
 }
 
 // fusedGRU steps one GRU direction (gates z, r, h of the plan) through the
 // trie, mirroring GRU.Forward: each gate element is 0 + dotX + dotH + bias.
-// It returns every row's hidden state; the root row stays zero.
+// The reset gate goes straight to r⊙h_{t-1}, and the candidate's bias,
+// tanh and the state update run as one epilogue per row. It returns every
+// row's hidden state; the root row stays zero.
 func fusedGRU(gates []gatePlan, sc *nn.Scratch, tr *trie) nn.Mat {
 	H, w := gates[0].x.Cols, tr.widest
 	Hs := sc.Mat(tr.rows(), H)
-	P, Zs, Rs, RHs, Hhs := sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H)
+	P, Zs, RHs, Hhs := sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H)
 	for d := 1; d <= tr.maxT(); d++ {
 		lo, n := tr.depth(d)
-		Z := gates[0].atParents(nn.SigmoidVec, Zs, P, Hs, tr, d)
-		R := gates[1].atParents(nn.SigmoidVec, Rs, P, Hs, tr, d)
+		vert, parent := tr.vert[lo:lo+n], tr.parent[lo:lo+n]
+		Z := gates[0].atParents(nn.SigmoidAdd3, Zs, P, Hs, tr, d)
+		r := &gates[1]
+		plo := r.parentProducts(P, Hs, tr, d)
 		RH := RHs.View(n)
-		for i := range n {
-			nn.Hadamard(RH.Row(i), R.Row(i), Hs.Row(int(tr.parent[lo+i])))
+		for i, p := range parent {
+			nn.SigmoidAdd3Mul(RH.Row(i), r.x.Row(int(vert[i])), P.Row(int(p)-plo), r.bias, Hs.Row(int(p)))
 		}
-		Hh := gates[2].atRows(nn.TanhVec, Hhs, RH, tr, d)
-		for i := range n {
-			nn.Lerp(Hs.Row(lo+i), Z.Row(i), Hs.Row(int(tr.parent[lo+i])), Hh.Row(i))
+		h := &gates[2]
+		Hh := Hhs.View(n)
+		for i, v := range vert {
+			copy(Hh.Row(i), h.x.Row(int(v)))
+		}
+		h.u.MulAdd(Hh, RH)
+		for i, p := range parent {
+			nn.TanhAddLerp(Hs.Row(lo+i), Hh.Row(i), h.bias, Z.Row(i), Hs.Row(int(p)))
 		}
 	}
 	return Hs
 }
 
 // fusedLSTM mirrors LSTM.Forward through the trie (gates i, f, o, g of the
-// plan) and returns every row's hidden state.
+// plan) and returns every row's hidden state: c_t per element, then
+// tanh(c_t) as one sweep over the depth's rows, then h = o⊙tanh(c_t).
 func fusedLSTM(gates []gatePlan, sc *nn.Scratch, tr *trie) nn.Mat {
 	H, w := gates[0].x.Cols, tr.widest
 	Hs, Cs := sc.Mat(tr.rows(), H), sc.Mat(tr.rows(), H)
 	P, Is, Fs, Os, Gs := sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H), sc.Mat(w, H)
 	for d := 1; d <= tr.maxT(); d++ {
 		lo, n := tr.depth(d)
-		I := gates[0].atParents(nn.SigmoidVec, Is, P, Hs, tr, d)
-		F := gates[1].atParents(nn.SigmoidVec, Fs, P, Hs, tr, d)
-		O := gates[2].atParents(nn.SigmoidVec, Os, P, Hs, tr, d)
-		G := gates[3].atParents(nn.TanhVec, Gs, P, Hs, tr, d)
+		I := gates[0].atParents(nn.SigmoidAdd3, Is, P, Hs, tr, d)
+		F := gates[1].atParents(nn.SigmoidAdd3, Fs, P, Hs, tr, d)
+		O := gates[2].atParents(nn.SigmoidAdd3, Os, P, Hs, tr, d)
+		G := gates[3].atParents(tanhAdd3, Gs, P, Hs, tr, d)
 		for i := range n {
-			cp, c, h := Cs.Row(int(tr.parent[lo+i])), Cs.Row(lo+i), Hs.Row(lo+i)
-			iv, fv, ov, gv := I.Row(i), F.Row(i), O.Row(i), G.Row(i)
-			for k := range h {
-				ct := fv[k]*cp[k] + iv[k]*gv[k]
-				c[k] = ct
-				h[k] = ov[k] * math.Tanh(ct)
+			cp, c := Cs.Row(int(tr.parent[lo+i])), Cs.Row(lo+i)
+			iv, fv, gv := I.Row(i), F.Row(i), G.Row(i)
+			for k := range c {
+				c[k] = fv[k]*cp[k] + iv[k]*gv[k]
 			}
+		}
+		nn.TanhVec(rowRange(Hs, lo, n).Data, rowRange(Cs, lo, n).Data)
+		for i := range n {
+			nn.Hadamard(Hs.Row(lo+i), O.Row(i), Hs.Row(lo+i))
 		}
 	}
 	return Hs

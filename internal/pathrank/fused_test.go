@@ -158,8 +158,9 @@ func requireFusedMatchesPerPath(t *testing.T, m *Model, paths []spath.Path, what
 // TestScoreBatchFusedMatchesPerPath is the correctness gate of the fused
 // batched scorer: across every Body kind (with and without the multi-task
 // heads), hidden sizes that leave the vector kernel a column tail (10:
-// N%4 = 2, attention width 5; 6: attention width 4, and its v is always
-// N = 1), random path lengths from 1 to 80, empty paths, single-vertex
+// N%4 = 2, attention width 5, and one zmm block of the gate epilogues
+// before their unfused tail; 6: attention width 4, its v always N = 1,
+// and no epilogue block), random path lengths from 1 to 80, empty paths, single-vertex
 // paths, batches spanning several fused chunks and batches of 1 to 11 paths
 // (both sides of the row count below which the avx2 kernel once fell back
 // to the scalar tile), the fused scores must be bit-identical to the

@@ -39,6 +39,11 @@ type Workspace struct {
 	// shortest-path cost, where the sweep stopped.
 	tree  labels
 	treeR float64
+	// blindPops counts, since the workspace was made, the spur-search pops
+	// of vertices outside the tree's ball (T(v) > T(src) or unreached),
+	// where the potential is the constant treeR; EnumStats.BlindPops reads
+	// it.
+	blindPops int
 
 	heap heap4
 
@@ -540,6 +545,9 @@ func (ws *Workspace) spurSearch(g *roadnet.Graph, src, dst roadnet.VertexID, lim
 		v, key := ws.heap.pop()
 		if key > limit {
 			return false, true
+		}
+		if t := ws.tree.lab[v]; t.reach != ws.tree.gen || t.dist > ws.treeR {
+			ws.blindPops++
 		}
 		if ws.clean(g, v, dst) {
 			ws.meet = v

@@ -250,6 +250,10 @@ type EnumStats struct {
 	// Pops is the number of heap pops the run made: its reverse
 	// shortest-path tree's sweep and every spur search.
 	Pops int
+	// BlindPops is the number of spur-search pops of vertices outside
+	// the reverse tree's ball (T(v) > T(src), or not reached by the
+	// sweep), where the search's potential is the constant T(src).
+	BlindPops int
 }
 
 // enumerate is the one body behind TopK, DiversifiedTopK and
@@ -277,10 +281,10 @@ func enumerate(ctx context.Context, g *roadnet.Graph, wts []float64, w Weight, s
 	} else {
 		ws.fillWeights(g, w)
 	}
-	pops := ws.heap.pops
+	pops, blind := ws.heap.pops, ws.blindPops
 	y, err := newYenEnum(g, ws, src, dst, maxProbe)
 	if err != nil {
-		st.Pops = ws.heap.pops - pops
+		st.Pops, st.BlindPops = ws.heap.pops-pops, ws.blindPops-blind
 		return nil, st, err
 	}
 	p := y.paths[0]
@@ -305,7 +309,7 @@ func enumerate(ctx context.Context, g *roadnet.Graph, wts []float64, w Weight, s
 		st.MaxCost = p.Cost
 	}
 	st.SpurSearches = y.searches
-	st.Pops = ws.heap.pops - pops
+	st.Pops, st.BlindPops = ws.heap.pops-pops, ws.blindPops-blind
 	if ws.ctxErr != nil {
 		return nil, st, ws.ctxErr
 	}

@@ -604,7 +604,8 @@ func nextWithinBudget(t *testing.T, y *yenEnum) (Path, bool) {
 // still allows, and the log reports the share of spur searches its bound
 // stopped before they found a spur. The heap pops of each served shape —
 // the tree sweep plus every spur search — stay under a mean per pair of
-// 2,000 on crosstown and 900 on local_k32.
+// 2,000 on crosstown and 900 on local_k32; the log also reports how many
+// spur-search pops a pair fall outside the tree's ball (EnumStats.BlindPops).
 func TestYenSpurSearchBudget(t *testing.T) {
 	g := benchWorldGraph(t)
 	table := WeightTable(g, ByLength)
@@ -667,7 +668,7 @@ func TestYenSpurSearchBudget(t *testing.T) {
 	// the budget after every call.
 	for _, s := range servedShapes() {
 		t.Run(s.name+"-bound", func(t *testing.T) {
-			var ran, cut, pops int
+			var ran, cut, pops, blind int
 			for _, p := range s.pairs {
 				got, st, err := enumerate(context.Background(), g, table, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe)
 				if err != nil {
@@ -689,8 +690,9 @@ func TestYenSpurSearchBudget(t *testing.T) {
 				ran += y.searches
 				cut += y.cut
 				pops += st.Pops
+				blind += st.BlindPops
 			}
-			t.Logf("%s, %d pairs: the bound stopped %d of %d spur searches early (%.1f%%); %.0f heap pops a pair", s.name, len(s.pairs), cut, ran, 100*float64(cut)/float64(ran), float64(pops)/float64(len(s.pairs)))
+			t.Logf("%s, %d pairs: the bound stopped %d of %d spur searches early (%.1f%%); %.0f heap pops a pair, %.0f of them spur-search pops outside the tree's ball", s.name, len(s.pairs), cut, ran, 100*float64(cut)/float64(ran), float64(pops)/float64(len(s.pairs)), float64(blind)/float64(len(s.pairs)))
 			if pops > s.maxPops*len(s.pairs) {
 				t.Fatalf("%s: %d heap pops over %d pairs, want at most %d a pair", s.name, pops, len(s.pairs), s.maxPops)
 			}
