@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"time"
 )
 
@@ -85,25 +86,44 @@ func Invalidf(format string, args ...any) *Error {
 	}
 }
 
-// DecodeJSON decodes the request body into v, refusing unknown fields and
-// bodies over limit bytes (413; any other decoding failure is 400).
+// DecodeJSON decodes the request body, one JSON value followed only by
+// whitespace, into v, refusing unknown fields and bodies over limit bytes
+// (413; any other decoding failure is 400). Rank requests are read by
+// DecodeRankRequest.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) *Error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return bodyError(err)
+	bp := bodyPool.Get().(*[]byte)
+	defer putBody(bp)
+	b, apiErr := readBody(w, r, limit, (*bp)[:0])
+	*bp = b
+	if apiErr != nil {
+		return apiErr
 	}
-	return nil
+	return unmarshal(b, v)
 }
 
 // ReadBody reads the whole request body, refusing bodies over limit bytes
 // (413) as DecodeJSON does.
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *Error) {
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		return nil, bodyError(err)
+	return readBody(w, r, limit, nil)
+}
+
+// readBody appends the whole request body to b, refusing bodies over limit
+// bytes (413).
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, b []byte) ([]byte, *Error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, bodyError(err)
+		}
 	}
-	return b, nil
 }
 
 func bodyError(err error) *Error {

@@ -61,8 +61,10 @@ func TestDecodeJSON(t *testing.T) {
 		r := httptest.NewRequest(http.MethodPost, "/v2/rank", strings.NewReader(body))
 		return q, DecodeJSON(httptest.NewRecorder(), r, limit, &q)
 	}
-	if q, err := decode(`{"src":3,"dst":9,"k":2}`, 1<<10); err != nil || q.Src != 3 || q.Dst != 9 || q.K != 2 {
-		t.Fatalf("valid body: %+v, %v", q, err)
+	for _, body := range []string{`{"src":3,"dst":9,"k":2}`, "{\"src\":3,\"dst\":9,\"k\":2} \r\n\t "} {
+		if q, err := decode(body, 1<<10); err != nil || q.Src != 3 || q.Dst != 9 || q.K != 2 {
+			t.Fatalf("valid body %q: %+v, %v", body, q, err)
+		}
 	}
 	for _, tc := range []struct {
 		name, body string
@@ -72,7 +74,12 @@ func TestDecodeJSON(t *testing.T) {
 		{"empty", "", http.StatusBadRequest},
 		{"unknown field", `{"src":1,"dst":2,"nope":3}`, http.StatusBadRequest},
 		{"wrong type", `{"src":"one"}`, http.StatusBadRequest},
+		{"two values", `{"src":1}{"dst":2}`, http.StatusBadRequest},
+		{"trailing garbage", `{"src":1,"dst":2}xyz`, http.StatusBadRequest},
 		{"oversized", `{"src":1,` + strings.Repeat(" ", 64) + `"dst":2}`, http.StatusRequestEntityTooLarge},
+		// The whole body is read before it is decoded, so a first value
+		// that fits does not make an oversized body acceptable.
+		{"oversized after the value", `{"src":1,"dst":2}` + strings.Repeat(" ", 64), http.StatusRequestEntityTooLarge},
 	} {
 		_, err := decode(tc.body, 32)
 		if err == nil || err.Status != tc.status || err.Code != CodeInvalid || err.Message == "" {

@@ -63,9 +63,10 @@ func WriteRelayed(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body) // the status line is out; a dead client is all that can fail here
 }
 
-// bodyPool recycles response buffers, so a cache hit's body costs a copy
-// and no allocation. Buffers grown past maxPooledBody by a large batch are
-// left to the collector rather than pinned in the pool.
+// bodyPool recycles request and response buffers, so a cache hit's
+// request is read and its body written with no allocation. Buffers grown
+// past maxPooledBody by a large batch are left to the collector rather
+// than pinned in the pool.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBody = 64 << 10
@@ -76,6 +77,12 @@ func writeBody(w http.ResponseWriter, bp *[]byte) {
 	*bp = append(*bp, '\n')
 	setJSONHeader(w, http.StatusOK)
 	_, _ = w.Write(*bp) // the status line is out; a dead client is all that can fail here
+	putBody(bp)
+}
+
+// putBody returns a body buffer to the pool, unless it grew too large to
+// keep.
+func putBody(bp *[]byte) {
 	if cap(*bp) <= maxPooledBody {
 		bodyPool.Put(bp)
 	}

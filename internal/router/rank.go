@@ -36,8 +36,8 @@ func (rt *Router) resolve(q api.RankQuery) (resolved, *api.Error) {
 
 func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 	rt.obs.requests.With("/v2/rank").Inc()
-	var req api.RankRequest
-	if apiErr := api.DecodeJSON(w, r, maxRankBody, &req); apiErr != nil {
+	req, apiErr := api.DecodeRankRequest(w, r, maxRankBody)
+	if apiErr != nil {
 		rt.obs.rankErrors.With(apiErr.Code).Inc()
 		api.WriteError(w, apiErr)
 		return

@@ -600,27 +600,41 @@ func TestOneRuleSetEverywhere(t *testing.T) {
 	}
 
 	// The wire query has no engine field: both HTTP surfaces refuse one,
-	// co-resident or cross-shard, as an unknown field of the body.
-	for _, pair := range [][2]int64{co[0], cross[0]} {
-		body := fmt.Sprintf(`{"src":%d,"dst":%d,"engine":"ch"}`, pair[0], pair[1])
-		var answers []api.Error
-		for _, url := range []string{d.reference.URL, d.router.URL} {
-			resp, err := http.Post(url+"/v2/rank", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var env api.ErrorEnvelope
-			err = json.NewDecoder(resp.Body).Decode(&env)
-			resp.Body.Close()
-			if err != nil || env.Error == nil || resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeInvalid ||
-				!strings.Contains(env.Error.Message, `unknown field "engine"`) {
-				t.Fatalf("%s %s: HTTP %d, error %+v (%v); want 400 invalid_request unknown field", url, body, resp.StatusCode, env.Error, err)
-			}
-			answers = append(answers, *env.Error)
+	// co-resident or cross-shard, as an unknown field of the body. Both
+	// refuse data after the request object alike.
+	for _, tc := range []struct{ format, want string }{
+		{`{"src":%d,"dst":%d,"engine":"ch"}`, `unknown field "engine"`},
+		{`{"src":%d,"dst":%d}{"src":0,"dst":1}`, "after the top-level value"},
+	} {
+		for _, pair := range [][2]int64{co[0], cross[0]} {
+			body := fmt.Sprintf(tc.format, pair[0], pair[1])
+			checkSameRefusal(t, d.reference.URL, d.router.URL, body, tc.want)
 		}
-		if answers[0] != answers[1] {
-			t.Fatalf("%s: server answers %+v, router %+v", body, answers[0], answers[1])
+	}
+}
+
+// checkSameRefusal posts body to the reference server's and the router's
+// /v2/rank and requires the same 400 invalid_request answer from both, its
+// message containing want.
+func checkSameRefusal(t *testing.T, referenceURL, routerURL, body, want string) {
+	t.Helper()
+	var answers []api.Error
+	for _, url := range []string{referenceURL, routerURL} {
+		resp, err := http.Post(url+"/v2/rank", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		var env api.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || env.Error == nil || resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeInvalid ||
+			!strings.Contains(env.Error.Message, want) {
+			t.Fatalf("%s %s: HTTP %d, error %+v (%v); want 400 invalid_request %s", url, body, resp.StatusCode, env.Error, err, want)
+		}
+		answers = append(answers, *env.Error)
+	}
+	if answers[0] != answers[1] {
+		t.Fatalf("%s: server answers %+v, router %+v", body, answers[0], answers[1])
 	}
 }
 

@@ -147,8 +147,8 @@ func (s *Server) handleRankV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req api.RankRequest
-	if apiErr := api.DecodeJSON(w, r, maxRankBody, &req); apiErr != nil {
+	req, apiErr := api.DecodeRankRequest(w, r, maxRankBody)
+	if apiErr != nil {
 		s.rankError(w, apiErr)
 		return
 	}

@@ -285,6 +285,14 @@ func TestV2TypedErrorStatuses(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeInvalid {
 		t.Fatalf("bad json: status=%d code=%q", resp.StatusCode, e.Code)
 	}
+	// Only whitespace may follow the request object: a second value or
+	// trailing bytes fail the request rather than being ignored.
+	for _, body := range []string{`{"src":0,"dst":1}{"src":0,"dst":2}`, `{"src":0,"dst":1}xyz`} {
+		resp, e = decodeV2Error(t, ts.URL, body)
+		if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeInvalid || !strings.Contains(e.Message, "after the top-level value") {
+			t.Fatalf("%s: status=%d code=%q message=%q, want 400 invalid_request trailing data", body, resp.StatusCode, e.Code, e.Message)
+		}
+	}
 	// The query has no engine field: naming one, inline or in a batch
 	// item, is an unknown field.
 	for _, body := range []string{`{"src":0,"dst":1,"engine":"ch"}`, `{"src":0,"dst":1,"engine":"dijkstra"}`, `{"queries":[{"src":0,"dst":1,"engine":"ch"}]}`} {
