@@ -322,7 +322,7 @@ func BenchmarkCHBuild(b *testing.B) {
 }
 
 // BenchmarkCHQuery measures one point-to-point query on a prebuilt
-// hierarchy (the engine map matching routes on).
+// hierarchy (the query benchmark/ times through Ranker.Engine).
 func BenchmarkCHQuery(b *testing.B) {
 	g := microGraph(b)
 	ch := spath.BuildCH(g, spath.ByLength)
@@ -332,29 +332,6 @@ func BenchmarkCHQuery(b *testing.B) {
 		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
 		_, _ = ch.Query(src, dst)
-	}
-}
-
-// BenchmarkCHManyToMany measures a bounded 4x4 bucket many-to-many — the
-// per-step transition query of HMM map matching.
-func BenchmarkCHManyToMany(b *testing.B) {
-	g := microGraph(b)
-	ch := spath.BuildCH(g, spath.ByLength)
-	rng := rand.New(rand.NewSource(2))
-	n := g.NumVertices()
-	sources := make([]roadnet.VertexID, 4)
-	targets := make([]roadnet.VertexID, 4)
-	out := make([][]float64, len(sources))
-	for i := range out {
-		out[i] = make([]float64, len(targets))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range sources {
-			sources[j] = roadnet.VertexID(rng.Intn(n))
-			targets[j] = roadnet.VertexID(rng.Intn(n))
-		}
-		ch.ManyToMany(sources, targets, 4000, out)
 	}
 }
 

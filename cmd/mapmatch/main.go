@@ -15,11 +15,9 @@ import (
 	"log"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"pathrank/internal/pathsim"
 	"pathrank/internal/roadnet"
-	"pathrank/internal/spath"
 	"pathrank/internal/traj"
 )
 
@@ -32,13 +30,7 @@ func main() {
 	noise := flag.Float64("noise", 8, "GPS noise standard deviation in meters")
 	interval := flag.Float64("interval", 1, "GPS sampling interval in seconds")
 	seed := flag.Int64("seed", 1, "random seed")
-	engineName := flag.String("engine", "ch", "shortest-path engine for matching: ch or dijkstra")
 	flag.Parse()
-
-	kind, err := spath.ParseEngineKind(*engineName)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	g, err := roadnet.LoadFile(*netPath)
 	if err != nil {
@@ -51,10 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prepStart := time.Now()
-	engine := spath.NewEngine(kind, g, spath.ByLength)
-	fmt.Printf("engine: %s (preprocessed in %v)\n", engine.Kind(), time.Since(prepStart).Round(time.Millisecond))
-	matcher := traj.NewMatcherEngine(g, traj.DefaultMatchConfig(), engine)
+	matcher := traj.NewMatcher(g, traj.DefaultMatchConfig())
 
 	// Ctrl-C aborts an in-flight Viterbi decode via the matcher's context
 	// instead of waiting the trace out.

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
@@ -40,7 +39,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	out := flag.String("out", "net.gob", "output path for the road network")
 	tripsOut := flag.String("trips-out", "trips.gob", "output path for the trip log")
-	csvDir := flag.String("csv", "", "also export the network as vertices.csv/edges.csv into this directory (the roadnet.ImportCSV format)")
 	flag.Parse()
 
 	if *metro {
@@ -74,12 +72,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("network: %d vertices, %d edges -> %s\n", g.NumVertices(), g.NumEdges(), *out)
-	if *csvDir != "" {
-		if err := exportCSV(g, *csvDir); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("csv: vertices.csv, edges.csv -> %s\n", *csvDir)
-	}
 
 	pop := traj.NewPopulation(traj.PopulationConfig{NumDrivers: *drivers, Seed: *seed + 1})
 	tr, err := traj.GenerateTrips(g, pop, traj.TripConfig{
@@ -94,41 +86,6 @@ func main() {
 	ns, nf := traj.NonOptimalFraction(g, tr)
 	fmt.Printf("trips: %d (%.0f%% not-shortest, %.0f%% not-fastest) -> %s\n",
 		len(tr), ns*100, nf*100, *tripsOut)
-}
-
-// exportCSV writes the network in the two-file CSV interchange format
-// that roadnet.ImportCSV streams back in.
-func exportCSV(g *roadnet.Graph, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	vf, err := os.Create(filepath.Join(dir, "vertices.csv"))
-	if err != nil {
-		return err
-	}
-	ef, err := os.Create(filepath.Join(dir, "edges.csv"))
-	if err != nil {
-		vf.Close()
-		return err
-	}
-	vw, ew := bufio.NewWriter(vf), bufio.NewWriter(ef)
-	if err := g.ExportCSV(vw, ew); err != nil {
-		vf.Close()
-		ef.Close()
-		return err
-	}
-	for _, w := range []*bufio.Writer{vw, ew} {
-		if err := w.Flush(); err != nil {
-			vf.Close()
-			ef.Close()
-			return err
-		}
-	}
-	if err := vf.Close(); err != nil {
-		ef.Close()
-		return err
-	}
-	return ef.Close()
 }
 
 func saveTrips(path string, trips []traj.Trip) error {

@@ -38,7 +38,7 @@
 // /shard/* sub-query endpoints the router stitches cross-shard answers
 // from. The router speaks plain /v2/rank, so clients need no changes.
 // -mmap memory-maps the artifact instead of reading it onto the heap: the
-// graph and CH arrays are used in place, making cold start O(open). The
+// graph's arrays are used in place, making cold start O(open). The
 // heap load verifies the whole file (checksum, raw digest, array
 // contents); the mapped open verifies the checksummed payload and trusts
 // the arrays.

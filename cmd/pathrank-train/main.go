@@ -73,7 +73,6 @@ import (
 	"pathrank/internal/partition"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
-	"pathrank/internal/spath"
 	"pathrank/internal/stream"
 	"pathrank/internal/traj"
 )
@@ -121,7 +120,6 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 	out := fs.String("out", "model.gob", "output path for the trained model")
 	artifactOut := fs.String("artifact", "", "also write a complete serving artifact (network + embeddings + model) to this path; in live mode, the artifact to start from and publish every generation to")
 	resume := fs.String("resume", "", "warm-start from this artifact bundle instead of training from scratch (incremental fine-tune; ignores -net/-m/-hidden/-variant)")
-	prep := fs.Bool("prep", true, "embed a contraction hierarchy in the artifact: map matching and the sharded tier's boundary tables route on it without preprocessing, and ranking reads its weight table")
 	replay := fs.String("replay", "", "replay the trajectory WAL in this directory instead of training (requires -base)")
 	replayBase := fs.String("base", "", "base artifact for -replay (the WAL's first generation's parent) or for standalone -partition")
 	replayGen := fs.Int("replay-gen", 0, "stop the replay after this generation (0 = replay the whole log)")
@@ -195,7 +193,7 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 				ftLR = *lr
 			}
 		})
-		return resumeTrain(*resume, *tripsPath, ftEpochs, ftLR, *seed, *out, *artifactOut, *prep)
+		return resumeTrain(*resume, *tripsPath, ftEpochs, ftLR, *seed, *out, *artifactOut)
 	}
 
 	g, err := roadnet.LoadFile(*netPath)
@@ -263,9 +261,6 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 			Model:      pipe.Model,
 			Candidates: dcfg,
 			Lineage:    pathrank.Lineage{TrainedOn: len(pipe.Train), TotalObserved: len(pipe.Train), Note: "offline"},
-		}
-		if *prep {
-			art.Prep = buildPrep(g)
 		}
 		if *artifactOut != "" {
 			if err := pathrank.SaveArtifactFile(*artifactOut, art); err != nil {
@@ -392,20 +387,10 @@ func replayWAL(walDir, basePath string, targetGen int, artifactOut string) error
 	return nil
 }
 
-// buildPrep contracts the road network into the hierarchy the artifact
-// carries.
-func buildPrep(g *roadnet.Graph) *spath.Prep {
-	start := time.Now()
-	p := spath.BuildPrep(g, spath.PrepConfig{})
-	fmt.Printf("prep: contraction hierarchy, %d shortcuts in %v\n",
-		p.CH.NumShortcuts(), time.Since(start).Round(time.Millisecond))
-	return p
-}
-
 // resumeTrain implements -resume: load an artifact, fine-tune its model on
 // a new trip log (warm start), bump the lineage, and write the results —
 // the offline twin of the streaming retrainer.
-func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, out, artifactOut string, prep bool) error {
+func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, out, artifactOut string) error {
 	art, err := pathrank.LoadArtifactFile(artPath)
 	if err != nil {
 		return err
@@ -455,13 +440,7 @@ func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, 
 			Embeddings: art.Embeddings,
 			Model:      model,
 			Candidates: art.Candidates,
-			// The road network is unchanged by a fine-tune, so the parent's
-			// contraction hierarchy carries forward as-is.
-			Prep:    art.Prep,
-			Lineage: art.Lineage.Child(parent, len(queries), "resume"),
-		}
-		if next.Prep == nil && prep {
-			next.Prep = buildPrep(art.Graph)
+			Lineage:    art.Lineage.Child(parent, len(queries), "resume"),
 		}
 		if err := pathrank.SaveArtifactFile(artifactOut, next); err != nil {
 			return err

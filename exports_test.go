@@ -18,7 +18,6 @@ var exportAllowlist = map[string]string{
 	"Jaccard":        "pathsim: the unweighted reference WeightedJaccard is checked against on uniform edge lengths",
 	"Cosine":         "node2vec: the similarity the embedding-quality tests measure trained vectors with",
 	"Unwrap":         "pathrank.RankError: called by errors.Is and errors.As, never by name",
-	"ImportCSV":      "roadnet: reads back the CSV format netgen -csv writes; its tests pin the round trip",
 	"Disable":        "fault: other packages' tests switch an installed plan off",
 	"Enabled":        "fault: other packages' tests assert a plan is installed",
 	"Fired":          "fault: other packages' tests assert an injected fault fired",

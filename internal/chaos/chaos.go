@@ -86,7 +86,6 @@ func PoisonArtifact(art *pathrank.Artifact) (*pathrank.Artifact, error) {
 		Embeddings: art.Embeddings,
 		Model:      model,
 		Candidates: art.Candidates,
-		Prep:       art.Prep,
 		Lineage:    lin,
 	}, nil
 }

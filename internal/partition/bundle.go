@@ -175,15 +175,16 @@ func (m *ShardMap) validate() error {
 	return nil
 }
 
-// distanceTable fills the |B|×|B| row-major table of exact costs.
-func distanceTable(eng spath.Engine, B []roadnet.VertexID) []float64 {
+// distanceTable fills the |B|×|B| row-major table of exact costs under w:
+// row i is one unbounded Dijkstra from B[i] to every boundary vertex.
+func distanceTable(g *roadnet.Graph, w spath.Weight, B []roadnet.VertexID) []float64 {
 	nb := len(B)
 	flat := make([]float64, nb*nb)
-	rows := make([][]float64, nb)
-	for i := range rows {
-		rows[i] = flat[i*nb : (i+1)*nb]
+	ws := spath.GetWorkspace(g)
+	defer ws.Release()
+	for i, b := range B {
+		ws.BoundedDistances(g, b, B, math.Inf(1), w, flat[i*nb:(i+1)*nb])
 	}
-	eng.ManyToMany(B, B, math.Inf(1), rows)
 	return flat
 }
 
@@ -228,9 +229,8 @@ type Manifest struct {
 // induced subgraph and its shard identity, and no contraction hierarchy:
 // a shard worker generates candidates on its ranker's weight tables and
 // answers boundary queries with plain searches. The shard map carries the
-// model again plus the boundary tables computed on the FULL graph (the
-// length table on art's own hierarchy when it has one). logf, when
-// non-nil, receives progress lines.
+// model again plus the boundary tables computed on the FULL graph. logf,
+// when non-nil, receives progress lines.
 func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format string, args ...any)) (*Manifest, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -294,11 +294,7 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 	}
 
 	B := res.BoundaryVertices()
-	lengthEng := art.Prep.Engine(g)
-	if lengthEng == nil {
-		lengthEng = spath.NewDijkstraEngine(g, spath.ByLength)
-	}
-	logf("computing %dx%d boundary tables (length via %s, time via dijkstra)", len(B), len(B), lengthEng.Kind())
+	logf("computing %dx%d boundary tables", len(B), len(B))
 	var params bytes.Buffer
 	if err := art.Model.Save(&params); err != nil {
 		return nil, fmt.Errorf("partition: serialize model: %w", err)
@@ -316,8 +312,8 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 		Owner:       res.Owner,
 		Boundary:    res.Boundary,
 		CutEdges:    res.CutEdges,
-		DLen:        distanceTable(lengthEng, B),
-		DTime:       distanceTable(spath.NewDijkstraEngine(g, spath.ByTime), B),
+		DLen:        distanceTable(g, spath.ByLength, B),
+		DTime:       distanceTable(g, spath.ByTime, B),
 		TotalLen:    totalLen,
 		TotalTime:   totalTime,
 		Candidates:  art.Candidates,

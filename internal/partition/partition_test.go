@@ -168,6 +168,36 @@ func TestExtractShardInduced(t *testing.T) {
 	}
 }
 
+// TestDistanceTableIsDijkstra: the boundary tables are plain sums. Under
+// both metrics, row i of distanceTable is DijkstraAll from the i-th
+// boundary vertex read at the boundary vertices, bit for bit.
+func TestDistanceTableIsDijkstra(t *testing.T) {
+	g := testGraph(t, 9, 9, 23)
+	res, err := Split(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	B := res.BoundaryVertices()
+	nb := len(B)
+	if nb < 4 {
+		t.Fatalf("only %d boundary vertices; split degenerate", nb)
+	}
+	for _, tc := range []struct {
+		name string
+		w    spath.Weight
+	}{{"length", spath.ByLength}, {"time", spath.ByTime}} {
+		D := distanceTable(g, tc.w, B)
+		for i, b := range B {
+			all := spath.DijkstraAll(g, b, tc.w)
+			for j, v := range B {
+				if got, want := D[i*nb+j], all[v]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: D[%d][%d] = %v, DijkstraAll = %v", tc.name, b, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestBoundaryDistancesDecompose is the separator property itself: for
 // random vertex pairs on different shards, the full-graph distance equals
 // the min over boundary stitch points of within-shard distance to the
@@ -191,12 +221,7 @@ func TestBoundaryDistancesDecompose(t *testing.T) {
 		pos[v] = i
 	}
 	// Full-graph boundary table, as BuildBundle computes it.
-	eng := spath.NewDijkstraEngine(g, spath.ByLength)
-	D := make([][]float64, nb)
-	for i := range D {
-		D[i] = make([]float64, nb)
-	}
-	eng.ManyToMany(all, all, math.Inf(1), D)
+	D := distanceTable(g, spath.ByLength, all)
 
 	ws := spath.GetWorkspace(g)
 	defer ws.Release()
@@ -227,7 +252,7 @@ func TestBoundaryDistancesDecompose(t *testing.T) {
 			got := math.Inf(1)
 			for ui, u := range bi {
 				for wi, w := range bj {
-					if v := dsrc[ui] + D[pos[u]][pos[w]] + ddst[wi]; v < got {
+					if v := dsrc[ui] + D[pos[u]*nb+pos[w]] + ddst[wi]; v < got {
 						got = v
 					}
 				}

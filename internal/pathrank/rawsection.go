@@ -89,6 +89,7 @@ func graphSlots(d *roadnet.GraphData) []rawSlot {
 }
 
 // chSlots is the directory order of the CH arrays, after the graph's.
+// Kept because benchmark/'s artifact carries a hierarchy.
 func chSlots(d *spath.CHData) []rawSlot {
 	return []rawSlot{
 		slot(&d.Order),
@@ -260,6 +261,7 @@ func validateRawGraph(gd roadnet.GraphData) error {
 // is what makes unpacking terminate (each recursion strictly decreases
 // the endpoints' rank sum), so a crafted file that wires shortcuts into a
 // cycle is rejected here instead of overflowing the stack at query time.
+// Kept because benchmark/'s artifact carries a hierarchy.
 func validateRawCH(gd roadnet.GraphData, d spath.CHData) error {
 	nv := int32(len(gd.Vertices))
 	ne := int32(len(gd.Edges))

@@ -2,9 +2,9 @@ package pathrank
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -57,18 +57,16 @@ func TestArtifactV3RoundTrip(t *testing.T) {
 			t.Fatalf("%s: CH prep lost", mode.name)
 		}
 		// CH answers must match a fresh Dijkstra on the reloaded graph.
-		ws := spath.GetWorkspace(got.Graph)
-		n := got.Graph.NumVertices()
-		targets := []roadnet.VertexID{roadnet.VertexID(n - 1), roadnet.VertexID(n / 2)}
-		want := make([]float64, len(targets))
-		ws.BoundedDistances(got.Graph, 0, targets, math.Inf(1), spath.ByLength, want)
-		ws.Release()
 		eng := got.Prep.Engine(got.Graph)
-		rows := [][]float64{make([]float64, len(targets))}
-		eng.ManyToMany([]roadnet.VertexID{0}, targets, math.Inf(1), rows)
-		for j := range targets {
-			if rows[0][j] != want[j] {
-				t.Fatalf("%s: CH distance 0->%d = %g, dijkstra says %g", mode.name, targets[j], rows[0][j], want[j])
+		n := got.Graph.NumVertices()
+		for _, dst := range []roadnet.VertexID{roadnet.VertexID(n - 1), roadnet.VertexID(n / 2)} {
+			want, err := spath.Dijkstra(got.Graph, 0, dst, spath.ByLength)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := eng.ShortestCtx(context.Background(), 0, dst)
+			if err != nil || p.Cost != want.Cost {
+				t.Fatalf("%s: CH distance 0->%d = %g (%v), dijkstra says %g", mode.name, dst, p.Cost, err, want.Cost)
 			}
 		}
 		wantFP, err := art.Model.FingerprintHex()

@@ -414,7 +414,6 @@ type healthResponse struct {
 	Edges        int      `json:"edges"`
 	ModelParams  int      `json:"model_params"`
 	CacheSize    int      `json:"cache_entries"`
-	PrepEmbedded bool     `json:"prep_embedded"`
 	Fingerprint  string   `json:"fingerprint"`
 	Generation   int      `json:"generation"`
 	ParentModel  string   `json:"parent_fingerprint,omitempty"`
@@ -441,7 +440,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Edges:        snap.art.Graph.NumEdges(),
 		ModelParams:  snap.art.Model.NumParams(),
 		CacheSize:    snap.cache.len(),
-		PrepEmbedded: snap.art.Prep != nil,
 		Fingerprint:  snap.fpHex,
 		Generation:   snap.art.Lineage.Generation,
 		ParentModel:  snap.art.Lineage.Parent,

@@ -14,14 +14,14 @@ import (
 // ContractionHierarchy is a preprocessing-based speedup for shortest-path
 // queries (Geisberger et al. 2008): vertices are contracted in importance
 // order, inserting shortcut edges that preserve distances, and queries run
-// a bidirectional upward search in the augmented graph. It backs the
-// "advanced routing" component for interactive candidate generation on
-// larger networks.
+// a bidirectional upward search in the augmented graph. No product path
+// routes on it; it is kept because benchmark/ builds one (BuildPrep),
+// persists it (RawData, AssembleCH), counts its shortcuts and times its
+// point query (QueryCtx).
 //
-// The hierarchy is built for one Weight function; build one hierarchy per
-// metric of interest. A built hierarchy is immutable and safe for
-// concurrent queries: per-query state lives in a pooled chWorkspace, so
-// Query and ManyToMany allocate only their results.
+// The hierarchy is built for one Weight function. A built hierarchy is
+// immutable and safe for concurrent queries: per-query state lives in a
+// pooled chWorkspace, so Query allocates only its result.
 type ContractionHierarchy struct {
 	g     *roadnet.Graph
 	order []int32 // order[v] = contraction rank of v (higher = more important)
@@ -67,6 +67,7 @@ type chArc struct {
 // a contracted vertex are deleted from the working lists, which keeps the
 // remaining arcs in their relative order. The hierarchy is therefore
 // exactly the one per-pair searches over filtered lists would build.
+// Kept because benchmark/ names it (through BuildPrep).
 func BuildCH(g *roadnet.Graph, w Weight) *ContractionHierarchy {
 	n := g.NumVertices()
 	b := &chBuilder{
@@ -345,6 +346,7 @@ func newCH(g *roadnet.Graph, order []int32, arcs []chArc) *ContractionHierarchy 
 }
 
 // NumShortcuts returns the number of shortcut arcs added by preprocessing.
+// Kept because benchmark/ reports it.
 func (ch *ContractionHierarchy) NumShortcuts() int {
 	n := 0
 	for _, m := range ch.arcMid {
@@ -407,10 +409,10 @@ func (h *vertexHeapCH) pop() chItem {
 // --- Pooled query workspace ---
 
 // chWorkspace holds the per-query state of CH searches: forward/backward
-// distance, parent-arc and reach-stamp arrays plus the two indexed heaps,
-// and the bucket store for many-to-many queries. Starting a new search
-// bumps a generation counter instead of clearing the arrays, so query setup
-// is O(1) regardless of graph size and steady-state queries do not allocate.
+// distance, parent-arc and reach-stamp arrays plus the two indexed heaps.
+// Starting a new search bumps a generation counter instead of clearing the
+// arrays, so query setup is O(1) regardless of graph size and steady-state
+// queries do not allocate.
 type chWorkspace struct {
 	distF, distB     []float64
 	parentF, parentB []int32 // arc index per vertex
@@ -418,25 +420,12 @@ type chWorkspace struct {
 	gen              uint32
 	heapF, heapB     heap4
 
-	// Bucket store for ManyToMany: per-vertex singly linked lists of
-	// (target index, distance) entries, stamped by bGen.
-	bucketHead  []int32
-	bucketStamp []uint32
-	bGen        uint32
-	entries     []chBucketEntry
-
 	// arcStack is reconstruction scratch.
 	arcStack []int32
 
 	// Cancellation state; the amortized-poll contract shared with
 	// Workspace (see ctxPoller in workspace.go).
 	ctxPoller
-}
-
-type chBucketEntry struct {
-	next int32
-	tgt  int32
-	dist float64
 }
 
 var chwsPool = sync.Pool{New: func() any { return &chWorkspace{} }}
@@ -460,10 +449,7 @@ func (ws *chWorkspace) ensure(n int) {
 		ws.parentB = make([]int32, n)
 		ws.reachF = make([]uint32, n)
 		ws.reachB = make([]uint32, n)
-		ws.bucketHead = make([]int32, n)
-		ws.bucketStamp = make([]uint32, n)
 		ws.gen = 0
-		ws.bGen = 0
 	}
 	ws.heapF.ensure(n)
 	ws.heapB.ensure(n)
@@ -480,26 +466,6 @@ func (ws *chWorkspace) begin() {
 	ws.heapB.reset()
 }
 
-func (ws *chWorkspace) resetBuckets() {
-	ws.bGen++
-	if ws.bGen == 0 {
-		clearU32(ws.bucketStamp)
-		ws.bGen = 1
-	}
-	ws.entries = ws.entries[:0]
-}
-
-func (ws *chWorkspace) addBucket(v int32, tgt int32, dist float64) {
-	next := int32(-1)
-	if ws.bucketStamp[v] == ws.bGen {
-		next = ws.bucketHead[v]
-	} else {
-		ws.bucketStamp[v] = ws.bGen
-	}
-	ws.entries = append(ws.entries, chBucketEntry{next: next, tgt: tgt, dist: dist})
-	ws.bucketHead[v] = int32(len(ws.entries) - 1)
-}
-
 // --- Queries ---
 
 // Query returns a minimum-cost path from src to dst, unpacking shortcuts
@@ -511,7 +477,8 @@ func (ch *ContractionHierarchy) Query(src, dst roadnet.VertexID) (Path, error) {
 
 // QueryCtx is Query honoring ctx: cancellation aborts the bidirectional
 // search and returns ctx's error. The poll is amortized over heap pops, so
-// a never-canceled context leaves results and cost unchanged.
+// a never-canceled context leaves results and cost unchanged. Kept because
+// benchmark/ times it (through Prep.Engine).
 func (ch *ContractionHierarchy) QueryCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error) {
 	if src == dst {
 		return Path{Vertices: []roadnet.VertexID{src}}, nil
@@ -630,101 +597,4 @@ func (ch *ContractionHierarchy) unpack(ai int32, edges *[]roadnet.EdgeID) {
 func (ch *ContractionHierarchy) lookupArc(from, to int32) int32 {
 	i, _ := slices.BinarySearch(ch.idxKeys, arcKey(from, to))
 	return ch.idxVals[i]
-}
-
-// ManyToMany fills out[i][j] with the exact minimum cost from sources[i] to
-// targets[j] for every pair whose cost is at most bound; pairs farther than
-// bound (and unreachable pairs) are +Inf. out must have len(sources) rows
-// of len(targets) columns.
-//
-// It runs the bucket algorithm (Knopp et al. 2007): one reverse upward
-// search per target deposits (target, distance) entries at every vertex it
-// settles, then one forward upward search per source scans the buckets of
-// the vertices it settles. The cost is |S|+|T| truncated CH searches
-// instead of |S| full Dijkstras, which is what makes HMM map-matching
-// transitions cheap. Pass bound = +Inf for unbounded queries.
-func (ch *ContractionHierarchy) ManyToMany(sources, targets []roadnet.VertexID, bound float64, out [][]float64) {
-	inf := math.Inf(1)
-	for i := range out {
-		row := out[i]
-		for j := range row {
-			row[j] = inf
-		}
-	}
-	if len(sources) == 0 || len(targets) == 0 {
-		return
-	}
-	ws := getCHWorkspace(ch.g.NumVertices())
-	defer ws.release()
-	ws.resetBuckets()
-
-	// Backward phase: reverse upward search from each target. Every settled
-	// vertex v with final distance db gets a bucket entry (j, db).
-	for j, t := range targets {
-		ws.begin()
-		gen := ws.gen
-		ws.distB[t] = 0
-		ws.reachB[t] = gen
-		ws.heapB.push(t, 0)
-		for !ws.heapB.empty() {
-			v, d := ws.heapB.pop()
-			ws.addBucket(int32(v), int32(j), d)
-			for s, e := ch.downStart[v], ch.downStart[v+1]; s < e; s++ {
-				ai := ch.downArcs[s]
-				from := ch.arcFrom[ai]
-				nd := d + ch.arcWeight[ai]
-				if nd > bound {
-					continue
-				}
-				if ws.reachB[from] != gen || nd < ws.distB[from] {
-					ws.distB[from] = nd
-					ws.reachB[from] = gen
-					ws.heapB.update(roadnet.VertexID(from), nd)
-				}
-			}
-		}
-	}
-
-	// Forward phase: upward search from each source; bucket scans join the
-	// two half-paths.
-	for i, s := range sources {
-		row := out[i]
-		ws.begin()
-		gen := ws.gen
-		ws.distF[s] = 0
-		ws.reachF[s] = gen
-		ws.heapF.push(s, 0)
-		for !ws.heapF.empty() {
-			v, d := ws.heapF.pop()
-			if ws.bucketStamp[v] == ws.bGen {
-				for bi := ws.bucketHead[v]; bi >= 0; bi = ws.entries[bi].next {
-					ent := ws.entries[bi]
-					if cand := d + ent.dist; cand < row[ent.tgt] {
-						row[ent.tgt] = cand
-					}
-				}
-			}
-			for st, e := ch.upStart[v], ch.upStart[v+1]; st < e; st++ {
-				ai := ch.upArcs[st]
-				to := ch.arcTo[ai]
-				nd := d + ch.arcWeight[ai]
-				if nd > bound {
-					continue
-				}
-				if ws.reachF[to] != gen || nd < ws.distF[to] {
-					ws.distF[to] = nd
-					ws.reachF[to] = gen
-					ws.heapF.update(roadnet.VertexID(to), nd)
-				}
-			}
-		}
-		// A pair joined through pruned half-searches can only be proven
-		// within bound when its total is; anything above the bound reports
-		// +Inf, matching a bounded Dijkstra's contract.
-		for j := range row {
-			if row[j] > bound {
-				row[j] = inf
-			}
-		}
-	}
 }

@@ -23,7 +23,8 @@ type CHData struct {
 	IdxVals []int32
 }
 
-// RawData returns the hierarchy's flat arrays without copying.
+// RawData returns the hierarchy's flat arrays without copying. Kept
+// because benchmark/'s artifact persists a hierarchy.
 func (ch *ContractionHierarchy) RawData() CHData {
 	return CHData{
 		Order:     ch.order,
@@ -46,7 +47,7 @@ func (ch *ContractionHierarchy) RawData() CHData {
 // of arc count, which is what makes a memory-mapped artifact cold-start
 // in O(open). The arrays must satisfy RawData's layout for g; the
 // artifact's heap loader validates them first, the mapped open trusts
-// its own writer.
+// its own writer. Kept because benchmark/'s artifact reloads a hierarchy.
 func AssembleCH(g *roadnet.Graph, d CHData) *ContractionHierarchy {
 	return &ContractionHierarchy{
 		g:         g,

@@ -46,10 +46,7 @@ func TestCtxVariantsBitIdentical(t *testing.T) {
 	defer cancel()
 	sim := func(a, b Path) float64 { return jaccard(a, b) }
 	rng := rand.New(rand.NewSource(5))
-	engines := []Engine{
-		NewDijkstraEngine(g, ByLength),
-		NewEngine(EngineCH, g, ByLength),
-	}
+	engine := BuildPrep(g, PrepConfig{}).Engine(g)
 	table := WeightTable(g, ByLength)
 	for i := 0; i < 30; i++ {
 		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
@@ -67,11 +64,13 @@ func TestCtxVariantsBitIdentical(t *testing.T) {
 		got, errGot = topKCtx(ctx, g, table, nil, src, dst, 5)
 		requireSamePaths(t, "TopK with ctx on a weight table", want, got, errWant, errGot)
 
-		for _, e := range engines {
-			pw, ew := e.ShortestCtx(context.Background(), src, dst)
-			pg, eg := e.ShortestCtx(ctx, src, dst)
-			requireSamePaths(t, "ShortestCtx/"+e.Kind().String(), []Path{pw}, []Path{pg}, ew, eg)
-		}
+		pw, ew := DijkstraCtx(context.Background(), g, src, dst, ByLength)
+		pg, eg := DijkstraCtx(ctx, g, src, dst, ByLength)
+		requireSamePaths(t, "DijkstraCtx", []Path{pw}, []Path{pg}, ew, eg)
+
+		pw, ew = engine.ShortestCtx(context.Background(), src, dst)
+		pg, eg = engine.ShortestCtx(ctx, src, dst)
+		requireSamePaths(t, "CH ShortestCtx", []Path{pw}, []Path{pg}, ew, eg)
 	}
 }
 
@@ -142,11 +141,8 @@ func TestCtxPreCanceled(t *testing.T) {
 	if _, err := topKCtx(ctx, g, WeightTable(g, ByLength), nil, src, dst, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("TopK with ctx on a weight table: err = %v, want Canceled", err)
 	}
-	for _, kind := range []EngineKind{EngineDijkstra, EngineCH} {
-		e := NewEngine(kind, g, ByLength)
-		if _, err := e.ShortestCtx(ctx, src, dst); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s ShortestCtx: err = %v, want Canceled", kind, err)
-		}
+	if _, err := BuildPrep(g, PrepConfig{}).Engine(g).ShortestCtx(ctx, src, dst); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CH ShortestCtx: err = %v, want Canceled", err)
 	}
 }
 

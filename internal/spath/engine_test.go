@@ -2,7 +2,6 @@ package spath
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -29,113 +28,38 @@ func randomTestGraph(t testing.TB, seed int64) *roadnet.Graph {
 	return g
 }
 
-func testEngines(t testing.TB, g *roadnet.Graph, w Weight) []Engine {
-	t.Helper()
-	return []Engine{
-		NewDijkstraEngine(g, w),
-		NewEngine(EngineCH, g, w),
-	}
-}
-
 // TestEngineDistancesMatchDijkstra is the core equivalence property: on
-// random graphs, every engine returns exactly the distances plain Dijkstra
-// returns — including agreeing on unreachable pairs — and structurally
-// valid paths with bit-identical costs.
+// random graphs, the CH engine returns exactly the distances plain
+// Dijkstra returns — including agreeing on unreachable pairs — and
+// structurally valid paths with bit-identical costs.
 func TestEngineDistancesMatchDijkstra(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g := randomTestGraph(t, seed)
-		engines := testEngines(t, g, ByLength)
+		e := BuildPrep(g, PrepConfig{}).Engine(g)
 		rng := rand.New(rand.NewSource(seed * 97))
 		for trial := 0; trial < 30; trial++ {
 			src := randVertex(rng, g.NumVertices())
 			dst := randVertex(rng, g.NumVertices())
 			want, wantErr := Dijkstra(g, src, dst, ByLength)
-			for _, e := range engines {
-				got, gotErr := e.ShortestCtx(context.Background(), src, dst)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("seed %d %s %d->%d: dijkstra err=%v, engine err=%v",
-						seed, e.Kind(), src, dst, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					continue
-				}
-				// Exact-distance engines must agree bit for bit: every
-				// backend re-sums its unpacked path left to right, the same
-				// association Dijkstra's relaxation uses.
-				if got.Cost != want.Cost {
-					t.Fatalf("seed %d %s %d->%d: cost %v != dijkstra %v",
-						seed, e.Kind(), src, dst, got.Cost, want.Cost)
-				}
-				if err := got.Validate(g); err != nil {
-					t.Fatalf("seed %d %s %d->%d: invalid path: %v", seed, e.Kind(), src, dst, err)
-				}
-				if got.Source() != src || got.Destination() != dst {
-					t.Fatalf("seed %d %s: endpoints %d->%d, want %d->%d",
-						seed, e.Kind(), got.Source(), got.Destination(), src, dst)
-				}
+			got, gotErr := e.ShortestCtx(context.Background(), src, dst)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("seed %d %d->%d: dijkstra err=%v, engine err=%v", seed, src, dst, wantErr, gotErr)
 			}
-		}
-	}
-}
-
-// TestEngineManyToManyMatchesDijkstraAll checks the many-to-many matrix of
-// every engine against the DijkstraAll oracle, over several bounds
-// including +Inf: within the bound the distances are exact, beyond it +Inf.
-//
-// "Exact" here means up to floating-point association: CH joins a pair's
-// distance as upward-half + downward-half over precomputed shortcut sums,
-// which can differ from Dijkstra's strictly sequential accumulation in the
-// last ulp. Point-to-point queries re-sum the unpacked path and are
-// bit-identical (TestEngineDistancesMatchDijkstra); the matrix is compared
-// with a relative tolerance of a few ulps. Pairs whose oracle distance sits
-// within that tolerance of the bound are skipped — an ulp decides which
-// side of the cutoff they land on.
-func TestEngineManyToManyMatchesDijkstraAll(t *testing.T) {
-	const relTol = 1e-12
-	for seed := int64(1); seed <= 4; seed++ {
-		g := randomTestGraph(t, seed+10)
-		engines := testEngines(t, g, ByLength)
-		rng := rand.New(rand.NewSource(seed * 131))
-		nsrc, ntgt := 3+rng.Intn(3), 3+rng.Intn(3)
-		sources := make([]roadnet.VertexID, nsrc)
-		targets := make([]roadnet.VertexID, ntgt)
-		for i := range sources {
-			sources[i] = randVertex(rng, g.NumVertices())
-		}
-		for j := range targets {
-			targets[j] = randVertex(rng, g.NumVertices())
-		}
-		oracle := make([][]float64, nsrc)
-		for i, s := range sources {
-			oracle[i] = DijkstraAll(g, s, ByLength)
-		}
-		for _, bound := range []float64{500, 2000, math.Inf(1)} {
-			for _, e := range engines {
-				out := make([][]float64, nsrc)
-				for i := range out {
-					out[i] = make([]float64, ntgt)
-				}
-				e.ManyToMany(sources, targets, bound, out)
-				for i := range sources {
-					for j, tv := range targets {
-						want := oracle[i][tv]
-						if !math.IsInf(bound, 1) && math.Abs(want-bound) <= relTol*bound {
-							continue // an ulp decides the cutoff side
-						}
-						if want > bound {
-							want = math.Inf(1)
-						}
-						got := out[i][j]
-						if math.IsInf(got, 1) != math.IsInf(want, 1) {
-							t.Fatalf("seed %d %s bound %v: d(%d,%d) = %v, oracle %v",
-								seed, e.Kind(), bound, sources[i], tv, got, want)
-						}
-						if !math.IsInf(want, 1) && math.Abs(got-want) > relTol*want {
-							t.Fatalf("seed %d %s bound %v: d(%d,%d) = %v, oracle %v (beyond ulp tolerance)",
-								seed, e.Kind(), bound, sources[i], tv, got, want)
-						}
-					}
-				}
+			if wantErr != nil {
+				continue
+			}
+			// The engine re-sums its unpacked path left to right, the same
+			// association Dijkstra's relaxation uses, so costs agree bit
+			// for bit.
+			if got.Cost != want.Cost {
+				t.Fatalf("seed %d %d->%d: cost %v != dijkstra %v", seed, src, dst, got.Cost, want.Cost)
+			}
+			if err := got.Validate(g); err != nil {
+				t.Fatalf("seed %d %d->%d: invalid path: %v", seed, src, dst, err)
+			}
+			if got.Source() != src || got.Destination() != dst {
+				t.Fatalf("seed %d: endpoints %d->%d, want %d->%d",
+					seed, got.Source(), got.Destination(), src, dst)
 			}
 		}
 	}
@@ -208,20 +132,9 @@ func comparePathSets(t *testing.T, label string, got, want []Path) {
 // no edges at all.
 func TestEngineDisconnected(t *testing.T) {
 	g := disconnectedPair(t)
-	for _, e := range testEngines(t, g, ByLength) {
-		if _, err := e.ShortestCtx(context.Background(), 0, 1); err != ErrNoPath {
-			t.Fatalf("%s: err = %v, want ErrNoPath", e.Kind(), err)
-		}
-		out := [][]float64{{0}}
-		e.ManyToMany([]roadnet.VertexID{0}, []roadnet.VertexID{1}, math.Inf(1), out)
-		if !math.IsInf(out[0][0], 1) {
-			t.Fatalf("%s: many-to-many over a gap = %v, want +Inf", e.Kind(), out[0][0])
-		}
-		out = [][]float64{{1}}
-		e.ManyToMany([]roadnet.VertexID{0}, []roadnet.VertexID{0}, math.Inf(1), out)
-		if out[0][0] != 0 {
-			t.Fatalf("%s: self distance = %v, want 0", e.Kind(), out[0][0])
-		}
+	e := BuildPrep(g, PrepConfig{}).Engine(g)
+	if _, err := e.ShortestCtx(context.Background(), 0, 1); err != ErrNoPath {
+		t.Fatalf("err = %v, want ErrNoPath", err)
 	}
 }
 
@@ -276,10 +189,10 @@ func TestCHIndexIsMinWeightSorted(t *testing.T) {
 }
 
 // TestPrepEngineSelection checks the engine materialization rules: a prep
-// with a hierarchy wires a CH engine, a nil or empty one wires none.
+// with a hierarchy wires an engine, a nil or empty one wires none.
 func TestPrepEngineSelection(t *testing.T) {
 	g := gridGraph(t, 5, 5)
-	if e := BuildPrep(g, PrepConfig{}).Engine(g); e == nil || e.Kind() != EngineCH {
+	if e := BuildPrep(g, PrepConfig{}).Engine(g); e == nil {
 		t.Fatalf("prep engine = %v", e)
 	}
 	if e := (&Prep{}).Engine(g); e != nil {

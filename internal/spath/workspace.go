@@ -429,8 +429,8 @@ func (ws *Workspace) DijkstraAll(g *roadnet.Graph, src roadnet.VertexID, w Weigh
 // the cost to targets[j] when that cost is at most bound and +Inf
 // otherwise. The search stops as soon as every target is settled or the
 // frontier passes bound, so its cost is proportional to the bounded ball
-// around src rather than the graph. It is the one-to-many primitive of the
-// Dijkstra engine (CH has its own bucket-based ManyToMany).
+// around src rather than the graph. Map matching's transitions and the
+// sharded tier's boundary tables are built from it.
 func (ws *Workspace) BoundedDistances(g *roadnet.Graph, src roadnet.VertexID, targets []roadnet.VertexID, bound float64, w Weight, out []float64) {
 	ws.bounded(g, src, false, targets, bound, w, out)
 }

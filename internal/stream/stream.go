@@ -311,12 +311,9 @@ func New(art *pathrank.Artifact, cfg Config) (*Service, error) {
 	if cfg.Match.StrideSec <= 0 {
 		cfg.Match.StrideSec = def.StrideSec
 	}
-	// The matcher routes on the artifact's persisted contraction hierarchy
-	// (zero preprocessing at service start); without one, the matcher
-	// builds the hierarchy once and every matching worker amortizes it.
 	s := &Service{
 		cfg:         cfg,
-		matcher:     traj.NewMatcherEngine(art.Graph, cfg.Match, art.Prep.Engine(art.Graph)),
+		matcher:     traj.NewMatcher(art.Graph, cfg.Match),
 		queue:       make(chan ingestItem, cfg.QueueSize),
 		art:         art,
 		recoverKick: make(chan struct{}, 1),
@@ -977,11 +974,7 @@ func retrainStep(base *pathrank.Artifact, obs []observation, prev merkle.Hash, t
 		Embeddings: base.Embeddings,
 		Model:      model,
 		Candidates: base.Candidates,
-		// The road network is unchanged across a fine-tune, so the parent's
-		// contraction hierarchy stays exactly valid: every generation
-		// inherits it instead of re-preprocessing.
-		Prep:    base.Prep,
-		Lineage: lin,
+		Lineage:    lin,
 	}
 	return &retrainOutcome{
 		art:   art,

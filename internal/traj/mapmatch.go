@@ -111,35 +111,22 @@ func abs(x int) int {
 // distance, transitions penalize the gap between routed distance and
 // great-circle displacement.
 //
-// Routed transition distances and path stitching run on a spath.Engine.
-// NewMatcher builds a contraction hierarchy at construction — one
-// preprocessing pass that every subsequent Match amortizes via the CH
-// bucket many-to-many — while NewMatcherEngine accepts a prebuilt engine
-// (e.g. the one persisted in a serving artifact, or plain Dijkstra when
-// preprocessing is unwanted).
+// Routed transition distances and path stitching run on plain Dijkstra:
+// one bounded multi-target search per previous candidate, on one pooled
+// workspace per Match, and one point-to-point search per stitched segment.
 //
-// A Matcher is immutable after construction (the spatial index and engine
-// are built once and only read afterwards), so concurrent Match calls are
-// safe — the streaming pipeline in internal/stream runs several matching
-// workers over one Matcher.
+// A Matcher is immutable after construction (the spatial index is built
+// once and only read afterwards), so concurrent Match calls are safe — the
+// streaming pipeline in internal/stream runs several matching workers over
+// one Matcher.
 type Matcher struct {
-	g      *roadnet.Graph
-	idx    *gridIndex
-	cfg    MatchConfig
-	engine spath.Engine
+	g   *roadnet.Graph
+	idx *gridIndex
+	cfg MatchConfig
 }
 
-// NewMatcher builds a matcher over g, preprocessing g into a contraction
-// hierarchy for fast transition queries.
+// NewMatcher builds a matcher over g.
 func NewMatcher(g *roadnet.Graph, cfg MatchConfig) *Matcher {
-	return NewMatcherEngine(g, cfg, nil)
-}
-
-// NewMatcherEngine builds a matcher that routes on the given engine. The
-// engine must be built over g with the ByLength weight (the HMM transition
-// model is metric); a nil or mismatched engine falls back to building a
-// contraction hierarchy over g.
-func NewMatcherEngine(g *roadnet.Graph, cfg MatchConfig, engine spath.Engine) *Matcher {
 	if cfg.Candidates <= 0 {
 		cfg.Candidates = 4
 	}
@@ -149,14 +136,8 @@ func NewMatcherEngine(g *roadnet.Graph, cfg MatchConfig, engine spath.Engine) *M
 	if cfg.BetaM <= 0 {
 		cfg.BetaM = 60
 	}
-	if engine == nil || engine.Graph() != g {
-		engine = spath.NewEngine(spath.EngineCH, g, spath.ByLength)
-	}
-	return &Matcher{g: g, idx: newGridIndex(g, 4*cfg.SigmaM+200), cfg: cfg, engine: engine}
+	return &Matcher{g: g, idx: newGridIndex(g, 4*cfg.SigmaM+200), cfg: cfg}
 }
-
-// Engine returns the shortest-path engine the matcher routes on.
-func (m *Matcher) Engine() spath.Engine { return m.engine }
 
 // Match decodes the most likely vertex sequence for the GPS stream and
 // stitches it into a connected path with shortest-path segments. The
@@ -167,9 +148,9 @@ func (m *Matcher) Match(records []GPSRecord) (spath.Path, error) {
 }
 
 // MatchCtx is Match honoring ctx: cancellation aborts the decode between
-// Viterbi steps and mid-stitch (the stitch segments run on the engine's
-// context-aware queries) and returns ctx's error. A Background context
-// decodes identically to Match.
+// Viterbi steps and mid-stitch (the stitch segments run on context-aware
+// searches) and returns ctx's error. A Background context decodes
+// identically to Match.
 func (m *Matcher) MatchCtx(ctx context.Context, records []GPSRecord) (spath.Path, error) {
 	if len(records) == 0 {
 		return spath.Path{}, fmt.Errorf("traj: empty GPS stream")
@@ -199,26 +180,16 @@ func (m *Matcher) MatchCtx(ctx context.Context, records []GPSRecord) (spath.Path
 	backs := make([][]back, len(samples))
 
 	// Routed transition distances between consecutive candidate sets come
-	// from one engine many-to-many query per step (on the CH engine: a
-	// bucket join of |prev|+|cur| truncated upward searches) instead of one
-	// bounded map-based Dijkstra per previous candidate. The bound is now
-	// strict — pairs beyond gcDist*4+500 are +Inf, where the old per-source
-	// Dijkstra could leak one just-over-bound distance as finite before
-	// stopping; a candidate pair only connectable beyond the bound was
-	// effectively unmatchable either way, and the uniform contract is what
-	// every engine backend can honor. The matrix backing store is allocated
-	// once per Match and re-sliced per step.
-	maxC := 0
-	for _, cs := range cands {
-		if len(cs) > maxC {
-			maxC = len(cs)
-		}
-	}
-	routedBuf := make([]float64, maxC*maxC)
-	routed := make([][]float64, maxC)
+	// from one bounded multi-target Dijkstra per previous candidate. The
+	// bound is strict: pairs beyond gcDist*4+500 are +Inf, so a candidate
+	// pair only connectable beyond it is unmatchable. Rows from a
+	// previous candidate whose score is already -Inf are never searched.
+	ws := spath.GetWorkspace(m.g)
+	defer ws.Release()
+	routed := make([]float64, m.cfg.Candidates)
 	for t := 1; t < len(samples); t++ {
-		// One cancellation check per Viterbi step: each step is one
-		// bounded many-to-many query, the natural abort granularity.
+		// One cancellation check per Viterbi step: each step is one set
+		// of bounded searches, the natural abort granularity.
 		if err := ctx.Err(); err != nil {
 			return spath.Path{}, err
 		}
@@ -230,17 +201,14 @@ func (m *Matcher) MatchCtx(ctx context.Context, records []GPSRecord) (spath.Path
 			next[j] = math.Inf(-1)
 		}
 		gcDist := geo.Distance(samples[t-1].Point, samples[t].Point)
-		rows := routed[:len(prevCands)]
-		for i := range rows {
-			rows[i] = routedBuf[i*maxC : i*maxC+len(curCands)]
-		}
-		m.engine.ManyToMany(prevCands, curCands, gcDist*4+500, rows)
-		for i := range prevCands {
+		row := routed[:len(curCands)]
+		for i, pv := range prevCands {
 			if math.IsInf(score[i], -1) {
 				continue
 			}
+			ws.BoundedDistances(m.g, pv, curCands, gcDist*4+500, spath.ByLength, row)
 			for j, cv := range curCands {
-				rd := rows[i][j]
+				rd := row[j]
 				var trans float64
 				if math.IsInf(rd, 1) {
 					trans = math.Inf(-1)
@@ -311,7 +279,7 @@ func (m *Matcher) stitch(ctx context.Context, seq []roadnet.VertexID) (spath.Pat
 	}
 	var edges []roadnet.EdgeID
 	for i := 1; i < len(uniq); i++ {
-		seg, err := m.engine.ShortestCtx(ctx, uniq[i-1], uniq[i])
+		seg, err := spath.DijkstraCtx(ctx, m.g, uniq[i-1], uniq[i], spath.ByLength)
 		if err != nil {
 			if ctx.Err() != nil {
 				return spath.Path{}, ctx.Err()

@@ -91,28 +91,6 @@ var (
 	ByTime = spath.ByTime
 )
 
-// Prepared shortest-path engines (contraction hierarchies).
-type (
-	// Engine is an exact shortest-path backend over one (graph, weight)
-	// pair; see NewRoutingEngine.
-	Engine = spath.Engine
-	// EngineKind selects an Engine backend.
-	EngineKind = spath.EngineKind
-)
-
-// Engine backends: plain Dijkstra and contraction hierarchies. Both exact;
-// they trade preprocessing for query speed.
-const (
-	EngineDijkstra = spath.EngineDijkstra
-	EngineCH       = spath.EngineCH
-)
-
-// NewRoutingEngine preprocesses g under w into an engine of the given
-// kind. Engines are immutable and safe for concurrent queries.
-func NewRoutingEngine(kind EngineKind, g *Graph, w Weight) Engine {
-	return spath.NewEngine(kind, g, w)
-}
-
 // ShortestPath returns a minimum-cost path (Dijkstra).
 func ShortestPath(g *Graph, src, dst VertexID, w Weight) (Path, error) {
 	return spath.Dijkstra(g, src, dst, w)
