@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -176,14 +175,16 @@ func (m *ShardMap) validate() error {
 }
 
 // distanceTable fills the |B|×|B| row-major table of exact costs under w:
-// row i is one unbounded Dijkstra from B[i] to every boundary vertex.
+// row i is one Dijkstra from B[i] to every boundary vertex, over w's
+// weight table, through the entry point a shard's boundary query uses.
 func distanceTable(g *roadnet.Graph, w spath.Weight, B []roadnet.VertexID) []float64 {
 	nb := len(B)
 	flat := make([]float64, nb*nb)
+	wts := spath.WeightTable(g, w)
 	ws := spath.GetWorkspace(g)
 	defer ws.Release()
 	for i, b := range B {
-		ws.BoundedDistances(g, b, B, math.Inf(1), w, flat[i*nb:(i+1)*nb])
+		ws.BoundaryDistances(g, b, false, B, wts, flat[i*nb:(i+1)*nb])
 	}
 	return flat
 }

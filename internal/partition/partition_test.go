@@ -242,11 +242,12 @@ func TestBoundaryDistancesDecompose(t *testing.T) {
 			bj := res.Boundary[res.Owner[dst]]
 			dsrc := make([]float64, len(bi))
 			ddst := make([]float64, len(bj))
+			// The two halves a shard's boundary query computes.
 			wss := spath.GetWorkspace(sSub)
-			wss.BoundedDistances(sSub, roadnet.VertexID(src), bi, math.Inf(1), spath.ByLength, dsrc)
+			wss.BoundaryDistances(sSub, roadnet.VertexID(src), false, bi, spath.WeightTable(sSub, spath.ByLength), dsrc)
 			wss.Release()
 			wst := spath.GetWorkspace(tSub)
-			wst.BoundedDistancesRev(tSub, roadnet.VertexID(dst), bj, math.Inf(1), spath.ByLength, ddst)
+			wst.BoundaryDistances(tSub, roadnet.VertexID(dst), true, bj, spath.WeightTable(tSub, spath.ByLength), ddst)
 			wst.Release()
 
 			got := math.Inf(1)

@@ -38,9 +38,11 @@ type weightTable struct {
 	wts  []float64
 }
 
-// weights returns the table of metric w (WeightAuto is length), building
-// it on first use.
-func (r *Ranker) weights(w WeightKind) []float64 {
+// Weights returns the edge-weight table of metric w (WeightAuto is
+// length), indexed by edge ID, building it on first use. Candidate
+// generation and a shard worker's sub-query sweeps read it; callers must
+// not write to it.
+func (r *Ranker) Weights(w WeightKind) []float64 {
 	t := &r.tables[0]
 	if w == WeightTime {
 		t = &r.tables[1]

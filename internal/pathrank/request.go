@@ -356,7 +356,7 @@ func (r *Ranker) CandidatesFor(ctx context.Context, req RankRequest) ([]spath.Pa
 	}
 	stats.Regime = rg
 	cfg := dataset.Config{Strategy: rg.Strategy, K: rg.K, Threshold: rg.Threshold, MaxProbe: rg.MaxProbe}
-	cands, _, err := cfg.Candidates(ctx, r.Graph, r.weights(rg.Weight), nil, nil, req.Src, req.Dst)
+	cands, _, err := cfg.Candidates(ctx, r.Graph, r.Weights(rg.Weight), nil, nil, req.Src, req.Dst)
 	if err != nil {
 		return nil, stats, fmt.Errorf("pathrank: candidate generation %d->%d: %w", req.Src, req.Dst, err)
 	}

@@ -211,8 +211,8 @@ func TestRankerWeightTables(t *testing.T) {
 	wg.Wait()
 
 	for i, wk := range []WeightKind{WeightLength, WeightTime} {
-		table := r.weights(wk)
-		if len(table) != w.g.NumEdges() || &table[0] != &r.tables[i].wts[0] || &r.weights(wk)[0] != &table[0] {
+		table := r.Weights(wk)
+		if len(table) != w.g.NumEdges() || &table[0] != &r.tables[i].wts[0] || &r.Weights(wk)[0] != &table[0] {
 			t.Fatalf("%s: the table is not the one built on the first query", wk)
 		}
 		for e, x := range spath.WeightTable(w.g, wk.Weight()) {
@@ -221,7 +221,7 @@ func TestRankerWeightTables(t *testing.T) {
 			}
 		}
 	}
-	if &r.weights(WeightAuto)[0] != &r.weights(WeightLength)[0] {
+	if &r.Weights(WeightAuto)[0] != &r.Weights(WeightLength)[0] {
 		t.Fatal("the default metric does not share the length table")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -88,18 +87,47 @@ func (rt *Router) shardBoundary(ctx context.Context, shard int, v int64, rev boo
 }
 
 // fusedGraph is the corridor subgraph re-assembled under dense local IDs,
-// with the translations back to global vertex and edge IDs. Local IDs
-// follow global ones, so globalV ascends and inverts by binary search.
+// with the translations back to global vertex and edge IDs (local IDs
+// follow global ones) and the query's endpoints under local IDs.
 type fusedGraph struct {
-	g       *roadnet.Graph
-	globalV []roadnet.VertexID
-	globalE []roadnet.EdgeID
+	g        *roadnet.Graph
+	globalV  []roadnet.VertexID
+	globalE  []roadnet.EdgeID
+	src, dst roadnet.VertexID
 }
 
-// local returns the fused graph's ID for global vertex v.
-func (fg *fusedGraph) local(v roadnet.VertexID) (roadnet.VertexID, bool) {
-	li, ok := slices.BinarySearch(fg.globalV, v)
-	return roadnet.VertexID(li), ok
+// vertexIndex translates global vertex IDs to a fused graph's local ones:
+// slot[v] holds v's local ID iff its stamp is the current generation, so a
+// fuse starts with an O(1) reset (the spath.Workspace idiom).
+type vertexIndex struct {
+	slot []indexSlot
+	gen  uint32
+}
+
+type indexSlot struct {
+	local roadnet.VertexID
+	gen   uint32
+}
+
+var indexPool = sync.Pool{New: func() any { return new(vertexIndex) }}
+
+// reset empties the index and sizes it for n global vertices.
+func (x *vertexIndex) reset(n int) {
+	if len(x.slot) < n {
+		x.slot = make([]indexSlot, n)
+		x.gen = 0
+	}
+	x.gen++
+	if x.gen == 0 { // stamp wrap: clear once every 2^32 fuses
+		clear(x.slot)
+		x.gen = 1
+	}
+}
+
+// local returns the local ID of global vertex v, if v is in the index.
+func (x *vertexIndex) local(v roadnet.VertexID) (roadnet.VertexID, bool) {
+	s := x.slot[v]
+	return s.local, s.gen == x.gen
 }
 
 // crossShard answers a query whose endpoints live on different shards.
@@ -126,42 +154,33 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 	}
 
 	// Stitch: exact full-graph source/destination distances at every
-	// separator vertex, via the precomputed boundary-to-boundary table.
+	// separator vertex, walking the boundary-to-boundary table row by row.
+	// min picks what a strict < picks because no distance here is NaN or
+	// −0 (sums of non-negative weights from a +0 seed never round to −0).
 	nb := len(rt.boundary)
 	dS := make([]float64, nb)
 	dT := make([]float64, nb)
 	for b := range dS {
 		dS[b] = math.Inf(1)
-		dT[b] = math.Inf(1)
 	}
 	for ui, pu := range rt.shardBPos[i] {
 		du := bi.dist[ui]
 		if math.IsInf(du, 1) {
 			continue
 		}
-		row := D[int(pu)*nb : (int(pu)+1)*nb]
-		for b := 0; b < nb; b++ {
-			if v := du + row[b]; v < dS[b] {
-				dS[b] = v
-			}
-		}
-	}
-	for wi, pw := range rt.shardBPos[j] {
-		dw := bj.dist[wi]
-		if math.IsInf(dw, 1) {
-			continue
-		}
-		for b := 0; b < nb; b++ {
-			if v := D[b*nb+int(pw)] + dw; v < dT[b] {
-				dT[b] = v
-			}
+		for b, x := range D[int(pu)*nb : (int(pu)+1)*nb] {
+			dS[b] = min(dS[b], du+x)
 		}
 	}
 	dstar := math.Inf(1)
-	for b := 0; b < nb; b++ {
-		if v := dS[b] + dT[b]; v < dstar {
-			dstar = v
+	for b := range dT {
+		row := D[b*nb : (b+1)*nb]
+		t := math.Inf(1)
+		for wi, pw := range rt.shardBPos[j] {
+			t = min(t, row[pw]+bj.dist[wi]) // an unreachable leg sums to +Inf
 		}
+		dT[b] = t
+		dstar = min(dstar, dS[b]+t)
 	}
 	if math.IsInf(dstar, 1) {
 		return nil, &api.Error{
@@ -430,6 +449,9 @@ func (rt *Router) fuse(parts []int, answers []*pathrank.CorridorAnswer, dS, dT [
 		globalV: make([]roadnet.VertexID, 0, nv),
 		globalE: make([]roadnet.EdgeID, 0, ne),
 	}
+	idx := indexPool.Get().(*vertexIndex)
+	defer indexPool.Put(idx)
+	idx.reset(rt.sm.NumVertices)
 	vertices := make([]roadnet.Vertex, 0, nv)
 	edges := make([]roadnet.Edge, 0, ne)
 	var bad *api.Error
@@ -451,6 +473,7 @@ func (rt *Router) fuse(parts []int, answers []*pathrank.CorridorAnswer, dS, dT [
 		if n := len(fg.globalV); n > 0 && v.ID <= fg.globalV[n-1] {
 			return fail(run, "corridor vertex %d out of ascending order", v.ID)
 		}
+		idx.slot[v.ID] = indexSlot{local: roadnet.VertexID(len(vertices)), gen: idx.gen}
 		fg.globalV = append(fg.globalV, v.ID)
 		vertices = append(vertices, roadnet.Vertex{ID: roadnet.VertexID(len(vertices)), Point: v.Point})
 		return true
@@ -475,8 +498,8 @@ func (rt *Router) fuse(parts []int, answers []*pathrank.CorridorAnswer, dS, dT [
 		if n := len(fg.globalE); n > 0 && e.ID <= fg.globalE[n-1] {
 			return fail(run, "corridor edge %d out of ascending order or sent twice", e.ID)
 		}
-		lf, okF := fg.local(e.From)
-		lt, okT := fg.local(e.To)
+		lf, okF := idx.local(e.From)
+		lt, okT := idx.local(e.To)
 		if !okF || !okT {
 			return fail(run, "corridor edge %d references vertex outside the fused corridor", e.ID)
 		}
@@ -490,10 +513,11 @@ func (rt *Router) fuse(parts []int, answers []*pathrank.CorridorAnswer, dS, dT [
 	if bad != nil {
 		return nil, bad
 	}
-	if _, ok := fg.local(roadnet.VertexID(rs.src)); !ok {
+	var ok bool
+	if fg.src, ok = idx.local(roadnet.VertexID(rs.src)); !ok {
 		return nil, shardProtocolError(int(rt.sm.Owner[rs.src]), "corridor answer omits the source vertex")
 	}
-	if _, ok := fg.local(roadnet.VertexID(rs.dst)); !ok {
+	if fg.dst, ok = idx.local(roadnet.VertexID(rs.dst)); !ok {
 		return nil, shardProtocolError(int(rt.sm.Owner[rs.dst]), "corridor answer omits the destination vertex")
 	}
 	fg.g = roadnet.NewGraphFromData(vertices, edges)
@@ -534,7 +558,5 @@ func mergeRuns(runs []int, key func(run, i int) int32, emit func(run, i int) boo
 // enumeration statistics for the certification check.
 func (rt *Router) enumerate(ctx context.Context, fg *fusedGraph, rs resolved) ([]spath.Path, spath.EnumStats, error) {
 	cfg := dataset.Config{Strategy: rs.Strategy, K: rs.K, Threshold: rs.Threshold, MaxProbe: rs.MaxProbe}
-	src, _ := fg.local(roadnet.VertexID(rs.src))
-	dst, _ := fg.local(roadnet.VertexID(rs.dst))
-	return cfg.Candidates(ctx, fg.g, nil, rs.Weight.Weight(), nil, src, dst)
+	return cfg.Candidates(ctx, fg.g, nil, rs.Weight.Weight(), nil, fg.src, fg.dst)
 }

@@ -3,11 +3,14 @@ package router
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -106,6 +109,34 @@ func buildDeployment(t testing.TB, seed int64, parts int) *deployment {
 		// the k-scaling rule is observable without changing any ranking.
 		Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 4, Threshold: 0.8, MaxProbe: 40},
 	}
+	return deploy(t, art, parts)
+}
+
+// servedDeployment stands the tier up on the served world of benchmark/:
+// the 56×56 jittered grid of roadnet.DefaultGenConfig with world seed 1,
+// an untrained DefaultConfig model, D-TkDI k=5 θ=0.8, four shards.
+func servedDeployment(t testing.TB) *deployment {
+	t.Helper()
+	cfg := roadnet.DefaultGenConfig()
+	cfg.Rows, cfg.Cols, cfg.Seed = 56, 56, 1
+	g, err := roadnet.Generate(cfg)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	model, err := pathrank.New(g.NumVertices(), pathrank.DefaultConfig())
+	if err != nil {
+		t.Fatalf("model: %v", err)
+	}
+	return deploy(t, &pathrank.Artifact{
+		Graph: g, Model: model,
+		Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 5, Threshold: 0.8},
+	}, 4)
+}
+
+// deploy partitions art into parts shards and stands the whole serving
+// tier up in-process.
+func deploy(t testing.TB, art *pathrank.Artifact, parts int) *deployment {
+	t.Helper()
 	dir := t.TempDir()
 	if _, err := partition.BuildBundle(art, dir, parts, nil); err != nil {
 		t.Fatalf("bundle: %v", err)
@@ -250,6 +281,61 @@ func TestRouterCrossShardBitIdentity(t *testing.T) {
 				t.Fatal("every checked pair came back empty; test is vacuous")
 			}
 		})
+	}
+	t.Run("served-world/parts=4", testServedWorldCrossShard)
+}
+
+// servedCrossPin is the SHA-256 over the router's response bodies of
+// testServedWorldCrossShard's plan, in plan order, each followed by
+// a newline. It was recorded while each corridor call still swept and
+// scanned the shard's whole vertex and edge tables; a change to it must
+// name the semantic change that moved it.
+const servedCrossPin = "2d3ebd4b64120f31549eff9b09028b6153a21ad7fff7ece4f767f767607c1097"
+
+// testServedWorldCrossShard is TestRouterCrossShardBitIdentity's
+// shard-crossing set at the served size: 200 seeded cross-shard pairs 4–24
+// grid hops apart, each under both metrics, on the four-way split of the
+// served world. Every answer must equal the whole-graph server's paths and
+// scores, and the router's response bytes must hash to servedCrossPin.
+func testServedWorldCrossShard(t *testing.T) {
+	d := servedDeployment(t)
+	const side = 56 // roadnet.Generate numbers the grid row-major before the ring
+	rng := rand.New(rand.NewSource(4))
+	h := sha256.New()
+	for n := 0; n < 200; {
+		hops := 4 + rng.Intn(21)
+		dr := rng.Intn(hops + 1)
+		r0, c0 := rng.Intn(side), rng.Intn(side)
+		r1, c1 := r0+dr*(1-2*rng.Intn(2)), c0+(hops-dr)*(1-2*rng.Intn(2))
+		if r1 < 0 || r1 >= side || c1 < 0 || c1 >= side {
+			continue
+		}
+		src, dst := int64(r0*side+c0), int64(r1*side+c1)
+		if d.sm.Owner[src] == d.sm.Owner[dst] {
+			continue
+		}
+		n++
+		for _, weight := range []string{"length", "time"} {
+			q := api.RankQuery{Src: src, Dst: dst, Weight: weight}
+			resp, body := postRaw(t, d.router.URL, q)
+			h.Write(body)
+			h.Write([]byte{'\n'})
+			want, wantErr, _ := postRank(t, d.reference.URL, q)
+			if resp.StatusCode != http.StatusOK || wantErr != nil {
+				t.Fatalf("%d->%d %s: router HTTP %d %s, reference error %v", src, dst, weight, resp.StatusCode, body, wantErr)
+			}
+			var got api.RankResult
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatalf("%d->%d %s: %v", src, dst, weight, err)
+			}
+			if !reflect.DeepEqual(got.Paths, want.Paths) {
+				t.Fatalf("%d->%d %s: router paths diverge from single-process paths\nrouter:    %+v\nreference: %+v",
+					src, dst, weight, got.Paths, want.Paths)
+			}
+		}
+	}
+	if sum := hex.EncodeToString(h.Sum(nil)); sum != servedCrossPin {
+		t.Fatalf("shard-crossing answers hash to %s, pinned %s", sum, servedCrossPin)
 	}
 }
 

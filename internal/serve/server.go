@@ -174,6 +174,12 @@ func (sn Snapshot) Artifact() *pathrank.Artifact {
 	return sn.snap.art
 }
 
+// Weights returns the snapshot ranker's edge-weight table of metric w,
+// the one its candidate generation reads (Ranker.Weights).
+func (sn Snapshot) Weights(w pathrank.WeightKind) []float64 {
+	return sn.snap.ranker.Weights(w)
+}
+
 // Fingerprint returns the snapshot model's hex fingerprint.
 func (sn Snapshot) Fingerprint() string {
 	return sn.snap.fpHex

@@ -131,11 +131,7 @@ func (s *Server) handleBoundary(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]float64, len(sh.Boundary))
 	ws := spath.GetWorkspace(g)
-	if q.Rev {
-		ws.BoundedDistancesRev(g, q.V, sh.Boundary, math.Inf(1), q.Weight.Weight(), out)
-	} else {
-		ws.BoundedDistances(g, q.V, sh.Boundary, math.Inf(1), q.Weight.Weight(), out)
-	}
+	ws.BoundaryDistances(g, q.V, q.Rev, sh.Boundary, sn.Weights(q.Weight), out)
 	ws.Release()
 	writeFrame(w, pathrank.EncodeBoundaryAnswer(pathrank.BoundaryAnswer{Fingerprint: fingerprint(sn), Dist: out}))
 }
@@ -184,43 +180,29 @@ func (s *Server) handleCorridor(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, apiErr)
 		return
 	}
-	writeFrame(w, corridor(g, sh, fingerprint(sn), q))
+	ws := spath.GetWorkspace(g)
+	frame := corridor(ws, g, sh, fingerprint(sn), q, sn.Weights(q.Weight))
+	ws.Release()
+	writeFrame(w, frame)
 }
 
-// corridor runs the two seeded sweeps and extracts the corridor subgraph:
-// every vertex v with fwd(v)+rev(v) <= bound (these are exact full-graph
-// source/destination distances when the seeds carry exact boundary
-// distances — see internal/partition's separator property) and every
-// induced edge with both endpoints inside, both in ascending global ID
-// order. The sweeps run on the shard's induced subgraph, so every vertex
-// they reach beyond the seeds is owned by this shard.
-func corridor(g *roadnet.Graph, sh *pathrank.ShardInfo, fp [sha256.Size]byte, q pathrank.CorridorQuery) []byte {
-	n := g.NumVertices()
-	fwd := make([]float64, n)
-	rev := make([]float64, n)
-	weight := q.Weight.Weight()
-	ws := spath.GetWorkspace(g)
-	ws.SeededDistances(g, q.Seeds, q.Bound, weight, fwd)
-	ws.SeededDistancesRev(g, q.RSeeds, q.Bound, weight, rev)
-	ws.Release()
-
-	var vertices []roadnet.Vertex
-	in := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if fwd[v]+rev[v] <= q.Bound {
-			in[v] = true
-			vertices = append(vertices, g.Vertex(roadnet.VertexID(v)))
-		}
+// corridor extracts the corridor subgraph on ws over the weight table wts
+// (Workspace.Corridor) and encodes it under global IDs. The sweeps run on
+// the shard's induced subgraph, so every vertex they reach beyond the seeds
+// is owned by this shard. Vertex IDs are global already, and local edge IDs
+// follow global edge order (partition.ExtractShard), so both lists stay
+// ascending.
+func corridor(ws *spath.Workspace, g *roadnet.Graph, sh *pathrank.ShardInfo, fp [sha256.Size]byte, q pathrank.CorridorQuery, wts []float64) []byte {
+	vs, es := ws.Corridor(g, q.Seeds, q.RSeeds, q.Bound, wts)
+	vertices := make([]roadnet.Vertex, len(vs))
+	for i, v := range vs {
+		vertices[i] = g.Vertex(v)
 	}
-	// Local edge IDs follow global edge order (partition.ExtractShard), so
-	// the induced edges come out ascending under their global IDs too.
-	var edges []roadnet.Edge
-	for i := 0; i < g.NumEdges(); i++ {
-		e := g.Edge(roadnet.EdgeID(i))
-		if in[e.From] && in[e.To] {
-			e.ID = sh.EdgeGlobal[e.ID]
-			edges = append(edges, e)
-		}
+	edges := make([]roadnet.Edge, len(es))
+	for i, id := range es {
+		e := g.Edge(id)
+		e.ID = sh.EdgeGlobal[id]
+		edges[i] = e
 	}
 	return pathrank.EncodeCorridorAnswer(fp, vertices, edges)
 }

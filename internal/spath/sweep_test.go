@@ -94,19 +94,27 @@ func requireSweepMatchesReference(t testing.TB, ws *Workspace, g *roadnet.Graph,
 		ws.BoundedDistances(g, q.src, q.targets, bound, w, out)
 		requireBits(t, fmt.Sprintf("BoundedDistances from %d bound %v", q.src, bound), out,
 			func(j int) float64 { return refWithin(fwd, q.targets[j], bound) })
-		ws.BoundedDistancesRev(g, q.dst, q.targets, bound, w, out)
-		requireBits(t, fmt.Sprintf("BoundedDistancesRev to %d bound %v", q.dst, bound), out,
+		ws.bounded(g, q.dst, true, q.targets, bound, w, out)
+		requireBits(t, fmt.Sprintf("reverse bounded to %d bound %v", q.dst, bound), out,
 			func(j int) float64 { return refWithin(rev, q.targets[j], bound) })
 
 		seededF, _ := refSearch(g, w, q.seeds, false, -1, nil, nil)
-		ws.SeededDistances(g, q.seeds, bound, w, all)
+		ws.SeededDistances(g, q.seeds, false, bound, w, all)
 		requireBits(t, fmt.Sprintf("SeededDistances %v bound %v", q.seeds, bound), all,
 			func(v int) float64 { return refWithin(seededF, roadnet.VertexID(v), bound) })
 		seededR, _ := refSearch(g, w, q.seeds, true, -1, nil, nil)
-		ws.SeededDistancesRev(g, q.seeds, bound, w, all)
-		requireBits(t, fmt.Sprintf("SeededDistancesRev %v bound %v", q.seeds, bound), all,
+		ws.SeededDistances(g, q.seeds, true, bound, w, all)
+		requireBits(t, fmt.Sprintf("reverse SeededDistances %v bound %v", q.seeds, bound), all,
 			func(v int) float64 { return refWithin(seededR, roadnet.VertexID(v), bound) })
 	}
+
+	table := WeightTable(g, w)
+	ws.BoundaryDistances(g, q.src, false, q.targets, table, out)
+	requireBits(t, fmt.Sprintf("BoundaryDistances from %d", q.src), out,
+		func(j int) float64 { return refWithin(fwd, q.targets[j], inf) })
+	ws.BoundaryDistances(g, q.dst, true, q.targets, table, out)
+	requireBits(t, fmt.Sprintf("BoundaryDistances to %d", q.dst), out,
+		func(j int) float64 { return refWithin(rev, q.targets[j], inf) })
 }
 
 // requireSeedSweepsMatchReference runs unbounded single-seed sweeps,
@@ -120,12 +128,12 @@ func requireSeedSweepsMatchReference(t testing.TB, rng *rand.Rand, g *roadnet.Gr
 	for i := 0; i < count; i++ {
 		seed := []Seed{{randVertex(rng, g.NumVertices()), 0}}
 		from, _ := refSearch(g, w, seed, false, -1, nil, nil)
-		ws.SeededDistances(g, seed, math.Inf(1), w, all)
+		ws.SeededDistances(g, seed, false, math.Inf(1), w, all)
 		requireBits(t, fmt.Sprintf("SeededDistances from %d", seed[0].V), all,
 			func(v int) float64 { return refWithin(from, roadnet.VertexID(v), math.Inf(1)) })
 		to, _ := refSearch(g, w, seed, true, -1, nil, nil)
-		ws.SeededDistancesRev(g, seed, math.Inf(1), w, all)
-		requireBits(t, fmt.Sprintf("SeededDistancesRev to %d", seed[0].V), all,
+		ws.SeededDistances(g, seed, true, math.Inf(1), w, all)
+		requireBits(t, fmt.Sprintf("reverse SeededDistances to %d", seed[0].V), all,
 			func(v int) float64 { return refWithin(to, roadnet.VertexID(v), math.Inf(1)) })
 	}
 }

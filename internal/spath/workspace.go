@@ -17,9 +17,10 @@ import (
 //
 // A Workspace runs two relaxation loops. sweep is every plain search —
 // point-to-point, one-to-all, bounded one-to-many and seeded multi-source,
-// forward or reverse — and also builds a Yen enumeration's reverse
-// shortest-path tree to dst (buildTree), which then moves to its own labels
-// so the spur searches can reuse the search ones. spurSearch is Yen's spur
+// forward or reverse, and the pruned pair of sweeps of a shard's corridor
+// (Corridor) — and also builds a Yen enumeration's reverse shortest-path
+// tree to dst (buildTree), which then moves to its own labels so the spur
+// searches can reuse the search ones. spurSearch is Yen's spur
 // search: goal-directed, keyed by distance plus the tree's exact potential
 // and stopped at the first vertex whose tree path avoids the bans. It stays
 // separate because it is the hot loop of candidate generation and differs
@@ -81,6 +82,10 @@ type Workspace struct {
 
 	// Cancellation state shared with the CH query workspace.
 	ctxPoller
+
+	// Corridor's answer, reused across calls.
+	corrV []roadnet.VertexID
+	corrE []roadnet.EdgeID
 }
 
 // labels are a search's tentative distances and parent edges, one label
@@ -315,8 +320,10 @@ func (ws *Workspace) edgeBanned(e roadnet.EdgeID) bool     { return ws.banE[e] =
 // when every vertex of a non-nil targets set has been settled, when the
 // next frontier key exceeds bound, or when the bound context is canceled
 // (the caller tells that case apart by ws.ctxErr). Settled distances and
-// parent edges are left in lab under the current generation.
-func (ws *Workspace) sweep(g *roadnet.Graph, seeds []Seed, rev bool, w Weight, dst roadnet.VertexID, targets []roadnet.VertexID, bound float64) bool {
+// parent edges are left in lab under the current generation. A non-nil
+// expand is asked about every settled vertex within bound, and one it
+// refuses is settled but not relaxed from; only Corridor passes one.
+func (ws *Workspace) sweep(g *roadnet.Graph, seeds []Seed, rev bool, w Weight, dst roadnet.VertexID, targets []roadnet.VertexID, bound float64, expand func(v roadnet.VertexID, d float64) bool) bool {
 	ws.ensure(g)
 	ws.begin()
 	gen := ws.gen
@@ -336,6 +343,8 @@ func (ws *Workspace) sweep(g *roadnet.Graph, seeds []Seed, rev bool, w Weight, d
 		}
 	}
 	tgen := ws.tgtGen
+	// Target bookkeeping and expand cost plain and tree sweeps one test a pop.
+	perPop := targets != nil || expand != nil
 	var wts []float64 // nil: w per edge
 	if w == nil {
 		wts = ws.wts
@@ -361,9 +370,14 @@ func (ws *Workspace) sweep(g *roadnet.Graph, seeds []Seed, rev bool, w Weight, d
 		if v == dst {
 			return true
 		}
-		if remaining > 0 && ws.tgtStamp[v] == tgen {
-			ws.tgtStamp[v] = tgen - 1
-			remaining--
+		if perPop {
+			if remaining > 0 && ws.tgtStamp[v] == tgen {
+				ws.tgtStamp[v] = tgen - 1
+				remaining--
+			}
+			if expand != nil && !expand(v, d) {
+				continue
+			}
 		}
 		var arcs []roadnet.EdgeID
 		var ends []roadnet.VertexID
@@ -389,6 +403,11 @@ func (ws *Workspace) sweep(g *roadnet.Graph, seeds []Seed, rev bool, w Weight, d
 	return false
 }
 
+// Pops is the number of heap pops of every search the workspace has run
+// since it was made. Each pop settles a vertex, except the one per sweep
+// that ends it past its bound; benchmarks report pops per operation.
+func (ws *Workspace) Pops() int { return ws.heap.pops }
+
 // settled returns v's distance from the last sweep when it lies within
 // bound, and +Inf otherwise. It reads the tentative distance, which is
 // final for every vertex a caller asks about: a sweep without targets
@@ -406,7 +425,7 @@ func (ws *Workspace) Dijkstra(g *roadnet.Graph, src, dst roadnet.VertexID, w Wei
 	if src == dst {
 		return Path{Vertices: []roadnet.VertexID{src}}, nil
 	}
-	if ws.sweep(g, []Seed{{src, 0}}, false, w, dst, nil, math.Inf(1)) {
+	if ws.sweep(g, []Seed{{src, 0}}, false, w, dst, nil, math.Inf(1), nil) {
 		return reconstruct(g, ws.lab, src, dst, ws.lab[dst].dist), nil
 	}
 	if ws.ctxErr != nil {
@@ -420,7 +439,7 @@ func (ws *Workspace) Dijkstra(g *roadnet.Graph, src, dst roadnet.VertexID, w Wei
 // DijkstraAll).
 func (ws *Workspace) DijkstraAll(g *roadnet.Graph, src roadnet.VertexID, w Weight) []float64 {
 	out := make([]float64, g.NumVertices())
-	ws.SeededDistances(g, []Seed{{src, 0}}, math.Inf(1), w, out)
+	ws.SeededDistances(g, []Seed{{src, 0}}, false, math.Inf(1), w, out)
 	return out
 }
 
@@ -435,12 +454,13 @@ func (ws *Workspace) BoundedDistances(g *roadnet.Graph, src roadnet.VertexID, ta
 	ws.bounded(g, src, false, targets, bound, w, out)
 }
 
-// bounded is BoundedDistances (rev false) and BoundedDistancesRev.
+// bounded is BoundedDistances (rev false) and BoundaryDistances; a nil w
+// reads the workspace's weight table.
 func (ws *Workspace) bounded(g *roadnet.Graph, from roadnet.VertexID, rev bool, targets []roadnet.VertexID, bound float64, w Weight, out []float64) {
 	if len(targets) == 0 {
 		return // a nil set would mean "no target stop" to sweep
 	}
-	ws.sweep(g, []Seed{{from, 0}}, rev, w, -1, targets, bound)
+	ws.sweep(g, []Seed{{from, 0}}, rev, w, -1, targets, bound, nil)
 	for j, t := range targets {
 		out[j] = ws.settled(t, bound)
 	}
@@ -455,7 +475,7 @@ func (ws *Workspace) bounded(g *roadnet.Graph, from roadnet.VertexID, rev bool, 
 // when src is unreachable or the bound context is canceled (ws.ctxErr tells
 // them apart).
 func (ws *Workspace) buildTree(g *roadnet.Graph, src, dst roadnet.VertexID) bool {
-	reached := ws.sweep(g, []Seed{{dst, 0}}, true, nil, src, nil, math.Inf(1))
+	reached := ws.sweep(g, []Seed{{dst, 0}}, true, nil, src, nil, math.Inf(1), nil)
 	ws.labels, ws.tree = ws.tree, ws.labels
 	ws.treeR = ws.tree.lab[src].dist
 	return reached
