@@ -72,7 +72,7 @@ func main() {
 
 	artifactPath := flag.String("artifact", "model.prart", "trained artifact bundle")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	cacheSize := flag.Int("cache", 4096, "LRU result-cache entries (negative disables)")
+	cacheSize := flag.Int("cache", 4096, "result-cache entries, W-TinyLFU (negative disables)")
 	maxK := flag.Int("max-k", 32, "largest per-request candidate-set override")
 	maxBatch := flag.Int("max-batch", 64, "largest /v2/rank batch in queries")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent rank-request cap; excess sheds with 503 backlog (0 = unlimited)")

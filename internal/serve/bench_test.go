@@ -88,7 +88,7 @@ func serveRankLoad(b *testing.B, cfg Config, distinctPairs int) {
 }
 
 // BenchmarkServeRank is the serving-layer load test: parallel HTTP clients,
-// 16 distinct OD pairs, LRU cache enabled — the steady-state hot path of a
+// 16 distinct OD pairs, result cache enabled — the steady-state hot path of a
 // deployed ranking service.
 func BenchmarkServeRank(b *testing.B) {
 	serveRankLoad(b, Config{}, 16)

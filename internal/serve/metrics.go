@@ -14,6 +14,8 @@ const (
 	cacheHit    = "hit"
 	cacheMiss   = "miss"
 	cacheShared = "singleflight_shared"
+	cacheEvict  = "evicted"
+	cacheReject = "rejected"
 )
 
 // serveMetrics is the server's Prometheus-format instrumentation, one
@@ -28,14 +30,15 @@ type serveMetrics struct {
 	// rankErrors counts failed rank queries by typed api code (per item
 	// for batches).
 	rankErrors *obsv.CounterVec
-	// cacheEvents counts result-cache hits, misses, and singleflight-shared
-	// answers.
+	// cacheEvents counts result-cache hits, misses and singleflight-shared
+	// answers, and the entries the cache let go: evicted to make room, or
+	// rejected by its admission filter.
 	cacheEvents *obsv.CounterVec
 	// The rank path's children, resolved once so a request takes no family
 	// lock and builds no label key: /v2/rank's request counter, its
-	// latency and the three cache events.
-	rankRequests             obsv.Counter
-	hits, misses, sharedHits obsv.Counter
+	// latency and the five cache events.
+	rankRequests                                obsv.Counter
+	hits, misses, sharedHits, evicted, rejected obsv.Counter
 	// rankLatency is /v2/rank's end-to-end request duration. Requests
 	// rejected before a snapshot is pinned (shed, undecodable body) are
 	// not observed here — they are visible in rankErrors/shed instead.
@@ -68,7 +71,7 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 	m.rankErrors = reg.Counter("pathrank_rank_errors_total",
 		"Failed rank queries by typed error code (per item for batches).", "code")
 	m.cacheEvents = reg.Counter("pathrank_cache_events_total",
-		"Result-cache lookups by outcome: hit, miss, or singleflight_shared.", "event")
+		"Result-cache events: lookups (hit, miss, singleflight_shared) and departures (evicted, rejected).", "event")
 	m.shed = reg.Counter("pathrank_load_shed_total",
 		"Rank requests rejected immediately because MaxInFlight was exceeded.").With()
 	m.batchQueries = reg.Histogram("pathrank_batch_queries",
@@ -86,6 +89,8 @@ func newServeMetrics(reg *obsv.Registry, s *Server) *serveMetrics {
 	m.hits = m.cacheEvents.With(cacheHit)
 	m.misses = m.cacheEvents.With(cacheMiss)
 	m.sharedHits = m.cacheEvents.With(cacheShared)
+	m.evicted = m.cacheEvents.With(cacheEvict)
+	m.rejected = m.cacheEvents.With(cacheReject)
 
 	reg.GaugeFunc("pathrank_in_flight_requests",
 		"Rank requests currently executing.",

@@ -433,7 +433,7 @@ func TestSingleflightSurvivesPanic(t *testing.T) {
 }
 
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
+	c := newResultCache(2)
 	k1 := queryKey{src: 1, dst: 2}
 	k2 := queryKey{src: 3, dst: 4}
 	k3 := queryKey{src: 5, dst: 6}
@@ -459,7 +459,7 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 
 	// Disabled cache is inert.
-	var nc *lruCache
+	var nc *resultCache
 	nc.add(k1, nil)
 	if _, ok := nc.get(k1); ok {
 		t.Fatal("nil cache returned a hit")

@@ -3,10 +3,11 @@
 //
 // The server answers concurrent ranking queries with the exact rankings an
 // in-process Ranker.Rank would produce: candidate generation runs on
-// pooled spath workspaces, an LRU cache short-circuits repeated queries (a
-// hit writes stored response bytes), a singleflight group collapses
-// duplicate in-flight queries so a thundering herd costs one computation,
-// and candidates are scored by the model's fused batch kernels.
+// pooled spath workspaces, a W-TinyLFU result cache short-circuits
+// repeated queries (a hit writes stored response bytes), a singleflight
+// group collapses duplicate in-flight queries so a thundering herd costs
+// one computation, and candidates are scored by the model's fused batch
+// kernels.
 //
 // POST /v2/rank is the query surface: a single query or a batch,
 // per-request overrides of the candidate regime (k, strategy, diversity
@@ -58,8 +59,9 @@ const maxRankBody = 1 << 20
 
 // Config parameterizes a Server.
 type Config struct {
-	// CacheSize bounds the LRU result cache in entries; 0 uses the default
-	// (4096) and negative disables caching.
+	// CacheSize bounds the result cache in entries; 0 uses the default
+	// (4096) and negative disables caching. The cache admits by W-TinyLFU
+	// (see cache.go); its entry count is its only setting.
 	CacheSize int
 	// MaxK caps the per-request candidate-set override (default 32).
 	MaxK int

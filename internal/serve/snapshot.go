@@ -20,7 +20,7 @@ import (
 type snapshot struct {
 	art    *pathrank.Artifact
 	ranker *pathrank.Ranker
-	cache  *lruCache
+	cache  *resultCache
 	flight *flightGroup
 	fp     [sha256.Size]byte
 	fpHex  string
@@ -48,7 +48,8 @@ func graphDigest(g *roadnet.Graph) ([sha256.Size]byte, error) {
 // candidate configuration, AND road network are identical — in that case
 // every cached ranking is bit-identical to what the new artifact would
 // compute, so dropping the cache would only cost recomputation. Any
-// difference fully invalidates the cache (a fresh, empty LRU); in
+// difference fully invalidates the cache (a fresh, empty one, its
+// frequency sketch included; a kept cache keeps its sketch); in
 // particular a changed graph must invalidate even under identical weights,
 // because cached paths carry edge IDs and geometry of the old network.
 //
@@ -80,7 +81,7 @@ func newSnapshot(art *pathrank.Artifact, cfg Config, prev *snapshot) (*snapshot,
 		prev.art.Candidates == art.Candidates && prev.cache != nil {
 		p.cache = prev.cache
 	} else {
-		p.cache = newLRUCache(cfg.CacheSize)
+		p.cache = newResultCache(cfg.CacheSize)
 	}
 	return p, nil
 }

@@ -69,7 +69,17 @@ func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) qu
 			return nil, err
 		}
 		stats = res.Stats
-		return snap.render(cq.key, res.Paths)
+		b, err := snap.render(res.Paths)
+		if err != nil {
+			return nil, err
+		}
+		switch snap.cache.add(cq.key, b) {
+		case addEvicted:
+			s.obs.evicted.Inc()
+		case addRejected:
+			s.obs.rejected.Inc()
+		}
+		return b, nil
 	})
 	if shared {
 		s.obs.sharedHits.Inc()
@@ -83,11 +93,11 @@ func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) qu
 	return queryOutcome{paths: paths, stats: &stats}
 }
 
-// render encodes a fresh ranking's wire paths — the one encoding it ever
-// gets — and stores the bytes in the result cache. It appends the JSON of
+// render encodes a fresh ranking's wire paths, the one encoding it ever
+// gets, for the caller to store in the result cache. It appends the JSON of
 // the ranking's []api.RankedPath by hand, byte-for-byte what json.Marshal
 // writes for it (TestRenderMatchesMarshal), floats through api.AppendFloat.
-func (snap *snapshot) render(key queryKey, ranked []pathrank.Ranked) ([]byte, error) {
+func (snap *snapshot) render(ranked []pathrank.Ranked) ([]byte, error) {
 	g := snap.art.Graph
 	// A path's fixed fields take under 128 bytes and a vertex ID with its
 	// comma rarely more than 6, so the buffer seldom grows.
@@ -128,7 +138,6 @@ func (snap *snapshot) render(key queryKey, ranked []pathrank.Ranked) ([]byte, er
 		b = append(b, "]}"...)
 	}
 	b = append(b, ']')
-	snap.cache.add(key, b)
 	return b, nil
 }
 

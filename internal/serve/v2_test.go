@@ -731,7 +731,7 @@ func TestRenderMatchesMarshal(t *testing.T) {
 	check := func(ranked []pathrank.Ranked) {
 		t.Helper()
 		want, wantErr := json.Marshal(rankedPaths(g, ranked))
-		got, err := snap.render(queryKey{}, ranked)
+		got, err := snap.render(ranked)
 		if wantErr != nil {
 			if err == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("render error %v, json.Marshal error %v", err, wantErr)
