@@ -25,9 +25,11 @@
 //	GET  /metrics    Prometheus text format (observations, retrains, WAL)
 //
 // With -wal-dir every accepted trajectory is logged before it can
-// influence training, the observation window survives restarts, and any
-// logged generation can be reproduced bit-for-bit with -replay. -wal-fsync
-// trades ingest latency for crash durability (always | batch | interval).
+// influence training, the observation window survives restarts, a restart
+// re-derives and publishes any generation the log committed beyond
+// -artifact, and any logged generation can be reproduced bit-for-bit with
+// -replay. -wal-fsync trades ingest latency for crash durability
+// (always | batch | interval).
 //
 // With -replay it re-executes the retrains recorded in such a trajectory
 // write-ahead log against a base artifact, verifying that every
@@ -388,8 +390,9 @@ func replayWAL(walDir, basePath string, targetGen int, artifactOut string) error
 }
 
 // resumeTrain implements -resume: load an artifact, fine-tune its model on
-// a new trip log (warm start), bump the lineage, and write the results —
-// the offline twin of the streaming retrainer.
+// a new trip log (warm start) through the live loop's retrain step, and
+// write the child generation — the offline twin of the streaming
+// retrainer, provenance roots and all.
 func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, out, artifactOut string) error {
 	art, err := pathrank.LoadArtifactFile(artPath)
 	if err != nil {
@@ -402,50 +405,27 @@ func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, 
 	fmt.Printf("resuming gen %d artifact: %d vertices, %d params, %d new trips\n",
 		art.Lineage.Generation, art.Graph.NumVertices(), art.Model.NumParams(), len(trips))
 
-	dcfg := art.Candidates
-	if dcfg.K <= 0 {
-		dcfg = dataset.DefaultConfig()
-	}
-	queries, err := dataset.Generate(art.Graph, trips, dcfg)
-	if err != nil {
-		return err
-	}
-	parent, err := art.Model.FingerprintHex()
-	if err != nil {
-		return err
-	}
-	model, err := art.Model.Clone()
-	if err != nil {
-		return err
-	}
 	start := time.Now()
 	// Zero Epochs/LR fall back to DefaultFineTuneConfig inside FineTune.
-	tcfg := pathrank.TrainConfig{
-		Epochs: epochs, LR: lr, ClipNorm: 5, Seed: seed + int64(art.Lineage.Generation) + 1,
+	next, err := stream.Retrain(art, trips, pathrank.TrainConfig{
+		Epochs: epochs, LR: lr, ClipNorm: 5, Seed: seed,
 		Logf: func(format string, args ...any) { fmt.Printf("  "+format+"\n", args...) },
-	}
-	if _, err := model.FineTune(queries, tcfg); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-	fmt.Printf("fine-tuned on %d queries in %v\n", len(queries), time.Since(start).Round(time.Second))
-	fmt.Println("window:", model.Evaluate(queries))
+	next.Lineage.Note = "resume"
+	fmt.Printf("fine-tuned on %d trips in %v (data root %.12s, chain root %.12s)\n",
+		next.Lineage.TrainedOn, time.Since(start).Round(time.Second), next.Lineage.DataRoot, next.Lineage.ChainRoot)
 
-	if err := saveModel(out, model); err != nil {
+	if err := saveModel(out, next.Model); err != nil {
 		return err
 	}
-
 	if artifactOut != "" {
-		next := &pathrank.Artifact{
-			Graph:      art.Graph,
-			Embeddings: art.Embeddings,
-			Model:      model,
-			Candidates: art.Candidates,
-			Lineage:    art.Lineage.Child(parent, len(queries), "resume"),
-		}
 		if err := pathrank.SaveArtifactFile(artifactOut, next); err != nil {
 			return err
 		}
-		fmt.Printf("artifact -> %s (gen %d, parent %.12s)\n", artifactOut, next.Lineage.Generation, parent)
+		fmt.Printf("artifact -> %s (gen %d, parent %.12s)\n", artifactOut, next.Lineage.Generation, next.Lineage.Parent)
 	}
 	return nil
 }

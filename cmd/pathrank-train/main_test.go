@@ -15,6 +15,7 @@ import (
 
 	"pathrank/internal/api"
 	"pathrank/internal/geo"
+	"pathrank/internal/merkle"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/serve"
@@ -29,11 +30,12 @@ var liveArgs = []string{"-retrain-interval", "300ms", "-retrain-min", "4", "-ret
 // liveWorld is a small world on disk: the trip log's network and the
 // offline artifact live mode starts from.
 type liveWorld struct {
-	g       *roadnet.Graph
-	trips   []traj.Trip
-	artPath string
-	walDir  string
-	base    *pathrank.Artifact
+	g         *roadnet.Graph
+	trips     []traj.Trip
+	tripsPath string
+	artPath   string
+	walDir    string
+	base      *pathrank.Artifact
 }
 
 // newLiveWorld writes an 8×8 network and its trips to a temp dir and
@@ -46,7 +48,7 @@ func newLiveWorld(t *testing.T) *liveWorld {
 	dir := t.TempDir()
 	netPath := filepath.Join(dir, "net.gob")
 	tripsPath := filepath.Join(dir, "trips.gob")
-	w := &liveWorld{artPath: filepath.Join(dir, "model.prart"), walDir: filepath.Join(dir, "wal")}
+	w := &liveWorld{tripsPath: tripsPath, artPath: filepath.Join(dir, "model.prart"), walDir: filepath.Join(dir, "wal")}
 
 	g, err := roadnet.Generate(roadnet.GenConfig{
 		Rows: 8, Cols: 8, SpacingM: 250, JitterFrac: 0.15,
@@ -251,5 +253,60 @@ func TestLiveModeRestartsAfterRefusedGeneration(t *testing.T) {
 	stop()
 	if res := w.assertReplays(t); res.SkippedMarkers != 0 {
 		t.Fatalf("replay skipped %d markers", res.SkippedMarkers)
+	}
+}
+
+// resumeFingerprint is the model fingerprint -resume produced on
+// TestResumeContinuesProvenance's inputs while it still ran its own copy
+// of the retrain body. The fine-tune sees the same trips in the same
+// order under the same seed and schedule, so the weights must not move.
+const resumeFingerprint = "3403877db48b9f111f7ab8bff6d771ffcaeb083cb6bdede6d6b778bb453ea02b"
+
+// TestResumeContinuesProvenance: -resume fine-tunes the offline artifact
+// on the world's trip log as one live retrain would. Its child names the
+// base as parent, seals the trips into a Merkle batch chained onto the
+// base's ChainRoot, counts the trips it trained on, and carries the
+// weights -resume has always produced on these inputs.
+func TestResumeContinuesProvenance(t *testing.T) {
+	w := newLiveWorld(t)
+	dir := t.TempDir()
+	resumed := filepath.Join(dir, "resumed.prart")
+	if err := run(context.Background(), []string{
+		"-resume", w.artPath, "-trips", w.tripsPath,
+		"-out", filepath.Join(dir, "resumed.gob"), "-artifact", resumed,
+	}, nil); err != nil {
+		t.Fatalf("-resume: %v", err)
+	}
+	child, err := pathrank.LoadArtifactFile(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin := child.Lineage
+	baseFP, err := w.base.Model.FingerprintHex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lin.Generation != w.base.Lineage.Generation+1 || lin.Parent != baseFP {
+		t.Fatalf("child generation %d, parent %.12s; want %d, the base %.12s",
+			lin.Generation, lin.Parent, w.base.Lineage.Generation+1, baseFP)
+	}
+	if lin.TrainedOn != len(w.trips) {
+		t.Fatalf("TrainedOn = %d, want the %d trips of the log", lin.TrainedOn, len(w.trips))
+	}
+	var prev merkle.Hash
+	if w.base.Lineage.ChainRoot != "" {
+		if prev, err = merkle.ParseHash(w.base.Lineage.ChainRoot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := merkle.ParseHash(lin.DataRoot)
+	if err != nil {
+		t.Fatalf("child DataRoot %q: %v", lin.DataRoot, err)
+	}
+	if want := merkle.ChainRoot(prev, data).Hex(); lin.ChainRoot != want {
+		t.Fatalf("child ChainRoot %q, want ChainRoot(base chain, DataRoot) = %s", lin.ChainRoot, want)
+	}
+	if fp, err := child.Model.FingerprintHex(); err != nil || fp != resumeFingerprint {
+		t.Fatalf("resumed model fingerprint %s (%v), want %s", fp, err, resumeFingerprint)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -463,6 +465,137 @@ func TestRenameFailureStillCommits(t *testing.T) {
 	}
 }
 
+// TestRestartBehindLogCatchesUp: a crash between a retrain's synced
+// marker and its rename leaves the watched file one generation behind the
+// log (here the rename fails because a directory sits at the path). A
+// restart from that file on the same WAL must not fork the chain: it
+// re-derives the logged generation, serves and publishes it, and the next
+// retrain chains onto it, so the log replays verified with no skipped
+// marker. A restart on an artifact the logged chain does not continue
+// fails and trains nothing.
+func TestRestartBehindLogCatchesUp(t *testing.T) {
+	art, trips := testWorld(t)
+	walDir := t.TempDir()
+	artPath := filepath.Join(t.TempDir(), "live.prart")
+	if err := os.MkdirAll(filepath.Join(artPath, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		QueueSize: 16, Workers: 2, WALDir: walDir, ArtifactPath: artPath,
+		Train: pathrank.TrainConfig{Epochs: 1, LR: 0.002, Seed: 9},
+	}
+	svc1, err := New(art, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, svc1, sampleTrajectories(art, trips[:4], 840))
+	gen1, err := svc1.RetrainNow()
+	if err == nil || gen1 == nil {
+		t.Fatalf("RetrainNow onto an unrenamable path = (%v, %v), want the committed generation and an error", gen1, err)
+	}
+	fp1 := fingerprint(t, gen1)
+	if err := svc1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// What the crash left: the generation-0 file at the watched path.
+	if err := os.RemoveAll(artPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := pathrank.SaveArtifactFile(artPath, art); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := pathrank.LoadArtifactFile(artPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// An artifact from another chain: generation 0, but not the model the
+	// logged generation 1 was trained from.
+	foreign := *art
+	foreign.Model = gen1.Model
+	walBefore := readDir(t, walDir)
+	fileBefore, err := os.ReadFile(artPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if svc, err := New(&foreign, cfg); err == nil {
+		svc.Close()
+		t.Fatal("New restarted on an artifact the logged chain does not continue")
+	} else if !strings.Contains(err.Error(), "wrong base artifact?") {
+		t.Fatalf("New on a foreign artifact: %v, want Replay's parent-mismatch error", err)
+	}
+	if got, err := os.ReadFile(artPath); err != nil || !bytes.Equal(got, fileBefore) {
+		t.Fatalf("refused restart touched the watched file (read err %v)", err)
+	}
+	if walAfter := readDir(t, walDir); !reflect.DeepEqual(walAfter, walBefore) {
+		t.Fatal("refused restart changed the WAL")
+	}
+
+	svc2, err := New(stale, cfg)
+	if err != nil {
+		t.Fatalf("restart one generation behind the log: %v", err)
+	}
+	defer svc2.Close()
+	if st := svc2.Stats(); st.Generation != 1 || fingerprint(t, svc2.Artifact()) != fp1 {
+		t.Fatalf("restarted service at generation %d fingerprint %.12s, want the committed generation 1 %.12s",
+			st.Generation, fingerprint(t, svc2.Artifact()), fp1)
+	}
+	if st := svc2.Stats(); st.PendingTrain != 0 {
+		t.Fatalf("PendingTrain = %d after the catch-up, want 0 (the marker closed the window)", st.PendingTrain)
+	}
+	watched, err := pathrank.LoadArtifactFile(artPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if watched.Lineage.Generation != 1 || fingerprint(t, watched) != fp1 || watched.Lineage.ChainRoot != gen1.Lineage.ChainRoot {
+		t.Fatalf("watched file holds generation %d %.12s, want the committed generation 1 %.12s",
+			watched.Lineage.Generation, fingerprint(t, watched), fp1)
+	}
+
+	ingestAll(t, svc2, sampleTrajectories(art, trips[4:8], 850))
+	gen2, err := svc2.RetrainNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen2.Lineage.Generation != 2 || gen2.Lineage.Parent != fp1 {
+		t.Fatalf("next retrain is generation %d with parent %.12s, want 2 with parent %.12s",
+			gen2.Lineage.Generation, gen2.Lineage.Parent, fp1)
+	}
+	published, err := pathrank.LoadArtifactFile(artPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(walDir, art, 0, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified || res.SkippedMarkers != 0 || res.Generations != 2 {
+		t.Fatalf("replay: verified=%v, %d generations, %d skipped markers (%v); want true, 2, 0",
+			res.Verified, res.Generations, res.SkippedMarkers, res.Mismatches)
+	}
+	if got, want := fingerprint(t, res.Artifact), fingerprint(t, published); got != want {
+		t.Fatalf("replayed fingerprint %.12s, published %.12s", got, want)
+	}
+}
+
+// readDir returns the name and content of every file in dir.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
+}
+
 // TestProvenanceProofs covers the Merkle side: every trajectory of the
 // training batch gets a verifiable inclusion proof against the lineage's
 // data root, and unknown seqs fail closed.
@@ -535,6 +668,9 @@ func TestWALConfigValidation(t *testing.T) {
 	art, _ := testWorld(t)
 	if _, err := New(art, Config{WALDir: t.TempDir(), WALFsync: "sometimes"}); err == nil {
 		t.Fatal("bad WALFsync accepted")
+	}
+	if _, err := New(art, Config{WALFsync: "sometimes"}); err == nil {
+		t.Fatal("bad WALFsync accepted without a WAL")
 	}
 	if _, err := New(art, Config{WALDir: t.TempDir(), Train: pathrank.TrainConfig{Validation: make([]dataset.Query, 1)}}); err == nil {
 		t.Fatal("Train.Validation with a WAL accepted")

@@ -4,15 +4,15 @@
 // base artifact through the live loop's own retrainStep — same
 // observations (pinned by the marker's seq list, so the live window's
 // eviction policy is irrelevant), same effective fine-tune configuration,
-// same seed. Because the live
-// pipeline is deterministic, the reconstructed model of every generation
-// must match the marker's recorded fingerprint bit-for-bit; Replay
-// verifies that, along with the Merkle data and chain roots, and reports
-// any divergence instead of silently producing a different model.
+// same seed. Because the live pipeline is deterministic, the reconstructed
+// model of every generation must match the marker's recorded fingerprint
+// bit-for-bit; Replay verifies that, along with the Merkle data and chain
+// roots, and reports any divergence instead of silently producing a
+// different model. A service restarting on its log runs the same walk to
+// catch up with generations the log committed beyond its artifact.
 package stream
 
 import (
-	"errors"
 	"fmt"
 
 	"pathrank/internal/merkle"
@@ -30,8 +30,9 @@ type ReplayResult struct {
 	// Observations is how many observation records the log held.
 	Observations int
 	// SkippedMarkers counts markers that could not be chained onto the
-	// replay state (generations below the base artifact's, or duplicates
-	// from a run that restarted against a stale artifact).
+	// replay state: generations at or below the base artifact's, or a
+	// forked chain's duplicate, which a log written before restarts caught
+	// up with it can hold.
 	SkippedMarkers int
 	// Verified is true when every reconstructed generation reproduced its
 	// marker's model fingerprint and Merkle roots exactly.
@@ -55,77 +56,74 @@ func Replay(walDir string, base *pathrank.Artifact, targetGen int, logf func(for
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-
-	// One pass over the log: observations keyed by seq, markers in order.
-	obs := make(map[int64]observation)
-	var markers []retrainMarker
-	err := wal.ReplayDir(walDir, func(idx uint64, payload []byte) error {
-		rec, err := decodeWALRecord(idx, payload, base.Graph)
-		switch {
-		case errors.As(err, new(foreignObservationError)):
-			return fmt.Errorf("%w (wrong base artifact?)", err)
-		case err != nil:
-			return err
-		case rec.isMarker:
-			markers = append(markers, rec.marker)
-		default:
-			obs[rec.obs.seq] = rec.obs
-		}
-		return nil
-	})
-	if err != nil {
+	var log walLog
+	if err := wal.ReplayDir(walDir, log.reader(base.Graph)); err != nil {
 		return nil, err
 	}
-	logf("replay: %d observations, %d retrain markers in %s", len(obs), len(markers), walDir)
+	logf("replay: %d observations, %d retrain markers in %s", len(log.obs), len(log.markers), walDir)
+	res, _, err := log.walk(base, targetGen, logf)
+	return res, err
+}
 
-	res := &ReplayResult{Artifact: base, Observations: len(obs), Verified: true}
-	chain := merkle.Hash{}
-	if base.Lineage.ChainRoot != "" {
-		if chain, err = merkle.ParseHash(base.Lineage.ChainRoot); err != nil {
-			return nil, fmt.Errorf("stream: base artifact lineage ChainRoot: %w", err)
-		}
+// walk is the one chain walk, run by Replay and by a service restarting on
+// the log: from base, it re-executes through replayStep every marker that
+// continues the chain, stopping after targetGen when targetGen > 0. It
+// returns the summary and the outcome of the last re-executed generation
+// (nil when there was none).
+func (l *walLog) walk(base *pathrank.Artifact, targetGen int, logf func(format string, args ...any)) (*ReplayResult, *retrainOutcome, error) {
+	chain, err := chainRoot(base)
+	if err != nil {
+		return nil, nil, err
 	}
-	cur := base
-	for _, m := range markers {
+	res := &ReplayResult{Artifact: base, Observations: len(l.obs), Verified: true}
+	var (
+		head *retrainOutcome
+		obs  map[int64]observation // keyed by seq; built once a marker needs it
+	)
+	for _, m := range l.markers {
+		cur := res.Artifact
 		if targetGen > 0 && m.Generation > targetGen {
 			break
 		}
 		if m.Generation != cur.Lineage.Generation+1 {
 			// Below or equal to the current generation: trained before the
-			// base artifact (already embodied in its weights) or a duplicate
-			// from a restart against a stale artifact. Ahead by more than
-			// one: a marker in between is missing and the chain cannot
-			// continue.
+			// base artifact (already embodied in its weights), or a forked
+			// chain's duplicate, which a log written before restarts caught
+			// up with it can hold. Ahead by more than one: a marker in
+			// between is missing and the chain cannot continue.
 			if m.Generation > cur.Lineage.Generation+1 {
-				return res, fmt.Errorf("stream: replay reached generation %d but the next marker is for generation %d (segment pruned by retention?)",
+				return res, head, fmt.Errorf("stream: replay reached generation %d but the next marker is for generation %d (segment pruned by retention?)",
 					cur.Lineage.Generation, m.Generation)
 			}
 			res.SkippedMarkers++
 			logf("replay: skipping marker for generation %d (already at %d)", m.Generation, cur.Lineage.Generation)
 			continue
 		}
-		next, err := replayStep(cur, m, obs, chain, res)
+		if obs == nil {
+			obs = make(map[int64]observation, len(l.obs))
+			for _, o := range l.obs {
+				obs[o.seq] = o
+			}
+		}
+		out, err := replayStep(cur, m, obs, chain, res)
 		if err != nil {
-			return res, err
+			return res, head, err
 		}
-		chainHex := next.Lineage.ChainRoot
-		if chainHex != "" {
-			chain, _ = merkle.ParseHash(chainHex)
-		}
-		cur = next
-		res.Artifact = cur
+		chain = out.batch.Chain
+		head = out
+		res.Artifact = out.art
 		res.Generations++
 		logf("replay: generation %d reconstructed (fingerprint %.12s…)", m.Generation, m.Result)
 	}
-	return res, nil
+	return res, head, nil
 }
 
 // replayStep re-executes one marked retrain through the live loop's
-// retrainStep: cur + marker → the next generation's artifact, verified
-// against the marker. Divergences that indicate nondeterminism (wrong
-// result fingerprint, wrong roots) are recorded in res; conditions that
-// make replay impossible (missing observation, wrong parent) are errors.
-func replayStep(cur *pathrank.Artifact, m retrainMarker, obs map[int64]observation, chain merkle.Hash, res *ReplayResult) (*pathrank.Artifact, error) {
+// retrainStep: cur + marker → the next generation, verified against the
+// marker. Divergences that indicate nondeterminism (wrong result
+// fingerprint, wrong roots) are recorded in res; conditions that make
+// replay impossible (missing observation, wrong parent) are errors.
+func replayStep(cur *pathrank.Artifact, m retrainMarker, obs map[int64]observation, chain merkle.Hash, res *ReplayResult) (*retrainOutcome, error) {
 	parent, err := cur.Model.FingerprintHex()
 	if err != nil {
 		return nil, fmt.Errorf("stream: fingerprint parent: %w", err)
@@ -166,5 +164,5 @@ func replayStep(cur *pathrank.Artifact, m retrainMarker, obs map[int64]observati
 				fmt.Sprintf("generation %d: %s %s, marker recorded %s", m.Generation, f.what, f.got, f.want))
 		}
 	}
-	return out.art, nil
+	return out, nil
 }

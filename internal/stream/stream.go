@@ -16,10 +16,15 @@
 // observation is appended to a segmented write-ahead log (internal/wal)
 // before it is folded into the training window, and each committed
 // generation writes a retrain marker recording exactly which observations
-// it trained on and with what configuration. A restarted service rebuilds
-// its window from the log, and Replay reconstructs any logged generation
-// bit-for-bit from the log plus the base artifact. When the log itself
-// fails (disk full, I/O error), the pipeline does not silently drop
+// it trained on and with what configuration. Replay reconstructs any
+// logged generation bit-for-bit from the log plus the base artifact. A
+// restarted service rebuilds its window from the log in the same pass
+// that recovers it, and runs Replay's chain walk from the artifact it was
+// handed: generations the log committed beyond that artifact (a crash
+// between a marker and its rename) are re-derived, verified against their
+// markers, adopted and published, and an artifact the logged chain does
+// not continue is refused rather than trained into a fork. When the log
+// itself fails (disk full, I/O error), the pipeline does not silently drop
 // observations: it flips into a visible degraded state — matched paths
 // are parked in a bounded in-memory buffer, excluded from the training
 // window (the window must stay a subset of the log), and a background
@@ -51,6 +56,7 @@ import (
 	"os"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,7 +124,8 @@ type Config struct {
 	WALDir string
 	// WALFsync selects the log's fsync policy: "batch" (default; fsync at
 	// retrain boundaries and rotation), "always" (fsync every record), or
-	// "interval" (background fsync every WALSyncInterval).
+	// "interval" (background fsync every WALSyncInterval). New rejects any
+	// other name, with or without WALDir.
 	WALFsync string
 	// WALSyncInterval is the "interval" policy cadence (default 200ms).
 	WALSyncInterval time.Duration
@@ -185,8 +192,10 @@ type Service struct {
 	// from the same parent and race to persist.
 	retrainMu sync.Mutex
 
-	// log is the trajectory WAL; nil when Config.WALDir is empty.
-	log *wal.Log
+	// log is the trajectory WAL; nil when Config.WALDir is empty. walSync
+	// is its fsync policy, Config.WALFsync parsed.
+	log     *wal.Log
+	walSync wal.SyncPolicy
 
 	// obs is the pipeline's Prometheus instrumentation; always non-nil
 	// after New.
@@ -229,7 +238,8 @@ type Service struct {
 	// root (zero before any committed batch), batch the sealed Merkle
 	// batch of the latest retrain, batchSeqs the ingest seq of each leaf
 	// in training order. batch and batchSeqs are nil until the first
-	// retrain (or after a restart: proofs cover live batches only).
+	// retrain, or the first generation a restart re-derived from the log:
+	// proofs cover only batches this process sealed.
 	chain     merkle.Hash
 	batch     *merkle.Batch
 	batchSeqs []int64
@@ -319,16 +329,14 @@ func New(art *pathrank.Artifact, cfg Config) (*Service, error) {
 		recoverKick: make(chan struct{}, 1),
 	}
 	s.obs = newStreamMetrics(obsv.NewRegistry(), s)
-	// The provenance chain resumes from the artifact's lineage: the
-	// persisted artifact is the authoritative record of what has been
-	// committed. A blank ChainRoot (pre-provenance artifact, or genesis)
-	// starts the chain from the zero hash.
-	if art.Lineage.ChainRoot != "" {
-		h, err := merkle.ParseHash(art.Lineage.ChainRoot)
-		if err != nil {
-			return nil, fmt.Errorf("stream: artifact lineage ChainRoot: %w", err)
-		}
-		s.chain = h
+	// The provenance chain resumes from the artifact's lineage, and from
+	// the log's head when a restart re-derives generations beyond it.
+	var err error
+	if s.chain, err = chainRoot(art); err != nil {
+		return nil, err
+	}
+	if s.walSync, err = wal.ParseSyncPolicy(cfg.WALFsync); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if cfg.WALDir != "" {
 		if cfg.Train.Validation != nil {
@@ -343,68 +351,93 @@ func New(art *pathrank.Artifact, cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// openWAL opens (or creates) the trajectory log and rebuilds the
-// in-memory window from it: every intact observation record is replayed
-// through the same eviction policy as live ingest, the ingest sequence
-// resumes after the highest logged seq, and the pending count restarts
-// from the records logged after the last retrain marker.
-func (s *Service) openWAL() error {
-	pol := wal.SyncBatch
-	if s.cfg.WALFsync != "" {
-		var err error
-		if pol, err = wal.ParseSyncPolicy(s.cfg.WALFsync); err != nil {
-			return fmt.Errorf("stream: %w", err)
-		}
+// chainRoot parses the provenance chain root stamped into art's lineage.
+// A blank one (genesis, or a pre-provenance artifact) is the zero hash.
+func chainRoot(art *pathrank.Artifact) (merkle.Hash, error) {
+	if art.Lineage.ChainRoot == "" {
+		return merkle.Hash{}, nil
 	}
+	h, err := merkle.ParseHash(art.Lineage.ChainRoot)
+	if err != nil {
+		return h, fmt.Errorf("stream: artifact lineage ChainRoot: %w", err)
+	}
+	return h, nil
+}
+
+// openWAL opens (or creates) the trajectory log and rebuilds the service
+// from it in the one recovery pass: every intact observation record goes
+// through the same eviction policy as live ingest, the ingest sequence
+// resumes after the highest logged seq, the pending count restarts from
+// the records logged after the last retrain marker, and catchUp brings
+// the artifact level with the log's markers.
+func (s *Service) openWAL() error {
+	var rd walLog
 	log, err := wal.Open(s.cfg.WALDir, wal.Options{
 		SegmentBytes: s.cfg.WALSegmentBytes,
-		Sync:         pol,
+		Sync:         s.walSync,
 		SyncEvery:    s.cfg.WALSyncInterval,
 		Retain:       s.cfg.WALRetain,
 		OnSync: func(d time.Duration) {
 			s.obs.walFsync.Observe(d.Seconds())
 		},
-	})
+	}, rd.reader(s.art.Graph))
 	if err != nil {
 		return fmt.Errorf("stream: open WAL: %w", err)
 	}
-	var lastMarker *retrainMarker
-	replayErr := log.Replay(func(idx uint64, payload []byte) error {
-		rec, err := decodeWALRecord(idx, payload, s.art.Graph)
-		switch {
-		case err != nil:
-			return err
-		case rec.isMarker:
-			lastMarker = &rec.marker
-			s.pending = 0
-		default:
-			s.windowAddLocked(rec.obs)
-			if rec.obs.seq > s.seq {
-				s.seq = rec.obs.seq
-			}
-			s.recovered++
-			s.pending++
+	for _, o := range rd.obs {
+		s.windowAddLocked(o)
+		if o.seq > s.seq {
+			s.seq = o.seq
 		}
-		return nil
-	})
-	if replayErr != nil {
+	}
+	s.recovered = len(rd.obs)
+	s.pending = rd.pending
+	if err := s.catchUp(&rd); err != nil {
 		log.Close()
-		return replayErr
+		return err
 	}
 	s.log = log
 	if rec := log.Recovery(); (rec.TornBytes > 0 || s.recovered > 0) && s.cfg.Logf != nil {
 		s.cfg.Logf("wal: recovered %d observations into the window (%d records total, torn tail %d bytes)",
 			len(s.window), rec.Records, rec.TornBytes)
 	}
-	// The artifact normally matches the last marker. A marker ahead of the
-	// artifact means the caller restarted from an older artifact, or the
-	// process died between a marker and its rename: training continues
-	// from what was handed in, and the divergence is surfaced rather than
-	// guessed around — Replay can still reconstruct the logged chain.
-	if lastMarker != nil && lastMarker.Generation > s.art.Lineage.Generation && s.cfg.Logf != nil {
-		s.cfg.Logf("wal: log has retrain markers through generation %d but the artifact is generation %d; continuing from the artifact",
-			lastMarker.Generation, s.art.Lineage.Generation)
+	return nil
+}
+
+// catchUp runs Replay's chain walk from the handed-in artifact over the
+// markers of rd. The synced marker is a generation's commit point and the
+// rename that publishes it follows, so markers beyond the artifact are
+// generations a crash (or a failed rename) kept from the watched file.
+// Each is re-derived and must reproduce its marker's fingerprint and
+// Merkle roots; the head is then adopted and published to
+// cfg.ArtifactPath. A marker that does not chain onto the artifact fails
+// the walk, and with it New: training on would fork the logged chain.
+func (s *Service) catchUp(rd *walLog) error {
+	// The walk's per-marker lines stay quiet: every restart would skip
+	// every marker at or below the artifact's generation.
+	res, head, err := rd.walk(s.art, 0, func(string, ...any) {})
+	if err != nil {
+		return fmt.Errorf("stream: restart on artifact generation %d: %w", s.art.Lineage.Generation, err)
 	}
+	if head == nil {
+		return nil
+	}
+	if !res.Verified {
+		return fmt.Errorf("stream: re-deriving the WAL's generations beyond the artifact diverged: %s", strings.Join(res.Mismatches, "; "))
+	}
+	if s.cfg.ArtifactPath != "" {
+		if err := pathrank.SaveArtifactFile(s.cfg.ArtifactPath, head.art); err != nil {
+			return fmt.Errorf("stream: publish re-derived generation %d: %w", head.art.Lineage.Generation, err)
+		}
+	}
+	if s.cfg.Logf != nil {
+		s.cfg.Logf("wal: artifact was generation %d, the log committed through %d: re-derived %d generation(s), adopted the head (fingerprint %.12s)",
+			s.art.Lineage.Generation, head.art.Lineage.Generation, res.Generations, head.marker.Result)
+	}
+	s.art = head.art
+	s.chain = head.batch.Chain
+	s.batch = head.batch
+	s.batchSeqs = head.seqs
 	return nil
 }
 
@@ -795,8 +828,9 @@ func (s *Service) retrainLoop(ctx context.Context) {
 // service adopts the generation even when the rename fails (that error is
 // returned), so every marker is the parent of the next one. A crash
 // between marker and rename leaves the watched file one generation behind
-// the log; a restart from it reports the gap, and Replay rebuilds the
-// logged generation.
+// the log; New, restarted on that file and the log, re-derives the logged
+// generation through Replay's chain walk and publishes it, so the next
+// retrain chains onto it.
 func (s *Service) RetrainNow() (*pathrank.Artifact, error) {
 	s.retrainMu.Lock()
 	defer s.retrainMu.Unlock()
@@ -833,7 +867,10 @@ func (s *Service) RetrainNow() (*pathrank.Artifact, error) {
 				out, err = nil, fmt.Errorf("stream: retrain panicked: %v", r)
 			}
 		}()
-		return s.retrain(base, obs, prev)
+		if err := fault.Check(fault.SiteRetrain); err != nil {
+			return nil, fmt.Errorf("stream: retrain: %w", err)
+		}
+		return retrainStep(base, obs, prev, childConfig(s.cfg.Train, base))
 	}()
 	if err != nil {
 		return fail(err)
@@ -907,20 +944,40 @@ type retrainOutcome struct {
 	marker retrainMarker
 }
 
-// retrain produces the next-generation artifact from base and the window,
-// chaining its provenance onto prev, with the fine-tune seeded by
-// Train.Seed+generation.
-func (s *Service) retrain(base *pathrank.Artifact, obs []observation, prev merkle.Hash) (*retrainOutcome, error) {
-	if err := fault.Check(fault.SiteRetrain); err != nil {
-		return nil, fmt.Errorf("stream: retrain: %w", err)
-	}
-	tcfg := s.cfg.Train
+// childConfig is the fine-tune configuration of the retrain that produces
+// base's child: tcfg with its base seed advanced by the child's
+// generation, which keeps every step deterministic while decorrelating
+// the shuffles of successive generations.
+func childConfig(tcfg pathrank.TrainConfig, base *pathrank.Artifact) pathrank.TrainConfig {
 	tcfg.Seed += int64(base.Lineage.Generation) + 1
-	return retrainStep(base, obs, prev, tcfg)
+	return tcfg
 }
 
-// retrainStep is the one retrain body, run by the live loop and re-run by
-// Replay: sort the window into ingest order, seal its Merkle batch onto
+// Retrain runs the live loop's retrain step on trips in place of ingested
+// trajectories: pathrank-train -resume, the loop's offline twin. Trip i
+// trains as observation seq i+1 (ingest numbers trajectories from 1, and
+// the WAL codec rejects seq 0), the provenance chain continues from base's
+// ChainRoot, and tcfg is seeded as the live loop seeds base's child. It
+// returns base's child, stamped with the batch's data and chain roots;
+// base is not mutated.
+func Retrain(base *pathrank.Artifact, trips []traj.Trip, tcfg pathrank.TrainConfig) (*pathrank.Artifact, error) {
+	prev, err := chainRoot(base)
+	if err != nil {
+		return nil, err
+	}
+	obs := make([]observation, len(trips))
+	for i, tr := range trips {
+		obs[i] = observation{seq: int64(i) + 1, path: tr.Path}
+	}
+	out, err := retrainStep(base, obs, prev, childConfig(tcfg, base))
+	if err != nil {
+		return nil, err
+	}
+	return out.art, nil
+}
+
+// retrainStep is the one retrain body, run by the live loop and by
+// Retrain, and re-run by the chain walk of Replay and of a restart: sort the window into ingest order, seal its Merkle batch onto
 // prev, label it with base's candidate configuration, fine-tune a clone of
 // base's model under tcfg, and stamp the child artifact and its WAL marker
 // with both fingerprints and the batch roots. Sorting is what makes it
@@ -1016,7 +1073,7 @@ func (s *Service) Provenance() api.ProvenanceInfo {
 			Segments:         st.Segments,
 			LastIndex:        st.LastIndex,
 			SyncedIndex:      st.SyncedIndex,
-			FsyncPolicy:      s.walPolicy().String(),
+			FsyncPolicy:      s.walSync.String(),
 			Fsyncs:           st.Syncs,
 			RecoveredRecords: st.Recovered,
 			TornBytes:        st.TornBytes,
@@ -1030,23 +1087,10 @@ func (s *Service) Provenance() api.ProvenanceInfo {
 	return info
 }
 
-// walPolicy resolves the configured fsync policy (Config validation in
-// openWAL guarantees it parses).
-func (s *Service) walPolicy() wal.SyncPolicy {
-	if s.cfg.WALFsync == "" {
-		return wal.SyncBatch
-	}
-	p, err := wal.ParseSyncPolicy(s.cfg.WALFsync)
-	if err != nil {
-		return wal.SyncBatch
-	}
-	return p
-}
-
 // ErrNoProof reports that no inclusion proof is available for a sequence
 // number: the trajectory is not in the current generation's training
 // batch (not yet trained on, evicted before the batch sealed, or the
-// batch predates this process — proofs cover live batches only).
+// batch predates this process — proofs cover only batches it sealed).
 var ErrNoProof = errors.New("stream: no inclusion proof for that trajectory in the current generation")
 
 // ProveTrajectory issues a Merkle inclusion proof that the observation

@@ -122,45 +122,49 @@ func validateObservation(o observation, g *roadnet.Graph) error {
 	return nil
 }
 
-// walRecord is one decoded WAL record: an observation, or a retrain
-// marker when isMarker is set.
-type walRecord struct {
-	obs      observation
-	marker   retrainMarker
-	isMarker bool
+// walLog is a trajectory log decoded in one pass: its observations and
+// retrain markers, each in log order, and how many observations follow
+// the last marker. The live service's restart and Replay both read a log
+// through it.
+type walLog struct {
+	obs     []observation
+	markers []retrainMarker
+	pending int
 }
 
-// foreignObservationError is the error of an observation record that
-// decodes but whose path cannot belong to the graph it was checked
-// against.
-type foreignObservationError struct{ error }
-
-// decodeWALRecord decodes the payload of WAL record idx, validating an
-// observation against g. Every error names the record; a failed
-// validation is a foreignObservationError.
-func decodeWALRecord(idx uint64, payload []byte, g *roadnet.Graph) (walRecord, error) {
-	var rec walRecord
-	if len(payload) == 0 {
-		return rec, fmt.Errorf("stream: WAL record %d is empty", idx)
+// reader returns the record callback for wal.Open and wal.ReplayDir that
+// decodes each record into l, validating an observation against g. Every
+// error names its record; an observation whose path cannot belong to g is
+// the signature of a log read against the wrong artifact, and its error
+// says so.
+func (l *walLog) reader(g *roadnet.Graph) func(uint64, []byte) error {
+	return func(idx uint64, payload []byte) error {
+		if len(payload) == 0 {
+			return fmt.Errorf("stream: WAL record %d is empty", idx)
+		}
+		switch payload[0] {
+		case walRecObservation:
+			o, err := decodeObservation(payload)
+			if err != nil {
+				return fmt.Errorf("stream: WAL record %d: %w", idx, err)
+			}
+			if err := validateObservation(o, g); err != nil {
+				return fmt.Errorf("stream: WAL record %d: %w (wrong base artifact?)", idx, err)
+			}
+			l.obs = append(l.obs, o)
+			l.pending++
+		case walRecRetrain:
+			m, err := decodeRetrainMarker(payload)
+			if err != nil {
+				return fmt.Errorf("stream: WAL record %d: %w", idx, err)
+			}
+			l.markers = append(l.markers, m)
+			l.pending = 0
+		default:
+			return fmt.Errorf("stream: WAL record %d has unknown type 0x%02x", idx, payload[0])
+		}
+		return nil
 	}
-	var err error
-	switch payload[0] {
-	case walRecObservation:
-		if rec.obs, err = decodeObservation(payload); err != nil {
-			return rec, fmt.Errorf("stream: WAL record %d: %w", idx, err)
-		}
-		if err := validateObservation(rec.obs, g); err != nil {
-			return rec, foreignObservationError{fmt.Errorf("stream: WAL record %d: %w", idx, err)}
-		}
-	case walRecRetrain:
-		if rec.marker, err = decodeRetrainMarker(payload); err != nil {
-			return rec, fmt.Errorf("stream: WAL record %d: %w", idx, err)
-		}
-		rec.isMarker = true
-	default:
-		return rec, fmt.Errorf("stream: WAL record %d has unknown type 0x%02x", idx, payload[0])
-	}
-	return rec, nil
 }
 
 // retrainMarker is the per-generation commit record. Everything replay

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -98,10 +97,11 @@ func TestRetrainMarkerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeWALRecordErrors pins the one WAL record decoder the live
-// service's recovery and Replay share: each failure names its record,
-// only a path foreign to the graph is a foreignObservationError, and
-// Replay adds its wrong-base hint to that failure alone.
+// TestDecodeWALRecordErrors pins the one WAL record reader the live
+// service's recovery and Replay share: it sorts records into observations
+// and markers, each failure names its record and keeps nothing, and only a
+// path foreign to the graph carries the wrong-base hint, which reaches
+// Replay's error.
 func TestDecodeWALRecordErrors(t *testing.T) {
 	b := roadnet.NewBuilder(2, 2)
 	b.AddVertex(geo.Point{Lon: 10, Lat: 57})
@@ -115,11 +115,13 @@ func TestDecodeWALRecordErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if rec, err := decodeWALRecord(3, ok, g); err != nil || rec.isMarker || rec.obs.seq != 7 {
-		t.Fatalf("observation: %+v, %v", rec, err)
+	var l walLog
+	read := l.reader(g)
+	if err := read(3, ok); err != nil || len(l.obs) != 1 || l.obs[0].seq != 7 || l.pending != 1 {
+		t.Fatalf("observation: %+v, %v", l, err)
 	}
-	if rec, err := decodeWALRecord(3, marker, g); err != nil || !rec.isMarker || rec.marker.Generation != 1 {
-		t.Fatalf("marker: %+v, %v", rec, err)
+	if err := read(3, marker); err != nil || len(l.markers) != 1 || l.markers[0].Generation != 1 || l.pending != 0 {
+		t.Fatalf("marker: %+v, %v", l, err)
 	}
 	for _, tc := range []struct {
 		name    string
@@ -133,14 +135,17 @@ func TestDecodeWALRecordErrors(t *testing.T) {
 		{"truncated marker", marker[:1], "stream: WAL record 3: ", false},
 		{"foreign observation", foreign, "stream: WAL record 3: stream: observation 8 references vertex 5 outside the graph (2 vertices)", true},
 	} {
-		_, err := decodeWALRecord(3, tc.payload, g)
-		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || errors.As(err, new(foreignObservationError)) != tc.foreign {
+		err := read(3, tc.payload)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || strings.HasSuffix(err.Error(), " (wrong base artifact?)") != tc.foreign {
 			t.Errorf("%s: err %v, want %q (foreign %v)", tc.name, err, tc.want, tc.foreign)
 		}
 	}
+	if len(l.obs) != 1 || len(l.markers) != 1 {
+		t.Fatalf("failed records were kept: %d observations, %d markers", len(l.obs), len(l.markers))
+	}
 
 	dir := t.TempDir()
-	log, err := wal.Open(dir, wal.Options{})
+	log, err := wal.Open(dir, wal.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,9 @@
 // reported as corruption instead of being silently dropped.
 //
 // The log knows nothing about its payloads. internal/stream encodes
-// map-matched trajectory observations and retrain markers into it; replay
-// tooling decodes them back out.
+// map-matched trajectory observations and retrain markers into it and
+// decodes them back out: from the recovery scan of Open, which hands each
+// intact record to a callback, or read-only through ReplayDir.
 package wal
 
 import (
@@ -173,8 +174,8 @@ type Stats struct {
 	TornBytes int64
 }
 
-// Log is a segmented append-only record log. Append, Sync, Stats and
-// Replay are safe for concurrent use.
+// Log is a segmented append-only record log. Append, Sync and Stats are
+// safe for concurrent use.
 type Log struct {
 	dir  string
 	opts Options
@@ -207,8 +208,12 @@ func segName(first uint64) string {
 
 // Open opens (or creates) the log in dir, running crash recovery: every
 // segment is scanned, a torn tail on the final segment is truncated, and
-// the next append index is positioned after the last intact record.
-func Open(dir string, opts Options) (*Log, error) {
+// the next append index is positioned after the last intact record. The
+// scan hands every intact record, in index order, to fn (nil skips them),
+// so a caller rebuilds its state from the log in the same pass. The
+// payload slice is reused between calls — fn must copy anything it
+// retains — and an error from fn fails Open.
+func Open(dir string, opts Options, fn func(index uint64, payload []byte) error) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 4 << 20
 	}
@@ -229,7 +234,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	for i, name := range names {
 		path := filepath.Join(dir, name)
-		info, err := recoverSegment(path, i == len(names)-1, &l.rec)
+		info, err := recoverSegment(path, i == len(names)-1, &l.rec, fn)
 		if err != nil {
 			return nil, err
 		}
@@ -289,18 +294,18 @@ func listSegments(dir string) ([]string, error) {
 	return names, nil
 }
 
-// recoverSegment validates one segment, accumulating intact records into
-// rec. For the final segment a damaged tail is truncated off the file; for
-// earlier segments any damage is ErrCorrupt.
-func recoverSegment(path string, isLast bool, rec *Recovery) (segInfo, error) {
+// recoverSegment validates one segment, handing its intact records to fn
+// and counting them into rec. For the final segment a damaged tail is
+// truncated off the file; for earlier segments any damage is ErrCorrupt.
+func recoverSegment(path string, isLast bool, rec *Recovery, fn func(uint64, []byte) error) (segInfo, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return segInfo{}, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	first, intact, records, damage, err := scanSegment(f)
+	first, intact, records, damage, err := scanSegmentCall(f, path, fn)
 	if err != nil {
-		return segInfo{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+		return segInfo{}, err
 	}
 	if damage > 0 && !isLast {
 		return segInfo{}, fmt.Errorf("%w: %s: damaged frame %d bytes before a later segment exists", ErrCorrupt, path, damage)
@@ -322,14 +327,6 @@ func recoverSegment(path string, isLast bool, rec *Recovery) (segInfo, error) {
 		rec.Records += records
 	}
 	return segInfo{path: path, first: first}, nil
-}
-
-// scanSegment reads a segment from its start, returning the first record
-// index from the header, the byte offset after the last intact frame, the
-// count of intact frames, and the number of trailing damaged bytes (0 for
-// a clean segment). An unreadable header is an error.
-func scanSegment(r io.ReadSeeker) (first uint64, intact int64, records int, damage int64, err error) {
-	return scanSegmentCall(r, func(uint64, []byte) {})
 }
 
 // openSegmentLocked creates a fresh active segment starting at nextIndex
@@ -512,33 +509,12 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Replay streams every record currently in the log, in index order,
-// through fn. It reads from disk, so it sees exactly what recovery after
-// a clean shutdown would see. The payload slice is reused between calls —
-// fn must copy anything it retains. fn returning an error stops the
-// replay and propagates it. Replay must not run concurrently with Append:
-// it would observe the in-progress frame as a torn tail. The stream layer
-// replays once at startup, before the ingest workers exist.
-func (l *Log) Replay(fn func(index uint64, payload []byte) error) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	segs := append([]segInfo(nil), l.segs...)
-	l.mu.Unlock()
-	for _, seg := range segs {
-		if err := replaySegment(seg.path, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReplayDir replays the records of a log directory without opening it for
-// appending — the read-only path pathrank-train -replay uses. Damage on
-// the final segment's tail is skipped (not repaired); damage anywhere else
-// is ErrCorrupt.
+// appending — the read-only path pathrank-train -replay uses. It hands fn
+// the records Open's recovery scan would, in index order and under the
+// same payload-reuse rule; an error from fn stops the replay and is
+// returned. Damage on the final segment's tail is skipped (not repaired);
+// damage anywhere else is ErrCorrupt.
 func ReplayDir(dir string, fn func(index uint64, payload []byte) error) error {
 	names, err := listSegments(dir)
 	if err != nil {
@@ -549,7 +525,12 @@ func ReplayDir(dir string, fn func(index uint64, payload []byte) error) error {
 	}
 	for i, name := range names {
 		path := filepath.Join(dir, name)
-		damage, err := replaySegmentTolerant(path, fn)
+		f, err := os.Open(path)
+		if err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		_, _, _, damage, err := scanSegmentCall(f, path, fn)
+		f.Close()
 		if err != nil {
 			return err
 		}
@@ -560,69 +541,38 @@ func ReplayDir(dir string, fn func(index uint64, payload []byte) error) error {
 	return nil
 }
 
-// replaySegment replays one segment that is expected to be fully intact
-// (it belongs to an open, recovered log).
-func replaySegment(path string, fn func(uint64, []byte) error) error {
-	damage, err := replaySegmentTolerant(path, fn)
-	if err != nil {
-		return err
+// scanSegmentCall is the one frame walk under both recovery and replay.
+// It reads the segment named name from its start and returns the first
+// record index from the header, the byte offset after the last intact
+// frame, the count of intact frames, and the number of trailing damaged
+// bytes (0 for a clean segment). Frames are validated in order; cb, when
+// non-nil, receives each intact record's global index (header first index
+// + offset) and a payload slice valid only for the duration of the call.
+// An unreadable header is ErrCorrupt; an error from cb stops the walk and
+// is returned as it is.
+func scanSegmentCall(r io.ReadSeeker, name string, cb func(uint64, []byte) error) (first uint64, intact int64, records int, damage int64, err error) {
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s: %s", ErrCorrupt, name, fmt.Sprintf(format, args...))
 	}
-	if damage > 0 {
-		return fmt.Errorf("%w: %s: damaged frame in recovered segment", ErrCorrupt, path)
-	}
-	return nil
-}
-
-// replaySegmentTolerant streams a segment's intact prefix through fn and
-// returns how many trailing bytes were damaged.
-func replaySegmentTolerant(path string, fn func(uint64, []byte) error) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	var held error
-	_, _, _, damage, err := scanSegmentCall(f, func(idx uint64, payload []byte) {
-		if held == nil {
-			held = fn(idx, payload)
-		}
-	})
-	if err != nil {
-		return 0, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-	}
-	if held != nil {
-		return 0, held
-	}
-	return damage, nil
-}
-
-// scanSegmentCall is the one frame walk under both recovery and replay:
-// it validates frames in order, invoking cb with each intact record's
-// global index (header first index + offset) and a payload slice valid
-// only for the duration of the call.
-func scanSegmentCall(r io.ReadSeeker, cb func(uint64, []byte)) (first uint64, intact int64, records int, damage int64, err error) {
 	if _, err = r.Seek(0, io.SeekStart); err != nil {
-		return
+		return 0, 0, 0, 0, corrupt("%v", err)
 	}
 	end, err := r.Seek(0, io.SeekEnd)
 	if err != nil {
-		return
+		return 0, 0, 0, 0, corrupt("%v", err)
 	}
 	if _, err = r.Seek(0, io.SeekStart); err != nil {
-		return
+		return 0, 0, 0, 0, corrupt("%v", err)
 	}
 	var header [segHeaderSize]byte
 	if _, herr := io.ReadFull(r, header[:]); herr != nil {
-		err = fmt.Errorf("short header: %v", herr)
-		return
+		return 0, 0, 0, 0, corrupt("short header: %v", herr)
 	}
 	if [8]byte(header[0:8]) != segMagic {
-		err = fmt.Errorf("bad magic %q", header[0:8])
-		return
+		return 0, 0, 0, 0, corrupt("bad magic %q", header[0:8])
 	}
 	if v := binary.BigEndian.Uint32(header[8:12]); v != walVersion {
-		err = fmt.Errorf("unsupported segment version %d", v)
-		return
+		return 0, 0, 0, 0, corrupt("unsupported segment version %d", v)
 	}
 	first = binary.BigEndian.Uint64(header[12:20])
 	intact = segHeaderSize
@@ -658,17 +608,14 @@ func scanSegmentCall(r io.ReadSeeker, cb func(uint64, []byte)) (first uint64, in
 			damage = end - intact
 			return
 		}
-		cb(first+uint64(records), payload)
+		if cb != nil {
+			if err = cb(first+uint64(records), payload); err != nil {
+				return
+			}
+		}
 		intact += frameHeader + int64(n)
 		records++
 	}
-}
-
-// LastIndex returns the index of the most recent record (0 if none).
-func (l *Log) LastIndex() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextIndex - 1
 }
 
 // Recovery returns what Open found on disk.

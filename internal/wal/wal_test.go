@@ -16,22 +16,27 @@ func record(i int) []byte {
 	return []byte(fmt.Sprintf("record-%04d:%s", i, string(make([]byte, i%7))))
 }
 
-// collect replays the whole log into a map from index to payload copy.
-func collect(t *testing.T, l *Log) map[uint64][]byte {
+// reopen opens the log in dir and returns it with every record its
+// recovery scan delivered, as a map from index to payload copy, and the
+// indexes in delivery order.
+func reopen(t *testing.T, dir string, opts Options) (*Log, map[uint64][]byte, []uint64) {
 	t.Helper()
 	out := map[uint64][]byte{}
-	if err := l.Replay(func(idx uint64, p []byte) error {
+	var idxs []uint64
+	l, err := Open(dir, opts, func(idx uint64, p []byte) error {
 		out[idx] = append([]byte(nil), p...)
+		idxs = append(idxs, idx)
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return l, out, idxs
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +50,6 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatalf("append %d returned index %d", i, idx)
 		}
 	}
-	got := collect(t, l)
-	if len(got) != n {
-		t.Fatalf("replayed %d records, want %d", len(got), n)
-	}
-	for i := 1; i <= n; i++ {
-		if string(got[uint64(i)]) != string(record(i)) {
-			t.Fatalf("record %d corrupted in replay", i)
-		}
-	}
 	if _, err := l.Append(nil); err == nil {
 		t.Fatal("empty record accepted")
 	}
@@ -64,12 +60,18 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("append after close: %v", err)
 	}
 
-	// Clean reopen: everything recovered, index sequence continues.
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Clean reopen: everything recovered and replayed, index sequence
+	// continues.
+	l2, got, _ := reopen(t, dir, Options{})
 	defer l2.Close()
+	if len(got) != n {
+		t.Fatalf("replayed %d records, want %d", len(got), n)
+	}
+	for i := 1; i <= n; i++ {
+		if string(got[uint64(i)]) != string(record(i)) {
+			t.Fatalf("record %d corrupted in replay", i)
+		}
+	}
 	rec := l2.Recovery()
 	if rec.Records != n || rec.FirstIndex != 1 || rec.LastIndex != n || rec.TornBytes != 0 {
 		t.Fatalf("recovery after clean shutdown: %+v", rec)
@@ -81,11 +83,10 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestSegmentRotationAndStats(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 4 << 10})
+	l, err := Open(dir, Options{SegmentBytes: 4 << 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	payload := make([]byte, 512)
 	const n = 40 // ~21 KiB of frames over 4 KiB segments
 	for i := 0; i < n; i++ {
@@ -109,13 +110,11 @@ func TestSegmentRotationAndStats(t *testing.T) {
 		t.Fatalf("segment files %v vs stats %d", names, st.Segments)
 	}
 	// Replay crosses segment boundaries in order.
-	var idxs []uint64
-	if err := l.Replay(func(idx uint64, _ []byte) error {
-		idxs = append(idxs, idx)
-		return nil
-	}); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	l, _, idxs := reopen(t, dir, Options{SegmentBytes: 4 << 10})
+	defer l.Close()
 	if len(idxs) != n || idxs[0] != 1 || idxs[n-1] != n {
 		t.Fatalf("replay indexes truncated: %d records, first %d last %d", len(idxs), idxs[0], idxs[len(idxs)-1])
 	}
@@ -128,7 +127,7 @@ func TestSegmentRotationAndStats(t *testing.T) {
 
 func TestSyncPolicies(t *testing.T) {
 	t.Run("always", func(t *testing.T) {
-		l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+		l, err := Open(t.TempDir(), Options{Sync: SyncAlways}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +145,7 @@ func TestSyncPolicies(t *testing.T) {
 		}
 	})
 	t.Run("batch", func(t *testing.T) {
-		l, err := Open(t.TempDir(), Options{Sync: SyncBatch})
+		l, err := Open(t.TempDir(), Options{Sync: SyncBatch}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +173,7 @@ func TestSyncPolicies(t *testing.T) {
 		}
 	})
 	t.Run("interval", func(t *testing.T) {
-		l, err := Open(t.TempDir(), Options{Sync: SyncInterval, SyncEvery: 10 * time.Millisecond})
+		l, err := Open(t.TempDir(), Options{Sync: SyncInterval, SyncEvery: 10 * time.Millisecond}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +206,7 @@ func TestSyncPolicies(t *testing.T) {
 // are recovered — no more, no fewer — and that appending afterwards works.
 func TestTornTailEveryOffset(t *testing.T) {
 	master := t.TempDir()
-	l, err := Open(master, Options{SegmentBytes: 4 << 10})
+	l, err := Open(master, Options{SegmentBytes: 4 << 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +264,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, firstSegRecords, _, err = scanSegment(f)
+		_, _, firstSegRecords, _, err = scanSegmentCall(f, names[0], nil)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -286,14 +285,15 @@ func TestTornTailEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		l2, err := Open(dir, Options{SegmentBytes: 4 << 10})
+		delivered := 0
+		l2, err := Open(dir, Options{SegmentBytes: 4 << 10}, func(uint64, []byte) error { delivered++; return nil })
 		if err != nil {
 			t.Fatalf("truncation at %d: open: %v", size, err)
 		}
 		wantRecords := firstSegRecords + recordsWithin(size)
 		rec := l2.Recovery()
-		if rec.Records != wantRecords {
-			t.Fatalf("truncation at %d: recovered %d records, want %d", size, rec.Records, wantRecords)
+		if rec.Records != wantRecords || delivered != wantRecords {
+			t.Fatalf("truncation at %d: recovered %d records (%d delivered), want %d", size, rec.Records, delivered, wantRecords)
 		}
 		wantTorn := size - (segHeaderSize + int64(recordsWithin(size))*int64(frameHeader+len(payload)))
 		if rec.TornBytes != wantTorn {
@@ -307,14 +307,14 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if idx != uint64(wantRecords)+1 {
 			t.Fatalf("truncation at %d: post-recovery index %d, want %d", size, idx, wantRecords+1)
 		}
-		n := 0
-		if err := l2.Replay(func(uint64, []byte) error { n++; return nil }); err != nil {
-			t.Fatalf("truncation at %d: replay: %v", size, err)
+		if err := l2.Close(); err != nil {
+			t.Fatalf("truncation at %d: close: %v", size, err)
 		}
-		if n != wantRecords+1 {
+		l3, _, idxs := reopen(t, dir, Options{SegmentBytes: 4 << 10})
+		l3.Close()
+		if n := len(idxs); n != wantRecords+1 {
 			t.Fatalf("truncation at %d: replay sees %d records, want %d", size, n, wantRecords+1)
 		}
-		l2.Close()
 	}
 }
 
@@ -322,7 +322,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 // also repaired by dropping the damaged suffix.
 func TestTornTailBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	l, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestTornTailBitFlip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(dir, Options{})
+	l2, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestTornTailBitFlip(t *testing.T) {
 // must fail loudly instead of being truncated away.
 func TestCorruptSealedSegmentRejected(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 4 << 10})
+	l, err := Open(dir, Options{SegmentBytes: 4 << 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestCorruptSealedSegmentRejected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{SegmentBytes: 4 << 10}); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dir, Options{SegmentBytes: 4 << 10}, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over corrupt sealed segment: %v, want ErrCorrupt", err)
 	}
 	if err := ReplayDir(dir, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
@@ -392,11 +392,10 @@ func TestCorruptSealedSegmentRejected(t *testing.T) {
 
 func TestRetention(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 4 << 10, Retain: 1})
+	l, err := Open(dir, Options{SegmentBytes: 4 << 10, Retain: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	payload := make([]byte, 512)
 	for i := 0; i < 60; i++ {
 		if _, err := l.Append(payload); err != nil {
@@ -411,13 +410,11 @@ func TestRetention(t *testing.T) {
 		t.Fatalf("retention did not advance FirstIndex: %+v", st)
 	}
 	// Replay only sees the retained suffix, still contiguous.
-	var idxs []uint64
-	if err := l.Replay(func(idx uint64, _ []byte) error {
-		idxs = append(idxs, idx)
-		return nil
-	}); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	l, _, idxs := reopen(t, dir, Options{SegmentBytes: 4 << 10, Retain: 1})
+	defer l.Close()
 	if len(idxs) == 0 || idxs[0] != st.FirstIndex || idxs[len(idxs)-1] != st.LastIndex {
 		t.Fatalf("retained replay range [%d,%d] vs stats %+v", idxs[0], idxs[len(idxs)-1], st)
 	}
@@ -425,7 +422,7 @@ func TestRetention(t *testing.T) {
 
 func TestReplayDirMatchesOpenReplay(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 4 << 10})
+	l, err := Open(dir, Options{SegmentBytes: 4 << 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +431,10 @@ func TestReplayDirMatchesOpenReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := collect(t, l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, want, _ := reopen(t, dir, Options{SegmentBytes: 4 << 10})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -446,11 +446,11 @@ func TestReplayDirMatchesOpenReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("ReplayDir saw %d records, Replay saw %d", len(got), len(want))
+		t.Fatalf("ReplayDir saw %d records, Open's recovery scan saw %d", len(got), len(want))
 	}
 	for idx, p := range want {
 		if string(got[idx]) != string(p) {
-			t.Fatalf("record %d differs between ReplayDir and Replay", idx)
+			t.Fatalf("record %d differs between ReplayDir and Open's recovery scan", idx)
 		}
 	}
 	if err := ReplayDir(t.TempDir(), func(uint64, []byte) error { return nil }); err == nil {
