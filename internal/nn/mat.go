@@ -133,8 +133,12 @@ func NewParam(name string, rows, cols int) *Param {
 }
 
 // InitXavier fills the parameter with Glorot-uniform noise scaled by its
-// fan-in and fan-out.
+// fan-in and fan-out. A nil rng leaves the weights as they are: layers
+// built with one are shaped and zeroed, for weights about to be loaded.
 func (p *Param) InitXavier(rng *rand.Rand) {
+	if rng == nil {
+		return
+	}
 	limit := math.Sqrt(6.0 / float64(p.Rows+p.Cols))
 	for i := range p.W {
 		p.W[i] = (rng.Float64()*2 - 1) * limit

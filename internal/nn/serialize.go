@@ -3,10 +3,39 @@ package nn
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"slices"
 )
+
+// The params format is the encoding/gob stream of a []paramWire, byte for
+// byte, written and read by the hand codec below. Model fingerprints hash
+// it and are compared across binaries (WAL markers, lineage, a bundle's
+// shard map), so its bytes are pinned, preamble included:
+//
+//   - paramsPreamble is the three type-definition messages gob sends
+//     before the value, with the type numbers a process gets when its first
+//     gob encodes are internal/pathrank's init: []float64 as 65, paramWire
+//     as 76, []paramWire as 77. gob numbers types process-wide in the order
+//     they are first encoded, so encoding through gob would tie the bytes,
+//     and every fingerprint, to what else the process had encoded first;
+//     the constant does not.
+//   - The value message follows gob's rules: uints in one byte below 0x80,
+//     else a negated byte count and the big-endian bytes; ints zigzagged
+//     into uints; strings and slices as a count and their elements; struct
+//     fields as (field-number delta, value) pairs ending in a zero delta,
+//     zero-valued fields omitted; a float64 as the uint of its byte-reversed
+//     Float64bits.
+//
+// The decoder reads only that exact encoding, the one the encoder writes.
+// Any other bytes — a stream with a foreign preamble, a non-minimal
+// integer, an explicit zero field, trailing data, corruption — go to
+// encoding/gob unchanged, so a stream loads exactly as gob would load it.
+// FuzzParamsCodec holds both halves to gob.
 
 // paramWire is the serialized form of a Param (weights only; gradients and
 // optimizer state are transient).
@@ -18,72 +47,515 @@ type paramWire struct {
 	Frozen bool
 }
 
-// SaveParams writes the weights of params to w in gob format.
+// paramsPreamble is the type-definition prefix of every params stream.
+var paramsPreamble = []byte{
+	// Type 77, []paramWire: a slice of type 76.
+	0x0d, 0xff, 0x99, 0x02, 0x01, 0x02, 0xff, 0x9a, 0x00, 0x01, 0xff, 0x98, 0x00, 0x00,
+	// Type 76, struct paramWire: its five fields and their types.
+	0x44, 0xff, 0x97, 0x03, 0x01, 0x01, 0x09, 'p', 'a', 'r', 'a', 'm', 'W', 'i', 'r', 'e',
+	0x01, 0xff, 0x98, 0x00, 0x01, 0x05,
+	0x01, 0x04, 'N', 'a', 'm', 'e', 0x01, 0x0c, 0x00, // string
+	0x01, 0x04, 'R', 'o', 'w', 's', 0x01, 0x04, 0x00, // int
+	0x01, 0x04, 'C', 'o', 'l', 's', 0x01, 0x04, 0x00, // int
+	0x01, 0x01, 'W', 0x01, 0xff, 0x82, 0x00, // type 65
+	0x01, 0x06, 'F', 'r', 'o', 'z', 'e', 'n', 0x01, 0x02, 0x00, // bool
+	0x00, 0x00,
+	// Type 65, []float64.
+	0x0c, 0xff, 0x81, 0x02, 0x01, 0x02, 0xff, 0x82, 0x00, 0x01, 0x08, 0x00, 0x00,
+}
+
+const (
+	// paramsTypeID is []paramWire's number in paramsPreamble.
+	paramsTypeID = 77
+	// gobTooBig is the message size from which gob refuses to encode or
+	// decode a message.
+	gobTooBig = 1 << 30
+	// paramsChunk is how many bytes SaveParams buffers per write.
+	paramsChunk = 32 << 10
+)
+
+// Field numbers of paramWire, in declaration order.
+const (
+	fieldName = iota
+	fieldRows
+	fieldCols
+	fieldW
+	fieldFrozen
+)
+
+// SaveParams writes the weights of params to w (format above).
 func SaveParams(w io.Writer, params []*Param) error {
-	wire := make([]paramWire, len(params))
-	for i, p := range params {
-		wire[i] = paramWire{Name: p.Name, Rows: p.Rows, Cols: p.Cols, W: p.W, Frozen: p.Frozen}
+	_, err := encodeParams(w, params)
+	return err
+}
+
+// encodeParams writes params' stream to w in chunks of about paramsChunk
+// bytes or, when w is nil, returns it whole.
+func encodeParams(w io.Writer, params []*Param) ([]byte, error) {
+	var scratch []byte
+	body := uintLen(zigzag(paramsTypeID)) + 1 + uintLen(uint64(len(params)))
+	floats, weights := 0, 0
+	for _, p := range params {
+		var last int
+		scratch, last = appendElemHead(scratch[:0], p)
+		scratch = appendElemTail(scratch, p, last)
+		body += len(scratch)
+		floats += floatsLen(p.W)
+		weights += len(p.W)
 	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
-		return fmt.Errorf("nn: encode params: %w", err)
+	body += floats
+	if body >= gobTooBig {
+		return nil, fmt.Errorf("nn: encode params: %d-byte message exceeds gob's limit", body)
 	}
-	return nil
+	var buf []byte
+	if w != nil {
+		buf = make([]byte, 0, paramsChunk+len(paramsPreamble))
+	} else { // room for appendFloats' 9 bytes per weight
+		buf = make([]byte, 0, len(paramsPreamble)+uintLen(uint64(body))+body-floats+9*weights)
+	}
+	buf = append(buf, paramsPreamble...)
+	buf = appendUint(buf, uint64(body))
+	buf = appendUint(buf, zigzag(paramsTypeID))
+	buf = append(buf, 0) // delta to the value's one field: the slice
+	buf = appendUint(buf, uint64(len(params)))
+	flush := func() error {
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		if err != nil {
+			return fmt.Errorf("nn: encode params: %w", err)
+		}
+		return nil
+	}
+	for _, p := range params {
+		var last int
+		buf, last = appendElemHead(buf, p)
+		for rest := p.W; len(rest) > 0; {
+			n := len(rest)
+			if w != nil {
+				if len(buf) > paramsChunk-9 {
+					if err := flush(); err != nil {
+						return nil, err
+					}
+				}
+				n = min(n, (paramsChunk-len(buf))/9)
+			}
+			buf = appendFloats(buf, rest[:n])
+			rest = rest[n:]
+		}
+		buf = appendElemTail(buf, p, last)
+	}
+	if w == nil {
+		return buf, nil
+	}
+	return nil, flush()
+}
+
+// appendElemHead appends p's element up to its weights — the Name, Rows
+// and Cols fields and W's count, each omitted when zero — and returns the
+// last field it wrote, or -1.
+func appendElemHead(dst []byte, p *Param) ([]byte, int) {
+	last := -1
+	field := func(f int) {
+		dst = appendUint(dst, uint64(f-last))
+		last = f
+	}
+	if p.Name != "" {
+		field(fieldName)
+		dst = appendUint(dst, uint64(len(p.Name)))
+		dst = append(dst, p.Name...)
+	}
+	if p.Rows != 0 {
+		field(fieldRows)
+		dst = appendUint(dst, zigzag(int64(p.Rows)))
+	}
+	if p.Cols != 0 {
+		field(fieldCols)
+		dst = appendUint(dst, zigzag(int64(p.Cols)))
+	}
+	if len(p.W) != 0 {
+		field(fieldW)
+		dst = appendUint(dst, uint64(len(p.W)))
+	}
+	return dst, last
+}
+
+// appendElemTail appends what follows p's weights: Frozen when set, and
+// the element's end.
+func appendElemTail(dst []byte, p *Param, last int) []byte {
+	if p.Frozen {
+		dst = append(dst, byte(fieldFrozen-last), 1)
+	}
+	return append(dst, 0)
+}
+
+// appendFloats appends each weight as gob does: the uint of its
+// byte-reversed bits, which is a count byte and the float's bits low byte
+// first with their trailing zero bytes dropped — or, when only the top
+// byte is set and below 0x80, that byte alone.
+func appendFloats(dst []byte, w []float64) []byte {
+	i := len(dst)
+	dst = slices.Grow(dst, 9*len(w))[:i+9*len(w)] // a weight takes at most 9 bytes
+	for _, x := range w {
+		u := math.Float64bits(x)
+		if u<<8 == 0 && u < 1<<63 {
+			dst[i] = byte(u >> 56)
+			i++
+			continue
+		}
+		tz := bits.TrailingZeros64(u) &^ 7
+		dst[i] = byte(tz>>3 - 8) // minus the byte count
+		binary.LittleEndian.PutUint64(dst[i+1:], u>>tz)
+		i += 9 - tz>>3
+	}
+	return dst[:i]
+}
+
+// floatsLen is the length appendFloats adds for w.
+func floatsLen(w []float64) int {
+	n := 0
+	for _, x := range w {
+		if u := math.Float64bits(x); u<<8 == 0 && u < 1<<63 {
+			n++
+		} else {
+			n += 9 - bits.TrailingZeros64(u)>>3
+		}
+	}
+	return n
+}
+
+// appendUint appends x in gob's uint encoding.
+func appendUint(dst []byte, x uint64) []byte {
+	if x < 0x80 {
+		return append(dst, byte(x))
+	}
+	var b [9]byte
+	binary.BigEndian.PutUint64(b[1:], x)
+	lz := bits.LeadingZeros64(x) >> 3
+	b[lz] = byte(lz - 8) // minus the byte count
+	return append(dst, b[lz:]...)
+}
+
+// uintLen is the length appendUint adds for x.
+func uintLen(x uint64) int {
+	if x < 0x80 {
+		return 1
+	}
+	return 9 - bits.LeadingZeros64(x)>>3
+}
+
+// zigzag maps an int onto gob's uint form of it.
+func zigzag(i int64) uint64 {
+	if i < 0 {
+		return uint64(^i<<1) | 1
+	}
+	return uint64(i << 1)
 }
 
 // LoadParams reads weights written by SaveParams into params, matching by
-// position and verifying name and shape.
+// position and verifying name and shape. It reads a stream in the codec's
+// encoding from r to its last byte and no further; any other stream goes
+// to encoding/gob, which may read ahead.
 func LoadParams(r io.Reader, params []*Param) error {
-	var wire []paramWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return fmt.Errorf("nn: decode params: %w", err)
-	}
-	if len(wire) != len(params) {
-		return fmt.Errorf("nn: stored %d params, model has %d", len(wire), len(params))
-	}
-	for i, p := range params {
-		pw := wire[i]
-		if pw.Name != p.Name || pw.Rows != p.Rows || pw.Cols != p.Cols {
-			return fmt.Errorf("nn: param %d mismatch: stored %s(%dx%d), model %s(%dx%d)",
-				i, pw.Name, pw.Rows, pw.Cols, p.Name, p.Rows, p.Cols)
+	data, whole := readParamsStream(r)
+	if whole {
+		if elems, ok := scanParams(data); ok {
+			return loadElems(params, elems)
 		}
-		// The declared shape and the weight slice must agree: a corrupt
-		// stream whose W is short would otherwise load partially and leave
-		// the tail of the parameter at its random initialization.
-		if len(pw.W) != len(p.W) {
-			return fmt.Errorf("nn: param %d (%s) has %d weights, shape %dx%d needs %d",
-				i, pw.Name, len(pw.W), pw.Rows, pw.Cols, len(p.W))
-		}
-		copy(p.W, pw.W)
-		p.Frozen = pw.Frozen
 	}
-	return nil
+	return loadGob(io.MultiReader(bytes.NewReader(data), r), params)
 }
 
 // MarshalParams returns the SaveParams encoding of params as a byte slice,
 // for callers that embed model weights inside a larger container (the
 // pathrank artifact bundle).
-func MarshalParams(params []*Param) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, params); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func MarshalParams(params []*Param) ([]byte, error) { return encodeParams(nil, params) }
 
 // UnmarshalParams loads weights produced by MarshalParams into params,
 // matching by position and verifying name and shape.
 func UnmarshalParams(data []byte, params []*Param) error {
-	return LoadParams(bytes.NewReader(data), params)
+	if elems, ok := scanParams(data); ok {
+		return loadElems(params, elems)
+	}
+	return loadGob(bytes.NewReader(data), params)
 }
 
 // ParamsFingerprint returns a SHA-256 digest over the names, shapes, frozen
-// flags, and exact weight encodings of params. Two models have the same
-// fingerprint iff their trainable state is bit-identical, which is how the
-// artifact round-trip tests prove a reloaded model ranks identically.
+// flags, and exact weight encodings of params: the hash of their SaveParams
+// stream. Two models have the same fingerprint iff their trainable state is
+// bit-identical, which is how the artifact round-trip tests prove a
+// reloaded model ranks identically.
 func ParamsFingerprint(params []*Param) ([sha256.Size]byte, error) {
-	data, err := MarshalParams(params)
-	if err != nil {
-		return [sha256.Size]byte{}, err
+	h := sha256.New()
+	var sum [sha256.Size]byte
+	if err := SaveParams(h, params); err != nil {
+		return sum, err
 	}
-	return sha256.Sum256(data), nil
+	h.Sum(sum[:0])
+	return sum, nil
+}
+
+// paramElem is one element of a params stream: its header, and its weights
+// either decoded (by encoding/gob) or as the codec's n encoded floats,
+// which loadElems decodes straight into the parameter.
+type paramElem struct {
+	name       string
+	rows, cols int
+	frozen     bool
+	n          int
+	w          []float64
+	enc        []byte
+}
+
+// loadElems is the one validation and copy loop of both decoders.
+func loadElems(params []*Param, elems []paramElem) error {
+	if len(elems) != len(params) {
+		return fmt.Errorf("nn: stored %d params, model has %d", len(elems), len(params))
+	}
+	for i, p := range params {
+		e := &elems[i]
+		if e.name != p.Name || e.rows != p.Rows || e.cols != p.Cols {
+			return fmt.Errorf("nn: param %d mismatch: stored %s(%dx%d), model %s(%dx%d)",
+				i, e.name, e.rows, e.cols, p.Name, p.Rows, p.Cols)
+		}
+		// The declared shape and the weight slice must agree: a corrupt
+		// stream whose W is short would otherwise load partially and leave
+		// the tail of the parameter at its previous values.
+		if e.n != len(p.W) {
+			return fmt.Errorf("nn: param %d (%s) has %d weights, shape %dx%d needs %d",
+				i, e.name, e.n, e.rows, e.cols, len(p.W))
+		}
+		if e.enc != nil {
+			decodeFloats(p.W, e.enc)
+		} else {
+			copy(p.W, e.w)
+		}
+		p.Frozen = e.frozen
+	}
+	return nil
+}
+
+// loadGob decodes a params stream with encoding/gob: the path for every
+// stream the codec does not read itself.
+func loadGob(r io.Reader, params []*Param) error {
+	var wire []paramWire
+	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+		return fmt.Errorf("nn: decode params: %w", err)
+	}
+	elems := make([]paramElem, len(wire))
+	for i, pw := range wire {
+		elems[i] = paramElem{name: pw.Name, rows: pw.Rows, cols: pw.Cols, frozen: pw.Frozen, n: len(pw.W), w: pw.W}
+	}
+	return loadElems(params, elems)
+}
+
+// readParamsStream reads from r the bytes a codec stream occupies — the
+// preamble and one message — and no more. whole is false when r ends
+// first or the bytes are framed otherwise; data holds what was consumed.
+func readParamsStream(r io.Reader) (data []byte, whole bool) {
+	head := make([]byte, len(paramsPreamble)+1, len(paramsPreamble)+9)
+	n, err := io.ReadFull(r, head)
+	if err != nil || !bytes.Equal(head[:len(paramsPreamble)], paramsPreamble) {
+		return head[:n], false
+	}
+	if c := head[len(paramsPreamble)]; c >= 0x80 {
+		k := int(-int8(c))
+		if k > 8 {
+			return head, false
+		}
+		n, err := io.ReadFull(r, head[len(head):len(head)+k])
+		head = head[:len(head)+n]
+		if err != nil {
+			return head, false
+		}
+	}
+	size, _, ok := decodeUint(head[len(paramsPreamble):])
+	if !ok || size >= gobTooBig {
+		return head, false
+	}
+	buf := bytes.NewBuffer(head)
+	buf.Grow(int(min(size, 64<<20))) // the rest grows as bytes arrive
+	m, err := io.CopyN(buf, r, int64(size))
+	return buf.Bytes(), err == nil && m == int64(size)
+}
+
+// scanParams parses data as exactly one codec stream, recording each
+// element's header and encoded weights without decoding them. ok is false
+// for any other bytes.
+func scanParams(data []byte) (elems []paramElem, ok bool) {
+	rest, ok := bytes.CutPrefix(data, paramsPreamble)
+	if !ok {
+		return nil, false
+	}
+	s := paramsScanner{b: rest}
+	size := s.uint()
+	if s.bad || size >= gobTooBig || size != uint64(len(s.b)) {
+		return nil, false
+	}
+	if s.uint() != zigzag(paramsTypeID) || s.uint() != 0 {
+		return nil, false
+	}
+	count := s.uint()
+	if s.bad || count > uint64(len(s.b)) { // an element is at least one byte
+		return nil, false
+	}
+	elems = make([]paramElem, count)
+	for i := range elems {
+		s.elem(&elems[i])
+	}
+	if s.bad || len(s.b) != 0 {
+		return nil, false
+	}
+	return elems, true
+}
+
+// paramsScanner reads the codec's encoding from b; bad sticks at the first
+// byte that is not.
+type paramsScanner struct {
+	b   []byte
+	bad bool
+}
+
+func (s *paramsScanner) uint() uint64 {
+	if s.bad {
+		return 0
+	}
+	x, n, ok := decodeUint(s.b)
+	if !ok {
+		s.bad = true
+		return 0
+	}
+	s.b = s.b[n:]
+	return x
+}
+
+// int reads a non-zero int: an element carries no zero field.
+func (s *paramsScanner) int() int {
+	x := s.uint()
+	if x == 0 {
+		s.bad = true
+	}
+	if x&1 != 0 {
+		return int(^(x >> 1))
+	}
+	return int(x >> 1)
+}
+
+// elem reads one element: fields in ascending order, each non-zero, then
+// the zero delta.
+func (s *paramsScanner) elem(e *paramElem) {
+	field := -1
+	for !s.bad {
+		delta := s.uint()
+		if delta == 0 {
+			return
+		}
+		if delta > uint64(fieldFrozen-field) {
+			s.bad = true
+			return
+		}
+		field += int(delta)
+		switch field {
+		case fieldName:
+			n := s.uint()
+			if n == 0 || n > uint64(len(s.b)) {
+				s.bad = true
+				return
+			}
+			e.name = string(s.b[:n])
+			s.b = s.b[n:]
+		case fieldRows:
+			e.rows = s.int()
+		case fieldCols:
+			e.cols = s.int()
+		case fieldW:
+			n := s.uint()
+			if n == 0 || n > uint64(len(s.b)) { // a weight is at least one byte
+				s.bad = true
+				return
+			}
+			rest, ok := skipFloats(s.b, n)
+			if !ok {
+				s.bad = true
+				return
+			}
+			e.n, e.enc, s.b = int(n), s.b[:len(s.b)-len(rest)], rest
+		case fieldFrozen:
+			if s.uint() != 1 {
+				s.bad = true
+			}
+			e.frozen = true
+		default:
+			s.bad = true
+		}
+	}
+}
+
+// decodeUint reads one uint in its minimal gob encoding — the only one
+// appendUint writes — and reports its length; ok is false for anything
+// else, a non-minimal encoding included.
+func decodeUint(b []byte) (x uint64, n int, ok bool) {
+	if len(b) == 0 {
+		return 0, 0, false
+	}
+	c := b[0]
+	if c < 0x80 {
+		return uint64(c), 1, true
+	}
+	k := int(-int8(c))
+	if k > 8 || len(b) <= k || b[1] == 0 {
+		return 0, 0, false
+	}
+	for _, d := range b[1 : 1+k] {
+		x = x<<8 | uint64(d)
+	}
+	if x < 0x80 {
+		return 0, 0, false
+	}
+	return x, 1 + k, true
+}
+
+// skipFloats returns b after n weights in appendFloats' encoding, or ok
+// false when the bytes are anything else.
+func skipFloats(b []byte, n uint64) (rest []byte, ok bool) {
+	i := 0
+	for ; n > 0; n-- {
+		if i >= len(b) {
+			return nil, false
+		}
+		c := b[i]
+		if c < 0x80 {
+			i++
+			continue
+		}
+		k := int(-int8(c))
+		if k > 8 || i+k >= len(b) || b[i+1] == 0 || (k == 1 && b[i+1] < 0x80) {
+			return nil, false
+		}
+		i += 1 + k
+	}
+	return b[i:], true
+}
+
+// decodeFloats decodes len(dst) weights that skipFloats has accepted.
+func decodeFloats(dst []float64, enc []byte) {
+	i := 0
+	for j := range dst {
+		c := enc[i]
+		if c < 0x80 {
+			dst[j] = math.Float64frombits(uint64(c) << 56)
+			i++
+			continue
+		}
+		k := int(-int8(c))
+		var u uint64
+		if i+9 <= len(enc) {
+			u = binary.LittleEndian.Uint64(enc[i+1:])
+		} else {
+			var tail [8]byte
+			copy(tail[:], enc[i+1:])
+			u = binary.LittleEndian.Uint64(tail[:])
+		}
+		dst[j] = math.Float64frombits(u << (64 - 8*k)) // drops the bytes past the k
+		i += 1 + k
+	}
 }

@@ -8,6 +8,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"pathrank/internal/dataset"
 	"pathrank/internal/pathrank"
@@ -74,12 +77,9 @@ func (m *ShardMap) GlobalBoundary() []roadnet.VertexID {
 
 // Model reconstructs the ranking model carried by the map.
 func (m *ShardMap) Model() (*pathrank.Model, error) {
-	model, err := pathrank.New(m.NumVertices, m.ModelConfig)
+	model, err := pathrank.LoadModel(m.NumVertices, m.ModelConfig, m.ModelParams)
 	if err != nil {
-		return nil, fmt.Errorf("partition: shard map model config: %w", err)
-	}
-	if err := model.Load(bytes.NewReader(m.ModelParams)); err != nil {
-		return nil, fmt.Errorf("partition: shard map model weights: %w", err)
+		return nil, fmt.Errorf("partition: shard map: %w", err)
 	}
 	return model, nil
 }
@@ -177,15 +177,28 @@ func (m *ShardMap) validate() error {
 // distanceTable fills the |B|×|B| row-major table of exact costs under w:
 // row i is one Dijkstra from B[i] to every boundary vertex, over w's
 // weight table, through the entry point a shard's boundary query uses.
+// Rows are independent, so they run on up to GOMAXPROCS workers, each on
+// its own pooled workspace; every row is the same search whichever worker
+// runs it, so the table does not depend on the worker count.
 func distanceTable(g *roadnet.Graph, w spath.Weight, B []roadnet.VertexID) []float64 {
 	nb := len(B)
 	flat := make([]float64, nb*nb)
 	wts := spath.WeightTable(g, w)
-	ws := spath.GetWorkspace(g)
-	defer ws.Release()
-	for i, b := range B {
-		ws.BoundaryDistances(g, b, false, B, wts, flat[i*nb:(i+1)*nb])
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), nb)
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			ws := spath.GetWorkspace(g)
+			defer ws.Release()
+			for i := int(next.Add(1)) - 1; i < nb; i = int(next.Add(1)) - 1 {
+				ws.BoundaryDistances(g, B[i], false, B, wts, flat[i*nb:(i+1)*nb])
+			}
+		}()
 	}
+	wg.Wait()
 	return flat
 }
 

@@ -174,3 +174,31 @@ func TestShardMapRejectsCorruption(t *testing.T) {
 		t.Fatal("cut edges out of ID order accepted")
 	}
 }
+
+// BenchmarkBuildBundle times a four-shard bundle build of the served world:
+// the 56x56 generated grid with its motorway ring (3,152 vertices) and an
+// untrained model of the default shape (embedding 128, hidden 64), as the
+// serving benchmark's sharded set-up builds it.
+func BenchmarkBuildBundle(b *testing.B) {
+	cfg := roadnet.DefaultGenConfig()
+	cfg.Rows, cfg.Cols, cfg.Seed = 56, 56, 1
+	g, err := roadnet.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := pathrank.New(g.NumVertices(), pathrank.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	art := &pathrank.Artifact{
+		Graph: g, Model: model,
+		Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 5, Threshold: 0.8},
+	}
+	dir := b.TempDir()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := BuildBundle(art, dir, 4, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

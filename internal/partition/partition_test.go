@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"pathrank/internal/geo"
@@ -170,8 +172,18 @@ func TestExtractShardInduced(t *testing.T) {
 
 // TestDistanceTableIsDijkstra: the boundary tables are plain sums. Under
 // both metrics, row i of distanceTable is DijkstraAll from the i-th
-// boundary vertex read at the boundary vertices, bit for bit.
+// boundary vertex read at the boundary vertices, bit for bit, whatever
+// the number of workers that computed the rows.
 func TestDistanceTableIsDijkstra(t *testing.T) {
+	for _, procs := range []int{1, 3} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			testDistanceTableIsDijkstra(t)
+		})
+	}
+}
+
+func testDistanceTableIsDijkstra(t *testing.T) {
 	g := testGraph(t, 9, 9, 23)
 	res, err := Split(g, 3)
 	if err != nil {

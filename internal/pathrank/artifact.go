@@ -203,18 +203,21 @@ type artifactWire struct {
 }
 
 // gob numbers types process-wide in order of first encode and writes those
-// numbers into every stream, so an artifact's bytes would depend on what
-// else the process had gob-encoded before its first save: a server hashes
-// its graph through roadnet's gob form at start-up, pathrank-train -replay
-// never does. Numbering every type the payload's sections use here, before
+// numbers into every stream, so an artifact's payload bytes would depend on
+// what else the process had gob-encoded before its first save. Numbering
+// every type the payload and its embeddings section use here, before
 // anything else can run, makes equal artifacts equal files in every binary
-// — a served generation and its WAL replay `cmp` equal.
+// — a served generation and its WAL replay `cmp` equal. The anonymous
+// struct stands in for a payload section that files no longer carry, so
+// the types after it keep the numbers they had while it did.
 //
-// The numbering is also part of every model fingerprint, which hashes the
-// params' gob encoding, and fingerprints are compared across binaries (WAL
-// replay, lineage, a bundle's shard map). The anonymous struct stands in
-// for a payload section that files no longer carry, so the types after it
-// keep the numbers, and models the fingerprints, they had while it did.
+// The params section and the model fingerprint do not depend on this
+// numbering: internal/nn writes their bytes itself, gob's type preamble
+// pinned as a constant, whatever the process encoded first. Every binary
+// used to gob-encode the params types at its first fingerprint, before it
+// wrote a shard map or a WAL retrain marker; numbering paramWire here
+// gives it the params types' numbers, so the types of those files keep
+// theirs and a bundle's shardmap.bin stays byte-identical.
 func init() {
 	_ = (&node2vec.Embeddings{}).Save(io.Discard)
 	_ = gob.NewEncoder(io.Discard).Encode(struct {
@@ -223,6 +226,18 @@ func init() {
 		D, E [][]float64
 	}{})
 	_ = gob.NewEncoder(io.Discard).Encode(artifactWire{})
+	_ = gob.NewEncoder(io.Discard).Encode([]paramWire{})
+}
+
+// paramWire has the gob form of internal/nn's serialized parameter, name
+// included, so gob writes a []paramWire exactly as nn's codec does (see
+// init).
+type paramWire struct {
+	Name   string
+	Rows   int
+	Cols   int
+	W      []float64
+	Frozen bool
 }
 
 // SaveArtifact writes the artifact to w in the format above.
@@ -353,12 +368,9 @@ func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
 	if err := checkModelShape(g.NumVertices(), wire.ModelConfig, len(wire.Params)); err != nil {
 		return nil, err
 	}
-	model, err := New(g.NumVertices(), wire.ModelConfig)
+	model, err := LoadModel(g.NumVertices(), wire.ModelConfig, wire.Params)
 	if err != nil {
-		return nil, fmt.Errorf("pathrank: artifact model config: %w", err)
-	}
-	if err := nn.UnmarshalParams(wire.Params, model.params); err != nil {
-		return nil, fmt.Errorf("pathrank: artifact weights: %w", err)
+		return nil, err
 	}
 	a := &Artifact{Graph: g, Model: model, Candidates: wire.Candidates, Lineage: wire.Lineage, Shard: wire.Shard}
 	if chd != nil {

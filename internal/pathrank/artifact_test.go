@@ -279,6 +279,24 @@ func TestModelClone(t *testing.T) {
 		t.Fatal("clone weights differ from original")
 	}
 	w := newTestWorld(t, 6, 2)
+	for _, q := range w.queries {
+		for _, c := range q.Candidates {
+			if a, b := art.Model.Score(c.Path), clone.Score(c.Path); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("clone scores %x, original %x", math.Float64bits(b), math.Float64bits(a))
+			}
+		}
+	}
+	for i, p := range clone.params {
+		if p.Frozen != art.Model.params[i].Frozen {
+			t.Fatalf("param %s: clone frozen %v, original %v", p.Name, p.Frozen, art.Model.params[i].Frozen)
+		}
+	}
+	saved := clone.params[0].W[0]
+	clone.params[0].W[0]++
+	if after, err := art.Model.FingerprintHex(); err != nil || after != orig {
+		t.Fatal("writing a clone weight changed the original")
+	}
+	clone.params[0].W[0] = saved
 	if _, err := clone.FineTune(w.queries, TrainConfig{Epochs: 1, LR: 0.01, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -141,6 +141,26 @@ type Model struct {
 
 // New builds an untrained model for a graph with numVertices vertices.
 func New(numVertices int, cfg Config) (*Model, error) {
+	return newModel(numVertices, cfg, rand.New(rand.NewSource(cfg.Seed)))
+}
+
+// LoadModel builds the model for a graph with numVertices vertices from
+// weights written by Save: its tensors are shaped and zeroed, never
+// randomly initialized, since the load overwrites them all.
+func LoadModel(numVertices int, cfg Config, params []byte) (*Model, error) {
+	m, err := newModel(numVertices, cfg, nil)
+	if err != nil {
+		return nil, fmt.Errorf("pathrank: model config: %w", err)
+	}
+	if err := nn.UnmarshalParams(params, m.params); err != nil {
+		return nil, fmt.Errorf("pathrank: model weights: %w", err)
+	}
+	return m, nil
+}
+
+// newModel builds a model whose layers draw their initial weights from
+// rng; a nil rng leaves every tensor zero.
+func newModel(numVertices int, cfg Config, rng *rand.Rand) (*Model, error) {
 	if cfg.EmbeddingDim <= 0 || cfg.Hidden <= 0 {
 		return nil, fmt.Errorf("pathrank: embedding dim %d and hidden %d must be positive",
 			cfg.EmbeddingDim, cfg.Hidden)
@@ -148,7 +168,6 @@ func New(numVertices int, cfg Config) (*Model, error) {
 	if numVertices <= 0 {
 		return nil, fmt.Errorf("pathrank: vocabulary must be positive, got %d", numVertices)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{cfg: cfg}
 	m.emb = nn.NewEmbedding(numVertices, cfg.EmbeddingDim, rng)
 	m.emb.Table.Frozen = cfg.Variant == PRA1
@@ -417,16 +436,13 @@ func (m *Model) Score(p spath.Path) float64 {
 // trainer fine-tunes a new generation while the original keeps serving
 // concurrent Score calls.
 func (m *Model) Clone() (*Model, error) {
-	c, err := New(m.emb.Vocab(), m.cfg)
+	c, err := newModel(m.emb.Vocab(), m.cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	data, err := nn.MarshalParams(m.params)
-	if err != nil {
-		return nil, err
-	}
-	if err := nn.UnmarshalParams(data, c.params); err != nil {
-		return nil, err
+	for i, p := range m.params {
+		copy(c.params[i].W, p.W)
+		c.params[i].Frozen = p.Frozen
 	}
 	return c, nil
 }

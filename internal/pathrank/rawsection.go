@@ -2,6 +2,7 @@ package pathrank
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -97,6 +98,18 @@ func chSlots(d *spath.CHData) []rawSlot {
 		slot(&d.UpStart), slot(&d.UpArcs), slot(&d.DownStart), slot(&d.DownArcs),
 		slot(&d.IdxKeys), slot(&d.IdxVals),
 	}
+}
+
+// GraphDigest returns the SHA-256 of g's flat arrays, laid out as an
+// artifact's raw section at offset 0. Two graphs digest equal iff their
+// arrays are byte-identical.
+func GraphDigest(g *roadnet.Graph) [sha256.Size]byte {
+	gd := g.RawData()
+	h := sha256.New()
+	_ = writeRawSection(h, 0, graphSlots(&gd)) // a hash.Hash never fails a Write
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // writeRawSection writes everything that follows the gob payload, which

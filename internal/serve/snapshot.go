@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pathrank/internal/pathrank"
-	"pathrank/internal/roadnet"
 )
 
 // snapshot is one immutable serving state: an artifact, its ranker, and the
@@ -24,23 +23,8 @@ type snapshot struct {
 	flight *flightGroup
 	fp     [sha256.Size]byte
 	fpHex  string
-	graph  [sha256.Size]byte // digest of the serialized road network
+	graph  [sha256.Size]byte // pathrank.GraphDigest of the road network
 	loaded time.Time
-}
-
-// graphDigest hashes the graph's serialized form. Gob encoding is
-// deterministic for a given structure, so two graphs digest equal iff
-// their vertex/edge data is identical — which is what cache reuse across
-// a swap requires (cached paths carry edge IDs resolved against the
-// serving graph).
-func graphDigest(g *roadnet.Graph) ([sha256.Size]byte, error) {
-	h := sha256.New()
-	if err := g.Save(h); err != nil {
-		return [sha256.Size]byte{}, err
-	}
-	var sum [sha256.Size]byte
-	copy(sum[:], h.Sum(nil))
-	return sum, nil
 }
 
 // newSnapshot builds the serving state for art. When prev is non-nil, the
@@ -63,10 +47,7 @@ func newSnapshot(art *pathrank.Artifact, cfg Config, prev *snapshot) (*snapshot,
 	if err != nil {
 		return nil, fmt.Errorf("serve: fingerprint artifact: %w", err)
 	}
-	gd, err := graphDigest(art.Graph)
-	if err != nil {
-		return nil, fmt.Errorf("serve: digest artifact graph: %w", err)
-	}
+	gd := pathrank.GraphDigest(art.Graph)
 	p := &snapshot{
 		art:    art,
 		ranker: art.NewRanker(),

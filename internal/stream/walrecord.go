@@ -34,7 +34,6 @@ import (
 	"math"
 
 	"pathrank/internal/roadnet"
-	"pathrank/internal/spath"
 )
 
 const (
@@ -218,23 +217,4 @@ func decodeRetrainMarker(payload []byte) (retrainMarker, error) {
 		return m, fmt.Errorf("stream: implausible retrain marker (generation %d, %d window seqs)", m.Generation, len(m.WindowSeqs))
 	}
 	return m, nil
-}
-
-// pathEqual reports whether two decoded paths are identical; codec tests
-// use it for round-trip checks.
-func pathEqual(a, b spath.Path) bool {
-	if a.Cost != b.Cost || len(a.Vertices) != len(b.Vertices) || len(a.Edges) != len(b.Edges) {
-		return false
-	}
-	for i := range a.Vertices {
-		if a.Vertices[i] != b.Vertices[i] {
-			return false
-		}
-	}
-	for i := range a.Edges {
-		if a.Edges[i] != b.Edges[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -166,3 +166,22 @@ func TestDecodeWALRecordErrors(t *testing.T) {
 		t.Fatalf("replay: err %v, want %q", err, want)
 	}
 }
+
+// pathEqual reports whether two decoded paths are identical, for the
+// codec's round-trip checks.
+func pathEqual(a, b spath.Path) bool {
+	if a.Cost != b.Cost || len(a.Vertices) != len(b.Vertices) || len(a.Edges) != len(b.Edges) {
+		return false
+	}
+	for i := range a.Vertices {
+		if a.Vertices[i] != b.Vertices[i] {
+			return false
+		}
+	}
+	for i := range a.Edges {
+		if a.Edges[i] != b.Edges[i] {
+			return false
+		}
+	}
+	return true
+}
