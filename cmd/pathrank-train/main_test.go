@@ -256,14 +256,15 @@ func TestLiveModeRestartsAfterRefusedGeneration(t *testing.T) {
 	}
 }
 
-// resumeFingerprint is the model fingerprint -resume produced on
-// TestResumeContinuesProvenance's inputs while it still ran its own copy
-// of the retrain body. The fine-tune sees the same trips in the same
-// order under the same seed and schedule, so the weights must not move.
-// It is the fingerprint the pathrank-train binary gives the resumed model
-// in a process of its own, and the one this test's process computes too,
-// though the test gob-encodes a graph and a trips file before it trains:
-// a fingerprint does not depend on what the process encoded first.
+// resumeFingerprint is the fingerprint of the model -resume writes on
+// TestResumeContinuesProvenance's inputs. The fine-tune sees the same trips
+// in the same order under the same seed and schedule, so the weights must
+// not move. The value is that of the artifact -resume wrote while params
+// still went through encoding/gob (the file is byte-identical to today's),
+// loaded and fingerprinted in a process that had gob-encoded nothing else.
+// This test's process must get it too, though it gob-encodes a graph and a
+// trips file before it trains: a fingerprint does not depend on what the
+// process encoded first.
 const resumeFingerprint = "c983e9a831a39d8451422f5e706a785ae813281e27c589efd1c10e911ec2bf12"
 
 // TestResumeContinuesProvenance: -resume fine-tunes the offline artifact

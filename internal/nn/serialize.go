@@ -13,9 +13,9 @@ import (
 )
 
 // The params format is the encoding/gob stream of a []paramWire, byte for
-// byte, written and read by the hand codec below. Model fingerprints hash
-// it and are compared across binaries (WAL markers, lineage, a bundle's
-// shard map), so its bytes are pinned, preamble included:
+// byte, written by the hand encoder below. Model fingerprints hash it and
+// are compared across binaries (WAL markers, lineage, a bundle's shard
+// map), so its bytes are pinned, preamble included:
 //
 //   - paramsPreamble is the three type-definition messages gob sends
 //     before the value, with the type numbers a process gets when its first
@@ -31,11 +31,8 @@ import (
 //     zero-valued fields omitted; a float64 as the uint of its byte-reversed
 //     Float64bits.
 //
-// The decoder reads only that exact encoding, the one the encoder writes.
-// Any other bytes — a stream with a foreign preamble, a non-minimal
-// integer, an explicit zero field, trailing data, corruption — go to
-// encoding/gob unchanged, so a stream loads exactly as gob would load it.
-// FuzzParamsCodec holds both halves to gob.
+// Streams are read back with encoding/gob, which accepts any type numbers
+// in a preamble. FuzzParamsCodec holds the encoder to gob's bytes.
 
 // paramWire is the serialized form of a Param (weights only; gradients and
 // optimizer state are transient).
@@ -68,8 +65,9 @@ const (
 	// paramsTypeID is []paramWire's number in paramsPreamble.
 	paramsTypeID = 77
 	// gobTooBig is the message size from which gob refuses to encode or
-	// decode a message.
-	gobTooBig = 1 << 30
+	// decode a message: encoding/gob's tooBig, 1 GiB on 32-bit platforms
+	// and 8 GiB on 64-bit ones.
+	gobTooBig = (1 << 30) << (^uint(0) >> 62)
 	// paramsChunk is how many bytes SaveParams buffers per write.
 	paramsChunk = 32 << 10
 )
@@ -104,7 +102,7 @@ func encodeParams(w io.Writer, params []*Param) ([]byte, error) {
 		weights += len(p.W)
 	}
 	body += floats
-	if body >= gobTooBig {
+	if !gobFits(uint64(body)) {
 		return nil, fmt.Errorf("nn: encode params: %d-byte message exceeds gob's limit", body)
 	}
 	var buf []byte
@@ -149,6 +147,9 @@ func encodeParams(w io.Writer, params []*Param) ([]byte, error) {
 	}
 	return nil, flush()
 }
+
+// gobFits reports whether gob encodes and decodes a message of size bytes.
+func gobFits(size uint64) bool { return size < gobTooBig }
 
 // appendElemHead appends p's element up to its weights — the Name, Rows
 // and Cols fields and W's count, each omitted when zero — and returns the
@@ -252,17 +253,32 @@ func zigzag(i int64) uint64 {
 }
 
 // LoadParams reads weights written by SaveParams into params, matching by
-// position and verifying name and shape. It reads a stream in the codec's
-// encoding from r to its last byte and no further; any other stream goes
-// to encoding/gob, which may read ahead.
+// position and verifying name and shape.
 func LoadParams(r io.Reader, params []*Param) error {
-	data, whole := readParamsStream(r)
-	if whole {
-		if elems, ok := scanParams(data); ok {
-			return loadElems(params, elems)
-		}
+	var wire []paramWire
+	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+		return fmt.Errorf("nn: decode params: %w", err)
 	}
-	return loadGob(io.MultiReader(bytes.NewReader(data), r), params)
+	if len(wire) != len(params) {
+		return fmt.Errorf("nn: stored %d params, model has %d", len(wire), len(params))
+	}
+	for i, p := range params {
+		pw := wire[i]
+		if pw.Name != p.Name || pw.Rows != p.Rows || pw.Cols != p.Cols {
+			return fmt.Errorf("nn: param %d mismatch: stored %s(%dx%d), model %s(%dx%d)",
+				i, pw.Name, pw.Rows, pw.Cols, p.Name, p.Rows, p.Cols)
+		}
+		// The declared shape and the weight slice must agree: a corrupt
+		// stream whose W is short would otherwise load partially and leave
+		// the tail of the parameter at its previous values.
+		if len(pw.W) != len(p.W) {
+			return fmt.Errorf("nn: param %d (%s) has %d weights, shape %dx%d needs %d",
+				i, pw.Name, len(pw.W), pw.Rows, pw.Cols, len(p.W))
+		}
+		copy(p.W, pw.W)
+		p.Frozen = pw.Frozen
+	}
+	return nil
 }
 
 // MarshalParams returns the SaveParams encoding of params as a byte slice,
@@ -273,10 +289,7 @@ func MarshalParams(params []*Param) ([]byte, error) { return encodeParams(nil, p
 // UnmarshalParams loads weights produced by MarshalParams into params,
 // matching by position and verifying name and shape.
 func UnmarshalParams(data []byte, params []*Param) error {
-	if elems, ok := scanParams(data); ok {
-		return loadElems(params, elems)
-	}
-	return loadGob(bytes.NewReader(data), params)
+	return LoadParams(bytes.NewReader(data), params)
 }
 
 // ParamsFingerprint returns a SHA-256 digest over the names, shapes, frozen
@@ -292,270 +305,4 @@ func ParamsFingerprint(params []*Param) ([sha256.Size]byte, error) {
 	}
 	h.Sum(sum[:0])
 	return sum, nil
-}
-
-// paramElem is one element of a params stream: its header, and its weights
-// either decoded (by encoding/gob) or as the codec's n encoded floats,
-// which loadElems decodes straight into the parameter.
-type paramElem struct {
-	name       string
-	rows, cols int
-	frozen     bool
-	n          int
-	w          []float64
-	enc        []byte
-}
-
-// loadElems is the one validation and copy loop of both decoders.
-func loadElems(params []*Param, elems []paramElem) error {
-	if len(elems) != len(params) {
-		return fmt.Errorf("nn: stored %d params, model has %d", len(elems), len(params))
-	}
-	for i, p := range params {
-		e := &elems[i]
-		if e.name != p.Name || e.rows != p.Rows || e.cols != p.Cols {
-			return fmt.Errorf("nn: param %d mismatch: stored %s(%dx%d), model %s(%dx%d)",
-				i, e.name, e.rows, e.cols, p.Name, p.Rows, p.Cols)
-		}
-		// The declared shape and the weight slice must agree: a corrupt
-		// stream whose W is short would otherwise load partially and leave
-		// the tail of the parameter at its previous values.
-		if e.n != len(p.W) {
-			return fmt.Errorf("nn: param %d (%s) has %d weights, shape %dx%d needs %d",
-				i, e.name, e.n, e.rows, e.cols, len(p.W))
-		}
-		if e.enc != nil {
-			decodeFloats(p.W, e.enc)
-		} else {
-			copy(p.W, e.w)
-		}
-		p.Frozen = e.frozen
-	}
-	return nil
-}
-
-// loadGob decodes a params stream with encoding/gob: the path for every
-// stream the codec does not read itself.
-func loadGob(r io.Reader, params []*Param) error {
-	var wire []paramWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return fmt.Errorf("nn: decode params: %w", err)
-	}
-	elems := make([]paramElem, len(wire))
-	for i, pw := range wire {
-		elems[i] = paramElem{name: pw.Name, rows: pw.Rows, cols: pw.Cols, frozen: pw.Frozen, n: len(pw.W), w: pw.W}
-	}
-	return loadElems(params, elems)
-}
-
-// readParamsStream reads from r the bytes a codec stream occupies — the
-// preamble and one message — and no more. whole is false when r ends
-// first or the bytes are framed otherwise; data holds what was consumed.
-func readParamsStream(r io.Reader) (data []byte, whole bool) {
-	head := make([]byte, len(paramsPreamble)+1, len(paramsPreamble)+9)
-	n, err := io.ReadFull(r, head)
-	if err != nil || !bytes.Equal(head[:len(paramsPreamble)], paramsPreamble) {
-		return head[:n], false
-	}
-	if c := head[len(paramsPreamble)]; c >= 0x80 {
-		k := int(-int8(c))
-		if k > 8 {
-			return head, false
-		}
-		n, err := io.ReadFull(r, head[len(head):len(head)+k])
-		head = head[:len(head)+n]
-		if err != nil {
-			return head, false
-		}
-	}
-	size, _, ok := decodeUint(head[len(paramsPreamble):])
-	if !ok || size >= gobTooBig {
-		return head, false
-	}
-	buf := bytes.NewBuffer(head)
-	buf.Grow(int(min(size, 64<<20))) // the rest grows as bytes arrive
-	m, err := io.CopyN(buf, r, int64(size))
-	return buf.Bytes(), err == nil && m == int64(size)
-}
-
-// scanParams parses data as exactly one codec stream, recording each
-// element's header and encoded weights without decoding them. ok is false
-// for any other bytes.
-func scanParams(data []byte) (elems []paramElem, ok bool) {
-	rest, ok := bytes.CutPrefix(data, paramsPreamble)
-	if !ok {
-		return nil, false
-	}
-	s := paramsScanner{b: rest}
-	size := s.uint()
-	if s.bad || size >= gobTooBig || size != uint64(len(s.b)) {
-		return nil, false
-	}
-	if s.uint() != zigzag(paramsTypeID) || s.uint() != 0 {
-		return nil, false
-	}
-	count := s.uint()
-	if s.bad || count > uint64(len(s.b)) { // an element is at least one byte
-		return nil, false
-	}
-	elems = make([]paramElem, count)
-	for i := range elems {
-		s.elem(&elems[i])
-	}
-	if s.bad || len(s.b) != 0 {
-		return nil, false
-	}
-	return elems, true
-}
-
-// paramsScanner reads the codec's encoding from b; bad sticks at the first
-// byte that is not.
-type paramsScanner struct {
-	b   []byte
-	bad bool
-}
-
-func (s *paramsScanner) uint() uint64 {
-	if s.bad {
-		return 0
-	}
-	x, n, ok := decodeUint(s.b)
-	if !ok {
-		s.bad = true
-		return 0
-	}
-	s.b = s.b[n:]
-	return x
-}
-
-// int reads a non-zero int: an element carries no zero field.
-func (s *paramsScanner) int() int {
-	x := s.uint()
-	if x == 0 {
-		s.bad = true
-	}
-	if x&1 != 0 {
-		return int(^(x >> 1))
-	}
-	return int(x >> 1)
-}
-
-// elem reads one element: fields in ascending order, each non-zero, then
-// the zero delta.
-func (s *paramsScanner) elem(e *paramElem) {
-	field := -1
-	for !s.bad {
-		delta := s.uint()
-		if delta == 0 {
-			return
-		}
-		if delta > uint64(fieldFrozen-field) {
-			s.bad = true
-			return
-		}
-		field += int(delta)
-		switch field {
-		case fieldName:
-			n := s.uint()
-			if n == 0 || n > uint64(len(s.b)) {
-				s.bad = true
-				return
-			}
-			e.name = string(s.b[:n])
-			s.b = s.b[n:]
-		case fieldRows:
-			e.rows = s.int()
-		case fieldCols:
-			e.cols = s.int()
-		case fieldW:
-			n := s.uint()
-			if n == 0 || n > uint64(len(s.b)) { // a weight is at least one byte
-				s.bad = true
-				return
-			}
-			rest, ok := skipFloats(s.b, n)
-			if !ok {
-				s.bad = true
-				return
-			}
-			e.n, e.enc, s.b = int(n), s.b[:len(s.b)-len(rest)], rest
-		case fieldFrozen:
-			if s.uint() != 1 {
-				s.bad = true
-			}
-			e.frozen = true
-		default:
-			s.bad = true
-		}
-	}
-}
-
-// decodeUint reads one uint in its minimal gob encoding — the only one
-// appendUint writes — and reports its length; ok is false for anything
-// else, a non-minimal encoding included.
-func decodeUint(b []byte) (x uint64, n int, ok bool) {
-	if len(b) == 0 {
-		return 0, 0, false
-	}
-	c := b[0]
-	if c < 0x80 {
-		return uint64(c), 1, true
-	}
-	k := int(-int8(c))
-	if k > 8 || len(b) <= k || b[1] == 0 {
-		return 0, 0, false
-	}
-	for _, d := range b[1 : 1+k] {
-		x = x<<8 | uint64(d)
-	}
-	if x < 0x80 {
-		return 0, 0, false
-	}
-	return x, 1 + k, true
-}
-
-// skipFloats returns b after n weights in appendFloats' encoding, or ok
-// false when the bytes are anything else.
-func skipFloats(b []byte, n uint64) (rest []byte, ok bool) {
-	i := 0
-	for ; n > 0; n-- {
-		if i >= len(b) {
-			return nil, false
-		}
-		c := b[i]
-		if c < 0x80 {
-			i++
-			continue
-		}
-		k := int(-int8(c))
-		if k > 8 || i+k >= len(b) || b[i+1] == 0 || (k == 1 && b[i+1] < 0x80) {
-			return nil, false
-		}
-		i += 1 + k
-	}
-	return b[i:], true
-}
-
-// decodeFloats decodes len(dst) weights that skipFloats has accepted.
-func decodeFloats(dst []float64, enc []byte) {
-	i := 0
-	for j := range dst {
-		c := enc[i]
-		if c < 0x80 {
-			dst[j] = math.Float64frombits(uint64(c) << 56)
-			i++
-			continue
-		}
-		k := int(-int8(c))
-		var u uint64
-		if i+9 <= len(enc) {
-			u = binary.LittleEndian.Uint64(enc[i+1:])
-		} else {
-			var tail [8]byte
-			copy(tail[:], enc[i+1:])
-			u = binary.LittleEndian.Uint64(tail[:])
-		}
-		dst[j] = math.Float64frombits(u << (64 - 8*k)) // drops the bytes past the k
-		i += 1 + k
-	}
 }

@@ -196,7 +196,8 @@ func BenchmarkBuildBundle(b *testing.B) {
 	}
 	dir := b.TempDir()
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for range b.N {
 		if _, err := BuildBundle(art, dir, 4, nil); err != nil {
 			b.Fatal(err)
 		}

@@ -230,7 +230,7 @@ func init() {
 }
 
 // paramWire has the gob form of internal/nn's serialized parameter, name
-// included, so gob writes a []paramWire exactly as nn's codec does (see
+// included, so gob writes a []paramWire exactly as nn's encoder does (see
 // init).
 type paramWire struct {
 	Name   string

@@ -93,10 +93,10 @@ func TestFingerprintIgnoresGobHistory(t *testing.T) {
 	}
 }
 
-// TestParamsStreamMatchesGob pins nn's params codec, preamble included, to
+// TestParamsStreamMatchesGob pins nn's params encoder, preamble included, to
 // what encoding/gob writes for the same weights in this package's
 // processes, where init numbers paramWire as the params types were
-// numbered before the codec: the stream every artifact and fingerprint was
+// numbered before the encoder: the stream every artifact and fingerprint was
 // made of.
 func TestParamsStreamMatchesGob(t *testing.T) {
 	for _, cfg := range []Config{
