@@ -90,6 +90,16 @@ var shardMapMagic = [8]byte{'P', 'R', 'S', 'H', 'R', 'D', 'M', 'P'}
 
 const shardMapVersion = 1
 
+// gob numbers types process-wide in order of first encode and writes those
+// numbers into every stream, so a shard map's bytes would depend on what
+// else the process had gob-encoded before its first save. Numbering the
+// map's types here, right after internal/pathrank's init has numbered the
+// artifact's, gives them the numbers a process that encoded nothing else
+// first gave them, so equal maps are equal files in every binary.
+func init() {
+	_ = gob.NewEncoder(io.Discard).Encode(ShardMap{})
+}
+
 // SaveShardMap writes the map as a checksummed bundle.
 func SaveShardMap(w io.Writer, m *ShardMap) error {
 	var payload bytes.Buffer

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"pathrank/internal/api"
@@ -184,6 +185,57 @@ func (st RankStats) Wire() *api.RankStats {
 		GenNs:      st.GenNanos,
 		ScoreNs:    st.ScoreNanos,
 	}
+}
+
+// RenderPaths encodes a ranking as the JSON of its []api.RankedPath by
+// hand, byte for byte what json.Marshal writes for it, floats through
+// api.AppendFloat. Lengths and times are measured on g. Vertex IDs are g's
+// own, or with globalV set, globalV's entries for them: the numbering a
+// router's fused corridor graph maps back to the full graph's.
+func RenderPaths(g *roadnet.Graph, ranked []Ranked, globalV []roadnet.VertexID) ([]byte, error) {
+	// A path's fixed fields take under 128 bytes and a vertex ID with its
+	// comma rarely more than 6, so the buffer seldom grows.
+	size := 2
+	for _, rk := range ranked {
+		size += 128 + 6*len(rk.Path.Vertices)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, '[')
+	var err error
+	for i, rk := range ranked {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"rank":`...)
+		b = strconv.AppendInt(b, int64(i+1), 10)
+		b = append(b, `,"score":`...)
+		if b, err = api.AppendFloat(b, rk.Score); err != nil {
+			return nil, err
+		}
+		b = append(b, `,"length_m":`...)
+		if b, err = api.AppendFloat(b, rk.Path.Length(g)); err != nil {
+			return nil, err
+		}
+		b = append(b, `,"time_s":`...)
+		if b, err = api.AppendFloat(b, rk.Path.Time(g)); err != nil {
+			return nil, err
+		}
+		b = append(b, `,"hops":`...)
+		b = strconv.AppendInt(b, int64(rk.Path.Len()), 10)
+		b = append(b, `,"vertices":[`...)
+		for j, v := range rk.Path.Vertices {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			if globalV != nil {
+				v = globalV[v]
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, "]}"...)
+	}
+	b = append(b, ']')
+	return b, nil
 }
 
 // RankResponse is the result of one Rank call: the scored candidates, best

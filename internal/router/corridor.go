@@ -56,8 +56,8 @@ type boundaryOut struct {
 // vertex → v).
 func (rt *Router) shardBoundary(ctx context.Context, shard int, v int64, rev bool, weight pathrank.WeightKind) (boundaryOut, *api.Error) {
 	body := pathrank.EncodeBoundaryQuery(pathrank.BoundaryQuery{V: roadnet.VertexID(v), Rev: rev, Weight: weight})
-	rt.obs.shardCalls.With(fmt.Sprint(shard), "boundary").Inc()
-	status, respBody, meta, err := rt.callShard(ctx, shard, http.MethodPost, "/shard/boundary", pathrank.ShardWireContentType, body)
+	rt.obs.shards[shard].boundary.Inc()
+	status, respBody, meta, err := rt.callShard(ctx, shard, "/shard/boundary", pathrank.ShardWireContentType, body)
 	out := boundaryOut{meta: meta}
 	if err != nil {
 		return out, shardUnavailable(shard, err)
@@ -131,21 +131,21 @@ func (x *vertexIndex) local(v roadnet.VertexID) (roadnet.VertexID, bool) {
 }
 
 // crossShard answers a query whose endpoints live on different shards.
-func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, i, j int) (*api.RankResult, *api.Error) {
+func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, i, j int) (*api.Rendered, *api.Error) {
 	genStart := time.Now()
 	D, total := rt.sm.DLen, rt.sm.TotalLen
 	if rs.Weight == pathrank.WeightTime {
 		D, total = rt.sm.DTime, rt.sm.TotalTime
 	}
 
-	// Boundary fan-out: the two endpoint shards, in parallel.
-	var bi, bj boundaryOut
-	var errI, errJ *api.Error
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); bi, errI = rt.shardBoundary(ctx, i, rs.src, false, rs.Weight) }()
-	go func() { defer wg.Done(); bj, errJ = rt.shardBoundary(ctx, j, rs.dst, true, rs.Weight) }()
-	wg.Wait()
+	// Boundary fan-out: the two endpoint shards in parallel, the second on
+	// this goroutine.
+	var bi boundaryOut
+	var errI *api.Error
+	done := make(chan struct{})
+	go func() { defer close(done); bi, errI = rt.shardBoundary(ctx, i, rs.src, false, rs.Weight) }()
+	bj, errJ := rt.shardBoundary(ctx, j, rs.dst, true, rs.Weight)
+	<-done
 	if errI != nil {
 		return nil, errI
 	}
@@ -266,23 +266,12 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 	}
 	ranked := pathrank.RankScored(cands, rt.model.ScoreBatch(globalPaths))
 	scoreNs := time.Since(scoreStart).Nanoseconds()
-	paths := make([]api.RankedPath, len(ranked))
-	for rank, r := range ranked {
-		verts := make([]int64, len(r.Path.Vertices))
-		for vi, v := range r.Path.Vertices {
-			verts[vi] = int64(fg.globalV[v])
-		}
-		paths[rank] = api.RankedPath{
-			Rank:     rank + 1,
-			Score:    r.Score,
-			LengthM:  r.Path.Length(fg.g),
-			TimeS:    r.Path.Time(fg.g),
-			Hops:     r.Path.Len(),
-			Vertices: verts,
-		}
+	paths, err := pathrank.RenderPaths(fg.g, ranked, fg.globalV)
+	if err != nil {
+		return nil, pathrank.APIError(err)
 	}
 
-	res := &api.RankResult{Src: q.Src, Dst: q.Dst, K: q.K, Paths: paths}
+	res := &api.Rendered{Src: q.Src, Dst: q.Dst, K: q.K, Paths: paths}
 	if q.Explain {
 		stats := pathrank.RankStats{
 			Regime: rs.Regime, Candidates: len(cands), GenNanos: genNs, ScoreNanos: scoreNs,
@@ -326,58 +315,64 @@ func (rt *Router) extractCorridor(ctx context.Context, rs resolved, dS, dT []flo
 	answers := make([]*pathrank.CorridorAnswer, len(parts))
 	errs := make([]*api.Error, len(parts))
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for pi, m := range parts {
-		wg.Add(1)
-		go func(pi, m int) {
-			defer wg.Done()
-			q := pathrank.CorridorQuery{Bound: C, Weight: rs.Weight}
-			for bi, p := range rt.shardBPos[m] {
-				if d := dS[p]; d <= C {
-					q.Seeds = append(q.Seeds, spath.Seed{V: rt.sm.Boundary[m][bi], Dist: d})
-				}
-				if d := dT[p]; d <= C {
-					q.RSeeds = append(q.RSeeds, spath.Seed{V: rt.sm.Boundary[m][bi], Dist: d})
-				}
+	leg := func(pi, m int) {
+		q := pathrank.CorridorQuery{Bound: C, Weight: rs.Weight}
+		for bi, p := range rt.shardBPos[m] {
+			if d := dS[p]; d <= C {
+				q.Seeds = append(q.Seeds, spath.Seed{V: rt.sm.Boundary[m][bi], Dist: d})
 			}
-			if m == i {
-				q.Seeds = append(q.Seeds, spath.Seed{V: roadnet.VertexID(rs.src), Dist: 0})
+			if d := dT[p]; d <= C {
+				q.RSeeds = append(q.RSeeds, spath.Seed{V: rt.sm.Boundary[m][bi], Dist: d})
 			}
-			if m == j {
-				q.RSeeds = append(q.RSeeds, spath.Seed{V: roadnet.VertexID(rs.dst), Dist: 0})
-			}
-			rt.obs.shardCalls.With(fmt.Sprint(m), "corridor").Inc()
-			status, respBody, meta, err := rt.callShard(ctx, m, http.MethodPost, "/shard/corridor", pathrank.ShardWireContentType, pathrank.EncodeCorridorQuery(q))
-			mu.Lock()
-			st := stats[m]
-			if st == nil {
-				st = &api.ShardStat{Shard: m, Role: "corridor"}
-				stats[m] = st
-			}
-			st.Calls += meta.calls
-			st.TotalNs += meta.totalNs
-			st.Hedged = st.Hedged || meta.hedged
-			mu.Unlock()
-			if err != nil {
-				errs[pi] = shardUnavailable(m, err)
-				return
-			}
-			if status != http.StatusOK {
-				errs[pi] = shardHTTPError(m, status, respBody)
-				return
-			}
-			ans, err := pathrank.DecodeCorridorAnswer(respBody)
-			if err != nil {
-				errs[pi] = shardProtocolError(m, err.Error())
-				return
-			}
-			if defect := rt.checkCorridor(m, ans); defect != "" {
-				errs[pi] = shardProtocolError(m, defect)
-				return
-			}
-			answers[pi] = ans
-		}(pi, m)
+		}
+		if m == i {
+			q.Seeds = append(q.Seeds, spath.Seed{V: roadnet.VertexID(rs.src), Dist: 0})
+		}
+		if m == j {
+			q.RSeeds = append(q.RSeeds, spath.Seed{V: roadnet.VertexID(rs.dst), Dist: 0})
+		}
+		rt.obs.shards[m].corridor.Inc()
+		status, respBody, meta, err := rt.callShard(ctx, m, "/shard/corridor", pathrank.ShardWireContentType, pathrank.EncodeCorridorQuery(q))
+		mu.Lock()
+		st := stats[m]
+		if st == nil {
+			st = &api.ShardStat{Shard: m, Role: "corridor"}
+			stats[m] = st
+		}
+		st.Calls += meta.calls
+		st.TotalNs += meta.totalNs
+		st.Hedged = st.Hedged || meta.hedged
+		mu.Unlock()
+		if err != nil {
+			errs[pi] = shardUnavailable(m, err)
+			return
+		}
+		if status != http.StatusOK {
+			errs[pi] = shardHTTPError(m, status, respBody)
+			return
+		}
+		ans, err := pathrank.DecodeCorridorAnswer(respBody)
+		if err != nil {
+			errs[pi] = shardProtocolError(m, err.Error())
+			return
+		}
+		if defect := rt.checkCorridor(m, ans); defect != "" {
+			errs[pi] = shardProtocolError(m, defect)
+			return
+		}
+		answers[pi] = ans
 	}
+	// Every leg but the last on its own goroutine, the last on this one.
+	last := len(parts) - 1
+	var wg sync.WaitGroup
+	for pi, m := range parts[:last] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			leg(pi, m)
+		}()
+	}
+	leg(last, parts[last])
 	wg.Wait()
 	for _, e := range errs {
 		if e != nil {

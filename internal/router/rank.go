@@ -53,7 +53,7 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 		case relayed != nil:
 			api.WriteRelayed(w, relayed)
 		default:
-			api.WriteJSON(w, http.StatusOK, res)
+			api.WriteResult(w, res)
 		}
 		return
 	}
@@ -70,7 +70,7 @@ func (rt *Router) rankBatch(ctx context.Context, w http.ResponseWriter, queries 
 		api.WriteError(w, apiErr)
 		return
 	}
-	items := make([]api.BatchItem, len(queries))
+	items := make([]api.RenderedItem, len(queries))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i := range queries {
@@ -80,12 +80,7 @@ func (rt *Router) rankBatch(ctx context.Context, w http.ResponseWriter, queries 
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			items[i].Index = i
-			res, _, apiErr := rt.rankSingle(ctx, queries[i], false)
-			if apiErr != nil {
-				items[i].Error = apiErr
-				return
-			}
-			items[i].Response = res
+			items[i].Response, _, items[i].Error = rt.rankSingle(ctx, queries[i], false)
 		}(i)
 	}
 	wg.Wait()
@@ -96,14 +91,14 @@ func (rt *Router) rankBatch(ctx context.Context, w http.ResponseWriter, queries 
 			nerr++
 		}
 	}
-	api.WriteJSON(w, http.StatusOK, api.BatchResponse{Results: items, Errors: nerr})
+	api.WriteBatch(w, items, nerr)
 }
 
 // rankSingle answers one query: co-resident pairs are proxied to the
 // owning shard, cross-shard pairs are corridor-stitched. With relay set, a
 // proxied answer that needs no stamping comes back as the shard's body
-// (relayed) instead of a decoded result.
-func (rt *Router) rankSingle(ctx context.Context, q api.RankQuery, relay bool) (res *api.RankResult, relayed []byte, apiErr *api.Error) {
+// (relayed) instead of a result.
+func (rt *Router) rankSingle(ctx context.Context, q api.RankQuery, relay bool) (res *api.Rendered, relayed []byte, apiErr *api.Error) {
 	rs, apiErr := rt.resolve(q)
 	if apiErr != nil {
 		return nil, nil, apiErr
@@ -119,6 +114,18 @@ func (rt *Router) rankSingle(ctx context.Context, q api.RankQuery, relay bool) (
 	return res, nil, apiErr
 }
 
+// proxiedResult is a shard's /v2/rank answer with its paths array kept as
+// the shard encoded it, which is what api.Rendered carries.
+type proxiedResult struct {
+	Src    int64           `json:"src"`
+	Dst    int64           `json:"dst"`
+	K      int             `json:"k"`
+	Cached bool            `json:"cached"`
+	Shared bool            `json:"shared"`
+	Paths  json.RawMessage `json:"paths"`
+	Stats  *api.RankStats  `json:"stats"`
+}
+
 // proxyRank forwards a co-resident query to the owning shard's own
 // /v2/rank and stamps the routing stats in. The shard enumerates on its
 // induced subgraph: the geometric partition keeps co-resident
@@ -128,16 +135,16 @@ func (rt *Router) rankSingle(ctx context.Context, q api.RankQuery, relay bool) (
 // corridor stitching is exact; see docs/SHARDING.md).
 //
 // Without explain there is nothing to stamp, and the shard's 200 body is
-// already what WriteJSON writes for the result it decodes to (the shard
-// writes it with api.WriteResult), so with relay set it comes back as it
-// came, unread.
-func (rt *Router) proxyRank(ctx context.Context, shard int, q api.RankQuery, relay bool) (*api.RankResult, []byte, *api.Error) {
+// already what api.WriteResult writes for the result it decodes to (the
+// shard writes it with api.WriteResult), so with relay set it comes back
+// as it came, unread.
+func (rt *Router) proxyRank(ctx context.Context, shard int, q api.RankQuery, relay bool) (*api.Rendered, []byte, *api.Error) {
 	body, err := json.Marshal(api.RankRequest{RankQuery: q})
 	if err != nil {
 		return nil, nil, &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Message: err.Error()}
 	}
-	rt.obs.shardCalls.With(fmt.Sprint(shard), "proxy").Inc()
-	status, respBody, meta, err := rt.callShard(ctx, shard, http.MethodPost, "/v2/rank", "application/json", body)
+	rt.obs.shards[shard].proxy.Inc()
+	status, respBody, meta, err := rt.callShard(ctx, shard, "/v2/rank", "application/json", body)
 	if err != nil {
 		return nil, nil, shardUnavailable(shard, err)
 	}
@@ -147,10 +154,14 @@ func (rt *Router) proxyRank(ctx context.Context, shard int, q api.RankQuery, rel
 	if relay && !q.Explain {
 		return nil, respBody, nil
 	}
-	var res api.RankResult
-	if err := json.Unmarshal(respBody, &res); err != nil {
+	var pr proxiedResult
+	if err := json.Unmarshal(respBody, &pr); err != nil {
 		return nil, nil, shardProtocolError(shard, fmt.Sprintf("unreadable rank response: %v", err))
 	}
+	if pr.Paths == nil {
+		pr.Paths = json.RawMessage("null") // what an absent paths array re-encodes as
+	}
+	res := &api.Rendered{Src: pr.Src, Dst: pr.Dst, K: pr.K, Cached: pr.Cached, Shared: pr.Shared, Paths: pr.Paths, Stats: pr.Stats}
 	if q.Explain {
 		if res.Stats == nil {
 			res.Stats = &api.RankStats{}
@@ -160,5 +171,5 @@ func (rt *Router) proxyRank(ctx context.Context, shard int, q api.RankQuery, rel
 			Shard: shard, Role: "proxy", Calls: meta.calls, TotalNs: meta.totalNs, Hedged: meta.hedged,
 		})
 	}
-	return &res, nil, nil
+	return res, nil, nil
 }

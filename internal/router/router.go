@@ -23,7 +23,9 @@
 //
 // Shard calls are hedged: a call not answered within HedgeAfter fires a
 // duplicate, and the first response wins; a shard that cannot be reached
-// at all fails the query with the typed shard_unavailable code (503).
+// at all fails the query with the typed shard_unavailable code (503). A
+// call's first attempt runs on the caller's goroutine, and only the hedge
+// timer starts another.
 package router
 
 import (
@@ -36,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -104,14 +107,21 @@ type Router struct {
 }
 
 type routerMetrics struct {
-	reg         *obsv.Registry
-	requests    *obsv.CounterVec
-	rankErrors  *obsv.CounterVec
-	routed      *obsv.CounterVec
-	shardCalls  *obsv.CounterVec
-	shardErrors *obsv.CounterVec
-	hedges      *obsv.CounterVec
-	rounds      *obsv.HistogramVec
+	reg        *obsv.Registry
+	requests   *obsv.CounterVec
+	rankErrors *obsv.CounterVec
+	routed     *obsv.CounterVec
+	rounds     *obsv.HistogramVec
+	// shards[s] holds shard s's children of the per-shard families.
+	shards []shardMetrics
+}
+
+// shardMetrics are one shard's counters, resolved once in New so that a
+// shard call formats no label.
+type shardMetrics struct {
+	// proxy, boundary and corridor count calls by role.
+	proxy, boundary, corridor obsv.Counter
+	errors, hedges            obsv.Counter
 }
 
 // New builds a Router over a loaded shard map. shards in cfg.Shards must
@@ -159,7 +169,7 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 		sm:     sm,
 		model:  model,
 		start:  time.Now(),
-		client: &http.Client{},
+		client: &http.Client{Transport: shardTransport(cfg)},
 		health: make([]atomicHealth, sm.Parts),
 	}
 	rt.boundary = sm.GlobalBoundary()
@@ -183,17 +193,41 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 		reg = obsv.NewRegistry()
 	}
 	rt.obs = routerMetrics{
-		reg:         reg,
-		requests:    reg.Counter("pathrank_router_requests_total", "Router HTTP requests by path.", "path"),
-		rankErrors:  reg.Counter("pathrank_router_rank_errors_total", "Failed rank queries by error code.", "code"),
-		routed:      reg.Counter("pathrank_router_routed_total", "Rank queries by route kind.", "route"),
-		shardCalls:  reg.Counter("pathrank_router_shard_calls_total", "Shard sub-query calls by shard and role.", "shard", "role"),
-		shardErrors: reg.Counter("pathrank_router_shard_errors_total", "Failed shard calls by shard.", "shard"),
-		hedges:      reg.Counter("pathrank_router_hedges_total", "Hedged (duplicated) shard calls by shard.", "shard"),
+		reg:        reg,
+		requests:   reg.Counter("pathrank_router_requests_total", "Router HTTP requests by path.", "path"),
+		rankErrors: reg.Counter("pathrank_router_rank_errors_total", "Failed rank queries by error code.", "code"),
+		routed:     reg.Counter("pathrank_router_routed_total", "Rank queries by route kind.", "route"),
 		rounds: reg.Histogram("pathrank_router_corridor_rounds", "Corridor growth rounds per cross-shard query.",
 			[]float64{1, 2, 3, 4, 6, 8}),
+		shards: make([]shardMetrics, sm.Parts),
+	}
+	calls := reg.Counter("pathrank_router_shard_calls_total", "Shard sub-query calls by shard and role.", "shard", "role")
+	errs := reg.Counter("pathrank_router_shard_errors_total", "Failed shard calls by shard.", "shard")
+	hedges := reg.Counter("pathrank_router_hedges_total", "Hedged (duplicated) shard calls by shard.", "shard")
+	for s := range rt.obs.shards {
+		label := fmt.Sprint(s)
+		rt.obs.shards[s] = shardMetrics{
+			proxy:    calls.With(label, "proxy"),
+			boundary: calls.With(label, "boundary"),
+			corridor: calls.With(label, "corridor"),
+			errors:   errs.With(label),
+			hedges:   hedges.With(label),
+		}
 	}
 	return rt, nil
+}
+
+// shardTransport is the router's own connection pool to its shards. The
+// process-wide default keeps two idle connections per host, so under
+// concurrent load the router would close, and later re-dial, every shard
+// connection beyond the second. A batch has at most GOMAXPROCS calls open
+// to one shard, so the pool keeps MaxBatch × GOMAXPROCS idle connections
+// to each: what MaxBatch batches side by side use.
+func shardTransport(cfg Config) *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = cfg.MaxBatch * runtime.GOMAXPROCS(0)
+	t.MaxIdleConns = t.MaxIdleConnsPerHost * len(cfg.Shards)
+	return t
 }
 
 // Metrics returns the router's metric registry.
@@ -379,96 +413,147 @@ type callMeta struct {
 	hedged  bool
 }
 
-// callShard performs one logical call against a shard with hedged retry:
-// a duplicate attempt fires when the first is still unanswered after
-// HedgeAfter (or immediately, when the first fails at transport level);
-// the first transport-level success wins, whatever its HTTP status.
-// contentType is body's type: JSON for a proxied /v2/rank query, the shard
-// wire's for a boundary or corridor sub-query.
-func (rt *Router) callShard(ctx context.Context, shard int, method, path, contentType string, body []byte) (int, []byte, callMeta, error) {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type attemptResult struct {
-		status int
-		body   []byte
-		ns     int64
-		err    error
-	}
-	results := make(chan attemptResult, 2)
-	attempt := func() {
-		start := time.Now()
-		actx, acancel := context.WithTimeout(cctx, rt.cfg.CallTimeout)
-		defer acancel()
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(actx, method, rt.cfg.Shards[shard]+path, rd)
-		if err != nil {
-			results <- attemptResult{err: err, ns: time.Since(start).Nanoseconds()}
-			return
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", contentType)
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			results <- attemptResult{err: err, ns: time.Since(start).Nanoseconds()}
-			return
-		}
-		b, err := io.ReadAll(io.LimitReader(resp.Body, maxShardResponse))
-		resp.Body.Close()
-		if err != nil {
-			results <- attemptResult{err: err, ns: time.Since(start).Nanoseconds()}
-			return
-		}
-		results <- attemptResult{status: resp.StatusCode, body: b, ns: time.Since(start).Nanoseconds()}
-	}
+// attemptResult is one HTTP attempt at a shard call: the status and body
+// of its response, or the transport-level error that left it without one.
+type attemptResult struct {
+	status int
+	body   []byte
+	ns     int64
+	err    error
+}
 
+// callShard POSTs body to a shard's path as one logical call with hedged
+// retry. The first attempt runs on the caller's goroutine. If it is still
+// unanswered after HedgeAfter, a timer starts a duplicate on the timer's
+// goroutine; if it fails at transport level and no duplicate runs, it is
+// retried at once, inline. The first transport-level success wins,
+// whatever its HTTP status: a duplicate that wins cancels the first
+// attempt, and the duplicate still running when the call returns is
+// canceled. contentType is body's type: JSON for a proxied /v2/rank
+// query, the shard wire's for a boundary or corridor sub-query.
+func (rt *Router) callShard(ctx context.Context, shard int, path, contentType string, body []byte) (int, []byte, callMeta, error) {
+	obs := &rt.obs.shards[shard]
 	meta := callMeta{calls: 1}
-	inflight := 1
-	go attempt()
-	var hedgeC <-chan time.Time
+	actx, cancel := context.WithTimeout(ctx, rt.cfg.CallTimeout)
+	defer cancel()
+	var dup *duplicate
 	if rt.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(rt.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
+		dup = rt.hedge(ctx, shard, path, contentType, body, cancel)
+		defer dup.abandon()
 	}
-	var lastErr error
-	for {
-		select {
-		case r := <-results:
-			inflight--
+	r := rt.attempt(actx, shard, path, contentType, body)
+	meta.totalNs += r.ns
+	switch {
+	case dup.fired():
+		meta.calls++
+		meta.hedged = true
+		obs.hedges.Inc()
+		if r.err != nil && ctx.Err() == nil {
+			// The duplicate either beat the first attempt and canceled it,
+			// or is the call's second and last attempt.
+			r = <-dup.res
 			meta.totalNs += r.ns
-			if r.err == nil {
-				return r.status, r.body, meta, nil
-			}
-			lastErr = r.err
-			if meta.calls < 2 && ctx.Err() == nil {
-				// The first attempt failed outright: retry immediately
-				// instead of waiting for the hedge timer.
-				meta.calls++
-				inflight++
-				hedgeC = nil
-				go attempt()
-				continue
-			}
-			if inflight == 0 {
-				rt.obs.shardErrors.With(fmt.Sprint(shard)).Inc()
-				return 0, nil, meta, lastErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			meta.calls++
-			meta.hedged = true
-			inflight++
-			rt.obs.hedges.With(fmt.Sprint(shard)).Inc()
-			go attempt()
-		case <-ctx.Done():
-			rt.obs.shardErrors.With(fmt.Sprint(shard)).Inc()
-			return 0, nil, meta, ctx.Err()
 		}
+	case r.err != nil && ctx.Err() == nil:
+		// The first attempt failed outright: retry at once instead of
+		// waiting for the hedge timer.
+		meta.calls++
+		rctx, rcancel := context.WithTimeout(ctx, rt.cfg.CallTimeout)
+		r = rt.attempt(rctx, shard, path, contentType, body)
+		rcancel()
+		meta.totalNs += r.ns
 	}
+	if r.err == nil {
+		return r.status, r.body, meta, nil
+	}
+	obs.errors.Inc()
+	if err := ctx.Err(); err != nil {
+		return 0, nil, meta, err
+	}
+	return 0, nil, meta, r.err
+}
+
+// duplicate is the hedged second attempt of a shard call, which the
+// HedgeAfter timer runs on its own goroutine.
+type duplicate struct {
+	timer *time.Timer
+	res   chan attemptResult // buffered: a duplicate that lost never blocks
+
+	mu     sync.Mutex
+	cancel context.CancelFunc // the running duplicate's
+	over   bool               // the call has returned: a late duplicate stays unsent
+}
+
+// hedge arms the duplicate of a call whose first attempt runs under the
+// context cancelFirst cancels.
+func (rt *Router) hedge(ctx context.Context, shard int, path, contentType string, body []byte, cancelFirst context.CancelFunc) *duplicate {
+	d := &duplicate{res: make(chan attemptResult, 1)}
+	d.timer = time.AfterFunc(rt.cfg.HedgeAfter, func() {
+		d.mu.Lock()
+		if d.over {
+			d.mu.Unlock()
+			return
+		}
+		actx, cancel := context.WithTimeout(ctx, rt.cfg.CallTimeout)
+		d.cancel = cancel
+		d.mu.Unlock()
+		r := rt.attempt(actx, shard, path, contentType, body)
+		cancel()
+		if r.err == nil {
+			cancelFirst() // the caller takes this answer once its attempt gives up
+		}
+		d.res <- r
+	})
+	return d
+}
+
+// fired stops the hedge timer and reports whether it had already started
+// the duplicate. It is called once, when the first attempt is over; a nil
+// duplicate (hedging off) never fires.
+func (d *duplicate) fired() bool { return d != nil && !d.timer.Stop() }
+
+// abandon cancels the duplicate, if it runs, when the call returns.
+func (d *duplicate) abandon() {
+	d.mu.Lock()
+	d.over = true
+	if d.cancel != nil {
+		d.cancel()
+	}
+	d.mu.Unlock()
+}
+
+// attempt makes one HTTP POST of body to shard's path under ctx.
+func (rt *Router) attempt(ctx context.Context, shard int, path, contentType string, body []byte) (r attemptResult) {
+	start := time.Now()
+	defer func() { r.ns = time.Since(start).Nanoseconds() }()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.cfg.Shards[shard]+path, bytes.NewReader(body))
+	if err != nil {
+		return attemptResult{err: err}
+	}
+	req.Header.Set("Content-Type", contentType)
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return attemptResult{err: err}
+	}
+	defer resp.Body.Close()
+	b, err := readShardBody(resp)
+	return attemptResult{status: resp.StatusCode, body: b, err: err}
+}
+
+// readShardBody reads a shard response body of at most maxShardResponse
+// bytes: into a buffer of exactly its Content-Length when it declares one,
+// as the relayed /v2/rank body and the boundary and corridor frames do, and
+// by growing a buffer otherwise. A longer body is cut at the bound, where
+// its decoding then fails.
+func readShardBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxShardResponse {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxShardResponse))
 }
 
 // shardUnavailable wraps a transport-level shard failure in the typed

@@ -11,6 +11,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -34,15 +35,21 @@ import (
 type deployment struct {
 	art       *pathrank.Artifact // the unpartitioned artifact
 	sm        *partition.ShardMap
+	rt        *Router // the router behind router
 	router    *httptest.Server
 	shards    []*httptest.Server
 	reference *httptest.Server
 
+	// intercept, when set, sees every request a shard worker receives
+	// first; when it returns true it has handled the request itself.
+	intercept atomic.Pointer[func(shard int, w http.ResponseWriter, r *http.Request) bool]
 	// tamper, when set, rewrites each 200 body a shard worker answers on
 	// a sub-query path before it leaves the worker.
 	tamper atomic.Pointer[func(shard int, path string, body []byte) []byte]
 	// corridorBytes and corridorCalls count /shard/corridor answers.
 	corridorBytes, corridorCalls atomic.Int64
+	// newConns[s] counts the connections shard worker s has accepted.
+	newConns []atomic.Int64
 }
 
 // countingWriter counts the body bytes written through it.
@@ -57,10 +64,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// tap sits in front of shard worker shard's handler: it counts corridor
-// bytes and applies d.tamper.
+// tap sits in front of shard worker shard's handler: it applies
+// d.intercept, counts corridor bytes and applies d.tamper.
 func (d *deployment) tap(shard int, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if f := d.intercept.Load(); f != nil && (*f)(shard, w, r) {
+			return
+		}
 		tamper := d.tamper.Load()
 		if tamper == nil || !strings.HasPrefix(r.URL.Path, "/shard/") {
 			cw := &countingWriter{ResponseWriter: w}
@@ -142,8 +152,7 @@ func deploy(t testing.TB, art *pathrank.Artifact, parts int) *deployment {
 		t.Fatalf("bundle: %v", err)
 	}
 
-	d := &deployment{art: art}
-	urls := make([]string, parts)
+	d := &deployment{art: art, newConns: make([]atomic.Int64, parts)}
 	for i := 0; i < parts; i++ {
 		sart, err := pathrank.LoadArtifactFile(dir + "/" + partition.ShardArtifactName(i))
 		if err != nil {
@@ -158,10 +167,15 @@ func deploy(t testing.TB, art *pathrank.Artifact, parts int) *deployment {
 		if err != nil {
 			t.Fatalf("shard %d worker: %v", i, err)
 		}
-		ts := httptest.NewServer(d.tap(i, ss.Handler()))
+		ts := httptest.NewUnstartedServer(d.tap(i, ss.Handler()))
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				d.newConns[i].Add(1)
+			}
+		}
+		ts.Start()
 		t.Cleanup(ts.Close)
 		d.shards = append(d.shards, ts)
-		urls[i] = ts.URL
 	}
 
 	sm, err := partition.LoadShardMapFile(dir)
@@ -169,12 +183,7 @@ func deploy(t testing.TB, art *pathrank.Artifact, parts int) *deployment {
 		t.Fatalf("shard map: %v", err)
 	}
 	d.sm = sm
-	rt, err := New(sm, Config{Shards: urls, HedgeAfter: -1})
-	if err != nil {
-		t.Fatalf("router: %v", err)
-	}
-	d.router = httptest.NewServer(rt.Handler())
-	t.Cleanup(d.router.Close)
+	d.rt, d.router = d.newRouter(t, Config{HedgeAfter: -1})
 
 	// The reference is a single server on the whole artifact.
 	ref, err := serve.New(art, serve.Config{})
@@ -185,6 +194,22 @@ func deploy(t testing.TB, art *pathrank.Artifact, parts int) *deployment {
 	d.reference = httptest.NewServer(ref.Handler())
 	t.Cleanup(d.reference.Close)
 	return d
+}
+
+// newRouter stands a router up over the deployment's shard workers, with
+// cfg.Shards set to their URLs.
+func (d *deployment) newRouter(t testing.TB, cfg Config) (*Router, *httptest.Server) {
+	t.Helper()
+	for _, s := range d.shards {
+		cfg.Shards = append(cfg.Shards, s.URL)
+	}
+	rt, err := New(d.sm, cfg)
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	srv := httptest.NewServer(rt.Handler())
+	t.Cleanup(srv.Close)
+	return rt, srv
 }
 
 // postRank POSTs one query to a server's /v2/rank and decodes either the
@@ -486,6 +511,50 @@ func TestRouterBatch(t *testing.T) {
 	}
 	if bad := batch.Results[2]; bad.Error == nil || bad.Error.Code != api.CodeInvalid {
 		t.Fatalf("invalid item: %+v", bad)
+	}
+}
+
+// TestRouterBodiesMatchEncoder: the router's own answers — a cross-shard
+// single, explain singles on both routes, and a batch with a co-resident,
+// a cross-shard and a failed item — are byte for byte what json.Encoder
+// writes for the values they decode to, the bytes the router wrote before
+// its answers went through api's hand writer.
+func TestRouterBodiesMatchEncoder(t *testing.T) {
+	d := buildDeployment(t, 5, 2)
+	co, cross := d.pairs(false, 2), d.pairs(true, 2)
+	if len(co) < 2 || len(cross) < 2 {
+		t.Fatal("degenerate split")
+	}
+	for _, body := range []string{
+		fmt.Sprintf(`{"src":%d,"dst":%d,"k":3}`, cross[0][0], cross[0][1]),
+		fmt.Sprintf(`{"src":%d,"dst":%d,"k":3,"weight":"time","explain":true}`, cross[1][0], cross[1][1]),
+		fmt.Sprintf(`{"src":%d,"dst":%d,"explain":true}`, co[0][0], co[0][1]),
+		fmt.Sprintf(`{"queries":[{"src":%d,"dst":%d},{"src":%d,"dst":%d,"explain":true},{"src":-1,"dst":1},{"src":%d,"dst":%d,"k":2}]}`,
+			co[1][0], co[1][1], cross[0][0], cross[0][1], cross[1][0], cross[1][1]),
+	} {
+		resp, err := http.Post(d.router.URL+"/v2/rank", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d %v", body, resp.StatusCode, err)
+		}
+		var v any = new(api.RankResult)
+		if strings.HasPrefix(body, `{"queries"`) {
+			v = new(api.BatchResponse)
+		}
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, want.Bytes()) {
+			t.Fatalf("%s:\n body %s\n json.Encoder %s", body, raw, want.Bytes())
+		}
 	}
 }
 

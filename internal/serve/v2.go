@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,7 +68,7 @@ func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) qu
 			return nil, err
 		}
 		stats = res.Stats
-		b, err := snap.render(res.Paths)
+		b, err := pathrank.RenderPaths(snap.art.Graph, res.Paths, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -91,54 +90,6 @@ func (s *Server) execQuery(ctx context.Context, snap *snapshot, cq coreQuery) qu
 		return queryOutcome{paths: paths, shared: true}
 	}
 	return queryOutcome{paths: paths, stats: &stats}
-}
-
-// render encodes a fresh ranking's wire paths, the one encoding it ever
-// gets, for the caller to store in the result cache. It appends the JSON of
-// the ranking's []api.RankedPath by hand, byte-for-byte what json.Marshal
-// writes for it (TestRenderMatchesMarshal), floats through api.AppendFloat.
-func (snap *snapshot) render(ranked []pathrank.Ranked) ([]byte, error) {
-	g := snap.art.Graph
-	// A path's fixed fields take under 128 bytes and a vertex ID with its
-	// comma rarely more than 6, so the buffer seldom grows.
-	size := 2
-	for _, rk := range ranked {
-		size += 128 + 6*len(rk.Path.Vertices)
-	}
-	b := make([]byte, 0, size)
-	b = append(b, '[')
-	var err error
-	for i, rk := range ranked {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"rank":`...)
-		b = strconv.AppendInt(b, int64(i+1), 10)
-		b = append(b, `,"score":`...)
-		if b, err = api.AppendFloat(b, rk.Score); err != nil {
-			return nil, err
-		}
-		b = append(b, `,"length_m":`...)
-		if b, err = api.AppendFloat(b, rk.Path.Length(g)); err != nil {
-			return nil, err
-		}
-		b = append(b, `,"time_s":`...)
-		if b, err = api.AppendFloat(b, rk.Path.Time(g)); err != nil {
-			return nil, err
-		}
-		b = append(b, `,"hops":`...)
-		b = strconv.AppendInt(b, int64(rk.Path.Len()), 10)
-		b = append(b, `,"vertices":[`...)
-		for j, v := range rk.Path.Vertices {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(v), 10)
-		}
-		b = append(b, "]}"...)
-	}
-	b = append(b, ']')
-	return b, nil
 }
 
 func (s *Server) handleRankV2(w http.ResponseWriter, r *http.Request) {

@@ -698,12 +698,16 @@ func TestV2BatchScoringMatchesSingles(t *testing.T) {
 }
 
 // rankedPaths is the reference rendering: a ranking as the []api.RankedPath
-// whose json.Marshal render must reproduce byte for byte.
-func rankedPaths(g *roadnet.Graph, ranked []pathrank.Ranked) []api.RankedPath {
+// whose json.Marshal pathrank.RenderPaths must reproduce byte for byte,
+// vertex IDs mapped through globalV when it is set.
+func rankedPaths(g *roadnet.Graph, ranked []pathrank.Ranked, globalV []roadnet.VertexID) []api.RankedPath {
 	paths := make([]api.RankedPath, len(ranked))
 	for i, rk := range ranked {
 		verts := make([]int64, len(rk.Path.Vertices))
 		for j, v := range rk.Path.Vertices {
+			if globalV != nil {
+				v = globalV[v]
+			}
 			verts[j] = int64(v)
 		}
 		paths[i] = api.RankedPath{
@@ -718,28 +722,37 @@ func rankedPaths(g *roadnet.Graph, ranked []pathrank.Ranked) []api.RankedPath {
 	return paths
 }
 
-// TestRenderMatchesMarshal: render appends, byte for byte, what
-// json.Marshal writes for the ranking's []api.RankedPath — over real
-// rankings whose scores are redrawn from the values a float rule most
-// easily gets wrong (signed zeros, subnormals, both sides of the 'e'
-// thresholds) and from random bits, an empty ranking and an empty path —
-// and refuses a NaN or infinite score with json.Marshal's error.
+// TestRenderMatchesMarshal: pathrank.RenderPaths, the renderer of every
+// server's and router's ranking, appends, byte for byte, what json.Marshal
+// writes for the ranking's []api.RankedPath — over real rankings whose
+// scores are redrawn from the values a float rule most easily gets wrong
+// (signed zeros, subnormals, both sides of the 'e' thresholds) and from
+// random bits, an empty ranking and an empty path, with the graph's own
+// vertex IDs and with them mapped to others as a router's corridor graph
+// maps its own — and refuses a NaN or infinite score with json.Marshal's
+// error.
 func TestRenderMatchesMarshal(t *testing.T) {
 	s, _ := newTestServer(t, Config{CacheSize: -1})
 	snap := s.snap.Load()
 	g := snap.art.Graph
+	globalV := make([]roadnet.VertexID, g.NumVertices())
+	for v := range globalV {
+		globalV[v] = roadnet.VertexID(3*v + 1000)
+	}
 	check := func(ranked []pathrank.Ranked) {
 		t.Helper()
-		want, wantErr := json.Marshal(rankedPaths(g, ranked))
-		got, err := snap.render(ranked)
-		if wantErr != nil {
-			if err == nil || err.Error() != wantErr.Error() {
-				t.Fatalf("render error %v, json.Marshal error %v", err, wantErr)
+		for _, gv := range [][]roadnet.VertexID{nil, globalV} {
+			want, wantErr := json.Marshal(rankedPaths(g, ranked, gv))
+			got, err := pathrank.RenderPaths(g, ranked, gv)
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("render error %v, json.Marshal error %v", err, wantErr)
+				}
+				continue
 			}
-			return
-		}
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("render differs from json.Marshal (err %v):\n got %s\nwant %s", err, got, want)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("render differs from json.Marshal (err %v):\n got %s\nwant %s", err, got, want)
+			}
 		}
 	}
 	check(nil)

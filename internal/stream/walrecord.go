@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 
 	"pathrank/internal/roadnet"
@@ -192,6 +193,15 @@ type retrainMarker struct {
 	ClipNorm float64
 	LRDecay  float64
 	Seed     int64
+}
+
+// gob numbers types process-wide in order of first encode, so a marker's
+// bytes would depend on what else the process had gob-encoded before its
+// first retrain. Numbering the marker's types at init makes them the same
+// in every run of a binary, whatever it encodes first. A binary that also
+// links internal/partition numbers the shard map's types before these.
+func init() {
+	_ = gob.NewEncoder(io.Discard).Encode(retrainMarker{})
 }
 
 // encodeRetrainMarker renders m as a WAL record.
