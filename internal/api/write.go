@@ -20,6 +20,8 @@ import (
 // does. The output is byte-for-byte what json.NewEncoder(w).Encode writes
 // for the equivalent RankResult or BatchResponse
 // (TestAppendResultMatchesEncoder, FuzzAppendResult, FuzzAppendFloat).
+// AppendRankRequest writes the one request body a server sends another, a
+// router's proxied query, as json.Marshal would (FuzzAppendRankRequest).
 
 // Rendered is a successful ranking ready to write: the fields of a
 // RankResult with Paths already encoded as the JSON of its []RankedPath.
@@ -145,6 +147,64 @@ func appendJSON(b []byte, v any) []byte {
 		return append(b, "null"...)
 	}
 	return append(b, js...)
+}
+
+// AppendRankRequest appends the body of a single-query POST /v2/rank for
+// q, as json.Marshal encodes RankRequest{RankQuery: q}. A string that JSON
+// must escape (control characters, quotes, backslashes, HTML characters or
+// any non-ASCII byte), or a threshold it refuses, hands the whole body to
+// json.Marshal, whose error is returned.
+func AppendRankRequest(b []byte, q RankQuery) ([]byte, error) {
+	if !plainString(q.Strategy) || !plainString(q.Weight) || math.IsNaN(q.Threshold) || math.IsInf(q.Threshold, 0) {
+		js, err := json.Marshal(RankRequest{RankQuery: q})
+		return append(b, js...), err
+	}
+	b = append(b, `{"src":`...)
+	b = strconv.AppendInt(b, q.Src, 10)
+	b = append(b, `,"dst":`...)
+	b = strconv.AppendInt(b, q.Dst, 10)
+	if q.K != 0 {
+		b = append(b, `,"k":`...)
+		b = strconv.AppendInt(b, int64(q.K), 10)
+	}
+	if q.Strategy != "" {
+		b = append(b, `,"strategy":"`...)
+		b = append(b, q.Strategy...)
+		b = append(b, '"')
+	}
+	if q.Threshold != 0 {
+		b = append(b, `,"threshold":`...)
+		b, _ = AppendFloat(b, q.Threshold) // finite: checked above
+	}
+	if q.MaxProbe != 0 {
+		b = append(b, `,"max_probe":`...)
+		b = strconv.AppendInt(b, int64(q.MaxProbe), 10)
+	}
+	if q.Weight != "" {
+		b = append(b, `,"weight":"`...)
+		b = append(b, q.Weight...)
+		b = append(b, '"')
+	}
+	if q.Explain {
+		b = append(b, `,"explain":true`...)
+	}
+	if q.TimeoutMs != 0 {
+		b = append(b, `,"timeout_ms":`...)
+		b = strconv.AppendInt(b, q.TimeoutMs, 10)
+	}
+	return append(b, '}'), nil
+}
+
+// plainString reports whether json.Marshal writes s as it is between its
+// quotes: printable ASCII other than the characters it escapes.
+func plainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // AppendFloat appends f as json.Marshal encodes a float64: the shortest

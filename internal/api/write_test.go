@@ -265,3 +265,39 @@ func FuzzAppendResult(f *testing.F) {
 		checkBatch(t, &BatchResponse{Results: []BatchItem{{Index: k, Response: r}}, Errors: k})
 	})
 }
+
+// checkRankRequest compares AppendRankRequest with json.Marshal on one
+// query: the same bytes after the prefix, or an error from both.
+func checkRankRequest(t *testing.T, q RankQuery) {
+	t.Helper()
+	want, wantErr := json.Marshal(RankRequest{RankQuery: q})
+	got, err := AppendRankRequest([]byte("x"), q)
+	if wantErr != nil {
+		if err == nil {
+			t.Fatalf("AppendRankRequest(%+v) = %q, json.Marshal error %v", q, got, wantErr)
+		}
+		return
+	}
+	if err != nil || !bytes.Equal(got, append([]byte("x"), want...)) {
+		t.Fatalf("AppendRankRequest(%+v) = %q, %v; json.Marshal %q", q, got, err, want)
+	}
+}
+
+// FuzzAppendRankRequest drives the proxied-query encoder with arbitrary
+// fields: strings that need escaping or are not UTF-8, zero and negative
+// numbers, and every float bit pattern for the threshold.
+func FuzzAppendRankRequest(f *testing.F) {
+	f.Add(int64(3), int64(110), 0, "", uint64(0), 0, "", false, int64(0))
+	f.Add(int64(-1), int64(math.MaxInt64), 32, "dtkdi", math.Float64bits(0.8), 320, "length", true, int64(30000))
+	f.Add(int64(math.MinInt64), int64(0), -5, "tkdi", math.Float64bits(math.Copysign(0, -1)), -1, "time", false, int64(-9))
+	f.Add(int64(1), int64(2), 3, "a\"b\\c<d>&\x01\x7f", math.Float64bits(1e-7), 4, " é\xff", true, int64(5))
+	f.Add(int64(1), int64(2), 3, "tkdi", math.Float64bits(1e21), 4, "time", true, int64(5))
+	f.Add(int64(1), int64(2), 3, "tkdi", math.Float64bits(math.NaN()), 4, "time", true, int64(5))
+	f.Add(int64(1), int64(2), 3, "tkdi", math.Float64bits(math.Inf(-1)), 4, "time", true, int64(5))
+	f.Fuzz(func(t *testing.T, src, dst int64, k int, strategy string, threshold uint64, maxProbe int, weight string, explain bool, timeoutMs int64) {
+		checkRankRequest(t, RankQuery{
+			Src: src, Dst: dst, K: k, Strategy: strategy, Threshold: math.Float64frombits(threshold),
+			MaxProbe: maxProbe, Weight: weight, Explain: explain, TimeoutMs: timeoutMs,
+		})
+	})
+}

@@ -139,7 +139,7 @@ type proxiedResult struct {
 // shard writes it with api.WriteResult), so with relay set it comes back
 // as it came, unread.
 func (rt *Router) proxyRank(ctx context.Context, shard int, q api.RankQuery, relay bool) (*api.Rendered, []byte, *api.Error) {
-	body, err := json.Marshal(api.RankRequest{RankQuery: q})
+	body, err := api.AppendRankRequest(make([]byte, 0, 128), q)
 	if err != nil {
 		return nil, nil, &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Message: err.Error()}
 	}

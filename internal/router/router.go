@@ -25,18 +25,18 @@
 // duplicate, and the first response wins; a shard that cannot be reached
 // at all fails the query with the typed shard_unavailable code (503). A
 // call's first attempt runs on the caller's goroutine, and only the hedge
-// timer starts another.
+// timer starts another. An attempt writes its request and reads the reply
+// on the goroutine that makes it, over a keep-alive connection of the
+// router's own HTTP/1.1 client (shardconn.go).
 package router
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -100,7 +100,7 @@ type Router struct {
 	bpos      []int32
 	shardBPos [][]int32
 
-	client *http.Client
+	shards []*shardPool
 	health []atomicHealth
 
 	obs routerMetrics
@@ -121,7 +121,7 @@ type routerMetrics struct {
 type shardMetrics struct {
 	// proxy, boundary and corridor count calls by role.
 	proxy, boundary, corridor obsv.Counter
-	errors, hedges            obsv.Counter
+	errors, hedges, dials     obsv.Counter
 }
 
 // New builds a Router over a loaded shard map. shards in cfg.Shards must
@@ -169,7 +169,7 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 		sm:     sm,
 		model:  model,
 		start:  time.Now(),
-		client: &http.Client{Transport: shardTransport(cfg)},
+		shards: make([]*shardPool, sm.Parts),
 		health: make([]atomicHealth, sm.Parts),
 	}
 	rt.boundary = sm.GlobalBoundary()
@@ -204,6 +204,11 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 	calls := reg.Counter("pathrank_router_shard_calls_total", "Shard sub-query calls by shard and role.", "shard", "role")
 	errs := reg.Counter("pathrank_router_shard_errors_total", "Failed shard calls by shard.", "shard")
 	hedges := reg.Counter("pathrank_router_hedges_total", "Hedged (duplicated) shard calls by shard.", "shard")
+	dials := reg.Counter("pathrank_router_shard_dials_total", "Connections dialed to each shard.", "shard")
+	// A batch has at most GOMAXPROCS calls open to one shard, so each pool
+	// keeps MaxBatch × GOMAXPROCS idle connections: what MaxBatch batches
+	// side by side use.
+	maxIdle := cfg.MaxBatch * runtime.GOMAXPROCS(0)
 	for s := range rt.obs.shards {
 		label := fmt.Sprint(s)
 		rt.obs.shards[s] = shardMetrics{
@@ -212,22 +217,13 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 			corridor: calls.With(label, "corridor"),
 			errors:   errs.With(label),
 			hedges:   hedges.With(label),
+			dials:    dials.With(label),
+		}
+		if rt.shards[s], err = newShardPool(cfg.Shards[s], maxIdle, rt.obs.shards[s].dials); err != nil {
+			return nil, fmt.Errorf("router: shard %d: %w", s, err)
 		}
 	}
 	return rt, nil
-}
-
-// shardTransport is the router's own connection pool to its shards. The
-// process-wide default keeps two idle connections per host, so under
-// concurrent load the router would close, and later re-dial, every shard
-// connection beyond the second. A batch has at most GOMAXPROCS calls open
-// to one shard, so the pool keeps MaxBatch × GOMAXPROCS idle connections
-// to each: what MaxBatch batches side by side use.
-func shardTransport(cfg Config) *http.Transport {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.MaxIdleConnsPerHost = cfg.MaxBatch * runtime.GOMAXPROCS(0)
-	t.MaxIdleConns = t.MaxIdleConnsPerHost * len(cfg.Shards)
-	return t
 }
 
 // Metrics returns the router's metric registry.
@@ -311,25 +307,12 @@ func (rt *Router) checkShard(ctx context.Context, shard int) {
 	cctx, cancel := context.WithTimeout(ctx, rt.cfg.CallTimeout)
 	defer cancel()
 	h := &shardHealth{checked: time.Now()}
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, rt.cfg.Shards[shard]+"/shard/info", nil)
-	if err != nil {
-		h.err = err.Error()
-		rt.health[shard].store(h)
-		return
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		h.err = err.Error()
-		rt.health[shard].store(h)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
+	status, body, err := rt.shards[shard].roundTrip(cctx, http.MethodGet, "/shard/info", "", nil)
 	switch {
 	case err != nil:
 		h.err = err.Error()
-	case resp.StatusCode != http.StatusOK:
-		h.err = fmt.Sprintf("shard info: HTTP %d", resp.StatusCode)
+	case status != http.StatusOK:
+		h.err = fmt.Sprintf("shard info: HTTP %d", status)
 	default:
 		if err := json.Unmarshal(body, &h.info); err != nil {
 			h.err = fmt.Sprintf("shard info: %v", err)
@@ -523,37 +506,10 @@ func (d *duplicate) abandon() {
 }
 
 // attempt makes one HTTP POST of body to shard's path under ctx.
-func (rt *Router) attempt(ctx context.Context, shard int, path, contentType string, body []byte) (r attemptResult) {
+func (rt *Router) attempt(ctx context.Context, shard int, path, contentType string, body []byte) attemptResult {
 	start := time.Now()
-	defer func() { r.ns = time.Since(start).Nanoseconds() }()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.cfg.Shards[shard]+path, bytes.NewReader(body))
-	if err != nil {
-		return attemptResult{err: err}
-	}
-	req.Header.Set("Content-Type", contentType)
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return attemptResult{err: err}
-	}
-	defer resp.Body.Close()
-	b, err := readShardBody(resp)
-	return attemptResult{status: resp.StatusCode, body: b, err: err}
-}
-
-// readShardBody reads a shard response body of at most maxShardResponse
-// bytes: into a buffer of exactly its Content-Length when it declares one,
-// as the relayed /v2/rank body and the boundary and corridor frames do, and
-// by growing a buffer otherwise. A longer body is cut at the bound, where
-// its decoding then fails.
-func readShardBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= maxShardResponse {
-		b := make([]byte, n)
-		if _, err := io.ReadFull(resp.Body, b); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxShardResponse))
+	status, b, err := rt.shards[shard].roundTrip(ctx, http.MethodPost, path, contentType, body)
+	return attemptResult{status: status, body: b, ns: time.Since(start).Nanoseconds(), err: err}
 }
 
 // shardUnavailable wraps a transport-level shard failure in the typed

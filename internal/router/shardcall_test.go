@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -230,26 +231,35 @@ func goroutineID() int64 {
 	return id
 }
 
-// callRecorder is a transport that notes which goroutine sent each request.
-type callRecorder struct {
-	next http.RoundTripper
+// connRecorder wraps the connections of a router's shard pools and notes,
+// for each request written, the goroutine that wrote it and the goroutines
+// of each Read of its reply.
+type connRecorder struct {
 	mu   sync.Mutex
-	legs []recordedLeg
+	legs []*recordedLeg
 }
 
 type recordedLeg struct {
-	path string
-	g    int64
+	path  string
+	write int64
+	reads []int64
 }
 
-func (c *callRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
-	c.mu.Lock()
-	c.legs = append(c.legs, recordedLeg{r.URL.Path, goroutineID()})
-	c.mu.Unlock()
-	return c.next.RoundTrip(r)
+// watch makes every connection rt's pools dial from now on a recorded one.
+func (c *connRecorder) watch(rt *Router) {
+	for _, p := range rt.shards {
+		next := p.dial
+		p.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := next(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return &recordingConn{Conn: conn, rec: c}, nil
+		}
+	}
 }
 
-func (c *callRecorder) take() []recordedLeg {
+func (c *connRecorder) take() []*recordedLeg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	legs := c.legs
@@ -257,9 +267,45 @@ func (c *callRecorder) take() []recordedLeg {
 	return legs
 }
 
+type recordingConn struct {
+	net.Conn
+	rec *connRecorder
+	leg *recordedLeg // the request last written
+}
+
+// Write records a request from its request line, "METHOD path HTTP/1.1":
+// a request written in more than one Write shows as a leg per Write.
+func (c *recordingConn) Write(p []byte) (int, error) {
+	line, _, _ := bytes.Cut(p, []byte("\r\n"))
+	fields := strings.Fields(string(line))
+	leg := &recordedLeg{write: goroutineID()}
+	if len(fields) == 3 {
+		leg.path = fields[1]
+	}
+	c.rec.mu.Lock()
+	c.rec.legs = append(c.rec.legs, leg)
+	c.leg = leg
+	c.rec.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (c *recordingConn) Read(p []byte) (int, error) {
+	g := goroutineID()
+	c.rec.mu.Lock()
+	if c.leg == nil {
+		c.leg = &recordedLeg{path: "(read before any write)", write: -1}
+		c.rec.legs = append(c.rec.legs, c.leg)
+	}
+	c.leg.reads = append(c.leg.reads, g)
+	c.rec.mu.Unlock()
+	return c.Conn.Read(p)
+}
+
 // TestShardCallsRunOnTheCaller: with hedging off or armed, an unhedged
-// shard call runs on its caller's goroutine, and a fan-out of n legs runs
-// one of them there and starts a goroutine for each of the other n−1.
+// shard call writes its request in one Write and reads its reply on its
+// caller's goroutine, and a fan-out of n legs runs one of them there and
+// starts a goroutine for each of the other n−1, which writes and reads
+// that leg's call.
 func TestShardCallsRunOnTheCaller(t *testing.T) {
 	d := buildDeployment(t, 5, 2)
 	co := d.pairs(false, 1)
@@ -269,23 +315,44 @@ func TestShardCallsRunOnTheCaller(t *testing.T) {
 	}
 	for _, hedge := range []time.Duration{-1, time.Minute} {
 		rt, _ := d.newRouter(t, Config{HedgeAfter: hedge})
-		rec := &callRecorder{next: rt.client.Transport}
-		rt.client.Transport = rec
+		rec := &connRecorder{}
+		rec.watch(rt)
 		caller := goroutineID()
+		// Each leg's reply is read where its request was written.
+		check := func(legs []*recordedLeg) {
+			t.Helper()
+			for _, l := range legs {
+				if len(l.reads) == 0 {
+					t.Fatalf("hedge %v: %s call read no reply", hedge, l.path)
+				}
+				for _, g := range l.reads {
+					if g != l.write {
+						t.Fatalf("hedge %v: %s call written on goroutine %d read on %v", hedge, l.path, l.write, l.reads)
+					}
+				}
+			}
+		}
 
 		if _, _, apiErr := rt.rankSingle(context.Background(), api.RankQuery{Src: co[0][0], Dst: co[0][1], K: 3}, true); apiErr != nil {
 			t.Fatal(apiErr)
 		}
-		if legs := rec.take(); len(legs) != 1 || legs[0].g != caller {
-			t.Fatalf("hedge %v: co-resident query sent %+v, want one call from goroutine %d", hedge, legs, caller)
+		legs := rec.take()
+		if len(legs) != 1 || legs[0].path != "/v2/rank" || legs[0].write != caller {
+			t.Fatalf("hedge %v: co-resident query wrote %+v, want one /v2/rank request from goroutine %d", hedge, legs, caller)
 		}
+		check(legs)
 
 		if _, _, apiErr := rt.rankSingle(context.Background(), api.RankQuery{Src: cross[0][0], Dst: cross[0][1], K: 3}, true); apiErr != nil {
 			t.Fatal(apiErr)
 		}
+		legs = rec.take()
+		check(legs)
 		byPath := map[string][]int64{}
-		for _, l := range rec.take() {
-			byPath[l.path] = append(byPath[l.path], l.g)
+		for _, l := range legs {
+			byPath[l.path] = append(byPath[l.path], l.write)
+		}
+		if len(byPath) != 2 {
+			t.Fatalf("hedge %v: cross-shard query wrote requests for %v, want boundary and corridor calls", hedge, byPath)
 		}
 		// Both parts take part in every corridor round of a two-part split,
 		// so each fan-out has two legs.
@@ -360,5 +427,328 @@ func TestRouterKeepsShardConnections(t *testing.T) {
 	}
 	if opened := round(); opened != 0 {
 		t.Fatalf("an identical second burst opened %d more connections, want none", opened)
+	}
+}
+
+// TestShardConnURLs: New refuses a shard URL its client cannot speak to —
+// anything but http://host[:port][/path] — naming the shard, and parses an
+// accepted one into the address it dials, the Host it sends and the path
+// prefix it keeps.
+func TestShardConnURLs(t *testing.T) {
+	d := buildDeployment(t, 5, 2)
+	good := d.shards[0].URL
+	for _, raw := range []string{
+		"", "localhost:8081", "127.0.0.1:8081", "https://127.0.0.1:8081", "ftp://127.0.0.1:8081",
+		"http://", "http:///base", "http://user:pw@127.0.0.1:8081", "http://127.0.0.1:8081?x=1",
+		"http://127.0.0.1:8081#frag", "http://[::1", "://127.0.0.1",
+	} {
+		_, err := New(d.sm, Config{Shards: []string{good, raw}})
+		if err == nil || !strings.Contains(err.Error(), "shard 1") {
+			t.Errorf("New with shard URL %q: err %v, want a refusal naming shard 1", raw, err)
+		}
+	}
+	for _, tc := range []struct{ raw, addr, host, prefix string }{
+		{"http://127.0.0.1:8081", "127.0.0.1:8081", "127.0.0.1:8081", ""},
+		{"http://127.0.0.1:8081/", "127.0.0.1:8081", "127.0.0.1:8081", ""},
+		{"http://worker-3/pathrank/", "worker-3:80", "worker-3", "/pathrank"},
+		{"http://[::1]:9000/a/b", "[::1]:9000", "[::1]:9000", "/a/b"},
+	} {
+		rt, err := New(d.sm, Config{Shards: []string{good, tc.raw}})
+		if err != nil {
+			t.Errorf("New with shard URL %q: %v", tc.raw, err)
+			continue
+		}
+		if p := rt.shards[1]; p.addr != tc.addr || p.host != tc.host || p.prefix != tc.prefix {
+			t.Errorf("shard URL %q: dials %q, Host %q, prefix %q; want %q, %q, %q",
+				tc.raw, p.addr, p.host, p.prefix, tc.addr, tc.host, tc.prefix)
+		}
+	}
+	// A trailing slash on a live worker's URL still reaches its endpoints.
+	rt, err := New(d.sm, Config{Shards: []string{good + "/", d.shards[1].URL + "/"}, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross := d.pairs(true, 1)
+	if _, _, apiErr := rt.rankSingle(context.Background(), api.RankQuery{Src: cross[0][0], Dst: cross[0][1], K: 3}, true); apiErr != nil {
+		t.Fatalf("query over slash-terminated shard URLs: %v", apiErr)
+	}
+}
+
+// idleConns is the number of connections idle in shard's pool.
+func idleConns(rt *Router, shard int) int {
+	p := rt.shards[shard]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle)
+}
+
+// hijackReply answers a call by writing raw on the bare connection, and
+// with halfClose ends the worker's side of it, so that a body cut short
+// reads as cut short. It then waits, up to 10s, for the router to close the
+// connection, and reports whether it did.
+func hijackReply(t *testing.T, w http.ResponseWriter, raw string, halfClose bool) bool {
+	conn, _, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		t.Errorf("hijack: %v", err)
+		return false
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, raw); err != nil {
+		t.Errorf("write reply: %v", err)
+		return false
+	}
+	if halfClose {
+		conn.(*net.TCPConn).CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err = io.Copy(io.Discard, conn) // nil once the router has closed its end
+	return err == nil
+}
+
+// TestShardConnStaleIdleRedialed: a worker that closes a pooled connection
+// while it is idle costs the next query nothing visible: the router dials
+// afresh and sends the call again, which explain counts as one call and the
+// shard error counter does not see.
+func TestShardConnStaleIdleRedialed(t *testing.T) {
+	d := buildDeployment(t, 5, 2)
+	pair, shard := d.coPair(t)
+	rt, srv := d.newRouter(t, Config{HedgeAfter: -1})
+	obs := &rt.obs.shards[shard]
+	q := api.RankQuery{Src: pair[0], Dst: pair[1], K: 3, Explain: true}
+	if _, apiErr, _ := postRank(t, srv.URL, q); apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if n := idleConns(rt, shard); n != 1 {
+		t.Fatalf("%d idle connections after one call, want 1", n)
+	}
+	d.shards[shard].CloseClientConnections()
+	errs, dials := obs.errors.Value(), obs.dials.Value()
+
+	res, apiErr, _ := postRank(t, srv.URL, q)
+	if apiErr != nil {
+		t.Fatalf("query after the worker closed the idle connection: %v", apiErr)
+	}
+	if st := proxyStat(t, res); st.Calls != 1 || st.Hedged {
+		t.Fatalf("proxy stat %+v, want one call", st)
+	}
+	if n := obs.errors.Value(); n != errs {
+		t.Fatalf("shard_errors_total went %v -> %v, want unchanged", errs, n)
+	}
+	if n := obs.dials.Value(); n != dials+1 {
+		t.Fatalf("shard_dials_total went %v -> %v, want one more", dials, n)
+	}
+}
+
+// TestShardConnCloseNotPooled: a reply that says Connection: close leaves
+// its connection out of the pool, so each such call dials its own.
+func TestShardConnCloseNotPooled(t *testing.T) {
+	d := buildDeployment(t, 5, 2)
+	pair, shard := d.coPair(t)
+	rt, srv := d.newRouter(t, Config{HedgeAfter: -1})
+	d.interceptRank(t, shard, func(_ int64, w http.ResponseWriter, _ *http.Request) bool {
+		w.Header().Set("Connection", "close")
+		return false
+	})
+	for i := 1; i <= 2; i++ {
+		res, apiErr, _ := postRank(t, srv.URL, api.RankQuery{Src: pair[0], Dst: pair[1], K: 3, Explain: true})
+		if apiErr != nil {
+			t.Fatal(apiErr)
+		}
+		if st := proxyStat(t, res); st.Calls != 1 {
+			t.Fatalf("query %d: proxy stat %+v, want one call", i, st)
+		}
+		if n := idleConns(rt, shard); n != 0 {
+			t.Fatalf("query %d: %d idle connections, want none", i, n)
+		}
+		if n := rt.obs.shards[shard].dials.Value(); n != float64(i) {
+			t.Fatalf("query %d: %v dials, want %d", i, n, i)
+		}
+	}
+}
+
+// TestShardConnExcessBytesNotPooled: a reply followed by bytes no request
+// asked for is answered, and its connection, out of step with the worker,
+// is closed instead of pooled.
+func TestShardConnExcessBytesNotPooled(t *testing.T) {
+	d := buildDeployment(t, 5, 2)
+	pair, shard := d.coPair(t)
+	rt, _ := d.newRouter(t, Config{HedgeAfter: -1})
+	const body = `{"src":0}` + "\n"
+	closed := make(chan bool, 1)
+	d.interceptRank(t, shard, func(_ int64, w http.ResponseWriter, _ *http.Request) bool {
+		closed <- hijackReply(t, w, fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%sHTTP/1.1 200 OK\r\n", len(body), body), false)
+		return true
+	})
+	_, relayed, apiErr := rt.rankSingle(context.Background(), api.RankQuery{Src: pair[0], Dst: pair[1], K: 3}, true)
+	if apiErr != nil || string(relayed) != body {
+		t.Fatalf("got %q, %v; want the worker's body %q", relayed, apiErr, body)
+	}
+	if !<-closed {
+		t.Fatal("the router kept the connection open")
+	}
+	if n := idleConns(rt, shard); n != 0 {
+		t.Fatalf("%d idle connections, want none", n)
+	}
+}
+
+// readTap keeps a copy of everything read from the connections a router's
+// pools dial.
+type readTap struct {
+	net.Conn
+	mu  *sync.Mutex
+	buf *bytes.Buffer
+}
+
+func (r readTap) Read(p []byte) (int, error) {
+	n, err := r.Conn.Read(p)
+	r.mu.Lock()
+	r.buf.Write(p[:n])
+	r.mu.Unlock()
+	return n, err
+}
+
+// TestShardConnChunkedReply: a reply the worker flushes part by part
+// arrives chunked and is read whole, and its connection is pooled.
+func TestShardConnChunkedReply(t *testing.T) {
+	d := buildDeployment(t, 5, 2)
+	pair, shard := d.coPair(t)
+	rt, srv := d.newRouter(t, Config{HedgeAfter: -1})
+	var mu sync.Mutex
+	var wire bytes.Buffer
+	next := rt.shards[shard].dial
+	rt.shards[shard].dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := next(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return readTap{Conn: conn, mu: &mu, buf: &wire}, nil
+	}
+	q := api.RankQuery{Src: pair[0], Dst: pair[1], K: 3}
+	_, want := postRaw(t, d.shards[shard].URL, q)
+	d.interceptRank(t, shard, func(_ int64, w http.ResponseWriter, r *http.Request) bool {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		for _, part := range [][]byte{want[:len(want)/2], want[len(want)/2:]} {
+			w.Write(part)
+			if err := http.NewResponseController(w).Flush(); err != nil {
+				t.Error(err)
+			}
+		}
+		return true
+	})
+	resp, got := postRaw(t, srv.URL, q)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("router answered %d %q, want the worker's 200 %q", resp.StatusCode, got, want)
+	}
+	mu.Lock()
+	chunked := strings.Contains(wire.String(), "Transfer-Encoding: chunked")
+	mu.Unlock()
+	if !chunked {
+		t.Fatal("the worker's reply was not chunked")
+	}
+	if n := idleConns(rt, shard); n != 1 {
+		t.Fatalf("%d idle connections after the chunked reply, want 1", n)
+	}
+}
+
+// TestShardConnShortOrOversizedBody: a reply whose body ends before its
+// Content-Length, or declares more than maxShardResponse, fails its
+// attempt, whose connection the router closes; the call's retry answers.
+func TestShardConnShortOrOversizedBody(t *testing.T) {
+	d := buildDeployment(t, 5, 2)
+	pair, shard := d.coPair(t)
+	for _, tc := range []struct{ name, reply string }{
+		{"short", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"src\":"},
+		{"oversized", fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", maxShardResponse+1)},
+	} {
+		rt, srv := d.newRouter(t, Config{HedgeAfter: -1})
+		closed := make(chan bool, 1)
+		d.interceptRank(t, shard, func(n int64, w http.ResponseWriter, _ *http.Request) bool {
+			if n > 1 {
+				return false
+			}
+			// A short body ends with the worker's half of the connection:
+			// the router, not the worker, must close the rest.
+			closed <- hijackReply(t, w, tc.reply, tc.name == "short")
+			return true
+		})
+		res, apiErr, _ := postRank(t, srv.URL, api.RankQuery{Src: pair[0], Dst: pair[1], K: 3, Explain: true})
+		if apiErr != nil {
+			t.Fatalf("%s: query failed: %v", tc.name, apiErr)
+		}
+		if st := proxyStat(t, res); st.Calls != 2 || st.Hedged {
+			t.Fatalf("%s: proxy stat %+v, want calls 2, not hedged", tc.name, st)
+		}
+		if !<-closed {
+			t.Fatalf("%s: the router kept the connection of the failed attempt open", tc.name)
+		}
+		if n := rt.obs.shards[shard].dials.Value(); n != 2 {
+			t.Fatalf("%s: %v dials, want 2", tc.name, n)
+		}
+	}
+}
+
+// TestShardConnCanceledMidReply: a call whose context fires while its reply
+// is half read fails with the deadline or cancel code, its connection is
+// closed, and the next call dials a fresh one.
+func TestShardConnCanceledMidReply(t *testing.T) {
+	d := buildDeployment(t, 5, 2)
+	pair, shard := d.coPair(t)
+	for _, code := range []string{api.CodeDeadline, api.CodeCanceled} {
+		rt, _ := d.newRouter(t, Config{HedgeAfter: -1})
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		if code == api.CodeCanceled {
+			cancel()
+			ctx, cancel = context.WithCancel(context.Background())
+		}
+		closed := make(chan bool, 1)
+		d.interceptRank(t, shard, func(n int64, w http.ResponseWriter, _ *http.Request) bool {
+			if n > 1 {
+				return false
+			}
+			if code == api.CodeCanceled {
+				time.AfterFunc(20*time.Millisecond, cancel)
+			}
+			closed <- hijackReply(t, w, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"src\":", false)
+			return true
+		})
+		q := api.RankQuery{Src: pair[0], Dst: pair[1], K: 3}
+		_, _, apiErr := rt.rankSingle(ctx, q, true)
+		cancel()
+		if apiErr == nil || apiErr.Code != code {
+			t.Fatalf("got %+v, want code %s", apiErr, code)
+		}
+		if !<-closed {
+			t.Fatalf("%s: the router kept the connection of the abandoned call open", code)
+		}
+		if n := idleConns(rt, shard); n != 0 {
+			t.Fatalf("%s: %d idle connections, want none", code, n)
+		}
+		if _, _, apiErr := rt.rankSingle(context.Background(), q, true); apiErr != nil {
+			t.Fatalf("%s: the next call failed: %v", code, apiErr)
+		}
+		if n := rt.obs.shards[shard].dials.Value(); n != 2 {
+			t.Fatalf("%s: %v dials, want 2", code, n)
+		}
+	}
+}
+
+// TestShardConnReusedSequentially: 100 co-resident queries one after the
+// other travel on one connection to their shard.
+func TestShardConnReusedSequentially(t *testing.T) {
+	d := buildDeployment(t, 5, 2)
+	pair, shard := d.coPair(t)
+	rt, srv := d.newRouter(t, Config{HedgeAfter: -1})
+	before := d.newConns[shard].Load()
+	for i := 0; i < 100; i++ {
+		if _, apiErr, _ := postRank(t, srv.URL, api.RankQuery{Src: pair[0], Dst: pair[1], K: 1 + i%4}); apiErr != nil {
+			t.Fatal(apiErr)
+		}
+	}
+	if n := d.newConns[shard].Load() - before; n != 1 {
+		t.Fatalf("100 sequential queries opened %d connections to the shard, want 1", n)
+	}
+	if n := rt.obs.shards[shard].dials.Value(); n != 1 {
+		t.Fatalf("%v dials, want 1", n)
 	}
 }
