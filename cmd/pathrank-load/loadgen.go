@@ -161,7 +161,7 @@ type report struct {
 }
 
 // shardLatencyReport aggregates one shard's contribution to the sampled
-// queries in one role (proxy, boundary, or corridor).
+// queries in one role (proxy or corridor).
 type shardLatencyReport struct {
 	Shard    int     `json:"shard"`
 	Role     string  `json:"role"`

@@ -161,9 +161,9 @@ type RankStats struct {
 type ShardStat struct {
 	// Shard is the shard index in the bundle.
 	Shard int `json:"shard"`
-	// Role is what the shard computed: "proxy" (full co-resident query),
-	// "boundary" (boundary distance vector), or "corridor" (corridor
-	// subgraph extraction; repeated rounds accumulate).
+	// Role is what the shard computed: "proxy" (full co-resident query)
+	// or "corridor" (corridor subgraph extraction; repeated rounds
+	// accumulate).
 	Role string `json:"role"`
 	// Calls is the number of HTTP calls made to this shard for the query,
 	// counting hedged duplicates.

@@ -4,9 +4,9 @@ package api
 // of the shard-internal sub-query API: the worker's identity within the
 // bundle and the serving snapshot's fingerprint. The router polls it for
 // health and generation agreement, and an operator can read it with curl.
-// The sub-queries themselves (/shard/boundary, /shard/corridor) speak the
-// binary shard wire of internal/pathrank (shardwire.go); their errors are
-// this package's typed envelope.
+// The corridor sub-query itself (/shard/corridor) speaks the binary shard
+// wire of internal/pathrank (shardwire.go); its errors are this package's
+// typed envelope.
 type ShardInfoResponse struct {
 	// Shard is this worker's shard index; Parts is the bundle's shard count.
 	Shard int `json:"shard"`

@@ -292,6 +292,40 @@ func UnmarshalParams(data []byte, params []*Param) error {
 	return LoadParams(bytes.NewReader(data), params)
 }
 
+// StreamFingerprint returns the SHA-256 of data, a params stream just
+// read, with ok set when data has the shape this encoder writes: it opens
+// with paramsPreamble and is one value message to its last byte. Every
+// encoder of the format — this one, and encoding/gob in the builds that
+// wrote it through gob with these type numbers — writes a value's one
+// canonical message, so for their streams the digest is ParamsFingerprint
+// of the decoded params, without re-encoding them. Any other stream
+// reports !ok, and the caller re-encodes. A hand-made stream of that shape
+// with a non-minimal field inside gets a digest no encoder gives: its
+// fingerprint can then differ from another copy of the same weights, but
+// two different weight sets still never share one.
+func StreamFingerprint(data []byte) (sum [sha256.Size]byte, ok bool) {
+	rest, found := bytes.CutPrefix(data, paramsPreamble)
+	if !found || len(rest) == 0 {
+		return sum, false
+	}
+	// The value message's length, in gob's uint encoding.
+	n, w := uint64(rest[0]), 1
+	if n >= 0x80 {
+		w = 1 + int(-int8(rest[0]))
+		if w < 2 || w > 9 || len(rest) < w {
+			return sum, false
+		}
+		n = 0
+		for _, b := range rest[1:w] {
+			n = n<<8 | uint64(b)
+		}
+	}
+	if n != uint64(len(rest)-w) {
+		return sum, false
+	}
+	return sha256.Sum256(data), true
+}
+
 // ParamsFingerprint returns a SHA-256 digest over the names, shapes, frozen
 // flags, and exact weight encodings of params: the hash of their SaveParams
 // stream. Two models have the same fingerprint iff their trainable state is

@@ -2,13 +2,19 @@ package partition
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,8 +28,10 @@ import (
 // route, stitch, and rank WITHOUT holding any shard's graph. The model
 // travels with the map (its vocabulary is the full vertex table, so the
 // router can score candidate paths expressed in global vertex IDs), as do
-// the cut edges (owned by no shard) and the boundary distance tables that
-// make cross-shard stitching exact.
+// the cut edges (owned by no shard), the boundary-to-boundary distance
+// tables that make cross-shard stitching exact, and the endpoint tables
+// (EndpointDistances) that give the router each endpoint's distances to
+// its shard's boundary without asking the shard.
 type ShardMap struct {
 	Parts       int
 	NumVertices int
@@ -31,7 +39,7 @@ type ShardMap struct {
 	// Owner maps every global vertex to its shard.
 	Owner []int32
 	// Boundary is each shard's boundary vertex list, ascending global IDs
-	// — the exact order the shard's /shard/boundary response is aligned to.
+	// — the column order of the shard's endpoint tables.
 	Boundary [][]roadnet.VertexID
 	// CutEdges are the full records of every cross-shard edge (global IDs,
 	// explicit lengths and times), ascending by ID.
@@ -55,6 +63,58 @@ type ShardMap struct {
 	ModelConfig pathrank.Config
 	ModelParams []byte
 	Fingerprint string
+
+	// endpoint holds, per shard s, four owned(s)×|Boundary[s]| row-major
+	// tables back to back, in endpointIndex order: row r is the r-th
+	// vertex s owns in ascending ID order, column k is Boundary[s][k], and
+	// entries are distances within s's induced subgraph, +Inf where none
+	// exists. row[v] is v's row in its owner's tables, derived from Owner
+	// (indexRows), never stored.
+	endpoint [][]float64
+	row      []int32
+}
+
+// endpointIndex numbers a shard's four endpoint tables: to-boundary
+// (d_s(v→u)) then from-boundary (d_s(u→v)), under length then time.
+func endpointIndex(w pathrank.WeightKind, rev bool) int {
+	t := 0
+	if w == pathrank.WeightTime {
+		t = 2
+	}
+	if rev {
+		t++
+	}
+	return t
+}
+
+// EndpointDistances returns v's row of its owning shard s's endpoint
+// tables under w (length unless w is WeightTime): d_s(v → u) for each u in
+// Boundary[s], or with rev d_s(u → v), where d_s is the shortest-path cost
+// within s's induced subgraph and +Inf marks no path. The row aliases the
+// map's tables and must not be modified.
+func (m *ShardMap) EndpointDistances(v roadnet.VertexID, w pathrank.WeightKind, rev bool) []float64 {
+	s := m.Owner[v]
+	nb := len(m.Boundary[s])
+	base := endpointIndex(w, rev)*len(m.endpoint[s])/4 + int(m.row[v])*nb
+	return m.endpoint[s][base : base+nb : base+nb]
+}
+
+// setEndpoint installs per-shard endpoint tables.
+func (m *ShardMap) setEndpoint(tables [][]float64) {
+	m.endpoint = tables
+	m.indexRows()
+}
+
+// indexRows derives each vertex's row in its owner's endpoint tables
+// from Owner and returns how many vertices each shard owns.
+func (m *ShardMap) indexRows() []int {
+	m.row = make([]int32, len(m.Owner))
+	owned := make([]int, m.Parts)
+	for v, s := range m.Owner {
+		m.row[v] = int32(owned[s])
+		owned[s]++
+	}
+	return owned
 }
 
 // GlobalBoundary returns the separator in table order: every shard's
@@ -85,10 +145,17 @@ func (m *ShardMap) Model() (*pathrank.Model, error) {
 }
 
 // Shard-map file format: pathrank's frame header (magic, version, SHA-256
-// of the payload, payload length) with its own magic, then gob(ShardMap).
+// of the payload, payload length) with its own magic, then a payload of
+// gob(ShardMap) — the map's exported fields — followed by the endpoint
+// tables' byte image: every shard's four tables in table order, each entry
+// a little-endian float64. The image stays out of gob, which would copy it
+// through its message buffer on both ends (or encode a []float64 float by
+// float); a gob decoder reading from a bytes.Reader reads exactly its
+// messages, so the image is the payload's tail. Version 2 added the image;
+// a version-1 map is refused with a request to rebuild the bundle.
 var shardMapMagic = [8]byte{'P', 'R', 'S', 'H', 'R', 'D', 'M', 'P'}
 
-const shardMapVersion = 1
+const shardMapVersion = 2
 
 // gob numbers types process-wide in order of first encode and writes those
 // numbers into every stream, so a shard map's bytes would depend on what
@@ -102,39 +169,84 @@ func init() {
 
 // SaveShardMap writes the map as a checksummed bundle.
 func SaveShardMap(w io.Writer, m *ShardMap) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(m); err != nil {
+	n := 0
+	for _, t := range m.endpoint {
+		n += len(t)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, len(m.ModelParams)+8*n+64<<10))
+	if err := gob.NewEncoder(buf).Encode(m); err != nil {
 		return fmt.Errorf("partition: encode shard map: %w", err)
 	}
-	header := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, payload.Bytes())
+	payload := slices.Grow(buf.Bytes(), 8*n)
+	for _, t := range m.endpoint {
+		for _, x := range t {
+			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(x))
+		}
+	}
+	header := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, payload)
 	if _, err := w.Write(header[:]); err != nil {
 		return fmt.Errorf("partition: write shard map header: %w", err)
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
+	if _, err := w.Write(payload); err != nil {
 		return fmt.Errorf("partition: write shard map payload: %w", err)
 	}
 	return nil
 }
 
-// LoadShardMap reads a map written by SaveShardMap, verifying magic,
-// version, checksum, and internal consistency.
-func LoadShardMap(r io.Reader) (*ShardMap, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("partition: read shard map: %w", err)
-	}
+// LoadShardMap decodes the bytes of a map file written by SaveShardMap,
+// verifying magic, version, checksum, and internal consistency, endpoint
+// tables included: the router reads them without further checks.
+func LoadShardMap(data []byte) (*ShardMap, error) {
 	payload, err := pathrank.DecodeFrame(data, shardMapMagic, shardMapVersion)
+	if errors.Is(err, pathrank.ErrArtifactVersion) {
+		return nil, fmt.Errorf("partition: shard map: %w; rebuild the bundle with this build (pathrank-train -partition)", err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("partition: shard map: %w", err)
 	}
+	r := bytes.NewReader(payload)
 	var m ShardMap
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
+	if err := gob.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("partition: decode shard map: %w", err)
 	}
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
+	if err := m.decodeEndpoint(payload[len(payload)-r.Len():]); err != nil {
+		return nil, err
+	}
 	return &m, nil
+}
+
+// decodeEndpoint checks the endpoint tables' byte image against the shape
+// Owner and Boundary give them, and that every entry is a cost (not NaN,
+// no sign bit: a sweep from +0 over non-negative weights never yields −0;
+// +Inf is an unreachable pair), then installs them.
+func (m *ShardMap) decodeEndpoint(image []byte) error {
+	owned := m.indexRows()
+	want := 0
+	for s, list := range m.Boundary {
+		want += 4 * owned[s] * len(list)
+	}
+	if len(image) != 8*want {
+		return fmt.Errorf("partition: endpoint tables hold %d bytes, the shards' owned vertices and boundaries need %d (4 tables of 8-byte rows × columns per shard)",
+			len(image), 8*want)
+	}
+	tables := make([][]float64, m.Parts)
+	flat := make([]float64, want)
+	for s, list := range m.Boundary {
+		tables[s], flat = flat[:4*owned[s]*len(list)], flat[4*owned[s]*len(list):]
+		for i := range tables[s] {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(image))
+			image = image[8:]
+			if math.IsNaN(x) || math.Signbit(x) {
+				return fmt.Errorf("partition: shard %d endpoint table entry %d is %g, not a cost", s, i, x)
+			}
+			tables[s][i] = x
+		}
+	}
+	m.endpoint = tables
+	return nil
 }
 
 func (m *ShardMap) validate() error {
@@ -168,6 +280,13 @@ func (m *ShardMap) validate() error {
 		return fmt.Errorf("partition: boundary tables sized %d/%d for %d boundary vertices",
 			len(m.DLen), len(m.DTime), nb)
 	}
+	for _, D := range [2][]float64{m.DLen, m.DTime} {
+		for i, x := range D {
+			if math.IsNaN(x) || math.Signbit(x) {
+				return fmt.Errorf("partition: boundary table entry %d is %g, not a cost", i, x)
+			}
+		}
+	}
 	for i, e := range m.CutEdges {
 		// The router merges cut edges with the shards' ascending corridor
 		// edges, so they too must ascend by ID.
@@ -186,30 +305,62 @@ func (m *ShardMap) validate() error {
 
 // distanceTable fills the |B|×|B| row-major table of exact costs under w:
 // row i is one Dijkstra from B[i] to every boundary vertex, over w's
-// weight table, through the entry point a shard's boundary query uses.
-// Rows are independent, so they run on up to GOMAXPROCS workers, each on
-// its own pooled workspace; every row is the same search whichever worker
-// runs it, so the table does not depend on the worker count.
+// weight table, through the same entry point endpointTables uses.
 func distanceTable(g *roadnet.Graph, w spath.Weight, B []roadnet.VertexID) []float64 {
 	nb := len(B)
 	flat := make([]float64, nb*nb)
 	wts := spath.WeightTable(g, w)
+	parallelSweeps(g, nb, func(ws *spath.Workspace, i int) {
+		ws.BoundaryDistances(g, B[i], false, B, wts, flat[i*nb:(i+1)*nb])
+	})
+	return flat
+}
+
+// endpointTables computes one shard's four endpoint tables (the layout of
+// ShardMap.endpoint) on its induced subgraph sg: for each boundary vertex
+// u and each table, one sweep rooted at u over the table's weights, in
+// reverse for a to-boundary table, read at every owned vertex. owned
+// lists the shard's vertices ascending, B its boundary.
+func endpointTables(sg *roadnet.Graph, owned, B []roadnet.VertexID) []float64 {
+	no, nb := len(owned), len(B)
+	wts := [2][]float64{spath.WeightTable(sg, spath.ByLength), spath.WeightTable(sg, spath.ByTime)}
+	// Sweep j fills column j%nb of table j/nb, contiguous here and
+	// transposed below into the tables' row-major order.
+	cols := make([]float64, 4*nb*no)
+	parallelSweeps(sg, 4*nb, func(ws *spath.Workspace, j int) {
+		t, k := j/nb, j%nb
+		ws.BoundaryDistances(sg, B[k], t%2 == 0, owned, wts[t/2], cols[j*no:(j+1)*no])
+	})
+	out := make([]float64, len(cols))
+	for j := range 4 * nb {
+		t, k := j/nb, j%nb
+		for r, x := range cols[j*no : (j+1)*no] {
+			out[(t*no+r)*nb+k] = x
+		}
+	}
+	return out
+}
+
+// parallelSweeps runs sweep(ws, i) for every i in [0, n) on up to
+// GOMAXPROCS workers, each on its own pooled workspace over g. Each call
+// must be one independent search writing only its own output, so the
+// result does not depend on the worker count.
+func parallelSweeps(g *roadnet.Graph, n int, sweep func(ws *spath.Workspace, i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	workers := min(runtime.GOMAXPROCS(0), nb)
+	workers := min(runtime.GOMAXPROCS(0), n)
 	wg.Add(workers)
 	for range workers {
 		go func() {
 			defer wg.Done()
 			ws := spath.GetWorkspace(g)
 			defer ws.Release()
-			for i := int(next.Add(1)) - 1; i < nb; i = int(next.Add(1)) - 1 {
-				ws.BoundaryDistances(g, B[i], false, B, wts, flat[i*nb:(i+1)*nb])
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				sweep(ws, i)
 			}
 		}()
 	}
 	wg.Wait()
-	return flat
 }
 
 // Bundle file names within a bundle directory.
@@ -252,8 +403,9 @@ type Manifest struct {
 // carries the full model, the bundle's candidate configuration, its
 // induced subgraph and its shard identity, and no contraction hierarchy:
 // a shard worker generates candidates on its ranker's weight tables and
-// answers boundary queries with plain searches. The shard map carries the
-// model again plus the boundary tables computed on the FULL graph. logf,
+// extracts corridors with plain searches. The shard map carries the model
+// again, the boundary-to-boundary tables computed on the FULL graph, and
+// each shard's endpoint tables computed on its induced subgraph. logf,
 // when non-nil, receives progress lines.
 func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format string, args ...any)) (*Manifest, error) {
 	if logf == nil {
@@ -267,10 +419,14 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
-	fp, err := art.Model.FingerprintHex()
-	if err != nil {
-		return nil, fmt.Errorf("partition: fingerprint model: %w", err)
+	// The fingerprint is the SHA-256 of the params stream (the shard map
+	// carries that stream too), so one encode serves both.
+	var params bytes.Buffer
+	if err := art.Model.Save(&params); err != nil {
+		return nil, fmt.Errorf("partition: serialize model: %w", err)
 	}
+	sum := sha256.Sum256(params.Bytes())
+	fp := hex.EncodeToString(sum[:])
 	man := &Manifest{
 		Parts:            parts,
 		Vertices:         g.NumVertices(),
@@ -284,12 +440,36 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 	logf("partitioned %d vertices into %d shards: %d cut edges, %d boundary vertices, imbalance %.3f",
 		man.Vertices, parts, man.CutEdges, man.BoundaryVertices, man.Imbalance)
 
-	owned := make([]int, parts)
-	for _, s := range res.Owner {
-		owned[s]++
+	owned := make([][]roadnet.VertexID, parts)
+	for v, s := range res.Owner {
+		owned[s] = append(owned[s], roadnet.VertexID(v))
 	}
-	for i := 0; i < parts; i++ {
-		sg, toGlobal := ExtractShard(g, res.Owner, int32(i))
+	sgs := make([]*roadnet.Graph, parts)
+	toGlobal := make([][]roadnet.EdgeID, parts)
+	for i := range parts {
+		sgs[i], toGlobal[i] = ExtractShard(g, res.Owner, int32(i))
+	}
+
+	// The distance tables are pure computation on up to GOMAXPROCS
+	// workers. They run while the shard artifacts are encoded and written
+	// on this goroutine, which keeps one core busy at most.
+	B := res.BoundaryVertices()
+	logf("computing %dx%d boundary tables and %d shards' endpoint tables", len(B), len(B), parts)
+	endpoint := make([][]float64, parts)
+	var dLen, dTime []float64
+	var tables sync.WaitGroup
+	tables.Add(1)
+	go func() {
+		defer tables.Done()
+		for i := range parts {
+			endpoint[i] = endpointTables(sgs[i], owned[i], res.Boundary[i])
+		}
+		dLen = distanceTable(g, spath.ByLength, B)
+		dTime = distanceTable(g, spath.ByTime, B)
+	}()
+	defer tables.Wait() // an early return leaves no sweep running
+
+	for i, sg := range sgs {
 		sa := &pathrank.Artifact{
 			Graph:      sg,
 			Model:      art.Model,
@@ -299,7 +479,7 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 				Index:      i,
 				Parts:      parts,
 				Boundary:   res.Boundary[i],
-				EdgeGlobal: toGlobal,
+				EdgeGlobal: toGlobal[i],
 			},
 		}
 		name := ShardArtifactName(i)
@@ -309,26 +489,21 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 		man.Shards = append(man.Shards, ShardManifest{
 			Index:         i,
 			Artifact:      name,
-			OwnedVertices: owned[i],
+			OwnedVertices: len(owned[i]),
 			Edges:         sg.NumEdges(),
 			Boundary:      len(res.Boundary[i]),
 		})
 		logf("shard %d: %d owned vertices, %d edges, %d boundary vertices -> %s",
-			i, owned[i], sg.NumEdges(), len(res.Boundary[i]), name)
+			i, len(owned[i]), sg.NumEdges(), len(res.Boundary[i]), name)
 	}
 
-	B := res.BoundaryVertices()
-	logf("computing %dx%d boundary tables", len(B), len(B))
-	var params bytes.Buffer
-	if err := art.Model.Save(&params); err != nil {
-		return nil, fmt.Errorf("partition: serialize model: %w", err)
-	}
 	var totalLen, totalTime float64
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(roadnet.EdgeID(i))
 		totalLen += e.Length
 		totalTime += e.Time
 	}
+	tables.Wait()
 	m := &ShardMap{
 		Parts:       parts,
 		NumVertices: g.NumVertices(),
@@ -336,8 +511,8 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 		Owner:       res.Owner,
 		Boundary:    res.Boundary,
 		CutEdges:    res.CutEdges,
-		DLen:        distanceTable(g, spath.ByLength, B),
-		DTime:       distanceTable(g, spath.ByTime, B),
+		DLen:        dLen,
+		DTime:       dTime,
 		TotalLen:    totalLen,
 		TotalTime:   totalTime,
 		Candidates:  art.Candidates,
@@ -345,6 +520,7 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 		ModelParams: params.Bytes(),
 		Fingerprint: fp,
 	}
+	m.setEndpoint(endpoint)
 	err = pathrank.WriteFileAtomic(filepath.Join(dir, ShardMapName), func(w io.Writer) error { return SaveShardMap(w, m) })
 	if err != nil {
 		return nil, err
@@ -366,10 +542,9 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 
 // LoadShardMapFile reads the shard map of the bundle in dir.
 func LoadShardMapFile(dir string) (*ShardMap, error) {
-	f, err := os.Open(filepath.Join(dir, ShardMapName))
+	data, err := os.ReadFile(filepath.Join(dir, ShardMapName))
 	if err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
-	defer f.Close()
-	return LoadShardMap(f)
+	return LoadShardMap(data)
 }

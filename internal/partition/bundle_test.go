@@ -203,3 +203,39 @@ func BenchmarkBuildBundle(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLoadShardMapFile times the router's load of the served world's
+// four-shard map (BenchmarkBuildBundle's bundle): read, checksum, decode
+// and validate, endpoint tables included. map-bytes is the file's size.
+func BenchmarkLoadShardMapFile(b *testing.B) {
+	cfg := roadnet.DefaultGenConfig()
+	cfg.Rows, cfg.Cols, cfg.Seed = 56, 56, 1
+	g, err := roadnet.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := pathrank.New(g.NumVertices(), pathrank.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	art := &pathrank.Artifact{
+		Graph: g, Model: model,
+		Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 5, Threshold: 0.8},
+	}
+	dir := b.TempDir()
+	if _, err := BuildBundle(art, dir, 4, nil); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(filepath.Join(dir, ShardMapName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := LoadShardMapFile(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.Size()), "map-bytes")
+}

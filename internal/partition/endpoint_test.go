@@ -1,0 +1,266 @@
+package partition
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"pathrank/internal/dataset"
+	"pathrank/internal/pathrank"
+	"pathrank/internal/roadnet"
+	"pathrank/internal/spath"
+)
+
+// endpointSlack is spath's corridorSlack: the relative margin every
+// consumer of a stitched distance allows, far above the last-bit
+// differences between sweeps rooted at either end of a path.
+const endpointSlack = 1e-9
+
+// bundleMap builds a bundle of g in parts shards and loads its map back.
+func bundleMap(t testing.TB, g *roadnet.Graph, parts int) (*ShardMap, string) {
+	t.Helper()
+	model, err := pathrank.New(g.NumVertices(), pathrank.Config{
+		EmbeddingDim: 4, Hidden: 4, Variant: pathrank.PRA2, Body: pathrank.GRUBody, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := &pathrank.Artifact{Graph: g, Model: model, Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 4, Threshold: 0.8}}
+	dir := t.TempDir()
+	if _, err := BuildBundle(art, dir, parts, nil); err != nil {
+		t.Fatal(err)
+	}
+	sm, err := LoadShardMapFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sm, dir
+}
+
+// TestBoundaryTablesMatchSweeps: every endpoint table entry — each owned
+// vertex against each boundary vertex of its shard, under both metrics and
+// in both directions — is, within endpointSlack, what a live boundary
+// sweep rooted at the owned vertex on the shard's induced subgraph gives,
+// and +Inf exactly where that sweep finds no path. It runs on the router
+// tests' worlds, on one with one-way streets (where a table built in the
+// wrong direction would show), and on the served 56×56 world.
+func TestBoundaryTablesMatchSweeps(t *testing.T) {
+	served := roadnet.DefaultGenConfig()
+	served.Rows, served.Cols, served.Seed = 56, 56, 1
+	for _, tc := range []struct {
+		name  string
+		gen   func(t *testing.T) *roadnet.Graph
+		parts int
+	}{
+		{"router-world/seed=5/parts=2", func(t *testing.T) *roadnet.Graph { return testGraph(t, 8, 9, 5) }, 2},
+		{"router-world/seed=21/parts=3", func(t *testing.T) *roadnet.Graph { return testGraph(t, 8, 9, 21) }, 3},
+		{"one-way/seed=5/parts=3", func(t *testing.T) *roadnet.Graph { return oneWay(testGraph(t, 8, 9, 5), 6) }, 3},
+		{"served-world/parts=4", func(t *testing.T) *roadnet.Graph {
+			g, err := roadnet.Generate(served)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.gen(t)
+			sm, _ := bundleMap(t, g, tc.parts)
+			checked := 0
+			for s := range sm.Parts {
+				sg, _ := ExtractShard(g, sm.Owner, int32(s))
+				B := sm.Boundary[s]
+				ws := spath.GetWorkspace(sg)
+				live := make([]float64, len(B))
+				for _, w := range []pathrank.WeightKind{pathrank.WeightLength, pathrank.WeightTime} {
+					wts := spath.WeightTable(sg, w.Weight())
+					for v, owner := range sm.Owner {
+						if int(owner) != s {
+							continue
+						}
+						for _, rev := range []bool{false, true} {
+							ws.BoundaryDistances(sg, roadnet.VertexID(v), rev, B, wts, live)
+							row := sm.EndpointDistances(roadnet.VertexID(v), w, rev)
+							if len(row) != len(B) {
+								t.Fatalf("vertex %d: row of %d entries, shard %d has %d boundary vertices", v, len(row), s, len(B))
+							}
+							for k, got := range row {
+								want := live[k]
+								ok := got == want || math.Abs(got-want) <= endpointSlack*want
+								if math.IsInf(want, 1) || math.IsInf(got, 1) {
+									ok = got == want
+								}
+								if !ok {
+									t.Fatalf("%s rev=%v: d(%d, boundary %d) is %v in the table, %v by a live sweep", w, rev, v, B[k], got, want)
+								}
+								checked++
+							}
+						}
+					}
+				}
+				ws.Release()
+			}
+			if checked == 0 {
+				t.Fatal("no table entries checked")
+			}
+		})
+	}
+}
+
+// oneWay returns g without every k-th edge. The generated networks have
+// two-way streets of equal cost, so d(u→v) = d(v→u) there; dropping single
+// directions makes distances depend on direction and leaves some pairs
+// without a path.
+func oneWay(g *roadnet.Graph, k int) *roadnet.Graph {
+	data := g.RawData()
+	var edges []roadnet.Edge
+	for i, e := range data.Edges {
+		if i%k != k-1 {
+			e.ID = roadnet.EdgeID(len(edges))
+			edges = append(edges, e)
+		}
+	}
+	return roadnet.NewGraphFromData(data.Vertices, edges)
+}
+
+// rewriteShardMap rewrites the shard map file in dir with edit applied to
+// its endpoint tables' byte image, and returns the new file's bytes.
+func rewriteShardMap(t *testing.T, dir string, edit func(image []byte) []byte) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, ShardMapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := pathrank.DecodeFrame(data, shardMapMagic, shardMapVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(payload)
+	if err := gob.NewDecoder(r).Decode(new(ShardMap)); err != nil {
+		t.Fatal(err)
+	}
+	cut := len(payload) - r.Len()
+	payload = append(bytes.Clone(payload[:cut]), edit(bytes.Clone(payload[cut:]))...)
+	h := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, payload)
+	return append(h[:], payload...)
+}
+
+// TestShardMapRejectsPoisonedEndpointTables: the router stitches from the
+// endpoint tables without checking them, so a load refuses tables that
+// hold a distance that is no cost (NaN, negative) or are shaped for other
+// rows or columns than Owner and Boundary give.
+func TestShardMapRejectsPoisonedEndpointTables(t *testing.T) {
+	sm, dir := bundleMap(t, testGraph(t, 8, 9, 5), 2)
+	nb := len(sm.Boundary[0])
+	put := func(i int, x float64) func([]byte) []byte {
+		return func(image []byte) []byte {
+			binary.LittleEndian.PutUint64(image[8*i:], math.Float64bits(x))
+			return image
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func([]byte) []byte
+	}{
+		{"NaN distance", "not a cost", put(3, math.NaN())},
+		{"negative distance", "not a cost", put(len(sm.endpoint[0])+5, -1)},
+		{"negative zero", "not a cost", put(0, math.Copysign(0, -1))},
+		{"negative infinity", "not a cost", put(7, math.Inf(-1))},
+		{"one row short", "endpoint tables hold", func(image []byte) []byte { return image[8*nb:] }},
+		{"one column short", "endpoint tables hold", func(image []byte) []byte {
+			// Every row of every table of shard 0 loses its last entry.
+			rows := len(sm.endpoint[0]) / nb
+			var short []byte
+			for r := range rows {
+				short = append(short, image[8*r*nb:8*(r*nb+nb-1)]...)
+			}
+			return append(short, image[8*len(sm.endpoint[0]):]...)
+		}},
+		{"one byte long", "endpoint tables hold", func(image []byte) []byte { return append(image, 0) }},
+		{"no tables", "endpoint tables hold", func([]byte) []byte { return nil }},
+	} {
+		_, err := LoadShardMap(rewriteShardMap(t, dir, tc.edit))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: load returned %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	// Unedited, the same rewrite loads: each case failed on its defect.
+	if _, err := LoadShardMap(rewriteShardMap(t, dir, func(image []byte) []byte { return image })); err != nil {
+		t.Fatalf("unedited map: %v", err)
+	}
+}
+
+// TestShardMapRefusesOldVersion: a map written before the endpoint tables
+// existed is refused, and the error says to rebuild the bundle.
+func TestShardMapRefusesOldVersion(t *testing.T) {
+	_, dir := bundleMap(t, testGraph(t, 7, 7, 3), 2)
+	data, err := os.ReadFile(filepath.Join(dir, ShardMapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := pathrank.EncodeFrame(shardMapMagic, 1, data[pathrank.FrameHeaderLen:])
+	_, err = LoadShardMap(append(h[:], data[pathrank.FrameHeaderLen:]...))
+	if !errors.Is(err, pathrank.ErrArtifactVersion) || !strings.Contains(err.Error(), "rebuild the bundle") {
+		t.Fatalf("version-1 map: %v, want a version error that says to rebuild the bundle", err)
+	}
+}
+
+// FuzzLoadShardMap: on arbitrary bytes LoadShardMap returns an error and
+// never panics. The checksum screens random payloads, so every input is
+// also tried as the payload of a correctly sealed frame, which takes a
+// mutation through to gob and to validation. Whatever loads must hold
+// readable endpoint rows of costs for every vertex, since the router reads
+// them unchecked.
+func FuzzLoadShardMap(f *testing.F) {
+	_, dir := bundleMap(f, testGraph(f, 4, 4, 2), 2)
+	valid, err := os.ReadFile(filepath.Join(dir, ShardMapName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(valid)
+	f.Add(valid[pathrank.FrameHeaderLen:])
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(bytes.Clone(valid), 0))
+	// A one-vertex map, whose payload the fuzzer can change more of.
+	tiny := &ShardMap{
+		Parts: 2, NumVertices: 1, Owner: []int32{1}, Boundary: [][]roadnet.VertexID{nil, {0}},
+		DLen: []float64{0}, DTime: []float64{0},
+	}
+	tiny.setEndpoint([][]float64{nil, {0, 1, 2, math.Inf(1)}})
+	var small bytes.Buffer
+	if err := SaveShardMap(&small, tiny); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(small.Bytes()[pathrank.FrameHeaderLen:])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, data)
+		for _, in := range [][]byte{data, append(h[:], data...)} {
+			m, err := LoadShardMap(in)
+			if err != nil {
+				continue
+			}
+			for v := range m.Owner {
+				for _, w := range []pathrank.WeightKind{pathrank.WeightLength, pathrank.WeightTime} {
+					for _, rev := range []bool{false, true} {
+						row := m.EndpointDistances(roadnet.VertexID(v), w, rev)
+						if len(row) != len(m.Boundary[m.Owner[v]]) {
+							t.Fatalf("vertex %d: %d entries for %d boundary vertices", v, len(row), len(m.Boundary[m.Owner[v]]))
+						}
+						for _, x := range row {
+							if math.IsNaN(x) || math.Signbit(x) {
+								t.Fatalf("vertex %d: loaded distance %v", v, x)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}

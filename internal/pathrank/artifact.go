@@ -104,9 +104,18 @@ func (a *Artifact) NewRanker() *Ranker {
 	return r
 }
 
-// Fingerprint returns a SHA-256 digest of the model's trainable state.
-// Bit-identical weights produce identical fingerprints.
+// Fingerprint returns a SHA-256 digest of the model's trainable state: the
+// hash of its params stream. Bit-identical weights produce identical
+// fingerprints. A model LoadModel built from a canonical params stream
+// returns that stream's hash, and a model a save has encoded hashes that
+// stream; any other model encodes its weights to hash them.
 func (m *Model) Fingerprint() ([sha256.Size]byte, error) {
+	if fp := m.loadedFP.Load(); fp != nil {
+		return *fp, nil
+	}
+	if p := m.stream.Load(); p != nil {
+		return sha256.Sum256(*p), nil
+	}
 	return nn.ParamsFingerprint(m.params)
 }
 
@@ -260,7 +269,7 @@ func SaveArtifact(w io.Writer, a *Artifact) error {
 		wire.Embeddings = ebuf.Bytes()
 	}
 	var err error
-	if wire.Params, err = nn.MarshalParams(a.Model.params); err != nil {
+	if wire.Params, err = a.Model.paramsStream(); err != nil {
 		return fmt.Errorf("pathrank: artifact weights: %w", err)
 	}
 	gd := a.Graph.RawData()

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"pathrank/internal/dataset"
+	"pathrank/internal/nn"
 	"pathrank/internal/node2vec"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
@@ -534,5 +535,108 @@ func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
 		if err := got.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestLoadedFingerprintIsTheReencode: a loaded model's fingerprint is the
+// hash of the params bytes the loader read, and it equals
+// nn.ParamsFingerprint's re-encode of the loaded weights, for an artifact
+// this build writes (heap and mapped loads) and for the committed artifact
+// an older build wrote through encoding/gob. A stream that is not one
+// canonical message is fingerprinted by re-encoding, and weights written
+// after the load drop the loaded fingerprint and the saved stream.
+func TestLoadedFingerprintIsTheReencode(t *testing.T) {
+	m, g := gobHistoryModel(t)
+	path := t.TempDir() + "/fresh.prart"
+	if err := SaveArtifactFile(path, &Artifact{Graph: g, Model: m}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, loaded *Model) {
+		t.Helper()
+		fp := loaded.loadedFP.Load()
+		if fp == nil {
+			t.Fatalf("%s: no fingerprint taken from the loaded bytes", name)
+		}
+		want, err := nn.ParamsFingerprint(loaded.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *fp != want {
+			t.Fatalf("%s: loaded bytes hash to %x, the re-encode to %x", name, *fp, want)
+		}
+	}
+	heap, err := LoadArtifactFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fresh artifact", heap.Model)
+	if fp, err := heap.Model.FingerprintHex(); err != nil || fp != freshFingerprint {
+		t.Fatalf("fresh artifact fingerprint %s (%v), want %s", fp, err, freshFingerprint)
+	}
+	mapped, err := LoadArtifactFileMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	check("fresh artifact, mapped", mapped.Model)
+	old, err := LoadArtifactFile(retiredPrepFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("committed artifact", old.Model)
+
+	// One byte after the value message: the stream still decodes, but its
+	// hash is not the weights' fingerprint.
+	params, err := nn.MarshalParams(m.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := LoadModel(g.NumVertices(), m.Config(), append(params, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if long.loadedFP.Load() != nil {
+		t.Fatal("a stream with a trailing byte was taken as canonical")
+	}
+	if fp, err := long.FingerprintHex(); err != nil || fp != freshFingerprint {
+		t.Fatalf("re-encoded fingerprint %s (%v), want %s", fp, err, freshFingerprint)
+	}
+
+	// Loading other weights replaces the loaded fingerprint's weights.
+	other, err := New(g.NumVertices(), Config{EmbeddingDim: 4, Hidden: 4, Variant: PRA2, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := other.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := heap.Model.Save(&saved); err != nil { // caches the stream
+		t.Fatal(err)
+	}
+	if err := heap.Model.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := heap.Model.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := other.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("after loading other weights the fingerprint is %x, want %x", got, want)
+	}
+	var again, ref bytes.Buffer
+	if err := heap.Model.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Save(&ref); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), ref.Bytes()) || bytes.Equal(again.Bytes(), saved.Bytes()) {
+		t.Fatal("Save after a load wrote the stream of the weights before it")
 	}
 }

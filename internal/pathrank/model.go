@@ -20,6 +20,7 @@
 package pathrank
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"math/rand"
@@ -137,6 +138,13 @@ type Model struct {
 	// FineTune, Load, InitEmbeddings — stores nil, so a plan never outlives
 	// the weights it was built from; a Clone starts without one.
 	plan atomic.Pointer[plan]
+	// loadedFP is the fingerprint of the params stream LoadModel built the
+	// model from (nn.StreamFingerprint), nil when there is none. stream is
+	// the params stream of the current weights once Save or SaveArtifact
+	// has encoded it, so every later save and fingerprint reuses it.
+	// Everything that writes weights stores nil in both, as for plan.
+	loadedFP atomic.Pointer[[sha256.Size]byte]
+	stream   atomic.Pointer[[]byte]
 }
 
 // New builds an untrained model for a graph with numVertices vertices.
@@ -146,7 +154,9 @@ func New(numVertices int, cfg Config) (*Model, error) {
 
 // LoadModel builds the model for a graph with numVertices vertices from
 // weights written by Save: its tensors are shaped and zeroed, never
-// randomly initialized, since the load overwrites them all.
+// randomly initialized, since the load overwrites them all. When params is
+// a canonical params stream, its hash is the model's fingerprint, so
+// Fingerprint need not re-encode the weights.
 func LoadModel(numVertices int, cfg Config, params []byte) (*Model, error) {
 	m, err := newModel(numVertices, cfg, nil)
 	if err != nil {
@@ -155,7 +165,31 @@ func LoadModel(numVertices int, cfg Config, params []byte) (*Model, error) {
 	if err := nn.UnmarshalParams(params, m.params); err != nil {
 		return nil, fmt.Errorf("pathrank: model weights: %w", err)
 	}
+	if fp, ok := nn.StreamFingerprint(params); ok {
+		m.loadedFP.Store(&fp)
+	}
 	return m, nil
+}
+
+// weightsChanged drops what was derived from the previous weights.
+func (m *Model) weightsChanged() {
+	m.plan.Store(nil)
+	m.loadedFP.Store(nil)
+	m.stream.Store(nil)
+}
+
+// paramsStream returns the params stream (nn.MarshalParams) of the
+// current weights, encoding it once per set of weights.
+func (m *Model) paramsStream() ([]byte, error) {
+	if p := m.stream.Load(); p != nil {
+		return *p, nil
+	}
+	b, err := nn.MarshalParams(m.params)
+	if err != nil {
+		return nil, err
+	}
+	m.stream.Store(&b)
+	return b, nil
 }
 
 // newModel builds a model whose layers draw their initial weights from
@@ -246,7 +280,7 @@ func (m *Model) InitEmbeddings(emb *node2vec.Embeddings) error {
 	for v := 0; v < emb.NumVertices(); v++ {
 		m.emb.SetRow(v, emb.Vector(roadnet.VertexID(v)))
 	}
-	m.plan.Store(nil)
+	m.weightsChanged()
 	return nil
 }
 
@@ -448,10 +482,19 @@ func (m *Model) Clone() (*Model, error) {
 }
 
 // Save writes the model weights.
-func (m *Model) Save(w io.Writer) error { return nn.SaveParams(w, m.params) }
+func (m *Model) Save(w io.Writer) error {
+	b, err := m.paramsStream()
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("pathrank: write model weights: %w", err)
+	}
+	return nil
+}
 
 // Load reads weights saved from a model with an identical configuration.
 func (m *Model) Load(r io.Reader) error {
-	defer m.plan.Store(nil) // a failed load may have written some tensors
+	defer m.weightsChanged() // a failed load may have written some tensors
 	return nn.LoadParams(r, m.params)
 }

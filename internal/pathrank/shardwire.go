@@ -11,14 +11,12 @@ import (
 	"pathrank/internal/spath"
 )
 
-// This file is the shard wire: the bodies of the sub-queries a fan-out
-// router sends a shard worker (POST /shard/boundary, POST /shard/corridor)
-// and of the worker's answers. Each body is one frame — frame.go's header
-// under the body's own magic, version shardWireVersion — around a
-// little-endian payload of fixed-width fields:
+// This file is the shard wire: the body of the sub-query a fan-out router
+// sends a shard worker (POST /shard/corridor) and of the worker's answer.
+// Each body is one frame — frame.go's header under the body's own magic,
+// version shardWireVersion — around a little-endian payload of fixed-width
+// fields:
 //
-//	boundary query   v u32 · dir u8 (0 forward, 1 reverse) · weight u8 (WeightKind)
-//	boundary answer  fingerprint [32]byte · n u32 · n × distance f64
 //	corridor query   bound f64 · weight u8 · n u32 · n × seed · m u32 · m × seed
 //	                 (forward seeds, then reverse seeds; seed = v u32 · distance f64)
 //	corridor answer  fingerprint [32]byte · n u32 · n × vertex · m u32 · m × edge
@@ -39,8 +37,6 @@ const shardWireVersion = 1
 const ShardWireContentType = "application/octet-stream"
 
 var (
-	boundaryQueryMagic  = [8]byte{'P', 'R', 'S', 'H', 'B', 'Q', 'R', 'Y'}
-	boundaryAnswerMagic = [8]byte{'P', 'R', 'S', 'H', 'B', 'A', 'N', 'S'}
 	corridorQueryMagic  = [8]byte{'P', 'R', 'S', 'H', 'C', 'Q', 'R', 'Y'}
 	corridorAnswerMagic = [8]byte{'P', 'R', 'S', 'H', 'C', 'A', 'N', 'S'}
 )
@@ -51,23 +47,6 @@ const (
 	vertexLen = 4 + 8 + 8
 	edgeLen   = 4 + 4 + 4 + 8 + 8 + 1
 )
-
-// BoundaryQuery asks a shard for the exact distances from its owned vertex
-// V to each of its boundary vertices (Rev: from each boundary vertex to V),
-// unbounded, under Weight.
-type BoundaryQuery struct {
-	V      roadnet.VertexID
-	Rev    bool
-	Weight WeightKind
-}
-
-// BoundaryAnswer is a boundary sweep's result: the serving fingerprint and
-// one distance per boundary vertex, in the shard's ascending boundary
-// order; +Inf marks an unreachable one.
-type BoundaryAnswer struct {
-	Fingerprint [sha256.Size]byte
-	Dist        []float64
-}
 
 // CorridorQuery asks a shard for its vertices that can lie on a
 // source→destination path of cost at most Bound, given exact entry costs
@@ -114,65 +93,6 @@ func (a *CorridorAnswer) Edge(i int) roadnet.Edge {
 		Time:     f64At(r[20:]),
 		Category: roadnet.Category(r[28]),
 	}
-}
-
-// EncodeBoundaryQuery frames q.
-func EncodeBoundaryQuery(q BoundaryQuery) []byte {
-	w := newWireWriter(6)
-	w.u32(uint32(q.V))
-	dir := uint8(0)
-	if q.Rev {
-		dir = 1
-	}
-	w.u8(dir)
-	w.u8(uint8(q.Weight))
-	return w.seal(boundaryQueryMagic)
-}
-
-// DecodeBoundaryQuery parses a frame written by EncodeBoundaryQuery.
-func DecodeBoundaryQuery(data []byte) (BoundaryQuery, error) {
-	r, err := openWire(data, boundaryQueryMagic, "boundary query")
-	if err != nil {
-		return BoundaryQuery{}, err
-	}
-	q := BoundaryQuery{V: roadnet.VertexID(r.u32())}
-	switch dir := r.u8(); dir {
-	case 0:
-	case 1:
-		q.Rev = true
-	default:
-		r.fail(fmt.Errorf("direction %d (want 0 forward or 1 reverse)", dir))
-	}
-	q.Weight = r.weight()
-	return q, r.done()
-}
-
-// EncodeBoundaryAnswer frames a.
-func EncodeBoundaryAnswer(a BoundaryAnswer) []byte {
-	w := newWireWriter(sha256.Size + 4 + 8*len(a.Dist))
-	w.bytes(a.Fingerprint[:])
-	w.u32(uint32(len(a.Dist)))
-	for _, d := range a.Dist {
-		w.f64(d)
-	}
-	return w.seal(boundaryAnswerMagic)
-}
-
-// DecodeBoundaryAnswer parses a frame written by EncodeBoundaryAnswer.
-func DecodeBoundaryAnswer(data []byte) (BoundaryAnswer, error) {
-	r, err := openWire(data, boundaryAnswerMagic, "boundary answer")
-	if err != nil {
-		return BoundaryAnswer{}, err
-	}
-	var a BoundaryAnswer
-	copy(a.Fingerprint[:], r.take(sha256.Size))
-	if raw := r.take(r.count(8) * 8); len(raw) > 0 {
-		a.Dist = make([]float64, len(raw)/8)
-		for i := range a.Dist {
-			a.Dist[i] = f64At(raw[8*i:])
-		}
-	}
-	return a, r.done()
 }
 
 // EncodeCorridorQuery frames q.

@@ -21,12 +21,6 @@ type shardCodec struct {
 }
 
 var shardCodecs = []shardCodec{
-	{"boundary query", boundaryQueryMagic,
-		func(b []byte) (any, error) { return DecodeBoundaryQuery(b) },
-		func(v any) []byte { return EncodeBoundaryQuery(v.(BoundaryQuery)) }},
-	{"boundary answer", boundaryAnswerMagic,
-		func(b []byte) (any, error) { return DecodeBoundaryAnswer(b) },
-		func(v any) []byte { return EncodeBoundaryAnswer(v.(BoundaryAnswer)) }},
 	{"corridor query", corridorQueryMagic,
 		func(b []byte) (any, error) { return DecodeCorridorQuery(b) },
 		func(v any) []byte { return EncodeCorridorQuery(v.(CorridorQuery)) }},
@@ -46,17 +40,21 @@ var shardCodecs = []shardCodec{
 		}},
 }
 
-// shardFrameSeeds returns one valid frame of each kind, carrying +Inf, -0
-// and subnormal costs, and IDs whose top bit is set.
+// shardFrameSeeds returns valid frames of each kind, carrying +Inf, -0
+// and subnormal costs, IDs whose top bit is set, and empty lists.
 func shardFrameSeeds() [][]byte {
 	sub := math.SmallestNonzeroFloat64
 	negZero := math.Copysign(0, -1)
 	fp := [32]byte{0: 0xfe, 31: 0x01}
 	return [][]byte{
-		EncodeBoundaryQuery(BoundaryQuery{V: 7, Rev: true, Weight: WeightTime}),
-		EncodeBoundaryQuery(BoundaryQuery{V: -1}),
-		EncodeBoundaryAnswer(BoundaryAnswer{Fingerprint: fp, Dist: []float64{0, negZero, sub, math.Inf(1), 12.5}}),
-		EncodeBoundaryAnswer(BoundaryAnswer{}),
+		EncodeCorridorQuery(CorridorQuery{Bound: math.Inf(1), Weight: WeightTime}),
+		EncodeCorridorQuery(CorridorQuery{
+			Bound: negZero, Weight: WeightAuto,
+			RSeeds: []spath.Seed{{V: 7, Dist: 12.5}, {V: 7, Dist: math.MaxFloat64}},
+		}),
+		EncodeCorridorAnswer(fp, []roadnet.Vertex{{ID: -1, Point: geo.Point{Lon: math.Inf(-1), Lat: -90}}}, nil),
+		EncodeCorridorAnswer([32]byte{}, nil,
+			[]roadnet.Edge{{ID: 1 << 30, From: -1, To: 0, Length: 0, Time: sub, Category: roadnet.Category(255)}}),
 		EncodeCorridorQuery(CorridorQuery{
 			Bound: 100, Weight: WeightLength,
 			Seeds:  []spath.Seed{{V: 1}, {V: 2, Dist: math.Inf(1)}},
@@ -86,13 +84,21 @@ func TestShardFramesRoundTrip(t *testing.T) {
 			t.Fatalf("frame %x decodes as %d kinds, want exactly its own", frame[:8], decoded)
 		}
 	}
-	// The decoded answer carries the raw bits, not just equal values.
-	a, err := DecodeBoundaryAnswer(shardFrameSeeds()[2])
+	// The decoded frames carry the raw bits, not just equal values.
+	q, err := DecodeCorridorQuery(shardFrameSeeds()[4])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.Signbit(a.Dist[1]) || a.Dist[2] != math.SmallestNonzeroFloat64 || !math.IsInf(a.Dist[3], 1) {
-		t.Fatalf("boundary distances lost bits: %v", a.Dist)
+	if q.Seeds[1].Dist != math.Inf(1) || q.RSeeds[0].Dist != math.SmallestNonzeroFloat64 || !math.Signbit(q.RSeeds[1].Dist) {
+		t.Fatalf("corridor seeds lost bits: %+v", q)
+	}
+	a, err := DecodeCorridorAnswer(shardFrameSeeds()[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, e := a.Vertex(1), a.Edge(0); !math.Signbit(v.Point.Lon) || v.Point.Lat != math.SmallestNonzeroFloat64 ||
+		e.Length != math.SmallestNonzeroFloat64 || !math.Signbit(e.Time) || !math.IsInf(a.Edge(1).Length, 1) {
+		t.Fatalf("corridor records lost bits: %+v %+v", v, e)
 	}
 }
 

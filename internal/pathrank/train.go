@@ -70,6 +70,7 @@ func (m *Model) Train(queries []dataset.Query, cfg TrainConfig) ([]float64, erro
 	bestValMAE := math.Inf(1)
 	sinceBest := 0
 
+	m.weightsChanged() // the first step writes them
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
 		var epochLoss float64
@@ -94,7 +95,7 @@ func (m *Model) Train(queries []dataset.Query, cfg TrainConfig) ([]float64, erro
 		}
 		// The epoch moved the weights; drop the plan before validation or
 		// Logf — the only code that runs inside Train and could score.
-		m.plan.Store(nil)
+		m.weightsChanged()
 		epochLoss /= float64(len(samples))
 		losses = append(losses, epochLoss)
 

@@ -24,9 +24,15 @@ import (
 //
 //  1. dS(b) = min over u in B_i of d_i(s→u) + D(u,b) is the EXACT
 //     full-graph distance d(s,b) for every boundary vertex b, where
-//     d_i is the within-shard distance from the /shard/boundary call and
-//     D the precomputed full-graph boundary table (first-exit
-//     decomposition of an optimal path). Symmetrically for dT(b).
+//     d_i is the within-shard distance read from the shard map's
+//     endpoint tables and D the precomputed full-graph boundary table
+//     (first-exit decomposition of an optimal path). Symmetrically for
+//     dT(b). A table entry comes from a sweep rooted at the boundary
+//     vertex, so it may differ from a sweep rooted at s in the last bits;
+//     dS(b) is a two-term float sum either way, and every consumer below
+//     has slack far above an ulp (the corridor's prunes carry
+//     corridorSlack, the certificate keeps consumed paths within
+//     C/(1+1e-6)), so the answer does not depend on those bits.
 //  2. A shard's corridor — owned vertices v with fwd(v)+rev(v) <= C
 //     where the sweeps are seeded with (b, dS(b)) / (b, dT(b)) — is a
 //     superset of the owned vertices on ANY loopless s→t path of cost at
@@ -44,47 +50,6 @@ import (
 // has grown past the total edge weight (an upper bound on any loopless
 // path's cost), making the restricted enumeration the complete one.
 // Otherwise C doubles and the corridor is re-extracted.
-
-// boundaryOut is one shard's boundary distance vector.
-type boundaryOut struct {
-	dist []float64
-	meta callMeta
-}
-
-// shardBoundary fetches the boundary distance vector of shard's owned
-// endpoint v: d(v → each boundary vertex), or with rev d(each boundary
-// vertex → v).
-func (rt *Router) shardBoundary(ctx context.Context, shard int, v int64, rev bool, weight pathrank.WeightKind) (boundaryOut, *api.Error) {
-	body := pathrank.EncodeBoundaryQuery(pathrank.BoundaryQuery{V: roadnet.VertexID(v), Rev: rev, Weight: weight})
-	rt.obs.shards[shard].boundary.Inc()
-	status, respBody, meta, err := rt.callShard(ctx, shard, "/shard/boundary", pathrank.ShardWireContentType, body)
-	out := boundaryOut{meta: meta}
-	if err != nil {
-		return out, shardUnavailable(shard, err)
-	}
-	if status != http.StatusOK {
-		return out, shardHTTPError(shard, status, respBody)
-	}
-	ans, err := pathrank.DecodeBoundaryAnswer(respBody)
-	if err != nil {
-		return out, shardProtocolError(shard, err.Error())
-	}
-	if ans.Fingerprint != rt.fp {
-		return out, shardProtocolError(shard, fmt.Sprintf(
-			"serves fingerprint %.6x, bundle is %.6x", ans.Fingerprint, rt.fp))
-	}
-	if len(ans.Dist) != len(rt.sm.Boundary[shard]) {
-		return out, shardProtocolError(shard, fmt.Sprintf(
-			"boundary vector has %d entries, shard map says %d", len(ans.Dist), len(rt.sm.Boundary[shard])))
-	}
-	for i, d := range ans.Dist {
-		if math.IsNaN(d) || d < 0 {
-			return out, shardProtocolError(shard, fmt.Sprintf("boundary distance %d is %g, not a cost", i, d))
-		}
-	}
-	out.dist = ans.Dist
-	return out, nil
-}
 
 // fusedGraph is the corridor subgraph re-assembled under dense local IDs,
 // with the translations back to global vertex and edge IDs (local IDs
@@ -133,30 +98,18 @@ func (x *vertexIndex) local(v roadnet.VertexID) (roadnet.VertexID, bool) {
 // crossShard answers a query whose endpoints live on different shards.
 func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, i, j int) (*api.Rendered, *api.Error) {
 	genStart := time.Now()
-	D, total := rt.sm.DLen, rt.sm.TotalLen
+	D, total, metric := rt.sm.DLen, rt.sm.TotalLen, 0
 	if rs.Weight == pathrank.WeightTime {
-		D, total = rt.sm.DTime, rt.sm.TotalTime
-	}
-
-	// Boundary fan-out: the two endpoint shards in parallel, the second on
-	// this goroutine.
-	var bi boundaryOut
-	var errI *api.Error
-	done := make(chan struct{})
-	go func() { defer close(done); bi, errI = rt.shardBoundary(ctx, i, rs.src, false, rs.Weight) }()
-	bj, errJ := rt.shardBoundary(ctx, j, rs.dst, true, rs.Weight)
-	<-done
-	if errI != nil {
-		return nil, errI
-	}
-	if errJ != nil {
-		return nil, errJ
+		D, total, metric = rt.sm.DTime, rt.sm.TotalTime, 1
 	}
 
 	// Stitch: exact full-graph source/destination distances at every
-	// separator vertex, walking the boundary-to-boundary table row by row.
-	// min picks what a strict < picks because no distance here is NaN or
-	// −0 (sums of non-negative weights from a +0 seed never round to −0).
+	// separator vertex, from the endpoints' rows of the shard map's
+	// endpoint tables and the boundary-to-boundary table. A strict < picks
+	// what min would because no distance here is NaN or −0 (sums of
+	// non-negative weights from a +0 seed never round to −0).
+	di := rt.sm.EndpointDistances(roadnet.VertexID(rs.src), rs.Weight, false)
+	dj := rt.sm.EndpointDistances(roadnet.VertexID(rs.dst), rs.Weight, true)
 	nb := len(rt.boundary)
 	dS := make([]float64, nb)
 	dT := make([]float64, nb)
@@ -164,23 +117,29 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 		dS[b] = math.Inf(1)
 	}
 	for ui, pu := range rt.shardBPos[i] {
-		du := bi.dist[ui]
+		du := di[ui]
 		if math.IsInf(du, 1) {
 			continue
 		}
 		for b, x := range D[int(pu)*nb : (int(pu)+1)*nb] {
-			dS[b] = min(dS[b], du+x)
+			if d := du + x; d < dS[b] {
+				dS[b] = d
+			}
 		}
 	}
+	cols, nj := rt.dcols[metric][j], len(dj)
 	dstar := math.Inf(1)
 	for b := range dT {
-		row := D[b*nb : (b+1)*nb]
 		t := math.Inf(1)
-		for wi, pw := range rt.shardBPos[j] {
-			t = min(t, row[pw]+bj.dist[wi]) // an unreachable leg sums to +Inf
+		for wi, x := range cols[b*nj : (b+1)*nj : (b+1)*nj] {
+			if d := x + dj[wi]; d < t { // an unreachable leg sums to +Inf
+				t = d
+			}
 		}
 		dT[b] = t
-		dstar = min(dstar, dS[b]+t)
+		if d := dS[b] + t; d < dstar {
+			dstar = d
+		}
 	}
 	if math.IsInf(dstar, 1) {
 		return nil, &api.Error{
@@ -277,16 +236,11 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 			Regime: rs.Regime, Candidates: len(cands), GenNanos: genNs, ScoreNanos: scoreNs,
 		}.Wire()
 		stats.Route = "cross_shard"
-		stats.Shards = []api.ShardStat{
-			{Shard: i, Role: "boundary", Calls: bi.meta.calls, TotalNs: bi.meta.totalNs, Hedged: bi.meta.hedged},
-			{Shard: j, Role: "boundary", Calls: bj.meta.calls, TotalNs: bj.meta.totalNs, Hedged: bj.meta.hedged},
-		}
-		corr := make([]api.ShardStat, 0, len(corridorStats))
+		stats.Shards = make([]api.ShardStat, 0, len(corridorStats))
 		for _, st := range corridorStats {
-			corr = append(corr, *st)
+			stats.Shards = append(stats.Shards, *st)
 		}
-		sort.Slice(corr, func(a, b int) bool { return corr[a].Shard < corr[b].Shard })
-		stats.Shards = append(stats.Shards, corr...)
+		sort.Slice(stats.Shards, func(a, b int) bool { return stats.Shards[a].Shard < stats.Shards[b].Shard })
 		res.Stats = stats
 	}
 	return res, nil

@@ -6,12 +6,13 @@
 //
 //   - co-resident queries (both endpoints on one shard) are proxied to
 //     the owning shard worker's own /v2/rank, whole;
-//   - cross-shard queries are stitched: boundary distance vectors from
-//     the two endpoint shards, combined with the boundary-to-boundary
-//     tables, give exact full-graph source/destination distances at
-//     every separator vertex; a cost corridor extracted from each
-//     participating shard is fused with the qualifying cut edges into a
-//     sub-road-network on which the ordinary top-k enumeration runs.
+//   - cross-shard queries are stitched: the endpoints' rows of the shard
+//     map's endpoint-to-boundary tables, combined with the
+//     boundary-to-boundary tables, give exact full-graph
+//     source/destination distances at every separator vertex without a
+//     shard call; a cost corridor extracted from each participating shard
+//     is fused with the qualifying cut edges into a sub-road-network on
+//     which the ordinary top-k enumeration runs.
 //
 // The corridor construction is exact, not approximate: the fused
 // subgraph provably contains every vertex and edge of every loopless
@@ -99,6 +100,10 @@ type Router struct {
 	boundary  []roadnet.VertexID
 	bpos      []int32
 	shardBPos [][]int32
+	// dcols[metric][s] is the D table (DLen, then DTime) restricted to
+	// shard s's boundary columns: |B| rows of |B_s| entries, so the
+	// stitch reads each row's to-destination leg contiguously.
+	dcols [2][][]float64
 
 	shards []*shardPool
 	health []atomicHealth
@@ -119,9 +124,9 @@ type routerMetrics struct {
 // shardMetrics are one shard's counters, resolved once in New so that a
 // shard call formats no label.
 type shardMetrics struct {
-	// proxy, boundary and corridor count calls by role.
-	proxy, boundary, corridor obsv.Counter
-	errors, hedges, dials     obsv.Counter
+	// proxy and corridor count calls by role.
+	proxy, corridor       obsv.Counter
+	errors, hedges, dials obsv.Counter
 }
 
 // New builds a Router over a loaded shard map. shards in cfg.Shards must
@@ -188,6 +193,19 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 		}
 		rt.shardBPos[s] = pos
 	}
+	nb := len(rt.boundary)
+	for metric, D := range [2][]float64{sm.DLen, sm.DTime} {
+		rt.dcols[metric] = make([][]float64, sm.Parts)
+		for s, pos := range rt.shardBPos {
+			cols := make([]float64, 0, nb*len(pos))
+			for b := range nb {
+				for _, p := range pos {
+					cols = append(cols, D[b*nb+int(p)])
+				}
+			}
+			rt.dcols[metric][s] = cols
+		}
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obsv.NewRegistry()
@@ -213,7 +231,6 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 		label := fmt.Sprint(s)
 		rt.obs.shards[s] = shardMetrics{
 			proxy:    calls.With(label, "proxy"),
-			boundary: calls.With(label, "boundary"),
 			corridor: calls.With(label, "corridor"),
 			errors:   errs.With(label),
 			hedges:   hedges.With(label),
@@ -413,7 +430,7 @@ type attemptResult struct {
 // whatever its HTTP status: a duplicate that wins cancels the first
 // attempt, and the duplicate still running when the call returns is
 // canceled. contentType is body's type: JSON for a proxied /v2/rank
-// query, the shard wire's for a boundary or corridor sub-query.
+// query, the shard wire's for a corridor sub-query.
 func (rt *Router) callShard(ctx context.Context, shard int, path, contentType string, body []byte) (int, []byte, callMeta, error) {
 	obs := &rt.obs.shards[shard]
 	meta := callMeta{calls: 1}

@@ -88,6 +88,7 @@ func (d *deployment) tap(shard int, h http.Handler) http.Handler {
 			body = (*tamper)(shard, r.URL.Path, body)
 		}
 		maps.Copy(w.Header(), rec.Header())
+		w.Header().Del("Content-Length") // the tampered body's differs
 		w.WriteHeader(rec.Code)
 		w.Write(body)
 	})
@@ -99,6 +100,12 @@ func (d *deployment) tap(shard int, h http.Handler) http.Handler {
 // with probability one and exact path/score comparisons are meaningful.
 func buildDeployment(t testing.TB, seed int64, parts int) *deployment {
 	t.Helper()
+	return deployGraph(t, gridGraph(t, seed), seed, parts)
+}
+
+// gridGraph is buildDeployment's road network.
+func gridGraph(t testing.TB, seed int64) *roadnet.Graph {
+	t.Helper()
 	g, err := roadnet.Generate(roadnet.GenConfig{
 		Rows: 8, Cols: 9, SpacingM: 220, JitterFrac: 0.3,
 		RemoveFrac: 0.07, ArterialEvery: 4, Motorway: true,
@@ -107,6 +114,29 @@ func buildDeployment(t testing.TB, seed int64, parts int) *deployment {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
+	return g
+}
+
+// oneWay returns g without every k-th edge. The generated networks have
+// two-way streets of equal cost, so d(u→v) = d(v→u) there; dropping single
+// directions makes distances depend on direction and leaves some pairs
+// without a path.
+func oneWay(g *roadnet.Graph, k int) *roadnet.Graph {
+	data := g.RawData()
+	var edges []roadnet.Edge
+	for i, e := range data.Edges {
+		if i%k != k-1 {
+			e.ID = roadnet.EdgeID(len(edges))
+			edges = append(edges, e)
+		}
+	}
+	return roadnet.NewGraphFromData(data.Vertices, edges)
+}
+
+// deployGraph stands the serving tier up over g with buildDeployment's
+// model and candidate configuration.
+func deployGraph(t testing.TB, g *roadnet.Graph, seed int64, parts int) *deployment {
+	t.Helper()
 	model, err := pathrank.New(g.NumVertices(), pathrank.Config{
 		EmbeddingDim: 8, Hidden: 6, Variant: pathrank.PRA2, Body: pathrank.GRUBody, Seed: seed,
 	})
@@ -262,43 +292,81 @@ func (d *deployment) pairs(cross bool, max int) [][2]int64 {
 	return out
 }
 
+// orderedPairs returns, for every ordered pair of distinct shards, up to
+// per deterministic OD pairs whose source the first owns and whose
+// destination the second owns; it fails the test when a shard pair has
+// none.
+func (d *deployment) orderedPairs(t testing.TB, per int) [][2]int64 {
+	t.Helper()
+	parts := d.sm.Parts
+	found := make([]int, parts*parts)
+	var out [][2]int64
+	n := d.sm.NumVertices
+	for src := 0; src < n; src += 3 {
+		for dst := 1; dst < n; dst += 5 {
+			a, b := int(d.sm.Owner[src]), int(d.sm.Owner[dst])
+			if a != b && found[a*parts+b] < per {
+				found[a*parts+b]++
+				out = append(out, [2]int64{int64(src), int64(dst)})
+			}
+		}
+	}
+	for a := range parts {
+		for b := range parts {
+			if a != b && found[a*parts+b] == 0 {
+				t.Fatalf("no OD pair from shard %d to shard %d", a, b)
+			}
+		}
+	}
+	return out
+}
+
 // TestRouterCrossShardBitIdentity is the acceptance property: a
 // cross-shard query answered by the router over corridor stitching must
 // return exactly — paths AND scores, bit for bit — what a single-process
 // server over the unpartitioned artifact returns, across random
-// partitioned graphs, both candidate strategies, and many OD pairs.
+// partitioned graphs (one with one-way streets, where distances depend on
+// direction), both candidate strategies, both metrics, and OD pairs
+// between every ordered pair of shards.
 func TestRouterCrossShardBitIdentity(t *testing.T) {
 	for _, tc := range []struct {
-		seed  int64
-		parts int
-	}{{5, 2}, {21, 3}} {
-		t.Run(fmt.Sprintf("seed=%d/parts=%d", tc.seed, tc.parts), func(t *testing.T) {
-			d := buildDeployment(t, tc.seed, tc.parts)
-			pairs := d.pairs(true, 8)
-			if len(pairs) < 4 {
-				t.Fatalf("only %d cross-shard pairs; split degenerate", len(pairs))
+		seed       int64
+		parts      int
+		oneWayEach int // drop every k-th edge when > 0
+	}{{5, 2, 0}, {21, 3, 0}, {5, 3, 6}} {
+		name := fmt.Sprintf("seed=%d/parts=%d", tc.seed, tc.parts)
+		if tc.oneWayEach > 0 {
+			name += "/one-way"
+		}
+		t.Run(name, func(t *testing.T) {
+			g := gridGraph(t, tc.seed)
+			if tc.oneWayEach > 0 {
+				g = oneWay(g, tc.oneWayEach)
 			}
+			d := deployGraph(t, g, tc.seed, tc.parts)
 			nonEmpty := 0
-			for _, p := range pairs {
+			for _, p := range d.orderedPairs(t, 3) {
 				for _, strategy := range []string{"tkdi", "dtkdi"} {
-					q := api.RankQuery{Src: p[0], Dst: p[1], K: 3, Strategy: strategy}
-					got, gotErr, _ := postRank(t, d.router.URL, q)
-					want, wantErr, _ := postRank(t, d.reference.URL, q)
-					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("%d->%d %s: router err %v, reference err %v", p[0], p[1], strategy, gotErr, wantErr)
-					}
-					if gotErr != nil {
-						if gotErr.Code != wantErr.Code {
-							t.Fatalf("%d->%d %s: router code %s, reference code %s", p[0], p[1], strategy, gotErr.Code, wantErr.Code)
+					for _, weight := range []string{"length", "time"} {
+						q := api.RankQuery{Src: p[0], Dst: p[1], K: 3, Strategy: strategy, Weight: weight}
+						got, gotErr, _ := postRank(t, d.router.URL, q)
+						want, wantErr, _ := postRank(t, d.reference.URL, q)
+						if (gotErr == nil) != (wantErr == nil) {
+							t.Fatalf("%d->%d %s %s: router err %v, reference err %v", p[0], p[1], strategy, weight, gotErr, wantErr)
 						}
-						continue
-					}
-					if !reflect.DeepEqual(got.Paths, want.Paths) {
-						t.Fatalf("%d->%d %s: router paths diverge from single-process paths\nrouter:    %+v\nreference: %+v",
-							p[0], p[1], strategy, got.Paths, want.Paths)
-					}
-					if len(got.Paths) > 0 {
-						nonEmpty++
+						if gotErr != nil {
+							if gotErr.Code != wantErr.Code {
+								t.Fatalf("%d->%d %s %s: router code %s, reference code %s", p[0], p[1], strategy, weight, gotErr.Code, wantErr.Code)
+							}
+							continue
+						}
+						if !reflect.DeepEqual(got.Paths, want.Paths) {
+							t.Fatalf("%d->%d %s %s: router paths diverge from single-process paths\nrouter:    %+v\nreference: %+v",
+								p[0], p[1], strategy, weight, got.Paths, want.Paths)
+						}
+						if len(got.Paths) > 0 {
+							nonEmpty++
+						}
 					}
 				}
 			}
@@ -431,8 +499,9 @@ func postRaw(t testing.TB, baseURL string, q api.RankQuery) (*http.Response, []b
 }
 
 // TestRouterCrossShardExplain checks the routed-stats surface of a
-// stitched query: the route marker and the boundary + corridor shard
-// breakdown the load generator aggregates.
+// stitched query: the route marker and the corridor shard breakdown the
+// load generator aggregates. The endpoints' boundary distances come from
+// the shard map, so no shard is called in any other role.
 func TestRouterCrossShardExplain(t *testing.T) {
 	d := buildDeployment(t, 5, 2)
 	pairs := d.pairs(true, 1)
@@ -454,11 +523,8 @@ func TestRouterCrossShardExplain(t *testing.T) {
 			t.Fatalf("shard stat %+v reports no calls", st)
 		}
 	}
-	if roles["boundary"] != 2 {
-		t.Fatalf("want 2 boundary sweeps (one per endpoint shard), got %+v", roles)
-	}
-	if roles["corridor"] < 2 {
-		t.Fatalf("want corridor extraction on both endpoint shards, got %+v", roles)
+	if roles["corridor"] != 2 || len(roles) != 1 {
+		t.Fatalf("want corridor extraction on both endpoint shards and no other shard calls, got %+v", roles)
 	}
 }
 
@@ -798,6 +864,8 @@ func checkSameRefusal(t *testing.T, referenceURL, routerURL, body, want string) 
 // are no costs, records out of order, another generation — fails the
 // query with the typed shard_unavailable error before anything is fused or
 // scored. Each case rewrites the well-formed frames real workers send.
+// Poisoned endpoint tables never reach a router: LoadShardMap refuses
+// them (internal/partition's TestShardMapRejectsPoisonedEndpointTables).
 func TestRouterRejectsMalformedShardAnswers(t *testing.T) {
 	d := buildDeployment(t, 5, 2)
 	cross := d.pairs(true, 1)
@@ -840,20 +908,6 @@ func TestRouterRejectsMalformedShardAnswers(t *testing.T) {
 			fp := a.Fingerprint
 			vs, es = edit(shard, &fp, vs, es)
 			return pathrank.EncodeCorridorAnswer(fp, vs, es)
-		}
-	}
-	boundary := func(edit func(a *pathrank.BoundaryAnswer)) func(int, string, []byte) []byte {
-		return func(_ int, path string, body []byte) []byte {
-			if path != "/shard/boundary" {
-				return body
-			}
-			a, err := pathrank.DecodeBoundaryAnswer(body)
-			if err != nil {
-				t.Errorf("worker sent an unreadable boundary answer: %v", err)
-				return body
-			}
-			edit(&a)
-			return pathrank.EncodeBoundaryAnswer(a)
 		}
 	}
 
@@ -921,14 +975,6 @@ func TestRouterRejectsMalformedShardAnswers(t *testing.T) {
 				}
 				return body
 			}},
-		{"NaN boundary distance", "not a cost",
-			boundary(func(a *pathrank.BoundaryAnswer) { a.Dist[0] = math.NaN() })},
-		{"negative boundary distance", "not a cost",
-			boundary(func(a *pathrank.BoundaryAnswer) { a.Dist[len(a.Dist)-1] = -1 })},
-		{"short boundary vector", "entries, shard map says",
-			boundary(func(a *pathrank.BoundaryAnswer) { a.Dist = a.Dist[1:] })},
-		{"boundary answer of another generation", "serves fingerprint",
-			boundary(func(a *pathrank.BoundaryAnswer) { a.Fingerprint[5] ^= 1 })},
 	} {
 		d.tamper.Store(&tc.tamper)
 		_, apiErr, resp := postRank(t, d.router.URL, api.RankQuery{Src: cross[0][0], Dst: cross[0][1], K: 3})

@@ -351,28 +351,23 @@ func TestShardCallsRunOnTheCaller(t *testing.T) {
 		for _, l := range legs {
 			byPath[l.path] = append(byPath[l.path], l.write)
 		}
-		if len(byPath) != 2 {
-			t.Fatalf("hedge %v: cross-shard query wrote requests for %v, want boundary and corridor calls", hedge, byPath)
+		if len(byPath) != 1 {
+			t.Fatalf("hedge %v: cross-shard query wrote requests for %v, want corridor calls only", hedge, byPath)
 		}
 		// Both parts take part in every corridor round of a two-part split,
 		// so each fan-out has two legs.
-		for _, path := range []string{"/shard/boundary", "/shard/corridor"} {
-			gs := byPath[path]
-			onCaller, others := 0, map[int64]bool{}
-			for _, g := range gs {
-				if g == caller {
-					onCaller++
-				} else {
-					others[g] = true
-				}
-			}
-			if len(gs) == 0 || len(gs)%2 != 0 || onCaller != len(gs)/2 || len(others) != len(gs)/2 {
-				t.Fatalf("hedge %v: %s legs ran on goroutines %v; want half on the caller %d, the rest one goroutine each",
-					hedge, path, gs, caller)
+		gs := byPath["/shard/corridor"]
+		onCaller, others := 0, map[int64]bool{}
+		for _, g := range gs {
+			if g == caller {
+				onCaller++
+			} else {
+				others[g] = true
 			}
 		}
-		if n := len(byPath["/shard/boundary"]); n != 2 {
-			t.Fatalf("hedge %v: %d boundary calls, want 2", hedge, n)
+		if len(gs) == 0 || len(gs)%2 != 0 || onCaller != len(gs)/2 || len(others) != len(gs)/2 {
+			t.Fatalf("hedge %v: corridor legs ran on goroutines %v; want half on the caller %d, the rest one goroutine each",
+				hedge, gs, caller)
 		}
 	}
 }
@@ -648,6 +643,65 @@ func TestShardConnChunkedReply(t *testing.T) {
 	}
 	if n := idleConns(rt, shard); n != 1 {
 		t.Fatalf("%d idle connections after the chunked reply, want 1", n)
+	}
+}
+
+// TestShardFramesDeclareLength: a corridor frame larger than the worker's
+// 2 KB write buffer arrives with its Content-Length, not chunked, so the
+// router reads it in one presized read. The replies are read back off the
+// connections the router's pools dial.
+func TestShardFramesDeclareLength(t *testing.T) {
+	d := buildDeployment(t, 5, 2)
+	rt, _ := d.newRouter(t, Config{HedgeAfter: -1})
+	var mu sync.Mutex
+	var wires []*bytes.Buffer // one per connection
+	for s := range rt.shards {
+		next := rt.shards[s].dial
+		rt.shards[s].dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := next(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			wires = append(wires, new(bytes.Buffer))
+			return readTap{Conn: conn, mu: &mu, buf: wires[len(wires)-1]}, nil
+		}
+	}
+	for _, p := range d.pairs(true, 5) {
+		if _, _, apiErr := rt.rankSingle(context.Background(), api.RankQuery{Src: p[0], Dst: p[1], K: 3}, false); apiErr != nil {
+			t.Fatal(apiErr)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	large := 0
+	for _, wire := range wires {
+		br := bufio.NewReader(bytes.NewReader(wire.Bytes()))
+		for {
+			if _, err := br.Peek(1); err == io.EOF {
+				break
+			}
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(body) <= 2048 {
+				continue
+			}
+			large++
+			if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+				t.Fatalf("a %d-byte reply came with Content-Length %d and Transfer-Encoding %v",
+					len(body), resp.ContentLength, resp.TransferEncoding)
+			}
+		}
+	}
+	if large == 0 {
+		t.Fatal("no reply over 2 KB; the test checks nothing")
 	}
 }
 

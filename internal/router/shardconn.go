@@ -171,9 +171,9 @@ func (c *shardConn) exchange(ctx context.Context, p *shardPool) (status int, bod
 }
 
 // readBody reads a reply's body to its end: into a buffer of exactly its
-// Content-Length when it declares one, as the relayed /v2/rank body does,
-// and through the chunked reader otherwise, as the larger shard-wire frames
-// arrive. A body over maxShardResponse bytes is an error.
+// Content-Length when it declares one, as the relayed /v2/rank body and
+// every shard-wire frame do, and through the chunked reader otherwise. A
+// body over maxShardResponse bytes is an error.
 func readBody(resp *http.Response) ([]byte, error) {
 	if n := resp.ContentLength; n >= 0 {
 		if n > maxShardResponse {

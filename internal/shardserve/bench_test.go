@@ -37,7 +37,6 @@ type traffic struct {
 	graphs   []*roadnet.Graph
 	infos    []*pathrank.ShardInfo
 	weights  [][2][]float64 // [shard][length, time]
-	boundary []recorded[pathrank.BoundaryQuery]
 	corridor []recorded[pathrank.CorridorQuery]
 }
 
@@ -160,14 +159,7 @@ func recordTraffic(b *testing.B) (*traffic, error) {
 		tr.weights = append(tr.weights, [2][]float64{sn.Weights(pathrank.WeightLength), sn.Weights(pathrank.WeightTime)})
 	}
 	for _, c := range calls {
-		switch c.path {
-		case "/shard/boundary":
-			q, err := pathrank.DecodeBoundaryQuery(c.body)
-			if err != nil {
-				return nil, err
-			}
-			tr.boundary = append(tr.boundary, recorded[pathrank.BoundaryQuery]{c.shard, q})
-		case "/shard/corridor":
+		if c.path == "/shard/corridor" {
 			q, err := pathrank.DecodeCorridorQuery(c.body)
 			if err != nil {
 				return nil, err
@@ -199,23 +191,4 @@ func BenchmarkShardCorridor(b *testing.B) {
 	}
 	b.ReportMetric(float64(ws.Pops()-pops)/float64(b.N), "pops/op")
 	b.ReportMetric(float64(len(tr.corridor)), "calls/op")
-}
-
-// BenchmarkShardBoundary is BenchmarkShardCorridor for the boundary
-// vectors of /shard/boundary (the sweep and the vector, not encoding), over
-// the same recorded traffic.
-func BenchmarkShardBoundary(b *testing.B) {
-	tr := recordServedTraffic(b)
-	ws := spath.NewWorkspace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	pops := ws.Pops()
-	for i := 0; i < b.N; i++ {
-		for _, c := range tr.boundary {
-			out := make([]float64, len(tr.infos[c.shard].Boundary)) // as the handler does
-			ws.BoundaryDistances(tr.graphs[c.shard], c.q.V, c.q.Rev, tr.infos[c.shard].Boundary, tr.table(c.shard, c.q.Weight), out)
-		}
-	}
-	b.ReportMetric(float64(ws.Pops()-pops)/float64(b.N), "pops/op")
-	b.ReportMetric(float64(len(tr.boundary)), "calls/op")
 }

@@ -1,18 +1,20 @@
 // Package shardserve wraps a serving Server whose artifact is one shard
 // of a partitioned bundle (internal/partition) with the shard-internal
-// sub-query endpoints the fan-out router needs:
+// endpoints the fan-out router needs:
 //
 //	GET  /shard/info      — identity, generation, boundary size (health)
-//	POST /shard/boundary  — exact distances src→boundary or boundary→dst
 //	POST /shard/corridor  — corridor subgraph extraction under a bound
 //
-// The two sub-queries and their answers are shard-wire frames
+// The corridor sub-query and its answer are shard-wire frames
 // (internal/pathrank's shardwire.go); /shard/info and every error are JSON.
+// A cross-shard query's distances from its endpoints to the boundary come
+// from the shard map's endpoint tables, so the router asks a shard nothing
+// else.
 //
 // Everything else — /v2/rank for co-resident queries, hot swap, canary
 // gating, /healthz, /metrics — is the wrapped serve.Server's handler,
 // unchanged: a shard worker is an ordinary PathRank server whose graph
-// happens to contain only its shard's induced edges, plus three sidecar
+// happens to contain only its shard's induced edges, plus two sidecar
 // endpoints computed on the same pinned snapshot.
 package shardserve
 
@@ -22,6 +24,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"strconv"
 
 	"pathrank/internal/api"
 	"pathrank/internal/pathrank"
@@ -59,7 +62,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", s.srv.Handler())
 	mux.HandleFunc("GET /shard/info", s.handleInfo)
-	mux.HandleFunc("POST /shard/boundary", s.handleBoundary)
 	mux.HandleFunc("POST /shard/corridor", s.handleCorridor)
 	return mux
 }
@@ -101,39 +103,15 @@ func fingerprint(sn serve.Snapshot) (fp [sha256.Size]byte) {
 	return fp
 }
 
-// writeFrame answers 200 with one shard-wire frame.
+// writeFrame answers 200 with one shard-wire frame. The declared length
+// keeps a frame larger than the server's write buffer from going out
+// chunked, so the router reads it in one presized read.
 func writeFrame(w http.ResponseWriter, frame []byte) {
-	w.Header().Set("Content-Type", pathrank.ShardWireContentType)
+	h := w.Header()
+	h.Set("Content-Type", pathrank.ShardWireContentType)
+	h.Set("Content-Length", strconv.Itoa(len(frame)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(frame) // the status line is out; a dead client is all that can fail here
-}
-
-func (s *Server) handleBoundary(w http.ResponseWriter, r *http.Request) {
-	body, apiErr := api.ReadBody(w, r, maxShardBody)
-	if apiErr != nil {
-		api.WriteError(w, apiErr)
-		return
-	}
-	q, err := pathrank.DecodeBoundaryQuery(body)
-	if err != nil {
-		api.WriteError(w, api.Invalidf("%v", err))
-		return
-	}
-	sn, art, sh, apiErr := s.shardView()
-	if apiErr != nil {
-		api.WriteError(w, apiErr)
-		return
-	}
-	g := art.Graph
-	if q.V < 0 || int(q.V) >= g.NumVertices() {
-		api.WriteError(w, api.Invalidf("v must be in [0,%d), got %d", g.NumVertices(), uint32(q.V)))
-		return
-	}
-	out := make([]float64, len(sh.Boundary))
-	ws := spath.GetWorkspace(g)
-	ws.BoundaryDistances(g, q.V, q.Rev, sh.Boundary, sn.Weights(q.Weight), out)
-	ws.Release()
-	writeFrame(w, pathrank.EncodeBoundaryAnswer(pathrank.BoundaryAnswer{Fingerprint: fingerprint(sn), Dist: out}))
 }
 
 // checkSeeds rejects seeds outside the vertex table and seed distances

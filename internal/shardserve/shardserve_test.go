@@ -87,7 +87,6 @@ func TestSubQueryValidation(t *testing.T) {
 	defer ts.Close()
 	n := shard.Graph.NumVertices()
 	b0 := shard.Shard.Boundary[0]
-	boundary := pathrank.EncodeBoundaryQuery(pathrank.BoundaryQuery{V: b0})
 	corridor := pathrank.EncodeCorridorQuery(pathrank.CorridorQuery{
 		Bound: 10, Seeds: []spath.Seed{{V: b0}}, RSeeds: []spath.Seed{{V: b0}},
 	})
@@ -108,7 +107,7 @@ func TestSubQueryValidation(t *testing.T) {
 	setByte := func(off int, v byte) func([]byte) []byte {
 		return func(p []byte) []byte { p[off] = v; return p }
 	}
-	oversized := append(bytes.Clone(boundary), make([]byte, maxShardBody)...)
+	oversized := append(bytes.Clone(corridor), make([]byte, maxShardBody)...)
 	// The corridor query's forward-seed count sits after bound and weight.
 	seedCount := 8 + 1
 
@@ -117,20 +116,6 @@ func TestSubQueryValidation(t *testing.T) {
 		body       []byte
 		status     int
 	}{
-		{"boundary: bad dir", "/shard/boundary", reseal(boundary, setByte(4, 2)), 400},
-		{"boundary: missing dir", "/shard/boundary", reseal(boundary, func(p []byte) []byte { return p[:4] }), 400},
-		{"boundary: v out of range", "/shard/boundary", pathrank.EncodeBoundaryQuery(pathrank.BoundaryQuery{V: roadnet.VertexID(n)}), 400},
-		{"boundary: negative v", "/shard/boundary", pathrank.EncodeBoundaryQuery(pathrank.BoundaryQuery{V: -1, Rev: true}), 400},
-		{"boundary: unknown weight", "/shard/boundary", reseal(boundary, setByte(5, 3)), 400},
-		{"boundary: bytes after the last field", "/shard/boundary", reseal(boundary, func(p []byte) []byte { return append(p, 0) }), 400},
-		{"boundary: bytes after the frame", "/shard/boundary", append(bytes.Clone(boundary), 0), 400},
-		{"boundary: not a frame", "/shard/boundary", []byte(`{"v":0,"dir":"fwd"}`), 400},
-		{"boundary: bad magic", "/shard/boundary", flip(boundary, 0), 400},
-		{"boundary: corridor query's magic", "/shard/boundary", corridor, 400},
-		{"boundary: bad version", "/shard/boundary", version2(boundary), 400},
-		{"boundary: checksum mismatch", "/shard/boundary", flip(boundary, len(boundary)-1), 400},
-		{"boundary: truncated", "/shard/boundary", boundary[:len(boundary)-1], 400},
-		{"boundary: oversized", "/shard/boundary", oversized, 413},
 		{"corridor: negative bound", "/shard/corridor", bound(-1), 400},
 		{"corridor: NaN bound", "/shard/corridor", bound(math.NaN()), 400},
 		{"corridor: Inf bound", "/shard/corridor", bound(math.Inf(1)), 400},
@@ -145,6 +130,9 @@ func TestSubQueryValidation(t *testing.T) {
 		}), 400},
 		{"corridor: truncated seed array", "/shard/corridor", reseal(corridor, func(p []byte) []byte { return p[:len(p)-3] }), 400},
 		{"corridor: bytes after the last field", "/shard/corridor", reseal(corridor, func(p []byte) []byte { return append(p, 1, 2) }), 400},
+		{"corridor: bytes after the frame", "/shard/corridor", append(bytes.Clone(corridor), 0), 400},
+		{"corridor: not a frame", "/shard/corridor", []byte(`{"bound":10}`), 400},
+		{"corridor: truncated frame", "/shard/corridor", corridor[:len(corridor)-1], 400},
 		{"corridor: bad magic", "/shard/corridor", flip(corridor, 7), 400},
 		{"corridor: bad version", "/shard/corridor", version2(corridor), 400},
 		{"corridor: checksum mismatch", "/shard/corridor", flip(corridor, pathrank.FrameHeaderLen), 400},
@@ -169,13 +157,6 @@ func TestSubQueryValidation(t *testing.T) {
 
 	// The well-formed forms of the same requests succeed, so the table
 	// above is rejecting the defect it names and not the request shape.
-	bd, err := pathrank.DecodeBoundaryAnswer(postOK(t, ts.URL+"/shard/boundary", boundary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bd.Dist) != len(shard.Shard.Boundary) || bd.Dist[0] != 0 {
-		t.Fatalf("boundary sweep from a boundary vertex: %+v", bd)
-	}
 	// An unreachable seed (+Inf) is skipped, as one past the bound is.
 	cr, err := pathrank.DecodeCorridorAnswer(postOK(t, ts.URL+"/shard/corridor", pathrank.EncodeCorridorQuery(pathrank.CorridorQuery{
 		Bound:  1,
@@ -187,6 +168,16 @@ func TestSubQueryValidation(t *testing.T) {
 	}
 	if cr.NumVertices() != 1 || cr.Vertex(0).ID != b0 || cr.NumEdges() != 0 {
 		t.Fatalf("corridor of one seed under a tiny bound: %d vertices, %d edges", cr.NumVertices(), cr.NumEdges())
+	}
+	// Endpoint-to-boundary distances come from the shard map: a worker has
+	// no boundary sub-query.
+	resp, err := http.Post(ts.URL+"/shard/boundary", pathrank.ShardWireContentType, bytes.NewReader(corridor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /shard/boundary: HTTP %d, want 404", resp.StatusCode)
 	}
 }
 

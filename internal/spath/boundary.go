@@ -8,15 +8,15 @@ import (
 )
 
 // This file holds the boundary-set search primitives of the sharded
-// serving tier. A shard worker answers two kinds of sub-queries for the
-// router: boundary distance vectors (src → every boundary vertex, or
-// every boundary vertex → dst) and corridor extraction (which owned
-// vertices lie on some src→dst path of cost at most C, given exact entry
-// distances at the shard's boundary). Both run Workspace.sweep over the
-// snapshot's weight table — reverse for the "→ dst" halves, seeded from
-// pre-weighted Seeds for the corridor — so a shard's distances come from
-// the same relaxation rule, bit for bit, as the single-server searches
-// they are stitched against.
+// serving tier. The bundle builder computes boundary distance tables with
+// them (boundary to boundary on the full graph, and each shard's owned
+// vertices to and from its boundary on the shard's subgraph), and a shard
+// worker answers the router's corridor extraction (which owned vertices
+// lie on some src→dst path of cost at most C, given exact entry distances
+// at the shard's boundary). All run Workspace.sweep over a weight table —
+// reverse for the "→ dst" halves, seeded from pre-weighted Seeds for the
+// corridor — so every distance comes from the same relaxation rule as the
+// single-server searches it is stitched against.
 
 // Seed is one starting point of a seeded multi-source search: the search
 // frontier begins at V with accumulated cost Dist, as if V had been
@@ -30,8 +30,8 @@ type Seed struct {
 // BoundaryDistances writes out[j] = the exact cost from v to targets[j]
 // (or, when rev, from targets[j] to v) under the weight table wts
 // (WeightTable(g, w)), and +Inf where there is no path. It is one sweep,
-// stopped once every target is settled: a shard's boundary vector, and
-// one row of the partition's boundary-to-boundary tables.
+// stopped once every target is settled: one row of the partition's
+// boundary-to-boundary tables, or one column of a shard's endpoint tables.
 func (ws *Workspace) BoundaryDistances(g *roadnet.Graph, v roadnet.VertexID, rev bool, targets []roadnet.VertexID, wts []float64, out []float64) {
 	ws.useWeights(wts)
 	ws.bounded(g, v, rev, targets, math.Inf(1), nil, out)
