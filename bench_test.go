@@ -1,27 +1,20 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (macro benchmarks over internal/experiments; one iteration = one full
-// table/figure) plus micro benchmarks for the substrates. Each macro bench
-// prints the same rows as `cmd/experiments` and reports the headline
-// metrics via b.ReportMetric, so
-//
-//	go test -bench=. -benchmem
-//
-// regenerates the complete evaluation. Set PATHRANK_BENCH_QUICK=1 to run
-// the scaled-down world (for smoke runs).
+// Micro benchmarks for the substrates and the served hot paths. They are
+// timing tools: the allocations of the same paths are pinned exactly by
+// TestAllocPins and the packages' own allocation tests, and the paper's
+// tables are re-derived by cmd/experiments (the quick world is checked
+// byte for byte by internal/experiments' golden test).
 package pathrank_test
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"slices"
 	"sync"
 	"testing"
 
 	"pathrank"
 
-	"pathrank/internal/experiments"
 	"pathrank/internal/geo"
 	"pathrank/internal/nn"
 	"pathrank/internal/node2vec"
@@ -31,172 +24,9 @@ import (
 	"pathrank/internal/traj"
 )
 
-var (
-	worldOnce sync.Once
-	world     *experiments.World
-	worldErr  error
-)
-
-func benchWorld(b *testing.B) *experiments.World {
-	b.Helper()
-	worldOnce.Do(func() {
-		cfg := experiments.DefaultWorldConfig()
-		if os.Getenv("PATHRANK_BENCH_QUICK") != "" {
-			cfg = experiments.QuickWorldConfig()
-		}
-		world, worldErr = experiments.NewWorld(cfg)
-	})
-	if worldErr != nil {
-		b.Fatalf("world: %v", worldErr)
-	}
-	return world
-}
-
-func benchMs() []int {
-	if os.Getenv("PATHRANK_BENCH_QUICK") != "" {
-		return []int{8, 16}
-	}
-	return []int{64, 128}
-}
-
-func benchRefM() int {
-	if os.Getenv("PATHRANK_BENCH_QUICK") != "" {
-		return 8
-	}
-	return 64
-}
-
-// reportRows prints experiment rows and pushes the mean tau/MAE into the
-// benchmark metrics so regressions are visible in bench output diffs.
-func reportRows(b *testing.B, rows []experiments.Row) {
-	b.Helper()
-	var tau, mae float64
-	for _, r := range rows {
-		fmt.Printf("    %s\n", r)
-		tau += r.Report.Tau
-		mae += r.Report.MAE
-	}
-	n := float64(len(rows))
-	b.ReportMetric(tau/n, "mean_tau")
-	b.ReportMetric(mae/n, "mean_mae")
-}
-
-// BenchmarkTable1 regenerates Table 1: training strategies x M, PR-A1.
-func BenchmarkTable1(b *testing.B) {
-	w := benchWorld(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(w, benchMs())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
-// BenchmarkTable2 regenerates Table 2: training strategies x M, PR-A2.
-func BenchmarkTable2(b *testing.B) {
-	w := benchWorld(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(w, benchMs())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
-// BenchmarkFigureK sweeps the candidate-set size k (F1).
-func BenchmarkFigureK(b *testing.B) {
-	w := benchWorld(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SweepK(w, nil, benchRefM())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
-// BenchmarkFigureDiversity sweeps the D-TkDI similarity threshold (F2).
-func BenchmarkFigureDiversity(b *testing.B) {
-	w := benchWorld(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SweepDiversity(w, nil, benchRefM())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
-// BenchmarkFigureM sweeps the embedding dimensionality (F3).
-func BenchmarkFigureM(b *testing.B) {
-	w := benchWorld(b)
-	for i := 0; i < b.N; i++ {
-		ms := []int{16, 32, 64, 128}
-		if os.Getenv("PATHRANK_BENCH_QUICK") != "" {
-			ms = []int{8, 16}
-		}
-		rows, err := experiments.SweepM(w, ms)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
-// BenchmarkFigureTrainSize sweeps the training-set fraction (F4).
-func BenchmarkFigureTrainSize(b *testing.B) {
-	w := benchWorld(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SweepTrainSize(w, nil, benchRefM())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
-// BenchmarkBaselines compares PathRank with the non-learned and
-// shallow-learned rankers (B1).
-func BenchmarkBaselines(b *testing.B) {
-	w := benchWorld(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Baselines(w, benchRefM())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
-// BenchmarkAblationBody swaps the sequence model (A1).
-func BenchmarkAblationBody(b *testing.B) {
-	w := benchWorld(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationBody(w, benchRefM())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
-// BenchmarkAblationMultiTask varies the auxiliary-loss weight (A2).
-func BenchmarkAblationMultiTask(b *testing.B) {
-	w := benchWorld(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationMultiTask(w, nil, benchRefM())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRows(b, rows)
-	}
-}
-
 // --- Substrate micro benchmarks ---
 
-func microGraph(b *testing.B) *roadnet.Graph {
+func microGraph(b testing.TB) *roadnet.Graph {
 	b.Helper()
 	g, err := roadnet.Generate(roadnet.GenConfig{
 		Rows: 20, Cols: 25, SpacingM: 250, JitterFrac: 0.25,
@@ -209,28 +39,37 @@ func microGraph(b *testing.B) *roadnet.Graph {
 	return g
 }
 
+// microPairs is the fixed input of the micro query rows: 32
+// origin-destination pairs over numVertices vertices, drawn from seed.
+func microPairs(numVertices int, seed int64) [][2]roadnet.VertexID {
+	rng := rand.New(rand.NewSource(seed))
+	pairs := make([][2]roadnet.VertexID, 32)
+	for i := range pairs {
+		pairs[i] = [2]roadnet.VertexID{roadnet.VertexID(rng.Intn(numVertices)), roadnet.VertexID(rng.Intn(numVertices))}
+	}
+	return pairs
+}
+
 // BenchmarkDijkstra measures one shortest-path query on the experiment
 // network.
 func BenchmarkDijkstra(b *testing.B) {
 	g := microGraph(b)
-	rng := rand.New(rand.NewSource(1))
+	pairs := microPairs(g.NumVertices(), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		_, _ = spath.Dijkstra(g, src, dst, spath.ByLength)
+		p := pairs[i%len(pairs)]
+		_, _ = spath.Dijkstra(g, p[0], p[1], spath.ByLength)
 	}
 }
 
 // BenchmarkTopK5 measures Yen's algorithm for k=5 (TkDI generation cost).
 func BenchmarkTopK5(b *testing.B) {
 	g := microGraph(b)
-	rng := rand.New(rand.NewSource(2))
+	pairs := microPairs(g.NumVertices(), 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		_, _ = spath.TopK(g, src, dst, 5, spath.ByLength)
+		p := pairs[i%len(pairs)]
+		_, _ = spath.TopK(g, p[0], p[1], 5, spath.ByLength)
 	}
 }
 
@@ -238,12 +77,11 @@ func BenchmarkTopK5(b *testing.B) {
 func BenchmarkDiversifiedTopK5(b *testing.B) {
 	g := microGraph(b)
 	sim := pathsim.WeightedJaccardSim(g)
-	rng := rand.New(rand.NewSource(3))
+	pairs := microPairs(g.NumVertices(), 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		_, _ = spath.DiversifiedTopK(g, src, dst, 5, spath.ByLength, sim, 0.8, 50)
+		p := pairs[i%len(pairs)]
+		_, _ = spath.DiversifiedTopK(g, p[0], p[1], 5, spath.ByLength, sim, 0.8, 50)
 	}
 }
 
@@ -326,36 +164,30 @@ func BenchmarkCHBuild(b *testing.B) {
 func BenchmarkCHQuery(b *testing.B) {
 	g := microGraph(b)
 	ch := spath.BuildCH(g, spath.ByLength)
-	rng := rand.New(rand.NewSource(1))
+	pairs := microPairs(g.NumVertices(), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		_, _ = ch.Query(src, dst)
+		p := pairs[i%len(pairs)]
+		_, _ = ch.Query(p[0], p[1])
 	}
 }
 
-// BenchmarkDiversifiedTopK5CH measures D-TkDI generation on a prebuilt
-// weight table — the serving path's candidate generator. It no longer
-// touches a hierarchy; the name stays so the tracked benchmark keeps its
-// history.
-func BenchmarkDiversifiedTopK5CH(b *testing.B) {
+// BenchmarkDiversifiedTopK5Table measures D-TkDI generation on a prebuilt
+// weight table — the serving path's candidate generator.
+func BenchmarkDiversifiedTopK5Table(b *testing.B) {
 	g := microGraph(b)
 	wts := spath.WeightTable(g, spath.ByLength)
 	sim := pathsim.WeightedJaccardSim(g)
-	rng := rand.New(rand.NewSource(3))
+	pairs := microPairs(g.NumVertices(), 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		dst := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		_, _, _ = spath.DiversifiedTopKStatsCtx(context.Background(), g, wts, nil, src, dst, 5, sim, 0.8, 50)
+		p := pairs[i%len(pairs)]
+		_, _, _ = spath.DiversifiedTopKStatsCtx(context.Background(), g, wts, nil, p[0], p[1], 5, sim, 0.8, 50)
 	}
 }
 
 // The world the repository benchmark serves (benchmark/world.go: 56x56
-// DefaultGenConfig, seed 1), built once. The benchmarks on it
-// do not vary with PATHRANK_BENCH_QUICK: their numbers are only comparable
-// on this world.
+// DefaultGenConfig, seed 1), built once.
 const servedSide = 56
 
 var (
@@ -364,7 +196,7 @@ var (
 	servedErr   error
 )
 
-func servedWorld(b *testing.B) *roadnet.Graph {
+func servedWorld(b testing.TB) *roadnet.Graph {
 	b.Helper()
 	servedOnce.Do(func() {
 		cfg := roadnet.DefaultGenConfig()
@@ -434,7 +266,7 @@ func BenchmarkCandidates(b *testing.B) {
 
 // servedModel is the benchmark's model (embedding 128, hidden 64, GRU;
 // untrained weights cost the same to score) over numVertices vertices.
-func servedModel(b *testing.B, numVertices int) *pathrank.Model {
+func servedModel(b testing.TB, numVertices int) *pathrank.Model {
 	b.Helper()
 	m, err := pathrank.NewModel(numVertices, pathrank.ModelConfig{
 		EmbeddingDim: 128, Hidden: 64, Variant: pathrank.PRA2, Body: pathrank.GRUBody, Seed: 1,
@@ -448,7 +280,7 @@ func servedModel(b *testing.B, numVertices int) *pathrank.Model {
 // servedSweeps generates, for one served shape, the candidate set each
 // pair's query scores in one sweep (5 paths x 20-40 hops on crosstown,
 // 32 x 5-12 on local_k32).
-func servedSweeps(b *testing.B, shape int) [][]spath.Path {
+func servedSweeps(b testing.TB, shape int) [][]spath.Path {
 	b.Helper()
 	g := servedWorld(b)
 	load := servedShapes[shape]
@@ -583,7 +415,7 @@ var (
 // benchQueryRanker builds a ranker over the experiment network with a
 // seeded (untrained) model — scoring cost is weight-independent, so the
 // ctx-overhead comparison below does not need a training run.
-func benchQueryRanker(b *testing.B) *pathrank.Ranker {
+func benchQueryRanker(b testing.TB) *pathrank.Ranker {
 	b.Helper()
 	queryRankerOnce.Do(func() {
 		g := microGraph(b)
@@ -607,34 +439,30 @@ func BenchmarkRankQuery(b *testing.B) {
 	r := benchQueryRanker(b)
 	n := r.Graph.NumVertices()
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(9))
+	pairs := microPairs(n, 9)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := pathrank.VertexID(rng.Intn(n))
-		dst := pathrank.VertexID(rng.Intn(n))
-		_, _ = r.Rank(ctx, pathrank.RankRequest{Src: src, Dst: dst})
+		p := pairs[i%len(pairs)]
+		_, _ = r.Rank(ctx, pathrank.RankRequest{Src: p[0], Dst: p[1]})
 	}
 }
 
 // BenchmarkRankWithContext measures Ranker.Rank with a live cancelable
 // context — the v2 hot path with amortized cancellation checks armed.
 // Guard: ns/op within 2% of BenchmarkRankQuery and identical allocs/op
-// (the ctx plumbing must be free when the context never fires); compare
-// against BenchmarkServeRankUncached across BENCH_*.json for the
-// end-to-end serving cost.
+// (the ctx plumbing must be free when the context never fires).
 func BenchmarkRankWithContext(b *testing.B) {
 	r := benchQueryRanker(b)
 	n := r.Graph.NumVertices()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rng := rand.New(rand.NewSource(9))
+	pairs := microPairs(n, 9)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := pathrank.VertexID(rng.Intn(n))
-		dst := pathrank.VertexID(rng.Intn(n))
-		_, _ = r.Rank(ctx, pathrank.RankRequest{Src: src, Dst: dst})
+		p := pairs[i%len(pairs)]
+		_, _ = r.Rank(ctx, pathrank.RankRequest{Src: p[0], Dst: p[1]})
 	}
 }
 

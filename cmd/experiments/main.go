@@ -6,7 +6,8 @@
 //	experiments [-quick] [table1|table2|sweep-k|sweep-diversity|sweep-m|
 //	             sweep-trainsize|baselines|ablation-body|ablation-multitask|all]
 //
-// With no arguments it runs "all". -quick shrinks the world for smoke runs.
+// With no arguments it runs "all". -quick runs the small smoke-test world
+// at its schedule, the rows internal/experiments' golden test pins.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"time"
 
 	"pathrank/internal/experiments"
@@ -26,15 +28,9 @@ func main() {
 	quick := flag.Bool("quick", false, "use the small smoke-test world")
 	flag.Parse()
 
-	cfg := experiments.DefaultWorldConfig()
-	ms := []int{64, 128}
-	sweepMs := []int{16, 32, 64, 128}
-	mRef := 64
+	cfg, sched := experiments.DefaultWorldConfig(), experiments.DefaultSchedule()
 	if *quick {
-		cfg = experiments.QuickWorldConfig()
-		ms = []int{8, 16}
-		sweepMs = []int{8, 16}
-		mRef = 8
+		cfg, sched = experiments.QuickWorldConfig(), experiments.QuickSchedule()
 	}
 
 	start := time.Now()
@@ -45,45 +41,26 @@ func main() {
 	fmt.Printf("world: %d vertices, %d edges, %d trips (built in %v)\n\n",
 		w.G.NumVertices(), w.G.NumEdges(), len(w.Trips), time.Since(start).Round(time.Millisecond))
 
-	type experiment struct {
-		name string
-		run  func() ([]experiments.Row, error)
-	}
-	all := []experiment{
-		{"table1", func() ([]experiments.Row, error) { return experiments.Table1(w, ms) }},
-		{"table2", func() ([]experiments.Row, error) { return experiments.Table2(w, ms) }},
-		{"sweep-k", func() ([]experiments.Row, error) { return experiments.SweepK(w, nil, mRef) }},
-		{"sweep-diversity", func() ([]experiments.Row, error) { return experiments.SweepDiversity(w, nil, mRef) }},
-		{"sweep-m", func() ([]experiments.Row, error) { return experiments.SweepM(w, sweepMs) }},
-		{"sweep-trainsize", func() ([]experiments.Row, error) { return experiments.SweepTrainSize(w, nil, mRef) }},
-		{"baselines", func() ([]experiments.Row, error) { return experiments.Baselines(w, mRef) }},
-		{"ablation-body", func() ([]experiments.Row, error) { return experiments.AblationBody(w, mRef) }},
-		{"ablation-multitask", func() ([]experiments.Row, error) { return experiments.AblationMultiTask(w, nil, mRef) }},
-	}
-
 	want := flag.Args()
 	if len(want) == 0 || (len(want) == 1 && want[0] == "all") {
 		want = nil
-		for _, e := range all {
-			want = append(want, e.name)
+		for _, e := range experiments.Experiments {
+			want = append(want, e.Name)
 		}
 	}
-	byName := map[string]experiment{}
-	for _, e := range all {
-		byName[e.name] = e
-	}
 	for _, name := range want {
-		e, ok := byName[name]
-		if !ok {
+		i := slices.IndexFunc(experiments.Experiments, func(e experiments.Experiment) bool { return e.Name == name })
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			os.Exit(2)
 		}
+		e := experiments.Experiments[i]
 		t0 := time.Now()
-		rows, err := e.run()
+		rows, err := e.Run(w, sched)
 		if err != nil {
-			log.Fatalf("%s: %v", e.name, err)
+			log.Fatalf("%s: %v", e.Name, err)
 		}
-		fmt.Printf("== %s (%v) ==\n", e.name, time.Since(t0).Round(time.Second))
+		fmt.Printf("== %s (%v) ==\n", e.Name, time.Since(t0).Round(time.Second))
 		for _, r := range rows {
 			fmt.Println("  " + r.String())
 		}

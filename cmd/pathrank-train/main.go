@@ -1,11 +1,11 @@
 // Command pathrank-train runs the full PathRank training pipeline on a
 // generated network and trip log: node2vec embedding, candidate generation
-// (TkDI or D-TkDI), training, evaluation on a held-out split, and model
-// export.
+// (TkDI or D-TkDI), training, evaluation on a held-out split, and, with
+// -artifact, the serving artifact.
 //
 // Usage:
 //
-//	pathrank-train -net net.gob -trips trips.gob -m 64 -strategy d-tkdi -out model.gob
+//	pathrank-train -net net.gob -trips trips.gob -m 64 -strategy d-tkdi -artifact model.prart
 //
 // With -retrain-interval or -wal-dir it runs the live mode instead: the
 // trainer, the one process that writes model generations. It loads the
@@ -119,7 +119,6 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 	lr := fs.Float64("lr", 0.003, "Adam learning rate")
 	testFrac := fs.Float64("test-frac", 0.25, "held-out query fraction")
 	seed := fs.Int64("seed", 1, "random seed")
-	out := fs.String("out", "model.gob", "output path for the trained model")
 	artifactOut := fs.String("artifact", "", "also write a complete serving artifact (network + embeddings + model) to this path; in live mode, the artifact to start from and publish every generation to")
 	resume := fs.String("resume", "", "warm-start from this artifact bundle instead of training from scratch (incremental fine-tune; ignores -net/-m/-hidden/-variant)")
 	replay := fs.String("replay", "", "replay the trajectory WAL in this directory instead of training (requires -base)")
@@ -195,7 +194,7 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 				ftLR = *lr
 			}
 		})
-		return resumeTrain(*resume, *tripsPath, ftEpochs, ftLR, *seed, *out, *artifactOut)
+		return resumeTrain(*resume, *tripsPath, ftEpochs, ftLR, *seed, *artifactOut)
 	}
 
 	g, err := roadnet.LoadFile(*netPath)
@@ -251,10 +250,6 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 		dcfg.Strategy, mcfg.Variant, *m, time.Since(start).Round(time.Second), pipe.Model.NumParams())
 	fmt.Println("train:", pipe.Model.Evaluate(pipe.Train))
 	fmt.Println("test: ", pipe.Model.Evaluate(pipe.Test))
-
-	if err := saveModel(*out, pipe.Model); err != nil {
-		return err
-	}
 
 	if *artifactOut != "" || *partitionP > 0 {
 		art := &pathrank.Artifact{
@@ -393,7 +388,7 @@ func replayWAL(walDir, basePath string, targetGen int, artifactOut string) error
 // a new trip log (warm start) through the live loop's retrain step, and
 // write the child generation — the offline twin of the streaming
 // retrainer, provenance roots and all.
-func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, out, artifactOut string) error {
+func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, artifactOut string) error {
 	art, err := pathrank.LoadArtifactFile(artPath)
 	if err != nil {
 		return err
@@ -418,37 +413,12 @@ func resumeTrain(artPath, tripsPath string, epochs int, lr float64, seed int64, 
 	fmt.Printf("fine-tuned on %d trips in %v (data root %.12s, chain root %.12s)\n",
 		next.Lineage.TrainedOn, time.Since(start).Round(time.Second), next.Lineage.DataRoot, next.Lineage.ChainRoot)
 
-	if err := saveModel(out, next.Model); err != nil {
-		return err
-	}
 	if artifactOut != "" {
 		if err := pathrank.SaveArtifactFile(artifactOut, next); err != nil {
 			return err
 		}
 		fmt.Printf("artifact -> %s (gen %d, parent %.12s)\n", artifactOut, next.Lineage.Generation, next.Lineage.Parent)
 	}
-	return nil
-}
-
-// saveModel writes the model alone (gob weights, no network) to path.
-func saveModel(path string, m *pathrank.Model) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := m.Save(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("model -> %s\n", path)
 	return nil
 }
 

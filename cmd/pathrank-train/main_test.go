@@ -74,7 +74,7 @@ func newLiveWorld(t *testing.T) *liveWorld {
 	}
 	if err := run(context.Background(), []string{
 		"-net", netPath, "-trips", tripsPath, "-m", "8", "-hidden", "6", "-k", "3", "-epochs", "1",
-		"-out", filepath.Join(dir, "model.gob"), "-artifact", w.artPath,
+		"-artifact", w.artPath,
 	}, nil); err != nil {
 		t.Fatalf("offline run: %v", err)
 	}
@@ -277,8 +277,7 @@ func TestResumeContinuesProvenance(t *testing.T) {
 	dir := t.TempDir()
 	resumed := filepath.Join(dir, "resumed.prart")
 	if err := run(context.Background(), []string{
-		"-resume", w.artPath, "-trips", w.tripsPath,
-		"-out", filepath.Join(dir, "resumed.gob"), "-artifact", resumed,
+		"-resume", w.artPath, "-trips", w.tripsPath, "-artifact", resumed,
 	}, nil); err != nil {
 		t.Fatalf("-resume: %v", err)
 	}

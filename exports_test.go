@@ -25,6 +25,7 @@ var exportAllowlist = map[string]string{
 	"PoisonArtifact": "chaos: other packages' tests corrupt an artifact with it",
 	"NewWorkspace":   "spath: other packages' tests drive searches on a private workspace",
 	"FindEdge":       "roadnet: other packages' tests look up an edge by its endpoints",
+	"Pin":            "allocpin: the allocation pins of other packages' tests",
 }
 
 // TestInternalExportsHaveCallers is a tripwire for dead code: the name of

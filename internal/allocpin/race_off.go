@@ -1,0 +1,6 @@
+//go:build !race
+
+package allocpin
+
+// Race reports a race-detector build.
+const Race = false

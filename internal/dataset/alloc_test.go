@@ -2,9 +2,9 @@ package dataset
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
+	"pathrank/internal/allocpin"
 	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
@@ -15,7 +15,7 @@ import (
 // it allocates less than one NumEdges-sized stamp array in all — the two
 // fresh ones a call used to build were most of a query's allocation.
 func TestDTkDICandidatesAllocsNoEdgeScratch(t *testing.T) {
-	if raceEnabled {
+	if allocpin.Race {
 		t.Skip("the race detector drops pooled scratch at random")
 	}
 	g, err := roadnet.Generate(roadnet.GenConfig{
@@ -37,17 +37,9 @@ func TestDTkDICandidatesAllocsNoEdgeScratch(t *testing.T) {
 			t.Fatalf("%d candidates, err %v", len(cands), err)
 		}
 	}
-	query() // warm the workspace and scratch pools
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		query()
+	bytes := allocpin.Measure(query).Bytes
+	if limit := uint64(4 * g.NumEdges()); bytes >= limit {
+		t.Fatalf("a warm D-TkDI query allocates %d bytes, want under one %d-byte edge array", bytes, limit)
 	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := uint64(4 * g.NumEdges()); perCall >= limit {
-		t.Fatalf("a warm D-TkDI query allocates %d bytes, want under one %d-byte edge array", perCall, limit)
-	}
-	t.Logf("%d bytes per query on %d edges", perCall, g.NumEdges())
+	t.Logf("%d bytes per query on %d edges", bytes, g.NumEdges())
 }

@@ -1,8 +1,9 @@
 // Package experiments reproduces the paper's evaluation: every table and
 // figure maps to one function here, returning rows with the paper's four
-// metrics (MAE, MARE, Kendall τ, Spearman ρ) on a held-out test split. Both
-// the cmd/experiments CLI and the repository's testing.B benchmarks call
-// into this package, so the printed rows are identical in either harness.
+// metrics (MAE, MARE, Kendall τ, Spearman ρ) on a held-out test split.
+// Experiments lists them with the embedding sizes they run at (Schedule);
+// cmd/experiments prints them, and this package's golden test re-derives
+// every quick-world row and compares it with testdata/quick.csv.
 //
 // A World bundles the expensive shared artifacts — synthetic road network,
 // simulated trip log, node2vec embeddings per dimensionality, and candidate
@@ -62,6 +63,45 @@ func QuickWorldConfig() WorldConfig {
 		Epochs: 4, Hidden: 12, LR: 0.004,
 		TestFrac: 0.25,
 	}
+}
+
+// Schedule is the embedding sizes an evaluation runs at: Ms is the M axis
+// of Table1 and Table2, SweepMs that of SweepM, and MRef the M of every
+// other experiment.
+type Schedule struct {
+	Ms, SweepMs []int
+	MRef        int
+}
+
+// DefaultSchedule is the schedule of DefaultWorldConfig.
+func DefaultSchedule() Schedule {
+	return Schedule{Ms: []int{64, 128}, SweepMs: []int{16, 32, 64, 128}, MRef: 64}
+}
+
+// QuickSchedule is the schedule of QuickWorldConfig.
+func QuickSchedule() Schedule {
+	return Schedule{Ms: []int{8, 16}, SweepMs: []int{8, 16}, MRef: 8}
+}
+
+// Experiment is one table or sweep of the evaluation under its
+// cmd/experiments name.
+type Experiment struct {
+	Name string
+	Run  func(w *World, s Schedule) ([]Row, error)
+}
+
+// Experiments is the whole evaluation, in the order cmd/experiments runs
+// it.
+var Experiments = []Experiment{
+	{"table1", func(w *World, s Schedule) ([]Row, error) { return Table1(w, s.Ms) }},
+	{"table2", func(w *World, s Schedule) ([]Row, error) { return Table2(w, s.Ms) }},
+	{"sweep-k", func(w *World, s Schedule) ([]Row, error) { return SweepK(w, nil, s.MRef) }},
+	{"sweep-diversity", func(w *World, s Schedule) ([]Row, error) { return SweepDiversity(w, nil, s.MRef) }},
+	{"sweep-m", func(w *World, s Schedule) ([]Row, error) { return SweepM(w, s.SweepMs) }},
+	{"sweep-trainsize", func(w *World, s Schedule) ([]Row, error) { return SweepTrainSize(w, nil, s.MRef) }},
+	{"baselines", func(w *World, s Schedule) ([]Row, error) { return Baselines(w, s.MRef) }},
+	{"ablation-body", func(w *World, s Schedule) ([]Row, error) { return AblationBody(w, s.MRef) }},
+	{"ablation-multitask", func(w *World, s Schedule) ([]Row, error) { return AblationMultiTask(w, nil, s.MRef) }},
 }
 
 // World caches the shared artifacts of the evaluation.
@@ -283,30 +323,31 @@ func Table2(w *World, ms []int) ([]Row, error) {
 }
 
 func strategyTable(w *World, ms []int, v pathrank.Variant) ([]Row, error) {
-	if len(ms) == 0 {
-		ms = []int{64, 128}
-	}
-	type cell struct {
-		strat dataset.Config
-		m     int
-	}
-	var cells []cell
-	for _, strat := range []dataset.Config{dataTkDI(5), dataDTkDI(5, 0.8)} {
-		for _, m := range ms {
-			cells = append(cells, cell{strat: strat, m: m})
-		}
-	}
-	return runRows(len(cells), func(i int) (Row, error) {
-		c := cells[i]
-		rep, err := w.RunModel(ModelSpec{Data: c.strat, M: c.m, Variant: v, Body: pathrank.GRUBody})
+	strats := []dataset.Config{dataTkDI(5), dataDTkDI(5, 0.8)}
+	return modelRows(w, len(strats)*len(ms), func(i int) (ModelSpec, string) {
+		strat, m := strats[i/len(ms)], ms[i%len(ms)]
+		return ModelSpec{Data: strat, M: m, Variant: v, Body: pathrank.GRUBody},
+			fmt.Sprintf("%s %s M=%d", strat.Strategy, v, m)
+	})
+}
+
+// modelRows trains and evaluates one model per row, spec(i) giving row i's
+// configuration and label.
+func modelRows(w *World, n int, spec func(i int) (ModelSpec, string)) ([]Row, error) {
+	return runRows(n, func(i int) (Row, error) {
+		s, label := spec(i)
+		rep, err := w.RunModel(s)
 		if err != nil {
 			return Row{}, err
 		}
-		return Row{
-			Label:  fmt.Sprintf("%s %s M=%d", c.strat.Strategy, v, c.m),
-			Report: rep,
-		}, nil
+		return Row{Label: label, Report: rep}, nil
 	})
+}
+
+// dtkdiA2 is the reference configuration the sweeps and ablations vary:
+// D-TkDI k=5 θ=0.8 training data, PR-A2, GRU body.
+func dtkdiA2(m int) ModelSpec {
+	return ModelSpec{Data: dataDTkDI(5, 0.8), M: m, Variant: pathrank.PRA2, Body: pathrank.GRUBody}
 }
 
 // SweepK varies the candidate-set size k (Figure-style experiment F1).
@@ -314,13 +355,10 @@ func SweepK(w *World, ks []int, m int) ([]Row, error) {
 	if len(ks) == 0 {
 		ks = []int{3, 5, 8, 10}
 	}
-	return runRows(len(ks), func(i int) (Row, error) {
-		k := ks[i]
-		rep, err := w.RunModel(ModelSpec{Data: dataDTkDI(k, 0.8), M: m, Variant: pathrank.PRA2, Body: pathrank.GRUBody})
-		if err != nil {
-			return Row{}, err
-		}
-		return Row{Label: fmt.Sprintf("D-TkDI k=%d M=%d", k, m), Report: rep}, nil
+	return modelRows(w, len(ks), func(i int) (ModelSpec, string) {
+		s := dtkdiA2(m)
+		s.Data.K = ks[i]
+		return s, fmt.Sprintf("D-TkDI k=%d M=%d", ks[i], m)
 	})
 }
 
@@ -329,29 +367,18 @@ func SweepDiversity(w *World, thresholds []float64, m int) ([]Row, error) {
 	if len(thresholds) == 0 {
 		thresholds = []float64{0.5, 0.6, 0.7, 0.8, 0.9}
 	}
-	return runRows(len(thresholds), func(i int) (Row, error) {
-		th := thresholds[i]
-		rep, err := w.RunModel(ModelSpec{Data: dataDTkDI(5, th), M: m, Variant: pathrank.PRA2, Body: pathrank.GRUBody})
-		if err != nil {
-			return Row{}, err
-		}
-		return Row{Label: fmt.Sprintf("D-TkDI theta=%.1f M=%d", th, m), Report: rep}, nil
+	return modelRows(w, len(thresholds), func(i int) (ModelSpec, string) {
+		s := dtkdiA2(m)
+		s.Data.Threshold = thresholds[i]
+		return s, fmt.Sprintf("D-TkDI theta=%.1f M=%d", thresholds[i], m)
 	})
 }
 
 // SweepM varies the embedding dimensionality (F3), extending the tables'
 // M axis downward.
 func SweepM(w *World, ms []int) ([]Row, error) {
-	if len(ms) == 0 {
-		ms = []int{16, 32, 64, 128}
-	}
-	return runRows(len(ms), func(i int) (Row, error) {
-		m := ms[i]
-		rep, err := w.RunModel(ModelSpec{Data: dataDTkDI(5, 0.8), M: m, Variant: pathrank.PRA2, Body: pathrank.GRUBody})
-		if err != nil {
-			return Row{}, err
-		}
-		return Row{Label: fmt.Sprintf("D-TkDI PR-A2 M=%d", m), Report: rep}, nil
+	return modelRows(w, len(ms), func(i int) (ModelSpec, string) {
+		return dtkdiA2(ms[i]), fmt.Sprintf("D-TkDI PR-A2 M=%d", ms[i])
 	})
 }
 
@@ -360,24 +387,18 @@ func SweepTrainSize(w *World, fracs []float64, m int) ([]Row, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0.25, 0.5, 0.75, 1.0}
 	}
-	return runRows(len(fracs), func(i int) (Row, error) {
-		f := fracs[i]
-		rep, err := w.RunModel(ModelSpec{
-			Data: dataDTkDI(5, 0.8), M: m, Variant: pathrank.PRA2,
-			Body: pathrank.GRUBody, TrainFrac: f,
-		})
-		if err != nil {
-			return Row{}, err
-		}
-		return Row{Label: fmt.Sprintf("train=%3.0f%% M=%d", f*100, m), Report: rep}, nil
+	return modelRows(w, len(fracs), func(i int) (ModelSpec, string) {
+		s := dtkdiA2(m)
+		s.TrainFrac = fracs[i]
+		return s, fmt.Sprintf("train=%3.0f%% M=%d", fracs[i]*100, m)
 	})
 }
 
 // Baselines compares PathRank against the non-learned and shallow-learned
 // rankers on the same split (B1).
 func Baselines(w *World, m int) ([]Row, error) {
-	data := dataDTkDI(5, 0.8)
-	train, err := w.Queries(data)
+	spec := dtkdiA2(m)
+	train, err := w.Queries(spec.Data)
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +420,7 @@ func Baselines(w *World, m int) ([]Row, error) {
 	}
 	rows = append(rows, Row{Label: lr.Name(), Report: baseline.Evaluate(lr, test)})
 
-	rep, err := w.RunModel(ModelSpec{Data: data, M: m, Variant: pathrank.PRA2, Body: pathrank.GRUBody})
+	rep, err := w.RunModel(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -410,13 +431,10 @@ func Baselines(w *World, m int) ([]Row, error) {
 // AblationBody swaps the sequence model (A1 in DESIGN.md).
 func AblationBody(w *World, m int) ([]Row, error) {
 	bodies := []pathrank.Body{pathrank.GRUBody, pathrank.BiGRUBody, pathrank.LSTMBody, pathrank.MeanPoolBody, pathrank.AttnGRUBody}
-	return runRows(len(bodies), func(i int) (Row, error) {
-		body := bodies[i]
-		rep, err := w.RunModel(ModelSpec{Data: dataDTkDI(5, 0.8), M: m, Variant: pathrank.PRA2, Body: body})
-		if err != nil {
-			return Row{}, err
-		}
-		return Row{Label: fmt.Sprintf("body=%s M=%d", body, m), Report: rep}, nil
+	return modelRows(w, len(bodies), func(i int) (ModelSpec, string) {
+		s := dtkdiA2(m)
+		s.Body = bodies[i]
+		return s, fmt.Sprintf("body=%s M=%d", bodies[i], m)
 	})
 }
 
@@ -425,15 +443,9 @@ func AblationMultiTask(w *World, lambdas []float64, m int) ([]Row, error) {
 	if len(lambdas) == 0 {
 		lambdas = []float64{0, 0.25, 0.5, 1.0}
 	}
-	return runRows(len(lambdas), func(i int) (Row, error) {
-		l := lambdas[i]
-		rep, err := w.RunModel(ModelSpec{
-			Data: dataDTkDI(5, 0.8), M: m, Variant: pathrank.PRA2,
-			Body: pathrank.GRUBody, Lambda: l,
-		})
-		if err != nil {
-			return Row{}, err
-		}
-		return Row{Label: fmt.Sprintf("lambda=%.2f M=%d", l, m), Report: rep}, nil
+	return modelRows(w, len(lambdas), func(i int) (ModelSpec, string) {
+		s := dtkdiA2(m)
+		s.Lambda = lambdas[i]
+		return s, fmt.Sprintf("lambda=%.2f M=%d", lambdas[i], m)
 	})
 }

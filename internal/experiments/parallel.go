@@ -14,16 +14,6 @@ import (
 func runRows(n int, f func(i int) (Row, error)) ([]Row, error) {
 	rows := make([]Row, n)
 	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			r, err := f(i)
-			if err != nil {
-				return nil, err
-			}
-			rows[i] = r
-		}
-		return rows, nil
-	}
 	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool // fail fast: skip unstarted rows after an error

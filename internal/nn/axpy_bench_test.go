@@ -8,8 +8,8 @@ import "testing"
 //
 // Each benchmark iteration runs a fixed batch of kernel calls rather than a
 // single one. A lone ~50-100ns call is far below the timer's resolution, so
-// under the bench.sh methodology (-benchtime=1x, one iteration) a
-// single-call benchmark reports scheduling noise, not kernel cost — a past
+// at -benchtime=1x (one iteration) a single-call benchmark reports
+// scheduling noise, not kernel cost — a past
 // baseline recorded the unrolled kernel as 2.8x SLOWER than the naive loop
 // that way, while a properly amortized run shows it ~1.7x faster. With the
 // batch, even a one-iteration run measures tens of microseconds of real

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"pathrank/internal/allocpin"
 )
 
 // naiveGemmNT is the oracle of the kernel tests: textbook triple loops
@@ -532,10 +534,17 @@ func BenchmarkGemm(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmNT measures the package-level entry point (the AVX2 kernel
-// where supported). This is the benchdiff-gated variant: unlike the
-// per-implementation sub-benchmarks above it has a flat name, and its
-// allocs/op pins the zero-alloc steady state of the scratch-panel pool.
+// TestGemmNTAllocs pins BenchmarkGemmNT's call at zero allocations: the
+// scratch panel comes from its pool.
+func TestGemmNTAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	A, B, C := randMat(rng, 256, 32), randMat(rng, 16, 32), NewMat(256, 16)
+	allocpin.Pin(t, allocpin.Count{}, func() { GemmNT(C, A, B) })
+}
+
+// BenchmarkGemmNT measures the package-level entry point (the widest
+// kernel the host runs) on a flat name; TestGemmNTAllocs pins its
+// allocations.
 func BenchmarkGemmNT(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	A := randMat(rng, 256, 32)

@@ -1,9 +1,12 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"pathrank/internal/allocpin"
 )
 
 func randSeq(rng *rand.Rand, T, dim int) []Vec {
@@ -111,27 +114,33 @@ func TestLSTMScratchReuseMatchesFresh(t *testing.T) {
 
 // TestGRUForwardBackwardAllocs is the allocation-regression guard for the
 // recurrent scratch arena: a full forward+backward step with a released
-// cache performs O(1) small allocations (the cache header), not O(T).
+// cache performs O(1) small allocations (the cache header), not O(T). It
+// pins a small body and BenchmarkGRUForwardBackward's paper-scale one (128
+// inputs, hidden 32, 20 steps). One run is two steps: the arena's slab
+// grows by doubling, and at paper scale a single warm-up step leaves it
+// one doubling short of a whole pass.
 func TestGRUForwardBackwardAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := NewGRU("t", 16, 12, rng)
-	xs := randSeq(rng, 10, 16)
-	dhs := make([]Vec, 10)
-	// Warm the pool and the arena.
-	for i := 0; i < 3; i++ {
-		hs, c := g.Forward(xs)
-		dhs[9] = hs[9]
-		g.Backward(c, dhs)
-		c.Release()
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		hs, c := g.Forward(xs)
-		dhs[9] = hs[9]
-		g.Backward(c, dhs)
-		c.Release()
-	})
-	if allocs > 3 {
-		t.Fatalf("GRU forward+backward allocated %.1f times per step, want <= 3", allocs)
+	for _, c := range []struct {
+		in, hidden, steps int
+		want              allocpin.Count
+	}{
+		{16, 12, 10, allocpin.Count{Allocs: 2, Bytes: 320}},
+		{128, 32, 20, allocpin.Count{Allocs: 2, Bytes: 320}},
+	} {
+		t.Run(fmt.Sprintf("%dx%dx%d", c.in, c.hidden, c.steps), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			g := NewGRU("t", c.in, c.hidden, rng)
+			xs := randSeq(rng, c.steps, c.in)
+			dhs := make([]Vec, c.steps)
+			allocpin.Pin(t, c.want, func() {
+				for range 2 {
+					hs, cache := g.Forward(xs)
+					dhs[c.steps-1] = hs[c.steps-1]
+					g.Backward(cache, dhs)
+					cache.Release()
+				}
+			})
+		})
 	}
 }
 

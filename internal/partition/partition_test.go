@@ -214,79 +214,91 @@ func testDistanceTableIsDijkstra(t *testing.T) {
 // random vertex pairs on different shards, the full-graph distance equals
 // the min over boundary stitch points of within-shard distance to the
 // boundary plus full-graph boundary-to-boundary distance plus within-shard
-// distance from the boundary.
+// distance from the boundary. The generated networks are two-way with equal
+// costs, where a search run in the wrong direction gives the same numbers,
+// so the property is checked on one with every sixth edge dropped too.
 func TestBoundaryDistancesDecompose(t *testing.T) {
-	g := testGraph(t, 7, 7, 17)
-	res, err := Split(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub0, _ := ExtractShard(g, res.Owner, 0)
-	sub1, _ := ExtractShard(g, res.Owner, 1)
-	all := res.BoundaryVertices()
-	nb := len(all)
-	if nb == 0 {
-		t.Fatal("no boundary vertices on a connected split graph")
-	}
-	pos := make(map[roadnet.VertexID]int, nb)
-	for i, v := range all {
-		pos[v] = i
-	}
-	// Full-graph boundary table, as BuildBundle computes it.
-	D := distanceTable(g, spath.ByLength, all)
-
-	ws := spath.GetWorkspace(g)
-	defer ws.Release()
-	checked := 0
-	for src := 0; src < g.NumVertices() && checked < 12; src += 7 {
-		for dst := 1; dst < g.NumVertices() && checked < 12; dst += 11 {
-			if res.Owner[src] == res.Owner[dst] {
-				continue
+	for _, tc := range []struct {
+		name string
+		g    *roadnet.Graph
+	}{
+		{"two-way", testGraph(t, 7, 7, 17)},
+		{"one-way", oneWay(testGraph(t, 7, 7, 17), 6)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			res, err := Split(g, 2)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sSub, tSub := sub0, sub1
-			if res.Owner[src] == 1 {
-				sSub, tSub = sub1, sub0
+			sub0, _ := ExtractShard(g, res.Owner, 0)
+			sub1, _ := ExtractShard(g, res.Owner, 1)
+			all := res.BoundaryVertices()
+			nb := len(all)
+			if nb == 0 {
+				t.Fatal("no boundary vertices on a connected split graph")
 			}
-			want := make([]float64, 1)
-			ws.BoundedDistances(g, roadnet.VertexID(src), []roadnet.VertexID{roadnet.VertexID(dst)}, math.Inf(1), spath.ByLength, want)
+			pos := make(map[roadnet.VertexID]int, nb)
+			for i, v := range all {
+				pos[v] = i
+			}
+			// Full-graph boundary table, as BuildBundle computes it.
+			D := distanceTable(g, spath.ByLength, all)
 
-			bi := res.Boundary[res.Owner[src]]
-			bj := res.Boundary[res.Owner[dst]]
-			dsrc := make([]float64, len(bi))
-			ddst := make([]float64, len(bj))
-			// The two halves a shard's boundary query computes.
-			wss := spath.GetWorkspace(sSub)
-			wss.BoundaryDistances(sSub, roadnet.VertexID(src), false, bi, spath.WeightTable(sSub, spath.ByLength), dsrc)
-			wss.Release()
-			wst := spath.GetWorkspace(tSub)
-			wst.BoundaryDistances(tSub, roadnet.VertexID(dst), true, bj, spath.WeightTable(tSub, spath.ByLength), ddst)
-			wst.Release()
-
-			got := math.Inf(1)
-			for ui, u := range bi {
-				for wi, w := range bj {
-					if v := dsrc[ui] + D[pos[u]*nb+pos[w]] + ddst[wi]; v < got {
-						got = v
+			ws := spath.GetWorkspace(g)
+			defer ws.Release()
+			checked := 0
+			for src := 0; src < g.NumVertices() && checked < 12; src += 7 {
+				for dst := 1; dst < g.NumVertices() && checked < 12; dst += 11 {
+					if res.Owner[src] == res.Owner[dst] {
+						continue
 					}
+					sSub, tSub := sub0, sub1
+					if res.Owner[src] == 1 {
+						sSub, tSub = sub1, sub0
+					}
+					want := make([]float64, 1)
+					ws.BoundedDistances(g, roadnet.VertexID(src), []roadnet.VertexID{roadnet.VertexID(dst)}, math.Inf(1), spath.ByLength, want)
+
+					bi := res.Boundary[res.Owner[src]]
+					bj := res.Boundary[res.Owner[dst]]
+					dsrc := make([]float64, len(bi))
+					ddst := make([]float64, len(bj))
+					// The two halves a shard's boundary query computes.
+					wss := spath.GetWorkspace(sSub)
+					wss.BoundaryDistances(sSub, roadnet.VertexID(src), false, bi, spath.WeightTable(sSub, spath.ByLength), dsrc)
+					wss.Release()
+					wst := spath.GetWorkspace(tSub)
+					wst.BoundaryDistances(tSub, roadnet.VertexID(dst), true, bj, spath.WeightTable(tSub, spath.ByLength), ddst)
+					wst.Release()
+
+					got := math.Inf(1)
+					for ui, u := range bi {
+						for wi, w := range bj {
+							if v := dsrc[ui] + D[pos[u]*nb+pos[w]] + ddst[wi]; v < got {
+								got = v
+							}
+						}
+					}
+					if math.IsInf(want[0], 1) {
+						if !math.IsInf(got, 1) {
+							t.Fatalf("%d->%d: full graph unreachable but stitch gives %g", src, dst, got)
+						}
+						continue
+					}
+					// The stitch decomposes one optimal path (first boundary exit,
+					// last boundary entry), so the min is attained exactly — but the
+					// three legs are summed in a different association order than one
+					// straight left-to-right relaxation, so allow one ulp-scale slack.
+					if diff := math.Abs(got - want[0]); diff > want[0]*1e-12 {
+						t.Fatalf("%d->%d: stitched %g != full-graph %g (diff %g)", src, dst, got, want[0], diff)
+					}
+					checked++
 				}
 			}
-			if math.IsInf(want[0], 1) {
-				if !math.IsInf(got, 1) {
-					t.Fatalf("%d->%d: full graph unreachable but stitch gives %g", src, dst, got)
-				}
-				continue
+			if checked < 4 {
+				t.Fatalf("only %d cross-shard pairs checked; graph or split degenerate", checked)
 			}
-			// The stitch decomposes one optimal path (first boundary exit,
-			// last boundary entry), so the min is attained exactly — but the
-			// three legs are summed in a different association order than one
-			// straight left-to-right relaxation, so allow one ulp-scale slack.
-			if diff := math.Abs(got - want[0]); diff > want[0]*1e-12 {
-				t.Fatalf("%d->%d: stitched %g != full-graph %g (diff %g)", src, dst, got, want[0], diff)
-			}
-			checked++
-		}
-	}
-	if checked < 4 {
-		t.Fatalf("only %d cross-shard pairs checked; graph or split degenerate", checked)
+		})
 	}
 }

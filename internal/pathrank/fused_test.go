@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"pathrank/internal/allocpin"
 	"pathrank/internal/dataset"
 	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
@@ -497,61 +497,38 @@ func TestRankScoredMatchedLengths(t *testing.T) {
 }
 
 // TestScoreSteadyStateAllocs pins the pooled-forward-state bugfix: a warm
-// Score must not allocate per-call id/embedding/summary buffers.
+// Score must not allocate per-call id/embedding/summary buffers; the GRU
+// cache header is its one allocation.
 func TestScoreSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates inside sync.Pool")
-	}
 	m, err := New(40, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
 	paths := randomPaths(rng, 16, 40, 30)
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
-	// Warm the pools.
-	for i := 0; i < 4; i++ {
-		for _, p := range paths {
-			m.Score(p)
-		}
-	}
 	p := paths[0]
 	if len(p.Vertices) == 0 {
 		p = paths[1]
 	}
-	avg := testing.AllocsPerRun(50, func() { m.Score(p) })
-	// The GRU cache header is the one steady-state allocation left; give it
-	// one slack slot so the test pins the regression, not the GC's mood.
-	if avg > 2 {
-		t.Fatalf("Score allocates %.1f objects/op steady-state, want <= 2", avg)
-	}
+	allocpin.Pin(t, allocpin.Count{Allocs: 1, Bytes: 160}, func() { m.Score(p) })
 }
 
 // TestScoreBatchFusedSteadyStateAllocs verifies the fused path runs on
-// pooled scratch: a warm chunk-sized batch costs only the result slice.
+// pooled scratch: a warm chunk-sized batch costs two objects, 352 bytes,
+// its 256-byte result slice one of them. One run scores the batch twice: the
+// scratch arena's slab grows by doubling, and a single warm-up batch leaves
+// it one doubling short of a whole batch.
 func TestScoreBatchFusedSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates inside sync.Pool")
-	}
 	m, err := New(40, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
 	paths := randomPaths(rng, fusedChunk-2, 40, 30)
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
-	for i := 0; i < 4; i++ {
+	allocpin.Pin(t, allocpin.Count{Allocs: 4, Bytes: 704}, func() {
 		m.ScoreBatchFused(paths)
-	}
-	avg := testing.AllocsPerRun(50, func() { m.ScoreBatchFused(paths) })
-	// One result slice per call, plus slack for a pool header.
-	if avg > 3 {
-		t.Fatalf("ScoreBatchFused allocates %.1f objects/op steady-state, want <= 3", avg)
-	}
+		m.ScoreBatchFused(paths)
+	})
 }
 
 func benchScoreBatch(b *testing.B, fused bool) {

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pathrank/internal/allocpin"
 	"pathrank/internal/api"
 	"pathrank/internal/dataset"
 	"pathrank/internal/geo"
@@ -995,7 +996,7 @@ func TestRouterRejectsMalformedShardAnswers(t *testing.T) {
 
 // benchDeployment builds one deployment for the routing benchmarks and
 // returns a representative co-resident and cross-shard query.
-func benchDeployment(b *testing.B) (*deployment, api.RankQuery, api.RankQuery) {
+func benchDeployment(b testing.TB) (*deployment, api.RankQuery, api.RankQuery) {
 	d := buildDeployment(b, 5, 2)
 	co := d.pairs(false, 1)
 	cross := d.pairs(true, 1)
@@ -1025,6 +1026,52 @@ func benchRank(b *testing.B, url string, q api.RankQuery) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("HTTP %d", resp.StatusCode)
 		}
+	}
+}
+
+// TestRouterQueryAllocs pins, by allocpin's rule, what the routing
+// benchmarks' two queries allocate when the router's handler answers them.
+// The counts take in the shard workers' allocations too, since they serve
+// on loopback in the same process (a co-resident query is a hit in its
+// worker's result cache after the warm-up). A run is two queries: the
+// second query after a cold start still fills pools (cross-shard: 241
+// objects, then 219 a query). In about 1 run in 100 to 300 either pair
+// allocates one more 48-byte object, on a goroutine the run does not
+// control (the counts are the process's, and the workers serve their
+// connections on goroutines of their own), so the counts are ceilings one
+// object above the steady 104 and 438; a run makes two shard calls
+// co-resident and four cross-shard, so one more allocation per call still
+// fails either.
+func TestRouterQueryAllocs(t *testing.T) {
+	d, co, cross := benchDeployment(t)
+	h := d.rt.Handler()
+	for _, c := range []struct {
+		name string
+		q    api.RankQuery
+		want allocpin.Count
+	}{
+		{"co_shard", co, allocpin.Count{Allocs: 105, Bytes: 9376, Ceiling: true}},
+		{"cross_shard", cross, allocpin.Count{Allocs: 439, Bytes: 103712, Ceiling: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			body, err := json.Marshal(api.RankRequest{RankQuery: c.q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd := bytes.NewReader(body)
+			req := httptest.NewRequest(http.MethodPost, "/v2/rank", rd)
+			rec := httptest.NewRecorder()
+			allocpin.Pin(t, c.want, func() {
+				for range 2 {
+					rd.Reset(body)
+					rec.Body.Reset()
+					h.ServeHTTP(rec, req)
+					if rec.Code != http.StatusOK {
+						t.Fatalf("HTTP %d %s", rec.Code, rec.Body)
+					}
+				}
+			})
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pathrank/internal/allocpin"
 	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
 )
@@ -87,17 +88,11 @@ func TestCHAddsShortcuts(t *testing.T) {
 }
 
 // TestBuildCHAllocs pins that witness searches allocate nothing: a build
-// allocates only its working lists, arc set and hierarchy arrays (about
-// 4.1 k allocations on the micro graph; a map and heap per search cost
-// 258 k).
+// allocates only its working lists, arc set and hierarchy arrays (a map and
+// heap per search cost 258 k allocations on the micro graph).
 func TestBuildCHAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	g := microTestGraph(t)
-	if allocs := testing.AllocsPerRun(2, func() { BuildCH(g, ByLength) }); allocs > 10000 {
-		t.Fatalf("BuildCH allocates %.0f times on the micro graph, want <= 10000", allocs)
-	}
+	allocpin.Pin(t, allocpin.Count{Allocs: 4111, Bytes: 819600}, func() { BuildCH(g, ByLength) })
 }
 
 func TestCHDisconnectedReturnsErrNoPath(t *testing.T) {

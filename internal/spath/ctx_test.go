@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pathrank/internal/allocpin"
 	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
 )
@@ -217,33 +218,26 @@ func TestCtxCancelStopsSlowQuery(t *testing.T) {
 	}
 }
 
-// TestCtxVariantAllocsMatch guards the zero-extra-alloc promise: TopK
-// with a live cancelable context allocates exactly what TopK does.
+// TestCtxVariantAllocsMatch pins what TopK k=5 allocates and guards the
+// zero-extra-alloc promise: with a live cancelable context it allocates
+// exactly what TopK does.
 func TestCtxVariantAllocsMatch(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
 	g := workspaceTestGraph(t)
 	src, dst := roadnet.VertexID(0), roadnet.VertexID(g.NumVertices()-1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	if _, err := TopK(g, src, dst, 5, ByLength); err != nil { // warm the pool
-		t.Fatal(err)
-	}
-	base := testing.AllocsPerRun(30, func() {
+	want := allocpin.Count{Allocs: 25, Bytes: 1768}
+	allocpin.Pin(t, want, func() {
 		if _, err := TopK(g, src, dst, 5, ByLength); err != nil {
 			t.Fatal(err)
 		}
 	})
-	withCtx := testing.AllocsPerRun(30, func() {
+	allocpin.Pin(t, want, func() {
 		if _, err := topKCtx(ctx, g, nil, ByLength, src, dst, 5); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if withCtx > base {
-		t.Fatalf("TopK with ctx allocates %.1f/op vs TopK %.1f/op; ctx threading must not allocate", withCtx, base)
-	}
 }
 
 // TestCtxTreeSweep covers the reverse shortest-path tree every enumeration

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pathrank/internal/allocpin"
 	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
 )
@@ -204,12 +205,9 @@ func TestPrepEngineSelection(t *testing.T) {
 	}
 }
 
-// TestCHQueryAllocs locks in the zero-alloc CH query contract: steady-state
-// queries allocate only the returned path.
+// TestCHQueryAllocs locks in the zero-alloc CH query contract: 16 queries
+// allocate only their returned paths.
 func TestCHQueryAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates inside sync.Pool")
-	}
 	g := gridGraph(t, 8, 8)
 	ch := BuildCH(g, ByLength)
 	rng := rand.New(rand.NewSource(9))
@@ -217,19 +215,9 @@ func TestCHQueryAllocs(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = [2]roadnet.VertexID{randVertex(rng, g.NumVertices()), randVertex(rng, g.NumVertices())}
 	}
-	// Warm the workspace pool.
-	for _, p := range pairs {
-		_, _ = ch.Query(p[0], p[1])
-	}
-	avg := testing.AllocsPerRun(50, func() {
+	allocpin.Pin(t, allocpin.Count{Allocs: 55, Bytes: 1088}, func() {
 		for _, p := range pairs {
 			_, _ = ch.Query(p[0], p[1])
 		}
 	})
-	perQuery := avg / float64(len(pairs))
-	// The path result needs up to ~4 allocations (edges, vertices, and
-	// growth); search state must contribute none.
-	if perQuery > 5 {
-		t.Fatalf("CH query allocates %.1f allocs/op, want <= 5 (result only)", perQuery)
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pathrank/internal/allocpin"
 	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
 )
@@ -70,25 +71,18 @@ func TestWorkspaceGenerationWrap(t *testing.T) {
 }
 
 // TestDijkstraAllocs is the allocation-regression guard for the pooled
-// workspace: after warmup, a repeated Dijkstra query allocates only the
-// returned Path (edge slice + vertex slice + reconstruct temporaries).
+// workspace: a repeated Dijkstra query allocates only the returned Path
+// (edge slice + vertex slice + reconstruct temporaries).
 func TestDijkstraAllocs(t *testing.T) {
 	g := workspaceTestGraph(t)
 	src := roadnet.VertexID(0)
 	dst := roadnet.VertexID(g.NumVertices() - 1)
 	ws := NewWorkspace()
-	if _, err := ws.Dijkstra(g, src, dst, ByLength); err != nil { // warm up
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	allocpin.Pin(t, allocpin.Count{Allocs: 2, Bytes: 16}, func() {
 		if _, err := ws.Dijkstra(g, src, dst, ByLength); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// reconstructed Path: edges append-growth (~4) + vertices (1).
-	if allocs > 8 {
-		t.Fatalf("workspace Dijkstra allocated %.1f times per query, want <= 8 (result-path only)", allocs)
-	}
 }
 
 // TestWorkspaceBanStampsAcrossGraphs guards the ban-stamp invariant:

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"pathrank/internal/allocpin"
 	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
 )
@@ -366,7 +367,7 @@ func benchWorldGraph(t testing.TB) *roadnet.Graph {
 // uses). The reference costs ~0.5 s a pair at k=32, so short and race runs
 // take a sample.
 func crosstownPairs(n int) [][2]roadnet.VertexID {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || allocpin.Race {
 		n = min(n, 6)
 	}
 	return worldPairs(1, n, 20, 40)
@@ -525,7 +526,7 @@ func TestServedSpursHaveUniqueOptima(t *testing.T) {
 			{"crosstown", crosstownPairs(8), 12},
 			{"local", worldPairs(2, 12, 5, 12), 32},
 		}
-		if testing.Short() || raceEnabled {
+		if testing.Short() || allocpin.Race {
 			shapes[1].pairs = shapes[1].pairs[:4]
 		}
 		for _, s := range shapes {
@@ -806,31 +807,27 @@ func TestYenRegionsNeverRepeat(t *testing.T) {
 	}
 }
 
-// TestYenAllocBudget bounds the allocations of one served enumeration, the
-// mean over each shape's pairs on a warm pool, so that per-candidate
+// TestYenAllocBudget pins the allocations of the served enumerations, 50
+// pairs of each shape on a prebuilt weight table, so that per-candidate
 // allocations — a Path built for every admitted spur, a key per seen path —
 // cannot creep back: a candidate is materialized only when it is emitted.
 func TestYenAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
 	g := benchWorldGraph(t)
 	table := WeightTable(g, ByLength)
 	for _, s := range servedShapes() {
-		maxAllocs := map[string]float64{"crosstown": 120, "local_k32": 110}[s.name]
-		pairs := s.pairs[:50]
-		i := 0
-		allocs := testing.AllocsPerRun(len(pairs), func() {
-			p := pairs[i%len(pairs)]
-			i++
-			if _, _, err := enumerate(context.Background(), g, table, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe); err != nil {
-				t.Fatal(err)
-			}
+		t.Run(s.name, func(t *testing.T) {
+			want := map[string]allocpin.Count{
+				"crosstown": {Allocs: 4762, Bytes: 840320},
+				"local_k32": {Allocs: 4500, Bytes: 583872},
+			}[s.name]
+			allocpin.Pin(t, want, func() {
+				for _, p := range s.pairs[:50] {
+					if _, _, err := enumerate(context.Background(), g, table, nil, p[0], p[1], s.k, s.sim, 0.8, s.maxProbe); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
 		})
-		t.Logf("%s: %.1f allocations an enumeration", s.name, allocs)
-		if allocs > maxAllocs {
-			t.Fatalf("%s: %.1f allocations an enumeration, want at most %.0f", s.name, allocs, maxAllocs)
-		}
 	}
 }
 

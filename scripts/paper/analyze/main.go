@@ -14,8 +14,9 @@
 //	  repeat) and writes DIR/results.csv (per-run rows), DIR/summary.csv,
 //	  DIR/summary.md and DIR/summary.tex (per-experiment mean and sample
 //	  standard deviation over the repeats). Any missing or malformed
-//	  report, or an implausible one (zero requests, non-monotone
-//	  quantiles), fails the run with a non-zero exit.
+//	  report, one that counts a failed request, or an implausible one
+//	  (zero requests, no achieved rate, non-monotone quantiles), fails the
+//	  run with a non-zero exit.
 //
 // It uses only the standard library, so the grid runner needs nothing
 // beyond the Go toolchain that builds the repo.
@@ -166,7 +167,11 @@ var columns = []column{
 // and summary tables.
 func aggregate(grid *gridConfig, dir string, repeats int) error {
 	perRun := &strings.Builder{}
-	fmt.Fprintf(perRun, "experiment,repeat,requests,dropped,errors,%s\n", joinNames(","))
+	fmt.Fprintf(perRun, "experiment,repeat,requests,dropped")
+	for _, c := range columns {
+		fmt.Fprintf(perRun, ",%s", c.name)
+	}
+	perRun.WriteByte('\n')
 	summaryCSV := &strings.Builder{}
 	fmt.Fprintf(summaryCSV, "experiment,repeats")
 	for _, c := range columns {
@@ -188,11 +193,7 @@ func aggregate(grid *gridConfig, dir string, repeats int) error {
 			if err != nil {
 				return err
 			}
-			var nerr int64
-			for _, n := range rpt.Errors {
-				nerr += n
-			}
-			fmt.Fprintf(perRun, "%s,%d,%d,%d,%d", e.Name, rep, rpt.Requests, rpt.Dropped, nerr)
+			fmt.Fprintf(perRun, "%s,%d,%d,%d", e.Name, rep, rpt.Requests, rpt.Dropped)
 			for i, c := range columns {
 				v := c.get(rpt)
 				samples[i] = append(samples[i], v)
@@ -263,7 +264,9 @@ func aggregate(grid *gridConfig, dir string, repeats int) error {
 	return nil
 }
 
-// readReport loads one pathrank-load report and sanity-checks it.
+// readReport loads one pathrank-load report and sanity-checks it: a run
+// with a failed request or without an achieved rate measured something
+// other than the configuration, so averaging it in would hide that.
 func readReport(path string) (*loadReport, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -275,6 +278,14 @@ func readReport(path string) (*loadReport, error) {
 	}
 	if rpt.Requests <= 0 {
 		return nil, fmt.Errorf("%s: report has zero completed requests", path)
+	}
+	for code, n := range rpt.Errors {
+		if n > 0 {
+			return nil, fmt.Errorf("%s: %d request(s) failed with %s", path, n, code)
+		}
+	}
+	if !(rpt.RPS > 0) {
+		return nil, fmt.Errorf("%s: achieved_rps is %g", path, rpt.RPS)
 	}
 	l := rpt.Latency
 	if l.P50 <= 0 || l.P95 < l.P50 || l.P99 < l.P95 || l.P999 < l.P99 {
@@ -300,12 +311,4 @@ func meanStd(xs []float64) (mean, std float64) {
 		ss += (x - mean) * (x - mean)
 	}
 	return mean, math.Sqrt(ss / float64(len(xs)-1))
-}
-
-func joinNames(sep string) string {
-	names := make([]string, len(columns))
-	for i, c := range columns {
-		names[i] = c.name
-	}
-	return strings.Join(names, sep)
 }

@@ -56,8 +56,7 @@ echo "paper: generating world and training the served model..."
     -drivers "${PAPER_DRIVERS:-30}" -trips 4 -seed 1 \
     -out "$WORK/net.gob" -trips-out "$WORK/trips.gob"
 "$WORK/pathrank-train" -net "$WORK/net.gob" -trips "$WORK/trips.gob" \
-    -epochs "${PAPER_EPOCHS:-3}" -seed 1 \
-    -out "$WORK/model.gob" -artifact "$WORK/model.prart"
+    -epochs "${PAPER_EPOCHS:-3}" -seed 1 -artifact "$WORK/model.prart"
 
 mkdir -p "$OUT"
 
