@@ -58,7 +58,6 @@ import (
 
 	"pathrank/internal/api"
 	"pathrank/internal/fault"
-	"pathrank/internal/obsv"
 	"pathrank/internal/partition"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/router"
@@ -188,7 +187,7 @@ func runRouter(ctx context.Context, bundleDir, shardURLs, addr string, drain, he
 	rt, err := router.New(sm, router.Config{
 		Shards: urls, HedgeAfter: hedgeAfter,
 		MaxK: maxK, MaxBatch: maxBatch, MaxTimeout: maxTimeout,
-		Metrics: obsv.NewRegistry(), Logf: log.Printf,
+		Logf: log.Printf,
 	})
 	if err != nil {
 		return err

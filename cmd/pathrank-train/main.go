@@ -119,7 +119,7 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 	lr := fs.Float64("lr", 0.003, "Adam learning rate")
 	testFrac := fs.Float64("test-frac", 0.25, "held-out query fraction")
 	seed := fs.Int64("seed", 1, "random seed")
-	artifactOut := fs.String("artifact", "", "also write a complete serving artifact (network + embeddings + model) to this path; in live mode, the artifact to start from and publish every generation to")
+	artifactOut := fs.String("artifact", "", "also write a complete serving artifact (network + model) to this path; in live mode, the artifact to start from and publish every generation to")
 	resume := fs.String("resume", "", "warm-start from this artifact bundle instead of training from scratch (incremental fine-tune; ignores -net/-m/-hidden/-variant)")
 	replay := fs.String("replay", "", "replay the trajectory WAL in this directory instead of training (requires -base)")
 	replayBase := fs.String("base", "", "base artifact for -replay (the WAL's first generation's parent) or for standalone -partition")
@@ -254,7 +254,6 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 	if *artifactOut != "" || *partitionP > 0 {
 		art := &pathrank.Artifact{
 			Graph:      g,
-			Embeddings: pipe.Embeddings,
 			Model:      pipe.Model,
 			Candidates: dcfg,
 			Lineage:    pathrank.Lineage{TrainedOn: len(pipe.Train), TotalObserved: len(pipe.Train), Note: "offline"},

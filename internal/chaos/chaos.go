@@ -83,7 +83,6 @@ func PoisonArtifact(art *pathrank.Artifact) (*pathrank.Artifact, error) {
 	lin.Generation++
 	return &pathrank.Artifact{
 		Graph:      art.Graph,
-		Embeddings: art.Embeddings,
 		Model:      model,
 		Candidates: art.Candidates,
 		Lineage:    lin,

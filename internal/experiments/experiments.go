@@ -14,12 +14,14 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"pathrank/internal/baseline"
 	"pathrank/internal/dataset"
 	"pathrank/internal/geo"
 	"pathrank/internal/metrics"
 	"pathrank/internal/node2vec"
+	"pathrank/internal/par"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/traj"
@@ -329,6 +331,31 @@ func strategyTable(w *World, ms []int, v pathrank.Variant) ([]Row, error) {
 		return ModelSpec{Data: strat, M: m, Variant: v, Body: pathrank.GRUBody},
 			fmt.Sprintf("%s %s M=%d", strat.Strategy, v, m)
 	})
+}
+
+// runRows evaluates f(i) for every row index in [0, n) on par.For's
+// workers and returns the rows in index order. Every row trains with its
+// own deterministic seed and writes to its own result slot, so a table is
+// bitwise identical for any worker count. After an error no further row
+// starts, and the first error in row order is returned.
+func runRows(n int, f func(i int) (Row, error)) ([]Row, error) {
+	rows := make([]Row, n)
+	errs := make([]error, n)
+	var failed atomic.Bool
+	par.For(n, func(i int) {
+		if failed.Load() {
+			return
+		}
+		if rows[i], errs[i] = f(i); errs[i] != nil {
+			failed.Store(true)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
 }
 
 // modelRows trains and evaluates one model per row, spec(i) giving row i's

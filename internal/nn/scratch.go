@@ -5,7 +5,8 @@ package nn
 // temporaries from an arena; releasing the pass resets the offset so the
 // next sample reuses the same slab instead of producing garbage. Vectors
 // handed out before a slab grows keep referencing the old slab, so growth
-// mid-pass is safe.
+// mid-pass is safe. A grown slab keeps the pass's offset, so it is sized
+// for the whole pass so far: after one pass the slab holds all of it.
 type arena struct {
 	buf []float64
 	off int
@@ -24,7 +25,6 @@ func (a *arena) vec(n int) Vec {
 			size = 1024
 		}
 		a.buf = make([]float64, size)
-		a.off = 0
 	}
 	v := a.buf[a.off : a.off+n : a.off+n]
 	a.off += n

@@ -116,16 +116,14 @@ func TestLSTMScratchReuseMatchesFresh(t *testing.T) {
 // recurrent scratch arena: a full forward+backward step with a released
 // cache performs O(1) small allocations (the cache header), not O(T). It
 // pins a small body and BenchmarkGRUForwardBackward's paper-scale one (128
-// inputs, hidden 32, 20 steps). One run is two steps: the arena's slab
-// grows by doubling, and at paper scale a single warm-up step leaves it
-// one doubling short of a whole pass.
+// inputs, hidden 32, 20 steps); one warm-up step settles the arena at both.
 func TestGRUForwardBackwardAllocs(t *testing.T) {
 	for _, c := range []struct {
 		in, hidden, steps int
 		want              allocpin.Count
 	}{
-		{16, 12, 10, allocpin.Count{Allocs: 2, Bytes: 320}},
-		{128, 32, 20, allocpin.Count{Allocs: 2, Bytes: 320}},
+		{16, 12, 10, allocpin.Count{Allocs: 1, Bytes: 160}},
+		{128, 32, 20, allocpin.Count{Allocs: 1, Bytes: 160}},
 	} {
 		t.Run(fmt.Sprintf("%dx%dx%d", c.in, c.hidden, c.steps), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
@@ -133,14 +131,34 @@ func TestGRUForwardBackwardAllocs(t *testing.T) {
 			xs := randSeq(rng, c.steps, c.in)
 			dhs := make([]Vec, c.steps)
 			allocpin.Pin(t, c.want, func() {
-				for range 2 {
-					hs, cache := g.Forward(xs)
-					dhs[c.steps-1] = hs[c.steps-1]
-					g.Backward(cache, dhs)
-					cache.Release()
-				}
+				hs, cache := g.Forward(xs)
+				dhs[c.steps-1] = hs[c.steps-1]
+				g.Backward(cache, dhs)
+				cache.Release()
 			})
 		})
+	}
+}
+
+// TestArenaSettlesInOnePass: a pass that outgrows the slab leaves a slab
+// that holds the whole pass, so a fresh arena settles in one warm-up pass
+// and an identical second pass allocates nothing. The pass grows the slab
+// twice after the first one.
+func TestArenaSettlesInOnePass(t *testing.T) {
+	var a arena
+	slabs := 0
+	allocpin.Pin(t, allocpin.Count{}, func() {
+		for _, n := range []int{1024, 2048, 4096} {
+			before := len(a.buf)
+			a.vec(n)
+			if len(a.buf) != before {
+				slabs++
+			}
+		}
+		a.reset()
+	})
+	if slabs != 3 {
+		t.Fatalf("the two passes made %d slabs, want the first pass's 3", slabs)
 	}
 }
 

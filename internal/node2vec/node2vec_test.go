@@ -1,7 +1,6 @@
 package node2vec
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -229,27 +228,6 @@ func TestCosineBounds(t *testing.T) {
 	}
 	if c := e.Cosine(0, 3); c != 0 {
 		t.Fatalf("zero vector cosine %v, want 0", c)
-	}
-}
-
-func TestEmbeddingsSaveLoad(t *testing.T) {
-	e := &Embeddings{Dim: 3, Vecs: [][]float64{{1, 2, 3}, {4, 5, 6}}}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	e2, err := LoadEmbeddings(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if e2.Dim != 3 || len(e2.Vecs) != 2 || e2.Vecs[1][2] != 6 {
-		t.Fatalf("round trip mangled embeddings: %+v", e2)
-	}
-}
-
-func TestLoadEmbeddingsRejectsGarbage(t *testing.T) {
-	if _, err := LoadEmbeddings(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("expected error for garbage input")
 	}
 }
 

@@ -1,9 +1,6 @@
 package node2vec
 
 import (
-	"encoding/gob"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -50,23 +47,6 @@ func (e *Embeddings) Cosine(a, b roadnet.VertexID) float64 {
 		return 0
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// Save writes the embeddings in gob format.
-func (e *Embeddings) Save(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(e); err != nil {
-		return fmt.Errorf("node2vec: encode embeddings: %w", err)
-	}
-	return nil
-}
-
-// LoadEmbeddings reads embeddings written by Save.
-func LoadEmbeddings(r io.Reader) (*Embeddings, error) {
-	var e Embeddings
-	if err := gob.NewDecoder(r).Decode(&e); err != nil {
-		return nil, fmt.Errorf("node2vec: decode embeddings: %w", err)
-	}
-	return &e, nil
 }
 
 // Train runs SGNS over the walks and returns input-side embeddings for all

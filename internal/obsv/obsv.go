@@ -13,10 +13,9 @@
 //
 //   - Counter: a monotonically non-decreasing float. Use for totals
 //     (requests served, cache hits, errors by code).
-//   - Gauge: a float that can go up and down. Set-style gauges are updated
-//     by the instrumented code; func-style gauges (GaugeFunc) are sampled
-//     at scrape time, so they always report live state (queue depths,
-//     snapshot age) without a background updater.
+//   - Gauge: a float that can go up and down, sampled from a function at
+//     scrape time (GaugeFunc), so it always reports live state (queue
+//     depths, snapshot age) without a background updater.
 //   - Histogram: observations bucketed by configurable upper bounds, with
 //     _sum and _count series. Buckets are cumulative in the exposition
 //     (each le bucket counts every observation at or below its bound), so
@@ -147,9 +146,6 @@ func validName(s string) bool {
 // CounterVec is a counter family; obtain children with With.
 type CounterVec struct{ f *family }
 
-// GaugeVec is a gauge family; obtain children with With.
-type GaugeVec struct{ f *family }
-
 // HistogramVec is a histogram family; obtain children with With.
 type HistogramVec struct{ f *family }
 
@@ -159,13 +155,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
 	f := &family{name: name, help: help, kind: kindCounter, labels: labels}
 	r.register(f)
 	return &CounterVec{f}
-}
-
-// Gauge registers a gauge family with the given label schema.
-func (r *Registry) Gauge(name, help string, labels ...string) *GaugeVec {
-	f := &family{name: name, help: help, kind: kindGauge, labels: labels}
-	r.register(f)
-	return &GaugeVec{f}
 }
 
 // GaugeFunc registers an unlabeled gauge whose value is sampled by calling
@@ -211,7 +200,7 @@ func (f *family) child(values []string, mk func() any) any {
 	return c
 }
 
-// value is a lock-free float64 cell shared by counters and gauges.
+// value is a lock-free float64 cell: a counter, or a histogram's sum.
 type value struct{ bits atomic.Uint64 }
 
 func (v *value) add(delta float64) {
@@ -223,8 +212,7 @@ func (v *value) add(delta float64) {
 	}
 }
 
-func (v *value) set(x float64) { v.bits.Store(math.Float64bits(x)) }
-func (v *value) get() float64  { return math.Float64frombits(v.bits.Load()) }
+func (v *value) get() float64 { return math.Float64frombits(v.bits.Load()) }
 
 // Counter is one child of a counter family.
 type Counter struct{ v *value }
@@ -248,23 +236,6 @@ func (c Counter) Add(delta float64) {
 
 // Value returns the current count (used by tests and compat bridges).
 func (c Counter) Value() float64 { return c.v.get() }
-
-// Gauge is one child of a gauge family.
-type Gauge struct{ v *value }
-
-// With returns the gauge for the given label values.
-func (g *GaugeVec) With(values ...string) Gauge {
-	return Gauge{g.f.child(values, func() any { return new(value) }).(*value)}
-}
-
-// Set replaces the gauge value.
-func (g Gauge) Set(x float64) { g.v.set(x) }
-
-// Add adjusts the gauge by delta (may be negative).
-func (g Gauge) Add(delta float64) { g.v.add(delta) }
-
-// Value returns the current value.
-func (g Gauge) Value() float64 { return g.v.get() }
 
 // histogram is one child of a histogram family: per-bucket observation
 // counts (non-cumulative internally; rendered cumulative), plus sum and

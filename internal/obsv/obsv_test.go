@@ -82,9 +82,6 @@ func TestCounterGaugeExposition(t *testing.T) {
 	reqs := r.Counter("test_requests_total", "Requests served.", "endpoint")
 	reqs.With("/healthz").Add(3)
 	reqs.With("/v2/rank").Inc()
-	g := r.Gauge("test_in_flight", "In-flight requests.")
-	g.With().Set(2)
-	g.With().Add(-1)
 	r.GaugeFunc("test_uptime_seconds", "Uptime.", func() float64 { return 42.5 })
 
 	samples := parseExposition(t, scrape(t, r))
@@ -93,9 +90,6 @@ func TestCounterGaugeExposition(t *testing.T) {
 	}
 	if v := samples[`test_requests_total{endpoint="/v2/rank"}`]; v != 1 {
 		t.Fatalf("counter /v2/rank = %v, want 1", v)
-	}
-	if v := samples["test_in_flight"]; v != 1 {
-		t.Fatalf("gauge = %v, want 1", v)
 	}
 	if v := samples["test_uptime_seconds"]; v != 42.5 {
 		t.Fatalf("gauge func = %v, want 42.5", v)

@@ -13,12 +13,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"pathrank/internal/dataset"
+	"pathrank/internal/par"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
@@ -310,8 +309,10 @@ func distanceTable(g *roadnet.Graph, w spath.Weight, B []roadnet.VertexID) []flo
 	nb := len(B)
 	flat := make([]float64, nb*nb)
 	wts := spath.WeightTable(g, w)
-	parallelSweeps(g, nb, func(ws *spath.Workspace, i int) {
+	par.For(nb, func(i int) {
+		ws := spath.GetWorkspace(g)
 		ws.BoundaryDistances(g, B[i], false, B, wts, flat[i*nb:(i+1)*nb])
+		ws.Release()
 	})
 	return flat
 }
@@ -327,9 +328,11 @@ func endpointTables(sg *roadnet.Graph, owned, B []roadnet.VertexID) []float64 {
 	// Sweep j fills column j%nb of table j/nb, contiguous here and
 	// transposed below into the tables' row-major order.
 	cols := make([]float64, 4*nb*no)
-	parallelSweeps(sg, 4*nb, func(ws *spath.Workspace, j int) {
+	par.For(4*nb, func(j int) {
 		t, k := j/nb, j%nb
+		ws := spath.GetWorkspace(sg)
 		ws.BoundaryDistances(sg, B[k], t%2 == 0, owned, wts[t/2], cols[j*no:(j+1)*no])
+		ws.Release()
 	})
 	out := make([]float64, len(cols))
 	for j := range 4 * nb {
@@ -339,28 +342,6 @@ func endpointTables(sg *roadnet.Graph, owned, B []roadnet.VertexID) []float64 {
 		}
 	}
 	return out
-}
-
-// parallelSweeps runs sweep(ws, i) for every i in [0, n) on up to
-// GOMAXPROCS workers, each on its own pooled workspace over g. Each call
-// must be one independent search writing only its own output, so the
-// result does not depend on the worker count.
-func parallelSweeps(g *roadnet.Graph, n int, sweep func(ws *spath.Workspace, i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := min(runtime.GOMAXPROCS(0), n)
-	wg.Add(workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			ws := spath.GetWorkspace(g)
-			defer ws.Release()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				sweep(ws, i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Bundle file names within a bundle directory.

@@ -13,20 +13,17 @@ import (
 	"pathrank/internal/dataset"
 	"pathrank/internal/fault"
 	"pathrank/internal/nn"
-	"pathrank/internal/node2vec"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
 )
 
 // Artifact is a complete trained PathRank deployment: the road network the
-// model was trained on, the node2vec embeddings (optional — the trained
-// model already contains them in its embedding matrix), the model itself,
-// and the candidate-generation configuration used at query time. It is the
-// unit of persistence between training (pathrank-train) and serving
-// (pathrank-serve).
+// model was trained on, the model itself (its embedding matrix holds the
+// vertex vectors node2vec initialized), and the candidate-generation
+// configuration used at query time. It is the unit of persistence between
+// training (pathrank-train) and serving (pathrank-serve).
 type Artifact struct {
 	Graph      *roadnet.Graph
-	Embeddings *node2vec.Embeddings // may be nil
 	Model      *Model
 	Candidates dataset.Config
 	// Prep carries a contraction hierarchy built for Graph under the
@@ -154,8 +151,7 @@ type ShardInfo struct {
 //	0                 52-byte frame header (frame.go); its SHA-256 covers
 //	                  the gob payload
 //	52                gob payload (artifactWire): model config and weights,
-//	                  candidates, lineage, shard info, embeddings and
-//	                  RawDigest
+//	                  candidates, lineage, shard info and RawDigest
 //	52+plen           zero padding to the next 8-byte boundary, then the
 //	                  raw section: directory + flat arrays (rawsection.go)
 //
@@ -178,9 +174,10 @@ type ShardInfo struct {
 //
 // Versions 1 and 2 (graph and CH inside the gob payload) are not read;
 // docs/OPERATIONS.md says how to regenerate such a file. Version 3 files
-// written while the payload still had a Prep field load unchanged: gob
-// skips a field the receiving struct lacks, so those bytes are hashed with
-// the payload and never decoded.
+// written while the payload still had a Prep or an Embeddings field (a
+// second copy of the node2vec vectors the model's embedding matrix was
+// initialized from) load unchanged: gob skips a field the receiving struct
+// lacks, so those bytes are hashed with the payload and never decoded.
 const artifactVersion = 3
 
 var artifactMagic = [8]byte{'P', 'R', 'A', 'R', 'T', 'F', 'C', 'T'}
@@ -196,14 +193,13 @@ var (
 	ErrArtifactCorrupt = errors.New("pathrank: artifact corrupt")
 )
 
-// artifactWire is the gob payload of an artifact. The embeddings and
-// weights reuse their packages' own serializers as nested byte sections,
-// so each layer's format can evolve independently.
+// artifactWire is the gob payload of an artifact. The weights reuse
+// internal/nn's serializer as a nested byte section, so that layer's
+// format can evolve independently.
 type artifactWire struct {
 	ModelConfig Config
 	Candidates  dataset.Config
 	Lineage     Lineage
-	Embeddings  []byte // empty when the artifact carries no embeddings
 	Params      []byte
 	// Shard marks a partitioned-deployment shard; nil otherwise.
 	Shard *ShardInfo
@@ -214,11 +210,11 @@ type artifactWire struct {
 // gob numbers types process-wide in order of first encode and writes those
 // numbers into every stream, so an artifact's payload bytes would depend on
 // what else the process had gob-encoded before its first save. Numbering
-// every type the payload and its embeddings section use here, before
-// anything else can run, makes equal artifacts equal files in every binary
-// — a served generation and its WAL replay `cmp` equal. The anonymous
-// struct stands in for a payload section that files no longer carry, so
-// the types after it keep the numbers they had while it did.
+// every type the payload uses here, before anything else can run, makes
+// equal artifacts equal files in every binary — a served generation and
+// its WAL replay `cmp` equal. The two anonymous structs stand in for the
+// embeddings and Prep sections that files no longer carry, so the types
+// after them keep the numbers they had while they did.
 //
 // The params section and the model fingerprint do not depend on this
 // numbering: internal/nn writes their bytes itself, gob's type preamble
@@ -228,7 +224,10 @@ type artifactWire struct {
 // gives it the params types' numbers, so the types of those files keep
 // theirs and a bundle's shardmap.bin stays byte-identical.
 func init() {
-	_ = (&node2vec.Embeddings{}).Save(io.Discard)
+	_ = gob.NewEncoder(io.Discard).Encode(struct {
+		Dim  int
+		Vecs [][]float64
+	}{})
 	_ = gob.NewEncoder(io.Discard).Encode(struct {
 		A, B int32
 		C    []int32
@@ -260,13 +259,6 @@ func SaveArtifact(w io.Writer, a *Artifact) error {
 		Lineage:     a.Lineage,
 		Shard:       a.Shard,
 		RawDigest:   make([]byte, sha256.Size),
-	}
-	if a.Embeddings != nil {
-		var ebuf bytes.Buffer
-		if err := a.Embeddings.Save(&ebuf); err != nil {
-			return fmt.Errorf("pathrank: artifact embeddings: %w", err)
-		}
-		wire.Embeddings = ebuf.Bytes()
 	}
 	var err error
 	if wire.Params, err = a.Model.paramsStream(); err != nil {
@@ -384,11 +376,6 @@ func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
 	a := &Artifact{Graph: g, Model: model, Candidates: wire.Candidates, Lineage: wire.Lineage, Shard: wire.Shard}
 	if chd != nil {
 		a.Prep = &spath.Prep{CH: spath.AssembleCH(g, *chd)}
-	}
-	if len(wire.Embeddings) > 0 {
-		if a.Embeddings, err = node2vec.LoadEmbeddings(bytes.NewReader(wire.Embeddings)); err != nil {
-			return nil, fmt.Errorf("pathrank: artifact embeddings: %w", err)
-		}
 	}
 	return a, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -39,7 +40,6 @@ func trainedArtifact(t testing.TB) *Artifact {
 	}
 	return &Artifact{
 		Graph:      w.g,
-		Embeddings: emb,
 		Model:      m,
 		Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 4, Threshold: 0.8},
 	}
@@ -67,10 +67,6 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if got.Model.Config() != art.Model.Config() {
 		t.Fatalf("model config changed: %+v -> %+v", art.Model.Config(), got.Model.Config())
 	}
-	if got.Embeddings == nil || got.Embeddings.Dim != art.Embeddings.Dim {
-		t.Fatal("embeddings not round-tripped")
-	}
-
 	// Weights must be bit-identical.
 	fa, err := art.Model.Fingerprint()
 	if err != nil {
@@ -122,23 +118,6 @@ func TestArtifactFileRoundTrip(t *testing.T) {
 	fb, _ := got.Model.Fingerprint()
 	if fa != fb {
 		t.Fatal("file round-trip changed model weights")
-	}
-}
-
-// artifactWithoutEmbeddings proves the embeddings section is optional.
-func TestArtifactWithoutEmbeddings(t *testing.T) {
-	art := trainedArtifact(t)
-	art.Embeddings = nil
-	var buf bytes.Buffer
-	if err := SaveArtifact(&buf, art); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadArtifact(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Embeddings != nil {
-		t.Fatal("expected nil embeddings after reload")
 	}
 }
 
@@ -452,21 +431,33 @@ func TestArtifactRejectsCorruptPrep(t *testing.T) {
 
 // retiredPrepFixture is a version-3 artifact (6x6 world, M 4, hidden 4)
 // written while the gob payload still carried a Prep section beside the
-// raw CH arrays; retiredPrepFingerprint is its model's fingerprint as the
-// writing binary computed it.
+// raw CH arrays, and an Embeddings section; retiredPrepFingerprint is its
+// model's fingerprint as the writing binary computed it.
 const (
 	retiredPrepFixture     = "testdata/v3_prep_section.prart"
 	retiredPrepFingerprint = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
 )
 
 // TestArtifactLoadsRetiredPrepSection checks that a file written with the
-// retired Prep gob section still loads under both loaders — gob skips the
-// field the payload struct no longer has — with its contraction hierarchy,
-// and ranks bit-identically to the same artifact re-saved without the
-// section; and that its model fingerprint is still the one the writing
-// binary computed, which WAL replay and a bundle's shard map compare
-// against.
+// retired Prep and Embeddings gob sections still loads under both loaders
+// — gob skips the fields the payload struct no longer has — with its
+// contraction hierarchy, and ranks bit-identically to the same artifact
+// re-saved without the sections; and that its model fingerprint is still
+// the one the writing binary computed, which WAL replay and a bundle's
+// shard map compare against.
 func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
+	data, err := os.ReadFile(retiredPrepFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := DecodeFrame(data, artifactMagic, artifactVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retired struct{ Embeddings []byte }
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&retired); err != nil || len(retired.Embeddings) == 0 {
+		t.Fatalf("fixture carries no embeddings section (%d bytes, err %v)", len(retired.Embeddings), err)
+	}
 	old, err := LoadArtifactFile(retiredPrepFixture)
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"pathrank/internal/nn"
+	"pathrank/internal/par"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
 )
@@ -56,16 +57,14 @@ import (
 // TestPlanFollowsWeights that the plan never outlives its weights.
 
 // fusedChunk bounds the paths laid out in one trie. Chunks are scored
-// independently (parallelFor across chunks), so the bound keeps scratch
+// independently (par.For across chunks), so the bound keeps scratch
 // slabs modest while still amortizing each weight row across dozens of
 // sequences.
 const fusedChunk = 32
 
-// fusedWS is the reusable workspace of one sweep (order) or of one chunk
-// (everything else).
+// fusedWS is the reusable workspace of one chunk.
 type fusedWS struct {
 	sc    nn.Scratch
-	order []int32      // the sweep's non-empty candidates, lexicographic
 	paths []spath.Path // the chunk's paths
 	off   []int32      // off[j]: path j's first entry in trie.row; off[n] = path-steps
 	tries [2]trie      // forward; reversed, for the BiGRU backward direction
@@ -196,19 +195,19 @@ func (tr *trie) build(paths []spath.Path, off []int32, reversed bool) {
 	tr.start[maxT+1] = next
 }
 
-// sortSweep fills ws.order with the indices of cands' non-empty paths in
-// lexicographic order of their vertex sequences and returns it.
-func (ws *fusedWS) sortSweep(cands []spath.Path) []int32 {
-	ws.order = ws.order[:0]
+// sortSweep refills order with the indices of cands' non-empty paths in
+// lexicographic order of their vertex sequences.
+func sortSweep(order []int32, cands []spath.Path) []int32 {
+	order = order[:0]
 	for i, p := range cands {
 		if len(p.Vertices) > 0 {
-			ws.order = append(ws.order, int32(i))
+			order = append(order, int32(i))
 		}
 	}
-	slices.SortFunc(ws.order, func(a, b int32) int {
+	slices.SortFunc(order, func(a, b int32) int {
 		return slices.Compare(cands[a].Vertices, cands[b].Vertices)
 	})
-	return ws.order
+	return order
 }
 
 // layout takes the chunk cands[idx] and builds its tries: dirs is the
@@ -234,14 +233,21 @@ func (ws *fusedWS) layout(cands []spath.Path, idx []int32, dirs int) {
 func (m *Model) ScoreBatchFused(cands []spath.Path) []float64 {
 	out := make([]float64, len(cands))
 	pl := m.inferencePlan()
-	sw := m.fusedWS()
-	defer m.fusedPool.Put(sw)
-	order := sw.sortSweep(cands)
+	// The sweep's order has its own pool: were it a chunk workspace, a
+	// chunk could be handed the small-arena workspace the last sweep sorted
+	// in, and a warm model would still grow arenas.
+	sorted, _ := m.orderPool.Get().(*[]int32)
+	if sorted == nil {
+		sorted = new([]int32)
+	}
+	order := sortSweep(*sorted, cands)
 	nchunks := (len(order) + fusedChunk - 1) / fusedChunk
-	parallelFor(nchunks, func(c int) {
+	par.For(nchunks, func(c int) {
 		lo := c * fusedChunk
 		m.scoreFusedChunk(pl, cands, order[lo:min(lo+fusedChunk, len(order))], out)
 	})
+	*sorted = order
+	m.orderPool.Put(sorted)
 	return out
 }
 

@@ -282,8 +282,8 @@ func FuzzScoreBatchFused(f *testing.F) {
 // the rows of every depth (the candidate gate's product) and the parent
 // rows with children (the per-parent products).
 func trieCounts(paths []spath.Path, dirs int) (steps int, rows, parents [2]int) {
-	var sw, ws fusedWS
-	order := sw.sortSweep(paths)
+	var ws fusedWS
+	order := sortSweep(nil, paths)
 	for lo := 0; lo < len(order); lo += fusedChunk {
 		ws.layout(paths, order[lo:min(lo+fusedChunk, len(order))], dirs)
 		steps += int(ws.off[len(ws.off)-1])
@@ -514,10 +514,8 @@ func TestScoreSteadyStateAllocs(t *testing.T) {
 }
 
 // TestScoreBatchFusedSteadyStateAllocs verifies the fused path runs on
-// pooled scratch: a warm chunk-sized batch costs two objects, 352 bytes,
-// its 256-byte result slice one of them. One run scores the batch twice: the
-// scratch arena's slab grows by doubling, and a single warm-up batch leaves
-// it one doubling short of a whole batch.
+// pooled scratch: after one warm-up batch, a chunk-sized batch costs two
+// objects, 352 bytes, its 256-byte result slice one of them.
 func TestScoreBatchFusedSteadyStateAllocs(t *testing.T) {
 	m, err := New(40, smallConfig())
 	if err != nil {
@@ -525,10 +523,7 @@ func TestScoreBatchFusedSteadyStateAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	paths := randomPaths(rng, fusedChunk-2, 40, 30)
-	allocpin.Pin(t, allocpin.Count{Allocs: 4, Bytes: 704}, func() {
-		m.ScoreBatchFused(paths)
-		m.ScoreBatchFused(paths)
-	})
+	allocpin.Pin(t, allocpin.Count{Allocs: 2, Bytes: 352}, func() { m.ScoreBatchFused(paths) })
 }
 
 func benchScoreBatch(b *testing.B, fused bool) {

@@ -126,12 +126,14 @@ type Model struct {
 
 	// fwdPool recycles forwardState headers and their id/embedding/summary
 	// buffers across Score and training steps; fusedPool recycles the
-	// packed-matrix workspaces of ScoreBatchFused. Both keep the scoring
-	// hot paths allocation-free in steady state (see the alloc-regression
-	// tests) and are safe for the concurrent Score calls the serving layer
-	// issues against a model that is not being trained.
+	// packed-matrix workspaces of ScoreBatchFused's chunks, orderPool its
+	// sweeps' sort orders (*[]int32). They keep the scoring hot paths
+	// allocation-free in steady state (see the alloc-regression tests) and
+	// are safe for the concurrent Score calls the serving layer issues
+	// against a model that is not being trained.
 	fwdPool   sync.Pool
 	fusedPool sync.Pool
+	orderPool sync.Pool
 
 	// plan is the inference plan derived from the current weights (plan.go);
 	// nil until first needed. Everything that writes weights — Train and

@@ -1,6 +1,9 @@
 package pathrank
 
-import "pathrank/internal/nn"
+import (
+	"pathrank/internal/nn"
+	"pathrank/internal/par"
+)
 
 // plan is everything the fused scorer reads that depends only on the
 // weights: derived once per weight generation, immutable afterwards, and
@@ -27,7 +30,7 @@ type gatePlan struct {
 }
 
 // planBlock is the number of embedding rows one table-building task
-// multiplies; blocks are independent, so they fan out over parallelFor.
+// multiplies; blocks are independent, so they fan out over par.For.
 const planBlock = 256
 
 // Prepare builds the model's inference plan if it has none, so that no
@@ -85,7 +88,7 @@ func (m *Model) planGates(W, U, bias []*nn.Param) []gatePlan {
 		}
 	}
 	blocks := (E.Rows + planBlock - 1) / planBlock
-	parallelFor(len(gates)*blocks, func(i int) {
+	par.For(len(gates)*blocks, func(i int) {
 		g, lo := i/blocks, i%blocks*planBlock
 		rows := min(planBlock, E.Rows-lo)
 		W[g].MatMulAdd(rowRange(E, lo, rows), rowRange(gates[g].x, lo, rows))

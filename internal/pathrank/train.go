@@ -9,6 +9,7 @@ import (
 	"pathrank/internal/dataset"
 	"pathrank/internal/metrics"
 	"pathrank/internal/nn"
+	"pathrank/internal/par"
 	"pathrank/internal/spath"
 )
 
@@ -164,7 +165,7 @@ func (m *Model) Evaluate(queries []dataset.Query) metrics.Report {
 	m.Prepare()
 	preds := make([][]float64, len(queries))
 	targets := make([][]float64, len(queries))
-	parallelFor(len(queries), func(qi int) {
+	par.For(len(queries), func(qi int) {
 		q := queries[qi]
 		paths := make([]spath.Path, len(q.Candidates))
 		targets[qi] = make([]float64, len(q.Candidates))
@@ -196,7 +197,7 @@ func (m *Model) ScoreBatch(cands []spath.Path) []float64 { return m.ScoreBatchFu
 // result is bitwise identical for any worker count.
 func (m *Model) ScoreBatchPerPath(cands []spath.Path) []float64 {
 	out := make([]float64, len(cands))
-	parallelFor(len(cands), func(i int) {
+	par.For(len(cands), func(i int) {
 		out[i] = m.Score(cands[i])
 	})
 	return out

@@ -165,9 +165,9 @@ func (rt *Router) crossShard(ctx context.Context, q api.RankQuery, rs resolved, 
 	var cands []spath.Path
 	accepted := false
 	rounds := 0
-	for r := 0; r < rt.cfg.MaxRounds && !accepted; r++ {
+	for r := 0; r < maxRounds && !accepted; r++ {
 		rounds++
-		if r == rt.cfg.MaxRounds-1 {
+		if r == maxRounds-1 {
 			C = totalCap
 		}
 		var apiErr *api.Error

@@ -5,10 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime"
-	"sync"
 
 	"pathrank/internal/api"
+	"pathrank/internal/par"
 	"pathrank/internal/pathrank"
 )
 
@@ -60,9 +59,8 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 	rt.rankBatch(ctx, w, req.Queries)
 }
 
-// rankBatch answers a batch of queries with per-item errors; items run
-// concurrently, bounded by GOMAXPROCS (each item fans out to shards on
-// its own).
+// rankBatch answers a batch of queries with per-item errors; items run on
+// par.For's workers (each item fans out to shards on its own).
 func (rt *Router) rankBatch(ctx context.Context, w http.ResponseWriter, queries []api.RankQuery) {
 	if len(queries) > rt.cfg.MaxBatch {
 		apiErr := api.Invalidf("batch has %d queries, limit is %d", len(queries), rt.cfg.MaxBatch)
@@ -71,19 +69,10 @@ func (rt *Router) rankBatch(ctx context.Context, w http.ResponseWriter, queries 
 		return
 	}
 	items := make([]api.RenderedItem, len(queries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range queries {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			items[i].Index = i
-			items[i].Response, _, items[i].Error = rt.rankSingle(ctx, queries[i], false)
-		}(i)
-	}
-	wg.Wait()
+	par.For(len(queries), func(i int) {
+		items[i].Index = i
+		items[i].Response, _, items[i].Error = rt.rankSingle(ctx, queries[i], false)
+	})
 	nerr := 0
 	for i := range items {
 		if items[i].Error != nil {

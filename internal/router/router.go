@@ -57,6 +57,18 @@ const maxRankBody = 1 << 20
 // metro-scale shards are the large case).
 const maxShardResponse = 1 << 30
 
+const (
+	// callTimeout bounds each individual shard call.
+	callTimeout = 10 * time.Second
+	// healthInterval is the shard health poll period and the staleness
+	// bound for /healthz's per-shard view.
+	healthInterval = 2 * time.Second
+	// maxRounds caps corridor growth rounds per cross-shard query. The
+	// final round jumps the bound past the total edge weight, so the
+	// enumeration is certified complete regardless.
+	maxRounds = 8
+)
+
 // Config parameterizes a Router.
 type Config struct {
 	// Shards maps shard index to the worker's base URL (e.g.
@@ -65,23 +77,11 @@ type Config struct {
 	// HedgeAfter is how long a shard call may go unanswered before a
 	// duplicate is fired (default 150ms; negative disables hedging).
 	HedgeAfter time.Duration
-	// CallTimeout bounds each individual shard call (default 10s).
-	CallTimeout time.Duration
-	// HealthInterval is the shard health poll period and the staleness
-	// bound for /healthz's per-shard view (default 2s).
-	HealthInterval time.Duration
 	// MaxK, MaxBatch, MaxTimeout mirror the serve.Config limits (defaults
 	// 32, 64, 30s) so a router validates exactly like a single server.
 	MaxK       int
 	MaxBatch   int
 	MaxTimeout time.Duration
-	// MaxRounds caps corridor growth rounds per cross-shard query
-	// (default 8). The final round jumps the bound past the total edge
-	// weight, so the enumeration is certified complete regardless.
-	MaxRounds int
-	// Metrics, when non-nil, is the registry the router registers its
-	// metric families on; nil gives it a private one.
-	Metrics *obsv.Registry
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -138,12 +138,6 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 	if cfg.HedgeAfter == 0 {
 		cfg.HedgeAfter = 150 * time.Millisecond
 	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 10 * time.Second
-	}
-	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = 2 * time.Second
-	}
 	if cfg.MaxK <= 0 {
 		cfg.MaxK = 32
 	}
@@ -152,9 +146,6 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 30 * time.Second
-	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 8
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -206,10 +197,7 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 			rt.dcols[metric][s] = cols
 		}
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obsv.NewRegistry()
-	}
+	reg := obsv.NewRegistry()
 	rt.obs = routerMetrics{
 		reg:        reg,
 		requests:   reg.Counter("pathrank_router_requests_total", "Router HTTP requests by path.", "path"),
@@ -284,10 +272,10 @@ func (a *atomicHealth) store(h *shardHealth) {
 	a.mu.Unlock()
 }
 
-// PollHealth refreshes every shard's health each HealthInterval until ctx
+// PollHealth refreshes every shard's health each healthInterval until ctx
 // is canceled. Without it, /healthz re-checks stale shards on demand.
 func (rt *Router) PollHealth(ctx context.Context) {
-	tick := time.NewTicker(rt.cfg.HealthInterval)
+	tick := time.NewTicker(healthInterval)
 	defer tick.Stop()
 	rt.refreshHealth(ctx, false)
 	for {
@@ -307,7 +295,7 @@ func (rt *Router) refreshHealth(ctx context.Context, onlyStale bool) {
 	var wg sync.WaitGroup
 	for i := range rt.health {
 		if onlyStale {
-			if h := rt.health[i].load(); h != nil && time.Since(h.checked) < rt.cfg.HealthInterval {
+			if h := rt.health[i].load(); h != nil && time.Since(h.checked) < healthInterval {
 				continue
 			}
 		}
@@ -321,7 +309,7 @@ func (rt *Router) refreshHealth(ctx context.Context, onlyStale bool) {
 }
 
 func (rt *Router) checkShard(ctx context.Context, shard int) {
-	cctx, cancel := context.WithTimeout(ctx, rt.cfg.CallTimeout)
+	cctx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
 	h := &shardHealth{checked: time.Now()}
 	status, body, err := rt.shards[shard].roundTrip(cctx, http.MethodGet, "/shard/info", "", nil)
@@ -434,7 +422,7 @@ type attemptResult struct {
 func (rt *Router) callShard(ctx context.Context, shard int, path, contentType string, body []byte) (int, []byte, callMeta, error) {
 	obs := &rt.obs.shards[shard]
 	meta := callMeta{calls: 1}
-	actx, cancel := context.WithTimeout(ctx, rt.cfg.CallTimeout)
+	actx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
 	var dup *duplicate
 	if rt.cfg.HedgeAfter > 0 {
@@ -458,7 +446,7 @@ func (rt *Router) callShard(ctx context.Context, shard int, path, contentType st
 		// The first attempt failed outright: retry at once instead of
 		// waiting for the hedge timer.
 		meta.calls++
-		rctx, rcancel := context.WithTimeout(ctx, rt.cfg.CallTimeout)
+		rctx, rcancel := context.WithTimeout(ctx, callTimeout)
 		r = rt.attempt(rctx, shard, path, contentType, body)
 		rcancel()
 		meta.totalNs += r.ns
@@ -494,7 +482,7 @@ func (rt *Router) hedge(ctx context.Context, shard int, path, contentType string
 			d.mu.Unlock()
 			return
 		}
-		actx, cancel := context.WithTimeout(ctx, rt.cfg.CallTimeout)
+		actx, cancel := context.WithTimeout(ctx, callTimeout)
 		d.cancel = cancel
 		d.mu.Unlock()
 		r := rt.attempt(actx, shard, path, contentType, body)

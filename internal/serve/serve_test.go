@@ -74,7 +74,7 @@ func loadedTestArtifact(t testing.TB) *pathrank.Artifact {
 			return
 		}
 		art := &pathrank.Artifact{
-			Graph: g, Embeddings: emb, Model: model, Prep: spath.BuildPrep(g, spath.PrepConfig{}),
+			Graph: g, Model: model, Prep: spath.BuildPrep(g, spath.PrepConfig{}),
 			Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 4, Threshold: 0.8},
 		}
 		var buf bytes.Buffer

@@ -3,12 +3,10 @@ package serve
 import (
 	"context"
 	"net/http"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pathrank/internal/api"
+	"pathrank/internal/par"
 	"pathrank/internal/pathrank"
 )
 
@@ -205,30 +203,16 @@ func (s *Server) rankV2Batch(ctx context.Context, w http.ResponseWriter, snap *s
 		pend = append(pend, p)
 	}
 
-	// Each worker takes the next leader until none is left; items only
-	// write their own entry. One that has not started when the deadline
-	// passes fails with it.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(pend)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pend) {
-					return
-				}
-				p := pend[i]
-				if err := ctx.Err(); err != nil {
-					p.out = queryOutcome{err: err}
-				} else {
-					p.out = s.execQuery(ctx, snap, p.cq)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	// Leaders only write their own entry. One that has not started when
+	// the deadline passes fails with it.
+	par.For(len(pend), func(i int) {
+		p := pend[i]
+		if err := ctx.Err(); err != nil {
+			p.out = queryOutcome{err: err}
+		} else {
+			p.out = s.execQuery(ctx, snap, p.cq)
+		}
+	})
 
 	for _, p := range pend {
 		if p.out.err == nil {

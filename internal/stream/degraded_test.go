@@ -146,7 +146,7 @@ func TestDegradedModeParksAndRecovers(t *testing.T) {
 // parking buffer, the oldest parked observations are dropped and counted
 // — losses are bounded and visible, never silent.
 func TestDegradedBufferOverflowBoundsLoss(t *testing.T) {
-	svc, stop := degradedTestService(t, Config{DegradedBuffer: 2})
+	svc, stop := degradedTestService(t, Config{Window: 2})
 	defer stop()
 	art, trips := testWorld(t)
 	recs := sampleTrajectories(art, trips, 900)

@@ -91,7 +91,10 @@ type Config struct {
 	// substantial ingest rates without starving the rest of the process.
 	Workers int
 	// Window bounds the retained observation window in matched paths
-	// (default 1024). Older observations are evicted first.
+	// (default 1024). Older observations are evicted first. It also bounds
+	// degraded mode's parking buffer: while WAL appends fail, matched paths
+	// park there instead of entering the window, and on overflow the oldest
+	// parked observation is dropped and counted as lost.
 	Window int
 	// MinObservations is how many new observations must accumulate before
 	// a periodic retrain fires (default 16). RetrainNow ignores it.
@@ -99,13 +102,6 @@ type Config struct {
 	// Interval is the periodic retrain cadence; 0 disables the timer
 	// (retraining then only happens through RetrainNow).
 	Interval time.Duration
-	// MinHops discards matched paths with fewer edges (default 2): a
-	// trajectory that collapses to a point or a single hop carries no
-	// ranking signal.
-	MinHops int
-	// Match parameterizes the HMM map matcher; zero-valued fields use
-	// traj.DefaultMatchConfig.
-	Match traj.MatchConfig
 	// Train parameterizes each fine-tune step; zero-valued fields fall
 	// back to pathrank.DefaultFineTuneConfig. Train.Seed is the base seed:
 	// generation g trains with Seed+g, which keeps every step deterministic
@@ -135,13 +131,11 @@ type Config struct {
 	// Retention trades replay depth for space: pruned observations cannot
 	// be replayed, so leave it 0 when full-history replay matters.
 	WALRetain int
-	// DegradedBuffer bounds the in-memory parking buffer of degraded mode
-	// in observations (default: Window). While WAL appends fail, matched
-	// paths accumulate here instead of entering the window; on overflow
-	// the oldest parked observation is dropped and counted as lost — the
-	// documented loss bound of degraded mode.
-	DegradedBuffer int
 }
+
+// minHops is the fewest edges a matched path may have: a trajectory that
+// collapses to a point or a single hop carries no ranking signal.
+const minHops = 2
 
 // observation is one map-matched trajectory. seq is the ingest sequence
 // number: the window is sorted by it before training, so the training set
@@ -298,32 +292,9 @@ func New(art *pathrank.Artifact, cfg Config) (*Service, error) {
 	if cfg.MinObservations <= 0 {
 		cfg.MinObservations = 16
 	}
-	if cfg.DegradedBuffer <= 0 {
-		cfg.DegradedBuffer = cfg.Window
-	}
-	if cfg.MinHops <= 0 {
-		cfg.MinHops = 2
-	}
-	// Per-field matcher defaults, so a caller overriding only SigmaM (say,
-	// for noisier receivers) keeps the defaults for the rest. NewMatcher
-	// also defaults Candidates/SigmaM/BetaM, but not StrideSec — and an
-	// unsubsampled 1 Hz stream makes Viterbi decoding needlessly slow.
-	def := traj.DefaultMatchConfig()
-	if cfg.Match.Candidates <= 0 {
-		cfg.Match.Candidates = def.Candidates
-	}
-	if cfg.Match.SigmaM <= 0 {
-		cfg.Match.SigmaM = def.SigmaM
-	}
-	if cfg.Match.BetaM <= 0 {
-		cfg.Match.BetaM = def.BetaM
-	}
-	if cfg.Match.StrideSec <= 0 {
-		cfg.Match.StrideSec = def.StrideSec
-	}
 	s := &Service{
 		cfg:         cfg,
-		matcher:     traj.NewMatcher(art.Graph, cfg.Match),
+		matcher:     traj.NewMatcher(art.Graph, traj.DefaultMatchConfig()),
 		queue:       make(chan ingestItem, cfg.QueueSize),
 		art:         art,
 		recoverKick: make(chan struct{}, 1),
@@ -593,7 +564,7 @@ func (s *Service) matchOne(ctx context.Context, item ingestItem) {
 	if err != nil && ctx.Err() != nil {
 		return // shutdown, not a bad trajectory
 	}
-	if err != nil || path.Len() < s.cfg.MinHops {
+	if err != nil || path.Len() < minHops {
 		s.mu.Lock()
 		s.matchFailed++
 		s.mu.Unlock()
@@ -638,7 +609,7 @@ func (s *Service) matchOne(ctx context.Context, item ingestItem) {
 // and counted as lost — the documented loss bound of degraded mode.
 func (s *Service) park(o observation, cause error) {
 	s.mu.Lock()
-	if len(s.parked) >= s.cfg.DegradedBuffer {
+	if len(s.parked) >= s.cfg.Window {
 		s.parked = s.parked[1:]
 		s.parkedLost++
 		s.obs.observations.With(obsLost).Inc()
@@ -1028,7 +999,6 @@ func retrainStep(base *pathrank.Artifact, obs []observation, prev merkle.Hash, t
 	lin.ChainRoot = batch.Chain.Hex()
 	art := &pathrank.Artifact{
 		Graph:      base.Graph,
-		Embeddings: base.Embeddings,
 		Model:      model,
 		Candidates: base.Candidates,
 		Lineage:    lin,

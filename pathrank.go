@@ -27,7 +27,7 @@
 // one format, the one pathrank-serve reads or memory-maps — and served over
 // HTTP:
 //
-//	art := &pathrank.Artifact{Graph: g, Embeddings: pipe.Embeddings, Model: pipe.Model}
+//	art := &pathrank.Artifact{Graph: g, Model: pipe.Model}
 //	_ = pathrank.SaveArtifactFile("model.prart", art)   // training side: temp file + fsync + rename
 //	art, _ = pathrank.LoadArtifactFile("model.prart")   // serving side: every byte verified
 //
@@ -304,8 +304,8 @@ func ParseStrategyChoice(s string) (StrategyChoice, error) { return pathrank.Par
 // ParseWeightKind parses "length" or "time" ("", "auto" = default).
 func ParseWeightKind(s string) (WeightKind, error) { return pathrank.ParseWeightKind(s) }
 
-// Artifact persistence: a complete trained pipeline (network, embeddings,
-// model) as one versioned, checksummed bundle.
+// Artifact persistence: a complete trained pipeline (network, model) as
+// one versioned, checksummed bundle.
 type (
 	// Artifact bundles a trained pipeline for persistence and serving.
 	Artifact = pathrank.Artifact
