@@ -24,10 +24,9 @@ type pinRow struct {
 // TestAllocPins pins, by allocpin's rule, the allocations of the micro
 // benchmarks' rows that no package test pins. One run is one pass over the
 // row's benchmark inputs: the 32 pairs of a query row, one call of the
-// others, and 8 candidate sets of a served scoring shape. MapMatch's run
-// is two matches: a match holds two pooled workspaces at once, and the
-// pool hands them back in the other order, so after one warm-up match the
-// next can still allocate for a workspace's new role (433 or 435 objects).
+// others, and 8 candidate sets of a served scoring shape. A match holds
+// one pooled workspace at a time (the decode's goes back before the
+// stitch takes one), so one warm-up match settles the pool.
 // The rows pinned elsewhere are Dijkstra (TestDijkstraAllocs), TopK5
 // (TestCtxVariantAllocsMatch), DiversifiedTopK5Table and the served
 // enumerations (TestYenAllocBudget), CHBuild (TestBuildCHAllocs), CHQuery
@@ -78,15 +77,13 @@ func TestAllocPins(t *testing.T) {
 		{"Node2vecWalks", allocpin.Count{Allocs: 2070, Bytes: 115784}, func() {
 			node2vec.GenerateWalks(g, node2vec.WalkConfig{WalksPerVertex: 1, WalkLength: 20, P: 1, Q: 0.5, Seed: 1})
 		}},
-		{"MapMatch", allocpin.Count{Allocs: 866, Bytes: 55952}, func() {
-			for range 2 {
-				if _, err := matcher.Match(trace); err != nil {
-					t.Fatal(err)
-				}
+		{"MapMatch", allocpin.Count{Allocs: 433, Bytes: 27976}, func() {
+			if _, err := matcher.Match(trace); err != nil {
+				t.Fatal(err)
 			}
 		}},
-		{"RankQuery", allocpin.Count{Allocs: 1261, Bytes: 173536}, rank(context.Background())},
-		{"RankWithContext", allocpin.Count{Allocs: 1261, Bytes: 173536}, rank(cancelable)},
+		{"RankQuery", allocpin.Count{Allocs: 1165, Bytes: 169184}, rank(context.Background())},
+		{"RankWithContext", allocpin.Count{Allocs: 1165, Bytes: 169184}, rank(cancelable)},
 	}
 	served := servedWorld(t)
 	m := servedModel(t, served.NumVertices())

@@ -7,9 +7,10 @@
 // decodes, and error codes survive the HTTP round-trip intact.
 //
 // The package is a leaf: plain data types, JSON tags, the code→status
-// mapping, and (http.go) the one HTTP envelope every serving tier reads
-// requests and writes responses through. It imports nothing from the rest
-// of the module.
+// mapping, the one HTTP envelope every serving tier reads requests and
+// writes responses through (http.go), and the exact-path route table every
+// tier's handler is (route.go). It imports nothing from the rest of the
+// module.
 package api
 
 import (

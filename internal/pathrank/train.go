@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"pathrank/internal/dataset"
 	"pathrank/internal/metrics"
@@ -218,7 +218,15 @@ func RankScored(cands []spath.Path, scores []float64) []Ranked {
 	for i := range cands {
 		out[i] = Ranked{Path: cands[i], Score: scores[i]}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Score > out[b].Score })
+	slices.SortStableFunc(out, func(a, b Ranked) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		}
+		return 0 // equal or NaN: keep the candidates' order
+	})
 	return out
 }
 

@@ -237,14 +237,14 @@ func (rt *Router) Metrics() *obsv.Registry { return rt.obs.reg }
 // Handler returns the router's HTTP API: the public /v2/rank surface plus
 // health and metrics.
 func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v2/rank", rt.handleRank)
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		rt.obs.requests.With("/metrics").Inc()
-		rt.obs.reg.ServeHTTP(w, r)
-	})
-	return mux
+	return api.RouteTable(
+		api.Route{Method: http.MethodPost, Path: "/v2/rank", Handler: rt.handleRank},
+		api.Route{Method: http.MethodGet, Path: "/healthz", Handler: rt.handleHealthz},
+		api.Route{Method: http.MethodGet, Path: "/metrics", Handler: func(w http.ResponseWriter, r *http.Request) {
+			rt.obs.requests.With("/metrics").Inc()
+			rt.obs.reg.ServeHTTP(w, r)
+		}},
+	)
 }
 
 // ---- shard health ----

@@ -1034,12 +1034,12 @@ func benchRank(b *testing.B, url string, q api.RankQuery) {
 // The counts take in the shard workers' allocations too, since they serve
 // on loopback in the same process (a co-resident query is a hit in its
 // worker's result cache after the warm-up). A run is two queries: the
-// second query after a cold start still fills pools (cross-shard: 241
-// objects, then 219 a query). In about 1 run in 100 to 300 either pair
+// second query after a cold start still fills pools (cross-shard: 238
+// objects, then 216 a query). In about 1 run in 100 to 300 either pair
 // allocates one more 48-byte object, on a goroutine the run does not
 // control (the counts are the process's, and the workers serve their
 // connections on goroutines of their own), so the counts are ceilings one
-// object above the steady 104 and 438; a run makes two shard calls
+// object above the steady 94 and 432; a run makes two shard calls
 // co-resident and four cross-shard, so one more allocation per call still
 // fails either.
 func TestRouterQueryAllocs(t *testing.T) {
@@ -1050,8 +1050,8 @@ func TestRouterQueryAllocs(t *testing.T) {
 		q    api.RankQuery
 		want allocpin.Count
 	}{
-		{"co_shard", co, allocpin.Count{Allocs: 105, Bytes: 9376, Ceiling: true}},
-		{"cross_shard", cross, allocpin.Count{Allocs: 439, Bytes: 103712, Ceiling: true}},
+		{"co_shard", co, allocpin.Count{Allocs: 95, Bytes: 9232, Ceiling: true}},
+		{"cross_shard", cross, allocpin.Count{Allocs: 433, Bytes: 103440, Ceiling: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			body, err := json.Marshal(api.RankRequest{RankQuery: c.q})

@@ -308,14 +308,15 @@ func (s *Server) Fingerprint() string {
 // so there is nothing to stop.
 func (s *Server) Close() {}
 
-// Handler returns the server's HTTP API.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v2/rank", s.handleRankV2)
-	mux.HandleFunc("POST /v1/reload", s.handleReload)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return mux
+// Handler returns the server's HTTP API, one route table of its endpoints
+// and extra's: a shard worker mounts its sub-query endpoints this way.
+func (s *Server) Handler(extra ...api.Route) http.Handler {
+	return api.RouteTable(append([]api.Route{
+		{Method: http.MethodPost, Path: "/v2/rank", Handler: s.handleRankV2},
+		{Method: http.MethodPost, Path: "/v1/reload", Handler: s.handleReload},
+		{Method: http.MethodGet, Path: "/healthz", Handler: s.handleHealthz},
+		{Method: http.MethodGet, Path: "/metrics", Handler: s.handleMetrics},
+	}, extra...)...)
 }
 
 // Metrics returns the server's Prometheus registry (the one behind GET

@@ -12,10 +12,10 @@
 // else.
 //
 // Everything else — /v2/rank for co-resident queries, hot swap, canary
-// gating, /healthz, /metrics — is the wrapped serve.Server's handler,
-// unchanged: a shard worker is an ordinary PathRank server whose graph
-// happens to contain only its shard's induced edges, plus two sidecar
-// endpoints computed on the same pinned snapshot.
+// gating, /healthz, /metrics — is the wrapped serve.Server's routes,
+// unchanged and in the same route table: a shard worker is an ordinary
+// PathRank server whose graph happens to contain only its shard's induced
+// edges, plus two sidecar endpoints computed on the same pinned snapshot.
 package shardserve
 
 import (
@@ -56,14 +56,13 @@ func New(srv *serve.Server) (*Server, error) {
 // Serve returns the wrapped serve.Server (for Reload, Close, metrics).
 func (s *Server) Serve() *serve.Server { return s.srv }
 
-// Handler returns the combined HTTP API: the wrapped server's routes plus
-// the shard sub-query endpoints.
+// Handler returns the combined HTTP API: one route table of the wrapped
+// server's routes plus the shard sub-query endpoints.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", s.srv.Handler())
-	mux.HandleFunc("GET /shard/info", s.handleInfo)
-	mux.HandleFunc("POST /shard/corridor", s.handleCorridor)
-	return mux
+	return s.srv.Handler(
+		api.Route{Method: http.MethodGet, Path: "/shard/info", Handler: s.handleInfo},
+		api.Route{Method: http.MethodPost, Path: "/shard/corridor", Handler: s.handleCorridor},
+	)
 }
 
 // shardView takes one view of the serving snapshot and extracts the shard

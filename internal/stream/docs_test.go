@@ -2,12 +2,21 @@ package stream
 
 import (
 	"bufio"
+	"maps"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"pathrank/internal/obsv"
+	"pathrank/internal/partition"
+	"pathrank/internal/pathrank"
+	"pathrank/internal/router"
 	"pathrank/internal/serve"
+	"pathrank/internal/shardserve"
 )
 
 // TestOperationsDocCoversMetrics diffs each process's metrics reference
@@ -145,4 +154,156 @@ func docMetricNames(t *testing.T, path, section string) map[string]string {
 		t.Fatalf("no metric rows found under %q in %s — heading or table format changed?", section, path)
 	}
 	return names
+}
+
+// TestOperationsDocCoversRoutes drives each process's handler through the
+// endpoint table in docs/OPERATIONS.md § "Endpoints": the plain server, a
+// shard worker (which also answers the plain server's rows), the router
+// and the trainer. Every documented endpoint must answer, HEAD must work
+// on its GET endpoints, another method must get 405 with the exact Allow
+// value, and any path it does not document must get the 404, retired,
+// unclean and escaped ones included.
+func TestOperationsDocCoversRoutes(t *testing.T) {
+	art, _ := testWorld(t)
+	dir := t.TempDir()
+	if _, err := partition.BuildBundle(art, dir, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	newServer := func(a *pathrank.Artifact) *serve.Server {
+		srv, err := serve.New(a, serve.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	var workers []http.Handler
+	var urls []string
+	for i := range 2 {
+		sart, err := pathrank.LoadArtifactFile(filepath.Join(dir, partition.ShardArtifactName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := shardserve.New(newServer(sart))
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers = append(workers, ss.Handler())
+		ts := httptest.NewServer(workers[i])
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	sm, err := partition.LoadShardMapFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := router.New(sm, router.Config{Shards: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(art, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handlers := map[string]http.Handler{
+		"pathrank-serve":         newServer(art).Handler(),
+		"pathrank-serve -shard":  workers[0],
+		"pathrank-serve -router": rt.Handler(),
+		"pathrank-train":         svc.Handler(),
+	}
+
+	doc := docEndpoints(t, "../../docs/OPERATIONS.md")
+	doc["pathrank-serve -shard"] = append(doc["pathrank-serve -shard"], doc["pathrank-serve"]...)
+	if len(doc) != len(handlers) {
+		t.Fatalf("docs/OPERATIONS.md § Endpoints documents processes %v; want one table per handler", slices.Collect(maps.Keys(doc)))
+	}
+	unknown := []string{"/", "/v2/rank/", "/v1/rank", "/metrics.json", "/shard/boundary", "/HEALTHZ",
+		"//v2/rank", "/v2/./rank", "/v2/ran%6B", "/healthz/", "/healthz/.", "/heal%74hz"}
+	for _, routes := range doc {
+		for _, rt := range routes {
+			unknown = append(unknown, rt.path)
+		}
+	}
+	slices.Sort(unknown)
+	unknown = slices.Compact(unknown)
+	isTable404 := func(rec *httptest.ResponseRecorder) bool {
+		return rec.Code == http.StatusNotFound && rec.Body.String() == "404 page not found\n"
+	}
+	call := func(h http.Handler, method, target string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader("")))
+		return rec
+	}
+	for proc, h := range handlers {
+		methods := map[string][]string{}
+		for _, rt := range doc[proc] {
+			methods[rt.path] = append(methods[rt.path], rt.method)
+		}
+		for p, ms := range methods {
+			for _, m := range ms {
+				if rec := call(h, m, p); rec.Code == http.StatusMethodNotAllowed || isTable404(rec) {
+					t.Errorf("%s: %s %s is documented but got %d %q", proc, m, p, rec.Code, rec.Body)
+				}
+			}
+			allow := slices.Clone(ms)
+			if slices.Contains(ms, http.MethodGet) {
+				if rec := call(h, http.MethodHead, p); rec.Code == http.StatusMethodNotAllowed || isTable404(rec) {
+					t.Errorf("%s: HEAD %s got %d; a GET endpoint answers HEAD", proc, p, rec.Code)
+				}
+				allow = append(allow, http.MethodHead)
+			}
+			slices.Sort(allow)
+			rec := call(h, http.MethodPut, p)
+			if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != strings.Join(allow, ", ") {
+				t.Errorf("%s: PUT %s got %d with Allow %q; want 405 with %q",
+					proc, p, rec.Code, rec.Header().Get("Allow"), strings.Join(allow, ", "))
+			}
+		}
+		for _, p := range unknown {
+			if methods[p] != nil {
+				continue
+			}
+			for _, m := range []string{http.MethodGet, http.MethodPost} {
+				if rec := call(h, m, p); !isTable404(rec) {
+					t.Errorf("%s: %s %s got %d %q; an undocumented path gets the 404", proc, m, p, rec.Code, rec.Body)
+				}
+			}
+		}
+	}
+}
+
+type docEndpoint struct{ method, path string }
+
+// docEndpoints reads the endpoint table under the runbook heading
+// "Endpoints": rows of a backticked process and a backticked "METHOD
+// /path", grouped by process.
+func docEndpoints(t *testing.T, path string) map[string][]docEndpoint {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]docEndpoint{}
+	in := false
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if strings.HasPrefix(line, "#") {
+			in = strings.TrimSpace(strings.TrimLeft(line, "#")) == "Endpoints"
+			continue
+		}
+		cols := strings.Split(line, "|")
+		if !in || len(cols) < 4 || !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		proc := strings.Trim(strings.TrimSpace(cols[1]), "`")
+		method, p, ok := strings.Cut(strings.Trim(strings.TrimSpace(cols[2]), "`"), " ")
+		if !ok {
+			t.Fatalf("endpoint cell of %q is not `METHOD /path`", line)
+		}
+		out[proc] = append(out[proc], docEndpoint{method, p})
+	}
+	if len(out) == 0 {
+		t.Fatalf("no endpoint rows found under \"Endpoints\" in %s — heading or table format changed?", path)
+	}
+	return out
 }

@@ -24,12 +24,12 @@ const maxIngestBody = 8 << 20
 //
 // Errors on the /v1 endpoints are api.MessageError bodies.
 func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	mux.HandleFunc("GET /v1/provenance", s.handleProvenance)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.Handle("GET /metrics", s.obs.reg)
-	return mux
+	return api.RouteTable(
+		api.Route{Method: http.MethodPost, Path: "/v1/ingest", Handler: s.handleIngest},
+		api.Route{Method: http.MethodGet, Path: "/v1/provenance", Handler: s.handleProvenance},
+		api.Route{Method: http.MethodGet, Path: "/healthz", Handler: s.handleHealthz},
+		api.Route{Method: http.MethodGet, Path: "/metrics", Handler: s.obs.reg.ServeHTTP},
+	)
 }
 
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {

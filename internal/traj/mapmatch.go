@@ -165,7 +165,17 @@ func (m *Matcher) MatchCtx(ctx context.Context, records []GPSRecord) (spath.Path
 			return spath.Path{}, fmt.Errorf("traj: no candidate vertices near sample %d", i)
 		}
 	}
+	seq, err := m.decode(ctx, samples, cands)
+	if err != nil {
+		return spath.Path{}, err
+	}
+	return m.stitch(ctx, seq)
+}
 
+// decode runs the Viterbi decoder over the samples' candidate sets and
+// returns the most likely vertex per sample. Its pooled workspace goes back
+// before the stitch takes one, so a match holds one workspace at a time.
+func (m *Matcher) decode(ctx context.Context, samples []GPSRecord, cands [][]roadnet.VertexID) ([]roadnet.VertexID, error) {
 	// Viterbi in log space.
 	sigma2 := 2 * m.cfg.SigmaM * m.cfg.SigmaM
 	emit := func(r GPSRecord, v roadnet.VertexID) float64 {
@@ -191,7 +201,7 @@ func (m *Matcher) MatchCtx(ctx context.Context, records []GPSRecord) (spath.Path
 		// One cancellation check per Viterbi step: each step is one set
 		// of bounded searches, the natural abort granularity.
 		if err := ctx.Err(); err != nil {
-			return spath.Path{}, err
+			return nil, err
 		}
 		prevCands := cands[t-1]
 		curCands := cands[t]
@@ -233,7 +243,7 @@ func (m *Matcher) MatchCtx(ctx context.Context, records []GPSRecord) (spath.Path
 		}
 	}
 	if bestJ < 0 {
-		return spath.Path{}, fmt.Errorf("traj: Viterbi decoding found no feasible state sequence")
+		return nil, fmt.Errorf("traj: Viterbi decoding found no feasible state sequence")
 	}
 	seq := make([]roadnet.VertexID, len(samples))
 	j := bestJ
@@ -243,7 +253,7 @@ func (m *Matcher) MatchCtx(ctx context.Context, records []GPSRecord) (spath.Path
 			j = backs[t][j].prev
 		}
 	}
-	return m.stitch(ctx, seq)
+	return seq, nil
 }
 
 // subsample thins the GPS stream per StrideSec, always keeping the first
