@@ -1,6 +1,7 @@
 package api
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +18,19 @@ import (
 // deadline is derived, and how a listener is run and drained. The server,
 // the shard worker and the router all answer through it, so status codes,
 // headers, error bodies and shutdown cannot drift between tiers.
+
+// MaxRankBody bounds a /v2/rank request body, in bytes, on every tier.
+const MaxRankBody = 1 << 20
+
+// DefaultRankLimits gives the /v2/rank limits a tier's Config leaves zero
+// or negative their defaults: k overrides up to 32, batches of up to 64
+// queries, deadlines of up to 30 s. The server and the router both apply
+// it, so a router validates exactly like a single server.
+func DefaultRankLimits(maxK, maxBatch *int, maxTimeout *time.Duration) {
+	*maxK = cmp.Or(max(*maxK, 0), 32)
+	*maxBatch = cmp.Or(max(*maxBatch, 0), 64)
+	*maxTimeout = cmp.Or(max(*maxTimeout, 0), 30*time.Second)
+}
 
 // ListenAndServe listens on addr and serves handler until ctx is canceled,
 // then stops accepting connections and waits up to drain for in-flight

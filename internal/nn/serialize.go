@@ -18,12 +18,11 @@ import (
 // map), so its bytes are pinned, preamble included:
 //
 //   - paramsPreamble is the three type-definition messages gob sends
-//     before the value, with the type numbers a process gets when its first
-//     gob encodes are internal/pathrank's init: []float64 as 65, paramWire
-//     as 76, []paramWire as 77. gob numbers types process-wide in the order
-//     they are first encoded, so encoding through gob would tie the bytes,
-//     and every fingerprint, to what else the process had encoded first;
-//     the constant does not.
+//     before the value, with the type numbers every artifact's params have
+//     carried: []float64 as 65, paramWire as 76, []paramWire as 77. gob
+//     numbers types process-wide in the order they are first encoded, so
+//     encoding through gob would tie the bytes, and every fingerprint, to
+//     what else the process had encoded first; the constant does not.
 //   - The value message follows gob's rules: uints in one byte below 0x80,
 //     else a negated byte count and the big-endian bytes; ints zigzagged
 //     into uints; strings and slices as a count and their elements; struct

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -46,8 +45,8 @@ type ShardMap struct {
 	// DLen and DTime are |B|×|B| row-major full-graph shortest-path cost
 	// tables over the global boundary list (GlobalBoundary's order), under
 	// the length and time metrics respectively; +Inf marks unreachable.
-	DLen  []float64
-	DTime []float64
+	DLen  []float64 `json:"-"`
+	DTime []float64 `json:"-"`
 	// TotalLen and TotalTime sum every edge's weight under each metric.
 	// They bound the cost of any loopless path, so the router can certify
 	// a corridor enumeration as complete once its bound exceeds them.
@@ -60,7 +59,7 @@ type ShardMap struct {
 	// (pathrank.New + Model.Load); Fingerprint is its hex SHA-256, equal to
 	// every shard's serving fingerprint.
 	ModelConfig pathrank.Config
-	ModelParams []byte
+	ModelParams []byte `json:"-"`
 	Fingerprint string
 
 	// endpoint holds, per shard s, four owned(s)×|Boundary[s]| row-major
@@ -120,17 +119,8 @@ func (m *ShardMap) indexRows() []int {
 // boundary list merged ascending. Deterministic, so the router and the
 // bundle builder always agree on table indices.
 func (m *ShardMap) GlobalBoundary() []roadnet.VertexID {
-	var all []roadnet.VertexID
-	for _, b := range m.Boundary {
-		all = append(all, b...)
-	}
-	// Per-shard lists are sorted and disjoint; a k-way merge would do, but
-	// |B| is small relative to V — reuse the simple sort.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j] < all[j-1]; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
+	all := slices.Concat(m.Boundary...)
+	slices.Sort(all)
 	return all
 }
 
@@ -143,45 +133,47 @@ func (m *ShardMap) Model() (*pathrank.Model, error) {
 	return model, nil
 }
 
-// Shard-map file format: pathrank's frame header (magic, version, SHA-256
-// of the payload, payload length) with its own magic, then a payload of
-// gob(ShardMap) — the map's exported fields — followed by the endpoint
-// tables' byte image: every shard's four tables in table order, each entry
-// a little-endian float64. The image stays out of gob, which would copy it
-// through its message buffer on both ends (or encode a []float64 float by
-// float); a gob decoder reading from a bytes.Reader reads exactly its
-// messages, so the image is the payload's tail. Version 2 added the image;
-// a version-1 map is refused with a request to rebuild the bundle.
+// Shard-map file format, version 3: pathrank's frame header (magic,
+// version, SHA-256 of the payload, payload length) with its own magic,
+// then a payload of
+//
+//	8 bytes   header length h (big-endian uint64)
+//	8 bytes   params length p (big-endian uint64)
+//	h bytes   JSON header: the map's exported fields but DLen, DTime and
+//	          ModelParams, in declaration order
+//	8t bytes  the tables' byte image, t little-endian float64s: DLen,
+//	          DTime, then every shard's four endpoint tables in table
+//	          order, each sized by the header's Owner and Boundary
+//	p bytes   ModelParams, the payload's tail
+//
+// No byte depends on the writing process: encoding/json keeps no global
+// state. The tables stay out of JSON, which cannot write their +Inf
+// entries. Version 2 (a gob message, then the endpoint image) and version
+// 1 are refused with a request to rebuild the bundle.
 var shardMapMagic = [8]byte{'P', 'R', 'S', 'H', 'R', 'D', 'M', 'P'}
 
-const shardMapVersion = 2
-
-// gob numbers types process-wide in order of first encode and writes those
-// numbers into every stream, so a shard map's bytes would depend on what
-// else the process had gob-encoded before its first save. Numbering the
-// map's types here, right after internal/pathrank's init has numbered the
-// artifact's, gives them the numbers a process that encoded nothing else
-// first gave them, so equal maps are equal files in every binary.
-func init() {
-	_ = gob.NewEncoder(io.Discard).Encode(ShardMap{})
-}
+const shardMapVersion = 3
 
 // SaveShardMap writes the map as a checksummed bundle.
 func SaveShardMap(w io.Writer, m *ShardMap) error {
-	n := 0
-	for _, t := range m.endpoint {
-		n += len(t)
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, len(m.ModelParams)+8*n+64<<10))
-	if err := gob.NewEncoder(buf).Encode(m); err != nil {
+	head, err := json.Marshal(m)
+	if err != nil {
 		return fmt.Errorf("partition: encode shard map: %w", err)
 	}
-	payload := slices.Grow(buf.Bytes(), 8*n)
-	for _, t := range m.endpoint {
+	tables, n := append([][]float64{m.DLen, m.DTime}, m.endpoint...), 0
+	for _, t := range tables {
+		n += len(t)
+	}
+	payload := make([]byte, 16, 16+len(head)+8*n+len(m.ModelParams))
+	binary.BigEndian.PutUint64(payload, uint64(len(head)))
+	binary.BigEndian.PutUint64(payload[8:], uint64(len(m.ModelParams)))
+	payload = append(payload, head...)
+	for _, t := range tables {
 		for _, x := range t {
 			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(x))
 		}
 	}
+	payload = append(payload, m.ModelParams...)
 	header := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, payload)
 	if _, err := w.Write(header[:]); err != nil {
 		return fmt.Errorf("partition: write shard map header: %w", err)
@@ -193,7 +185,7 @@ func SaveShardMap(w io.Writer, m *ShardMap) error {
 }
 
 // LoadShardMap decodes the bytes of a map file written by SaveShardMap,
-// verifying magic, version, checksum, and internal consistency, endpoint
+// verifying magic, version, checksum, and internal consistency, all
 // tables included: the router reads them without further checks.
 func LoadShardMap(data []byte) (*ShardMap, error) {
 	payload, err := pathrank.DecodeFrame(data, shardMapMagic, shardMapVersion)
@@ -203,48 +195,59 @@ func LoadShardMap(data []byte) (*ShardMap, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: shard map: %w", err)
 	}
-	r := bytes.NewReader(payload)
+	if len(payload) < 16 {
+		return nil, fmt.Errorf("partition: shard map payload of %d bytes is shorter than its prefix", len(payload))
+	}
+	h, p := binary.BigEndian.Uint64(payload), binary.BigEndian.Uint64(payload[8:])
+	rest := payload[16:]
+	if h > uint64(len(rest)) || p > uint64(len(rest))-h {
+		return nil, fmt.Errorf("partition: shard map header (%d bytes) and params (%d bytes) exceed the %d-byte payload", h, p, len(rest))
+	}
 	var m ShardMap
-	if err := gob.NewDecoder(r).Decode(&m); err != nil {
+	if err := json.Unmarshal(rest[:h], &m); err != nil {
 		return nil, fmt.Errorf("partition: decode shard map: %w", err)
 	}
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
-	if err := m.decodeEndpoint(payload[len(payload)-r.Len():]); err != nil {
+	if err := m.decodeTables(rest[h : uint64(len(rest))-p]); err != nil {
 		return nil, err
 	}
+	// A copy, so that the map does not keep the whole file alive.
+	m.ModelParams = bytes.Clone(rest[uint64(len(rest))-p:])
 	return &m, nil
 }
 
-// decodeEndpoint checks the endpoint tables' byte image against the shape
-// Owner and Boundary give them, and that every entry is a cost (not NaN,
-// no sign bit: a sweep from +0 over non-negative weights never yields −0;
-// +Inf is an unreachable pair), then installs them.
-func (m *ShardMap) decodeEndpoint(image []byte) error {
+// decodeTables checks the tables' byte image against the shape Owner and
+// Boundary give them, and that every entry is a cost (not NaN, no sign
+// bit: a sweep from +0 over non-negative weights never yields −0; +Inf is
+// an unreachable pair), then installs them.
+func (m *ShardMap) decodeTables(image []byte) error {
 	owned := m.indexRows()
-	want := 0
+	nb := len(slices.Concat(m.Boundary...))
+	sizes, want := []int{nb * nb, nb * nb}, 2*nb*nb
 	for s, list := range m.Boundary {
-		want += 4 * owned[s] * len(list)
+		sizes = append(sizes, 4*owned[s]*len(list))
+		want += sizes[2+s]
 	}
 	if len(image) != 8*want {
-		return fmt.Errorf("partition: endpoint tables hold %d bytes, the shards' owned vertices and boundaries need %d (4 tables of 8-byte rows × columns per shard)",
-			len(image), 8*want)
+		return fmt.Errorf("partition: boundary and endpoint tables hold %d bytes, the shards' owned vertices and boundaries need %d (%d boundary vertices; 4 tables of 8-byte rows × columns per shard)",
+			len(image), 8*want, nb)
 	}
-	tables := make([][]float64, m.Parts)
 	flat := make([]float64, want)
-	for s, list := range m.Boundary {
-		tables[s], flat = flat[:4*owned[s]*len(list)], flat[4*owned[s]*len(list):]
-		for i := range tables[s] {
+	tables := make([][]float64, len(sizes))
+	for t, n := range sizes {
+		tables[t], flat = flat[:n:n], flat[n:]
+		for i := range tables[t] {
 			x := math.Float64frombits(binary.LittleEndian.Uint64(image))
 			image = image[8:]
 			if math.IsNaN(x) || math.Signbit(x) {
-				return fmt.Errorf("partition: shard %d endpoint table entry %d is %g, not a cost", s, i, x)
+				return fmt.Errorf("partition: %s entry %d is %g, not a cost", [...]string{"DLen", "DTime", "endpoint table"}[min(t, 2)], i, x)
 			}
-			tables[s][i] = x
+			tables[t][i] = x
 		}
 	}
-	m.endpoint = tables
+	m.DLen, m.DTime, m.endpoint = tables[0], tables[1], tables[2:]
 	return nil
 }
 
@@ -260,7 +263,6 @@ func (m *ShardMap) validate() error {
 			return fmt.Errorf("partition: vertex %d owned by shard %d of %d", v, s, m.Parts)
 		}
 	}
-	nb := 0
 	for s, list := range m.Boundary {
 		for i, b := range list {
 			if b < 0 || int(b) >= m.NumVertices {
@@ -271,18 +273,6 @@ func (m *ShardMap) validate() error {
 			}
 			if i > 0 && list[i-1] >= b {
 				return fmt.Errorf("partition: shard %d boundary list not ascending", s)
-			}
-		}
-		nb += len(list)
-	}
-	if len(m.DLen) != nb*nb || len(m.DTime) != nb*nb {
-		return fmt.Errorf("partition: boundary tables sized %d/%d for %d boundary vertices",
-			len(m.DLen), len(m.DTime), nb)
-	}
-	for _, D := range [2][]float64{m.DLen, m.DTime} {
-		for i, x := range D {
-			if math.IsNaN(x) || math.Signbit(x) {
-				return fmt.Errorf("partition: boundary table entry %d is %g, not a cost", i, x)
 			}
 		}
 	}

@@ -1,10 +1,14 @@
 package partition
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pathrank/internal/dataset"
@@ -238,4 +242,48 @@ func BenchmarkLoadShardMapFile(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(st.Size()), "map-bytes")
+}
+
+// pinnedShardMapSum is the SHA-256 of pinnedShardMap's file.
+const pinnedShardMapSum = "2c24fd9d308171a12fe8c93fc322897f22d2c25350a0f4752589736c2f319717"
+
+// pinnedShardMap is a small shard map with every field and table set.
+func pinnedShardMap() *ShardMap {
+	m := &ShardMap{
+		Parts: 2, NumVertices: 3, NumEdges: 2,
+		Owner:       []int32{0, 0, 1},
+		Boundary:    [][]roadnet.VertexID{{1}, {2}},
+		CutEdges:    []roadnet.Edge{{ID: 1, From: 1, To: 2, Length: 120.5, Time: 9.25, Category: roadnet.Residential}},
+		DLen:        []float64{0, 120.5, math.Inf(1), 0},
+		DTime:       []float64{0, 9.25, math.Inf(1), 0},
+		TotalLen:    250.5,
+		TotalTime:   19.25,
+		Candidates:  dataset.Config{Strategy: dataset.DTkDI, K: 5, Threshold: 0.8},
+		ModelConfig: pathrank.Config{EmbeddingDim: 4, Hidden: 4, Variant: pathrank.PRA2, Seed: 1},
+		ModelParams: []byte{1, 2, 3},
+		Fingerprint: "ab12",
+	}
+	m.setEndpoint([][]float64{{130, 0, 10, 0, 130, 0, 10, 0}, {0, 0, math.Inf(1), 0}})
+	return m
+}
+
+// TestShardMapBytesPinned: every byte of a shard map file is fixed by the
+// map, whatever the process encoded before, so a pinned map hashes the
+// same in every run and every binary, and loads back equal.
+func TestShardMapBytesPinned(t *testing.T) {
+	want := pinnedShardMap()
+	var buf bytes.Buffer
+	if err := SaveShardMap(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != pinnedShardMapSum {
+		t.Fatalf("shard map file hashes to %x, pinned %s", sum, pinnedShardMapSum)
+	}
+	got, err := LoadShardMap(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded map %+v, saved %+v", got, want)
+	}
 }

@@ -3,11 +3,11 @@ package partition
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,7 +130,7 @@ func oneWay(g *roadnet.Graph, k int) *roadnet.Graph {
 }
 
 // rewriteShardMap rewrites the shard map file in dir with edit applied to
-// its endpoint tables' byte image, and returns the new file's bytes.
+// its tables' byte image, and returns the new file's bytes.
 func rewriteShardMap(t *testing.T, dir string, edit func(image []byte) []byte) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, ShardMapName))
@@ -141,23 +141,22 @@ func rewriteShardMap(t *testing.T, dir string, edit func(image []byte) []byte) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(payload)
-	if err := gob.NewDecoder(r).Decode(new(ShardMap)); err != nil {
-		t.Fatal(err)
-	}
-	cut := len(payload) - r.Len()
-	payload = append(bytes.Clone(payload[:cut]), edit(bytes.Clone(payload[cut:]))...)
+	start := 16 + int(binary.BigEndian.Uint64(payload))
+	end := len(payload) - int(binary.BigEndian.Uint64(payload[8:]))
+	payload = slices.Concat(payload[:start], edit(bytes.Clone(payload[start:end])), payload[end:])
 	h := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, payload)
 	return append(h[:], payload...)
 }
 
 // TestShardMapRejectsPoisonedEndpointTables: the router stitches from the
-// endpoint tables without checking them, so a load refuses tables that
-// hold a distance that is no cost (NaN, negative) or are shaped for other
-// rows or columns than Owner and Boundary give.
+// boundary and endpoint tables without checking them, so a load refuses
+// tables that hold a distance that is no cost (NaN, negative) or are
+// shaped for other rows or columns than Owner and Boundary give.
 func TestShardMapRejectsPoisonedEndpointTables(t *testing.T) {
 	sm, dir := bundleMap(t, testGraph(t, 8, 9, 5), 2)
 	nb := len(sm.Boundary[0])
+	// The endpoint tables follow DLen and DTime in the image.
+	ep := 2 * len(sm.DLen)
 	put := func(i int, x float64) func([]byte) []byte {
 		return func(image []byte) []byte {
 			binary.LittleEndian.PutUint64(image[8*i:], math.Float64bits(x))
@@ -168,20 +167,25 @@ func TestShardMapRejectsPoisonedEndpointTables(t *testing.T) {
 		name, want string
 		edit       func([]byte) []byte
 	}{
-		{"NaN distance", "not a cost", put(3, math.NaN())},
-		{"negative distance", "not a cost", put(len(sm.endpoint[0])+5, -1)},
-		{"negative zero", "not a cost", put(0, math.Copysign(0, -1))},
-		{"negative infinity", "not a cost", put(7, math.Inf(-1))},
-		{"one row short", "endpoint tables hold", func(image []byte) []byte { return image[8*nb:] }},
+		{"NaN distance", "not a cost", put(ep+3, math.NaN())},
+		{"negative distance", "not a cost", put(ep+len(sm.endpoint[0])+5, -1)},
+		{"negative zero", "not a cost", put(ep, math.Copysign(0, -1))},
+		{"negative infinity", "not a cost", put(ep+7, math.Inf(-1))},
+		{"NaN boundary length", "DLen entry 3 is NaN", put(3, math.NaN())},
+		{"negative zero boundary time", "DTime entry 1 is -0", put(len(sm.DLen)+1, math.Copysign(0, -1))},
+		{"one row short", "endpoint tables hold", func(image []byte) []byte {
+			return slices.Delete(image, 8*ep, 8*(ep+nb))
+		}},
 		{"one column short", "endpoint tables hold", func(image []byte) []byte {
 			// Every row of every table of shard 0 loses its last entry.
 			rows := len(sm.endpoint[0]) / nb
-			var short []byte
+			short := image[: 8*ep : 8*ep]
 			for r := range rows {
-				short = append(short, image[8*r*nb:8*(r*nb+nb-1)]...)
+				short = append(short, image[8*(ep+r*nb):8*(ep+r*nb+nb-1)]...)
 			}
-			return append(short, image[8*len(sm.endpoint[0]):]...)
+			return append(short, image[8*(ep+len(sm.endpoint[0])):]...)
 		}},
+		{"boundary table one short", "endpoint tables hold", func(image []byte) []byte { return image[8:] }},
 		{"one byte long", "endpoint tables hold", func(image []byte) []byte { return append(image, 0) }},
 		{"no tables", "endpoint tables hold", func([]byte) []byte { return nil }},
 	} {
@@ -197,24 +201,27 @@ func TestShardMapRejectsPoisonedEndpointTables(t *testing.T) {
 }
 
 // TestShardMapRefusesOldVersion: a map written before the endpoint tables
-// existed is refused, and the error says to rebuild the bundle.
+// existed (version 1) or as a gob message (version 2) is refused, and the
+// error says to rebuild the bundle.
 func TestShardMapRefusesOldVersion(t *testing.T) {
 	_, dir := bundleMap(t, testGraph(t, 7, 7, 3), 2)
 	data, err := os.ReadFile(filepath.Join(dir, ShardMapName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := pathrank.EncodeFrame(shardMapMagic, 1, data[pathrank.FrameHeaderLen:])
-	_, err = LoadShardMap(append(h[:], data[pathrank.FrameHeaderLen:]...))
-	if !errors.Is(err, pathrank.ErrArtifactVersion) || !strings.Contains(err.Error(), "rebuild the bundle") {
-		t.Fatalf("version-1 map: %v, want a version error that says to rebuild the bundle", err)
+	for _, v := range []uint32{1, 2} {
+		h := pathrank.EncodeFrame(shardMapMagic, v, data[pathrank.FrameHeaderLen:])
+		_, err = LoadShardMap(append(h[:], data[pathrank.FrameHeaderLen:]...))
+		if !errors.Is(err, pathrank.ErrArtifactVersion) || !strings.Contains(err.Error(), "rebuild the bundle") {
+			t.Fatalf("version-%d map: %v, want a version error that says to rebuild the bundle", v, err)
+		}
 	}
 }
 
 // FuzzLoadShardMap: on arbitrary bytes LoadShardMap returns an error and
 // never panics. The checksum screens random payloads, so every input is
 // also tried as the payload of a correctly sealed frame, which takes a
-// mutation through to gob and to validation. Whatever loads must hold
+// mutation through to the JSON header, the tables and validation. Whatever loads must hold
 // readable endpoint rows of costs for every vertex, since the router reads
 // them unchecked.
 func FuzzLoadShardMap(f *testing.F) {

@@ -3,8 +3,10 @@ package pathrank
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -65,9 +67,8 @@ type Lineage struct {
 	// over the canonical WAL encodings of the trajectory observations this
 	// generation was fine-tuned on, in training (ingest-sequence) order.
 	// Together with a per-trajectory inclusion proof it makes the training
-	// set verifiable; empty for offline generations and pre-provenance
-	// artifacts. Like Lineage itself, the field is a gob-compatible wire
-	// addition: older readers ignore it, older files decode it empty.
+	// set verifiable; empty for offline generations and in artifacts
+	// written before provenance existed.
 	DataRoot string
 	// ChainRoot is the hex chained commitment over the whole generation
 	// history: merkle.ChainRoot(parent ChainRoot, DataRoot), with the zero
@@ -145,22 +146,24 @@ type ShardInfo struct {
 	EdgeGlobal []roadnet.EdgeID
 }
 
-// Artifact file format. There is one, version 3:
+// Artifact file format. This build writes version 4:
 //
 //	offset            content
 //	0                 52-byte frame header (frame.go); its SHA-256 covers
-//	                  the gob payload
-//	52                gob payload (artifactWire): model config and weights,
-//	                  candidates, lineage, shard info and RawDigest
+//	                  the payload
+//	52                payload: RawDigest (32 bytes), the JSON header's
+//	                  length h (big-endian uint64), h bytes of JSON
+//	                  (artifactWire), then the params stream to its end
 //	52+plen           zero padding to the next 8-byte boundary, then the
 //	                  raw section: directory + flat arrays (rawsection.go)
 //
-// The graph and the contraction hierarchy live in the raw section as the
-// exact arrays queries run on, so loading is reinterpretation, not
-// deserialization. RawDigest is the SHA-256 of every byte after the
-// payload; sitting inside the checksummed payload, it extends the header
-// checksum to the whole file. The two loaders differ only in what they
-// verify:
+// No byte depends on the writing process: encoding/json keeps no global
+// state and writes a struct's fields in declaration order. The graph and
+// the contraction hierarchy live in the raw section as the exact arrays
+// queries run on, so loading is reinterpretation, not deserialization.
+// RawDigest is the SHA-256 of every byte after the payload; sitting inside
+// the checksummed payload, it extends the header checksum to the whole
+// file. The two loaders differ only in what they verify:
 //
 //   - LoadArtifact / LoadArtifactFile read the file onto the heap, verify
 //     the payload checksum AND the raw digest, and validate the content of
@@ -172,13 +175,16 @@ type ShardInfo struct {
 //     walking them would fault in every page, which is exactly what an
 //     O(open) cold start avoids.
 //
-// Versions 1 and 2 (graph and CH inside the gob payload) are not read;
-// docs/OPERATIONS.md says how to regenerate such a file. Version 3 files
-// written while the payload still had a Prep or an Embeddings field (a
-// second copy of the node2vec vectors the model's embedding matrix was
-// initialized from) load unchanged: gob skips a field the receiving struct
-// lacks, so those bytes are hashed with the payload and never decoded.
-const artifactVersion = 3
+// Version 3, whose payload is the gob message of artifactWire, still loads;
+// nothing writes it. gob skips a field the receiving struct lacks, so
+// version-3 files written while the payload had a Prep or an Embeddings
+// field load too. Versions 1 and 2 (graph and CH inside the gob payload)
+// are not read; docs/OPERATIONS.md says how to regenerate such a file.
+const artifactVersion, gobArtifactVersion = 4, 3
+
+// payloadPrefixLen is the fixed start of a version-4 payload: the raw
+// digest and the header length.
+const payloadPrefixLen = sha256.Size + 8
 
 var artifactMagic = [8]byte{'P', 'R', 'A', 'R', 'T', 'F', 'C', 'T'}
 
@@ -193,59 +199,17 @@ var (
 	ErrArtifactCorrupt = errors.New("pathrank: artifact corrupt")
 )
 
-// artifactWire is the gob payload of an artifact. The weights reuse
-// internal/nn's serializer as a nested byte section, so that layer's
-// format can evolve independently.
+// artifactWire is an artifact's payload: a version-4 payload holds
+// Params and RawDigest beside the JSON of the other fields, and a
+// version-3 payload is the gob message of the whole struct.
 type artifactWire struct {
 	ModelConfig Config
 	Candidates  dataset.Config
 	Lineage     Lineage
-	Params      []byte
+	Params      []byte `json:"-"`
 	// Shard marks a partitioned-deployment shard; nil otherwise.
-	Shard *ShardInfo
-	// RawDigest is the SHA-256 of every file byte after this payload.
-	RawDigest []byte
-}
-
-// gob numbers types process-wide in order of first encode and writes those
-// numbers into every stream, so an artifact's payload bytes would depend on
-// what else the process had gob-encoded before its first save. Numbering
-// every type the payload uses here, before anything else can run, makes
-// equal artifacts equal files in every binary — a served generation and
-// its WAL replay `cmp` equal. The two anonymous structs stand in for the
-// embeddings and Prep sections that files no longer carry, so the types
-// after them keep the numbers they had while they did.
-//
-// The params section and the model fingerprint do not depend on this
-// numbering: internal/nn writes their bytes itself, gob's type preamble
-// pinned as a constant, whatever the process encoded first. Every binary
-// used to gob-encode the params types at its first fingerprint, before it
-// wrote a shard map or a WAL retrain marker; numbering paramWire here
-// gives it the params types' numbers, so the types of those files keep
-// theirs and a bundle's shardmap.bin stays byte-identical.
-func init() {
-	_ = gob.NewEncoder(io.Discard).Encode(struct {
-		Dim  int
-		Vecs [][]float64
-	}{})
-	_ = gob.NewEncoder(io.Discard).Encode(struct {
-		A, B int32
-		C    []int32
-		D, E [][]float64
-	}{})
-	_ = gob.NewEncoder(io.Discard).Encode(artifactWire{})
-	_ = gob.NewEncoder(io.Discard).Encode([]paramWire{})
-}
-
-// paramWire has the gob form of internal/nn's serialized parameter, name
-// included, so gob writes a []paramWire exactly as nn's encoder does (see
-// init).
-type paramWire struct {
-	Name   string
-	Rows   int
-	Cols   int
-	W      []float64
-	Frozen bool
+	Shard     *ShardInfo
+	RawDigest []byte `json:"-"`
 }
 
 // SaveArtifact writes the artifact to w in the format above.
@@ -253,15 +217,12 @@ func SaveArtifact(w io.Writer, a *Artifact) error {
 	if a == nil || a.Graph == nil || a.Model == nil {
 		return fmt.Errorf("pathrank: artifact needs a graph and a model")
 	}
-	wire := artifactWire{
-		ModelConfig: a.Model.Config(),
-		Candidates:  a.Candidates,
-		Lineage:     a.Lineage,
-		Shard:       a.Shard,
-		RawDigest:   make([]byte, sha256.Size),
+	head, err := json.Marshal(artifactWire{ModelConfig: a.Model.Config(), Candidates: a.Candidates, Lineage: a.Lineage, Shard: a.Shard})
+	if err != nil {
+		return fmt.Errorf("pathrank: encode artifact header: %w", err)
 	}
-	var err error
-	if wire.Params, err = a.Model.paramsStream(); err != nil {
+	params, err := a.Model.paramsStream()
+	if err != nil {
 		return fmt.Errorf("pathrank: artifact weights: %w", err)
 	}
 	gd := a.Graph.RawData()
@@ -272,36 +233,26 @@ func SaveArtifact(w io.Writer, a *Artifact) error {
 	}
 
 	// The raw section holds absolute file offsets, so it depends on the
-	// payload's length, while the payload holds the raw section's digest.
-	// A gob byte slice costs its length whatever its content: encode with a
-	// zero digest to learn the length, hash the raw section laid out after
-	// it, then encode again with the digest filled in.
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
-		return fmt.Errorf("pathrank: encode artifact: %w", err)
-	}
-	plen := payload.Len()
+	// payload's length, while the payload holds the raw section's digest
+	// in its first 32 bytes: lay the payload out, hash the raw section
+	// after it, and write the sum over those bytes.
+	payload := make([]byte, payloadPrefixLen, payloadPrefixLen+len(head)+len(params))
+	binary.BigEndian.PutUint64(payload[sha256.Size:], uint64(len(head)))
+	payload = append(append(payload, head...), params...)
 	h := sha256.New()
-	if err := writeRawSection(h, FrameHeaderLen+plen, slots); err != nil {
+	if err := writeRawSection(h, FrameHeaderLen+len(payload), slots); err != nil {
 		return fmt.Errorf("pathrank: hash artifact raw section: %w", err)
 	}
-	h.Sum(wire.RawDigest[:0])
-	payload.Reset()
-	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
-		return fmt.Errorf("pathrank: encode artifact: %w", err)
-	}
-	if payload.Len() != plen {
-		return fmt.Errorf("pathrank: artifact payload changed length (%d -> %d) when the raw digest was filled in", plen, payload.Len())
-	}
+	h.Sum(payload[:0])
 
-	header := EncodeFrame(artifactMagic, artifactVersion, payload.Bytes())
+	header := EncodeFrame(artifactMagic, artifactVersion, payload)
 	if _, err := w.Write(header[:]); err != nil {
 		return fmt.Errorf("pathrank: write artifact header: %w", err)
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
+	if _, err := w.Write(payload); err != nil {
 		return fmt.Errorf("pathrank: write artifact payload: %w", err)
 	}
-	if err := writeRawSection(w, FrameHeaderLen+plen, slots); err != nil {
+	if err := writeRawSection(w, FrameHeaderLen+len(payload), slots); err != nil {
 		return fmt.Errorf("pathrank: write artifact raw section: %w", err)
 	}
 	return nil
@@ -322,22 +273,49 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 	return decodeArtifact(data, true)
 }
 
+// decodePayload decodes the payload of a file of the given version.
+func decodePayload(payload []byte, version uint32) (wire artifactWire, err error) {
+	if version == gobArtifactVersion {
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
+			return wire, fmt.Errorf("%w: decode payload: %v", ErrArtifactCorrupt, err)
+		}
+		return wire, nil
+	}
+	if len(payload) < payloadPrefixLen {
+		return wire, fmt.Errorf("%w: payload of %d bytes is shorter than its prefix", ErrArtifactCorrupt, len(payload))
+	}
+	n := binary.BigEndian.Uint64(payload[sha256.Size:payloadPrefixLen])
+	rest := payload[payloadPrefixLen:]
+	if n > uint64(len(rest)) {
+		return wire, fmt.Errorf("%w: header length %d exceeds the payload", ErrArtifactCorrupt, n)
+	}
+	if err := json.Unmarshal(rest[:n], &wire); err != nil {
+		return wire, fmt.Errorf("%w: decode header: %v", ErrArtifactCorrupt, err)
+	}
+	wire.Params, wire.RawDigest = rest[n:], payload[:sha256.Size]
+	return wire, nil
+}
+
 // decodeArtifact is the one loader body: it reconstructs an artifact from
 // the complete byte image of a file. The returned graph and CH alias
 // data, which may be a memory mapping or a heap buffer. verify selects
 // what the heap path adds over the mapped one (see the format comment):
 // the raw digest and deep validation of the graph and CH arrays.
 func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
-	payload, err := DecodeFrame(data, artifactMagic, artifactVersion)
+	version := uint32(artifactVersion)
+	if len(data) >= 12 && binary.BigEndian.Uint32(data[8:12]) == gobArtifactVersion {
+		version = gobArtifactVersion
+	}
+	payload, err := DecodeFrame(data, artifactMagic, version)
 	if errors.Is(err, ErrArtifactVersion) {
-		return nil, fmt.Errorf("%w; retrain, or see docs/OPERATIONS.md \"Removed in PR 16\" to convert the file", err)
+		return nil, fmt.Errorf("%w (or version %d); retrain, or see docs/OPERATIONS.md \"Files from older builds\" to convert the file", err, gobArtifactVersion)
 	}
 	if err != nil {
 		return nil, err
 	}
-	var wire artifactWire
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("%w: decode payload: %v", ErrArtifactCorrupt, err)
+	wire, err := decodePayload(payload, version)
+	if err != nil {
+		return nil, err
 	}
 	payloadEnd := FrameHeaderLen + len(payload)
 	if verify {

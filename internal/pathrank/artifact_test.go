@@ -3,8 +3,10 @@ package pathrank
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -132,9 +134,10 @@ func TestArtifactRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestArtifactRejectsVersionMismatch: format 3 is the only format. The
-// retired versions 1 and 2 and an unknown future one are all refused with
-// ErrArtifactVersion and a message that says what to do about it.
+// TestArtifactRejectsVersionMismatch: this build writes format 4 and also
+// reads format 3. The retired versions 1 and 2 and an unknown future one
+// are all refused with ErrArtifactVersion and a message that says what to
+// do about it.
 func TestArtifactRejectsVersionMismatch(t *testing.T) {
 	art := trainedArtifact(t)
 	var buf bytes.Buffer
@@ -163,7 +166,7 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 	plen := int(binary.BigEndian.Uint64(buf.Bytes()[44:52]))
 
 	// One flipped bit anywhere must be caught: the header checksum covers
-	// the gob payload, the raw digest inside it everything after.
+	// the payload, the raw digest inside it everything after.
 	for name, off := range map[string]int{
 		"payload":         FrameHeaderLen + plen/2,
 		"raw directory":   align8(FrameHeaderLen+plen) + rawDirHeaderLen + 3,
@@ -450,7 +453,7 @@ func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := DecodeFrame(data, artifactMagic, artifactVersion)
+	payload, err := DecodeFrame(data, artifactMagic, gobArtifactVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,6 +486,10 @@ func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
 	ref, err := LoadArtifactFile(resaved)
 	if err != nil {
 		t.Fatalf("load re-saved: %v", err)
+	}
+	if ref.Lineage != old.Lineage || ref.Candidates != old.Candidates || ref.Model.Config() != old.Model.Config() {
+		t.Fatalf("re-saved header %+v %+v %+v, the fixture's %+v %+v %+v",
+			ref.Lineage, ref.Candidates, ref.Model.Config(), old.Lineage, old.Candidates, old.Model.Config())
 	}
 
 	rankings := func(a *Artifact) []string {
@@ -629,5 +636,38 @@ func TestLoadedFingerprintIsTheReencode(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), ref.Bytes()) || bytes.Equal(again.Bytes(), saved.Bytes()) {
 		t.Fatal("Save after a load wrote the stream of the weights before it")
+	}
+}
+
+// pinnedArtifactSum is the SHA-256 of pinnedArtifact's file.
+const pinnedArtifactSum = "9fa059180009c430d9b23da9942c3cbb8f74aad63170e6a6178a99adefdee06d"
+
+// pinnedArtifact is gobHistoryModel's model and world with every header
+// field set.
+func pinnedArtifact(t *testing.T) *Artifact {
+	t.Helper()
+	m, g := gobHistoryModel(t)
+	return &Artifact{
+		Graph:      g,
+		Model:      m,
+		Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 5, Threshold: 0.8, MaxProbe: 40, IncludeTruth: true},
+		Lineage: Lineage{
+			Generation: 2, Parent: "aa11", TrainedOn: 7, TotalObserved: 19, Note: "stream",
+			DataRoot: "cc33", ChainRoot: "dd44",
+		},
+		Shard: &ShardInfo{Index: 1, Parts: 2, Boundary: []roadnet.VertexID{3, 8}, EdgeGlobal: []roadnet.EdgeID{0, 4, 9}},
+	}
+}
+
+// TestArtifactBytesPinned: every byte of an artifact file is fixed by the
+// artifact, whatever the process encoded before, so a pinned artifact
+// hashes the same in every run and every binary.
+func TestArtifactBytesPinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveArtifact(&buf, pinnedArtifact(t)); err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != pinnedArtifactSum {
+		t.Fatalf("artifact file hashes to %x, pinned %s", sum, pinnedArtifactSum)
 	}
 }

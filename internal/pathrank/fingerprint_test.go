@@ -1,8 +1,6 @@
 package pathrank
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -10,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"pathrank/internal/nn"
 	"pathrank/internal/roadnet"
 )
 
@@ -90,38 +87,5 @@ func TestFingerprintIgnoresGobHistory(t *testing.T) {
 	m, _ := gobHistoryModel(t)
 	if fp, err := m.FingerprintHex(); err != nil || fp != freshFingerprint {
 		t.Fatalf("fingerprint in the test process %s (%v), want %s", fp, err, freshFingerprint)
-	}
-}
-
-// TestParamsStreamMatchesGob pins nn's params encoder, preamble included, to
-// what encoding/gob writes for the same weights in this package's
-// processes, where init numbers paramWire as the params types were
-// numbered before the encoder: the stream every artifact and fingerprint was
-// made of.
-func TestParamsStreamMatchesGob(t *testing.T) {
-	for _, cfg := range []Config{
-		{EmbeddingDim: 4, Hidden: 3, Variant: PRA1, Body: GRUBody, Seed: 1},
-		{EmbeddingDim: 5, Hidden: 4, Variant: PRA2, Body: AttnGRUBody, MultiTaskLambda: 0.5, Seed: 2},
-		{EmbeddingDim: 3, Hidden: 2, Variant: PRA2, Body: LSTMBody, Seed: 3},
-	} {
-		m, err := New(17, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ours, err := nn.MarshalParams(m.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wire := make([]paramWire, len(m.params))
-		for i, p := range m.params {
-			wire[i] = paramWire{Name: p.Name, Rows: p.Rows, Cols: p.Cols, W: p.W, Frozen: p.Frozen}
-		}
-		var ref bytes.Buffer
-		if err := gob.NewEncoder(&ref).Encode(wire); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ours, ref.Bytes()) {
-			t.Fatalf("%v body: codec stream\n% x\ndiffers from gob's\n% x", cfg.Body, ours, ref.Bytes())
-		}
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"os"
-	"slices"
 	"testing"
 
 	"pathrank/internal/dataset"
@@ -59,37 +57,32 @@ func fuzzSeedArtifacts(f *testing.F) [][]byte {
 }
 
 // resealArtifact recomputes the raw digest and the header checksum of a
-// mutated image, so a mutation past the gob payload reaches the directory
-// parser and the array validators instead of dying at the digest. It
-// reports false when the frame or payload no longer decode.
+// mutated version-4 image, so a mutation past the payload reaches the
+// directory parser and the array validators instead of dying at the
+// digest. It reports false when the frame no longer decodes.
 func resealArtifact(data []byte) ([]byte, bool) {
 	payload, err := DecodeFrame(data, artifactMagic, artifactVersion)
-	if err != nil {
+	if err != nil || len(payload) < sha256.Size {
 		return nil, false
 	}
-	var wire artifactWire
-	if gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire) != nil {
-		return nil, false
-	}
-	tail := data[FrameHeaderLen+len(payload):]
-	sum := sha256.Sum256(tail)
-	wire.RawDigest = sum[:]
-	var resealed bytes.Buffer
-	if gob.NewEncoder(&resealed).Encode(wire) != nil || resealed.Len() != len(payload) {
-		return nil, false
-	}
-	header := EncodeFrame(artifactMagic, artifactVersion, resealed.Bytes())
-	return slices.Concat(header[:], resealed.Bytes(), tail), true
+	out := bytes.Clone(data)
+	end := FrameHeaderLen + len(payload)
+	sum := sha256.Sum256(out[end:])
+	copy(out[FrameHeaderLen:], sum[:])
+	header := EncodeFrame(artifactMagic, artifactVersion, out[FrameHeaderLen:end])
+	copy(out, header[:])
+	return out, true
 }
 
 // FuzzLoadArtifact asserts the artifact parser never panics: arbitrary
 // bytes either reconstruct a complete artifact or return an error. The
-// seeds include the retired-Prep fixture, so gob's skip of a field the
-// payload struct lacks stays fuzzed. The
-// checksum and the raw digest screen random corruption, so every input is
-// tried twice — as is, which exercises the frame, checksum and digest
-// branches, and resealed, which lets a mutation of the directory or of an
-// array through to the bounds checks and the graph and CH validators.
+// seeds include the version-3 retired-Prep fixture, so the gob payload
+// reader, and its skip of fields the payload struct lacks, stay fuzzed.
+// The checksum and the raw digest screen random corruption, so every
+// input is tried twice — as is, which exercises the frame, checksum and
+// digest branches, and resealed, which lets a mutation of the JSON
+// header, the directory or an array through to the decoders, the bounds
+// checks and the graph and CH validators.
 func FuzzLoadArtifact(f *testing.F) {
 	f.Add([]byte{})
 	retired, err := os.ReadFile(retiredPrepFixture)
@@ -105,10 +98,11 @@ func FuzzLoadArtifact(f *testing.F) {
 		f.Add(valid[:len(valid)-5] /* truncated last array */)
 		for _, off := range []int{
 			0, 9, 20, 45, 60, // magic, version, checksum, length, payload
-			rawStart + 12,                  // directory: array count
-			rawStart + rawDirHeaderLen,     // directory: first array's offset
-			rawStart + rawDirHeaderLen + 8, // directory: first array's element count
-			len(valid) - 1,                 // a byte inside the last array
+			FrameHeaderLen + payloadPrefixLen + 3, // JSON header
+			rawStart + 12,                         // directory: array count
+			rawStart + rawDirHeaderLen,            // directory: first array's offset
+			rawStart + rawDirHeaderLen + 8,        // directory: first array's element count
+			len(valid) - 1,                        // a byte inside the last array
 		} {
 			mut := bytes.Clone(valid)
 			mut[off] ^= 0x01

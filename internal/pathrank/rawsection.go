@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"reflect"
 	"slices"
 	"unsafe"
 
@@ -64,6 +65,10 @@ type rawSlot struct {
 	bind  func(data []byte, e rawDirEntry) error
 }
 
+// A struct's padding bytes hold whatever the memory held when a value
+// was copied in, so the image of a []T with padding is a copy with those
+// bytes zeroed: a file's bytes, and GraphDigest, are then fixed by the
+// values alone.
 func slot[T any](p *[]T) rawSlot {
 	return rawSlot{
 		image: func() ([]byte, uint64) {
@@ -71,12 +76,38 @@ func slot[T any](p *[]T) rawSlot {
 			if len(s) == 0 {
 				return nil, 0
 			}
-			return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0]))), uint64(len(s))
+			b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+			mask := make([]byte, unsafe.Sizeof(s[0]))
+			markFields(mask, reflect.TypeFor[T](), 0)
+			if bytes.IndexByte(mask, 0) >= 0 {
+				b = bytes.Clone(b)
+				for e := b; len(e) > 0; e = e[len(mask):] {
+					for i, m := range mask {
+						e[i] &= m
+					}
+				}
+			}
+			return b, uint64(len(s))
 		},
 		bind: func(data []byte, e rawDirEntry) (err error) {
 			*p, err = sliceOf[T](data, e)
 			return err
 		},
+	}
+}
+
+// markFields sets to 0xff the bytes of mask that a value of type t at
+// offset off holds in a field, leaving its padding zero. (No array type
+// of padded elements is laid out in the raw section.)
+func markFields(mask []byte, t reflect.Type, off uintptr) {
+	if t.Kind() != reflect.Struct {
+		for i := range t.Size() {
+			mask[off+i] = 0xff
+		}
+		return
+	}
+	for i := range t.NumField() {
+		markFields(mask, t.Field(i).Type, off+t.Field(i).Offset)
 	}
 }
 
@@ -112,7 +143,7 @@ func GraphDigest(g *roadnet.Graph) [sha256.Size]byte {
 	return sum
 }
 
-// writeRawSection writes everything that follows the gob payload, which
+// writeRawSection writes everything that follows the payload, which
 // ended at file offset pos: padding to the 8-byte boundary, the directory,
 // and each array at its own 8-byte boundary. It is deterministic in its
 // arguments, so the saver can run it once into a hash and once into the

@@ -35,7 +35,7 @@ func (rt *Router) resolve(q api.RankQuery) (resolved, *api.Error) {
 
 func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 	rt.obs.requests.With("/v2/rank").Inc()
-	req, apiErr := api.DecodeRankRequest(w, r, maxRankBody)
+	req, apiErr := api.DecodeRankRequest(w, r, api.MaxRankBody)
 	if apiErr != nil {
 		rt.obs.rankErrors.With(apiErr.Code).Inc()
 		api.WriteError(w, apiErr)

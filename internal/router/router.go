@@ -50,9 +50,6 @@ import (
 	"pathrank/internal/roadnet"
 )
 
-// maxRankBody mirrors internal/serve's request body bound.
-const maxRankBody = 1 << 20
-
 // maxShardResponse bounds a shard response body (corridor subgraphs of
 // metro-scale shards are the large case).
 const maxShardResponse = 1 << 30
@@ -77,8 +74,8 @@ type Config struct {
 	// HedgeAfter is how long a shard call may go unanswered before a
 	// duplicate is fired (default 150ms; negative disables hedging).
 	HedgeAfter time.Duration
-	// MaxK, MaxBatch, MaxTimeout mirror the serve.Config limits (defaults
-	// 32, 64, 30s) so a router validates exactly like a single server.
+	// MaxK, MaxBatch, MaxTimeout are the serve.Config limits, with the
+	// same defaults (api.DefaultRankLimits).
 	MaxK       int
 	MaxBatch   int
 	MaxTimeout time.Duration
@@ -138,15 +135,7 @@ func New(sm *partition.ShardMap, cfg Config) (*Router, error) {
 	if cfg.HedgeAfter == 0 {
 		cfg.HedgeAfter = 150 * time.Millisecond
 	}
-	if cfg.MaxK <= 0 {
-		cfg.MaxK = 32
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 30 * time.Second
-	}
+	api.DefaultRankLimits(&cfg.MaxK, &cfg.MaxBatch, &cfg.MaxTimeout)
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}

@@ -54,9 +54,6 @@ import (
 	"pathrank/internal/pathrank"
 )
 
-// maxRankBody bounds a /v2/rank request body.
-const maxRankBody = 1 << 20
-
 // Config parameterizes a Server.
 type Config struct {
 	// CacheSize bounds the result cache in entries; 0 uses the default
@@ -139,15 +136,7 @@ func New(art *pathrank.Artifact, cfg Config) (*Server, error) {
 	if cfg.Engine != "" && cfg.Engine != "ch" {
 		return nil, fmt.Errorf("serve: engine %q is not selectable", cfg.Engine)
 	}
-	if cfg.MaxK <= 0 {
-		cfg.MaxK = 32
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 30 * time.Second
-	}
+	api.DefaultRankLimits(&cfg.MaxK, &cfg.MaxBatch, &cfg.MaxTimeout)
 	s := &Server{cfg: cfg, start: time.Now()}
 	s.obs = newServeMetrics(obsv.NewRegistry(), s)
 	snap, err := newSnapshot(art, cfg, nil)
@@ -394,7 +383,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	s.obs.requests.With("/v1/reload").Inc()
 	var req ReloadRequest
 	// An empty body means "reload the configured artifact".
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRankBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRankBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		api.WriteJSON(w, http.StatusBadRequest, api.MessageError{Error: "bad request body: " + err.Error()})

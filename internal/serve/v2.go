@@ -105,7 +105,7 @@ func (s *Server) handleRankV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	req, apiErr := api.DecodeRankRequest(w, r, maxRankBody)
+	req, apiErr := api.DecodeRankRequest(w, r, api.MaxRankBody)
 	if apiErr != nil {
 		s.rankError(w, apiErr)
 		return

@@ -21,17 +21,19 @@
 //	    25  4*nv  vertex IDs (int32)
 //	     +  4*ne  edge IDs (int32)
 //
-// Markers are gob-encoded behind their type byte: they are rare (one per
-// generation), carry variable-length fields, and never serve as Merkle
-// leaves, so gob's flexibility costs nothing.
+// A retrain marker is the JSON of retrainMarker behind its type byte: it
+// is rare (one per generation) and never a Merkle leaf, and encoding/json
+// writes fields in declaration order with no global state, so its bytes
+// are fixed by its content. Older logs hold gob markers under
+// walRecRetrainGob, which are read and never written.
 package stream
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"pathrank/internal/roadnet"
@@ -39,7 +41,8 @@ import (
 
 const (
 	walRecObservation byte = 0x01
-	walRecRetrain     byte = 0x02
+	walRecRetrainGob  byte = 0x02
+	walRecRetrain     byte = 0x03
 )
 
 // maxWALPathLen bounds the vertex/edge counts a decoded record may claim,
@@ -153,7 +156,7 @@ func (l *walLog) reader(g *roadnet.Graph) func(uint64, []byte) error {
 			}
 			l.obs = append(l.obs, o)
 			l.pending++
-		case walRecRetrain:
+		case walRecRetrain, walRecRetrainGob:
 			m, err := decodeRetrainMarker(payload)
 			if err != nil {
 				return fmt.Errorf("stream: WAL record %d: %w", idx, err)
@@ -195,32 +198,34 @@ type retrainMarker struct {
 	Seed     int64
 }
 
-// gob numbers types process-wide in order of first encode, so a marker's
-// bytes would depend on what else the process had gob-encoded before its
-// first retrain. Numbering the marker's types at init makes them the same
-// in every run of a binary, whatever it encodes first. A binary that also
-// links internal/partition numbers the shard map's types before these.
-func init() {
-	_ = gob.NewEncoder(io.Discard).Encode(retrainMarker{})
-}
-
 // encodeRetrainMarker renders m as a WAL record.
 func encodeRetrainMarker(m retrainMarker) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(walRecRetrain)
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	b, err := json.Marshal(m)
+	if err != nil {
 		return nil, fmt.Errorf("stream: encode retrain marker: %w", err)
 	}
-	return buf.Bytes(), nil
+	return append([]byte{walRecRetrain}, b...), nil
 }
 
-// decodeRetrainMarker parses a WAL retrain marker.
+// decodeRetrainMarker parses a WAL retrain marker of either tag. A JSON
+// marker must be the bytes encodeRetrainMarker writes for its content:
+// any other spelling of it was not written by this codec.
 func decodeRetrainMarker(payload []byte) (retrainMarker, error) {
 	var m retrainMarker
-	if len(payload) < 1 || payload[0] != walRecRetrain {
+	var err error
+	switch {
+	case len(payload) > 0 && payload[0] == walRecRetrain:
+		if err = json.Unmarshal(payload[1:], &m); err == nil {
+			if enc, _ := encodeRetrainMarker(m); !bytes.Equal(enc, payload) {
+				err = fmt.Errorf("not in canonical form")
+			}
+		}
+	case len(payload) > 0 && payload[0] == walRecRetrainGob:
+		err = gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&m)
+	default:
 		return m, fmt.Errorf("stream: malformed retrain marker (%d bytes)", len(payload))
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&m); err != nil {
+	if err != nil {
 		return m, fmt.Errorf("stream: decode retrain marker: %w", err)
 	}
 	if m.Generation <= 0 || len(m.WindowSeqs) == 0 {

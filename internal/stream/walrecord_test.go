@@ -1,6 +1,13 @@
 package stream
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -60,40 +67,164 @@ func TestObservationCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
+// pinnedMarker is a retrain marker with every field set, and
+// pinnedMarkerSum the SHA-256 of its WAL record.
+var pinnedMarker = retrainMarker{
+	Generation: 3,
+	Parent:     "aa11",
+	Result:     "bb22",
+	DataRoot:   "cc33",
+	ChainRoot:  "dd44",
+	WindowSeqs: []int64{1, 2, 5, 9},
+	Epochs:     2,
+	LR:         0.004,
+	ClipNorm:   5,
+	LRDecay:    0.9,
+	Seed:       17,
+}
+
+const pinnedMarkerSum = "05f46b73e542cbc9a4df7b6109d04a93f1a88eea09aad3a815122ae0d72e03bc"
+
+// TestRetrainMarkerRoundTrip: a marker's record is fixed by its content,
+// whatever the process encoded before, and decodes back equal; so does
+// the gob marker older builds wrote.
 func TestRetrainMarkerRoundTrip(t *testing.T) {
-	m := retrainMarker{
-		Generation: 3,
-		Parent:     "aa11",
-		Result:     "bb22",
-		DataRoot:   "cc33",
-		ChainRoot:  "dd44",
-		WindowSeqs: []int64{1, 2, 5, 9},
-		Epochs:     2,
-		LR:         0.004,
-		ClipNorm:   5,
-		LRDecay:    0.9,
-		Seed:       17,
-	}
+	m := pinnedMarker
 	enc, err := encodeRetrainMarker(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc[0] != walRecRetrain {
-		t.Fatalf("marker type byte = 0x%02x", enc[0])
+	if sum := sha256.Sum256(enc); hex.EncodeToString(sum[:]) != pinnedMarkerSum {
+		t.Fatalf("marker record hashes to %x, pinned %s: %q", sum, pinnedMarkerSum, enc)
 	}
-	got, err := decodeRetrainMarker(enc)
+	var old bytes.Buffer
+	old.WriteByte(walRecRetrainGob)
+	if err := gob.NewEncoder(&old).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range [][]byte{enc, old.Bytes()} {
+		got, err := decodeRetrainMarker(rec)
+		if err != nil {
+			t.Fatalf("tag 0x%02x: %v", rec[0], err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("tag 0x%02x: round trip %+v, want %+v", rec[0], got, m)
+		}
+	}
+	for name, rec := range map[string][]byte{
+		"truncated":       enc[:len(enc)-1],
+		"tag only":        enc[:1],
+		"wrong tag":       {walRecObservation},
+		"spaced":          append([]byte{walRecRetrain, ' '}, enc[1:]...),
+		"truncated gob":   old.Bytes()[:old.Len()/2],
+		"field renamed":   bytes.Replace(enc, []byte(`"Seed"`), []byte(`"seed"`), 1),
+		"float respelled": bytes.Replace(enc, []byte(`0.004`), []byte(`0.0040`), 1),
+	} {
+		if _, err := decodeRetrainMarker(rec); err == nil {
+			t.Errorf("%s: decode accepted %q", name, rec)
+		}
+	}
+}
+
+// FuzzRetrainMarker: a crash or a bad disk can leave any bytes in a WAL
+// record. Behind either marker tag, the decoder returns a marker or an
+// error and never panics, and a JSON marker it accepts re-encodes to the
+// same bytes.
+func FuzzRetrainMarker(f *testing.F) {
+	enc, err := encodeRetrainMarker(pinnedMarker)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(pinnedMarker); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc[1:])
+	f.Add(old.Bytes())
+	f.Add([]byte(`{"Generation":1,"WindowSeqs":[1]}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, tag := range []byte{walRecRetrain, walRecRetrainGob} {
+			rec := append([]byte{tag}, body...)
+			m, err := decodeRetrainMarker(rec)
+			if err != nil || tag != walRecRetrain {
+				continue
+			}
+			if again, err := encodeRetrainMarker(m); err != nil || !bytes.Equal(again, rec) {
+				t.Fatalf("accepted %q, which re-encodes to %q (%v)", rec, again, err)
+			}
+		}
+	})
+}
+
+// The live-loop directory an older build wrote: liveFixtureBase, a
+// version-3 (gob payload) generation-0 artifact of testWorld, and
+// liveFixtureWAL, a log of four observations and the gob retrain marker
+// of the generation trained on them. liveFixtureResult and
+// liveFixtureChain are that generation's fingerprint and chain root as
+// the writing build logged them.
+const (
+	liveFixtureBase   = "testdata/v3_live/base.prart"
+	liveFixtureWAL    = "testdata/v3_live/wal"
+	liveFixtureResult = "de3ceeae87a022524eaadb7455f9b4ed5a6cc89181ceb649290cec6cc7de5309"
+	liveFixtureChain  = "9c615c74c1907cf99f9d13d0807af490ffd2a67101b0ef4a0107189ec78a909e"
+)
+
+// TestRestartOnGobMarkerLog: restarted on an older build's version-3
+// artifact and a log that holds a gob marker, the service re-derives the
+// logged generation to the marker's fingerprint and chain root, and
+// Replay does too. The next generation logs a JSON marker after the gob
+// one, and Replay of the mixed log reaches it.
+func TestRestartOnGobMarkerLog(t *testing.T) {
+	walDir := t.TempDir()
+	entries, err := os.ReadDir(liveFixtureWAL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Generation != m.Generation || got.Result != m.Result || got.Seed != m.Seed ||
-		len(got.WindowSeqs) != len(m.WindowSeqs) || got.WindowSeqs[3] != 9 {
-		t.Fatalf("round trip mismatch: %+v", got)
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(liveFixtureWAL, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(walDir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := decodeRetrainMarker(enc[:1]); err == nil {
-		t.Error("decode accepted truncated marker")
+	base, err := pathrank.LoadArtifactFile(liveFixtureBase)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := decodeRetrainMarker([]byte{walRecObservation}); err == nil {
-		t.Error("decode accepted wrong type byte")
+	check := func(what string, art *pathrank.Artifact) {
+		t.Helper()
+		if fp := fingerprint(t, art); fp != liveFixtureResult || art.Lineage.ChainRoot != liveFixtureChain || art.Lineage.Generation != 1 {
+			t.Fatalf("%s: generation %d, fingerprint %s, chain root %s; the marker recorded generation 1, %s, %s",
+				what, art.Lineage.Generation, fp, art.Lineage.ChainRoot, liveFixtureResult, liveFixtureChain)
+		}
+	}
+	res, err := Replay(walDir, base, 0, nil)
+	if err != nil || !res.Verified || res.Generations != 1 {
+		t.Fatalf("replay of the fixture log: %+v, %v", res, err)
+	}
+	check("replay", res.Artifact)
+
+	svc, err := New(base, Config{QueueSize: 16, Workers: 2, WALDir: walDir, Train: pathrank.TrainConfig{Epochs: 1, LR: 0.002, Seed: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	check("restart", svc.Artifact())
+	_, trips := testWorld(t)
+	ingestAll(t, svc, sampleTrajectories(base, trips[4:8], 850))
+	gen2, err := svc.RetrainNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = Replay(walDir, base, 0, nil)
+	if err != nil || !res.Verified || res.Generations != 2 {
+		t.Fatalf("replay of the mixed log: %+v, %v", res, err)
+	}
+	if got, want := fingerprint(t, res.Artifact), fingerprint(t, gen2); got != want {
+		t.Fatalf("mixed-log replay reached %.12s, the service trained %.12s", got, want)
 	}
 }
 
