@@ -29,10 +29,10 @@ type pinRow struct {
 // stitch takes one), so one warm-up match settles the pool.
 // The rows pinned elsewhere are Dijkstra (TestDijkstraAllocs), TopK5
 // (TestCtxVariantAllocsMatch), DiversifiedTopK5Table and the served
-// enumerations (TestYenAllocBudget), CHBuild (TestBuildCHAllocs), CHQuery
-// (TestCHQueryAllocs), GRUForwardBackward (TestGRUForwardBackwardAllocs),
-// GemmNT (TestGemmNTAllocs), the router's two queries
-// (TestRouterQueryAllocs) and a served cache hit (TestCacheHitAllocs).
+// enumerations (TestYenAllocBudget), GRUForwardBackward
+// (TestGRUForwardBackwardAllocs), GemmNT (TestGemmNTAllocs), the router's
+// two queries (TestRouterQueryAllocs) and a served cache hit
+// (TestCacheHitAllocs).
 func TestAllocPins(t *testing.T) {
 	if allocpin.Race {
 		t.Skip("the race detector allocates on its own")

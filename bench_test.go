@@ -143,35 +143,6 @@ func BenchmarkGRUForwardBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkCHBuild measures contraction-hierarchy preprocessing of the
-// experiment network — the one-time cost pathrank-train pays. It reports the
-// shortcut count, which a faster builder must leave unchanged.
-func BenchmarkCHBuild(b *testing.B) {
-	g := microGraph(b)
-	b.ResetTimer()
-	shortcuts := 0
-	for i := 0; i < b.N; i++ {
-		shortcuts = spath.BuildCH(g, spath.ByLength).NumShortcuts()
-		if shortcuts == 0 {
-			b.Fatal("no shortcuts built")
-		}
-	}
-	b.ReportMetric(float64(shortcuts), "shortcuts")
-}
-
-// BenchmarkCHQuery measures one point-to-point query on a prebuilt
-// hierarchy (the query benchmark/ times through Ranker.Engine).
-func BenchmarkCHQuery(b *testing.B) {
-	g := microGraph(b)
-	ch := spath.BuildCH(g, spath.ByLength)
-	pairs := microPairs(g.NumVertices(), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		_, _ = ch.Query(p[0], p[1])
-	}
-}
-
 // BenchmarkDiversifiedTopK5Table measures D-TkDI generation on a prebuilt
 // weight table — the serving path's candidate generator.
 func BenchmarkDiversifiedTopK5Table(b *testing.B) {

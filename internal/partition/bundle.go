@@ -372,9 +372,9 @@ type Manifest struct {
 // shard map, and a JSON manifest, each published atomically (safe to
 // rebuild into a directory live workers have mapped). Each shard artifact
 // carries the full model, the bundle's candidate configuration, its
-// induced subgraph and its shard identity, and no contraction hierarchy:
-// a shard worker generates candidates on its ranker's weight tables and
-// extracts corridors with plain searches. The shard map carries the model
+// induced subgraph and its shard identity: a shard worker generates
+// candidates on its ranker's weight tables and extracts corridors with
+// plain searches. The shard map carries the model
 // again, the boundary-to-boundary tables computed on the FULL graph, and
 // each shard's endpoint tables computed on its induced subgraph. logf,
 // when non-nil, receives progress lines.

@@ -134,9 +134,6 @@ func TestBuildBundleRoundTrip(t *testing.T) {
 		if len(sart.Shard.EdgeGlobal) != sart.Graph.NumEdges() {
 			t.Fatalf("shard %d edge mapping size", i)
 		}
-		if sart.Prep != nil {
-			t.Fatalf("shard %d artifact carries a CH prep; shard workers route without one", i)
-		}
 		sfp, err := sart.Model.FingerprintHex()
 		if err != nil {
 			t.Fatal(err)

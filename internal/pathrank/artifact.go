@@ -28,10 +28,9 @@ type Artifact struct {
 	Graph      *roadnet.Graph
 	Model      *Model
 	Candidates dataset.Config
-	// Prep carries a contraction hierarchy built for Graph under the
-	// length metric. No product path reads it, and no product path
-	// writes one; it only wires Ranker.Engine. Kept because benchmark/
-	// builds, persists and times one.
+	// Prep is kept only because benchmark/ names it; ROADMAP item 4
+	// removes it. Nothing reads it: SaveArtifact ignores it and the
+	// loaders leave it nil.
 	Prep *spath.Prep
 	// Lineage records where this artifact came from in an incremental
 	// training chain; the zero value denotes an unstamped (pre-lineage or
@@ -90,15 +89,14 @@ func (l Lineage) Child(parentFP string, trainedOn int, note string) Lineage {
 }
 
 // NewRanker wraps the artifact's model and graph for query-time use, with
-// the artifact's candidate configuration. When the artifact carries a
-// contraction hierarchy, the ranker's Engine is the CH engine over it
-// (kept because benchmark/ times it).
+// the artifact's candidate configuration. The ranker's Engine is a plain
+// Dijkstra point query under the length metric (see Ranker.Engine).
 func (a *Artifact) NewRanker() *Ranker {
 	r := NewRanker(a.Graph, a.Model)
 	if a.Candidates.K > 0 {
 		r.Candidates = a.Candidates
 	}
-	r.Engine = a.Prep.Engine(a.Graph)
+	r.Engine = spath.DijkstraEngine(a.Graph)
 	return r
 }
 
@@ -158,9 +156,9 @@ type ShardInfo struct {
 //	                  raw section: directory + flat arrays (rawsection.go)
 //
 // No byte depends on the writing process: encoding/json keeps no global
-// state and writes a struct's fields in declaration order. The graph and
-// the contraction hierarchy live in the raw section as the exact arrays
-// queries run on, so loading is reinterpretation, not deserialization.
+// state and writes a struct's fields in declaration order. The graph lives
+// in the raw section as the exact arrays queries run on, so loading is
+// reinterpretation, not deserialization.
 // RawDigest is the SHA-256 of every byte after the payload; sitting inside
 // the checksummed payload, it extends the header checksum to the whole
 // file. The two loaders differ only in what they verify:
@@ -178,8 +176,11 @@ type ShardInfo struct {
 // Version 3, whose payload is the gob message of artifactWire, still loads;
 // nothing writes it. gob skips a field the receiving struct lacks, so
 // version-3 files written while the payload had a Prep or an Embeddings
-// field load too. Versions 1 and 2 (graph and CH inside the gob payload)
-// are not read; docs/OPERATIONS.md says how to regenerate such a file.
+// field load too. Version-3 and version-4 files whose raw section also
+// holds a contraction hierarchy's 12 arrays load with those arrays skipped
+// (rawsection.go). Versions 1 and 2 (graph and hierarchy inside the gob
+// payload) are not read; docs/OPERATIONS.md says how to regenerate such a
+// file.
 const artifactVersion, gobArtifactVersion = 4, 3
 
 // payloadPrefixLen is the fixed start of a version-4 payload: the raw
@@ -227,10 +228,6 @@ func SaveArtifact(w io.Writer, a *Artifact) error {
 	}
 	gd := a.Graph.RawData()
 	slots := graphSlots(&gd)
-	if a.Prep != nil && a.Prep.CH != nil {
-		chd := a.Prep.CH.RawData()
-		slots = append(slots, chSlots(&chd)...)
-	}
 
 	// The raw section holds absolute file offsets, so it depends on the
 	// payload's length, while the payload holds the raw section's digest
@@ -260,7 +257,7 @@ func SaveArtifact(w io.Writer, a *Artifact) error {
 
 // LoadArtifact reads an artifact written by SaveArtifact onto the heap and
 // verifies all of it — checksum, raw digest, and the content of every
-// array — before reconstructing the graph, CH and model. The returned
+// array — before reconstructing the graph and model. The returned
 // model's weights are bit-identical to the saved ones.
 func LoadArtifact(r io.Reader) (*Artifact, error) {
 	raw, err := io.ReadAll(r)
@@ -297,10 +294,10 @@ func decodePayload(payload []byte, version uint32) (wire artifactWire, err error
 }
 
 // decodeArtifact is the one loader body: it reconstructs an artifact from
-// the complete byte image of a file. The returned graph and CH alias
-// data, which may be a memory mapping or a heap buffer. verify selects
-// what the heap path adds over the mapped one (see the format comment):
-// the raw digest and deep validation of the graph and CH arrays.
+// the complete byte image of a file. The returned graph aliases data,
+// which may be a memory mapping or a heap buffer. verify selects what the
+// heap path adds over the mapped one (see the format comment): the raw
+// digest and deep validation of the graph arrays.
 func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
 	version := uint32(artifactVersion)
 	if len(data) >= 12 && binary.BigEndian.Uint32(data[8:12]) == gobArtifactVersion {
@@ -323,18 +320,13 @@ func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
 			return nil, fmt.Errorf("%w: raw section digest mismatch", ErrArtifactCorrupt)
 		}
 	}
-	gd, chd, err := readRawSection(data, align8(payloadEnd))
+	gd, err := readRawSection(data, align8(payloadEnd))
 	if err != nil {
 		return nil, err
 	}
 	if verify {
 		if err := validateRawGraph(gd); err != nil {
 			return nil, err
-		}
-		if chd != nil {
-			if err := validateRawCH(gd, *chd); err != nil {
-				return nil, err
-			}
 		}
 	}
 	g := roadnet.AssembleGraph(gd)
@@ -351,11 +343,7 @@ func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Artifact{Graph: g, Model: model, Candidates: wire.Candidates, Lineage: wire.Lineage, Shard: wire.Shard}
-	if chd != nil {
-		a.Prep = &spath.Prep{CH: spath.AssembleCH(g, *chd)}
-	}
-	return a, nil
+	return &Artifact{Graph: g, Model: model, Candidates: wire.Candidates, Lineage: wire.Lineage, Shard: wire.Shard}, nil
 }
 
 // checkModelShape rejects a decoded model configuration whose weight
@@ -403,11 +391,11 @@ func SaveArtifactV3File(path string, a *Artifact) error { return SaveArtifactFil
 func LoadArtifactFile(path string) (*Artifact, error) { return openArtifact(path, false) }
 
 // LoadArtifactFileMapped opens the named artifact by memory-mapping it:
-// the graph's CSR arrays and the CH query arrays are used in place, so
-// load cost is independent of their size and N replicas on one machine
-// share the page cache. It trusts the array bytes (see the format
-// comment). The returned artifact's Close must be called when it is
-// retired; until then the graph and prep alias the mapping.
+// the graph's CSR arrays are used in place, so load cost is independent
+// of their size and N replicas on one machine share the page cache. It
+// trusts the array bytes (see the format comment). The returned
+// artifact's Close must be called when it is retired; until then the
+// graph aliases the mapping.
 // (benchmark/ calls this name and may not be edited.)
 func LoadArtifactFileMapped(path string) (*Artifact, error) { return openArtifact(path, true) }
 
@@ -439,7 +427,7 @@ func openArtifact(path string, mapped bool) (*Artifact, error) {
 
 // Close releases the memory mapping backing a mapped artifact. It is a
 // no-op (and returns nil) for artifacts loaded any other way. After
-// Close, the artifact's graph and prep must not be used.
+// Close, the artifact's graph must not be used.
 func (a *Artifact) Close() error {
 	if a.closeFn == nil {
 		return nil

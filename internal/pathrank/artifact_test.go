@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"pathrank/internal/dataset"
+	"pathrank/internal/geo"
 	"pathrank/internal/nn"
 	"pathrank/internal/node2vec"
 	"pathrank/internal/roadnet"
@@ -313,175 +314,135 @@ func TestArtifactRejectsImplausibleShape(t *testing.T) {
 	}
 }
 
-// TestArtifactPrepRoundTrip checks that the contraction hierarchy survives
-// a save/load cycle through either loader, wired as the ranker's engine,
-// and that the restored artifact ranks bit-identically (paths and scores).
-func TestArtifactPrepRoundTrip(t *testing.T) {
-	art := trainedArtifact(t)
-	art.Prep = spath.BuildPrep(art.Graph, spath.PrepConfig{})
-	path := filepath.Join(t.TempDir(), "model.prart")
-	if err := SaveArtifactFile(path, art); err != nil {
-		t.Fatalf("save: %v", err)
+// TestRankerEngineIsDijkstra: Artifact.NewRanker's Engine answers exactly
+// what spath.Dijkstra answers under the length metric — the same edges and
+// the same cost bits, and ErrNoPath for the same pairs — on a graph with
+// one-way streets and a vertex nothing reaches, and it returns the
+// context's error when the context is canceled.
+func TestRankerEngineIsDijkstra(t *testing.T) {
+	const rows, cols = 5, 6
+	b := roadnet.NewBuilder(rows*cols+1, 4*rows*cols)
+	for i := 0; i <= rows*cols; i++ {
+		b.AddVertex(geo.Point{Lon: 10 + 0.003*float64(i%cols), Lat: 57 + 0.002*float64(i/cols)})
 	}
-	src := roadnet.VertexID(0)
-	dst := roadnet.VertexID(art.Graph.NumVertices() - 1)
-	for name, load := range map[string]func(string) (*Artifact, error){
-		"heap": LoadArtifactFile, "mapped": LoadArtifactFileMapped,
-	} {
-		got, err := load(path)
-		if err != nil {
-			t.Fatalf("%s load: %v", name, err)
-		}
-		if got.Prep == nil || got.Prep.CH == nil {
-			t.Fatalf("%s: prep not restored: %+v", name, got.Prep)
-		}
-		if got.Prep.CH.NumShortcuts() != art.Prep.CH.NumShortcuts() {
-			t.Fatalf("%s: shortcuts %d != %d", name, got.Prep.CH.NumShortcuts(), art.Prep.CH.NumShortcuts())
-		}
-		// The restored ranker carries the restored prep's engine.
-		if r := got.NewRanker(); r.Engine == nil {
-			t.Fatalf("%s: restored ranker engine = %v, want CH", name, r.Engine)
-		}
-		wantResp, err1 := art.NewRanker().Rank(context.Background(), RankRequest{Src: src, Dst: dst})
-		haveResp, err2 := got.NewRanker().Rank(context.Background(), RankRequest{Src: src, Dst: dst})
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: query errs: %v vs %v", name, err1, err2)
-		}
-		want, have := wantResp.Paths, haveResp.Paths
-		if len(want) != len(have) {
-			t.Fatalf("%s: ranked %d vs %d paths", name, len(have), len(want))
-		}
-		for i := range want {
-			if want[i].Score != have[i].Score || !want[i].Path.Equal(have[i].Path) {
-				t.Fatalf("%s: ranked path %d differs after round trip", name, i)
+	at := func(r, c int) roadnet.VertexID { return roadnet.VertexID(r*cols + c) }
+	for r := 0; r < rows; r++ {
+		for c := 0; c+1 < cols; c++ {
+			// Rows alternate direction, as one-way streets do.
+			if r%2 == 0 {
+				b.AddEdge(at(r, c), at(r, c+1), roadnet.Residential)
+			} else {
+				b.AddEdge(at(r, c+1), at(r, c), roadnet.Secondary)
 			}
 		}
-		if err := got.Close(); err != nil {
-			t.Fatal(err)
+	}
+	for r := 0; r+1 < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c%3 == 1 {
+				b.AddEdge(at(r+1, c), at(r, c), roadnet.Residential)
+			} else {
+				b.AddBidirectional(at(r, c), at(r+1, c), roadnet.Residential)
+			}
 		}
+	}
+	g := b.Build() // vertex rows*cols has no edges
+	m, err := New(g.NumVertices(), Config{EmbeddingDim: 2, Hidden: 2, Variant: PRA1, Body: MeanPoolBody, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := (&Artifact{Graph: g, Model: m}).NewRanker().Engine
+	if engine == nil {
+		t.Fatal("Artifact.NewRanker left Engine nil")
+	}
+	asymmetric, unreachable := 0, 0
+	for src := range g.NumVertices() {
+		for dst := range g.NumVertices() {
+			s, d := roadnet.VertexID(src), roadnet.VertexID(dst)
+			want, werr := spath.Dijkstra(g, s, d, spath.ByLength)
+			got, gerr := engine.ShortestCtx(context.Background(), s, d)
+			if werr != gerr {
+				t.Fatalf("%d->%d: engine err %v, Dijkstra err %v", s, d, gerr, werr)
+			}
+			if werr != nil {
+				unreachable++
+				continue
+			}
+			if !slices.Equal(got.Edges, want.Edges) || !slices.Equal(got.Vertices, want.Vertices) ||
+				math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+				t.Fatalf("%d->%d: engine %v cost %x, Dijkstra %v cost %x", s, d,
+					got.Edges, math.Float64bits(got.Cost), want.Edges, math.Float64bits(want.Cost))
+			}
+			if back, err := spath.Dijkstra(g, d, s, spath.ByLength); err == nil && back.Cost != want.Cost {
+				asymmetric++
+			}
+		}
+	}
+	if asymmetric == 0 || unreachable == 0 {
+		t.Fatalf("the graph tests too little: %d asymmetric and %d unreachable pairs", asymmetric, unreachable)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := engine.ShortestCtx(ctx, 0, at(rows-1, cols-1)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled context: err = %v, want context.Canceled", err)
 	}
 }
 
-// TestArtifactRejectsCorruptPrep checks that mangled CH bytes fail
-// digest-first, and that a digest-valid CH a query could not run safely —
-// a shortcut whose rank-invariant violation could make unpacking recurse
-// forever, a missing half-arc, an arc filed under the wrong vertex — is
-// rejected by the CH validator at load time rather than crashing or
-// hanging a query.
-func TestArtifactRejectsCorruptPrep(t *testing.T) {
-	art := trainedArtifact(t)
-	art.Prep = spath.BuildPrep(art.Graph, spath.PrepConfig{})
-	save := func() []byte {
-		var buf bytes.Buffer
-		if err := SaveArtifact(&buf, art); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	data := save()
-	data[len(data)-7] ^= 0x40 // inside the last CH array of the raw tail
-	if _, err := LoadArtifact(bytes.NewReader(data)); !errors.Is(err, ErrArtifactCorrupt) {
-		t.Fatalf("want ErrArtifactCorrupt, got %v", err)
-	}
-
-	// RawData aliases the hierarchy's arrays, so edits here are what the
-	// next save writes (with a matching digest).
-	d := art.Prep.CH.RawData()
-	sc := slices.IndexFunc(d.ArcMid, func(mid int32) bool { return mid >= 0 })
-	if sc < 0 {
-		t.Fatal("no shortcut to corrupt")
-	}
-	savedMid := d.ArcMid[sc]
-	top := int32(slices.Index(d.Order, int32(len(d.Order)-1)))
-	hasArc := func(from, to int32) bool {
-		_, ok := slices.BinarySearch(d.IdxKeys, int64(from)<<32|int64(uint32(to)))
-		return ok
-	}
-	from, to := d.ArcFrom[sc], d.ArcTo[sc]
-	dangling := int32(-1)
-	for v, r := range d.Order {
-		if r < d.Order[from] && r < d.Order[to] && !hasArc(from, int32(v)) {
-			dangling = int32(v)
-			break
-		}
-	}
-	if dangling < 0 {
-		t.Fatal("no low-ranked vertex without a half-arc")
-	}
-	for name, mid := range map[string]int32{
-		"rank-violating": top,      // order[mid] above both endpoints
-		"dangling":       dangling, // rank invariant holds, half-arc missing
-	} {
-		d.ArcMid[sc] = mid
-		if _, err := LoadArtifact(bytes.NewReader(save())); !errors.Is(err, ErrArtifactCorrupt) {
-			t.Fatalf("%s shortcut: want ErrArtifactCorrupt, got %v", name, err)
-		}
-	}
-	d.ArcMid[sc] = savedMid
-
-	// File an upward arc under another vertex's list: reconstruction would
-	// walk its ArcFrom to a vertex the search never left.
-	last := len(d.UpArcs) - 1
-	d.UpArcs[0], d.UpArcs[last] = d.UpArcs[last], d.UpArcs[0]
-	if _, err := LoadArtifact(bytes.NewReader(save())); !errors.Is(err, ErrArtifactCorrupt) {
-		t.Fatalf("misfiled adjacency: want ErrArtifactCorrupt, got %v", err)
-	}
-	d.UpArcs[0], d.UpArcs[last] = d.UpArcs[last], d.UpArcs[0]
-	if _, err := LoadArtifact(bytes.NewReader(save())); err != nil {
-		t.Fatalf("restored CH rejected: %v", err)
-	}
-}
-
-// retiredPrepFixture is a version-3 artifact (6x6 world, M 4, hidden 4)
-// written while the gob payload still carried a Prep section beside the
-// raw CH arrays, and an Embeddings section; retiredPrepFingerprint is its
-// model's fingerprint as the writing binary computed it.
+// The committed files that older builds wrote, each with its model's
+// fingerprint as the writing binary computed it (6x6 world, M 4, hidden 4;
+// the same training run, so the same fingerprint):
+//   - retiredPrepFixture, version 3: the gob payload still carried a Prep
+//     section beside the raw hierarchy arrays, and an Embeddings section;
+//   - chSectionFixture, version 4: the raw section holds the graph's 8
+//     arrays and a contraction hierarchy's 12.
 const (
 	retiredPrepFixture     = "testdata/v3_prep_section.prart"
 	retiredPrepFingerprint = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
+	chSectionFixture       = "testdata/v4_ch_section.prart"
+	chSectionFingerprint   = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
 )
 
-// TestArtifactLoadsRetiredPrepSection checks that a file written with the
-// retired Prep and Embeddings gob sections still loads under both loaders
-// — gob skips the fields the payload struct no longer has — with its
-// contraction hierarchy, and ranks bit-identically to the same artifact
-// re-saved without the sections; and that its model fingerprint is still
-// the one the writing binary computed, which WAL replay and a bundle's
-// shard map compare against.
-func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
-	data, err := os.ReadFile(retiredPrepFixture)
+// rawArrayCount returns the array count of a version-4 file's raw
+// directory.
+func rawArrayCount(t *testing.T, data []byte) uint32 {
+	t.Helper()
+	payload, err := DecodeFrame(data, artifactMagic, artifactVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := DecodeFrame(data, artifactMagic, gobArtifactVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var retired struct{ Embeddings []byte }
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&retired); err != nil || len(retired.Embeddings) == 0 {
-		t.Fatalf("fixture carries no embeddings section (%d bytes, err %v)", len(retired.Embeddings), err)
-	}
-	old, err := LoadArtifactFile(retiredPrepFixture)
+	dir := data[align8(FrameHeaderLen+len(payload)):]
+	return binary.NativeEndian.Uint32(dir[12:16])
+}
+
+// requireLoadsLikeResave checks an older build's file: under both loaders
+// it keeps the model fingerprint its writer computed, and it ranks
+// bit-identically to the same artifact re-saved by this build, which must
+// be smaller (the retired sections are dropped) and keep lineage,
+// candidates and model config. Fingerprints are what WAL replay and a
+// bundle's shard map compare against.
+func requireLoadsLikeResave(t *testing.T, fixture, fingerprint string) {
+	t.Helper()
+	old, err := LoadArtifactFile(fixture)
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
-	}
-	if fp, err := old.Model.FingerprintHex(); err != nil || fp != retiredPrepFingerprint {
-		t.Fatalf("fixture model fingerprint %s (err %v), written as %s", fp, err, retiredPrepFingerprint)
 	}
 	resaved := filepath.Join(t.TempDir(), "resaved.prart")
 	if err := SaveArtifactFile(resaved, old); err != nil {
 		t.Fatalf("re-save: %v", err)
 	}
-	oldInfo, err := os.Stat(retiredPrepFixture)
+	oldData, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newInfo, err := os.Stat(resaved)
+	newData, err := os.ReadFile(resaved)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if newInfo.Size() >= oldInfo.Size() {
-		t.Fatalf("re-saved artifact is %d bytes, the fixture %d: the section was not dropped", newInfo.Size(), oldInfo.Size())
+	if len(newData) >= len(oldData) {
+		t.Fatalf("re-saved artifact is %d bytes, the fixture %d: the retired sections were not dropped", len(newData), len(oldData))
+	}
+	if n := rawArrayCount(t, newData); n != rawGraphArrayCount {
+		t.Fatalf("re-saved raw section holds %d arrays, want %d", n, rawGraphArrayCount)
 	}
 	ref, err := LoadArtifactFile(resaved)
 	if err != nil {
@@ -494,9 +455,6 @@ func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
 
 	rankings := func(a *Artifact) []string {
 		r := a.NewRanker()
-		if r.Engine == nil {
-			t.Fatalf("ranker engine = %v, want the artifact's CH", r.Engine)
-		}
 		var out []string
 		n := a.Graph.NumVertices()
 		for i := 0; i < 12; i++ {
@@ -520,18 +478,103 @@ func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
 	for name, load := range map[string]func(string) (*Artifact, error){
 		"heap": LoadArtifactFile, "mapped": LoadArtifactFileMapped,
 	} {
-		got, err := load(retiredPrepFixture)
+		got, err := load(fixture)
 		if err != nil {
 			t.Fatalf("%s load: %v", name, err)
 		}
-		if got.Prep == nil || got.Prep.CH == nil {
-			t.Fatalf("%s: fixture loaded without its contraction hierarchy", name)
+		if fp, err := got.Model.FingerprintHex(); err != nil || fp != fingerprint {
+			t.Fatalf("%s: fixture model fingerprint %s (err %v), written as %s", name, fp, err, fingerprint)
 		}
 		if have := rankings(got); !slices.Equal(have, want) {
 			t.Fatalf("%s: fixture ranks differently from its re-saved copy:\n%v\nvs\n%v", name, have, want)
 		}
 		if err := got.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestArtifactLoadsRetiredPrepSection: a version-3 file written with the
+// retired Prep and Embeddings gob sections still loads — gob skips the
+// fields the payload struct no longer has, and the raw hierarchy arrays
+// are skipped — as requireLoadsLikeResave demands.
+func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
+	data, err := os.ReadFile(retiredPrepFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := DecodeFrame(data, artifactMagic, gobArtifactVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retired struct{ Embeddings []byte }
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&retired); err != nil || len(retired.Embeddings) == 0 {
+		t.Fatalf("fixture carries no embeddings section (%d bytes, err %v)", len(retired.Embeddings), err)
+	}
+	requireLoadsLikeResave(t, retiredPrepFixture, retiredPrepFingerprint)
+}
+
+// TestArtifactLoadsCHSection: a version-4 file whose raw directory lists a
+// contraction hierarchy's 12 arrays after the graph's 8 loads with those
+// arrays skipped, as requireLoadsLikeResave demands.
+func TestArtifactLoadsCHSection(t *testing.T) {
+	data, err := os.ReadFile(chSectionFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rawArrayCount(t, data); n != rawGraphArrayCount+rawCHArrayCount {
+		t.Fatalf("fixture's raw section holds %d arrays, want 8 graph + 12 hierarchy", n)
+	}
+	requireLoadsLikeResave(t, chSectionFixture, chSectionFingerprint)
+}
+
+// TestArtifactRejectsCorruptCHSection: the heap loader's raw digest still
+// covers the skipped hierarchy arrays, so a flipped byte among them is
+// ErrArtifactCorrupt; and a raw directory whose array count is neither 8
+// nor 20 is ErrArtifactCorrupt under both loaders, even with a digest and
+// checksum that match.
+func TestArtifactRejectsCorruptCHSection(t *testing.T) {
+	fixture, err := os.ReadFile(chSectionFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mangled := bytes.Clone(fixture)
+	mangled[len(mangled)-7] ^= 0x40 // inside the last hierarchy array
+	if _, err := LoadArtifact(bytes.NewReader(mangled)); !errors.Is(err, ErrArtifactCorrupt) {
+		t.Fatalf("flipped hierarchy byte: want ErrArtifactCorrupt, got %v", err)
+	}
+
+	var fresh bytes.Buffer
+	if err := SaveArtifact(&fresh, smallArtifact(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{"fresh": fresh.Bytes(), "fixture": fixture} {
+		payload, err := DecodeFrame(data, artifactMagic, artifactVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		countAt := align8(FrameHeaderLen+len(payload)) + 12
+		for _, n := range []uint32{0, 7, 9, 19, 21, 1 << 31} {
+			mut := bytes.Clone(data)
+			binary.NativeEndian.PutUint32(mut[countAt:], n)
+			mut, ok := resealArtifact(mut)
+			if !ok {
+				t.Fatal("reseal failed")
+			}
+			if _, err := LoadArtifact(bytes.NewReader(mut)); !errors.Is(err, ErrArtifactCorrupt) {
+				t.Fatalf("%s, %d arrays, heap: want ErrArtifactCorrupt, got %v", name, n, err)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.prart", name, n))
+			if err := os.WriteFile(path, mut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if a, err := LoadArtifactFileMapped(path); !errors.Is(err, ErrArtifactCorrupt) {
+				if a != nil {
+					a.Close()
+				}
+				t.Fatalf("%s, %d arrays, mapped: want ErrArtifactCorrupt, got %v", name, n, err)
+			}
 		}
 	}
 }

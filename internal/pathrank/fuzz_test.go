@@ -2,6 +2,7 @@ package pathrank
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"os"
@@ -10,11 +11,10 @@ import (
 	"pathrank/internal/dataset"
 	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
-	"pathrank/internal/spath"
 )
 
 // fuzzSeedArtifacts builds and serializes minimal valid artifacts: a
-// bare one, one carrying a CH (20 raw arrays), and a shard.
+// bare one and a shard.
 func fuzzSeedArtifacts(f *testing.F) [][]byte {
 	f.Helper()
 	b := roadnet.NewBuilder(4, 8)
@@ -37,16 +37,14 @@ func fuzzSeedArtifacts(f *testing.F) [][]byte {
 		Candidates: dataset.Config{Strategy: dataset.TkDI, K: 2},
 		Lineage:    Lineage{Note: "fuzz seed"},
 	}
-	withCH := bare
-	withCH.Prep = spath.BuildPrep(g, spath.PrepConfig{})
-	shard := withCH
+	shard := bare
 	shard.Shard = &ShardInfo{
 		Index: 1, Parts: 2,
 		Boundary:   []roadnet.VertexID{v0, v2},
 		EdgeGlobal: []roadnet.EdgeID{0, 1, 2, 3, 4, 5},
 	}
 	var out [][]byte
-	for _, art := range []*Artifact{&bare, &withCH, &shard} {
+	for _, art := range []*Artifact{&bare, &shard} {
 		var buf bytes.Buffer
 		if err := SaveArtifact(&buf, art); err != nil {
 			f.Fatal(err)
@@ -76,20 +74,26 @@ func resealArtifact(data []byte) ([]byte, bool) {
 
 // FuzzLoadArtifact asserts the artifact parser never panics: arbitrary
 // bytes either reconstruct a complete artifact or return an error. The
-// seeds include the version-3 retired-Prep fixture, so the gob payload
-// reader, and its skip of fields the payload struct lacks, stay fuzzed.
+// seeds include the two committed fixtures older builds wrote: the
+// version-3 retired-Prep file, so the gob payload reader and its skip of
+// fields the payload struct lacks stay fuzzed, and the version-4 file
+// whose raw directory lists a hierarchy's arrays, which the loader skips.
 // The checksum and the raw digest screen random corruption, so every
 // input is tried twice — as is, which exercises the frame, checksum and
 // digest branches, and resealed, which lets a mutation of the JSON
 // header, the directory or an array through to the decoders, the bounds
-// checks and the graph and CH validators.
+// checks and the graph validator.
 func FuzzLoadArtifact(f *testing.F) {
 	f.Add([]byte{})
-	retired, err := os.ReadFile(retiredPrepFixture)
-	if err != nil {
-		f.Fatal(err)
+	seeds := fuzzSeedArtifacts(f)
+	for _, name := range []string{retiredPrepFixture, chSectionFixture} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, data)
 	}
-	for _, valid := range append(fuzzSeedArtifacts(f), retired) {
+	for _, valid := range seeds {
 		f.Add(valid)
 		f.Add(valid[:20]) // inside the header
 		plen := int(binary.BigEndian.Uint64(valid[44:52]))
@@ -127,10 +131,9 @@ func FuzzLoadArtifact(f *testing.F) {
 			if _, ferr := art.Model.Fingerprint(); ferr != nil {
 				t.Fatalf("loaded artifact cannot be fingerprinted: %v", ferr)
 			}
-			// So must the hierarchy: validation promised unpacking terminates.
-			if art.Prep != nil && art.Prep.CH != nil {
-				_, _ = art.Prep.CH.Query(0, roadnet.VertexID(art.Graph.NumVertices()-1))
-			}
+			// So must the graph: validation promised its accessors cannot
+			// panic.
+			_, _ = art.NewRanker().Engine.ShortestCtx(context.Background(), 0, roadnet.VertexID(art.Graph.NumVertices()-1))
 		}
 	})
 }

@@ -21,9 +21,10 @@ type Ranker struct {
 	// Candidates controls candidate generation for queries; defaults are
 	// used when zero-valued.
 	Candidates dataset.Config
-	// Engine is the CH engine over the artifact's hierarchy when it
-	// carries one (Artifact.NewRanker), else nil. Ranking does not use it:
-	// it is kept only because benchmark/ times its point query.
+	// Engine is a plain Dijkstra point query under the length metric when
+	// the ranker came from Artifact.NewRanker, else nil. Ranking does not
+	// use it. Kept only because benchmark/ names it; ROADMAP item 4 removes
+	// it.
 	Engine spath.Engine
 
 	// tables holds each metric's edge-weight table (length, time), built

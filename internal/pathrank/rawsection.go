@@ -6,28 +6,29 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
-	"slices"
 	"unsafe"
 
 	"pathrank/internal/roadnet"
-	"pathrank/internal/spath"
 )
 
 // The raw section of an artifact (see the format comment in artifact.go)
-// is the byte image of the graph's CSR arrays (roadnet.GraphData) and,
-// when the artifact carries a CH, the CH query arrays (spath.CHData),
-// each 8-byte aligned. A directory names every array by offset and
-// element count:
+// is the byte image of the graph's CSR arrays (roadnet.GraphData), each
+// 8-byte aligned. A directory names every array by offset and element
+// count:
 //
 //	8   magic "PRRAWSEC"
 //	4   byte-order probe (0x01020304, native endianness)
-//	4   array count (8 = graph only, 20 = graph + CH)
+//	4   array count (8; older files may hold 20)
 //	16n per array: file offset (uint64), element count (uint64)
 //
-// Array order and element types are fixed by graphSlots and chSlots —
-// the one table both the writer and the loader walk — so the directory
-// needs no type tags. The image is native-endian and uses the writing
+// Array order and element types are fixed by graphSlots — the one table
+// both the writer and the loader walk — so the directory needs no type
+// tags. Files written while artifacts could carry a contraction hierarchy
+// may list that hierarchy's 12 arrays after the graph's; the loaders bind
+// only the graph's 8 and skip the rest (the heap loader's raw digest still
+// covers their bytes). The image is native-endian and uses the writing
 // build's struct layout: the probe rejects a cross-endian file, and
 // TestRawLayoutPinned fails when a struct edit would change the format.
 var rawSectionMagic = [8]byte{'P', 'R', 'R', 'A', 'W', 'S', 'E', 'C'}
@@ -36,7 +37,9 @@ const (
 	rawEndianProbe     uint32 = 0x01020304
 	rawDirHeaderLen           = 16 // magic + probe + count
 	rawGraphArrayCount        = 8
-	rawCHArrayCount           = 12
+	// rawCHArrayCount is the number of arrays a retired contraction
+	// hierarchy added after the graph's in older files.
+	rawCHArrayCount = 12
 )
 
 func align8(n int) int { return (n + 7) &^ 7 }
@@ -67,8 +70,7 @@ type rawSlot struct {
 
 // A struct's padding bytes hold whatever the memory held when a value
 // was copied in, so the image of a []T with padding is a copy with those
-// bytes zeroed: a file's bytes, and GraphDigest, are then fixed by the
-// values alone.
+// bytes zeroed: a file's bytes are then fixed by the values alone.
 func slot[T any](p *[]T) rawSlot {
 	return rawSlot{
 		image: func() ([]byte, uint64) {
@@ -76,7 +78,7 @@ func slot[T any](p *[]T) rawSlot {
 			if len(s) == 0 {
 				return nil, 0
 			}
-			b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+			b := byteImage(s)
 			mask := make([]byte, unsafe.Sizeof(s[0]))
 			markFields(mask, reflect.TypeFor[T](), 0)
 			if bytes.IndexByte(mask, 0) >= 0 {
@@ -94,6 +96,14 @@ func slot[T any](p *[]T) rawSlot {
 			return err
 		},
 	}
+}
+
+// byteImage is the memory of s, padding included, as bytes.
+func byteImage[T any](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
 // markFields sets to 0xff the bytes of mask that a value of type t at
@@ -120,24 +130,47 @@ func graphSlots(d *roadnet.GraphData) []rawSlot {
 	}
 }
 
-// chSlots is the directory order of the CH arrays, after the graph's.
-// Kept because benchmark/'s artifact carries a hierarchy.
-func chSlots(d *spath.CHData) []rawSlot {
-	return []rawSlot{
-		slot(&d.Order),
-		slot(&d.ArcFrom), slot(&d.ArcTo), slot(&d.ArcWeight), slot(&d.ArcMid), slot(&d.ArcEdge),
-		slot(&d.UpStart), slot(&d.UpArcs), slot(&d.DownStart), slot(&d.DownArcs),
-		slot(&d.IdxKeys), slot(&d.IdxVals),
-	}
-}
-
-// GraphDigest returns the SHA-256 of g's flat arrays, laid out as an
-// artifact's raw section at offset 0. Two graphs digest equal iff their
-// arrays are byte-identical.
+// GraphDigest returns the SHA-256 of g's flat arrays: the vertex and
+// edge counts, every field of every vertex and edge as written, and the
+// six adjacency arrays, in native byte order. Padding is not hashed, so
+// two graphs digest equal iff their arrays hold the same values. Nothing
+// persists the digest; serve compares it within one process.
 func GraphDigest(g *roadnet.Graph) [sha256.Size]byte {
 	gd := g.RawData()
 	h := sha256.New()
-	_ = writeRawSection(h, 0, graphSlots(&gd)) // a hash.Hash never fails a Write
+	order := binary.NativeEndian
+	buf := make([]byte, 0, 8<<10)
+	// room flushes buf when n more bytes would not fit.
+	room := func(n int) {
+		if len(buf)+n > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	buf = order.AppendUint64(buf, uint64(len(gd.Vertices)))
+	buf = order.AppendUint64(buf, uint64(len(gd.Edges)))
+	for _, v := range gd.Vertices {
+		room(20)
+		buf = order.AppendUint32(buf, uint32(v.ID))
+		buf = order.AppendUint64(buf, math.Float64bits(v.Point.Lon))
+		buf = order.AppendUint64(buf, math.Float64bits(v.Point.Lat))
+	}
+	for _, e := range gd.Edges {
+		room(29)
+		buf = order.AppendUint32(buf, uint32(e.ID))
+		buf = order.AppendUint32(buf, uint32(e.From))
+		buf = order.AppendUint32(buf, uint32(e.To))
+		buf = order.AppendUint64(buf, math.Float64bits(e.Length))
+		buf = order.AppendUint64(buf, math.Float64bits(e.Time))
+		buf = append(buf, byte(e.Category))
+	}
+	h.Write(buf)
+	for _, b := range [][]byte{
+		byteImage(gd.OutStart), byteImage(gd.OutEdges), byteImage(gd.OutTo),
+		byteImage(gd.InStart), byteImage(gd.InEdges), byteImage(gd.InFrom),
+	} {
+		h.Write(b)
+	}
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
@@ -184,61 +217,46 @@ func writeRawSection(w io.Writer, pos int, slots []rawSlot) error {
 }
 
 // readRawSection parses the directory at rawStart and points a GraphData
-// (and a CHData, when the file carries one) into data. Everything needed
-// to make the reinterpretation memory-safe is checked here on both load
-// paths — directory bounds, offset alignment, element-size products,
-// end-of-file bounds, mutually consistent array lengths — so a truncated
-// or corrupt file fails with a typed error instead of faulting. Whether
-// the array CONTENTS are sane is validateRawGraph/validateRawCH's job.
-func readRawSection(data []byte, rawStart int) (gd roadnet.GraphData, chd *spath.CHData, err error) {
+// into data. Everything needed to make the reinterpretation memory-safe
+// is checked here on both load paths — directory bounds, offset
+// alignment, element-size products, end-of-file bounds, mutually
+// consistent array lengths — so a truncated or corrupt file fails with a
+// typed error instead of faulting. Whether the array CONTENTS are sane is
+// validateRawGraph's job. A directory of an older file that also lists a
+// hierarchy's arrays is accepted; those entries are not bound.
+func readRawSection(data []byte, rawStart int) (gd roadnet.GraphData, err error) {
 	if rawStart+rawDirHeaderLen > len(data) {
-		return gd, nil, fmt.Errorf("%w: raw section truncated", ErrArtifactCorrupt)
+		return gd, fmt.Errorf("%w: raw section truncated", ErrArtifactCorrupt)
 	}
 	d := data[rawStart:]
 	if !bytes.Equal(d[:8], rawSectionMagic[:]) {
-		return gd, nil, fmt.Errorf("%w: bad raw-section magic", ErrArtifactCorrupt)
+		return gd, fmt.Errorf("%w: bad raw-section magic", ErrArtifactCorrupt)
 	}
 	if probe := binary.NativeEndian.Uint32(d[8:12]); probe != rawEndianProbe {
-		return gd, nil, fmt.Errorf("%w: artifact written on a different byte order", ErrArtifactFormat)
+		return gd, fmt.Errorf("%w: artifact written on a different byte order", ErrArtifactFormat)
 	}
 	count := int(binary.NativeEndian.Uint32(d[12:16]))
-	slots := graphSlots(&gd)
-	switch count {
-	case rawGraphArrayCount:
-	case rawGraphArrayCount + rawCHArrayCount:
-		chd = &spath.CHData{}
-		slots = append(slots, chSlots(chd)...)
-	default:
-		return gd, nil, fmt.Errorf("%w: raw section has %d arrays", ErrArtifactCorrupt, count)
+	if count != rawGraphArrayCount && count != rawGraphArrayCount+rawCHArrayCount {
+		return gd, fmt.Errorf("%w: raw section has %d arrays", ErrArtifactCorrupt, count)
 	}
 	if rawDirHeaderLen+count*16 > len(d) {
-		return gd, nil, fmt.Errorf("%w: raw directory truncated", ErrArtifactCorrupt)
+		return gd, fmt.Errorf("%w: raw directory truncated", ErrArtifactCorrupt)
 	}
-	for i, s := range slots {
+	for i, s := range graphSlots(&gd) {
 		e := d[rawDirHeaderLen+i*16:]
 		if err := s.bind(data, rawDirEntry{
 			off:   binary.NativeEndian.Uint64(e[0:8]),
 			elems: binary.NativeEndian.Uint64(e[8:16]),
 		}); err != nil {
-			return gd, nil, err
+			return gd, err
 		}
 	}
 	nv, ne := len(gd.Vertices), len(gd.Edges)
 	if nv == 0 || len(gd.OutStart) != nv+1 || len(gd.InStart) != nv+1 ||
 		len(gd.OutEdges) != ne || len(gd.OutTo) != ne || len(gd.InEdges) != ne || len(gd.InFrom) != ne {
-		return gd, nil, fmt.Errorf("%w: raw graph arrays inconsistent (%d vertices, %d edges)", ErrArtifactCorrupt, nv, ne)
+		return gd, fmt.Errorf("%w: raw graph arrays inconsistent (%d vertices, %d edges)", ErrArtifactCorrupt, nv, ne)
 	}
-	if chd != nil {
-		m := len(chd.ArcFrom)
-		if len(chd.Order) != nv || len(chd.ArcTo) != m || len(chd.ArcWeight) != m ||
-			len(chd.ArcMid) != m || len(chd.ArcEdge) != m ||
-			len(chd.UpStart) != nv+1 || len(chd.DownStart) != nv+1 ||
-			len(chd.UpArcs)+len(chd.DownArcs) != m ||
-			len(chd.IdxKeys) != len(chd.IdxVals) {
-			return gd, nil, fmt.Errorf("%w: raw CH arrays inconsistent", ErrArtifactCorrupt)
-		}
-	}
-	return gd, chd, nil
+	return gd, nil
 }
 
 // sliceOf reinterprets a directory entry as a []T, after verifying the
@@ -292,98 +310,6 @@ func validateRawGraph(gd roadnet.GraphData) error {
 	for _, v := range gd.InFrom {
 		if v < 0 || int32(v) >= nv {
 			return fmt.Errorf("%w: in-neighbor %d out of range", ErrArtifactCorrupt, v)
-		}
-	}
-	return nil
-}
-
-// validateRawCH is the one CH validator: index ranges, monotone
-// adjacency, and shortcut unpackability. Every shortcut must (a) have
-// both half-arcs present in the unpacking index — a missing key would
-// silently unpack through a neighbouring entry — and (b) satisfy the CH
-// rank invariant order[mid] < min(order[from], order[to]). The invariant
-// is what makes unpacking terminate (each recursion strictly decreases
-// the endpoints' rank sum), so a crafted file that wires shortcuts into a
-// cycle is rejected here instead of overflowing the stack at query time.
-// Kept because benchmark/'s artifact carries a hierarchy.
-func validateRawCH(gd roadnet.GraphData, d spath.CHData) error {
-	nv := int32(len(gd.Vertices))
-	ne := int32(len(gd.Edges))
-	m := int32(len(d.ArcFrom))
-	if m < ne {
-		return fmt.Errorf("%w: CH carries %d arcs for a %d-edge graph", ErrArtifactCorrupt, m, ne)
-	}
-	for _, starts := range [][]int32{d.UpStart, d.DownStart} {
-		if starts[0] != 0 {
-			return fmt.Errorf("%w: CH adjacency does not start at 0", ErrArtifactCorrupt)
-		}
-		for i := 1; i < len(starts); i++ {
-			if starts[i] < starts[i-1] {
-				return fmt.Errorf("%w: CH adjacency not monotone at %d", ErrArtifactCorrupt, i)
-			}
-		}
-	}
-	if int(d.UpStart[nv]) != len(d.UpArcs) || int(d.DownStart[nv]) != len(d.DownArcs) {
-		return fmt.Errorf("%w: CH adjacency does not span its arc lists", ErrArtifactCorrupt)
-	}
-	for _, list := range [][]int32{d.UpArcs, d.DownArcs} {
-		for _, ai := range list {
-			if ai < 0 || ai >= m {
-				return fmt.Errorf("%w: CH adjacency names arc %d of %d", ErrArtifactCorrupt, ai, m)
-			}
-		}
-	}
-	for i := range d.IdxKeys {
-		if i > 0 && d.IdxKeys[i] <= d.IdxKeys[i-1] {
-			return fmt.Errorf("%w: CH unpacking index not strictly sorted at %d", ErrArtifactCorrupt, i)
-		}
-		if d.IdxVals[i] < 0 || d.IdxVals[i] >= m {
-			return fmt.Errorf("%w: CH unpacking index value %d out of range", ErrArtifactCorrupt, d.IdxVals[i])
-		}
-	}
-	indexed := func(from, to int32) bool {
-		_, ok := slices.BinarySearch(d.IdxKeys, int64(from)<<32|int64(uint32(to)))
-		return ok
-	}
-	for i := int32(0); i < m; i++ {
-		from, to, mid := d.ArcFrom[i], d.ArcTo[i], d.ArcMid[i]
-		if from < 0 || from >= nv || to < 0 || to >= nv {
-			return fmt.Errorf("%w: CH arc %d endpoints out of range", ErrArtifactCorrupt, i)
-		}
-		if mid < -1 || mid >= nv {
-			return fmt.Errorf("%w: CH arc %d middle vertex out of range", ErrArtifactCorrupt, i)
-		}
-		if !(d.ArcWeight[i] >= 0) { // also rejects NaN
-			return fmt.Errorf("%w: CH arc %d has invalid weight", ErrArtifactCorrupt, i)
-		}
-		if mid < 0 {
-			if d.ArcEdge[i] < 0 || int32(d.ArcEdge[i]) >= ne {
-				return fmt.Errorf("%w: CH arc %d edge out of range", ErrArtifactCorrupt, i)
-			}
-			continue
-		}
-		if d.Order[mid] >= d.Order[from] || d.Order[mid] >= d.Order[to] {
-			return fmt.Errorf("%w: CH shortcut %d violates the rank invariant", ErrArtifactCorrupt, i)
-		}
-		if !indexed(from, mid) || !indexed(mid, to) {
-			return fmt.Errorf("%w: CH shortcut %d has no half-arc in the unpacking index", ErrArtifactCorrupt, i)
-		}
-	}
-	// Every arc must be filed where a search expects it: rank-increasing
-	// arcs under their tail in the upward lists, the rest under their head
-	// in the downward lists. Path reconstruction walks parent arcs back by
-	// ArcFrom/ArcTo, so an arc filed under another vertex sends the walk
-	// somewhere the search never was, and it need not terminate.
-	for v := int32(0); v < nv; v++ {
-		for _, ai := range d.UpArcs[d.UpStart[v]:d.UpStart[v+1]] {
-			if d.ArcFrom[ai] != v || d.Order[d.ArcTo[ai]] <= d.Order[v] {
-				return fmt.Errorf("%w: CH arc %d misfiled in the upward list of vertex %d", ErrArtifactCorrupt, ai, v)
-			}
-		}
-		for _, ai := range d.DownArcs[d.DownStart[v]:d.DownStart[v+1]] {
-			if d.ArcTo[ai] != v || d.Order[d.ArcFrom[ai]] < d.Order[v] {
-				return fmt.Errorf("%w: CH arc %d misfiled in the downward list of vertex %d", ErrArtifactCorrupt, ai, v)
-			}
 		}
 	}
 	return nil

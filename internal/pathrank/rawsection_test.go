@@ -2,33 +2,27 @@ package pathrank
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"pathrank/internal/fault"
+	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
 )
 
-// v3Artifact is trainedArtifact plus the CH prep the raw section carries.
-func v3Artifact(t testing.TB) *Artifact {
-	t.Helper()
-	art := trainedArtifact(t)
-	art.Prep = spath.BuildPrep(art.Graph, spath.PrepConfig{})
-	return art
-}
-
 // TestArtifactV3RoundTrip saves an artifact and reloads it both ways,
-// demanding bit-identical graph, CH, and model behavior.
+// demanding a bit-identical graph and model.
 func TestArtifactV3RoundTrip(t *testing.T) {
-	art := v3Artifact(t)
+	art := trainedArtifact(t)
 	path := filepath.Join(t.TempDir(), "v3.prar")
 	if err := SaveArtifactV3File(path, art); err != nil {
 		t.Fatal(err)
@@ -53,22 +47,6 @@ func TestArtifactV3RoundTrip(t *testing.T) {
 				t.Fatalf("%s: edge %d differs: %+v vs %+v", mode.name, i, e, w)
 			}
 		}
-		if got.Prep == nil || got.Prep.CH == nil {
-			t.Fatalf("%s: CH prep lost", mode.name)
-		}
-		// CH answers must match a fresh Dijkstra on the reloaded graph.
-		eng := got.Prep.Engine(got.Graph)
-		n := got.Graph.NumVertices()
-		for _, dst := range []roadnet.VertexID{roadnet.VertexID(n - 1), roadnet.VertexID(n / 2)} {
-			want, err := spath.Dijkstra(got.Graph, 0, dst, spath.ByLength)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := eng.ShortestCtx(context.Background(), 0, dst)
-			if err != nil || p.Cost != want.Cost {
-				t.Fatalf("%s: CH distance 0->%d = %g (%v), dijkstra says %g", mode.name, dst, p.Cost, err, want.Cost)
-			}
-		}
 		wantFP, err := art.Model.FingerprintHex()
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +65,7 @@ func TestArtifactV3RoundTrip(t *testing.T) {
 }
 
 // TestArtifactV3MappedColdStartSkipsArrays is the mmap acceptance test: a
-// mapped open must not copy the CSR and CH arrays — its heap allocations
+// mapped open must not copy the CSR arrays — its heap allocations
 // must stay far below the raw section it maps, while a heap load pays
 // for every array. The graph is sized so the raw
 // arrays dominate the file and the model gob is noise.
@@ -103,7 +81,7 @@ func TestArtifactV3MappedColdStartSkipsArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art := &Artifact{Graph: g, Model: m, Prep: spath.BuildPrep(g, spath.PrepConfig{})}
+	art := &Artifact{Graph: g, Model: m}
 	path := filepath.Join(t.TempDir(), "v3.prar")
 	if err := SaveArtifactV3File(path, art); err != nil {
 		t.Fatal(err)
@@ -143,7 +121,7 @@ func TestArtifactV3MappedColdStartSkipsArrays(t *testing.T) {
 // TestArtifactV3ShardInfoRoundTrip checks the shard identity block
 // survives both load paths.
 func TestArtifactV3ShardInfoRoundTrip(t *testing.T) {
-	art := v3Artifact(t)
+	art := trainedArtifact(t)
 	art.Shard = &ShardInfo{
 		Index: 1, Parts: 3,
 		Boundary:   []roadnet.VertexID{0, 3, roadnet.VertexID(art.Graph.NumVertices() - 1)},
@@ -183,7 +161,7 @@ func smallArtifact(t testing.TB, seed int64) *Artifact {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Artifact{Graph: g, Model: m, Prep: spath.BuildPrep(g, spath.PrepConfig{})}
+	return &Artifact{Graph: g, Model: m}
 }
 
 // TestSaveOverMappedArtifact: publishing a different artifact at a path a
@@ -192,7 +170,7 @@ func smallArtifact(t testing.TB, seed int64) *Artifact {
 // SIGBUS or hands it the new file's bytes; every public writer must
 // replace the inode instead.
 func TestSaveOverMappedArtifact(t *testing.T) {
-	first := v3Artifact(t)
+	first := trainedArtifact(t)
 	path := filepath.Join(t.TempDir(), "live.prart")
 	if err := SaveArtifactFile(path, first); err != nil {
 		t.Fatal(err)
@@ -203,7 +181,7 @@ func TestSaveOverMappedArtifact(t *testing.T) {
 	}
 	defer mapped.Close()
 	src, dst := roadnet.VertexID(0), roadnet.VertexID(first.Graph.NumVertices()-1)
-	want, err := first.Prep.CH.Query(src, dst)
+	want, err := spath.Dijkstra(first.Graph, src, dst, spath.ByLength)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +193,9 @@ func TestSaveOverMappedArtifact(t *testing.T) {
 		if err := save(path, second); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := mapped.Prep.CH.Query(src, dst)
+		got, err := spath.Dijkstra(mapped.Graph, src, dst, spath.ByLength)
 		if err != nil || got.Cost != want.Cost || !got.Equal(want) {
-			t.Fatalf("%s: mapped CH query changed after the path was overwritten: %v", name, err)
+			t.Fatalf("%s: a query on the mapped graph changed after the path was overwritten: %v", name, err)
 		}
 		for i := 0; i < first.Graph.NumEdges(); i++ {
 			if e, w := mapped.Graph.Edge(roadnet.EdgeID(i)), first.Graph.Edge(roadnet.EdgeID(i)); e != w {
@@ -275,12 +253,12 @@ func TestArtifactFaultSites(t *testing.T) {
 	a.Close()
 }
 
-// TestRawLayoutPinned pins everything format 3 depends on without saying
-// so in the file: the in-memory layout of the structs whose byte image is
-// persisted, and the order and element type of the 8 graph + 12 CH
-// directory entries. Editing roadnet.Vertex/Edge, reordering
-// GraphData/CHData or the slot tables, or retyping an array fails here
-// instead of silently changing the format under an unchanged version.
+// TestRawLayoutPinned pins everything the raw section depends on without
+// saying so in the file: the in-memory layout of the structs whose byte
+// image is persisted, and the order and element type of the 8 graph
+// directory entries. Editing roadnet.Vertex/Edge, reordering GraphData or
+// the slot table, or retyping an array fails here instead of silently
+// changing the format under an unchanged version.
 func TestRawLayoutPinned(t *testing.T) {
 	var v roadnet.Vertex
 	var e roadnet.Edge
@@ -303,17 +281,17 @@ func TestRawLayoutPinned(t *testing.T) {
 		{"sizeof(Edge.Category)", unsafe.Sizeof(e.Category), 1},
 	} {
 		if c.got != c.want {
-			t.Errorf("%s = %d, format 3 was written with %d", c.what, c.got, c.want)
+			t.Errorf("%s = %d, the raw section was written with %d", c.what, c.got, c.want)
 		}
 	}
 
-	art := v3Artifact(t)
+	art := trainedArtifact(t)
 	var buf bytes.Buffer
 	if err := SaveArtifact(&buf, art); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	gd, chd := reflect.ValueOf(art.Graph.RawData()), reflect.ValueOf(art.Prep.CH.RawData())
+	gd := reflect.ValueOf(art.Graph.RawData())
 	layout := []struct {
 		field    string
 		elem     string
@@ -328,22 +306,10 @@ func TestRawLayoutPinned(t *testing.T) {
 		{"InStart", "int32", 4, gd},
 		{"InEdges", "roadnet.EdgeID", 4, gd},
 		{"InFrom", "roadnet.VertexID", 4, gd},
-		{"Order", "int32", 4, chd},
-		{"ArcFrom", "int32", 4, chd},
-		{"ArcTo", "int32", 4, chd},
-		{"ArcWeight", "float64", 8, chd},
-		{"ArcMid", "int32", 4, chd},
-		{"ArcEdge", "roadnet.EdgeID", 4, chd},
-		{"UpStart", "int32", 4, chd},
-		{"UpArcs", "int32", 4, chd},
-		{"DownStart", "int32", 4, chd},
-		{"DownArcs", "int32", 4, chd},
-		{"IdxKeys", "int64", 8, chd},
-		{"IdxVals", "int32", 4, chd},
 	}
 	dir := data[align8(FrameHeaderLen+int(binary.BigEndian.Uint64(data[44:52]))):]
-	if n := binary.NativeEndian.Uint32(dir[12:16]); int(n) != len(layout) || n != rawGraphArrayCount+rawCHArrayCount {
-		t.Fatalf("directory holds %d arrays, want 8 graph + 12 CH", n)
+	if n := binary.NativeEndian.Uint32(dir[12:16]); int(n) != len(layout) || n != rawGraphArrayCount {
+		t.Fatalf("directory holds %d arrays, want the graph's 8", n)
 	}
 	for i, l := range layout {
 		f := l.src.FieldByName(l.field)
@@ -361,5 +327,71 @@ func TestRawLayoutPinned(t *testing.T) {
 		if !bytes.Equal(data[off:off+uint64(len(mem))], mem) {
 			t.Errorf("entry %d is not the byte image of %s", i, l.field)
 		}
+	}
+}
+
+// digestSink keeps BenchmarkGraphDigest's result alive.
+var digestSink [32]byte
+
+// BenchmarkGraphDigest times GraphDigest on the 56x56 default world, which
+// serve digests on every New and every hot swap.
+func BenchmarkGraphDigest(b *testing.B) {
+	cfg := roadnet.DefaultGenConfig()
+	cfg.Rows, cfg.Cols, cfg.Seed = 56, 56, 1
+	g, err := roadnet.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		digestSink = GraphDigest(g)
+	}
+}
+
+// digestGraph is a fixed four-vertex graph with one-way and two-way edges.
+func digestGraph() *roadnet.Graph {
+	b := roadnet.NewBuilder(4, 6)
+	for i := 0; i < 4; i++ {
+		b.AddVertex(geo.Point{Lon: 10 + 0.01*float64(i%2), Lat: 57 + 0.01*float64(i/2)})
+	}
+	b.AddBidirectional(0, 1, roadnet.Residential)
+	b.AddEdgeWithLength(1, 3, roadnet.Secondary, 1250)
+	b.AddEdgeWithLength(3, 2, roadnet.Primary, 990.5)
+	b.AddBidirectional(2, 0, roadnet.Motorway)
+	return b.Build()
+}
+
+// pinnedGraphDigest is GraphDigest(digestGraph()).
+const pinnedGraphDigest = "795c231878f414f30ad098b71636c3e62e46fb7bed7070b3961a092972f494c5"
+
+// TestGraphDigestPinned pins the digest of a fixed graph, and checks that
+// it reads values, not memory: the same arrays with garbage in every
+// struct's padding digest the same, and one changed field changes it.
+func TestGraphDigestPinned(t *testing.T) {
+	g := digestGraph()
+	sum := GraphDigest(g)
+	if hex.EncodeToString(sum[:]) != pinnedGraphDigest {
+		t.Fatalf("GraphDigest = %x, pinned %s", sum, pinnedGraphDigest)
+	}
+
+	gd := g.RawData()
+	vs, es := slices.Clone(gd.Vertices), slices.Clone(gd.Edges)
+	// Write garbage into the padding only: 4 bytes after Vertex.ID, 4
+	// after Edge.To and 7 after Edge.Category.
+	for i := range vs {
+		copy(byteImage(vs[i : i+1])[4:8], []byte{0xa5, 0xa5, 0xa5, 0xa5})
+	}
+	for i := range es {
+		img := byteImage(es[i : i+1])
+		copy(img[12:16], []byte{0xa5, 0xa5, 0xa5, 0xa5})
+		copy(img[33:40], []byte{0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5})
+	}
+	if got := GraphDigest(roadnet.NewGraphFromData(vs, es)); got != sum {
+		t.Fatalf("padding bytes changed the digest: %x vs %x", got, sum)
+	}
+	es[3].Category = roadnet.Secondary
+	if got := GraphDigest(roadnet.NewGraphFromData(vs, es)); got == sum {
+		t.Fatal("a changed edge category left the digest unchanged")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"pathrank/internal/node2vec"
 	"pathrank/internal/pathrank"
 	"pathrank/internal/roadnet"
-	"pathrank/internal/spath"
 	"pathrank/internal/traj"
 )
 
@@ -74,7 +73,7 @@ func loadedTestArtifact(t testing.TB) *pathrank.Artifact {
 			return
 		}
 		art := &pathrank.Artifact{
-			Graph: g, Model: model, Prep: spath.BuildPrep(g, spath.PrepConfig{}),
+			Graph: g, Model: model,
 			Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 4, Threshold: 0.8},
 		}
 		var buf bytes.Buffer

@@ -73,8 +73,8 @@ type Config struct {
 	MaxTimeout time.Duration
 	// Engine must be "" or "ch"; New rejects anything else. It selects
 	// nothing: candidate generation runs on the ranker's weight tables.
-	// The field is kept only because benchmark/ sets it to "ch" and may
-	// not be edited.
+	// Kept only because benchmark/ sets it to "ch"; ROADMAP item 4
+	// removes it.
 	Engine string
 	// ArtifactPath is the bundle /v1/reload re-reads when the request names
 	// no path, and the file WatchArtifact monitors.

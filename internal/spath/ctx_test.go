@@ -47,7 +47,6 @@ func TestCtxVariantsBitIdentical(t *testing.T) {
 	defer cancel()
 	sim := func(a, b Path) float64 { return jaccard(a, b) }
 	rng := rand.New(rand.NewSource(5))
-	engine := BuildPrep(g, PrepConfig{}).Engine(g)
 	table := WeightTable(g, ByLength)
 	for i := 0; i < 30; i++ {
 		src := roadnet.VertexID(rng.Intn(g.NumVertices()))
@@ -68,10 +67,6 @@ func TestCtxVariantsBitIdentical(t *testing.T) {
 		pw, ew := DijkstraCtx(context.Background(), g, src, dst, ByLength)
 		pg, eg := DijkstraCtx(ctx, g, src, dst, ByLength)
 		requireSamePaths(t, "DijkstraCtx", []Path{pw}, []Path{pg}, ew, eg)
-
-		pw, ew = engine.ShortestCtx(context.Background(), src, dst)
-		pg, eg = engine.ShortestCtx(ctx, src, dst)
-		requireSamePaths(t, "CH ShortestCtx", []Path{pw}, []Path{pg}, ew, eg)
 	}
 }
 
@@ -141,9 +136,6 @@ func TestCtxPreCanceled(t *testing.T) {
 	}
 	if _, err := topKCtx(ctx, g, WeightTable(g, ByLength), nil, src, dst, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("TopK with ctx on a weight table: err = %v, want Canceled", err)
-	}
-	if _, err := BuildPrep(g, PrepConfig{}).Engine(g).ShortestCtx(ctx, src, dst); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CH ShortestCtx: err = %v, want Canceled", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"pathrank/internal/allocpin"
 	"pathrank/internal/geo"
 	"pathrank/internal/roadnet"
 )
@@ -29,31 +28,27 @@ func randomTestGraph(t testing.TB, seed int64) *roadnet.Graph {
 	return g
 }
 
-// TestEngineDistancesMatchDijkstra is the core equivalence property: on
-// random graphs, the CH engine returns exactly the distances plain
-// Dijkstra returns — including agreeing on unreachable pairs — and
-// structurally valid paths with bit-identical costs.
+// TestEngineDistancesMatchDijkstra: on random graphs, DijkstraEngine
+// returns exactly what plain Dijkstra returns under ByLength, agreeing on
+// unreachable pairs, with structurally valid paths and bit-identical costs.
 func TestEngineDistancesMatchDijkstra(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g := randomTestGraph(t, seed)
-		e := BuildPrep(g, PrepConfig{}).Engine(g)
+		e := DijkstraEngine(g)
 		rng := rand.New(rand.NewSource(seed * 97))
 		for trial := 0; trial < 30; trial++ {
 			src := randVertex(rng, g.NumVertices())
 			dst := randVertex(rng, g.NumVertices())
 			want, wantErr := Dijkstra(g, src, dst, ByLength)
 			got, gotErr := e.ShortestCtx(context.Background(), src, dst)
-			if (wantErr == nil) != (gotErr == nil) {
+			if wantErr != gotErr {
 				t.Fatalf("seed %d %d->%d: dijkstra err=%v, engine err=%v", seed, src, dst, wantErr, gotErr)
 			}
 			if wantErr != nil {
 				continue
 			}
-			// The engine re-sums its unpacked path left to right, the same
-			// association Dijkstra's relaxation uses, so costs agree bit
-			// for bit.
-			if got.Cost != want.Cost {
-				t.Fatalf("seed %d %d->%d: cost %v != dijkstra %v", seed, src, dst, got.Cost, want.Cost)
+			if !got.Equal(want) || got.Cost != want.Cost {
+				t.Fatalf("seed %d %d->%d: engine path (cost %v) differs from dijkstra (cost %v)", seed, src, dst, got.Cost, want.Cost)
 			}
 			if err := got.Validate(g); err != nil {
 				t.Fatalf("seed %d %d->%d: invalid path: %v", seed, src, dst, err)
@@ -64,6 +59,22 @@ func TestEngineDistancesMatchDijkstra(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEngineDisconnected checks DijkstraEngine returns ErrNoPath on a graph
+// with no edges at all.
+func TestEngineDisconnected(t *testing.T) {
+	b := roadnet.NewBuilder(2, 0)
+	b.AddVertex(geo.Point{Lon: 10, Lat: 57})
+	b.AddVertex(geo.Point{Lon: 10.1, Lat: 57})
+	e := DijkstraEngine(b.Build())
+	if _, err := e.ShortestCtx(context.Background(), 0, 1); err != ErrNoPath {
+		t.Fatalf("err = %v, want ErrNoPath", err)
+	}
+}
+
+func randVertex(rng *rand.Rand, n int) roadnet.VertexID {
+	return roadnet.VertexID(rng.Intn(n))
 }
 
 // TestEngineTopKMatchesPlain checks that Yen enumeration on a prebuilt
@@ -127,97 +138,4 @@ func comparePathSets(t *testing.T, label string, got, want []Path) {
 			t.Fatalf("%s: path %d cost %v != %v", label, i, got[i].Cost, want[i].Cost)
 		}
 	}
-}
-
-// TestEngineDisconnected checks unreachable-pair agreement on a graph with
-// no edges at all.
-func TestEngineDisconnected(t *testing.T) {
-	g := disconnectedPair(t)
-	e := BuildPrep(g, PrepConfig{}).Engine(g)
-	if _, err := e.ShortestCtx(context.Background(), 0, 1); err != ErrNoPath {
-		t.Fatalf("err = %v, want ErrNoPath", err)
-	}
-}
-
-// TestPrepRoundTrip checks the persistence route a Prep's hierarchy takes
-// in an artifact: its flat arrays (RawData/AssembleCH), reassembled, answer
-// every query identically.
-func TestPrepRoundTrip(t *testing.T) {
-	g := randomTestGraph(t, 5)
-	prep := BuildPrep(g, PrepConfig{})
-	loaded := AssembleCH(g, prep.CH.RawData())
-	if loaded.NumShortcuts() != prep.CH.NumShortcuts() {
-		t.Fatalf("shortcuts %d != %d", loaded.NumShortcuts(), prep.CH.NumShortcuts())
-	}
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 25; trial++ {
-		src := randVertex(rng, g.NumVertices())
-		dst := randVertex(rng, g.NumVertices())
-		want, wantErr := prep.CH.Query(src, dst)
-		got, gotErr := loaded.Query(src, dst)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%d->%d: err %v vs %v", src, dst, wantErr, gotErr)
-		}
-		if wantErr == nil && (!got.Equal(want) || got.Cost != want.Cost) {
-			t.Fatalf("%d->%d: reassembled CH path differs", src, dst)
-		}
-	}
-}
-
-// TestCHIndexIsMinWeightSorted pins the one unpacking index BuildCH
-// produces: keys strictly ascending, one per distinct (from,to), each
-// naming the cheapest parallel arc and the earliest one on a tie.
-func TestCHIndexIsMinWeightSorted(t *testing.T) {
-	d := BuildCH(randomTestGraph(t, 5), ByLength).RawData()
-	want := map[int64]int32{}
-	for i := range d.ArcFrom {
-		key := arcKey(d.ArcFrom[i], d.ArcTo[i])
-		if prev, ok := want[key]; !ok || d.ArcWeight[i] < d.ArcWeight[prev] {
-			want[key] = int32(i)
-		}
-	}
-	if len(d.IdxKeys) != len(want) || len(d.IdxVals) != len(want) {
-		t.Fatalf("index holds %d/%d entries for %d distinct arcs", len(d.IdxKeys), len(d.IdxVals), len(want))
-	}
-	for i, key := range d.IdxKeys {
-		if i > 0 && key <= d.IdxKeys[i-1] {
-			t.Fatalf("index keys not strictly ascending at %d", i)
-		}
-		if d.IdxVals[i] != want[key] {
-			t.Fatalf("key %#x -> arc %d, want %d", key, d.IdxVals[i], want[key])
-		}
-	}
-}
-
-// TestPrepEngineSelection checks the engine materialization rules: a prep
-// with a hierarchy wires an engine, a nil or empty one wires none.
-func TestPrepEngineSelection(t *testing.T) {
-	g := gridGraph(t, 5, 5)
-	if e := BuildPrep(g, PrepConfig{}).Engine(g); e == nil {
-		t.Fatalf("prep engine = %v", e)
-	}
-	if e := (&Prep{}).Engine(g); e != nil {
-		t.Fatalf("empty prep produced an engine")
-	}
-	var nilPrep *Prep
-	if e := nilPrep.Engine(g); e != nil {
-		t.Fatalf("nil prep produced an engine")
-	}
-}
-
-// TestCHQueryAllocs locks in the zero-alloc CH query contract: 16 queries
-// allocate only their returned paths.
-func TestCHQueryAllocs(t *testing.T) {
-	g := gridGraph(t, 8, 8)
-	ch := BuildCH(g, ByLength)
-	rng := rand.New(rand.NewSource(9))
-	pairs := make([][2]roadnet.VertexID, 16)
-	for i := range pairs {
-		pairs[i] = [2]roadnet.VertexID{randVertex(rng, g.NumVertices()), randVertex(rng, g.NumVertices())}
-	}
-	allocpin.Pin(t, allocpin.Count{Allocs: 55, Bytes: 1088}, func() {
-		for _, p := range pairs {
-			_, _ = ch.Query(p[0], p[1])
-		}
-	})
 }

@@ -2,8 +2,9 @@
 // Dijkstra (point-to-point, one-to-all, bounded one-to-many and seeded
 // multi-source, forward or reverse — all one relaxation loop), Yen's top-k
 // shortest paths, and the diversified top-k variant (D-TkDI) used by
-// PathRank to generate training candidates. Contraction hierarchies (Prep)
-// are kept only because benchmark/ builds and times one.
+// PathRank to generate training candidates. There is no preprocessing
+// index: the contraction-hierarchy names in prep.go are empty shims that
+// benchmark/ still calls.
 //
 // All algorithms operate on a Weight function so the same code serves
 // shortest-distance and fastest-time queries.

@@ -6,64 +6,51 @@ import (
 	"pathrank/internal/roadnet"
 )
 
-// Prep bundles a contraction hierarchy built for one road network under
-// the ByLength weight. No product path routes on it. Kept because
-// benchmark/ names it: it builds one with BuildPrep, persists it in its
-// served artifact and times the point query of its Engine.
+// The names in this file route nothing. Candidate generation runs Yen's
+// enumeration on per-metric weight tables; no product path has built or
+// queried a contraction hierarchy since the weight tables replaced it.
+
+// Prep is kept only because benchmark/ names it; ROADMAP item 4 removes
+// it. It carries an empty hierarchy.
 type Prep struct {
 	CH *ContractionHierarchy
 }
 
-// PrepConfig parameterizes BuildPrep. It has no fields. Kept because
-// benchmark/ calls BuildPrep(g, PrepConfig{}).
+// ContractionHierarchy is kept only because benchmark/ names it; ROADMAP
+// item 4 removes it. It holds nothing.
+type ContractionHierarchy struct{}
+
+// NumShortcuts returns 0: the hierarchy is empty. Kept only because
+// benchmark/ names it; ROADMAP item 4 removes it.
+func (*ContractionHierarchy) NumShortcuts() int { return 0 }
+
+// PrepConfig is kept only because benchmark/ names it; ROADMAP item 4
+// removes it.
 type PrepConfig struct{}
 
-// BuildPrep contracts g under ByLength. Kept because benchmark/ calls it.
-func BuildPrep(g *roadnet.Graph, _ PrepConfig) *Prep {
-	return &Prep{CH: BuildCH(g, ByLength)}
+// BuildPrep builds nothing and returns a Prep with an empty hierarchy.
+// Kept only because benchmark/ names it; ROADMAP item 4 removes it.
+func BuildPrep(*roadnet.Graph, PrepConfig) *Prep {
+	return &Prep{CH: &ContractionHierarchy{}}
 }
 
-// Engine answers exact point-to-point shortest-path queries over a prep's
-// contraction hierarchy. Engines are immutable and safe for concurrent
-// use; per-query state lives in pooled workspaces. Kept because
-// benchmark/ names it (through Ranker.Engine).
+// Engine answers exact point-to-point shortest-path queries. Kept only
+// because benchmark/ names it (through Ranker.Engine); ROADMAP item 4
+// removes it.
 type Engine interface {
 	// ShortestCtx returns a minimum-cost path from src to dst, or
 	// ErrNoPath, honoring ctx: cancellation aborts the search and returns
-	// ctx's error. The check is amortized over heap pops, so a
-	// never-canceled context changes neither the result nor, measurably,
-	// the cost.
+	// ctx's error.
 	ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error)
 }
 
-// Engine wires the prep's hierarchy into an Engine over g, or returns nil
-// when there is no prep or it carries no hierarchy. Kept because
-// benchmark/ reaches it through Artifact.NewRanker.
-func (p *Prep) Engine(g *roadnet.Graph) Engine {
-	if p == nil || p.CH == nil {
-		return nil
-	}
-	return &chEngine{g: g, ch: p.CH}
-}
+// DijkstraEngine returns an Engine whose point query is DijkstraCtx on g
+// under ByLength. It is Ranker.Engine; kept only because benchmark/ names
+// that field; ROADMAP item 4 removes it.
+func DijkstraEngine(g *roadnet.Graph) Engine { return dijkstraEngine{g} }
 
-type chEngine struct {
-	g  *roadnet.Graph
-	ch *ContractionHierarchy
-}
+type dijkstraEngine struct{ g *roadnet.Graph }
 
-func (e *chEngine) ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error) {
-	p, err := e.ch.QueryCtx(ctx, src, dst)
-	if err != nil {
-		return p, err
-	}
-	// The bidirectional search accumulates the cost through shortcut sums,
-	// whose floating-point rounding can differ from Dijkstra's sequential
-	// accumulation in the last ulp. Re-sum the unpacked edges left to right
-	// — exactly Dijkstra's association — so costs are bit-identical to
-	// Dijkstra's.
-	p.Cost = 0
-	for _, eid := range p.Edges {
-		p.Cost += ByLength(e.g.Edge(eid))
-	}
-	return p, nil
+func (e dijkstraEngine) ShortestCtx(ctx context.Context, src, dst roadnet.VertexID) (Path, error) {
+	return DijkstraCtx(ctx, e.g, src, dst, ByLength)
 }

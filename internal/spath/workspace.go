@@ -80,8 +80,11 @@ type Workspace struct {
 	tgtStamp []uint32
 	tgtGen   uint32
 
-	// Cancellation state shared with the CH query workspace.
-	ctxPoller
+	// Cancellation: the bound context, the error a poll latched, and the
+	// pop counter that amortizes the polls (see bindContext).
+	ctx     context.Context
+	ctxErr  error
+	ctxTick uint32
 
 	// Corridor's answer, reused across calls.
 	corrV []roadnet.VertexID
@@ -117,60 +120,45 @@ func (l *labels) fit(n int) {
 // search work, far below any useful request deadline.
 const ctxCheckEvery = 1024
 
-// ctxPoller is the amortized cancellation check embedded in the search
-// workspaces (Workspace and chWorkspace). The bound ctx, when non-nil, is
-// polled every ctxCheckEvery heap pops across all searches bound to it;
-// once a poll observes cancellation, ctxErr latches the context's error
-// and every subsequent search on the workspace fails immediately until
-// the next bindContext. The amortized poll keeps the per-pop cost to a
-// counter increment and a mask test, so hot loops stay within the
-// zero-alloc and <2% time budget when ctx is never canceled.
-type ctxPoller struct {
-	ctx     context.Context
-	ctxErr  error
-	ctxTick uint32
-}
-
 // bindContext attaches ctx for subsequent searches. A nil context, or one
 // that can never be canceled (context.Background()), disables polling
-// entirely. One eager poll catches already-expired contexts even when the
-// query would finish under the amortized poll interval.
-func (p *ctxPoller) bindContext(ctx context.Context) {
+// entirely. Otherwise ctx is polled every ctxCheckEvery heap pops across
+// all searches bound to it; once a poll observes cancellation, ctxErr
+// latches the context's error and every subsequent search on the
+// workspace fails immediately until the next bindContext. The amortized
+// poll keeps the per-pop cost to a counter increment and a mask test, so
+// hot loops stay within the zero-alloc and <2% time budget when ctx is
+// never canceled. One eager poll catches already-expired contexts even
+// when the query would finish under the amortized poll interval.
+func (ws *Workspace) bindContext(ctx context.Context) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
 	}
-	p.ctx = ctx
-	p.ctxErr = nil
-	p.ctxTick = 0
+	ws.ctx = ctx
+	ws.ctxErr = nil
+	ws.ctxTick = 0
 	if ctx != nil {
-		p.ctxErr = ctx.Err()
+		ws.ctxErr = ctx.Err()
 	}
-}
-
-// clearContext drops the bound context so pooled workspaces do not retain
-// request state.
-func (p *ctxPoller) clearContext() {
-	p.ctx = nil
-	p.ctxErr = nil
 }
 
 // canceled reports whether the bound context has been canceled, polling it
 // at most once every ctxCheckEvery calls. The tick counter deliberately
 // persists across the many short spur searches of one Yen enumeration, so
 // the poll interval is global to the query rather than per search.
-func (p *ctxPoller) canceled() bool {
-	if p.ctx == nil {
+func (ws *Workspace) canceled() bool {
+	if ws.ctx == nil {
 		return false
 	}
-	if p.ctxErr != nil {
+	if ws.ctxErr != nil {
 		return true
 	}
-	p.ctxTick++
-	if p.ctxTick&(ctxCheckEvery-1) != 0 {
+	ws.ctxTick++
+	if ws.ctxTick&(ctxCheckEvery-1) != 0 {
 		return false
 	}
-	if err := p.ctx.Err(); err != nil {
-		p.ctxErr = err
+	if err := ws.ctx.Err(); err != nil {
+		ws.ctxErr = err
 		return true
 	}
 	return false
@@ -195,8 +183,9 @@ func GetWorkspace(g *roadnet.Graph) *Workspace {
 // Release returns the workspace to the shared pool. The workspace must not
 // be used after Release.
 func (ws *Workspace) Release() {
-	ws.wts = nil // do not retain shared tables in the pool
-	ws.clearContext()
+	// Retain neither shared tables nor request contexts in the pool.
+	ws.wts = nil
+	ws.ctx, ws.ctxErr = nil, nil
 	wsPool.Put(ws)
 }
 
@@ -657,8 +646,7 @@ func (h *heap4) reset() {
 	}
 }
 
-func (h *heap4) empty() bool     { return len(h.it) == 0 }
-func (h *heap4) topKey() float64 { return h.it[0].key }
+func (h *heap4) empty() bool { return len(h.it) == 0 }
 
 // push inserts v, assuming it is not present.
 func (h *heap4) push(v roadnet.VertexID, key float64) {

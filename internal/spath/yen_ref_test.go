@@ -1107,3 +1107,26 @@ func pathKey(p Path) string {
 	}
 	return string(b)
 }
+
+// tieGraph decodes bytes into a directed graph: data[0] picks the vertex
+// count (2..48), each of up to 128 following triples is an arc (from, to,
+// weight 1..3 carried as its length). Self-loops are dropped; parallel and
+// one-way arcs stay. The arc cap keeps dense inputs from contracting into
+// thousands of parallel shortcuts.
+func tieGraph(data []byte) *roadnet.Graph {
+	if len(data) == 0 {
+		data = []byte{0}
+	}
+	n := 2 + int(data[0])%47
+	b := roadnet.NewBuilder(n, len(data)/3)
+	for i := 0; i < n; i++ {
+		b.AddVertex(geo.Point{Lon: 10 + 0.002*float64(i%7), Lat: 57 + 0.001*float64(i/7)})
+	}
+	for i, e := 0, data[1:]; len(e) >= 3 && i < 128; i, e = i+1, e[3:] {
+		from, to := roadnet.VertexID(int(e[0])%n), roadnet.VertexID(int(e[1])%n)
+		if from != to {
+			b.AddEdgeWithLength(from, to, roadnet.Residential, float64(1+e[2]%3))
+		}
+	}
+	return b.Build()
+}
