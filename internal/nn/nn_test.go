@@ -516,8 +516,8 @@ func TestSaveLoadParamsRoundTrip(t *testing.T) {
 		t.Fatalf("SaveParams: %v", err)
 	}
 	d2 := NewDense("fc", 4, 3, rand.New(rand.NewSource(99)))
-	if err := LoadParams(&buf, d2.Params()); err != nil {
-		t.Fatalf("LoadParams: %v", err)
+	if err := UnmarshalParams(buf.Bytes(), d2.Params()); err != nil {
+		t.Fatalf("UnmarshalParams: %v", err)
 	}
 	for i := range d1.W.W {
 		if d1.W.W[i] != d2.W.W[i] {
@@ -534,7 +534,7 @@ func TestLoadParamsRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := NewDense("fc", 5, 3, rng) // wrong shape
-	if err := LoadParams(&buf, other.Params()); err == nil {
-		t.Fatal("LoadParams should reject shape mismatch")
+	if err := UnmarshalParams(buf.Bytes(), other.Params()); err == nil {
+		t.Fatal("UnmarshalParams should reject shape mismatch")
 	}
 }

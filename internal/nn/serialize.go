@@ -30,8 +30,11 @@ import (
 //     zero-valued fields omitted; a float64 as the uint of its byte-reversed
 //     Float64bits.
 //
-// Streams are read back with encoding/gob, which accepts any type numbers
-// in a preamble. FuzzParamsCodec holds the encoder to gob's bytes.
+// Streams that open with paramsPreamble are read back by the hand decoder
+// below, straight into the weights; only streams with other type numbers,
+// which builds that encoded params through gob wrote, are read with
+// encoding/gob. FuzzParamsCodec holds the encoder to gob's bytes, and
+// FuzzParamsDecode the decoder to gob's values.
 
 // paramWire is the serialized form of a Param (weights only; gradients and
 // optimizer state are transient).
@@ -251,11 +254,127 @@ func zigzag(i int64) uint64 {
 	return uint64(i << 1)
 }
 
-// LoadParams reads weights written by SaveParams into params, matching by
-// position and verifying name and shape.
-func LoadParams(r io.Reader, params []*Param) error {
+// MarshalParams returns the SaveParams encoding of params as a byte slice,
+// for callers that embed model weights inside a larger container (the
+// pathrank artifact bundle).
+func MarshalParams(params []*Param) ([]byte, error) { return encodeParams(nil, params) }
+
+// UnmarshalParams loads weights written by SaveParams into params,
+// matching by position and verifying name and shape. A stream that opens
+// with paramsPreamble, as every stream this format's writers produce
+// does, is decoded by decodeParams; only a stream with other type numbers,
+// from a build that encoded its params through encoding/gob after other
+// types, goes through gob.
+func UnmarshalParams(data []byte, params []*Param) error {
+	if body, ok := bytes.CutPrefix(data, paramsPreamble); ok {
+		return decodeParams(body, params)
+	}
+	return gobLoadParams(data, params)
+}
+
+// decodeParams reads the value message that follows paramsPreamble
+// straight into params' weights. It is the encoder's inverse: the value's
+// head and each element's bytes up to its weights must be what the
+// encoder writes for the model's params, and each element must end as
+// appendElemTail ends it, Frozen set or not. It thus accepts a subset of
+// what gob accepts, with the same result (FuzzParamsDecode); like gob, it
+// reads one message and leaves what follows it. A failure names the param
+// it is in; the params before it, and part of that one, may already hold
+// new weights.
+func decodeParams(b []byte, params []*Param) error {
+	size, b, ok := cutUint(b)
+	if !ok || size > uint64(len(b)) || !gobFits(size) {
+		return fmt.Errorf("nn: decode params: malformed message length after the preamble")
+	}
+	b = b[:size]
+	want := appendUint(append(appendUint(make([]byte, 0, 64), zigzag(paramsTypeID)), 0), uint64(len(params)))
+	if b, ok = bytes.CutPrefix(b, want); !ok {
+		return fmt.Errorf("nn: decode params: the stream does not hold a list of the model's %d params", len(params))
+	}
+	for i, p := range params {
+		var last int
+		want, last = appendElemHead(want[:0], p)
+		if b, ok = bytes.CutPrefix(b, want); !ok {
+			return fmt.Errorf("nn: decode params: param %d: the stream does not hold the model's %s(%dx%d) with %d weights",
+				i, p.Name, p.Rows, p.Cols, len(p.W))
+		}
+		if b, ok = decodeFloats(b, p.W); !ok {
+			return fmt.Errorf("nn: decode params: param %d (%s): truncated or malformed weights", i, p.Name)
+		}
+		switch { // appendElemTail's two endings
+		case len(b) >= 1 && b[0] == 0:
+			p.Frozen, b = false, b[1:]
+		case len(b) >= 3 && b[0] == byte(fieldFrozen-last) && b[1] == 1 && b[2] == 0:
+			p.Frozen, b = true, b[3:]
+		default:
+			return fmt.Errorf("nn: decode params: param %d (%s): malformed end", i, p.Name)
+		}
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("nn: decode params: %d bytes in the message after the last param", len(b))
+	}
+	return nil
+}
+
+// decodeFloats reads len(w) weights in appendFloats' encoding into w and
+// returns what follows them. While 9 bytes remain, a weight of k bytes is
+// one unaligned little-endian load shifted left past the 8-k bytes that
+// are not its own.
+func decodeFloats(b []byte, w []float64) ([]byte, bool) {
+	i, j := 0, 0
+	for ; j < len(w) && i+9 <= len(b); j++ {
+		c := b[i]
+		u := binary.LittleEndian.Uint64(b[i+1 : i+9])
+		if c < 0x80 {
+			w[j] = math.Float64frombits(uint64(c) << 56)
+			i++
+			continue
+		}
+		k := -int(int8(c))
+		if k > 8 {
+			return nil, false
+		}
+		w[j] = math.Float64frombits(u << ((64 - 8*k) & 63))
+		i += 1 + k
+	}
+	b = b[i:]
+	for ; j < len(w); j++ {
+		x, rest, ok := cutUint(b)
+		if !ok {
+			return nil, false
+		}
+		w[j] = math.Float64frombits(bits.ReverseBytes64(x))
+		b = rest
+	}
+	return b, true
+}
+
+// cutUint reads one uint in gob's encoding off the front of b, accepting
+// what gob's decoder accepts: a byte below 0x80, or a negated count of 1
+// to 8 and that many big-endian bytes.
+func cutUint(b []byte) (x uint64, rest []byte, ok bool) {
+	if len(b) == 0 {
+		return 0, nil, false
+	}
+	if b[0] < 0x80 {
+		return uint64(b[0]), b[1:], true
+	}
+	k := -int(int8(b[0]))
+	if k > 8 || len(b) <= k {
+		return 0, nil, false
+	}
+	for _, d := range b[1 : 1+k] {
+		x = x<<8 | uint64(d)
+	}
+	return x, b[1+k:], true
+}
+
+// gobLoadParams decodes a params stream with encoding/gob, for streams
+// whose preamble carries other type numbers than paramsPreamble: the
+// builds that encoded params through gob after other types wrote them.
+func gobLoadParams(data []byte, params []*Param) error {
 	var wire []paramWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
 		return fmt.Errorf("nn: decode params: %w", err)
 	}
 	if len(wire) != len(params) {
@@ -280,17 +399,6 @@ func LoadParams(r io.Reader, params []*Param) error {
 	return nil
 }
 
-// MarshalParams returns the SaveParams encoding of params as a byte slice,
-// for callers that embed model weights inside a larger container (the
-// pathrank artifact bundle).
-func MarshalParams(params []*Param) ([]byte, error) { return encodeParams(nil, params) }
-
-// UnmarshalParams loads weights produced by MarshalParams into params,
-// matching by position and verifying name and shape.
-func UnmarshalParams(data []byte, params []*Param) error {
-	return LoadParams(bytes.NewReader(data), params)
-}
-
 // StreamFingerprint returns the SHA-256 of data, a params stream just
 // read, with ok set when data has the shape this encoder writes: it opens
 // with paramsPreamble and is one value message to its last byte. Every
@@ -304,22 +412,12 @@ func UnmarshalParams(data []byte, params []*Param) error {
 // two different weight sets still never share one.
 func StreamFingerprint(data []byte) (sum [sha256.Size]byte, ok bool) {
 	rest, found := bytes.CutPrefix(data, paramsPreamble)
-	if !found || len(rest) == 0 {
+	if !found {
 		return sum, false
 	}
 	// The value message's length, in gob's uint encoding.
-	n, w := uint64(rest[0]), 1
-	if n >= 0x80 {
-		w = 1 + int(-int8(rest[0]))
-		if w < 2 || w > 9 || len(rest) < w {
-			return sum, false
-		}
-		n = 0
-		for _, b := range rest[1:w] {
-			n = n<<8 | uint64(b)
-		}
-	}
-	if n != uint64(len(rest)-w) {
+	n, rest, ok := cutUint(rest)
+	if !ok || n != uint64(len(rest)) {
 		return sum, false
 	}
 	return sha256.Sum256(data), true

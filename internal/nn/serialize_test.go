@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -18,15 +20,146 @@ import (
 // whose encoding must be paramsPreamble and gob's value message byte for
 // byte, hash to its fingerprint and load back bit-exactly.
 func FuzzParamsCodec(f *testing.F) {
-	f.Add(recipeBytes(0b1111, "w", 2, 3,
-		0x7ff8000000000001, 0xfff0000000000001, 0x8000000000000000, 0x7ff0000000000000,
-		0xfff0000000000000, 1, 0x000fffffffffffff, 0))
-	f.Add(recipeBytes(0, "", 0, 0))
-	f.Add(append(recipeBytes(1, "", 0, 0), recipeBytes(0b1001, "", 0, -7, 0)...))
-	f.Add(recipeBytes(0b1100, "", -1, 1<<40, 0x3ff0000000000000))
+	for _, recipe := range paramsSeeds {
+		f.Add(recipe)
+	}
 	f.Fuzz(func(t *testing.T, recipe []byte) {
 		checkEncoder(t, recipeParams(recipe))
 	})
+}
+
+// paramsSeeds are the params fuzz targets' seed recipes: NaN payloads,
+// ±0, ±Inf, subnormals, one-byte weights (2 and -2 have one set byte,
+// below and above 0x80), frozen params, zero and negative shapes, and
+// params without weights.
+var paramsSeeds = [][]byte{
+	recipeBytes(0b1111, "w", 2, 3,
+		0x7ff8000000000001, 0xfff0000000000001, 0x8000000000000000, 0x7ff0000000000000,
+		0xfff0000000000000, 1, 0x000fffffffffffff, 0),
+	recipeBytes(0, "", 0, 0),
+	append(recipeBytes(1, "", 0, 0), recipeBytes(0b1001, "", 0, -7, 0)...),
+	recipeBytes(0b1100, "", -1, 1<<40, 0x3ff0000000000000),
+	append(recipeBytes(0b0011, "gru.W", 0, 0, 0x4000000000000000, 0xc000000000000000, 0x3fb999999999999a),
+		recipeBytes(0b1110, "head.b", 1, 1, 0x8000000000000000)...),
+}
+
+// FuzzParamsDecode holds the hand decoder to encoding/gob, which defines
+// the format: whenever decodeParams accepts the bytes behind
+// paramsPreamble, gob accepts the stream too and gives the same names,
+// shapes, weights and Frozen flags, bit for bit. recipe gives the target
+// params (recipeParams) and body the value message; each seed's body is
+// the encoder's for its recipe, which must load back bit-exactly
+// (checkEncoder), so the mutations start from accepted streams.
+func FuzzParamsDecode(f *testing.F) {
+	for _, recipe := range paramsSeeds {
+		stream, err := MarshalParams(recipeParams(recipe))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(recipe, stream[len(paramsPreamble):])
+	}
+	f.Fuzz(func(t *testing.T, recipe, body []byte) {
+		ps := recipeParams(recipe)
+		checkEncoder(t, ps)
+		got := shapedLike(ps)
+		if decodeParams(body, got) != nil {
+			return
+		}
+		var wire []paramWire
+		stream := append(slices.Clip(paramsPreamble), body...)
+		if err := gob.NewDecoder(bytes.NewReader(stream)).Decode(&wire); err != nil {
+			t.Fatalf("decodeParams accepted a stream gob refuses: %v", err)
+		}
+		if len(wire) != len(ps) {
+			t.Fatalf("gob decoded %d params, decodeParams %d", len(wire), len(ps))
+		}
+		for i, pw := range wire {
+			p := ps[i]
+			if pw.Name != p.Name || pw.Rows != p.Rows || pw.Cols != p.Cols || len(pw.W) != len(p.W) {
+				t.Fatalf("param %d: gob decoded %q %dx%d with %d weights, decodeParams accepted %q %dx%d with %d",
+					i, pw.Name, pw.Rows, pw.Cols, len(pw.W), p.Name, p.Rows, p.Cols, len(p.W))
+			}
+		}
+		requireSameParams(t, got, paramsOf(wire))
+	})
+}
+
+// TestParamsDecodeRefusalIsFinal: a stream that opens with paramsPreamble
+// and that the hand decoder refuses fails the load, with the param named
+// where there is one, even where encoding/gob would accept it: no second
+// try through gob. gob takes both streams here — it leaves bytes after the
+// value in its message unread, and ends a struct without its zero delta
+// at the end of the message — and neither is what an encoder writes.
+func TestParamsDecodeRefusalIsFinal(t *testing.T) {
+	ps := recipeParams(append(recipeBytes(0b0010, "a", 0, 0, 1, 2), recipeBytes(0b0011, "b", 0, 0, 3)...))
+	stream, err := MarshalParams(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The message length is one byte here.
+	trailing := append(slices.Clip(stream), 0)
+	trailing[len(paramsPreamble)]++
+	unterminated := slices.Clone(stream[:len(stream)-1])
+	unterminated[len(paramsPreamble)]--
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   string
+	}{
+		{"byte after the value", trailing, "1 bytes in the message after the last param"},
+		{"no zero delta", unterminated, "param 1 (b): malformed end"},
+	} {
+		var wire []paramWire
+		if err := gob.NewDecoder(bytes.NewReader(tc.stream)).Decode(&wire); err != nil {
+			t.Fatalf("%s: gob refuses the stream too: %v", tc.name, err)
+		}
+		err := UnmarshalParams(tc.stream, shapedLike(ps))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: UnmarshalParams = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestParamsDecodeEveryCountByte: whatever the first byte of a weight,
+// followed by as many bytes as it counts (at most 20), decodeParams
+// accepts the stream exactly when encoding/gob does, with the same bits,
+// both where the weight ends the stream (the byte-wise tail) and where a
+// param follows it (the 8-byte loads).
+func TestParamsDecodeEveryCountByte(t *testing.T) {
+	element := func(dst []byte, p *Param, weights []byte) []byte {
+		dst, last := appendElemHead(dst, p)
+		return appendElemTail(append(dst, weights...), p, last)
+	}
+	next := &Param{Name: "v", Rows: 1, Cols: 2, W: []float64{1.5, -3}}
+	for c := range 256 {
+		weight := []byte{byte(c)}
+		if c >= 0x80 {
+			for i := range min(-int(int8(c)), 20) {
+				weight = append(weight, byte(0x31+i))
+			}
+		}
+		for _, ps := range [][]*Param{
+			{{Name: "w", Rows: 1, Cols: 1, W: make([]float64, 1)}},
+			{{Name: "w", Rows: 1, Cols: 1, W: make([]float64, 1)}, next},
+		} {
+			msg := appendUint(append(appendUint(nil, zigzag(paramsTypeID)), 0), uint64(len(ps)))
+			msg = element(msg, ps[0], weight)
+			for _, p := range ps[1:] {
+				msg = element(msg, p, appendFloats(nil, p.W))
+			}
+			stream := append(appendUint(slices.Clip(paramsPreamble), uint64(len(msg))), msg...)
+			got := shapedLike(ps)
+			err := UnmarshalParams(stream, got)
+			var wire []paramWire
+			gobErr := gob.NewDecoder(bytes.NewReader(stream)).Decode(&wire)
+			if (err == nil) != (gobErr == nil) {
+				t.Fatalf("first byte %#x, %d params: decodeParams %v, gob %v", c, len(ps), err, gobErr)
+			}
+			if err == nil {
+				requireSameParams(t, got, paramsOf(wire))
+			}
+		}
+	}
 }
 
 // checkEncoder requires the stream for ps to be paramsPreamble and gob's
@@ -111,6 +244,15 @@ func readUint(t *testing.T, b []byte) (uint64, int) {
 		x = x<<8 | uint64(d)
 	}
 	return x, 1 + k
+}
+
+// paramsOf is wireOf's inverse.
+func paramsOf(wire []paramWire) []*Param {
+	ps := make([]*Param, len(wire))
+	for i, pw := range wire {
+		ps[i] = &Param{Name: pw.Name, Rows: pw.Rows, Cols: pw.Cols, W: pw.W, Frozen: pw.Frozen}
+	}
+	return ps
 }
 
 func wireOf(ps []*Param) []paramWire {

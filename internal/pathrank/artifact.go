@@ -348,10 +348,11 @@ func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
 
 // checkModelShape rejects a decoded model configuration whose weight
 // tensors could not possibly be backed by the params payload, BEFORE any
-// allocation happens. gob encodes a float64 in at least one byte, so a
-// genuine artifact always satisfies paramsLen >= parameter count; a
-// corrupt or adversarial config (e.g. EmbeddingDim 1<<40 in a 100-byte
-// file) fails here instead of attempting a giant allocation in New.
+// allocation happens. The params stream (gob's format, whichever decoder
+// reads it) holds each float64 in at least one byte, so a genuine artifact
+// always satisfies paramsLen >= parameter count; a corrupt or adversarial
+// config (e.g. EmbeddingDim 1<<40 in a 100-byte file) fails here instead
+// of attempting a giant allocation in New.
 func checkModelShape(numVertices int, cfg Config, paramsLen int) error {
 	const maxDim = 1 << 24 // keeps the int64 products below overflow
 	if cfg.EmbeddingDim <= 0 || cfg.EmbeddingDim > maxDim ||

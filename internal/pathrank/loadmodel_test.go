@@ -1,0 +1,225 @@
+package pathrank
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"encoding/hex"
+	"math"
+	"os"
+	"runtime"
+	"testing"
+
+	"pathrank/internal/allocpin"
+	"pathrank/internal/nn"
+)
+
+// The live-loop fixture's generation-0 artifact (see internal/stream's
+// liveFixtureBase) and its model's fingerprint as the build that wrote it
+// computed it.
+const (
+	liveBaseFixture     = "../stream/testdata/v3_live/base.prart"
+	liveBaseFingerprint = "ee80da5dd4dc409c646c066c133eb91f745d059ae7f24c4de3152150fb87bd86"
+)
+
+// gobParam is the params stream's element as encoding/gob decodes it:
+// gob matches fields by name, whatever the type is called.
+type gobParam struct {
+	Name       string
+	Rows, Cols int
+	W          []float64
+	Frozen     bool
+}
+
+// TestFixturesDecodeLikeGob: the committed files older builds wrote keep
+// their pinned model fingerprints under both loaders, heap and mapped,
+// both as their params stream's hash and re-encoded from the loaded
+// weights; and encoding/gob decodes their params streams to the weights
+// the hand decoder loaded, bit for bit.
+func TestFixturesDecodeLikeGob(t *testing.T) {
+	for fixture, pin := range map[string]string{
+		retiredPrepFixture: retiredPrepFingerprint,
+		chSectionFixture:   chSectionFingerprint,
+		liveBaseFixture:    liveBaseFingerprint,
+	} {
+		data, err := os.ReadFile(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		version := uint32(artifactVersion)
+		if binary.BigEndian.Uint32(data[8:12]) == gobArtifactVersion {
+			version = gobArtifactVersion
+		}
+		payload, err := DecodeFrame(data, artifactMagic, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := decodePayload(payload, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum, ok := nn.StreamFingerprint(wire.Params); !ok || hex.EncodeToString(sum[:]) != pin {
+			t.Fatalf("%s: params stream hash %x (canonical %v), pinned %s", fixture, sum, ok, pin)
+		}
+		var want []gobParam
+		if err := gob.NewDecoder(bytes.NewReader(wire.Params)).Decode(&want); err != nil {
+			t.Fatalf("%s: gob: %v", fixture, err)
+		}
+		for name, load := range map[string]func(string) (*Artifact, error){
+			"heap": LoadArtifactFile, "mapped": LoadArtifactFileMapped,
+		} {
+			a, err := load(fixture)
+			if err != nil {
+				t.Fatalf("%s %s: %v", fixture, name, err)
+			}
+			requireGobWeights(t, a.Model, want)
+			fp, err := a.Model.FingerprintHex()
+			re, reErr := nn.ParamsFingerprint(a.Model.params)
+			if err != nil || reErr != nil || fp != pin || hex.EncodeToString(re[:]) != pin {
+				t.Fatalf("%s %s: fingerprint %s, re-encoded %x (%v, %v); pinned %s", fixture, name, fp, re, err, reErr, pin)
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// requireGobWeights fails t unless m's params are want's, bit for bit.
+func requireGobWeights(t *testing.T, m *Model, want []gobParam) {
+	t.Helper()
+	if len(want) != len(m.params) {
+		t.Fatalf("gob decoded %d params, the model has %d", len(want), len(m.params))
+	}
+	for i, p := range m.params {
+		w := want[i]
+		if w.Name != p.Name || w.Rows != p.Rows || w.Cols != p.Cols || w.Frozen != p.Frozen || len(w.W) != len(p.W) {
+			t.Fatalf("param %d: gob decoded %s(%dx%d) frozen %v, the model holds %s(%dx%d) frozen %v",
+				i, w.Name, w.Rows, w.Cols, w.Frozen, p.Name, p.Rows, p.Cols, p.Frozen)
+		}
+		for j := range p.W {
+			if math.Float64bits(w.W[j]) != math.Float64bits(p.W[j]) {
+				t.Fatalf("param %d (%s) weight %d: gob %x, loaded %x", i, p.Name, j, math.Float64bits(w.W[j]), math.Float64bits(p.W[j]))
+			}
+		}
+	}
+}
+
+// TestLoadModelOldGobStream: a params stream gob-encoded in a process that
+// had encoded another type first carries other type numbers than the
+// canonical preamble. LoadModel and Model.Load read it through gob, the
+// weights come back bit-exactly, and the fingerprint is re-encoded from
+// them, as before, to the original's.
+func TestLoadModelOldGobStream(t *testing.T) {
+	m, g := gobHistoryModel(t)
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	type earlier struct{ Gen int }
+	if err := enc.Encode(earlier{Gen: 1}); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset() // the params stream starts after earlier's messages
+	wire := make([]gobParam, len(m.params))
+	for i, p := range m.params {
+		wire[i] = gobParam{p.Name, p.Rows, p.Cols, p.W, p.Frozen}
+	}
+	if err := enc.Encode(wire); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	if _, ok := nn.StreamFingerprint(stream); ok {
+		t.Fatal("the shifted stream passes as canonical")
+	}
+	want, err := m.FingerprintHex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(g.NumVertices(), m.Config(), stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.loadedFP.Load() != nil {
+		t.Fatal("LoadModel took the shifted stream's hash as the fingerprint")
+	}
+	reloaded, err := New(g.NumVertices(), Config{EmbeddingDim: 4, Hidden: 4, Variant: PRA2, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reloaded.Load(bytes.NewReader(stream)); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*Model{"LoadModel": loaded, "Model.Load": reloaded} {
+		if fp, err := got.FingerprintHex(); err != nil || fp != want {
+			t.Fatalf("%s: fingerprint %s (%v), the encoded model's %s", name, fp, err, want)
+		}
+	}
+}
+
+// TestLoadModelWaitsForHash: LoadModel hashes the stream beside the
+// decode and returns only once the hash is done, on the error paths too.
+// Each of these loads gets the 4 MB params stream of a larger model, so
+// its decode fails at the first param's shape while its hash has
+// milliseconds of work left: a load that did not wait would leave
+// goroutines behind, and the count after them would exceed the count
+// before.
+func TestLoadModelWaitsForHash(t *testing.T) {
+	cfg := DefaultConfig()
+	big, err := New(4000, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := big.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for range 100 {
+		if _, err := LoadModel(10, cfg, buf.Bytes()); err == nil {
+			t.Fatal("a model loaded another model's params")
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before 100 failed loads, %d after", before, after)
+	}
+}
+
+// TestLoadModelAllocs pins what a load of a small model allocates: its
+// tensors and layers, and the hash's goroutine. A decode through an
+// intermediate copy of the weights, as gob's was, fails it.
+func TestLoadModelAllocs(t *testing.T) {
+	m, err := New(40, smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	allocpin.Pin(t, allocpin.Count{Allocs: 58, Bytes: 23088}, func() {
+		if _, err := LoadModel(40, smallConfig(), buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkLoadModel times LoadModel on the served model's shape: the
+// benchmark world's 56x56 grid (3,152 vertices) under DefaultConfig.
+func BenchmarkLoadModel(b *testing.B) {
+	const vertices = 3152
+	m, err := New(vertices, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := LoadModel(vertices, DefaultConfig(), buf.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

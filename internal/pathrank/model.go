@@ -158,17 +158,38 @@ func New(numVertices int, cfg Config) (*Model, error) {
 // weights written by Save: its tensors are shaped and zeroed, never
 // randomly initialized, since the load overwrites them all. When params is
 // a canonical params stream, its hash is the model's fingerprint, so
-// Fingerprint need not re-encode the weights.
+// Fingerprint need not re-encode the weights. The hash runs on its own
+// goroutine while the weights decode; both only read params, and
+// LoadModel returns, on every path, only once the hash is done.
 func LoadModel(numVertices int, cfg Config, params []byte) (*Model, error) {
+	var (
+		fp     [sha256.Size]byte
+		ok     bool
+		hashed = make(chan struct{})
+	)
+	go func() {
+		fp, ok = nn.StreamFingerprint(params)
+		close(hashed)
+	}()
+	m, err := decodeModel(numVertices, cfg, params)
+	<-hashed
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		m.loadedFP.Store(&fp)
+	}
+	return m, nil
+}
+
+// decodeModel is LoadModel without the fingerprint.
+func decodeModel(numVertices int, cfg Config, params []byte) (*Model, error) {
 	m, err := newModel(numVertices, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("pathrank: model config: %w", err)
 	}
 	if err := nn.UnmarshalParams(params, m.params); err != nil {
 		return nil, fmt.Errorf("pathrank: model weights: %w", err)
-	}
-	if fp, ok := nn.StreamFingerprint(params); ok {
-		m.loadedFP.Store(&fp)
 	}
 	return m, nil
 }
@@ -495,8 +516,13 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads weights saved from a model with an identical configuration.
+// Load reads weights saved from a model with an identical configuration:
+// all of r, decoded as LoadModel decodes an artifact's params.
 func (m *Model) Load(r io.Reader) error {
 	defer m.weightsChanged() // a failed load may have written some tensors
-	return nn.LoadParams(r, m.params)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("pathrank: read model weights: %w", err)
+	}
+	return nn.UnmarshalParams(b, m.params)
 }
