@@ -38,8 +38,8 @@ type paramWire struct {
 
 // PoisonModelWeights returns a clone of m whose every weight is NaN. The
 // clone is "corrupt but loadable": it round-trips Save/Load and the
-// artifact container's checksum (which covers exactly these bytes — they
-// are valid bytes, encoding garbage), passes every shape check, and
+// artifact's params digest (which covers exactly these bytes — they are
+// valid bytes, encoding garbage), passes every shape check, and
 // fails only where it matters — every score it produces is NaN. This is
 // the artifact the canary gate exists to keep out of service.
 func PoisonModelWeights(m *pathrank.Model) (*pathrank.Model, error) {

@@ -399,28 +399,25 @@ func gobLoadParams(data []byte, params []*Param) error {
 	return nil
 }
 
-// StreamFingerprint returns the SHA-256 of data, a params stream just
-// read, with ok set when data has the shape this encoder writes: it opens
-// with paramsPreamble and is one value message to its last byte. Every
-// encoder of the format — this one, and encoding/gob in the builds that
-// wrote it through gob with these type numbers — writes a value's one
-// canonical message, so for their streams the digest is ParamsFingerprint
-// of the decoded params, without re-encoding them. Any other stream
-// reports !ok, and the caller re-encodes. A hand-made stream of that shape
-// with a non-minimal field inside gets a digest no encoder gives: its
-// fingerprint can then differ from another copy of the same weights, but
-// two different weight sets still never share one.
-func StreamFingerprint(data []byte) (sum [sha256.Size]byte, ok bool) {
+// CanonicalStream reports whether data, a params stream, has the shape
+// this encoder writes: it opens with paramsPreamble and is one value
+// message to its last byte. Every encoder of the format — this one, and
+// encoding/gob in the builds that wrote it through gob with these type
+// numbers — writes a value's one canonical message, so for their streams
+// the SHA-256 of data is ParamsFingerprint of the decoded params, without
+// re-encoding them. For any other stream the caller re-encodes. A
+// hand-made stream of that shape with a non-minimal field inside gets a
+// digest no encoder gives: its fingerprint can then differ from another
+// copy of the same weights, but two different weight sets still never
+// share one.
+func CanonicalStream(data []byte) bool {
 	rest, found := bytes.CutPrefix(data, paramsPreamble)
 	if !found {
-		return sum, false
+		return false
 	}
 	// The value message's length, in gob's uint encoding.
 	n, rest, ok := cutUint(rest)
-	if !ok || n != uint64(len(rest)) {
-		return sum, false
-	}
-	return sha256.Sum256(data), true
+	return ok && n == uint64(len(rest))
 }
 
 // ParamsFingerprint returns a SHA-256 digest over the names, shapes, frozen

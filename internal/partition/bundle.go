@@ -55,9 +55,9 @@ type ShardMap struct {
 	// Candidates is the bundle's candidate-generation configuration (the
 	// same one every shard artifact carries).
 	Candidates dataset.Config
-	// ModelConfig and ModelParams reconstruct the ranking model
-	// (pathrank.New + Model.Load); Fingerprint is its hex SHA-256, equal to
-	// every shard's serving fingerprint.
+	// ModelConfig and ModelParams reconstruct the ranking model (Model);
+	// Fingerprint is ModelParams' hex SHA-256, the model's fingerprint,
+	// equal to every shard's serving fingerprint.
 	ModelConfig pathrank.Config
 	ModelParams []byte `json:"-"`
 	Fingerprint string
@@ -124,16 +124,31 @@ func (m *ShardMap) GlobalBoundary() []roadnet.VertexID {
 	return all
 }
 
-// Model reconstructs the ranking model carried by the map.
+// Model reconstructs the ranking model carried by the map. It takes
+// Fingerprint as ModelParams' SHA-256, which LoadShardMap verified and
+// BuildBundle took from the stream it wrote, so it decodes the weights
+// without hashing them again.
 func (m *ShardMap) Model() (*pathrank.Model, error) {
-	model, err := pathrank.LoadModel(m.NumVertices, m.ModelConfig, m.ModelParams)
+	sum, err := m.paramsSum()
+	if err != nil {
+		return nil, err
+	}
+	model, err := pathrank.LoadModelHashed(m.NumVertices, m.ModelConfig, m.ModelParams, sum)
 	if err != nil {
 		return nil, fmt.Errorf("partition: shard map: %w", err)
 	}
 	return model, nil
 }
 
-// Shard-map file format, version 3: pathrank's frame header (magic,
+// paramsSum decodes Fingerprint, the hex SHA-256 of ModelParams.
+func (m *ShardMap) paramsSum() (sum [sha256.Size]byte, err error) {
+	if n, err := hex.Decode(sum[:], []byte(m.Fingerprint)); err != nil || n != len(sum) {
+		return sum, fmt.Errorf("partition: shard map fingerprint %q is not a hex SHA-256", m.Fingerprint)
+	}
+	return sum, nil
+}
+
+// Shard-map file format, version 4: pathrank's frame header (magic,
 // version, SHA-256 of the payload, payload length) with its own magic,
 // then a payload of
 //
@@ -144,17 +159,22 @@ func (m *ShardMap) Model() (*pathrank.Model, error) {
 //	8t bytes  the tables' byte image, t little-endian float64s: DLen,
 //	          DTime, then every shard's four endpoint tables in table
 //	          order, each sized by the header's Owner and Boundary
-//	p bytes   ModelParams, the payload's tail
 //
+// and after the payload, to the end of the file, the p bytes of
+// ModelParams. The header's Fingerprint is their SHA-256: inside the
+// checksummed payload, it covers the params section, and it is the
+// model's fingerprint, so the load hashes the weights once for both.
 // No byte depends on the writing process: encoding/json keeps no global
 // state. The tables stay out of JSON, which cannot write their +Inf
-// entries. Version 2 (a gob message, then the endpoint image) and version
-// 1 are refused with a request to rebuild the bundle.
+// entries. Version 3 (the params inside the payload), version 2 (a gob
+// message, then the endpoint image) and version 1 are refused with a
+// request to rebuild the bundle.
 var shardMapMagic = [8]byte{'P', 'R', 'S', 'H', 'R', 'D', 'M', 'P'}
 
-const shardMapVersion = 3
+const shardMapVersion = 4
 
-// SaveShardMap writes the map as a checksummed bundle.
+// SaveShardMap writes the map as a checksummed bundle. It trusts
+// Fingerprint to be ModelParams' SHA-256 and does not hash them.
 func SaveShardMap(w io.Writer, m *ShardMap) error {
 	head, err := json.Marshal(m)
 	if err != nil {
@@ -164,7 +184,7 @@ func SaveShardMap(w io.Writer, m *ShardMap) error {
 	for _, t := range tables {
 		n += len(t)
 	}
-	payload := make([]byte, 16, 16+len(head)+8*n+len(m.ModelParams))
+	payload := make([]byte, 16, 16+len(head)+8*n)
 	binary.BigEndian.PutUint64(payload, uint64(len(head)))
 	binary.BigEndian.PutUint64(payload[8:], uint64(len(m.ModelParams)))
 	payload = append(payload, head...)
@@ -173,20 +193,20 @@ func SaveShardMap(w io.Writer, m *ShardMap) error {
 			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(x))
 		}
 	}
-	payload = append(payload, m.ModelParams...)
 	header := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, payload)
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("partition: write shard map header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("partition: write shard map payload: %w", err)
+	for _, section := range [][]byte{header[:], payload, m.ModelParams} {
+		if _, err := w.Write(section); err != nil {
+			return fmt.Errorf("partition: write shard map: %w", err)
+		}
 	}
 	return nil
 }
 
 // LoadShardMap decodes the bytes of a map file written by SaveShardMap,
-// verifying magic, version, checksum, and internal consistency, all
-// tables included: the router reads them without further checks.
+// verifying magic, version, checksum, the params against Fingerprint,
+// and internal consistency, all tables included: the router reads them
+// without further checks. The params hash runs on its own goroutine while
+// the header and tables decode; LoadShardMap returns only once it is done.
 func LoadShardMap(data []byte) (*ShardMap, error) {
 	payload, err := pathrank.DecodeFrame(data, shardMapMagic, shardMapVersion)
 	if errors.Is(err, pathrank.ErrArtifactVersion) {
@@ -199,22 +219,46 @@ func LoadShardMap(data []byte) (*ShardMap, error) {
 		return nil, fmt.Errorf("partition: shard map payload of %d bytes is shorter than its prefix", len(payload))
 	}
 	h, p := binary.BigEndian.Uint64(payload), binary.BigEndian.Uint64(payload[8:])
-	rest := payload[16:]
-	if h > uint64(len(rest)) || p > uint64(len(rest))-h {
-		return nil, fmt.Errorf("partition: shard map header (%d bytes) and params (%d bytes) exceed the %d-byte payload", h, p, len(rest))
+	rest, params := payload[16:], data[pathrank.FrameHeaderLen+len(payload):]
+	if h > uint64(len(rest)) {
+		return nil, fmt.Errorf("partition: shard map header (%d bytes) exceeds the %d-byte payload", h, len(rest))
 	}
+	if p != uint64(len(params)) {
+		return nil, fmt.Errorf("partition: shard map: %w: %d params bytes follow the payload, its header says %d", pathrank.ErrArtifactCorrupt, len(params), p)
+	}
+	var sum [sha256.Size]byte
+	hashed := make(chan struct{})
+	go func() {
+		sum = sha256.Sum256(params)
+		close(hashed)
+	}()
+	m, err := decodeShardMap(rest[:h], rest[h:])
+	<-hashed
+	if err != nil {
+		return nil, err
+	}
+	if want, err := m.paramsSum(); err != nil {
+		return nil, err
+	} else if want != sum {
+		return nil, fmt.Errorf("partition: shard map: %w: the params do not hash to the fingerprint %s", pathrank.ErrArtifactCorrupt, m.Fingerprint)
+	}
+	// A copy, so that the map does not keep the whole file alive.
+	m.ModelParams = bytes.Clone(params)
+	return m, nil
+}
+
+// decodeShardMap decodes a payload's JSON header and tables' byte image.
+func decodeShardMap(head, image []byte) (*ShardMap, error) {
 	var m ShardMap
-	if err := json.Unmarshal(rest[:h], &m); err != nil {
+	if err := json.Unmarshal(head, &m); err != nil {
 		return nil, fmt.Errorf("partition: decode shard map: %w", err)
 	}
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
-	if err := m.decodeTables(rest[h : uint64(len(rest))-p]); err != nil {
+	if err := m.decodeTables(image); err != nil {
 		return nil, err
 	}
-	// A copy, so that the map does not keep the whole file alive.
-	m.ModelParams = bytes.Clone(rest[uint64(len(rest))-p:])
 	return &m, nil
 }
 
@@ -390,13 +434,13 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
-	// The fingerprint is the SHA-256 of the params stream (the shard map
-	// carries that stream too), so one encode serves both.
-	var params bytes.Buffer
-	if err := art.Model.Save(&params); err != nil {
+	// The fingerprint is the SHA-256 of the params stream the shard map
+	// and every shard artifact carry: the model's cached stream and digest
+	// serve all of them.
+	params, sum, err := art.Model.ParamsStream()
+	if err != nil {
 		return nil, fmt.Errorf("partition: serialize model: %w", err)
 	}
-	sum := sha256.Sum256(params.Bytes())
 	fp := hex.EncodeToString(sum[:])
 	man := &Manifest{
 		Parts:            parts,
@@ -488,7 +532,7 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 		TotalTime:   totalTime,
 		Candidates:  art.Candidates,
 		ModelConfig: art.Model.Config(),
-		ModelParams: params.Bytes(),
+		ModelParams: params,
 		Fingerprint: fp,
 	}
 	m.setEndpoint(endpoint)

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -174,6 +175,38 @@ func TestShardMapRejectsCorruption(t *testing.T) {
 	if err := sm.validate(); err == nil {
 		t.Fatal("cut edges out of ID order accepted")
 	}
+
+	// The params section follows the checksummed payload; the recorded
+	// Fingerprint is their digest. A flipped params byte, a Fingerprint
+	// that is not their hash (the payload resealed, so only the digest
+	// can tell) and a params section cut short or run long are corrupt.
+	data, err := os.ReadFile(filepath.Join(dir, ShardMapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := len(data) - len(sm.ModelParams)
+	other := bytes.Repeat([]byte{'0'}, 64)
+	otherFP := bytes.Replace(data, []byte(sm.Fingerprint), other, 1)
+	h := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, otherFP[pathrank.FrameHeaderLen:params])
+	copy(otherFP, h[:])
+	for name, mut := range map[string][]byte{
+		"flipped first params byte": flip(data, params),
+		"flipped last params byte":  flip(data, len(data)-1),
+		"other fingerprint":         otherFP,
+		"params cut short":          data[:len(data)-1],
+		"params run long":           append(bytes.Clone(data), 0),
+	} {
+		if _, err := LoadShardMap(mut); !errors.Is(err, pathrank.ErrArtifactCorrupt) {
+			t.Errorf("%s: want ErrArtifactCorrupt, got %v", name, err)
+		}
+	}
+}
+
+// flip returns a copy of data with one bit of byte i flipped.
+func flip(data []byte, i int) []byte {
+	out := bytes.Clone(data)
+	out[i] ^= 0x01
+	return out
 }
 
 // BenchmarkBuildBundle times a four-shard bundle build of the served world:
@@ -242,7 +275,7 @@ func BenchmarkLoadShardMapFile(b *testing.B) {
 }
 
 // pinnedShardMapSum is the SHA-256 of pinnedShardMap's file.
-const pinnedShardMapSum = "2c24fd9d308171a12fe8c93fc322897f22d2c25350a0f4752589736c2f319717"
+const pinnedShardMapSum = "2f296ab2e19538fbb83e7e1a4b13f9604d32406d8a5bf0520ee7654cb54c14cc"
 
 // pinnedShardMap is a small shard map with every field and table set.
 func pinnedShardMap() *ShardMap {
@@ -258,7 +291,7 @@ func pinnedShardMap() *ShardMap {
 		Candidates:  dataset.Config{Strategy: dataset.DTkDI, K: 5, Threshold: 0.8},
 		ModelConfig: pathrank.Config{EmbeddingDim: 4, Hidden: 4, Variant: pathrank.PRA2, Seed: 1},
 		ModelParams: []byte{1, 2, 3},
-		Fingerprint: "ab12",
+		Fingerprint: "039058c6f2c0cb492c533b0a4d14ef77cc0f78abccced5287d84a1a2011cfb81", // SHA-256 of ModelParams
 	}
 	m.setEndpoint([][]float64{{130, 0, 10, 0, 130, 0, 10, 0}, {0, 0, math.Inf(1), 0}})
 	return m

@@ -2,7 +2,10 @@ package partition
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -141,11 +144,11 @@ func rewriteShardMap(t *testing.T, dir string, edit func(image []byte) []byte) [
 	if err != nil {
 		t.Fatal(err)
 	}
+	params := data[pathrank.FrameHeaderLen+len(payload):]
 	start := 16 + int(binary.BigEndian.Uint64(payload))
-	end := len(payload) - int(binary.BigEndian.Uint64(payload[8:]))
-	payload = slices.Concat(payload[:start], edit(bytes.Clone(payload[start:end])), payload[end:])
+	payload = slices.Concat(payload[:start], edit(bytes.Clone(payload[start:])))
 	h := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, payload)
-	return append(h[:], payload...)
+	return slices.Concat(h[:], payload, params)
 }
 
 // TestShardMapRejectsPoisonedEndpointTables: the router stitches from the
@@ -201,15 +204,16 @@ func TestShardMapRejectsPoisonedEndpointTables(t *testing.T) {
 }
 
 // TestShardMapRefusesOldVersion: a map written before the endpoint tables
-// existed (version 1) or as a gob message (version 2) is refused, and the
-// error says to rebuild the bundle.
+// existed (version 1), as a gob message (version 2) or with the params
+// inside the payload (version 3) is refused, and the error says to
+// rebuild the bundle.
 func TestShardMapRefusesOldVersion(t *testing.T) {
 	_, dir := bundleMap(t, testGraph(t, 7, 7, 3), 2)
 	data, err := os.ReadFile(filepath.Join(dir, ShardMapName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint32{1, 2} {
+	for _, v := range []uint32{1, 2, 3} {
 		h := pathrank.EncodeFrame(shardMapMagic, v, data[pathrank.FrameHeaderLen:])
 		_, err = LoadShardMap(append(h[:], data[pathrank.FrameHeaderLen:]...))
 		if !errors.Is(err, pathrank.ErrArtifactVersion) || !strings.Contains(err.Error(), "rebuild the bundle") {
@@ -219,11 +223,14 @@ func TestShardMapRefusesOldVersion(t *testing.T) {
 }
 
 // FuzzLoadShardMap: on arbitrary bytes LoadShardMap returns an error and
-// never panics. The checksum screens random payloads, so every input is
-// also tried as the payload of a correctly sealed frame, which takes a
-// mutation through to the JSON header, the tables and validation. Whatever loads must hold
+// never panics. The checksum and the params digest screen random bytes,
+// so every input is also tried resealed: its payload under a correctly
+// sealed frame with the params after it, and Fingerprint rewritten to the
+// params' hash, which takes a mutation through to the JSON header, the
+// tables, validation and the params decoder. Whatever loads must hold
 // readable endpoint rows of costs for every vertex, since the router reads
-// them unchecked.
+// them unchecked, and a Fingerprint that is the params' hash; the model it
+// hands over must carry that fingerprint when the stream is canonical.
 func FuzzLoadShardMap(f *testing.F) {
 	_, dir := bundleMap(f, testGraph(f, 4, 4, 2), 2)
 	valid, err := os.ReadFile(filepath.Join(dir, ShardMapName))
@@ -235,20 +242,28 @@ func FuzzLoadShardMap(f *testing.F) {
 	f.Add(valid[pathrank.FrameHeaderLen:])
 	f.Add(valid[:len(valid)-1])
 	f.Add(append(bytes.Clone(valid), 0))
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)-7] ^= 0x01 // a params byte
+	f.Add(flipped)
 	// A one-vertex map, whose payload the fuzzer can change more of.
 	tiny := &ShardMap{
 		Parts: 2, NumVertices: 1, Owner: []int32{1}, Boundary: [][]roadnet.VertexID{nil, {0}},
-		DLen: []float64{0}, DTime: []float64{0},
+		DLen: []float64{0}, DTime: []float64{0}, ModelParams: []byte{7},
 	}
+	sum := sha256.Sum256(tiny.ModelParams)
+	tiny.Fingerprint = hex.EncodeToString(sum[:])
 	tiny.setEndpoint([][]float64{nil, {0, 1, 2, math.Inf(1)}})
 	var small bytes.Buffer
 	if err := SaveShardMap(&small, tiny); err != nil {
 		f.Fatal(err)
 	}
+	f.Add(small.Bytes())
 	f.Add(small.Bytes()[pathrank.FrameHeaderLen:])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, data)
-		for _, in := range [][]byte{data, append(h[:], data...)} {
+		for _, in := range [][]byte{data, resealShardMap(data)} {
+			if in == nil {
+				continue
+			}
 			m, err := LoadShardMap(in)
 			if err != nil {
 				continue
@@ -268,6 +283,47 @@ func FuzzLoadShardMap(f *testing.F) {
 					}
 				}
 			}
+			sum := sha256.Sum256(m.ModelParams)
+			if fp := hex.EncodeToString(sum[:]); fp != m.Fingerprint {
+				t.Fatalf("loaded params hash to %s under the fingerprint %s", fp, m.Fingerprint)
+			}
+			model, err := m.Model()
+			if err != nil {
+				continue
+			}
+			if got, err := model.FingerprintHex(); err != nil || got != m.Fingerprint {
+				t.Fatalf("the map's model has fingerprint %s (%v), the map records %s", got, err, m.Fingerprint)
+			}
 		}
 	})
+}
+
+// resealShardMap treats data as a payload followed by params: when its
+// prefix's lengths fit, it rewrites the JSON header's Fingerprint to the
+// params' hash and seals the payload in a valid frame. It returns nil
+// when the prefix does not fit or the header is no JSON object.
+func resealShardMap(data []byte) []byte {
+	if len(data) < 16 {
+		return nil
+	}
+	h, p := binary.BigEndian.Uint64(data), binary.BigEndian.Uint64(data[8:])
+	if h > uint64(len(data)-16) || p > uint64(len(data)-16)-h {
+		return nil
+	}
+	head := data[16 : 16+h]
+	payload, params := data[16+h:len(data)-int(p)], data[len(data)-int(p):]
+	var fields map[string]json.RawMessage
+	if json.Unmarshal(head, &fields) != nil {
+		return nil
+	}
+	sum := sha256.Sum256(params)
+	fields["Fingerprint"], _ = json.Marshal(hex.EncodeToString(sum[:]))
+	head, err := json.Marshal(fields)
+	if err != nil {
+		return nil
+	}
+	prefix := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, uint64(len(head))), p)
+	body := slices.Concat(prefix, head, payload)
+	frame := pathrank.EncodeFrame(shardMapMagic, shardMapVersion, body)
+	return slices.Concat(frame[:], body, params)
 }

@@ -102,15 +102,15 @@ func (a *Artifact) NewRanker() *Ranker {
 
 // Fingerprint returns a SHA-256 digest of the model's trainable state: the
 // hash of its params stream. Bit-identical weights produce identical
-// fingerprints. A model LoadModel built from a canonical params stream
-// returns that stream's hash, and a model a save has encoded hashes that
-// stream; any other model encodes its weights to hash them.
+// fingerprints. A model loaded from a canonical params stream returns
+// that stream's hash, and a model a save has encoded returns the hash the
+// save took; any other model encodes its weights to hash them.
 func (m *Model) Fingerprint() ([sha256.Size]byte, error) {
 	if fp := m.loadedFP.Load(); fp != nil {
 		return *fp, nil
 	}
-	if p := m.stream.Load(); p != nil {
-		return sha256.Sum256(*p), nil
+	if s := m.stream.Load(); s != nil {
+		return s.sum, nil
 	}
 	return nn.ParamsFingerprint(m.params)
 }
@@ -144,48 +144,60 @@ type ShardInfo struct {
 	EdgeGlobal []roadnet.EdgeID
 }
 
-// Artifact file format. This build writes version 4:
+// Artifact file format. This build writes version 5:
 //
 //	offset            content
 //	0                 52-byte frame header (frame.go); its SHA-256 covers
 //	                  the payload
-//	52                payload: RawDigest (32 bytes), the JSON header's
-//	                  length h (big-endian uint64), h bytes of JSON
-//	                  (artifactWire), then the params stream to its end
-//	52+plen           zero padding to the next 8-byte boundary, then the
+//	52                payload: RawDigest (32 bytes), the params stream's
+//	                  SHA-256 (32 bytes) and length p (big-endian uint64),
+//	                  then the JSON header (artifactWire) to its end
+//	52+plen           the params stream: p bytes
+//	52+plen+p         zero padding to the next 8-byte boundary, then the
 //	                  raw section: directory + flat arrays (rawsection.go)
 //
 // No byte depends on the writing process: encoding/json keeps no global
 // state and writes a struct's fields in declaration order. The graph lives
 // in the raw section as the exact arrays queries run on, so loading is
 // reinterpretation, not deserialization.
-// RawDigest is the SHA-256 of every byte after the payload; sitting inside
-// the checksummed payload, it extends the header checksum to the whole
-// file. The two loaders differ only in what they verify:
+// The two sections after the payload are covered by digests inside it, so
+// the header checksum extends to the whole file. The params digest is also
+// the model's fingerprint (for the canonical streams every writer makes),
+// so a load hashes the weights once, for both. RawDigest is the SHA-256 of
+// every byte after the params stream. The two loaders differ only in what
+// they verify:
 //
 //   - LoadArtifact / LoadArtifactFile read the file onto the heap, verify
-//     the payload checksum AND the raw digest, and validate the content of
-//     every array (arbitrary bytes reach this path: foreign files, fuzzing,
-//     a hot-swap candidate). Any corruption anywhere in the file is
-//     ErrArtifactCorrupt or ErrArtifactFormat.
-//   - LoadArtifactFileMapped mmaps the file, verifies the payload checksum
-//     and the directory bounds, and trusts the arrays' bytes — hashing or
-//     walking them would fault in every page, which is exactly what an
-//     O(open) cold start avoids.
+//     the payload checksum, the params digest AND the raw digest, and
+//     validate the content of every array (arbitrary bytes reach this
+//     path: foreign files, fuzzing, a hot-swap candidate). Any corruption
+//     anywhere in the file is ErrArtifactCorrupt or ErrArtifactFormat.
+//   - LoadArtifactFileMapped mmaps the file, verifies the payload
+//     checksum, the params digest and the directory bounds, and trusts the
+//     arrays' bytes — hashing or walking them would fault in every page,
+//     which is exactly what an O(open) cold start avoids.
 //
-// Version 3, whose payload is the gob message of artifactWire, still loads;
-// nothing writes it. gob skips a field the receiving struct lacks, so
-// version-3 files written while the payload had a Prep or an Embeddings
-// field load too. Version-3 and version-4 files whose raw section also
-// holds a contraction hierarchy's 12 arrays load with those arrays skipped
-// (rawsection.go). Versions 1 and 2 (graph and hierarchy inside the gob
-// payload) are not read; docs/OPERATIONS.md says how to regenerate such a
-// file.
-const artifactVersion, gobArtifactVersion = 4, 3
+// Versions 4 and 3 still load; nothing writes them. A version-4 payload
+// is RawDigest, the JSON header's length h (big-endian uint64), h bytes of
+// JSON, then the params stream to the payload's end, and its RawDigest
+// covers every byte after the payload. A version-3 payload is the gob
+// message of artifactWire. gob skips a field the receiving struct lacks,
+// so version-3 files written while the payload had a Prep or an
+// Embeddings field load too. Version-3 and version-4 files whose raw
+// section also holds a contraction hierarchy's 12 arrays load with those
+// arrays skipped (rawsection.go). Versions 1 and 2 (graph and hierarchy
+// inside the gob payload) are not read; docs/OPERATIONS.md says how to
+// regenerate such a file.
+const (
+	artifactVersion     = 5
+	jsonArtifactVersion = 4
+	gobArtifactVersion  = 3
+)
 
-// payloadPrefixLen is the fixed start of a version-4 payload: the raw
-// digest and the header length.
-const payloadPrefixLen = sha256.Size + 8
+// payloadPrefixLen is the fixed start of a version-5 payload: the raw
+// digest, the params digest and the params length; v4PrefixLen is a
+// version-4 payload's: the raw digest and the header length.
+const payloadPrefixLen, v4PrefixLen = 2*sha256.Size + 8, sha256.Size + 8
 
 var artifactMagic = [8]byte{'P', 'R', 'A', 'R', 'T', 'F', 'C', 'T'}
 
@@ -200,9 +212,10 @@ var (
 	ErrArtifactCorrupt = errors.New("pathrank: artifact corrupt")
 )
 
-// artifactWire is an artifact's payload: a version-4 payload holds
-// Params and RawDigest beside the JSON of the other fields, and a
-// version-3 payload is the gob message of the whole struct.
+// artifactWire is an artifact's payload: a version-5 or version-4
+// payload holds the digests (and, in version 4, Params) beside the JSON
+// of the other fields, and a version-3 payload is the gob message of the
+// whole struct.
 type artifactWire struct {
 	ModelConfig Config
 	Candidates  dataset.Config
@@ -213,7 +226,10 @@ type artifactWire struct {
 	RawDigest []byte `json:"-"`
 }
 
-// SaveArtifact writes the artifact to w in the format above.
+// SaveArtifact writes the artifact to w in the format above. The params
+// stream and its digest come from the model's cache (Model.ParamsStream),
+// so a model saved again — as every shard of a bundle saves it — is
+// neither encoded nor hashed again.
 func SaveArtifact(w io.Writer, a *Artifact) error {
 	if a == nil || a.Graph == nil || a.Model == nil {
 		return fmt.Errorf("pathrank: artifact needs a graph and a model")
@@ -222,41 +238,35 @@ func SaveArtifact(w io.Writer, a *Artifact) error {
 	if err != nil {
 		return fmt.Errorf("pathrank: encode artifact header: %w", err)
 	}
-	params, err := a.Model.paramsStream()
+	params, sum, err := a.Model.ParamsStream()
 	if err != nil {
 		return fmt.Errorf("pathrank: artifact weights: %w", err)
 	}
-	gd := a.Graph.RawData()
-	slots := graphSlots(&gd)
+	payload := make([]byte, payloadPrefixLen, payloadPrefixLen+len(head))
+	copy(payload[sha256.Size:], sum[:])
+	binary.BigEndian.PutUint64(payload[2*sha256.Size:], uint64(len(params)))
+	payload = append(payload, head...)
 
 	// The raw section holds absolute file offsets, so it depends on the
 	// payload's length, while the payload holds the raw section's digest
-	// in its first 32 bytes: lay the payload out, hash the raw section
-	// after it, and write the sum over those bytes.
-	payload := make([]byte, payloadPrefixLen, payloadPrefixLen+len(head)+len(params))
-	binary.BigEndian.PutUint64(payload[sha256.Size:], uint64(len(head)))
-	payload = append(append(payload, head...), params...)
-	h := sha256.New()
-	if err := writeRawSection(h, FrameHeaderLen+len(payload), slots); err != nil {
-		return fmt.Errorf("pathrank: hash artifact raw section: %w", err)
-	}
-	h.Sum(payload[:0])
+	// in its first 32 bytes: encode the section once, after the payload
+	// and the params, and hash those bytes into the payload.
+	gd := a.Graph.RawData()
+	raw := encodeRawSection(FrameHeaderLen+len(payload)+len(params), graphSlots(&gd))
+	rawSum := sha256.Sum256(raw)
+	copy(payload, rawSum[:])
 
 	header := EncodeFrame(artifactMagic, artifactVersion, payload)
-	if _, err := w.Write(header[:]); err != nil {
-		return fmt.Errorf("pathrank: write artifact header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("pathrank: write artifact payload: %w", err)
-	}
-	if err := writeRawSection(w, FrameHeaderLen+len(payload), slots); err != nil {
-		return fmt.Errorf("pathrank: write artifact raw section: %w", err)
+	for _, section := range [][]byte{header[:], payload, params, raw} {
+		if _, err := w.Write(section); err != nil {
+			return fmt.Errorf("pathrank: write artifact: %w", err)
+		}
 	}
 	return nil
 }
 
 // LoadArtifact reads an artifact written by SaveArtifact onto the heap and
-// verifies all of it — checksum, raw digest, and the content of every
+// verifies all of it — checksum, digests, and the content of every
 // array — before reconstructing the graph and model. The returned
 // model's weights are bit-identical to the saved ones.
 func LoadArtifact(r io.Reader) (*Artifact, error) {
@@ -270,27 +280,56 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 	return decodeArtifact(data, true)
 }
 
-// decodePayload decodes the payload of a file of the given version.
-func decodePayload(payload []byte, version uint32) (wire artifactWire, err error) {
-	if version == gobArtifactVersion {
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
-			return wire, fmt.Errorf("%w: decode payload: %v", ErrArtifactCorrupt, err)
+// decodedPayload is what a payload of any readable version gives the
+// loader: the header fields, the params stream, the params digest
+// (version 5 only), and the file offset where the bytes RawDigest covers
+// begin.
+type decodedPayload struct {
+	artifactWire
+	paramsSum *[sha256.Size]byte
+	rawFrom   int
+}
+
+// decodePayload decodes the payload of a file of the given version. data
+// is the whole file; payload is its verified payload.
+func decodePayload(data, payload []byte, version uint32) (d decodedPayload, err error) {
+	d.rawFrom = FrameHeaderLen + len(payload)
+	switch version {
+	case gobArtifactVersion:
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&d.artifactWire); err != nil {
+			return d, fmt.Errorf("%w: decode payload: %v", ErrArtifactCorrupt, err)
 		}
-		return wire, nil
+		return d, nil
+	case jsonArtifactVersion:
+		if len(payload) < v4PrefixLen {
+			return d, fmt.Errorf("%w: payload of %d bytes is shorter than its prefix", ErrArtifactCorrupt, len(payload))
+		}
+		n := binary.BigEndian.Uint64(payload[sha256.Size:v4PrefixLen])
+		rest := payload[v4PrefixLen:]
+		if n > uint64(len(rest)) {
+			return d, fmt.Errorf("%w: header length %d exceeds the payload", ErrArtifactCorrupt, n)
+		}
+		if err := json.Unmarshal(rest[:n], &d.artifactWire); err != nil {
+			return d, fmt.Errorf("%w: decode header: %v", ErrArtifactCorrupt, err)
+		}
+		d.Params, d.RawDigest = rest[n:], payload[:sha256.Size]
+		return d, nil
 	}
 	if len(payload) < payloadPrefixLen {
-		return wire, fmt.Errorf("%w: payload of %d bytes is shorter than its prefix", ErrArtifactCorrupt, len(payload))
+		return d, fmt.Errorf("%w: payload of %d bytes is shorter than its prefix", ErrArtifactCorrupt, len(payload))
 	}
-	n := binary.BigEndian.Uint64(payload[sha256.Size:payloadPrefixLen])
-	rest := payload[payloadPrefixLen:]
-	if n > uint64(len(rest)) {
-		return wire, fmt.Errorf("%w: header length %d exceeds the payload", ErrArtifactCorrupt, n)
+	p := binary.BigEndian.Uint64(payload[2*sha256.Size : payloadPrefixLen])
+	if p > uint64(len(data)-d.rawFrom) {
+		return d, fmt.Errorf("%w: params length %d exceeds the %d bytes after the payload", ErrArtifactCorrupt, p, len(data)-d.rawFrom)
 	}
-	if err := json.Unmarshal(rest[:n], &wire); err != nil {
-		return wire, fmt.Errorf("%w: decode header: %v", ErrArtifactCorrupt, err)
+	if err := json.Unmarshal(payload[payloadPrefixLen:], &d.artifactWire); err != nil {
+		return d, fmt.Errorf("%w: decode header: %v", ErrArtifactCorrupt, err)
 	}
-	wire.Params, wire.RawDigest = rest[n:], payload[:sha256.Size]
-	return wire, nil
+	d.Params = data[d.rawFrom : d.rawFrom+int(p)]
+	d.RawDigest = payload[:sha256.Size]
+	d.paramsSum = (*[sha256.Size]byte)(payload[sha256.Size : 2*sha256.Size])
+	d.rawFrom += int(p)
+	return d, nil
 }
 
 // decodeArtifact is the one loader body: it reconstructs an artifact from
@@ -300,27 +339,28 @@ func decodePayload(payload []byte, version uint32) (wire artifactWire, err error
 // digest and deep validation of the graph arrays.
 func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
 	version := uint32(artifactVersion)
-	if len(data) >= 12 && binary.BigEndian.Uint32(data[8:12]) == gobArtifactVersion {
-		version = gobArtifactVersion
+	if len(data) >= 12 {
+		if v := binary.BigEndian.Uint32(data[8:12]); v == jsonArtifactVersion || v == gobArtifactVersion {
+			version = v
+		}
 	}
 	payload, err := DecodeFrame(data, artifactMagic, version)
 	if errors.Is(err, ErrArtifactVersion) {
-		return nil, fmt.Errorf("%w (or version %d); retrain, or see docs/OPERATIONS.md \"Files from older builds\" to convert the file", err, gobArtifactVersion)
+		return nil, fmt.Errorf("%w (or versions %d and %d); retrain, or see docs/OPERATIONS.md \"Files from older builds\" to convert the file", err, jsonArtifactVersion, gobArtifactVersion)
 	}
 	if err != nil {
 		return nil, err
 	}
-	wire, err := decodePayload(payload, version)
+	wire, err := decodePayload(data, payload, version)
 	if err != nil {
 		return nil, err
 	}
-	payloadEnd := FrameHeaderLen + len(payload)
 	if verify {
-		if sum := sha256.Sum256(data[payloadEnd:]); !bytes.Equal(sum[:], wire.RawDigest) {
+		if sum := sha256.Sum256(data[wire.rawFrom:]); !bytes.Equal(sum[:], wire.RawDigest) {
 			return nil, fmt.Errorf("%w: raw section digest mismatch", ErrArtifactCorrupt)
 		}
 	}
-	gd, err := readRawSection(data, align8(payloadEnd))
+	gd, err := readRawSection(data, align8(wire.rawFrom))
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +379,7 @@ func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
 	if err := checkModelShape(g.NumVertices(), wire.ModelConfig, len(wire.Params)); err != nil {
 		return nil, err
 	}
-	model, err := LoadModel(g.NumVertices(), wire.ModelConfig, wire.Params)
+	model, err := loadModel(g.NumVertices(), wire.ModelConfig, wire.Params, wire.paramsSum)
 	if err != nil {
 		return nil, err
 	}

@@ -158,42 +158,88 @@ func TestArtifactRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestArtifactRejectsCorruption: corruption anywhere in a file is
+// ErrArtifactCorrupt under the heap loader, and in the payload or the
+// params stream under the mapped loader too, which verifies the params
+// digest as the heap loader does. Neither returns an artifact.
 func TestArtifactRejectsCorruption(t *testing.T) {
 	art := trainedArtifact(t)
 	var buf bytes.Buffer
 	if err := SaveArtifact(&buf, art); err != nil {
 		t.Fatal(err)
 	}
-	plen := int(binary.BigEndian.Uint64(buf.Bytes()[44:52]))
+	valid := buf.Bytes()
+	l, ok := layoutOf(valid)
+	if !ok || l.version != artifactVersion {
+		t.Fatal("SaveArtifact did not write a version-5 image")
+	}
+	dir := t.TempDir()
+	// both loads data under both loaders, or under the heap loader alone
+	// when the damage is in the arrays the mapped loader trusts.
+	both := func(name string, data []byte, mapped bool) {
+		t.Helper()
+		if a, err := LoadArtifact(bytes.NewReader(data)); !errors.Is(err, ErrArtifactCorrupt) || a != nil {
+			t.Errorf("%s, heap: want ErrArtifactCorrupt and no artifact, got %v", name, err)
+		}
+		if !mapped {
+			return
+		}
+		path := filepath.Join(dir, "corrupt.prart")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if a, err := LoadArtifactFileMapped(path); !errors.Is(err, ErrArtifactCorrupt) {
+			if a != nil {
+				a.Close()
+			}
+			t.Errorf("%s, mapped: want ErrArtifactCorrupt, got %v", name, err)
+		}
+	}
 
 	// One flipped bit anywhere must be caught: the header checksum covers
-	// the payload, the raw digest inside it everything after.
-	for name, off := range map[string]int{
-		"payload":         FrameHeaderLen + plen/2,
-		"raw directory":   align8(FrameHeaderLen+plen) + rawDirHeaderLen + 3,
-		"last array byte": buf.Len() - 1,
+	// the payload, the digests inside it the params stream and everything
+	// after it.
+	for _, c := range []struct {
+		name   string
+		off    int
+		mapped bool
+	}{
+		{"payload", FrameHeaderLen + payloadPrefixLen + 3, true},
+		{"first params", l.params, true},
+		{"middle params", (l.params + l.rawFrom) / 2, true},
+		{"last params", l.rawFrom - 1, true},
+		{"raw directory", align8(l.rawFrom) + rawDirHeaderLen + 3, false},
+		{"last array", len(valid) - 1, false},
 	} {
-		data := bytes.Clone(buf.Bytes())
-		data[off] ^= 0x40
-		if _, err := LoadArtifact(bytes.NewReader(data)); !errors.Is(err, ErrArtifactCorrupt) {
-			t.Fatalf("flipped %s byte: want ErrArtifactCorrupt, got %v", name, err)
-		}
+		data := bytes.Clone(valid)
+		data[c.off] ^= 0x40
+		both("flipped "+c.name+" byte", data, c.mapped)
 	}
 
-	// Truncations, in the payload and in the raw section: must be reported
-	// as corrupt, not an EOF panic.
-	for _, n := range []int{FrameHeaderLen + plen/2, buf.Len() - 9} {
-		if _, err := LoadArtifact(bytes.NewReader(buf.Bytes()[:n])); !errors.Is(err, ErrArtifactCorrupt) {
-			t.Fatalf("truncated to %d bytes: want ErrArtifactCorrupt, got %v", n, err)
-		}
+	// Truncations, in the payload, the params and the raw section: must be
+	// reported as corrupt, not an EOF panic.
+	for _, n := range []int{(FrameHeaderLen + l.params) / 2, (l.params + l.rawFrom) / 2, l.rawFrom, len(valid) - 9} {
+		both(fmt.Sprintf("truncated to %d bytes", n), valid[:n], true)
 	}
+
+	// A params length past the end of the file, and a digest that does not
+	// match the stream, each under a payload whose checksum matches.
+	reframe := func(data []byte) []byte {
+		h := EncodeFrame(artifactMagic, artifactVersion, data[FrameHeaderLen:l.params])
+		copy(data, h[:])
+		return data
+	}
+	long := bytes.Clone(valid)
+	binary.BigEndian.PutUint64(long[FrameHeaderLen+2*sha256.Size:], uint64(len(valid)-l.params+1))
+	both("params length past EOF", reframe(long), true)
+	digest := bytes.Clone(valid)
+	digest[FrameHeaderLen+sha256.Size+5] ^= 0x01
+	both("mismatched params digest", reframe(digest), true)
 
 	// An absurd length field must not cause a huge allocation attempt.
-	data := bytes.Clone(buf.Bytes())
+	data := bytes.Clone(valid)
 	binary.BigEndian.PutUint64(data[44:52], 1<<62)
-	if _, err := LoadArtifact(bytes.NewReader(data)); !errors.Is(err, ErrArtifactCorrupt) {
-		t.Fatalf("want ErrArtifactCorrupt for oversized length, got %v", err)
-	}
+	both("oversized payload length", data, true)
 }
 
 func TestArtifactCorruptFileOnDisk(t *testing.T) {
@@ -394,33 +440,35 @@ func TestRankerEngineIsDijkstra(t *testing.T) {
 //   - retiredPrepFixture, version 3: the gob payload still carried a Prep
 //     section beside the raw hierarchy arrays, and an Embeddings section;
 //   - chSectionFixture, version 4: the raw section holds the graph's 8
-//     arrays and a contraction hierarchy's 12.
+//     arrays and a contraction hierarchy's 12;
+//   - plainV4Fixture, version 4: the graph's 8 arrays, the params stream
+//     inside the checksummed payload. The same training run wrote all
+//     three, so they share one fingerprint.
 const (
 	retiredPrepFixture     = "testdata/v3_prep_section.prart"
 	retiredPrepFingerprint = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
 	chSectionFixture       = "testdata/v4_ch_section.prart"
 	chSectionFingerprint   = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
+	plainV4Fixture         = "testdata/v4_plain.prart"
+	plainV4Fingerprint     = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
 )
 
-// rawArrayCount returns the array count of a version-4 file's raw
-// directory.
+// rawArrayCount returns the array count of a version-5 or version-4
+// file's raw directory.
 func rawArrayCount(t *testing.T, data []byte) uint32 {
 	t.Helper()
-	payload, err := DecodeFrame(data, artifactMagic, artifactVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := data[align8(FrameHeaderLen+len(payload)):]
+	dir := data[rawStartOf(t, data):]
 	return binary.NativeEndian.Uint32(dir[12:16])
 }
 
 // requireLoadsLikeResave checks an older build's file: under both loaders
 // it keeps the model fingerprint its writer computed, and it ranks
 // bit-identically to the same artifact re-saved by this build, which must
-// be smaller (the retired sections are dropped) and keep lineage,
-// candidates and model config. Fingerprints are what WAL replay and a
+// be a version-5 file of the graph's 8 arrays, keep lineage, candidates
+// and model config, and, when the fixture carries retired sections, be
+// smaller (they are dropped). Fingerprints are what WAL replay and a
 // bundle's shard map compare against.
-func requireLoadsLikeResave(t *testing.T, fixture, fingerprint string) {
+func requireLoadsLikeResave(t *testing.T, fixture, fingerprint string, retired bool) {
 	t.Helper()
 	old, err := LoadArtifactFile(fixture)
 	if err != nil {
@@ -438,8 +486,11 @@ func requireLoadsLikeResave(t *testing.T, fixture, fingerprint string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(newData) >= len(oldData) {
+	if retired && len(newData) >= len(oldData) {
 		t.Fatalf("re-saved artifact is %d bytes, the fixture %d: the retired sections were not dropped", len(newData), len(oldData))
+	}
+	if v := binary.BigEndian.Uint32(newData[8:12]); v != artifactVersion {
+		t.Fatalf("re-saved artifact has version %d, want %d", v, artifactVersion)
 	}
 	if n := rawArrayCount(t, newData); n != rawGraphArrayCount {
 		t.Fatalf("re-saved raw section holds %d arrays, want %d", n, rawGraphArrayCount)
@@ -511,7 +562,7 @@ func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&retired); err != nil || len(retired.Embeddings) == 0 {
 		t.Fatalf("fixture carries no embeddings section (%d bytes, err %v)", len(retired.Embeddings), err)
 	}
-	requireLoadsLikeResave(t, retiredPrepFixture, retiredPrepFingerprint)
+	requireLoadsLikeResave(t, retiredPrepFixture, retiredPrepFingerprint, true)
 }
 
 // TestArtifactLoadsCHSection: a version-4 file whose raw directory lists a
@@ -525,7 +576,25 @@ func TestArtifactLoadsCHSection(t *testing.T) {
 	if n := rawArrayCount(t, data); n != rawGraphArrayCount+rawCHArrayCount {
 		t.Fatalf("fixture's raw section holds %d arrays, want 8 graph + 12 hierarchy", n)
 	}
-	requireLoadsLikeResave(t, chSectionFixture, chSectionFingerprint)
+	requireLoadsLikeResave(t, chSectionFixture, chSectionFingerprint, true)
+}
+
+// TestArtifactLoadsPlainV4: a version-4 file of the graph's 8 arrays, the
+// params inside the checksummed payload, keeps the fingerprint the build
+// that wrote it computed under both loaders, and ranks as its version-5
+// re-save does.
+func TestArtifactLoadsPlainV4(t *testing.T) {
+	data, err := os.ReadFile(plainV4Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.BigEndian.Uint32(data[8:12]); v != jsonArtifactVersion {
+		t.Fatalf("fixture has version %d, want %d", v, jsonArtifactVersion)
+	}
+	if n := rawArrayCount(t, data); n != rawGraphArrayCount {
+		t.Fatalf("fixture's raw section holds %d arrays, want the graph's 8", n)
+	}
+	requireLoadsLikeResave(t, plainV4Fixture, plainV4Fingerprint, false)
 }
 
 // TestArtifactRejectsCorruptCHSection: the heap loader's raw digest still
@@ -550,11 +619,7 @@ func TestArtifactRejectsCorruptCHSection(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for name, data := range map[string][]byte{"fresh": fresh.Bytes(), "fixture": fixture} {
-		payload, err := DecodeFrame(data, artifactMagic, artifactVersion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		countAt := align8(FrameHeaderLen+len(payload)) + 12
+		countAt := rawStartOf(t, data) + 12
 		for _, n := range []uint32{0, 7, 9, 19, 21, 1 << 31} {
 			mut := bytes.Clone(data)
 			binary.NativeEndian.PutUint32(mut[countAt:], n)
@@ -632,7 +697,7 @@ func TestLoadedFingerprintIsTheReencode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := LoadModel(g.NumVertices(), m.Config(), append(params, 0))
+	long, err := loadModel(g.NumVertices(), m.Config(), append(params, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +748,7 @@ func TestLoadedFingerprintIsTheReencode(t *testing.T) {
 }
 
 // pinnedArtifactSum is the SHA-256 of pinnedArtifact's file.
-const pinnedArtifactSum = "9fa059180009c430d9b23da9942c3cbb8f74aad63170e6a6178a99adefdee06d"
+const pinnedArtifactSum = "0e8dc124b1c0b4c9b23c295ef0e06c067ef68b2edbb0259f772b1707041061b4"
 
 // pinnedArtifact is gobHistoryModel's model and world with every header
 // field set.

@@ -25,8 +25,12 @@ import (
 //	    52     n  payload
 //
 // The checksum covers every payload byte, so a torn write or bit flip is
-// detected before the payload is decoded. EncodeFrame and DecodeFrame are
-// the only code that builds or parses the header.
+// detected before the payload is decoded. A section after the payload is
+// covered by a digest inside it: the loader hashes that section and
+// compares, so the one checksum extends to the whole file while a large
+// section is hashed once, by the loader that reads it (the artifact's
+// params stream and raw section, the shard map's params). EncodeFrame and
+// DecodeFrame are the only code that builds or parses the header.
 const FrameHeaderLen = 52
 
 // EncodeFrame returns the frame header for payload.

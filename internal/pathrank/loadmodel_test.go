@@ -2,16 +2,20 @@ package pathrank
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"pathrank/internal/allocpin"
+	"pathrank/internal/dataset"
 	"pathrank/internal/nn"
+	"pathrank/internal/roadnet"
 )
 
 // The live-loop fixture's generation-0 artifact (see internal/stream's
@@ -40,25 +44,23 @@ func TestFixturesDecodeLikeGob(t *testing.T) {
 	for fixture, pin := range map[string]string{
 		retiredPrepFixture: retiredPrepFingerprint,
 		chSectionFixture:   chSectionFingerprint,
+		plainV4Fixture:     plainV4Fingerprint,
 		liveBaseFixture:    liveBaseFingerprint,
 	} {
 		data, err := os.ReadFile(fixture)
 		if err != nil {
 			t.Fatal(err)
 		}
-		version := uint32(artifactVersion)
-		if binary.BigEndian.Uint32(data[8:12]) == gobArtifactVersion {
-			version = gobArtifactVersion
-		}
+		version := binary.BigEndian.Uint32(data[8:12])
 		payload, err := DecodeFrame(data, artifactMagic, version)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire, err := decodePayload(payload, version)
+		wire, err := decodePayload(data, payload, version)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum, ok := nn.StreamFingerprint(wire.Params); !ok || hex.EncodeToString(sum[:]) != pin {
+		if sum, ok := sha256.Sum256(wire.Params), nn.CanonicalStream(wire.Params); !ok || hex.EncodeToString(sum[:]) != pin {
 			t.Fatalf("%s: params stream hash %x (canonical %v), pinned %s", fixture, sum, ok, pin)
 		}
 		var want []gobParam
@@ -107,7 +109,7 @@ func requireGobWeights(t *testing.T, m *Model, want []gobParam) {
 
 // TestLoadModelOldGobStream: a params stream gob-encoded in a process that
 // had encoded another type first carries other type numbers than the
-// canonical preamble. LoadModel and Model.Load read it through gob, the
+// canonical preamble. loadModel and Model.Load read it through gob, the
 // weights come back bit-exactly, and the fingerprint is re-encoded from
 // them, as before, to the original's.
 func TestLoadModelOldGobStream(t *testing.T) {
@@ -127,19 +129,19 @@ func TestLoadModelOldGobStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := buf.Bytes()
-	if _, ok := nn.StreamFingerprint(stream); ok {
+	if nn.CanonicalStream(stream) {
 		t.Fatal("the shifted stream passes as canonical")
 	}
 	want, err := m.FingerprintHex()
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadModel(g.NumVertices(), m.Config(), stream)
+	loaded, err := loadModel(g.NumVertices(), m.Config(), stream, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.loadedFP.Load() != nil {
-		t.Fatal("LoadModel took the shifted stream's hash as the fingerprint")
+		t.Fatal("loadModel took the shifted stream's hash as the fingerprint")
 	}
 	reloaded, err := New(g.NumVertices(), Config{EmbeddingDim: 4, Hidden: 4, Variant: PRA2, Seed: 2})
 	if err != nil {
@@ -148,14 +150,14 @@ func TestLoadModelOldGobStream(t *testing.T) {
 	if err := reloaded.Load(bytes.NewReader(stream)); err != nil {
 		t.Fatal(err)
 	}
-	for name, got := range map[string]*Model{"LoadModel": loaded, "Model.Load": reloaded} {
+	for name, got := range map[string]*Model{"loadModel": loaded, "Model.Load": reloaded} {
 		if fp, err := got.FingerprintHex(); err != nil || fp != want {
 			t.Fatalf("%s: fingerprint %s (%v), the encoded model's %s", name, fp, err, want)
 		}
 	}
 }
 
-// TestLoadModelWaitsForHash: LoadModel hashes the stream beside the
+// TestLoadModelWaitsForHash: loadModel hashes the stream beside the
 // decode and returns only once the hash is done, on the error paths too.
 // Each of these loads gets the 4 MB params stream of a larger model, so
 // its decode fails at the first param's shape while its hash has
@@ -174,7 +176,7 @@ func TestLoadModelWaitsForHash(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for range 100 {
-		if _, err := LoadModel(10, cfg, buf.Bytes()); err == nil {
+		if _, err := loadModel(10, cfg, buf.Bytes(), nil); err == nil {
 			t.Fatal("a model loaded another model's params")
 		}
 	}
@@ -195,14 +197,14 @@ func TestLoadModelAllocs(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	allocpin.Pin(t, allocpin.Count{Allocs: 58, Bytes: 23088}, func() {
-		if _, err := LoadModel(40, smallConfig(), buf.Bytes()); err != nil {
+	allocpin.Pin(t, allocpin.Count{Allocs: 57, Bytes: 23072}, func() {
+		if _, err := loadModel(40, smallConfig(), buf.Bytes(), nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
-// BenchmarkLoadModel times LoadModel on the served model's shape: the
+// BenchmarkLoadModel times loadModel on the served model's shape: the
 // benchmark world's 56x56 grid (3,152 vertices) under DefaultConfig.
 func BenchmarkLoadModel(b *testing.B) {
 	const vertices = 3152
@@ -218,7 +220,39 @@ func BenchmarkLoadModel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		if _, err := LoadModel(vertices, DefaultConfig(), buf.Bytes()); err != nil {
+		if _, err := loadModel(vertices, DefaultConfig(), buf.Bytes(), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadArtifactMapped times LoadArtifactFileMapped on the served
+// world's artifact: the 56x56 grid (3,152 vertices) with an untrained
+// DefaultConfig model, as the serving benchmark saves and maps it.
+func BenchmarkLoadArtifactMapped(b *testing.B) {
+	cfg := roadnet.DefaultGenConfig()
+	cfg.Rows, cfg.Cols, cfg.Seed = 56, 56, 1
+	g, err := roadnet.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := New(g.NumVertices(), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "world.prart")
+	art := &Artifact{Graph: g, Model: m, Candidates: dataset.Config{Strategy: dataset.DTkDI, K: 5, Threshold: 0.8}}
+	if err := SaveArtifactFile(path, art); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		a, err := LoadArtifactFileMapped(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

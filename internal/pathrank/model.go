@@ -140,13 +140,20 @@ type Model struct {
 	// FineTune, Load, InitEmbeddings — stores nil, so a plan never outlives
 	// the weights it was built from; a Clone starts without one.
 	plan atomic.Pointer[plan]
-	// loadedFP is the fingerprint of the params stream LoadModel built the
-	// model from (nn.StreamFingerprint), nil when there is none. stream is
-	// the params stream of the current weights once Save or SaveArtifact
-	// has encoded it, so every later save and fingerprint reuses it.
-	// Everything that writes weights stores nil in both, as for plan.
+	// loadedFP is the fingerprint of the params stream the model was
+	// loaded from, when that stream is canonical (nn.CanonicalStream), and
+	// nil otherwise. stream is the params stream of the current weights and
+	// its SHA-256 once a save has encoded them, so every later save and
+	// fingerprint reuses both. Everything that writes weights stores nil in
+	// both, as for plan.
 	loadedFP atomic.Pointer[[sha256.Size]byte]
-	stream   atomic.Pointer[[]byte]
+	stream   atomic.Pointer[savedStream]
+}
+
+// savedStream is a params stream and its SHA-256.
+type savedStream struct {
+	b   []byte
+	sum [sha256.Size]byte
 }
 
 // New builds an untrained model for a graph with numVertices vertices.
@@ -154,35 +161,58 @@ func New(numVertices int, cfg Config) (*Model, error) {
 	return newModel(numVertices, cfg, rand.New(rand.NewSource(cfg.Seed)))
 }
 
-// LoadModel builds the model for a graph with numVertices vertices from
+// loadModel builds the model for a graph with numVertices vertices from
 // weights written by Save: its tensors are shaped and zeroed, never
 // randomly initialized, since the load overwrites them all. When params is
 // a canonical params stream, its hash is the model's fingerprint, so
-// Fingerprint need not re-encode the weights. The hash runs on its own
+// Fingerprint need not re-encode the weights. With a non-nil want, params
+// must hash to *want: otherwise the load fails with ErrArtifactCorrupt,
+// whatever the decode made of the bytes. The hash runs on its own
 // goroutine while the weights decode; both only read params, and
-// LoadModel returns, on every path, only once the hash is done.
-func LoadModel(numVertices int, cfg Config, params []byte) (*Model, error) {
+// loadModel returns, on every path, only once the hash is done.
+func loadModel(numVertices int, cfg Config, params []byte, want *[sha256.Size]byte) (*Model, error) {
 	var (
-		fp     [sha256.Size]byte
-		ok     bool
+		sum    [sha256.Size]byte
 		hashed = make(chan struct{})
 	)
 	go func() {
-		fp, ok = nn.StreamFingerprint(params)
+		sum = sha256.Sum256(params)
 		close(hashed)
 	}()
 	m, err := decodeModel(numVertices, cfg, params)
 	<-hashed
+	if want != nil && sum != *want {
+		return nil, fmt.Errorf("%w: params stream does not match its digest", ErrArtifactCorrupt)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if ok {
-		m.loadedFP.Store(&fp)
-	}
+	m.setLoadedFP(params, &sum)
 	return m, nil
 }
 
-// decodeModel is LoadModel without the fingerprint.
+// LoadModelHashed is loadModel for a params stream whose SHA-256 the
+// caller has already verified to be sum, as LoadShardMap verifies the
+// shard map's stream against its recorded fingerprint: it decodes params
+// without hashing them again.
+func LoadModelHashed(numVertices int, cfg Config, params []byte, sum [sha256.Size]byte) (*Model, error) {
+	m, err := decodeModel(numVertices, cfg, params)
+	if err != nil {
+		return nil, err
+	}
+	m.setLoadedFP(params, &sum)
+	return m, nil
+}
+
+// setLoadedFP records sum, the hash of the stream m was loaded from, as
+// m's fingerprint when that stream is canonical.
+func (m *Model) setLoadedFP(params []byte, sum *[sha256.Size]byte) {
+	if nn.CanonicalStream(params) {
+		m.loadedFP.Store(sum)
+	}
+}
+
+// decodeModel is loadModel without the fingerprint.
 func decodeModel(numVertices int, cfg Config, params []byte) (*Model, error) {
 	m, err := newModel(numVertices, cfg, nil)
 	if err != nil {
@@ -201,18 +231,20 @@ func (m *Model) weightsChanged() {
 	m.stream.Store(nil)
 }
 
-// paramsStream returns the params stream (nn.MarshalParams) of the
-// current weights, encoding it once per set of weights.
-func (m *Model) paramsStream() ([]byte, error) {
-	if p := m.stream.Load(); p != nil {
-		return *p, nil
+// ParamsStream returns the params stream (nn.MarshalParams) of the
+// current weights and its SHA-256, encoding and hashing them once per set
+// of weights. The stream is shared: callers must not modify it.
+func (m *Model) ParamsStream() ([]byte, [sha256.Size]byte, error) {
+	if s := m.stream.Load(); s != nil {
+		return s.b, s.sum, nil
 	}
 	b, err := nn.MarshalParams(m.params)
 	if err != nil {
-		return nil, err
+		return nil, [sha256.Size]byte{}, err
 	}
-	m.stream.Store(&b)
-	return b, nil
+	s := &savedStream{b: b, sum: sha256.Sum256(b)}
+	m.stream.Store(s)
+	return s.b, s.sum, nil
 }
 
 // newModel builds a model whose layers draw their initial weights from
@@ -506,7 +538,7 @@ func (m *Model) Clone() (*Model, error) {
 
 // Save writes the model weights.
 func (m *Model) Save(w io.Writer) error {
-	b, err := m.paramsStream()
+	b, _, err := m.ParamsStream()
 	if err != nil {
 		return err
 	}
@@ -517,7 +549,7 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load reads weights saved from a model with an identical configuration:
-// all of r, decoded as LoadModel decodes an artifact's params.
+// all of r, decoded as loadModel decodes an artifact's params.
 func (m *Model) Load(r io.Reader) error {
 	defer m.weightsChanged() // a failed load may have written some tensors
 	b, err := io.ReadAll(r)

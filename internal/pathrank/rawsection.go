@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"reflect"
 	"unsafe"
@@ -62,34 +61,30 @@ type rawDirEntry struct {
 }
 
 // rawSlot ties one directory position to one []T field: image yields the
-// field's bytes for the writer, bind points the field into a loaded file.
+// field's memory for the writer, with a mask of the bytes of each element
+// that hold a field (nil when the element type has no padding), and bind
+// points the field into a loaded file.
 type rawSlot struct {
-	image func() (b []byte, elems uint64)
+	image func() (b []byte, elems uint64, mask []byte)
 	bind  func(data []byte, e rawDirEntry) error
 }
 
 // A struct's padding bytes hold whatever the memory held when a value
-// was copied in, so the image of a []T with padding is a copy with those
-// bytes zeroed: a file's bytes are then fixed by the values alone.
+// was copied in, so the writer zeroes them in its copy of the image: a
+// file's bytes are then fixed by the values alone.
 func slot[T any](p *[]T) rawSlot {
 	return rawSlot{
-		image: func() ([]byte, uint64) {
+		image: func() ([]byte, uint64, []byte) {
 			s := *p
 			if len(s) == 0 {
-				return nil, 0
+				return nil, 0, nil
 			}
-			b := byteImage(s)
 			mask := make([]byte, unsafe.Sizeof(s[0]))
 			markFields(mask, reflect.TypeFor[T](), 0)
-			if bytes.IndexByte(mask, 0) >= 0 {
-				b = bytes.Clone(b)
-				for e := b; len(e) > 0; e = e[len(mask):] {
-					for i, m := range mask {
-						e[i] &= m
-					}
-				}
+			if bytes.IndexByte(mask, 0) < 0 {
+				mask = nil
 			}
-			return b, uint64(len(s))
+			return byteImage(s), uint64(len(s)), mask
 		},
 		bind: func(data []byte, e rawDirEntry) (err error) {
 			*p, err = sliceOf[T](data, e)
@@ -176,44 +171,43 @@ func GraphDigest(g *roadnet.Graph) [sha256.Size]byte {
 	return sum
 }
 
-// writeRawSection writes everything that follows the payload, which
-// ended at file offset pos: padding to the 8-byte boundary, the directory,
-// and each array at its own 8-byte boundary. It is deterministic in its
-// arguments, so the saver can run it once into a hash and once into the
-// file.
-func writeRawSection(w io.Writer, pos int, slots []rawSlot) error {
-	images := make([][]byte, len(slots))
-	dir := make([]byte, rawDirHeaderLen+len(slots)*16)
+// encodeRawSection returns everything that follows the params stream,
+// which ended at file offset pos: padding to the 8-byte boundary, the
+// directory, and each array at its own 8-byte boundary. It copies each
+// array once, into the one buffer the saver both hashes and writes.
+func encodeRawSection(pos int, slots []rawSlot) []byte {
+	type array struct {
+		b, mask []byte
+		elems   uint64
+	}
+	arrays := make([]array, len(slots))
+	end := align8(pos) + rawDirHeaderLen + len(slots)*16
+	for i, s := range slots {
+		a := &arrays[i]
+		a.b, a.elems, a.mask = s.image()
+		end = align8(end) + len(a.b)
+	}
+	out := make([]byte, end-pos)
+	at := align8(pos) // the file offset of the next chunk
+	dir := out[at-pos : at-pos+rawDirHeaderLen+len(slots)*16]
 	copy(dir, rawSectionMagic[:])
 	binary.NativeEndian.PutUint32(dir[8:], rawEndianProbe)
 	binary.NativeEndian.PutUint32(dir[12:], uint32(len(slots)))
-	rawStart := align8(pos)
-	off := align8(rawStart + len(dir))
-	for i, s := range slots {
-		var elems uint64
-		images[i], elems = s.image()
-		binary.NativeEndian.PutUint64(dir[rawDirHeaderLen+i*16:], uint64(off))
-		binary.NativeEndian.PutUint64(dir[rawDirHeaderLen+i*16+8:], elems)
-		off = align8(off + len(images[i]))
-	}
-	var pad [8]byte
-	emit := func(b []byte) error {
-		if _, err := w.Write(pad[:align8(pos)-pos]); err != nil {
-			return err
+	at += len(dir)
+	for i, a := range arrays {
+		at = align8(at)
+		binary.NativeEndian.PutUint64(dir[rawDirHeaderLen+i*16:], uint64(at))
+		binary.NativeEndian.PutUint64(dir[rawDirHeaderLen+i*16+8:], a.elems)
+		dst := out[at-pos : at-pos+len(a.b)]
+		copy(dst, a.b)
+		for e := dst; a.mask != nil && len(e) > 0; e = e[len(a.mask):] {
+			for j, m := range a.mask {
+				e[j] &= m
+			}
 		}
-		_, err := w.Write(b)
-		pos = align8(pos) + len(b)
-		return err
+		at += len(a.b)
 	}
-	if err := emit(dir); err != nil {
-		return err
-	}
-	for _, img := range images {
-		if err := emit(img); err != nil {
-			return err
-		}
-	}
-	return nil
+	return out
 }
 
 // readRawSection parses the directory at rawStart and points a GraphData

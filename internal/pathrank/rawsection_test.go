@@ -307,7 +307,7 @@ func TestRawLayoutPinned(t *testing.T) {
 		{"InEdges", "roadnet.EdgeID", 4, gd},
 		{"InFrom", "roadnet.VertexID", 4, gd},
 	}
-	dir := data[align8(FrameHeaderLen+int(binary.BigEndian.Uint64(data[44:52]))):]
+	dir := data[rawStartOf(t, data):]
 	if n := binary.NativeEndian.Uint32(dir[12:16]); int(n) != len(layout) || n != rawGraphArrayCount {
 		t.Fatalf("directory holds %d arrays, want the graph's 8", n)
 	}
