@@ -123,6 +123,7 @@ func BenchmarkNode2vecWalks(b *testing.B) {
 func BenchmarkGRUForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	gru := nn.NewGRU("bench", 128, 32, rng)
+	nn.AllocGrads(gru.Params()...)
 	xs := make([]nn.Vec, 20)
 	for t := range xs {
 		xs[t] = make(nn.Vec, 128)

@@ -85,6 +85,7 @@ func TestAttentionInputGradCheck(t *testing.T) {
 		}
 		return l
 	}
+	AllocGrads(a.Params()...)
 	out, cache := a.Forward(hs)
 	dhs := a.Backward(cache, Copy(out))
 	const eps = 1e-5

@@ -114,7 +114,7 @@ type Param struct {
 	Rows int
 	Cols int
 	W    Vec // weights, len Rows*Cols
-	G    Vec // gradient accumulator, same shape
+	G    Vec // gradient accumulator, same shape; nil until AllocGrads
 
 	// Adam's moment slots, allocated on its first step.
 	m, v Vec
@@ -124,11 +124,20 @@ type Param struct {
 	Frozen bool
 }
 
-// NewParam allocates a rows x cols parameter initialized to zero.
+// NewParam allocates a rows x cols parameter initialized to zero. It has
+// no gradient accumulator: a served model never needs one, and training
+// gets them from AllocGrads.
 func NewParam(name string, rows, cols int) *Param {
-	return &Param{
-		Name: name, Rows: rows, Cols: cols,
-		W: NewVec(rows * cols), G: NewVec(rows * cols),
+	return &Param{Name: name, Rows: rows, Cols: cols, W: NewVec(rows * cols)}
+}
+
+// AllocGrads gives every parameter that has no gradient accumulator a
+// zeroed one. Training calls it before its first backward pass.
+func AllocGrads(params ...*Param) {
+	for _, p := range params {
+		if p.G == nil {
+			p.G = NewVec(len(p.W))
+		}
 	}
 }
 

@@ -121,6 +121,7 @@ func TestMatVecPanicsOnShapeMismatch(t *testing.T) {
 
 func TestAccumOuter(t *testing.T) {
 	p := NewParam("w", 2, 2)
+	AllocGrads(p)
 	p.AccumOuter(Vec{1, 2}, Vec{3, 4})
 	want := []float64{3, 4, 6, 8}
 	for i := range want {
@@ -131,7 +132,8 @@ func TestAccumOuter(t *testing.T) {
 }
 
 func TestClipGrad(t *testing.T) {
-	p := NewParam("w", 1, 2)
+	p, q := NewParam("w", 1, 2), NewParam("q", 1, 2)
+	AllocGrads(p, q)
 	p.G[0], p.G[1] = 3, 4 // norm 5
 	pre := ClipGrad([]*Param{p}, 1)
 	if math.Abs(pre-5) > 1e-12 {
@@ -141,7 +143,6 @@ func TestClipGrad(t *testing.T) {
 		t.Fatalf("post-clip norm %v, want 1", n)
 	}
 	// No-op when under the bound.
-	q := NewParam("q", 1, 2)
 	q.G[0] = 0.1
 	ClipGrad([]*Param{q}, 1)
 	if q.G[0] != 0.1 {
@@ -170,6 +171,7 @@ func numGrad(p *Param, i int, f func() float64) float64 {
 
 func checkParamGrads(t *testing.T, params []*Param, f func() float64, run func(), tol float64) {
 	t.Helper()
+	AllocGrads(params...)
 	for _, p := range params {
 		p.ZeroGrad()
 	}
@@ -219,6 +221,7 @@ func TestDenseGradCheck(t *testing.T) {
 func TestDenseInputGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := NewDense("fc", 3, 2, rng)
+	AllocGrads(d.Params()...)
 	x := Vec{0.2, -0.4, 0.7}
 	loss := func() float64 {
 		out, _ := d.Forward(x)
@@ -312,6 +315,7 @@ func TestGRUGradCheckAllSteps(t *testing.T) {
 
 func TestGRUInputGradCheck(t *testing.T) {
 	g, xs, target := gruSetup(13)
+	AllocGrads(g.Params()...)
 	loss := func() float64 {
 		hs, _ := g.Forward(xs)
 		last := hs[len(hs)-1]
@@ -430,6 +434,7 @@ func TestEmbeddingLookupAndGrad(t *testing.T) {
 			t.Fatalf("Lookup(3) = %v, want %v", got, v)
 		}
 	}
+	AllocGrads(e.Params()...)
 	e.AccumGrad(3, Vec{1, 1, 1, 1})
 	if e.Table.GradRow(3)[0] != 1 {
 		t.Fatal("gradient not accumulated")
@@ -444,6 +449,7 @@ func TestEmbeddingLookupAndGrad(t *testing.T) {
 
 func TestFrozenParamNotUpdatedByOptimizers(t *testing.T) {
 	p := NewParam("w", 1, 1)
+	AllocGrads(p)
 	p.W[0] = 1
 	p.G[0] = 5
 	p.Frozen = true
@@ -460,6 +466,7 @@ func TestFrozenParamNotUpdatedByOptimizers(t *testing.T) {
 func TestOptimizersConvergeOnQuadratic(t *testing.T) {
 	opt := NewAdam(0.1)
 	p := NewParam("w", 1, 1)
+	AllocGrads(p)
 	for i := 0; i < 500; i++ {
 		p.G[0] = p.W[0] - 3
 		opt.Step([]*Param{p})
@@ -476,6 +483,7 @@ func TestGRULearnsToCountSteps(t *testing.T) {
 	g := NewGRU("gru", 1, 8, rng)
 	head := NewDense("head", 8, 1, rng)
 	params := append(g.Params(), head.Params()...)
+	AllocGrads(params...)
 	opt := NewAdam(0.01)
 
 	sample := func(T int) ([]Vec, float64) {

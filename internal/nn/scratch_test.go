@@ -34,6 +34,7 @@ func deepCopy(vs []Vec) []Vec {
 func TestGRUScratchReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := NewGRU("t", 6, 5, rng)
+	AllocGrads(g.Params()...)
 	xs := randSeq(rng, 7, 6)
 	dhs := make([]Vec, 7)
 	dhs[6] = make(Vec, 5)
@@ -83,6 +84,7 @@ func TestGRUScratchReuseMatchesFresh(t *testing.T) {
 func TestLSTMScratchReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	l := NewLSTM("t", 6, 5, rng)
+	AllocGrads(l.Params()...)
 	xs := randSeq(rng, 7, 6)
 	dhs := make([]Vec, 7)
 	dhs[6] = make(Vec, 5)
@@ -128,6 +130,7 @@ func TestGRUForwardBackwardAllocs(t *testing.T) {
 		t.Run(fmt.Sprintf("%dx%dx%d", c.in, c.hidden, c.steps), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			g := NewGRU("t", c.in, c.hidden, rng)
+			AllocGrads(g.Params()...)
 			xs := randSeq(rng, c.steps, c.in)
 			dhs := make([]Vec, c.steps)
 			allocpin.Pin(t, c.want, func() {

@@ -42,9 +42,11 @@ type ShardMap struct {
 	// CutEdges are the full records of every cross-shard edge (global IDs,
 	// explicit lengths and times), ascending by ID.
 	CutEdges []roadnet.Edge
-	// DLen and DTime are |B|×|B| row-major full-graph shortest-path cost
-	// tables over the global boundary list (GlobalBoundary's order), under
-	// the length and time metrics respectively; +Inf marks unreachable.
+	// DLen and DTime are |B|×|B| row-major shortest-path cost tables over
+	// the global boundary list (GlobalBoundary's order), under the length
+	// and time metrics respectively: sweeps over the boundary overlay
+	// built by overlay, within corridorSlack of the full graph's distances
+	// and +Inf exactly where the full graph has no path.
 	DLen  []float64 `json:"-"`
 	DTime []float64 `json:"-"`
 	// TotalLen and TotalTime sum every edge's weight under each metric.
@@ -336,9 +338,57 @@ func (m *ShardMap) validate() error {
 	return nil
 }
 
-// distanceTable fills the |B|×|B| row-major table of exact costs under w:
-// row i is one Dijkstra from B[i] to every boundary vertex, over w's
-// weight table, through the same entry point endpointTables uses.
+// overlay builds the boundary overlay graph of Customizable Route Planning
+// (Delling, Goldberg, Pajor & Werneck, SEA 2011) from the map's endpoint
+// tables, and returns it with its vertices in order. Vertex i is the i-th
+// vertex of GlobalBoundary; every cut edge is an arc with its own length
+// and time; and for every shard s and ordered pair u ≠ u' of its boundary
+// vertices, an arc u→u' carries d_s(u→u') under each metric, the
+// from-boundary entry at row u', column u, where that cost is finite.
+// Every boundary-to-boundary path alternates cut edges with in-shard legs
+// between boundary vertices of one shard, so a sweep over the overlay
+// finds the full graph's distances between boundary vertices, up to the
+// rounding of summing each leg on its own.
+func (m *ShardMap) overlay() (*roadnet.Graph, []roadnet.VertexID) {
+	B := m.GlobalBoundary()
+	at := func(v roadnet.VertexID) roadnet.VertexID {
+		i, _ := slices.BinarySearch(B, v)
+		return roadnet.VertexID(i)
+	}
+	vertices, ids := make([]roadnet.Vertex, len(B)), make([]roadnet.VertexID, len(B))
+	for i := range vertices {
+		vertices[i].ID, ids[i] = roadnet.VertexID(i), roadnet.VertexID(i)
+	}
+	n := len(m.CutEdges)
+	for _, list := range m.Boundary {
+		n += len(list) * (len(list) - 1)
+	}
+	edges := make([]roadnet.Edge, 0, n)
+	add := func(e roadnet.Edge) {
+		e.ID = roadnet.EdgeID(len(edges))
+		edges = append(edges, e)
+	}
+	for _, e := range m.CutEdges {
+		e.From, e.To = at(e.From), at(e.To)
+		add(e)
+	}
+	for _, list := range m.Boundary {
+		for _, v := range list {
+			dLen := m.EndpointDistances(v, pathrank.WeightLength, true)
+			dTime := m.EndpointDistances(v, pathrank.WeightTime, true)
+			for k, u := range list {
+				if u != v && !math.IsInf(dLen[k], 1) {
+					add(roadnet.Edge{From: at(u), To: at(v), Length: dLen[k], Time: dTime[k]})
+				}
+			}
+		}
+	}
+	return roadnet.NewGraphFromData(vertices, edges), ids
+}
+
+// distanceTable fills the |B|×|B| row-major table of costs under w: row i
+// is one Dijkstra from B[i] to every vertex of B, over w's weight table,
+// through the same entry point endpointTables uses.
 func distanceTable(g *roadnet.Graph, w spath.Weight, B []roadnet.VertexID) []float64 {
 	nb := len(B)
 	flat := make([]float64, nb*nb)
@@ -418,9 +468,10 @@ type Manifest struct {
 // carries the full model, the bundle's candidate configuration, its
 // induced subgraph and its shard identity: a shard worker generates
 // candidates on its ranker's weight tables and extracts corridors with
-// plain searches. The shard map carries the model
-// again, the boundary-to-boundary tables computed on the FULL graph, and
-// each shard's endpoint tables computed on its induced subgraph. logf,
+// plain searches. The shard map carries the model again, each shard's
+// endpoint tables computed on its induced subgraph, and the
+// boundary-to-boundary tables computed on the overlay those endpoint
+// tables and the cut edges give: no search runs on the full graph. logf,
 // when non-nil, receives progress lines.
 func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format string, args ...any)) (*Manifest, error) {
 	if logf == nil {
@@ -465,22 +516,36 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 		sgs[i], toGlobal[i] = ExtractShard(g, res.Owner, int32(i))
 	}
 
-	// The distance tables are pure computation on up to GOMAXPROCS
-	// workers. They run while the shard artifacts are encoded and written
-	// on this goroutine, which keeps one core busy at most.
-	B := res.BoundaryVertices()
-	logf("computing %dx%d boundary tables and %d shards' endpoint tables", len(B), len(B), parts)
-	endpoint := make([][]float64, parts)
-	var dLen, dTime []float64
+	// The tables are pure computation on up to GOMAXPROCS workers. They
+	// run while the shard artifacts are encoded and written on this
+	// goroutine, which keeps one core busy at most: first each shard's
+	// endpoint tables, then the boundary-to-boundary tables over the
+	// overlay those tables give.
+	m := &ShardMap{
+		Parts:       parts,
+		NumVertices: g.NumVertices(),
+		NumEdges:    g.NumEdges(),
+		Owner:       res.Owner,
+		Boundary:    res.Boundary,
+		CutEdges:    res.CutEdges,
+		Candidates:  art.Candidates,
+		ModelConfig: art.Model.Config(),
+		ModelParams: params,
+		Fingerprint: fp,
+	}
+	logf("computing %d shards' endpoint tables and %dx%d boundary tables", parts, man.BoundaryVertices, man.BoundaryVertices)
 	var tables sync.WaitGroup
 	tables.Add(1)
 	go func() {
 		defer tables.Done()
+		endpoint := make([][]float64, parts)
 		for i := range parts {
 			endpoint[i] = endpointTables(sgs[i], owned[i], res.Boundary[i])
 		}
-		dLen = distanceTable(g, spath.ByLength, B)
-		dTime = distanceTable(g, spath.ByTime, B)
+		m.setEndpoint(endpoint)
+		ov, ids := m.overlay()
+		m.DLen = distanceTable(ov, spath.ByLength, ids)
+		m.DTime = distanceTable(ov, spath.ByTime, ids)
 	}()
 	defer tables.Wait() // an early return leaves no sweep running
 
@@ -512,30 +577,12 @@ func BuildBundle(art *pathrank.Artifact, dir string, parts int, logf func(format
 			i, len(owned[i]), sg.NumEdges(), len(res.Boundary[i]), name)
 	}
 
-	var totalLen, totalTime float64
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(roadnet.EdgeID(i))
-		totalLen += e.Length
-		totalTime += e.Time
+		m.TotalLen += e.Length
+		m.TotalTime += e.Time
 	}
 	tables.Wait()
-	m := &ShardMap{
-		Parts:       parts,
-		NumVertices: g.NumVertices(),
-		NumEdges:    g.NumEdges(),
-		Owner:       res.Owner,
-		Boundary:    res.Boundary,
-		CutEdges:    res.CutEdges,
-		DLen:        dLen,
-		DTime:       dTime,
-		TotalLen:    totalLen,
-		TotalTime:   totalTime,
-		Candidates:  art.Candidates,
-		ModelConfig: art.Model.Config(),
-		ModelParams: params,
-		Fingerprint: fp,
-	}
-	m.setEndpoint(endpoint)
 	err = pathrank.WriteFileAtomic(filepath.Join(dir, ShardMapName), func(w io.Writer) error { return SaveShardMap(w, m) })
 	if err != nil {
 		return nil, err

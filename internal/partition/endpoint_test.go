@@ -46,21 +46,20 @@ func bundleMap(t testing.TB, g *roadnet.Graph, parts int) (*ShardMap, string) {
 	return sm, dir
 }
 
-// TestBoundaryTablesMatchSweeps: every endpoint table entry — each owned
-// vertex against each boundary vertex of its shard, under both metrics and
-// in both directions — is, within endpointSlack, what a live boundary
-// sweep rooted at the owned vertex on the shard's induced subgraph gives,
-// and +Inf exactly where that sweep finds no path. It runs on the router
-// tests' worlds, on one with one-way streets (where a table built in the
-// wrong direction would show), and on the served 56×56 world.
-func TestBoundaryTablesMatchSweeps(t *testing.T) {
+// tableWorld is a road network the table tests bundle, and its shard count.
+type tableWorld struct {
+	name  string
+	gen   func(t *testing.T) *roadnet.Graph
+	parts int
+}
+
+// tableWorlds are the router tests' worlds, one with one-way streets
+// (where a table built in the wrong direction would show), and the served
+// 56×56 world.
+func tableWorlds() []tableWorld {
 	served := roadnet.DefaultGenConfig()
 	served.Rows, served.Cols, served.Seed = 56, 56, 1
-	for _, tc := range []struct {
-		name  string
-		gen   func(t *testing.T) *roadnet.Graph
-		parts int
-	}{
+	return []tableWorld{
 		{"router-world/seed=5/parts=2", func(t *testing.T) *roadnet.Graph { return testGraph(t, 8, 9, 5) }, 2},
 		{"router-world/seed=21/parts=3", func(t *testing.T) *roadnet.Graph { return testGraph(t, 8, 9, 21) }, 3},
 		{"one-way/seed=5/parts=3", func(t *testing.T) *roadnet.Graph { return oneWay(testGraph(t, 8, 9, 5), 6) }, 3},
@@ -71,7 +70,16 @@ func TestBoundaryTablesMatchSweeps(t *testing.T) {
 			}
 			return g
 		}, 4},
-	} {
+	}
+}
+
+// TestBoundaryTablesMatchSweeps: every endpoint table entry — each owned
+// vertex against each boundary vertex of its shard, under both metrics and
+// in both directions — is, within endpointSlack, what a live boundary
+// sweep rooted at the owned vertex on the shard's induced subgraph gives,
+// and +Inf exactly where that sweep finds no path, on every table world.
+func TestBoundaryTablesMatchSweeps(t *testing.T) {
+	for _, tc := range tableWorlds() {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.gen(t)
 			sm, _ := bundleMap(t, g, tc.parts)
@@ -94,12 +102,7 @@ func TestBoundaryTablesMatchSweeps(t *testing.T) {
 								t.Fatalf("vertex %d: row of %d entries, shard %d has %d boundary vertices", v, len(row), s, len(B))
 							}
 							for k, got := range row {
-								want := live[k]
-								ok := got == want || math.Abs(got-want) <= endpointSlack*want
-								if math.IsInf(want, 1) || math.IsInf(got, 1) {
-									ok = got == want
-								}
-								if !ok {
+								if want := live[k]; !withinSlack(got, want) {
 									t.Fatalf("%s rev=%v: d(%d, boundary %d) is %v in the table, %v by a live sweep", w, rev, v, B[k], got, want)
 								}
 								checked++
@@ -114,6 +117,73 @@ func TestBoundaryTablesMatchSweeps(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBoundaryTablesFromOverlay: the boundary-to-boundary tables DLen and
+// DTime of a built bundle are, bit for bit, distanceTable over the map's
+// boundary overlay, and on every table world they are within endpointSlack
+// of sweeps over the full graph, +Inf exactly where those find no path.
+func TestBoundaryTablesFromOverlay(t *testing.T) {
+	for _, tc := range tableWorlds() {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.gen(t)
+			sm, _ := bundleMap(t, g, tc.parts)
+			ov, ids := sm.overlay()
+			for _, m := range []struct {
+				name string
+				d    []float64
+				w    spath.Weight
+			}{{"DLen", sm.DLen, spath.ByLength}, {"DTime", sm.DTime, spath.ByTime}} {
+				want := distanceTable(ov, m.w, ids)
+				for i := range want {
+					if math.Float64bits(m.d[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s[%d] = %v, the overlay gives %v", m.name, i, m.d[i], want[i])
+					}
+				}
+				moved, worst := requireNearFullGraph(t, g, sm.GlobalBoundary(), m.d, m.w)
+				t.Logf("%s: %d of %d entries differ from full-graph sweeps, at most %.3g relative", m.name, moved, len(m.d), worst)
+			}
+		})
+	}
+}
+
+// requireNearFullGraph checks the |B|×|B| table d against sweeps over g
+// rooted at each vertex of B: within endpointSlack, and +Inf exactly where
+// a sweep finds no path. It returns how many entries differ in any bit and
+// the largest relative difference.
+func requireNearFullGraph(t *testing.T, g *roadnet.Graph, B []roadnet.VertexID, d []float64, w spath.Weight) (moved int, worst float64) {
+	t.Helper()
+	nb := len(B)
+	if len(d) != nb*nb {
+		t.Fatalf("table of %d entries for %d boundary vertices", len(d), nb)
+	}
+	wts := spath.WeightTable(g, w)
+	ws := spath.GetWorkspace(g)
+	defer ws.Release()
+	row := make([]float64, nb)
+	for i, b := range B {
+		ws.BoundaryDistances(g, b, false, B, wts, row)
+		for j, want := range row {
+			got := d[i*nb+j]
+			if !withinSlack(got, want) {
+				t.Fatalf("d(%d, %d) is %v in the table, %v by a full-graph sweep", b, B[j], got, want)
+			}
+			if got != want {
+				moved++
+				worst = max(worst, math.Abs(got-want)/want)
+			}
+		}
+	}
+	return moved, worst
+}
+
+// withinSlack reports whether a table's got is a live search's want up to
+// endpointSlack, relative, with +Inf only where want is +Inf.
+func withinSlack(got, want float64) bool {
+	if math.IsInf(got, 1) || math.IsInf(want, 1) {
+		return got == want
+	}
+	return math.Abs(got-want) <= endpointSlack*want
 }
 
 // oneWay returns g without every k-th edge. The generated networks have

@@ -3,7 +3,7 @@
 // by recursive KD (coordinate-median) bisection, each part is extracted as
 // an induced subgraph that keeps the full vertex table under global IDs,
 // and the boundary vertices — the exact separator between shards — get
-// precomputed full-graph distance tables under both metrics.
+// precomputed boundary-to-boundary distance tables under both metrics.
 //
 // The separator property is what makes the router's cross-shard stitching
 // exact: every path between vertices of different shards crosses the

@@ -210,13 +210,14 @@ func testDistanceTableIsDijkstra(t *testing.T) {
 	}
 }
 
-// TestBoundaryDistancesDecompose is the separator property itself: for
-// random vertex pairs on different shards, the full-graph distance equals
-// the min over boundary stitch points of within-shard distance to the
-// boundary plus full-graph boundary-to-boundary distance plus within-shard
-// distance from the boundary. The generated networks are two-way with equal
-// costs, where a search run in the wrong direction gives the same numbers,
-// so the property is checked on one with every sixth edge dropped too.
+// TestBoundaryDistancesDecompose is the separator property itself, on the
+// tables the router reads: for random vertex pairs on different shards,
+// the full-graph distance equals the min over boundary stitch points of
+// within-shard distance to the boundary plus the bundle's
+// boundary-to-boundary distance plus within-shard distance from the
+// boundary. The generated networks are two-way with equal costs, where a
+// search run in the wrong direction gives the same numbers, so the
+// property is checked on one with every sixth edge dropped too.
 func TestBoundaryDistancesDecompose(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -227,13 +228,10 @@ func TestBoundaryDistancesDecompose(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
-			res, err := Split(g, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sub0, _ := ExtractShard(g, res.Owner, 0)
-			sub1, _ := ExtractShard(g, res.Owner, 1)
-			all := res.BoundaryVertices()
+			sm, _ := bundleMap(t, g, 2)
+			sub0, _ := ExtractShard(g, sm.Owner, 0)
+			sub1, _ := ExtractShard(g, sm.Owner, 1)
+			all := sm.GlobalBoundary()
 			nb := len(all)
 			if nb == 0 {
 				t.Fatal("no boundary vertices on a connected split graph")
@@ -242,26 +240,26 @@ func TestBoundaryDistancesDecompose(t *testing.T) {
 			for i, v := range all {
 				pos[v] = i
 			}
-			// Full-graph boundary table, as BuildBundle computes it.
-			D := distanceTable(g, spath.ByLength, all)
+			// The boundary table the router stitches with.
+			D := sm.DLen
 
 			ws := spath.GetWorkspace(g)
 			defer ws.Release()
 			checked := 0
 			for src := 0; src < g.NumVertices() && checked < 12; src += 7 {
 				for dst := 1; dst < g.NumVertices() && checked < 12; dst += 11 {
-					if res.Owner[src] == res.Owner[dst] {
+					if sm.Owner[src] == sm.Owner[dst] {
 						continue
 					}
 					sSub, tSub := sub0, sub1
-					if res.Owner[src] == 1 {
+					if sm.Owner[src] == 1 {
 						sSub, tSub = sub1, sub0
 					}
 					want := make([]float64, 1)
 					ws.BoundedDistances(g, roadnet.VertexID(src), []roadnet.VertexID{roadnet.VertexID(dst)}, math.Inf(1), spath.ByLength, want)
 
-					bi := res.Boundary[res.Owner[src]]
-					bj := res.Boundary[res.Owner[dst]]
+					bi := sm.Boundary[sm.Owner[src]]
+					bj := sm.Boundary[sm.Owner[dst]]
 					dsrc := make([]float64, len(bi))
 					ddst := make([]float64, len(bj))
 					// The two halves a shard's boundary query computes.

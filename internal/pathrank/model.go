@@ -521,9 +521,9 @@ func (m *Model) Score(p spath.Path) float64 {
 }
 
 // Clone returns a model with an identical configuration and bit-identical
-// weights that shares no mutable state with m. It is how the incremental
-// trainer fine-tunes a new generation while the original keeps serving
-// concurrent Score calls.
+// weights that shares no mutable state with m. It copies no gradients:
+// Train allocates its own. It is how the incremental trainer fine-tunes a
+// new generation while the original keeps serving concurrent Score calls.
 func (m *Model) Clone() (*Model, error) {
 	c, err := newModel(m.emb.Vocab(), m.cfg, nil)
 	if err != nil {

@@ -39,7 +39,8 @@ func DefaultTrainConfig() TrainConfig {
 
 // Train fits the model to the training queries with Adam, one candidate at
 // a time (sequences have variable length). It returns the per-epoch mean
-// training loss.
+// training loss. The first Train gives the model its gradient
+// accumulators, which a loaded or cloned model does not carry.
 func (m *Model) Train(queries []dataset.Query, cfg TrainConfig) ([]float64, error) {
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("pathrank: epochs must be positive, got %d", cfg.Epochs)
@@ -63,6 +64,7 @@ func (m *Model) Train(queries []dataset.Query, cfg TrainConfig) ([]float64, erro
 		return nil, fmt.Errorf("pathrank: no non-empty training candidates")
 	}
 
+	nn.AllocGrads(m.params...)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := nn.NewAdam(cfg.LR)
 	losses := make([]float64, 0, cfg.Epochs)

@@ -25,10 +25,12 @@ import (
 //  1. dS(b) = min over u in B_i of d_i(s→u) + D(u,b) is the EXACT
 //     full-graph distance d(s,b) for every boundary vertex b, where
 //     d_i is the within-shard distance read from the shard map's
-//     endpoint tables and D the precomputed full-graph boundary table
+//     endpoint tables and D the shard map's boundary table, a sweep over
+//     the overlay of cut edges and in-shard boundary-to-boundary legs
 //     (first-exit decomposition of an optimal path). Symmetrically for
-//     dT(b). A table entry comes from a sweep rooted at the boundary
-//     vertex, so it may differ from a sweep rooted at s in the last bits;
+//     dT(b). An endpoint table entry comes from a sweep rooted at the
+//     boundary vertex, and D sums each in-shard leg on its own, so either
+//     may differ from a full-graph sweep rooted at s in the last bits;
 //     dS(b) is a two-term float sum either way, and every consumer below
 //     has slack far above an ulp (the corridor's prunes carry
 //     corridorSlack, the certificate keeps consumed paths within

@@ -1,8 +1,8 @@
 // Package router implements the fan-out tier of a sharded PathRank
 // deployment. A router owns no graph data beyond the shard map
 // (internal/partition): vertex ownership, the boundary separator, its
-// precomputed full-graph distance tables, the cut edges, and a copy of
-// the ranking model. It answers the ordinary /v2/rank surface:
+// precomputed boundary-to-boundary distance tables, the cut edges, and a
+// copy of the ranking model. It answers the ordinary /v2/rank surface:
 //
 //   - co-resident queries (both endpoints on one shard) are proxied to
 //     the owning shard worker's own /v2/rank, whole;

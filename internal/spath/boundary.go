@@ -9,11 +9,12 @@ import (
 
 // This file holds the boundary-set search primitives of the sharded
 // serving tier. The bundle builder computes boundary distance tables with
-// them (boundary to boundary on the full graph, and each shard's owned
-// vertices to and from its boundary on the shard's subgraph), and a shard
-// worker answers the router's corridor extraction (which owned vertices
-// lie on some src→dst path of cost at most C, given exact entry distances
-// at the shard's boundary). All run Workspace.sweep over a weight table —
+// them (each shard's owned vertices to and from its boundary on the
+// shard's subgraph, then boundary to boundary on the overlay of cut edges
+// and those in-shard distances), and a shard worker answers the router's
+// corridor extraction (which owned vertices lie on some src→dst path of
+// cost at most C, given exact entry distances at the shard's boundary).
+// All run Workspace.sweep over a weight table —
 // reverse for the "→ dst" halves, seeded from pre-weighted Seeds for the
 // corridor — so every distance comes from the same relaxation rule as the
 // single-server searches it is stitched against.
