@@ -10,74 +10,41 @@
 //
 // The non-test code here is the corruption toolkit the scenarios (and
 // the serve package's own canary tests) share. It deliberately imports
-// only the artifact layer, never serve or stream, so any test package
-// may use it without cycles.
+// only the artifact layer and node2vec's embedding type, never serve or
+// stream, so any test package may use it without cycles.
 package chaos
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 
+	"pathrank/internal/node2vec"
 	"pathrank/internal/pathrank"
 )
 
-// paramWire mirrors internal/nn's serialized parameter record. Gob
-// matches fields by name, so this package can rewrite model bytes
-// without nn exporting its wire struct — exactly the stance of an
-// attacker (or a flaky disk) that flips bits inside a structurally
-// valid bundle.
-type paramWire struct {
-	Name   string
-	Rows   int
-	Cols   int
-	W      []float64
-	Frozen bool
-}
-
-// PoisonModelWeights returns a clone of m whose every weight is NaN. The
-// clone is "corrupt but loadable": it round-trips Save/Load and the
-// artifact's params digest (which covers exactly these bytes — they are
-// valid bytes, encoding garbage), passes every shape check, and
-// fails only where it matters — every score it produces is NaN. This is
-// the artifact the canary gate exists to keep out of service.
-func PoisonModelWeights(m *pathrank.Model) (*pathrank.Model, error) {
-	clone, err := m.Clone()
+// PoisonArtifact returns a new artifact sharing everything with art except
+// the model: a clone of art's whose every embedding is NaN, one generation
+// on. The model is "corrupt but loadable": its weights are valid float64s
+// that round-trip Save/Load and the artifact's params digest (which covers
+// exactly these bytes), it passes every shape check, and it fails only
+// where it matters: every score it produces is NaN. Persisted with
+// pathrank.SaveArtifactFile it is the bundle the canary gate exists to
+// keep out of service: it loads cleanly everywhere and serves garbage.
+func PoisonArtifact(art *pathrank.Artifact) (*pathrank.Artifact, error) {
+	model, err := art.Model.Clone()
 	if err != nil {
 		return nil, fmt.Errorf("chaos: clone model: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := clone.Save(&buf); err != nil {
-		return nil, fmt.Errorf("chaos: save model: %w", err)
+	nan := make([]float64, model.Config().EmbeddingDim)
+	for i := range nan {
+		nan[i] = math.NaN()
 	}
-	var wire []paramWire
-	if err := gob.NewDecoder(&buf).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("chaos: decode model wire format: %w", err)
+	vecs := make([][]float64, art.Graph.NumVertices())
+	for v := range vecs {
+		vecs[v] = nan // InitEmbeddings copies each row
 	}
-	for i := range wire {
-		for j := range wire[i].W {
-			wire[i].W[j] = math.NaN()
-		}
-	}
-	var poisoned bytes.Buffer
-	if err := gob.NewEncoder(&poisoned).Encode(wire); err != nil {
-		return nil, fmt.Errorf("chaos: re-encode model: %w", err)
-	}
-	if err := clone.Load(&poisoned); err != nil {
-		return nil, fmt.Errorf("chaos: poisoned model failed to load — the corruption is supposed to be loadable: %w", err)
-	}
-	return clone, nil
-}
-
-// PoisonArtifact returns a new artifact sharing everything with art
-// except the model, which is NaN-poisoned via PoisonModelWeights.
-// Persisted with pathrank.SaveArtifactFile it yields a bundle that
-// loads cleanly everywhere and serves garbage.
-func PoisonArtifact(art *pathrank.Artifact) (*pathrank.Artifact, error) {
-	model, err := PoisonModelWeights(art.Model)
-	if err != nil {
-		return nil, err
+	if err := model.InitEmbeddings(&node2vec.Embeddings{Dim: len(nan), Vecs: vecs}); err != nil {
+		return nil, fmt.Errorf("chaos: poison embeddings: %w", err)
 	}
 	lin := art.Lineage
 	lin.Generation++

@@ -106,18 +106,15 @@ func Lerp(dst, z, a, b Vec) {
 	}
 }
 
-// Param is a trainable tensor with its gradient accumulator and optimizer
-// state. A Param with Rows>0 is a Rows x Cols matrix stored row-major; a
-// bias vector has Rows == 1.
+// Param is a trainable tensor with its gradient accumulator; the
+// optimizer's state lives in the optimizer (Adam). A Param with Rows>0 is
+// a Rows x Cols matrix stored row-major; a bias vector has Rows == 1.
 type Param struct {
 	Name string
 	Rows int
 	Cols int
 	W    Vec // weights, len Rows*Cols
 	G    Vec // gradient accumulator, same shape; nil until AllocGrads
-
-	// Adam's moment slots, allocated on its first step.
-	m, v Vec
 
 	// Frozen parameters accumulate no updates (PR-A1 freezes the
 	// embedding matrix B; PR-A2 trains it).

@@ -453,7 +453,7 @@ func TestFrozenParamNotUpdatedByOptimizers(t *testing.T) {
 	p.W[0] = 1
 	p.G[0] = 5
 	p.Frozen = true
-	NewAdam(0.1).Step([]*Param{p})
+	NewAdam(0.1, []*Param{p}).Step()
 	if p.W[0] != 1 {
 		t.Errorf("Adam updated a frozen param")
 	}
@@ -464,12 +464,12 @@ func TestFrozenParamNotUpdatedByOptimizers(t *testing.T) {
 
 // TestOptimizersConvergeOnQuadratic trains w to minimize 0.5*(w-3)^2.
 func TestOptimizersConvergeOnQuadratic(t *testing.T) {
-	opt := NewAdam(0.1)
 	p := NewParam("w", 1, 1)
 	AllocGrads(p)
+	opt := NewAdam(0.1, []*Param{p})
 	for i := 0; i < 500; i++ {
 		p.G[0] = p.W[0] - 3
-		opt.Step([]*Param{p})
+		opt.Step()
 	}
 	if math.Abs(p.W[0]-3) > 0.05 {
 		t.Errorf("Adam: w = %v after 500 steps, want ~3", p.W[0])
@@ -484,7 +484,7 @@ func TestGRULearnsToCountSteps(t *testing.T) {
 	head := NewDense("head", 8, 1, rng)
 	params := append(g.Params(), head.Params()...)
 	AllocGrads(params...)
-	opt := NewAdam(0.01)
+	opt := NewAdam(0.01, params)
 
 	sample := func(T int) ([]Vec, float64) {
 		xs := make([]Vec, T)
@@ -507,7 +507,7 @@ func TestGRULearnsToCountSteps(t *testing.T) {
 			dhs[len(hs)-1] = dh
 			g.Backward(gc, dhs)
 			ClipGrad(params, 5)
-			opt.Step(params)
+			opt.Step()
 		}
 		_ = rng
 	}

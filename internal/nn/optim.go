@@ -3,41 +3,50 @@ package nn
 import "math"
 
 // Adam implements the Adam optimizer (Kingma & Ba 2015), the optimizer used
-// to train PathRank.
+// to train PathRank. An Adam owns its step count and its moment slots, so
+// each one starts from zero moments whatever ran on the params before.
 type Adam struct {
 	LR      float64
 	Beta1   float64
 	Beta2   float64
 	Epsilon float64
 
-	t int
+	t      int
+	params []*Param
+	m, v   []Vec // per param; nil for a param frozen at NewAdam
 }
 
-// NewAdam returns Adam with the standard defaults (β1=0.9, β2=0.999).
-func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
+// NewAdam returns Adam with the standard defaults (β1=0.9, β2=0.999) for
+// params, with zeroed moment slots for each of them that is not Frozen.
+// Frozen must not be cleared while the Adam steps them.
+func NewAdam(lr float64, params []*Param) *Adam {
+	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8, params: params,
+		m: make([]Vec, len(params)), v: make([]Vec, len(params))}
+	for i, p := range params {
+		if !p.Frozen {
+			a.m[i], a.v[i] = NewVec(len(p.W)), NewVec(len(p.W))
+		}
+	}
+	return a
 }
 
-// Step applies one Adam update and zeroes gradients.
-func (a *Adam) Step(params []*Param) {
+// Step applies one Adam update to the params and zeroes their gradients.
+func (a *Adam) Step() {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, p := range params {
+	for k, p := range a.params {
 		if p.Frozen {
 			p.ZeroGrad()
 			continue
 		}
-		if p.m == nil {
-			p.m = NewVec(len(p.W))
-			p.v = NewVec(len(p.W))
-		}
+		m, v := a.m[k], a.v[k]
 		for i := range p.W {
 			g := p.G[i]
-			p.m[i] = a.Beta1*p.m[i] + (1-a.Beta1)*g
-			p.v[i] = a.Beta2*p.v[i] + (1-a.Beta2)*g*g
-			mHat := p.m[i] / bc1
-			vHat := p.v[i] / bc2
+			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
+			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			mHat := m[i] / bc1
+			vHat := v[i] / bc2
 			p.W[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
 		}
 		p.ZeroGrad()

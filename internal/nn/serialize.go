@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -30,21 +29,16 @@ import (
 //     zero-valued fields omitted; a float64 as the uint of its byte-reversed
 //     Float64bits.
 //
-// Streams that open with paramsPreamble are read back by the hand decoder
-// below, straight into the weights; only streams with other type numbers,
-// which builds that encoded params through gob wrote, are read with
-// encoding/gob. FuzzParamsCodec holds the encoder to gob's bytes, and
-// FuzzParamsDecode the decoder to gob's values.
-
-// paramWire is the serialized form of a Param (weights only; gradients and
-// optimizer state are transient).
-type paramWire struct {
-	Name   string
-	Rows   int
-	Cols   int
-	W      []float64
-	Frozen bool
-}
+// A stream is read back by the hand decoder below, straight into the
+// weights, and only if it is paramsPreamble and one value message to its
+// last byte: the shape every writer of the format has made since the
+// preamble was pinned. Anything else, such as a stream an older build
+// wrote through encoding/gob with other type numbers, is refused (see
+// docs/OPERATIONS.md "Files from older builds"). paramWire, the struct
+// gob encodes, is declared beside the tests, which hold the encoder to
+// gob's bytes (FuzzParamsCodec) and the decoder to gob's values
+// (FuzzParamsDecode): Name string, Rows int, Cols int, W []float64 and
+// Frozen bool, in that order.
 
 // paramsPreamble is the type-definition prefix of every params stream.
 var paramsPreamble = []byte{
@@ -260,33 +254,37 @@ func zigzag(i int64) uint64 {
 func MarshalParams(params []*Param) ([]byte, error) { return encodeParams(nil, params) }
 
 // UnmarshalParams loads weights written by SaveParams into params,
-// matching by position and verifying name and shape. A stream that opens
-// with paramsPreamble, as every stream this format's writers produce
-// does, is decoded by decodeParams; only a stream with other type numbers,
-// from a build that encoded its params through encoding/gob after other
-// types, goes through gob.
+// matching by position and verifying name and shape. data must be
+// paramsPreamble and the value message decodeParams reads, to its last
+// byte; any other stream is refused.
 func UnmarshalParams(data []byte, params []*Param) error {
-	if body, ok := bytes.CutPrefix(data, paramsPreamble); ok {
-		return decodeParams(body, params)
+	body, ok := bytes.CutPrefix(data, paramsPreamble)
+	if !ok {
+		return fmt.Errorf("nn: decode params: the stream does not open with this format's type preamble; %s", olderFiles)
 	}
-	return gobLoadParams(data, params)
+	return decodeParams(body, params)
 }
+
+// olderFiles points a refused stream's error to what to do about it.
+const olderFiles = `see docs/OPERATIONS.md "Files from older builds"`
 
 // decodeParams reads the value message that follows paramsPreamble
 // straight into params' weights. It is the encoder's inverse: the value's
 // head and each element's bytes up to its weights must be what the
 // encoder writes for the model's params, and each element must end as
 // appendElemTail ends it, Frozen set or not. It thus accepts a subset of
-// what gob accepts, with the same result (FuzzParamsDecode); like gob, it
-// reads one message and leaves what follows it. A failure names the param
-// it is in; the params before it, and part of that one, may already hold
-// new weights.
+// what gob accepts, with the same result (FuzzParamsDecode), and refuses
+// bytes after the message, which gob would leave unread. A failure names
+// the param it is in; the params before it, and part of that one, may
+// already hold new weights.
 func decodeParams(b []byte, params []*Param) error {
 	size, b, ok := cutUint(b)
 	if !ok || size > uint64(len(b)) || !gobFits(size) {
 		return fmt.Errorf("nn: decode params: malformed message length after the preamble")
 	}
-	b = b[:size]
+	if extra := uint64(len(b)) - size; extra != 0 {
+		return fmt.Errorf("nn: decode params: %d bytes after the value message; %s", extra, olderFiles)
+	}
 	want := appendUint(append(appendUint(make([]byte, 0, 64), zigzag(paramsTypeID)), 0), uint64(len(params)))
 	if b, ok = bytes.CutPrefix(b, want); !ok {
 		return fmt.Errorf("nn: decode params: the stream does not hold a list of the model's %d params", len(params))
@@ -367,57 +365,6 @@ func cutUint(b []byte) (x uint64, rest []byte, ok bool) {
 		x = x<<8 | uint64(d)
 	}
 	return x, b[1+k:], true
-}
-
-// gobLoadParams decodes a params stream with encoding/gob, for streams
-// whose preamble carries other type numbers than paramsPreamble: the
-// builds that encoded params through gob after other types wrote them.
-func gobLoadParams(data []byte, params []*Param) error {
-	var wire []paramWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-		return fmt.Errorf("nn: decode params: %w", err)
-	}
-	if len(wire) != len(params) {
-		return fmt.Errorf("nn: stored %d params, model has %d", len(wire), len(params))
-	}
-	for i, p := range params {
-		pw := wire[i]
-		if pw.Name != p.Name || pw.Rows != p.Rows || pw.Cols != p.Cols {
-			return fmt.Errorf("nn: param %d mismatch: stored %s(%dx%d), model %s(%dx%d)",
-				i, pw.Name, pw.Rows, pw.Cols, p.Name, p.Rows, p.Cols)
-		}
-		// The declared shape and the weight slice must agree: a corrupt
-		// stream whose W is short would otherwise load partially and leave
-		// the tail of the parameter at its previous values.
-		if len(pw.W) != len(p.W) {
-			return fmt.Errorf("nn: param %d (%s) has %d weights, shape %dx%d needs %d",
-				i, pw.Name, len(pw.W), pw.Rows, pw.Cols, len(p.W))
-		}
-		copy(p.W, pw.W)
-		p.Frozen = pw.Frozen
-	}
-	return nil
-}
-
-// CanonicalStream reports whether data, a params stream, has the shape
-// this encoder writes: it opens with paramsPreamble and is one value
-// message to its last byte. Every encoder of the format — this one, and
-// encoding/gob in the builds that wrote it through gob with these type
-// numbers — writes a value's one canonical message, so for their streams
-// the SHA-256 of data is ParamsFingerprint of the decoded params, without
-// re-encoding them. For any other stream the caller re-encodes. A
-// hand-made stream of that shape with a non-minimal field inside gets a
-// digest no encoder gives: its fingerprint can then differ from another
-// copy of the same weights, but two different weight sets still never
-// share one.
-func CanonicalStream(data []byte) bool {
-	rest, found := bytes.CutPrefix(data, paramsPreamble)
-	if !found {
-		return false
-	}
-	// The value message's length, in gob's uint encoding.
-	n, rest, ok := cutUint(rest)
-	return ok && n == uint64(len(rest))
 }
 
 // ParamsFingerprint returns a SHA-256 digest over the names, shapes, frozen

@@ -14,6 +14,17 @@ import (
 	"testing"
 )
 
+// paramWire is the struct whose encoding/gob stream the params format is
+// (serialize.go): the tests' reference for what the hand codec writes and
+// reads.
+type paramWire struct {
+	Name   string
+	Rows   int
+	Cols   int
+	W      []float64
+	Frozen bool
+}
+
 // FuzzParamsCodec holds the params encoder to encoding/gob, which defines
 // the format. recipe builds a parameter list — arbitrary names, shapes,
 // Frozen flags and weight bits (NaN payloads, ±0, ±Inf, subnormals) —
@@ -84,12 +95,15 @@ func FuzzParamsDecode(f *testing.F) {
 	})
 }
 
-// TestParamsDecodeRefusalIsFinal: a stream that opens with paramsPreamble
-// and that the hand decoder refuses fails the load, with the param named
-// where there is one, even where encoding/gob would accept it: no second
-// try through gob. gob takes both streams here — it leaves bytes after the
-// value in its message unread, and ends a struct without its zero delta
-// at the end of the message — and neither is what an encoder writes.
+// TestParamsDecodeRefusalIsFinal: streams encoding/gob reads and the
+// hand decoder refuses fail the load, with no second try through gob. A
+// refusal inside the value message names the param where there is one:
+// gob leaves bytes after the value in its message unread, and ends a
+// struct without its zero delta at the end of the message, and neither is
+// what an encoder writes. A stream this format's writers never make, one
+// whose preamble numbers the types otherwise (as builds that encoded their
+// params through gob after other types wrote it) or one with bytes after
+// its value message, is refused with a pointer to the operations guide.
 func TestParamsDecodeRefusalIsFinal(t *testing.T) {
 	ps := recipeParams(append(recipeBytes(0b0010, "a", 0, 0, 1, 2), recipeBytes(0b0011, "b", 0, 0, 3)...))
 	stream, err := MarshalParams(ps)
@@ -101,6 +115,16 @@ func TestParamsDecodeRefusalIsFinal(t *testing.T) {
 	trailing[len(paramsPreamble)]++
 	unterminated := slices.Clone(stream[:len(stream)-1])
 	unterminated[len(paramsPreamble)]--
+	var shifted bytes.Buffer
+	enc := gob.NewEncoder(&shifted)
+	if err := enc.Encode(struct{ Gen int }{1}); err != nil {
+		t.Fatal(err)
+	}
+	shifted.Reset() // the params stream starts after the earlier type's messages
+	if err := enc.Encode(wireOf(ps)); err != nil {
+		t.Fatal(err)
+	}
+	const guide = `see docs/OPERATIONS.md "Files from older builds"`
 	for _, tc := range []struct {
 		name   string
 		stream []byte
@@ -108,6 +132,9 @@ func TestParamsDecodeRefusalIsFinal(t *testing.T) {
 	}{
 		{"byte after the value", trailing, "1 bytes in the message after the last param"},
 		{"no zero delta", unterminated, "param 1 (b): malformed end"},
+		{"other type numbers", shifted.Bytes(), "does not open with this format's type preamble; " + guide},
+		{"byte after the message", append(slices.Clip(stream), 0), "1 bytes after the value message; " + guide},
+		{"message after the message", append(slices.Clip(stream), stream[len(paramsPreamble):]...), guide},
 	} {
 		var wire []paramWire
 		if err := gob.NewDecoder(bytes.NewReader(tc.stream)).Decode(&wire); err != nil {

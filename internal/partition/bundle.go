@@ -168,8 +168,10 @@ func (m *ShardMap) paramsSum() (sum [sha256.Size]byte, err error) {
 // model's fingerprint, so the load hashes the weights once for both.
 // No byte depends on the writing process: encoding/json keeps no global
 // state. The tables stay out of JSON, which cannot write their +Inf
-// entries. Version 3 (the params inside the payload), version 2 (a gob
-// message, then the endpoint image) and version 1 are refused with a
+// entries. A map is derived data, rebuilt from its base artifact, so a
+// build reads only its own map version (docs/OPERATIONS.md "Files from
+// older builds"): version 3 (the params inside the payload), version 2 (a
+// gob message, then the endpoint image) and version 1 are refused with a
 // request to rebuild the bundle.
 var shardMapMagic = [8]byte{'P', 'R', 'S', 'H', 'R', 'D', 'M', 'P'}
 

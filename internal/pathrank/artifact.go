@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -102,8 +101,8 @@ func (a *Artifact) NewRanker() *Ranker {
 
 // Fingerprint returns a SHA-256 digest of the model's trainable state: the
 // hash of its params stream. Bit-identical weights produce identical
-// fingerprints. A model loaded from a canonical params stream returns
-// that stream's hash, and a model a save has encoded returns the hash the
+// fingerprints. A loaded model returns the hash of the params stream it
+// was loaded from, and a model a save has encoded returns the hash the
 // save took; any other model encodes its weights to hash them.
 func (m *Model) Fingerprint() ([sha256.Size]byte, error) {
 	if fp := m.loadedFP.Load(); fp != nil {
@@ -162,8 +161,7 @@ type ShardInfo struct {
 // reinterpretation, not deserialization.
 // The two sections after the payload are covered by digests inside it, so
 // the header checksum extends to the whole file. The params digest is also
-// the model's fingerprint (for the canonical streams every writer makes),
-// so a load hashes the weights once, for both. RawDigest is the SHA-256 of
+// the model's fingerprint, so a load hashes the weights once, for both. RawDigest is the SHA-256 of
 // every byte after the params stream. The two loaders differ only in what
 // they verify:
 //
@@ -177,21 +175,18 @@ type ShardInfo struct {
 //     arrays' bytes — hashing or walking them would fault in every page,
 //     which is exactly what an O(open) cold start avoids.
 //
-// Versions 4 and 3 still load; nothing writes them. A version-4 payload
-// is RawDigest, the JSON header's length h (big-endian uint64), h bytes of
-// JSON, then the params stream to the payload's end, and its RawDigest
-// covers every byte after the payload. A version-3 payload is the gob
-// message of artifactWire. gob skips a field the receiving struct lacks,
-// so version-3 files written while the payload had a Prep or an
-// Embeddings field load too. Version-3 and version-4 files whose raw
-// section also holds a contraction hierarchy's 12 arrays load with those
-// arrays skipped (rawsection.go). Versions 1 and 2 (graph and hierarchy
-// inside the gob payload) are not read; docs/OPERATIONS.md says how to
-// regenerate such a file.
+// A build reads its own format and the one before it (docs/OPERATIONS.md
+// "Files from older builds"), so version 4 still loads; nothing writes
+// it. A version-4 payload is RawDigest, the JSON header's length h
+// (big-endian uint64), h bytes of JSON, then the params stream to the
+// payload's end, and its RawDigest covers every byte after the payload.
+// Version-4 files whose raw section also holds a contraction hierarchy's
+// 12 arrays load with those arrays skipped (rawsection.go). Every other
+// version is refused with ErrArtifactVersion, and a params stream without
+// the pinned preamble is refused by nn.UnmarshalParams.
 const (
 	artifactVersion     = 5
 	jsonArtifactVersion = 4
-	gobArtifactVersion  = 3
 )
 
 // payloadPrefixLen is the fixed start of a version-5 payload: the raw
@@ -212,10 +207,8 @@ var (
 	ErrArtifactCorrupt = errors.New("pathrank: artifact corrupt")
 )
 
-// artifactWire is an artifact's payload: a version-5 or version-4
-// payload holds the digests (and, in version 4, Params) beside the JSON
-// of the other fields, and a version-3 payload is the gob message of the
-// whole struct.
+// artifactWire is an artifact's payload: the digests (and, in version 4,
+// Params) beside the JSON of the other fields.
 type artifactWire struct {
 	ModelConfig Config
 	Candidates  dataset.Config
@@ -294,13 +287,7 @@ type decodedPayload struct {
 // is the whole file; payload is its verified payload.
 func decodePayload(data, payload []byte, version uint32) (d decodedPayload, err error) {
 	d.rawFrom = FrameHeaderLen + len(payload)
-	switch version {
-	case gobArtifactVersion:
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&d.artifactWire); err != nil {
-			return d, fmt.Errorf("%w: decode payload: %v", ErrArtifactCorrupt, err)
-		}
-		return d, nil
-	case jsonArtifactVersion:
+	if version == jsonArtifactVersion {
 		if len(payload) < v4PrefixLen {
 			return d, fmt.Errorf("%w: payload of %d bytes is shorter than its prefix", ErrArtifactCorrupt, len(payload))
 		}
@@ -340,13 +327,13 @@ func decodePayload(data, payload []byte, version uint32) (d decodedPayload, err 
 func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
 	version := uint32(artifactVersion)
 	if len(data) >= 12 {
-		if v := binary.BigEndian.Uint32(data[8:12]); v == jsonArtifactVersion || v == gobArtifactVersion {
-			version = v
+		if binary.BigEndian.Uint32(data[8:12]) == jsonArtifactVersion {
+			version = jsonArtifactVersion
 		}
 	}
 	payload, err := DecodeFrame(data, artifactMagic, version)
 	if errors.Is(err, ErrArtifactVersion) {
-		return nil, fmt.Errorf("%w (or versions %d and %d); retrain, or see docs/OPERATIONS.md \"Files from older builds\" to convert the file", err, jsonArtifactVersion, gobArtifactVersion)
+		return nil, fmt.Errorf("%w (or version %d); retrain, or see docs/OPERATIONS.md \"Files from older builds\" to convert the file", err, jsonArtifactVersion)
 	}
 	if err != nil {
 		return nil, err
@@ -388,8 +375,8 @@ func decodeArtifact(data []byte, verify bool) (*Artifact, error) {
 
 // checkModelShape rejects a decoded model configuration whose weight
 // tensors could not possibly be backed by the params payload, BEFORE any
-// allocation happens. The params stream (gob's format, whichever decoder
-// reads it) holds each float64 in at least one byte, so a genuine artifact
+// allocation happens. The params stream (gob's encoding, read by nn's
+// hand decoder) holds each float64 in at least one byte, so a genuine artifact
 // always satisfies paramsLen >= parameter count; a corrupt or adversarial
 // config (e.g. EmbeddingDim 1<<40 in a 100-byte file) fails here instead
 // of attempting a giant allocation in New.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -135,27 +134,46 @@ func TestArtifactRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestArtifactRejectsVersionMismatch: this build writes format 4 and also
-// reads format 3. The retired versions 1 and 2 and an unknown future one
-// are all refused with ErrArtifactVersion and a message that says what to
-// do about it.
+// TestArtifactRejectsVersionMismatch: this build writes format 5 and also
+// reads format 4, the one before it. Every other version (3, whose gob
+// payload older builds wrote; the retired 1 and 2; an unknown future one)
+// is refused with ErrArtifactVersion under both loaders, though its frame
+// checksum matches, with a message that says what to do about it.
 func TestArtifactRejectsVersionMismatch(t *testing.T) {
 	art := trainedArtifact(t)
 	var buf bytes.Buffer
 	if err := SaveArtifact(&buf, art); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	for _, v := range []uint32{1, 2, artifactVersion + 41} {
-		binary.BigEndian.PutUint32(data[8:12], v)
-		_, err := LoadArtifact(bytes.NewReader(data))
-		if !errors.Is(err, ErrArtifactVersion) {
-			t.Fatalf("version %d: want ErrArtifactVersion, got %v", v, err)
+	dir := t.TempDir()
+	for _, v := range []uint32{1, 2, 3, artifactVersion + 41} {
+		path := filepath.Join(dir, fmt.Sprintf("v%d.prart", v))
+		if err := os.WriteFile(path, reframed(buf.Bytes(), v), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), "retrain") {
-			t.Fatalf("version %d: error does not name the fix: %v", v, err)
+		for name, load := range map[string]func(string) (*Artifact, error){
+			"heap": LoadArtifactFile, "mapped": LoadArtifactFileMapped,
+		} {
+			a, err := load(path)
+			if a != nil {
+				a.Close()
+			}
+			if !errors.Is(err, ErrArtifactVersion) {
+				t.Fatalf("version %d, %s: want ErrArtifactVersion, got %v", v, name, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "retrain") || !strings.Contains(msg, `docs/OPERATIONS.md "Files from older builds"`) {
+				t.Fatalf("version %d, %s: error does not name the fix: %v", v, name, err)
+			}
 		}
 	}
+}
+
+// reframed returns the artifact image data under a frame header of
+// version v whose checksum matches the payload.
+func reframed(data []byte, v uint32) []byte {
+	plen := binary.BigEndian.Uint64(data[44:52])
+	header := EncodeFrame(artifactMagic, v, data[FrameHeaderLen:FrameHeaderLen+plen])
+	return append(header[:], data[FrameHeaderLen:]...)
 }
 
 // TestArtifactRejectsCorruption: corruption anywhere in a file is
@@ -434,23 +452,19 @@ func TestRankerEngineIsDijkstra(t *testing.T) {
 	}
 }
 
-// The committed files that older builds wrote, each with its model's
-// fingerprint as the writing binary computed it (6x6 world, M 4, hidden 4;
-// the same training run, so the same fingerprint):
-//   - retiredPrepFixture, version 3: the gob payload still carried a Prep
-//     section beside the raw hierarchy arrays, and an Embeddings section;
+// The committed files of the format before this one, each with its
+// model's fingerprint as the writing binary computed it (6x6 world, M 4,
+// hidden 4):
 //   - chSectionFixture, version 4: the raw section holds the graph's 8
 //     arrays and a contraction hierarchy's 12;
 //   - plainV4Fixture, version 4: the graph's 8 arrays, the params stream
-//     inside the checksummed payload. The same training run wrote all
-//     three, so they share one fingerprint.
+//     inside the checksummed payload. The same training run wrote both,
+//     so they share one fingerprint.
 const (
-	retiredPrepFixture     = "testdata/v3_prep_section.prart"
-	retiredPrepFingerprint = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
-	chSectionFixture       = "testdata/v4_ch_section.prart"
-	chSectionFingerprint   = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
-	plainV4Fixture         = "testdata/v4_plain.prart"
-	plainV4Fingerprint     = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
+	chSectionFixture     = "testdata/v4_ch_section.prart"
+	chSectionFingerprint = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
+	plainV4Fixture       = "testdata/v4_plain.prart"
+	plainV4Fingerprint   = "48f2bc011f1b34c54ad353f9ee1a0d746f05e53b929eb4546d067acc751d51e9"
 )
 
 // rawArrayCount returns the array count of a version-5 or version-4
@@ -545,26 +559,6 @@ func requireLoadsLikeResave(t *testing.T, fixture, fingerprint string, retired b
 	}
 }
 
-// TestArtifactLoadsRetiredPrepSection: a version-3 file written with the
-// retired Prep and Embeddings gob sections still loads — gob skips the
-// fields the payload struct no longer has, and the raw hierarchy arrays
-// are skipped — as requireLoadsLikeResave demands.
-func TestArtifactLoadsRetiredPrepSection(t *testing.T) {
-	data, err := os.ReadFile(retiredPrepFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := DecodeFrame(data, artifactMagic, gobArtifactVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var retired struct{ Embeddings []byte }
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&retired); err != nil || len(retired.Embeddings) == 0 {
-		t.Fatalf("fixture carries no embeddings section (%d bytes, err %v)", len(retired.Embeddings), err)
-	}
-	requireLoadsLikeResave(t, retiredPrepFixture, retiredPrepFingerprint, true)
-}
-
 // TestArtifactLoadsCHSection: a version-4 file whose raw directory lists a
 // contraction hierarchy's 12 arrays after the graph's 8 loads with those
 // arrays skipped, as requireLoadsLikeResave demands.
@@ -647,10 +641,9 @@ func TestArtifactRejectsCorruptCHSection(t *testing.T) {
 // TestLoadedFingerprintIsTheReencode: a loaded model's fingerprint is the
 // hash of the params bytes the loader read, and it equals
 // nn.ParamsFingerprint's re-encode of the loaded weights, for an artifact
-// this build writes (heap and mapped loads) and for the committed artifact
-// an older build wrote through encoding/gob. A stream that is not one
-// canonical message is fingerprinted by re-encoding, and weights written
-// after the load drop the loaded fingerprint and the saved stream.
+// this build writes (heap and mapped loads) and for the committed
+// version-4 artifact an earlier build wrote. Weights written after the
+// load drop the loaded fingerprint and the saved stream.
 func TestLoadedFingerprintIsTheReencode(t *testing.T) {
 	m, g := gobHistoryModel(t)
 	path := t.TempDir() + "/fresh.prart"
@@ -685,28 +678,11 @@ func TestLoadedFingerprintIsTheReencode(t *testing.T) {
 	}
 	defer mapped.Close()
 	check("fresh artifact, mapped", mapped.Model)
-	old, err := LoadArtifactFile(retiredPrepFixture)
+	old, err := LoadArtifactFile(plainV4Fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("committed artifact", old.Model)
-
-	// One byte after the value message: the stream still decodes, but its
-	// hash is not the weights' fingerprint.
-	params, err := nn.MarshalParams(m.params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long, err := loadModel(g.NumVertices(), m.Config(), append(params, 0), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if long.loadedFP.Load() != nil {
-		t.Fatal("a stream with a trailing byte was taken as canonical")
-	}
-	if fp, err := long.FingerprintHex(); err != nil || fp != freshFingerprint {
-		t.Fatalf("re-encoded fingerprint %s (%v), want %s", fp, err, freshFingerprint)
-	}
 
 	// Loading other weights replaces the loaded fingerprint's weights.
 	other, err := New(g.NumVertices(), Config{EmbeddingDim: 4, Hidden: 4, Variant: PRA2, Seed: 2})

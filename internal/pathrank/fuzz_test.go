@@ -10,7 +10,6 @@ import (
 
 	"pathrank/internal/dataset"
 	"pathrank/internal/geo"
-	"pathrank/internal/nn"
 	"pathrank/internal/roadnet"
 )
 
@@ -137,22 +136,23 @@ func resealArtifact(data []byte) ([]byte, bool) {
 // bytes either reconstruct a complete artifact or return an error, under
 // the heap loader (LoadArtifact) and the mapped one's decode
 // (decodeArtifact without verify, on an aligned copy). The seeds are
-// version-5 files this build writes, a bare one and a shard, and the
-// committed fixtures older builds wrote: the version-3 retired-Prep file,
-// so the gob payload reader and its skip of fields the payload struct
-// lacks stay fuzzed, the version-4 file whose raw directory lists a
-// hierarchy's arrays, which the loader skips, and a plain version-4 file.
+// version-5 files this build writes, a bare one and a shard; the bare one
+// reframed as version 3, which the loaders refuse whatever follows the
+// frame; and the committed version-4 fixtures: the file whose raw
+// directory lists a hierarchy's arrays, which the loader skips, and a
+// plain one.
 // The checksum and the digests screen random corruption, so every input
 // is tried twice — as is, which exercises the frame, checksum and digest
 // branches, and resealed, which lets a mutation of the JSON header, the
 // params stream, the directory or an array through to the decoders, the
-// bounds checks and the graph validator. Whatever loads with a canonical
-// params stream must have that stream's hash, the recorded digest in
-// version 5, as its model fingerprint.
+// bounds checks and the graph validator. Whatever loads must have its
+// params stream's hash, the recorded digest in version 5, as its model
+// fingerprint.
 func FuzzLoadArtifact(f *testing.F) {
 	f.Add([]byte{})
 	seeds := fuzzSeedArtifacts(f)
-	for _, name := range []string{retiredPrepFixture, chSectionFixture, plainV4Fixture} {
+	seeds = append(seeds, reframed(seeds[0], 3))
+	for _, name := range []string{chSectionFixture, plainV4Fixture} {
 		data, err := os.ReadFile(name)
 		if err != nil {
 			f.Fatal(err)
@@ -224,8 +224,8 @@ func FuzzLoadArtifact(f *testing.F) {
 
 // requireStreamFingerprint fails t unless m, loaded from the artifact
 // image data, can be fingerprinted — which touches every parameter
-// tensor — and, when data's params stream is canonical, its fingerprint
-// is that stream's hash and, in version 5, the recorded digest.
+// tensor — and, in version 5, its fingerprint is the params stream's hash
+// and the recorded digest.
 func requireStreamFingerprint(t *testing.T, data []byte, m *Model) {
 	t.Helper()
 	fp, err := m.Fingerprint()
@@ -237,9 +237,6 @@ func requireStreamFingerprint(t *testing.T, data []byte, m *Model) {
 		return
 	}
 	params := data[l.params:l.rawFrom]
-	if !nn.CanonicalStream(params) {
-		return
-	}
 	if rec := recordedParamsSum(data); fp != rec || fp != sha256.Sum256(params) {
 		t.Fatalf("loaded a canonical stream hashing to %x under the digest %x as fingerprint %x", sha256.Sum256(params), rec, fp)
 	}

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"pathrank/internal/allocpin"
@@ -22,7 +24,7 @@ import (
 // liveFixtureBase) and its model's fingerprint as the build that wrote it
 // computed it.
 const (
-	liveBaseFixture     = "../stream/testdata/v3_live/base.prart"
+	liveBaseFixture     = "../stream/testdata/live/base.prart"
 	liveBaseFingerprint = "ee80da5dd4dc409c646c066c133eb91f745d059ae7f24c4de3152150fb87bd86"
 )
 
@@ -35,17 +37,16 @@ type gobParam struct {
 	Frozen     bool
 }
 
-// TestFixturesDecodeLikeGob: the committed files older builds wrote keep
-// their pinned model fingerprints under both loaders, heap and mapped,
-// both as their params stream's hash and re-encoded from the loaded
-// weights; and encoding/gob decodes their params streams to the weights
-// the hand decoder loaded, bit for bit.
+// TestFixturesDecodeLikeGob: the committed files earlier builds wrote
+// keep their pinned model fingerprints under both loaders, heap and
+// mapped, both as their params stream's hash and re-encoded from the
+// loaded weights; and encoding/gob decodes their params streams to the
+// weights the hand decoder loaded, bit for bit.
 func TestFixturesDecodeLikeGob(t *testing.T) {
 	for fixture, pin := range map[string]string{
-		retiredPrepFixture: retiredPrepFingerprint,
-		chSectionFixture:   chSectionFingerprint,
-		plainV4Fixture:     plainV4Fingerprint,
-		liveBaseFixture:    liveBaseFingerprint,
+		chSectionFixture: chSectionFingerprint,
+		plainV4Fixture:   plainV4Fingerprint,
+		liveBaseFixture:  liveBaseFingerprint,
 	} {
 		data, err := os.ReadFile(fixture)
 		if err != nil {
@@ -60,8 +61,8 @@ func TestFixturesDecodeLikeGob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum, ok := sha256.Sum256(wire.Params), nn.CanonicalStream(wire.Params); !ok || hex.EncodeToString(sum[:]) != pin {
-			t.Fatalf("%s: params stream hash %x (canonical %v), pinned %s", fixture, sum, ok, pin)
+		if sum := sha256.Sum256(wire.Params); hex.EncodeToString(sum[:]) != pin {
+			t.Fatalf("%s: params stream hash %x, pinned %s", fixture, sum, pin)
 		}
 		var want []gobParam
 		if err := gob.NewDecoder(bytes.NewReader(wire.Params)).Decode(&want); err != nil {
@@ -107,20 +108,20 @@ func requireGobWeights(t *testing.T, m *Model, want []gobParam) {
 	}
 }
 
-// TestLoadModelOldGobStream: a params stream gob-encoded in a process that
-// had encoded another type first carries other type numbers than the
-// canonical preamble. loadModel and Model.Load read it through gob, the
-// weights come back bit-exactly, and the fingerprint is re-encoded from
-// them, as before, to the original's.
-func TestLoadModelOldGobStream(t *testing.T) {
+// TestLoadRefusesOtherStreams: a params stream gob wrote with other type
+// numbers than the pinned preamble's, as builds that encoded their params
+// through gob after other types did, and a canonical stream with a byte
+// after its value message are refused by loadModel and Model.Load, and,
+// inside a version-5 artifact whose digests match them, by both loaders,
+// each with an error that names the operations guide.
+func TestLoadRefusesOtherStreams(t *testing.T) {
 	m, g := gobHistoryModel(t)
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	type earlier struct{ Gen int }
-	if err := enc.Encode(earlier{Gen: 1}); err != nil {
+	var shifted bytes.Buffer
+	enc := gob.NewEncoder(&shifted)
+	if err := enc.Encode(struct{ Gen int }{1}); err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset() // the params stream starts after earlier's messages
+	shifted.Reset() // the params stream starts after the earlier type's messages
 	wire := make([]gobParam, len(m.params))
 	for i, p := range m.params {
 		wire[i] = gobParam{p.Name, p.Rows, p.Cols, p.W, p.Frozen}
@@ -128,32 +129,46 @@ func TestLoadModelOldGobStream(t *testing.T) {
 	if err := enc.Encode(wire); err != nil {
 		t.Fatal(err)
 	}
-	stream := buf.Bytes()
-	if nn.CanonicalStream(stream) {
-		t.Fatal("the shifted stream passes as canonical")
-	}
-	want, err := m.FingerprintHex()
+	stream, _, err := m.ParamsStream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := loadModel(g.NumVertices(), m.Config(), stream, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.loadedFP.Load() != nil {
-		t.Fatal("loadModel took the shifted stream's hash as the fingerprint")
-	}
-	reloaded, err := New(g.NumVertices(), Config{EmbeddingDim: 4, Hidden: 4, Variant: PRA2, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reloaded.Load(bytes.NewReader(stream)); err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string]*Model{"loadModel": loaded, "Model.Load": reloaded} {
-		if fp, err := got.FingerprintHex(); err != nil || fp != want {
-			t.Fatalf("%s: fingerprint %s (%v), the encoded model's %s", name, fp, err, want)
+	dir := t.TempDir()
+	for name, params := range map[string][]byte{
+		"other type numbers":     shifted.Bytes(),
+		"byte after the message": append(slices.Clip(stream), 0),
+	} {
+		refused := func(how string, a *Artifact, err error) {
+			t.Helper()
+			if a != nil {
+				a.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), `docs/OPERATIONS.md "Files from older builds"`) {
+				t.Fatalf("%s, %s: %v, want a refusal that names the operations guide", name, how, err)
+			}
 		}
+		_, err := loadModel(g.NumVertices(), m.Config(), params, nil)
+		refused("loadModel", nil, err)
+		into, err := m.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused("Model.Load", nil, into.Load(bytes.NewReader(params)))
+
+		// An artifact whose params digest is the stream's own.
+		carrier, err := m.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		carrier.stream.Store(&savedStream{b: params, sum: sha256.Sum256(params)})
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".prart")
+		if err := SaveArtifactFile(path, &Artifact{Graph: g, Model: carrier}); err != nil {
+			t.Fatal(err)
+		}
+		a, err := LoadArtifactFile(path)
+		refused("heap artifact", a, err)
+		a, err = LoadArtifactFileMapped(path)
+		refused("mapped artifact", a, err)
 	}
 }
 
@@ -186,9 +201,9 @@ func TestLoadModelWaitsForHash(t *testing.T) {
 }
 
 // TestLoadModelAllocs pins what a load of a small model allocates: its
-// weight tensors (no gradients) and layers, and the hash's goroutine. A
-// decode through an intermediate copy of the weights, as gob's was, fails
-// it.
+// weight tensors (no gradients, no optimizer state) and layers, and the
+// hash's goroutine. A decode through an intermediate copy of the weights,
+// as gob's was, fails it.
 func TestLoadModelAllocs(t *testing.T) {
 	m, err := New(40, smallConfig())
 	if err != nil {
@@ -198,7 +213,7 @@ func TestLoadModelAllocs(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	allocpin.Pin(t, allocpin.Count{Allocs: 45, Bytes: 12880}, func() {
+	allocpin.Pin(t, allocpin.Count{Allocs: 45, Bytes: 12304}, func() {
 		if _, err := loadModel(40, smallConfig(), buf.Bytes(), nil); err != nil {
 			t.Fatal(err)
 		}

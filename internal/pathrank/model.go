@@ -140,9 +140,13 @@ type Model struct {
 	// FineTune, Load, InitEmbeddings — stores nil, so a plan never outlives
 	// the weights it was built from; a Clone starts without one.
 	plan atomic.Pointer[plan]
-	// loadedFP is the fingerprint of the params stream the model was
-	// loaded from, when that stream is canonical (nn.CanonicalStream), and
-	// nil otherwise. stream is the params stream of the current weights and
+	// loadedFP is the hash of the params stream the model was loaded from:
+	// a stream loads only as the pinned preamble and one value message
+	// (nn.UnmarshalParams), the shape every writer gives the weights'
+	// stream, so its hash is their fingerprint. (A hand-made stream with a
+	// non-minimal field inside also loads; its hash is a fingerprint no
+	// encoder gives, but two different weight sets still never share
+	// one.) stream is the params stream of the current weights and
 	// its SHA-256 once a save has encoded them, so every later save and
 	// fingerprint reuses both. Everything that writes weights stores nil in
 	// both, as for plan.
@@ -163,11 +167,11 @@ func New(numVertices int, cfg Config) (*Model, error) {
 
 // loadModel builds the model for a graph with numVertices vertices from
 // weights written by Save: its tensors are shaped and zeroed, never
-// randomly initialized, since the load overwrites them all. When params is
-// a canonical params stream, its hash is the model's fingerprint, so
-// Fingerprint need not re-encode the weights. With a non-nil want, params
-// must hash to *want: otherwise the load fails with ErrArtifactCorrupt,
-// whatever the decode made of the bytes. The hash runs on its own
+// randomly initialized, since the load overwrites them all. The hash of
+// params is the model's fingerprint, so Fingerprint need not re-encode the
+// weights. With a non-nil want, params must hash to *want: otherwise the
+// load fails with ErrArtifactCorrupt, whatever the decode made of the
+// bytes. The hash runs on its own
 // goroutine while the weights decode; both only read params, and
 // loadModel returns, on every path, only once the hash is done.
 func loadModel(numVertices int, cfg Config, params []byte, want *[sha256.Size]byte) (*Model, error) {
@@ -187,7 +191,7 @@ func loadModel(numVertices int, cfg Config, params []byte, want *[sha256.Size]by
 	if err != nil {
 		return nil, err
 	}
-	m.setLoadedFP(params, &sum)
+	m.loadedFP.Store(&sum)
 	return m, nil
 }
 
@@ -200,16 +204,8 @@ func LoadModelHashed(numVertices int, cfg Config, params []byte, sum [sha256.Siz
 	if err != nil {
 		return nil, err
 	}
-	m.setLoadedFP(params, &sum)
+	m.loadedFP.Store(&sum)
 	return m, nil
-}
-
-// setLoadedFP records sum, the hash of the stream m was loaded from, as
-// m's fingerprint when that stream is canonical.
-func (m *Model) setLoadedFP(params []byte, sum *[sha256.Size]byte) {
-	if nn.CanonicalStream(params) {
-		m.loadedFP.Store(sum)
-	}
 }
 
 // decodeModel is loadModel without the fingerprint.

@@ -261,6 +261,41 @@ func TestSaveLoadPreservesScores(t *testing.T) {
 	}
 }
 
+// TestFineTuneStartsFromFreshMoments: every Train or FineTune steps an
+// optimizer of its own, so what a model ran before leaves no state behind
+// but its weights. A trained model fine-tuned twice in place scores
+// bit-identically to its clone, which carries the weights only,
+// fine-tuned twice the same way.
+func TestFineTuneStartsFromFreshMoments(t *testing.T) {
+	w := newTestWorld(t, 3, 2)
+	m, err := New(w.g.NumVertices(), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Train(w.queries, TrainConfig{Epochs: 2, LR: 0.005, ClipNorm: 5, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(w.queries) / 2
+	for _, x := range []*Model{m, c} {
+		for i, qs := range [][]dataset.Query{w.queries[:half], w.queries[half:]} {
+			if _, err := x.FineTune(qs, TrainConfig{Epochs: 1, Seed: int64(5 + i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for qi, q := range w.queries {
+		for ci, cand := range q.Candidates {
+			if a, b := m.Score(cand.Path), c.Score(cand.Path); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("query %d candidate %d: fine-tuned in place %v, its clone %v", qi, ci, a, b)
+			}
+		}
+	}
+}
+
 func TestRankerQuery(t *testing.T) {
 	w := newTestWorld(t, 4, 2)
 	m, _ := New(w.g.NumVertices(), smallConfig())

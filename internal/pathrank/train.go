@@ -66,7 +66,7 @@ func (m *Model) Train(queries []dataset.Query, cfg TrainConfig) ([]float64, erro
 
 	nn.AllocGrads(m.params...)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := nn.NewAdam(cfg.LR)
+	opt := nn.NewAdam(cfg.LR, m.params)
 	losses := make([]float64, 0, cfg.Epochs)
 	lambda := m.cfg.MultiTaskLambda
 
@@ -93,7 +93,7 @@ func (m *Model) Train(queries []dataset.Query, cfg TrainConfig) ([]float64, erro
 			if cfg.ClipNorm > 0 {
 				nn.ClipGrad(m.params, cfg.ClipNorm)
 			}
-			opt.Step(m.params)
+			opt.Step()
 			epochLoss += loss
 		}
 		// The epoch moved the weights; drop the plan before validation or

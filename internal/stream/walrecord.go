@@ -24,14 +24,14 @@
 // A retrain marker is the JSON of retrainMarker behind its type byte: it
 // is rare (one per generation) and never a Merkle leaf, and encoding/json
 // writes fields in declaration order with no global state, so its bytes
-// are fixed by its content. Older logs hold gob markers under
-// walRecRetrainGob, which are read and never written.
+// are fixed by its content. Record type 0x02 (walRecGobMarker) held the
+// gob markers of older builds; a log with one is refused, as
+// docs/OPERATIONS.md "Files from older builds" says.
 package stream
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -41,7 +41,7 @@ import (
 
 const (
 	walRecObservation byte = 0x01
-	walRecRetrainGob  byte = 0x02
+	walRecGobMarker   byte = 0x02
 	walRecRetrain     byte = 0x03
 )
 
@@ -156,7 +156,9 @@ func (l *walLog) reader(g *roadnet.Graph) func(uint64, []byte) error {
 			}
 			l.obs = append(l.obs, o)
 			l.pending++
-		case walRecRetrain, walRecRetrainGob:
+		case walRecGobMarker:
+			return fmt.Errorf("stream: WAL record %d is a gob retrain marker (type 0x02), which this build does not read; see docs/OPERATIONS.md \"Files from older builds\"", idx)
+		case walRecRetrain:
 			m, err := decodeRetrainMarker(payload)
 			if err != nil {
 				return fmt.Errorf("stream: WAL record %d: %w", idx, err)
@@ -207,26 +209,19 @@ func encodeRetrainMarker(m retrainMarker) ([]byte, error) {
 	return append([]byte{walRecRetrain}, b...), nil
 }
 
-// decodeRetrainMarker parses a WAL retrain marker of either tag. A JSON
-// marker must be the bytes encodeRetrainMarker writes for its content:
-// any other spelling of it was not written by this codec.
+// decodeRetrainMarker parses a WAL retrain marker. It must be the bytes
+// encodeRetrainMarker writes for its content: any other spelling of it was
+// not written by this codec.
 func decodeRetrainMarker(payload []byte) (retrainMarker, error) {
 	var m retrainMarker
-	var err error
-	switch {
-	case len(payload) > 0 && payload[0] == walRecRetrain:
-		if err = json.Unmarshal(payload[1:], &m); err == nil {
-			if enc, _ := encodeRetrainMarker(m); !bytes.Equal(enc, payload) {
-				err = fmt.Errorf("not in canonical form")
-			}
-		}
-	case len(payload) > 0 && payload[0] == walRecRetrainGob:
-		err = gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&m)
-	default:
+	if len(payload) == 0 || payload[0] != walRecRetrain {
 		return m, fmt.Errorf("stream: malformed retrain marker (%d bytes)", len(payload))
 	}
-	if err != nil {
+	if err := json.Unmarshal(payload[1:], &m); err != nil {
 		return m, fmt.Errorf("stream: decode retrain marker: %w", err)
+	}
+	if enc, _ := encodeRetrainMarker(m); !bytes.Equal(enc, payload) {
+		return m, fmt.Errorf("stream: decode retrain marker: not in canonical form")
 	}
 	if m.Generation <= 0 || len(m.WindowSeqs) == 0 {
 		return m, fmt.Errorf("stream: implausible retrain marker (generation %d, %d window seqs)", m.Generation, len(m.WindowSeqs))

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -86,8 +87,7 @@ var pinnedMarker = retrainMarker{
 const pinnedMarkerSum = "05f46b73e542cbc9a4df7b6109d04a93f1a88eea09aad3a815122ae0d72e03bc"
 
 // TestRetrainMarkerRoundTrip: a marker's record is fixed by its content,
-// whatever the process encoded before, and decodes back equal; so does
-// the gob marker older builds wrote.
+// whatever the process encoded before, and decodes back equal.
 func TestRetrainMarkerRoundTrip(t *testing.T) {
 	m := pinnedMarker
 	enc, err := encodeRetrainMarker(m)
@@ -97,26 +97,19 @@ func TestRetrainMarkerRoundTrip(t *testing.T) {
 	if sum := sha256.Sum256(enc); hex.EncodeToString(sum[:]) != pinnedMarkerSum {
 		t.Fatalf("marker record hashes to %x, pinned %s: %q", sum, pinnedMarkerSum, enc)
 	}
-	var old bytes.Buffer
-	old.WriteByte(walRecRetrainGob)
-	if err := gob.NewEncoder(&old).Encode(m); err != nil {
+	got, err := decodeRetrainMarker(enc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range [][]byte{enc, old.Bytes()} {
-		got, err := decodeRetrainMarker(rec)
-		if err != nil {
-			t.Fatalf("tag 0x%02x: %v", rec[0], err)
-		}
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("tag 0x%02x: round trip %+v, want %+v", rec[0], got, m)
-		}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("round trip %+v, want %+v", got, m)
 	}
 	for name, rec := range map[string][]byte{
 		"truncated":       enc[:len(enc)-1],
 		"tag only":        enc[:1],
 		"wrong tag":       {walRecObservation},
+		"gob tag":         append([]byte{walRecGobMarker}, enc[1:]...),
 		"spaced":          append([]byte{walRecRetrain, ' '}, enc[1:]...),
-		"truncated gob":   old.Bytes()[:old.Len()/2],
 		"field renamed":   bytes.Replace(enc, []byte(`"Seed"`), []byte(`"seed"`), 1),
 		"float respelled": bytes.Replace(enc, []byte(`0.004`), []byte(`0.0040`), 1),
 	} {
@@ -127,55 +120,54 @@ func TestRetrainMarkerRoundTrip(t *testing.T) {
 }
 
 // FuzzRetrainMarker: a crash or a bad disk can leave any bytes in a WAL
-// record. Behind either marker tag, the decoder returns a marker or an
-// error and never panics, and a JSON marker it accepts re-encodes to the
-// same bytes.
+// record. Behind the marker tag, the decoder returns a marker or an error
+// and never panics, and a marker it accepts re-encodes to the same bytes.
+// Behind the gob marker tag of older builds, the log reader refuses every
+// body, naming the operations guide. The seeds are the pinned marker, a
+// respelling of it, a minimal marker and nothing.
 func FuzzRetrainMarker(f *testing.F) {
 	enc, err := encodeRetrainMarker(pinnedMarker)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(pinnedMarker); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(enc[1:])
-	f.Add(old.Bytes())
+	f.Add(bytes.Replace(enc[1:], []byte(`0.004`), []byte(`4e-3`), 1))
 	f.Add([]byte(`{"Generation":1,"WindowSeqs":[1]}`))
 	f.Add([]byte{})
+	read := (&walLog{}).reader(nil)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, tag := range []byte{walRecRetrain, walRecRetrainGob} {
-			rec := append([]byte{tag}, body...)
-			m, err := decodeRetrainMarker(rec)
-			if err != nil || tag != walRecRetrain {
-				continue
-			}
+		rec := append([]byte{walRecRetrain}, body...)
+		if m, err := decodeRetrainMarker(rec); err == nil {
 			if again, err := encodeRetrainMarker(m); err != nil || !bytes.Equal(again, rec) {
 				t.Fatalf("accepted %q, which re-encodes to %q (%v)", rec, again, err)
 			}
 		}
+		if err := read(1, append([]byte{walRecGobMarker}, body...)); err == nil || !strings.Contains(err.Error(), olderBuildsGuide) {
+			t.Fatalf("gob marker %q: %v, want a refusal that names the operations guide", body, err)
+		}
 	})
 }
 
-// The live-loop directory an older build wrote: liveFixtureBase, a
-// version-3 (gob payload) generation-0 artifact of testWorld, and
-// liveFixtureWAL, a log of four observations and the gob retrain marker
-// of the generation trained on them. liveFixtureResult and
-// liveFixtureChain are that generation's fingerprint and chain root as
-// the writing build logged them.
+// olderBuildsGuide is the section of the operations guide that every
+// refusal of an older build's file names.
+const olderBuildsGuide = `docs/OPERATIONS.md "Files from older builds"`
+
+// The live-loop directory a build of the current formats wrote:
+// liveFixtureBase, a version-5 generation-0 artifact of testWorld, and
+// liveFixtureWAL, a log of four observations and the retrain marker of
+// the generation trained on them. liveFixtureResult and liveFixtureChain
+// are that generation's fingerprint and chain root as the writing build
+// logged them.
 const (
-	liveFixtureBase   = "testdata/v3_live/base.prart"
-	liveFixtureWAL    = "testdata/v3_live/wal"
+	liveFixtureBase   = "testdata/live/base.prart"
+	liveFixtureWAL    = "testdata/live/wal"
 	liveFixtureResult = "de3ceeae87a022524eaadb7455f9b4ed5a6cc89181ceb649290cec6cc7de5309"
 	liveFixtureChain  = "9c615c74c1907cf99f9d13d0807af490ffd2a67101b0ef4a0107189ec78a909e"
 )
 
-// TestRestartOnGobMarkerLog: restarted on an older build's version-3
-// artifact and a log that holds a gob marker, the service re-derives the
-// logged generation to the marker's fingerprint and chain root, and
-// Replay does too. The next generation logs a JSON marker after the gob
-// one, and Replay of the mixed log reaches it.
-func TestRestartOnGobMarkerLog(t *testing.T) {
+// copyLiveWAL copies the fixture's log into a new directory and returns it.
+func copyLiveWAL(t *testing.T) string {
+	t.Helper()
 	walDir := t.TempDir()
 	entries, err := os.ReadDir(liveFixtureWAL)
 	if err != nil {
@@ -190,6 +182,16 @@ func TestRestartOnGobMarkerLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return walDir
+}
+
+// TestRestartOnLoggedLog: restarted on a committed artifact and log that
+// an earlier build wrote, the service re-derives the logged generation to
+// the marker's fingerprint and chain root, and Replay does too. The next
+// generation logs its marker after the committed one, and Replay of the
+// log two builds wrote reaches it.
+func TestRestartOnLoggedLog(t *testing.T) {
+	walDir := copyLiveWAL(t)
 	base, err := pathrank.LoadArtifactFile(liveFixtureBase)
 	if err != nil {
 		t.Fatal(err)
@@ -228,6 +230,70 @@ func TestRestartOnGobMarkerLog(t *testing.T) {
 	}
 }
 
+// TestRefusesGobMarkerLog: a log that holds a gob retrain marker, record
+// type 0x02 as older builds wrote it, is refused by Replay and by a
+// restart, each naming the record and the operations guide, and the
+// refused restart leaves the log as it was.
+func TestRefusesGobMarkerLog(t *testing.T) {
+	walDir := copyLiveWAL(t)
+	base, err := pathrank.LoadArtifactFile(liveFixtureBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(walDir, wal.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec bytes.Buffer
+	rec.WriteByte(walRecGobMarker)
+	if err := gob.NewEncoder(&rec).Encode(pinnedMarker); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := log.Append(rec.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, walDir)
+	want := fmt.Sprintf("stream: WAL record %d is a gob retrain marker (type 0x02)", idx)
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), olderBuildsGuide) {
+			t.Fatalf("%s: %v, want an error containing %q and naming the operations guide", what, err, want)
+		}
+	}
+	_, err = Replay(walDir, base, 0, nil)
+	refused("replay", err)
+	svc, err := New(base, Config{QueueSize: 16, Workers: 2, WALDir: walDir})
+	if err == nil {
+		svc.Close()
+	}
+	refused("restart", err)
+	if after := dirBytes(t, walDir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused restart changed the log")
+	}
+}
+
+// dirBytes returns the contents of every file in dir by name.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
+}
+
 // TestDecodeWALRecordErrors pins the one WAL record reader the live
 // service's recovery and Replay share: it sorts records into observations
 // and markers, each failure names its record and keeps nothing, and only a
@@ -262,6 +328,7 @@ func TestDecodeWALRecordErrors(t *testing.T) {
 	}{
 		{"empty", nil, "stream: WAL record 3 is empty", false},
 		{"unknown type", []byte{0x7f}, "stream: WAL record 3 has unknown type 0x7f", false},
+		{"gob marker", []byte{walRecGobMarker}, "stream: WAL record 3 is a gob retrain marker (type 0x02), which this build does not read; see " + olderBuildsGuide, false},
 		{"truncated observation", ok[:len(ok)-1], "stream: WAL record 3: ", false},
 		{"truncated marker", marker[:1], "stream: WAL record 3: ", false},
 		{"foreign observation", foreign, "stream: WAL record 3: stream: observation 8 references vertex 5 outside the graph (2 vertices)", true},
