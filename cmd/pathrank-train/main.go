@@ -117,7 +117,7 @@ func run(ctx context.Context, args []string, onListen func(net.Addr)) error {
 	lambda := fs.Float64("lambda", 0, "multi-task auxiliary loss weight (0 = off)")
 	epochs := fs.Int("epochs", 10, "training epochs")
 	lr := fs.Float64("lr", 0.003, "Adam learning rate")
-	testFrac := fs.Float64("test-frac", 0.25, "held-out query fraction")
+	testFrac := fs.Float64("test-frac", 0.25, "held-out trip fraction")
 	seed := fs.Int64("seed", 1, "random seed")
 	artifactOut := fs.String("artifact", "", "also write a complete serving artifact (network + model) to this path; in live mode, the artifact to start from and publish every generation to")
 	resume := fs.String("resume", "", "warm-start from this artifact bundle instead of training from scratch (incremental fine-tune; ignores -net/-m/-hidden/-variant)")

@@ -113,6 +113,8 @@ var configStructs = []struct{ dir, name string }{
 	{"internal/router", "Config"},
 	{"internal/stream", "Config"},
 	{"internal/wal", "Options"},
+	{"internal/pathrank", "TrainConfig"},
+	{"internal/dataset", "Config"},
 }
 
 // configAllowlist names settings (package.Type.Field) that no code outside

@@ -169,24 +169,20 @@ func minStats(g *roadnet.Graph, paths []spath.Path) (minLen, minTime float64) {
 	return minLen, minTime
 }
 
-// Split partitions queries into train and test sets by query (never by
-// candidate, which would leak candidates of the same trajectory across the
-// split). testFrac is clamped to [0,1].
-func Split(queries []Query, testFrac float64, seed int64) (train, test []Query) {
-	if testFrac < 0 {
-		testFrac = 0
-	}
-	if testFrac > 1 {
-		testFrac = 1
-	}
+// Split partitions items into train and test sets under a seeded
+// permutation: the first testFrac of it (clamped to [0,1]) is the test
+// set. Trainers split trips before labeling them, so the candidates of one
+// trajectory never straddle the split.
+func Split[T any](items []T, testFrac float64, seed int64) (train, test []T) {
+	testFrac = min(max(testFrac, 0), 1)
 	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(queries))
-	nTest := int(float64(len(queries)) * testFrac)
+	perm := rng.Perm(len(items))
+	nTest := int(float64(len(items)) * testFrac)
 	for i, pi := range perm {
 		if i < nTest {
-			test = append(test, queries[pi])
+			test = append(test, items[pi])
 		} else {
-			train = append(train, queries[pi])
+			train = append(train, items[pi])
 		}
 	}
 	return train, test

@@ -12,7 +12,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -38,7 +37,7 @@ type WorldConfig struct {
 	Epochs int
 	Hidden int
 	LR     float64
-	// TestFrac is the held-out query fraction.
+	// TestFrac is the held-out trip fraction.
 	TestFrac float64
 }
 
@@ -108,12 +107,16 @@ var Experiments = []Experiment{
 
 // World caches the shared artifacts of the evaluation.
 //
-// The trip log is split once into training and test trips. Training queries
-// are generated from the training trips with whatever candidate strategy an
-// experiment specifies; the evaluation set is generated once from the test
-// trips with a fixed protocol (D-TkDI, k=5, θ=0.8, truth included) so that
-// every configuration in a table is measured against the same queries —
-// matching the paper's tables, which vary the *training-data* strategy.
+// The trip log is split once into training and test trips by
+// dataset.Split, the split pathrank-train's BuildPipeline makes. Training
+// queries are generated from the training trips with whatever candidate
+// strategy an experiment specifies, with the driven path included at label
+// 1 as pathrank-train and the live loop train (only Table1's and Table2's
+// truth-excluded group leaves it out). The evaluation set is generated
+// once from the test trips under dataset.DefaultConfig (D-TkDI, k=5,
+// θ=0.8, truth included), so every configuration in a table is measured
+// against the same queries, matching the paper's tables, which vary the
+// *training-data* strategy.
 type World struct {
 	Cfg        WorldConfig
 	G          *roadnet.Graph
@@ -162,29 +165,14 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		qErr:    make(map[string]error),
 		qOnce:   make(map[string]*sync.Once),
 	}
-	// Deterministic trip-level split.
-	rng := rand.New(rand.NewSource(cfg.Seed + 8))
-	perm := rng.Perm(len(trips))
-	nTest := int(float64(len(trips)) * cfg.TestFrac)
-	for i, pi := range perm {
-		if i < nTest {
-			w.TestTrips = append(w.TestTrips, trips[pi])
-		} else {
-			w.TrainTrips = append(w.TrainTrips, trips[pi])
-		}
-	}
+	w.TrainTrips, w.TestTrips = dataset.Split(trips, cfg.TestFrac, cfg.Seed+8)
 	return w, nil
-}
-
-// evalConfig is the fixed evaluation protocol shared by all experiments.
-func evalConfig() dataset.Config {
-	return dataset.Config{Strategy: dataset.DTkDI, K: 5, Threshold: 0.8, IncludeTruth: true}
 }
 
 // TestQueries returns the (cached) common evaluation set.
 func (w *World) TestQueries() ([]dataset.Query, error) {
 	w.testOnce.Do(func() {
-		w.test, w.testErr = dataset.Generate(w.G, w.TestTrips, evalConfig())
+		w.test, w.testErr = dataset.Generate(w.G, w.TestTrips, dataset.DefaultConfig())
 	})
 	return w.test, w.testErr
 }
@@ -244,7 +232,7 @@ type Row struct {
 
 // String formats the row for table output.
 func (r Row) String() string {
-	return fmt.Sprintf("%-28s MAE=%.4f MARE=%.4f tau=%.4f rho=%.4f",
+	return fmt.Sprintf("%-34s MAE=%.4f MARE=%.4f tau=%.4f rho=%.4f",
 		r.Label, r.Report.MAE, r.Report.MARE, r.Report.Tau, r.Report.Rho)
 }
 
@@ -261,7 +249,8 @@ type ModelSpec struct {
 }
 
 // RunModel trains one PathRank configuration on training queries generated
-// with spec.Data and evaluates it on the world's common evaluation set.
+// with spec.Data, through pathrank.Fit as pathrank-train does, and evaluates
+// it on the world's common evaluation set.
 func (w *World) RunModel(spec ModelSpec) (metrics.Report, error) {
 	train, err := w.Queries(spec.Data)
 	if err != nil {
@@ -278,38 +267,28 @@ func (w *World) RunModel(spec ModelSpec) (metrics.Report, error) {
 		}
 		train = train[:n]
 	}
-	mcfg := pathrank.Config{
+	model, _, err := pathrank.Fit(w.G.NumVertices(), w.Embeddings(spec.M), train, pathrank.Config{
 		EmbeddingDim: spec.M, Hidden: w.Cfg.Hidden,
 		Variant: spec.Variant, Body: spec.Body,
 		MultiTaskLambda: spec.Lambda, Seed: w.Cfg.Seed + 6,
-	}
-	model, err := pathrank.New(w.G.NumVertices(), mcfg)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	if err := model.InitEmbeddings(w.Embeddings(spec.M)); err != nil {
-		return metrics.Report{}, err
-	}
-	tcfg := pathrank.TrainConfig{
+	}, pathrank.TrainConfig{
 		Epochs: w.Cfg.Epochs, LR: w.Cfg.LR, ClipNorm: 5, Seed: w.Cfg.Seed + 7,
-	}
-	if _, err := model.Train(train, tcfg); err != nil {
+	})
+	if err != nil {
 		return metrics.Report{}, err
 	}
 	return model.Evaluate(test), nil
 }
 
-// Training candidate sets deliberately exclude the trajectory path itself:
-// the candidate generator alone must cover the driver's choice. This is
-// what makes the generation strategy matter — diversified candidates
-// overlap the (often non-shortest) driven path far more than plain top-k
-// shortest paths do, which is the paper's motivation for D-TkDI.
+// Training candidate sets hold the driven path at label 1, as
+// pathrank-train's and the live loop's do (dataset.DefaultConfig), so every
+// table measures the protocol the product trains under.
 func dataTkDI(k int) dataset.Config {
-	return dataset.Config{Strategy: dataset.TkDI, K: k}
+	return dataset.Config{Strategy: dataset.TkDI, K: k, IncludeTruth: true}
 }
 
 func dataDTkDI(k int, threshold float64) dataset.Config {
-	return dataset.Config{Strategy: dataset.DTkDI, K: k, Threshold: threshold}
+	return dataset.Config{Strategy: dataset.DTkDI, K: k, Threshold: threshold, IncludeTruth: true}
 }
 
 // Table1 reproduces the paper's Table 1: training-data strategies (TkDI vs
@@ -324,13 +303,33 @@ func Table2(w *World, ms []int) ([]Row, error) {
 	return strategyTable(w, ms, pathrank.PRA2)
 }
 
+// strategySpecs are the rows of Table1 and Table2 under variant v, with
+// their labels: TkDI and D-TkDI at each M, first under the headline
+// protocol, then as the truth-excluded group, whose training candidate
+// sets hold only what the generator found. There the generator alone must
+// cover the driver's choice, which is what the paper argues makes D-TkDI
+// matter: diversified candidates overlap the (often non-shortest) driven
+// path far more than plain top-k shortest paths do.
+func strategySpecs(ms []int, v pathrank.Variant) ([]ModelSpec, []string) {
+	var (
+		specs  []ModelSpec
+		labels []string
+	)
+	for _, group := range []string{"", " truth-excluded"} {
+		for _, data := range []dataset.Config{dataTkDI(5), dataDTkDI(5, 0.8)} {
+			data.IncludeTruth = group == ""
+			for _, m := range ms {
+				specs = append(specs, ModelSpec{Data: data, M: m, Variant: v, Body: pathrank.GRUBody})
+				labels = append(labels, fmt.Sprintf("%s %s M=%d%s", data.Strategy, v, m, group))
+			}
+		}
+	}
+	return specs, labels
+}
+
 func strategyTable(w *World, ms []int, v pathrank.Variant) ([]Row, error) {
-	strats := []dataset.Config{dataTkDI(5), dataDTkDI(5, 0.8)}
-	return modelRows(w, len(strats)*len(ms), func(i int) (ModelSpec, string) {
-		strat, m := strats[i/len(ms)], ms[i%len(ms)]
-		return ModelSpec{Data: strat, M: m, Variant: v, Body: pathrank.GRUBody},
-			fmt.Sprintf("%s %s M=%d", strat.Strategy, v, m)
-	})
+	specs, labels := strategySpecs(ms, v)
+	return modelRows(w, len(specs), func(i int) (ModelSpec, string) { return specs[i], labels[i] })
 }
 
 // runRows evaluates f(i) for every row index in [0, n) on par.For's

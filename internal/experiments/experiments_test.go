@@ -75,8 +75,8 @@ func TestTable1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("Table1 has %d rows, want 4 (2 strategies x 2 Ms)", len(rows))
+	if len(rows) != 8 {
+		t.Fatalf("Table1 has %d rows, want 8 (2 protocols x 2 strategies x 2 Ms)", len(rows))
 	}
 	for _, r := range rows {
 		if !strings.Contains(r.Label, "PR-A1") {
@@ -86,6 +86,11 @@ func TestTable1Shape(t *testing.T) {
 	if !strings.Contains(rows[0].Label, "TkDI") || !strings.Contains(rows[2].Label, "D-TkDI") {
 		t.Fatalf("unexpected row order: %q, %q", rows[0].Label, rows[2].Label)
 	}
+	for i, r := range rows {
+		if excluded := strings.HasSuffix(r.Label, " truth-excluded"); excluded != (i >= 4) {
+			t.Fatalf("row %d %q: the truth-excluded group is the last four rows", i, r.Label)
+		}
+	}
 }
 
 func TestTable2Shape(t *testing.T) {
@@ -94,14 +99,72 @@ func TestTable2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("Table2 has %d rows, want 2", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("Table2 has %d rows, want 4", len(rows))
 	}
 	for _, r := range rows {
 		if !strings.Contains(r.Label, "PR-A2") {
 			t.Fatalf("Table2 row %q missing PR-A2", r.Label)
 		}
 	}
+}
+
+// TestTrainingProtocol: every query the headline rows train on holds its
+// driven path at label 1, as pathrank-train's training queries do, and the
+// truth-excluded group's query for the same trip holds the same candidates
+// without the appended driven path: it holds that path only where the
+// generator found it.
+func TestTrainingProtocol(t *testing.T) {
+	w := quickWorld(t)
+	holds := func(q dataset.Query) bool {
+		for _, c := range q.Candidates {
+			if c.Path.Equal(q.Truth) && c.Label == 1 {
+				return true
+			}
+		}
+		return false
+	}
+	specs, labels := strategySpecs(QuickSchedule().Ms, pathrank.PRA2)
+	found := 0
+	for i, spec := range specs {
+		if !spec.Data.IncludeTruth {
+			continue
+		}
+		headline, err := w.Queries(spec.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		excl := spec.Data
+		excl.IncludeTruth = false
+		excluded, err := w.Queries(excl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(headline) != len(excluded) {
+			t.Fatalf("%s: %d queries, %d truth-excluded", labels[i], len(headline), len(excluded))
+		}
+		for j, q := range headline {
+			if !holds(q) {
+				t.Fatalf("%s: query %d->%d lacks its driven path", labels[i], q.Source, q.Destination)
+			}
+			want := q.Candidates
+			if holds(excluded[j]) {
+				found++
+			} else {
+				want = want[:len(want)-1] // the appended driven path
+			}
+			if len(excluded[j].Candidates) != len(want) {
+				t.Fatalf("%s: query %d->%d has %d candidates truth-excluded, want %d",
+					labels[i], q.Source, q.Destination, len(excluded[j].Candidates), len(want))
+			}
+			for k, c := range excluded[j].Candidates {
+				if !c.Path.Equal(want[k].Path) {
+					t.Fatalf("%s: query %d->%d candidate %d differs truth-excluded", labels[i], q.Source, q.Destination, k)
+				}
+			}
+		}
+	}
+	t.Logf("%d truth-excluded training queries hold their driven path because the generator found it", found)
 }
 
 func TestSweepsShapes(t *testing.T) {

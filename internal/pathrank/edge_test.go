@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"pathrank/internal/dataset"
 	"pathrank/internal/roadnet"
 	"pathrank/internal/spath"
 )
@@ -86,22 +85,6 @@ func TestTrainLogfCallback(t *testing.T) {
 	}
 	if lines != 3 {
 		t.Fatalf("Logf called %d times, want 3", lines)
-	}
-}
-
-func TestTrainEarlyStopping(t *testing.T) {
-	w := newTestWorld(t, 4, 2)
-	train, val := dataset.Split(w.queries, 0.3, 11)
-	m, _ := New(w.g.NumVertices(), smallConfig())
-	losses, err := m.Train(train, TrainConfig{
-		Epochs: 50, LR: 0.01, ClipNorm: 5, Seed: 1,
-		Validation: val, Patience: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(losses) >= 50 {
-		t.Fatalf("early stopping never triggered: ran all %d epochs", len(losses))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"pathrank/internal/allocpin"
 	"pathrank/internal/dataset"
@@ -174,11 +176,13 @@ func TestLoadRefusesOtherStreams(t *testing.T) {
 
 // TestLoadModelWaitsForHash: loadModel hashes the stream beside the
 // decode and returns only once the hash is done, on the error paths too.
-// Each of these loads gets the 4 MB params stream of a larger model, so
-// its decode fails at the first param's shape while its hash has
-// milliseconds of work left: a load that did not wait would leave
-// goroutines behind, and the count after them would exceed the count
-// before.
+// Each of these loads gets the 4 MB params stream of a larger model and a
+// digest the stream does not have, so its decode fails at the first
+// param's shape while its hash has milliseconds of work left. Only a load
+// that waited for the hash can return the digest error instead of the
+// decode error. Once the loads return, the goroutine count must also
+// come back to what it was before them (the exiting hash goroutines get a
+// bounded wait): one stuck in the load still fails.
 func TestLoadModelWaitsForHash(t *testing.T) {
 	cfg := DefaultConfig()
 	big, err := New(4000, cfg)
@@ -189,14 +193,20 @@ func TestLoadModelWaitsForHash(t *testing.T) {
 	if err := big.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	var wrong [sha256.Size]byte
 	before := runtime.NumGoroutine()
 	for range 100 {
-		if _, err := loadModel(10, cfg, buf.Bytes(), nil); err == nil {
-			t.Fatal("a model loaded another model's params")
+		_, err := loadModel(10, cfg, buf.Bytes(), &wrong)
+		if !errors.Is(err, ErrArtifactCorrupt) || !strings.Contains(err.Error(), "does not match its digest") {
+			t.Fatalf("load of a stream under a wrong digest: %v, want the digest error", err)
 		}
 	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before 100 failed loads, %d after", before, after)
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("%d goroutines before 100 failed loads, %d five seconds after", before, after)
 	}
 }
 

@@ -328,6 +328,12 @@ func TestRankerQuery(t *testing.T) {
 	}
 }
 
+// pipelineFingerprint is the fingerprint of the model BuildPipeline trains
+// in TestBuildPipelineEndToEnd, as the build that split labeled queries
+// rather than trips computed it: splitting trips first moves no bit while
+// no trip is unroutable.
+const pipelineFingerprint = "cade44864f0f1cf28b197be0210261dd994382aa054cf82dc0d10ffc26d48ec9"
+
 func TestBuildPipelineEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline test skipped in -short mode")
@@ -350,6 +356,9 @@ func TestBuildPipelineEndToEnd(t *testing.T) {
 	}
 	if len(pipe.Test) == 0 || len(pipe.Train) == 0 {
 		t.Fatal("empty split")
+	}
+	if fp, err := pipe.Model.FingerprintHex(); err != nil || fp != pipelineFingerprint {
+		t.Fatalf("pipeline model fingerprint %s (%v), pinned %s", fp, err, pipelineFingerprint)
 	}
 	rep := pipe.Model.Evaluate(pipe.Test)
 	if rep.NQueries != len(pipe.Test) {

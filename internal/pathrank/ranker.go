@@ -97,27 +97,26 @@ type Pipeline struct {
 }
 
 // BuildPipeline runs the full PathRank construction from a road network and
-// a trip log: node2vec embedding, candidate generation and labeling,
-// query-level train/test split, and model training.
+// a trip log: node2vec embedding, a trip-level train/test split, candidate
+// generation and labeling of each half, and model training through Fit.
 func BuildPipeline(g *roadnet.Graph, trips []traj.Trip, cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.SGNS.Dim != cfg.Model.EmbeddingDim {
 		return nil, fmt.Errorf("pathrank: node2vec dim %d != model embedding dim %d",
 			cfg.SGNS.Dim, cfg.Model.EmbeddingDim)
 	}
 	emb := node2vec.Embed(g, cfg.Walk, cfg.SGNS)
-	queries, err := dataset.Generate(g, trips, cfg.Data)
+	trainTrips, testTrips := dataset.Split(trips, cfg.TestFrac, cfg.SplitSeed)
+	train, err := dataset.Generate(g, trainTrips, cfg.Data)
 	if err != nil {
 		return nil, err
 	}
-	train, test := dataset.Split(queries, cfg.TestFrac, cfg.SplitSeed)
-	model, err := New(g.NumVertices(), cfg.Model)
-	if err != nil {
-		return nil, err
+	var test []dataset.Query
+	if len(testTrips) > 0 {
+		if test, err = dataset.Generate(g, testTrips, cfg.Data); err != nil {
+			return nil, err
+		}
 	}
-	if err := model.InitEmbeddings(emb); err != nil {
-		return nil, err
-	}
-	losses, err := model.Train(train, cfg.Train)
+	model, losses, err := Fit(g.NumVertices(), emb, train, cfg.Model, cfg.Train)
 	if err != nil {
 		return nil, err
 	}

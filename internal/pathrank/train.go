@@ -2,13 +2,13 @@ package pathrank
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 
 	"pathrank/internal/dataset"
 	"pathrank/internal/metrics"
 	"pathrank/internal/nn"
+	"pathrank/internal/node2vec"
 	"pathrank/internal/par"
 	"pathrank/internal/spath"
 )
@@ -22,13 +22,7 @@ type TrainConfig struct {
 	// LRDecay multiplies the learning rate after each epoch when in (0,1);
 	// zero disables decay.
 	LRDecay float64
-	// Validation, when non-empty, is evaluated after each epoch; together
-	// with Patience it enables early stopping on validation MAE.
-	Validation []dataset.Query
-	// Patience stops training after this many consecutive epochs without
-	// validation-MAE improvement (0 disables early stopping).
-	Patience int
-	// Verbose emits one progress line per epoch via the Logf callback.
+	// Logf, when non-nil, receives one progress line per epoch.
 	Logf func(format string, args ...any)
 }
 
@@ -70,9 +64,6 @@ func (m *Model) Train(queries []dataset.Query, cfg TrainConfig) ([]float64, erro
 	losses := make([]float64, 0, cfg.Epochs)
 	lambda := m.cfg.MultiTaskLambda
 
-	bestValMAE := math.Inf(1)
-	sinceBest := 0
-
 	m.weightsChanged() // the first step writes them
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
@@ -96,37 +87,39 @@ func (m *Model) Train(queries []dataset.Query, cfg TrainConfig) ([]float64, erro
 			opt.Step()
 			epochLoss += loss
 		}
-		// The epoch moved the weights; drop the plan before validation or
-		// Logf — the only code that runs inside Train and could score.
+		// The epoch moved the weights; drop the plan before Logf, the only
+		// code that runs inside Train and could score.
 		m.weightsChanged()
 		epochLoss /= float64(len(samples))
 		losses = append(losses, epochLoss)
-
-		var valNote string
-		if len(cfg.Validation) > 0 {
-			rep := m.Evaluate(cfg.Validation)
-			valNote = fmt.Sprintf(" val MAE %.5f", rep.MAE)
-			if rep.MAE < bestValMAE-1e-9 {
-				bestValMAE = rep.MAE
-				sinceBest = 0
-			} else {
-				sinceBest++
-			}
-		}
 		if cfg.Logf != nil {
-			cfg.Logf("epoch %d/%d loss %.5f%s", epoch+1, cfg.Epochs, epochLoss, valNote)
-		}
-		if cfg.Patience > 0 && len(cfg.Validation) > 0 && sinceBest >= cfg.Patience {
-			if cfg.Logf != nil {
-				cfg.Logf("early stop after epoch %d (no val improvement for %d epochs)", epoch+1, sinceBest)
-			}
-			break
+			cfg.Logf("epoch %d/%d loss %.5f", epoch+1, cfg.Epochs, epochLoss)
 		}
 		if cfg.LRDecay > 0 && cfg.LRDecay < 1 {
 			opt.LR *= cfg.LRDecay
 		}
 	}
 	return losses, nil
+}
+
+// Fit is the one training entry point: it builds a model over numVertices
+// vertices under cfg, starts its embedding table from emb, and trains it on
+// queries under tcfg. BuildPipeline (pathrank-train's offline build) and
+// the paper's tables both train through it. It returns the model and the
+// per-epoch mean training loss.
+func Fit(numVertices int, emb *node2vec.Embeddings, queries []dataset.Query, cfg Config, tcfg TrainConfig) (*Model, []float64, error) {
+	m, err := New(numVertices, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.InitEmbeddings(emb); err != nil {
+		return nil, nil, err
+	}
+	losses, err := m.Train(queries, tcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, losses, nil
 }
 
 // DefaultFineTuneConfig returns the incremental-training settings: a short

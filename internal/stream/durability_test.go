@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"pathrank/internal/dataset"
 	"pathrank/internal/fault"
 	"pathrank/internal/merkle"
 	"pathrank/internal/pathrank"
@@ -671,8 +670,5 @@ func TestWALConfigValidation(t *testing.T) {
 	}
 	if _, err := New(art, Config{WALFsync: "sometimes"}); err == nil {
 		t.Fatal("bad WALFsync accepted without a WAL")
-	}
-	if _, err := New(art, Config{WALDir: t.TempDir(), Train: pathrank.TrainConfig{Validation: make([]dataset.Query, 1)}}); err == nil {
-		t.Fatal("Train.Validation with a WAL accepted")
 	}
 }

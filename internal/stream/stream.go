@@ -310,11 +310,6 @@ func New(art *pathrank.Artifact, cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if cfg.WALDir != "" {
-		if cfg.Train.Validation != nil {
-			// Validation-driven early stopping depends on a query set a WAL
-			// record cannot capture, so such a run would not be replayable.
-			return nil, fmt.Errorf("stream: Train.Validation is incompatible with the WAL (replay could not reproduce early stopping)")
-		}
 		if err := s.openWAL(); err != nil {
 			return nil, err
 		}

@@ -229,8 +229,8 @@ func NewModel(numVertices int, cfg ModelConfig) (*Model, error) {
 	return pathrank.New(numVertices, cfg)
 }
 
-// BuildPipeline runs the full construction: node2vec, candidate generation,
-// labeling, split, and training.
+// BuildPipeline runs the full construction: node2vec, a trip-level split,
+// candidate generation and labeling, and training.
 func BuildPipeline(g *Graph, trips []Trip, cfg PipelineConfig) (*Pipeline, error) {
 	return pathrank.BuildPipeline(g, trips, cfg)
 }
